@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"vani/internal/colstore"
 	"vani/internal/trace"
 )
 
@@ -168,9 +167,11 @@ func TestFormatEquivalence(t *testing.T) {
 // blocks, v2.1 raw varints, v2.2 with the cost model and with each codec
 // forced on, with and without the flate outer layer — characterizes to a
 // YAML artifact byte-identical to the in-memory analysis, at sequential,
-// fixed-parallel and NumCPU decode. Every variant also runs with the
-// compressed-domain kernels force-disabled: the encoded-segment fast paths
-// and the materialized row loops must be indistinguishable byte-for-byte.
+// fixed-parallel and NumCPU decode. The variants are what drives the
+// analyzer's two pass bodies and every compressed-domain fallback: forced
+// raw segments (and the pre-v2.2 layouts) carry no run structure, so every
+// chunk takes the materialized row loops, while the run-structured codecs
+// serve key spans — and the two must be indistinguishable byte-for-byte.
 func TestCodecMatrixEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	variants := map[string]trace.V2Options{
@@ -200,44 +201,22 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 		refOpt.Storage = &cfg
 		want := ToYAML(CharacterizeWith(res, refOpt))
 
-		// Three execution arms: everything on, grouped execution forced off
-		// (kernels still on), and all compressed-domain kernels off. The
-		// grouped-off arm pins the dense code-keyed aggregation against the
-		// map-keyed fallback byte-for-byte.
-		modes := []struct {
-			label            string
-			kernels, grouped bool
-		}{
-			{"on", true, true},
-			{"grouped-off", true, false},
-			{"kernels-off", false, true},
-		}
 		check := func(variant, path string) {
 			t.Helper()
-			for _, mode := range modes {
-				colstore.SetKernelsEnabled(mode.kernels)
-				colstore.SetGroupedKernelsEnabled(mode.grouped)
-				for _, par := range pars {
-					opt := DefaultAnalyzerOptions()
-					opt.Storage = &cfg
-					opt.Parallelism = par
-					c, err := CharacterizeFileWith(path, opt)
-					if err != nil {
-						t.Fatalf("%s %s par=%d mode=%s: %v", name, variant, par, mode.label, err)
-					}
-					if got := ToYAML(c); !bytes.Equal(want, got) {
-						t.Errorf("%s: %s characterization differs from in-memory (par=%d mode=%s)",
-							name, variant, par, mode.label)
-					}
+			for _, par := range pars {
+				opt := DefaultAnalyzerOptions()
+				opt.Storage = &cfg
+				opt.Parallelism = par
+				c, err := CharacterizeFileWith(path, opt)
+				if err != nil {
+					t.Fatalf("%s %s par=%d: %v", name, variant, par, err)
+				}
+				if got := ToYAML(c); !bytes.Equal(want, got) {
+					t.Errorf("%s: %s characterization differs from in-memory (par=%d)",
+						name, variant, par)
 				}
 			}
-			colstore.SetKernelsEnabled(true)
-			colstore.SetGroupedKernelsEnabled(true)
 		}
-		defer func() {
-			colstore.SetKernelsEnabled(true)
-			colstore.SetGroupedKernelsEnabled(true)
-		}()
 
 		v1Path := filepath.Join(dir, name+"-v1.trc")
 		f, err := os.Create(v1Path)
@@ -270,12 +249,13 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 }
 
 // TestFilteredCodecMatrixEquivalence extends the codec matrix to filtered
-// scans — the selection-backed grouped path. With a filter pushed down, the
-// surviving chunks are selection-backed and the grouped analyzer runs on
-// run summaries re-cut against the selection vector; the YAML must stay
-// byte-identical to in-memory filtering across codecs, filter shapes
-// (residual window, exact rank selection, op class, and their combination),
-// the three kernel arms, and sequential / fixed / NumCPU parallelism.
+// scans. With a filter pushed down, the surviving chunks are
+// selection-backed and the analyzer runs on run summaries re-cut against
+// the selection vector — or, where the re-cut comes up short (forced raw
+// segments always; dense selections under the density cap), on the row
+// loops; the YAML must stay byte-identical to in-memory filtering across
+// codecs, filter shapes (residual window, exact rank selection, op class,
+// and their combination) and sequential / fixed / NumCPU parallelism.
 func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	w, err := New("hacc")
@@ -300,14 +280,6 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 		"v22dict": {Codec: trace.CodecForceDict},
 		"v22for":  {Codec: trace.CodecForceFOR},
 	}
-	modes := []struct {
-		label            string
-		kernels, grouped bool
-	}{
-		{"on", true, true},
-		{"grouped-off", true, false},
-		{"kernels-off", false, true},
-	}
 	pars := []int{1, 4, runtime.NumCPU()}
 	cfg := res.Spec.Storage
 	paths := map[string]string{}
@@ -325,36 +297,26 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 		}
 		paths[variant] = path
 	}
-	defer func() {
-		colstore.SetKernelsEnabled(true)
-		colstore.SetGroupedKernelsEnabled(true)
-	}()
 	for fname, filter := range filters {
 		refOpt := DefaultAnalyzerOptions()
 		refOpt.Storage = &cfg
 		refOpt.Filter = filter
 		want := ToYAML(CharacterizeWith(res, refOpt))
 		for variant, path := range paths {
-			for _, mode := range modes {
-				colstore.SetKernelsEnabled(mode.kernels)
-				colstore.SetGroupedKernelsEnabled(mode.grouped)
-				for _, par := range pars {
-					opt := DefaultAnalyzerOptions()
-					opt.Storage = &cfg
-					opt.Parallelism = par
-					opt.Filter = filter
-					c, err := CharacterizeFileWith(path, opt)
-					if err != nil {
-						t.Fatalf("%s %s par=%d mode=%s: %v", fname, variant, par, mode.label, err)
-					}
-					if got := ToYAML(c); !bytes.Equal(want, got) {
-						t.Errorf("%s: %s filtered characterization differs from in-memory (par=%d mode=%s)",
-							fname, variant, par, mode.label)
-					}
+			for _, par := range pars {
+				opt := DefaultAnalyzerOptions()
+				opt.Storage = &cfg
+				opt.Parallelism = par
+				opt.Filter = filter
+				c, err := CharacterizeFileWith(path, opt)
+				if err != nil {
+					t.Fatalf("%s %s par=%d: %v", fname, variant, par, err)
+				}
+				if got := ToYAML(c); !bytes.Equal(want, got) {
+					t.Errorf("%s: %s filtered characterization differs from in-memory (par=%d)",
+						fname, variant, par)
 				}
 			}
-			colstore.SetKernelsEnabled(true)
-			colstore.SetGroupedKernelsEnabled(true)
 		}
 	}
 }
@@ -632,6 +594,28 @@ func TestCharacterizeFileErrors(t *testing.T) {
 	}
 	if _, err := CharacterizeFile(bad, nil); err == nil {
 		t.Error("corrupt file did not error")
+	}
+
+	// A log every decoder accepts, one of whose events names a file past
+	// the header's interned table: malformed, whichever format carried it.
+	tr := syntheticTrace(20)
+	tr.Events[10].File = int32(len(tr.Files)) + 7
+	for _, tf := range []TraceFormat{TraceFormatV1, TraceFormatV2} {
+		path := filepath.Join(t.TempDir(), tf.String()+".trc")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteTraceFormat(f, tr, tf); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = CharacterizeFileContext(context.Background(), path, DefaultAnalyzerOptions())
+		if !errors.Is(err, trace.ErrBadFormat) {
+			t.Errorf("%s: out-of-range file id: err = %v, want ErrBadFormat", tf, err)
+		}
 	}
 }
 

@@ -566,67 +566,6 @@ func (c *Chunk) col(col Col) []int32 {
 	return nil
 }
 
-// GroupBy groups row indices by an int32 key column. Keys appear in
-// first-encounter order (by row) in the Keys slice so iteration is
-// deterministic at any parallelism.
-type GroupBy struct {
-	Keys   []int32
-	Groups map[int32][]int
-}
-
-// GroupByCol builds groups over the given key column, chunk-parallel: each
-// chunk groups its own rows, then the per-chunk partials merge in chunk
-// order, which reproduces the sequential first-encounter key order and
-// ascending row order within every group.
-func (t *Table) GroupByCol(par int, col Col) *GroupBy {
-	parts := make([]*GroupBy, len(t.chunks))
-	parallel.ForEach(par, len(t.chunks), func(k int) {
-		c := t.chunks[k]
-		g := &GroupBy{Groups: make(map[int32][]int)}
-		if KernelsEnabled() && c.runUsable(KGroupBy, int(col)) {
-			// Run kernel: one map probe and one range append per run.
-			// Runs are in row order, so first-encounter key order and
-			// ascending row order match the row loop exactly.
-			t.tickKernel(KGroupBy, true)
-			row := 0
-			for _, r := range c.runs[col] {
-				key := int32(r.Val)
-				rows, ok := g.Groups[key]
-				if !ok {
-					g.Keys = append(g.Keys, key)
-				}
-				for x := 0; x < int(r.N); x++ {
-					rows = append(rows, c.Base+row+x)
-				}
-				g.Groups[key] = rows
-				row += int(r.N)
-			}
-			parts[k] = g
-			return
-		}
-		t.tickKernel(KGroupBy, false)
-		keys := c.col(col)
-		for j := 0; j < c.N; j++ {
-			key := keys[j]
-			if _, ok := g.Groups[key]; !ok {
-				g.Keys = append(g.Keys, key)
-			}
-			g.Groups[key] = append(g.Groups[key], c.Base+j)
-		}
-		parts[k] = g
-	})
-	out := &GroupBy{Groups: make(map[int32][]int)}
-	for _, g := range parts {
-		for _, key := range g.Keys {
-			if _, ok := out.Groups[key]; !ok {
-				out.Keys = append(out.Keys, key)
-			}
-			out.Groups[key] = append(out.Groups[key], g.Groups[key]...)
-		}
-	}
-	return out
-}
-
 // ForEachChunk invokes fn over the table's chunks in order — the streamed
 // aggregation pattern the paper runs through DASK partitions.
 func (t *Table) ForEachChunk(fn func(*Chunk)) {

@@ -143,33 +143,6 @@ func TestTimeExtent(t *testing.T) {
 	}
 }
 
-func TestGroupByDeterministicOrder(t *testing.T) {
-	tb := FromTrace(sampleTrace())
-	g := tb.GroupByCol(1, ColFile)
-	if len(g.Keys) != 2 {
-		t.Fatalf("groups = %d, want 2", len(g.Keys))
-	}
-	// First-encounter order: file of first event first.
-	if g.Keys[0] != tb.File(0) {
-		t.Error("keys not in first-encounter order")
-	}
-	total := 0
-	for _, rows := range g.Groups {
-		total += len(rows)
-	}
-	if total != tb.Len() {
-		t.Errorf("group rows = %d, want %d", total, tb.Len())
-	}
-}
-
-func TestGroupByRank(t *testing.T) {
-	tb := FromTrace(sampleTrace())
-	g := tb.GroupByCol(1, ColRank)
-	if len(g.Groups[0]) != 3 || len(g.Groups[1]) != 2 {
-		t.Errorf("rank groups wrong: %v", g.Groups)
-	}
-}
-
 func TestTakePreservesValues(t *testing.T) {
 	tb := FromTrace(sampleTrace())
 	sub := tb.Take([]int{1, 3})
@@ -206,7 +179,10 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 	wantCount := tb.Count(1, isWrite)
 	wantSize := tb.SumSize(1, isWrite)
 	wantDur := tb.SumDur(1, isWrite)
-	wantG := tb.GroupByCol(1, ColRank)
+	wantCard, err := tb.UnifyCodes(1, ColRank, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, par := range []int{0, 2, 4, 16} {
 		if got := tb.Count(par, isWrite); got != wantCount {
@@ -218,25 +194,8 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 		if got := tb.SumDur(par, isWrite); got != wantDur {
 			t.Errorf("par=%d SumDur = %v, want %v", par, got, wantDur)
 		}
-		g := tb.GroupByCol(par, ColRank)
-		if len(g.Keys) != len(wantG.Keys) {
-			t.Fatalf("par=%d group key count differs", par)
-		}
-		for i := range g.Keys {
-			if g.Keys[i] != wantG.Keys[i] {
-				t.Fatalf("par=%d key order differs at %d", par, i)
-			}
-		}
-		for _, key := range g.Keys {
-			a, b := g.Groups[key], wantG.Groups[key]
-			if len(a) != len(b) {
-				t.Fatalf("par=%d group %d size differs", par, key)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("par=%d group %d row order differs", par, key)
-				}
-			}
+		if got, err := tb.UnifyCodes(par, ColRank, 1<<20); err != nil || got != wantCard {
+			t.Errorf("par=%d UnifyCodes = (%d, %v), want (%d, nil)", par, got, err, wantCard)
 		}
 	}
 }

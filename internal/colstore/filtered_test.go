@@ -1,13 +1,13 @@
 package colstore
 
-// Selection-backed grouped execution: filtered chunks carry their block
-// run summaries re-cut against the selection vector, so key spans, the
-// code unifier and the dense grouped aggregations fire on filtered scans
-// exactly as they do on whole blocks — with results identical to the
-// materialized columns, and the filtered-capture and fallback counters
-// moving by exact amounts.
+// Selection-backed execution: filtered chunks carry their block run
+// summaries re-cut against the selection vector, so key spans and the code
+// unifier serve filtered scans exactly as they do whole blocks — with
+// results identical to the materialized columns, and the filtered-capture
+// and fallback counters moving by exact amounts.
 
 import (
+	"errors"
 	"testing"
 
 	"vani/internal/trace"
@@ -48,8 +48,8 @@ func assertKeySpansMatchColumns(t *testing.T, tb *Table) {
 // TestSelectionBackedKeySpans: a single-dimension rank filter leaves every
 // chunk selection-backed; the re-cut run summaries must serve key spans
 // that match the materialized filtered columns, across codecs, with the
-// filtered-capture counter moving once per chunk and the grouped
-// aggregations equal to dense references over the filtered rows.
+// filtered-capture counter moving once per chunk and the unifier answering
+// every chunk from its summary without decoding a byte.
 func TestSelectionBackedKeySpans(t *testing.T) {
 	tr := groupTrace(3)
 	f := trace.Filter{Ranks: []int32{1, 3, 5}}
@@ -62,49 +62,32 @@ func TestSelectionBackedKeySpans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %v: %v", codec, err)
 		}
-		sc := stats.Snapshot()
-		if sc.GroupFilteredServed != int64(tb.NumChunks()) {
+		base := stats.Snapshot()
+		if base.GroupFilteredServed != int64(tb.NumChunks()) {
 			t.Errorf("codec %v: filtered run capture served %d of %d chunks",
-				codec, sc.GroupFilteredServed, tb.NumChunks())
+				codec, base.GroupFilteredServed, tb.NumChunks())
 		}
-		if sc.GroupFilteredFallback != 0 {
+		if base.GroupFilteredFallback != 0 {
 			t.Errorf("codec %v: filtered run capture fell back on %d chunks, want 0",
-				codec, sc.GroupFilteredFallback)
+				codec, base.GroupFilteredFallback)
 		}
-		u, err := tb.UnifyCodes(ColFile, 1<<17)
+		card, err := tb.UnifyCodes(2, ColFile, len(tr.Files))
 		if err != nil {
 			t.Fatalf("codec %v UnifyCodes: %v", codec, err)
 		}
-		if u == nil {
-			t.Fatalf("codec %v: filtered file column not unifiable from re-cut summaries", codec)
+		if card != 4 {
+			t.Errorf("codec %v: card = %d, want 4", codec, card)
 		}
-		if u.ServedChunks() != tb.NumChunks() {
-			t.Errorf("codec %v: unifier served %d/%d filtered chunks without decoding",
-				codec, u.ServedChunks(), tb.NumChunks())
+		sc := stats.Snapshot()
+		if d := sc.KernelServed[KGroupAgg] - base.KernelServed[KGroupAgg]; d != int64(tb.NumChunks()) {
+			t.Errorf("codec %v: unifier served %d/%d filtered chunks from re-cut summaries",
+				codec, d, tb.NumChunks())
 		}
-		slots := int(u.Card()) + 1
-		hist, err := tb.GroupValueHist(2, ColFile, u)
-		if err != nil {
-			t.Fatalf("codec %v GroupValueHist: %v", codec, err)
-		}
-		sums, err := tb.GroupSumSize(2, ColFile, u)
-		if err != nil {
-			t.Fatalf("codec %v GroupSumSize: %v", codec, err)
-		}
-		cnts, err := tb.GroupCountEq(2, ColFile, u, ColRank, 3)
-		if err != nil {
-			t.Fatalf("codec %v GroupCountEq: %v", codec, err)
+		if sc.DecodedBytes != base.DecodedBytes {
+			t.Errorf("codec %v: unifier decoded %d bytes on summarized chunks, want 0",
+				codec, sc.DecodedBytes-base.DecodedBytes)
 		}
 		assertKeySpansMatchColumns(t, tb)
-		if want := refGroupHist(tb, ColFile, slots); !int64sEqual(hist, want) {
-			t.Errorf("codec %v: GroupValueHist = %v, want %v", codec, hist, want)
-		}
-		if want := refGroupSum(tb, ColFile, slots); !int64sEqual(sums, want) {
-			t.Errorf("codec %v: GroupSumSize = %v, want %v", codec, sums, want)
-		}
-		if want := refGroupCountEq(tb, ColFile, slots, ColRank, 3); !int64sEqual(cnts, want) {
-			t.Errorf("codec %v: GroupCountEq = %v, want %v", codec, cnts, want)
-		}
 	}
 }
 
@@ -196,68 +179,76 @@ func TestCompressedSelMultiSpansMatchSel(t *testing.T) {
 	}
 }
 
-// TestGroupFallbackOncePerChunk pins the fallback accounting of a refused
-// unification: exactly one KGroupAgg fallback tick for the refusing chunk
-// — not one per key column — whether the refusal is an over-cap value on
-// a served chunk or a selection-backed chunk with no re-cut summary.
+// TestGroupFallbackOncePerChunk pins the unifier's accounting on filtered
+// scans: one KGroupAgg request per chunk per unification, served when the
+// chunk answered from structure — even if the answer is an id the table
+// does not hold — and fallback when the unifier had to read rows, in which
+// case it decodes exactly that chunk's key column: the bytes the row pass
+// the chunk is bound for would have decoded anyway.
 func TestGroupFallbackOncePerChunk(t *testing.T) {
-	defer SetGroupedKernelsEnabled(true)
 	tr := groupTrace(3)
 	f := trace.Filter{Ranks: []int32{1, 3, 5}}
-	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRLE})
 
 	t.Run("over-cap", func(t *testing.T) {
+		br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRLE})
 		var stats ScanStats
 		tb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base := stats.Snapshot()
-		// Chunk 0 holds file ids {-1, 0, 1} and unifies under the cap;
-		// chunk 1 reaches id 2 and refuses. Exactly one served tick and
-		// one fallback tick must land, then the unifier gives up.
-		u, err := tb.UnifyCodes(ColFile, 2)
-		if err != nil {
-			t.Fatalf("UnifyCodes: %v", err)
-		}
-		if u != nil {
-			t.Fatal("UnifyCodes accepted file ids beyond the cap")
+		// Chunk 0 holds file ids {-1, 0, 1}; chunk 1 reaches id 2, past a
+		// two-entry table.
+		if _, err := tb.UnifyCodes(2, ColFile, 2); !errors.Is(err, trace.ErrBadFormat) {
+			t.Fatalf("UnifyCodes past the table: err = %v, want ErrBadFormat", err)
 		}
 		sc := stats.Snapshot()
-		if d := sc.KernelFallback[KGroupAgg] - base.KernelFallback[KGroupAgg]; d != 1 {
-			t.Errorf("refused chunk ticked %d KGroupAgg fallbacks, want exactly 1", d)
+		if d := sc.KernelServed[KGroupAgg] - base.KernelServed[KGroupAgg]; d != int64(tb.NumChunks()) {
+			t.Errorf("summarized chunks ticked %d served, want %d", d, tb.NumChunks())
 		}
-		if d := sc.KernelServed[KGroupAgg] - base.KernelServed[KGroupAgg]; d != 1 {
-			t.Errorf("unification before the refusal ticked %d served, want exactly 1", d)
+		if d := sc.KernelFallback[KGroupAgg] - base.KernelFallback[KGroupAgg]; d != 0 {
+			t.Errorf("summarized chunks ticked %d KGroupAgg fallbacks, want 0", d)
 		}
 	})
 
 	t.Run("no-summary", func(t *testing.T) {
-		// Scanning with grouped kernels off skips the selection re-cut, so
-		// the filtered chunks carry no summaries; flipping grouped back on,
-		// the first chunk refuses (it would need a decode) with exactly one
-		// fallback tick.
-		SetGroupedKernelsEnabled(false)
+		// Forced-raw segments have no runs to re-cut, so the filtered
+		// chunks carry no summaries and no header structure: the unifier
+		// reads rows, one fallback tick and one file-column decode per chunk.
+		br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
 		var stats ScanStats
 		tb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &stats)
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetGroupedKernelsEnabled(true)
 		base := stats.Snapshot()
-		u, err := tb.UnifyCodes(ColFile, 1<<17)
-		if err != nil {
-			t.Fatalf("UnifyCodes: %v", err)
+		if base.GroupFilteredServed != 0 || base.GroupFilteredFallback != int64(tb.NumChunks()) {
+			t.Fatalf("raw filtered capture served %d / fell back %d of %d chunks",
+				base.GroupFilteredServed, base.GroupFilteredFallback, tb.NumChunks())
 		}
-		if u != nil {
-			t.Fatal("UnifyCodes unified a filtered column with no summaries and no materialization")
+		card, err := tb.UnifyCodes(2, ColFile, len(tr.Files))
+		if err != nil || card != 4 {
+			t.Fatalf("UnifyCodes on summary-less filtered chunks = (%d, %v), want (4, nil)", card, err)
 		}
 		sc := stats.Snapshot()
-		if d := sc.KernelFallback[KGroupAgg] - base.KernelFallback[KGroupAgg]; d != 1 {
-			t.Errorf("refused chunk ticked %d KGroupAgg fallbacks, want exactly 1", d)
+		if d := sc.KernelFallback[KGroupAgg] - base.KernelFallback[KGroupAgg]; d != int64(tb.NumChunks()) {
+			t.Errorf("%d chunks ticked %d KGroupAgg fallbacks, want one each", tb.NumChunks(), d)
 		}
 		if d := sc.KernelServed[KGroupAgg] - base.KernelServed[KGroupAgg]; d != 0 {
-			t.Errorf("refusal path ticked %d served, want 0", d)
+			t.Errorf("row-reading unification ticked %d served, want 0", d)
+		}
+		var rowStats ScanStats
+		rowTb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &rowStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowBase := rowStats.DecodedBytes.Load()
+		if err := rowTb.Materialize(2, trace.ColFile); err != nil {
+			t.Fatal(err)
+		}
+		want := rowStats.DecodedBytes.Load() - rowBase
+		if got := sc.DecodedBytes - base.DecodedBytes; got != want || want == 0 {
+			t.Errorf("unifier decoded %d bytes, the chunks' file column is %d", got, want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // groupTrace builds a multi-block trace shaped like the real analyzer
-// workload: op alternates every event (so the six-column span kernel can
-// never fire) while the five key columns arrive in runs, and the per-block
+// workload: op alternates every event (so it could never ride a span)
+// while the five key columns arrive in runs, and the per-block
 // file dictionaries differ — blocks 0 and 1 touch disjoint file sets,
 // block 2 overlaps block 1 — with a sprinkling of File == -1 rows.
 func groupTrace(nblocks int) *trace.Trace {
@@ -32,7 +33,7 @@ func groupTrace(nblocks int) *trace.Trace {
 		bf := blockFiles[blk%len(blockFiles)]
 		file := bf[i/601%len(bf)]
 		if i%97 == 0 {
-			file = -1 // no-file rows: the unifier must report HasNeg
+			file = -1 // no-file rows: slot 0 of every dense accumulator
 		}
 		clock += time.Nanosecond
 		rank := int32(i / 501 % 8)
@@ -47,139 +48,70 @@ func groupTrace(nblocks int) *trace.Trace {
 	return tr.Finish()
 }
 
-// refGroupHist/refGroupSum/refGroupCountEq are the map-free references:
-// dense accumulations over the fully materialized table.
-func refGroupHist(tb *Table, col Col, slots int) []int64 {
-	h := make([]int64, slots)
-	for k := 0; k < tb.NumChunks(); k++ {
-		c := tb.ChunkAt(k)
-		for _, v := range c.col(col) {
-			h[slot(v)]++
-		}
-	}
-	return h
-}
-
-func refGroupSum(tb *Table, col Col, slots int) []int64 {
-	h := make([]int64, slots)
-	for k := 0; k < tb.NumChunks(); k++ {
-		c := tb.ChunkAt(k)
-		keys := c.col(col)
-		for j := 0; j < c.N; j++ {
-			h[slot(keys[j])] += c.Size[j]
-		}
-	}
-	return h
-}
-
-func refGroupCountEq(tb *Table, col Col, slots int, other Col, val int32) []int64 {
-	h := make([]int64, slots)
-	for k := 0; k < tb.NumChunks(); k++ {
-		c := tb.ChunkAt(k)
-		keys, os := c.col(col), c.col(other)
-		for j := 0; j < c.N; j++ {
-			if os[j] == val {
-				h[slot(keys[j])]++
-			}
-		}
-	}
-	return h
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCodeUnifierAcrossBlockDictionaries: the unifier resolves cardinality
-// and per-block code tables from segment headers alone, across blocks with
-// disjoint and overlapping dictionaries, and the grouped kernels built on
-// it match dense accumulation over materialized columns — with grouped
-// kernels forced off as well (the fallback arms).
+// TestCodeUnifierAcrossBlockDictionaries: the unifier resolves the file
+// column's cardinality across blocks with disjoint and overlapping
+// dictionaries. Run-structured codecs answer every chunk from segment
+// headers and decode nothing; forced-raw segments have no header to read,
+// so the unifier — total — materializes exactly the file column of every
+// chunk, the same bytes the row pass those chunks take would decode, and
+// still unifies.
 func TestCodeUnifierAcrossBlockDictionaries(t *testing.T) {
-	defer SetGroupedKernelsEnabled(true)
 	tr := groupTrace(3)
 	codecs := map[string]trace.CodecMode{
 		"auto": trace.CodecAuto,
 		"dict": trace.CodecForceDict,
 		"rle":  trace.CodecForceRLE,
 		"for":  trace.CodecForceFOR,
+		"raw":  trace.CodecForceRaw,
 	}
 	for cname, codec := range codecs {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
-		for _, grouped := range []bool{true, false} {
-			SetGroupedKernelsEnabled(grouped)
-			tb, err := FromBlocksSpec(br, 2, ScanSpec{}, nil)
-			if err != nil {
-				t.Fatalf("%s scan: %v", cname, err)
-			}
-			if !grouped {
-				// With the kernels off the segment headers are out of
-				// reach, and the unifier must refuse rather than decode
-				// columns on the caller's behalf.
-				if u, err := tb.UnifyCodes(ColFile, 1<<17); err != nil || u != nil {
-					t.Fatalf("%s grouped-off: UnifyCodes on unmaterialized chunks = (%v, %v), want (nil, nil)", cname, u, err)
-				}
-				if err := tb.Materialize(2, trace.AllCols); err != nil {
-					t.Fatal(err)
-				}
-			}
-			u, err := tb.UnifyCodes(ColFile, 1<<17)
-			if err != nil {
-				t.Fatalf("%s UnifyCodes: %v", cname, err)
-			}
-			if u == nil {
-				t.Fatalf("%s: file column not densely unifiable", cname)
-			}
-			if !u.HasNeg() {
-				t.Errorf("%s: HasNeg = false, want true (File stores -1)", cname)
-			}
-			if u.Card() != 4 {
-				t.Errorf("%s: Card = %d, want 4", cname, u.Card())
-			}
-			if grouped && u.ServedChunks() != tb.NumChunks() {
-				t.Errorf("%s grouped: unifier served %d/%d chunks from headers",
-					cname, u.ServedChunks(), tb.NumChunks())
-			}
-			if !grouped && u.ServedChunks() != 0 {
-				t.Errorf("%s grouped-off: unifier served %d chunks, want 0",
-					cname, u.ServedChunks())
-			}
-			slots := int(u.Card()) + 1
-			hist, err := tb.GroupValueHist(2, ColFile, u)
-			if err != nil {
-				t.Fatalf("%s GroupValueHist: %v", cname, err)
-			}
-			sums, err := tb.GroupSumSize(2, ColFile, u)
-			if err != nil {
-				t.Fatalf("%s GroupSumSize: %v", cname, err)
-			}
-			cnts, err := tb.GroupCountEq(2, ColFile, u, ColRank, 3)
-			if err != nil {
-				t.Fatalf("%s GroupCountEq: %v", cname, err)
-			}
-			// The reference materializes everything after the kernels ran.
-			if err := tb.Materialize(2, trace.AllCols); err != nil {
-				t.Fatal(err)
-			}
-			if want := refGroupHist(tb, ColFile, slots); !int64sEqual(hist, want) {
-				t.Errorf("%s grouped=%v: GroupValueHist = %v, want %v", cname, grouped, hist, want)
-			}
-			if want := refGroupSum(tb, ColFile, slots); !int64sEqual(sums, want) {
-				t.Errorf("%s grouped=%v: GroupSumSize = %v, want %v", cname, grouped, sums, want)
-			}
-			if want := refGroupCountEq(tb, ColFile, slots, ColRank, 3); !int64sEqual(cnts, want) {
-				t.Errorf("%s grouped=%v: GroupCountEq = %v, want %v", cname, grouped, cnts, want)
-			}
+		var stats ScanStats
+		tb, err := FromBlocksSpec(br, 2, ScanSpec{}, &stats)
+		if err != nil {
+			t.Fatalf("%s scan: %v", cname, err)
 		}
-		SetGroupedKernelsEnabled(true)
+		card, err := tb.UnifyCodes(2, ColFile, len(tr.Files))
+		if err != nil {
+			t.Fatalf("%s UnifyCodes: %v", cname, err)
+		}
+		if card != 4 {
+			t.Errorf("%s: card = %d, want 4", cname, card)
+		}
+		sc := stats.Snapshot()
+		nchunks := int64(tb.NumChunks())
+		if cname != "raw" {
+			if sc.KernelServed[KGroupAgg] != nchunks || sc.KernelFallback[KGroupAgg] != 0 {
+				t.Errorf("%s: unifier served %d / fell back %d of %d chunks, want all served from headers",
+					cname, sc.KernelServed[KGroupAgg], sc.KernelFallback[KGroupAgg], nchunks)
+			}
+			if sc.DecodedBytes != 0 {
+				t.Errorf("%s: unifier decoded %d bytes, want 0", cname, sc.DecodedBytes)
+			}
+			continue
+		}
+		if sc.KernelServed[KGroupAgg] != 0 || sc.KernelFallback[KGroupAgg] != nchunks {
+			t.Errorf("raw: unifier served %d / fell back %d of %d chunks, want all fallback",
+				sc.KernelServed[KGroupAgg], sc.KernelFallback[KGroupAgg], nchunks)
+		}
+		var rowStats ScanStats
+		rowTb, err := FromBlocksSpec(br, 2, ScanSpec{}, &rowStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rowTb.Materialize(2, trace.ColFile); err != nil {
+			t.Fatal(err)
+		}
+		if want := rowStats.DecodedBytes.Load(); sc.DecodedBytes != want || want == 0 {
+			t.Errorf("raw: unifier decoded %d bytes, the file column alone is %d", sc.DecodedBytes, want)
+		}
+		// The decode was moved, not added: the row pass finds the column ready.
+		if err := tb.Materialize(2, trace.ColFile); err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.DecodedBytes.Load(); got != sc.DecodedBytes {
+			t.Errorf("raw: re-requiring the file column decoded %d more bytes", got-sc.DecodedBytes)
+		}
 	}
 }
 
@@ -225,27 +157,31 @@ func TestKeySpansServeFORCodedKeys(t *testing.T) {
 	}
 }
 
-// TestUnifyCodesRejectsOverCap: values at or above the cap send callers to
-// the map-keyed path via a nil unifier, not an error and not a panic.
+// TestUnifyCodesRejectsOverCap: a stored id at or above the table length
+// the caller names — an event pointing past the header's interned table —
+// is malformed input: an ErrBadFormat-wrapped error, never a panic and
+// never a cardinality the caller would size by.
 func TestUnifyCodesRejectsOverCap(t *testing.T) {
 	tr := groupTrace(2) // block 1 reaches file ids 2 and 3
-	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
-	tb, err := FromBlocksSpec(br, 1, ScanSpec{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := tb.UnifyCodes(ColFile, 2) // file ids reach 3
-	if err != nil {
-		t.Fatalf("UnifyCodes: %v", err)
-	}
-	if u != nil {
-		t.Fatal("UnifyCodes accepted a column whose values exceed the cap")
+	for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRaw} {
+		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
+		tb, err := FromBlocksSpec(br, 1, ScanSpec{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.UnifyCodes(1, ColFile, 2); !errors.Is(err, trace.ErrBadFormat) {
+			t.Fatalf("codec %v: UnifyCodes past a 2-entry table: err = %v, want ErrBadFormat", codec, err)
+		}
+		if card, err := tb.UnifyCodes(1, ColFile, 4); err != nil || card != 4 {
+			t.Fatalf("codec %v: UnifyCodes within the table = (%d, %v), want (4, nil)", codec, card, err)
+		}
 	}
 }
 
-// TestKeySpansFireWhereSpansDont: with op alternating every event the
-// six-column span kernel serves nothing, while key spans — op excluded —
-// tile every chunk and carry the same keys the materialized columns hold.
+// TestKeySpansFireWhereSpansDont: with op alternating every event no span
+// could hold op constant for more than a row — its run list is far over
+// the one-run-per-four-rows cap — while key spans, op excluded, tile every
+// chunk and carry the same keys the materialized columns hold.
 func TestKeySpansFireWhereSpansDont(t *testing.T) {
 	tr := groupTrace(2)
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
@@ -254,50 +190,31 @@ func TestKeySpansFireWhereSpansDont(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < tb.NumChunks(); k++ {
-		if _, ok := tb.ChunkSpans(k, nil); ok {
-			t.Fatalf("chunk %d: six-column spans served despite per-row op alternation", k)
-		}
-		spans, ok := tb.ChunkKeySpans(k, nil)
-		if !ok {
-			t.Fatalf("chunk %d: key spans not served", k)
-		}
-		c := tb.ChunkAt(k)
-		if err := c.Require(trace.AllCols); err != nil {
-			t.Fatal(err)
-		}
-		row := 0
-		for _, s := range spans {
-			if s.Lo != row {
-				t.Fatalf("chunk %d: span starts at %d, want %d (spans must tile)", k, s.Lo, row)
+	assertKeySpansMatchColumns(t, tb)
+	tb.ForEachChunk(func(c *Chunk) {
+		opRuns := 1
+		for j := 1; j < c.N; j++ {
+			if c.Op[j] != c.Op[j-1] {
+				opRuns++
 			}
-			for j := s.Lo; j < s.Hi; j++ {
-				if c.Level[j] != s.Level || c.Rank[j] != s.Rank || c.Node[j] != s.Node ||
-					c.App[j] != s.App || c.File[j] != s.File {
-					t.Fatalf("chunk %d row %d: key span keys differ from columns", k, j)
-				}
-			}
-			row = s.Hi
 		}
-		if row != c.N {
-			t.Fatalf("chunk %d: spans cover %d rows of %d", k, row, c.N)
+		if opRuns <= c.N/4 {
+			t.Fatalf("chunk@%d: op forms %d runs over %d rows; the trace no longer defeats op spans",
+				c.Base, opRuns, c.N)
 		}
-	}
+	})
 	if served := stats.KernelServed[KKeySpan].Load(); served == 0 {
 		t.Error("KKeySpan served counter did not move")
-	}
-	if fb := stats.KernelFallback[KSpanScan].Load(); fb == 0 {
-		t.Error("KSpanScan fallback counter did not move")
 	}
 }
 
 // TestRunIntersectionSelection: multi-dimension filters over level/op/rank
 // select rows straight from intersected run summaries — row-identical to
-// the kernels-off scan, with the run-intersection counters ticking, and
-// whole-pass multi-dimension filters keeping whole blocks without a
-// selection vector.
+// the same scan over the forced-raw encoding (no run structure: eligible
+// blocks fall back to materialized selection), with the run-intersection
+// counters ticking, and whole-pass multi-dimension filters keeping whole
+// blocks without a selection vector.
 func TestRunIntersectionSelection(t *testing.T) {
-	defer SetKernelsEnabled(true)
 	tr := mixedTrace(2*ChunkRows + 901)
 	filters := map[string]trace.Filter{
 		"ranks-ops":        {Ranks: []int32{1, 3, 5, 7}, Ops: trace.OpClassData},
@@ -308,19 +225,23 @@ func TestRunIntersectionSelection(t *testing.T) {
 			Levels: []trace.Level{trace.LevelPosix, trace.LevelMiddleware, trace.LevelApp},
 		},
 	}
-	for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRLE, trace.CodecForceDict} {
-		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
-		for fname, f := range filters {
-			SetKernelsEnabled(false)
-			want, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, nil)
-			if err != nil {
-				t.Fatalf("%s kernels=off: %v", fname, err)
-			}
-			SetKernelsEnabled(true)
+	raw := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
+	for fname, f := range filters {
+		var rawStats ScanStats
+		want, err := FromBlocksSpec(raw, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &rawStats)
+		if err != nil {
+			t.Fatalf("raw %s: %v", fname, err)
+		}
+		if rawStats.RunIsectServed.Load() != 0 || rawStats.RunIsectFallback.Load() == 0 {
+			t.Errorf("raw %s: run-intersection served %d / fell back %d blocks, want none served",
+				fname, rawStats.RunIsectServed.Load(), rawStats.RunIsectFallback.Load())
+		}
+		for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRLE, trace.CodecForceDict} {
+			br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 			var stats ScanStats
 			got, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &stats)
 			if err != nil {
-				t.Fatalf("%s kernels=on: %v", fname, err)
+				t.Fatalf("codec %v %s: %v", codec, fname, err)
 			}
 			assertTablesEqual(t, want, got)
 			if served := stats.RunIsectServed.Load(); served == 0 {

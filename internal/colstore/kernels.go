@@ -1,29 +1,28 @@
 package colstore
 
-// The compressed-domain kernel registry. Every aggregation the analyzer
-// runs is expressed as a kernel request keyed by (operation, segment
-// codec): a registry entry means the operation can be answered straight
-// from the encoded segment — predicate evaluation on dictionary codes or
-// RLE runs, group-by and counting on run summaries, min/max from FOR
-// headers, span-fused scans over merged run structure — and a miss falls
-// back to materializing the column and iterating rows. Both paths produce
-// byte-identical results (the equivalence suite runs the full codec matrix
-// with kernels force-disabled); per-kernel served/fallback counters in
-// ScanStats make the split observable end-to-end, from `-v` CLI output to
-// the vanid /metrics endpoint.
+// The compressed-domain kernel registry. Every structure the analyzer's
+// one scan reads straight from encoded v2.2 segments is a kernel request
+// keyed by (operation, segment codec): a registry entry means the
+// operation can be answered from the encoded segment — predicate
+// evaluation on dictionary codes or RLE runs, key spans merged from run
+// summaries, key-column cardinality from segment headers — and a miss
+// falls back to materializing the column and iterating rows. The registry
+// is the only refusal mechanism: what a chunk serves follows from the codecs
+// its segments were written with, never from a switch. Both sides produce
+// byte-identical results (the equivalence suite runs every codec, the
+// forced-raw variant driving every fallback); per-kernel served/fallback
+// counters in ScanStats make the split observable end-to-end, from `-v`
+// CLI output to the vanid /metrics endpoint.
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"vani/internal/parallel"
 	"vani/internal/trace"
 )
-
-var errNotValueCol = errors.New("colstore: ColMinMax requires a single int64 value column")
 
 // KernelOp names a compressed-domain kernel operation. Served/fallback
 // counters in ScanStats are indexed by it.
@@ -35,29 +34,13 @@ const (
 	// compressed domain: translated into the code domain once per block for
 	// dict segments, per run for RLE segments.
 	KPredicate KernelOp = iota
-	// KCountEq counts rows equal to a key from run summaries.
-	KCountEq
-	// KSumEq sums a value column over key-matching runs without reading the
-	// key column per row.
-	KSumEq
-	// KHist builds value histograms with one increment per run.
-	KHist
-	// KGroupBy groups rows by key from run summaries, one range append per
-	// run instead of one map operation per row.
-	KGroupBy
-	// KMinMax answers column min/max from FOR segment headers without
-	// unpacking the segment.
-	KMinMax
-	// KSpanScan fuses the six run-summarized columns into constant-key spans
-	// so analyzer passes hoist per-row map lookups out to span boundaries.
-	KSpanScan
-	// KKeySpan fuses the five STABLE key columns (level, rank, node, app,
-	// file) into spans, dispatching per-row on op only — the grouped span
-	// kernel that fires on real traces where op alternates every event.
+	// KKeySpan fuses the five stable key columns (level, rank, node, app,
+	// file) into spans from their run summaries, leaving op — which
+	// alternates nearly every event in real traces — to per-row dispatch.
 	KKeySpan
-	// KGroupAgg is grouped aggregation on dictionary codes: the code
-	// unifier built from dict segment headers plus the dense grouped
-	// kernels (GroupValueHist, GroupSumSize, GroupCountEq).
+	// KGroupAgg is key-column unification: the column's value range read
+	// from dict, RLE, constant or FOR segment headers (or a captured run
+	// summary) instead of from decoded rows.
 	KGroupAgg
 	// KTimelineAdd is run-aware timeline accumulation: spans of rows bucket
 	// into stats.Timeline bins in O(bins-crossed) instead of O(rows), by
@@ -71,8 +54,7 @@ const (
 )
 
 var kernelOpNames = [NumKernelOps]string{
-	"predicate", "counteq", "sumeq", "hist", "groupby", "minmax", "spanscan",
-	"keyspan", "groupagg", "tladd", "histadd",
+	"predicate", "keyspan", "groupagg", "tladd", "histadd",
 }
 
 // String returns the kernel operation's short name.
@@ -84,65 +66,22 @@ func (op KernelOp) String() string {
 }
 
 // kernelCaps is the registry: kernelCaps[op][codec] reports whether the
-// kernel operation can be served from segments of that codec. Populated in
-// init via RegisterKernel.
+// kernel operation can be served from segments of that codec. Only the
+// operations that dispatch on a codec have entries; raw serves nothing.
 var kernelCaps [NumKernelOps][trace.NumSegCodecs]bool
 
-// registerKernel records that op can run in the compressed domain over
-// segments of the given codec.
-func registerKernel(op KernelOp, codec uint8) { kernelCaps[op][codec] = true }
-
-// KernelServes reports whether the registry can serve op from segments of
-// the given codec (observability for tests).
-func KernelServes(op KernelOp, codec uint8) bool {
-	return op >= 0 && op < NumKernelOps && int(codec) < trace.NumSegCodecs &&
-		kernelCaps[op][codec]
-}
-
 func init() {
-	// Run-structured codecs serve every run- and code-domain kernel.
+	// The predicate paths dispatch on dict/RLE structure directly
+	// (Runs/ForEachCode), so FOR does not serve them.
 	for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict} {
-		registerKernel(KPredicate, codec)
-		registerKernel(KCountEq, codec)
-		registerKernel(KSumEq, codec)
-		registerKernel(KHist, codec)
-		registerKernel(KGroupBy, codec)
-		registerKernel(KSpanScan, codec)
-		registerKernel(KKeySpan, codec)
-		registerKernel(KGroupAgg, codec)
+		kernelCaps[KPredicate][codec] = true
 	}
 	// FOR segments coalesce into value runs too (SegCursor.AppendRuns
-	// unpacks base+offset adjacency), so they serve the run- and
-	// code-domain kernels — all but KPredicate, whose selection paths
-	// dispatch on dict/RLE structure directly (Runs/ForEachCode) and
-	// never consult a captured run summary.
-	for _, op := range []KernelOp{KCountEq, KSumEq, KHist, KGroupBy, KSpanScan, KKeySpan, KGroupAgg} {
-		registerKernel(op, trace.SegCodecFOR)
-	}
-	// The run-aware distribution accumulators batch over any span structure
-	// the run-structured codecs produced (the Start/End values themselves
-	// come from materialized columns — their segments are delta chains).
+	// unpacks base+offset adjacency), so they serve key spans.
 	for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict, trace.SegCodecFOR} {
-		registerKernel(KTimelineAdd, codec)
-		registerKernel(KHistAdd, codec)
+		kernelCaps[KKeySpan][codec] = true
 	}
-	// FOR headers answer range queries without unpacking.
-	registerKernel(KMinMax, trace.SegCodecFOR)
-	kernelsOff.Store(false)
 }
-
-// kernelsOff gates every compressed-domain kernel (inverted so the zero
-// value means enabled). The equivalence suite and benchmarks flip it to
-// prove the fallback path is byte-identical and to measure the win.
-var kernelsOff atomic.Bool
-
-// SetKernelsEnabled turns compressed-domain kernels on or off globally.
-// Off, every kernel request falls back to materialized row iteration —
-// results must be byte-identical either way.
-func SetKernelsEnabled(on bool) { kernelsOff.Store(!on) }
-
-// KernelsEnabled reports whether compressed-domain kernels are on.
-func KernelsEnabled() bool { return !kernelsOff.Load() }
 
 // tickKernel records one served or fallback kernel request against the
 // table's scan stats (a no-op for eagerly built tables, which have none).
@@ -155,44 +94,149 @@ func (t *Table) tickKernel(op KernelOp, served bool) {
 // TickAccumKernels records one chunk pass's run-aware distribution
 // accumulator requests: served when span structure let the pass batch its
 // timeline and size-histogram accumulation (KTimelineAdd/KHistAdd),
-// fallback when it bucketed per row. The analyzer's pass-2 scans call this
-// once per chunk so the batched/per-row split is observable end to end.
+// fallback when it bucketed per row. The analyzer's pass 2 calls this once
+// per chunk so the batched/per-row split is observable end to end.
 func (t *Table) TickAccumKernels(served bool) {
 	t.tickKernel(KTimelineAdd, served)
 	t.tickKernel(KHistAdd, served)
 }
 
-// runUsable reports whether the chunk has a run summary for run column ri
-// that the registry can serve op from. A single run covering the whole
-// chunk — a constant column, which the cost model stores as width-0 FOR —
-// serves any run kernel regardless of which codec produced it.
-func (c *Chunk) runUsable(op KernelOp, ri int) bool {
+// Run-summary column indices: the four groupable key columns, indexed by
+// Col, then level — together the five columns a key span holds constant.
+// Op is deliberately absent: it alternates nearly every event in real
+// traces, so its summary would never pass the density cap.
+const (
+	numKeyCols = 4
+	runLevel   = numKeyCols
+	numRunCols = numKeyCols + 1
+)
+
+var colNames = [numKeyCols]string{"rank", "node", "app", "file"}
+
+// traceCol returns the trace-layer column set bit for a key column.
+func (col Col) traceCol() trace.ColSet {
+	switch col {
+	case ColRank:
+		return trace.ColRank
+	case ColNode:
+		return trace.ColNode
+	case ColApp:
+		return trace.ColApp
+	case ColFile:
+		return trace.ColFile
+	}
+	return 0
+}
+
+// runColSet returns the trace-layer column set bit for a run column index.
+func runColSet(ri int) trace.ColSet {
+	if ri == runLevel {
+		return trace.ColLevel
+	}
+	return Col(ri).traceCol()
+}
+
+// runBounds returns the value range outside which a run column's decode
+// validation (or integer conversion) would disagree with the stored value.
+func runBounds(ri int) (lo, hi int64) {
+	switch ri {
+	case runLevel:
+		return 0, math.MaxUint8 // decode truncates with uint8(v)
+	case int(ColRank), int(ColNode):
+		return 0, math.MaxInt32 // decode rejects out-of-range values
+	}
+	return math.MinInt32, math.MaxInt32
+}
+
+// captureRuns snapshots the value-run summaries of the run columns from a
+// block payload: RLE runs directly, dict and FOR segments as coalesced
+// value runs. With spans == nil the chunk keeps every block row and the
+// block's runs are the chunk's; otherwise the chunk is selection-backed and
+// each column's block-level runs are re-cut against the selection's spans
+// (SegCursor.CutRunsSel, the streaming fusion of trace.CutRuns into the
+// segment decode), so the summary covers exactly the kept rows in kept
+// order and the block-level run list never materializes. Runs whose values
+// would fail the column's decode validation are dropped, so a captured
+// summary always agrees with the materialized column; so are summaries
+// denser than one run per four rows, where run iteration stops paying for
+// itself — the cap is pushed into the decode, which abandons the walk the
+// moment it crosses the line. It reports whether every run column ended up
+// with a summary, the condition for key spans to serve this chunk.
+func (c *Chunk) captureRuns(bd *trace.BlockData, spans []trace.SelSpan) bool {
+	maxRuns := c.N / 4
+	if maxRuns == 0 {
+		return false // fewer than 4 rows: no summary can pass the cap
+	}
+	all := true
+	for ri := 0; ri < numRunCols; ri++ {
+		idx := bits.TrailingZeros64(uint64(runColSet(ri)))
+		cur, err := bd.SegCursorAt(idx)
+		if err != nil || cur == nil {
+			all = false
+			continue
+		}
+		var runs []trace.Run
+		var ok bool
+		if spans == nil {
+			runs, ok = cur.AppendRunsMax(nil, maxRuns)
+		} else {
+			runs, ok = cur.CutRunsSel(spans, nil, maxRuns)
+		}
+		codec := cur.Codec()
+		cur.Release()
+		lo, hi := runBounds(ri)
+		for _, r := range runs {
+			if r.Val < lo || r.Val > hi {
+				ok = false
+				break
+			}
+		}
+		if !ok || len(runs) == 0 {
+			all = false
+			continue
+		}
+		c.runs[ri] = runs
+		c.runCodec[ri] = codec
+	}
+	return all
+}
+
+// HasRuns reports whether the chunk carries a run summary for the key
+// column (observability for tests and benchmarks).
+func (c *Chunk) HasRuns(col Col) bool { return c.runs[col] != nil }
+
+// runServesSpans reports whether the chunk has a run summary for run column
+// ri that the registry serves key spans from. A single run covering the
+// whole chunk — a constant column, which the cost model stores as width-0
+// FOR — serves regardless of which codec produced it.
+func (c *Chunk) runServesSpans(ri int) bool {
 	runs := c.runs[ri]
 	if runs == nil {
 		return false
 	}
-	if kernelCaps[op][c.runCodec[ri]] {
+	if kernelCaps[KKeySpan][c.runCodec[ri]] {
 		return true
 	}
 	return len(runs) == 1 && int(runs[0].N) == c.N
 }
 
-// Span is a maximal run of chunk rows over which every span column —
-// level, op, rank, node, app and file — is constant. Lo is inclusive, Hi
+// KeySpan is a maximal run of chunk rows over which the five stable key
+// columns — level, rank, node, app, file — are constant. Op varies within
+// the span and is dispatched per row by the caller. Lo is inclusive, Hi
 // exclusive, both chunk-relative.
-type Span struct {
+type KeySpan struct {
 	Lo, Hi     int
-	Level, Op  uint8
+	Level      uint8
 	Rank, Node int32
 	App, File  int32
 }
 
-// spans merges the chunk's six run summaries into constant-key spans,
-// appending to dst. It reports false (serving nothing) unless every span
-// column carries a registry-served run summary.
-func (c *Chunk) spans(dst []Span) ([]Span, bool) {
+// keySpans merges the chunk's five run summaries into key spans, appending
+// to dst. It reports false (serving nothing) unless every run column
+// carries a registry-served run summary.
+func (c *Chunk) keySpans(dst []KeySpan) ([]KeySpan, bool) {
 	for ri := 0; ri < numRunCols; ri++ {
-		if !c.runUsable(KSpanScan, ri) {
+		if !c.runServesSpans(ri) {
 			return dst, false
 		}
 	}
@@ -208,15 +252,14 @@ func (c *Chunk) spans(dst []Span) ([]Span, bool) {
 				n = rem[ri]
 			}
 		}
-		dst = append(dst, Span{
+		dst = append(dst, KeySpan{
 			Lo:    row,
 			Hi:    row + n,
-			Level: uint8(c.runs[runLevel][idx[runLevel]].Val),
-			Op:    uint8(c.runs[runOp][idx[runOp]].Val),
 			Rank:  int32(c.runs[ColRank][idx[ColRank]].Val),
 			Node:  int32(c.runs[ColNode][idx[ColNode]].Val),
 			App:   int32(c.runs[ColApp][idx[ColApp]].Val),
 			File:  int32(c.runs[ColFile][idx[ColFile]].Val),
+			Level: uint8(c.runs[runLevel][idx[runLevel]].Val),
 		})
 		row += n
 		for ri := 0; ri < numRunCols; ri++ {
@@ -232,18 +275,140 @@ func (c *Chunk) spans(dst []Span) ([]Span, bool) {
 	return dst, true
 }
 
-// ChunkSpans is the analyzer's span-scan kernel request for chunk k: the
-// chunk's constant-key spans appended to dst, or ok == false when any span
+// ChunkKeySpans is the analyzer's span-scan kernel request for chunk k: the
+// chunk's stable-key spans appended to dst, or ok == false when any key
 // column lacks a served run summary (the caller iterates rows instead).
 // Either way the request is counted in the scan stats.
-func (t *Table) ChunkSpans(k int, dst []Span) ([]Span, bool) {
-	if !KernelsEnabled() {
-		t.tickKernel(KSpanScan, false)
-		return dst, false
-	}
-	dst, ok := t.chunks[k].spans(dst)
-	t.tickKernel(KSpanScan, ok)
+func (t *Table) ChunkKeySpans(k int, dst []KeySpan) ([]KeySpan, bool) {
+	dst, ok := t.chunks[k].keySpans(dst)
+	t.tickKernel(KKeySpan, ok)
 	return dst, ok
+}
+
+// wholeSegCursor returns a cursor over the chunk's encoded column segment
+// when the chunk still holds its whole-block payload (every block row
+// kept, nothing yet forced the payload away). Callers must Release it.
+func (c *Chunk) wholeSegCursor(colIdx int) *trace.SegCursor {
+	l := c.lazy
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.bd == nil || l.sel != nil {
+		return nil
+	}
+	cur, err := l.bd.SegCursorAt(colIdx)
+	if err != nil {
+		return nil // corrupt segment: surface the error at Require instead
+	}
+	return cur
+}
+
+// valueRange is the closed range of values a chunk's key column stores.
+type valueRange struct{ min, max int64 }
+
+func (r *valueRange) note(v int64) {
+	if v < r.min {
+		r.min = v
+	}
+	if v > r.max {
+		r.max = v
+	}
+}
+
+// headerRange reads a key column's value range from its encoded segment
+// without unpacking it: the dictionary of a dict segment, the run values of
+// an RLE segment, the single value of a constant, the achieved endpoints of
+// a FOR header. ok == false means the codec has no such structure (raw).
+func headerRange(cur *trace.SegCursor, r *valueRange) bool {
+	if nd := cur.NumCodes(); nd > 0 {
+		for code := 0; code < nd; code++ {
+			r.note(cur.DictVal(uint32(code)))
+		}
+		return true
+	}
+	if v, ok := cur.ConstVal(); ok {
+		r.note(v)
+		return true
+	}
+	if runs := cur.Runs(); len(runs) > 0 {
+		for _, run := range runs {
+			r.note(run.Val)
+		}
+		return true
+	}
+	if mn, mx, _, ok := cur.FORStats(); ok {
+		r.note(mn)
+		r.note(mx)
+		return true
+	}
+	return false
+}
+
+// UnifyCodes unifies a key column onto one dense scan-global id space.
+// Stored values are the trace's interned ids, so the global id of a value
+// is the value itself; what unification establishes is the cardinality —
+// every stored value lies in [-1, card), so dense accumulators indexed by
+// value+1 need card+1 slots — and that no value escapes the id table the
+// column indexes: limit is that table's length, and a stored value outside
+// [-1, limit) is malformed input, reported as an ErrBadFormat-wrapped
+// error before any caller sizes anything by it.
+//
+// The unifier is total. Each chunk answers from the cheapest source it
+// has — its segment header (whole-block chunks), else its captured run
+// summary (selection-backed chunks, whose runs are re-cut against the
+// selection and name every kept value) — and a chunk with neither
+// (structureless codec, summary over the density cap) materializes the
+// column and scans it: the row pass such a chunk takes needs the column
+// anyway, so the decode is moved, not added. One KGroupAgg request is
+// counted per chunk, served when no row was read.
+func (t *Table) UnifyCodes(par int, col Col, limit int) (card int, err error) {
+	colIdx := bits.TrailingZeros64(uint64(col.traceCol()))
+	parts := make([]valueRange, len(t.chunks))
+	errs := make([]error, len(t.chunks))
+	parallel.ForEach(par, len(t.chunks), func(k int) {
+		c := t.chunks[k]
+		r := valueRange{min: -1, max: -1}
+		served := false
+		if cur := c.wholeSegCursor(colIdx); cur != nil {
+			served = headerRange(cur, &r)
+			cur.Release()
+		}
+		if runs := c.runs[col]; !served && runs != nil {
+			served = true
+			for _, run := range runs {
+				r.note(run.Val)
+			}
+		}
+		t.tickKernel(KGroupAgg, served)
+		if !served {
+			if errs[k] = c.Require(col.traceCol()); errs[k] != nil {
+				return
+			}
+			for _, v := range c.col(col) {
+				r.note(int64(v))
+			}
+		}
+		parts[k] = r
+	})
+	all := valueRange{min: -1, max: -1}
+	for k, r := range parts {
+		if errs[k] != nil {
+			return 0, errs[k]
+		}
+		all.note(r.min)
+		all.note(r.max)
+	}
+	if all.min < -1 || all.max >= int64(limit) {
+		bad := all.max
+		if all.min < -1 {
+			bad = all.min
+		}
+		return 0, fmt.Errorf("colstore: %s id %d outside its table of %d entries: %w",
+			colNames[col], bad, limit, trace.ErrBadFormat)
+	}
+	return int(all.max + 1), nil
 }
 
 // emptySel is the canonical zero-row selection: non-nil (so it is distinct
@@ -323,7 +488,7 @@ func (s *synthCol) install(ck *Chunk) {
 // proves wholly containing has already dropped out and a window+rank
 // filter lands here as a pure rank filter on interior blocks.
 func compressedSel(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (sel []int32, syn synthCol, all, ok bool) {
-	if !KernelsEnabled() || (need != trace.ColLevel && need != trace.ColOp && need != trace.ColRank) {
+	if need != trace.ColLevel && need != trace.ColOp && need != trace.ColRank {
 		return nil, syn, false, false
 	}
 	for _, d := range predDims {
@@ -514,7 +679,7 @@ func appendPassRuns(m *trace.Matcher, d *predDim, cur *trace.SegCursor, n int, d
 // set (Matcher.NeedColsBlock).
 func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (sel []int32, spans []trace.SelSpan, all, ok, eligible bool) {
 	const dims3 = trace.ColLevel | trace.ColOp | trace.ColRank
-	if !KernelsEnabled() || need&^dims3 != 0 || bits.OnesCount64(uint64(need)) < 2 {
+	if need&^dims3 != 0 || bits.OnesCount64(uint64(need)) < 2 {
 		return nil, nil, false, false, false
 	}
 	n := bd.Count()
@@ -621,7 +786,7 @@ func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData
 // one case where the window costs nothing at all.
 func compressedKeep(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (kb *keepBuf, residual trace.ColSet, served bool) {
 	residual = need
-	if !KernelsEnabled() || residual&^trace.ColStart == 0 {
+	if residual&^trace.ColStart == 0 {
 		return nil, residual, false
 	}
 	n := bd.Count()
@@ -800,105 +965,4 @@ func selectRowsResidual(m *trace.Matcher, cols *trace.Columns, keep []bool, resi
 		sel = append(sel, int32(j))
 	}
 	return sel
-}
-
-// forStats answers min/max over a chunk's int64 value column straight from
-// its FOR segment header, when the chunk still holds its block payload,
-// keeps every block row, and the segment is FOR-coded.
-func (c *Chunk) forStats(colIdx int) (min, max int64, ok bool) {
-	l := c.lazy
-	if l == nil {
-		return 0, 0, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.bd == nil || l.sel != nil {
-		return 0, 0, false
-	}
-	cur, err := l.bd.SegCursorAt(colIdx)
-	if err != nil || cur == nil || !kernelCaps[KMinMax][cur.Codec()] {
-		cur.Release()
-		return 0, 0, false
-	}
-	mn, mx, _, ok2 := cur.FORStats()
-	cur.Release()
-	if !ok2 {
-		return 0, 0, false
-	}
-	return mn, mx, true
-}
-
-// ColMinMax returns the min and max of an int64 value column (ColOffset or
-// ColSize of the trace column set), chunk-parallel. Chunks whose segment is
-// FOR-coded answer from the segment header without unpacking; others
-// materialize the column and scan. An empty table returns (0, 0).
-func (t *Table) ColMinMax(par int, set trace.ColSet) (min, max int64, err error) {
-	colIdx := bits.TrailingZeros64(uint64(set))
-	type mm struct {
-		min, max int64
-		ok       bool
-	}
-	parts := make([]mm, len(t.chunks))
-	errs := make([]error, len(t.chunks))
-	parallel.ForEach(par, len(t.chunks), func(k int) {
-		c := t.chunks[k]
-		if c.N == 0 {
-			return
-		}
-		if KernelsEnabled() {
-			if mn, mx, ok := c.forStats(colIdx); ok {
-				t.tickKernel(KMinMax, true)
-				parts[k] = mm{mn, mx, true}
-				return
-			}
-		}
-		t.tickKernel(KMinMax, false)
-		if errs[k] = c.Require(set); errs[k] != nil {
-			return
-		}
-		var vals []int64
-		switch set {
-		case trace.ColOffset:
-			vals = c.Offset
-		case trace.ColSize:
-			vals = c.Size
-		case trace.ColStart:
-			vals = c.Start
-		case trace.ColEnd:
-			vals = c.End
-		default:
-			errs[k] = errNotValueCol
-			return
-		}
-		mn, mx := vals[0], vals[0]
-		for _, v := range vals[1:] {
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		parts[k] = mm{mn, mx, true}
-	})
-	first := true
-	for k := range parts {
-		if errs[k] != nil {
-			return 0, 0, errs[k]
-		}
-		if !parts[k].ok {
-			continue
-		}
-		if first {
-			min, max, first = parts[k].min, parts[k].max, false
-			continue
-		}
-		if parts[k].min < min {
-			min = parts[k].min
-		}
-		if parts[k].max > max {
-			max = parts[k].max
-		}
-	}
-	return min, max, nil
 }

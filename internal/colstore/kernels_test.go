@@ -33,53 +33,36 @@ func mixedTrace(n int) *trace.Trace {
 	return tr.Finish()
 }
 
-// TestKernelRegistryCaps pins the registry: run-structured codecs serve the
-// run/code-domain kernels, FOR serves everything but the predicate paths
-// (which dispatch on dict/RLE structure directly) and min/max, raw serves
-// nothing.
+// TestKernelRegistryCaps pins the registry: RLE and dict serve the
+// predicate paths (which dispatch on their structure directly), every
+// run-structured codec including FOR serves key spans, raw serves nothing.
 func TestKernelRegistryCaps(t *testing.T) {
-	for _, op := range []KernelOp{KPredicate, KCountEq, KSumEq, KHist, KGroupBy, KSpanScan} {
-		for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict} {
-			if !KernelServes(op, codec) {
-				t.Errorf("KernelServes(%v, codec %d) = false, want true", op, codec)
-			}
+	for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict} {
+		if !kernelCaps[KPredicate][codec] || !kernelCaps[KKeySpan][codec] {
+			t.Errorf("codec %d does not serve both predicate and key-span kernels", codec)
 		}
-		if KernelServes(op, trace.SegCodecRaw) {
+	}
+	if kernelCaps[KPredicate][trace.SegCodecFOR] {
+		t.Error("predicate kernel served from FOR segments")
+	}
+	if !kernelCaps[KKeySpan][trace.SegCodecFOR] {
+		t.Error("key-span kernel not served from FOR segments")
+	}
+	for op := KernelOp(0); op < NumKernelOps; op++ {
+		if kernelCaps[op][trace.SegCodecRaw] {
 			t.Errorf("%v served from raw segments", op)
 		}
-		if op == KPredicate {
-			if KernelServes(op, trace.SegCodecFOR) {
-				t.Errorf("%v served from FOR segments", op)
-			}
-		} else if !KernelServes(op, trace.SegCodecFOR) {
-			t.Errorf("KernelServes(%v, FOR) = false, want true", op)
-		}
-	}
-	for _, op := range []KernelOp{KKeySpan, KGroupAgg} {
-		for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict, trace.SegCodecFOR} {
-			if !KernelServes(op, codec) {
-				t.Errorf("KernelServes(%v, codec %d) = false, want true", op, codec)
-			}
-		}
-	}
-	if !KernelServes(KMinMax, trace.SegCodecFOR) {
-		t.Error("KMinMax not served from FOR segments")
-	}
-	if KernelServes(KMinMax, trace.SegCodecRLE) || KernelServes(KMinMax, trace.SegCodecRaw) {
-		t.Error("KMinMax served from a non-FOR codec")
-	}
-	if KernelServes(KernelOp(-1), trace.SegCodecRLE) || KernelServes(NumKernelOps, 0) {
-		t.Error("out-of-range kernel op reported as served")
 	}
 }
 
 // TestCompressedPredicateMatchesFallback: a filtered planned scan with the
 // predicate kernel engaged produces a table row-identical to the same scan
-// with kernels disabled, across codecs and filter shapes — including
-// filters a served dimension passes for every row (keep stays nil) and
-// filters that leave residual dimensions (the time window).
+// over the forced-raw encoding of the same trace — whose structureless
+// segments send every block down the materialized selectRows fallback —
+// across codecs and filter shapes, including filters a served dimension
+// passes for every row (keep stays nil) and filters that leave residual
+// dimensions (the time window).
 func TestCompressedPredicateMatchesFallback(t *testing.T) {
-	defer SetKernelsEnabled(true)
 	tr := mixedTrace(2*ChunkRows + 901)
 	end := time.Duration(tr.Events[len(tr.Events)-1].Start)
 	filters := map[string]trace.Filter{
@@ -96,19 +79,23 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 		"dict": trace.CodecForceDict,
 		"v21":  trace.CodecV21,
 	}
-	for cname, codec := range codecs {
-		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
-		for fname, f := range filters {
-			SetKernelsEnabled(false)
-			want, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, nil)
-			if err != nil {
-				t.Fatalf("%s/%s kernels=off: %v", cname, fname, err)
-			}
-			SetKernelsEnabled(true)
+	raw := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
+	for fname, f := range filters {
+		var rawStats ScanStats
+		want, err := FromBlocksSpec(raw, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &rawStats)
+		if err != nil {
+			t.Fatalf("raw/%s: %v", fname, err)
+		}
+		if served := rawStats.KernelServed[KPredicate].Load(); served != 0 {
+			t.Fatalf("raw/%s: predicate kernel claims %d served blocks on structureless segments",
+				fname, served)
+		}
+		for cname, codec := range codecs {
+			br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 			var stats ScanStats
 			got, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &stats)
 			if err != nil {
-				t.Fatalf("%s/%s kernels=on: %v", cname, fname, err)
+				t.Fatalf("%s/%s: %v", cname, fname, err)
 			}
 			assertTablesEqual(t, want, got)
 			served := stats.KernelServed[KPredicate].Load()
@@ -124,9 +111,11 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 	}
 }
 
-// TestChunkSpansTileAndMatch: the span-scan kernel's spans tile each chunk
-// exactly and carry the same keys the materialized columns hold row by row.
-func TestChunkSpansTileAndMatch(t *testing.T) {
+// TestKeySpansTileAcrossLevelChanges: on a trace whose level changes inside
+// chunks (groupTrace holds it constant), the key-span kernel's spans tile
+// each chunk exactly and carry the same keys the materialized columns hold
+// row by row, with the served counter ticking.
+func TestKeySpansTileAcrossLevelChanges(t *testing.T) {
 	tr := mixedTrace(ChunkRows + 700)
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
 	var stats ScanStats
@@ -134,142 +123,33 @@ func TestChunkSpansTileAndMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anyServed := false
+	assertKeySpansMatchColumns(t, tb)
+	levelChanges := 0
 	for k := 0; k < tb.NumChunks(); k++ {
-		spans, ok := tb.ChunkSpans(k, nil)
-		c := tb.ChunkAt(k)
-		if !ok {
-			continue
-		}
-		anyServed = true
-		if err := c.Require(trace.AllCols); err != nil {
-			t.Fatal(err)
-		}
-		row := 0
-		for _, s := range spans {
-			if s.Lo != row || s.Hi <= s.Lo {
-				t.Fatalf("chunk %d: span [%d,%d) does not tile at row %d", k, s.Lo, s.Hi, row)
-			}
-			for j := s.Lo; j < s.Hi; j++ {
-				if c.Level[j] != s.Level || c.Op[j] != s.Op || c.Rank[j] != s.Rank ||
-					c.Node[j] != s.Node || c.App[j] != s.App || c.File[j] != s.File {
-					t.Fatalf("chunk %d row %d: span keys differ from materialized columns", k, j)
-				}
-			}
-			row = s.Hi
-		}
-		if row != c.N {
-			t.Fatalf("chunk %d: spans cover %d of %d rows", k, row, c.N)
-		}
-	}
-	if !anyServed {
-		t.Fatal("span kernel served no chunk on a run-structured v2.2 log")
-	}
-	if stats.KernelServed[KSpanScan].Load() == 0 {
-		t.Error("span-scan served counter did not tick")
-	}
-}
-
-// TestColMinMaxMatches: min/max answered from FOR headers equals min/max
-// computed from the materialized column, and equals the kernels-off path.
-func TestColMinMaxMatches(t *testing.T) {
-	defer SetKernelsEnabled(true)
-	tr := mixedTrace(2*ChunkRows + 333)
-	want := FromTrace(tr)
-	brute := func(val func(i int) int64) (int64, int64) {
-		mn, mx := val(0), val(0)
-		for i := 1; i < want.Len(); i++ {
-			v := val(i)
-			if v < mn {
-				mn = v
-			}
-			if v > mx {
-				mx = v
-			}
-		}
-		return mn, mx
-	}
-	cols := map[trace.ColSet]func(i int) int64{
-		trace.ColOffset: want.Offset,
-		trace.ColSize:   want.Size,
-		trace.ColStart:  want.Start,
-		trace.ColEnd:    want.End,
-	}
-	for _, codec := range []trace.CodecMode{trace.CodecForceFOR, trace.CodecAuto} {
-		for _, kernels := range []bool{true, false} {
-			SetKernelsEnabled(kernels)
-			br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
-			var stats ScanStats
-			tb, err := FromBlocksSpec(br, 2, ScanSpec{}, &stats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for set, val := range cols {
-				wantMin, wantMax := brute(val)
-				gotMin, gotMax, err := tb.ColMinMax(2, set)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotMin != wantMin || gotMax != wantMax {
-					t.Fatalf("codec=%v kernels=%v col=%v: ColMinMax=(%d,%d), want (%d,%d)",
-						codec, kernels, set, gotMin, gotMax, wantMin, wantMax)
-				}
-			}
-			if codec == trace.CodecForceFOR && kernels && stats.KernelServed[KMinMax].Load() == 0 {
-				t.Error("forced-FOR log answered no min/max from segment headers")
-			}
-			if !kernels && stats.KernelServed[KMinMax].Load() != 0 {
-				t.Error("kernels disabled but min/max claims served requests")
+		spans, _ := tb.ChunkAt(k).keySpans(nil)
+		for i := 1; i < len(spans); i++ {
+			if spans[i].Level != spans[i-1].Level {
+				levelChanges++
 			}
 		}
 	}
-}
-
-// TestGroupByColKernelMatches: grouping from run summaries returns the same
-// first-encounter key order and ascending row sets as the row loop.
-func TestGroupByColKernelMatches(t *testing.T) {
-	defer SetKernelsEnabled(true)
-	tr := mixedTrace(ChunkRows + 512)
-	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
-	tb, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if levelChanges == 0 {
+		t.Fatal("no key span boundary fell on a level change")
 	}
-	for _, col := range []Col{ColRank, ColNode, ColApp, ColFile} {
-		SetKernelsEnabled(false)
-		want := tb.GroupByCol(2, col)
-		SetKernelsEnabled(true)
-		got := tb.GroupByCol(2, col)
-		if len(want.Keys) != len(got.Keys) {
-			t.Fatalf("col=%d: %d keys, want %d", col, len(got.Keys), len(want.Keys))
-		}
-		for i, k := range want.Keys {
-			if got.Keys[i] != k {
-				t.Fatalf("col=%d: key order differs at %d: %d vs %d", col, i, got.Keys[i], k)
-			}
-			wr, gr := want.Groups[k], got.Groups[k]
-			if len(wr) != len(gr) {
-				t.Fatalf("col=%d key=%d: group size %d, want %d", col, k, len(gr), len(wr))
-			}
-			for j := range wr {
-				if wr[j] != gr[j] {
-					t.Fatalf("col=%d key=%d: row %d differs", col, k, j)
-				}
-			}
-		}
+	if stats.KernelServed[KKeySpan].Load() == 0 {
+		t.Error("key-span served counter did not tick")
 	}
 }
 
 // TestScanCountersKernelSplit: the snapshot's aggregate served/fallback
-// totals equal the per-op sums, and disabling kernels moves every request
-// to the fallback side.
+// totals equal the per-op sums, and the same filtered scan over the
+// forced-raw encoding moves every predicate request to the fallback side.
 func TestScanCountersKernelSplit(t *testing.T) {
-	defer SetKernelsEnabled(true)
 	tr := mixedTrace(ChunkRows + 100)
-	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceDict})
 	f := trace.Filter{Ranks: []int32{0, 1, 2}}
 
 	var on ScanStats
+	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceDict})
 	if _, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &on); err != nil {
 		t.Fatal(err)
 	}
@@ -287,16 +167,16 @@ func TestScanCountersKernelSplit(t *testing.T) {
 		t.Fatal("dict log served no predicate kernels")
 	}
 
-	SetKernelsEnabled(false)
 	var off ScanStats
-	if _, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &off); err != nil {
+	raw := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
+	if _, err := FromBlocksSpec(raw, 2, ScanSpec{Filter: f}, &off); err != nil {
 		t.Fatal(err)
 	}
 	so := off.Snapshot()
 	if so.KernelsServed != 0 {
-		t.Fatalf("kernels disabled but %d requests served", so.KernelsServed)
+		t.Fatalf("raw segments but %d requests served", so.KernelsServed)
 	}
 	if so.KernelFallback[KPredicate] == 0 {
-		t.Fatal("kernels disabled but no predicate fallback recorded")
+		t.Fatal("raw segments but no predicate fallback recorded")
 	}
 }

@@ -30,86 +30,90 @@ func runsTrace(n int) *trace.Trace {
 	return tr.Finish()
 }
 
-// bruteCounts computes the reference histogram / per-value size sums by
-// plain row iteration over an eagerly built table.
-func bruteCounts(tb *Table, key func(i int) int32) (map[int32]int64, map[int32]int64) {
-	hist := make(map[int32]int64)
-	sizes := make(map[int32]int64)
+// bruteCard is the reference cardinality: one past the largest value the
+// eagerly built table holds in the column, by plain row iteration.
+func bruteCard(tb *Table, key func(i int) int32) int {
+	max := int32(-1)
 	for i := 0; i < tb.Len(); i++ {
-		v := key(i)
-		hist[v]++
-		sizes[v] += tb.Size(i)
+		if v := key(i); v > max {
+			max = v
+		}
 	}
-	return hist, sizes
+	return int(max) + 1
 }
 
-// TestRunKernelsMatchRowIteration: CountEq, SumSizeEq and ValueHist return
-// exactly the row-iteration answers, with and without run summaries, at
-// every parallelism.
+// assertRunsMatchColumn expands every captured run summary of col and
+// checks it against the materialized column row by row.
+func assertRunsMatchColumn(t *testing.T, tb *Table, col Col) {
+	t.Helper()
+	tb.ForEachChunk(func(c *Chunk) {
+		if !c.HasRuns(col) {
+			return
+		}
+		if err := c.Require(col.traceCol()); err != nil {
+			t.Fatal(err)
+		}
+		vals, row := c.col(col), 0
+		for _, r := range c.runs[col] {
+			for x := 0; x < int(r.N); x, row = x+1, row+1 {
+				if row >= c.N || int64(vals[row]) != r.Val {
+					t.Fatalf("col=%d chunk@%d: run value %d disagrees with the column at row %d",
+						col, c.Base, r.Val, row)
+				}
+			}
+		}
+		if row != c.N {
+			t.Fatalf("col=%d chunk@%d: runs cover %d of %d rows", col, c.Base, row, c.N)
+		}
+	})
+}
+
+// TestRunKernelsMatchRowIteration: what the run-consuming kernels read —
+// the captured rank summaries and the unifier built on them — is exactly
+// the row-iteration answer, with run summaries (v2.2) and without (v2.1,
+// where the unifier materializes the column), at every parallelism.
 func TestRunKernelsMatchRowIteration(t *testing.T) {
 	tr := runsTrace(2*ChunkRows + 500)
 	want := FromTrace(tr)
-	wantHist, wantSizes := bruteCounts(want, want.Rank)
+	wantCard := bruteCard(want, want.Rank)
 
 	for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecV21} {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
-		tb, err := FromBlocksSpec(br, 4, ScanSpec{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		anyRuns := false
-		tb.ForEachChunk(func(c *Chunk) {
-			if c.HasRuns(ColRank) {
-				anyRuns = true
-			}
-		})
-		if codec == trace.CodecAuto && !anyRuns {
-			t.Fatal("v2.2 auto captured no rank run summaries on a run-structured trace")
-		}
-		if codec == trace.CodecV21 && anyRuns {
-			t.Fatal("v2.1 log produced run summaries")
-		}
-
 		for _, par := range []int{1, 4} {
-			hist, err := tb.ValueHist(par, ColRank)
+			var stats ScanStats
+			tb, err := FromBlocksSpec(br, par, ScanSpec{}, &stats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(hist) != len(wantHist) {
-				t.Fatalf("codec=%v par=%d: hist has %d keys, want %d", codec, par, len(hist), len(wantHist))
+			anyRuns := false
+			tb.ForEachChunk(func(c *Chunk) {
+				if c.HasRuns(ColRank) {
+					anyRuns = true
+				}
+			})
+			if codec == trace.CodecAuto && !anyRuns {
+				t.Fatal("v2.2 auto captured no rank run summaries on a run-structured trace")
 			}
-			for v, n := range wantHist {
-				if hist[v] != n {
-					t.Fatalf("codec=%v par=%d: hist[%d]=%d, want %d", codec, par, v, hist[v], n)
-				}
-				cnt, err := tb.CountEq(par, ColRank, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cnt != n {
-					t.Fatalf("codec=%v par=%d: CountEq(%d)=%d, want %d", codec, par, v, cnt, n)
-				}
-				sum, err := tb.SumSizeEq(par, ColRank, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sum != wantSizes[v] {
-					t.Fatalf("codec=%v par=%d: SumSizeEq(%d)=%d, want %d", codec, par, v, sum, wantSizes[v])
-				}
+			if codec == trace.CodecV21 && anyRuns {
+				t.Fatal("v2.1 log produced run summaries")
 			}
-			// A value absent from the table counts zero and reads no sizes.
-			if cnt, _ := tb.CountEq(par, ColRank, 999); cnt != 0 {
-				t.Fatalf("CountEq(999)=%d, want 0", cnt)
+			card, err := tb.UnifyCodes(par, ColRank, 1<<10)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if sum, _ := tb.SumSizeEq(par, ColRank, 999); sum != 0 {
-				t.Fatalf("SumSizeEq(999)=%d, want 0", sum)
+			if card != wantCard {
+				t.Fatalf("codec=%v par=%d: UnifyCodes card = %d, want %d", codec, par, card, wantCard)
 			}
+			if decoded := stats.DecodedBytes.Load(); (decoded == 0) != (codec == trace.CodecAuto) {
+				t.Fatalf("codec=%v par=%d: unifier decoded %d bytes", codec, par, decoded)
+			}
+			assertRunsMatchColumn(t, tb, ColRank)
 		}
 	}
 }
 
-// TestRunKernelsOtherKeyCols: run summaries and fallbacks agree for every
-// groupable key column, not just rank.
+// TestRunKernelsOtherKeyCols: run summaries and the unifier agree with row
+// iteration for every groupable key column, not just rank.
 func TestRunKernelsOtherKeyCols(t *testing.T) {
 	tr := runsTrace(ChunkRows + 300)
 	want := FromTrace(tr)
@@ -124,26 +128,14 @@ func TestRunKernelsOtherKeyCols(t *testing.T) {
 		ColFile: want.File,
 	}
 	for col, key := range keys {
-		wantHist, wantSizes := bruteCounts(want, key)
-		hist, err := tb.ValueHist(2, col)
+		card, err := tb.UnifyCodes(2, col, 1<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v, n := range wantHist {
-			if hist[v] != n {
-				t.Fatalf("col=%d: hist[%d]=%d, want %d", col, v, hist[v], n)
-			}
-			sum, err := tb.SumSizeEq(2, col, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sum != wantSizes[v] {
-				t.Fatalf("col=%d: SumSizeEq(%d)=%d, want %d", col, v, sum, wantSizes[v])
-			}
+		if wantCard := bruteCard(want, key); card != wantCard {
+			t.Fatalf("col=%d: UnifyCodes card = %d, want %d", col, card, wantCard)
 		}
-		if len(hist) != len(wantHist) {
-			t.Fatalf("col=%d: hist has %d keys, want %d", col, len(hist), len(wantHist))
-		}
+		assertRunsMatchColumn(t, tb, col)
 	}
 }
 

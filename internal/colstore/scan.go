@@ -66,9 +66,9 @@ type ScanStats struct {
 
 	// GroupFilteredServed and GroupFilteredFallback count selection-backed
 	// chunks whose re-cut run summaries covered every stable key column —
-	// grouped execution fires on the filtered chunk — vs filtered chunks
-	// whose re-cut came up short (density cap, structureless segments) and
-	// stay on the row path.
+	// key spans serve the filtered chunk — vs filtered chunks whose re-cut
+	// came up short (density cap, structureless segments) and take the
+	// analyzer's row bodies.
 	GroupFilteredServed   atomic.Int64
 	GroupFilteredFallback atomic.Int64
 }
@@ -108,8 +108,8 @@ type ScanCounters struct {
 	KernelsServed   int64
 	KernelsFallback int64
 
-	// Grouped-execution split: requests the key-span and group-aggregation
-	// kernels answered from encoded segments vs the map-keyed fallback.
+	// Key-span and key-unification requests answered from run structure
+	// and segment headers vs from materialized rows.
 	GroupServed   int64
 	GroupFallback int64
 
@@ -118,8 +118,8 @@ type ScanCounters struct {
 	RunIsectServed   int64
 	RunIsectFallback int64
 
-	// Selection-backed chunks where re-cut run summaries let grouped
-	// execution fire vs filtered chunks left on the row path.
+	// Selection-backed chunks whose re-cut run summaries serve key spans vs
+	// filtered chunks left to the row bodies.
 	GroupFilteredServed   int64
 	GroupFilteredFallback int64
 
@@ -406,7 +406,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 				}
 				ck.adopt(&cols, nil, lz.have)
 			}
-			ck.captureRuns(bd)
+			ck.captureRuns(bd, nil)
 			if lz.have != trace.AllCols {
 				ck.lazy = lz
 			}
@@ -498,17 +498,17 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			have |= syn.set
 		}
 		if sel == nil {
-			ck.captureRuns(bd)
-		} else if GroupedKernelsEnabled() {
+			ck.captureRuns(bd, nil)
+		} else {
 			// Selection-backed chunk: re-cut the block's value runs against
-			// the selection's spans so grouped execution fires on filtered
-			// chunks too. Selections not born run-structured (residual row
-			// predicates, keep bitmaps) coalesce here — they are still runs
-			// of kept rows, just spelled out one index at a time.
+			// the selection's spans so key spans serve filtered chunks too.
+			// Selections not born run-structured (residual row predicates,
+			// keep bitmaps) coalesce here — they are still runs of kept
+			// rows, just spelled out one index at a time.
 			if selSpans == nil {
 				selSpans = trace.AppendSelSpans(sel, nil)
 			}
-			if ck.captureRunsSel(bd, selSpans) {
+			if ck.captureRuns(bd, selSpans) {
 				stats.GroupFilteredServed.Add(1)
 			} else {
 				stats.GroupFilteredFallback.Add(1)

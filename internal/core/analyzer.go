@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"vani/internal/colstore"
-	"vani/internal/parallel"
 	"vani/internal/stats"
 	"vani/internal/storage"
 	"vani/internal/trace"
@@ -25,9 +24,9 @@ type Options struct {
 	// TopFlows limits the dependency panel to the N highest-volume files.
 	TopFlows int
 	// Parallelism bounds the workers used for the chunk-parallel scans
-	// (<= 0 means GOMAXPROCS, 1 runs fully sequential). Every scan reduces
-	// its per-chunk partials in chunk order and accumulates in integers, so
-	// the characterization is bit-identical at any setting.
+	// (<= 0 means GOMAXPROCS, 1 runs fully sequential). Row subsets merge in
+	// chunk order and every accumulator is an integer sum, a set union or a
+	// minimum, so the characterization is bit-identical at any setting.
 	Parallelism int
 	// Filter restricts the characterization to the matching events. Analyze
 	// applies it to the in-memory event log before columnarizing (the
@@ -112,8 +111,13 @@ func Analyze(tr *trace.Trace, opt Options) *Characterization {
 		opt.Stats.Columnarize = time.Since(t0)
 	}
 	// An eagerly built table has every column materialized, so analysis
-	// cannot hit a decode error.
-	c, _ := AnalyzeTable(tr, tb, opt)
+	// cannot hit a decode error; what remains is a trace whose events name
+	// ids outside its own interned tables, which no Tracer produces. Callers
+	// holding a trace of unknown provenance use AnalyzeContext.
+	c, err := AnalyzeTable(tr, tb, opt)
+	if err != nil {
+		panic(err)
+	}
 	return c
 }
 
@@ -174,23 +178,17 @@ type analysis struct {
 	opt Options
 	par int
 
-	// Filled by the fused scan. The row subsets arrive either as plain
-	// row lists (map-keyed fallback scan) or as constant-key segments
-	// (grouped scan, a.grouped set); run() gathers whichever form into
-	// the views the post passes consume.
-	runtime     time.Duration
-	gpuUsed     bool
-	appRanks    map[int32]int // ranks that emitted any event, per app
-	primary     []int         // rows at each (app, file) stream's primary level
-	posix       []int         // POSIX-level I/O rows
-	byApp       map[int32][]int
-	grouped     bool
-	primarySegs []rowSeg
-	posixSegs   []rowSeg
-	byAppSegs   map[int32][]rowSeg
-	primaryV    *rowView
-	posixV      *rowView
-	fileAgg     map[int32]*fileAgg
+	// Filled by the scan (analyzer_grouped.go). rows holds the per-chunk
+	// row subsets; run() gathers the primary and POSIX ones into the views
+	// the post passes consume. appRanks and perRank are indexed by id + 1;
+	// files lists the touched files in ascending id order.
+	runtime    time.Duration
+	gpuUsed    bool
+	appRanks   []int // ranks that emitted any event, per app
+	rows       []chunkRows
+	primaryV   *rowView
+	posixV     *rowView
+	files      []*fileAgg
 	readBytes  int64
 	writeBytes int64
 	primData   int64
@@ -199,7 +197,7 @@ type analysis struct {
 	writeHist  stats.SizeHistogram
 	readTL     *stats.Timeline
 	writeTL    *stats.Timeline
-	perRank    map[int32]*rankAcc
+	perRank    []rankAcc
 }
 
 type fileAgg struct {
@@ -255,6 +253,7 @@ func (fa *fileAgg) merge(o *fileAgg) {
 }
 
 type rankAcc struct {
+	hit            bool // the rank issued primary I/O (meta-only ranks report zeros)
 	rBytes, wBytes int64
 	rDur, wDur     int64
 }
@@ -271,13 +270,8 @@ func (a *analysis) run() (*Characterization, error) {
 	if err := a.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if a.grouped {
-		a.primaryV = a.viewSegs(a.primarySegs, primaryViewCols)
-		a.posixV = a.viewSegs(a.posixSegs, posixViewCols)
-	} else {
-		a.primaryV = a.viewRows(a.primary, primaryViewCols)
-		a.posixV = a.viewRows(a.posix, posixViewCols)
-	}
+	a.primaryV = a.view(func(r *chunkRows) []rowRange { return r.primary }, primaryViewCols)
+	a.posixV = a.view(func(r *chunkRows) []rowRange { return r.posix }, posixViewCols)
 
 	c := &Characterization{Workload: a.tr.Meta.Workload}
 	c.JobConfig = a.jobConfig()
@@ -292,445 +286,6 @@ func (a *analysis) run() (*Characterization, error) {
 	c.Figure = a.figure()
 	return c, nil
 }
-
-type appFile struct {
-	app  int32
-	file int32
-}
-
-// pass1 is the per-chunk partial of the level-resolution scan: the
-// app-facing level per (application, file) stream — the highest abstraction
-// through which that application touched that file, so counting there
-// avoids double-counting one logical operation across layers while keeping
-// POSIX-only side traffic visible — plus the global facts (job runtime,
-// GPU usage, per-app rank sets) the old analyzer gathered with separate
-// whole-table walks.
-type pass1 struct {
-	levels   map[appFile]uint8
-	maxEnd   int64
-	gpu      bool
-	appRanks map[int32]map[int32]bool
-}
-
-// pass2 is the per-chunk partial of the fused characterization scan. Row
-// lists concatenate in chunk order (preserving global row order); every
-// numeric accumulator is an integer sum and every set a union, so the
-// merged result is bit-identical at any parallelism.
-type pass2 struct {
-	primary    []int
-	posix      []int
-	byApp      map[int32][]int
-	files      map[int32]*fileAgg
-	readBytes  int64
-	writeBytes int64
-	data, meta int64
-	readHist   stats.SizeHistogram
-	writeHist  stats.SizeHistogram
-	readTL     *stats.Timeline
-	writeTL    *stats.Timeline
-	perRank    map[int32]*rankAcc
-}
-
-// fusedScan replaces the old analyzer's half-dozen independent whole-table
-// predicate walks (primary-level resolution, primary row collection,
-// per-app rank scans, GPU detection, POSIX row collection, file
-// aggregation, histogram/timeline/per-rank accumulation) with two
-// chunk-parallel passes over the columnar store. Each pass declares its
-// column set and Requires it per chunk, so a lazily planned table decodes
-// exactly the columns the pass touches.
-func (a *analysis) fusedScan() error {
-	// Grouped execution first: when the key columns unify to dense codes,
-	// the whole scan runs on flat arrays and key spans (analyzer_grouped.go)
-	// with byte-identical results; otherwise this map-keyed path runs.
-	if colstore.GroupedKernelsEnabled() {
-		if done, err := a.fusedScanGrouped(); err != nil || done {
-			return err
-		}
-	}
-	nchunks := a.tb.NumChunks()
-	errs := make([]error, nchunks)
-
-	// Pass 1: resolve primary levels and global scan facts.
-	p1 := make([]*pass1, nchunks)
-	parallel.ForEach(a.par, nchunks, func(k int) {
-		if errs[k] = a.ctx.Err(); errs[k] != nil {
-			return
-		}
-		c := a.tb.ChunkAt(k)
-		// Kernel request: serve the pass from constant-key spans over the
-		// encoded segments, materializing only End (whose delta-chain
-		// segment has no compressed-domain form). Fallback: materialize the
-		// pass's full column set and iterate rows.
-		spans, spanOK := a.tb.ChunkSpans(k, nil)
-		need := pass1Cols
-		if spanOK {
-			need = trace.ColEnd
-		}
-		if errs[k] = c.Require(need); errs[k] != nil {
-			return
-		}
-		p := &pass1{levels: map[appFile]uint8{}, appRanks: map[int32]map[int32]bool{}}
-		if spanOK {
-			for _, e := range c.End {
-				if e > p.maxEnd {
-					p.maxEnd = e
-				}
-			}
-			for _, s := range spans {
-				if trace.Op(s.Op) == trace.OpGPUCompute {
-					p.gpu = true
-				}
-				ranks := p.appRanks[s.App]
-				if ranks == nil {
-					ranks = map[int32]bool{}
-					p.appRanks[s.App] = ranks
-				}
-				ranks[s.Rank] = true
-				if !trace.Op(s.Op).IsIO() {
-					continue
-				}
-				key := appFile{s.App, s.File}
-				if cur, ok := p.levels[key]; !ok || s.Level < cur {
-					p.levels[key] = s.Level
-				}
-			}
-			p1[k] = p
-			return
-		}
-		for j := 0; j < c.N; j++ {
-			if c.End[j] > p.maxEnd {
-				p.maxEnd = c.End[j]
-			}
-			if trace.Op(c.Op[j]) == trace.OpGPUCompute {
-				p.gpu = true
-			}
-			ranks := p.appRanks[c.App[j]]
-			if ranks == nil {
-				ranks = map[int32]bool{}
-				p.appRanks[c.App[j]] = ranks
-			}
-			ranks[c.Rank[j]] = true
-			if !trace.Op(c.Op[j]).IsIO() {
-				continue
-			}
-			key := appFile{c.App[j], c.File[j]}
-			if cur, ok := p.levels[key]; !ok || c.Level[j] < cur {
-				p.levels[key] = c.Level[j]
-			}
-		}
-		p1[k] = p
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	levels := map[appFile]uint8{}
-	appRankSets := map[int32]map[int32]bool{}
-	var maxEnd int64
-	for _, p := range p1 {
-		if p.maxEnd > maxEnd {
-			maxEnd = p.maxEnd
-		}
-		a.gpuUsed = a.gpuUsed || p.gpu
-		for key, lv := range p.levels {
-			if cur, ok := levels[key]; !ok || lv < cur {
-				levels[key] = lv
-			}
-		}
-		for app, ranks := range p.appRanks {
-			if appRankSets[app] == nil {
-				appRankSets[app] = map[int32]bool{}
-			}
-			mergeSet(appRankSets[app], ranks)
-		}
-	}
-	a.runtime = time.Duration(maxEnd)
-	a.appRanks = make(map[int32]int, len(appRankSets))
-	for app, ranks := range appRankSets {
-		a.appRanks[app] = len(ranks)
-	}
-
-	// Pass 2: the fused characterization scan at the resolved levels.
-	span := a.runtime
-	if span <= 0 {
-		span = time.Second
-	}
-	bins := a.opt.TimelineBins
-	p2 := make([]*pass2, nchunks)
-	parallel.ForEach(a.par, nchunks, func(k int) {
-		if errs[k] = a.ctx.Err(); errs[k] != nil {
-			return
-		}
-		c := a.tb.ChunkAt(k)
-		// Same kernel request as pass 1: spans hoist every per-row map
-		// lookup, level check and op dispatch to span boundaries; only the
-		// Size/Start/End accumulations stay per-row, in unchanged row
-		// order, so the result is byte-identical to the row loop.
-		spans, spanOK := a.tb.ChunkSpans(k, nil)
-		a.tb.TickAccumKernels(spanOK)
-		need := pass2Cols
-		if spanOK {
-			need = trace.ColSize | trace.ColStart | trace.ColEnd
-		}
-		if errs[k] = c.Require(need); errs[k] != nil {
-			return
-		}
-		p := &pass2{
-			byApp:   map[int32][]int{},
-			files:   map[int32]*fileAgg{},
-			readTL:  stats.NewTimeline(span, bins),
-			writeTL: stats.NewTimeline(span, bins),
-			perRank: map[int32]*rankAcc{},
-		}
-		if spanOK {
-			a.spanPass2(c, spans, levels, p)
-			p2[k] = p
-			return
-		}
-		for j := 0; j < c.N; j++ {
-			op := trace.Op(c.Op[j])
-			if !op.IsIO() {
-				continue
-			}
-			i := c.Base + j
-			if trace.Level(c.Level[j]) == trace.LevelPosix {
-				p.posix = append(p.posix, i)
-			}
-			if c.Level[j] != levels[appFile{c.App[j], c.File[j]}] {
-				continue
-			}
-			p.primary = append(p.primary, i)
-			p.byApp[c.App[j]] = append(p.byApp[c.App[j]], i)
-			dur := c.End[j] - c.Start[j]
-			if op.IsData() {
-				p.data++
-			} else if op.IsMeta() {
-				p.meta++
-			}
-			var fa *fileAgg
-			if c.File[j] >= 0 {
-				fa = p.files[c.File[j]]
-				if fa == nil {
-					fa = newFileAgg(c.File[j])
-					p.files[c.File[j]] = fa
-				}
-				fa.ranks[c.Rank[j]] = true
-				fa.ioDur += time.Duration(dur)
-			}
-			acc := p.perRank[c.Rank[j]]
-			if acc == nil {
-				acc = &rankAcc{}
-				p.perRank[c.Rank[j]] = acc
-			}
-			switch op {
-			case trace.OpRead:
-				p.readBytes += c.Size[j]
-				p.readHist.Add(c.Size[j], time.Duration(dur))
-				p.readTL.Add(time.Duration(c.Start[j]), time.Duration(c.End[j]), c.Size[j])
-				acc.rBytes += c.Size[j]
-				acc.rDur += dur
-				if fa != nil {
-					fa.bytesRead += c.Size[j]
-					fa.readerRanks[c.Rank[j]] = true
-					fa.readerNodes[c.Node[j]] = true
-					fa.readerApps[c.App[j]] = true
-					fa.dataOps++
-				}
-			case trace.OpWrite:
-				p.writeBytes += c.Size[j]
-				p.writeHist.Add(c.Size[j], time.Duration(dur))
-				p.writeTL.Add(time.Duration(c.Start[j]), time.Duration(c.End[j]), c.Size[j])
-				acc.wBytes += c.Size[j]
-				acc.wDur += dur
-				if fa != nil {
-					fa.bytesWritten += c.Size[j]
-					fa.writerRanks[c.Rank[j]] = true
-					fa.writerNodes[c.Node[j]] = true
-					fa.writerApps[c.App[j]] = true
-					fa.dataOps++
-				}
-			case trace.OpOpen:
-				if fa != nil {
-					fa.opens++
-					fa.metaOps++
-				}
-			default:
-				if fa != nil {
-					fa.metaOps++
-				}
-			}
-		}
-		p2[k] = p
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	a.byApp = map[int32][]int{}
-	a.fileAgg = map[int32]*fileAgg{}
-	a.readTL = stats.NewTimeline(span, bins)
-	a.writeTL = stats.NewTimeline(span, bins)
-	a.perRank = map[int32]*rankAcc{}
-	for _, p := range p2 {
-		a.primary = append(a.primary, p.primary...)
-		a.posix = append(a.posix, p.posix...)
-		for app, rows := range p.byApp {
-			a.byApp[app] = append(a.byApp[app], rows...)
-		}
-		for f, fa := range p.files {
-			if cur := a.fileAgg[f]; cur != nil {
-				cur.merge(fa)
-			} else {
-				a.fileAgg[f] = fa
-			}
-		}
-		a.readBytes += p.readBytes
-		a.writeBytes += p.writeBytes
-		a.primData += p.data
-		a.primMeta += p.meta
-		a.readHist.Merge(&p.readHist)
-		a.writeHist.Merge(&p.writeHist)
-		a.readTL.Merge(p.readTL)
-		a.writeTL.Merge(p.writeTL)
-		for r, acc := range p.perRank {
-			if cur := a.perRank[r]; cur != nil {
-				cur.rBytes += acc.rBytes
-				cur.wBytes += acc.wBytes
-				cur.rDur += acc.rDur
-				cur.wDur += acc.wDur
-			} else {
-				a.perRank[r] = acc
-			}
-		}
-	}
-	return nil
-}
-
-// spanPass2 runs pass 2 over one chunk's constant-key spans: the level
-// check, primary resolution, file and rank accumulator lookups and the op
-// dispatch happen once per span instead of once per row, and the remaining
-// Size/Start/End accumulations run batched — equal-size sub-runs feed
-// SizeHistogram.AddRun, Timeline.AddRuns buckets whole spans, and the byte
-// and duration tallies are span sums. Every batched add is a regrouped
-// integer sum over the same rows in the same order, so every per-chunk
-// partial is identical to the fallback's.
-func (a *analysis) spanPass2(c *colstore.Chunk, spans []colstore.Span, levels map[appFile]uint8, p *pass2) {
-	for _, s := range spans {
-		op := trace.Op(s.Op)
-		if !op.IsIO() {
-			continue
-		}
-		if trace.Level(s.Level) == trace.LevelPosix {
-			for j := s.Lo; j < s.Hi; j++ {
-				p.posix = append(p.posix, c.Base+j)
-			}
-		}
-		if s.Level != levels[appFile{s.App, s.File}] {
-			continue
-		}
-		rows := p.byApp[s.App]
-		for j := s.Lo; j < s.Hi; j++ {
-			p.primary = append(p.primary, c.Base+j)
-			rows = append(rows, c.Base+j)
-		}
-		p.byApp[s.App] = rows
-		n := int64(s.Hi - s.Lo)
-		if op.IsData() {
-			p.data += n
-		} else if op.IsMeta() {
-			p.meta += n
-		}
-		var fa *fileAgg
-		if s.File >= 0 {
-			fa = p.files[s.File]
-			if fa == nil {
-				fa = newFileAgg(s.File)
-				p.files[s.File] = fa
-			}
-			fa.ranks[s.Rank] = true
-			var dsum int64
-			for j := s.Lo; j < s.Hi; j++ {
-				dsum += c.End[j] - c.Start[j]
-			}
-			fa.ioDur += time.Duration(dsum)
-		}
-		acc := p.perRank[s.Rank]
-		if acc == nil {
-			acc = &rankAcc{}
-			p.perRank[s.Rank] = acc
-		}
-		switch op {
-		case trace.OpRead:
-			var spanBytes int64
-			for j := s.Lo; j < s.Hi; {
-				sz := c.Size[j]
-				dsum := c.End[j] - c.Start[j]
-				j2 := j + 1
-				for j2 < s.Hi && c.Size[j2] == sz {
-					dsum += c.End[j2] - c.Start[j2]
-					j2++
-				}
-				cnt := int64(j2 - j)
-				spanBytes += sz * cnt
-				p.readHist.AddRun(sz, cnt, time.Duration(dsum))
-				acc.rDur += dsum
-				j = j2
-			}
-			p.readBytes += spanBytes
-			p.readTL.AddRuns(c.Start, c.End, c.Size, s.Lo, s.Hi)
-			acc.rBytes += spanBytes
-			if fa != nil {
-				fa.bytesRead += spanBytes
-				fa.readerRanks[s.Rank] = true
-				fa.readerNodes[s.Node] = true
-				fa.readerApps[s.App] = true
-				fa.dataOps += n
-			}
-		case trace.OpWrite:
-			var spanBytes int64
-			for j := s.Lo; j < s.Hi; {
-				sz := c.Size[j]
-				dsum := c.End[j] - c.Start[j]
-				j2 := j + 1
-				for j2 < s.Hi && c.Size[j2] == sz {
-					dsum += c.End[j2] - c.Start[j2]
-					j2++
-				}
-				cnt := int64(j2 - j)
-				spanBytes += sz * cnt
-				p.writeHist.AddRun(sz, cnt, time.Duration(dsum))
-				acc.wDur += dsum
-				j = j2
-			}
-			p.writeBytes += spanBytes
-			p.writeTL.AddRuns(c.Start, c.End, c.Size, s.Lo, s.Hi)
-			acc.wBytes += spanBytes
-			if fa != nil {
-				fa.bytesWritten += spanBytes
-				fa.writerRanks[s.Rank] = true
-				fa.writerNodes[s.Node] = true
-				fa.writerApps[s.App] = true
-				fa.dataOps += n
-			}
-		case trace.OpOpen:
-			if fa != nil {
-				fa.opens += n
-				fa.metaOps += n
-			}
-		default:
-			if fa != nil {
-				fa.metaOps += n
-			}
-		}
-	}
-}
-
-// byApp row lists concatenate per-chunk partials whose in-chunk appends are
-// in row order, so each app's rows are globally ascending — the same order
-// the old per-app filtering produced.
 
 func (a *analysis) jobConfig() JobConfigEntity {
 	m := a.tr.Meta
@@ -860,10 +415,10 @@ func interfaceName(v *rowView) string {
 
 // accessPattern classifies offsets per (file, rank) stream: sequential if
 // at least 80% of consecutive data accesses are non-decreasing in offset.
-// On a segmented view the stream key is constant per segment, so the map
-// round-trips once per segment and the offsets chain through a local —
-// the identical comparison sequence the per-row walk performs (non-data
-// rows leave the chain untouched there too).
+// Rows of one stream arrive in runs, so the stream map is consulted only
+// when the (file, rank) key changes and the offsets chain through a local
+// in between — the comparison sequence of a per-row lookup, with non-data
+// and file-less rows leaving the chain untouched.
 func accessPattern(v *rowView) string {
 	type key struct {
 		f int32
@@ -871,44 +426,27 @@ func accessPattern(v *rowView) string {
 	}
 	last := map[key]int64{}
 	var seq, total int64
-	if v.segs != nil {
-		for _, s := range v.segs {
-			if s.file < 0 {
-				continue
-			}
-			k := key{s.file, s.rank}
-			prev, ok := last[k]
-			for j := s.lo; j < s.hi; j++ {
-				if !trace.Op(v.op[j]).IsData() {
-					continue
-				}
-				off := v.off[j]
-				if ok {
-					total++
-					if off >= prev {
-						seq++
-					}
-				}
-				prev, ok = off, true
-			}
+	var k key
+	var prev int64
+	var ok bool
+	for i := 0; i < v.n; i++ {
+		if i == 0 || v.file[i] != k.f || v.rank[i] != k.r {
 			if ok {
 				last[k] = prev
 			}
+			k = key{v.file[i], v.rank[i]}
+			prev, ok = last[k]
 		}
-	} else {
-		for i := 0; i < v.n; i++ {
-			if !trace.Op(v.op[i]).IsData() || v.file[i] < 0 {
-				continue
-			}
-			k := key{v.file[i], v.rank[i]}
-			if prev, ok := last[k]; ok {
-				total++
-				if v.off[i] >= prev {
-					seq++
-				}
-			}
-			last[k] = v.off[i]
+		if k.f < 0 || !trace.Op(v.op[i]).IsData() {
+			continue
 		}
+		if ok {
+			total++
+			if v.off[i] >= prev {
+				seq++
+			}
+		}
+		prev, ok = v.off[i], true
 	}
 	if total == 0 || float64(seq)/float64(total) >= 0.8 {
 		return "Seq"
@@ -917,28 +455,15 @@ func accessPattern(v *rowView) string {
 }
 
 func (a *analysis) apps() []AppEntity {
-	var order []int32
-	if a.grouped {
-		order = make([]int32, 0, len(a.byAppSegs))
-		for app := range a.byAppSegs {
-			order = append(order, app)
-		}
-	} else {
-		order = make([]int32, 0, len(a.byApp))
-		for app := range a.byApp {
-			order = append(order, app)
-		}
-	}
-	sort.Slice(order, func(x, y int) bool { return order[x] < order[y] })
-
 	var out []AppEntity
-	for _, app := range order {
-		var v *rowView
-		if a.grouped {
-			v = a.viewSegs(a.byAppSegs[app], appViewCols)
-		} else {
-			v = a.viewRows(a.byApp[app], appViewCols)
+	for si := range a.appRanks {
+		// An app is reported when it has primary rows; slots ascend, so the
+		// entities come out in app id order.
+		v := a.view(func(r *chunkRows) []rowRange { return r.byApp[si] }, appViewCols)
+		if v.n == 0 {
+			continue
 		}
+		app := int32(si - 1)
 		data, meta := opCounts(v, 0, v.n)
 		dPct, mPct := pcts(data, meta)
 		var bytes int64
@@ -961,7 +486,7 @@ func (a *analysis) apps() []AppEntity {
 			// Processes counts every rank that emitted any event for the
 			// app, including pure compute ranks (the paper's per-app process
 			// count) — gathered in pass 1 rather than by rescanning here.
-			Processes:   a.appRanks[app],
+			Processes:   a.appRanks[si],
 			ProcDep:     a.procDep(app),
 			FPPFiles:    fpp,
 			SharedFiles: shared,
@@ -977,7 +502,7 @@ func (a *analysis) apps() []AppEntity {
 
 // fileSplitForApp counts FPP vs shared files among files the app touched.
 func (a *analysis) fileSplitForApp(app int32) (fpp, shared int) {
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		if !fa.readerApps[app] && !fa.writerApps[app] {
 			continue
 		}
@@ -993,7 +518,7 @@ func (a *analysis) fileSplitForApp(app int32) (fpp, shared int) {
 // procDep classifies the dominant process/data relationship of an app.
 func (a *analysis) procDep(app int32) ProcDepKind {
 	var solo, singleWriter, sharedRead, pipeline int
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		if !fa.readerApps[app] && !fa.writerApps[app] {
 			continue
 		}
@@ -1024,7 +549,7 @@ func (a *analysis) procDep(app int32) ProcDepKind {
 func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 	dPct, mPct := pcts(a.primData, a.primMeta)
 	var fpp, shared int
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		if len(fa.ranks) == 1 {
 			fpp++
 		} else {
@@ -1040,7 +565,7 @@ func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 		gpus = a.tr.Meta.GPUsPerNode
 	}
 	crossRAW := false
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		if len(fa.writerNodes) == 0 || len(fa.readerNodes) == 0 {
 			continue
 		}
@@ -1074,7 +599,7 @@ func (a *analysis) appDeps() []AppDep {
 	type key struct{ prod, cons int32 }
 	agg := map[key]*AppDep{}
 	var order []key
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		for prod := range fa.writerApps {
 			for cons := range fa.readerApps {
 				if prod == cons {
@@ -1227,7 +752,7 @@ func (a *analysis) highLevel() HighLevelIOEntity {
 	// tallied over sorted dimensionalities so weight ties resolve to the
 	// lower dimensionality regardless of map iteration order.
 	dims := map[int]int64{}
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		info := a.tr.Files[fa.id]
 		if info.NDims > 0 {
 			dims[info.NDims] += fa.bytesRead + fa.bytesWritten + 1
@@ -1309,7 +834,7 @@ func (a *analysis) dataset() DatasetEntity {
 	formats := map[string]int64{}
 	var totalSize int64
 	var dataFileSize, metaFileSize int64
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		info := a.tr.Files[fa.id]
 		formats[info.Format]++
 		totalSize += info.Size
@@ -1329,13 +854,13 @@ func (a *analysis) dataset() DatasetEntity {
 	}
 	dPct, mPct := pcts(a.primData, a.primMeta)
 	var io int64
-	for _, fa := range a.fileAgg {
+	for _, fa := range a.files {
 		io += fa.bytesRead + fa.bytesWritten
 	}
 	return DatasetEntity{
 		Format:       bestFmt,
 		SizeBytes:    totalSize,
-		NumFiles:     len(a.fileAgg),
+		NumFiles:     len(a.files),
 		IOBytes:      io,
 		IOTime:       unionDuration(a.primaryV),
 		DataOpsPct:   dPct,
@@ -1350,14 +875,8 @@ func (a *analysis) dataset() DatasetEntity {
 // highest I/O volume, volume ties breaking to the lowest file ID (the
 // first such file recorded) so the pick is deterministic.
 func (a *analysis) fileEntity() FileEntity {
-	ids := make([]int32, 0, len(a.fileAgg))
-	for f := range a.fileAgg {
-		ids = append(ids, f)
-	}
-	sort.Slice(ids, func(x, y int) bool { return ids[x] < ids[y] })
 	var best *fileAgg
-	for _, f := range ids {
-		fa := a.fileAgg[f]
+	for _, fa := range a.files {
 		if best == nil || fa.bytesRead+fa.bytesWritten > best.bytesRead+best.bytesWritten {
 			best = fa
 		}
@@ -1400,14 +919,12 @@ func (a *analysis) figure() FigureData {
 	}
 
 	// Per-rank achieved bandwidth (Figure 2c), ranks ascending.
-	rankOrder := make([]int32, 0, len(a.perRank))
-	for r := range a.perRank {
-		rankOrder = append(rankOrder, r)
-	}
-	sort.Slice(rankOrder, func(x, y int) bool { return rankOrder[x] < rankOrder[y] })
-	for _, r := range rankOrder {
-		acc := a.perRank[r]
-		rb := RankBandwidth{Rank: r}
+	for si := range a.perRank {
+		acc := &a.perRank[si]
+		if !acc.hit {
+			continue
+		}
+		rb := RankBandwidth{Rank: int32(si - 1)}
 		if acc.rDur > 0 {
 			rb.ReadBW = float64(acc.rBytes) / (float64(acc.rDur) / float64(time.Second))
 		}
@@ -1418,10 +935,7 @@ func (a *analysis) figure() FigureData {
 	}
 
 	// Dependency panel: highest-volume files.
-	flows := make([]*fileAgg, 0, len(a.fileAgg))
-	for _, fa := range a.fileAgg {
-		flows = append(flows, fa)
-	}
+	flows := append([]*fileAgg(nil), a.files...)
 	sort.Slice(flows, func(x, y int) bool {
 		bx := flows[x].bytesRead + flows[x].bytesWritten
 		by := flows[y].bytesRead + flows[y].bytesWritten

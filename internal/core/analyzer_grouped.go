@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -10,54 +13,54 @@ import (
 	"vani/internal/trace"
 )
 
-// Grouped execution: the fused scan rewritten over dictionary codes. The
-// key columns' stored values are the trace's interned dense ids, so once a
-// CodeUnifier proves each key column dense under a cap, every map the fused
-// scan keyed on (app, file) or rank becomes a flat array indexed by
-// value+1, and the per-chunk scans ride KeySpans — runs of the five stable
-// key columns with op dispatched per row — instead of hashing per row.
-// Partials still merge in chunk order with integer sums and set unions, so
-// the characterization is byte-identical to the map-keyed fallback (the
-// codec-matrix equivalence suite pins a grouped-kernels-forced-off arm).
+// The analyzer's one scan. The key columns store the trace's interned dense
+// ids, so once colstore.UnifyCodes has bounded each of them, everything the
+// scan keys on (app, file) or rank is a flat array indexed by value+1. Two
+// chunk-parallel passes follow — pass 1 resolves each (app, file) stream's
+// primary level, pass 2 characterizes at those levels — and each pass has
+// two bodies, selected per chunk by what the chunk carries: a chunk with
+// run summaries for all five stable key columns rides its key spans (every
+// lookup hoisted to span boundaries, op dispatched per same-op sub-run,
+// only Op/Size/Start/End materialized), any other chunk materializes the
+// pass's column set and iterates rows. Both bodies feed the same
+// accumulators with regrouped integer sums over the same rows in the same
+// order, so which body served a chunk never shows in the result.
+//
+// Accumulators are held per worker, not per chunk: each is an integer sum,
+// a set union or a minimum, so which chunks a worker happened to take
+// cannot change the merged value, and the scan's memory is O(workers × ids)
+// however long the trace. Only the row subsets — whose order is the
+// table's row order — are kept per chunk.
 
-// Density caps for the grouped path. A column whose stored values exceed
-// its cap (or whose combined accumulator would be pathologically large)
-// sends the whole scan to the map-keyed fallback — the caps bound memory,
-// they do not affect results. Real traces sit orders of magnitude below
-// them: the arrays are sized by the actual cardinality the unifier
-// discovers, not by the cap.
-const (
-	maxAppCard  = 1 << 12
-	maxRankCard = 1 << 16
-	maxFileCard = 1 << 17
-	// maxLevelCells bounds the (app, file) primary-level matrix;
-	// maxRankWords bounds the per-app rank bitsets, in 64-bit words.
-	maxLevelCells = 1 << 21
-	maxRankWords  = 1 << 21
-)
+// maxDenseCells is the scan's one memory budget: the (app × file) primary
+// level matrix and the (app × rank) membership bitsets may each span at
+// most this many cells per worker. The id spaces come from the trace's own
+// interned tables, so only a trace that interns millions of files across
+// many applications can reach it, and one that does is refused with an
+// ErrTooLarge error naming the product — never analyzed some other, slower
+// way.
+const maxDenseCells = 1 << 21
 
-// pass1g is the dense per-chunk partial of the level-resolution scan:
-// levels is the (app, file) primary-level matrix storing level+1 (0 =
-// unset), ranks the per-app bitsets of ranks that emitted any event.
-type pass1g struct {
+// ErrTooLarge is wrapped by the error the analyzer returns for a trace
+// whose id spaces exceed its memory budget.
+var ErrTooLarge = errors.New("core: trace exceeds the analyzer's memory budget")
+
+// pass1Acc is one worker's partial of the level-resolution pass: levels is
+// the (app, file) primary-level matrix storing level+1 (0 = unset) — the
+// highest abstraction through which that application touched that file,
+// so counting there avoids double-counting one logical operation across
+// layers while keeping POSIX-only side traffic visible — and ranks the
+// per-app bitsets of ranks that emitted any event.
+type pass1Acc struct {
 	levels []uint16
 	maxEnd int64
 	gpu    bool
 	ranks  [][]uint64
 }
 
-// pass2g is the dense per-chunk partial of the fused characterization
-// scan: byApp, files, perRank and rankHit replace the fallback's maps,
-// indexed by value+1. The row subsets are emitted as constant-key
-// segments (rowSeg) rather than row lists — the same rows in the same
-// order, carrying the key span's file/rank so the post passes gather and
-// batch on whole runs. Segment lists still concatenate in chunk order
-// and the fileAgg internals are unchanged, so merged results are
-// bit-identical.
-type pass2g struct {
-	primary    []rowSeg
-	posix      []rowSeg
-	byApp      [][]rowSeg
+// pass2Acc is one worker's partial of the characterization pass, every
+// table indexed by value+1.
+type pass2Acc struct {
 	files      []*fileAgg
 	readBytes  int64
 	writeBytes int64
@@ -67,47 +70,55 @@ type pass2g struct {
 	readTL     *stats.Timeline
 	writeTL    *stats.Timeline
 	perRank    []rankAcc
-	rankHit    []bool
 }
 
-// fusedScanGrouped is the grouped-execution form of fusedScan. It returns
-// done == false (with no side effects on a) when any key column is not
-// densely unifiable under the caps, in which case the caller runs the
-// map-keyed fallback.
-func (a *analysis) fusedScanGrouped() (bool, error) {
-	appU, err := a.tb.UnifyCodes(colstore.ColApp, maxAppCard)
-	if err != nil || appU == nil {
-		return false, err
+// fusedScan runs both analyzer passes over the columnar store and leaves
+// their merged results on a. Each pass declares its column set and Requires
+// it per chunk, so a lazily planned table decodes exactly the columns the
+// chunk's pass body touches.
+func (a *analysis) fusedScan() error {
+	// Ids are checked against the header's interned tables before anything
+	// is sized or indexed by them: a trace whose events name an app or file
+	// its header never interned is malformed, whatever decoded it. App 0 is
+	// the Event zero value, so traces that intern no app still carry it.
+	apps, err := a.tb.UnifyCodes(a.par, colstore.ColApp, max(len(a.tr.Apps), 1))
+	if err != nil {
+		return err
 	}
-	fileU, err := a.tb.UnifyCodes(colstore.ColFile, maxFileCard)
-	if err != nil || fileU == nil {
-		return false, err
+	files, err := a.tb.UnifyCodes(a.par, colstore.ColFile, len(a.tr.Files))
+	if err != nil {
+		return err
 	}
-	rankU, err := a.tb.UnifyCodes(colstore.ColRank, maxRankCard)
-	if err != nil || rankU == nil {
-		return false, err
+	ranks, err := a.tb.UnifyCodes(a.par, colstore.ColRank, math.MaxInt32)
+	if err != nil {
+		return err
 	}
-	appSlots := int(appU.Card()) + 1
-	fileSlots := int(fileU.Card()) + 1
-	rankSlots := int(rankU.Card()) + 1
+	appSlots, fileSlots, rankSlots := apps+1, files+1, ranks+1
+	if int64(appSlots)*int64(fileSlots) > maxDenseCells || int64(appSlots)*int64(rankSlots) > maxDenseCells {
+		return fmt.Errorf("%w: %d apps × %d files × %d ranks, over %d (app × file) or (app × rank) cells",
+			ErrTooLarge, apps, files, ranks, maxDenseCells)
+	}
 	rankWords := (rankSlots + 63) / 64
-	if appSlots*fileSlots > maxLevelCells || appSlots*rankWords > maxRankWords {
-		return false, nil
-	}
 
 	nchunks := a.tb.NumChunks()
+	workers := parallel.Workers(a.par, nchunks)
 	errs := make([]error, nchunks)
+	firstErr := func() error {
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
 	// Pass 1: primary-level matrix, per-app rank bitsets, runtime, GPU.
-	p1 := make([]*pass1g, nchunks)
-	parallel.ForEach(a.par, nchunks, func(k int) {
+	p1 := make([]*pass1Acc, workers)
+	parallel.ForEachWorker(a.par, nchunks, func(w, k int) {
 		if errs[k] = a.ctx.Err(); errs[k] != nil {
 			return
 		}
 		c := a.tb.ChunkAt(k)
-		// Kernel request: key spans hoist the level/rank/app/file lookups
-		// to span boundaries; only op is read per row (it alternates too
-		// often to span). Fallback: the full column set, row-iterated.
 		spans, spanOK := a.tb.ChunkKeySpans(k, nil)
 		need := pass1Cols
 		if spanOK {
@@ -116,17 +127,13 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 		if errs[k] = c.Require(need); errs[k] != nil {
 			return
 		}
-		p := &pass1g{
-			levels: make([]uint16, appSlots*fileSlots),
-			ranks:  make([][]uint64, appSlots),
-		}
-		bitset := func(si int) []uint64 {
-			bs := p.ranks[si]
-			if bs == nil {
-				bs = make([]uint64, rankWords)
-				p.ranks[si] = bs
+		p := p1[w]
+		if p == nil {
+			p = &pass1Acc{
+				levels: make([]uint16, appSlots*fileSlots),
+				ranks:  make([][]uint64, appSlots),
 			}
-			return bs
+			p1[w] = p
 		}
 		for _, e := range c.End {
 			if e > p.maxEnd {
@@ -134,59 +141,21 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 			}
 		}
 		if spanOK {
-			for _, s := range spans {
-				bs := bitset(int(s.App) + 1)
-				rs := int(s.Rank) + 1
-				bs[rs>>6] |= 1 << (rs & 63)
-				anyIO := false
-				for j := s.Lo; j < s.Hi; j++ {
-					op := trace.Op(c.Op[j])
-					if op == trace.OpGPUCompute {
-						p.gpu = true
-					}
-					if op.IsIO() {
-						anyIO = true
-					}
-				}
-				if anyIO {
-					idx := (int(s.App)+1)*fileSlots + int(s.File) + 1
-					lv := uint16(s.Level) + 1
-					if cur := p.levels[idx]; cur == 0 || lv < cur {
-						p.levels[idx] = lv
-					}
-				}
-			}
-			p1[k] = p
-			return
+			keySpanPass1(c, spans, fileSlots, rankWords, p)
+		} else {
+			rowPass1(c, fileSlots, rankWords, p)
 		}
-		for j := 0; j < c.N; j++ {
-			op := trace.Op(c.Op[j])
-			if op == trace.OpGPUCompute {
-				p.gpu = true
-			}
-			bs := bitset(int(c.App[j]) + 1)
-			rs := int(c.Rank[j]) + 1
-			bs[rs>>6] |= 1 << (rs & 63)
-			if !op.IsIO() {
-				continue
-			}
-			idx := (int(c.App[j])+1)*fileSlots + int(c.File[j]) + 1
-			lv := uint16(c.Level[j]) + 1
-			if cur := p.levels[idx]; cur == 0 || lv < cur {
-				p.levels[idx] = lv
-			}
-		}
-		p1[k] = p
 	})
-	for _, err := range errs {
-		if err != nil {
-			return false, err
-		}
+	if err := firstErr(); err != nil {
+		return err
 	}
 	levels := make([]uint16, appSlots*fileSlots)
-	ranksBits := make([][]uint64, appSlots)
+	a.appRanks = make([]int, appSlots)
 	var maxEnd int64
 	for _, p := range p1 {
+		if p == nil {
+			continue
+		}
 		if p.maxEnd > maxEnd {
 			maxEnd = p.maxEnd
 		}
@@ -196,41 +165,29 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 				levels[i] = lv
 			}
 		}
-		for si, bs := range p.ranks {
-			if bs == nil {
-				continue
+	}
+	for si := range a.appRanks {
+		for w := 0; w < rankWords; w++ {
+			var word uint64
+			for _, p := range p1 {
+				if p != nil && p.ranks[si] != nil {
+					word |= p.ranks[si][w]
+				}
 			}
-			dst := ranksBits[si]
-			if dst == nil {
-				dst = make([]uint64, rankWords)
-				ranksBits[si] = dst
-			}
-			for w, v := range bs {
-				dst[w] |= v
-			}
+			a.appRanks[si] += bits.OnesCount64(word)
 		}
 	}
 	a.runtime = time.Duration(maxEnd)
-	a.appRanks = map[int32]int{}
-	for si, bs := range ranksBits {
-		if bs == nil {
-			continue
-		}
-		n := 0
-		for _, w := range bs {
-			n += bits.OnesCount64(w)
-		}
-		a.appRanks[int32(si-1)] = n
-	}
 
-	// Pass 2: the fused characterization scan over dense accumulators.
+	// Pass 2: the characterization scan at the resolved levels.
 	span := a.runtime
 	if span <= 0 {
 		span = time.Second
 	}
 	bins := a.opt.TimelineBins
-	p2 := make([]*pass2g, nchunks)
-	parallel.ForEach(a.par, nchunks, func(k int) {
+	p2 := make([]*pass2Acc, workers)
+	a.rows = make([]chunkRows, nchunks)
+	parallel.ForEachWorker(a.par, nchunks, func(w, k int) {
 		if errs[k] = a.ctx.Err(); errs[k] != nil {
 			return
 		}
@@ -244,51 +201,44 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 		if errs[k] = c.Require(need); errs[k] != nil {
 			return
 		}
-		p := &pass2g{
-			byApp:   make([][]rowSeg, appSlots),
-			files:   make([]*fileAgg, fileSlots),
-			perRank: make([]rankAcc, rankSlots),
-			rankHit: make([]bool, rankSlots),
-			readTL:  stats.NewTimeline(span, bins),
-			writeTL: stats.NewTimeline(span, bins),
+		p := p2[w]
+		if p == nil {
+			p = &pass2Acc{
+				files:   make([]*fileAgg, fileSlots),
+				perRank: make([]rankAcc, rankSlots),
+				readTL:  stats.NewTimeline(span, bins),
+				writeTL: stats.NewTimeline(span, bins),
+			}
+			p2[w] = p
 		}
+		rows := &a.rows[k]
+		rows.byApp = make([][]rowRange, appSlots)
 		if spanOK {
-			keySpanPass2(c, spans, levels, fileSlots, p)
+			keySpanPass2(c, spans, levels, fileSlots, p, rows)
 		} else {
-			rowPass2g(c, levels, fileSlots, p)
+			rowPass2(c, levels, fileSlots, p, rows)
 		}
-		p2[k] = p
 	})
-	for _, err := range errs {
-		if err != nil {
-			return false, err
-		}
+	if err := firstErr(); err != nil {
+		return err
 	}
 
-	a.grouped = true
-	a.byAppSegs = map[int32][]rowSeg{}
-	a.fileAgg = map[int32]*fileAgg{}
 	a.readTL = stats.NewTimeline(span, bins)
 	a.writeTL = stats.NewTimeline(span, bins)
-	a.perRank = map[int32]*rankAcc{}
+	a.perRank = make([]rankAcc, rankSlots)
+	merged := make([]*fileAgg, fileSlots)
 	for _, p := range p2 {
-		a.primarySegs = append(a.primarySegs, p.primary...)
-		a.posixSegs = append(a.posixSegs, p.posix...)
-		for si, segs := range p.byApp {
-			if len(segs) > 0 {
-				app := int32(si - 1)
-				a.byAppSegs[app] = append(a.byAppSegs[app], segs...)
-			}
+		if p == nil {
+			continue
 		}
 		for si, fa := range p.files {
 			if fa == nil {
 				continue
 			}
-			f := int32(si - 1)
-			if cur := a.fileAgg[f]; cur != nil {
+			if cur := merged[si]; cur != nil {
 				cur.merge(fa)
 			} else {
-				a.fileAgg[f] = fa
+				merged[si] = fa
 			}
 		}
 		a.readBytes += p.readBytes
@@ -300,35 +250,107 @@ func (a *analysis) fusedScanGrouped() (bool, error) {
 		a.readTL.Merge(p.readTL)
 		a.writeTL.Merge(p.writeTL)
 		for si := range p.perRank {
-			if !p.rankHit[si] {
+			acc, cur := &p.perRank[si], &a.perRank[si]
+			if !acc.hit {
 				continue
 			}
-			acc := &p.perRank[si]
-			r := int32(si - 1)
-			if cur := a.perRank[r]; cur != nil {
-				cur.rBytes += acc.rBytes
-				cur.wBytes += acc.wBytes
-				cur.rDur += acc.rDur
-				cur.wDur += acc.wDur
-			} else {
-				a.perRank[r] = &rankAcc{
-					rBytes: acc.rBytes, wBytes: acc.wBytes,
-					rDur: acc.rDur, wDur: acc.wDur,
-				}
-			}
+			cur.hit = true
+			cur.rBytes += acc.rBytes
+			cur.wBytes += acc.wBytes
+			cur.rDur += acc.rDur
+			cur.wDur += acc.wDur
 		}
 	}
-	return true, nil
+	for _, fa := range merged {
+		if fa != nil {
+			a.files = append(a.files, fa)
+		}
+	}
+	return nil
 }
 
-// keySpanPass2 runs pass 2 over one chunk's stable-key spans: the primary
-// check, the file/rank accumulator lookups and the reader/writer set
-// updates happen once per span; within a span the op dispatch is hoisted to
-// maximal same-op sub-runs, whose Size/Start/End accumulations run batched
-// through SizeHistogram.AddRun and Timeline.AddRuns. Every batched add is a
-// regrouped integer sum over the same rows in the same order, so every
-// partial is identical to the row loop's.
-func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, fileSlots int, p *pass2g) {
+// setBit marks slot i in a lazily allocated per-app bitset.
+func setBit(sets [][]uint64, si, words, i int) {
+	bs := sets[si]
+	if bs == nil {
+		bs = make([]uint64, words)
+		sets[si] = bs
+	}
+	bs[i>>6] |= 1 << (i & 63)
+}
+
+// lowerLevel records level lv for matrix cell idx if it is the lowest seen.
+func lowerLevel(levels []uint16, idx int, lv uint8) {
+	v := uint16(lv) + 1
+	if cur := levels[idx]; cur == 0 || v < cur {
+		levels[idx] = v
+	}
+}
+
+// keySpanPass1 runs pass 1 over one chunk's key spans: the rank bit and
+// the level cell are touched once per span, and only op is read per row.
+func keySpanPass1(c *colstore.Chunk, spans []colstore.KeySpan, fileSlots, rankWords int, p *pass1Acc) {
+	for _, s := range spans {
+		setBit(p.ranks, int(s.App)+1, rankWords, int(s.Rank)+1)
+		anyIO := false
+		for _, b := range c.Op[s.Lo:s.Hi] {
+			op := trace.Op(b)
+			if op == trace.OpGPUCompute {
+				p.gpu = true
+			}
+			if op.IsIO() {
+				anyIO = true
+			}
+		}
+		if anyIO {
+			lowerLevel(p.levels, (int(s.App)+1)*fileSlots+int(s.File)+1, s.Level)
+		}
+	}
+}
+
+// rowPass1 is pass 1's per-row body for chunks without key spans.
+func rowPass1(c *colstore.Chunk, fileSlots, rankWords int, p *pass1Acc) {
+	for j := 0; j < c.N; j++ {
+		op := trace.Op(c.Op[j])
+		if op == trace.OpGPUCompute {
+			p.gpu = true
+		}
+		setBit(p.ranks, int(c.App[j])+1, rankWords, int(c.Rank[j])+1)
+		if op.IsIO() {
+			lowerLevel(p.levels, (int(c.App[j])+1)*fileSlots+int(c.File[j])+1, c.Level[j])
+		}
+	}
+}
+
+// addData accumulates rows [lo, hi) of one data op — all reads or all
+// writes of one rank — batching equal-size sub-runs through
+// SizeHistogram.AddRun and the whole range through Timeline.AddRuns, and
+// returns the range's byte and duration totals. Every batched add is a
+// regrouped integer sum over the same rows in the same order, so the
+// accumulators end bit-identical to per-row adds.
+func addData(c *colstore.Chunk, lo, hi int, hist *stats.SizeHistogram, tl *stats.Timeline) (bytes, dur int64) {
+	for i := lo; i < hi; {
+		sz := c.Size[i]
+		dsum := c.End[i] - c.Start[i]
+		i2 := i + 1
+		for i2 < hi && c.Size[i2] == sz {
+			dsum += c.End[i2] - c.Start[i2]
+			i2++
+		}
+		bytes += sz * int64(i2-i)
+		dur += dsum
+		hist.AddRun(sz, int64(i2-i), time.Duration(dsum))
+		i = i2
+	}
+	tl.AddRuns(c.Start, c.End, c.Size, lo, hi)
+	return bytes, dur
+}
+
+// keySpanPass2 runs pass 2 over one chunk's key spans: the primary check,
+// the file/rank accumulator lookups and the reader/writer set updates
+// happen once per span; within a span the op dispatch is hoisted to
+// maximal same-op sub-runs, accumulated through addData.
+func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, fileSlots int, p *pass2Acc, rows *chunkRows) {
 	for _, s := range spans {
 		isPosix := trace.Level(s.Level) == trace.LevelPosix
 		isPrim := uint16(s.Level)+1 == levels[(int(s.App)+1)*fileSlots+int(s.File)+1]
@@ -337,30 +359,28 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 		}
 		var fa *fileAgg
 		var sawRead, sawWrite bool
-		segs := p.byApp[int(s.App)+1]
-		rslot := int(s.Rank) + 1
-		acc := &p.perRank[rslot]
+		appRows := rows.byApp[int(s.App)+1]
+		acc := &p.perRank[int(s.Rank)+1]
 		for j := s.Lo; j < s.Hi; {
 			op := trace.Op(c.Op[j])
 			j2 := j + 1
 			for j2 < s.Hi && c.Op[j2] == c.Op[j] {
 				j2++
 			}
+			lo, hi := j, j2
+			j = j2
 			if !op.IsIO() {
-				j = j2
 				continue
 			}
-			seg := rowSeg{lo: c.Base + j, hi: c.Base + j2, file: s.File, rank: s.Rank}
 			if isPosix {
-				p.posix = appendSeg(p.posix, seg)
+				rows.posix = appendRange(rows.posix, lo, hi)
 			}
 			if !isPrim {
-				j = j2
 				continue
 			}
-			p.primary = appendSeg(p.primary, seg)
-			segs = appendSeg(segs, seg)
-			cnt := int64(j2 - j)
+			rows.primary = appendRange(rows.primary, lo, hi)
+			appRows = appendRange(appRows, lo, hi)
+			cnt := int64(hi - lo)
 			if op.IsData() {
 				p.data += cnt
 			} else if op.IsMeta() {
@@ -374,81 +394,45 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 				}
 				fa.ranks[s.Rank] = true
 			}
-			p.rankHit[rslot] = true
+			acc.hit = true
 			switch op {
 			case trace.OpRead:
-				var runBytes, runDur int64
-				for i := j; i < j2; {
-					sz := c.Size[i]
-					dsum := c.End[i] - c.Start[i]
-					i2 := i + 1
-					for i2 < j2 && c.Size[i2] == sz {
-						dsum += c.End[i2] - c.Start[i2]
-						i2++
-					}
-					runBytes += sz * int64(i2-i)
-					runDur += dsum
-					p.readHist.AddRun(sz, int64(i2-i), time.Duration(dsum))
-					i = i2
-				}
-				p.readBytes += runBytes
-				p.readTL.AddRuns(c.Start, c.End, c.Size, j, j2)
-				acc.rBytes += runBytes
-				acc.rDur += runDur
+				bytes, dur := addData(c, lo, hi, &p.readHist, p.readTL)
+				p.readBytes += bytes
+				acc.rBytes += bytes
+				acc.rDur += dur
 				if fa != nil {
-					fa.bytesRead += runBytes
-					fa.ioDur += time.Duration(runDur)
+					fa.bytesRead += bytes
+					fa.ioDur += time.Duration(dur)
 					fa.dataOps += cnt
 					sawRead = true
 				}
 			case trace.OpWrite:
-				var runBytes, runDur int64
-				for i := j; i < j2; {
-					sz := c.Size[i]
-					dsum := c.End[i] - c.Start[i]
-					i2 := i + 1
-					for i2 < j2 && c.Size[i2] == sz {
-						dsum += c.End[i2] - c.Start[i2]
-						i2++
-					}
-					runBytes += sz * int64(i2-i)
-					runDur += dsum
-					p.writeHist.AddRun(sz, int64(i2-i), time.Duration(dsum))
-					i = i2
-				}
-				p.writeBytes += runBytes
-				p.writeTL.AddRuns(c.Start, c.End, c.Size, j, j2)
-				acc.wBytes += runBytes
-				acc.wDur += runDur
+				bytes, dur := addData(c, lo, hi, &p.writeHist, p.writeTL)
+				p.writeBytes += bytes
+				acc.wBytes += bytes
+				acc.wDur += dur
 				if fa != nil {
-					fa.bytesWritten += runBytes
-					fa.ioDur += time.Duration(runDur)
+					fa.bytesWritten += bytes
+					fa.ioDur += time.Duration(dur)
 					fa.dataOps += cnt
 					sawWrite = true
-				}
-			case trace.OpOpen:
-				if fa != nil {
-					var dsum int64
-					for i := j; i < j2; i++ {
-						dsum += c.End[i] - c.Start[i]
-					}
-					fa.ioDur += time.Duration(dsum)
-					fa.opens += cnt
-					fa.metaOps += cnt
 				}
 			default:
 				if fa != nil {
 					var dsum int64
-					for i := j; i < j2; i++ {
+					for i := lo; i < hi; i++ {
 						dsum += c.End[i] - c.Start[i]
 					}
 					fa.ioDur += time.Duration(dsum)
 					fa.metaOps += cnt
+					if op == trace.OpOpen {
+						fa.opens += cnt
+					}
 				}
 			}
-			j = j2
 		}
-		p.byApp[int(s.App)+1] = segs
+		rows.byApp[int(s.App)+1] = appRows
 		if fa != nil {
 			if sawRead {
 				fa.readerRanks[s.Rank] = true
@@ -464,25 +448,22 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 	}
 }
 
-// rowPass2g is the grouped scan's per-row fallback for chunks without key
-// spans: the fallback row loop with every map replaced by a dense array.
-func rowPass2g(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2g) {
+// rowPass2 is pass 2's per-row body for chunks without key spans.
+func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc, rows *chunkRows) {
 	for j := 0; j < c.N; j++ {
 		op := trace.Op(c.Op[j])
 		if !op.IsIO() {
 			continue
 		}
-		i := c.Base + j
-		seg := rowSeg{lo: i, hi: i + 1, file: c.File[j], rank: c.Rank[j]}
 		if trace.Level(c.Level[j]) == trace.LevelPosix {
-			p.posix = appendSeg(p.posix, seg)
+			rows.posix = appendRange(rows.posix, j, j+1)
 		}
 		if uint16(c.Level[j])+1 != levels[(int(c.App[j])+1)*fileSlots+int(c.File[j])+1] {
 			continue
 		}
-		p.primary = appendSeg(p.primary, seg)
+		rows.primary = appendRange(rows.primary, j, j+1)
 		asl := int(c.App[j]) + 1
-		p.byApp[asl] = appendSeg(p.byApp[asl], seg)
+		rows.byApp[asl] = appendRange(rows.byApp[asl], j, j+1)
 		dur := c.End[j] - c.Start[j]
 		if op.IsData() {
 			p.data++
@@ -499,9 +480,8 @@ func rowPass2g(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2g) {
 			fa.ranks[c.Rank[j]] = true
 			fa.ioDur += time.Duration(dur)
 		}
-		rslot := int(c.Rank[j]) + 1
-		p.rankHit[rslot] = true
-		acc := &p.perRank[rslot]
+		acc := &p.perRank[int(c.Rank[j])+1]
+		acc.hit = true
 		switch op {
 		case trace.OpRead:
 			p.readBytes += c.Size[j]

@@ -1,54 +1,42 @@
 package core
 
-import (
-	"vani/internal/colstore"
-	"vani/internal/trace"
-)
+import "vani/internal/trace"
 
-// Post-pass row access. The fused scan produces row subsets (primary
-// rows, POSIX-level rows, per-app rows) that the post passes revisit many
-// times across many columns. A rowView gathers such a subset into dense
-// columnar slices once, so every revisit is a flat array walk instead of
-// a per-row chunk lookup through the Table accessors. The grouped scan
-// additionally emits its row sets as rowSegs — contiguous runs carrying
-// the enclosing key span's constant file and rank — which lets the
-// gather copy whole slices and the access-pattern pass hoist its per-row
-// stream-map traffic to segment boundaries. Every segment-batched pass
-// consumes the same rows in the same order as the per-row form, so the
-// characterization is byte-identical whether segments are present or not.
+// Post-pass row access. The scan produces row subsets (primary rows,
+// POSIX-level rows, per-app rows) that the post passes revisit many times
+// across many columns. A subset is a list of row ranges per chunk; a
+// rowView gathers one into dense columnar slices once, copying whole
+// slices, so every revisit is a flat array walk instead of a per-row
+// chunk lookup through the Table accessors.
 
-// rowSeg is a contiguous run of collected rows sharing one file and rank
-// (op still varies within a segment — it fragments far too finely to key
-// segments on). In the scan partials lo/hi are global row indices; a
-// gathered rowView rewrites them to view-relative positions. Segments
-// never span a chunk boundary (each partial emits its own chunk's rows).
-type rowSeg struct {
-	lo, hi int
-	file   int32
-	rank   int32
-}
+// rowRange is a run [lo, hi) of collected rows, chunk-relative.
+type rowRange struct{ lo, hi int }
 
-// appendSeg appends a segment, coalescing it into the previous one when
-// the runs touch and the keys match — per-row emission and adjacent
-// sub-runs of one key span both produce touching segments, so primary
-// segments coalesce to roughly one per key span.
-func appendSeg(segs []rowSeg, s rowSeg) []rowSeg {
-	if n := len(segs); n > 0 {
-		p := &segs[n-1]
-		if p.hi == s.lo && p.file == s.file && p.rank == s.rank {
-			p.hi = s.hi
-			return segs
-		}
+// appendRange appends [lo, hi), extending the previous range when the two
+// touch. Adjacency is the only condition: ranges carry no key, so the rows
+// of a level- and rank-interleaved log still coalesce into one range
+// wherever the subset's members are consecutive, and a range breaks only
+// at a row that is not a member.
+func appendRange(rs []rowRange, lo, hi int) []rowRange {
+	if n := len(rs); n > 0 && rs[n-1].hi == lo {
+		rs[n-1].hi = hi
+		return rs
 	}
-	return append(segs, s)
+	return append(rs, rowRange{lo, hi})
 }
 
-// rowView is the gathered columnar image of one row list. Only the
-// columns requested at build time are non-nil; segs is nil when the view
-// was gathered from a plain row list (the map-keyed fallback scan).
+// chunkRows holds one chunk's row subsets as the scan's pass 2 emits them:
+// ascending, non-overlapping ranges, byApp indexed by app id + 1.
+type chunkRows struct {
+	primary []rowRange
+	posix   []rowRange
+	byApp   [][]rowRange
+}
+
+// rowView is the gathered columnar image of one row subset. Only the
+// columns requested at build time are non-nil.
 type rowView struct {
 	n     int
-	segs  []rowSeg
 	op    []uint8
 	lib   []uint8
 	rank  []int32
@@ -86,107 +74,52 @@ func (v *rowView) alloc(cols trace.ColSet, n int) {
 	}
 }
 
-// chunkCursor resolves ascending global row indices to (chunk, offset)
-// with one chunk hop per transition instead of a lookup per call. Every
-// gathered row list is globally ascending (partials concatenate in chunk
-// order with in-chunk appends in row order).
-type chunkCursor struct {
-	tb *colstore.Table
-	k  int
-	c  *colstore.Chunk
-}
-
-func (cc *chunkCursor) at(i int) (*colstore.Chunk, int) {
-	for cc.c == nil || i >= cc.c.Base+cc.c.N {
-		cc.k++
-		cc.c = cc.tb.ChunkAt(cc.k)
-	}
-	return cc.c, i - cc.c.Base
-}
-
-// viewRows gathers a plain row list. The requested columns must already
-// be materialized (run() materializes postCols before any view is built).
-func (a *analysis) viewRows(rows []int, cols trace.ColSet) *rowView {
-	v := &rowView{n: len(rows)}
-	v.alloc(cols, len(rows))
-	cc := chunkCursor{tb: a.tb, k: -1}
-	for _, i := range rows {
-		c, j := cc.at(i)
-		if v.op != nil {
-			v.op = append(v.op, c.Op[j])
-		}
-		if v.lib != nil {
-			v.lib = append(v.lib, c.Lib[j])
-		}
-		if v.rank != nil {
-			v.rank = append(v.rank, c.Rank[j])
-		}
-		if v.file != nil {
-			v.file = append(v.file, c.File[j])
-		}
-		if v.off != nil {
-			v.off = append(v.off, c.Offset[j])
-		}
-		if v.size != nil {
-			v.size = append(v.size, c.Size[j])
-		}
-		if v.start != nil {
-			v.start = append(v.start, c.Start[j])
-		}
-		if v.end != nil {
-			v.end = append(v.end, c.End[j])
-		}
-	}
-	return v
-}
-
-// viewSegs gathers a segment list: columns copy in bulk slices rather
-// than row by row, and the segments ride along rebased to view positions.
-func (a *analysis) viewSegs(segs []rowSeg, cols trace.ColSet) *rowView {
+// view gathers the subset pick selects from every chunk, in chunk order —
+// the table's row order. The requested columns must already be
+// materialized (run() materializes postCols before any view is built).
+func (a *analysis) view(pick func(*chunkRows) []rowRange, cols trace.ColSet) *rowView {
 	n := 0
-	for _, s := range segs {
-		n += s.hi - s.lo
+	for k := range a.rows {
+		for _, r := range pick(&a.rows[k]) {
+			n += r.hi - r.lo
+		}
 	}
-	v := &rowView{n: n, segs: make([]rowSeg, 0, len(segs))}
+	v := &rowView{n: n}
 	v.alloc(cols, n)
-	cc := chunkCursor{tb: a.tb, k: -1}
-	pos := 0
-	for _, s := range segs {
-		c, j := cc.at(s.lo)
-		ln := s.hi - s.lo
-		if v.op != nil {
-			v.op = append(v.op, c.Op[j:j+ln]...)
+	for k := range a.rows {
+		c := a.tb.ChunkAt(k)
+		for _, r := range pick(&a.rows[k]) {
+			if v.op != nil {
+				v.op = append(v.op, c.Op[r.lo:r.hi]...)
+			}
+			if v.lib != nil {
+				v.lib = append(v.lib, c.Lib[r.lo:r.hi]...)
+			}
+			if v.rank != nil {
+				v.rank = append(v.rank, c.Rank[r.lo:r.hi]...)
+			}
+			if v.file != nil {
+				v.file = append(v.file, c.File[r.lo:r.hi]...)
+			}
+			if v.off != nil {
+				v.off = append(v.off, c.Offset[r.lo:r.hi]...)
+			}
+			if v.size != nil {
+				v.size = append(v.size, c.Size[r.lo:r.hi]...)
+			}
+			if v.start != nil {
+				v.start = append(v.start, c.Start[r.lo:r.hi]...)
+			}
+			if v.end != nil {
+				v.end = append(v.end, c.End[r.lo:r.hi]...)
+			}
 		}
-		if v.lib != nil {
-			v.lib = append(v.lib, c.Lib[j:j+ln]...)
-		}
-		if v.rank != nil {
-			v.rank = append(v.rank, c.Rank[j:j+ln]...)
-		}
-		if v.file != nil {
-			v.file = append(v.file, c.File[j:j+ln]...)
-		}
-		if v.off != nil {
-			v.off = append(v.off, c.Offset[j:j+ln]...)
-		}
-		if v.size != nil {
-			v.size = append(v.size, c.Size[j:j+ln]...)
-		}
-		if v.start != nil {
-			v.start = append(v.start, c.Start[j:j+ln]...)
-		}
-		if v.end != nil {
-			v.end = append(v.end, c.End[j:j+ln]...)
-		}
-		v.segs = append(v.segs, rowSeg{lo: pos, hi: pos + ln, file: s.file, rank: s.rank})
-		pos += ln
 	}
 	return v
 }
 
 // permuteView reorders a view by idx (for the phases guard sort on
-// tables built from unsorted traces). Segment structure does not survive
-// a reorder, so the result is always seg-free.
+// tables built from unsorted traces).
 func permuteView(v *rowView, idx []int) *rowView {
 	out := &rowView{n: v.n}
 	if v.op != nil {

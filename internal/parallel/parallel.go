@@ -34,16 +34,33 @@ func Degree(p int) int {
 // guarantee between concurrent invocations. A panic in any invocation is
 // re-raised on the calling goroutine after all workers have drained.
 func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
+	ForEachWorker(workers, n, func(_, i int) { fn(i) })
+}
+
+// Workers returns how many workers ForEachWorker runs for n units at the
+// requested parallelism — the number of per-worker slots a caller needs.
+func Workers(workers, n int) int {
 	workers = Degree(workers)
 	if workers > n {
 		workers = n
 	}
+	return workers
+}
+
+// ForEachWorker is ForEach that also tells fn which worker runs it: w is
+// in [0, Workers(workers, n)) and no two concurrent invocations share a w,
+// so fn may accumulate into a per-worker slot without synchronization.
+// Which units a worker gets is not deterministic; only accumulations that
+// are commutative and associative (integer sums, set unions, minima) may
+// be held per worker.
+func ForEachWorker(workers, n int, fn func(w, i int)) {
+	if n <= 0 {
+		return
+	}
+	workers = Workers(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -55,7 +72,7 @@ func ForEach(workers, n int, fn func(i int)) {
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -73,9 +90,9 @@ func ForEach(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	if panicky != nil {

@@ -84,3 +84,34 @@ func TestDegree(t *testing.T) {
 		t.Error("default degree not positive")
 	}
 }
+
+// TestForEachWorkerSlotsAreExclusive: every invocation gets a worker index
+// inside [0, Workers), and no two concurrent invocations share one — so
+// plain per-worker slots (unsynchronized on purpose; the race detector
+// checks the claim) add up to exactly one visit per index.
+func TestForEachWorkerSlotsAreExclusive(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		const n = 5000
+		slots := make([]int, Workers(workers, n))
+		hits := make([]int32, n)
+		ForEachWorker(workers, n, func(w, i int) {
+			slots[w]++
+			atomic.AddInt32(&hits[i], 1)
+		})
+		total := 0
+		for _, c := range slots {
+			total += c
+		}
+		if total != n {
+			t.Errorf("workers=%d: per-worker slots sum to %d, want %d", workers, total, n)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
+			}
+		}
+	}
+	if got := Workers(8, 3); got != 3 {
+		t.Errorf("Workers(8, 3) = %d, want 3", got)
+	}
+}

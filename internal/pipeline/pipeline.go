@@ -104,8 +104,8 @@ func File(ctx context.Context, path string, opt core.Options) (*core.Characteriz
 // file, or a shared decoded-block cache like vanid's — through the
 // planned-scan path: the filter pushes down to the block index, predicates
 // evaluate in the compressed domain where the kernel registry serves them,
-// and the analyzer passes run span-fused over encoded segments,
-// materializing only the columns no kernel can answer. The
+// and the analyzer's scan walks key spans over chunks that kept their run
+// summaries, materializing only the columns its pass bodies read. The
 // characterization is byte-identical to File over the same log.
 func Blocks(ctx context.Context, src trace.BlockSource, opt core.Options) (*core.Characterization, error) {
 	t0 := time.Now()

@@ -403,6 +403,52 @@ func TestSyncCharacterize(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeIDUploadIsRejected: a well-formed log one of whose events
+// names a file past the header's interned table used to panic the analyzer
+// (and, with no recover anywhere in the daemon, kill vanid). It must be
+// answered like any other bad trace — 422 on the synchronous path, a failed
+// job on the queued one — with the daemon still serving afterwards.
+func TestOutOfRangeIDUploadIsRejected(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	tr, err := trace.Read(bytes.NewReader(testTraceBytes(t, trace.FormatV2, 20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Events[10].File = int32(len(tr.Files)) + 7
+	var buf bytes.Buffer
+	if err := trace.WriteFormat(&buf, tr, trace.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+
+	resp, err := http.Post(ts.URL+"/v1/characterize", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("sync characterize of an out-of-range file id: status %d, want 422", resp.StatusCode)
+	}
+	code, st := upload(t, ts, "/v1/traces", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("queued upload: status %d %+v, want 202", code, st)
+	}
+	if final := pollJob(t, ts, st.ID); final.Status != string(jobFailed) {
+		t.Errorf("queued job ended %+v, want failed", final)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the bad upload: status %d", resp.StatusCode)
+	}
+}
+
 // TestUploadValidation rejects malformed filters and non-trace bodies.
 func TestUploadValidation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})

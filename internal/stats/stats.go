@@ -284,9 +284,12 @@ func NewTimeline(span time.Duration, n int) *Timeline {
 	if span <= 0 || n < 1 {
 		panic(fmt.Sprintf("stats: invalid timeline span=%v bins=%d", span, n))
 	}
+	// A span shorter than n nanoseconds would make the bins zero-wide (and
+	// every bin lookup a division by zero): such a timeline keeps
+	// nanosecond bins, of which only the first span are ever hit.
 	return &Timeline{
 		span:  span,
-		width: span / time.Duration(n),
+		width: max(span/time.Duration(n), 1),
 		Bytes: make([]int64, n),
 		Ops:   make([]int64, n),
 	}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,6 +187,27 @@ func TestTimelineZeroDurationOp(t *testing.T) {
 	tl.Add(300*time.Millisecond, 300*time.Millisecond, 64)
 	if tl.Bytes[1] != 64 || tl.Ops[1] != 1 {
 		t.Errorf("instant op misplaced: %v %v", tl.Bytes, tl.Ops)
+	}
+}
+
+// TestTimelineSpanShorterThanBins: a span of fewer nanoseconds than bins
+// (a five-nanosecond trace on the default 64-bin timeline) must not make
+// the bins zero-wide — Add and AddRuns divide by the width — and the two
+// must still agree.
+func TestTimelineSpanShorterThanBins(t *testing.T) {
+	start := []int64{1, 3, 4}
+	end := []int64{2, 5, 4}
+	size := []int64{4096, 128, 7}
+	a, b := NewTimeline(5, 64), NewTimeline(5, 64)
+	for i := range start {
+		a.Add(time.Duration(start[i]), time.Duration(end[i]), size[i])
+	}
+	b.AddRuns(start, end, size, 0, len(start))
+	if a.TotalBytes() != 4096+128+7 {
+		t.Errorf("TotalBytes = %d, want %d", a.TotalBytes(), 4096+128+7)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("AddRuns %+v differs from per-row Add %+v", b, a)
 	}
 }
 

@@ -79,10 +79,18 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
+// CharacterizeLog, when set, runs the whole characterization pipeline over
+// a log that opened and returns an error only for a failure the pipeline is
+// not allowed to have. Package trace sits below the analyzer and cannot
+// import it, so the external half of this test package
+// (characterize_test.go) installs the hook.
+var CharacterizeLog func(br *BlockReader) error
+
 // FuzzBlockReader hardens the seekable VANITRC2 path: corrupt blocks,
 // truncated footers, and arbitrary garbage must surface as ErrBadFormat —
-// never a panic, a hang, or an unbounded allocation — and whatever does
-// decode must round-trip.
+// never a panic, a hang, or an unbounded allocation — whatever does decode
+// must round-trip, and any log that opens must characterize without a
+// panic: decodable events are not yet trustworthy events.
 func FuzzBlockReader(f *testing.F) {
 	seed := fuzzSeedTrace(f)
 	// Seeds span every footer version: v2.2 logs carry the VANIIDX4 footer
@@ -151,6 +159,20 @@ func FuzzBlockReader(f *testing.F) {
 				Start: time.Duration(i + 1), End: time.Duration(i + 2)})
 		}
 		bigTr := big.Finish()
+		// A log every decoder accepts whose event names a file past the
+		// header's interned table: the analyzer indexed the table by it.
+		{
+			crafted := *bigTr
+			crafted.Events = append([]Event(nil), bigTr.Events[:20]...)
+			crafted.Events[10].File = int32(len(crafted.Files)) + 7
+			for _, opt := range []V2Options{{}, {BlockEvents: 16, Codec: CodecForceRaw}} {
+				var buf bytes.Buffer
+				if err := WriteV2With(&buf, &crafted, opt); err != nil {
+					f.Fatal(err)
+				}
+				f.Add(buf.Bytes())
+			}
+		}
 		for _, opt := range []V2Options{
 			{BlockEvents: 16, Codec: CodecForceDict},
 			{BlockEvents: 16, Codec: CodecForceFOR},
@@ -179,6 +201,11 @@ func FuzzBlockReader(f *testing.F) {
 				t.Fatalf("open error %v does not wrap ErrBadFormat", err)
 			}
 			return
+		}
+		if CharacterizeLog != nil {
+			if err := CharacterizeLog(br); err != nil {
+				t.Fatalf("characterizing a log that opened: %v", err)
+			}
 		}
 		var cols Columns
 		var evs []Event

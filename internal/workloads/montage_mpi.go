@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vani/internal/iface"
 	"vani/internal/sim"
 	"vani/internal/storage"
 )
@@ -311,6 +312,25 @@ func (w *MontageMPI) runAddMPI(env *Env, p *sim.Proc, rank, node int, work strin
 	}
 }
 
+// sampleMosaic is the sparse sampling read of the node mosaic: one view
+// granule out of every eight. The file holds what mAddMPI's ranks wrote —
+// RanksPerNode equal slices, so up to RanksPerNode-1 bytes short of the
+// nominal mosaic — and at small scales that is not a whole number of
+// granules, so the last read is clamped to the file's end.
+func (w *MontageMPI) sampleMosaic(env *Env, p *sim.Proc, f *iface.PosixFile, mosaic int64) {
+	rpn := int64(env.Spec.RanksPerNode)
+	size := mosaic / rpn * rpn
+	for off := int64(0); off < mosaic/8 && off*8 < size; off += w.ViewGranule {
+		n := w.ViewGranule
+		if off*8+n > size {
+			n = size - off*8
+		}
+		if err := f.ReadAt(p, off*8, n, false); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // runShrink downsamples the mosaic.
 func (w *MontageMPI) runShrink(env *Env, p *sim.Proc, rank, node int, work string, mosaic, shrunk int64) {
 	cl := env.ClientAt("mShrink", rank, node)
@@ -318,12 +338,7 @@ func (w *MontageMPI) runShrink(env *Env, p *sim.Proc, rank, node int, work strin
 	if err != nil {
 		panic(err)
 	}
-	// Sparse sampling read of the mosaic.
-	for off := int64(0); off < mosaic/8; off += w.ViewGranule {
-		if err := f.ReadAt(p, off*8, w.ViewGranule, false); err != nil {
-			panic(err)
-		}
-	}
+	w.sampleMosaic(env, p, f, mosaic)
 	if err := f.Close(p); err != nil {
 		panic(err)
 	}
@@ -366,11 +381,7 @@ func (w *MontageMPI) runViewer(env *Env, p *sim.Proc, rank, node int, work strin
 	if err != nil {
 		panic(err)
 	}
-	for off := int64(0); off < mosaic/8; off += w.ViewGranule {
-		if err := m.ReadAt(p, off*8, w.ViewGranule, false); err != nil {
-			panic(err)
-		}
-	}
+	w.sampleMosaic(env, p, m, mosaic)
 	if err := m.Close(p); err != nil {
 		panic(err)
 	}

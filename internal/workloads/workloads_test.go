@@ -360,6 +360,37 @@ func TestMontageMPIShape(t *testing.T) {
 	}
 }
 
+// TestMontageMPISmallScale: at 32 nodes and scale 0.001 the node mosaic is
+// not a whole number of view granules (and its RanksPerNode slices leave it
+// a few bytes short of nominal), so the sparse sampling reads of mShrink
+// and mViewer must clamp their last read to the file's end instead of
+// running past EOF.
+func TestMontageMPISmallScale(t *testing.T) {
+	w := NewMontageMPI()
+	spec := w.DefaultSpec()
+	spec.Nodes = 32
+	spec.Scale = 0.001
+	res := mustRun(t, w, spec)
+	checkCommonInvariants(t, w, res)
+	tr := res.Trace
+	clamped := 0
+	for _, ev := range tr.Events {
+		if ev.Level != trace.LevelPosix || ev.Op != trace.OpRead || ev.File < 0 {
+			continue
+		}
+		info := tr.Files[ev.File]
+		if ev.Offset+ev.Size > info.Size {
+			t.Fatalf("read [%d,%d) of %s past its size %d", ev.Offset, ev.Offset+ev.Size, info.Path, info.Size)
+		}
+		if ev.Size < w.ViewGranule && ev.Offset+ev.Size == info.Size {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Error("no sampling read was clamped to the mosaic's end; the case no longer covers the boundary")
+	}
+}
+
 func TestMontageMPIOptimizedFaster(t *testing.T) {
 	w := NewMontageMPI()
 	// Remove compute so the I/O difference dominates.

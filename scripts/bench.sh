@@ -9,21 +9,23 @@
 # throughput benches, the scan-planner pushdown benches, the per-codec
 # matrix (encoded size and full-column-scan decode MB/s for v2.1, v2.1+flate
 # and every v2.2 segment codec), the compressed-domain execution bench
-# (filtered full characterization, kernels on vs off), the grouped
-# execution bench (unfiltered full characterization, grouped aggregation on
-# vs off), and the filtered grouped bench (filtered characterization with
-# selection-backed grouped execution on vs off), with -benchmem so bytes/op
+# (filtered full characterization), the grouped execution bench (unfiltered
+# full characterization), and the filtered grouped bench (filtered
+# characterization over selection-backed chunks), with -benchmem so bytes/op
 # and allocs/op land in the record.
 # BENCH_PR1.json was captured at GOMAXPROCS=1, which hid
 # every parallel speedup; this harness records GOMAXPROCS and refuses to
 # publish a single-core record from a multi-core machine unless explicitly
 # allowed with BENCH_ALLOW_SINGLE_CORE=1.
 #
-# After writing the record, the compressed-domain MB/s figures are compared
+# After writing the record, the compressed-domain MB/s figure is compared
 # against the committed BENCH_PR6.json baseline, the grouped-execution
-# figures against BENCH_PR7.json, and the filtered grouped figures against
-# BENCH_PR10.json; a loss of more than 15% on any arm of any bench fails
-# the run. Set BENCH_SKIP_REGRESSION=1 to record anyway.
+# figure against BENCH_PR7.json, and the filtered grouped figure against
+# BENCH_PR10.json; a loss of more than 15% on any of them fails the run.
+# The frozen records also hold the kernels-off / grouped-off arms of the
+# analyzer paths that no longer exist; each guard names the surviving arm
+# as its -prefix, so those are not reported missing. Set
+# BENCH_SKIP_REGRESSION=1 to record anyway.
 set -eu
 
 out="${1:-BENCH_PR10.json}"
@@ -44,13 +46,11 @@ go test -run '^$' \
     -bench 'BenchmarkAnalyzerParallelism|BenchmarkColumnarize|BenchmarkAblation_ColumnarAnalysis|BenchmarkTraceCodec|BenchmarkTraceEncode|BenchmarkTraceDecodeToTable|BenchmarkScanPlanner|BenchmarkCodecMatrix' \
     -benchmem -benchtime 10x -timeout 30m . | tee "$tmp"
 
-# The compressed-domain and grouped-execution comparisons need more
-# iterations than the suite default (their headlines are allocs/op deltas
-# between two paths, and short runs fold one-time pool warmup into the
-# count) and several counts per arm: the arms run back to back, so a single
-# sample is at the mercy of whatever else the machine schedules during one
-# arm. Publish the fastest sample of each arm — the allocation counts are
-# deterministic and identical across samples.
+# The guarded benches need more iterations than the suite default (short
+# runs fold one-time pool warmup into allocs/op) and several counts each: a
+# single sample is at the mercy of whatever else the machine schedules
+# while it runs. Publish the fastest sample of each — the allocation
+# counts are deterministic and identical across samples.
 go test -run '^$' \
     -bench 'BenchmarkCompressedDomain|BenchmarkGroupedAgg|BenchmarkGroupedFiltered' \
     -benchmem -benchtime 100x -count 3 -timeout 30m . \
@@ -66,13 +66,13 @@ echo "wrote $out"
 
 if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR6.json ] && [ "$out" != "BENCH_PR6.json" ]; then
     echo "== regression guard: BenchmarkCompressedDomain vs BENCH_PR6.json =="
-    go run ./scripts/benchcmp BENCH_PR6.json "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkCompressedDomain/kernels-on BENCH_PR6.json "$out"
 fi
 if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR7.json ] && [ "$out" != "BENCH_PR7.json" ]; then
     echo "== regression guard: BenchmarkGroupedAgg vs BENCH_PR7.json =="
-    go run ./scripts/benchcmp -prefix BenchmarkGroupedAgg BENCH_PR7.json "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkGroupedAgg/grouped-on BENCH_PR7.json "$out"
 fi
 if [ "${BENCH_SKIP_REGRESSION:-0}" != "1" ] && [ -f BENCH_PR10.json ] && [ "$out" != "BENCH_PR10.json" ]; then
     echo "== regression guard: BenchmarkGroupedFiltered vs BENCH_PR10.json =="
-    go run ./scripts/benchcmp -prefix BenchmarkGroupedFiltered BENCH_PR10.json "$out"
+    go run ./scripts/benchcmp -prefix BenchmarkGroupedFiltered/grouped-on BENCH_PR10.json "$out"
 fi
