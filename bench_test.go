@@ -921,37 +921,68 @@ func BenchmarkAnalyzer(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzerParallelism compares the fused chunk-parallel analysis
-// at Parallelism=1 (sequential baseline) against GOMAXPROCS workers on a
-// pre-built columnar table. The outputs are bit-identical; only the wall
-// clock differs (and only when GOMAXPROCS > 1).
+// BenchmarkAnalyzerParallelism is the analyzer's scaling curve: one full
+// characterization, from encoded v2.2 bytes to entities, at 1, 2, 4 and
+// GOMAXPROCS workers, over 32-node hacc and cm1 logs — rank-interleaved
+// after the k-way merge, so nearly every chunk takes the row body and the
+// scan, not a run summary, is the traffic. Tables are planned lazily, as the
+// file path plans them, and anew per iteration (an analysis materializes
+// the columns it reads). MB/s is over the encoded log; the outputs are
+// bit-identical at every setting.
 func BenchmarkAnalyzerParallelism(b *testing.B) {
-	_, _ = allRuns(b)
-	res := runRes["montage-mpi"]
-	cfg := res.Spec.Storage
-	tb := colstore.FromTrace(res.Trace)
-	for _, bench := range []struct {
-		name string
-		par  int
+	for _, wl := range []struct {
+		name  string
+		scale float64
 	}{
-		{"seq", 1},
-		{"par", 0},
+		{"hacc", 0.3},
+		{"cm1", 0.15},
 	} {
-		b.Run(bench.name, func(b *testing.B) {
-			opt := core.DefaultOptions()
-			opt.Storage = &cfg
-			opt.Parallelism = bench.par
-			b.ReportMetric(float64(tb.Len()), "rows")
-			for i := 0; i < b.N; i++ {
-				c, err := core.AnalyzeTable(res.Trace, tb, opt)
-				if err != nil {
-					b.Fatal(err)
+		w := benchWorkload(b, wl.name)
+		spec := w.DefaultSpec()
+		spec.Nodes, spec.Scale = 32, wl.scale
+		res, err := Run(w, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if err := trace.WriteV2(&enc, res.Trace); err != nil {
+			b.Fatal(err)
+		}
+		cfg := res.Spec.Storage
+		for _, arm := range []struct {
+			name string
+			par  int
+		}{
+			{"par=1", 1},
+			{"par=2", 2},
+			{"par=4", 4},
+			{"par=max", 0},
+		} {
+			b.Run(wl.name+"/"+arm.name, func(b *testing.B) {
+				opt := core.DefaultOptions()
+				opt.Storage = &cfg
+				opt.Parallelism = arm.par
+				b.SetBytes(int64(enc.Len()))
+				b.ReportMetric(float64(len(res.Trace.Events)), "rows")
+				for i := 0; i < b.N; i++ {
+					br, err := trace.NewBlockReader(bytes.NewReader(enc.Bytes()), int64(enc.Len()))
+					if err != nil {
+						b.Fatal(err)
+					}
+					tb, err := colstore.FromBlocksSpec(br, arm.par, colstore.ScanSpec{}, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					c, err := core.AnalyzeTable(res.Trace, tb, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if c.Workflow.IOBytes == 0 {
+						b.Fatal("empty analysis")
+					}
 				}
-				if c.Workflow.IOBytes == 0 {
-					b.Fatal("empty analysis")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

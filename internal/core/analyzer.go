@@ -24,7 +24,7 @@ type Options struct {
 	// TopFlows limits the dependency panel to the N highest-volume files.
 	TopFlows int
 	// Parallelism bounds the workers used for the chunk-parallel scans
-	// (<= 0 means GOMAXPROCS, 1 runs fully sequential). Row subsets merge in
+	// (<= 0 means GOMAXPROCS, 1 runs fully sequential). Partials stitch in
 	// chunk order and every accumulator is an integer sum, a set union or a
 	// minimum, so the characterization is bit-identical at any setting.
 	Parallelism int
@@ -45,8 +45,13 @@ type Timings struct {
 	TraceMerge time.Duration
 	// Columnarize is the row-to-column transposition time.
 	Columnarize time.Duration
-	// Analyze is the fused characterization time.
-	Analyze time.Duration
+	// Analyze is the fused characterization time: Pass1 (key columns bounded,
+	// primary levels resolved), Pass2 (the chunk-parallel scan and its
+	// per-chunk partials) and Stitch (what follows on one goroutine — the
+	// analyzer's serial part: accumulators merged, partials combined,
+	// entities built).
+	Analyze              time.Duration
+	Pass1, Pass2, Stitch time.Duration
 	// Scan counts what the scan plan did: blocks pruned via the footer
 	// index, rows dropped by the residual filter, payload bytes decoded vs
 	// available. Filled by the file scan path (or, for in-memory filtering,
@@ -65,9 +70,10 @@ const (
 	pass2Cols = trace.ColLevel | trace.ColOp | trace.ColApp | trace.ColFile |
 		trace.ColRank | trace.ColNode | trace.ColSize | trace.ColStart |
 		trace.ColEnd
-	// postCols covers the random-access post passes (phases, access
-	// patterns, dominant sizes, interface resolution).
-	postCols = trace.ColOp | trace.ColStart | trace.ColEnd | trace.ColSize |
+	// partialCols is what pass 2's per-chunk partials read on top of the
+	// body's set (phases, access patterns, dominant sizes, interface
+	// resolution).
+	partialCols = trace.ColOp | trace.ColStart | trace.ColEnd | trace.ColSize |
 		trace.ColRank | trace.ColFile | trace.ColOffset | trace.ColLib
 )
 
@@ -96,25 +102,12 @@ func (opt *Options) fill() {
 // non-empty opt.Filter is applied to the event log before columnarizing —
 // the reference semantics every pushed-down scan must reproduce.
 func Analyze(tr *trace.Trace, opt Options) *Characterization {
-	opt.fill()
-	evs := tr.Events
-	if !opt.Filter.Empty() {
-		evs = trace.FilterEvents(evs, opt.Filter)
-		if opt.Stats != nil {
-			opt.Stats.Scan.RowsTotal = int64(len(tr.Events))
-			opt.Stats.Scan.RowsKept = int64(len(evs))
-		}
-	}
-	t0 := time.Now()
-	tb := colstore.FromEvents(evs, opt.Parallelism)
-	if opt.Stats != nil {
-		opt.Stats.Columnarize = time.Since(t0)
-	}
 	// An eagerly built table has every column materialized, so analysis
 	// cannot hit a decode error; what remains is a trace whose events name
-	// ids outside its own interned tables, which no Tracer produces. Callers
-	// holding a trace of unknown provenance use AnalyzeContext.
-	c, err := AnalyzeTable(tr, tb, opt)
+	// ids outside its own interned tables or end before they start, which no
+	// Tracer produces. Callers holding a trace of unknown provenance use
+	// AnalyzeContext.
+	c, err := AnalyzeContext(context.Background(), tr, opt)
 	if err != nil {
 		panic(err)
 	}
@@ -178,26 +171,26 @@ type analysis struct {
 	opt Options
 	par int
 
-	// Filled by the scan (analyzer_grouped.go). rows holds the per-chunk
-	// row subsets; run() gathers the primary and POSIX ones into the views
-	// the post passes consume. appRanks and perRank are indexed by id + 1;
-	// files lists the touched files in ascending id order.
-	runtime    time.Duration
-	gpuUsed    bool
-	appRanks   []int // ranks that emitted any event, per app
-	rows       []chunkRows
-	primaryV   *rowView
-	posixV     *rowView
-	files      []*fileAgg
-	readBytes  int64
-	writeBytes int64
-	primData   int64
-	primMeta   int64
-	readHist   stats.SizeHistogram
-	writeHist  stats.SizeHistogram
-	readTL     *stats.Timeline
-	writeTL    *stats.Timeline
-	perRank    []rankAcc
+	// Filled by pass 1 (analyzer_grouped.go): the id spaces' slot counts,
+	// the (app, file) primary-level matrix, and the global facts. appRanks
+	// is indexed by app id + 1.
+	appSlots, fileSlots, rankSlots int
+	levels                         []uint16
+	runtime                        time.Duration
+	gpuUsed                        bool
+	appRanks                       []int // ranks that emitted any event, per app
+
+	// parts holds pass 2's per-chunk ordered partials until stitch combines
+	// them; acc is the workers' accumulators merged, files its touched files
+	// in ascending id order.
+	parts                     []chunkPart
+	acc                       *pass2Acc
+	files                     []*fileAgg
+	primData, primMeta        int64
+	ioTime                    time.Duration
+	phases                    []IOPhaseEntity
+	primGran, posixGran       Granularity
+	primPattern, posixPattern string
 }
 
 type fileAgg struct {
@@ -259,32 +252,50 @@ type rankAcc struct {
 }
 
 func (a *analysis) run() (*Characterization, error) {
-	if err := a.fusedScan(); err != nil {
+	var t0 time.Time
+	a.lap(&t0)
+	if err := a.pass1(); err != nil {
 		return nil, err
 	}
-	// The post passes random-access small row subsets across many columns;
-	// materialize their declared set up front rather than per accessor call.
-	if err := a.tb.MaterializeContext(a.ctx, a.par, postCols); err != nil {
+	d1 := a.lap(&t0)
+	p2, err := a.pass2()
+	if err == nil {
+		err = a.ctx.Err()
+	}
+	if err != nil {
 		return nil, err
 	}
-	if err := a.ctx.Err(); err != nil {
-		return nil, err
-	}
-	a.primaryV = a.view(func(r *chunkRows) []rowRange { return r.primary }, primaryViewCols)
-	a.posixV = a.view(func(r *chunkRows) []rowRange { return r.posix }, posixViewCols)
+	d2 := a.lap(&t0)
+	a.stitch(p2)
 
+	dist := a.dataDist()
 	c := &Characterization{Workload: a.tr.Meta.Workload}
 	c.JobConfig = a.jobConfig()
-	c.Apps = a.apps()
+	c.Apps = a.appEntities()
 	c.Workflow = a.workflow(c.Apps)
-	c.Phases = a.phases()
-	c.HighLevel = a.highLevel()
+	c.Phases = a.phases
+	c.HighLevel = a.highLevel(dist)
 	c.Middleware = a.middleware()
 	c.NodeLocal, c.Shared = a.storageEntities()
-	c.Dataset = a.dataset()
+	c.Dataset = a.dataset(dist)
 	c.File = a.fileEntity()
 	c.Figure = a.figure()
+	if st := a.opt.Stats; st != nil {
+		st.Pass1, st.Pass2, st.Stitch = d1, d2, a.lap(&t0)
+	}
 	return c, nil
+}
+
+// lap returns the time since *t0 and restarts the clock. Nothing is timed
+// when the caller passed no Stats.
+func (a *analysis) lap(t0 *time.Time) time.Duration {
+	if a.opt.Stats == nil {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(*t0)
+	*t0 = now
+	return d
 }
 
 func (a *analysis) jobConfig() JobConfigEntity {
@@ -300,18 +311,6 @@ func (a *analysis) jobConfig() JobConfigEntity {
 	}
 }
 
-// opCounts tallies data and meta ops over a view range.
-func opCounts(v *rowView, lo, hi int) (data, meta int64) {
-	for _, b := range v.op[lo:hi] {
-		if op := trace.Op(b); op.IsData() {
-			data++
-		} else if op.IsMeta() {
-			meta++
-		}
-	}
-	return
-}
-
 func pcts(data, meta int64) (float64, float64) {
 	total := data + meta
 	if total == 0 {
@@ -320,83 +319,10 @@ func pcts(data, meta int64) (float64, float64) {
 	return float64(data) / float64(total), float64(meta) / float64(total)
 }
 
-// unionDuration merges [start,end) intervals of the view's rows and
-// returns the total covered time — the workload's I/O wall-clock. Table
-// order is Start-sorted for tracer-built traces, so the sort is detected
-// away in one pass; the interval union is order-independent either way.
-func unionDuration(v *rowView) time.Duration {
-	if v.n == 0 {
-		return 0
-	}
-	type iv struct{ s, e int64 }
-	ivs := make([]iv, v.n)
-	sorted := true
-	for i := 0; i < v.n; i++ {
-		ivs[i] = iv{v.start[i], v.end[i]}
-		if i > 0 && ivs[i].s < ivs[i-1].s {
-			sorted = false
-		}
-	}
-	if !sorted {
-		sort.Slice(ivs, func(x, y int) bool { return ivs[x].s < ivs[y].s })
-	}
-	var total, curS, curE int64
-	curS, curE = ivs[0].s, ivs[0].e
-	for _, v := range ivs[1:] {
-		if v.s > curE {
-			total += curE - curS
-			curS, curE = v.s, v.e
-		} else if v.e > curE {
-			curE = v.e
-		}
-	}
-	total += curE - curS
-	return time.Duration(total)
-}
-
-// dominantSize returns the most frequent exact transfer size among the
-// view range's data rows (ties break toward the larger size). Matching
-// rows arrive in equal-size runs (the tracer's transfer loops), so the
-// walk batches each run into one map update — the per-row counts
-// regrouped.
-func dominantSize(v *rowView, lo, hi int, op trace.Op) int64 {
-	counts := map[int64]int64{}
-	for i := lo; i < hi; {
-		if trace.Op(v.op[i]) != op || v.size[i] <= 0 {
-			i++
-			continue
-		}
-		sz := v.size[i]
-		j := i + 1
-		for j < hi && trace.Op(v.op[j]) == op && v.size[j] == sz {
-			j++
-		}
-		counts[sz] += int64(j - i)
-		i = j
-	}
-	var best int64
-	var bestN int64 = -1
-	for sz, n := range counts {
-		if n > bestN || (n == bestN && sz > best) {
-			best, bestN = sz, n
-		}
-	}
-	if bestN <= 0 {
-		return 0
-	}
-	return best
-}
-
-// interfaceName maps the dominant library of a view's rows to the table
-// name. Libraries tally into a fixed array walked in ascending enum
-// order, so a count tie deterministically picks the lower-level library.
-func interfaceName(v *rowView) string {
-	var counts [8]int64
-	for _, lib := range v.lib {
-		if int(lib) < len(counts) {
-			counts[lib]++
-		}
-	}
+// interfaceName maps the dominant library of an app's rows to the table
+// name. The tallies are walked in ascending enum order, so a count tie
+// deterministically picks the lower-level library.
+func interfaceName(counts *[8]int64) string {
 	best := trace.LibNone
 	var bestN int64 = -1
 	for lib := int(trace.LibNone) + 1; lib < len(counts); lib++ {
@@ -413,119 +339,49 @@ func interfaceName(v *rowView) string {
 	return best.String()
 }
 
-// accessPattern classifies offsets per (file, rank) stream: sequential if
-// at least 80% of consecutive data accesses are non-decreasing in offset.
-// Rows of one stream arrive in runs, so the stream map is consulted only
-// when the (file, rank) key changes and the offsets chain through a local
-// in between — the comparison sequence of a per-row lookup, with non-data
-// and file-less rows leaving the chain untouched.
-func accessPattern(v *rowView) string {
-	type key struct {
-		f int32
-		r int32
-	}
-	last := map[key]int64{}
-	var seq, total int64
-	var k key
-	var prev int64
-	var ok bool
-	for i := 0; i < v.n; i++ {
-		if i == 0 || v.file[i] != k.f || v.rank[i] != k.r {
-			if ok {
-				last[k] = prev
-			}
-			k = key{v.file[i], v.rank[i]}
-			prev, ok = last[k]
-		}
-		if k.f < 0 || !trace.Op(v.op[i]).IsData() {
-			continue
-		}
-		if ok {
-			total++
-			if v.off[i] >= prev {
-				seq++
-			}
-		}
-		prev, ok = v.off[i], true
-	}
-	if total == 0 || float64(seq)/float64(total) >= 0.8 {
-		return "Seq"
-	}
-	return "Random"
-}
-
-func (a *analysis) apps() []AppEntity {
+func (a *analysis) appEntities() []AppEntity {
 	var out []AppEntity
-	for si := range a.appRanks {
+	for si := range a.acc.apps {
 		// An app is reported when it has primary rows; slots ascend, so the
 		// entities come out in app id order.
-		v := a.view(func(r *chunkRows) []rowRange { return r.byApp[si] }, appViewCols)
-		if v.n == 0 {
+		acc := &a.acc.apps[si]
+		if acc.rows == 0 {
 			continue
 		}
 		app := int32(si - 1)
-		data, meta := opCounts(v, 0, v.n)
-		dPct, mPct := pcts(data, meta)
-		var bytes int64
-		var minS, maxE int64
-		minS = 1<<63 - 1
-		for i := 0; i < v.n; i++ {
-			if trace.Op(v.op[i]).IsData() {
-				bytes += v.size[i]
-			}
-			if v.start[i] < minS {
-				minS = v.start[i]
-			}
-			if v.end[i] > maxE {
-				maxE = v.end[i]
-			}
-		}
-		fpp, shared := a.fileSplitForApp(app)
+		dPct, mPct := pcts(acc.data, acc.rows-acc.data)
+		fpp, shared, dep := a.appFiles(app)
 		out = append(out, AppEntity{
 			Name: a.tr.AppName(app),
 			// Processes counts every rank that emitted any event for the
 			// app, including pure compute ranks (the paper's per-app process
 			// count) — gathered in pass 1 rather than by rescanning here.
 			Processes:   a.appRanks[si],
-			ProcDep:     a.procDep(app),
+			ProcDep:     dep,
 			FPPFiles:    fpp,
 			SharedFiles: shared,
-			IOBytes:     bytes,
+			IOBytes:     acc.bytes,
 			DataOpsPct:  dPct,
 			MetaOpsPct:  mPct,
-			Interface:   interfaceName(v),
-			Runtime:     time.Duration(maxE - minS),
+			Interface:   interfaceName(&acc.lib),
+			Runtime:     time.Duration(acc.maxEnd - acc.minStart),
 		})
 	}
 	return out
 }
 
-// fileSplitForApp counts FPP vs shared files among files the app touched.
-func (a *analysis) fileSplitForApp(app int32) (fpp, shared int) {
-	for _, fa := range a.files {
-		if !fa.readerApps[app] && !fa.writerApps[app] {
-			continue
-		}
-		if len(fa.ranks) == 1 {
-			fpp++
-		} else {
-			shared++
-		}
-	}
-	return
-}
-
-// procDep classifies the dominant process/data relationship of an app.
-func (a *analysis) procDep(app int32) ProcDepKind {
-	var solo, singleWriter, sharedRead, pipeline int
+// appFiles counts the FPP and shared files among those the app touched and
+// classifies its dominant process/data relationship.
+func (a *analysis) appFiles(app int32) (fpp, shared int, kind ProcDepKind) {
+	var singleWriter, sharedRead, pipeline int
 	for _, fa := range a.files {
 		if !fa.readerApps[app] && !fa.writerApps[app] {
 			continue
 		}
 		switch {
 		case len(fa.ranks) == 1:
-			solo++
-		case len(fa.writerRanks) == 1 && len(fa.ranks) > 1:
+			fpp++
+		case len(fa.writerRanks) == 1:
 			singleWriter++
 		case len(fa.writerRanks) == 0 && len(fa.readerRanks) > 1:
 			sharedRead++
@@ -533,40 +389,34 @@ func (a *analysis) procDep(app int32) ProcDepKind {
 			pipeline++
 		}
 	}
-	max, kind := solo, DepFilePerProcess
-	if singleWriter > max {
-		max, kind = singleWriter, DepSingleWriter
+	most, kind := fpp, DepFilePerProcess
+	if singleWriter > most {
+		most, kind = singleWriter, DepSingleWriter
 	}
-	if sharedRead > max {
-		max, kind = sharedRead, DepSharedRead
+	if sharedRead > most {
+		most, kind = sharedRead, DepSharedRead
 	}
-	if pipeline > max {
+	if pipeline > most {
 		kind = DepPipeline
 	}
-	return kind
+	return fpp, singleWriter + sharedRead + pipeline, kind
 }
 
 func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 	dPct, mPct := pcts(a.primData, a.primMeta)
 	var fpp, shared int
-	for _, fa := range a.files {
-		if len(fa.ranks) == 1 {
-			fpp++
-		} else {
-			shared++
-		}
-	}
-	ranksPerNode := 0
-	if a.tr.Meta.Nodes > 0 {
-		ranksPerNode = a.tr.Meta.Ranks / a.tr.Meta.Nodes
-	}
 	gpus := 0
 	if a.gpuUsed {
 		gpus = a.tr.Meta.GPUsPerNode
 	}
 	crossRAW := false
 	for _, fa := range a.files {
-		if len(fa.writerNodes) == 0 || len(fa.readerNodes) == 0 {
+		if len(fa.ranks) == 1 {
+			fpp++
+		} else {
+			shared++
+		}
+		if len(fa.writerNodes) == 0 {
 			continue
 		}
 		for rn := range fa.readerNodes {
@@ -576,19 +426,19 @@ func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 		}
 	}
 	return WorkflowEntity{
-		CPUCoresUsedPerNode: ranksPerNode,
+		CPUCoresUsedPerNode: a.ranksPerNode(),
 		GPUsUsedPerNode:     gpus,
 		NumApps:             len(apps),
 		AppDeps:             a.appDeps(),
 		FPPFiles:            fpp,
 		SharedFiles:         shared,
-		IOBytes:             a.readBytes + a.writeBytes,
-		ReadBytes:           a.readBytes,
-		WriteBytes:          a.writeBytes,
+		IOBytes:             a.acc.readBytes + a.acc.writeBytes,
+		ReadBytes:           a.acc.readBytes,
+		WriteBytes:          a.acc.writeBytes,
 		DataOpsPct:          dPct,
 		MetaOpsPct:          mPct,
 		CrossNodeRAW:        crossRAW,
-		IOTime:              unionDuration(a.primaryV),
+		IOTime:              a.ioTime,
 		Runtime:             a.runtime,
 	}
 }
@@ -633,104 +483,6 @@ func (a *analysis) appDeps() []AppDep {
 	return out
 }
 
-// phases splits the primary I/O rows into activity bursts separated by
-// more than the gap threshold, then characterizes each burst (Table V).
-// Primary rows arrive in table order, which the tracer guarantees is
-// (Start, Rank, End)-sorted; the stable sort below is a cheap guard for
-// tables built from unsorted traces and cannot reorder sorted input.
-func (a *analysis) phases() []IOPhaseEntity {
-	v := a.primaryV
-	if v.n == 0 {
-		return nil
-	}
-	// Detect the sorted common case in one pass; only tables built from
-	// unsorted traces pay the stable sort (as an index permutation over
-	// the gathered view — the same order the row sort produced).
-	sorted := true
-	for i := 1; i < v.n; i++ {
-		if v.start[i] < v.start[i-1] {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		idx := make([]int, v.n)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(x, y int) bool { return v.start[idx[x]] < v.start[idx[y]] })
-		v = permuteView(v, idx)
-	}
-
-	gap := int64(a.opt.PhaseGap)
-	var phases []IOPhaseEntity
-	lo := 0
-	var curEnd int64
-	for i := 0; i < v.n; i++ {
-		if i > lo && v.start[i]-curEnd > gap {
-			phases = append(phases, a.buildPhase(len(phases), v, lo, i))
-			lo = i
-		}
-		if v.end[i] > curEnd {
-			curEnd = v.end[i]
-		}
-	}
-	phases = append(phases, a.buildPhase(len(phases), v, lo, v.n))
-	return phases
-}
-
-func (a *analysis) buildPhase(idx int, v *rowView, lo, hi int) IOPhaseEntity {
-	data, meta := opCounts(v, lo, hi)
-	dPct, mPct := pcts(data, meta)
-	var bytes int64
-	ranks := map[int32]bool{}
-	minS, maxE := v.start[lo], int64(0)
-	for i := lo; i < hi; i++ {
-		if trace.Op(v.op[i]).IsData() {
-			bytes += v.size[i]
-		}
-		// Consecutive rows usually share a rank; the set only needs a map
-		// write when the rank changes.
-		if r := v.rank[i]; i == lo || r != v.rank[i-1] {
-			ranks[r] = true
-		}
-		if v.start[i] < minS {
-			minS = v.start[i]
-		}
-		if v.end[i] > maxE {
-			maxE = v.end[i]
-		}
-	}
-	opsPerRank := float64(hi-lo) / float64(len(ranks))
-	granule := dominantSize(v, lo, hi, trace.OpRead)
-	if g := dominantSize(v, lo, hi, trace.OpWrite); granule == 0 || (g != 0 && data > 0 && g > 0 && countOp(v, lo, hi, trace.OpWrite) > countOp(v, lo, hi, trace.OpRead)) {
-		granule = g
-	}
-	return IOPhaseEntity{
-		Index:      idx,
-		Start:      time.Duration(minS),
-		End:        time.Duration(maxE),
-		IOBytes:    bytes,
-		DataOpsPct: dPct,
-		MetaOpsPct: mPct,
-		OpsPerRank: opsPerRank,
-		Granule:    granule,
-		Frequency:  phaseLabel(opsPerRank, granule),
-		Runtime:    time.Duration(maxE - minS),
-	}
-}
-
-// countOp counts rows of one op over a view range.
-func countOp(v *rowView, lo, hi int, op trace.Op) int64 {
-	var n int64
-	for i := lo; i < hi; i++ {
-		if trace.Op(v.op[i]) == op {
-			n++
-		}
-	}
-	return n
-}
-
 // phaseLabel renders the paper's "Frequency" attribute: a handful of ops
 // per rank prints as "N ops/rank"; dense bursts of small ops are
 // "Iterative"; dense bursts of larger ops are "Bulk".
@@ -747,7 +499,7 @@ func phaseLabel(opsPerRank float64, granule int64) string {
 	}
 }
 
-func (a *analysis) highLevel() HighLevelIOEntity {
+func (a *analysis) highLevel(dist stats.DistKind) HighLevelIOEntity {
 	// Data representation: dominant dimensionality weighted by file I/O,
 	// tallied over sorted dimensionalities so weight ties resolve to the
 	// lower dimensionality regardless of map iteration order.
@@ -774,13 +526,10 @@ func (a *analysis) highLevel() HighLevelIOEntity {
 		repr = itoa(bestDim) + "D"
 	}
 	return HighLevelIOEntity{
-		DataRepr: repr,
-		Granularity: Granularity{
-			Read:  dominantSize(a.primaryV, 0, a.primaryV.n, trace.OpRead),
-			Write: dominantSize(a.primaryV, 0, a.primaryV.n, trace.OpWrite),
-		},
-		AccessPattern: accessPattern(a.primaryV),
-		DataDist:      a.dataDist(),
+		DataRepr:      repr,
+		Granularity:   a.primGran,
+		AccessPattern: a.primPattern,
+		DataDist:      dist,
 	}
 }
 
@@ -792,25 +541,21 @@ func (a *analysis) dataDist() stats.DistKind {
 	return stats.FitDistribution(values)
 }
 
+func (a *analysis) ranksPerNode() int {
+	if a.tr.Meta.Nodes <= 0 {
+		return 0
+	}
+	return a.tr.Meta.Ranks / a.tr.Meta.Nodes
+}
+
+// middleware reports the POSIX-visible rows: what reaches storage after
+// middleware.
 func (a *analysis) middleware() MiddlewareIOEntity {
-	// POSIX-visible rows (collected by the fused scan): what reaches
-	// storage after middleware.
-	ranksPerNode := 0
-	if a.tr.Meta.Nodes > 0 {
-		ranksPerNode = a.tr.Meta.Ranks / a.tr.Meta.Nodes
-	}
-	extra := a.tr.Meta.CoresPerNode - ranksPerNode
-	if extra < 0 {
-		extra = 0
-	}
 	return MiddlewareIOEntity{
-		ExtraIOCoresPerNode: extra,
-		Granularity: Granularity{
-			Read:  dominantSize(a.posixV, 0, a.posixV.n, trace.OpRead),
-			Write: dominantSize(a.posixV, 0, a.posixV.n, trace.OpWrite),
-		},
-		MemPerNodeGB:  a.tr.Meta.MemPerNodeGB,
-		AccessPattern: accessPattern(a.posixV),
+		ExtraIOCoresPerNode: max(0, a.tr.Meta.CoresPerNode-a.ranksPerNode()),
+		Granularity:         a.posixGran,
+		MemPerNodeGB:        a.tr.Meta.MemPerNodeGB,
+		AccessPattern:       a.posixPattern,
 	}
 }
 
@@ -830,20 +575,18 @@ func (a *analysis) storageEntities() (NodeLocalEntity, SharedStorageEntity) {
 	return nl, sh
 }
 
-func (a *analysis) dataset() DatasetEntity {
+func (a *analysis) dataset(dist stats.DistKind) DatasetEntity {
 	formats := map[string]int64{}
-	var totalSize int64
-	var dataFileSize, metaFileSize int64
+	var totalSize, io, dataFileSize, metaFileSize int64
 	for _, fa := range a.files {
 		info := a.tr.Files[fa.id]
 		formats[info.Format]++
 		totalSize += info.Size
+		io += fa.bytesRead + fa.bytesWritten
 		if info.Size >= 1<<20 {
-			if info.Size > dataFileSize {
-				dataFileSize = info.Size
-			}
-		} else if info.Size > metaFileSize {
-			metaFileSize = info.Size
+			dataFileSize = max(dataFileSize, info.Size)
+		} else {
+			metaFileSize = max(metaFileSize, info.Size)
 		}
 	}
 	bestFmt, bestN := "", int64(-1)
@@ -853,21 +596,17 @@ func (a *analysis) dataset() DatasetEntity {
 		}
 	}
 	dPct, mPct := pcts(a.primData, a.primMeta)
-	var io int64
-	for _, fa := range a.files {
-		io += fa.bytesRead + fa.bytesWritten
-	}
 	return DatasetEntity{
 		Format:       bestFmt,
 		SizeBytes:    totalSize,
 		NumFiles:     len(a.files),
 		IOBytes:      io,
-		IOTime:       unionDuration(a.primaryV),
+		IOTime:       a.ioTime,
 		DataOpsPct:   dPct,
 		MetaOpsPct:   mPct,
 		DataFileSize: dataFileSize,
 		MetaFileSize: metaFileSize,
-		DataDist:     a.dataDist(),
+		DataDist:     dist,
 	}
 }
 
@@ -912,15 +651,15 @@ func (a *analysis) fileEntity() FileEntity {
 // accumulators (histograms, timelines, per-rank bandwidth, top flows).
 func (a *analysis) figure() FigureData {
 	fig := FigureData{
-		ReadHist:  a.readHist,
-		WriteHist: a.writeHist,
-		ReadTL:    a.readTL,
-		WriteTL:   a.writeTL,
+		ReadHist:  a.acc.readHist,
+		WriteHist: a.acc.writeHist,
+		ReadTL:    a.acc.readTL,
+		WriteTL:   a.acc.writeTL,
 	}
 
 	// Per-rank achieved bandwidth (Figure 2c), ranks ascending.
-	for si := range a.perRank {
-		acc := &a.perRank[si]
+	for si := range a.acc.perRank {
+		acc := &a.acc.perRank[si]
 		if !acc.hit {
 			continue
 		}
@@ -959,6 +698,3 @@ func (a *analysis) figure() FigureData {
 	}
 	return fig
 }
-
-// itoa forwards to util.go's formatter.
-func itoa(n int) string { return intToString(n) }

@@ -29,8 +29,9 @@ import (
 // Accumulators are held per worker, not per chunk: each is an integer sum,
 // a set union or a minimum, so which chunks a worker happened to take
 // cannot change the merged value, and the scan's memory is O(workers × ids)
-// however long the trace. Only the row subsets — whose order is the
-// table's row order — are kept per chunk.
+// however long the trace. What depends on the table's row order is kept
+// per chunk, as the small ordered partials of partials.go; the row subsets
+// themselves are worker scratch.
 
 // maxDenseCells is the scan's one memory budget: the (app × file) primary
 // level matrix and the (app × rank) membership bitsets may each span at
@@ -59,24 +60,89 @@ type pass1Acc struct {
 }
 
 // pass2Acc is one worker's partial of the characterization pass, every
-// table indexed by value+1.
+// table indexed by value+1, followed by the scratch its partial builders
+// reuse across chunks.
 type pass2Acc struct {
-	files      []*fileAgg
-	readBytes  int64
-	writeBytes int64
-	data, meta int64
-	readHist   stats.SizeHistogram
-	writeHist  stats.SizeHistogram
-	readTL     *stats.Timeline
-	writeTL    *stats.Timeline
-	perRank    []rankAcc
+	files                 []*fileAgg
+	readBytes, writeBytes int64
+	readHist, writeHist   stats.SizeHistogram
+	readTL, writeTL       *stats.Timeline
+	perRank               []rankAcc
+	apps                  []appAcc
+	posixSizes            sizeTally
+	seen                  []setSeen // per rank slot, see noteSets
+	partScratch
 }
 
-// fusedScan runs both analyzer passes over the columnar store and leaves
-// their merged results on a. Each pass declares its column set and Requires
-// it per chunk, so a lazily planned table decodes exactly the columns the
-// chunk's pass body touches.
-func (a *analysis) fusedScan() error {
+type setSeen struct {
+	file, node, app int32
+	did             uint8 // which op classes' sets took the tuple
+}
+
+const didMeta, didRead, didWrite uint8 = 1, 2, 4
+
+func (a *analysis) newPass2Acc() *pass2Acc {
+	span := a.runtime
+	if span <= 0 {
+		span = time.Second
+	}
+	return &pass2Acc{
+		files:       make([]*fileAgg, a.fileSlots),
+		perRank:     make([]rankAcc, a.rankSlots),
+		readTL:      stats.NewTimeline(span, a.opt.TimelineBins),
+		writeTL:     stats.NewTimeline(span, a.opt.TimelineBins),
+		apps:        newAppAccs(a.appSlots),
+		seen:        make([]setSeen, a.rankSlots),
+		partScratch: newPartScratch(a.rankSlots),
+	}
+}
+
+// merge folds another worker's accumulators into p: integer sums, set
+// unions and minima, so the order of merging cannot show.
+func (p *pass2Acc) merge(o *pass2Acc) {
+	for si, fa := range o.files {
+		if cur := p.files[si]; cur != nil && fa != nil {
+			cur.merge(fa)
+		} else if fa != nil {
+			p.files[si] = fa
+		}
+	}
+	p.readBytes += o.readBytes
+	p.writeBytes += o.writeBytes
+	p.readHist.Merge(&o.readHist)
+	p.writeHist.Merge(&o.writeHist)
+	p.readTL.Merge(o.readTL)
+	p.writeTL.Merge(o.writeTL)
+	for si := range o.perRank {
+		if acc, cur := &o.perRank[si], &p.perRank[si]; acc.hit {
+			cur.hit = true
+			cur.rBytes += acc.rBytes
+			cur.wBytes += acc.wBytes
+			cur.rDur += acc.rDur
+			cur.wDur += acc.wDur
+		}
+	}
+	for si := range o.apps {
+		p.apps[si].merge(&o.apps[si])
+	}
+	p.posixSizes.merge(&o.posixSizes)
+}
+
+// firstErr returns the lowest-indexed chunk error.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pass1 bounds the key columns and resolves each (app, file) stream's
+// primary level, the per-app rank counts, the runtime and GPU use. Each
+// pass declares its column set and Requires it per chunk, so a lazily
+// planned table decodes exactly the columns the chunk's pass body touches.
+func (a *analysis) pass1() error {
 	// Ids are checked against the header's interned tables before anything
 	// is sized or indexed by them: a trace whose events name an app or file
 	// its header never interned is malformed, whatever decoded it. App 0 is
@@ -93,27 +159,17 @@ func (a *analysis) fusedScan() error {
 	if err != nil {
 		return err
 	}
-	appSlots, fileSlots, rankSlots := apps+1, files+1, ranks+1
-	if int64(appSlots)*int64(fileSlots) > maxDenseCells || int64(appSlots)*int64(rankSlots) > maxDenseCells {
+	a.appSlots, a.fileSlots, a.rankSlots = apps+1, files+1, ranks+1
+	if int64(a.appSlots)*int64(a.fileSlots) > maxDenseCells || int64(a.appSlots)*int64(a.rankSlots) > maxDenseCells {
 		return fmt.Errorf("%w: %d apps × %d files × %d ranks, over %d (app × file) or (app × rank) cells",
 			ErrTooLarge, apps, files, ranks, maxDenseCells)
 	}
-	rankWords := (rankSlots + 63) / 64
+	appSlots, fileSlots := a.appSlots, a.fileSlots
+	rankWords := (a.rankSlots + 63) / 64
 
 	nchunks := a.tb.NumChunks()
-	workers := parallel.Workers(a.par, nchunks)
 	errs := make([]error, nchunks)
-	firstErr := func() error {
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Pass 1: primary-level matrix, per-app rank bitsets, runtime, GPU.
-	p1 := make([]*pass1Acc, workers)
+	p1 := make([]*pass1Acc, parallel.Workers(a.par, nchunks))
 	parallel.ForEachWorker(a.par, nchunks, func(w, k int) {
 		if errs[k] = a.ctx.Err(); errs[k] != nil {
 			return
@@ -136,9 +192,7 @@ func (a *analysis) fusedScan() error {
 			p1[w] = p
 		}
 		for _, e := range c.End {
-			if e > p.maxEnd {
-				p.maxEnd = e
-			}
+			p.maxEnd = max(p.maxEnd, e)
 		}
 		if spanOK {
 			keySpanPass1(c, spans, fileSlots, rankWords, p)
@@ -146,23 +200,21 @@ func (a *analysis) fusedScan() error {
 			rowPass1(c, fileSlots, rankWords, p)
 		}
 	})
-	if err := firstErr(); err != nil {
+	if err := firstErr(errs); err != nil {
 		return err
 	}
-	levels := make([]uint16, appSlots*fileSlots)
+	a.levels = make([]uint16, appSlots*fileSlots)
 	a.appRanks = make([]int, appSlots)
 	var maxEnd int64
 	for _, p := range p1 {
 		if p == nil {
 			continue
 		}
-		if p.maxEnd > maxEnd {
-			maxEnd = p.maxEnd
-		}
+		maxEnd = max(maxEnd, p.maxEnd)
 		a.gpuUsed = a.gpuUsed || p.gpu
 		for i, lv := range p.levels {
-			if lv != 0 && (levels[i] == 0 || lv < levels[i]) {
-				levels[i] = lv
+			if lv != 0 && (a.levels[i] == 0 || lv < a.levels[i]) {
+				a.levels[i] = lv
 			}
 		}
 	}
@@ -178,95 +230,89 @@ func (a *analysis) fusedScan() error {
 		}
 	}
 	a.runtime = time.Duration(maxEnd)
+	return nil
+}
 
-	// Pass 2: the characterization scan at the resolved levels.
-	span := a.runtime
-	if span <= 0 {
-		span = time.Second
+// scanChunk runs pass 2's body over chunk k at the resolved levels: the
+// commutative accumulators of p advance, and p.primary and p.posix hold the
+// chunk's row subsets until the next call.
+func (a *analysis) scanChunk(k int, p *pass2Acc) (*colstore.Chunk, error) {
+	c := a.tb.ChunkAt(k)
+	spans, spanOK := a.tb.ChunkKeySpans(k, nil)
+	a.tb.TickAccumKernels(spanOK)
+	need := pass2Cols
+	if spanOK {
+		need = trace.ColOp | trace.ColSize | trace.ColStart | trace.ColEnd
 	}
-	bins := a.opt.TimelineBins
-	p2 := make([]*pass2Acc, workers)
-	a.rows = make([]chunkRows, nchunks)
+	if err := c.Require(need | partialCols); err != nil {
+		return nil, err
+	}
+	p.primary, p.posix = p.primary[:0], p.posix[:0]
+	if spanOK {
+		keySpanPass2(c, spans, a.levels, a.fileSlots, p)
+	} else {
+		rowPass2(c, a.levels, a.fileSlots, p)
+	}
+	return c, nil
+}
+
+// pass2 is the characterization scan, and the last pass over the rows: each
+// worker follows a chunk's body with the chunk's partials (partials.go)
+// while its columns are hot, so nothing per-row survives the chunk.
+func (a *analysis) pass2() ([]*pass2Acc, error) {
+	nchunks := a.tb.NumChunks()
+	errs := make([]error, nchunks)
+	p2 := make([]*pass2Acc, parallel.Workers(a.par, nchunks))
+	a.parts = make([]chunkPart, nchunks)
 	parallel.ForEachWorker(a.par, nchunks, func(w, k int) {
 		if errs[k] = a.ctx.Err(); errs[k] != nil {
 			return
 		}
-		c := a.tb.ChunkAt(k)
-		spans, spanOK := a.tb.ChunkKeySpans(k, nil)
-		a.tb.TickAccumKernels(spanOK)
-		need := pass2Cols
-		if spanOK {
-			need = trace.ColOp | trace.ColSize | trace.ColStart | trace.ColEnd
-		}
-		if errs[k] = c.Require(need); errs[k] != nil {
-			return
+		if p2[w] == nil {
+			p2[w] = a.newPass2Acc()
 		}
 		p := p2[w]
-		if p == nil {
-			p = &pass2Acc{
-				files:   make([]*fileAgg, fileSlots),
-				perRank: make([]rankAcc, rankSlots),
-				readTL:  stats.NewTimeline(span, bins),
-				writeTL: stats.NewTimeline(span, bins),
-			}
-			p2[w] = p
+		var c *colstore.Chunk
+		if c, errs[k] = a.scanChunk(k, p); errs[k] != nil {
+			return
 		}
-		rows := &a.rows[k]
-		rows.byApp = make([][]rowRange, appSlots)
-		if spanOK {
-			keySpanPass2(c, spans, levels, fileSlots, p, rows)
-		} else {
-			rowPass2(c, levels, fileSlots, p, rows)
-		}
+		part := &a.parts[k]
+		part.prim, part.posix = p.streams(c, p.primary), p.streams(c, p.posix)
+		p.posixSizes.addRows(c, p.posix)
+		errs[k] = p.sweep(c, p.primary, int64(a.opt.PhaseGap), part)
 	})
-	if err := firstErr(); err != nil {
-		return err
-	}
+	return p2, firstErr(errs)
+}
 
-	a.readTL = stats.NewTimeline(span, bins)
-	a.writeTL = stats.NewTimeline(span, bins)
-	a.perRank = make([]rankAcc, rankSlots)
-	merged := make([]*fileAgg, fileSlots)
+// stitch merges the workers' accumulators into a.acc and combines the
+// chunks' ordered partials, serially, in time proportional to ids and
+// partials.
+func (a *analysis) stitch(p2 []*pass2Acc) {
 	for _, p := range p2 {
-		if p == nil {
-			continue
-		}
-		for si, fa := range p.files {
-			if fa == nil {
-				continue
-			}
-			if cur := merged[si]; cur != nil {
-				cur.merge(fa)
-			} else {
-				merged[si] = fa
-			}
-		}
-		a.readBytes += p.readBytes
-		a.writeBytes += p.writeBytes
-		a.primData += p.data
-		a.primMeta += p.meta
-		a.readHist.Merge(&p.readHist)
-		a.writeHist.Merge(&p.writeHist)
-		a.readTL.Merge(p.readTL)
-		a.writeTL.Merge(p.writeTL)
-		for si := range p.perRank {
-			acc, cur := &p.perRank[si], &a.perRank[si]
-			if !acc.hit {
-				continue
-			}
-			cur.hit = true
-			cur.rBytes += acc.rBytes
-			cur.wBytes += acc.wBytes
-			cur.rDur += acc.rDur
-			cur.wDur += acc.wDur
+		if a.acc == nil {
+			a.acc = p
+		} else if p != nil {
+			a.acc.merge(p)
 		}
 	}
-	for _, fa := range merged {
+	if a.acc == nil {
+		a.acc = a.newPass2Acc()
+	}
+	for _, fa := range a.acc.files {
 		if fa != nil {
 			a.files = append(a.files, fa)
 		}
 	}
-	return nil
+	for si := range a.acc.apps {
+		a.primData += a.acc.apps[si].data
+		a.primMeta += a.acc.apps[si].rows - a.acc.apps[si].data
+	}
+	a.posixGran = a.acc.posixSizes.granularity()
+	a.primPattern = stitchPattern(a.parts, func(p *chunkPart) *streamPart { return &p.prim })
+	a.posixPattern = stitchPattern(a.parts, func(p *chunkPart) *streamPart { return &p.posix })
+	a.ioTime = stitchIOTime(a.parts)
+	a.phases, a.primGran = stitchPhases(a.parts, int64(a.opt.PhaseGap), a.rankSlots)
+	a.parts = nil
 }
 
 // setBit marks slot i in a lazily allocated per-app bitset.
@@ -350,7 +396,7 @@ func addData(c *colstore.Chunk, lo, hi int, hist *stats.SizeHistogram, tl *stats
 // the file/rank accumulator lookups and the reader/writer set updates
 // happen once per span; within a span the op dispatch is hoisted to
 // maximal same-op sub-runs, accumulated through addData.
-func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, fileSlots int, p *pass2Acc, rows *chunkRows) {
+func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, fileSlots int, p *pass2Acc) {
 	for _, s := range spans {
 		isPosix := trace.Level(s.Level) == trace.LevelPosix
 		isPrim := uint16(s.Level)+1 == levels[(int(s.App)+1)*fileSlots+int(s.File)+1]
@@ -359,8 +405,7 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 		}
 		var fa *fileAgg
 		var sawRead, sawWrite bool
-		appRows := rows.byApp[int(s.App)+1]
-		acc := &p.perRank[int(s.Rank)+1]
+		app, acc := &p.apps[int(s.App)+1], &p.perRank[int(s.Rank)+1]
 		for j := s.Lo; j < s.Hi; {
 			op := trace.Op(c.Op[j])
 			j2 := j + 1
@@ -373,19 +418,14 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 				continue
 			}
 			if isPosix {
-				rows.posix = appendRange(rows.posix, lo, hi)
+				p.posix = appendRange(p.posix, lo, hi)
 			}
 			if !isPrim {
 				continue
 			}
-			rows.primary = appendRange(rows.primary, lo, hi)
-			appRows = appendRange(appRows, lo, hi)
+			p.primary = appendRange(p.primary, lo, hi)
+			app.add(c, lo, hi)
 			cnt := int64(hi - lo)
-			if op.IsData() {
-				p.data += cnt
-			} else if op.IsMeta() {
-				p.meta += cnt
-			}
 			if s.File >= 0 && fa == nil {
 				fa = p.files[int(s.File)+1]
 				if fa == nil {
@@ -432,7 +472,6 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 				}
 			}
 		}
-		rows.byApp[int(s.App)+1] = appRows
 		if fa != nil {
 			if sawRead {
 				fa.readerRanks[s.Rank] = true
@@ -449,36 +488,31 @@ func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, 
 }
 
 // rowPass2 is pass 2's per-row body for chunks without key spans.
-func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc, rows *chunkRows) {
+func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc) {
 	for j := 0; j < c.N; j++ {
 		op := trace.Op(c.Op[j])
 		if !op.IsIO() {
 			continue
 		}
 		if trace.Level(c.Level[j]) == trace.LevelPosix {
-			rows.posix = appendRange(rows.posix, j, j+1)
+			p.posix = appendRange(p.posix, j, j+1)
 		}
 		if uint16(c.Level[j])+1 != levels[(int(c.App[j])+1)*fileSlots+int(c.File[j])+1] {
 			continue
 		}
-		rows.primary = appendRange(rows.primary, j, j+1)
-		asl := int(c.App[j]) + 1
-		rows.byApp[asl] = appendRange(rows.byApp[asl], j, j+1)
+		p.primary = appendRange(p.primary, j, j+1)
+		p.apps[int(c.App[j])+1].add(c, j, j+1)
 		dur := c.End[j] - c.Start[j]
-		if op.IsData() {
-			p.data++
-		} else if op.IsMeta() {
-			p.meta++
-		}
 		var fa *fileAgg
+		var need uint8
 		if c.File[j] >= 0 {
 			fa = p.files[int(c.File[j])+1]
 			if fa == nil {
 				fa = newFileAgg(c.File[j])
 				p.files[int(c.File[j])+1] = fa
 			}
-			fa.ranks[c.Rank[j]] = true
 			fa.ioDur += time.Duration(dur)
+			need = didMeta
 		}
 		acc := &p.perRank[int(c.Rank[j])+1]
 		acc.hit = true
@@ -491,10 +525,8 @@ func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc, ro
 			acc.rDur += dur
 			if fa != nil {
 				fa.bytesRead += c.Size[j]
-				fa.readerRanks[c.Rank[j]] = true
-				fa.readerNodes[c.Node[j]] = true
-				fa.readerApps[c.App[j]] = true
 				fa.dataOps++
+				need |= didRead
 			}
 		case trace.OpWrite:
 			p.writeBytes += c.Size[j]
@@ -504,10 +536,8 @@ func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc, ro
 			acc.wDur += dur
 			if fa != nil {
 				fa.bytesWritten += c.Size[j]
-				fa.writerRanks[c.Rank[j]] = true
-				fa.writerNodes[c.Node[j]] = true
-				fa.writerApps[c.App[j]] = true
 				fa.dataOps++
+				need |= didWrite
 			}
 		case trace.OpOpen:
 			if fa != nil {
@@ -519,5 +549,31 @@ func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc, ro
 				fa.metaOps++
 			}
 		}
+		if need != 0 {
+			fa.noteSets(&p.seen[int(c.Rank[j])+1], c.Rank[j], c.Node[j], c.App[j], need)
+		}
+	}
+}
+
+// noteSets records a row's rank, node and app in the file's sets. A rank
+// works through one file at a time, so sn — the rank's slot of the worker's
+// seen table — usually names this very (file, node, app) with the needed
+// sets already written, and the row costs three compares instead of up to
+// four map writes. The comparison is on the whole tuple: workflow
+// applications share ranks.
+func (fa *fileAgg) noteSets(sn *setSeen, rank, node, app int32, need uint8) {
+	if sn.file != fa.id || sn.node != node || sn.app != app {
+		*sn = setSeen{file: fa.id, node: node, app: app}
+	}
+	if need&^sn.did == 0 {
+		return
+	}
+	sn.did |= need
+	fa.ranks[rank] = true
+	if need&didRead != 0 {
+		fa.readerRanks[rank], fa.readerNodes[node], fa.readerApps[app] = true, true, true
+	}
+	if need&didWrite != 0 {
+		fa.writerRanks[rank], fa.writerNodes[node], fa.writerApps[app] = true, true, true
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,17 +41,7 @@ func lazyTable(t *testing.T, tr *trace.Trace, vopt trace.V2Options, f trace.Filt
 // oracle's characterization — figure panels included.
 func TestDenseScanMatchesOracle(t *testing.T) {
 	for _, w := range workloads.All() {
-		spec := w.DefaultSpec()
-		spec.Nodes = 4
-		if spec.RanksPerNode > 8 {
-			spec.RanksPerNode = 8
-		}
-		spec.Scale = 0.02
-		res, err := workloads.Run(w, spec)
-		if err != nil {
-			t.Fatalf("Run(%s): %v", w.Name(), err)
-		}
-		tr := res.Trace
+		tr, spec := smallRun(t, w)
 		end := tr.Events[len(tr.Events)-1].Start
 		filters := map[string]trace.Filter{
 			"none":     {},
@@ -87,16 +78,28 @@ func TestDenseScanMatchesOracle(t *testing.T) {
 	}
 }
 
-// scanRows runs the scan alone over a table and returns the per-chunk row
-// subsets it emitted.
+// chunkRows is one chunk's row subsets as pass 2's bodies left them in the
+// worker's scratch.
+type chunkRows struct{ primary, posix []rowRange }
+
+// scanRows runs pass 2's body alone over every chunk of a table and returns
+// copies of the scratch ranges it emitted.
 func scanRows(t *testing.T, tr *trace.Trace, tb *colstore.Table) []chunkRows {
 	t.Helper()
 	opt := DefaultOptions()
 	a := &analysis{ctx: context.Background(), tr: tr, tb: tb, opt: opt, par: 1}
-	if err := a.fusedScan(); err != nil {
+	if err := a.pass1(); err != nil {
 		t.Fatal(err)
 	}
-	return a.rows
+	p := a.newPass2Acc()
+	out := make([]chunkRows, tb.NumChunks())
+	for k := range out {
+		if _, err := a.scanChunk(k, p); err != nil {
+			t.Fatal(err)
+		}
+		out[k] = chunkRows{slices.Clone(p.primary), slices.Clone(p.posix)}
+	}
+	return out
 }
 
 // TestRowRanges pins the row-subset representation: a subset is a list of
@@ -145,10 +148,9 @@ func TestRowRanges(t *testing.T) {
 				}
 				for k, r := range rows {
 					want := []rowRange{{0, tb.ChunkAt(k).N}}
-					if !reflect.DeepEqual(r.primary, want) || !reflect.DeepEqual(r.posix, want) ||
-						!reflect.DeepEqual(r.byApp[1], want) {
-						t.Errorf("keyRun=%d %s chunk %d: primary %v posix %v app %v, want one range %v each",
-							keyRun, name, k, r.primary, r.posix, r.byApp[1], want)
+					if !reflect.DeepEqual(r.primary, want) || !reflect.DeepEqual(r.posix, want) {
+						t.Errorf("keyRun=%d %s chunk %d: primary %v posix %v, want one range %v each",
+							keyRun, name, k, r.primary, r.posix, want)
 					}
 				}
 			}

@@ -300,24 +300,7 @@ func oracleAnalyze(tr *trace.Trace, opt Options) *Characterization {
 		}
 	}
 
-	// Phases: primary rows in start order (stable), split where the next
-	// row starts more than the gap after everything before it has ended.
-	if len(primary) > 0 {
-		rows := append([]trace.Event(nil), primary...)
-		sort.SliceStable(rows, func(x, y int) bool { return rows[x].Start < rows[y].Start })
-		lo := 0
-		var curEnd time.Duration
-		for i, ev := range rows {
-			if i > lo && ev.Start-curEnd > opt.PhaseGap {
-				c.Phases = append(c.Phases, oPhase(len(c.Phases), rows[lo:i]))
-				lo = i
-			}
-			if ev.End > curEnd {
-				curEnd = ev.End
-			}
-		}
-		c.Phases = append(c.Phases, oPhase(len(c.Phases), rows[lo:]))
-	}
+	c.Phases = oPhases(primary, opt.PhaseGap)
 
 	// High-level and middleware I/O.
 	var samples []float64
@@ -555,6 +538,29 @@ func oInterface(rows []trace.Event) string {
 		return "HDF5 (MPI-IO)"
 	}
 	return best.String()
+}
+
+// oPhases: primary rows in start order (stable), split where the next row
+// starts more than the gap after everything before it has ended.
+func oPhases(primary []trace.Event, gap time.Duration) []IOPhaseEntity {
+	if len(primary) == 0 {
+		return nil
+	}
+	var phases []IOPhaseEntity
+	rows := append([]trace.Event(nil), primary...)
+	sort.SliceStable(rows, func(x, y int) bool { return rows[x].Start < rows[y].Start })
+	lo := 0
+	var curEnd time.Duration
+	for i, ev := range rows {
+		if i > lo && ev.Start-curEnd > gap {
+			phases = append(phases, oPhase(len(phases), rows[lo:i]))
+			lo = i
+		}
+		if ev.End > curEnd {
+			curEnd = ev.End
+		}
+	}
+	return append(phases, oPhase(len(phases), rows[lo:]))
 }
 
 func oPhase(idx int, rows []trace.Event) IOPhaseEntity {

@@ -5,7 +5,7 @@ import (
 	"strconv"
 )
 
-func intToString(n int) string { return strconv.Itoa(n) }
+func itoa(n int) string { return strconv.Itoa(n) }
 
 // sizeStr renders a byte count the way the paper's tables do: "4KB",
 // "64KB", "1MB", "16MB", "1.5TB".

@@ -104,3 +104,67 @@ func TestDecodeErrorAllocsPerOp(t *testing.T) {
 		t.Errorf("failing decode allocates %.1f objects/op, want <= 16", allocs)
 	}
 }
+
+// TestAbandonedRunCaptureAllocsNothing: a run capture that crosses its
+// density cap — the fate of a rank column in nearly every block of a
+// merged log — collects in recycled scratch and allocates nothing, whole
+// or cut against a selection; a served capture allocates its exact-size
+// result and nothing else.
+func TestAbandonedRunCaptureAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under the race detector")
+	}
+	const n = 4096
+	dense := make([]int64, n) // a new run every row
+	runny := make([]int64, n) // a new run every 64 rows
+	for i := range dense {
+		dense[i] = int64(i % 7)
+		runny[i] = int64(i / 64 % 7)
+	}
+	spans := []SelSpan{{Lo: 0, N: n / 2}, {Lo: n/2 + 10, N: n/2 - 10}}
+	for _, codec := range []uint8{segFOR, segDict} {
+		name := segCodecNames[codec]
+		cursor := func(vals []int64) *SegCursor {
+			cur, err := newSegCursor(codec, appendSegBody(nil, codec, vals, false), n, false)
+			if err != nil {
+				t.Fatalf("%s cursor: %v", name, err)
+			}
+			return cur
+		}
+		cur := cursor(dense)
+		if a := testing.AllocsPerRun(100, func() {
+			if runs, ok := cur.AppendRunsMax(nil, n/4); ok || runs != nil {
+				t.Fatalf("%s: dense capture served %d runs", name, len(runs))
+			}
+		}); a != 0 {
+			t.Errorf("%s: abandoned capture allocates %.2f objects/op, want 0", name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			if runs, ok := cur.CutRunsSel(spans, nil, n/4); ok || runs != nil {
+				t.Fatalf("%s: dense cut served %d runs", name, len(runs))
+			}
+		}); a != 0 {
+			t.Errorf("%s: abandoned cut allocates %.2f objects/op, want 0", name, a)
+		}
+		cur.Release()
+
+		cur = cursor(runny)
+		if a := testing.AllocsPerRun(100, func() {
+			runs, ok := cur.AppendRunsMax(nil, n/4)
+			if !ok || len(runs) != n/64 || cap(runs) != len(runs) {
+				t.Fatalf("%s: served capture ok=%v len=%d cap=%d, want %d exact", name, ok, len(runs), cap(runs), n/64)
+			}
+		}); a != 1 {
+			t.Errorf("%s: served capture allocates %.2f objects/op, want 1", name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			runs, ok := cur.CutRunsSel(spans, nil, n/4)
+			if !ok || cap(runs) != len(runs) {
+				t.Fatalf("%s: served cut ok=%v len=%d cap=%d", name, ok, len(runs), cap(runs))
+			}
+		}); a != 1 {
+			t.Errorf("%s: served cut allocates %.2f objects/op, want 1", name, a)
+		}
+		cur.Release()
+	}
+}

@@ -537,7 +537,10 @@ func checkBlockCount(count uint64, payloadLen, blockEvents int) error {
 	if count > uint64(blockEvents) || count > uint64(maxBlockEvents) {
 		return badf("block count %d exceeds block size %d", count, blockEvents)
 	}
-	if count > 0 && minEventBytes*count+2 > uint64(payloadLen) {
+	// One byte of count, then minEventBytes per event; the columnar v2.1
+	// layout has nothing else (the row layout's leading timestamp makes its
+	// true minimum one byte more).
+	if count > 0 && minEventBytes*count+1 > uint64(payloadLen) {
 		return badf("block count %d impossible for %d payload bytes", count, payloadLen)
 	}
 	return nil
@@ -557,9 +560,11 @@ func checkPayloadCount(count uint64, payloadLen, blockEvents int, kind payloadKi
 	if count > uint64(blockEvents) || count > uint64(maxBlockEvents) {
 		return badf("block count %d exceeds block size %d", count, blockEvents)
 	}
-	// Every v2.2 segment holds at least a codec byte and the smallest body
-	// (two bytes, a width-0 FOR) when the block is non-empty.
-	if count > 0 && payloadLen < 1+3*NumCols {
+	// After the count byte, every segment of a non-empty block holds a codec
+	// byte and the smallest body an encoder emits for that many rows: one
+	// byte per row as raw values, or two bytes for any number of rows (one
+	// value and a run length, or a base and a zero width).
+	if count > 0 && payloadLen < 1+NumCols*(1+int(min(count, 2))) {
 		return badf("block count %d impossible for %d payload bytes", count, payloadLen)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // encodeV2 writes tr with the given options and returns the log bytes.
@@ -418,5 +419,63 @@ func TestV2BlockEventsClamped(t *testing.T) {
 	}
 	if len(got.Events) != len(orig.Events) {
 		t.Fatal("clamped log lost events")
+	}
+}
+
+// smallTrace returns n events whose every field encodes in one byte — the
+// smallest blocks a writer can produce.
+func smallTrace(n int) *Trace {
+	tc := NewTracer()
+	tc.SetMeta(Meta{Workload: "small", Nodes: 1, Ranks: 2})
+	id := tc.FileID("/f")
+	for i := 0; i < n; i++ {
+		tc.Record(Event{Op: OpWrite, Rank: int32(i % 2), File: id, Size: 1,
+			Start: time.Duration(i), End: time.Duration(i + 1)})
+	}
+	return tc.Finish()
+}
+
+// TestV2RoundTripTinyBlocks: a block's payload floor is the smallest
+// payload the segment encoders emit, so a log whose last block holds a
+// single one-byte-per-field event (any n ≡ 1 mod the block size) reads
+// back under every codec mode, block size and the outer flate layer.
+func TestV2RoundTripTinyBlocks(t *testing.T) {
+	modes := []V2Options{
+		{}, {Compress: true}, {Codec: CodecV21}, {RowLayout: true},
+		{Codec: CodecForceRaw}, {Codec: CodecForceRLE}, {Codec: CodecForceDict}, {Codec: CodecForceFOR},
+	}
+	check := func(tr *Trace, opt V2Options) {
+		t.Helper()
+		data := encodeV2(t, tr, opt)
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("n=%d %+v: Read: %v", len(tr.Events), opt, err)
+		}
+		assertTraceEqual(t, tr, got)
+		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("n=%d %+v: NewBlockReader: %v", len(tr.Events), opt, err)
+		}
+		var cols Columns
+		for k := 0; k < br.NumBlocks(); k++ {
+			if err := br.DecodeColumns(k, &cols); err != nil {
+				t.Fatalf("n=%d %+v: DecodeColumns(%d): %v", len(tr.Events), opt, k, err)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, DefaultBlockEvents, DefaultBlockEvents + 1} {
+		tr := smallTrace(n)
+		for _, opt := range modes {
+			check(tr, opt)
+		}
+	}
+	for be := 1; be <= 8; be++ {
+		for _, n := range []int{1, 2, 9, 17} {
+			tr := smallTrace(n)
+			for _, opt := range modes {
+				opt.BlockEvents = be
+				check(tr, opt)
+			}
+		}
 	}
 }

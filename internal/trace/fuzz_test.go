@@ -191,6 +191,15 @@ func FuzzBlockReader(f *testing.F) {
 			}
 		}
 	}
+	// The smallest block a writer emits: one event, every field one byte —
+	// the payload the count floor once refused.
+	for _, opt := range []V2Options{{}, {Compress: true}} {
+		var buf bytes.Buffer
+		if err := WriteV2With(&buf, smallTrace(1), opt); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Add([]byte(magicV2))
 	f.Add([]byte("garbage"))
 

@@ -174,14 +174,58 @@ func unpackInto(src []byte, n int, width uint, base uint64, out []int64) {
 		}
 		return
 	}
+	i := 0
+	if width <= maxWordWidth {
+		mask := uint64(1)<<width - 1
+		bit := uint(0)
+		for fast := wordUnpackable(len(src), n, width); i < fast; i++ {
+			out[i] = int64(base + binary.LittleEndian.Uint64(src[bit>>3:])>>(bit&7)&mask)
+			bit += width
+		}
+	}
+	unpackBytes(src, i, n, width, func(u uint64) bool {
+		out[i] = int64(base + u)
+		i++
+		return true
+	})
+}
+
+// maxWordWidth is the widest value one unaligned 8-byte load always covers:
+// the value starts at most 7 bits into the word.
+const maxWordWidth = 56
+
+// wordUnpackable returns how many leading values of an n-value stream at
+// width <= maxWordWidth can each be read with one 8-byte load that stays
+// inside srcLen bytes; the rest — the values starting in the last seven
+// bytes — go through unpackBytes.
+func wordUnpackable(srcLen, n int, width uint) int {
+	if srcLen < 8 {
+		return 0
+	}
+	return min(n, ((srcLen-8)*8+7)/int(width)+1)
+}
+
+// unpackBytes streams values i..n-1 of an n-value width-bit LSB-first stream
+// through fn, refilling a 128-bit window a byte at a time; fn returning
+// false stops the walk. It serves every width up to 64 and reads no byte
+// past the stream's last.
+func unpackBytes(src []byte, i, n int, width uint, fn func(u uint64) bool) {
+	if i >= n {
+		return
+	}
 	mask := uint64(1)<<width - 1
 	if width == 64 {
 		mask = ^uint64(0)
 	}
 	var lo, hi uint64 // 128-bit window: bits fill lo first
 	var nb uint
-	pos := 0
-	for i := 0; i < n; i++ {
+	bit := uint(i) * width
+	pos := int(bit >> 3)
+	if sh := bit & 7; sh != 0 {
+		lo, nb = uint64(src[pos])>>sh, 8-sh
+		pos++
+	}
+	for ; i < n; i++ {
 		for nb < width {
 			b := uint64(src[pos])
 			pos++
@@ -195,7 +239,9 @@ func unpackInto(src []byte, n int, width uint, base uint64, out []int64) {
 			}
 			nb += 8
 		}
-		out[i] = int64(base + lo&mask)
+		if !fn(lo & mask) {
+			return
+		}
 		lo = lo>>width | hi<<(64-width)
 		if width == 64 {
 			lo = hi

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -369,3 +370,87 @@ func colIdxOf(set ColSet) int {
 func colRankIdx() int  { return colIdxOf(ColRank) }
 func colStartIdx() int { return colIdxOf(ColStart) }
 func colEndIdx() int   { return colIdxOf(ColEnd) }
+
+// unpackRef is the byte-at-a-time unpack the word loads replaced, kept as
+// the reference: a 128-bit window refilled one byte per step.
+func unpackRef(src []byte, n int, width uint) []uint64 {
+	out := make([]uint64, 0, n)
+	if width == 0 {
+		return out[:n]
+	}
+	mask := ^uint64(0)
+	if width < 64 {
+		mask = uint64(1)<<width - 1
+	}
+	var lo, hi uint64
+	var nb uint
+	pos := 0
+	for i := 0; i < n; i++ {
+		for nb < width {
+			b := uint64(src[pos])
+			pos++
+			if nb < 64 {
+				lo |= b << nb
+				if nb > 56 {
+					hi |= b >> (64 - nb)
+				}
+			} else {
+				hi |= b << (nb - 64)
+			}
+			nb += 8
+		}
+		out = append(out, lo&mask)
+		lo = lo>>width | hi<<(64-width)
+		if width == 64 {
+			lo = hi
+		}
+		hi >>= width
+		nb -= width
+	}
+	return out
+}
+
+// TestUnpackMatchesByteLoop: at every width 0–64 and every count 0–70 —
+// streams shorter than one word, ending mid-byte, ending on a word edge —
+// unpackInto and unpackEach (whole, and stopped early) read random payloads
+// exactly as the byte loop does, never touching a byte past the stream.
+func TestUnpackMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for width := uint(0); width <= 64; width++ {
+		for n := 0; n <= 70; n++ {
+			// Exactly packedLen bytes, so an over-read panics.
+			src := make([]byte, packedLen(n, width))
+			rng.Read(src)
+			want := unpackRef(src, n, width)
+			base := rng.Uint64()
+			out := make([]int64, n)
+			unpackInto(src, n, width, base, out)
+			var each []uint64
+			unpackEach(src, n, width, func(u uint64) bool {
+				each = append(each, u)
+				return true
+			})
+			if len(each) != n {
+				t.Fatalf("width %d n %d: unpackEach yielded %d values", width, n, len(each))
+			}
+			for i := range want {
+				if uint64(out[i]) != base+want[i] {
+					t.Fatalf("width %d n %d: unpackInto value %d = %#x, want %#x", width, n, i, uint64(out[i]), base+want[i])
+				}
+				if each[i] != want[i] {
+					t.Fatalf("width %d n %d: unpackEach value %d = %#x, want %#x", width, n, i, each[i], want[i])
+				}
+			}
+			if n > 0 {
+				stop, seen := rng.Intn(n), 0
+				unpackEach(src, n, width, func(uint64) bool {
+					seen++
+					return seen <= stop
+				})
+				if seen != stop+1 {
+					t.Fatalf("width %d n %d: walk stopped after %d values, want %d", width, n, seen, stop+1)
+				}
+			}
+		}
+	}
+}

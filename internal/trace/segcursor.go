@@ -21,6 +21,7 @@ package trace
 // value ranges.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 )
@@ -215,93 +216,138 @@ func (sc *SegCursor) AppendRuns(dst []Run) []Run {
 	return dst
 }
 
+// runScratchFree recycles the buffers run captures stream into. A capture
+// is abandoned far more often than it is served — a rank column after the
+// k-way merge crosses the density cap in nearly every block — so runs are
+// collected in scratch and copied out at exact size only on success: a
+// refused capture allocates nothing. A bounded freelist for the reason
+// segCursorFree is one.
+var runScratchFree struct {
+	mu sync.Mutex
+	s  [][]Run
+}
+
+const (
+	runScratchFreeCap = 16
+	runScratchMaxRuns = 1 << 16 // larger buffers (unbounded captures) are dropped
+)
+
+func getRunScratch(n int) []Run {
+	f := &runScratchFree
+	f.mu.Lock()
+	if k := len(f.s); k > 0 {
+		buf := f.s[k-1]
+		f.s = f.s[:k-1]
+		f.mu.Unlock()
+		if cap(buf) >= n {
+			return buf[:0]
+		}
+	} else {
+		f.mu.Unlock()
+	}
+	return make([]Run, 0, n)
+}
+
+func putRunScratch(buf []Run) {
+	if cap(buf) > runScratchMaxRuns {
+		return
+	}
+	f := &runScratchFree
+	f.mu.Lock()
+	if f.s == nil {
+		f.s = make([][]Run, 0, runScratchFreeCap)
+	}
+	if len(f.s) < runScratchFreeCap {
+		f.s = append(f.s, buf)
+	}
+	f.mu.Unlock()
+}
+
+// appendRunsExact appends src to dst, sizing a nil dst exactly.
+func appendRunsExact(dst, src []Run) []Run {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make([]Run, 0, len(src))
+	}
+	return append(dst, src...)
+}
+
+// runVal returns the packed-code-to-value mapping of a dict or FOR segment.
+func (sc *SegCursor) runVal() func(u uint64) int64 {
+	if sc.codec == segFOR {
+		b := uint64(sc.base)
+		return func(u uint64) int64 { return int64(b + u) }
+	}
+	return func(u uint64) int64 { return sc.dict[u] }
+}
+
 // AppendRunsMax is AppendRuns with the caller's density cap pushed down
 // into the decode: once more than max runs would be emitted the walk stops
-// and ok reports false, with dst returned truncated to its prior length —
-// so a dense segment (a FOR-packed column whose values alternate per row)
-// costs O(max) instead of a full run materialization that the caller would
-// drop anyway. max <= 0 means unbounded.
+// and ok reports false, with dst returned untouched — so a dense segment
+// (a FOR-packed column whose values alternate per row) costs O(max) time
+// and no allocation instead of a full run materialization that the caller
+// would drop anyway. max <= 0 means unbounded.
 func (sc *SegCursor) AppendRunsMax(dst []Run, max int) (runs []Run, ok bool) {
-	base := len(dst)
-	over := false
-	emit := func(r Run) bool {
-		if max > 0 && len(dst)-base >= max {
-			over = true
-			return false
-		}
-		dst = append(dst, r)
-		return true
-	}
 	switch sc.codec {
 	case segRLE:
 		if max > 0 && len(sc.runs) > max {
 			return dst, false
 		}
-		return append(dst, sc.runs...), true
+		return appendRunsExact(dst, sc.runs), true
 	case segFOR:
 		if sc.width == 0 {
 			return append(dst, Run{Val: sc.base, N: int32(sc.n)}), true
 		}
-		b := uint64(sc.base)
-		var cur uint64
-		var run int32
-		first := true
-		unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
-			if first {
-				cur, run, first = u, 1, false
-				return true
-			}
-			if u == cur {
-				run++
-				return true
-			}
-			if !emit(Run{Val: int64(b + cur), N: run}) {
-				return false
-			}
-			cur, run = u, 1
-			return true
-		})
-		if !first && !over {
-			emit(Run{Val: int64(b + cur), N: run})
-		}
 	case segDict:
-		var cur uint64
-		var run int32
-		first := true
-		unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
-			if first {
-				cur, run, first = u, 1, false
-				return true
-			}
-			if u == cur {
-				run++
-				return true
-			}
-			if !emit(Run{Val: sc.dict[cur], N: run}) {
-				return false
-			}
-			cur, run = u, 1
-			return true
-		})
-		if !first && !over {
-			emit(Run{Val: sc.dict[cur], N: run})
+	default:
+		return dst, true
+	}
+	buf := getRunScratch(max)
+	over := false
+	val := sc.runVal()
+	var cur uint64
+	var run int32
+	// emit closes the pending run; false means it would cross the cap.
+	emit := func() bool {
+		if max > 0 && len(buf) >= max {
+			over = true
+			return false
 		}
+		buf = append(buf, Run{Val: val(cur), N: run})
+		return true
 	}
-	if over {
-		return dst[:base], false
+	unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
+		if run > 0 && u == cur {
+			run++
+			return true
+		}
+		if run > 0 && !emit() {
+			return false
+		}
+		cur, run = u, 1
+		return true
+	})
+	if !over && run > 0 {
+		emit()
 	}
-	return dst, true
+	if !over {
+		dst = appendRunsExact(dst, buf)
+	}
+	putRunScratch(buf)
+	return dst, !over
 }
 
 // CutRunsSel streams the segment's value runs cut against a selection's
-// spans: exactly CutRuns(sc.AppendRuns(nil), spans, dst, max), but fused
-// into the decode walk so the block-level run list never materializes —
-// peak extra memory is the bounded output, the walk stops the moment the
-// bound is passed or the last span is consumed, and a column that is
-// block-dense yet selection-sparse (thousands of block runs thinned under
-// the cap by a narrow selection) still serves. ok reports false when the
-// cut would exceed max (> 0), with dst returned truncated to its prior
-// length; raw segments and empty span lists cut to nothing with ok true.
+// spans: exactly CutRuns(sc.AppendRuns(nil), spans, nil, max) appended to
+// dst, but fused into the decode walk so the block-level run list never
+// materializes — the cut collects in pooled scratch, the walk stops the
+// moment the bound is passed or the last span is consumed, and a column
+// that is block-dense yet selection-sparse (thousands of block runs thinned
+// under the cap by a narrow selection) still serves. ok reports false when
+// the cut would exceed max (> 0), with dst returned untouched and nothing
+// allocated; raw segments and empty span lists cut to nothing with ok true.
 func (sc *SegCursor) CutRunsSel(spans []SelSpan, dst []Run, max int) (runs []Run, ok bool) {
 	if len(spans) == 0 {
 		return dst, true
@@ -321,7 +367,7 @@ func (sc *SegCursor) CutRunsSel(spans []SelSpan, dst []Run, max int) (runs []Run
 	default:
 		return dst, true
 	}
-	base := len(dst)
+	buf := getRunScratch(max)
 	over := false
 	si := 0
 	rs := int32(0) // block row where the current streamed run begins
@@ -343,53 +389,45 @@ func (sc *SegCursor) CutRunsSel(spans []SelSpan, dst []Run, max int) (runs []Run
 			if b <= a {
 				continue
 			}
-			if n := len(dst); n > 0 && dst[n-1].Val == v {
-				dst[n-1].N += b - a
+			if n := len(buf); n > 0 && buf[n-1].Val == v {
+				buf[n-1].N += b - a
 			} else {
-				if max > 0 && len(dst)-base >= max {
+				if max > 0 && len(buf) >= max {
 					over = true
 					return false
 				}
-				dst = append(dst, Run{Val: v, N: b - a})
+				buf = append(buf, Run{Val: v, N: b - a})
 			}
 		}
 		rs = re
 		return si < len(spans)
 	}
-	val := func(u uint64) int64 { return sc.dict[u] }
-	if sc.codec == segFOR {
-		if sc.width == 0 {
-			emit(sc.base, int32(sc.n))
-			return dst, true
-		}
-		b := uint64(sc.base)
-		val = func(u uint64) int64 { return int64(b + u) }
-	}
-	var cur uint64
-	var run int32
-	first := true
-	unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
-		if first {
-			cur, run, first = u, 1, false
+	if sc.codec == segFOR && sc.width == 0 {
+		emit(sc.base, int32(sc.n))
+	} else {
+		val := sc.runVal()
+		var cur uint64
+		var run int32
+		unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
+			if run > 0 && u == cur {
+				run++
+				return true
+			}
+			if run > 0 && !emit(val(cur), rs+run) {
+				return false
+			}
+			cur, run = u, 1
 			return true
+		})
+		if !over && run > 0 && si < len(spans) {
+			emit(val(cur), rs+run)
 		}
-		if u == cur {
-			run++
-			return true
-		}
-		if !emit(val(cur), rs+run) {
-			return false
-		}
-		cur, run = u, 1
-		return true
-	})
-	if !over && !first && si < len(spans) {
-		emit(val(cur), rs+run)
 	}
-	if over {
-		return dst[:base], false
+	if !over {
+		dst = appendRunsExact(dst, buf)
 	}
-	return dst, true
+	putRunScratch(buf)
+	return dst, !over
 }
 
 // NumCodes returns the dictionary size, or 0 for non-dict segments.
@@ -464,37 +502,18 @@ func unpackEach(src []byte, n int, width uint, fn func(u uint64) bool) {
 		}
 		return
 	}
-	mask := uint64(1)<<width - 1
-	if width == 64 {
-		mask = ^uint64(0)
-	}
-	var lo, hi uint64 // 128-bit window: bits fill lo first
-	var nb uint
-	pos := 0
-	for i := 0; i < n; i++ {
-		for nb < width {
-			b := uint64(src[pos])
-			pos++
-			if nb < 64 {
-				lo |= b << nb
-				if nb > 56 {
-					hi |= b >> (64 - nb)
-				}
-			} else {
-				hi |= b << (nb - 64)
+	i := 0
+	if width <= maxWordWidth {
+		mask := uint64(1)<<width - 1
+		bit := uint(0)
+		for fast := wordUnpackable(len(src), n, width); i < fast; i++ {
+			if !fn(binary.LittleEndian.Uint64(src[bit>>3:]) >> (bit & 7) & mask) {
+				return
 			}
-			nb += 8
+			bit += width
 		}
-		if !fn(lo & mask) {
-			return
-		}
-		lo = lo>>width | hi<<(64-width)
-		if width == 64 {
-			lo = hi
-		}
-		hi >>= width
-		nb -= width
 	}
+	unpackBytes(src, i, n, width, fn)
 }
 
 // SegCursorAt builds a compressed-domain cursor over column col's segment.

@@ -35,7 +35,8 @@ type record struct {
 	NumCPU     int      `json:"num_cpu"`
 	Note       string   `json:"note"`
 	Results    []result `json:"results"`
-	// AnalyzerSpeedup is seq-ns/par-ns of BenchmarkAnalyzerParallelism —
+	// AnalyzerSpeedup is par=1-ns/par=max-ns of BenchmarkAnalyzerParallelism,
+	// summed over its workloads —
 	// PR1's headline number. Meaningful only when gomaxprocs > 1.
 	AnalyzerSpeedup float64 `json:"analyzer_speedup_seq_over_par"`
 	// DecodeSpeedup is v1-serial-ns/v2-parallel-ns of
@@ -138,10 +139,10 @@ func main() {
 		}
 		rec.Results = append(rec.Results, r)
 		switch {
-		case strings.HasPrefix(r.Name, "BenchmarkAnalyzerParallelism/seq"):
-			seqNs = ns
-		case strings.HasPrefix(r.Name, "BenchmarkAnalyzerParallelism/par"):
-			parNs = ns
+		case strings.HasPrefix(r.Name, "BenchmarkAnalyzerParallelism/") && strings.Contains(r.Name, "/par=1"):
+			seqNs += ns // summed over the bench's workloads
+		case strings.HasPrefix(r.Name, "BenchmarkAnalyzerParallelism/") && strings.Contains(r.Name, "/par=max"):
+			parNs += ns
 		case strings.HasPrefix(r.Name, "BenchmarkTraceDecodeToTable/v1-serial"):
 			v1Ns = ns
 		case strings.HasPrefix(r.Name, "BenchmarkTraceDecodeToTable/v2-parallel"):
