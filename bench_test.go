@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 	"time"
@@ -497,12 +496,11 @@ func BenchmarkTraceCodec(b *testing.B) {
 }
 
 // codecFixtures builds one large synthetic trace (~200K events) and its
-// encodings in every format, shared by the encode/decode throughput benches
-// so format comparisons run over identical data.
+// encodings, plain and under flate, shared by the encode/decode throughput
+// benches so comparisons run over identical data.
 var (
 	codecOnce    sync.Once
 	codecTrace   *Trace
-	codecV1      []byte
 	codecV2      []byte
 	codecV2Flate []byte
 )
@@ -545,7 +543,6 @@ func codecFixtures(b *testing.B) {
 			}
 			return buf.Bytes()
 		}
-		codecV1 = encode(func(buf *bytes.Buffer) error { return trace.Write(buf, codecTrace) })
 		codecV2 = encode(func(buf *bytes.Buffer) error { return trace.WriteV2(buf, codecTrace) })
 		codecV2Flate = encode(func(buf *bytes.Buffer) error {
 			return trace.WriteV2With(buf, codecTrace, trace.V2Options{Compress: true})
@@ -553,9 +550,9 @@ func codecFixtures(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceEncode measures encode throughput (MB/s of produced bytes)
-// per format. The v2 encoder fans block encoding over the worker pool; its
-// output is byte-identical at every parallelism.
+// BenchmarkTraceEncode measures encode throughput (MB/s of produced bytes),
+// plain and under the outer flate layer. The encoder fans block encoding
+// over the worker pool; its output is byte-identical at every parallelism.
 func BenchmarkTraceEncode(b *testing.B) {
 	codecFixtures(b)
 	for _, bench := range []struct {
@@ -563,7 +560,6 @@ func BenchmarkTraceEncode(b *testing.B) {
 		encoded []byte
 		write   func(*bytes.Buffer) error
 	}{
-		{"v1", codecV1, func(buf *bytes.Buffer) error { return trace.Write(buf, codecTrace) }},
 		{"v2", codecV2, func(buf *bytes.Buffer) error { return trace.WriteV2(buf, codecTrace) }},
 		{"v2-flate", codecV2Flate, func(buf *bytes.Buffer) error {
 			return trace.WriteV2With(buf, codecTrace, trace.V2Options{Compress: true})
@@ -585,44 +581,25 @@ func BenchmarkTraceEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceDecodeToTable measures the full ingest path each format
-// supports: log bytes to analyzable column chunks. v1 can only stream
-// serially (one delta chain); v2 decodes blocks independently, serially or
-// fanned over the worker pool straight into chunk adoption.
+// BenchmarkTraceDecodeToTable measures the full ingest path: log bytes to
+// analyzable column chunks, every column decoded. Blocks decode
+// independently, serially or fanned over the worker pool straight into
+// chunk adoption.
 func BenchmarkTraceDecodeToTable(b *testing.B) {
 	codecFixtures(b)
 	wantRows := len(codecTrace.Events)
-	decodeV1 := func() (*colstore.Table, error) {
-		s, err := trace.NewScanner(bytes.NewReader(codecV1))
-		if err != nil {
-			return nil, err
-		}
-		bld := colstore.NewBuilder()
-		buf := make([]trace.Event, colstore.ChunkRows)
-		for {
-			n, err := s.Next(buf)
-			bld.AppendEvents(buf[:n])
-			if err == io.EOF {
-				return bld.Finish(), nil
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
 	decodeV2 := func(data []byte, par int) (*colstore.Table, error) {
 		br, err := trace.NewBlockReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return nil, err
 		}
-		return colstore.FromBlocks(br, par)
+		return colstore.FromBlocksSpec(br, par, colstore.ScanSpec{Cols: trace.AllCols}, nil)
 	}
 	for _, bench := range []struct {
 		name   string
 		bytes  []byte
 		decode func() (*colstore.Table, error)
 	}{
-		{"v1-serial", codecV1, decodeV1},
 		{"v2-serial", codecV2, func() (*colstore.Table, error) { return decodeV2(codecV2, 1) }},
 		{"v2-parallel", codecV2, func() (*colstore.Table, error) { return decodeV2(codecV2, 0) }},
 		{"v2-flate-parallel", codecV2Flate, func() (*colstore.Table, error) { return decodeV2(codecV2Flate, 0) }},
@@ -644,14 +621,12 @@ func BenchmarkTraceDecodeToTable(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecMatrix measures every column codec the VANITRC2 writer
-// supports over the same 200K-event fixture: encoded size (enc-bytes) and
-// full-column-scan decode throughput (MB/s over the encoded bytes; every
-// column materialized). "v21" is the varint-only v2.1 layout, "v22-auto"
-// the per-segment cost model (VANIIDX4 footer), the forced variants pin
-// one segment codec everywhere, and the -flate rows wrap the block in an
-// outer deflate layer. The headline comparison is v22-auto against
-// v21-flate: near-flate size with none of the inflate cost on decode.
+// BenchmarkCodecMatrix measures every column codec the writer supports over
+// the same 200K-event fixture: encoded size (enc-bytes) and full-column-scan
+// decode throughput (MB/s over the encoded bytes; every column
+// materialized). "v22-auto" is the per-segment cost model, the forced
+// variants pin one segment codec everywhere, and the -flate row wraps the
+// block in an outer deflate layer.
 func BenchmarkCodecMatrix(b *testing.B) {
 	codecFixtures(b)
 	wantRows := len(codecTrace.Events)
@@ -659,8 +634,6 @@ func BenchmarkCodecMatrix(b *testing.B) {
 		name string
 		opt  trace.V2Options
 	}{
-		{"v21", trace.V2Options{Codec: trace.CodecV21}},
-		{"v21-flate", trace.V2Options{Codec: trace.CodecV21, Compress: true}},
 		{"v22-auto", trace.V2Options{}},
 		{"v22-flate", trace.V2Options{Compress: true}},
 		{"v22-raw", trace.V2Options{Codec: trace.CodecForceRaw}},
@@ -682,7 +655,7 @@ func BenchmarkCodecMatrix(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tb, err := colstore.FromBlocks(br, 0)
+				tb, err := colstore.FromBlocksSpec(br, 0, colstore.ScanSpec{Cols: trace.AllCols}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

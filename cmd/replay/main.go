@@ -24,14 +24,13 @@ func main() {
 	traceFile := flag.String("t", "", "trace file to replay (required)")
 	sweep := flag.String("sweep", "stripe", "candidate sweep: stripe or cache")
 	think := flag.Bool("think", true, "preserve recorded think time between calls")
-	convert := flag.String("convert", "", "rewrite the loaded trace to this path (in -format) before replaying")
-	format := flag.String("format", "v2", "trace format for -convert: v2 (block-structured) or v1")
-	codec := flag.String("codec", "auto", "v2 column codec for -convert: auto (v2.2 cost model), v21, raw, rle, dict or for")
+	convert := flag.String("convert", "", "rewrite the loaded (filtered) trace to this path before replaying")
+	codec := flag.String("codec", "auto", "column codec for -convert: auto (cost model), raw, rle, dict or for")
 	ff := cliutil.RegisterFilterFlags(nil)
 	flag.Parse()
 
 	if *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "usage: replay -t <trace> [-window from:to] [-ranks 0-63] [-levels posix] [-ops data] [-sweep stripe|cache] [-think=false] [-convert out.trc -format v2]")
+		fmt.Fprintln(os.Stderr, "usage: replay -t <trace> [-window from:to] [-ranks 0-63] [-levels posix] [-ops data] [-sweep stripe|cache] [-think=false] [-convert out.trc]")
 		os.Exit(2)
 	}
 	filter, err := ff.Filter()
@@ -47,11 +46,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *convert != "" {
-		tf, err := vani.ParseTraceFormat(*format)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		cm, err := vani.ParseTraceCodec(*codec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -62,7 +56,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := vani.WriteTraceWith(o, tr, vani.TraceWriteOptions{Format: tf, Codec: cm}); err != nil {
+		if err := vani.WriteTraceWith(o, tr, vani.TraceWriteOptions{Codec: cm}); err != nil {
 			o.Close()
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -71,7 +65,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "converted %s -> %s (%s)\n", *traceFile, *convert, tf)
+		fmt.Fprintf(os.Stderr, "converted %s -> %s (codec %s)\n", *traceFile, *convert, cm)
 	}
 
 	base := storage.Lassen()

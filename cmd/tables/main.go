@@ -50,22 +50,16 @@ func main() {
 	overhead := flag.Duration("trace-overhead", 0, "per-event tracer overhead (e.g. 2us)")
 	par := flag.Int("par", 0, "analyzer parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	traceDir := flag.String("trace-dir", "", "also write each workload's trace into this directory")
-	format := flag.String("format", "v2", "trace format for -trace-dir: v2 (block-structured) or v1")
-	codec := flag.String("codec", "auto", "v2 column codec for -trace-dir: auto (v2.2 cost model), v21, raw, rle, dict or for")
+	codec := flag.String("codec", "auto", "column codec for -trace-dir: auto (cost model), raw, rle, dict or for")
 	verbose := flag.Bool("v", false, "print per-stage pipeline timings")
 	flag.Parse()
 
-	tf, err := vani.ParseTraceFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	cm, err := vani.ParseTraceCodec(*codec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	wopt := vani.TraceWriteOptions{Format: tf, Codec: cm}
+	wopt := vani.TraceWriteOptions{Codec: cm}
 
 	names := vani.Workloads()
 	if *only != "" {
@@ -122,7 +116,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 				os.Exit(1)
 			}
-			fmt.Fprintf(os.Stderr, "    wrote %s (%s)\n", path, tf)
+			fmt.Fprintf(os.Stderr, "    wrote %s (codec %s)\n", path, cm)
 		}
 		if *figures {
 			fmt.Println(report.Figure(c))

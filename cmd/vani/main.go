@@ -36,17 +36,16 @@ func main() {
 	advise := flag.Bool("advise", false, "print storage recommendations")
 	phases := flag.Bool("phases", false, "render the full I/O phase series")
 	yamlOut := flag.String("yaml", "", "write the characterization as YAML to this file")
-	rewrite := flag.String("rewrite", "", "transcode the input trace to this path (in -format) before analyzing")
-	format := flag.String("format", "v2", "trace format for -rewrite: v2 (block-structured) or v1")
-	compress := flag.Bool("compress", false, "flate-compress v2 event blocks for -rewrite")
-	codec := flag.String("codec", "auto", "v2 column codec for -rewrite: auto (v2.2 cost model), v21, raw, rle, dict or for")
+	rewrite := flag.String("rewrite", "", "re-encode the input trace to this path (under -compress/-codec) before analyzing")
+	compress := flag.Bool("compress", false, "flate-compress event blocks for -rewrite")
+	codec := flag.String("codec", "auto", "column codec for -rewrite: auto (cost model), raw, rle, dict or for")
 	par := flag.Int("par", 0, "analyzer parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	verbose := flag.Bool("v", false, "print per-stage pipeline timings and scan counters")
 	ff := cliutil.RegisterFilterFlags(nil)
 	flag.Parse()
 
 	if *traceFile == "" {
-		fmt.Fprintln(os.Stderr, "usage: vani -t <trace> [-window from:to] [-ranks 0-63] [-levels posix] [-ops data] [-tables] [-figure] [-advise] [-yaml out.yaml] [-rewrite out.trc -format v2]")
+		fmt.Fprintln(os.Stderr, "usage: vani -t <trace> [-window from:to] [-ranks 0-63] [-levels posix] [-ops data] [-tables] [-figure] [-advise] [-yaml out.yaml] [-rewrite out.trc -codec auto]")
 		os.Exit(2)
 	}
 	filter, err := ff.Filter()
@@ -55,22 +54,17 @@ func main() {
 		os.Exit(2)
 	}
 	if *rewrite != "" {
-		tf, err := vani.ParseTraceFormat(*format)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		cm, err := vani.ParseTraceCodec(*codec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		wopt := vani.TraceWriteOptions{Format: tf, Compress: *compress, Codec: cm}
+		wopt := vani.TraceWriteOptions{Compress: *compress, Codec: cm}
 		if err := transcode(*traceFile, *rewrite, wopt); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "rewrote %s as %s (%s, codec %s)\n", *traceFile, *rewrite, tf, cm)
+		fmt.Fprintf(os.Stderr, "rewrote %s as %s (codec %s)\n", *traceFile, *rewrite, cm)
 	}
 	// Stream the trace from disk into column chunks: the event log never
 	// materializes in memory, so arbitrarily large traces analyze fine.
@@ -133,9 +127,8 @@ func main() {
 	}
 }
 
-// transcode reads a trace in either format and rewrites it under opt — the
-// migration path for VANITRC1 logs captured before the block format, and
-// for re-encoding old v2 logs with the v2.2 codecs.
+// transcode re-encodes a trace under opt: the same events with or without
+// the outer flate layer, or with one segment codec forced.
 func transcode(in, out string, opt vani.TraceWriteOptions) error {
 	f, err := os.Open(in)
 	if err != nil {

@@ -25,29 +25,15 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "fraction of paper scale (1.0 = full)")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	out := flag.String("o", "", "trace output file (empty = don't write)")
-	format := flag.String("format", "v2", "trace format: v2 (block-structured, parallel decode) or v1")
-	compress := flag.Bool("compress", false, "flate-compress v2 event blocks")
-	codec := flag.String("codec", "auto", "v2 column codec: auto (v2.2 cost model), v21, raw, rle, dict or for")
+	compress := flag.Bool("compress", false, "flate-compress event blocks")
+	codec := flag.String("codec", "auto", "column codec: auto (cost model), raw, rle, dict or for")
 	optimized := flag.Bool("optimized", false, "apply the workload's case-study optimization")
 	overhead := flag.Duration("trace-overhead", 0, "per-event tracer overhead")
 	flag.Parse()
 
-	tf, err := vani.ParseTraceFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *compress && tf != vani.TraceFormatV2 {
-		fmt.Fprintln(os.Stderr, "-compress requires -format v2")
-		os.Exit(2)
-	}
 	cm, err := vani.ParseTraceCodec(*codec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if cm != vani.TraceCodecAuto && tf != vani.TraceFormatV2 {
-		fmt.Fprintln(os.Stderr, "-codec requires -format v2")
 		os.Exit(2)
 	}
 
@@ -103,7 +89,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		opt := vani.TraceWriteOptions{Format: tf, Compress: *compress, Codec: cm}
+		opt := vani.TraceWriteOptions{Compress: *compress, Codec: cm}
 		if err := vani.WriteTraceWith(f, res.Trace, opt); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

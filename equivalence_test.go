@@ -107,10 +107,10 @@ func TestCharacterizeFileMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestFormatEquivalence is the VANITRC2 contract: the same workload
-// characterized through a VANITRC1 log, a raw VANITRC2 log, and a
-// compressed VANITRC2 log — at sequential and parallel decode — produces a
-// YAML artifact byte-identical to the in-memory analysis.
+// TestFormatEquivalence is the on-disk format's contract: the same workload
+// characterized through a log, plain and under the outer flate layer — at
+// sequential and parallel decode — produces a YAML artifact byte-identical
+// to the in-memory analysis.
 func TestFormatEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	writeAs := func(t *testing.T, path string, f func(*os.File) error) {
@@ -138,8 +138,7 @@ func TestFormatEquivalence(t *testing.T) {
 		want := ToYAML(Characterize(res))
 
 		variants := map[string]func(*os.File) error{
-			"v1":      func(f *os.File) error { return WriteTraceFormat(f, res.Trace, TraceFormatV1) },
-			"v2":      func(f *os.File) error { return WriteTraceFormat(f, res.Trace, TraceFormatV2) },
+			"v2":      func(f *os.File) error { return WriteTrace(f, res.Trace) },
 			"v2flate": func(f *os.File) error { return trace.WriteV2With(f, res.Trace, trace.V2Options{Compress: true}) },
 		}
 		cfg := res.Spec.Storage
@@ -162,22 +161,18 @@ func TestFormatEquivalence(t *testing.T) {
 	}
 }
 
-// TestCodecMatrixEquivalence is the v2.2 contract: every workload trace,
-// encoded under every layout and segment-codec strategy — VANITRC1, v2 row
-// blocks, v2.1 raw varints, v2.2 with the cost model and with each codec
-// forced on, with and without the flate outer layer — characterizes to a
-// YAML artifact byte-identical to the in-memory analysis, at sequential,
-// fixed-parallel and NumCPU decode. The variants are what drives the
-// analyzer's two pass bodies and every compressed-domain fallback: forced
-// raw segments (and the pre-v2.2 layouts) carry no run structure, so every
-// chunk takes the materialized row loops, while the run-structured codecs
-// serve key spans — and the two must be indistinguishable byte-for-byte.
+// TestCodecMatrixEquivalence is the codec contract: every workload trace,
+// encoded under every segment-codec strategy — the cost model and each
+// codec forced on, with and without the flate outer layer — characterizes
+// to a YAML artifact byte-identical to the in-memory analysis, at
+// sequential, fixed-parallel and NumCPU decode. The variants are what
+// drives the analyzer's two pass bodies and every compressed-domain
+// fallback: forced raw segments carry no run structure, so every chunk
+// takes the materialized row loops, while the run-structured codecs serve
+// key spans — and the two must be indistinguishable byte-for-byte.
 func TestCodecMatrixEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	variants := map[string]trace.V2Options{
-		"v2row":      {RowLayout: true},
-		"v21":        {Codec: trace.CodecV21},
-		"v21flate":   {Codec: trace.CodecV21, Compress: true},
 		"v22auto":    {Codec: trace.CodecAuto},
 		"v22flate":   {Codec: trace.CodecAuto, Compress: true},
 		"v22raw":     {Codec: trace.CodecForceRaw},
@@ -217,19 +212,6 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 				}
 			}
 		}
-
-		v1Path := filepath.Join(dir, name+"-v1.trc")
-		f, err := os.Create(v1Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteTraceFormat(f, res.Trace, TraceFormatV1); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		check("v1", v1Path)
 
 		for variant, vopt := range variants {
 			path := filepath.Join(dir, name+"-"+variant+".trc")
@@ -321,11 +303,12 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 	}
 }
 
-// TestCodecSizeGuard is the size regression gate CI runs on the v2.2 cost
+// TestCodecSizeGuard is the size regression gate CI runs on the cost
 // model: on every example workload trace, auto mode with the outer flate
-// layer engaged must land within 5% of the v2.1 flate encoding it replaces
-// (auto competes against the all-raw payload post-flate per block, so it
-// can only lose by frame overhead). A cost-model regression — a codec
+// layer engaged must land within 5% of forced-raw segments under flate —
+// plain deflated varints, the encoding the codecs have to beat (auto
+// competes against the all-raw payload post-flate per block, so it can only
+// lose by frame overhead). A cost-model regression — a codec
 // mispriced, the flate-aware fallback dropped — shows up here before it
 // shows up in the published bench record.
 func TestCodecSizeGuard(t *testing.T) {
@@ -347,12 +330,12 @@ func TestCodecSizeGuard(t *testing.T) {
 			return buf.Len()
 		}
 		auto := size(trace.V2Options{Compress: true})
-		v21Flate := size(trace.V2Options{Codec: trace.CodecV21, Compress: true})
-		ratio := float64(auto) / float64(v21Flate)
-		t.Logf("%-16s v22-auto=%d v21-flate=%d ratio=%.3f", name, auto, v21Flate, ratio)
+		rawFlate := size(trace.V2Options{Codec: trace.CodecForceRaw, Compress: true})
+		ratio := float64(auto) / float64(rawFlate)
+		t.Logf("%-16s auto-flate=%d raw-flate=%d ratio=%.3f", name, auto, rawFlate, ratio)
 		if ratio > maxRatio {
-			t.Errorf("%s: v2.2 auto encoding is %d bytes, %.1f%% larger than v2.1 flate (%d bytes); limit is %.0f%%",
-				name, auto, (ratio-1)*100, v21Flate, (maxRatio-1)*100)
+			t.Errorf("%s: auto encoding is %d bytes, %.1f%% larger than raw segments under flate (%d bytes); limit is %.0f%%",
+				name, auto, (ratio-1)*100, rawFlate, (maxRatio-1)*100)
 		}
 	}
 }
@@ -360,8 +343,7 @@ func TestCodecSizeGuard(t *testing.T) {
 // TestFilterPushdownEquivalence is the scan planner's contract: a filtered
 // characterization read off disk — with block pruning, projection, and lazy
 // materialization all engaged — is byte-identical to filtering the full
-// decode in memory, for every trace layout (VANITRC1 stream, legacy
-// row-layout v2.0 footer, columnar v2.1 footer raw and compressed,
+// decode in memory, for every trace layout (plain and compressed,
 // non-default block geometry) and at sequential and parallel decode.
 func TestFilterPushdownEquivalence(t *testing.T) {
 	dir := t.TempDir()
@@ -383,10 +365,8 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 		"nothing":  {From: 100 * end, To: 200 * end},
 	}
 	variants := map[string]func(*os.File) error{
-		"v1":        func(f *os.File) error { return WriteTraceFormat(f, res.Trace, TraceFormatV1) },
-		"v2":        func(f *os.File) error { return WriteTraceFormat(f, res.Trace, TraceFormatV2) },
+		"v2":        func(f *os.File) error { return WriteTrace(f, res.Trace) },
 		"v2flate":   func(f *os.File) error { return trace.WriteV2With(f, res.Trace, trace.V2Options{Compress: true}) },
-		"v2row":     func(f *os.File) error { return trace.WriteV2With(f, res.Trace, trace.V2Options{RowLayout: true}) },
 		"v2blk1000": func(f *os.File) error { return trace.WriteV2With(f, res.Trace, trace.V2Options{BlockEvents: 1000}) },
 	}
 	cfg := res.Spec.Storage
@@ -484,8 +464,12 @@ func TestScanCountersReported(t *testing.T) {
 	}
 }
 
+// writeVariants are the two shapes a file takes on disk: block payloads as
+// encoded, and under the outer flate layer.
+var writeVariants = map[string]TraceWriteOptions{"v2": {}, "v2flate": {Compress: true}}
+
 // syntheticTrace builds a time-ordered multi-block trace without running a
-// workload: enough rows to span several VANITRC2 blocks.
+// workload: enough rows to span several blocks.
 func syntheticTrace(n int) *Trace {
 	tr := trace.NewTracer()
 	tr.SetMeta(trace.Meta{Workload: "synthetic", Nodes: 4, Ranks: 16, PFSDir: "/p/gpfs1"})
@@ -505,8 +489,8 @@ func syntheticTrace(n int) *Trace {
 	return tr.Finish()
 }
 
-// TestReadTraceFiltered: the filtered loader equals filtering a full load,
-// for both formats, and prunes nothing it should keep.
+// TestReadTraceFiltered: the filtered loader equals filtering a full load
+// and prunes nothing it should keep.
 func TestReadTraceFiltered(t *testing.T) {
 	dir := t.TempDir()
 	w, err := New("ior")
@@ -520,13 +504,13 @@ func TestReadTraceFiltered(t *testing.T) {
 	end := res.Trace.Events[len(res.Trace.Events)-1].Start
 	filter := TraceFilter{From: end / 3, To: 2 * end / 3, Ops: OpClassData}
 	want := trace.FilterEvents(res.Trace.Events, filter)
-	for _, tf := range []TraceFormat{TraceFormatV1, TraceFormatV2} {
-		path := filepath.Join(dir, tf.String()+".trc")
+	for name, wopt := range writeVariants {
+		path := filepath.Join(dir, name+".trc")
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteTraceFormat(f, res.Trace, tf); err != nil {
+		if err := WriteTraceWith(f, res.Trace, wopt); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -534,24 +518,24 @@ func TestReadTraceFiltered(t *testing.T) {
 		}
 		got, err := ReadTraceFiltered(path, filter)
 		if err != nil {
-			t.Fatalf("%v: %v", tf, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(got.Events) != len(want) {
-			t.Fatalf("%v: loaded %d events, want %d", tf, len(got.Events), len(want))
+			t.Fatalf("%s: loaded %d events, want %d", name, len(got.Events), len(want))
 		}
 		for i := range want {
 			if got.Events[i] != want[i] {
-				t.Fatalf("%v: event %d differs", tf, i)
+				t.Fatalf("%s: event %d differs", name, i)
 			}
 		}
 		if got.Meta.Workload != res.Trace.Meta.Workload {
-			t.Errorf("%v: header metadata lost", tf)
+			t.Errorf("%s: header metadata lost", name)
 		}
 	}
 }
 
-// TestTraceFormatRoundTripFacade: the facade's format-aware writer and the
-// sniffing reader agree for both formats.
+// TestTraceFormatRoundTripFacade: the facade's writer and its stream reader
+// agree, and the codec flag parser knows its names.
 func TestTraceFormatRoundTripFacade(t *testing.T) {
 	w, err := New("ior")
 	if err != nil {
@@ -561,24 +545,24 @@ func TestTraceFormatRoundTripFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tf := range []TraceFormat{TraceFormatV1, TraceFormatV2} {
+	for name, wopt := range writeVariants {
 		var buf bytes.Buffer
-		if err := WriteTraceFormat(&buf, res.Trace, tf); err != nil {
-			t.Fatalf("%v: %v", tf, err)
+		if err := WriteTraceWith(&buf, res.Trace, wopt); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		got, err := ReadTrace(&buf)
 		if err != nil {
-			t.Fatalf("%v: %v", tf, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(got.Events) != len(res.Trace.Events) {
-			t.Errorf("%v: %d events round-tripped, want %d", tf, len(got.Events), len(res.Trace.Events))
+			t.Errorf("%s: %d events round-tripped, want %d", name, len(got.Events), len(res.Trace.Events))
 		}
 	}
-	if _, err := ParseTraceFormat("v2"); err != nil {
-		t.Errorf("ParseTraceFormat(v2): %v", err)
+	if c, err := ParseTraceCodec("auto"); err != nil || c != trace.CodecAuto {
+		t.Errorf("ParseTraceCodec(auto) = %v, %v", c, err)
 	}
-	if _, err := ParseTraceFormat("bogus"); err == nil {
-		t.Error("ParseTraceFormat accepted bogus")
+	if _, err := ParseTraceCodec("v21"); err == nil {
+		t.Error("ParseTraceCodec accepted the retired v21 layout")
 	}
 }
 
@@ -597,16 +581,16 @@ func TestCharacterizeFileErrors(t *testing.T) {
 	}
 
 	// A log every decoder accepts, one of whose events names a file past
-	// the header's interned table: malformed, whichever format carried it.
+	// the header's interned table: malformed.
 	tr := syntheticTrace(20)
 	tr.Events[10].File = int32(len(tr.Files)) + 7
-	for _, tf := range []TraceFormat{TraceFormatV1, TraceFormatV2} {
-		path := filepath.Join(t.TempDir(), tf.String()+".trc")
+	for name, wopt := range writeVariants {
+		path := filepath.Join(t.TempDir(), name+".trc")
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteTraceFormat(f, tr, tf); err != nil {
+		if err := WriteTraceWith(f, tr, wopt); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -614,7 +598,7 @@ func TestCharacterizeFileErrors(t *testing.T) {
 		}
 		_, err = CharacterizeFileContext(context.Background(), path, DefaultAnalyzerOptions())
 		if !errors.Is(err, trace.ErrBadFormat) {
-			t.Errorf("%s: out-of-range file id: err = %v, want ErrBadFormat", tf, err)
+			t.Errorf("%s: out-of-range file id: err = %v, want ErrBadFormat", name, err)
 		}
 	}
 }
@@ -654,14 +638,14 @@ func TestStageTimingsPopulated(t *testing.T) {
 func TestConcurrentCharacterizeFile(t *testing.T) {
 	dir := t.TempDir()
 	tr := syntheticTrace(3*16384 + 77)
-	for _, tf := range []TraceFormat{TraceFormatV1, TraceFormatV2} {
-		t.Run(tf.String(), func(t *testing.T) {
-			path := filepath.Join(dir, tf.String()+".trc")
+	for name, wopt := range writeVariants {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".trc")
 			f, err := os.Create(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteTraceFormat(f, tr, tf); err != nil {
+			if err := WriteTraceWith(f, tr, wopt); err != nil {
 				t.Fatal(err)
 			}
 			if err := f.Close(); err != nil {
@@ -709,19 +693,19 @@ func TestConcurrentCharacterizeFile(t *testing.T) {
 }
 
 // TestCharacterizeFileContextCanceled: an already-canceled context aborts
-// both decode paths with a bare context.Canceled, for both formats.
+// the decode with a bare context.Canceled.
 func TestCharacterizeFileContextCanceled(t *testing.T) {
 	dir := t.TempDir()
 	tr := syntheticTrace(2 * 16384)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, tf := range []TraceFormat{TraceFormatV1, TraceFormatV2} {
-		path := filepath.Join(dir, tf.String()+".trc")
+	for name, wopt := range writeVariants {
+		path := filepath.Join(dir, name+".trc")
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteTraceFormat(f, tr, tf); err != nil {
+		if err := WriteTraceWith(f, tr, wopt); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -729,7 +713,7 @@ func TestCharacterizeFileContextCanceled(t *testing.T) {
 		}
 		_, err = CharacterizeFileContext(ctx, path, DefaultAnalyzerOptions())
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", tf, err)
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
 }

@@ -296,65 +296,6 @@ func FromEvents(evs []trace.Event, par int) *Table {
 	return tb
 }
 
-// FromBlocks decodes a VANITRC2 block log straight into column chunks,
-// fanning block decode out over up to par workers (par <= 0 means
-// GOMAXPROCS). When the log's block size matches ChunkRows — the default
-// writer geometry — each decoded block's column slices are adopted as one
-// chunk with no copy and no intermediate Event structs, which is what makes
-// ingest parallel end-to-end. Other geometries fall back to streaming the
-// blocks through a Builder. Either way the table is positionally identical
-// to the serial scanner path at any worker count.
-func FromBlocks(br *trace.BlockReader, par int) (*Table, error) {
-	nb := br.NumBlocks()
-	if br.BlockEvents() != ChunkRows {
-		b := NewBuilder()
-		var buf []trace.Event
-		for k := 0; k < nb; k++ {
-			evs, err := br.DecodeEvents(k, buf)
-			if err != nil {
-				return nil, err
-			}
-			b.AppendEvents(evs)
-			buf = evs
-		}
-		return b.Finish(), nil
-	}
-	chunks := make([]*Chunk, nb)
-	errs := make([]error, nb)
-	parallel.ForEach(par, nb, func(k int) {
-		var cols trace.Columns
-		if err := br.DecodeColumns(k, &cols); err != nil {
-			errs[k] = err
-			return
-		}
-		chunks[k] = &Chunk{
-			Base:   k << chunkShift,
-			N:      cols.N,
-			Level:  cols.Level,
-			Op:     cols.Op,
-			Lib:    cols.Lib,
-			Rank:   cols.Rank,
-			Node:   cols.Node,
-			App:    cols.App,
-			File:   cols.File,
-			Offset: cols.Offset,
-			Size:   cols.Size,
-			Start:  cols.Start,
-			End:    cols.End,
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	t := &Table{chunks: chunks, uniform: true}
-	for _, c := range chunks {
-		t.n += c.N
-	}
-	return t, nil
-}
-
 // Pred is a row predicate over global row indices.
 type Pred func(i int) bool
 

@@ -8,11 +8,11 @@ import (
 )
 
 // TestChunkGeometryMatchesBlockDefault pins the contract the zero-copy
-// ingest path rests on: a default-geometry VANITRC2 block holds exactly one
+// ingest path rests on: a default-geometry block holds exactly one
 // chunk's worth of rows, so decoded column slices adopt as chunks directly.
 func TestChunkGeometryMatchesBlockDefault(t *testing.T) {
 	if ChunkRows != trace.DefaultBlockEvents {
-		t.Fatalf("ChunkRows (%d) != trace.DefaultBlockEvents (%d): the FromBlocks zero-copy path never triggers",
+		t.Fatalf("ChunkRows (%d) != trace.DefaultBlockEvents (%d): the FromBlocksSpec zero-copy path never triggers",
 			ChunkRows, trace.DefaultBlockEvents)
 	}
 }
@@ -35,7 +35,7 @@ func assertTablesEqual(t *testing.T, want, got *Table) {
 	}
 }
 
-// blockReaderFor encodes tr as a VANITRC2 log and opens it through the
+// blockReaderFor encodes tr as a trace log and opens it through the
 // seekable block reader.
 func blockReaderFor(t *testing.T, tr *trace.Trace, opt trace.V2Options) *trace.BlockReader {
 	t.Helper()
@@ -60,9 +60,9 @@ func TestFromBlocksMatchesFromEvents(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		br := blockReaderFor(t, tr, trace.V2Options{Compress: compress})
 		for _, par := range []int{1, 4} {
-			got, err := FromBlocks(br, par)
+			got, err := FromBlocksSpec(br, par, ScanSpec{Cols: trace.AllCols}, nil)
 			if err != nil {
-				t.Fatalf("FromBlocks(par=%d, compress=%v): %v", par, compress, err)
+				t.Fatalf("FromBlocksSpec(par=%d, compress=%v): %v", par, compress, err)
 			}
 			if got.NumChunks() != want.NumChunks() {
 				t.Fatalf("chunk count %d != %d", got.NumChunks(), want.NumChunks())
@@ -79,7 +79,7 @@ func TestFromBlocksNonDefaultGeometry(t *testing.T) {
 	tr := bigTrace(ChunkRows+777, 7)
 	want := FromTrace(tr)
 	br := blockReaderFor(t, tr, trace.V2Options{BlockEvents: 1000})
-	got, err := FromBlocks(br, 4)
+	got, err := FromBlocksSpec(br, 4, ScanSpec{Cols: trace.AllCols}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFromBlocksNonDefaultGeometry(t *testing.T) {
 // TestFromBlocksEmpty: an empty log produces an empty table, not an error.
 func TestFromBlocksEmpty(t *testing.T) {
 	br := blockReaderFor(t, &trace.Trace{}, trace.V2Options{})
-	got, err := FromBlocks(br, 4)
+	got, err := FromBlocksSpec(br, 4, ScanSpec{Cols: trace.AllCols}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

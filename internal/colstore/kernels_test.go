@@ -77,7 +77,6 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 		"auto": trace.CodecAuto,
 		"rle":  trace.CodecForceRLE,
 		"dict": trace.CodecForceDict,
-		"v21":  trace.CodecV21,
 	}
 	raw := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
 	for fname, f := range filters {
@@ -102,10 +101,6 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 			if (cname == "rle" || cname == "dict") && served == 0 {
 				t.Errorf("%s/%s: predicate kernel served no blocks on a forced %s log",
 					cname, fname, cname)
-			}
-			if cname == "v21" && served != 0 {
-				t.Errorf("%s/%s: predicate kernel claims %d served blocks on a v2.1 log",
-					cname, fname, served)
 			}
 		}
 	}

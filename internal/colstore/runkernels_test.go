@@ -70,14 +70,15 @@ func assertRunsMatchColumn(t *testing.T, tb *Table, col Col) {
 
 // TestRunKernelsMatchRowIteration: what the run-consuming kernels read —
 // the captured rank summaries and the unifier built on them — is exactly
-// the row-iteration answer, with run summaries (v2.2) and without (v2.1,
-// where the unifier materializes the column), at every parallelism.
+// the row-iteration answer, with run summaries (auto codecs) and without
+// (forced raw segments, where the unifier materializes the column), at
+// every parallelism.
 func TestRunKernelsMatchRowIteration(t *testing.T) {
 	tr := runsTrace(2*ChunkRows + 500)
 	want := FromTrace(tr)
 	wantCard := bruteCard(want, want.Rank)
 
-	for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecV21} {
+	for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRaw} {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 		for _, par := range []int{1, 4} {
 			var stats ScanStats
@@ -92,10 +93,10 @@ func TestRunKernelsMatchRowIteration(t *testing.T) {
 				}
 			})
 			if codec == trace.CodecAuto && !anyRuns {
-				t.Fatal("v2.2 auto captured no rank run summaries on a run-structured trace")
+				t.Fatal("auto codecs captured no rank run summaries on a run-structured trace")
 			}
-			if codec == trace.CodecV21 && anyRuns {
-				t.Fatal("v2.1 log produced run summaries")
+			if codec == trace.CodecForceRaw && anyRuns {
+				t.Fatal("raw segments produced run summaries")
 			}
 			card, err := tb.UnifyCodes(par, ColRank, 1<<10)
 			if err != nil {
@@ -139,9 +140,8 @@ func TestRunKernelsOtherKeyCols(t *testing.T) {
 	}
 }
 
-// TestScanStatsCodecMix: a planned scan over a v2.2 log tallies one decoded
-// segment per (block, column) into the codec-mix counters; v2.1 logs tally
-// nothing.
+// TestScanStatsCodecMix: a planned scan tallies one decoded segment per
+// (block, column) into the codec-mix counters.
 func TestScanStatsCodecMix(t *testing.T) {
 	tr := runsTrace(2 * ChunkRows)
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
@@ -156,15 +156,5 @@ func TestScanStatsCodecMix(t *testing.T) {
 	}
 	if s.SegRLE == 0 {
 		t.Fatal("run-structured trace decoded no RLE segments")
-	}
-
-	br = blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecV21})
-	var stats21 ScanStats
-	if _, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols}, &stats21); err != nil {
-		t.Fatal(err)
-	}
-	s21 := stats21.Snapshot()
-	if n := s21.SegRaw + s21.SegRLE + s21.SegDict + s21.SegFOR; n != 0 {
-		t.Fatalf("v2.1 log tallied %d segments, want 0", n)
 	}
 }

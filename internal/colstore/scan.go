@@ -45,9 +45,8 @@ type ScanStats struct {
 	PayloadBytes atomic.Int64 // unwrapped payload bytes of blocks read
 	DecodedBytes atomic.Int64 // payload bytes actually varint-decoded
 
-	// Segs counts the v2.2 column segments decoded, by segment codec id —
-	// the codec mix the cost model actually chose on this log. All zero for
-	// v1/v2.0/v2.1 input.
+	// Segs counts the column segments decoded, by segment codec id — the
+	// codec mix the cost model actually chose on this log.
 	Segs [trace.NumSegCodecs]atomic.Int64
 
 	// KernelServed and KernelFallback count, per kernel operation, the
@@ -95,7 +94,7 @@ type ScanCounters struct {
 	PayloadBytes int64
 	DecodedBytes int64
 
-	// Decoded v2.2 column segments by codec (the log's codec mix).
+	// Decoded column segments by codec (the log's codec mix).
 	SegRaw  int64
 	SegRLE  int64
 	SegDict int64
@@ -163,14 +162,11 @@ func (s *ScanStats) Snapshot() ScanCounters {
 }
 
 // countSegs tallies the codec of every decoded column segment of set into
-// the codec-mix counters. A no-op for blocks without v2.2 codec metadata.
+// the codec-mix counters.
 func (s *ScanStats) countSegs(bd *trace.BlockData, set trace.ColSet) {
 	for col := 0; col < trace.NumCols; col++ {
-		if set&(trace.ColSet(1)<<col) == 0 {
-			continue
-		}
-		if id, ok := bd.SegCodec(col); ok {
-			s.Segs[id].Add(1)
+		if set&(trace.ColSet(1)<<col) != 0 {
+			s.Segs[bd.SegCodec(col)].Add(1)
 		}
 	}
 }
@@ -207,17 +203,13 @@ func (c *Chunk) Require(want trace.ColSet) error {
 	if err != nil {
 		return err
 	}
-	got := missing
-	if !l.bd.Projectable() {
-		got = trace.AllCols &^ l.have // fallback decode fills everything
-	}
-	c.adopt(&cols, l.sel, got)
-	l.have |= got
+	c.adopt(&cols, l.sel, missing)
+	l.have |= missing
 	if l.stats != nil && decoded > 0 {
 		// decoded == 0 means a shared-cache memo hit: the block's columns
 		// were copied out, not re-decoded, so the scan did no decode work.
 		l.stats.DecodedBytes.Add(decoded)
-		l.stats.countSegs(l.bd, got)
+		l.stats.countSegs(l.bd, missing)
 	}
 	if l.have == trace.AllCols {
 		l.bd = nil // payload no longer needed; let it go
@@ -333,7 +325,7 @@ func (c *Chunk) adopt(cols *trace.Columns, sel []int32, set trace.ColSet) {
 	}
 }
 
-// FromBlocksSpec executes a scan plan against a VANITRC2 block log: blocks
+// FromBlocksSpec executes a scan plan against a block log: blocks
 // the footer statistics rule out are never read, read blocks evaluate the
 // pushed-down predicate in the compressed domain where the kernel registry
 // allows and decode only the residual filter columns plus spec.Cols, and
@@ -397,9 +389,6 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 					return
 				}
 				lz.have = spec.Cols
-				if !bd.Projectable() {
-					lz.have = trace.AllCols
-				}
 				if decoded > 0 { // 0 = shared-cache memo hit, nothing decoded
 					stats.DecodedBytes.Add(decoded)
 					stats.countSegs(bd, lz.have)
@@ -461,9 +450,6 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			return
 		}
 		have := want
-		if !bd.Projectable() {
-			have = trace.AllCols
-		}
 		if decoded > 0 {
 			stats.DecodedBytes.Add(decoded)
 			stats.countSegs(bd, have)

@@ -36,7 +36,6 @@ func TestFromBlocksSpecMatchesFilterEvents(t *testing.T) {
 	}{
 		{"columnar", trace.V2Options{}},
 		{"columnar-flate", trace.V2Options{Compress: true}},
-		{"row-legacy", trace.V2Options{RowLayout: true}},
 		{"small-blocks", trace.V2Options{BlockEvents: 1000}},
 	}
 	for _, layout := range layouts {

@@ -1,15 +1,14 @@
 // Package pipeline is the trace-to-characterization read path shared by
 // the root facade, the vanid service, and the trace repository: open the
-// log (block-indexed VANITRC2 or serial VANITRC1), columnarize under the
-// pushed-down filter, and run the analyzer. It lives below the facade so
-// internal subsystems (repo's fleet queries) can characterize stored
-// traces without importing package vani.
+// log through its block index, columnarize under the pushed-down filter,
+// and run the analyzer. It lives below the facade so internal subsystems
+// (repo's fleet queries) can characterize stored traces without importing
+// package vani.
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -29,81 +28,25 @@ func File(ctx context.Context, path string, opt core.Options) (*core.Characteriz
 		return nil, err
 	}
 	defer f.Close()
-
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, trace.ErrBadFormat)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	info, err := f.Stat()
+	if err != nil {
 		return nil, err
 	}
-	if format, ok := trace.SniffMagic(head[:]); ok && format == trace.FormatV2 {
-		info, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		br, err := trace.NewBlockReader(trace.ReaderAtContext(ctx, f), info.Size())
-		if err != nil {
-			return nil, wrapReadErr(path, err)
-		}
-		c, err := Blocks(ctx, br, opt)
-		if err != nil {
-			return nil, wrapReadErr(path, err)
-		}
-		return c, nil
-	}
-
-	sc, err := trace.NewScanner(f)
+	br, err := trace.NewBlockReader(trace.ReaderAtContext(ctx, f), info.Size())
 	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
+		return nil, wrapReadErr(path, err)
 	}
-	t0 := time.Now()
-	b := colstore.NewBuilder()
-	buf := make([]trace.Event, 8192)
-	m := opt.Filter.NewMatcher()
-	filtered := !opt.Filter.Empty()
-	var rowsTotal int64
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n, err := sc.Next(buf)
-		if filtered {
-			for i := range buf[:n] {
-				if m.MatchEvent(&buf[i]) {
-					b.Append(&buf[i])
-				}
-			}
-		} else {
-			b.AppendEvents(buf[:n])
-		}
-		rowsTotal += int64(n)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", path, err)
-		}
-	}
-	tb := b.Finish()
-	if opt.Stats != nil {
-		opt.Stats.Columnarize = time.Since(t0)
-		opt.Stats.Scan = colstore.ScanCounters{
-			RowsTotal: rowsTotal,
-			RowsKept:  int64(tb.Len()),
-		}
-	}
-	c, err := core.AnalyzeTableContext(ctx, sc.Header(), tb, opt)
+	c, err := Blocks(ctx, br, opt)
 	if err != nil {
 		return nil, wrapReadErr(path, err)
 	}
 	return c, nil
 }
 
-// Blocks analyzes a VANITRC2 block source — a BlockReader over an open
-// file, or a shared decoded-block cache like vanid's — through the
-// planned-scan path: the filter pushes down to the block index, predicates
-// evaluate in the compressed domain where the kernel registry serves them,
+// Blocks analyzes a block source — a BlockReader over an open file, or a
+// shared decoded-block cache like vanid's — through the planned-scan path:
+// the filter pushes down to the block index, predicates evaluate in the
+// compressed domain where the kernel registry serves them,
 // and the analyzer's scan walks key spans over chunks that kept their run
 // summaries, materializing only the columns its pass bodies read. The
 // characterization is byte-identical to File over the same log.

@@ -142,6 +142,9 @@ func Run(tr *trace.Trace, opt Options) (*Result, error) {
 		})
 	}
 	res.Runtime = e.Run()
+	if err := e.Err(); err != nil {
+		return nil, err
+	}
 	if n := len(scripts); n > 0 {
 		res.IOTime = time.Duration(totalIO / int64(len(scripts)))
 	}

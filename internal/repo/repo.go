@@ -246,26 +246,15 @@ func sanitizeLabel(s string) string {
 	return out
 }
 
-// readWorkloadLabel extracts Meta.Workload from a stored trace file.
-func readWorkloadLabel(path string, format trace.Format) (string, error) {
-	if format == trace.FormatV2 {
-		br, err := trace.OpenBlockReader(path)
-		if err != nil {
-			return "", err
-		}
-		defer br.Close()
-		return br.Header().Meta.Workload, nil
-	}
-	f, err := os.Open(path)
+// readWorkloadLabel extracts Meta.Workload from a stored trace file; a file
+// the block reader cannot open is not a trace.
+func readWorkloadLabel(path string) (string, error) {
+	br, err := trace.OpenBlockReader(path)
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	s, err := trace.NewScanner(f)
-	if err != nil {
-		return "", err
-	}
-	return s.Header().Meta.Workload, nil
+	defer br.Close()
+	return br.Header().Meta.Workload, nil
 }
 
 // Add stores the trace read from src, content-addressed by SHA-256.
@@ -299,14 +288,9 @@ func (r *Repo) Add(src io.Reader) (sha string, existed bool, err error) {
 	}
 	sha = hex.EncodeToString(h.Sum(nil))
 
-	format, serr := trace.SniffFile(tmp)
-	if serr != nil {
-		err = fmt.Errorf("%w: %v", ErrNotTrace, serr)
-		return "", false, err
-	}
-	workload, werr := readWorkloadLabel(tmp, format)
+	workload, werr := readWorkloadLabel(tmp)
 	if werr != nil {
-		err = fmt.Errorf("%w: %v", ErrNotTrace, werr)
+		err = fmt.Errorf("%w: %w", ErrNotTrace, werr)
 		return "", false, err
 	}
 	workload = sanitizeLabel(workload)

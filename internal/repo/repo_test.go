@@ -33,7 +33,7 @@ func traceBytes(t *testing.T, workload string, n int) []byte {
 		})
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteFormat(&buf, tr.Finish(), trace.FormatV2); err != nil {
+	if err := trace.WriteV2(&buf, tr.Finish()); err != nil {
 		t.Fatalf("encoding trace: %v", err)
 	}
 	return buf.Bytes()

@@ -1,7 +1,7 @@
 package server
 
-// The shared decoded-block cache: VANITRC2 traces vanid serves repeatedly
-// keep their bytes mmap-resident and their decoded blocks memoized, so a
+// The shared decoded-block cache: traces vanid serves repeatedly keep
+// their bytes mmap-resident and their decoded blocks memoized, so a
 // hot trace decodes each block exactly once across all requests — a report
 // re-query with a different filter spec performs zero block decodes. The
 // cache is trace-granular LRU (an entry is one spooled trace, keyed by its

@@ -9,7 +9,6 @@ import (
 
 	"vani"
 	"vani/internal/cliutil"
-	"vani/internal/trace"
 	"vani/internal/workloads"
 )
 
@@ -17,7 +16,7 @@ import (
 func writeTraceFile(t *testing.T, dir, name string, n int) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, testTraceBytes(t, trace.FormatV2, n), 0o644); err != nil {
+	if err := os.WriteFile(path, testTraceBytes(t, n), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -36,7 +35,7 @@ func TestBlockCacheZeroRedecode(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := testTraceBytes(t, trace.FormatV2, 40000)
+	body := testTraceBytes(t, 40000)
 	code, st1 := upload(t, ts, "/v1/traces?ranks=0-7", body)
 	if code != 202 {
 		t.Fatalf("first upload: status %d", code)
@@ -108,7 +107,7 @@ func TestBlockCacheDisabled(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := testTraceBytes(t, trace.FormatV2, 20000)
+	body := testTraceBytes(t, 20000)
 	code, st := upload(t, ts, "/v1/traces", body)
 	if code != 202 {
 		t.Fatalf("upload: status %d", code)

@@ -29,7 +29,6 @@ type traceLoc struct {
 	path string
 	off  int64
 	size int64 // 0 = whole file
-	v2   bool  // VANITRC2 (pack members always are)
 }
 
 // jobState is the lifecycle of a characterization job.
@@ -147,8 +146,8 @@ func (s *Server) runJob(j *job) {
 // characterize runs the analyzer over the stored trace exactly the way
 // cmd/vani does — same default storage model, same filter pushdown, same
 // YAML renderer — so the served artifact is byte-identical to the CLI's.
-// VANITRC2 traces route through the shared decoded-block cache: repeat
-// queries against a hot trace (any filter spec) perform zero block decodes.
+// Traces route through the shared decoded-block cache: repeat queries
+// against a hot trace (any filter spec) perform zero block decodes.
 func (s *Server) characterize(ctx context.Context, loc traceLoc, f trace.Filter, id string) (*report, colstore.ScanCounters, error) {
 	opt := vani.DefaultAnalyzerOptions()
 	opt.Storage = s.storageCfg()
@@ -169,12 +168,11 @@ func (s *Server) characterize(ctx context.Context, loc traceLoc, f trace.Filter,
 	return &report{ID: id, YAML: vani.ToYAML(c), JSON: js}, timings.Scan, nil
 }
 
-// analyze picks the read path: block-cached for VANITRC2 when the cache is
-// on, a section reader for pack members, the plain file path otherwise.
-// All produce the identical characterization; the choice only changes
-// where blocks decode.
+// analyze picks the read path: block-cached when the cache is on, a section
+// reader for pack members, the plain file path otherwise. All produce the
+// identical characterization; the choice only changes where blocks decode.
 func (s *Server) analyze(ctx context.Context, loc traceLoc, opt vani.AnalyzerOptions) (*vani.Characterization, error) {
-	if s.blocks != nil && loc.sha != "" && loc.v2 {
+	if s.blocks != nil && loc.sha != "" {
 		src, err := s.blocks.acquire(loc.sha, loc.path, loc.off, loc.size)
 		if err == nil {
 			defer s.blocks.release(src)

@@ -32,12 +32,12 @@ func TestDataDirModeSurvivesRestartAndCompaction(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8, DataDir: dataDir})
 	ts := httptest.NewServer(s.Handler())
 
-	// Three traces of the same workload, one in the legacy v1 format —
-	// compaction re-encodes it as v2.2 and the fleet YAML must not notice.
+	// Three traces of the same workload, one written with raw segments —
+	// compaction re-encodes it and the fleet YAML must not notice.
 	bodies := [][]byte{
-		testTraceBytes(t, trace.FormatV2, 30000),
-		testTraceBytes(t, trace.FormatV2, 45000),
-		testTraceBytes(t, trace.FormatV1, 20000),
+		testTraceBytes(t, 30000),
+		testTraceBytes(t, 45000),
+		testTraceV2Bytes(t, trace.V2Options{Codec: trace.CodecForceRaw}, 20000),
 	}
 	for _, body := range bodies {
 		code, st := upload(t, ts, "/v1/traces", body)

@@ -43,7 +43,7 @@ type Config struct {
 	// CacheEntries bounds the report cache (default 256).
 	CacheEntries int
 	// CacheBytes bounds the shared decoded-block cache's worst-case
-	// residency (default 256 MiB). Hot VANITRC2 traces stay mmap-resident
+	// residency (default 256 MiB). Hot traces stay mmap-resident
 	// with their blocks decoded once across requests; 0 keeps the default,
 	// negative disables the cache.
 	CacheBytes int64
@@ -319,19 +319,19 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (loc traceLoc, h 
 		httpError(w, http.StatusInternalServerError, fmt.Sprintf("spooling upload: %v", err))
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
-	format, err := trace.SniffFile(path)
+	br, err := trace.OpenBlockReader(path)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "unrecognized trace format (want VANITRC1 or VANITRC2)")
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("not a VANITRC2 v2.2 trace: %v", err))
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
+	br.Close()
 	repID = reportID(sha, f)
 	if _, hit := s.cache.Get(repID); hit {
 		s.metrics.CacheHits.Add(1)
 		writeJSON(w, http.StatusOK, jobStatus{ReportID: repID, Status: string(jobDone)})
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
-	loc = traceLoc{sha: sha, path: path, v2: format == trace.FormatV2}
-	return loc, nil, repID, f, true
+	return traceLoc{sha: sha, path: path}, nil, repID, f, true
 }
 
 // admitRepo is admit's repository-mode tail: the body goes through
@@ -341,7 +341,7 @@ func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filte
 	sha, _, err := s.repo.Add(r.Body)
 	if err != nil {
 		if errors.Is(err, repo.ErrNotTrace) {
-			httpError(w, http.StatusBadRequest, "unrecognized trace format (want VANITRC1 or VANITRC2)")
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("not a VANITRC2 v2.2 trace: %v", err))
 		} else {
 			httpError(w, http.StatusInternalServerError, fmt.Sprintf("storing upload: %v", err))
 		}
@@ -358,12 +358,7 @@ func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filte
 		httpError(w, http.StatusInternalServerError, fmt.Sprintf("pinning stored trace: %v", err))
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
-	loc = traceLoc{sha: sha, path: h.Path(), off: h.Off(), size: h.Size(), v2: h.Packed()}
-	if !loc.v2 {
-		if format, err := trace.SniffFile(loc.path); err == nil && format == trace.FormatV2 {
-			loc.v2 = true
-		}
-	}
+	loc = traceLoc{sha: sha, path: h.Path(), off: h.Off(), size: h.Size()}
 	return loc, h, repID, f, true
 }
 
@@ -561,13 +556,7 @@ func (s *Server) fleetChar() repo.CharFunc {
 		opt.Storage = s.storageCfg()
 		opt.Parallelism = 1
 		opt.Filter = f
-		loc := traceLoc{sha: h.SHA(), path: h.Path(), off: h.Off(), size: h.Size(), v2: h.Packed()}
-		if !loc.v2 {
-			if format, err := trace.SniffFile(loc.path); err == nil && format == trace.FormatV2 {
-				loc.v2 = true
-			}
-		}
-		return s.analyze(ctx, loc, opt)
+		return s.analyze(ctx, traceLoc{sha: h.SHA(), path: h.Path(), off: h.Off(), size: h.Size()}, opt)
 	}
 }
 

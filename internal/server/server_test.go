@@ -17,29 +17,10 @@ import (
 	"vani/internal/workloads"
 )
 
-// testTraceBytes encodes a small synthetic trace in the given format.
-func testTraceBytes(t *testing.T, format trace.Format, n int) []byte {
+// testTraceBytes encodes a small synthetic trace with the default writer.
+func testTraceBytes(t *testing.T, n int) []byte {
 	t.Helper()
-	tr := trace.NewTracer()
-	tr.SetMeta(trace.Meta{Workload: "synthetic", Nodes: 4, Ranks: 16, PFSDir: "/p/gpfs1"})
-	file := tr.FileID("/p/gpfs1/data")
-	for i := 0; i < n; i++ {
-		start := time.Duration(i) * time.Microsecond
-		op := trace.OpWrite
-		if i%3 == 0 {
-			op = trace.OpRead
-		}
-		tr.Record(trace.Event{
-			Level: trace.LevelPosix, Op: op, Rank: int32(i % 16),
-			File: file, Offset: int64(i) * 4096, Size: 4096,
-			Start: start, End: start + time.Microsecond,
-		})
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteFormat(&buf, tr.Finish(), format); err != nil {
-		t.Fatalf("encoding trace: %v", err)
-	}
-	return buf.Bytes()
+	return testTraceV2Bytes(t, trace.V2Options{}, n)
 }
 
 // newTestServer builds a server with small bounds and registers cleanup.
@@ -134,9 +115,9 @@ func TestUploadToReportMatchesCLI(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, format := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-		t.Run(format.String(), func(t *testing.T) {
-			body := testTraceBytes(t, format, 40000)
+	for name, wopt := range map[string]trace.V2Options{"v2": {}, "v2flate": {Compress: true}} {
+		t.Run(name, func(t *testing.T) {
+			body := testTraceV2Bytes(t, wopt, 40000)
 			const query = "?window=5ms:30ms&ranks=0-7&ops=data"
 			code, st := upload(t, ts, "/v1/traces"+query, body)
 			if code != http.StatusAccepted {
@@ -220,10 +201,9 @@ func testTraceV2Bytes(t *testing.T, opt trace.V2Options, n int) []byte {
 }
 
 // TestCodecVariantUploadsServeIdenticalReports uploads the same trace
-// encoded under every v2 codec strategy (v2.2 auto and each forced codec,
-// plus the v2.1 layout, with and without flate) and asserts every served
-// YAML report is byte-identical — and that decoding a v2.2 upload shows up
-// in the /metrics codec-mix counters.
+// encoded under every codec strategy (auto, with and without flate, and
+// each forced codec) and asserts every served YAML report is byte-identical
+// — and that decoding an upload shows up in the /metrics codec-mix counters.
 func TestCodecVariantUploadsServeIdenticalReports(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
 	ts := httptest.NewServer(s.Handler())
@@ -232,8 +212,6 @@ func TestCodecVariantUploadsServeIdenticalReports(t *testing.T) {
 	variants := []trace.V2Options{
 		{Codec: trace.CodecAuto},
 		{Codec: trace.CodecAuto, Compress: true},
-		{Codec: trace.CodecV21},
-		{Codec: trace.CodecV21, Compress: true},
 		{Codec: trace.CodecForceRaw},
 		{Codec: trace.CodecForceRLE},
 		{Codec: trace.CodecForceDict},
@@ -257,13 +235,13 @@ func TestCodecVariantUploadsServeIdenticalReports(t *testing.T) {
 		if i == 0 {
 			want = yaml
 		} else if !bytes.Equal(yaml, want) {
-			t.Fatalf("variant %d (codec=%v compress=%v): served YAML differs from v2.2 auto",
+			t.Fatalf("variant %d (codec=%v compress=%v): served YAML differs from auto",
 				i, opt.Codec, opt.Compress)
 		}
 	}
 	m := getMetrics(t, ts)
 	if total := m.ScanSegRaw + m.ScanSegRLE + m.ScanSegDict + m.ScanSegFOR; total == 0 {
-		t.Error("v2.2 uploads decoded but codec-mix counters are all zero")
+		t.Error("uploads decoded but codec-mix counters are all zero")
 	}
 }
 
@@ -275,7 +253,7 @@ func TestCacheHitSkipsAnalyzer(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := testTraceBytes(t, trace.FormatV2, 20000)
+	body := testTraceBytes(t, 20000)
 	code, st := upload(t, ts, "/v1/traces?ranks=0-3", body)
 	if code != http.StatusAccepted {
 		t.Fatalf("first upload: status %d", code)
@@ -327,14 +305,14 @@ func TestQueueBackpressure(t *testing.T) {
 	// occupies the worker, two fill the queue, the fourth must bounce.
 	var last jobStatus
 	for i := 0; i < 3; i++ {
-		body := testTraceBytes(t, trace.FormatV2, 1000+i)
+		body := testTraceBytes(t, 1000+i)
 		code, st := upload(t, ts, "/v1/traces", body)
 		if code != http.StatusAccepted {
 			t.Fatalf("upload %d: status %d, want 202", i, code)
 		}
 		last = st
 	}
-	body := testTraceBytes(t, trace.FormatV2, 5000)
+	body := testTraceBytes(t, 5000)
 	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +338,7 @@ func TestQueueBackpressure(t *testing.T) {
 func TestSyncCharacterizeCanceled(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 
-	body := testTraceBytes(t, trace.FormatV2, 40000)
+	body := testTraceBytes(t, 40000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest("POST", "/v1/characterize", bytes.NewReader(body)).WithContext(ctx)
@@ -384,7 +362,7 @@ func TestSyncCharacterize(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := testTraceBytes(t, trace.FormatV2, 20000)
+	body := testTraceBytes(t, 20000)
 	resp, err := http.Post(ts.URL+"/v1/characterize?ops=data", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -413,13 +391,13 @@ func TestOutOfRangeIDUploadIsRejected(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	tr, err := trace.Read(bytes.NewReader(testTraceBytes(t, trace.FormatV2, 20)))
+	tr, err := trace.Read(bytes.NewReader(testTraceBytes(t, 20)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Events[10].File = int32(len(tr.Files)) + 7
 	var buf bytes.Buffer
-	if err := trace.WriteFormat(&buf, tr, trace.FormatV2); err != nil {
+	if err := trace.WriteV2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	body := buf.Bytes()
@@ -456,7 +434,7 @@ func TestUploadValidation(t *testing.T) {
 	defer ts.Close()
 
 	resp, err := http.Post(ts.URL+"/v1/traces?ranks=banana", "application/octet-stream",
-		bytes.NewReader(testTraceBytes(t, trace.FormatV2, 100)))
+		bytes.NewReader(testTraceBytes(t, 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +481,7 @@ func TestShutdownDrains(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 4; i++ {
-		body := testTraceBytes(t, trace.FormatV2, 2000+i)
+		body := testTraceBytes(t, 2000+i)
 		code, st := upload(t, ts, "/v1/traces", body)
 		if code != http.StatusAccepted {
 			t.Fatalf("upload %d: status %d", i, code)
@@ -521,7 +499,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 
 	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream",
-		bytes.NewReader(testTraceBytes(t, trace.FormatV2, 100)))
+		bytes.NewReader(testTraceBytes(t, 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +520,7 @@ func TestInflightDedup(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := testTraceBytes(t, trace.FormatV2, 1000)
+	body := testTraceBytes(t, 1000)
 	_, st1 := upload(t, ts, "/v1/traces", body)
 	_, st2 := upload(t, ts, "/v1/traces", body)
 	if st1.ID != st2.ID {

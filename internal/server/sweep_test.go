@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -114,5 +115,40 @@ func TestSweepEndpointBadDoc(t *testing.T) {
 	}
 	if got := s.Metrics().Snapshot().SweepJobs; got != 0 {
 		t.Errorf("sweep_jobs = %d after bad docs, want 0", got)
+	}
+}
+
+// TestSweepRuntimeFailureFailsTheJob: a well-formed sweep whose workload
+// cannot run to the end — a read past EOF in a rank, a barrier not every
+// rank reaches — is a failed job that says why, and vanid goes on serving:
+// the failure is an error on the worker, never a panic in the process.
+func TestSweepRuntimeFailureFailsTheJob(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for file, want := range map[string]string{"past-eof.yaml": "past EOF", "stuck.yaml": "deadlock"} {
+		workload, err := os.ReadFile("../spec/testdata/" + file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := "version: 1\nname: doomed\nbase:\n  nodes: 2\ngrid:\n  - param: cache\n    values:\n      - true\n      - false\nworkload:\n  " +
+			strings.ReplaceAll(strings.TrimSpace(string(workload)), "\n", "\n  ") + "\n"
+		code, st := upload(t, ts, "/v1/sweep", []byte(doc))
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: POST /v1/sweep = %d, want 202", file, code)
+		}
+		final := pollJob(t, ts, st.ID)
+		if final.Status != string(jobFailed) || !strings.Contains(final.Error, want) {
+			t.Errorf("%s: job ended %q (%s), want failed saying %q", file, final.Status, final.Error, want)
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: healthz after the failed sweep: %d", file, resp.StatusCode)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"vani/internal/heapx"
@@ -30,8 +31,9 @@ type Engine struct {
 	yield   chan struct{}
 	running bool
 	live    int // processes spawned and not yet finished
-	procSeq int
+	procs   []*Proc
 	err     error
+	stopped bool // Run gave up; parked processes exit as they wake
 
 	// Stats counters, useful for tests and for the kernel ablation benches.
 	EventsExecuted int64
@@ -111,34 +113,28 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 // time. The process runs when the engine reaches its first event; Spawn may
 // be called before Run or from a running process.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, id: e.procSeq, name: name, wake: make(chan struct{})}
-	e.procSeq++
-	e.live++
-	e.ProcsSpawned++
-	go func() {
-		<-p.wake // wait for first resume
-		fn(p)
-		p.done = true
-		e.live--
-		e.yield <- struct{}{}
-	}()
-	e.schedule(e.now, p, nil)
-	return p
+	return e.SpawnAt(e.now, name, fn)
 }
 
 // SpawnAt is Spawn with an explicit start time (absolute virtual time, not a
 // delay). It panics if t is in the past.
 func (e *Engine) SpawnAt(t time.Duration, name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, id: e.procSeq, name: name, wake: make(chan struct{})}
-	e.procSeq++
+	p := &Proc{e: e, id: len(e.procs), name: name, wake: make(chan struct{})}
+	e.procs = append(e.procs, p)
 	e.live++
 	e.ProcsSpawned++
 	go func() {
-		<-p.wake
-		fn(p)
-		p.done = true
-		e.live--
-		e.yield <- struct{}{}
+		// Deferred, so a process a stopped engine unwinds (park calls
+		// Goexit) hands control back like one that returned.
+		defer func() {
+			p.done = true
+			e.live--
+			e.yield <- struct{}{}
+		}()
+		<-p.wake // wait for first resume
+		if !e.stopped {
+			fn(p)
+		}
 	}()
 	e.schedule(t, p, nil)
 	return p
@@ -150,6 +146,9 @@ func (e *Engine) SpawnAt(t time.Duration, name string, fn func(*Proc)) *Proc {
 func (p *Proc) park() {
 	p.e.yield <- struct{}{}
 	<-p.wake
+	if p.e.stopped {
+		runtime.Goexit()
+	}
 }
 
 // resume hands control to process p and blocks the engine loop until p
@@ -192,22 +191,25 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Park blocks the process until another party wakes it with WakeNow. It is
 // the building block for synchronization primitives implemented outside
 // this package; a parked process with no scheduled wake-up deadlocks the
-// simulation (Run panics).
+// simulation (Run fails).
 func (p *Proc) Park() { p.park() }
 
 // WakeNow schedules a parked process to resume at the current virtual time.
 func (e *Engine) WakeNow(p *Proc) { e.wakeAt(e.now, p) }
 
-// Run executes events until the queue is empty, then returns the final
-// virtual time. It panics if processes are still live when the queue drains
-// (a deadlock: some process is parked with no pending wake-up).
+// Run executes events until the queue is empty or a process calls Fail, and
+// returns the virtual time reached. Processes still live when the queue
+// drains are a deadlock (some process is parked with no pending wake-up),
+// which Run records as the failure. After a failure no process is left
+// behind: every parked goroutine is woken to exit, running its deferred
+// calls (which must not block in kernel primitives). Check Err afterwards.
 func (e *Engine) Run() time.Duration {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for e.queue.Len() > 0 {
+	for e.queue.Len() > 0 && e.err == nil {
 		ev := e.queue.Pop()
 		e.now = ev.t
 		e.EventsExecuted++
@@ -220,8 +222,16 @@ func (e *Engine) Run() time.Duration {
 			ev.fn()
 		}
 	}
-	if e.live > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with empty event queue", e.live))
+	if e.err == nil && e.live > 0 {
+		e.err = fmt.Errorf("sim: deadlock: %d process(es) parked with empty event queue", e.live)
+	}
+	if e.err != nil {
+		e.stopped = true
+		for _, p := range e.procs {
+			if !p.done {
+				e.resume(p)
+			}
+		}
 	}
 	return e.now
 }
@@ -255,15 +265,16 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 
 // Fail records a simulation-level error. The first error wins; later calls
 // are no-ops. Processes call it instead of panicking when a modeled
-// operation fails, then return; the driver checks Err after Run. The engine
-// runs one process at a time, so no locking is needed.
+// operation fails, then return; Run stops at the next event and the driver
+// checks Err after it. The engine runs one process at a time, so no locking
+// is needed.
 func (e *Engine) Fail(err error) {
 	if e.err == nil && err != nil {
 		e.err = err
 	}
 }
 
-// Err returns the first error recorded by Fail, or nil.
+// Err returns the first error recorded by Fail or by Run, or nil.
 func (e *Engine) Err() error { return e.err }
 
 // Pending reports the number of queued events.

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -171,16 +173,74 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
-func TestDeadlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on deadlock")
-		}
-	}()
+// TestDeadlockIsError: processes still parked when the queue drains are a
+// failure Run reports through Err, and their goroutines are gone when it
+// returns.
+func TestDeadlockIsError(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
 	g := NewGate(e)
-	e.Spawn("stuck", func(p *Proc) { g.Wait(p) })
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		e.Spawn("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			g.Wait(p)
+			t.Error("a stuck process ran on")
+		})
+	}
 	e.Run()
+	if err := e.Err(); err == nil || !strings.Contains(err.Error(), "deadlock: 3 process(es)") {
+		t.Fatalf("Err = %v, want the deadlock", err)
+	}
+	if e.Live() != 0 || unwound != 3 {
+		t.Errorf("%d processes live, %d unwound; want 0 and 3", e.Live(), unwound)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestFailStopsRun: the first Fail ends the run at that event — no later
+// event executes, processes parked or not yet started never run again, and
+// none of their goroutines outlives Run.
+func TestFailStopsRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	bar := NewBarrier(e, 3)
+	boom := errors.New("boom")
+	for i := 0; i < 2; i++ {
+		e.Spawn("waiter", func(p *Proc) {
+			bar.Wait(p)
+			t.Error("a waiter passed the barrier")
+		})
+	}
+	e.Spawn("failer", func(p *Proc) {
+		p.Sleep(time.Second)
+		e.Fail(boom)
+		e.Fail(errors.New("second"))
+	})
+	e.SpawnAt(time.Minute, "late", func(p *Proc) { t.Error("a process started after the failure") })
+	e.At(time.Hour, func() { t.Error("an event ran after the failure") })
+	if end := e.Run(); end != time.Second {
+		t.Errorf("run ended at %v, want 1s", end)
+	}
+	if e.Err() != boom {
+		t.Errorf("Err = %v, want the first failure", e.Err())
+	}
+	if e.Live() != 0 {
+		t.Errorf("%d processes live after a failed run", e.Live())
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines waits for the goroutine count to fall back to want: an
+// exiting process hands control back before its goroutine is quite gone.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: processes leaked", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestSchedulePastPanics(t *testing.T) {

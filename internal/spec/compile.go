@@ -19,6 +19,23 @@ type compiled struct {
 	doc *Doc
 }
 
+// failure is a runtime failure of the interpreted program — a modeled
+// operation that failed, an expression that cannot evaluate — on its way up
+// the interpreter's stack. catch, deferred wherever the simulation enters
+// the interpreter, makes it the engine's error, which ends the run; any
+// other panic is a bug and keeps going.
+type failure struct{ err error }
+
+func catch(e *sim.Engine) {
+	switch r := recover().(type) {
+	case nil:
+	case failure:
+		e.Fail(r.err)
+	default:
+		panic(r)
+	}
+}
+
 // Name implements workloads.Workload.
 func (c *compiled) Name() string { return c.doc.Name }
 
@@ -81,7 +98,7 @@ func (c *compiled) paramsFor(env *workloads.Env) map[string]int64 {
 		case paramExpr:
 			v, err := p.e.eval(lookup)
 			if err != nil {
-				panic(fmt.Errorf("spec %s: param %s: %v", c.doc.Name, p.name, err))
+				panic(failure{fmt.Errorf("spec %s: param %s: %v", c.doc.Name, p.name, err)})
 			}
 			vals[p.name] = v
 		}
@@ -110,7 +127,7 @@ func (c *compiled) renderPath(t *pathT, lookup func(string) (int64, bool), optim
 		return c.dirOf(n, lookup, optimized)
 	})
 	if err != nil {
-		panic(fmt.Errorf("spec %s: %v", c.doc.Name, err))
+		panic(failure{fmt.Errorf("spec %s: %v", c.doc.Name, err)})
 	}
 	return s
 }
@@ -118,6 +135,7 @@ func (c *compiled) renderPath(t *pathT, lookup func(string) (int64, bool), optim
 // Setup implements workloads.Workload: materializes staged datasets and
 // attaches value-distribution samples, in document order.
 func (c *compiled) Setup(env *workloads.Env) {
+	defer catch(env.E)
 	params := c.paramsFor(env)
 	for _, st := range c.doc.setup {
 		if st.sample != "" {
@@ -170,7 +188,7 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 		}
 		v, err := e.eval(lookup)
 		if err != nil {
-			panic(fmt.Errorf("spec %s: setup: %v", c.doc.Name, err))
+			panic(failure{fmt.Errorf("spec %s: setup: %v", c.doc.Name, err)})
 		}
 		return v
 	}
@@ -198,6 +216,7 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 // Spawn implements workloads.Workload: one proc per rank interpreting the
 // run program.
 func (c *compiled) Spawn(env *workloads.Env) {
+	defer catch(env.E)
 	params := c.paramsFor(env)
 	ranks := env.Job.Ranks()
 	bars := make(map[string]*sim.Barrier, len(c.doc.barriers))
@@ -220,6 +239,7 @@ func (c *compiled) Spawn(env *workloads.Env) {
 			clients: map[string]*iface.Client{c.doc.App: cl},
 		}
 		env.E.Spawn(fmt.Sprintf("%s-rank%d", c.doc.Name, rank), func(p *sim.Proc) {
+			defer catch(env.E)
 			st.p = p
 			st.exec(c.doc.run, c.doc.App)
 		})
@@ -283,7 +303,7 @@ func (st *rankState) lookup(id string) (int64, bool) {
 func (st *rankState) eval(e *expr) int64 {
 	v, err := e.eval(st.lookup)
 	if err != nil {
-		panic(fmt.Errorf("spec %s: rank %d: %v", st.c.doc.Name, st.rank, err))
+		panic(failure{fmt.Errorf("spec %s: rank %d: %v", st.c.doc.Name, st.rank, err)})
 	}
 	return v
 }
@@ -309,12 +329,12 @@ func (st *rankState) path(t *pathT) string {
 }
 
 func (st *rankState) fail(format string, args ...interface{}) {
-	panic(fmt.Errorf("spec %s: rank %d: %s", st.c.doc.Name, st.rank, fmt.Sprintf(format, args...)))
+	panic(failure{fmt.Errorf("spec %s: rank %d: %s", st.c.doc.Name, st.rank, fmt.Sprintf(format, args...))})
 }
 
 func (st *rankState) check(err error) {
 	if err != nil {
-		panic(err)
+		panic(failure{err})
 	}
 }
 

@@ -50,9 +50,9 @@ func TestDecodeErrorReturnsPooledScratch(t *testing.T) {
 		data[bi.Offset] = 0xEE
 		frameLen := bi.Len
 
-		var cols Columns
+		var evs []Event
 		fail := func() {
-			if err := br.DecodeColumns(0, &cols); err == nil {
+			if _, err := br.DecodeEvents(0, evs); err == nil {
 				t.Fatal("corrupt frame decoded cleanly")
 			} else if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("decode error %v does not wrap ErrBadFormat", err)
@@ -94,9 +94,9 @@ func TestDecodeErrorAllocsPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[br.BlockAt(0).Offset] = 0xEE
-	var cols Columns
+	var evs []Event
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := br.DecodeColumns(0, &cols); err == nil {
+		if _, err := br.DecodeEvents(0, evs); err == nil {
 			t.Fatal("corrupt frame decoded cleanly")
 		}
 	})

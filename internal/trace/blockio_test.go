@@ -106,8 +106,9 @@ func TestV2RoundTripBlockReader(t *testing.T) {
 	}
 }
 
-// TestV2DecodeColumnsMatchesEvents: the zero-copy columnar decode and the
-// row-major decode of the same block agree field for field.
+// TestV2DecodeColumnsMatchesEvents: the columnar decode through the footer's
+// byte ranges and the sequential row-major decode of the same block agree
+// field for field.
 func TestV2DecodeColumnsMatchesEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	orig := randomTrace(rng, 2500)
@@ -122,7 +123,11 @@ func TestV2DecodeColumnsMatchesEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := br.DecodeColumns(k, &cols); err != nil {
+		bd, err := br.ReadBlock(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bd.Decode(AllCols, &cols); err != nil {
 			t.Fatal(err)
 		}
 		if cols.N != len(evs) {
@@ -309,69 +314,25 @@ func TestV2Corruption(t *testing.T) {
 		}
 	})
 	t.Run("v1-log-rejected-by-blockreader", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := Write(&buf, orig); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := NewBlockReader(bytes.NewReader(buf.Bytes()), int64(buf.Len())); !errors.Is(err, ErrBadFormat) {
+		v1 := OldVintages(t)[0].Data
+		if _, err := NewBlockReader(bytes.NewReader(v1), int64(len(v1))); !errors.Is(err, ErrBadFormat) {
 			t.Error("block reader accepted a VANITRC1 log")
 		}
 	})
 }
 
 // TestV2CountClaimBounded: a block whose event-count claim is unbacked by
-// payload bytes is rejected before any allocation happens.
+// payload bytes or exceeds the log's block size is rejected before any
+// allocation happens.
 func TestV2CountClaimBounded(t *testing.T) {
-	if err := checkBlockCount(1<<19, 64, maxBlockEvents); err == nil {
+	if err := checkPayloadCount(1<<19, 2*NumCols, maxBlockEvents); err == nil {
 		t.Error("huge count over tiny payload accepted")
 	}
-	if err := checkBlockCount(10, 2+10*minEventBytes, 16); err != nil {
+	if err := checkPayloadCount(10, 1+3*NumCols, 16); err != nil {
 		t.Errorf("valid count rejected: %v", err)
 	}
-	if err := checkBlockCount(17, 1<<20, 16); err == nil {
+	if err := checkPayloadCount(17, 1<<20, 16); err == nil {
 		t.Error("count above block size accepted")
-	}
-}
-
-func TestFormatParseAndString(t *testing.T) {
-	for s, want := range map[string]Format{
-		"v1": FormatV1, "1": FormatV1, magic: FormatV1,
-		"v2": FormatV2, "2": FormatV2, magicV2: FormatV2,
-	} {
-		got, err := ParseFormat(s)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseFormat("v3"); err == nil {
-		t.Error("ParseFormat accepted v3")
-	}
-	if FormatV1.String() != "v1" || FormatV2.String() != "v2" {
-		t.Error("Format.String names wrong")
-	}
-}
-
-func TestSniffMagic(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	tr := randomTrace(rng, 10)
-	var v1buf, v2buf bytes.Buffer
-	if err := WriteFormat(&v1buf, tr, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFormat(&v2buf, tr, FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	if f, ok := SniffMagic(v1buf.Bytes()); !ok || f != FormatV1 {
-		t.Errorf("v1 sniff = %v, %v", f, ok)
-	}
-	if f, ok := SniffMagic(v2buf.Bytes()); !ok || f != FormatV2 {
-		t.Errorf("v2 sniff = %v, %v", f, ok)
-	}
-	if _, ok := SniffMagic([]byte("short")); ok {
-		t.Error("short head sniffed as a trace")
-	}
-	if _, ok := SniffMagic([]byte("NOTATRACE")); ok {
-		t.Error("garbage sniffed as a trace")
 	}
 }
 
@@ -441,7 +402,7 @@ func smallTrace(n int) *Trace {
 // back under every codec mode, block size and the outer flate layer.
 func TestV2RoundTripTinyBlocks(t *testing.T) {
 	modes := []V2Options{
-		{}, {Compress: true}, {Codec: CodecV21}, {RowLayout: true},
+		{}, {Compress: true},
 		{Codec: CodecForceRaw}, {Codec: CodecForceRLE}, {Codec: CodecForceDict}, {Codec: CodecForceFOR},
 	}
 	check := func(tr *Trace, opt V2Options) {
@@ -458,8 +419,12 @@ func TestV2RoundTripTinyBlocks(t *testing.T) {
 		}
 		var cols Columns
 		for k := 0; k < br.NumBlocks(); k++ {
-			if err := br.DecodeColumns(k, &cols); err != nil {
-				t.Fatalf("n=%d %+v: DecodeColumns(%d): %v", len(tr.Events), opt, k, err)
+			bd, err := br.ReadBlock(k)
+			if err == nil {
+				_, err = bd.Decode(AllCols, &cols)
+			}
+			if err != nil {
+				t.Fatalf("n=%d %+v: decoding block %d: %v", len(tr.Events), opt, k, err)
 			}
 		}
 	}

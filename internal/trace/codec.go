@@ -10,23 +10,13 @@ import (
 	"time"
 )
 
-// The original on-disk trace format (VANITRC1) is a compact row-major
-// binary log, mirroring Recorder's row-major native format that the paper
-// converts to columnar parquet before analysis (our colstore package plays
-// the parquet role). VANITRC2 (blockio.go) keeps the same header but
-// reshapes the event log into independently decodable blocks.
-//
-// VANITRC1 layout:
-//
-//	magic "VANITRC1" (8 bytes)
-//	meta block   (string/varint fields)
-//	apps table   (count, then strings)
-//	files table  (count, then per-file fields)
-//	event count, then events (varint fields, times delta-encoded by Start)
+// The on-disk trace log plays the role of Recorder's native trace format,
+// which the paper converts to columnar parquet before analysis; ours is
+// columnar on disk already (blockio.go holds the layout). This file holds
+// the parts every reader and writer shares: the varint framing, the trace
+// header, and the streaming Scanner.
 //
 // Strings are uvarint length + bytes. Signed ints use zig-zag varints.
-
-const magic = "VANITRC1"
 
 // ErrBadFormat is returned when decoding input that is not a trace log.
 var ErrBadFormat = errors.New("trace: bad format")
@@ -74,9 +64,8 @@ func (w *writer) str(s string) {
 	w.n += int64(len(s))
 }
 
-// writeHeader encodes the format-independent trace header: job metadata,
-// the app/file interning tables, and the dataset samples. Both VANITRC1
-// and VANITRC2 share this layout byte for byte.
+// writeHeader encodes the trace header: job metadata, the app/file
+// interning tables, and the dataset samples.
 func writeHeader(w *writer, t *Trace) {
 	m := &t.Meta
 	w.str(m.Workload)
@@ -115,36 +104,6 @@ func writeHeader(w *writer, t *Trace) {
 			w.uvarint(math.Float64bits(v))
 		}
 	}
-}
-
-// Write encodes the trace to w in the VANITRC1 format. New traces should
-// prefer WriteFormat with FormatV2; Write remains for compatibility with
-// existing logs and tools.
-func Write(out io.Writer, t *Trace) error {
-	w := &writer{w: bufio.NewWriterSize(out, 1<<16)}
-	w.raw([]byte(magic))
-	writeHeader(w, t)
-	w.uvarint(uint64(len(t.Events)))
-	var prevStart time.Duration
-	for i := range t.Events {
-		e := &t.Events[i]
-		w.uvarint(uint64(e.Level))
-		w.uvarint(uint64(e.Op))
-		w.uvarint(uint64(e.Lib))
-		w.varint(int64(e.Rank))
-		w.varint(int64(e.Node))
-		w.varint(int64(e.App))
-		w.varint(int64(e.File))
-		w.varint(e.Offset)
-		w.varint(e.Size)
-		w.varint(int64(e.Start - prevStart))
-		w.varint(int64(e.End - e.Start))
-		prevStart = e.Start
-	}
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
 }
 
 type reader struct {
@@ -238,16 +197,8 @@ func (r *reader) flushStrs() {
 	r.strBuf = r.strBuf[:0]
 }
 
-func (r *reader) intBounded(what string, max int64) int {
-	v := r.varint()
-	if r.err == nil && (v < 0 || v > max) {
-		r.err = fmt.Errorf("%w: %s %d out of range", ErrBadFormat, what, v)
-	}
-	return int(v)
-}
-
-// readHeader decodes the format-independent trace header (the mirror of
-// writeHeader): meta, apps, files, and samples.
+// readHeader decodes the trace header (the mirror of writeHeader): meta,
+// apps, files, and samples.
 func readHeader(r *reader) (*Trace, error) {
 	// Counts up to this many elements preallocate their slice so string
 	// destinations stay stable until one arena flush at the end; larger
@@ -352,46 +303,39 @@ func readHeader(r *reader) (*Trace, error) {
 }
 
 // Scanner streams a trace log: the header (metadata, interning tables,
-// samples) decodes eagerly, the event log decodes in caller-sized batches.
-// It is the out-of-core entry point of the analysis pipeline — a trace
-// never needs to materialize as one []Event to be analyzed; events flow
-// from disk straight into the columnar store chunk by chunk. The scanner
-// sniffs the magic and reads both VANITRC1 and VANITRC2 logs.
+// samples) decodes eagerly, the event log decodes in caller-sized batches,
+// one block at a time into a reused buffer. It serves non-seekable inputs —
+// it never reads the footer; seekable files go through BlockReader.
 type Scanner struct {
-	r         *reader
-	hdr       *Trace
-	remaining uint64
-	prevStart time.Duration // v1 cross-event delta state
-	v2        *v2stream     // non-nil when the log is VANITRC2
+	r           *reader
+	hdr         *Trace
+	remaining   uint64
+	blockEvents int
+	blocksLeft  int
+	buf         []Event // decoded current block
+	pos         int
+	frame       []byte  // reused frame scratch
+	cols        Columns // reused decode scratch
 }
 
 // NewScanner decodes the trace header from in and positions the scanner at
 // the first event. The reader must not be used by the caller afterwards.
 func NewScanner(in io.Reader) (*Scanner, error) {
 	r := &reader{r: bufio.NewReaderSize(in, 1<<16)}
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(r.r, head); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	switch string(head) {
-	case magic:
-	case magicV2:
-		return newScannerV2(r)
-	default:
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, head)
-	}
-	t, err := readHeader(r)
+	hdr, g, err := readPreamble(r)
 	if err != nil {
 		return nil, err
 	}
-	nEvents := r.uvarint()
-	if r.err == nil && nEvents > 1<<32 {
-		return nil, fmt.Errorf("%w: event count %d", ErrBadFormat, nEvents)
+	// Refuse a retired first frame now rather than at the first Next.
+	if g.nBlocks > 0 {
+		if head, err := r.r.Peek(1); err == nil {
+			if _, err := frameIsFlate(head[0]); err != nil {
+				return nil, fmt.Errorf("block 0: %w", err)
+			}
+		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return &Scanner{r: r, hdr: t, remaining: nEvents}, nil
+	return &Scanner{r: r, hdr: hdr, remaining: g.nEvents,
+		blockEvents: int(g.blockEvents), blocksLeft: int(g.nBlocks)}, nil
 }
 
 // Header returns the decoded trace header: a Trace carrying Meta, Apps,
@@ -401,45 +345,8 @@ func (s *Scanner) Header() *Trace { return s.hdr }
 // Remaining returns the number of events not yet scanned.
 func (s *Scanner) Remaining() uint64 { return s.remaining }
 
-// Next decodes up to len(buf) events into buf and returns how many were
-// filled. It returns io.EOF (with n == 0) once the event log is exhausted,
-// and a decoding error if the log is corrupt or truncated.
-func (s *Scanner) Next(buf []Event) (int, error) {
-	if s.remaining == 0 {
-		return 0, io.EOF
-	}
-	if s.v2 != nil {
-		return s.nextV2(buf)
-	}
-	n := uint64(len(buf))
-	if n > s.remaining {
-		n = s.remaining
-	}
-	r := s.r
-	for i := uint64(0); i < n; i++ {
-		e := &buf[i]
-		e.Level = Level(r.uvarint())
-		e.Op = Op(r.uvarint())
-		e.Lib = Lib(r.uvarint())
-		e.Rank = int32(r.intBounded("rank", math.MaxInt32))
-		e.Node = int32(r.intBounded("node", math.MaxInt32))
-		e.App = int32(r.varint())
-		e.File = int32(r.varint())
-		e.Offset = r.varint()
-		e.Size = r.varint()
-		e.Start = s.prevStart + time.Duration(r.varint())
-		e.End = e.Start + time.Duration(r.varint())
-		s.prevStart = e.Start
-		if r.err != nil {
-			return int(i), r.err
-		}
-	}
-	s.remaining -= n
-	return int(n), nil
-}
-
-// Read decodes a trace previously encoded by Write, materializing the full
-// event log through the streaming scanner.
+// Read decodes a trace log, materializing the full event log through the
+// streaming scanner.
 func Read(in io.Reader) (*Trace, error) {
 	s, err := NewScanner(in)
 	if err != nil {

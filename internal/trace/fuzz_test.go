@@ -19,19 +19,14 @@ func fuzzSeedTrace(f *testing.F) *Trace {
 	return tr.Finish()
 }
 
-// FuzzRead hardens the trace decoder against corrupt input: any byte
+// FuzzRead hardens the streaming decoder against corrupt input: any byte
 // stream must either decode cleanly or return an error — never panic,
-// hang, or allocate unboundedly. The scanner sniffs the magic, so this
-// target covers both the VANITRC1 stream and the VANITRC2 block decoder.
+// hang, or allocate unboundedly.
 func FuzzRead(f *testing.F) {
-	// Seed with valid traces in both formats, their truncations, and
-	// mutations.
+	// Seed with a retired-vintage log (must be refused, not misparsed) and a
+	// valid one, their truncations, and mutations.
 	seed := fuzzSeedTrace(f)
-	var buf bytes.Buffer
-	if err := Write(&buf, seed); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := OldVintages(f)[0].Data
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("VANITRC1"))
@@ -67,14 +62,10 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Decoded traces must survive re-encoding in both formats.
+		// Decoded traces must survive re-encoding.
 		var out bytes.Buffer
-		if err := Write(&out, tr); err != nil {
-			t.Fatalf("re-encode of decoded trace failed: %v", err)
-		}
-		out.Reset()
 		if err := WriteV2(&out, tr); err != nil {
-			t.Fatalf("v2 re-encode of decoded trace failed: %v", err)
+			t.Fatalf("re-encode of decoded trace failed: %v", err)
 		}
 	})
 }
@@ -86,22 +77,19 @@ func FuzzRead(f *testing.F) {
 // (characterize_test.go) installs the hook.
 var CharacterizeLog func(br *BlockReader) error
 
-// FuzzBlockReader hardens the seekable VANITRC2 path: corrupt blocks,
+// FuzzBlockReader hardens the seekable path: corrupt blocks,
 // truncated footers, and arbitrary garbage must surface as ErrBadFormat —
 // never a panic, a hang, or an unbounded allocation — whatever does decode
 // must round-trip, and any log that opens must characterize without a
 // panic: decodable events are not yet trustworthy events.
 func FuzzBlockReader(f *testing.F) {
 	seed := fuzzSeedTrace(f)
-	// Seeds span every footer version: v2.2 logs carry the VANIIDX4 footer
-	// (per-segment codec ids), v2.1 columnar logs VANIIDX3 (per-block
-	// rank/level/op stats and per-column byte ranges), row-layout logs the
-	// legacy VANIIDX2 footer — and every segment codec, both cost-model
-	// chosen and forced on.
+	// Seeds span every segment codec, both cost-model chosen and forced on,
+	// and every retired vintage — which must be refused, whole or mangled,
+	// and never read as something else.
+	var logs [][]byte
 	for _, opt := range []V2Options{
 		{BlockEvents: 1}, {BlockEvents: 1, Compress: true}, {},
-		{BlockEvents: 1, RowLayout: true}, {RowLayout: true, Compress: true},
-		{BlockEvents: 1, Codec: CodecV21}, {Codec: CodecV21, Compress: true},
 		{BlockEvents: 1, Codec: CodecForceRaw},
 		{BlockEvents: 1, Codec: CodecForceRLE},
 		{BlockEvents: 1, Codec: CodecForceDict},
@@ -112,7 +100,12 @@ func FuzzBlockReader(f *testing.F) {
 		if err := WriteV2With(&buf, seed, opt); err != nil {
 			f.Fatal(err)
 		}
-		valid := buf.Bytes()
+		logs = append(logs, buf.Bytes())
+	}
+	for _, v := range OldVintages(f) {
+		logs = append(logs, v.Data)
+	}
+	for _, valid := range logs {
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])
 		if len(valid) > trailerLen {
@@ -211,12 +204,16 @@ func FuzzBlockReader(f *testing.F) {
 			}
 			return
 		}
+		for _, m := range []string{"VANIIDX2", "VANIIDX3"} {
+			if bytes.HasSuffix(data, []byte(m)) {
+				t.Fatalf("a log with the retired %s footer opened", m)
+			}
+		}
 		if CharacterizeLog != nil {
 			if err := CharacterizeLog(br); err != nil {
 				t.Fatalf("characterizing a log that opened: %v", err)
 			}
 		}
-		var cols Columns
 		var evs []Event
 		for k := 0; k < br.NumBlocks(); k++ {
 			evs, err = br.DecodeEvents(k, evs)
@@ -225,12 +222,6 @@ func FuzzBlockReader(f *testing.F) {
 					t.Fatalf("block %d decode error %v does not wrap ErrBadFormat", k, err)
 				}
 				return
-			}
-			if err := br.DecodeColumns(k, &cols); err != nil {
-				t.Fatalf("block %d: events decoded but columns failed: %v", k, err)
-			}
-			if cols.N != len(evs) {
-				t.Fatalf("block %d: columnar decode sees %d rows, row decode %d", k, cols.N, len(evs))
 			}
 			// The projected path must agree with the full decode even on
 			// fuzzer-crafted footers (corrupt column ranges surface as

@@ -1,49 +1,13 @@
 package trace
 
-// File-owning constructors. NewScanner and NewBlockReader borrow their
-// reader and never own a descriptor, which pushes lifetime management onto
-// every caller — and a constructor error between os.Open and the deferred
-// Close is exactly where descriptors leak in long-running processes. These
-// variants open the file themselves and guarantee it is closed on every
-// error path; on success the caller holds a Close method that is safe to
-// defer.
+// The file-owning constructor. NewBlockReader borrows its reader and never
+// owns a descriptor, which pushes lifetime management onto every caller —
+// and a constructor error between os.Open and the deferred Close is exactly
+// where descriptors leak in long-running processes. OpenBlockReader opens
+// the file itself and guarantees it is closed on every error path; on
+// success the caller holds a Close method that is safe to defer.
 
-import (
-	"io"
-	"os"
-)
-
-// FileScanner is a Scanner that owns its underlying file.
-type FileScanner struct {
-	*Scanner
-	f *os.File
-}
-
-// Close releases the underlying file. Safe to call more than once.
-func (s *FileScanner) Close() error {
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
-}
-
-// OpenScanner opens path and returns a streaming scanner over it. If the
-// header is unreadable or malformed the file is closed before returning,
-// so no descriptor escapes an error path.
-func OpenScanner(path string) (*FileScanner, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := NewScanner(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileScanner{Scanner: sc, f: f}, nil
-}
+import "os"
 
 // FileBlockReader is a BlockReader that owns its underlying file.
 type FileBlockReader struct {
@@ -61,9 +25,9 @@ func (b *FileBlockReader) Close() error {
 	return err
 }
 
-// OpenBlockReader opens a VANITRC2 log at path and returns a block reader
-// over it. The file is closed on every error path — stat failure, a
-// non-v2 magic, or a corrupt footer — so no descriptor escapes.
+// OpenBlockReader opens the trace log at path and returns a block reader
+// over it. The file is closed on every error path — stat failure, a bad
+// magic, or a corrupt footer — so no descriptor escapes.
 func OpenBlockReader(path string) (*FileBlockReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -80,23 +44,4 @@ func OpenBlockReader(path string) (*FileBlockReader, error) {
 		return nil, err
 	}
 	return &FileBlockReader{BlockReader: br, f: f}, nil
-}
-
-// SniffFile reports the trace format of the log at path by reading its
-// magic, without keeping the file open.
-func SniffFile(path string) (Format, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, badf("%v", err)
-	}
-	format, ok := SniffMagic(head[:])
-	if !ok {
-		return 0, badf("unrecognized magic")
-	}
-	return format, nil
 }

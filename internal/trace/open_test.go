@@ -19,55 +19,26 @@ func countFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// writeTraceFile encodes a random trace at path in the given format.
-func writeTraceFile(t *testing.T, path string, format Format, n int) {
+// writeTraceFile encodes a random trace at path.
+func writeTraceFile(t *testing.T, path string, n int) {
 	t.Helper()
 	tr := randomTrace(rand.New(rand.NewSource(7)), n)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	if err := WriteFormat(f, tr, format); err != nil {
-		t.Fatalf("WriteFormat: %v", err)
+	if err := WriteV2(f, tr); err != nil {
+		t.Fatalf("WriteV2: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 }
 
-func TestOpenScannerRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "log.v1")
-	writeTraceFile(t, path, FormatV1, 1000)
-
-	sc, err := OpenScanner(path)
-	if err != nil {
-		t.Fatalf("OpenScanner: %v", err)
-	}
-	buf := make([]Event, 256)
-	var total int
-	for {
-		n, err := sc.Next(buf)
-		total += n
-		if err != nil {
-			break
-		}
-	}
-	if total != 1000 {
-		t.Errorf("scanned %d events, want 1000", total)
-	}
-	if err := sc.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
-	if err := sc.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-}
-
 func TestOpenBlockReaderRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "log.v2")
-	writeTraceFile(t, path, FormatV2, 1000)
+	writeTraceFile(t, path, 1000)
 
 	br, err := OpenBlockReader(path)
 	if err != nil {
@@ -94,7 +65,7 @@ func TestOpenBlockReaderRoundTrip(t *testing.T) {
 }
 
 // TestOpenNoFDLeakOnError audits every constructor error path: after a
-// failed Open* no descriptor may remain open. The count is taken via
+// failed OpenBlockReader no descriptor may remain open. The count is taken via
 // /proc/self/fd so a leak shows up as a strictly growing fd table.
 func TestOpenNoFDLeakOnError(t *testing.T) {
 	dir := t.TempDir()
@@ -108,9 +79,11 @@ func TestOpenNoFDLeakOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := filepath.Join(dir, "log.v1")
-	writeTraceFile(t, v1, FormatV1, 100)
+	if err := os.WriteFile(v1, OldVintages(t)[0].Data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	v2 := filepath.Join(dir, "log.v2")
-	writeTraceFile(t, v2, FormatV2, 100)
+	writeTraceFile(t, v2, 100)
 	// A truncated v2 log: footer offset points past EOF.
 	v2bytes, err := os.ReadFile(v2)
 	if err != nil {
@@ -123,14 +96,8 @@ func TestOpenNoFDLeakOnError(t *testing.T) {
 
 	before := countFDs(t)
 	for i := 0; i < 16; i++ {
-		if _, err := OpenScanner(filepath.Join(dir, "missing")); err == nil {
-			t.Fatal("OpenScanner(missing): want error")
-		}
-		if _, err := OpenScanner(empty); !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("OpenScanner(empty): want ErrBadFormat, got %v", err)
-		}
-		if _, err := OpenScanner(badMagic); !errors.Is(err, ErrBadFormat) {
-			t.Fatalf("OpenScanner(bad magic): want ErrBadFormat, got %v", err)
+		if _, err := OpenBlockReader(badMagic); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("OpenBlockReader(bad magic): want ErrBadFormat, got %v", err)
 		}
 		if _, err := OpenBlockReader(filepath.Join(dir, "missing")); err == nil {
 			t.Fatal("OpenBlockReader(missing): want error")
@@ -138,8 +105,8 @@ func TestOpenNoFDLeakOnError(t *testing.T) {
 		if _, err := OpenBlockReader(empty); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("OpenBlockReader(empty): want ErrBadFormat, got %v", err)
 		}
-		// A v1 log is not a valid v2 log: the block reader must reject it
-		// and close the file.
+		// A retired-vintage log: the block reader must reject it and close
+		// the file.
 		if _, err := OpenBlockReader(v1); !errors.Is(err, ErrBadFormat) {
 			t.Fatalf("OpenBlockReader(v1 log): want ErrBadFormat, got %v", err)
 		}
@@ -157,18 +124,11 @@ func TestOpenNoFDLeakOnError(t *testing.T) {
 // descriptor on Close.
 func TestOpenNoFDLeakOnSuccess(t *testing.T) {
 	dir := t.TempDir()
-	v1 := filepath.Join(dir, "log.v1")
-	writeTraceFile(t, v1, FormatV1, 100)
 	v2 := filepath.Join(dir, "log.v2")
-	writeTraceFile(t, v2, FormatV2, 100)
+	writeTraceFile(t, v2, 100)
 
 	before := countFDs(t)
 	for i := 0; i < 16; i++ {
-		sc, err := OpenScanner(v1)
-		if err != nil {
-			t.Fatalf("OpenScanner: %v", err)
-		}
-		sc.Close()
 		br, err := OpenBlockReader(v2)
 		if err != nil {
 			t.Fatalf("OpenBlockReader: %v", err)
@@ -178,27 +138,5 @@ func TestOpenNoFDLeakOnSuccess(t *testing.T) {
 	after := countFDs(t)
 	if after > before {
 		t.Errorf("fd leak: %d open before, %d after open/close churn", before, after)
-	}
-}
-
-func TestSniffFile(t *testing.T) {
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "log.v1")
-	writeTraceFile(t, v1, FormatV1, 10)
-	v2 := filepath.Join(dir, "log.v2")
-	writeTraceFile(t, v2, FormatV2, 10)
-
-	if f, err := SniffFile(v1); err != nil || f != FormatV1 {
-		t.Errorf("SniffFile(v1) = %v, %v; want FormatV1", f, err)
-	}
-	if f, err := SniffFile(v2); err != nil || f != FormatV2 {
-		t.Errorf("SniffFile(v2) = %v, %v; want FormatV2", f, err)
-	}
-	bad := filepath.Join(dir, "bad")
-	if err := os.WriteFile(bad, []byte("????????"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SniffFile(bad); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("SniffFile(bad): want ErrBadFormat, got %v", err)
 	}
 }

@@ -4,9 +4,8 @@ package trace
 // analysis pipeline drives top-down through colstore into the VANITRC2
 // block index. The analyzer declares which columns each pass touches
 // (ColSet) and which predicates it can push (Filter); the block reader
-// consumes both to skip whole blocks via footer statistics and, for
-// columnar-payload logs (footer v2.1), to decode only the requested
-// column segments.
+// consumes both to skip whole blocks via footer statistics and to decode
+// only the requested column segments.
 
 import (
 	"fmt"
@@ -313,19 +312,14 @@ func (m *Matcher) AcceptOp(op uint8) bool {
 }
 
 // SkipBlock reports whether the block's index entry proves no row in it
-// can match — the pruning decision. Time bounds are present in every
-// footer version; rank bounds and level/op masks require a v2.1 footer
-// (BlockInfo.HasStats) and are ignored otherwise, so pruning is always
-// conservative.
+// can match — the pruning decision, from the entry's time and rank bounds
+// and level/op masks.
 func (m *Matcher) SkipBlock(bi BlockInfo) bool {
 	if bi.Count == 0 {
 		return true
 	}
 	if int64(bi.MaxStart) < m.fromNS || int64(bi.MinStart) > m.toNS {
 		return true
-	}
-	if !bi.HasStats {
-		return false
 	}
 	if m.ranks != nil {
 		// Interval check: if every requested rank falls outside the

@@ -94,32 +94,28 @@ func TestMatcherAgainstBruteForce(t *testing.T) {
 }
 
 // TestSkipBlockConservative is the pruning soundness contract: a block the
-// matcher skips must contain no matching event, for every filter, on both
-// footer versions (v2.1 carries rank/level/op stats, v2.0 only time bounds).
+// matcher skips must contain no matching event, for every filter.
 func TestSkipBlockConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tr := randomTrace(rng, 3000)
-	for _, rowLayout := range []bool{false, true} {
-		data := encodeV2(t, tr, V2Options{BlockEvents: 256, RowLayout: rowLayout})
-		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for fi, f := range testFilters() {
-			m := f.NewMatcher()
-			for k := 0; k < br.NumBlocks(); k++ {
-				if !m.SkipBlock(br.BlockAt(k)) {
-					continue
-				}
-				evs, err := br.DecodeEvents(k, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range evs {
-					if m.MatchEvent(&evs[i]) {
-						t.Fatalf("rowLayout=%v filter %d: block %d skipped but event %d matches",
-							rowLayout, fi, k, i)
-					}
+	data := encodeV2(t, tr, V2Options{BlockEvents: 256})
+	br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi, f := range testFilters() {
+		m := f.NewMatcher()
+		for k := 0; k < br.NumBlocks(); k++ {
+			if !m.SkipBlock(br.BlockAt(k)) {
+				continue
+			}
+			evs, err := br.DecodeEvents(k, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range evs {
+				if m.MatchEvent(&evs[i]) {
+					t.Fatalf("filter %d: block %d skipped but event %d matches", fi, k, i)
 				}
 			}
 		}
@@ -221,7 +217,7 @@ func TestSkipBlockPrunes(t *testing.T) {
 	}
 }
 
-// TestFooterStatsV21 verifies the per-block statistics the v2.1 footer
+// TestFooterStatsV21 verifies the per-block statistics the footer
 // round-trips: rank interval, level/op masks, and per-column byte ranges
 // that tile the payload.
 func TestFooterStatsV21(t *testing.T) {
@@ -235,9 +231,6 @@ func TestFooterStatsV21(t *testing.T) {
 	}
 	for k := 0; k < br.NumBlocks(); k++ {
 		bi := br.BlockAt(k)
-		if !bi.HasStats {
-			t.Fatalf("block %d: columnar log lacks footer stats", k)
-		}
 		lo, hi := k*be, (k+1)*be
 		if hi > len(tr.Events) {
 			hi = len(tr.Events)
@@ -267,9 +260,6 @@ func TestFooterStatsV21(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bd.Projectable() {
-			t.Fatalf("block %d: v2.1 block not projectable", k)
-		}
 		var sum int64
 		for _, cl := range bi.ColLens {
 			sum += cl
@@ -281,38 +271,8 @@ func TestFooterStatsV21(t *testing.T) {
 	}
 }
 
-// TestFooterRowLayoutHasNoStats: the legacy row layout writes the v2.0
-// footer, whose entries carry only time bounds.
-func TestFooterRowLayoutHasNoStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	tr := randomTrace(rng, 600)
-	data := encodeV2(t, tr, V2Options{BlockEvents: 256, RowLayout: true})
-	br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < br.NumBlocks(); k++ {
-		if br.BlockAt(k).HasStats {
-			t.Fatalf("block %d: row-layout log claims column stats", k)
-		}
-		bd, err := br.ReadBlock(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bd.Projectable() {
-			t.Fatalf("block %d: row-layout block claims projectability", k)
-		}
-	}
-	// The scanner and full decode still work on the legacy layout.
-	got, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTraceEqual(t, tr, got)
-}
-
 // TestBlockDataProjection: decoding any single column, or any subset, out
-// of a projectable block matches the full decode — and additive calls
+// of a block matches the full decode — and additive calls
 // preserve previously decoded columns.
 func TestBlockDataProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
@@ -324,12 +284,12 @@ func TestBlockDataProjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < br.NumBlocks(); k++ {
-			var full Columns
-			if err := br.DecodeColumns(k, &full); err != nil {
-				t.Fatal(err)
-			}
 			bd, err := br.ReadBlock(k)
 			if err != nil {
+				t.Fatal(err)
+			}
+			var full Columns
+			if _, err := bd.Decode(AllCols, &full); err != nil {
 				t.Fatal(err)
 			}
 			// Each column alone.
@@ -424,7 +384,7 @@ func columnEqual(want, got *Columns, col int) bool {
 
 // TestFooterByteFlipSweep flips every footer byte in turn: the reader must
 // either reject the log (wrapping ErrBadFormat) or serve a decode that
-// never panics. This covers the new v2.1 stat and column-range fields.
+// never panics.
 func TestFooterByteFlipSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tr := randomTrace(rng, 700)

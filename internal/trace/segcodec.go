@@ -1,13 +1,12 @@
 package trace
 
-// Per-segment lightweight codecs for the v2.2 columnar block payload. The
-// v2.1 layout encodes every column segment as generic varints; real trace
+// Per-segment lightweight codecs for the columnar block payload. Real trace
 // columns are wildly skewed — Level/Op/Lib take a handful of values, Rank
 // arrives in sorted-ish runs after the k-way merge, Start/End deltas are
 // near-constant — so each segment independently picks the lightweight
 // encoding a cheap cost model says is smallest:
 //
-//	segRaw  (0): count × varint/uvarint — exactly the v2.1 segment body.
+//	segRaw  (0): count × varint/uvarint.
 //	segRLE  (1): runs of (value, uvarint runLen≥1); run lengths sum to count.
 //	segDict (2): uvarint ndict; ndict × value in first-appearance order;
 //	             byte width; ceil(count·width/8) bytes of bit-packed dict
@@ -17,12 +16,12 @@ package trace
 //	             LSB-first. Subtraction is mod 2^64, so any int64 range packs.
 //
 // "value" is uvarint for the unsigned columns (Level/Op/Lib) and zigzag
-// varint for the rest. Codecs operate on the same stored-value stream v2.1
-// defines — Start/End encode their delta chains, every other column its raw
-// values — so a v2.2 decode is value-identical to a v2.1 decode of the same
-// events. Every segment begins with its codec id byte (the payload is
-// self-describing for the streaming Scanner); the VANIIDX4 footer repeats
-// the ids so codec-mix statistics never touch block bytes.
+// varint for the rest. Every codec operates on the same stored-value stream
+// — Start/End encode their delta chains, every other column its raw values
+// — so the choice of codec never changes a decoded value. Every segment
+// begins with its codec id byte (the payload is self-describing for the
+// streaming Scanner); the footer repeats the ids so codec-mix statistics
+// never touch block bytes.
 //
 // Decode kernels unpack a whole segment into the target column slice in one
 // pass with pooled []int64 scratch, so the hot FromBlocksSpec path is
@@ -38,7 +37,7 @@ import (
 	"sync"
 )
 
-// Segment codec ids (the first byte of every v2.2 column segment).
+// Segment codec ids (the first byte of every column segment).
 const (
 	segRaw       = 0
 	segRLE       = 1
@@ -47,7 +46,7 @@ const (
 	numSegCodecs = 4
 )
 
-// NumSegCodecs is the number of v2.2 segment codecs; codec-mix counters
+// NumSegCodecs is the number of segment codecs; codec-mix counters
 // (colstore.ScanStats, /metrics) are indexed by codec id below it.
 const NumSegCodecs = numSegCodecs
 
@@ -460,7 +459,7 @@ func appendSegBody(dst []byte, codec uint8, vals []int64, unsigned bool) []byte 
 	return dst
 }
 
-// appendSegV22 encodes one column of evs as a v2.2 segment (codec id byte +
+// appendSegV22 encodes one column of evs as a segment (codec id byte +
 // body) and returns the chosen codec. force < 0 runs the cost model.
 func appendSegV22(dst []byte, col int, evs []Event, force int, sc *segScratch) ([]byte, uint8) {
 	unsigned := ColSet(1)<<col&unsignedCols != 0
@@ -586,9 +585,9 @@ func (c *byteCursor) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// decodeSegV22 decodes one v2.2 segment (codec id byte + body) into the
-// matching column slice of cols (already grown to n rows), with the same
-// value validation the v2.1 decoder applies per column.
+// decodeSegV22 decodes one segment (codec id byte + body) into the matching
+// column slice of cols (already grown to n rows), validating values per
+// column.
 func decodeSegV22(c *byteCursor, col, n int, cols *Columns) error {
 	if c.err != nil {
 		return c.err
@@ -624,7 +623,7 @@ func decodeSegV22(c *byteCursor, col, n int, cols *Columns) error {
 	}
 
 	// Narrow columns stage through pooled scratch, then convert with the
-	// v2.1 validation rules (ranks and nodes must fit a non-negative int32).
+	// column's validation rules (ranks and nodes must fit a non-negative int32).
 	vp := getI64(n)
 	defer putI64(vp)
 	vals := *vp

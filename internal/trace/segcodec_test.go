@@ -246,55 +246,46 @@ func TestDecodeSegCorrupt(t *testing.T) {
 	}
 }
 
-// TestFlateBombGuardAllCodecs: a flate frame of any payload kind — row,
-// v2.1 columnar, v2.2 columnar — whose declared decompressed length exceeds
-// maxFlateRatio times the compressed bytes is rejected as ErrBadFormat
-// before any allocation backs the claim.
+// TestFlateBombGuardAllCodecs: a flate frame whose declared decompressed
+// length exceeds maxFlateRatio times the compressed bytes is rejected as
+// ErrBadFormat before any allocation backs the claim.
 func TestFlateBombGuardAllCodecs(t *testing.T) {
-	for _, kind := range []payloadKind{payloadRow, payloadCol, payloadColV22} {
-		_, flateCodec := frameCodecs(kind)
-		// A tiny compressed body claiming a huge decompressed length.
-		body := []byte{0x01, 0x02}
-		frame := []byte{flateCodec}
-		frame = binary.AppendUvarint(frame, uint64(len(body))*maxFlateRatio+1) // rawLen
-		frame = binary.AppendUvarint(frame, uint64(len(body)))                 // compLen
-		frame = append(frame, body...)
-		if _, _, err := unwrapFrame(frame); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("codec %d: bomb claim error = %v, want ErrBadFormat", flateCodec, err)
-		}
-		// At exactly the ratio the claim is admissible (the flate stream
-		// itself is garbage here, which must also surface as ErrBadFormat,
-		// not a panic).
-		frame = []byte{flateCodec}
-		frame = binary.AppendUvarint(frame, uint64(len(body))*maxFlateRatio)
-		frame = binary.AppendUvarint(frame, uint64(len(body)))
-		frame = append(frame, body...)
-		if _, _, err := unwrapFrame(frame); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("codec %d: garbage flate error = %v, want ErrBadFormat", flateCodec, err)
-		}
+	// A tiny compressed body claiming a huge decompressed length.
+	body := []byte{0x01, 0x02}
+	frame := []byte{frameFlate}
+	frame = binary.AppendUvarint(frame, uint64(len(body))*maxFlateRatio+1) // rawLen
+	frame = binary.AppendUvarint(frame, uint64(len(body)))                 // compLen
+	frame = append(frame, body...)
+	if _, _, err := unwrapFrame(frame); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("bomb claim error = %v, want ErrBadFormat", err)
+	}
+	// At exactly the ratio the claim is admissible (the flate stream itself
+	// is garbage here, which must also surface as ErrBadFormat, not a panic).
+	frame = []byte{frameFlate}
+	frame = binary.AppendUvarint(frame, uint64(len(body))*maxFlateRatio)
+	frame = binary.AppendUvarint(frame, uint64(len(body)))
+	frame = append(frame, body...)
+	if _, _, err := unwrapFrame(frame); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("garbage flate error = %v, want ErrBadFormat", err)
 	}
 }
 
-// TestV22CountClaimBounded: the v2.2 payload count check admits RLE's
+// TestV22CountClaimBounded: the payload count check admits RLE's
 // legitimate amplification (16K rows from a few dozen bytes) while still
 // bounding the claim by the validated block geometry.
 func TestV22CountClaimBounded(t *testing.T) {
 	// Legitimate: a full default block from a tiny RLE payload.
-	if err := checkPayloadCount(DefaultBlockEvents, 1+3*NumCols, DefaultBlockEvents, payloadColV22); err != nil {
+	if err := checkPayloadCount(DefaultBlockEvents, 1+3*NumCols, DefaultBlockEvents); err != nil {
 		t.Errorf("RLE-amplified count rejected: %v", err)
 	}
 	// A claim above the block geometry is rejected.
-	if err := checkPayloadCount(DefaultBlockEvents+1, 1<<16, DefaultBlockEvents, payloadColV22); err == nil {
+	if err := checkPayloadCount(DefaultBlockEvents+1, 1<<16, DefaultBlockEvents); err == nil {
 		t.Error("count above block size accepted")
 	}
 	// A non-empty block needs at least one codec byte + minimal body per
 	// segment.
-	if err := checkPayloadCount(1, 3, DefaultBlockEvents, payloadColV22); err == nil {
+	if err := checkPayloadCount(1, 3, DefaultBlockEvents); err == nil {
 		t.Error("count with sub-minimal payload accepted")
-	}
-	// v2.1 kinds keep the strict per-event floor.
-	if err := checkPayloadCount(1000, 5036, DefaultBlockEvents, payloadCol); err == nil {
-		t.Error("v2.1 count with unbacked payload accepted")
 	}
 }
 

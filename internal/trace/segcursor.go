@@ -1,6 +1,6 @@
 package trace
 
-// SegCursor: compressed-domain access to one encoded v2.2 column segment,
+// SegCursor: compressed-domain access to one encoded column segment,
 // the substrate the analyzer's kernel registry runs on without materializing
 // rows:
 //
@@ -26,7 +26,7 @@ import (
 	"sync"
 )
 
-// SegCursor is a validated read cursor over one encoded v2.2 column
+// SegCursor is a validated read cursor over one encoded column
 // segment. The zero value is not useful; cursors come from
 // BlockData.SegCursorAt.
 type SegCursor struct {
@@ -518,13 +518,12 @@ func unpackEach(src []byte, n int, width uint, fn func(u uint64) bool) {
 
 // SegCursorAt builds a compressed-domain cursor over column col's segment.
 // It returns (nil, nil) when the column has no compressed-domain structure —
-// raw segments, the Start/End delta chains, empty blocks, or blocks without
-// v2.2 codec ids — and ErrBadFormat when the segment's wire claims are
-// invalid. The cursor reads the block payload in place and is safe for
-// concurrent use once built.
+// raw segments, the Start/End delta chains, or empty blocks — and
+// ErrBadFormat when the segment's wire claims are invalid. The cursor reads
+// the block payload in place and is safe for concurrent use once built.
 func (bd *BlockData) SegCursorAt(col int) (*SegCursor, error) {
 	set := ColSet(1) << col
-	if !bd.hasCodecs || bd.count == 0 || set&(ColStart|ColEnd) != 0 {
+	if bd.count == 0 || set&(ColStart|ColEnd) != 0 {
 		return nil, nil
 	}
 	if bd.segCodecs[col] == segRaw {
@@ -544,7 +543,7 @@ func (bd *BlockData) SegCursorAt(col int) (*SegCursor, error) {
 // ValueRuns returns the value-run summary of a column in the compressed
 // domain: RLE runs directly, dictionary and FOR segments as coalesced
 // value runs. It returns (nil, nil) for columns without run structure
-// (raw codec, Start/End, non-v2.2 blocks). A superset of DecodeRuns.
+// (raw codec, Start/End).
 func (bd *BlockData) ValueRuns(col int) ([]Run, error) {
 	cur, err := bd.SegCursorAt(col)
 	if err != nil || cur == nil {

@@ -67,10 +67,10 @@ func TestShardMergeInterleavingInvariance(t *testing.T) {
 
 	ta, tb := record(orderA), record(orderB)
 	var bufA, bufB bytes.Buffer
-	if err := Write(&bufA, ta); err != nil {
+	if err := WriteV2(&bufA, ta); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&bufB, tb); err != nil {
+	if err := WriteV2(&bufB, tb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
@@ -90,10 +90,10 @@ func TestShardMergeRepeatable(t *testing.T) {
 		}
 	}
 	var buf1, buf2 bytes.Buffer
-	if err := Write(&buf1, tr.Finish()); err != nil {
+	if err := WriteV2(&buf1, tr.Finish()); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&buf2, tr.Finish()); err != nil {
+	if err := WriteV2(&buf2, tr.Finish()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
@@ -127,7 +127,7 @@ func TestScannerStreamsEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	orig := randomTrace(rng, 3000)
 	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
+	if err := WriteV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	sc, err := NewScanner(bytes.NewReader(buf.Bytes()))

@@ -184,7 +184,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	orig := randomTrace(rng, 5000)
 	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
+	if err := WriteV2(&buf, orig); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	got, err := Read(&buf)
@@ -212,7 +212,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 func TestCodecEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &Trace{}); err != nil {
+	if err := WriteV2(&buf, &Trace{}); err != nil {
 		t.Fatalf("Write empty: %v", err)
 	}
 	got, err := Read(&buf)
@@ -234,11 +234,19 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	orig := randomTrace(rng, 100)
 	var buf bytes.Buffer
-	if err := Write(&buf, orig); err != nil {
+	if err := WriteV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	for _, cut := range []int{len(magic) - 1, len(magic) + 3, len(full) / 2, len(full) - 1} {
+	// The stream reader stops at the last block frame; the footer behind it
+	// is the block reader's to miss.
+	br, err := NewBlockReader(bytes.NewReader(full), int64(len(full)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := br.BlockAt(br.NumBlocks() - 1)
+	end := int(last.Offset + last.Len)
+	for _, cut := range []int{len(magicV2) - 1, len(magicV2) + 3, end / 2, end - 1} {
 		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
@@ -247,7 +255,7 @@ func TestCodecRejectsTruncation(t *testing.T) {
 
 func TestCodecRejectsGarbage(t *testing.T) {
 	// Valid magic followed by garbage must error, not hang or panic.
-	data := append([]byte(magic), bytes.Repeat([]byte{0xff}, 64)...)
+	data := append([]byte(magicV2), bytes.Repeat([]byte{0xff}, 64)...)
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("expected error for garbage body")
 	}
@@ -260,7 +268,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		orig := randomTrace(rng, int(n%512))
 		var buf bytes.Buffer
-		if err := Write(&buf, orig); err != nil {
+		if err := WriteV2(&buf, orig); err != nil {
 			return false
 		}
 		got, err := Read(&buf)

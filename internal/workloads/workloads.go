@@ -141,11 +141,15 @@ func Run(w Workload, spec Spec) (*Result, error) {
 		JobTimeLimit: spec.TimeLimit,
 	})
 	env := &Env{E: e, Job: job, Sys: sys, Tr: tr, RNG: rng, Spec: spec}
+	// A workload that cannot go on calls e.Fail: Run then stops at once and
+	// takes every spawned rank down with it.
 	w.Setup(env)
-	w.Spawn(env)
+	if e.Err() == nil {
+		w.Spawn(env)
+	}
 	runtime := e.Run()
 	if err := e.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("workloads: %s: %w", w.Name(), err)
 	}
 	merged := tr.Finish()
 	return &Result{

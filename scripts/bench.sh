@@ -5,10 +5,10 @@
 # Usage: scripts/bench.sh [out.json]
 #
 # Captures the sequential-vs-parallel analyzer and columnarizer benchmarks,
-# the row-major-vs-columnar ablation, the VANITRC1-vs-VANITRC2 codec
-# throughput benches, the scan-planner pushdown benches, the per-codec
-# matrix (encoded size and full-column-scan decode MB/s for v2.1, v2.1+flate
-# and every v2.2 segment codec), the compressed-domain execution bench
+# the row-major-vs-columnar ablation, the trace encode/decode throughput
+# benches, the scan-planner pushdown benches, the per-codec matrix (encoded
+# size and full-column-scan decode MB/s for auto, auto+flate and every
+# forced segment codec), the compressed-domain execution bench
 # (filtered full characterization), the grouped execution bench (unfiltered
 # full characterization), and the filtered grouped bench (filtered
 # characterization over selection-backed chunks), with -benchmem so bytes/op

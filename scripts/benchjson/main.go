@@ -39,11 +39,6 @@ type record struct {
 	// summed over its workloads —
 	// PR1's headline number. Meaningful only when gomaxprocs > 1.
 	AnalyzerSpeedup float64 `json:"analyzer_speedup_seq_over_par"`
-	// DecodeSpeedup is v1-serial-ns/v2-parallel-ns of
-	// BenchmarkTraceDecodeToTable — the VANITRC2 headline number: how much
-	// faster log bytes turn into analyzable column chunks under the block
-	// format's parallel decode than under the v1 serial stream.
-	DecodeSpeedup float64 `json:"decode_speedup_v1_over_v2par"`
 	// PrunedScanSpeedup is full-ns/window25-pruned-ns of
 	// BenchmarkScanPlanner — the scan-planner headline number: how much
 	// faster a 25% time window characterizes when the predicate pushes down
@@ -54,15 +49,6 @@ type record struct {
 	// two-column projection (window25-projected), skipping the other nine
 	// column decodes entirely.
 	ProjectedScanSpeedup float64 `json:"projected_scan_speedup_full_over_window25,omitempty"`
-	// CodecDecodeSpeedup is v21-flate-ns/v22-auto-ns of
-	// BenchmarkCodecMatrix — the v2.2 headline number: how much faster a
-	// full-column scan decodes under the per-segment cost-model codecs
-	// than under the v2.1 varint layout wrapped in flate.
-	CodecDecodeSpeedup float64 `json:"codec_decode_speedup_v21flate_over_v22auto,omitempty"`
-	// CodecSizeRatio is the v22-auto encoded size over the v21-flate
-	// encoded size on the same fixture. The regression guard requires
-	// this to stay at or below 1.05.
-	CodecSizeRatio float64 `json:"codec_size_ratio_v22auto_over_v21flate,omitempty"`
 	// CompressedDomainSpeedup is kernels-off-ns/kernels-on-ns of
 	// BenchmarkCompressedDomain — the compressed-domain execution headline:
 	// the same filtered full characterization with the kernel registry
@@ -97,12 +83,9 @@ func main() {
 		NumCPU:     runtime.NumCPU(),
 		Note: "speedups are wall-clock ratios of paths with bit-identical outputs; " +
 			"on a single-core runner (gomaxprocs=1) parallel paths degenerate to " +
-			"sequential, so analyzer_speedup stays ~1 by design while " +
-			"decode_speedup still shows the v2 block decoder's contiguous-buffer " +
-			"advantage over the v1 byte-at-a-time stream.",
+			"sequential, so analyzer_speedup stays ~1 by design.",
 	}
-	var seqNs, parNs, v1Ns, v2ParNs, fullNs, prunedNs, projNs float64
-	var v21FlateNs, v22AutoNs, v21FlateBytes, v22AutoBytes float64
+	var seqNs, parNs, fullNs, prunedNs, projNs float64
 	var kernelsOnNs, kernelsOffNs float64
 	var groupedOnNs, groupedOffNs float64
 	sc := bufio.NewScanner(f)
@@ -143,22 +126,12 @@ func main() {
 			seqNs += ns // summed over the bench's workloads
 		case strings.HasPrefix(r.Name, "BenchmarkAnalyzerParallelism/") && strings.Contains(r.Name, "/par=max"):
 			parNs += ns
-		case strings.HasPrefix(r.Name, "BenchmarkTraceDecodeToTable/v1-serial"):
-			v1Ns = ns
-		case strings.HasPrefix(r.Name, "BenchmarkTraceDecodeToTable/v2-parallel"):
-			v2ParNs = ns
 		case strings.HasPrefix(r.Name, "BenchmarkScanPlanner/full"):
 			fullNs = ns
 		case strings.HasPrefix(r.Name, "BenchmarkScanPlanner/window25-pruned"):
 			prunedNs = ns
 		case strings.HasPrefix(r.Name, "BenchmarkScanPlanner/window25-projected"):
 			projNs = ns
-		case strings.HasPrefix(r.Name, "BenchmarkCodecMatrix/v21-flate"):
-			v21FlateNs = ns
-			v21FlateBytes = r.Extra["enc-bytes"]
-		case strings.HasPrefix(r.Name, "BenchmarkCodecMatrix/v22-auto"):
-			v22AutoNs = ns
-			v22AutoBytes = r.Extra["enc-bytes"]
 		case strings.HasPrefix(r.Name, "BenchmarkCompressedDomain/kernels-on"):
 			kernelsOnNs = ns
 		case strings.HasPrefix(r.Name, "BenchmarkCompressedDomain/kernels-off"):
@@ -176,20 +149,11 @@ func main() {
 	if seqNs > 0 && parNs > 0 {
 		rec.AnalyzerSpeedup = seqNs / parNs
 	}
-	if v1Ns > 0 && v2ParNs > 0 {
-		rec.DecodeSpeedup = v1Ns / v2ParNs
-	}
 	if fullNs > 0 && prunedNs > 0 {
 		rec.PrunedScanSpeedup = fullNs / prunedNs
 	}
 	if fullNs > 0 && projNs > 0 {
 		rec.ProjectedScanSpeedup = fullNs / projNs
-	}
-	if v21FlateNs > 0 && v22AutoNs > 0 {
-		rec.CodecDecodeSpeedup = v21FlateNs / v22AutoNs
-	}
-	if v21FlateBytes > 0 && v22AutoBytes > 0 {
-		rec.CodecSizeRatio = v22AutoBytes / v21FlateBytes
 	}
 	if kernelsOnNs > 0 && kernelsOffNs > 0 {
 		rec.CompressedDomainSpeedup = kernelsOffNs / kernelsOnNs

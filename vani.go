@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"vani/internal/advisor"
@@ -128,9 +127,9 @@ func CharacterizeTrace(tr *Trace, cfg *StorageConfig) *Characterization {
 	return core.Analyze(tr, opt)
 }
 
-// CharacterizeFile analyzes a trace log on disk by streaming it through
-// the scanner straight into column chunks — the event log never
-// materializes as a []Event, so traces larger than memory analyze fine.
+// CharacterizeFile analyzes a trace log on disk by decoding its blocks
+// straight into column chunks — the event log never materializes as a
+// []Event.
 func CharacterizeFile(path string, cfg *StorageConfig) (*Characterization, error) {
 	opt := core.DefaultOptions()
 	opt.Storage = cfg
@@ -138,15 +137,13 @@ func CharacterizeFile(path string, cfg *StorageConfig) (*Characterization, error
 }
 
 // CharacterizeFileWith is CharacterizeFile with explicit analyzer options.
-// VANITRC2 logs decode block-parallel through the footer index straight
-// into column chunks; VANITRC1 logs stream through the serial scanner.
-// Both paths produce the identical characterization.
+// The log decodes block-parallel through the footer index.
 //
-// When opt.Filter is set, the filter is pushed down the read path: on
-// VANITRC2 logs whole blocks are pruned via the footer statistics, only
-// the filter's columns are decoded up front, and the remaining columns
-// materialize lazily as analysis kernels ask for them. The result is
-// byte-identical to analyzing the filtered event set in memory.
+// When opt.Filter is set, the filter is pushed down the read path: whole
+// blocks are pruned via the footer statistics, only the filter's columns
+// are decoded up front, and the remaining columns materialize lazily as
+// analysis kernels ask for them. The result is byte-identical to analyzing
+// the filtered event set in memory.
 func CharacterizeFileWith(path string, opt AnalyzerOptions) (*Characterization, error) {
 	return CharacterizeFileContext(context.Background(), path, opt)
 }
@@ -176,7 +173,7 @@ func CharacterizeFileContext(ctx context.Context, path string, opt AnalyzerOptio
 	return pipeline.File(ctx, path, opt)
 }
 
-// CharacterizeBlocksContext analyzes a VANITRC2 block source — a
+// CharacterizeBlocksContext analyzes a block source — a
 // BlockReader over an open file, or a shared decoded-block cache like
 // vanid's — through the planned-scan path: the filter pushes down to the
 // block index, predicates evaluate in the compressed domain where the
@@ -254,100 +251,45 @@ func FromYAML(data []byte) (*Characterization, error) {
 	return &c, nil
 }
 
-// TraceFormat selects an on-disk trace log format version.
-type TraceFormat = trace.Format
-
-// Supported trace formats: VANITRC1 (serial stream) and VANITRC2
-// (block-structured, parallel encode/decode).
-const (
-	TraceFormatV1 = trace.FormatV1
-	TraceFormatV2 = trace.FormatV2
-)
-
-// ParseTraceFormat parses a flag-style format name ("v1", "v2").
-func ParseTraceFormat(s string) (TraceFormat, error) { return trace.ParseFormat(s) }
-
-// WriteTrace encodes a trace to w in the default on-disk format (VANITRC2,
-// the block-structured log). Use WriteTraceFormat for an explicit version.
+// WriteTrace encodes a trace to w in the on-disk format (VANITRC2 v2.2, the
+// block-structured columnar log) with default options.
 func WriteTrace(w io.Writer, tr *Trace) error { return trace.WriteV2(w, tr) }
 
-// WriteTraceFormat encodes a trace to w in the requested format.
-func WriteTraceFormat(w io.Writer, tr *Trace, f TraceFormat) error {
-	return trace.WriteFormat(w, tr, f)
-}
-
-// TraceCodec selects the per-segment column codec strategy of the VANITRC2
-// writer: the v2.2 cost model (auto), the v2.1 raw-varint layout, or one
-// forced segment codec.
+// TraceCodec selects how the trace writer picks per-segment column codecs:
+// the cost model (auto) or one forced segment codec.
 type TraceCodec = trace.CodecMode
 
-// Supported codec strategies.
-const (
-	TraceCodecAuto = trace.CodecAuto
-	TraceCodecV21  = trace.CodecV21
-)
-
-// ParseTraceCodec parses a flag-style codec name ("auto", "v21", "raw",
-// "rle", "dict", "for").
+// ParseTraceCodec parses a flag-style codec name ("auto", "raw", "rle",
+// "dict", "for").
 func ParseTraceCodec(s string) (TraceCodec, error) { return trace.ParseCodecMode(s) }
 
 // TraceWriteOptions configures WriteTraceWith. The zero value is the
-// default encoding: VANITRC2, v2.2 auto codecs, no outer compression.
+// default encoding: auto codecs, no outer compression.
 type TraceWriteOptions struct {
-	Format   TraceFormat // 0 means TraceFormatV2
-	Compress bool        // flate-wrap v2 block payloads (outer layer)
-	Codec    TraceCodec  // column codec strategy (v2 only)
+	Compress bool       // flate-wrap block payloads (outer layer)
+	Codec    TraceCodec // column codec strategy
 }
 
-// WriteTraceWith encodes a trace to w under explicit format, compression
-// and codec choices. Codec and Compress apply only to the v2 format.
+// WriteTraceWith encodes a trace to w under explicit compression and codec
+// choices.
 func WriteTraceWith(w io.Writer, tr *Trace, opt TraceWriteOptions) error {
-	if opt.Format == TraceFormatV1 {
-		return trace.WriteFormat(w, tr, TraceFormatV1)
-	}
 	return trace.WriteV2With(w, tr, trace.V2Options{Compress: opt.Compress, Codec: opt.Codec})
 }
 
-// ReadTrace decodes a trace written by WriteTrace or WriteTraceFormat; the
-// format is sniffed from the magic.
+// ReadTrace decodes a trace written by WriteTrace or WriteTraceWith from a
+// stream.
 func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 
 // ReadTraceFiltered loads a trace file keeping only events matching the
-// filter. VANITRC2 logs consult the footer index first, skipping blocks the
-// per-block statistics rule out; other formats decode fully and filter in
-// memory. Event order is preserved, so the result equals FilterEvents over
-// the full decode.
+// filter, consulting the footer index first to skip blocks the per-block
+// statistics rule out. Event order is preserved, so the result equals
+// FilterEvents over the full decode.
 func ReadTraceFiltered(path string, f TraceFilter) (*Trace, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-
-	var head [8]byte
-	if _, err := io.ReadFull(fh, head[:]); err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, trace.ErrBadFormat)
-	}
-	if _, err := fh.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if format, ok := trace.SniffMagic(head[:]); !ok || format != trace.FormatV2 {
-		tr, err := trace.Read(fh)
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", path, err)
-		}
-		tr.Events = trace.FilterEvents(tr.Events, f)
-		return tr, nil
-	}
-
-	info, err := fh.Stat()
-	if err != nil {
-		return nil, err
-	}
-	br, err := trace.NewBlockReader(fh, info.Size())
+	br, err := trace.OpenBlockReader(path)
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
+	defer br.Close()
 	m := f.NewMatcher()
 	tr := br.Header()
 	var evs []trace.Event
