@@ -13,7 +13,6 @@ package vani
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -742,141 +741,6 @@ func BenchmarkScanPlanner(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressedDomain measures compressed-domain execution end to
-// end: a v2.2-encoded workload trace fully characterized under a pushed-down
-// filter (the shape every vanid request takes). The filter's rank predicate
-// evaluates against the encoded RLE/dict segments and the dropped dimensions
-// never materialize. The arm keeps the name the frozen BENCH_PR6.json record
-// guards it under.
-func BenchmarkCompressedDomain(b *testing.B) {
-	_, _ = allRuns(b)
-	res := runRes["cm1"]
-	var buf bytes.Buffer
-	if err := trace.WriteV2With(&buf, res.Trace, trace.V2Options{}); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
-	b.Run("kernels-on", func(b *testing.B) {
-		opt := DefaultAnalyzerOptions()
-		opt.Filter = trace.Filter{Ranks: []int32{3}}
-		var served, fallback int64
-		b.SetBytes(int64(len(enc)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			br, err := trace.NewBlockReader(bytes.NewReader(enc), int64(len(enc)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var timings AnalyzerTimings
-			opt.Stats = &timings
-			c, err := CharacterizeBlocksContext(context.Background(), br, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if c == nil {
-				b.Fatal("nil characterization")
-			}
-			served, fallback = timings.Scan.KernelsServed, timings.Scan.KernelsFallback
-		}
-		b.ReportMetric(float64(served), "kernels-served")
-		b.ReportMetric(float64(fallback), "kernels-fallback")
-	})
-}
-
-// BenchmarkGroupedAgg measures the analyzer hot path: a v2.2-encoded cm1
-// trace fully characterized with NO filter (aggregation dominates, the
-// shape the fleet-query workload takes) — code unifier, dense accumulators,
-// key spans with per-row op dispatch. The arm keeps the name the frozen
-// BENCH_PR7.json record guards it under.
-func BenchmarkGroupedAgg(b *testing.B) {
-	_, _ = allRuns(b)
-	res := runRes["cm1"]
-	var buf bytes.Buffer
-	if err := trace.WriteV2With(&buf, res.Trace, trace.V2Options{}); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
-	b.Run("grouped-on", func(b *testing.B) {
-		opt := DefaultAnalyzerOptions()
-		var served, fallback int64
-		b.SetBytes(int64(len(enc)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			br, err := trace.NewBlockReader(bytes.NewReader(enc), int64(len(enc)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var timings AnalyzerTimings
-			opt.Stats = &timings
-			c, err := CharacterizeBlocksContext(context.Background(), br, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if c == nil {
-				b.Fatal("nil characterization")
-			}
-			served, fallback = timings.Scan.GroupServed, timings.Scan.GroupFallback
-		}
-		b.ReportMetric(float64(served), "groups-served")
-		b.ReportMetric(float64(fallback), "groups-fallback")
-	})
-}
-
-// BenchmarkGroupedFiltered measures the analyzer under a pushed-down
-// filter — the rank+window-restricted characterization every vanid what-if
-// request issues. The surviving chunks are selection-backed: their block
-// run summaries are re-cut against the selection vector, so key spans, the
-// code unifier and the run-aware accumulators all fire and the analyzer
-// materializes only the Op/Size/Start/End columns. The arm keeps the name
-// the frozen BENCH_PR10.json record guards it under.
-func BenchmarkGroupedFiltered(b *testing.B) {
-	_, _ = allRuns(b)
-	res := runRes["cm1"]
-	var buf bytes.Buffer
-	if err := trace.WriteV2With(&buf, res.Trace, trace.V2Options{}); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
-	end := res.Trace.Events[len(res.Trace.Events)-1].Start
-	b.Run("grouped-on", func(b *testing.B) {
-		opt := DefaultAnalyzerOptions()
-		ranks := make([]int32, 0, 31)
-		for r := int32(0); r < 31; r++ {
-			ranks = append(ranks, r)
-		}
-		// The window bounds every block's start range, so the per-block
-		// reduction proves it containing and the rank set alone drives
-		// the compressed selection; the rank cut is what the arms race on.
-		opt.Filter = trace.Filter{To: end, Ranks: ranks}
-		var served, fallback, filtered int64
-		b.SetBytes(int64(len(enc)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			br, err := trace.NewBlockReader(bytes.NewReader(enc), int64(len(enc)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var timings AnalyzerTimings
-			opt.Stats = &timings
-			c, err := CharacterizeBlocksContext(context.Background(), br, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if c == nil {
-				b.Fatal("nil characterization")
-			}
-			served, fallback = timings.Scan.GroupServed, timings.Scan.GroupFallback
-			filtered = timings.Scan.GroupFilteredServed
-		}
-		b.ReportMetric(float64(served), "groups-served")
-		b.ReportMetric(float64(fallback), "groups-fallback")
-		b.ReportMetric(float64(filtered), "filtered-served")
-	})
-}
-
 // BenchmarkAnalyzer measures full characterization of a mid-sized trace.
 func BenchmarkAnalyzer(b *testing.B) {
 	_, _ = allRuns(b)
@@ -896,12 +760,11 @@ func BenchmarkAnalyzer(b *testing.B) {
 
 // BenchmarkAnalyzerParallelism is the analyzer's scaling curve: one full
 // characterization, from encoded v2.2 bytes to entities, at 1, 2, 4 and
-// GOMAXPROCS workers, over 32-node hacc and cm1 logs — rank-interleaved
-// after the k-way merge, so nearly every chunk takes the row body and the
-// scan, not a run summary, is the traffic. Tables are planned lazily, as the
-// file path plans them, and anew per iteration (an analysis materializes
-// the columns it reads). MB/s is over the encoded log; the outputs are
-// bit-identical at every setting.
+// GOMAXPROCS workers, over 32-node hacc and cm1 logs, rank-interleaved
+// after the k-way merge. Tables are planned lazily, as the file path plans
+// them, and anew per iteration (an analysis materializes the columns it
+// reads). MB/s is over the encoded log; the outputs are bit-identical at
+// every setting.
 func BenchmarkAnalyzerParallelism(b *testing.B) {
 	for _, wl := range []struct {
 		name  string

@@ -103,9 +103,8 @@ func main() {
 				s.SegRaw, s.SegRLE, s.SegDict, s.SegFOR)
 			fmt.Fprintf(os.Stderr, "    kernels: served=%d fallback=%d\n",
 				s.KernelsServed, s.KernelsFallback)
-			fmt.Fprintf(os.Stderr, "    groups: served=%d fallback=%d filtered-served=%d filtered-fallback=%d tl-served=%d tl-fallback=%d\n",
-				s.GroupServed, s.GroupFallback, s.GroupFilteredServed,
-				s.GroupFilteredFallback, s.TLServed, s.TLFallback)
+			fmt.Fprintf(os.Stderr, "    groups: served=%d fallback=%d\n",
+				s.GroupServed, s.GroupFallback)
 			fmt.Fprintf(os.Stderr, "    runisect: served=%d fallback=%d\n",
 				s.RunIsectServed, s.RunIsectFallback)
 		}

@@ -166,10 +166,10 @@ func TestFormatEquivalence(t *testing.T) {
 // codec forced on, with and without the flate outer layer — characterizes
 // to a YAML artifact byte-identical to the in-memory analysis, at
 // sequential, fixed-parallel and NumCPU decode. The variants are what
-// drives the analyzer's two pass bodies and every compressed-domain
-// fallback: forced raw segments carry no run structure, so every chunk
-// takes the materialized row loops, while the run-structured codecs serve
-// key spans — and the two must be indistinguishable byte-for-byte.
+// drives every compressed-domain kernel and its fallback: forced raw
+// segments carry no structure, so the unifier and every predicate read
+// materialized rows, while the structured codecs answer from headers, runs
+// and codes — and the two must be indistinguishable byte-for-byte.
 func TestCodecMatrixEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	variants := map[string]trace.V2Options{
@@ -232,12 +232,12 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 
 // TestFilteredCodecMatrixEquivalence extends the codec matrix to filtered
 // scans. With a filter pushed down, the surviving chunks are
-// selection-backed and the analyzer runs on run summaries re-cut against
-// the selection vector — or, where the re-cut comes up short (forced raw
-// segments always; dense selections under the density cap), on the row
-// loops; the YAML must stay byte-identical to in-memory filtering across
-// codecs, filter shapes (residual window, exact rank selection, op class,
-// and their combination) and sequential / fixed / NumCPU parallelism.
+// selection-backed — chosen in the compressed domain where the codec has
+// structure, by materialized row predicates where it has none (forced raw
+// segments always); the YAML must stay byte-identical to in-memory
+// filtering across codecs, filter shapes (residual window, exact rank
+// selection, op class, and their combination) and sequential / fixed /
+// NumCPU parallelism.
 func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	w, err := New("hacc")

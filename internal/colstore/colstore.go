@@ -56,14 +56,6 @@ type Chunk struct {
 
 	lazy *lazySrc // undecoded remainder; nil once fully materialized
 
-	// runs holds value-run summaries for the run columns (the groupable key
-	// columns ColRank..ColFile, then level and op), captured from v2.2 block
-	// payloads when the chunk keeps every block row — RLE runs directly,
-	// dict segments as coalesced code runs. Nil entries mean no summary;
-	// kernels fall back to row iteration. runCodec records each summary's
-	// source segment codec, the registry key for kernel dispatch.
-	runs     [numRunCols][]trace.Run
-	runCodec [numRunCols]uint8
 }
 
 func newChunk(base, rows int) *Chunk {

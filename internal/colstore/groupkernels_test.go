@@ -9,10 +9,10 @@ import (
 )
 
 // groupTrace builds a multi-block trace shaped like the real analyzer
-// workload: op alternates every event (so it could never ride a span)
-// while the five key columns arrive in runs, and the per-block
-// file dictionaries differ — blocks 0 and 1 touch disjoint file sets,
-// block 2 overlaps block 1 — with a sprinkling of File == -1 rows.
+// workload: op alternates every event while the five key columns arrive in
+// runs, and the per-block file dictionaries differ — blocks 0 and 1 touch
+// disjoint file sets, block 2 overlaps block 1 — with a sprinkling of
+// File == -1 rows.
 func groupTrace(nblocks int) *trace.Trace {
 	tr := trace.NewTracer()
 	apps := []int32{tr.AppID("sim"), tr.AppID("post")}
@@ -53,8 +53,8 @@ func groupTrace(nblocks int) *trace.Trace {
 // dictionaries. Run-structured codecs answer every chunk from segment
 // headers and decode nothing; forced-raw segments have no header to read,
 // so the unifier — total — materializes exactly the file column of every
-// chunk, the same bytes the row pass those chunks take would decode, and
-// still unifies.
+// chunk, the same bytes the analyzer's passes would decode, and still
+// unifies.
 func TestCodeUnifierAcrossBlockDictionaries(t *testing.T) {
 	tr := groupTrace(3)
 	codecs := map[string]trace.CodecMode{
@@ -105,55 +105,13 @@ func TestCodeUnifierAcrossBlockDictionaries(t *testing.T) {
 		if want := rowStats.DecodedBytes.Load(); sc.DecodedBytes != want || want == 0 {
 			t.Errorf("raw: unifier decoded %d bytes, the file column alone is %d", sc.DecodedBytes, want)
 		}
-		// The decode was moved, not added: the row pass finds the column ready.
+		// The decode was moved, not added: the passes find the column ready.
 		if err := tb.Materialize(2, trace.ColFile); err != nil {
 			t.Fatal(err)
 		}
 		if got := stats.DecodedBytes.Load(); got != sc.DecodedBytes {
 			t.Errorf("raw: re-requiring the file column decoded %d more bytes", got-sc.DecodedBytes)
 		}
-	}
-}
-
-// TestKeySpansServeFORCodedKeys: with every segment forced to FOR, the
-// key-span kernel still tiles chunks from coalesced base+offset runs —
-// the codec the unifier and key columns previously fell back on.
-func TestKeySpansServeFORCodedKeys(t *testing.T) {
-	tr := groupTrace(2)
-	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceFOR})
-	var stats ScanStats
-	tb, err := FromBlocksSpec(br, 1, ScanSpec{}, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < tb.NumChunks(); k++ {
-		spans, ok := tb.ChunkKeySpans(k, nil)
-		if !ok {
-			t.Fatalf("chunk %d: key spans not served from FOR segments", k)
-		}
-		c := tb.ChunkAt(k)
-		if err := c.Require(trace.AllCols); err != nil {
-			t.Fatal(err)
-		}
-		row := 0
-		for _, s := range spans {
-			if s.Lo != row {
-				t.Fatalf("chunk %d: span starts at %d, want %d (spans must tile)", k, s.Lo, row)
-			}
-			for j := s.Lo; j < s.Hi; j++ {
-				if c.Level[j] != s.Level || c.Rank[j] != s.Rank || c.Node[j] != s.Node ||
-					c.App[j] != s.App || c.File[j] != s.File {
-					t.Fatalf("chunk %d row %d: key span keys differ from columns", k, j)
-				}
-			}
-			row = s.Hi
-		}
-		if row != c.N {
-			t.Fatalf("chunk %d: spans cover %d rows of %d", k, row, c.N)
-		}
-	}
-	if served := stats.KernelServed[KKeySpan].Load(); served == 0 {
-		t.Error("KKeySpan served counter did not move on FOR-coded keys")
 	}
 }
 
@@ -175,36 +133,6 @@ func TestUnifyCodesRejectsOverCap(t *testing.T) {
 		if card, err := tb.UnifyCodes(1, ColFile, 4); err != nil || card != 4 {
 			t.Fatalf("codec %v: UnifyCodes within the table = (%d, %v), want (4, nil)", codec, card, err)
 		}
-	}
-}
-
-// TestKeySpansFireWhereSpansDont: with op alternating every event no span
-// could hold op constant for more than a row — its run list is far over
-// the one-run-per-four-rows cap — while key spans, op excluded, tile every
-// chunk and carry the same keys the materialized columns hold.
-func TestKeySpansFireWhereSpansDont(t *testing.T) {
-	tr := groupTrace(2)
-	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
-	var stats ScanStats
-	tb, err := FromBlocksSpec(br, 1, ScanSpec{}, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertKeySpansMatchColumns(t, tb)
-	tb.ForEachChunk(func(c *Chunk) {
-		opRuns := 1
-		for j := 1; j < c.N; j++ {
-			if c.Op[j] != c.Op[j-1] {
-				opRuns++
-			}
-		}
-		if opRuns <= c.N/4 {
-			t.Fatalf("chunk@%d: op forms %d runs over %d rows; the trace no longer defeats op spans",
-				c.Base, opRuns, c.N)
-		}
-	})
-	if served := stats.KernelServed[KKeySpan].Load(); served == 0 {
-		t.Error("KKeySpan served counter did not move")
 	}
 }
 

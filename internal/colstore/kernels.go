@@ -1,14 +1,11 @@
 package colstore
 
-// The compressed-domain kernel registry. Every structure the analyzer's
-// one scan reads straight from encoded v2.2 segments is a kernel request
-// keyed by (operation, segment codec): a registry entry means the
-// operation can be answered from the encoded segment — predicate
-// evaluation on dictionary codes or RLE runs, key spans merged from run
-// summaries, key-column cardinality from segment headers — and a miss
-// falls back to materializing the column and iterating rows. The registry
-// is the only refusal mechanism: what a chunk serves follows from the codecs
-// its segments were written with, never from a switch. Both sides produce
+// The compressed-domain kernels. What the scan reads straight from encoded
+// v2.2 segments is a kernel request: predicate evaluation on dictionary
+// codes or RLE runs, key-column cardinality from segment headers. A segment
+// whose codec lacks the structure falls back to materializing the column
+// and iterating rows — what a chunk serves follows from the codecs its
+// segments were written with, never from a switch. Both sides produce
 // byte-identical results (the equivalence suite runs every codec, the
 // forced-raw variant driving every fallback); per-kernel served/fallback
 // counters in ScanStats make the split observable end-to-end, from `-v`
@@ -34,28 +31,15 @@ const (
 	// compressed domain: translated into the code domain once per block for
 	// dict segments, per run for RLE segments.
 	KPredicate KernelOp = iota
-	// KKeySpan fuses the five stable key columns (level, rank, node, app,
-	// file) into spans from their run summaries, leaving op — which
-	// alternates nearly every event in real traces — to per-row dispatch.
-	KKeySpan
 	// KGroupAgg is key-column unification: the column's value range read
-	// from dict, RLE, constant or FOR segment headers (or a captured run
-	// summary) instead of from decoded rows.
+	// from dict, RLE, constant or FOR segment headers instead of from
+	// decoded rows.
 	KGroupAgg
-	// KTimelineAdd is run-aware timeline accumulation: spans of rows bucket
-	// into stats.Timeline bins in O(bins-crossed) instead of O(rows), by
-	// segmenting the span's time-sorted rows at bin boundaries.
-	KTimelineAdd
-	// KHistAdd is run-aware size-histogram accumulation: a constant-size
-	// run of rows adds count×size to its bucket in O(1).
-	KHistAdd
 	// NumKernelOps bounds the per-kernel counter arrays.
 	NumKernelOps
 )
 
-var kernelOpNames = [NumKernelOps]string{
-	"predicate", "keyspan", "groupagg", "tladd", "histadd",
-}
+var kernelOpNames = [NumKernelOps]string{"predicate", "groupagg"}
 
 // String returns the kernel operation's short name.
 func (op KernelOp) String() string {
@@ -65,22 +49,12 @@ func (op KernelOp) String() string {
 	return kernelOpNames[op]
 }
 
-// kernelCaps is the registry: kernelCaps[op][codec] reports whether the
-// kernel operation can be served from segments of that codec. Only the
-// operations that dispatch on a codec have entries; raw serves nothing.
-var kernelCaps [NumKernelOps][trace.NumSegCodecs]bool
-
-func init() {
-	// The predicate paths dispatch on dict/RLE structure directly
-	// (Runs/ForEachCode), so FOR does not serve them.
-	for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict} {
-		kernelCaps[KPredicate][codec] = true
-	}
-	// FOR segments coalesce into value runs too (SegCursor.AppendRuns
-	// unpacks base+offset adjacency), so they serve key spans.
-	for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict, trace.SegCodecFOR} {
-		kernelCaps[KKeySpan][codec] = true
-	}
+// servesPredicate reports whether the predicate kernels can evaluate over
+// segments of the codec: they dispatch on dict and RLE structure directly
+// (ForEachCode/Runs), so FOR — constants aside, which ConstVal answers —
+// and raw serve nothing.
+func servesPredicate(codec uint8) bool {
+	return codec == trace.SegCodecRLE || codec == trace.SegCodecDict
 }
 
 // tickKernel records one served or fallback kernel request against the
@@ -91,27 +65,8 @@ func (t *Table) tickKernel(op KernelOp, served bool) {
 	}
 }
 
-// TickAccumKernels records one chunk pass's run-aware distribution
-// accumulator requests: served when span structure let the pass batch its
-// timeline and size-histogram accumulation (KTimelineAdd/KHistAdd),
-// fallback when it bucketed per row. The analyzer's pass 2 calls this once
-// per chunk so the batched/per-row split is observable end to end.
-func (t *Table) TickAccumKernels(served bool) {
-	t.tickKernel(KTimelineAdd, served)
-	t.tickKernel(KHistAdd, served)
-}
-
-// Run-summary column indices: the four groupable key columns, indexed by
-// Col, then level — together the five columns a key span holds constant.
-// Op is deliberately absent: it alternates nearly every event in real
-// traces, so its summary would never pass the density cap.
-const (
-	numKeyCols = 4
-	runLevel   = numKeyCols
-	numRunCols = numKeyCols + 1
-)
-
-var colNames = [numKeyCols]string{"rank", "node", "app", "file"}
+// colNames names the groupable key columns, indexed by Col.
+var colNames = [...]string{"rank", "node", "app", "file"}
 
 // traceCol returns the trace-layer column set bit for a key column.
 func (col Col) traceCol() trace.ColSet {
@@ -126,163 +81,6 @@ func (col Col) traceCol() trace.ColSet {
 		return trace.ColFile
 	}
 	return 0
-}
-
-// runColSet returns the trace-layer column set bit for a run column index.
-func runColSet(ri int) trace.ColSet {
-	if ri == runLevel {
-		return trace.ColLevel
-	}
-	return Col(ri).traceCol()
-}
-
-// runBounds returns the value range outside which a run column's decode
-// validation (or integer conversion) would disagree with the stored value.
-func runBounds(ri int) (lo, hi int64) {
-	switch ri {
-	case runLevel:
-		return 0, math.MaxUint8 // decode truncates with uint8(v)
-	case int(ColRank), int(ColNode):
-		return 0, math.MaxInt32 // decode rejects out-of-range values
-	}
-	return math.MinInt32, math.MaxInt32
-}
-
-// captureRuns snapshots the value-run summaries of the run columns from a
-// block payload: RLE runs directly, dict and FOR segments as coalesced
-// value runs. With spans == nil the chunk keeps every block row and the
-// block's runs are the chunk's; otherwise the chunk is selection-backed and
-// each column's block-level runs are re-cut against the selection's spans
-// (SegCursor.CutRunsSel, the streaming fusion of trace.CutRuns into the
-// segment decode), so the summary covers exactly the kept rows in kept
-// order and the block-level run list never materializes. Runs whose values
-// would fail the column's decode validation are dropped, so a captured
-// summary always agrees with the materialized column; so are summaries
-// denser than one run per four rows, where run iteration stops paying for
-// itself — the cap is pushed into the decode, which abandons the walk the
-// moment it crosses the line. It reports whether every run column ended up
-// with a summary, the condition for key spans to serve this chunk.
-func (c *Chunk) captureRuns(bd *trace.BlockData, spans []trace.SelSpan) bool {
-	maxRuns := c.N / 4
-	if maxRuns == 0 {
-		return false // fewer than 4 rows: no summary can pass the cap
-	}
-	all := true
-	for ri := 0; ri < numRunCols; ri++ {
-		idx := bits.TrailingZeros64(uint64(runColSet(ri)))
-		cur, err := bd.SegCursorAt(idx)
-		if err != nil || cur == nil {
-			all = false
-			continue
-		}
-		var runs []trace.Run
-		var ok bool
-		if spans == nil {
-			runs, ok = cur.AppendRunsMax(nil, maxRuns)
-		} else {
-			runs, ok = cur.CutRunsSel(spans, nil, maxRuns)
-		}
-		codec := cur.Codec()
-		cur.Release()
-		lo, hi := runBounds(ri)
-		for _, r := range runs {
-			if r.Val < lo || r.Val > hi {
-				ok = false
-				break
-			}
-		}
-		if !ok || len(runs) == 0 {
-			all = false
-			continue
-		}
-		c.runs[ri] = runs
-		c.runCodec[ri] = codec
-	}
-	return all
-}
-
-// HasRuns reports whether the chunk carries a run summary for the key
-// column (observability for tests and benchmarks).
-func (c *Chunk) HasRuns(col Col) bool { return c.runs[col] != nil }
-
-// runServesSpans reports whether the chunk has a run summary for run column
-// ri that the registry serves key spans from. A single run covering the
-// whole chunk — a constant column, which the cost model stores as width-0
-// FOR — serves regardless of which codec produced it.
-func (c *Chunk) runServesSpans(ri int) bool {
-	runs := c.runs[ri]
-	if runs == nil {
-		return false
-	}
-	if kernelCaps[KKeySpan][c.runCodec[ri]] {
-		return true
-	}
-	return len(runs) == 1 && int(runs[0].N) == c.N
-}
-
-// KeySpan is a maximal run of chunk rows over which the five stable key
-// columns — level, rank, node, app, file — are constant. Op varies within
-// the span and is dispatched per row by the caller. Lo is inclusive, Hi
-// exclusive, both chunk-relative.
-type KeySpan struct {
-	Lo, Hi     int
-	Level      uint8
-	Rank, Node int32
-	App, File  int32
-}
-
-// keySpans merges the chunk's five run summaries into key spans, appending
-// to dst. It reports false (serving nothing) unless every run column
-// carries a registry-served run summary.
-func (c *Chunk) keySpans(dst []KeySpan) ([]KeySpan, bool) {
-	for ri := 0; ri < numRunCols; ri++ {
-		if !c.runServesSpans(ri) {
-			return dst, false
-		}
-	}
-	var idx, rem [numRunCols]int
-	for ri := range rem {
-		rem[ri] = int(c.runs[ri][0].N)
-	}
-	row := 0
-	for row < c.N {
-		n := rem[0]
-		for ri := 1; ri < numRunCols; ri++ {
-			if rem[ri] < n {
-				n = rem[ri]
-			}
-		}
-		dst = append(dst, KeySpan{
-			Lo:    row,
-			Hi:    row + n,
-			Rank:  int32(c.runs[ColRank][idx[ColRank]].Val),
-			Node:  int32(c.runs[ColNode][idx[ColNode]].Val),
-			App:   int32(c.runs[ColApp][idx[ColApp]].Val),
-			File:  int32(c.runs[ColFile][idx[ColFile]].Val),
-			Level: uint8(c.runs[runLevel][idx[runLevel]].Val),
-		})
-		row += n
-		for ri := 0; ri < numRunCols; ri++ {
-			if rem[ri] -= n; rem[ri] == 0 {
-				if idx[ri]++; idx[ri] < len(c.runs[ri]) {
-					rem[ri] = int(c.runs[ri][idx[ri]].N)
-				} else if row < c.N {
-					return dst, false // summaries must tile the chunk exactly
-				}
-			}
-		}
-	}
-	return dst, true
-}
-
-// ChunkKeySpans is the analyzer's span-scan kernel request for chunk k: the
-// chunk's stable-key spans appended to dst, or ok == false when any key
-// column lacks a served run summary (the caller iterates rows instead).
-// Either way the request is counted in the scan stats.
-func (t *Table) ChunkKeySpans(k int, dst []KeySpan) ([]KeySpan, bool) {
-	dst, ok := t.chunks[k].keySpans(dst)
-	t.tickKernel(KKeySpan, ok)
-	return dst, ok
 }
 
 // wholeSegCursor returns a cursor over the chunk's encoded column segment
@@ -355,14 +153,11 @@ func headerRange(cur *trace.SegCursor, r *valueRange) bool {
 // [-1, limit) is malformed input, reported as an ErrBadFormat-wrapped
 // error before any caller sizes anything by it.
 //
-// The unifier is total. Each chunk answers from the cheapest source it
-// has — its segment header (whole-block chunks), else its captured run
-// summary (selection-backed chunks, whose runs are re-cut against the
-// selection and name every kept value) — and a chunk with neither
-// (structureless codec, summary over the density cap) materializes the
-// column and scans it: the row pass such a chunk takes needs the column
-// anyway, so the decode is moved, not added. One KGroupAgg request is
-// counted per chunk, served when no row was read.
+// The unifier is total. A whole-block chunk answers from its segment
+// header; any other chunk (selection-backed, structureless codec)
+// materializes the column and scans it: the analyzer's passes need the
+// column anyway, so the decode is moved, not added. One KGroupAgg request
+// is counted per chunk, served when no row was read.
 func (t *Table) UnifyCodes(par int, col Col, limit int) (card int, err error) {
 	colIdx := bits.TrailingZeros64(uint64(col.traceCol()))
 	parts := make([]valueRange, len(t.chunks))
@@ -374,12 +169,6 @@ func (t *Table) UnifyCodes(par int, col Col, limit int) (card int, err error) {
 		if cur := c.wholeSegCursor(colIdx); cur != nil {
 			served = headerRange(cur, &r)
 			cur.Release()
-		}
-		if runs := c.runs[col]; !served && runs != nil {
-			served = true
-			for _, run := range runs {
-				r.note(run.Val)
-			}
 		}
 		t.tickKernel(KGroupAgg, served)
 		if !served {
@@ -511,7 +300,7 @@ func compressedSel(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (se
 			}
 			return emptySel, syn, false, true
 		}
-		if !kernelCaps[KPredicate][cur.Codec()] {
+		if !servesPredicate(cur.Codec()) {
 			cur.Release()
 			return nil, syn, false, false
 		}
@@ -633,7 +422,7 @@ func appendPassRuns(m *trace.Matcher, d *predDim, cur *trace.SegCursor, n int, d
 		}
 		return put(pass, int32(n)), true
 	}
-	if !kernelCaps[KPredicate][cur.Codec()] {
+	if !servesPredicate(cur.Codec()) {
 		return dst, false
 	}
 	if nd := cur.NumCodes(); nd > 0 {
@@ -669,18 +458,14 @@ func appendPassRuns(m *trace.Matcher, d *predDim, cur *trace.SegCursor, n int, d
 // outcome runs and the runs intersect in lockstep, emitting the selection
 // vector directly at exact final size — no keep bitmap, no residual row
 // pass. A first intersection walk counts (and short-circuits whole-pass
-// and whole-drop blocks without allocating), a second fills. The fill walk
-// already visits the selection one contiguous pass segment at a time, so
-// it emits that run structure alongside the vector (spans, coalesced) —
-// the selection's spans feed the run re-cut instead of being rediscovered
-// from the dense indices. eligible reports whether the filter shape
-// qualifies at all (for the run-isect counters); ok whether every
-// dimension was run-representable. need is the block-reduced constrained
-// set (Matcher.NeedColsBlock).
-func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (sel []int32, spans []trace.SelSpan, all, ok, eligible bool) {
+// and whole-drop blocks without allocating), a second fills. eligible
+// reports whether the filter shape qualifies at all (for the run-isect
+// counters); ok whether every dimension was run-representable. need is the
+// block-reduced constrained set (Matcher.NeedColsBlock).
+func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (sel []int32, all, ok, eligible bool) {
 	const dims3 = trace.ColLevel | trace.ColOp | trace.ColRank
 	if need&^dims3 != 0 || bits.OnesCount64(uint64(need)) < 2 {
-		return nil, nil, false, false, false
+		return nil, false, false, false
 	}
 	n := bd.Count()
 	var lists [3][]passRun
@@ -692,12 +477,12 @@ func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData
 		}
 		cur, err := bd.SegCursorAt(bits.TrailingZeros64(uint64(d.set)))
 		if err != nil || cur == nil {
-			return nil, nil, false, false, true
+			return nil, false, false, true
 		}
 		pr, prOK := appendPassRuns(m, d, cur, n, nil)
 		cur.Release()
 		if !prOK {
-			return nil, nil, false, false, true
+			return nil, false, false, true
 		}
 		lists[nd] = pr
 		nd++
@@ -730,13 +515,11 @@ func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData
 	}
 	switch cnt {
 	case n:
-		return nil, nil, true, true, true
+		return nil, true, true, true
 	case 0:
-		return emptySel, nil, false, true, true
+		return emptySel, false, true, true
 	}
-	// Pass two: fill the selection at exact size, emitting its run
-	// structure (contiguous kept spans, coalesced across dimension
-	// boundaries) as it goes.
+	// Pass two: fill the selection at exact size.
 	sel = make([]int32, 0, cnt)
 	idx, rem = [3]int{}, [3]int{}
 	for i := 0; i < nd; i++ {
@@ -755,11 +538,6 @@ func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData
 			for j := row; j < row+seg; j++ {
 				sel = append(sel, int32(j))
 			}
-			if ns := len(spans); ns > 0 && spans[ns-1].Lo+spans[ns-1].N == int32(row) {
-				spans[ns-1].N += int32(seg)
-			} else {
-				spans = append(spans, trace.SelSpan{Lo: int32(row), N: int32(seg)})
-			}
 		}
 		row += seg
 		for i := 0; i < nd; i++ {
@@ -769,7 +547,7 @@ func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData
 			}
 		}
 	}
-	return sel, spans, false, true, true
+	return sel, false, true, true
 }
 
 // compressedKeep evaluates the matcher's per-dimension predicates in the
@@ -819,7 +597,7 @@ func compressedKeep(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (k
 			served = true
 			continue
 		}
-		if !kernelCaps[KPredicate][cur.Codec()] {
+		if !servesPredicate(cur.Codec()) {
 			cur.Release()
 			continue
 		}

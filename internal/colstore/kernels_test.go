@@ -33,24 +33,16 @@ func mixedTrace(n int) *trace.Trace {
 	return tr.Finish()
 }
 
-// TestKernelRegistryCaps pins the registry: RLE and dict serve the
-// predicate paths (which dispatch on their structure directly), every
-// run-structured codec including FOR serves key spans, raw serves nothing.
+// TestKernelRegistryCaps pins which codecs the predicate kernels evaluate
+// over: RLE and dict, whose structure they dispatch on directly; FOR and
+// raw serve nothing.
 func TestKernelRegistryCaps(t *testing.T) {
-	for _, codec := range []uint8{trace.SegCodecRLE, trace.SegCodecDict} {
-		if !kernelCaps[KPredicate][codec] || !kernelCaps[KKeySpan][codec] {
-			t.Errorf("codec %d does not serve both predicate and key-span kernels", codec)
-		}
-	}
-	if kernelCaps[KPredicate][trace.SegCodecFOR] {
-		t.Error("predicate kernel served from FOR segments")
-	}
-	if !kernelCaps[KKeySpan][trace.SegCodecFOR] {
-		t.Error("key-span kernel not served from FOR segments")
-	}
-	for op := KernelOp(0); op < NumKernelOps; op++ {
-		if kernelCaps[op][trace.SegCodecRaw] {
-			t.Errorf("%v served from raw segments", op)
+	for codec, want := range map[uint8]bool{
+		trace.SegCodecRLE: true, trace.SegCodecDict: true,
+		trace.SegCodecFOR: false, trace.SegCodecRaw: false,
+	} {
+		if got := servesPredicate(codec); got != want {
+			t.Errorf("servesPredicate(codec %d) = %v, want %v", codec, got, want)
 		}
 	}
 }
@@ -103,36 +95,6 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 					cname, fname, cname)
 			}
 		}
-	}
-}
-
-// TestKeySpansTileAcrossLevelChanges: on a trace whose level changes inside
-// chunks (groupTrace holds it constant), the key-span kernel's spans tile
-// each chunk exactly and carry the same keys the materialized columns hold
-// row by row, with the served counter ticking.
-func TestKeySpansTileAcrossLevelChanges(t *testing.T) {
-	tr := mixedTrace(ChunkRows + 700)
-	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
-	var stats ScanStats
-	tb, err := FromBlocksSpec(br, 1, ScanSpec{}, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertKeySpansMatchColumns(t, tb)
-	levelChanges := 0
-	for k := 0; k < tb.NumChunks(); k++ {
-		spans, _ := tb.ChunkAt(k).keySpans(nil)
-		for i := 1; i < len(spans); i++ {
-			if spans[i].Level != spans[i-1].Level {
-				levelChanges++
-			}
-		}
-	}
-	if levelChanges == 0 {
-		t.Fatal("no key span boundary fell on a level change")
-	}
-	if stats.KernelServed[KKeySpan].Load() == 0 {
-		t.Error("key-span served counter did not tick")
 	}
 }
 

@@ -62,14 +62,6 @@ type ScanStats struct {
 	// served vs fell back because some dimension lacked run structure.
 	RunIsectServed   atomic.Int64
 	RunIsectFallback atomic.Int64
-
-	// GroupFilteredServed and GroupFilteredFallback count selection-backed
-	// chunks whose re-cut run summaries covered every stable key column —
-	// key spans serve the filtered chunk — vs filtered chunks whose re-cut
-	// came up short (density cap, structureless segments) and take the
-	// analyzer's row bodies.
-	GroupFilteredServed   atomic.Int64
-	GroupFilteredFallback atomic.Int64
 }
 
 // tickKernel records one kernel request as served or fallback. Nil-safe.
@@ -107,8 +99,8 @@ type ScanCounters struct {
 	KernelsServed   int64
 	KernelsFallback int64
 
-	// Key-span and key-unification requests answered from run structure
-	// and segment headers vs from materialized rows.
+	// Key-unification requests (KGroupAgg) answered from segment headers vs
+	// from materialized rows.
 	GroupServed   int64
 	GroupFallback int64
 
@@ -117,15 +109,8 @@ type ScanCounters struct {
 	RunIsectServed   int64
 	RunIsectFallback int64
 
-	// Selection-backed chunks whose re-cut run summaries serve key spans vs
-	// filtered chunks left to the row bodies.
-	GroupFilteredServed   int64
-	GroupFilteredFallback int64
-
-	// Run-aware distribution accumulators: chunk passes whose timeline and
-	// size-histogram accumulation batched over span structure vs passes
-	// that bucketed per row (KernelServed/Fallback for KTimelineAdd and
-	// KHistAdd, summed).
+	// No producer is left; always 0. Kept for bench/charfile.go, which sums
+	// them into colstore.tl_served_ratio.
 	TLServed   int64
 	TLFallback int64
 }
@@ -150,14 +135,10 @@ func (s *ScanStats) Snapshot() ScanCounters {
 		c.KernelsServed += c.KernelServed[op]
 		c.KernelsFallback += c.KernelFallback[op]
 	}
-	c.GroupServed = c.KernelServed[KKeySpan] + c.KernelServed[KGroupAgg]
-	c.GroupFallback = c.KernelFallback[KKeySpan] + c.KernelFallback[KGroupAgg]
+	c.GroupServed = c.KernelServed[KGroupAgg]
+	c.GroupFallback = c.KernelFallback[KGroupAgg]
 	c.RunIsectServed = s.RunIsectServed.Load()
 	c.RunIsectFallback = s.RunIsectFallback.Load()
-	c.GroupFilteredServed = s.GroupFilteredServed.Load()
-	c.GroupFilteredFallback = s.GroupFilteredFallback.Load()
-	c.TLServed = c.KernelServed[KTimelineAdd] + c.KernelServed[KHistAdd]
-	c.TLFallback = c.KernelFallback[KTimelineAdd] + c.KernelFallback[KHistAdd]
 	return c
 }
 
@@ -368,8 +349,8 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		// row it holds (a containing time window, most usefully), so the
 		// constrained set shrinks per block: a window+rank filter becomes a
 		// pure rank filter on interior blocks — compressed-selection
-		// territory — and a pure-window filter keeps interior blocks whole,
-		// run summaries intact, without touching a row.
+		// territory — and a pure-window filter keeps interior blocks whole
+		// without touching a row.
 		need := m.NeedColsBlock(bi)
 		bd, err := src.ReadBlock(k)
 		if err != nil {
@@ -395,7 +376,6 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 				}
 				ck.adopt(&cols, nil, lz.have)
 			}
-			ck.captureRuns(bd, nil)
 			if lz.have != trace.AllCols {
 				ck.lazy = lz
 			}
@@ -411,16 +391,12 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		// and leave the residual set. Either way the decode shrinks to
 		// residual columns only.
 		sel, syn, selAll, direct := compressedSel(m, need, bd)
-		var selSpans []trace.SelSpan
 		if !direct {
 			// Multi-dimension filters intersect run summaries across columns
-			// and emit the selection directly, skipping the keep bitmap. The
-			// intersection walk also hands back the selection's run structure
-			// (its contiguous kept spans), so the re-cut below never has to
-			// rediscover it from the dense vector.
-			if msel, mspans, mall, mok, eligible := compressedSelMulti(m, need, bd); eligible {
+			// and emit the selection directly, skipping the keep bitmap.
+			if msel, mall, mok, eligible := compressedSelMulti(m, need, bd); eligible {
 				if mok {
-					sel, selSpans, selAll, direct = msel, mspans, mall, true
+					sel, selAll, direct = msel, mall, true
 					stats.RunIsectServed.Add(1)
 				} else {
 					stats.RunIsectFallback.Add(1)
@@ -482,23 +458,6 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		if sel != nil && syn.set != 0 {
 			syn.install(ck)
 			have |= syn.set
-		}
-		if sel == nil {
-			ck.captureRuns(bd, nil)
-		} else {
-			// Selection-backed chunk: re-cut the block's value runs against
-			// the selection's spans so key spans serve filtered chunks too.
-			// Selections not born run-structured (residual row predicates,
-			// keep bitmaps) coalesce here — they are still runs of kept
-			// rows, just spelled out one index at a time.
-			if selSpans == nil {
-				selSpans = trace.AppendSelSpans(sel, nil)
-			}
-			if ck.captureRuns(bd, selSpans) {
-				stats.GroupFilteredServed.Add(1)
-			} else {
-				stats.GroupFilteredFallback.Add(1)
-			}
 		}
 		if have != trace.AllCols {
 			ck.lazy = &lazySrc{bd: bd, sel: sel, have: have, stats: stats}

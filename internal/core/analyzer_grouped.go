@@ -17,14 +17,8 @@ import (
 // ids, so once colstore.UnifyCodes has bounded each of them, everything the
 // scan keys on (app, file) or rank is a flat array indexed by value+1. Two
 // chunk-parallel passes follow — pass 1 resolves each (app, file) stream's
-// primary level, pass 2 characterizes at those levels — and each pass has
-// two bodies, selected per chunk by what the chunk carries: a chunk with
-// run summaries for all five stable key columns rides its key spans (every
-// lookup hoisted to span boundaries, op dispatched per same-op sub-run,
-// only Op/Size/Start/End materialized), any other chunk materializes the
-// pass's column set and iterates rows. Both bodies feed the same
-// accumulators with regrouped integer sums over the same rows in the same
-// order, so which body served a chunk never shows in the result.
+// primary level, pass 2 characterizes at those levels — and each pass
+// materializes one fixed column set per chunk and iterates its rows.
 //
 // Accumulators are held per worker, not per chunk: each is an integer sum,
 // a set union or a minimum, so which chunks a worker happened to take
@@ -141,7 +135,7 @@ func firstErr(errs []error) error {
 // pass1 bounds the key columns and resolves each (app, file) stream's
 // primary level, the per-app rank counts, the runtime and GPU use. Each
 // pass declares its column set and Requires it per chunk, so a lazily
-// planned table decodes exactly the columns the chunk's pass body touches.
+// planned table decodes exactly the columns the pass touches.
 func (a *analysis) pass1() error {
 	// Ids are checked against the header's interned tables before anything
 	// is sized or indexed by them: a trace whose events name an app or file
@@ -175,12 +169,7 @@ func (a *analysis) pass1() error {
 			return
 		}
 		c := a.tb.ChunkAt(k)
-		spans, spanOK := a.tb.ChunkKeySpans(k, nil)
-		need := pass1Cols
-		if spanOK {
-			need = trace.ColEnd | trace.ColOp
-		}
-		if errs[k] = c.Require(need); errs[k] != nil {
+		if errs[k] = c.Require(pass1Cols); errs[k] != nil {
 			return
 		}
 		p := p1[w]
@@ -194,11 +183,7 @@ func (a *analysis) pass1() error {
 		for _, e := range c.End {
 			p.maxEnd = max(p.maxEnd, e)
 		}
-		if spanOK {
-			keySpanPass1(c, spans, fileSlots, rankWords, p)
-		} else {
-			rowPass1(c, fileSlots, rankWords, p)
-		}
+		rowPass1(c, fileSlots, rankWords, p)
 	})
 	if err := firstErr(errs); err != nil {
 		return err
@@ -238,21 +223,11 @@ func (a *analysis) pass1() error {
 // chunk's row subsets until the next call.
 func (a *analysis) scanChunk(k int, p *pass2Acc) (*colstore.Chunk, error) {
 	c := a.tb.ChunkAt(k)
-	spans, spanOK := a.tb.ChunkKeySpans(k, nil)
-	a.tb.TickAccumKernels(spanOK)
-	need := pass2Cols
-	if spanOK {
-		need = trace.ColOp | trace.ColSize | trace.ColStart | trace.ColEnd
-	}
-	if err := c.Require(need | partialCols); err != nil {
+	if err := c.Require(pass2Cols | partialCols); err != nil {
 		return nil, err
 	}
 	p.primary, p.posix = p.primary[:0], p.posix[:0]
-	if spanOK {
-		keySpanPass2(c, spans, a.levels, a.fileSlots, p)
-	} else {
-		rowPass2(c, a.levels, a.fileSlots, p)
-	}
+	rowPass2(c, a.levels, a.fileSlots, p)
 	return c, nil
 }
 
@@ -333,28 +308,7 @@ func lowerLevel(levels []uint16, idx int, lv uint8) {
 	}
 }
 
-// keySpanPass1 runs pass 1 over one chunk's key spans: the rank bit and
-// the level cell are touched once per span, and only op is read per row.
-func keySpanPass1(c *colstore.Chunk, spans []colstore.KeySpan, fileSlots, rankWords int, p *pass1Acc) {
-	for _, s := range spans {
-		setBit(p.ranks, int(s.App)+1, rankWords, int(s.Rank)+1)
-		anyIO := false
-		for _, b := range c.Op[s.Lo:s.Hi] {
-			op := trace.Op(b)
-			if op == trace.OpGPUCompute {
-				p.gpu = true
-			}
-			if op.IsIO() {
-				anyIO = true
-			}
-		}
-		if anyIO {
-			lowerLevel(p.levels, (int(s.App)+1)*fileSlots+int(s.File)+1, s.Level)
-		}
-	}
-}
-
-// rowPass1 is pass 1's per-row body for chunks without key spans.
+// rowPass1 is pass 1's body over one chunk.
 func rowPass1(c *colstore.Chunk, fileSlots, rankWords int, p *pass1Acc) {
 	for j := 0; j < c.N; j++ {
 		op := trace.Op(c.Op[j])
@@ -368,126 +322,7 @@ func rowPass1(c *colstore.Chunk, fileSlots, rankWords int, p *pass1Acc) {
 	}
 }
 
-// addData accumulates rows [lo, hi) of one data op — all reads or all
-// writes of one rank — batching equal-size sub-runs through
-// SizeHistogram.AddRun and the whole range through Timeline.AddRuns, and
-// returns the range's byte and duration totals. Every batched add is a
-// regrouped integer sum over the same rows in the same order, so the
-// accumulators end bit-identical to per-row adds.
-func addData(c *colstore.Chunk, lo, hi int, hist *stats.SizeHistogram, tl *stats.Timeline) (bytes, dur int64) {
-	for i := lo; i < hi; {
-		sz := c.Size[i]
-		dsum := c.End[i] - c.Start[i]
-		i2 := i + 1
-		for i2 < hi && c.Size[i2] == sz {
-			dsum += c.End[i2] - c.Start[i2]
-			i2++
-		}
-		bytes += sz * int64(i2-i)
-		dur += dsum
-		hist.AddRun(sz, int64(i2-i), time.Duration(dsum))
-		i = i2
-	}
-	tl.AddRuns(c.Start, c.End, c.Size, lo, hi)
-	return bytes, dur
-}
-
-// keySpanPass2 runs pass 2 over one chunk's key spans: the primary check,
-// the file/rank accumulator lookups and the reader/writer set updates
-// happen once per span; within a span the op dispatch is hoisted to
-// maximal same-op sub-runs, accumulated through addData.
-func keySpanPass2(c *colstore.Chunk, spans []colstore.KeySpan, levels []uint16, fileSlots int, p *pass2Acc) {
-	for _, s := range spans {
-		isPosix := trace.Level(s.Level) == trace.LevelPosix
-		isPrim := uint16(s.Level)+1 == levels[(int(s.App)+1)*fileSlots+int(s.File)+1]
-		if !isPosix && !isPrim {
-			continue // no row of this span can contribute anything
-		}
-		var fa *fileAgg
-		var sawRead, sawWrite bool
-		app, acc := &p.apps[int(s.App)+1], &p.perRank[int(s.Rank)+1]
-		for j := s.Lo; j < s.Hi; {
-			op := trace.Op(c.Op[j])
-			j2 := j + 1
-			for j2 < s.Hi && c.Op[j2] == c.Op[j] {
-				j2++
-			}
-			lo, hi := j, j2
-			j = j2
-			if !op.IsIO() {
-				continue
-			}
-			if isPosix {
-				p.posix = appendRange(p.posix, lo, hi)
-			}
-			if !isPrim {
-				continue
-			}
-			p.primary = appendRange(p.primary, lo, hi)
-			app.add(c, lo, hi)
-			cnt := int64(hi - lo)
-			if s.File >= 0 && fa == nil {
-				fa = p.files[int(s.File)+1]
-				if fa == nil {
-					fa = newFileAgg(s.File)
-					p.files[int(s.File)+1] = fa
-				}
-				fa.ranks[s.Rank] = true
-			}
-			acc.hit = true
-			switch op {
-			case trace.OpRead:
-				bytes, dur := addData(c, lo, hi, &p.readHist, p.readTL)
-				p.readBytes += bytes
-				acc.rBytes += bytes
-				acc.rDur += dur
-				if fa != nil {
-					fa.bytesRead += bytes
-					fa.ioDur += time.Duration(dur)
-					fa.dataOps += cnt
-					sawRead = true
-				}
-			case trace.OpWrite:
-				bytes, dur := addData(c, lo, hi, &p.writeHist, p.writeTL)
-				p.writeBytes += bytes
-				acc.wBytes += bytes
-				acc.wDur += dur
-				if fa != nil {
-					fa.bytesWritten += bytes
-					fa.ioDur += time.Duration(dur)
-					fa.dataOps += cnt
-					sawWrite = true
-				}
-			default:
-				if fa != nil {
-					var dsum int64
-					for i := lo; i < hi; i++ {
-						dsum += c.End[i] - c.Start[i]
-					}
-					fa.ioDur += time.Duration(dsum)
-					fa.metaOps += cnt
-					if op == trace.OpOpen {
-						fa.opens += cnt
-					}
-				}
-			}
-		}
-		if fa != nil {
-			if sawRead {
-				fa.readerRanks[s.Rank] = true
-				fa.readerNodes[s.Node] = true
-				fa.readerApps[s.App] = true
-			}
-			if sawWrite {
-				fa.writerRanks[s.Rank] = true
-				fa.writerNodes[s.Node] = true
-				fa.writerApps[s.App] = true
-			}
-		}
-	}
-}
-
-// rowPass2 is pass 2's per-row body for chunks without key spans.
+// rowPass2 is pass 2's body over one chunk.
 func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc) {
 	for j := 0; j < c.N; j++ {
 		op := trace.Op(c.Op[j])

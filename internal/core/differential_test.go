@@ -104,13 +104,11 @@ func scanRows(t *testing.T, tr *trace.Trace, tb *colstore.Table) []chunkRows {
 
 // TestRowRanges pins the row-subset representation: a subset is a list of
 // ranges that coalesce on adjacency alone. An unfiltered single-level chunk
-// whose every row is primary I/O is one range, whichever pass body served
-// it and however its ranks and files interleave; in a level-interleaved
+// whose every row is primary I/O is one range however its ranks and files
+// interleave; in a level-interleaved
 // chunk the primary ranges break exactly at the non-member rows.
 func TestRowRanges(t *testing.T) {
-	// Rank and file change every keyRun rows: 1 interleaves them per row (no
-	// run summary survives the density cap, so every chunk takes the row
-	// body), a long run lets lazily planned chunks serve key spans.
+	// Rank and file change every keyRun rows: 1 interleaves them per row.
 	build := func(n, keyRun int, level func(i int) trace.Level) *trace.Trace {
 		tc := trace.NewTracer()
 		app := tc.AppID("app")
@@ -134,13 +132,9 @@ func TestRowRanges(t *testing.T) {
 	t.Run("single-level", func(t *testing.T) {
 		for _, keyRun := range []int{1, 600} {
 			tr := build(n, keyRun, func(int) trace.Level { return trace.LevelPosix })
-			lazy := lazyTable(t, tr, trace.V2Options{}, trace.Filter{})
-			if _, spanOK := lazy.ChunkKeySpans(0, nil); spanOK != (keyRun > 1) {
-				t.Fatalf("keyRun=%d: lazy chunk serves key spans = %v", keyRun, spanOK)
-			}
 			for name, tb := range map[string]*colstore.Table{
 				"eager": colstore.FromEvents(tr.Events, 1),
-				"lazy":  lazy,
+				"lazy":  lazyTable(t, tr, trace.V2Options{}, trace.Filter{}),
 			} {
 				rows := scanRows(t, tr, tb)
 				if len(rows) != 2 {

@@ -46,9 +46,8 @@ func File(ctx context.Context, path string, opt core.Options) (*core.Characteriz
 // Blocks analyzes a block source — a BlockReader over an open file, or a
 // shared decoded-block cache like vanid's — through the planned-scan path:
 // the filter pushes down to the block index, predicates evaluate in the
-// compressed domain where the kernel registry serves them,
-// and the analyzer's scan walks key spans over chunks that kept their run
-// summaries, materializing only the columns its pass bodies read. The
+// compressed domain where the segment codecs serve them, and the
+// analyzer's scan materializes only the columns its passes read. The
 // characterization is byte-identical to File over the same log.
 func Blocks(ctx context.Context, src trace.BlockSource, opt core.Options) (*core.Characterization, error) {
 	t0 := time.Now()

@@ -47,22 +47,10 @@ type Metrics struct {
 	ScanKernelsServed   atomic.Int64
 	ScanKernelsFallback atomic.Int64
 
-	// Grouped-execution kernels (key spans + code-unified group
-	// aggregation) served vs fallen back, summed over jobs.
+	// Key-unification requests served from segment headers vs fallen back
+	// to materialized rows, summed over jobs.
 	ScanGroupKernelsServed   atomic.Int64
 	ScanGroupKernelsFallback atomic.Int64
-
-	// Selection-backed chunks whose re-cut run summaries let grouped
-	// execution fire on filtered scans vs filtered chunks left on the
-	// row path.
-	ScanGroupFilteredServed   atomic.Int64
-	ScanGroupFilteredFallback atomic.Int64
-
-	// Run-aware distribution accumulators: chunk passes whose timeline and
-	// size-histogram accumulation batched over span structure vs bucketed
-	// per row.
-	ScanTLKernelsServed   atomic.Int64
-	ScanTLKernelsFallback atomic.Int64
 
 	// Multi-dimension run-intersection selection: blocks served directly
 	// from intersected run summaries vs eligible blocks that fell back to
@@ -94,10 +82,6 @@ func (m *Metrics) AddScan(sc colstore.ScanCounters) {
 	m.ScanKernelsFallback.Add(sc.KernelsFallback)
 	m.ScanGroupKernelsServed.Add(sc.GroupServed)
 	m.ScanGroupKernelsFallback.Add(sc.GroupFallback)
-	m.ScanGroupFilteredServed.Add(sc.GroupFilteredServed)
-	m.ScanGroupFilteredFallback.Add(sc.GroupFilteredFallback)
-	m.ScanTLKernelsServed.Add(sc.TLServed)
-	m.ScanTLKernelsFallback.Add(sc.TLFallback)
 	m.ScanRunIsectServed.Add(sc.RunIsectServed)
 	m.ScanRunIsectFallback.Add(sc.RunIsectFallback)
 }
@@ -133,12 +117,6 @@ type MetricsSnapshot struct {
 
 	ScanGroupKernelsServed   int64 `json:"scan_group_kernels_served"`
 	ScanGroupKernelsFallback int64 `json:"scan_group_kernels_fallback"`
-
-	ScanGroupFilteredServed   int64 `json:"scan_group_filtered_served"`
-	ScanGroupFilteredFallback int64 `json:"scan_group_filtered_fallback"`
-
-	ScanTLKernelsServed   int64 `json:"scan_tl_kernels_served"`
-	ScanTLKernelsFallback int64 `json:"scan_tl_kernels_fallback"`
 
 	ScanRunIsectServed   int64 `json:"scan_runisect_served"`
 	ScanRunIsectFallback int64 `json:"scan_runisect_fallback"`
@@ -188,12 +166,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 		ScanGroupKernelsServed:   m.ScanGroupKernelsServed.Load(),
 		ScanGroupKernelsFallback: m.ScanGroupKernelsFallback.Load(),
-
-		ScanGroupFilteredServed:   m.ScanGroupFilteredServed.Load(),
-		ScanGroupFilteredFallback: m.ScanGroupFilteredFallback.Load(),
-
-		ScanTLKernelsServed:   m.ScanTLKernelsServed.Load(),
-		ScanTLKernelsFallback: m.ScanTLKernelsFallback.Load(),
 
 		ScanRunIsectServed:   m.ScanRunIsectServed.Load(),
 		ScanRunIsectFallback: m.ScanRunIsectFallback.Load(),

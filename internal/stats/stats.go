@@ -210,16 +210,6 @@ func (h *SizeHistogram) Add(size int64, d time.Duration) {
 	h.Time[b] += d
 }
 
-// AddRun records n requests of the same size whose durations sum to total:
-// one bucket lookup and three integer adds, exactly equal to n Add calls
-// (the bucket depends only on size, and every field is an integer sum).
-func (h *SizeHistogram) AddRun(size, n int64, total time.Duration) {
-	b := BucketOf(size)
-	h.Count[b] += n
-	h.Bytes[b] += size * n
-	h.Time[b] += total
-}
-
 // Merge adds another histogram's tallies into h. All fields are integer
 // sums, so merging per-chunk partials in any order is exact — the property
 // the parallel analyzer relies on for bit-identical output.
@@ -352,86 +342,6 @@ func (tl *Timeline) Add(start, end time.Duration, size int64) {
 		}
 		tl.Bytes[b] += share
 		remaining -= share
-	}
-}
-
-// AddRuns adds rows [lo, hi) of the parallel start/end/size slices
-// (nanoseconds, as the analyzer's columns store them), exactly equivalent
-// to calling Add(start[j], end[j], size[j]) row by row in that order. Any
-// row whose clamped [start, end) lies inside a single bin contributes
-// precisely Ops[bin]++ and Bytes[bin] += size — integer arithmetic,
-// independent of where in the bin the row falls — so consecutive
-// single-bin rows batch into two adds per bin crossed, with the current
-// bin's boundaries cached so the steady state runs on comparisons instead
-// of the two per-row divisions; only bin-crossing rows take Add's exact
-// proportional path. Trace rows arrive time-sorted, so a 16K-row chunk
-// typically crosses a handful of bin boundaries.
-func (tl *Timeline) AddRuns(start, end, size []int64, lo, hi int) {
-	span, width := int64(tl.span), int64(tl.width)
-	nbins := len(tl.Bytes)
-	bin := -1              // bin the batch accumulates into; -1 = none open
-	var binLo, binHi int64 // cached bounds; binHi = span on the last bin
-	var ops, bytes int64
-	for j := lo; j < hi; j++ {
-		s, e := start[j], end[j]
-		if e < s {
-			s, e = e, s
-		}
-		if e > span {
-			e = span
-		}
-		if s < 0 {
-			s = 0
-		}
-		if s >= span {
-			continue // Add would return before touching any bin
-		}
-		// e < s survives clamping only when end is negative, where Add
-		// counts the op but adds no bytes — the slow path reproduces that.
-		if bin >= 0 && e >= s && s >= binLo && s < binHi && e <= binHi {
-			ops++
-			if size[j] > 0 {
-				bytes += size[j]
-			}
-			continue
-		}
-		first := int(s / width)
-		last := first
-		if e != s {
-			last = int((e - 1) / width)
-		}
-		if first >= nbins {
-			first = nbins - 1
-		}
-		if last >= nbins {
-			last = nbins - 1
-		}
-		if first == last && e >= s {
-			if bin >= 0 {
-				tl.Ops[bin] += ops
-				tl.Bytes[bin] += bytes
-			}
-			bin, ops, bytes = first, 1, 0
-			if size[j] > 0 {
-				bytes = size[j]
-			}
-			binLo = int64(first) * width
-			binHi = binLo + width
-			if first == nbins-1 {
-				binHi = span // the last bin absorbs the span's remainder
-			}
-			continue
-		}
-		if bin >= 0 {
-			tl.Ops[bin] += ops
-			tl.Bytes[bin] += bytes
-			bin, ops, bytes = -1, 0, 0
-		}
-		tl.Add(time.Duration(start[j]), time.Duration(end[j]), size[j])
-	}
-	if bin >= 0 {
-		tl.Ops[bin] += ops
-		tl.Bytes[bin] += bytes
 	}
 }
 

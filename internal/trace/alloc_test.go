@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -105,66 +107,75 @@ func TestDecodeErrorAllocsPerOp(t *testing.T) {
 	}
 }
 
-// TestAbandonedRunCaptureAllocsNothing: a run capture that crosses its
-// density cap — the fate of a rank column in nearly every block of a
-// merged log — collects in recycled scratch and allocates nothing, whole
-// or cut against a selection; a served capture allocates its exact-size
-// result and nothing else.
-func TestAbandonedRunCaptureAllocsNothing(t *testing.T) {
+// TestMemoDecodeHonoursWant: a memoized block — the handle vanid's block
+// cache shares across jobs — answers Decode(want) as a file-backed block
+// does: the wanted columns, equal in value, and nothing else. The fill
+// decodes every column once; no call, the fill included, hands the caller
+// more than it asked for, so a one-column Require against a cached block
+// copies one column, not eleven.
+func TestMemoDecodeHonoursWant(t *testing.T) {
+	data := encodeV2(t, allocTrace(DefaultBlockEvents), V2Options{})
+	br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = ColOp | ColSize
+	fileBacked, err := br.ReadBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref Columns
+	if _, err := fileBacked.Decode(want, &ref); err != nil {
+		t.Fatal(err)
+	}
+	memo, err := br.ReadBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo.EnableMemo()
+	check := func(cols *Columns) {
+		if cols.N != ref.N || !bytes.Equal(cols.Op, ref.Op) || !slices.Equal(cols.Size, ref.Size) {
+			t.Error("memoized Op/Size differ from the file-backed decode")
+		}
+		if cols.Level != nil || cols.Lib != nil || cols.Rank != nil || cols.Node != nil ||
+			cols.App != nil || cols.File != nil || cols.Offset != nil || cols.Start != nil || cols.End != nil {
+			t.Error("memoized Decode(Op|Size) filled columns outside want")
+		}
+	}
+	var fill Columns
+	if n, err := memo.Decode(want, &fill); err != nil || n == 0 {
+		t.Fatalf("memo fill = (%d, %v), want every segment decoded", n, err)
+	}
+	check(&fill)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var cols Columns
+			if n, err := memo.Decode(want, &cols); err != nil || n != 0 {
+				t.Errorf("memo hit = (%d, %v), want (0, nil)", n, err)
+				return
+			}
+			check(&cols)
+		}()
+	}
+	wg.Wait()
 	if raceEnabled {
-		t.Skip("allocation accounting is skewed under the race detector")
+		return // allocation accounting is skewed under the race detector
 	}
-	const n = 4096
-	dense := make([]int64, n) // a new run every row
-	runny := make([]int64, n) // a new run every 64 rows
-	for i := range dense {
-		dense[i] = int64(i % 7)
-		runny[i] = int64(i / 64 % 7)
+	const iters = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < iters; i++ {
+		var cols Columns
+		if _, err := memo.Decode(want, &cols); err != nil {
+			t.Fatal(err)
+		}
 	}
-	spans := []SelSpan{{Lo: 0, N: n / 2}, {Lo: n/2 + 10, N: n/2 - 10}}
-	for _, codec := range []uint8{segFOR, segDict} {
-		name := segCodecNames[codec]
-		cursor := func(vals []int64) *SegCursor {
-			cur, err := newSegCursor(codec, appendSegBody(nil, codec, vals, false), n, false)
-			if err != nil {
-				t.Fatalf("%s cursor: %v", name, err)
-			}
-			return cur
-		}
-		cur := cursor(dense)
-		if a := testing.AllocsPerRun(100, func() {
-			if runs, ok := cur.AppendRunsMax(nil, n/4); ok || runs != nil {
-				t.Fatalf("%s: dense capture served %d runs", name, len(runs))
-			}
-		}); a != 0 {
-			t.Errorf("%s: abandoned capture allocates %.2f objects/op, want 0", name, a)
-		}
-		if a := testing.AllocsPerRun(100, func() {
-			if runs, ok := cur.CutRunsSel(spans, nil, n/4); ok || runs != nil {
-				t.Fatalf("%s: dense cut served %d runs", name, len(runs))
-			}
-		}); a != 0 {
-			t.Errorf("%s: abandoned cut allocates %.2f objects/op, want 0", name, a)
-		}
-		cur.Release()
-
-		cur = cursor(runny)
-		if a := testing.AllocsPerRun(100, func() {
-			runs, ok := cur.AppendRunsMax(nil, n/4)
-			if !ok || len(runs) != n/64 || cap(runs) != len(runs) {
-				t.Fatalf("%s: served capture ok=%v len=%d cap=%d, want %d exact", name, ok, len(runs), cap(runs), n/64)
-			}
-		}); a != 1 {
-			t.Errorf("%s: served capture allocates %.2f objects/op, want 1", name, a)
-		}
-		if a := testing.AllocsPerRun(100, func() {
-			runs, ok := cur.CutRunsSel(spans, nil, n/4)
-			if !ok || cap(runs) != len(runs) {
-				t.Fatalf("%s: served cut ok=%v len=%d cap=%d", name, ok, len(runs), cap(runs))
-			}
-		}); a != 1 {
-			t.Errorf("%s: served cut allocates %.2f objects/op, want 1", name, a)
-		}
-		cur.Release()
+	runtime.ReadMemStats(&after)
+	wanted := uint64(ref.N) * (1 + 8) // one uint8 and one int64 per row
+	if per := (after.TotalAlloc - before.TotalAlloc) / iters; per > wanted*11/10 {
+		t.Errorf("memo hit for Op|Size allocates %d bytes, the two columns are %d", per, wanted)
 	}
 }

@@ -156,7 +156,6 @@ type colMemo struct {
 	mu     sync.Mutex
 	filled bool
 	cols   Columns
-	bytes  int64 // payload bytes decoded by the single fill
 }
 
 // memoRowBytes is the resident size of one decoded row across all eleven
@@ -170,7 +169,8 @@ const MemoRowBytes = memoRowBytes
 
 // EnableMemo arms the block's decoded-column memo: the first Decode call
 // materializes every column once and reports its decoded byte count; every
-// later call copies the cached values out and reports zero decoded bytes.
+// later call reports zero decoded bytes. Either way the caller receives
+// copies of exactly the columns it asked for.
 // A memoized BlockData is safe for concurrent Decode calls — that is what
 // lets vanid's shared block cache hand one handle to many requests.
 func (bd *BlockData) EnableMemo() {
@@ -179,26 +179,44 @@ func (bd *BlockData) EnableMemo() {
 	}
 }
 
-// MemoBytes returns the resident size of the decoded-column memo once
-// filled, for cache byte budgeting.
-func (bd *BlockData) MemoBytes() int64 { return int64(bd.count) * memoRowBytes }
-
-// copyColumns fills dst with a copy of src's values. The memo's slices are
-// shared across requests, so callers get copies they are free to adopt,
-// reuse, or overwrite.
-func copyColumns(dst, src *Columns) {
-	dst.grow(src.N)
-	copy(dst.Level, src.Level)
-	copy(dst.Op, src.Op)
-	copy(dst.Lib, src.Lib)
-	copy(dst.Rank, src.Rank)
-	copy(dst.Node, src.Node)
-	copy(dst.App, src.App)
-	copy(dst.File, src.File)
-	copy(dst.Offset, src.Offset)
-	copy(dst.Size, src.Size)
-	copy(dst.Start, src.Start)
-	copy(dst.End, src.End)
+// copyColumns fills the columns of dst named by want with copies of src's
+// values. The memo's slices are shared across requests, so callers get
+// copies they are free to adopt, reuse, or overwrite.
+func copyColumns(dst, src *Columns, want ColSet) {
+	dst.growSet(src.N, want)
+	if want&ColLevel != 0 {
+		copy(dst.Level, src.Level)
+	}
+	if want&ColOp != 0 {
+		copy(dst.Op, src.Op)
+	}
+	if want&ColLib != 0 {
+		copy(dst.Lib, src.Lib)
+	}
+	if want&ColRank != 0 {
+		copy(dst.Rank, src.Rank)
+	}
+	if want&ColNode != 0 {
+		copy(dst.Node, src.Node)
+	}
+	if want&ColApp != 0 {
+		copy(dst.App, src.App)
+	}
+	if want&ColFile != 0 {
+		copy(dst.File, src.File)
+	}
+	if want&ColOffset != 0 {
+		copy(dst.Offset, src.Offset)
+	}
+	if want&ColSize != 0 {
+		copy(dst.Size, src.Size)
+	}
+	if want&ColStart != 0 {
+		copy(dst.Start, src.Start)
+	}
+	if want&ColEnd != 0 {
+		copy(dst.End, src.End)
+	}
 }
 
 // Count returns the number of events in the block.
@@ -265,13 +283,15 @@ func (bd *BlockData) SegCodec(col int) uint8 { return bd.segCodecs[col] }
 // block's row count, and returns the payload bytes it actually decoded:
 // only the wanted segments are touched. Additive: columns decoded by an
 // earlier call on the same cols are preserved. Memoized blocks (see
-// EnableMemo) decode every column exactly once and serve later calls as
-// copies reporting zero decoded bytes.
+// EnableMemo) decode and validate every column exactly once, on the first
+// call, and serve every call as copies of the wanted columns; calls after
+// the first report zero decoded bytes.
 func (bd *BlockData) Decode(want ColSet, cols *Columns) (int64, error) {
 	m := bd.memo
 	if m == nil {
 		return bd.decodeInto(want, cols)
 	}
+	var decoded int64
 	m.mu.Lock()
 	if !m.filled {
 		n, err := bd.decodeInto(AllCols, &m.cols)
@@ -279,14 +299,11 @@ func (bd *BlockData) Decode(want ColSet, cols *Columns) (int64, error) {
 			m.mu.Unlock()
 			return 0, err
 		}
-		m.bytes, m.filled = n, true
-		m.mu.Unlock()
-		copyColumns(cols, &m.cols)
-		return n, nil
+		decoded, m.filled = n, true
 	}
 	m.mu.Unlock()
-	copyColumns(cols, &m.cols)
-	return 0, nil
+	copyColumns(cols, &m.cols, want)
+	return decoded, nil
 }
 
 // decodeInto is Decode without the memo layer.

@@ -342,9 +342,6 @@ func NewScanner(in io.Reader) (*Scanner, error) {
 // Files and Samples but no Events. The scanner retains no reference to it.
 func (s *Scanner) Header() *Trace { return s.hdr }
 
-// Remaining returns the number of events not yet scanned.
-func (s *Scanner) Remaining() uint64 { return s.remaining }
-
 // Read decodes a trace log, materializing the full event log through the
 // streaming scanner.
 func Read(in io.Reader) (*Trace, error) {

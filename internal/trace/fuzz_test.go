@@ -260,7 +260,7 @@ func FuzzBlockReader(f *testing.F) {
 				if cur == nil {
 					continue
 				}
-				if runs := cur.AppendRuns(nil); runs != nil {
+				if runs := cur.Runs(); runs != nil {
 					total := 0
 					for _, r := range runs {
 						total += int(r.N)

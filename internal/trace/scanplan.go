@@ -278,10 +278,9 @@ func (m *Matcher) NeedCols() ColSet {
 // covers the time window — a block whose [MinStart, MaxStart] lies inside
 // [from, to] passes the window wholesale, which turns a window+value
 // filter into a pure value filter for every interior block of a
-// time-sorted trace, so the compressed-domain selection paths (and the
-// selection-backed run re-cut behind them) fire where a per-row Start
-// test used to force materialization. Boundary blocks, straddling a
-// window edge, keep ColStart and test their rows exactly.
+// time-sorted trace, so the compressed-domain selection paths fire where
+// a per-row Start test would force materialization. Boundary blocks,
+// straddling a window edge, keep ColStart and test their rows exactly.
 func (m *Matcher) NeedColsBlock(bi BlockInfo) ColSet {
 	need := m.NeedCols()
 	if need&ColStart != 0 && bi.Count > 0 &&

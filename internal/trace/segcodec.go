@@ -32,7 +32,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"sync"
 )
@@ -50,26 +49,14 @@ const (
 // (colstore.ScanStats, /metrics) are indexed by codec id below it.
 const NumSegCodecs = numSegCodecs
 
-// Exported segment codec ids, for cross-package kernel registries keyed by
-// (operation, codec) — colstore registers which compressed-domain kernels
-// each codec can serve.
+// Exported segment codec ids: colstore decides by codec which
+// compressed-domain kernels a segment can serve.
 const (
 	SegCodecRaw  uint8 = segRaw
 	SegCodecRLE  uint8 = segRLE
 	SegCodecDict uint8 = segDict
 	SegCodecFOR  uint8 = segFOR
 )
-
-// segCodecNames maps codec ids to the names used by flags and reports.
-var segCodecNames = [numSegCodecs]string{"raw", "rle", "dict", "for"}
-
-// SegCodecName returns the flag-style name of a segment codec id.
-func SegCodecName(id uint8) string {
-	if int(id) < len(segCodecNames) {
-		return segCodecNames[id]
-	}
-	return fmt.Sprintf("codec%d", id)
-}
 
 // maxDictValues bounds the distinct-value set the dictionary codec will
 // consider; columns with more values than this never win on size anyway.
@@ -678,7 +665,7 @@ func prefixSum(v []int64) {
 }
 
 // Run is one run of equal stored values in an RLE-coded column segment —
-// the summary run-aware scan kernels consume without expanding rows.
+// what the predicate and unification kernels read without expanding rows.
 type Run struct {
 	Val int64
 	N   int32

@@ -8,6 +8,9 @@ import (
 	"testing"
 )
 
+// segCodecNames labels segment codec ids in failure messages.
+var segCodecNames = [numSegCodecs]string{"raw", "rle", "dict", "for"}
+
 // TestBitpackRoundTrip: appendPacked/unpackInto round-trip at every width
 // from 0 to 64, including values straddling word boundaries and the full
 // int64 range under mod-2^64 frame-of-reference.

@@ -4,12 +4,10 @@ package trace
 // the substrate the analyzer's kernel registry runs on without materializing
 // rows:
 //
-//   - RLE segments iterate as value runs (Runs / AppendRuns).
+//   - RLE segments iterate as value runs (Runs).
 //   - Dict segments expose the dictionary (NumCodes / DictVal) plus
 //     streaming code-space iteration (ForEachCode) — a predicate translates
-//     into the code domain once per block, group-bys key on codes and join
-//     the dictionary at the end, and AppendRuns coalesces adjacent equal
-//     codes into value runs.
+//     into the code domain once per block.
 //   - FOR segments answer min/max/sum straight from the stored base and the
 //     packed offsets (FORStats) without unpacking into an []int64.
 //
@@ -193,241 +191,12 @@ func (sc *SegCursor) Codec() uint8 { return sc.codec }
 func (sc *SegCursor) Rows() int { return sc.n }
 
 // Runs returns the RLE run summary, or nil for non-RLE segments. The slice
-// is owned by the cursor; use AppendRuns for a uniform run view that also
-// covers dictionary segments.
+// is owned by the cursor.
 func (sc *SegCursor) Runs() []Run {
 	if sc.codec != segRLE {
 		return nil
 	}
 	return sc.runs
-}
-
-// AppendRuns appends the segment's value runs to dst: RLE runs verbatim,
-// dictionary segments as adjacent equal codes coalesced through the
-// dictionary, and FOR segments as adjacent equal base+offset values
-// coalesced from the packed stream (width 0 — how the cost model stores
-// single-valued columns like App — is one run covering every row). A FOR
-// segment over a run-structured column (the cost model prefers FOR when
-// the value range is tight, not only when values vary per row) thus
-// serves the run kernels just like RLE and dict do; pathological
-// high-cardinality cases are bounded by the callers' density caps.
-func (sc *SegCursor) AppendRuns(dst []Run) []Run {
-	dst, _ = sc.AppendRunsMax(dst, 0)
-	return dst
-}
-
-// runScratchFree recycles the buffers run captures stream into. A capture
-// is abandoned far more often than it is served — a rank column after the
-// k-way merge crosses the density cap in nearly every block — so runs are
-// collected in scratch and copied out at exact size only on success: a
-// refused capture allocates nothing. A bounded freelist for the reason
-// segCursorFree is one.
-var runScratchFree struct {
-	mu sync.Mutex
-	s  [][]Run
-}
-
-const (
-	runScratchFreeCap = 16
-	runScratchMaxRuns = 1 << 16 // larger buffers (unbounded captures) are dropped
-)
-
-func getRunScratch(n int) []Run {
-	f := &runScratchFree
-	f.mu.Lock()
-	if k := len(f.s); k > 0 {
-		buf := f.s[k-1]
-		f.s = f.s[:k-1]
-		f.mu.Unlock()
-		if cap(buf) >= n {
-			return buf[:0]
-		}
-	} else {
-		f.mu.Unlock()
-	}
-	return make([]Run, 0, n)
-}
-
-func putRunScratch(buf []Run) {
-	if cap(buf) > runScratchMaxRuns {
-		return
-	}
-	f := &runScratchFree
-	f.mu.Lock()
-	if f.s == nil {
-		f.s = make([][]Run, 0, runScratchFreeCap)
-	}
-	if len(f.s) < runScratchFreeCap {
-		f.s = append(f.s, buf)
-	}
-	f.mu.Unlock()
-}
-
-// appendRunsExact appends src to dst, sizing a nil dst exactly.
-func appendRunsExact(dst, src []Run) []Run {
-	if len(src) == 0 {
-		return dst
-	}
-	if dst == nil {
-		dst = make([]Run, 0, len(src))
-	}
-	return append(dst, src...)
-}
-
-// runVal returns the packed-code-to-value mapping of a dict or FOR segment.
-func (sc *SegCursor) runVal() func(u uint64) int64 {
-	if sc.codec == segFOR {
-		b := uint64(sc.base)
-		return func(u uint64) int64 { return int64(b + u) }
-	}
-	return func(u uint64) int64 { return sc.dict[u] }
-}
-
-// AppendRunsMax is AppendRuns with the caller's density cap pushed down
-// into the decode: once more than max runs would be emitted the walk stops
-// and ok reports false, with dst returned untouched — so a dense segment
-// (a FOR-packed column whose values alternate per row) costs O(max) time
-// and no allocation instead of a full run materialization that the caller
-// would drop anyway. max <= 0 means unbounded.
-func (sc *SegCursor) AppendRunsMax(dst []Run, max int) (runs []Run, ok bool) {
-	switch sc.codec {
-	case segRLE:
-		if max > 0 && len(sc.runs) > max {
-			return dst, false
-		}
-		return appendRunsExact(dst, sc.runs), true
-	case segFOR:
-		if sc.width == 0 {
-			return append(dst, Run{Val: sc.base, N: int32(sc.n)}), true
-		}
-	case segDict:
-	default:
-		return dst, true
-	}
-	buf := getRunScratch(max)
-	over := false
-	val := sc.runVal()
-	var cur uint64
-	var run int32
-	// emit closes the pending run; false means it would cross the cap.
-	emit := func() bool {
-		if max > 0 && len(buf) >= max {
-			over = true
-			return false
-		}
-		buf = append(buf, Run{Val: val(cur), N: run})
-		return true
-	}
-	unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
-		if run > 0 && u == cur {
-			run++
-			return true
-		}
-		if run > 0 && !emit() {
-			return false
-		}
-		cur, run = u, 1
-		return true
-	})
-	if !over && run > 0 {
-		emit()
-	}
-	if !over {
-		dst = appendRunsExact(dst, buf)
-	}
-	putRunScratch(buf)
-	return dst, !over
-}
-
-// CutRunsSel streams the segment's value runs cut against a selection's
-// spans: exactly CutRuns(sc.AppendRuns(nil), spans, nil, max) appended to
-// dst, but fused into the decode walk so the block-level run list never
-// materializes — the cut collects in pooled scratch, the walk stops the
-// moment the bound is passed or the last span is consumed, and a column
-// that is block-dense yet selection-sparse (thousands of block runs thinned
-// under the cap by a narrow selection) still serves. ok reports false when
-// the cut would exceed max (> 0), with dst returned untouched and nothing
-// allocated; raw segments and empty span lists cut to nothing with ok true.
-func (sc *SegCursor) CutRunsSel(spans []SelSpan, dst []Run, max int) (runs []Run, ok bool) {
-	if len(spans) == 0 {
-		return dst, true
-	}
-	switch sc.codec {
-	case segRLE:
-		// Runs are already materialized in the cursor; the bounded cut's
-		// counting pre-pass sizes the output exactly.
-		res := CutRuns(sc.runs, spans, dst, max)
-		if res == nil && max > 0 {
-			// Over the bound — or an empty cut with nil dst, which the
-			// caller cannot use either way.
-			return dst, false
-		}
-		return res, true
-	case segFOR, segDict:
-	default:
-		return dst, true
-	}
-	buf := getRunScratch(max)
-	over := false
-	si := 0
-	rs := int32(0) // block row where the current streamed run begins
-	// emit intersects one streamed run [rs, re) of value v with the spans,
-	// mirroring CutRuns's emission (adjacent equal values coalesce, also
-	// across span gaps). It reports whether the walk should continue.
-	emit := func(v int64, re int32) bool {
-		for si < len(spans) && spans[si].Lo+spans[si].N <= rs {
-			si++
-		}
-		for s := si; s < len(spans) && spans[s].Lo < re; s++ {
-			a, b := spans[s].Lo, spans[s].Lo+spans[s].N
-			if rs > a {
-				a = rs
-			}
-			if re < b {
-				b = re
-			}
-			if b <= a {
-				continue
-			}
-			if n := len(buf); n > 0 && buf[n-1].Val == v {
-				buf[n-1].N += b - a
-			} else {
-				if max > 0 && len(buf) >= max {
-					over = true
-					return false
-				}
-				buf = append(buf, Run{Val: v, N: b - a})
-			}
-		}
-		rs = re
-		return si < len(spans)
-	}
-	if sc.codec == segFOR && sc.width == 0 {
-		emit(sc.base, int32(sc.n))
-	} else {
-		val := sc.runVal()
-		var cur uint64
-		var run int32
-		unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
-			if run > 0 && u == cur {
-				run++
-				return true
-			}
-			if run > 0 && !emit(val(cur), rs+run) {
-				return false
-			}
-			cur, run = u, 1
-			return true
-		})
-		if !over && run > 0 && si < len(spans) {
-			emit(val(cur), rs+run)
-		}
-	}
-	if !over {
-		dst = appendRunsExact(dst, buf)
-	}
-	putRunScratch(buf)
-	return dst, !over
 }
 
 // NumCodes returns the dictionary size, or 0 for non-dict segments.
@@ -538,22 +307,4 @@ func (bd *BlockData) SegCursorAt(col int) (*SegCursor, error) {
 		return nil, fmt.Errorf("block %d %s column: %w", bd.block, colNames[col], err)
 	}
 	return cur, nil
-}
-
-// ValueRuns returns the value-run summary of a column in the compressed
-// domain: RLE runs directly, dictionary and FOR segments as coalesced
-// value runs. It returns (nil, nil) for columns without run structure
-// (raw codec, Start/End).
-func (bd *BlockData) ValueRuns(col int) ([]Run, error) {
-	cur, err := bd.SegCursorAt(col)
-	if err != nil || cur == nil {
-		return nil, err
-	}
-	switch cur.codec {
-	case segRLE:
-		return cur.runs, nil
-	case segDict, segFOR:
-		return cur.AppendRuns(nil), nil
-	}
-	return nil, nil
 }

@@ -30,9 +30,8 @@ FILTER_RANKS="0-15"
 echo "== CLI reference report =="
 "$WORK/vani" -t "$WORK/trace.trc" -window "$FILTER_WINDOW" -ranks "$FILTER_RANKS" \
   -yaml "$WORK/cli.yaml" -v >/dev/null 2>"$WORK/cli_verbose.txt"
-grep -q 'groups: served=[0-9]* fallback=[0-9]* filtered-served=[0-9]* filtered-fallback=[0-9]* tl-served=[0-9]* tl-fallback=[0-9]*' \
-  "$WORK/cli_verbose.txt" || {
-  echo "FAIL: vani -v groups line missing filtered/tl counters"
+grep -q 'groups: served=[0-9]* fallback=[0-9]*$' "$WORK/cli_verbose.txt" || {
+  echo "FAIL: vani -v groups line missing or malformed"
   cat "$WORK/cli_verbose.txt"; exit 1
 }
 
@@ -98,24 +97,6 @@ METRICS="$(curl -fsS "$BASE/metrics")"
 echo "$METRICS"
 HITS="$(printf '%s' "$METRICS" | sed -n 's/.*"cache_hits": *\([0-9]*\).*/\1/p')"
 [ "${HITS:-0}" -ge 1 ] || { echo "FAIL: no cache hit recorded"; exit 1; }
-
-echo "== grouped/accumulator scan counters exposed in /metrics =="
-# The upload ran a filtered scan (window + ranks), so at least one
-# selection-backed chunk must have been re-cut and served by grouped
-# execution, and every chunk pass ticks the run-aware accumulator
-# counters one way or the other (served is codec-dependent).
-GF_SERVED="$(printf '%s' "$METRICS" | sed -n 's/.*"scan_group_filtered_served": *\([0-9]*\).*/\1/p')"
-TL_SERVED="$(printf '%s' "$METRICS" | sed -n 's/.*"scan_tl_kernels_served": *\([0-9]*\).*/\1/p')"
-TL_FALLBACK="$(printf '%s' "$METRICS" | sed -n 's/.*"scan_tl_kernels_fallback": *\([0-9]*\).*/\1/p')"
-[ -n "$GF_SERVED" ] || { echo "FAIL: scan_group_filtered_served missing from /metrics"; exit 1; }
-[ -n "$TL_SERVED" ] || { echo "FAIL: scan_tl_kernels_served missing from /metrics"; exit 1; }
-[ "${GF_SERVED:-0}" -ge 1 ] || {
-  echo "FAIL: filtered scan served no grouped chunk (scan_group_filtered_served=$GF_SERVED)"; exit 1
-}
-[ "$((TL_SERVED + TL_FALLBACK))" -ge 1 ] || {
-  echo "FAIL: no timeline/histogram accumulator passes recorded"; exit 1
-}
-echo "grouped-filtered and accumulator counters present (filtered-served=$GF_SERVED tl=$TL_SERVED/$TL_FALLBACK)"
 
 echo "== re-querying with a different filter (shared block cache, zero re-decodes) =="
 # A different filter misses the result cache, so the trace characterizes
