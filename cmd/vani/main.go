@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"vani"
 	"vani/internal/cliutil"
@@ -81,9 +82,12 @@ func main() {
 		os.Exit(1)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "stages: columnarize=%s analyze=%s (pass1=%s pass2=%s stitch=%s)\n",
-			timings.Columnarize, timings.Analyze, timings.Pass1, timings.Pass2, timings.Stitch)
 		s := timings.Scan
+		// decode is the lazy column decode inside pass1/pass2, summed over
+		// their workers: what of the passes is not analysis.
+		fmt.Fprintf(os.Stderr, "stages: columnarize=%s analyze=%s (pass1=%s pass2=%s stitch=%s) decode=%s\n",
+			timings.Columnarize, timings.Analyze, timings.Pass1, timings.Pass2, timings.Stitch,
+			time.Duration(s.DecodeNanos))
 		fmt.Fprintf(os.Stderr, "scan: blocks=%d pruned=%d rows=%d kept=%d payload=%dB decoded=%dB\n",
 			s.BlocksTotal, s.BlocksPruned, s.RowsTotal, s.RowsKept, s.PayloadBytes, s.DecodedBytes)
 		fmt.Fprintf(os.Stderr, "segs: raw=%d rle=%d dict=%d for=%d\n",

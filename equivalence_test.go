@@ -443,6 +443,13 @@ func TestScanCountersReported(t *testing.T) {
 	if fullStats.Scan.BlocksTotal < 4 || fullStats.Scan.BlocksPruned != 0 {
 		t.Fatalf("full scan counters: %+v", fullStats.Scan)
 	}
+	// Every column of the full scan decodes lazily inside the passes: the
+	// decode clock ran, and — summed over workers — for no longer than the
+	// workers had.
+	if d := time.Duration(fullStats.Scan.DecodeNanos); d <= 0 ||
+		d > time.Duration(runtime.GOMAXPROCS(0))*(fullStats.Pass1+fullStats.Pass2) {
+		t.Errorf("full scan decode time %s against pass1 %s + pass2 %s", d, fullStats.Pass1, fullStats.Pass2)
+	}
 
 	opt := DefaultAnalyzerOptions()
 	opt.Filter = TraceFilter{From: end / 4, To: end / 2}

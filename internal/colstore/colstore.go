@@ -56,6 +56,9 @@ type Chunk struct {
 
 	lazy *lazySrc // undecoded remainder; nil once fully materialized
 
+	// pooled names the columns adopted by slice from a block decode: they
+	// came from trace's column pools and go back on Table.Release.
+	pooled trace.ColSet
 }
 
 func newChunk(base, rows int) *Chunk {

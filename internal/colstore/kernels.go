@@ -32,8 +32,8 @@ const (
 	// dict segments, per run for RLE segments.
 	KPredicate KernelOp = iota
 	// KGroupAgg is key-column unification: the column's value range read
-	// from dict, RLE, constant or FOR segment headers instead of from
-	// decoded rows.
+	// from dict, RLE or constant segment headers instead of from decoded
+	// rows.
 	KGroupAgg
 	// NumKernelOps bounds the per-kernel counter arrays.
 	NumKernelOps
@@ -117,8 +117,10 @@ func (r *valueRange) note(v int64) {
 
 // headerRange reads a key column's value range from its encoded segment
 // without unpacking it: the dictionary of a dict segment, the run values of
-// an RLE segment, the single value of a constant, the achieved endpoints of
-// a FOR header. ok == false means the codec has no such structure (raw).
+// an RLE segment, the single value of a constant. ok == false means the
+// header does not hold the range: a raw segment, or a FOR one, whose
+// achieved endpoints are only known by unpacking every offset — which the
+// pass that follows does anyway, into the typed column the fallback scans.
 func headerRange(cur *trace.SegCursor, r *valueRange) bool {
 	if nd := cur.NumCodes(); nd > 0 {
 		for code := 0; code < nd; code++ {
@@ -136,11 +138,6 @@ func headerRange(cur *trace.SegCursor, r *valueRange) bool {
 		}
 		return true
 	}
-	if mn, mx, _, ok := cur.FORStats(); ok {
-		r.note(mn)
-		r.note(mx)
-		return true
-	}
 	return false
 }
 
@@ -154,7 +151,7 @@ func headerRange(cur *trace.SegCursor, r *valueRange) bool {
 // error before any caller sizes anything by it.
 //
 // The unifier is total. A whole-block chunk answers from its segment
-// header; any other chunk (selection-backed, structureless codec)
+// header; any other chunk (selection-backed, raw or FOR-packed segment)
 // materializes the column and scans it: the analyzer's passes need the
 // column anyway, so the decode is moved, not added. One KGroupAgg request
 // is counted per chunk, served when no row was read.

@@ -62,6 +62,12 @@ type ScanStats struct {
 	// served vs fell back because some dimension lacked run structure.
 	RunIsectServed   atomic.Int64
 	RunIsectFallback atomic.Int64
+
+	// DecodeNanos is the time chunks spent materializing columns inside
+	// Require, summed over workers: the analyzer's passes decode lazily, so
+	// this is the part of their wall time that is segment decode and column
+	// adoption rather than analysis.
+	DecodeNanos atomic.Int64
 }
 
 // tickKernel records one kernel request as served or fallback. Nil-safe.
@@ -109,6 +115,9 @@ type ScanCounters struct {
 	RunIsectServed   int64
 	RunIsectFallback int64
 
+	// Time spent in Require's lazy decodes, summed over workers.
+	DecodeNanos int64
+
 	// No producer is left; always 0. Kept for bench/charfile.go, which sums
 	// them into colstore.tl_served_ratio.
 	TLServed   int64
@@ -139,6 +148,7 @@ func (s *ScanStats) Snapshot() ScanCounters {
 	c.GroupFallback = c.KernelFallback[KGroupAgg]
 	c.RunIsectServed = s.RunIsectServed.Load()
 	c.RunIsectFallback = s.RunIsectFallback.Load()
+	c.DecodeNanos = s.DecodeNanos.Load()
 	return c
 }
 
@@ -179,6 +189,7 @@ func (c *Chunk) Require(want trace.ColSet) error {
 	if missing == 0 {
 		return nil
 	}
+	t0 := time.Now()
 	var cols trace.Columns
 	decoded, err := l.bd.Decode(missing, &cols)
 	if err != nil {
@@ -186,11 +197,14 @@ func (c *Chunk) Require(want trace.ColSet) error {
 	}
 	c.adopt(&cols, l.sel, missing)
 	l.have |= missing
-	if l.stats != nil && decoded > 0 {
-		// decoded == 0 means a shared-cache memo hit: the block's columns
-		// were copied out, not re-decoded, so the scan did no decode work.
-		l.stats.DecodedBytes.Add(decoded)
-		l.stats.countSegs(l.bd, missing)
+	if l.stats != nil {
+		l.stats.DecodeNanos.Add(int64(time.Since(t0)))
+		if decoded > 0 {
+			// decoded == 0 means a shared-cache memo hit: the block's columns
+			// were copied out, not re-decoded, so the scan did no decode work.
+			l.stats.DecodedBytes.Add(decoded)
+			l.stats.countSegs(l.bd, missing)
+		}
 	}
 	if l.have == trace.AllCols {
 		l.bd = nil // payload no longer needed; let it go
@@ -232,10 +246,13 @@ func gather[T any](src []T, sel []int32) []T {
 }
 
 // adopt installs decoded block columns into the chunk: a direct slice
-// adoption when the chunk keeps every block row (sel == nil), a gather by
-// the filter's row selection otherwise. Only columns in set are touched.
+// adoption when the chunk keeps every block row (sel == nil) — the chunk
+// then owns the pooled slices and remembers them for release — a gather by
+// the filter's row selection otherwise, after which the decode temporary
+// goes straight back to the pool. Only columns in set are touched.
 func (c *Chunk) adopt(cols *trace.Columns, sel []int32, set trace.ColSet) {
 	if sel == nil {
+		c.pooled |= set
 		if set&trace.ColLevel != 0 {
 			c.Level = cols.Level[:c.N]
 		}
@@ -304,6 +321,34 @@ func (c *Chunk) adopt(cols *trace.Columns, sel []int32, set trace.ColSet) {
 	if set&trace.ColEnd != 0 {
 		c.End = gather(cols.End, sel)
 	}
+	cols.Recycle(set)
+}
+
+// release hands the block columns the chunk adopted by slice back to the
+// column pools and empties the chunk; see Table.Release.
+func (c *Chunk) release() {
+	cols := trace.Columns{
+		Level: c.Level, Op: c.Op, Lib: c.Lib,
+		Rank: c.Rank, Node: c.Node, App: c.App, File: c.File,
+		Offset: c.Offset, Size: c.Size, Start: c.Start, End: c.End,
+	}
+	cols.Recycle(c.pooled)
+	*c = Chunk{}
+}
+
+// Release ends the table's life: every block column a planned scan's chunks
+// adopted goes back to the column pools for the next scan to decode into,
+// and the table is left empty. Only the table's owner may call it, once no
+// goroutine reads the table and nothing derived from it still aliases a
+// chunk's column slices; the table, its chunks and those slices must not be
+// used afterwards. Never calling it is correct — the columns are ordinary
+// garbage then. Eagerly built tables hold no pooled column; for them Release
+// only empties the table.
+func (t *Table) Release() {
+	for _, c := range t.chunks {
+		c.release()
+	}
+	t.chunks, t.n = nil, 0
 }
 
 // FromBlocksSpec executes a scan plan against a block log: blocks
@@ -451,6 +496,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		}
 		stats.RowsKept.Add(int64(kept))
 		if kept == 0 {
+			cols.Recycle(have)
 			return // every row filtered out; chunk dropped entirely
 		}
 		ck := &Chunk{N: kept}
@@ -466,6 +512,11 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 	})
 	for _, err := range errs {
 		if err != nil {
+			for _, ck := range chunks {
+				if ck != nil {
+					ck.release()
+				}
+			}
 			return nil, err
 		}
 	}
@@ -521,6 +572,8 @@ func selectRows(m *trace.Matcher, cols *trace.Columns, have trace.ColSet) []int3
 func fromBlocksSpecSlow(ctx context.Context, src trace.BlockSource, spec ScanSpec, m *trace.Matcher, stats *ScanStats) (*Table, error) {
 	b := NewBuilder()
 	nb := src.NumBlocks()
+	var cols trace.Columns // one decode scratch for every block
+	defer cols.Recycle(trace.AllCols)
 	for k := 0; k < nb; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -535,7 +588,6 @@ func fromBlocksSpecSlow(ctx context.Context, src trace.BlockSource, spec ScanSpe
 		}
 		stats.PayloadBytes.Add(int64(bd.PayloadBytes()))
 		stats.RowsTotal.Add(int64(bd.Count()))
-		var cols trace.Columns
 		decoded, err := bd.Decode(trace.AllCols, &cols)
 		if err != nil {
 			return nil, err

@@ -57,6 +57,10 @@ func Blocks(ctx context.Context, src trace.BlockSource, opt core.Options) (*core
 	if err != nil {
 		return nil, err
 	}
+	// The table dies here whatever the analyzer returns, and the
+	// characterization aliases none of its columns, so the block columns
+	// go back for the next request to decode into.
+	defer tb.Release()
 	if opt.Stats != nil {
 		opt.Stats.Columnarize = time.Since(t0)
 	}

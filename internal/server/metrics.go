@@ -35,6 +35,7 @@ type Metrics struct {
 	ScanRowsKept     atomic.Int64
 	ScanPayloadBytes atomic.Int64
 	ScanDecodedBytes atomic.Int64
+	ScanDecodeNanos  atomic.Int64 // lazy column decode inside the analyzer's passes, summed over workers
 
 	// v2.2 column segments decoded, by codec (the served logs' codec mix).
 	ScanSegRaw  atomic.Int64
@@ -74,6 +75,7 @@ func (m *Metrics) AddScan(sc colstore.ScanCounters) {
 	m.ScanRowsKept.Add(sc.RowsKept)
 	m.ScanPayloadBytes.Add(sc.PayloadBytes)
 	m.ScanDecodedBytes.Add(sc.DecodedBytes)
+	m.ScanDecodeNanos.Add(sc.DecodeNanos)
 	m.ScanSegRaw.Add(sc.SegRaw)
 	m.ScanSegRLE.Add(sc.SegRLE)
 	m.ScanSegDict.Add(sc.SegDict)
@@ -106,6 +108,7 @@ type MetricsSnapshot struct {
 	ScanRowsKept     int64 `json:"scan_rows_kept"`
 	ScanPayloadBytes int64 `json:"scan_payload_bytes"`
 	ScanDecodedBytes int64 `json:"scan_decoded_bytes"`
+	ScanDecodeNanos  int64 `json:"scan_decode_ns"`
 
 	ScanSegRaw  int64 `json:"scan_segs_raw"`
 	ScanSegRLE  int64 `json:"scan_segs_rle"`
@@ -155,6 +158,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ScanRowsKept:     m.ScanRowsKept.Load(),
 		ScanPayloadBytes: m.ScanPayloadBytes.Load(),
 		ScanDecodedBytes: m.ScanDecodedBytes.Load(),
+		ScanDecodeNanos:  m.ScanDecodeNanos.Load(),
 
 		ScanSegRaw:  m.ScanSegRaw.Load(),
 		ScanSegRLE:  m.ScanSegRLE.Load(),

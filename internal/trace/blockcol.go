@@ -151,7 +151,11 @@ type BlockData struct {
 }
 
 // colMemo caches a block's fully decoded columns so a handle shared across
-// requests (vanid's block cache) decodes its payload exactly once.
+// requests (vanid's block cache) decodes its payload exactly once. The memo
+// lives as long as its cache entry, so its columns are sized exactly (grow)
+// and never come from the column pools: a block-capacity slice per column
+// of every short block would overrun the MemoRowBytes budget the cache
+// charges.
 type colMemo struct {
 	mu     sync.Mutex
 	filled bool
@@ -282,18 +286,27 @@ func (bd *BlockData) SegCodec(col int) uint8 { return bd.segCodecs[col] }
 // Decode materializes the requested columns into cols, growing it to the
 // block's row count, and returns the payload bytes it actually decoded:
 // only the wanted segments are touched. Additive: columns decoded by an
-// earlier call on the same cols are preserved. Memoized blocks (see
+// earlier call on the same cols are preserved. The wanted columns of cols
+// must be nil or left by an earlier Decode: they are drawn from the column
+// pools, the caller may hand them back with cols.Recycle once it is done
+// reading them, and on error they come back nil. Memoized blocks (see
 // EnableMemo) decode and validate every column exactly once, on the first
 // call, and serve every call as copies of the wanted columns; calls after
 // the first report zero decoded bytes.
 func (bd *BlockData) Decode(want ColSet, cols *Columns) (int64, error) {
 	m := bd.memo
 	if m == nil {
-		return bd.decodeInto(want, cols)
+		n, err := bd.decodeInto(want, cols)
+		if err != nil {
+			// No partly written column leaves a failed decode.
+			cols.Recycle(want)
+		}
+		return n, err
 	}
 	var decoded int64
 	m.mu.Lock()
 	if !m.filled {
+		m.cols.grow(bd.count)
 		n, err := bd.decodeInto(AllCols, &m.cols)
 		if err != nil {
 			m.mu.Unlock()

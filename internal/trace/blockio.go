@@ -309,10 +309,10 @@ var (
 	flateReaderPool = sync.Pool{New: func() interface{} {
 		return flate.NewReader(bytes.NewReader(nil))
 	}}
-	frameBufPool = sync.Pool{New: func() interface{} {
-		b := make([]byte, 0, 1<<16)
-		return &b
-	}}
+	// A raw frame's buffer leaves the pool as the block's payload, so most
+	// Gets find the pool empty: New hands out no capacity and
+	// readBlockPayload sizes the buffer to the frame, once.
+	frameBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 )
 
 func getPayloadBuf(capHint int) *[]byte {
@@ -434,59 +434,52 @@ type Columns struct {
 	End    []int64 // nanoseconds
 }
 
-// growSet resizes only the columns in set to n rows, reusing capacity
-// where possible. Columns outside set are left untouched — possibly stale
-// from an earlier decode — so callers must read only the columns they
-// asked for.
+// growSet resizes only the columns in set to n rows: in place where their
+// capacity allows, else from the block-column pools (colpool.go), whose
+// slices arrive holding whatever their last user left — the caller must
+// write every row before anything reads one. Columns outside set are left
+// untouched — possibly stale from an earlier decode — so callers must read
+// only the columns they asked for.
 func (cols *Columns) growSet(n int, set ColSet) {
-	if set == AllCols {
-		cols.grow(n)
-		return
-	}
 	cols.N = n
 	if set&ColLevel != 0 {
-		cols.Level = growSlice(cols.Level, n)
+		cols.Level = growCol(&u8ColPool, cols.Level, n)
 	}
 	if set&ColOp != 0 {
-		cols.Op = growSlice(cols.Op, n)
+		cols.Op = growCol(&u8ColPool, cols.Op, n)
 	}
 	if set&ColLib != 0 {
-		cols.Lib = growSlice(cols.Lib, n)
+		cols.Lib = growCol(&u8ColPool, cols.Lib, n)
 	}
 	if set&ColRank != 0 {
-		cols.Rank = growSlice(cols.Rank, n)
+		cols.Rank = growCol(&i32ColPool, cols.Rank, n)
 	}
 	if set&ColNode != 0 {
-		cols.Node = growSlice(cols.Node, n)
+		cols.Node = growCol(&i32ColPool, cols.Node, n)
 	}
 	if set&ColApp != 0 {
-		cols.App = growSlice(cols.App, n)
+		cols.App = growCol(&i32ColPool, cols.App, n)
 	}
 	if set&ColFile != 0 {
-		cols.File = growSlice(cols.File, n)
+		cols.File = growCol(&i32ColPool, cols.File, n)
 	}
 	if set&ColOffset != 0 {
-		cols.Offset = growSlice(cols.Offset, n)
+		cols.Offset = growCol(&i64ColPool, cols.Offset, n)
 	}
 	if set&ColSize != 0 {
-		cols.Size = growSlice(cols.Size, n)
+		cols.Size = growCol(&i64ColPool, cols.Size, n)
 	}
 	if set&ColStart != 0 {
-		cols.Start = growSlice(cols.Start, n)
+		cols.Start = growCol(&i64ColPool, cols.Start, n)
 	}
 	if set&ColEnd != 0 {
-		cols.End = growSlice(cols.End, n)
+		cols.End = growCol(&i64ColPool, cols.End, n)
 	}
 }
 
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// grow resizes every column to n rows, reusing capacity where possible.
+// grow resizes every column to n rows, reusing capacity where possible and
+// allocating exactly n rows where not — the sizing of long-lived holders
+// (the memo, a Scanner), which never draw from the column pools.
 func (cols *Columns) grow(n int) {
 	cols.N = n
 	if cap(cols.Level) < n {

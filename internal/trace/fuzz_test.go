@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -68,6 +69,101 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("re-encode of decoded trace failed: %v", err)
 		}
 	})
+}
+
+// craftedLog is a single-block log whose rank segment sits on one of the
+// decoder's range checks, and whether the block must decode.
+type craftedLog struct {
+	name   string
+	data   []byte
+	accept bool
+}
+
+// craftedRankLogs: ranks {MaxInt32-4, MaxInt32} under forced FOR (base
+// MaxInt32-4 at 3 bits: the header admits up to MaxInt32+3, the rows stay
+// inside) and with row 0's offset raised to 7; ranks 1..4 under forced FOR
+// and with the base rewritten to -1, so the minimum row lands below zero;
+// ranks 1..3 under forced dict (nd = 3 at 2 bits) and with the last row's
+// index raised to nd.
+func craftedRankLogs(tb testing.TB) []craftedLog {
+	build := func(ranks []int32, codec CodecMode) ([]byte, int64) {
+		tr := NewTracer()
+		tr.SetMeta(Meta{Workload: "crafted", Nodes: 1, Ranks: 4, PFSDir: "/p"})
+		id := tr.FileID("/p/f")
+		for i, r := range ranks {
+			tr.Record(Event{Op: OpWrite, Rank: r, File: id, Size: 1,
+				Start: time.Duration(i + 1), End: time.Duration(i + 2)})
+		}
+		var buf bytes.Buffer
+		if err := WriteV2With(&buf, tr.Finish(), V2Options{Codec: codec}); err != nil {
+			tb.Fatal(err)
+		}
+		data := buf.Bytes()
+		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// Frame: codec byte, uvarint payload length, payload; payload: uvarint
+		// count, then the segments in column order.
+		bi := br.BlockAt(0)
+		off := bi.Offset + 1
+		_, k := binary.Uvarint(data[off:])
+		off += int64(k)
+		_, k = binary.Uvarint(data[off:])
+		off += int64(k)
+		for col := 0; col < colRankIdx(); col++ {
+			off += bi.ColLens[col]
+		}
+		return data, off // the rank segment's codec id byte
+	}
+	patch := func(data []byte, at int64, b byte) []byte {
+		out := bytes.Clone(data)
+		out[at] = b
+		return out
+	}
+	const top = 1<<31 - 1
+	high, hseg := build([]int32{top - 4, top, top - 4, top, top - 4}, CodecForceFOR)
+	low, lseg := build([]int32{1, 2, 3, 4, 1, 2, 3, 4}, CodecForceFOR)
+	dict, dseg := build([]int32{1, 2, 3, 1, 2, 3, 1, 2}, CodecForceDict)
+	return []craftedLog{
+		{"for: header admits past MaxInt32, rows inside", high, true},
+		// codec id, 5-byte base, width byte, then row 0's three offset bits
+		{"for: row 0 past MaxInt32", patch(high, hseg+7, high[hseg+7]|0x07), false},
+		{"for: ranks 1..4", low, true},
+		{"for: base rewritten to -1", patch(low, lseg+1, 1 /* zigzag(-1) */), false},
+		{"dict: ranks 1..3", dict, true},
+		// codec id, nd, three entries, width byte, packed byte 0; row 7 is
+		// the top two bits of packed byte 1
+		{"dict: last row's index = nd", patch(dict, dseg+7, dict[dseg+7]|0xC0), false},
+	}
+}
+
+// TestCraftedRankLogs pins what the crafted fuzz seeds are: the patched
+// bytes land where the comments say, and the block reader's verdicts are
+// the decoder's.
+func TestCraftedRankLogs(t *testing.T) {
+	for _, cl := range craftedRankLogs(t) {
+		br, err := NewBlockReader(bytes.NewReader(cl.data), int64(len(cl.data)))
+		if err != nil {
+			t.Fatalf("%s: %v", cl.name, err)
+		}
+		_, err = br.DecodeEvents(0, nil)
+		if (err == nil) != cl.accept {
+			t.Errorf("%s: DecodeEvents error %v, want accepted = %v", cl.name, err, cl.accept)
+		}
+		if err != nil && !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: error %v is not ErrBadFormat", cl.name, err)
+		}
+		bd, err := br.ReadBlock(0)
+		if err != nil {
+			t.Fatalf("%s: %v", cl.name, err)
+		}
+		var cols Columns
+		if _, err = bd.Decode(ColRank, &cols); (err == nil) != cl.accept {
+			t.Errorf("%s: projected decode error %v, want accepted = %v", cl.name, err, cl.accept)
+		}
+		cols.Recycle(ColRank)
+	}
 }
 
 // CharacterizeLog, when set, runs the whole characterization pipeline over
@@ -184,6 +280,12 @@ func FuzzBlockReader(f *testing.F) {
 			}
 		}
 	}
+	// The checks the typed decoder makes while it stores: rank segments whose
+	// header could hold a value past MaxInt32 though no row does, and the same
+	// logs with one packed offset, the base or a dictionary index pushed out.
+	for _, crafted := range craftedRankLogs(f) {
+		f.Add(crafted.data)
+	}
 	// The smallest block a writer emits: one event, every field one byte —
 	// the payload the count floor once refused.
 	for _, opt := range []V2Options{{}, {Compress: true}} {
@@ -282,10 +384,7 @@ func FuzzBlockReader(f *testing.F) {
 						t.Fatalf("block %d col %d: %d codes for %d rows", k, col, rows, cur.Rows())
 					}
 				}
-				// Exercised for panics only: crafted FOR bases can wrap the
-				// mod-2^64 arithmetic, so the values carry no invariants here.
-				_, _, _, _ = cur.FORStats()
-				_, _ = cur.ConstVal()
+				_, _ = cur.ConstVal() // exercised for panics only
 			}
 		}
 	})

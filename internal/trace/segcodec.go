@@ -23,15 +23,18 @@ package trace
 // streaming Scanner); the footer repeats the ids so codec-mix statistics
 // never touch block bytes.
 //
-// Decode kernels unpack a whole segment into the target column slice in one
-// pass with pooled []int64 scratch, so the hot FromBlocksSpec path is
-// near-zero-alloc. All allocations are bounded by the validated block count
-// and by real input bytes: run lengths must sum exactly to count, dict
-// sizes may not exceed count, and bit-packed bodies must be fully backed by
-// segment bytes — oversized claims are ErrBadFormat, never an OOM.
+// The decoder (decodeSeg) is generic over the column's element type and
+// writes a whole segment into the target column slice in one pass; the
+// slices themselves are recycled block-capacity columns (colpool.go), so
+// the hot FromBlocksSpec path is near-zero-alloc. All allocations are
+// bounded by the validated block count and by real input bytes: run lengths
+// must sum exactly to count, dict sizes may not exceed count, and
+// bit-packed bodies must be fully backed by segment bytes — oversized
+// claims are ErrBadFormat, never an OOM.
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -66,9 +69,9 @@ const maxDictValues = 1 << 12
 // (uvarint-encoded): Level, Op, Lib.
 const unsignedCols ColSet = ColLevel | ColOp | ColLib
 
-// i64Pool recycles the []int64 scratch the codec kernels stage stored
-// values in; capacity matches the default block size so steady-state decode
-// never reallocates.
+// i64Pool recycles []int64 scratch — the encoder's dictionary indices and
+// the decoder's dictionary table, never a staged column; capacity matches
+// the default block size so steady state never reallocates.
 var i64Pool = sync.Pool{
 	New: func() interface{} {
 		s := make([]int64, 0, DefaultBlockEvents)
@@ -149,31 +152,6 @@ func appendPacked(dst []byte, vals []int64, base uint64, width uint) []byte {
 		dst = append(dst, byte(acc))
 	}
 	return dst
-}
-
-// unpackInto reads n width-bit values from src (LSB-first), adding base mod
-// 2^64, into out[:n]. src must hold packedLen(n, width) bytes.
-func unpackInto(src []byte, n int, width uint, base uint64, out []int64) {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			out[i] = int64(base)
-		}
-		return
-	}
-	i := 0
-	if width <= maxWordWidth {
-		mask := uint64(1)<<width - 1
-		bit := uint(0)
-		for fast := wordUnpackable(len(src), n, width); i < fast; i++ {
-			out[i] = int64(base + binary.LittleEndian.Uint64(src[bit>>3:])>>(bit&7)&mask)
-			bit += width
-		}
-	}
-	unpackBytes(src, i, n, width, func(u uint64) bool {
-		out[i] = int64(base + u)
-		i++
-		return true
-	})
 }
 
 // maxWordWidth is the widest value one unaligned 8-byte load always covers:
@@ -463,80 +441,256 @@ func appendSegV22(dst []byte, col int, evs []Event, force int, sc *segScratch) (
 	return appendSegBody(dst, codec, vals, unsigned), codec
 }
 
-// decodeSegVals decodes one segment body (the codec id byte already
-// consumed) into out[:n] as stored values. Every claim is validated against
-// the cursor's remaining bytes before it allocates or fills anything.
-func decodeSegVals(c *byteCursor, codec uint8, n int, unsigned bool, out []int64) error {
+// colValue is the set of column element types.
+type colValue interface{ uint8 | int32 | int64 }
+
+// colSpec says how one column's stored values become column values.
+type colSpec struct {
+	unsigned bool // stored values are uvarints; zigzag varints otherwise
+	// limit is the largest admissible stored value, compared unsigned so a
+	// negative value reads as out of range; ^uint64(0) admits everything.
+	limit uint64
+}
+
+// The value rules of the eleven columns: Level/Op/Lib truncate an unsigned
+// value; App/File/Offset/Size and the Start/End delta chains a signed one;
+// Rank and Node must fit a non-negative int32.
+var (
+	specUnsigned = colSpec{unsigned: true, limit: ^uint64(0)}
+	specSigned   = colSpec{limit: ^uint64(0)}
+	specIndex    = colSpec{limit: math.MaxInt32}
+)
+
+// The decode loops' failures are built out of line: an inlined badf would
+// spill the loops' registers for a path no valid segment takes.
+
+//go:noinline
+func errValueRange(v int64) error { return badf("value %d out of range", v) }
+
+//go:noinline
+func errDictIndex(idx uint64, nd int) error { return badf("dictionary index %d out of %d", idx, nd) }
+
+// decodeSeg decodes one segment body (the codec id byte already consumed)
+// straight into out, in one pass whatever the codec: each stored value is
+// read, checked against sp.limit, converted to T and stored — no staging
+// slice, no second walk. The range check rides every row (one compare
+// against a loop constant) rather than dictionary entries or headers, so a
+// dictionary entry no row references is never judged, exactly as when the
+// check followed the decode. Every wire claim is validated against the
+// cursor's remaining bytes before it sizes anything. On success every
+// element of out has been written; on error out holds a partly written
+// prefix the caller must not publish.
+func decodeSeg[T colValue](c *byteCursor, codec uint8, out []T, sp colSpec) error {
 	switch codec {
 	case segRaw:
-		for i := 0; i < n; i++ {
-			out[i] = c.storedValue(unsigned)
-		}
-		return c.err
+		return decodeRaw(c, out, sp)
 	case segRLE:
-		filled := 0
-		for filled < n {
-			v := c.storedValue(unsigned)
-			rl := c.uvarint()
-			if c.err != nil {
+		return decodeRLE(c, out, sp)
+	case segDict:
+		return decodeDict(c, out, sp)
+	case segFOR:
+		return decodeFOR(c, out, sp)
+	}
+	return badf("unknown segment codec %d", codec)
+}
+
+// varintStops has the continuation bit of each byte of a word set: in
+// ^word & varintStops, the lowest set bit marks the byte that ends a varint.
+const varintStops = 0x8080808080808080
+
+func decodeRaw[T colValue](c *byteCursor, out []T, sp colSpec) error {
+	b, off := c.b, c.off
+	unsigned, limit := sp.unsigned, sp.limit
+	for i := range out {
+		var u uint64
+		k := 0
+		if len(b)-off >= 8 {
+			// One load covers any varint of up to eight bytes — every delta
+			// of a Start/End chain — and finds its end without a branch per
+			// byte; three folds then squeeze the continuation bits out.
+			w := binary.LittleEndian.Uint64(b[off : off+8])
+			if stop := ^w & varintStops; stop != 0 {
+				nb := uint(bits.TrailingZeros64(stop)) + 1 // encoded bits: 8, 16 … 64
+				w &= ^uint64(0) >> (64 - nb)
+				w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+				w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+				u = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+				k = int(nb >> 3)
+			}
+		}
+		if k == 0 { // the last seven bytes, or a nine- or ten-byte varint
+			if u, k = binary.Uvarint(b[off:]); k <= 0 {
+				c.err = badf("truncated varint at payload offset %d", off)
 				return c.err
 			}
-			if rl == 0 || rl > uint64(n-filled) {
-				return badf("run of %d values in segment holding %d more", rl, n-filled)
-			}
-			for i := 0; i < int(rl); i++ {
-				out[filled+i] = v
-			}
-			filled += int(rl)
 		}
-		return nil
-	case segDict:
-		nd := c.uvarint()
+		off += k
+		v := int64(u)
+		if !unsigned {
+			v = int64(u>>1) ^ -int64(u&1)
+		}
+		if uint64(v) > limit {
+			return errValueRange(v)
+		}
+		out[i] = T(v)
+	}
+	c.off = off
+	return nil
+}
+
+// fillRun stores one stored value into every row of run.
+func fillRun[T colValue](run []T, v int64, limit uint64) error {
+	if len(run) == 0 {
+		return nil // no row holds the value, so nothing judges it
+	}
+	if uint64(v) > limit {
+		return errValueRange(v)
+	}
+	tv := T(v)
+	for i := range run {
+		run[i] = tv
+	}
+	return nil
+}
+
+func decodeRLE[T colValue](c *byteCursor, out []T, sp colSpec) error {
+	for filled := 0; filled < len(out); {
+		v := c.storedValue(sp.unsigned)
+		rl := c.uvarint()
 		if c.err != nil {
 			return c.err
 		}
-		if nd == 0 || nd > uint64(n) {
-			return badf("dictionary of %d values for %d rows", nd, n)
+		if rl == 0 || rl > uint64(len(out)-filled) {
+			return badf("run of %d values in segment holding %d more", rl, len(out)-filled)
 		}
-		dict := getI64(int(nd))
-		defer putI64(dict)
-		for i := 0; i < int(nd); i++ {
-			(*dict)[i] = c.storedValue(unsigned)
-		}
-		w, err := c.widthByte(32)
-		if err != nil {
+		if err := fillRun(out[filled:filled+int(rl)], v, sp.limit); err != nil {
 			return err
 		}
-		if want := bitsFor(nd - 1); w != want {
-			return badf("dictionary of %d values packed at %d bits, want %d", nd, w, want)
-		}
-		packed, err := c.take(packedLen(n, w))
-		if err != nil {
-			return err
-		}
-		unpackInto(packed, n, w, 0, out)
-		for i := 0; i < n; i++ {
-			idx := uint64(out[i])
-			if idx >= nd {
-				return badf("dictionary index %d out of %d", idx, nd)
-			}
-			out[i] = (*dict)[idx]
-		}
-		return nil
-	case segFOR:
-		base := c.storedValue(unsigned)
-		w, err := c.widthByte(64)
-		if err != nil {
-			return err
-		}
-		packed, err := c.take(packedLen(n, w))
-		if err != nil {
-			return err
-		}
-		unpackInto(packed, n, w, uint64(base), out)
-		return nil
+		filled += int(rl)
 	}
-	return badf("unknown segment codec %d", codec)
+	return nil
+}
+
+// packedTail copies the end of a packed stream, from the byte holding bit
+// bit on, into a zero-padded buffer, so the values an 8-byte load of src
+// would overrun (see wordUnpackable) decode by the same word loop. It
+// returns the buffer and the bit offset of the first such value in it.
+func packedTail(src []byte, bit uint) ([16]byte, uint) {
+	var pad [16]byte
+	copy(pad[:], src[bit>>3:])
+	return pad, bit & 7
+}
+
+func decodeDict[T colValue](c *byteCursor, out []T, sp colSpec) error {
+	n := len(out)
+	nd := c.uvarint()
+	if c.err != nil {
+		return c.err
+	}
+	if nd == 0 || nd > uint64(n) {
+		return badf("dictionary of %d values for %d rows", nd, n)
+	}
+	dp := getI64(int(nd))
+	defer putI64(dp)
+	tab := *dp
+	for i := range tab {
+		tab[i] = c.storedValue(sp.unsigned)
+	}
+	w, err := c.widthByte(32)
+	if err != nil {
+		return err
+	}
+	if want := bitsFor(nd - 1); w != want {
+		return badf("dictionary of %d values packed at %d bits, want %d", nd, w, want)
+	}
+	packed, err := c.take(packedLen(n, w))
+	if err != nil {
+		return err
+	}
+	if w == 0 { // one entry, no index bits
+		return fillRun(out, tab[0], sp.limit)
+	}
+	fast := wordUnpackable(len(packed), n, w)
+	err = dictWords(packed, 0, w, tab, out[:fast], sp.limit)
+	if err == nil && fast < n {
+		pad, bit := packedTail(packed, uint(fast)*w)
+		err = dictWords(pad[:], bit, w, tab, out[fast:], sp.limit)
+	}
+	return err
+}
+
+// dictWords looks len(out) w-bit indices up in tab, the first starting bit
+// bits into src; each must be readable with one 8-byte load of src.
+func dictWords[T colValue](src []byte, bit, w uint, tab []int64, out []T, limit uint64) error {
+	mask := uint64(1)<<w - 1
+	for i := range out {
+		p := bit >> 3
+		u := binary.LittleEndian.Uint64(src[p:p+8]) >> (bit & 7) & mask
+		bit += w
+		if u >= uint64(len(tab)) {
+			return errDictIndex(u, len(tab))
+		}
+		v := tab[u]
+		if uint64(v) > limit {
+			return errValueRange(v)
+		}
+		out[i] = T(v)
+	}
+	return nil
+}
+
+func decodeFOR[T colValue](c *byteCursor, out []T, sp colSpec) error {
+	n := len(out)
+	base := uint64(c.storedValue(sp.unsigned))
+	w, err := c.widthByte(64)
+	if err != nil {
+		return err
+	}
+	packed, err := c.take(packedLen(n, w))
+	if err != nil {
+		return err
+	}
+	if w == 0 { // a constant column
+		return fillRun(out, int64(base), sp.limit)
+	}
+	if w > maxWordWidth {
+		// A value this wide can straddle nine bytes; the byte-fed window
+		// serves the few segments that span most of the int64 range.
+		i := 0
+		unpackBytes(packed, 0, n, w, func(u uint64) bool {
+			if base+u > sp.limit {
+				err = errValueRange(int64(base + u))
+				return false
+			}
+			out[i] = T(base + u)
+			i++
+			return true
+		})
+		return err
+	}
+	fast := wordUnpackable(len(packed), n, w)
+	err = forWords(packed, 0, w, base, out[:fast], sp.limit)
+	if err == nil && fast < n {
+		pad, bit := packedTail(packed, uint(fast)*w)
+		err = forWords(pad[:], bit, w, base, out[fast:], sp.limit)
+	}
+	return err
+}
+
+// forWords adds base (mod 2^64) to len(out) w-bit offsets, the first
+// starting bit bits into src; each must be readable with one 8-byte load.
+func forWords[T colValue](src []byte, bit, w uint, base uint64, out []T, limit uint64) error {
+	mask := uint64(1)<<w - 1
+	for i := range out {
+		p := bit >> 3
+		v := base + binary.LittleEndian.Uint64(src[p:p+8])>>(bit&7)&mask
+		bit += w
+		if v > limit {
+			return errValueRange(int64(v))
+		}
+		out[i] = T(v)
+	}
+	return nil
 }
 
 // widthByte reads a bit-width byte bounded by max.
@@ -572,9 +726,9 @@ func (c *byteCursor) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// decodeSegV22 decodes one segment (codec id byte + body) into the matching
-// column slice of cols (already grown to n rows), validating values per
-// column.
+// decodeSegV22 decodes one segment (codec id byte + body) into the first n
+// rows of the matching column of cols (already grown to n rows), under the
+// column's value rule.
 func decodeSegV22(c *byteCursor, col, n int, cols *Columns) error {
 	if c.err != nil {
 		return c.err
@@ -585,83 +739,45 @@ func decodeSegV22(c *byteCursor, col, n int, cols *Columns) error {
 	}
 	codec := c.b[c.off]
 	c.off++
-	set := ColSet(1) << col
-	unsigned := set&unsignedCols != 0
-
-	// Int64 columns decode straight into their target slice; Start/End
-	// store delta chains, accumulated in place below.
-	switch set {
-	case ColOffset:
-		return decodeSegVals(c, codec, n, unsigned, cols.Offset[:n])
-	case ColSize:
-		return decodeSegVals(c, codec, n, unsigned, cols.Size[:n])
-	case ColStart:
-		if err := decodeSegVals(c, codec, n, unsigned, cols.Start[:n]); err != nil {
-			return err
-		}
-		prefixSum(cols.Start[:n])
-		return nil
-	case ColEnd:
-		if err := decodeSegVals(c, codec, n, unsigned, cols.End[:n]); err != nil {
-			return err
-		}
-		prefixSum(cols.End[:n])
-		return nil
-	}
-
-	// Narrow columns stage through pooled scratch, then convert with the
-	// column's validation rules (ranks and nodes must fit a non-negative int32).
-	vp := getI64(n)
-	defer putI64(vp)
-	vals := *vp
-	if err := decodeSegVals(c, codec, n, unsigned, vals); err != nil {
-		return err
-	}
-	switch set {
+	switch ColSet(1) << col {
 	case ColLevel:
-		for i := 0; i < n; i++ {
-			cols.Level[i] = uint8(vals[i])
-		}
+		return decodeSeg(c, codec, cols.Level[:n], specUnsigned)
 	case ColOp:
-		for i := 0; i < n; i++ {
-			cols.Op[i] = uint8(vals[i])
-		}
+		return decodeSeg(c, codec, cols.Op[:n], specUnsigned)
 	case ColLib:
-		for i := 0; i < n; i++ {
-			cols.Lib[i] = uint8(vals[i])
-		}
+		return decodeSeg(c, codec, cols.Lib[:n], specUnsigned)
 	case ColRank:
-		for i := 0; i < n; i++ {
-			if vals[i] < 0 || vals[i] > int64(1<<31-1) {
-				return badf("rank %d out of range", vals[i])
-			}
-			cols.Rank[i] = int32(vals[i])
-		}
+		return decodeSeg(c, codec, cols.Rank[:n], specIndex)
 	case ColNode:
-		for i := 0; i < n; i++ {
-			if vals[i] < 0 || vals[i] > int64(1<<31-1) {
-				return badf("node %d out of range", vals[i])
-			}
-			cols.Node[i] = int32(vals[i])
-		}
+		return decodeSeg(c, codec, cols.Node[:n], specIndex)
 	case ColApp:
-		for i := 0; i < n; i++ {
-			cols.App[i] = int32(vals[i])
-		}
+		return decodeSeg(c, codec, cols.App[:n], specSigned)
 	case ColFile:
-		for i := 0; i < n; i++ {
-			cols.File[i] = int32(vals[i])
-		}
+		return decodeSeg(c, codec, cols.File[:n], specSigned)
+	case ColOffset:
+		return decodeSeg(c, codec, cols.Offset[:n], specSigned)
+	case ColSize:
+		return decodeSeg(c, codec, cols.Size[:n], specSigned)
+	case ColStart:
+		return decodeDeltas(c, codec, cols.Start[:n])
+	case ColEnd:
+		return decodeDeltas(c, codec, cols.End[:n])
 	}
-	return nil
+	return badf("unknown column %d", col)
 }
 
-func prefixSum(v []int64) {
-	var acc int64
-	for i := range v {
-		acc += v[i]
-		v[i] = acc
+// decodeDeltas decodes a Start/End segment: the stored stream is the
+// column's delta chain, the column its prefix sums.
+func decodeDeltas(c *byteCursor, codec uint8, out []int64) error {
+	if err := decodeSeg(c, codec, out, specSigned); err != nil {
+		return err
 	}
+	var acc int64
+	for i, d := range out {
+		acc += d
+		out[i] = acc
+	}
+	return nil
 }
 
 // Run is one run of equal stored values in an RLE-coded column segment —

@@ -11,7 +11,58 @@ import (
 // segCodecNames labels segment codec ids in failure messages.
 var segCodecNames = [numSegCodecs]string{"raw", "rle", "dict", "for"}
 
-// TestBitpackRoundTrip: appendPacked/unpackInto round-trip at every width
+// poison fills a destination column with the pools' sentinel, which no test
+// value narrows to — the state a recycled slice arrives in: a row the decoder skipped
+// shows up as a mismatch instead of hiding behind a zero.
+func poison[T colValue](s []T) []T {
+	poisonCol(s)
+	return s
+}
+
+// decodeTyped decodes one segment body with the generic decoder at all
+// three column types, each into a poisoned slice, and fails the test unless
+// they agree: the same error or none, the same bytes consumed, and the
+// narrow columns equal to the int64 one truncated. It returns the int64
+// column and the error.
+func decodeTyped(t testing.TB, codec uint8, body []byte, n int, sp colSpec) ([]int64, error) {
+	t.Helper()
+	c64 := &byteCursor{b: body}
+	out64 := poison(make([]int64, n))
+	err := decodeSeg(c64, codec, out64, sp)
+	c32 := &byteCursor{b: body}
+	out32 := poison(make([]int32, n))
+	err32 := decodeSeg(c32, codec, out32, sp)
+	c8 := &byteCursor{b: body}
+	out8 := poison(make([]uint8, n))
+	err8 := decodeSeg(c8, codec, out8, sp)
+	if (err == nil) != (err32 == nil) || (err == nil) != (err8 == nil) {
+		t.Fatalf("%s: int64 error %v, int32 error %v, uint8 error %v", segCodecNames[codec%numSegCodecs], err, err32, err8)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c64.off != c32.off || c64.off != c8.off {
+		t.Fatalf("%s: consumed %d / %d / %d bytes at int64 / int32 / uint8", segCodecNames[codec], c64.off, c32.off, c8.off)
+	}
+	if c64.off != len(body) {
+		t.Fatalf("%s decode left %d trailing bytes", segCodecNames[codec], len(body)-c64.off)
+	}
+	for i, v := range out64 {
+		if out32[i] != int32(v) || out8[i] != uint8(v) {
+			t.Fatalf("%s row %d: int64 %#x, int32 %#x, uint8 %#x", segCodecNames[codec], i, v, out32[i], out8[i])
+		}
+	}
+	return out64, nil
+}
+
+// forBody builds a FOR segment body around an already packed stream.
+func forBody(base int64, width uint, packed []byte) []byte {
+	body := appendStoredValue(nil, base, false)
+	body = append(body, byte(width))
+	return append(body, packed...)
+}
+
+// TestBitpackRoundTrip: appendPacked/decodeSeg round-trip at every width
 // from 0 to 64, including values straddling word boundaries and the full
 // int64 range under mod-2^64 frame-of-reference.
 func TestBitpackRoundTrip(t *testing.T) {
@@ -36,8 +87,10 @@ func TestBitpackRoundTrip(t *testing.T) {
 		if got, want := len(packed), packedLen(n, width); got != want {
 			t.Fatalf("width %d: packed %d bytes, want %d", width, got, want)
 		}
-		out := make([]int64, n)
-		unpackInto(packed, n, width, 0, out)
+		out, err := decodeTyped(t, segFOR, forBody(0, width, packed), n, specSigned)
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
 		for i := range vals {
 			if out[i] != vals[i] {
 				t.Fatalf("width %d: value %d round-tripped %d -> %d", width, i, vals[i], out[i])
@@ -57,8 +110,10 @@ func TestBitpackFullInt64Range(t *testing.T) {
 		t.Fatalf("span width = %d, want 64", width)
 	}
 	packed := appendPacked(nil, vals, base, width)
-	out := make([]int64, len(vals))
-	unpackInto(packed, len(vals), width, base, out)
+	out, err := decodeTyped(t, segFOR, forBody(min, width, packed), len(vals), specSigned)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range vals {
 		if out[i] != vals[i] {
 			t.Fatalf("value %d round-tripped %d -> %d", i, vals[i], out[i])
@@ -71,13 +126,13 @@ func segRoundTrip(t *testing.T, codec uint8, vals []int64, unsigned bool) {
 	t.Helper()
 	dst := append([]byte(nil), codec)
 	dst = appendSegBody(dst, codec, vals, unsigned)
-	c := &byteCursor{b: dst[1:]}
-	out := make([]int64, len(vals))
-	if err := decodeSegVals(c, codec, len(vals), unsigned, out); err != nil {
-		t.Fatalf("%s decode: %v", segCodecNames[codec], err)
+	sp := specSigned
+	if unsigned {
+		sp = specUnsigned
 	}
-	if c.off != len(c.b) {
-		t.Fatalf("%s decode left %d trailing bytes", segCodecNames[codec], len(c.b)-c.off)
+	out, err := decodeTyped(t, codec, dst[1:], len(vals), sp)
+	if err != nil {
+		t.Fatalf("%s decode: %v", segCodecNames[codec], err)
 	}
 	for i := range vals {
 		if out[i] != vals[i] {
@@ -216,7 +271,6 @@ func TestChooseSegCodecExactSizes(t *testing.T) {
 // TestDecodeSegCorrupt: oversized or malformed segment claims fail with
 // ErrBadFormat before any unbounded allocation.
 func TestDecodeSegCorrupt(t *testing.T) {
-	out := make([]int64, 16)
 	cases := map[string]struct {
 		codec uint8
 		body  []byte
@@ -237,8 +291,7 @@ func TestDecodeSegCorrupt(t *testing.T) {
 		"unknown codec":      {numSegCodecs, []byte{}, 4},
 	}
 	for name, tc := range cases {
-		c := &byteCursor{b: tc.body}
-		err := decodeSegVals(c, tc.codec, tc.n, false, out[:tc.n])
+		_, err := decodeTyped(t, tc.codec, tc.body, tc.n, specSigned)
 		if err == nil {
 			t.Errorf("%s: decode succeeded", name)
 			continue
@@ -406,7 +459,7 @@ func unpackRef(src []byte, n int, width uint) []uint64 {
 
 // TestUnpackMatchesByteLoop: at every width 0–64 and every count 0–70 —
 // streams shorter than one word, ending mid-byte, ending on a word edge —
-// unpackInto and unpackEach (whole, and stopped early) read random payloads
+// the FOR decoder and unpackEach (whole, and stopped early) read random payloads
 // exactly as the byte loop does, never touching a byte past the stream.
 func TestUnpackMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -417,8 +470,10 @@ func TestUnpackMatchesByteLoop(t *testing.T) {
 			rng.Read(src)
 			want := unpackRef(src, n, width)
 			base := rng.Uint64()
-			out := make([]int64, n)
-			unpackInto(src, n, width, base, out)
+			out, err := decodeTyped(t, segFOR, forBody(int64(base), width, src), n, specSigned)
+			if err != nil {
+				t.Fatalf("width %d n %d: %v", width, n, err)
+			}
 			var each []uint64
 			unpackEach(src, n, width, func(u uint64) bool {
 				each = append(each, u)
@@ -429,7 +484,7 @@ func TestUnpackMatchesByteLoop(t *testing.T) {
 			}
 			for i := range want {
 				if uint64(out[i]) != base+want[i] {
-					t.Fatalf("width %d n %d: unpackInto value %d = %#x, want %#x", width, n, i, uint64(out[i]), base+want[i])
+					t.Fatalf("width %d n %d: decoded value %d = %#x, want %#x", width, n, i, uint64(out[i]), base+want[i])
 				}
 				if each[i] != want[i] {
 					t.Fatalf("width %d n %d: unpackEach value %d = %#x, want %#x", width, n, i, each[i], want[i])

@@ -8,8 +8,7 @@ package trace
 //   - Dict segments expose the dictionary (NumCodes / DictVal) plus
 //     streaming code-space iteration (ForEachCode) — a predicate translates
 //     into the code domain once per block.
-//   - FOR segments answer min/max/sum straight from the stored base and the
-//     packed offsets (FORStats) without unpacking into an []int64.
+//   - FOR segments of width 0 answer as the constant they are (ConstVal).
 //
 // Construction validates every wire claim — run totals, dictionary size and
 // pack width, packed byte lengths, code bounds, trailing bytes — so corrupt
@@ -230,33 +229,6 @@ func (sc *SegCursor) ConstVal() (int64, bool) {
 		return sc.base, true
 	}
 	return 0, false
-}
-
-// FORStats answers min, max and sum over a FOR segment straight from the
-// stored base and packed offsets, without unpacking into an []int64. All
-// arithmetic is mod 2^64, exactly matching a sum over the decoded values.
-func (sc *SegCursor) FORStats() (min, max, sum int64, ok bool) {
-	if sc.codec != segFOR {
-		return 0, 0, 0, false
-	}
-	b := uint64(sc.base)
-	if sc.width == 0 {
-		return sc.base, sc.base, int64(b * uint64(sc.n)), true
-	}
-	var mn, mx, s uint64
-	first := true
-	unpackEach(sc.packed, sc.n, sc.width, func(u uint64) bool {
-		if first {
-			mn, mx, first = u, u, false
-		} else if u < mn {
-			mn = u
-		} else if u > mx {
-			mx = u
-		}
-		s += u
-		return true
-	})
-	return int64(b + mn), int64(b + mx), int64(b*uint64(sc.n) + s), true
 }
 
 // unpackEach streams n width-bit LSB-first values from src through fn
