@@ -74,16 +74,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	st := res.Sys.Stats
-	fmt.Printf("workload   : %s (scale %g, %d nodes x %d ranks)\n",
-		w.Name(), spec.Scale, spec.Nodes, spec.RanksPerNode)
-	fmt.Printf("virtual    : %s  (simulated in %s)\n",
-		res.Runtime.Round(time.Millisecond), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("events     : %d\n", len(res.Trace.Events))
-	fmt.Printf("gpfs       : read %s, wrote %s, %d data ops, %d meta ops\n",
-		mb(st[0].BytesRead), mb(st[0].BytesWritten), st[0].DataOps, st[0].MetaOps)
-	fmt.Printf("node-local : read %s, wrote %s\n", mb(st[1].BytesRead), mb(st[1].BytesWritten))
+	simulate := time.Since(start) - res.TraceMerge
+	var encode time.Duration
+	var written int64
 	if *out != "" {
+		start = time.Now()
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -98,10 +93,33 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		encode = time.Since(start)
 		fi, _ := os.Stat(*out)
-		fmt.Printf("trace      : %s (%s)\n", *out, mb(fi.Size()))
+		written = fi.Size()
+	}
+	st := res.Sys.Stats
+	wall := fmt.Sprintf("simulate %s, merge %s", wallTime(simulate), wallTime(res.TraceMerge))
+	if *out != "" {
+		wall += fmt.Sprintf(", encode %s", wallTime(encode))
+	}
+	fmt.Printf("workload   : %s (scale %g, %d nodes x %d ranks)\n",
+		w.Name(), spec.Scale, spec.Nodes, spec.RanksPerNode)
+	fmt.Printf("virtual    : %s\n", res.Runtime.Round(time.Millisecond))
+	fmt.Printf("wall       : %s\n", wall)
+	fmt.Printf("kernel     : %d events, %d switches (%.2f per event), %d in-place wake-ups\n",
+		res.KernelEvents, res.KernelSwitches,
+		float64(res.KernelSwitches)/float64(max(res.KernelEvents, 1)), res.KernelInPlaceWakes)
+	fmt.Printf("events     : %d\n", len(res.Trace.Events))
+	fmt.Printf("gpfs       : read %s, wrote %s, %d data ops, %d meta ops\n",
+		mb(st[0].BytesRead), mb(st[0].BytesWritten), st[0].DataOps, st[0].MetaOps)
+	fmt.Printf("node-local : read %s, wrote %s\n", mb(st[1].BytesRead), mb(st[1].BytesWritten))
+	if *out != "" {
+		fmt.Printf("trace      : %s (%s)\n", *out, mb(written))
 	}
 }
+
+// wallTime rounds a wall-clock duration for display.
+func wallTime(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
 
 func mb(b int64) string {
 	switch {

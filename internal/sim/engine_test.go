@@ -365,3 +365,204 @@ func TestErrNilWithoutFailures(t *testing.T) {
 		t.Errorf("Err = %v, want nil", e.Err())
 	}
 }
+
+// TestInPlaceWakeYieldsToSameInstant: a Sleep whose wake-up ties with an
+// event already queued for that instant must go through the queue — the
+// earlier-scheduled event runs first (FIFO) — while a Sleep that ends
+// strictly before the queue's head returns in place.
+func TestInPlaceWakeYieldsToSameInstant(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.At(5*time.Second, func() { order = append(order, "callback@5") })
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(3 * time.Second) // head is at 5s: in place
+		if e.InPlaceWakes != 1 || e.Switches != 1 {
+			t.Errorf("after a sleep to before the head: %d in-place wake-ups, %d switches; want 1, 1",
+				e.InPlaceWakes, e.Switches)
+		}
+		p.SleepUntil(5 * time.Second) // ties with the callback: queued behind it
+		order = append(order, "p@5")
+		if e.InPlaceWakes != 1 {
+			t.Errorf("a wake-up tied with a queued event was served in place")
+		}
+		p.Yield() // nothing else at 5s any more
+		if e.InPlaceWakes != 2 {
+			t.Errorf("a yield with nothing else queued went through the queue")
+		}
+	})
+	e.Run()
+	if len(order) != 2 || order[0] != "callback@5" || order[1] != "p@5" {
+		t.Errorf("order = %v, want the callback scheduled first to run first", order)
+	}
+	// start, sleep, callback, sleep-until, yield; into p and back to Run.
+	if e.EventsExecuted != 5 || e.Switches != 2 {
+		t.Errorf("%d events, %d switches; want 5, 2", e.EventsExecuted, e.Switches)
+	}
+}
+
+// TestClockFrozenAfterFail: once Fail is recorded the clock never moves
+// again, not even for the failing process's own later Sleeps — the first of
+// them parks it for good and Run unwinds it.
+func TestClockFrozenAfterFail(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	boom := errors.New("boom")
+	unwound := false
+	e.Spawn("failer", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(time.Second)
+		e.Fail(boom)
+		p.Sleep(time.Second) // queue empty: in place if it ignored the error
+		t.Errorf("the failing process ran on to %v", p.Now())
+	})
+	if end := e.Run(); end != time.Second || e.Now() != time.Second {
+		t.Errorf("run ended at %v, want 1s", end)
+	}
+	if e.Err() != boom || !unwound || e.Live() != 0 {
+		t.Errorf("Err = %v, unwound = %v, live = %d", e.Err(), unwound, e.Live())
+	}
+	waitGoroutines(t, before)
+}
+
+// TestRunUntilStopsAtFail: RunUntil shares Run's loop, so a Fail stops it at
+// that event too — the clock stays there and every process is unwound.
+func TestRunUntilStopsAtFail(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	boom := errors.New("boom")
+	e.Spawn("failer", func(p *Proc) {
+		p.Sleep(2 * time.Second)
+		e.Fail(boom)
+	})
+	e.Spawn("ticker", func(p *Proc) {
+		for {
+			p.Sleep(time.Second)
+			if p.Now() > 2*time.Second {
+				t.Errorf("ticked at %v, after the failure", p.Now())
+			}
+		}
+	})
+	e.At(3*time.Second, func() { t.Error("an event ran after the failure") })
+	if end := e.RunUntil(10 * time.Second); end != 2*time.Second {
+		t.Errorf("RunUntil returned %v, want 2s", end)
+	}
+	if e.Err() != boom || e.Live() != 0 {
+		t.Errorf("Err = %v, live = %d", e.Err(), e.Live())
+	}
+	waitGoroutines(t, before)
+}
+
+// TestInPlaceWakeRespectsBound: a lone process's Sleeps are all in place,
+// and still none of them may carry it past RunUntil's deadline.
+func TestInPlaceWakeRespectsBound(t *testing.T) {
+	e := NewEngine()
+	ticks := 0
+	e.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(time.Second)
+			ticks++
+		}
+	})
+	e.RunUntil(10*time.Second + time.Second/2)
+	if ticks != 10 || e.Now() != 10*time.Second+time.Second/2 {
+		t.Errorf("after RunUntil(10.5s): %d ticks at %v, want 10", ticks, e.Now())
+	}
+	if e.InPlaceWakes != 10 || e.Pending() != 1 {
+		t.Errorf("%d in-place wake-ups, %d pending; want 10 and the 11th tick queued", e.InPlaceWakes, e.Pending())
+	}
+	e.Run()
+	if ticks != 100 || e.Now() != 100*time.Second {
+		t.Errorf("after Run: %d ticks at %v", ticks, e.Now())
+	}
+}
+
+// TestFinishedProcPassesBaton: a process that returns runs the loop from
+// its deferred exit — the callback due next runs there, then the baton
+// reaches the process behind it, and Run sees none of it until the end.
+func TestFinishedProcPassesBaton(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.Spawn("first", func(p *Proc) { order = append(order, "first") })
+	e.At(time.Second, func() {
+		order = append(order, "callback")
+		e.After(time.Second, func() { order = append(order, "chained") })
+	})
+	e.SpawnAt(3*time.Second, "second", func(p *Proc) {
+		order = append(order, "second")
+		p.Sleep(time.Second)
+		order = append(order, "second-done")
+	})
+	if end := e.Run(); end != 4*time.Second {
+		t.Errorf("run ended at %v, want 4s", end)
+	}
+	want := []string{"first", "callback", "chained", "second", "second-done"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	// Run → first → second → Run: the callbacks and the sleep cost none.
+	if e.Switches != 3 || e.EventsExecuted != 5 {
+		t.Errorf("%d switches, %d events; want 3, 5", e.Switches, e.EventsExecuted)
+	}
+}
+
+// TestSwitchesAtMostOnePerEvent: two processes that alternate strictly cost
+// one switch per blocking call — half what a central loop pays — and the
+// count repeats exactly.
+func TestSwitchesAtMostOnePerEvent(t *testing.T) {
+	run := func() *Engine {
+		e := NewEngine()
+		r := NewResource(e, "disk")
+		for i := 0; i < 2; i++ {
+			e.Spawn("p", func(p *Proc) {
+				for j := 0; j < 50; j++ {
+					r.Use(p, time.Millisecond)
+				}
+			})
+		}
+		e.Run()
+		return e
+	}
+	a, b := run(), run()
+	if a.Switches > a.EventsExecuted+1 {
+		t.Errorf("%d switches for %d events: more than one per event", a.Switches, a.EventsExecuted)
+	}
+	if a.Switches != b.Switches || a.InPlaceWakes != b.InPlaceWakes || a.EventsExecuted != b.EventsExecuted {
+		t.Errorf("counters differ between identical runs: %d/%d/%d vs %d/%d/%d",
+			a.EventsExecuted, a.Switches, a.InPlaceWakes, b.EventsExecuted, b.Switches, b.InPlaceWakes)
+	}
+}
+
+// TestEventQueuePopsInOrder: whatever order events are pushed in, and with
+// pops interleaved, the queue hands them back by (t, seq).
+func TestEventQueuePopsInOrder(t *testing.T) {
+	g := NewRNG(11)
+	e := NewEngine()
+	var last event
+	popped := 0
+	check := func() {
+		ev := e.pop()
+		if popped > 0 && !last.before(&ev) {
+			t.Fatalf("pop %d: (%v, %d) after (%v, %d)", popped, ev.t, ev.seq, last.t, last.seq)
+		}
+		last = ev
+		popped++
+	}
+	for i := 0; i < 2000; i++ {
+		// Times only ever move forward of what was popped, as in a run.
+		e.schedule(last.t+time.Duration(g.Intn(8)), nil, nil)
+		if g.Intn(3) == 0 {
+			check()
+		}
+	}
+	for e.Pending() > 0 {
+		check()
+	}
+	if popped != 2000 {
+		t.Errorf("popped %d of 2000", popped)
+	}
+}

@@ -23,6 +23,7 @@ type System struct {
 	nodeLocal   []*sim.Resource
 	nics        []*sim.Resource // per-node PFS client/injection bandwidth
 	caches      []*pageCache
+	nodePrefix  []string // "n<i>:", the node-local namespace prefix of node i
 
 	files map[string]*fileState
 
@@ -87,6 +88,7 @@ func New(e *sim.Engine, cfg Config, nodes int, rng *sim.RNG) *System {
 		metaServers: sim.NewPool(e, "mds", cfg.PFSMetaServers),
 		nodeLocal:   make([]*sim.Resource, nodes),
 		caches:      make([]*pageCache, nodes),
+		nodePrefix:  make([]string, nodes),
 		files:       make(map[string]*fileState),
 	}
 	if cfg.SharedBBServers > 0 {
@@ -101,6 +103,7 @@ func New(e *sim.Engine, cfg Config, nodes int, rng *sim.RNG) *System {
 		s.nodeLocal[i] = sim.NewResource(e, fmt.Sprintf("node%d-local", i))
 		s.nics[i] = sim.NewResource(e, fmt.Sprintf("node%d-nic", i))
 		s.caches[i] = newPageCache(cfg.CacheCapacity)
+		s.nodePrefix[i] = fmt.Sprintf("n%d:", i)
 	}
 	return s
 }
@@ -134,7 +137,7 @@ func (s *System) key(node int, path string) (string, TargetKind) {
 	if t == TargetPFS || t == TargetSharedBB {
 		return path, t
 	}
-	return fmt.Sprintf("n%d:%s", node, path), t
+	return s.nodePrefix[node] + path, t
 }
 
 func (s *System) lookup(node int, path string) (*fileState, string, TargetKind) {
@@ -224,14 +227,12 @@ func (s *System) Sync(p *sim.Proc, node int, path string) {
 
 // Mkdir performs a directory-creation metadata op.
 func (s *System) Mkdir(p *sim.Proc, node int, path string) {
-	_, t := s.key(node, path)
-	s.meta(p, node, t)
+	s.meta(p, node, s.Route(path))
 }
 
 // Readdir performs a directory-listing metadata op.
 func (s *System) Readdir(p *sim.Proc, node int, path string) {
-	_, t := s.key(node, path)
-	s.meta(p, node, t)
+	s.meta(p, node, s.Route(path))
 }
 
 // Delete removes a file without charging time (used by cleanup stages).

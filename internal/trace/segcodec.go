@@ -314,16 +314,18 @@ func chooseSegCodec(vals []int64, unsigned bool, dict map[int64]struct{}) uint8 
 	for i, v := range vals {
 		sz := storedValueLen(v, unsigned)
 		rawBytes += sz
-		if i == 0 || v != vals[i-1] {
-			if i > 0 {
-				rleBytes += lenUvarint(uint64(runLen))
-			}
-			rleBytes += sz
-			runs++
-			runLen = 1
-		} else {
+		if i > 0 && v == vals[i-1] {
+			// Nothing new: min, max and the dictionary saw this value one
+			// element ago (or the dictionary is already abandoned).
 			runLen++
+			continue
 		}
+		if i > 0 {
+			rleBytes += lenUvarint(uint64(runLen))
+		}
+		rleBytes += sz
+		runs++
+		runLen = 1
 		if v < min {
 			min = v
 		} else if v > max {

@@ -121,6 +121,50 @@ func TestShardMergeMatchesGlobalSort(t *testing.T) {
 	}
 }
 
+// TestFinishMergesSortedShardsInPlace: shards already in (Start, End) order
+// are merged from the tracer's own memory and the others from a sorted
+// copy; either way the result is the canonical order, the tracer's record
+// sequences are untouched, and the returned Trace is a snapshot that later
+// recording does not reach.
+func TestFinishMergesSortedShardsInPlace(t *testing.T) {
+	streams := perRankStreams(6, 300, 3)
+	for r := int32(0); r < 6; r += 2 { // even ranks record in order
+		for i := range streams[r] {
+			streams[r][i].Start = streams[r][i].End
+		}
+	}
+	tr := NewTracer()
+	var all []Event
+	for r := int32(5); r >= 0; r-- {
+		for _, ev := range streams[r] {
+			tr.Record(ev)
+			all = append(all, ev)
+		}
+	}
+	want := &Trace{Events: all}
+	want.SortByStart()
+	got := tr.Finish()
+	if !reflect.DeepEqual(want.Events, got.Events) {
+		t.Fatal("merge of in-place and copied shards diverges from SortByStart")
+	}
+	for r := int32(0); r < 6; r++ {
+		if !reflect.DeepEqual(tr.shards[r].events, streams[r]) {
+			t.Fatalf("Finish reordered rank %d's shard", r)
+		}
+	}
+	snapshot := append([]Event(nil), got.Events...)
+	late := streams[0][len(streams[0])-1]
+	late.Start += time.Hour
+	late.End += time.Hour
+	tr.Record(late)
+	if again := tr.Finish(); len(again.Events) != len(snapshot)+1 || again.Events[len(snapshot)] != late {
+		t.Error("an event recorded after Finish is missing from the next Finish")
+	}
+	if !reflect.DeepEqual(got.Events, snapshot) {
+		t.Error("recording after Finish changed the Trace it returned")
+	}
+}
+
 // TestScannerStreamsEvents exercises the chunked on-disk reader: header
 // first, then events in batches, matching the materializing Read exactly.
 func TestScannerStreamsEvents(t *testing.T) {

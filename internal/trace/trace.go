@@ -12,10 +12,11 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
-	"vani/internal/heapx"
 	"vani/internal/parallel"
 )
 
@@ -397,16 +398,22 @@ func (t *Tracer) Finish() *Trace {
 	m.TraceOverhead = t.totalOverhead
 
 	// Sort shard keys so the merge sees shards in rank order.
-	keys := append([]int32(nil), t.shardKeys...)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys := slices.Clone(t.shardKeys)
+	slices.Sort(keys)
 
 	// Per-shard stable sort by (Start, End); Rank is constant within a
-	// shard, so this is the canonical order restricted to the shard. Shards
-	// are independent, so they sort in parallel.
+	// shard, so this is the canonical order restricted to the shard. A rank
+	// that issues one blocking call after another records in that order
+	// already, and its shard is merged from where it lies (the merge only
+	// reads it); only a shard that is out of order is copied and sorted.
+	// Shards are independent, so they are checked and sorted in parallel.
 	sorted := make([][]Event, len(keys))
 	parallel.ForEach(0, len(keys), func(i int) {
-		evs := append([]Event(nil), t.shards[keys[i]].events...)
-		sort.SliceStable(evs, func(x, y int) bool { return eventBefore(&evs[x], &evs[y]) })
+		evs := t.shards[keys[i]].events
+		if !slices.IsSortedFunc(evs, shardOrder) {
+			evs = slices.Clone(evs)
+			slices.SortStableFunc(evs, shardOrder)
+		}
 		sorted[i] = evs
 	})
 
@@ -421,45 +428,81 @@ func (t *Tracer) Finish() *Trace {
 	return tr
 }
 
-// mergeCursor is one shard's read position in the k-way merge.
+// shardOrder is eventBefore within one rank's shard: (Start, End).
+func shardOrder(a, b Event) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.End, b.End)
+}
+
+// mergeCursor is one shard's read position in the k-way merge, with the
+// sort key of its head event cached beside it so a heap compare touches no
+// event memory.
 type mergeCursor struct {
-	evs []Event
-	pos int
+	start time.Duration
+	rank  int32
+	rest  []Event // head event first
+}
+
+// before orders cursors by their head events. Each shard holds one rank, so
+// heads of distinct shards never tie on Rank: (Start, Rank) already decides
+// eventBefore, End is never reached, and the order is strict and total.
+func (a *mergeCursor) before(b *mergeCursor) bool {
+	return a.start < b.start || (a.start == b.start && a.rank < b.rank)
 }
 
 // mergeShards k-way merges per-rank, canonically sorted event logs into the
-// global (Start, Rank, End) order. Heads of distinct shards always differ
-// in Rank, so the heap comparison is a strict total order and the merge
-// result is independent of shard arrival order. The heap is a non-boxing
-// generic heap with container/heap's sift semantics, so the merge order is
-// byte-identical to the boxed implementation it replaced.
+// global (Start, Rank, End) order. The cursor order is strict and total, so
+// the merge result is a property of the shards alone — independent of shard
+// arrival order and of how the heap below sifts.
 func mergeShards(shards [][]Event, total int) []Event {
 	out := make([]Event, 0, total)
-	switch len(shards) {
-	case 0:
-		return out
-	case 1:
-		return append(out, shards[0]...)
-	}
-	h := heapx.New(func(a, b *mergeCursor) bool {
-		return eventBefore(&a.evs[a.pos], &b.evs[b.pos])
-	})
-	cursors := make([]*mergeCursor, 0, len(shards))
+	h := make([]mergeCursor, 0, len(shards))
 	for _, evs := range shards {
 		if len(evs) > 0 {
-			cursors = append(cursors, &mergeCursor{evs: evs})
+			h = append(h, mergeCursor{start: evs[0].Start, rank: evs[0].Rank, rest: evs})
 		}
 	}
-	h.Init(cursors)
-	for h.Len() > 0 {
-		c := h.Peek()
-		out = append(out, c.evs[c.pos])
-		c.pos++
-		if c.pos == len(c.evs) {
-			h.Pop()
+	if len(h) == 1 {
+		return append(out, h[0].rest...)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		c := &h[0]
+		out = append(out, c.rest[0])
+		if c.rest = c.rest[1:]; len(c.rest) > 0 {
+			c.start = c.rest[0].Start
 		} else {
-			h.FixRoot()
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		siftDown(h, 0)
 	}
 	return out
+}
+
+// siftDown restores the min-heap below h[i] after its key grew.
+func siftDown(h []mergeCursor, i int) {
+	if i >= len(h) {
+		return
+	}
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }

@@ -109,6 +109,10 @@ type Result struct {
 	// TraceMerge is the wall-clock time the tracer spent merging its
 	// per-rank shards at Finish (the pipeline's first stage timing).
 	TraceMerge time.Duration
+	// Kernel counts of the run (sim.Engine's counters): events executed,
+	// goroutine switches among them, and Sleep/SleepUntil calls served
+	// without touching the queue. All three repeat exactly.
+	KernelEvents, KernelSwitches, KernelInPlaceWakes int64
 }
 
 // Run assembles the environment, executes the workload to completion, and
@@ -159,6 +163,10 @@ func Run(w Workload, spec Spec) (*Result, error) {
 		Job:        job,
 		Spec:       spec,
 		TraceMerge: tr.MergeTime(),
+
+		KernelEvents:       e.EventsExecuted,
+		KernelSwitches:     e.Switches,
+		KernelInPlaceWakes: e.InPlaceWakes,
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -558,5 +560,56 @@ func TestIORSharedFileMode(t *testing.T) {
 			}
 			offsets[ev.Offset] = ev.Rank
 		}
+	}
+}
+
+// traceGolden is the SHA-256 of each generator's encoded trace at tinySpec
+// scale 0.01, taken on the commit before the kernel's event loop moved onto
+// the process goroutines (8289886). TestDeterministicAcrossRuns compares a
+// binary with itself; this compares it with that commit.
+var traceGolden = map[string]string{
+	"cm1":             "51aa7a32ba45bed14b4ff3412b11d84cddae7db10d25fef23b0bf926d01d81b2",
+	"cosmoflow":       "1a21cd0cd74ec9b7907652194ffeb49a9966bb60934ae8e665f9b0cde6c6fb00",
+	"hacc":            "718357ecb36023fd024084f08dd7f29114e29694ec095b66c8f4c31c2e5a6a3e",
+	"ior":             "8a4db8bc3b512ae42c1020db46b14dc0621b10ab6c4e9d651d65a23c019a091d",
+	"jag":             "dbefb81be4a143fdfe23fa1835de0712383446acd4d3f4d3d312fc270d476f68",
+	"montage-mpi":     "fdb524f1c53f2b7f1f6795567aa046cccf13b3d1df4e480da7bf00e1aebc3714",
+	"montage-pegasus": "75fa5d4bb09f76dd35669ba7a403cd48211f21021da52a55398c5787014a9c14",
+}
+
+// TestTraceGoldenAcrossCommits: every generator still writes, byte for
+// byte, the trace it wrote before the simulator and the shard merge were
+// rewritten.
+func TestTraceGoldenAcrossCommits(t *testing.T) {
+	for _, w := range All() {
+		res := mustRun(t, w, tinySpec(w, 0.01))
+		h := sha256.New()
+		if err := trace.WriteV2(h, res.Trace); err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != traceGolden[w.Name()] {
+			t.Errorf("%s: trace sha256 %s, want %s (%d events)", w.Name(), got, traceGolden[w.Name()], len(res.Trace.Events))
+		}
+	}
+}
+
+// TestKernelCountersOnResult: a Result carries the kernel's counts, they
+// repeat exactly, and cm1 — ranks computing between their own writes, so
+// most wake-ups belong to the rank already running — needs a goroutine
+// switch for fewer than half its events.
+func TestKernelCountersOnResult(t *testing.T) {
+	w := NewCM1()
+	a := mustRun(t, w, tinySpec(w, 0.01))
+	b := mustRun(t, w, tinySpec(w, 0.01))
+	if a.KernelEvents == 0 || a.KernelSwitches == 0 {
+		t.Fatalf("kernel counters not filled: %d events, %d switches", a.KernelEvents, a.KernelSwitches)
+	}
+	if a.KernelEvents != b.KernelEvents || a.KernelSwitches != b.KernelSwitches || a.KernelInPlaceWakes != b.KernelInPlaceWakes {
+		t.Errorf("kernel counters differ between identical runs: %d/%d/%d vs %d/%d/%d",
+			a.KernelEvents, a.KernelSwitches, a.KernelInPlaceWakes, b.KernelEvents, b.KernelSwitches, b.KernelInPlaceWakes)
+	}
+	if ratio := float64(a.KernelSwitches) / float64(a.KernelEvents); ratio >= 0.5 {
+		t.Errorf("cm1: %d switches for %d events (%.2f per event), want below 0.5",
+			a.KernelSwitches, a.KernelEvents, ratio)
 	}
 }
