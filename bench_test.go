@@ -24,6 +24,7 @@ import (
 	"vani/internal/replay"
 	"vani/internal/report"
 	"vani/internal/sim"
+	"vani/internal/spec/spectest"
 	"vani/internal/stats"
 	"vani/internal/storage"
 	"vani/internal/trace"
@@ -57,25 +58,24 @@ func benchSpec(w Workload) Spec {
 // exercise the I/O path.
 func benchWorkload(b *testing.B, name string) Workload {
 	b.Helper()
+	switch name {
+	case "cm1":
+		return spectest.Golden(b, name, map[string]time.Duration{"compute_per_step": 50 * time.Millisecond})
+	case "cosmoflow":
+		return spectest.Golden(b, name, map[string]time.Duration{"gpu_per_file": 10 * time.Millisecond})
+	case "montage-mpi":
+		return spectest.Golden(b, name, montageNoCompute)
+	}
 	w, err := New(name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	switch v := w.(type) {
-	case *workloads.CM1:
-		v.ComputePerStep = 50 * time.Millisecond
 	case *workloads.HACC:
 		v.ComputeInit = 0
-	case *workloads.CosmoFlow:
-		v.GPUPerFile = 10 * time.Millisecond
 	case *workloads.JAG:
 		v.Epochs = 5
 		v.ComputePerEpoch = 50 * time.Millisecond
-	case *workloads.MontageMPI:
-		v.ProjectCompute = 0
-		v.AddCompute = 0
-		v.ShrinkCompute = 0
-		v.ViewerCompute = 0
 	case *workloads.MontagePegasus:
 		v.ProjectCompute = 0
 		v.DiffCompute = 0
@@ -87,6 +87,12 @@ func benchWorkload(b *testing.B, name string) Workload {
 		v.FitCompute = 0
 	}
 	return w
+}
+
+// montageNoCompute zeroes Montage-MPI's four compute stages, so the I/O
+// difference of the Figure 8 case study dominates.
+var montageNoCompute = map[string]time.Duration{
+	"project_compute": 0, "add_compute": 0, "shrink_compute": 0, "viewer_compute": 0,
 }
 
 // cachedRuns memoizes one run+characterization per workload so the table
@@ -203,8 +209,7 @@ func BenchmarkFigure6_MontagePegasus(b *testing.B) { benchFigure(b, "montage-peg
 // BenchmarkFigure7_CosmoFlowOptimization runs the baseline-vs-preload
 // comparison and reports the I/O speedup (paper: 2.2x-4.6x).
 func BenchmarkFigure7_CosmoFlowOptimization(b *testing.B) {
-	w := workloads.NewCosmoFlow()
-	w.GPUPerFile = 0
+	w := spectest.Golden(b, "cosmoflow", map[string]time.Duration{"gpu_per_file": 0})
 	spec := w.DefaultSpec()
 	spec.Nodes = 8
 	spec.Scale = 0.005
@@ -225,8 +230,7 @@ func BenchmarkFigure7_CosmoFlowOptimization(b *testing.B) {
 // BenchmarkFigure8_MontageOptimization runs the baseline-vs-shm
 // intermediates comparison and reports the I/O speedup (paper: 3.9x-8x).
 func BenchmarkFigure8_MontageOptimization(b *testing.B) {
-	w := workloads.NewMontageMPI()
-	w.ProjectCompute, w.AddCompute, w.ShrinkCompute, w.ViewerCompute = 0, 0, 0, 0
+	w := spectest.Golden(b, "montage-mpi", montageNoCompute)
 	spec := w.DefaultSpec()
 	spec.Nodes = 8
 	spec.RanksPerNode = 8

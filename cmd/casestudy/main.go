@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"vani"
-	"vani/internal/workloads"
+	"vani/internal/spec"
 )
 
 func main() {
@@ -47,28 +47,27 @@ func main() {
 		fmt.Println("Figure 7: Optimizing CosmoFlow using workload attributes")
 		fmt.Println("          (B = baseline GPFS, O = preload to /dev/shm; paper: 2.2x-4.6x)")
 		runSweep(nodeCounts, func(nodes int) (vani.Workload, vani.Spec) {
-			w := workloads.NewCosmoFlow()
-			w.GPUPerFile = 0 // isolate the I/O path, as the figure plots I/O time
-			spec := w.DefaultSpec()
-			spec.Nodes = nodes
-			spec.Scale = *scale
-			return w, spec
+			// Isolate the I/O path, as the figure plots I/O time.
+			w := golden("cosmoflow", "gpu_per_file")
+			sp := w.DefaultSpec()
+			sp.Nodes = nodes
+			sp.Scale = *scale
+			return w, sp
 		})
 	case "montage":
 		fmt.Println("Figure 8: Optimizing Montage using workload attributes")
 		fmt.Println("          (B = baseline GPFS, O = intermediates in /dev/shm; paper: 3.9x-8x)")
 		runSweep(nodeCounts, func(nodes int) (vani.Workload, vani.Spec) {
-			w := workloads.NewMontageMPI()
-			w.ProjectCompute, w.AddCompute, w.ShrinkCompute, w.ViewerCompute = 0, 0, 0, 0
-			spec := w.DefaultSpec()
-			spec.Nodes = nodes
+			w := golden("montage-mpi", "project_compute", "add_compute", "shrink_compute", "viewer_compute")
+			sp := w.DefaultSpec()
+			sp.Nodes = nodes
 			// Strong scaling: the sky survey is fixed, so each node's
 			// segment shrinks as the job widens.
-			spec.Scale = *scale * 32 / float64(nodes)
-			if spec.Scale > 1 {
-				spec.Scale = 1
+			sp.Scale = *scale * 32 / float64(nodes)
+			if sp.Scale > 1 {
+				sp.Scale = 1
 			}
-			return w, spec
+			return w, sp
 		})
 	default:
 		fmt.Fprintln(os.Stderr, "unknown case study; use cosmoflow or montage")
@@ -77,6 +76,21 @@ func main() {
 }
 
 var showImpacts bool
+
+// golden compiles a golden spec with the named time params zeroed.
+func golden(name string, zero ...string) vani.Workload {
+	doc, err := spec.Golden(name)
+	for _, p := range zero {
+		if err == nil {
+			err = doc.Set(p, 0)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return doc.Compile()
+}
 
 func runSweep(nodeCounts []int, build func(nodes int) (vani.Workload, vani.Spec)) {
 	fmt.Printf("%-6s  %-12s %-12s %-8s  %-12s %-12s %-8s\n",

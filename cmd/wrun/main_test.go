@@ -19,9 +19,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestSpecRuntimeFailureExitsOne: wrun -spec on a document whose run cannot
-// finish — and on the shipped montage-mpi at a scale its mosaic does not
-// divide into — prints the cause on one line and exits 1: no panic, no
-// goroutine dump.
+// finish prints the cause on one line and exits 1: no panic, no goroutine
+// dump.
 func TestSpecRuntimeFailureExitsOne(t *testing.T) {
 	const specs = "../../internal/spec/"
 	for _, c := range []struct {
@@ -30,7 +29,6 @@ func TestSpecRuntimeFailureExitsOne(t *testing.T) {
 	}{
 		{"past EOF", []string{"-spec", specs + "testdata/past-eof.yaml", "-nodes", "2"}},
 		{"deadlock", []string{"-spec", specs + "testdata/stuck.yaml", "-nodes", "2"}},
-		{"past EOF", []string{"-spec", specs + "golden/montage-mpi.yaml", "-nodes", "32", "-scale", "0.001"}},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "WRUN_TEST_MAIN=1")

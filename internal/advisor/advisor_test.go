@@ -6,6 +6,7 @@ import (
 
 	"vani/internal/cluster"
 	"vani/internal/core"
+	"vani/internal/spec/spectest"
 	"vani/internal/stats"
 	"vani/internal/storage"
 	"vani/internal/workloads"
@@ -40,8 +41,7 @@ func byID(recs []Recommendation) map[string]Recommendation {
 }
 
 func TestCosmoFlowGetsPreloadAndChunking(t *testing.T) {
-	w := workloads.NewCosmoFlow()
-	w.GPUPerFile = 50 * time.Millisecond
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 50 * time.Millisecond})
 	c, _ := characterize(t, w, func(s *workloads.Spec) { s.Scale = 0.002 })
 	recs := byID(Advise(c))
 	if _, ok := recs["preload-node-local"]; !ok {
@@ -60,7 +60,7 @@ func TestCosmoFlowGetsPreloadAndChunking(t *testing.T) {
 }
 
 func TestMontageGetsIntermediatesAndPlacement(t *testing.T) {
-	w := workloads.NewMontageMPI()
+	w := spectest.Golden(t, "montage-mpi", nil)
 	c, _ := characterize(t, w, func(s *workloads.Spec) { s.Scale = 0.1 })
 	recs := byID(Advise(c))
 	if _, ok := recs["intermediates-node-local"]; !ok {
@@ -91,7 +91,7 @@ func TestHACCGetsStripeAndLocking(t *testing.T) {
 }
 
 func TestCM1GetsAsyncIO(t *testing.T) {
-	w := workloads.NewCM1()
+	w := spectest.Golden(t, "cm1", nil)
 	c, _ := characterize(t, w, func(s *workloads.Spec) { s.Scale = 0.05 })
 	recs := byID(Advise(c))
 	if _, ok := recs["async-io"]; !ok {
@@ -117,8 +117,7 @@ func TestJAGGetsBufferSizing(t *testing.T) {
 }
 
 func TestApplyTranslatesRecommendations(t *testing.T) {
-	w := workloads.NewCosmoFlow()
-	w.GPUPerFile = 50 * time.Millisecond
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 50 * time.Millisecond})
 	c, spec := characterize(t, w, func(s *workloads.Spec) { s.Scale = 0.002 })
 	recs := Advise(c)
 	applied := Apply(recs, &spec)
@@ -145,8 +144,7 @@ func TestApplyStripeSize(t *testing.T) {
 func TestAppliedSpecRunsFaster(t *testing.T) {
 	// End-to-end: characterize -> advise -> apply -> re-run. The advised
 	// CosmoFlow run (preload + chunking) must beat the baseline.
-	w := workloads.NewCosmoFlow()
-	w.GPUPerFile = 0
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 0})
 	base := w.DefaultSpec()
 	base.Nodes = 4
 	base.Scale = 0.002
@@ -244,8 +242,7 @@ func TestNoSharedBBRuleOnLassen(t *testing.T) {
 }
 
 func TestEvaluatePerRecommendationImpact(t *testing.T) {
-	w := workloads.NewCosmoFlow()
-	w.GPUPerFile = 0
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 0})
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
 	spec.Scale = 0.002
@@ -300,7 +297,7 @@ func TestAsyncIOAppliesRelaxedConsistency(t *testing.T) {
 	// CM1 writes through rank 0 only; no node ever reads another node's
 	// writes, so the async-io recommendation is safe — and applying it
 	// (UnifyFS-style buffering) must shrink the job's I/O cost.
-	w := workloads.NewCM1()
+	w := spectest.Golden(t, "cm1", nil)
 	c, spec := characterize(t, w, func(s *workloads.Spec) { s.Scale = 0.05 })
 	if c.Workflow.CrossNodeRAW {
 		t.Fatal("CM1 flagged with cross-node RAW dependency")

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"vani/internal/spec"
+	"vani/internal/spec/spectest"
 	"vani/internal/stats"
 	"vani/internal/trace"
 	"vani/internal/workloads"
@@ -31,7 +33,7 @@ func runAndAnalyze(t *testing.T, w workloads.Workload, mod func(*workloads.Spec)
 }
 
 func TestAnalyzeCM1(t *testing.T) {
-	w := workloads.NewCM1()
+	w := spectest.Golden(t, "cm1", nil)
 	c := runAndAnalyze(t, w, func(s *workloads.Spec) { s.Scale = 0.05 })
 
 	if c.Workload != "cm1" {
@@ -120,8 +122,7 @@ func TestAnalyzeHACC(t *testing.T) {
 }
 
 func TestAnalyzeCosmoFlow(t *testing.T) {
-	w := workloads.NewCosmoFlow()
-	w.GPUPerFile = 50 * time.Millisecond
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 50 * time.Millisecond})
 	c := runAndAnalyze(t, w, func(s *workloads.Spec) { s.Scale = 0.002 })
 
 	if c.Apps[0].Interface != "HDF5 (MPI-IO)" {
@@ -181,7 +182,7 @@ func TestAnalyzeJAG(t *testing.T) {
 }
 
 func TestAnalyzeMontageMPI(t *testing.T) {
-	w := workloads.NewMontageMPI()
+	w := spectest.Golden(t, "montage-mpi", nil)
 	c := runAndAnalyze(t, w, func(s *workloads.Spec) { s.Scale = 0.1 })
 
 	if len(c.Apps) != 5 {
@@ -282,7 +283,7 @@ func TestFigureDataConsistency(t *testing.T) {
 }
 
 func TestPhaseGapControlsSplitting(t *testing.T) {
-	w := workloads.NewCM1()
+	w := spectest.Golden(t, "cm1", nil)
 	spec := w.DefaultSpec()
 	spec.Nodes = 2
 	spec.RanksPerNode = 4
@@ -380,8 +381,9 @@ func TestRankBandwidthPanel(t *testing.T) {
 }
 
 func TestCompareBaselineVsOptimized(t *testing.T) {
-	w := workloads.NewMontageMPI()
-	w.ProjectCompute, w.AddCompute, w.ShrinkCompute, w.ViewerCompute = 0, 0, 0, 0
+	w := spectest.Golden(t, "montage-mpi", map[string]time.Duration{
+		"project_compute": 0, "add_compute": 0, "shrink_compute": 0, "viewer_compute": 0,
+	})
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
 	spec.RanksPerNode = 8
@@ -428,7 +430,7 @@ func TestCompareIdenticalIsEmpty(t *testing.T) {
 func TestWorkflowFileInvariant(t *testing.T) {
 	// FPP + shared must equal the number of files with I/O, for every
 	// workload.
-	for _, w := range workloads.All() {
+	for _, w := range spec.All() {
 		w := w
 		c := runAndAnalyze(t, w, func(s *workloads.Spec) {
 			s.Scale = 0.01

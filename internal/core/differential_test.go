@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vani/internal/colstore"
+	"vani/internal/spec"
 	"vani/internal/trace"
 	"vani/internal/workloads"
 )
@@ -40,7 +41,7 @@ func lazyTable(t *testing.T, tr *trace.Trace, vopt trace.V2Options, f trace.Filt
 // bodies), at sequential and parallel settings, must produce exactly the
 // oracle's characterization — figure panels included.
 func TestDenseScanMatchesOracle(t *testing.T) {
-	for _, w := range workloads.All() {
+	for _, w := range spec.All() {
 		tr, spec := smallRun(t, w)
 		end := tr.Events[len(tr.Events)-1].Start
 		filters := map[string]trace.Filter{
@@ -197,7 +198,7 @@ func TestRowRanges(t *testing.T) {
 // points past the header's interned table.
 func craftedOutOfRange(t *testing.T) *trace.Trace {
 	t.Helper()
-	w, err := workloads.New("ior")
+	w, err := spec.New("ior")
 	if err != nil {
 		t.Fatal(err)
 	}

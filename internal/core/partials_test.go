@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vani/internal/colstore"
+	"vani/internal/spec"
 	"vani/internal/trace"
 	"vani/internal/workloads"
 )
@@ -49,7 +50,7 @@ func smallRun(t *testing.T, w workloads.Workload) (*trace.Trace, workloads.Spec)
 // hold 1 to 256 events must characterize exactly as the oracle does, with
 // and without a filter, sequentially and in parallel.
 func TestSeamsMatchOracle(t *testing.T) {
-	for _, w := range workloads.All() {
+	for _, w := range spec.All() {
 		full, spec := smallRun(t, w)
 		for _, be := range []int{1, 2, 7, 37, 256} {
 			tr := full
@@ -88,7 +89,7 @@ func TestSeamsMatchOracle(t *testing.T) {
 // by Start and the stitches' sort guards stand in for a global sort.
 func TestOutOfOrderTablesMatchOracle(t *testing.T) {
 	for _, name := range []string{"cosmoflow", "montage-mpi", "jag"} {
-		w, err := workloads.New(name)
+		w, err := spec.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestOutOfOrderTablesMatchOracle(t *testing.T) {
 // phases are swept from, it is malformed input on every table shape; on a
 // row the sweeps never see it changes nothing.
 func TestInvertedIntervalIsBadFormat(t *testing.T) {
-	w, err := workloads.New("hacc")
+	w, err := spec.New("hacc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vani/internal/core"
+	"vani/internal/spec/spectest"
 	"vani/internal/trace"
 	"vani/internal/workloads"
 )
@@ -122,7 +123,7 @@ func TestAggregationLosesPhases(t *testing.T) {
 // TestAggregationLosesDependencies: the trace recovers producer/consumer
 // app edges for a workflow; the profile has no ordering to do so.
 func TestAggregationLosesDependencies(t *testing.T) {
-	w := workloads.NewMontageMPI()
+	w := spectest.Golden(t, "montage-mpi", nil)
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
 	spec.RanksPerNode = 8

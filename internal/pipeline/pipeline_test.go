@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"vani/internal/core"
+	"vani/internal/spec"
 	"vani/internal/trace"
 	"vani/internal/workloads"
 	"vani/internal/yamlenc"
@@ -35,7 +36,7 @@ func simulate(t *testing.T, name string, seed int64, nodes int, scale float64) *
 	if tr := generated.m[key]; tr != nil {
 		return tr
 	}
-	w, err := workloads.New(name)
+	w, err := spec.New(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vani/internal/spec/spectest"
 	"vani/internal/storage"
 	"vani/internal/trace"
 	"vani/internal/workloads"
@@ -11,15 +12,16 @@ import (
 
 func captureTrace(t *testing.T, name string, scale float64) *trace.Trace {
 	t.Helper()
-	w, err := workloads.New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch v := w.(type) {
-	case *workloads.HACC:
-		v.ComputeInit = 0
-	case *workloads.CM1:
-		v.ComputePerStep = 20 * time.Millisecond
+	var w workloads.Workload
+	switch name {
+	case "hacc":
+		h := workloads.NewHACC()
+		h.ComputeInit = 0
+		w = h
+	case "cm1":
+		w = spectest.Golden(t, "cm1", map[string]time.Duration{"compute_per_step": 20 * time.Millisecond})
+	default:
+		t.Fatalf("captureTrace: no recipe for %q", name)
 	}
 	spec := w.DefaultSpec()
 	spec.Nodes = 4

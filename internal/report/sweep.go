@@ -10,12 +10,13 @@ import (
 	"strings"
 
 	"vani/internal/spec"
+	"vani/internal/sweep"
 )
 
 // SweepTable renders a sweep report: one row per grid point, the winner
 // with its speedups, the advisor's baseline verdicts, and the replayed
 // stripe trials.
-func SweepTable(rep *spec.SweepReport) string {
+func SweepTable(rep *sweep.Report) string {
 	t := NewTable(fmt.Sprintf("Sweep %s: %s, %d nodes x %d ranks/node (%d points)",
 		rep.Name, rep.Workload, rep.Nodes, rep.RanksPerNode, len(rep.Points)),
 		"Point", "Config", "I/O time", "Runtime")

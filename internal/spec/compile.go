@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"vani/internal/iface"
@@ -9,10 +10,8 @@ import (
 	"vani/internal/workloads"
 )
 
-// Compile wraps the validated doc as a workloads.Workload. The compiled
-// workload issues the identical interface-call sequence a hand-coded
-// generator for the same behavior would, so characterizations are
-// byte-identical (see the golden equivalence tests).
+// Compile wraps the validated doc as a workloads.Workload that interprets
+// it.
 func (d *Doc) Compile() workloads.Workload { return &compiled{doc: d} }
 
 type compiled struct {
@@ -62,7 +61,7 @@ func (c *compiled) DefaultSpec() workloads.Spec {
 }
 
 // paramsFor evaluates the doc's params under a concrete run spec: value
-// params scaled by the generators' rules, then expr params over them.
+// params scaled by the Go generators' rules, then expr params over them.
 func (c *compiled) paramsFor(env *workloads.Env) map[string]int64 {
 	vals := make(map[string]int64, len(c.doc.ordered))
 	lookup := func(id string) (int64, bool) {
@@ -238,6 +237,7 @@ func (c *compiled) Spawn(env *workloads.Env) {
 			leader:  env.Job.IsNodeLeader(rank),
 			clients: map[string]*iface.Client{c.doc.App: cl},
 		}
+		st.look = st.lookup
 		env.E.Spawn(fmt.Sprintf("%s-rank%d", c.doc.Name, rank), func(p *sim.Proc) {
 			defer catch(env.E)
 			st.p = p
@@ -260,6 +260,10 @@ type rankState struct {
 
 	clients map[string]*iface.Client
 	cur     *handle
+
+	// look is lookup bound once: a method value built per expression is an
+	// allocation per expression.
+	look func(string) (int64, bool)
 }
 
 // handle is the currently open file, across whichever interface opened it.
@@ -272,13 +276,10 @@ type handle struct {
 	h5    *iface.H5File
 }
 
+// lookup resolves an identifier. Builtins first: the parser lets no param,
+// loop variable or let shadow one, and `leader` and `rank` are read by every
+// rank at every step.
 func (st *rankState) lookup(id string) (int64, bool) {
-	if v, ok := st.vars[id]; ok {
-		return v, ok
-	}
-	if v, ok := st.params[id]; ok {
-		return v, ok
-	}
 	switch id {
 	case "rank":
 		return int64(st.rank), true
@@ -297,11 +298,15 @@ func (st *rankState) lookup(id string) (int64, bool) {
 	case "optimized":
 		return b2i(st.env.Spec.Optimized), true
 	}
-	return 0, false
+	if v, ok := st.vars[id]; ok {
+		return v, ok
+	}
+	v, ok := st.params[id]
+	return v, ok
 }
 
 func (st *rankState) eval(e *expr) int64 {
-	v, err := e.eval(st.lookup)
+	v, err := e.eval(st.look)
 	if err != nil {
 		panic(failure{fmt.Errorf("spec %s: rank %d: %v", st.c.doc.Name, st.rank, err)})
 	}
@@ -325,7 +330,7 @@ func (st *rankState) client(app string) *iface.Client {
 }
 
 func (st *rankState) path(t *pathT) string {
-	return st.c.renderPath(t, st.lookup, st.env.Spec.Optimized)
+	return st.c.renderPath(t, st.look, st.env.Spec.Optimized)
 }
 
 func (st *rankState) fail(format string, args ...interface{}) {
@@ -474,7 +479,8 @@ func (st *rankState) readWrite(o *op) {
 }
 
 // pread runs positioned reads at base + off*stride for off in granule
-// steps below total — strided sparse scans when stride > 1.
+// steps below total — strided sparse scans when stride > 1. With size, the
+// file's length, reads stop there and the last one is clamped to it.
 func (st *rankState) pread(o *op) {
 	if st.cur == nil {
 		st.fail("pread without an open file")
@@ -485,17 +491,25 @@ func (st *rankState) pread(o *op) {
 	if granule <= 0 {
 		st.fail("granule %d not positive", granule)
 	}
+	size := st.evalOr(o.size, math.MaxInt64)
 	for off := int64(0); off < total; off += granule {
 		n := granule
 		if o.clamp && off+n > total {
 			n = total - off
 		}
+		pos := base + off*o.stride
+		if pos >= size {
+			break
+		}
+		if n > size-pos {
+			n = size - pos
+		}
 		var err error
 		switch st.cur.layer {
 		case "posix":
-			err = st.cur.posix.ReadAt(st.p, base+off*o.stride, n, false)
+			err = st.cur.posix.ReadAt(st.p, pos, n, false)
 		case "mpiio":
-			err = st.cur.mpi.ReadAt(st.p, base+off*o.stride, n)
+			err = st.cur.mpi.ReadAt(st.p, pos, n)
 		default:
 			st.fail("pread on %s file", st.cur.layer)
 		}

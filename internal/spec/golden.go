@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// The golden specs re-state hand-coded generators in the DSL; the
-// equivalence tests pin their characterizations byte-identical to the
-// generators'. They double as the fuzzer's seed corpus and as worked
-// examples of the grammar.
+// The golden specs are the CM1, CosmoFlow and Montage-MPI exemplars: the
+// only description each has (catalog.go resolves the names to them). They
+// double as the fuzzer's seed corpus and as worked examples of the grammar.
 //
 //go:embed golden/*.yaml
 var goldenFS embed.FS

@@ -377,16 +377,23 @@ func (rc *runChecker) parseRW(verb string, m map[string]interface{}, w string) (
 }
 
 func (rc *runChecker) parsePRead(m map[string]interface{}, w string) (*op, error) {
-	if err := checkKeys(m, w, "at", "total", "granule", "stride", "clamp"); err != nil {
+	if err := checkKeys(m, w, "at", "total", "granule", "stride", "clamp", "size"); err != nil {
 		return nil, err
 	}
 	o := &op{kind: opPRead, clamp: true, stride: 1}
 	var err error
-	if raw, ok := m["at"]; ok {
-		if o.at, err = asExprVal(raw, w+".at"); err != nil {
+	for _, f := range []struct {
+		key string
+		dst **expr
+	}{{"at", &o.at}, {"size", &o.size}} {
+		raw, ok := m[f.key]
+		if !ok {
+			continue
+		}
+		if *f.dst, err = asExprVal(raw, w+"."+f.key); err != nil {
 			return nil, err
 		}
-		if err := rc.expr(o.at, w+".at"); err != nil {
+		if err := rc.expr(*f.dst, w+"."+f.key); err != nil {
 			return nil, err
 		}
 	}

@@ -40,22 +40,3 @@ func TestRuntimeFailuresAreErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestGoldenPastItsScaleIsAnError: the shipped montage-mpi document at a
-// node count and scale its mosaic does not divide into fails the same way.
-func TestGoldenPastItsScaleIsAnError(t *testing.T) {
-	data, err := GoldenBytes("montage-mpi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := doc.Compile()
-	sp := w.DefaultSpec()
-	sp.Nodes, sp.Scale = 32, 0.001
-	if _, err := workloads.Run(w, sp); err == nil || !strings.Contains(err.Error(), "past EOF") {
-		t.Errorf("Run error = %v, want the read past EOF", err)
-	}
-}

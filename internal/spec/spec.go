@@ -5,13 +5,12 @@
 // interfaces — compiled onto internal/sim + internal/cluster +
 // internal/iface as a workloads.Workload.
 //
-// The compiler is exact: a spec re-stating one of the hand-coded
-// generators issues the identical sequence of interface calls in the
-// identical order, so its characterization is byte-identical to the
-// generator's (pinned by the golden equivalence tests). On top of the
-// DSL, the sweep layer (sweep.go) expands a spec + parameter grid into
-// concrete runs and reduces them into a comparative report — the
-// paper's case-study reconfiguration experiments as an automated search.
+// The compiled workload interprets the document: it issues the interface
+// calls the run program names, in order. The package also holds the golden
+// specs — three of the paper's exemplars, described here and nowhere else
+// — the catalog of every workload by name (catalog.go), and the sweep
+// document (sweep.go): a spec plus a parameter grid, which internal/sweep
+// runs and reduces into a comparative report.
 package spec
 
 import (
@@ -98,6 +97,36 @@ type param struct {
 	e      *expr
 }
 
+// set bounds and stores a value param's value: a count, a byte size, or
+// nanoseconds for a time.
+func (p *param) set(n int64) error {
+	switch {
+	case p.kind == paramExpr:
+		return errors.New("is an expression")
+	case n < 0:
+		return errors.New("negative")
+	case p.kind == paramCount && n > 1<<40:
+		return fmt.Errorf("%d out of range", n)
+	}
+	p.value = n
+	return nil
+}
+
+// Set overrides a value param — a count, a byte size, or a time in
+// nanoseconds — within the bounds the parser holds it to. Workloads compiled
+// from the document run with the new value; an expr param is derived from
+// the others and cannot be set.
+func (d *Doc) Set(name string, v int64) error {
+	p, ok := d.params[name]
+	if !ok {
+		return fmt.Errorf("spec %s: no param %q", d.Name, name)
+	}
+	if err := p.set(v); err != nil {
+		return fmt.Errorf("spec %s: param %s: %v", d.Name, name, err)
+	}
+	return nil
+}
+
 type dir struct {
 	name      string
 	base      *pathT
@@ -165,7 +194,7 @@ type op struct {
 	total         *expr
 	granule       *expr // nil = total
 	at            *expr // nil = 0
-	size          *expr // readwrap file size
+	size          *expr // readwrap, pread: file size
 	stride        int64
 	clamp         bool
 	seek          bool
@@ -532,20 +561,18 @@ func (d *Doc) buildParams(v interface{}) error {
 			if err != nil {
 				return err
 			}
-			if n < 0 || n > 1<<40 {
-				return fmt.Errorf("params.%s.count: %d out of range", name, n)
+			if err := p.set(n); err != nil {
+				return fmt.Errorf("params.%s.count: %v", name, err)
 			}
-			p.value = n
 		case pm["bytes"] != nil:
 			p.kind = paramBytes
 			n, err := constVal(pm["bytes"], "params."+name+".bytes")
 			if err != nil {
 				return err
 			}
-			if n < 0 {
-				return fmt.Errorf("params.%s.bytes: negative", name)
+			if err := p.set(n); err != nil {
+				return fmt.Errorf("params.%s.bytes: %v", name, err)
 			}
-			p.value = n
 			if raw, ok := pm["unit"]; ok {
 				u, err := constVal(raw, "params."+name+".unit")
 				if err != nil {
@@ -562,13 +589,12 @@ func (d *Doc) buildParams(v interface{}) error {
 			if err != nil {
 				return err
 			}
-			if t < 0 {
-				return fmt.Errorf("params.%s.time: negative", name)
+			if err := p.set(int64(t)); err != nil {
+				return fmt.Errorf("params.%s.time: %v", name, err)
 			}
 			if p.scaled {
 				return fmt.Errorf("params.%s: time params cannot be scaled", name)
 			}
-			p.value = int64(t)
 		default:
 			p.kind = paramExpr
 			src, err := asString(pm["expr"], "params."+name+".expr")

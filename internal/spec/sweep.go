@@ -3,24 +3,15 @@ package spec
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
-	"vani/internal/advisor"
-	"vani/internal/core"
-	"vani/internal/replay"
-	"vani/internal/storage"
 	"vani/internal/workloads"
 )
 
-// The sweep layer: a workload (inline DSL doc or a registered generator)
-// plus a parameter grid expands into concrete simulation runs, and the
-// outcomes reduce into a comparative report — the paper's case-study
-// reconfiguration experiments (Figures 7 and 8) as an automated search.
-// Reports are rendered with yamlenc so the CLI and the vanid service
-// produce byte-identical artifacts for the same sweep document.
+// The sweep document: a workload (an inline DSL doc or a catalog name) plus
+// a parameter grid. This file parses and validates it and applies a grid
+// point to a run spec; internal/sweep runs the grid and reduces the
+// outcomes into the comparative report.
 
 // Bounds on sweep shape.
 const (
@@ -50,7 +41,7 @@ type Sweep struct {
 
 	axes         []sweepAxis
 	doc          *Doc   // inline workload, or
-	workloadName string // a registered generator
+	workloadName string // a catalog name
 }
 
 // SweepBase overrides the workload's default run spec for every point.
@@ -292,12 +283,12 @@ func (sw *Sweep) NumPoints() int {
 	return n
 }
 
-// workload constructs a fresh workload instance for one point.
-func (sw *Sweep) workload() (workloads.Workload, error) {
+// Workload constructs a fresh workload instance for one point.
+func (sw *Sweep) Workload() (workloads.Workload, error) {
 	if sw.doc != nil {
 		return sw.doc.Compile(), nil
 	}
-	return workloads.New(sw.workloadName)
+	return New(sw.workloadName)
 }
 
 // SweepSetting is one applied grid coordinate.
@@ -306,191 +297,22 @@ type SweepSetting struct {
 	Value string `yaml:"value"`
 }
 
-// SweepPoint is one evaluated grid point.
-type SweepPoint struct {
-	Index   int            `yaml:"index"`
-	Config  []SweepSetting `yaml:"config"`
-	Runtime time.Duration  `yaml:"runtime"`
-	IOTime  time.Duration  `yaml:"io_time"`
-}
-
-// SweepWinner is the selected configuration with speedups vs the
-// baseline (point 0, the first value of every axis).
-type SweepWinner struct {
-	Index          int            `yaml:"index"`
-	Config         []SweepSetting `yaml:"config"`
-	Runtime        time.Duration  `yaml:"runtime"`
-	IOTime         time.Duration  `yaml:"io_time"`
-	IOSpeedup      string         `yaml:"io_speedup"`
-	RuntimeSpeedup string         `yaml:"runtime_speedup"`
-}
-
-// SweepRecommendation is an advisor verdict on the baseline run.
-type SweepRecommendation struct {
-	ID        string `yaml:"id"`
-	Parameter string `yaml:"parameter"`
-	Value     string `yaml:"value"`
-	Rationale string `yaml:"rationale"`
-}
-
-// SweepTrial is one replayed storage candidate on the baseline trace.
-type SweepTrial struct {
-	Name    string        `yaml:"name"`
-	Runtime time.Duration `yaml:"runtime"`
-	IOTime  time.Duration `yaml:"io_time"`
-}
-
-// SweepReport is the sweep's comparative artifact.
-type SweepReport struct {
-	Name            string                `yaml:"name"`
-	Workload        string                `yaml:"workload"`
-	Nodes           int                   `yaml:"nodes"`
-	RanksPerNode    int                   `yaml:"ranks_per_node"`
-	Scale           float64               `yaml:"scale"`
-	Seed            int64                 `yaml:"seed"`
-	Points          []SweepPoint          `yaml:"points"`
-	Winner          SweepWinner           `yaml:"winner"`
-	Recommendations []SweepRecommendation `yaml:"recommendations"`
-	StripeTrials    []SweepTrial          `yaml:"stripe_trials"`
-}
-
-// SweepOptions configures a sweep execution. The zero value matches the
-// vanid service's defaults, so CLI and service reports are byte-identical.
-type SweepOptions struct {
-	// Storage overrides every point's storage configuration (nil keeps
-	// the workload default).
-	Storage *storage.Config
-	// Parallelism bounds concurrent points (0 = min(NumCPU, 4)). The
-	// report does not depend on it.
-	Parallelism int
-	// OnPoint, when set, is called after each point completes.
-	OnPoint func(done, total int)
-}
-
-// Run expands the grid, simulates every point, and reduces the outcomes
-// into the comparative report. Point 0 — the first value of every axis —
-// is the baseline speedups are measured against.
-func (sw *Sweep) Run(opt SweepOptions) (*SweepReport, error) {
-	total := sw.NumPoints()
-	points := make([][]int, total)
-	for i := range points {
-		points[i] = sw.coords(i)
-	}
-	par := opt.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-		if par > 4 {
-			par = 4
-		}
-	}
-	if par > total {
-		par = total
-	}
-
-	type outcome struct {
-		res  *workloads.Result
-		char *core.Characterization
-		err  error
-	}
-	outs := make([]outcome, total)
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	sem := make(chan struct{}, par)
-	for i := range points {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			res, char, err := sw.runPoint(points[i], opt.Storage)
-			outs[i] = outcome{res: res, char: char, err: err}
-			if opt.OnPoint != nil {
-				mu.Lock()
-				done++
-				opt.OnPoint(done, total)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("sweep %s: point %d: %w", sw.Name, i, o.err)
-		}
-	}
-
-	rep := &SweepReport{
-		Name:     sw.Name,
-		Workload: sw.WorkloadName(),
-		Seed:     sw.Base.Seed,
-	}
-	rep.Nodes = outs[0].res.Spec.Nodes
-	rep.RanksPerNode = outs[0].res.Spec.RanksPerNode
-	rep.Scale = outs[0].res.Spec.Scale
-	winner := 0
-	for i, o := range outs {
-		rep.Points = append(rep.Points, SweepPoint{
-			Index:   i,
-			Config:  sw.settings(points[i]),
-			Runtime: o.res.Runtime,
-			IOTime:  o.char.Workflow.IOTime,
-		})
-		if o.char.Workflow.IOTime < outs[winner].char.Workflow.IOTime {
-			winner = i
-		}
-	}
-	base := rep.Points[0]
-	win := rep.Points[winner]
-	rep.Winner = SweepWinner{
-		Index:          winner,
-		Config:         win.Config,
-		Runtime:        win.Runtime,
-		IOTime:         win.IOTime,
-		IOSpeedup:      speedup(base.IOTime, win.IOTime),
-		RuntimeSpeedup: speedup(base.Runtime, win.Runtime),
-	}
-	for _, r := range advisor.Advise(outs[0].char) {
-		rep.Recommendations = append(rep.Recommendations, SweepRecommendation{
-			ID: r.ID, Parameter: r.Parameter, Value: r.Value, Rationale: r.Rationale,
-		})
-	}
-	baseCfg := outs[0].res.Spec.Storage
-	ropt := replay.DefaultOptions()
-	ropt.Storage = baseCfg
-	ropt.Seed = sw.Base.Seed
-	trials, err := replay.Tune(outs[0].res.Trace,
-		replay.StripeSweep(baseCfg, storage.MiB, 4*storage.MiB, 16*storage.MiB), ropt)
-	if err != nil {
-		return nil, fmt.Errorf("sweep %s: stripe trials: %w", sw.Name, err)
-	}
-	for _, t := range trials {
-		rep.StripeTrials = append(rep.StripeTrials, SweepTrial{
-			Name: t.Candidate.Name, Runtime: t.Runtime, IOTime: t.IOTime,
-		})
-	}
-	return rep, nil
-}
-
 // coords decodes a point index into per-axis value indexes, first axis
 // slowest.
-func (sw *Sweep) coords(index int) []int {
+func (sw *Sweep) coords(point int) []int {
 	c := make([]int, len(sw.axes))
 	for i := len(sw.axes) - 1; i >= 0; i-- {
 		n := len(sw.axes[i].labels)
-		c[i] = index % n
-		index /= n
+		c[i] = point % n
+		point /= n
 	}
 	return c
 }
 
-// settings renders a coordinate vector as applied parameter settings.
-func (sw *Sweep) settings(coord []int) []SweepSetting {
+// Settings renders a grid point as applied parameter settings. Point 0 is
+// the first value of every axis.
+func (sw *Sweep) Settings(point int) []SweepSetting {
+	coord := sw.coords(point)
 	out := make([]SweepSetting, len(sw.axes))
 	for i, ax := range sw.axes {
 		out[i] = SweepSetting{Param: ax.param, Value: ax.labels[coord[i]]}
@@ -498,13 +320,9 @@ func (sw *Sweep) settings(coord []int) []SweepSetting {
 	return out
 }
 
-// runPoint simulates one grid point and characterizes its trace.
-func (sw *Sweep) runPoint(coord []int, storageOverride *storage.Config) (*workloads.Result, *core.Characterization, error) {
-	w, err := sw.workload()
-	if err != nil {
-		return nil, nil, err
-	}
-	sp := w.DefaultSpec()
+// Apply overlays a run spec with the sweep's base and a grid point's axis
+// values.
+func (sw *Sweep) Apply(point int, sp *workloads.Spec) {
 	if sw.Base.Nodes > 0 {
 		sp.Nodes = sw.Base.Nodes
 	}
@@ -517,9 +335,7 @@ func (sw *Sweep) runPoint(coord []int, storageOverride *storage.Config) (*worklo
 	if sw.Base.Seed != 0 {
 		sp.Seed = sw.Base.Seed
 	}
-	if storageOverride != nil {
-		sp.Storage = *storageOverride
-	}
+	coord := sw.coords(point)
 	for i, ax := range sw.axes {
 		j := coord[i]
 		switch ax.param {
@@ -541,20 +357,4 @@ func (sw *Sweep) runPoint(coord []int, storageOverride *storage.Config) (*worklo
 			sp.Storage.CacheEnabled = ax.bools[j]
 		}
 	}
-	res, err := workloads.Run(w, sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	aopt := core.DefaultOptions()
-	cfg := res.Spec.Storage
-	aopt.Storage = &cfg
-	return res, core.Analyze(res.Trace, aopt), nil
-}
-
-// speedup formats a before/after ratio the way the report pins it.
-func speedup(before, after time.Duration) string {
-	if after <= 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2fx", float64(before)/float64(after))
 }

@@ -1,12 +1,11 @@
 package spec
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
-	"vani/internal/yamlenc"
+	"vani/internal/workloads"
 )
 
 const tinySweep = `
@@ -44,7 +43,7 @@ func TestParseSweep(t *testing.T) {
 		t.Errorf("base = %+v", sw.Base)
 	}
 	// First axis slowest: point 2 is staging=node-local, cache=true.
-	got := sw.settings(sw.coords(2))
+	got := sw.Settings(2)
 	if got[0].Value != "node-local" || got[1].Value != "true" {
 		t.Errorf("point 2 settings = %v", got)
 	}
@@ -87,48 +86,8 @@ func TestParseSweepTooManyPoints(t *testing.T) {
 	}
 }
 
-// TestSweepRunDeterministic pins the sweep contract: the report is a pure
-// function of the sweep document — parallelism must not change a byte,
-// and the winner improves on the baseline.
-func TestSweepRunDeterministic(t *testing.T) {
-	var reports [][]byte
-	for _, par := range []int{1, 4} {
-		sw, err := ParseSweep([]byte(tinySweep))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var calls int
-		rep, err := sw.Run(SweepOptions{
-			Parallelism: par,
-			OnPoint:     func(done, total int) { calls++ },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls != 4 {
-			t.Errorf("par=%d: OnPoint fired %d times, want 4", par, calls)
-		}
-		if len(rep.Points) != 4 {
-			t.Fatalf("par=%d: %d points, want 4", par, len(rep.Points))
-		}
-		if rep.Nodes != 2 || rep.RanksPerNode != 2 || rep.Seed != 3 {
-			t.Errorf("par=%d: report header %+v", par, rep)
-		}
-		if rep.Winner.IOTime > rep.Points[0].IOTime {
-			t.Errorf("par=%d: winner I/O %s exceeds baseline %s", par, rep.Winner.IOTime, rep.Points[0].IOTime)
-		}
-		if len(rep.StripeTrials) == 0 {
-			t.Errorf("par=%d: no stripe trials", par)
-		}
-		reports = append(reports, yamlenc.Marshal(rep))
-	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Error("report YAML differs across Parallelism settings")
-	}
-}
-
-// TestSweepAxisApplication checks that each axis reaches the right spec
-// field on the run it configures.
+// TestSweepAxisApplication checks that the base and each axis reach the
+// right field of the run spec a point configures.
 func TestSweepAxisApplication(t *testing.T) {
 	sw, err := ParseSweep([]byte(`
 version: 1
@@ -160,36 +119,14 @@ workload: cm1
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := sw.runPoint(sw.coords(0), nil)
-	if err != nil {
-		t.Fatal(err)
+	sp := workloads.DefaultSpec()
+	sw.Apply(0, &sp)
+	if sp.Nodes != 2 || sp.Scale != 0.01 {
+		t.Errorf("base did not reach the run spec: %d nodes, scale %v", sp.Nodes, sp.Scale)
 	}
-	sp := res.Spec
 	if sp.Storage.PFSStripeSize != 2<<20 || sp.Iface.StdioBufSize != 64<<10 ||
 		sp.Storage.ReadAhead != 0 || !sp.Iface.HDF5Chunked ||
 		!sp.Storage.RelaxedConsistency || !sp.Iface.CompressionEnabled {
 		t.Errorf("axis values did not reach the run spec: %+v %+v", sp.Storage, sp.Iface)
-	}
-}
-
-func TestSweepInlineWorkload(t *testing.T) {
-	golden, err := GoldenBytes("cm1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	b.WriteString("version: 1\nname: inline\nbase:\n  nodes: 2\n  scale: 0.01\ngrid:\n  - param: cache\n    values:\n      - true\nworkload:\n")
-	for _, line := range strings.Split(strings.TrimRight(string(golden), "\n"), "\n") {
-		b.WriteString("  " + line + "\n")
-	}
-	sw, err := ParseSweep([]byte(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.WorkloadName() != "cm1" {
-		t.Errorf("WorkloadName = %q, want cm1", sw.WorkloadName())
-	}
-	if _, err := sw.Run(SweepOptions{}); err != nil {
-		t.Fatal(err)
 	}
 }

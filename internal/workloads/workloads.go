@@ -1,9 +1,10 @@
-// Package workloads implements synthetic generators for the paper's six
-// exemplar HPC workloads — CM1 (atmospheric simulation), HACC-I/O
-// (checkpoint/restart kernel), CosmoFlow (deep-learning over HDF5), JAG ICF
-// (deep-learning over NumPy), and the two Montage mosaic workflows (MPI and
-// Pegasus) — plus the IOR benchmark the paper uses to probe storage
-// entities (Table IX).
+// Package workloads holds the harness every exemplar workload runs in —
+// Spec, Env, Run — and the Go generators of the exemplars the spec DSL
+// cannot describe: HACC-I/O (checkpoint/restart kernel), JAG ICF
+// (deep-learning over NumPy), the Pegasus Montage workflow, and the IOR
+// benchmark the paper uses to probe storage entities (Table IX). CM1,
+// CosmoFlow and Montage-MPI are golden specs (internal/spec), which also
+// keeps the catalog of all seven by name.
 //
 // Each generator scripts the I/O pattern the paper documents for the real
 // application — file counts and sizes, transfer granularities, interfaces,
@@ -15,7 +16,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vani/internal/cluster"
@@ -63,7 +63,7 @@ func DefaultSpec() Spec {
 	}
 }
 
-// Workload is one exemplar generator.
+// Workload is one exemplar: a Go generator here, or a compiled spec.
 type Workload interface {
 	// Name returns the registry name ("cm1", "hacc", ...).
 	Name() string
@@ -179,9 +179,8 @@ func scaleN(n int, s float64, min int) int {
 	return v
 }
 
-// ScaleN exposes the generators' count-scaling rule so external
-// compilers (internal/spec) shrink counts exactly like the hand-coded
-// generators do.
+// ScaleN exposes the generators' count-scaling rule, so a compiled spec
+// (internal/spec) shrinks counts exactly like the Go generators do.
 func ScaleN(n int, s float64, min int) int { return scaleN(n, s, min) }
 
 // ScaleBytes exposes the generators' byte-scaling rule.
@@ -194,44 +193,4 @@ func scaleBytes(b int64, s float64, unit int64) int64 {
 		return unit
 	}
 	return v
-}
-
-// registry of workload constructors.
-var registry = map[string]func() Workload{
-	"cm1":             func() Workload { return NewCM1() },
-	"ior":             func() Workload { return NewIOR() },
-	"hacc":            func() Workload { return NewHACC() },
-	"cosmoflow":       func() Workload { return NewCosmoFlow() },
-	"jag":             func() Workload { return NewJAG() },
-	"montage-mpi":     func() Workload { return NewMontageMPI() },
-	"montage-pegasus": func() Workload { return NewMontagePegasus() },
-}
-
-// New constructs a workload by registry name.
-func New(name string) (Workload, error) {
-	ctor, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
-	}
-	return ctor(), nil
-}
-
-// Names lists the registered workloads in sorted order.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// All constructs every registered workload in name order.
-func All() []Workload {
-	var ws []Workload
-	for _, n := range Names() {
-		w, _ := New(n)
-		ws = append(ws, w)
-	}
-	return ws
 }

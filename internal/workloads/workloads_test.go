@@ -1,16 +1,23 @@
-package workloads
+package workloads_test
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 	"time"
 
+	"vani/internal/spec"
+	"vani/internal/spec/spectest"
 	"vani/internal/trace"
+	"vani/internal/workloads"
 )
 
+// jagDataPath is JAG's one shared dataset file.
+const jagDataPath = "/p/gpfs1/jag/images_scalars.npy"
+
 // tinySpec returns a fast configuration for tests: 4 nodes, small scale.
-func tinySpec(w Workload, scale float64) Spec {
+func tinySpec(w workloads.Workload, scale float64) workloads.Spec {
 	s := w.DefaultSpec()
 	s.Nodes = 4
 	if s.RanksPerNode > 8 {
@@ -20,18 +27,26 @@ func tinySpec(w Workload, scale float64) Spec {
 	return s
 }
 
-func mustRun(t *testing.T, w Workload, spec Spec) *Result {
+func mustRun(t *testing.T, w workloads.Workload, spec workloads.Spec) *workloads.Result {
 	t.Helper()
-	res, err := Run(w, spec)
+	res, err := workloads.Run(w, spec)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", w.Name(), err)
 	}
 	return res
 }
 
+// TestRegistryComplete: the catalog holds the seven exemplars, each under
+// exactly one description. Names concatenates the golden specs and the Go
+// generators, so a name with both shows up twice.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"cm1", "cosmoflow", "hacc", "ior", "jag", "montage-mpi", "montage-pegasus"}
-	got := Names()
+	got := spec.Names()
+	for i := 1; i < len(got); i++ {
+		if got[i] == got[i-1] {
+			t.Errorf("%s has both a golden spec and a Go constructor", got[i])
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v", got)
 	}
@@ -40,35 +55,35 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("Names() = %v, want %v", got, want)
 		}
 	}
-	if _, err := New("nope"); err == nil {
+	if _, err := spec.New("nope"); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if len(All()) != len(want) {
+	if len(spec.All()) != len(want) {
 		t.Error("All() incomplete")
 	}
 }
 
 func TestRunRejectsBadScale(t *testing.T) {
-	w := NewHACC()
+	w := workloads.NewHACC()
 	for _, scale := range []float64{0, -1, 1.5} {
 		s := tinySpec(w, scale)
-		if _, err := Run(w, s); err == nil {
+		if _, err := workloads.Run(w, s); err == nil {
 			t.Errorf("scale %v accepted", scale)
 		}
 	}
 }
 
 func TestRunRejectsBadJob(t *testing.T) {
-	w := NewHACC()
+	w := workloads.NewHACC()
 	s := tinySpec(w, 0.01)
 	s.Nodes = 0
-	if _, err := Run(w, s); err == nil {
+	if _, err := workloads.Run(w, s); err == nil {
 		t.Error("zero nodes accepted")
 	}
 }
 
 // perWorkload invariants checked for every exemplar.
-func checkCommonInvariants(t *testing.T, w Workload, res *Result) {
+func checkCommonInvariants(t *testing.T, w workloads.Workload, res *workloads.Result) {
 	t.Helper()
 	tr := res.Trace
 	if len(tr.Events) == 0 {
@@ -132,7 +147,7 @@ func bytesByOp(tr *trace.Trace, lv trace.Level) (read, written int64) {
 }
 
 func TestCM1Shape(t *testing.T) {
-	w := NewCM1()
+	w := spectest.Golden(t, "cm1", nil)
 	res := mustRun(t, w, tinySpec(w, 0.05))
 	checkCommonInvariants(t, w, res)
 	tr := res.Trace
@@ -171,7 +186,7 @@ func TestCM1Shape(t *testing.T) {
 }
 
 func TestCM1ComputeAndIOAlternate(t *testing.T) {
-	w := NewCM1()
+	w := spectest.Golden(t, "cm1", nil)
 	res := mustRun(t, w, tinySpec(w, 0.03))
 	var compute, io time.Duration
 	for _, ev := range res.Trace.Events {
@@ -187,7 +202,7 @@ func TestCM1ComputeAndIOAlternate(t *testing.T) {
 }
 
 func TestHACCShape(t *testing.T) {
-	w := NewHACC()
+	w := workloads.NewHACC()
 	spec := tinySpec(w, 0.02)
 	res := mustRun(t, w, spec)
 	checkCommonInvariants(t, w, res)
@@ -224,7 +239,7 @@ func TestHACCBandwidthVariance(t *testing.T) {
 	// Contention must make per-rank I/O times differ (Figure 2c). The
 	// client cache is disabled so writes hit the PFS directly; at full
 	// scale the cache overflows and the same contention appears.
-	w := NewHACC()
+	w := workloads.NewHACC()
 	spec := tinySpec(w, 0.02)
 	spec.Storage.CacheEnabled = false
 	res := mustRun(t, w, spec)
@@ -249,9 +264,9 @@ func TestHACCBandwidthVariance(t *testing.T) {
 }
 
 func TestCosmoFlowShape(t *testing.T) {
-	w := NewCosmoFlow()
-	w.GPUPerFile = 100 * time.Millisecond // shrink compute for test speed
-	spec := tinySpec(w, 0.002)            // ~100 files
+	// Shrink compute for test speed.
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 100 * time.Millisecond})
+	spec := tinySpec(w, 0.002) // ~100 files
 	res := mustRun(t, w, spec)
 	checkCommonInvariants(t, w, res)
 	tr := res.Trace
@@ -274,8 +289,8 @@ func TestCosmoFlowShape(t *testing.T) {
 }
 
 func TestCosmoFlowOptimizedFaster(t *testing.T) {
-	w := NewCosmoFlow()
-	w.GPUPerFile = 0 // isolate I/O
+	// Isolate I/O.
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 0})
 	base := tinySpec(w, 0.002)
 	// Both runs move the whole dataset over the client NIC once; uncap it
 	// so the metadata difference (the paper's bottleneck) is visible at
@@ -291,7 +306,7 @@ func TestCosmoFlowOptimizedFaster(t *testing.T) {
 }
 
 func TestJAGShape(t *testing.T) {
-	w := NewJAG()
+	w := workloads.NewJAG()
 	w.Epochs = 5
 	w.ComputePerEpoch = 100 * time.Millisecond
 	res := mustRun(t, w, tinySpec(w, 0.02))
@@ -333,7 +348,7 @@ func TestJAGShape(t *testing.T) {
 }
 
 func TestMontageMPIShape(t *testing.T) {
-	w := NewMontageMPI()
+	w := spectest.Golden(t, "montage-mpi", nil)
 	res := mustRun(t, w, tinySpec(w, 0.1))
 	checkCommonInvariants(t, w, res)
 	tr := res.Trace
@@ -368,13 +383,14 @@ func TestMontageMPIShape(t *testing.T) {
 // and mViewer must clamp their last read to the file's end instead of
 // running past EOF.
 func TestMontageMPISmallScale(t *testing.T) {
-	w := NewMontageMPI()
+	w := spectest.Golden(t, "montage-mpi", nil)
 	spec := w.DefaultSpec()
 	spec.Nodes = 32
 	spec.Scale = 0.001
 	res := mustRun(t, w, spec)
 	checkCommonInvariants(t, w, res)
 	tr := res.Trace
+	const viewGranule = 16 << 10 // the document's view_granule
 	clamped := 0
 	for _, ev := range tr.Events {
 		if ev.Level != trace.LevelPosix || ev.Op != trace.OpRead || ev.File < 0 {
@@ -384,7 +400,7 @@ func TestMontageMPISmallScale(t *testing.T) {
 		if ev.Offset+ev.Size > info.Size {
 			t.Fatalf("read [%d,%d) of %s past its size %d", ev.Offset, ev.Offset+ev.Size, info.Path, info.Size)
 		}
-		if ev.Size < w.ViewGranule && ev.Offset+ev.Size == info.Size {
+		if ev.Size < viewGranule && ev.Offset+ev.Size == info.Size {
 			clamped++
 		}
 	}
@@ -394,9 +410,10 @@ func TestMontageMPISmallScale(t *testing.T) {
 }
 
 func TestMontageMPIOptimizedFaster(t *testing.T) {
-	w := NewMontageMPI()
 	// Remove compute so the I/O difference dominates.
-	w.ProjectCompute, w.AddCompute, w.ShrinkCompute, w.ViewerCompute = 0, 0, 0, 0
+	w := spectest.Golden(t, "montage-mpi", map[string]time.Duration{
+		"project_compute": 0, "add_compute": 0, "shrink_compute": 0, "viewer_compute": 0,
+	})
 	base := tinySpec(w, 0.1)
 	opt := base
 	opt.Optimized = true
@@ -412,7 +429,7 @@ func TestMontageMPIOptimizedFaster(t *testing.T) {
 }
 
 func TestMontagePegasusShape(t *testing.T) {
-	w := NewMontagePegasus()
+	w := workloads.NewMontagePegasus()
 	res := mustRun(t, w, tinySpec(w, 0.02))
 	checkCommonInvariants(t, w, res)
 	tr := res.Trace
@@ -442,7 +459,7 @@ func TestMontagePegasusShape(t *testing.T) {
 }
 
 func TestMontagePegasusDiffDominates(t *testing.T) {
-	w := NewMontagePegasus()
+	w := workloads.NewMontagePegasus()
 	res := mustRun(t, w, tinySpec(w, 0.02))
 	tr := res.Trace
 	byApp := map[string]int64{}
@@ -461,7 +478,7 @@ func TestMontagePegasusDiffDominates(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	w := NewHACC()
+	w := workloads.NewHACC()
 	spec := tinySpec(w, 0.01)
 	a := mustRun(t, w, spec)
 	b := mustRun(t, w, spec)
@@ -479,7 +496,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestTraceOverheadAddsRuntime(t *testing.T) {
-	w := NewHACC()
+	w := workloads.NewHACC()
 	spec := tinySpec(w, 0.01)
 	base := mustRun(t, w, spec)
 	spec.TraceOverhead = 50 * time.Microsecond
@@ -493,7 +510,7 @@ func TestTraceOverheadAddsRuntime(t *testing.T) {
 }
 
 func TestTracingDisabledProducesNoEvents(t *testing.T) {
-	w := NewHACC()
+	w := workloads.NewHACC()
 	spec := tinySpec(w, 0.01)
 	spec.TraceEnabled = false
 	res := mustRun(t, w, spec)
@@ -506,7 +523,7 @@ func TestTracingDisabledProducesNoEvents(t *testing.T) {
 }
 
 func TestIORShape(t *testing.T) {
-	w := NewIOR()
+	w := workloads.NewIOR()
 	spec := tinySpec(w, 0.01)
 	spec.RanksPerNode = 1
 	res := mustRun(t, w, spec)
@@ -536,7 +553,7 @@ func TestIORShape(t *testing.T) {
 }
 
 func TestIORSharedFileMode(t *testing.T) {
-	w := NewIOR()
+	w := workloads.NewIOR()
 	w.SharedFile = true
 	w.ReadBack = false
 	spec := tinySpec(w, 0.01)
@@ -563,7 +580,7 @@ func TestIORSharedFileMode(t *testing.T) {
 	}
 }
 
-// traceGolden is the SHA-256 of each generator's encoded trace at tinySpec
+// traceGolden is the SHA-256 of each workload's encoded trace at tinySpec
 // scale 0.01, taken on the commit before the kernel's event loop moved onto
 // the process goroutines (8289886). TestDeterministicAcrossRuns compares a
 // binary with itself; this compares it with that commit.
@@ -577,11 +594,11 @@ var traceGolden = map[string]string{
 	"montage-pegasus": "75fa5d4bb09f76dd35669ba7a403cd48211f21021da52a55398c5787014a9c14",
 }
 
-// TestTraceGoldenAcrossCommits: every generator still writes, byte for
+// TestTraceGoldenAcrossCommits: every workload still writes, byte for
 // byte, the trace it wrote before the simulator and the shard merge were
 // rewritten.
 func TestTraceGoldenAcrossCommits(t *testing.T) {
-	for _, w := range All() {
+	for _, w := range spec.All() {
 		res := mustRun(t, w, tinySpec(w, 0.01))
 		h := sha256.New()
 		if err := trace.WriteV2(h, res.Trace); err != nil {
@@ -593,12 +610,85 @@ func TestTraceGoldenAcrossCommits(t *testing.T) {
 	}
 }
 
+// generatorGolden pins the three golden-spec workloads to what their Go
+// generators wrote on the last commit that had them (708c984): event count
+// and SHA-256 of the encoded trace, baseline and optimized, two seeds, and
+// montage-mpi at the job size where its sampling reads clamp. The constants
+// were taken from the generators, not from the interpreter, so they do not
+// share its bugs.
+var generatorGolden = []struct {
+	name       string
+	nodes, rpn int
+	scale      float64
+	optimized  bool
+	seed       int64
+	events     int
+	sha256     string
+}{
+	{"cm1", 4, 4, 0.02, false, 1, 8626, "efdd2f0583d19e6a78050ba8d510c043b005533eeba8fbfbb3f8743f1a8a36e0"},
+	{"cm1", 4, 4, 0.02, false, 2, 8626, "23e5c9e4c8e1488b4b4be4d1395a5e027c6ad229f4717ff4ae8521ea40094e04"},
+	{"cm1", 4, 4, 0.02, true, 1, 8626, "efdd2f0583d19e6a78050ba8d510c043b005533eeba8fbfbb3f8743f1a8a36e0"},
+	{"cm1", 4, 4, 0.02, true, 2, 8626, "23e5c9e4c8e1488b4b4be4d1395a5e027c6ad229f4717ff4ae8521ea40094e04"},
+	{"cosmoflow", 4, 4, 0.02, false, 1, 86538, "a214beb879d9299f515ddbbd4e1f14418d220cb53b524fcbc3e7e96492643759"},
+	{"cosmoflow", 4, 4, 0.02, false, 2, 86538, "d7c6b299c7856e089b4e0bd04e45be62cf4cd705c35d8b0a4e3f1445d210f976"},
+	{"cosmoflow", 4, 4, 0.02, true, 1, 88528, "d519cc7fbe043642855a6c087937b53c0061a0529e6644c70c519bebff7fdc79"},
+	{"cosmoflow", 4, 4, 0.02, true, 2, 88528, "0d6ebfbd4598e8081ac27b233c013ab65095a722bbd47bdfe0aa48eeb5d074d4"},
+	{"montage-mpi", 4, 4, 0.02, false, 1, 39956, "4f48a214c179a20ebfb3860131e5b444ab24f74aaf60e1d2323e3886165d35b9"},
+	{"montage-mpi", 4, 4, 0.02, false, 2, 39956, "bb3aa28b60fe2c4e9a3111277e374d962b647d1f32bcfbd8d8a067b0034839c8"},
+	{"montage-mpi", 4, 4, 0.02, true, 1, 39956, "7b72d79d8dbd98eab6154dd7386b39d274a1bc491ab8b93833a7cd1006c872ec"},
+	{"montage-mpi", 4, 4, 0.02, true, 2, 39956, "912b8053ddbfd61bb2afce7f392047f6af7039759c5f00e35cf01cee596543ac"},
+	{"montage-mpi", 32, 40, 0.001, false, 1, 317728, "1324d9df7196291a5ee8dc643427dcec796e39018165574e94cc193920675049"},
+}
+
+func TestGoldenSpecsMatchGenerators(t *testing.T) {
+	for _, g := range generatorGolden {
+		w := spectest.Golden(t, g.name, nil)
+		sp := w.DefaultSpec()
+		sp.Nodes, sp.RanksPerNode, sp.Scale, sp.Optimized, sp.Seed = g.nodes, g.rpn, g.scale, g.optimized, g.seed
+		res := mustRun(t, w, sp)
+		h := sha256.New()
+		if err := trace.WriteV2(h, res.Trace); err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.sha256 || len(res.Trace.Events) != g.events {
+			t.Errorf("%s %dx%d scale %v optimized=%v seed %d: %d events, sha256 %s; the generator wrote %d, %s",
+				g.name, g.nodes, g.rpn, g.scale, g.optimized, g.seed, len(res.Trace.Events), got, g.events, g.sha256)
+		}
+	}
+}
+
+// TestGoldenSpecIdentity: the names, applications and default run specs the
+// three generators declared.
+func TestGoldenSpecIdentity(t *testing.T) {
+	for _, c := range []struct {
+		name, app string
+		edit      func(*workloads.Spec)
+	}{
+		{"cm1", "cm1", func(*workloads.Spec) {}},
+		{"cosmoflow", "cosmoflow", func(s *workloads.Spec) { s.RanksPerNode, s.TimeLimit = 4, 6*time.Hour }},
+		{"montage-mpi", "mProject", func(s *workloads.Spec) { s.Iface.StdioPerOpCPU = 5 * time.Microsecond }},
+	} {
+		w, err := spec.New(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := workloads.DefaultSpec()
+		c.edit(&want)
+		if w.Name() != c.name || w.AppName() != c.app {
+			t.Errorf("%s: Name %q, AppName %q, want %q, %q", c.name, w.Name(), w.AppName(), c.name, c.app)
+		}
+		if got := w.DefaultSpec(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: DefaultSpec() = %+v, want %+v", c.name, got, want)
+		}
+	}
+}
+
 // TestKernelCountersOnResult: a Result carries the kernel's counts, they
 // repeat exactly, and cm1 — ranks computing between their own writes, so
 // most wake-ups belong to the rank already running — needs a goroutine
 // switch for fewer than half its events.
 func TestKernelCountersOnResult(t *testing.T) {
-	w := NewCM1()
+	w := spectest.Golden(t, "cm1", nil)
 	a := mustRun(t, w, tinySpec(w, 0.01))
 	b := mustRun(t, w, tinySpec(w, 0.01))
 	if a.KernelEvents == 0 || a.KernelSwitches == 0 {

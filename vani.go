@@ -30,6 +30,7 @@ import (
 	"vani/internal/sim"
 	"vani/internal/spec"
 	"vani/internal/storage"
+	"vani/internal/sweep"
 	"vani/internal/trace"
 	"vani/internal/workloads"
 	"vani/internal/yamlenc"
@@ -40,7 +41,7 @@ import (
 type (
 	// Spec configures a workload run (nodes, scale, tracing, storage).
 	Spec = workloads.Spec
-	// Workload is one of the six exemplar generators.
+	// Workload is an exemplar: a golden spec or a Go generator.
 	Workload = workloads.Workload
 	// Result is a completed simulated run with its trace.
 	Result = workloads.Result
@@ -63,10 +64,10 @@ type (
 
 // New constructs a workload by name: "cm1", "hacc", "cosmoflow", "jag",
 // "montage-mpi", or "montage-pegasus".
-func New(name string) (Workload, error) { return workloads.New(name) }
+func New(name string) (Workload, error) { return spec.New(name) }
 
 // Workloads lists the available workload names.
-func Workloads() []string { return workloads.Names() }
+func Workloads() []string { return spec.Names() }
 
 // Run simulates the workload under spec and returns its trace and runtime.
 func Run(w Workload, spec Spec) (*Result, error) { return workloads.Run(w, spec) }
@@ -453,36 +454,34 @@ type WorkloadDoc = spec.Doc
 var ErrBadSpec = spec.ErrBadSpec
 
 // ParseSpec parses a declarative workload spec (YAML or JSON). The
-// returned document's Compile method yields a Workload interchangeable
-// with the hand-coded generators — the golden specs' characterizations
-// are byte-identical to theirs.
+// returned document's Compile method yields a Workload.
 func ParseSpec(data []byte) (*WorkloadDoc, error) { return spec.Parse(data) }
 
 // ParseSpecFile reads and parses a declarative workload spec from disk.
 func ParseSpecFile(path string) (*WorkloadDoc, error) { return spec.ParseFile(path) }
 
-// Sweep is a parsed what-if sweep document: a workload (inline spec or
-// generator name) crossed with a parameter grid.
-type Sweep = spec.Sweep
+// Sweep is a parsed what-if sweep document: a workload (an inline spec or
+// a workload name) crossed with a parameter grid.
+type Sweep = sweep.Sweep
 
 // SweepOptions configures a sweep execution; the zero value matches the
 // vanid service, so CLI and service reports are byte-identical.
-type SweepOptions = spec.SweepOptions
+type SweepOptions = sweep.Options
 
 // SweepReport is a sweep's comparative artifact: every grid point's
 // runtime and I/O time, the winning configuration with speedups versus
 // the baseline point, the advisor's verdicts on the baseline, and
 // replayed stripe-size trials on the baseline trace.
-type SweepReport = spec.SweepReport
+type SweepReport = sweep.Report
 
 // SweepSetting is one applied grid coordinate in a sweep report.
 type SweepSetting = spec.SweepSetting
 
 // ParseSweep parses a sweep document (YAML or JSON).
-func ParseSweep(data []byte) (*Sweep, error) { return spec.ParseSweep(data) }
+func ParseSweep(data []byte) (*Sweep, error) { return sweep.Parse(data) }
 
 // ParseSweepFile reads and parses a sweep document from disk.
-func ParseSweepFile(path string) (*Sweep, error) { return spec.ParseSweepFile(path) }
+func ParseSweepFile(path string) (*Sweep, error) { return sweep.ParseFile(path) }
 
 // SweepToYAML renders a sweep report as its canonical YAML artifact —
 // byte-identical between `vani sweep` and vanid's POST /v1/sweep.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vani/internal/spec/spectest"
 	"vani/internal/storage"
 	"vani/internal/workloads"
 )
@@ -81,9 +82,7 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 }
 
 func TestOptimizeCosmoFlowCaseStudy(t *testing.T) {
-	w, _ := New("cosmoflow")
-	cf := w.(*workloads.CosmoFlow)
-	cf.GPUPerFile = 0
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 0})
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
 	spec.Scale = 0.002
@@ -103,9 +102,7 @@ func TestOptimizeCosmoFlowCaseStudy(t *testing.T) {
 }
 
 func TestOptimizeMontageCaseStudy(t *testing.T) {
-	w, _ := New("montage-mpi")
-	mm := w.(*workloads.MontageMPI)
-	mm.ProjectCompute, mm.AddCompute, mm.ShrinkCompute, mm.ViewerCompute = 0, 0, 0, 0
+	w := spectest.Golden(t, "montage-mpi", montageNoCompute)
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
 	spec.RanksPerNode = 8
@@ -166,9 +163,7 @@ func TestProbeNodeLocalBW(t *testing.T) {
 func TestCharacterizationYAMLRoundTrip(t *testing.T) {
 	// The full storage-side loop: characterize, emit the YAML artifact,
 	// load it back, and verify the advisor reaches the same conclusions.
-	w, _ := New("cosmoflow")
-	cf := w.(*workloads.CosmoFlow)
-	cf.GPUPerFile = 50 * time.Millisecond
+	w := spectest.Golden(t, "cosmoflow", map[string]time.Duration{"gpu_per_file": 50 * time.Millisecond})
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
 	spec.Scale = 0.002
