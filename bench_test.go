@@ -13,6 +13,7 @@ package vani
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -409,7 +410,7 @@ func BenchmarkAblation_PhaseThreshold(b *testing.B) {
 func BenchmarkAblation_ColumnarAnalysis(b *testing.B) {
 	_, _ = allRuns(b)
 	tr := runRes["montage-pegasus"].Trace
-	tb := colstore.FromTrace(tr)
+	tb := colstore.FromEvents(tr.Events, 0)
 	b.Run("columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sum int64
@@ -421,16 +422,6 @@ func BenchmarkAblation_ColumnarAnalysis(b *testing.B) {
 				}
 			})
 			if sum == 0 {
-				b.Fatal("no reads")
-			}
-		}
-	})
-	b.Run("columnar-fused", func(b *testing.B) {
-		isRead := func(i int) bool { return trace.Op(tb.Op(i)) == trace.OpRead }
-		for i := 0; i < b.N; i++ {
-			agg := &colstore.Agg{Pred: isRead}
-			tb.Scan(1, agg)
-			if agg.Bytes == 0 {
 				b.Fatal("no reads")
 			}
 		}
@@ -596,7 +587,7 @@ func BenchmarkTraceDecodeToTable(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return colstore.FromBlocksSpec(br, par, colstore.ScanSpec{Cols: trace.AllCols}, nil)
+		return colstore.FromBlocksSpecContext(context.Background(), br, par, colstore.ScanSpec{Cols: trace.AllCols}, nil)
 	}
 	for _, bench := range []struct {
 		name   string
@@ -658,11 +649,11 @@ func BenchmarkCodecMatrix(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				tb, err := colstore.FromBlocksSpec(br, 0, colstore.ScanSpec{Cols: trace.AllCols}, nil)
+				tb, err := colstore.FromBlocksSpecContext(context.Background(), br, 0, colstore.ScanSpec{Cols: trace.AllCols}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := tb.Materialize(0, trace.AllCols); err != nil {
+				if err := tb.MaterializeContext(context.Background(), 0, trace.AllCols); err != nil {
 					b.Fatal(err)
 				}
 				if tb.Len() != wantRows {
@@ -694,12 +685,12 @@ func BenchmarkScanPlanner(b *testing.B) {
 		return br
 	}
 	plan := func(spec colstore.ScanSpec, want trace.ColSet) (*colstore.Table, error) {
-		tb, err := colstore.FromBlocksSpec(open(), 0, spec, nil)
+		tb, err := colstore.FromBlocksSpecContext(context.Background(), open(), 0, spec, nil)
 		if err != nil {
 			return nil, err
 		}
 		if want != 0 {
-			if err := tb.Materialize(0, want); err != nil {
+			if err := tb.MaterializeContext(context.Background(), 0, want); err != nil {
 				return nil, err
 			}
 		}
@@ -809,11 +800,11 @@ func BenchmarkAnalyzerParallelism(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					tb, err := colstore.FromBlocksSpec(br, arm.par, colstore.ScanSpec{}, nil)
+					tb, err := colstore.FromBlocksSpecContext(context.Background(), br, arm.par, colstore.ScanSpec{}, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
-					c, err := core.AnalyzeTable(res.Trace, tb, opt)
+					c, err := core.AnalyzeTableContext(context.Background(), res.Trace, tb, opt)
 					if err != nil {
 						b.Fatal(err)
 					}

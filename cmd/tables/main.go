@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -89,7 +90,11 @@ func main() {
 		opt.Parallelism = *par
 		var timings vani.AnalyzerTimings
 		opt.Stats = &timings
-		c := vani.CharacterizeWith(res, opt)
+		c, err := vani.CharacterizeContext(context.Background(), res, opt)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			os.Exit(1)
+		}
 		fmt.Fprintf(os.Stderr, "ran %-16s scale=%-5.3g events=%-8d virtual=%-10s wall=%s\n",
 			name, spec.Scale, len(res.Trace.Events),
 			res.Runtime.Round(time.Second), time.Since(start).Round(time.Millisecond))

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +77,7 @@ func main() {
 	opt.Filter = filter
 	var timings vani.AnalyzerTimings
 	opt.Stats = &timings
-	c, err := vani.CharacterizeFileWith(*traceFile, opt)
+	c, err := vani.CharacterizeFileContext(context.Background(), *traceFile, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

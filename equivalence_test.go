@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vani/internal/colstore"
 	"vani/internal/trace"
 )
 
@@ -26,6 +27,16 @@ func equivSpec(w Workload, seed int64) Spec {
 	return spec
 }
 
+// characterizeWith analyzes a run in memory under opt.
+func characterizeWith(t *testing.T, res *Result, opt AnalyzerOptions) *Characterization {
+	t.Helper()
+	c, err := CharacterizeContext(context.Background(), res, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // characterizeYAML runs the analyzer at the given parallelism and renders
 // the characterization as its YAML artifact — the byte stream equivalence
 // is asserted over.
@@ -33,7 +44,7 @@ func characterizeYAML(t *testing.T, res *Result, par int) []byte {
 	t.Helper()
 	opt := DefaultAnalyzerOptions()
 	opt.Parallelism = par
-	return ToYAML(CharacterizeWith(res, opt))
+	return ToYAML(characterizeWith(t, res, opt))
 }
 
 // TestParallelismEquivalence is the tentpole's contract: for every
@@ -63,7 +74,7 @@ func TestParallelismEquivalence(t *testing.T) {
 }
 
 // TestCharacterizeFileMatchesInMemory: streaming a written trace off disk
-// through CharacterizeFile (scanner → column chunks, no []Event) must
+// through CharacterizeFileContext (blocks → column chunks, no []Event) must
 // produce a byte-identical characterization to the in-memory path.
 func TestCharacterizeFileMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
@@ -96,7 +107,7 @@ func TestCharacterizeFileMatchesInMemory(t *testing.T) {
 			opt.Parallelism = par
 			var timings AnalyzerTimings
 			opt.Stats = &timings
-			c, err := CharacterizeFileWith(path, opt)
+			c, err := CharacterizeFileContext(context.Background(), path, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -149,7 +160,7 @@ func TestFormatEquivalence(t *testing.T) {
 				opt := DefaultAnalyzerOptions()
 				opt.Storage = &cfg
 				opt.Parallelism = par
-				c, err := CharacterizeFileWith(path, opt)
+				c, err := CharacterizeFileContext(context.Background(), path, opt)
 				if err != nil {
 					t.Fatalf("%s %s par=%d: %v", name, variant, par, err)
 				}
@@ -194,7 +205,7 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 		cfg := res.Spec.Storage
 		refOpt := DefaultAnalyzerOptions()
 		refOpt.Storage = &cfg
-		want := ToYAML(CharacterizeWith(res, refOpt))
+		want := ToYAML(characterizeWith(t, res, refOpt))
 
 		check := func(variant, path string) {
 			t.Helper()
@@ -202,7 +213,7 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 				opt := DefaultAnalyzerOptions()
 				opt.Storage = &cfg
 				opt.Parallelism = par
-				c, err := CharacterizeFileWith(path, opt)
+				c, err := CharacterizeFileContext(context.Background(), path, opt)
 				if err != nil {
 					t.Fatalf("%s %s par=%d: %v", name, variant, par, err)
 				}
@@ -283,14 +294,14 @@ func TestFilteredCodecMatrixEquivalence(t *testing.T) {
 		refOpt := DefaultAnalyzerOptions()
 		refOpt.Storage = &cfg
 		refOpt.Filter = filter
-		want := ToYAML(CharacterizeWith(res, refOpt))
+		want := ToYAML(characterizeWith(t, res, refOpt))
 		for variant, path := range paths {
 			for _, par := range pars {
 				opt := DefaultAnalyzerOptions()
 				opt.Storage = &cfg
 				opt.Parallelism = par
 				opt.Filter = filter
-				c, err := CharacterizeFileWith(path, opt)
+				c, err := CharacterizeFileContext(context.Background(), path, opt)
 				if err != nil {
 					t.Fatalf("%s %s par=%d: %v", fname, variant, par, err)
 				}
@@ -344,7 +355,9 @@ func TestCodecSizeGuard(t *testing.T) {
 // characterization read off disk — with block pruning, projection, and lazy
 // materialization all engaged — is byte-identical to filtering the full
 // decode in memory, for every trace layout (plain and compressed,
-// non-default block geometry) and at sequential and parallel decode.
+// non-default block geometry) and at sequential and parallel decode. Every
+// layout's planned table has one chunk per block (assertChunkPerBlock), so
+// the non-default geometry is what the analyzer scans.
 func TestFilterPushdownEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	w, err := New("hacc")
@@ -357,6 +370,7 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 	}
 	end := res.Trace.Events[len(res.Trace.Events)-1].Start
 	filters := map[string]TraceFilter{
+		"none":     {},
 		"window":   {From: end / 4, To: end / 2},
 		"ranks":    {Ranks: []int32{0, 1, 2, 3}},
 		"levels":   {Levels: []trace.Level{trace.LevelPosix}},
@@ -384,13 +398,14 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		paths[variant] = path
+		assertChunkPerBlock(t, path)
 	}
 	for fname, filter := range filters {
 		// Reference: in-memory analysis of the filtered event log.
 		refOpt := DefaultAnalyzerOptions()
 		refOpt.Storage = &cfg
 		refOpt.Filter = filter
-		want := ToYAML(CharacterizeWith(res, refOpt))
+		want := ToYAML(characterizeWith(t, res, refOpt))
 		for variant, path := range paths {
 			for _, par := range []int{1, 4} {
 				opt := DefaultAnalyzerOptions()
@@ -399,7 +414,7 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 				opt.Filter = filter
 				var timings AnalyzerTimings
 				opt.Stats = &timings
-				c, err := CharacterizeFileWith(path, opt)
+				c, err := CharacterizeFileContext(context.Background(), path, opt)
 				if err != nil {
 					t.Fatalf("%s %s par=%d: %v", fname, variant, par, err)
 				}
@@ -413,6 +428,27 @@ func TestFilterPushdownEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// assertChunkPerBlock plans the unfiltered scan of the log at path, as the
+// file path does, and fails unless the table has one chunk per block — what
+// a fall-back to one big chunk breaks (colstore's assertGeometry holds the
+// full rule).
+func assertChunkPerBlock(t *testing.T, path string) {
+	t.Helper()
+	br, err := trace.OpenBlockReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	tb, err := colstore.FromBlocksSpecContext(context.Background(), br, 2, colstore.ScanSpec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Release()
+	if nb, nc := br.NumBlocks(), tb.NumChunks(); nc != nb {
+		t.Fatalf("%s: %d chunks from %d blocks of %d events", path, nc, nb, br.BlockEvents())
 	}
 }
 
@@ -437,7 +473,7 @@ func TestScanCountersReported(t *testing.T) {
 	full := DefaultAnalyzerOptions()
 	var fullStats AnalyzerTimings
 	full.Stats = &fullStats
-	if _, err := CharacterizeFileWith(path, full); err != nil {
+	if _, err := CharacterizeFileContext(context.Background(), path, full); err != nil {
 		t.Fatal(err)
 	}
 	if fullStats.Scan.BlocksTotal < 4 || fullStats.Scan.BlocksPruned != 0 {
@@ -455,7 +491,7 @@ func TestScanCountersReported(t *testing.T) {
 	opt.Filter = TraceFilter{From: end / 4, To: end / 2}
 	var timings AnalyzerTimings
 	opt.Stats = &timings
-	if _, err := CharacterizeFileWith(path, opt); err != nil {
+	if _, err := CharacterizeFileContext(context.Background(), path, opt); err != nil {
 		t.Fatal(err)
 	}
 	s := timings.Scan
@@ -576,14 +612,15 @@ func TestTraceFormatRoundTripFacade(t *testing.T) {
 // TestCharacterizeFileErrors: missing and corrupt trace files surface as
 // errors, not panics.
 func TestCharacterizeFileErrors(t *testing.T) {
-	if _, err := CharacterizeFile(filepath.Join(t.TempDir(), "nope.trc"), nil); err == nil {
+	ctx, opt := context.Background(), DefaultAnalyzerOptions()
+	if _, err := CharacterizeFileContext(ctx, filepath.Join(t.TempDir(), "nope.trc"), opt); err == nil {
 		t.Error("missing file did not error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.trc")
 	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CharacterizeFile(bad, nil); err == nil {
+	if _, err := CharacterizeFileContext(ctx, bad, opt); err == nil {
 		t.Error("corrupt file did not error")
 	}
 
@@ -624,7 +661,7 @@ func TestStageTimingsPopulated(t *testing.T) {
 	opt := DefaultAnalyzerOptions()
 	var timings AnalyzerTimings
 	opt.Stats = &timings
-	if c := CharacterizeWith(res, opt); c == nil {
+	if c := characterizeWith(t, res, opt); c == nil {
 		t.Fatal("nil characterization")
 	}
 	if timings.TraceMerge <= 0 {
@@ -638,7 +675,7 @@ func TestStageTimingsPopulated(t *testing.T) {
 	}
 }
 
-// TestConcurrentCharacterizeFile hammers CharacterizeFileWith over the same
+// TestConcurrentCharacterizeFile hammers CharacterizeFileContext over the same
 // on-disk log from many goroutines at once: every call must produce a
 // byte-identical YAML artifact. This is the contract vanid's worker pool
 // rests on — concurrent jobs over shared spool files share nothing mutable.
@@ -661,7 +698,7 @@ func TestConcurrentCharacterizeFile(t *testing.T) {
 
 			opt := DefaultAnalyzerOptions()
 			opt.Filter = TraceFilter{Ranks: []int32{0, 1, 2, 3}, Ops: OpClassData}
-			want, err := CharacterizeFileWith(path, opt)
+			want, err := CharacterizeFileContext(context.Background(), path, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -678,7 +715,7 @@ func TestConcurrentCharacterizeFile(t *testing.T) {
 					o := DefaultAnalyzerOptions()
 					o.Filter = TraceFilter{Ranks: []int32{0, 1, 2, 3}, Ops: OpClassData}
 					o.Parallelism = 1 + g%4
-					c, err := CharacterizeFileWith(path, o)
+					c, err := CharacterizeFileContext(context.Background(), path, o)
 					if err != nil {
 						errs[g] = err
 						return
@@ -726,7 +763,8 @@ func TestCharacterizeFileContextCanceled(t *testing.T) {
 }
 
 // TestCharacterizeContextMatches: the context variant with a background
-// context produces the same characterization as CharacterizeWith.
+// context and default options produces the same characterization as
+// Characterize.
 func TestCharacterizeContextMatches(t *testing.T) {
 	w, err := New("hacc")
 	if err != nil {
@@ -736,12 +774,8 @@ func TestCharacterizeContextMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ToYAML(CharacterizeWith(res, DefaultAnalyzerOptions()))
-	c, err := CharacterizeContext(context.Background(), res, DefaultAnalyzerOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, ToYAML(c)) {
-		t.Error("CharacterizeContext YAML differs from CharacterizeWith")
+	want := ToYAML(Characterize(res))
+	if got := ToYAML(characterizeWith(t, res, DefaultAnalyzerOptions())); !bytes.Equal(want, got) {
+		t.Error("CharacterizeContext YAML differs from Characterize")
 	}
 }

@@ -105,33 +105,20 @@ func TestFromBlocksSpecDeadlineMidScan(t *testing.T) {
 	}
 }
 
-// TestFromBlocksSpecContextBackground pins the wrapper contract: a
-// background context changes nothing about the result.
+// TestFromBlocksSpecContextBackground: a background context never cancels,
+// so the scan and its lazy materialization run to the events in memory.
 func TestFromBlocksSpecContextBackground(t *testing.T) {
 	tr := bigTrace(ChunkRows+99, 3)
 	data := encodeBlocks(t, tr)
-	mk := func() *trace.BlockReader {
-		br, err := trace.NewBlockReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return br
-	}
-	want, err := FromBlocksSpec(mk(), 2, ScanSpec{}, nil)
+	br, err := trace.NewBlockReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromBlocksSpecContext(context.Background(), mk(), 2, ScanSpec{}, nil)
+	got, err := FromBlocksSpecContext(context.Background(), br, 2, ScanSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := want.Materialize(2, trace.AllCols); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.MaterializeContext(context.Background(), 2, trace.AllCols); err != nil {
-		t.Fatal(err)
-	}
-	assertTablesEqual(t, want, got)
+	assertEvents(t, tr.Events, got)
 }
 
 // TestMaterializeContextCanceled: a canceled context stops lazy column
@@ -145,7 +132,7 @@ func TestMaterializeContextCanceled(t *testing.T) {
 	}
 	// A projected scan leaves most columns lazy.
 	f := trace.Filter{Ops: trace.OpClassData}
-	tb, err := FromBlocksSpec(br, 1, ScanSpec{Filter: f}, nil)
+	tb, err := FromBlocksSpecContext(context.Background(), br, 1, ScanSpec{Filter: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package colstore
 // accounting on them moves by exact amounts.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -21,20 +22,14 @@ func TestMultiDimFilteredRowIdentity(t *testing.T) {
 	scan := func(t *testing.T, f trace.Filter) (*Table, *ScanStats) {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRLE})
 		stats := &ScanStats{}
-		tb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, stats)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := plan(t, br, 2, ScanSpec{Filter: f}, stats)
 		if stats.RunIsectServed.Load() == 0 {
 			t.Fatal("multi-dimension filter did not take the run-intersection path")
 		}
 		return tb, stats
 	}
 	assertRowIdentity := func(t *testing.T, tb *Table, f trace.Filter) {
-		if err := tb.Materialize(2, trace.AllCols); err != nil {
-			t.Fatal(err)
-		}
-		assertTablesEqual(t, FromEvents(trace.FilterEvents(tr.Events, f), 1), tb)
+		assertEvents(t, trace.FilterEvents(tr.Events, f), tb)
 	}
 	t.Run("partial", func(t *testing.T) {
 		f := trace.Filter{Ranks: []int32{1, 3, 5}, Ops: trace.OpClassData}
@@ -81,10 +76,7 @@ func TestGroupFallbackOncePerChunk(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 			var stats ScanStats
-			tb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &stats)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tb := plan(t, br, 2, ScanSpec{Filter: f}, &stats)
 			nchunks := int64(tb.NumChunks())
 			base := stats.Snapshot()
 			card, err := tb.UnifyCodes(2, ColFile, len(tr.Files))
@@ -99,12 +91,9 @@ func TestGroupFallbackOncePerChunk(t *testing.T) {
 				t.Errorf("row-reading unification ticked %d served, want 0", d)
 			}
 			var rowStats ScanStats
-			rowTb, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &rowStats)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rowTb := plan(t, br, 2, ScanSpec{Filter: f}, &rowStats)
 			rowBase := rowStats.DecodedBytes.Load()
-			if err := rowTb.Materialize(2, trace.ColFile); err != nil {
+			if err := rowTb.MaterializeContext(context.Background(), 2, trace.ColFile); err != nil {
 				t.Fatal(err)
 			}
 			want := rowStats.DecodedBytes.Load() - rowBase

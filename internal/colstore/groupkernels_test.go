@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -67,10 +68,7 @@ func TestCodeUnifierAcrossBlockDictionaries(t *testing.T) {
 	for cname, codec := range codecs {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 		var stats ScanStats
-		tb, err := FromBlocksSpec(br, 2, ScanSpec{}, &stats)
-		if err != nil {
-			t.Fatalf("%s scan: %v", cname, err)
-		}
+		tb := plan(t, br, 2, ScanSpec{}, &stats)
 		card, err := tb.UnifyCodes(2, ColFile, len(tr.Files))
 		if err != nil {
 			t.Fatalf("%s UnifyCodes: %v", cname, err)
@@ -95,18 +93,15 @@ func TestCodeUnifierAcrossBlockDictionaries(t *testing.T) {
 				cname, sc.KernelServed[KGroupAgg], sc.KernelFallback[KGroupAgg], nchunks)
 		}
 		var rowStats ScanStats
-		rowTb, err := FromBlocksSpec(br, 2, ScanSpec{}, &rowStats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rowTb.Materialize(2, trace.ColFile); err != nil {
+		rowTb := plan(t, br, 2, ScanSpec{}, &rowStats)
+		if err := rowTb.MaterializeContext(context.Background(), 2, trace.ColFile); err != nil {
 			t.Fatal(err)
 		}
 		if want := rowStats.DecodedBytes.Load(); sc.DecodedBytes != want || want == 0 {
 			t.Errorf("%s: unifier decoded %d bytes, the file column alone is %d", cname, sc.DecodedBytes, want)
 		}
 		// The decode was moved, not added: the passes find the column ready.
-		if err := tb.Materialize(2, trace.ColFile); err != nil {
+		if err := tb.MaterializeContext(context.Background(), 2, trace.ColFile); err != nil {
 			t.Fatal(err)
 		}
 		if got := stats.DecodedBytes.Load(); got != sc.DecodedBytes {
@@ -123,10 +118,7 @@ func TestUnifyCodesRejectsOverCap(t *testing.T) {
 	tr := groupTrace(2) // block 1 reaches file ids 2 and 3
 	for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRaw} {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
-		tb, err := FromBlocksSpec(br, 1, ScanSpec{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := plan(t, br, 1, ScanSpec{}, nil)
 		if _, err := tb.UnifyCodes(1, ColFile, 2); !errors.Is(err, trace.ErrBadFormat) {
 			t.Fatalf("codec %v: UnifyCodes past a 2-entry table: err = %v, want ErrBadFormat", codec, err)
 		}
@@ -156,10 +148,7 @@ func TestRunIntersectionSelection(t *testing.T) {
 	raw := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
 	for fname, f := range filters {
 		var rawStats ScanStats
-		want, err := FromBlocksSpec(raw, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &rawStats)
-		if err != nil {
-			t.Fatalf("raw %s: %v", fname, err)
-		}
+		want := tableEvents(t, plan(t, raw, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &rawStats))
 		if rawStats.RunIsectServed.Load() != 0 || rawStats.RunIsectFallback.Load() == 0 {
 			t.Errorf("raw %s: run-intersection served %d / fell back %d blocks, want none served",
 				fname, rawStats.RunIsectServed.Load(), rawStats.RunIsectFallback.Load())
@@ -167,11 +156,7 @@ func TestRunIntersectionSelection(t *testing.T) {
 		for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRLE, trace.CodecForceDict} {
 			br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 			var stats ScanStats
-			got, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &stats)
-			if err != nil {
-				t.Fatalf("codec %v %s: %v", codec, fname, err)
-			}
-			assertTablesEqual(t, want, got)
+			assertEvents(t, want, plan(t, br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &stats))
 			if served := stats.RunIsectServed.Load(); served == 0 {
 				t.Errorf("codec %v %s: run-intersection served no blocks", codec, fname)
 			}

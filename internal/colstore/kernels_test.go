@@ -73,10 +73,7 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 	raw := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
 	for fname, f := range filters {
 		var rawStats ScanStats
-		want, err := FromBlocksSpec(raw, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &rawStats)
-		if err != nil {
-			t.Fatalf("raw/%s: %v", fname, err)
-		}
+		want := tableEvents(t, plan(t, raw, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &rawStats))
 		if served := rawStats.KernelServed[KPredicate].Load(); served != 0 {
 			t.Fatalf("raw/%s: predicate kernel claims %d served blocks on structureless segments",
 				fname, served)
@@ -84,11 +81,7 @@ func TestCompressedPredicateMatchesFallback(t *testing.T) {
 		for cname, codec := range codecs {
 			br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 			var stats ScanStats
-			got, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &stats)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", cname, fname, err)
-			}
-			assertTablesEqual(t, want, got)
+			assertEvents(t, want, plan(t, br, 2, ScanSpec{Cols: trace.AllCols, Filter: f}, &stats))
 			served := stats.KernelServed[KPredicate].Load()
 			if (cname == "rle" || cname == "dict") && served == 0 {
 				t.Errorf("%s/%s: predicate kernel served no blocks on a forced %s log",
@@ -107,9 +100,7 @@ func TestScanCountersKernelSplit(t *testing.T) {
 
 	var on ScanStats
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceDict})
-	if _, err := FromBlocksSpec(br, 2, ScanSpec{Filter: f}, &on); err != nil {
-		t.Fatal(err)
-	}
+	plan(t, br, 2, ScanSpec{Filter: f}, &on)
 	s := on.Snapshot()
 	var served, fallback int64
 	for op := KernelOp(0); op < NumKernelOps; op++ {
@@ -126,9 +117,7 @@ func TestScanCountersKernelSplit(t *testing.T) {
 
 	var off ScanStats
 	raw := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRaw})
-	if _, err := FromBlocksSpec(raw, 2, ScanSpec{Filter: f}, &off); err != nil {
-		t.Fatal(err)
-	}
+	plan(t, raw, 2, ScanSpec{Filter: f}, &off)
 	so := off.Snapshot()
 	if so.KernelsServed != 0 {
 		t.Fatalf("raw segments but %d requests served", so.KernelsServed)

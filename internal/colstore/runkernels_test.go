@@ -31,11 +31,11 @@ func runsTrace(n int) *trace.Trace {
 }
 
 // bruteCard is the reference cardinality: one past the largest value the
-// eagerly built table holds in the column, by plain row iteration.
-func bruteCard(tb *Table, key func(i int) int32) int {
+// events hold in the key, by plain row iteration.
+func bruteCard(evs []trace.Event, key func(*trace.Event) int32) int {
 	max := int32(-1)
-	for i := 0; i < tb.Len(); i++ {
-		if v := key(i); v > max {
+	for i := range evs {
+		if v := key(&evs[i]); v > max {
 			max = v
 		}
 	}
@@ -48,17 +48,13 @@ func bruteCard(tb *Table, key func(i int) int32) int {
 // unifier materializes the column), at every parallelism.
 func TestRunKernelsMatchRowIteration(t *testing.T) {
 	tr := runsTrace(2*ChunkRows + 500)
-	want := FromTrace(tr)
-	wantCard := bruteCard(want, want.Rank)
+	wantCard := bruteCard(tr.Events, func(e *trace.Event) int32 { return e.Rank })
 
 	for _, codec := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRaw} {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 		for _, par := range []int{1, 4} {
 			var stats ScanStats
-			tb, err := FromBlocksSpec(br, par, ScanSpec{}, &stats)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tb := plan(t, br, par, ScanSpec{}, &stats)
 			card, err := tb.UnifyCodes(par, ColRank, 1<<10)
 			if err != nil {
 				t.Fatal(err)
@@ -77,23 +73,19 @@ func TestRunKernelsMatchRowIteration(t *testing.T) {
 // every groupable key column, not just rank.
 func TestRunKernelsOtherKeyCols(t *testing.T) {
 	tr := runsTrace(ChunkRows + 300)
-	want := FromTrace(tr)
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
-	tb, err := FromBlocksSpec(br, 2, ScanSpec{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := map[Col]func(i int) int32{
-		ColNode: want.Node,
-		ColApp:  want.App,
-		ColFile: want.File,
+	tb := plan(t, br, 2, ScanSpec{}, nil)
+	keys := map[Col]func(*trace.Event) int32{
+		ColNode: func(e *trace.Event) int32 { return e.Node },
+		ColApp:  func(e *trace.Event) int32 { return e.App },
+		ColFile: func(e *trace.Event) int32 { return e.File },
 	}
 	for col, key := range keys {
 		card, err := tb.UnifyCodes(2, col, 1<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantCard := bruteCard(want, key); card != wantCard {
+		if wantCard := bruteCard(tr.Events, key); card != wantCard {
 			t.Fatalf("col=%d: UnifyCodes card = %d, want %d", col, card, wantCard)
 		}
 	}
@@ -105,9 +97,7 @@ func TestScanStatsCodecMix(t *testing.T) {
 	tr := runsTrace(2 * ChunkRows)
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
 	var stats ScanStats
-	if _, err := FromBlocksSpec(br, 2, ScanSpec{Cols: trace.AllCols}, &stats); err != nil {
-		t.Fatal(err)
-	}
+	plan(t, br, 2, ScanSpec{Cols: trace.AllCols}, &stats)
 	s := stats.Snapshot()
 	total := s.SegRaw + s.SegRLE + s.SegDict + s.SegFOR
 	if want := s.BlocksTotal * trace.NumCols; total != want {

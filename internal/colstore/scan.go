@@ -1,11 +1,12 @@
 package colstore
 
 // The scan planner's middle layer: an analysis declares the columns its
-// kernels touch and the predicates it can push (ScanSpec); FromBlocksSpec
-// drives that plan down into the VANITRC2 block index — skipping whole
-// blocks the footer statistics rule out, decoding only the column segments
-// the plan names, and applying the residual row predicate exactly — and
-// builds a table whose chunks materialize further columns lazily, the first
+// kernels touch and the predicates it can push (ScanSpec);
+// FromBlocksSpecContext drives that plan down into the VANITRC2 block index
+// — skipping whole blocks the footer statistics rule out, decoding only the
+// column segments the plan names, and applying the residual row predicate
+// exactly — and builds a table of one chunk per surviving block, at any
+// block geometry, whose chunks materialize further columns lazily, the first
 // time a kernel asks. ScanStats counts what the plan saved so pruning
 // effectiveness is observable, not inferred.
 
@@ -162,10 +163,11 @@ func (s *ScanStats) countSegs(bd *trace.BlockData, set trace.ColSet) {
 	}
 }
 
-// lazySrc is the undecoded remainder of a chunk built by FromBlocksSpec:
-// the block payload, the row selection the residual filter chose, and the
-// set of columns already materialized. The mutex serializes Require calls
-// so concurrent kernels may demand columns of the same chunk safely.
+// lazySrc is the undecoded remainder of a chunk built by
+// FromBlocksSpecContext: the block payload, the row selection the residual
+// filter chose, and the set of columns already materialized. The mutex
+// serializes Require calls so concurrent kernels may demand columns of the
+// same chunk safely.
 type lazySrc struct {
 	mu    sync.Mutex
 	bd    *trace.BlockData
@@ -212,14 +214,10 @@ func (c *Chunk) Require(want trace.ColSet) error {
 	return nil
 }
 
-// Materialize decodes the given columns for every chunk, fanning out over
-// up to par workers. Eager tables return immediately.
-func (t *Table) Materialize(par int, want trace.ColSet) error {
-	return t.MaterializeContext(context.Background(), par, want)
-}
-
-// MaterializeContext is Materialize with cancellation: each chunk worker
-// observes ctx before decoding, so a canceled caller stops mid-table.
+// MaterializeContext decodes the given columns for every chunk, fanning
+// out over up to par workers; tables transposed from memory return at once.
+// Each chunk worker observes ctx before decoding, so a canceled caller stops
+// mid-table.
 func (t *Table) MaterializeContext(ctx context.Context, par int, want trace.ColSet) error {
 	errs := make([]error, len(t.chunks))
 	parallel.ForEach(par, len(t.chunks), func(k int) {
@@ -236,9 +234,14 @@ func (t *Table) MaterializeContext(ctx context.Context, par int, want trace.ColS
 	return nil
 }
 
-// gather selects rows of src by block row index.
-func gather[T any](src []T, sel []int32) []T {
-	dst := make([]T, len(sel))
+// gather copies a chunk's n rows out of a decoded block column: the n block
+// rows sel names, or the block's first n when sel is nil.
+func gather[T any](src []T, sel []int32, n int) []T {
+	dst := make([]T, n)
+	if sel == nil {
+		copy(dst, src)
+		return dst
+	}
 	for i, j := range sel {
 		dst[i] = src[j]
 	}
@@ -246,12 +249,12 @@ func gather[T any](src []T, sel []int32) []T {
 }
 
 // adopt installs decoded block columns into the chunk: a direct slice
-// adoption when the chunk keeps every block row (sel == nil) — the chunk
-// then owns the pooled slices and remembers them for release — a gather by
-// the filter's row selection otherwise, after which the decode temporary
-// goes straight back to the pool. Only columns in set are touched.
+// adoption when the chunk keeps every block row (sel == nil) of a block not
+// marked exact — the chunk then owns the pooled slices and remembers them
+// for release — a copy of the kept rows otherwise, after which the decode
+// temporary goes straight back to the pool. Only columns in set are touched.
 func (c *Chunk) adopt(cols *trace.Columns, sel []int32, set trace.ColSet) {
-	if sel == nil {
+	if sel == nil && !c.exact {
 		c.pooled |= set
 		if set&trace.ColLevel != 0 {
 			c.Level = cols.Level[:c.N]
@@ -289,37 +292,37 @@ func (c *Chunk) adopt(cols *trace.Columns, sel []int32, set trace.ColSet) {
 		return
 	}
 	if set&trace.ColLevel != 0 {
-		c.Level = gather(cols.Level, sel)
+		c.Level = gather(cols.Level, sel, c.N)
 	}
 	if set&trace.ColOp != 0 {
-		c.Op = gather(cols.Op, sel)
+		c.Op = gather(cols.Op, sel, c.N)
 	}
 	if set&trace.ColLib != 0 {
-		c.Lib = gather(cols.Lib, sel)
+		c.Lib = gather(cols.Lib, sel, c.N)
 	}
 	if set&trace.ColRank != 0 {
-		c.Rank = gather(cols.Rank, sel)
+		c.Rank = gather(cols.Rank, sel, c.N)
 	}
 	if set&trace.ColNode != 0 {
-		c.Node = gather(cols.Node, sel)
+		c.Node = gather(cols.Node, sel, c.N)
 	}
 	if set&trace.ColApp != 0 {
-		c.App = gather(cols.App, sel)
+		c.App = gather(cols.App, sel, c.N)
 	}
 	if set&trace.ColFile != 0 {
-		c.File = gather(cols.File, sel)
+		c.File = gather(cols.File, sel, c.N)
 	}
 	if set&trace.ColOffset != 0 {
-		c.Offset = gather(cols.Offset, sel)
+		c.Offset = gather(cols.Offset, sel, c.N)
 	}
 	if set&trace.ColSize != 0 {
-		c.Size = gather(cols.Size, sel)
+		c.Size = gather(cols.Size, sel, c.N)
 	}
 	if set&trace.ColStart != 0 {
-		c.Start = gather(cols.Start, sel)
+		c.Start = gather(cols.Start, sel, c.N)
 	}
 	if set&trace.ColEnd != 0 {
-		c.End = gather(cols.End, sel)
+		c.End = gather(cols.End, sel, c.N)
 	}
 	cols.Recycle(set)
 }
@@ -351,23 +354,21 @@ func (t *Table) Release() {
 	t.chunks, t.n = nil, 0
 }
 
-// FromBlocksSpec executes a scan plan against a block log: blocks
+// FromBlocksSpecContext executes a scan plan against a block log: blocks
 // the footer statistics rule out are never read, read blocks evaluate the
 // pushed-down predicate in the compressed domain where the kernel registry
 // allows and decode only the residual filter columns plus spec.Cols, and
-// surviving rows form a table whose remaining columns materialize lazily
-// from the retained payloads. The resulting table is row-identical — same
-// rows, same order — to decoding everything and filtering in memory, at
-// any par. The source is any trace.BlockSource — a BlockReader over a
-// file, or a shared block cache. stats may be nil.
-func FromBlocksSpec(src trace.BlockSource, par int, spec ScanSpec, stats *ScanStats) (*Table, error) {
-	return FromBlocksSpecContext(context.Background(), src, par, spec, stats)
-}
-
-// FromBlocksSpecContext is FromBlocksSpec with cancellation: every block
-// worker observes ctx before reading, so a canceled or timed-out caller
-// aborts the scan mid-log instead of decoding the remaining blocks. The
-// returned error is ctx.Err() when the abort was a cancellation.
+// each block's surviving rows form one chunk whose remaining columns
+// materialize lazily from the retained payload, for a block of any size (see
+// Chunk.exact). The resulting table is row-identical — same rows, same
+// order — to decoding everything and filtering in memory, at any par. The
+// source is any trace.BlockSource — a BlockReader over a file, or a shared
+// block cache. stats may be nil.
+//
+// Every block worker observes ctx before reading, so a canceled or
+// timed-out caller aborts the scan mid-log instead of decoding the
+// remaining blocks. The returned error is ctx.Err() when the abort was a
+// cancellation.
 func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, spec ScanSpec, stats *ScanStats) (*Table, error) {
 	if stats == nil {
 		stats = &ScanStats{}
@@ -375,9 +376,6 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 	m := spec.Filter.NewMatcher()
 	nb := src.NumBlocks()
 	stats.BlocksTotal.Add(int64(nb))
-	if src.BlockEvents() != ChunkRows {
-		return fromBlocksSpecSlow(ctx, src, spec, m, stats)
-	}
 	fcols := spec.Filter.Cols()
 	chunks := make([]*Chunk, nb)
 	errs := make([]error, nb)
@@ -404,8 +402,9 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		}
 		stats.PayloadBytes.Add(int64(bd.PayloadBytes()))
 		stats.RowsTotal.Add(int64(bd.Count()))
+		exact := 2*bd.Count() <= trace.DefaultBlockEvents && k != nb-1
 		if need == 0 {
-			ck := &Chunk{N: bd.Count()}
+			ck := &Chunk{N: bd.Count(), exact: exact}
 			lz := &lazySrc{bd: bd, stats: stats}
 			if spec.Cols != 0 {
 				var cols trace.Columns
@@ -499,7 +498,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			cols.Recycle(have)
 			return // every row filtered out; chunk dropped entirely
 		}
-		ck := &Chunk{N: kept}
+		ck := &Chunk{N: kept, exact: exact}
 		ck.adopt(&cols, sel, have)
 		if sel != nil && syn.set != 0 {
 			syn.install(ck)
@@ -525,16 +524,8 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		if ck == nil {
 			continue
 		}
-		ck.Base = t.n
 		t.n += ck.N
 		t.chunks = append(t.chunks, ck)
-	}
-	t.uniform = true
-	for k, ck := range t.chunks {
-		if k < len(t.chunks)-1 && ck.N != ChunkRows {
-			t.uniform = false
-			break
-		}
 	}
 	return t, nil
 }
@@ -565,59 +556,4 @@ func selectRows(m *trace.Matcher, cols *trace.Columns, have trace.ColSet) []int3
 		}
 	}
 	return sel
-}
-
-// fromBlocksSpecSlow serves non-default block geometries: blocks still
-// prune from the index, but surviving events re-chunk through a Builder.
-func fromBlocksSpecSlow(ctx context.Context, src trace.BlockSource, spec ScanSpec, m *trace.Matcher, stats *ScanStats) (*Table, error) {
-	b := NewBuilder()
-	nb := src.NumBlocks()
-	var cols trace.Columns // one decode scratch for every block
-	defer cols.Recycle(trace.AllCols)
-	for k := 0; k < nb; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if m.SkipBlock(src.BlockAt(k)) {
-			stats.BlocksPruned.Add(1)
-			continue
-		}
-		bd, err := src.ReadBlock(k)
-		if err != nil {
-			return nil, err
-		}
-		stats.PayloadBytes.Add(int64(bd.PayloadBytes()))
-		stats.RowsTotal.Add(int64(bd.Count()))
-		decoded, err := bd.Decode(trace.AllCols, &cols)
-		if err != nil {
-			return nil, err
-		}
-		if decoded > 0 {
-			stats.DecodedBytes.Add(decoded)
-			stats.countSegs(bd, trace.AllCols)
-		}
-		for j := 0; j < cols.N; j++ {
-			if !m.Match(cols.Level[j], cols.Op[j], cols.Rank[j], cols.Start[j]) {
-				continue
-			}
-			ev := trace.Event{
-				Level:  trace.Level(cols.Level[j]),
-				Op:     trace.Op(cols.Op[j]),
-				Lib:    trace.Lib(cols.Lib[j]),
-				Rank:   cols.Rank[j],
-				Node:   cols.Node[j],
-				App:    cols.App[j],
-				File:   cols.File[j],
-				Offset: cols.Offset[j],
-				Size:   cols.Size[j],
-				Start:  time.Duration(cols.Start[j]),
-				End:    time.Duration(cols.End[j]),
-			}
-			b.Append(&ev)
-			stats.RowsKept.Add(1)
-		}
-	}
-	t := b.Finish()
-	t.stats = stats
-	return t, nil
 }

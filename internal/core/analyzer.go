@@ -31,8 +31,8 @@ type Options struct {
 	// Filter restricts the characterization to the matching events. Analyze
 	// applies it to the in-memory event log before columnarizing (the
 	// reference semantics); the facade's file path pushes the same filter
-	// down to the block index instead. AnalyzeTable assumes its table was
-	// already built under the filter and does not re-apply it.
+	// down to the block index instead. AnalyzeTableContext assumes its
+	// table was already built under the filter and does not re-apply it.
 	Filter trace.Filter
 	// Stats, when non-nil, receives per-stage wall-clock timings.
 	Stats *Timings
@@ -135,21 +135,16 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opt Options) (*Charact
 	return AnalyzeTableContext(ctx, tr, tb, opt)
 }
 
-// AnalyzeTable builds the characterization from a columnar table plus the
-// trace header carrying its metadata and interning tables (hdr.Events is
-// never touched, so traces streamed off disk need not materialize one).
-// The table may be lazily planned (colstore.FromBlocksSpec): each pass
-// Requires its declared column set, so decode errors deferred by the plan
-// surface here. opt.Filter is NOT applied — the table is assumed to have
-// been built under it.
-func AnalyzeTable(hdr *trace.Trace, tb *colstore.Table, opt Options) (*Characterization, error) {
-	return AnalyzeTableContext(context.Background(), hdr, tb, opt)
-}
-
-// AnalyzeTableContext is AnalyzeTable with cancellation: the chunk-parallel
-// scan workers observe ctx per chunk, so a canceled or timed-out caller
-// aborts the analysis mid-scan. The returned error is ctx.Err() when the
-// abort was a cancellation.
+// AnalyzeTableContext builds the characterization from a columnar table
+// plus the trace header carrying its metadata and interning tables
+// (hdr.Events is never touched, so traces streamed off disk need not
+// materialize one). The table may be lazily planned
+// (colstore.FromBlocksSpecContext): each pass Requires its declared column
+// set, so decode errors deferred by the plan surface here. opt.Filter is NOT
+// applied — the table is assumed to have been built under it. The
+// chunk-parallel scan workers observe ctx per chunk, so a canceled or
+// timed-out caller aborts the analysis mid-scan; the returned error is
+// ctx.Err() when the abort was a cancellation.
 func AnalyzeTableContext(ctx context.Context, hdr *trace.Trace, tb *colstore.Table, opt Options) (*Characterization, error) {
 	opt.fill()
 	t0 := time.Now()

@@ -16,7 +16,10 @@ import (
 )
 
 // lazyTable encodes the trace as v2.2 and plans a lazy scan of it under the
-// filter — the table the file and daemon paths hand the analyzer.
+// filter — the table the file and daemon paths hand the analyzer. It
+// asserts the geometry the test asked for: unfiltered, one chunk per block,
+// so a seam test cannot silently analyze one big chunk (colstore's
+// assertGeometry holds the full rule).
 func lazyTable(t *testing.T, tr *trace.Trace, vopt trace.V2Options, f trace.Filter) *colstore.Table {
 	t.Helper()
 	var buf bytes.Buffer
@@ -27,9 +30,16 @@ func lazyTable(t *testing.T, tr *trace.Trace, vopt trace.V2Options, f trace.Filt
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := colstore.FromBlocksSpec(br, 2, colstore.ScanSpec{Filter: f}, nil)
+	tb, err := colstore.FromBlocksSpecContext(context.Background(), br, 2, colstore.ScanSpec{Filter: f}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	be, nb, nc := br.BlockEvents(), br.NumBlocks(), tb.NumChunks()
+	if vopt.BlockEvents != 0 && be != vopt.BlockEvents {
+		t.Fatalf("log written at %d events per block reads as %d", vopt.BlockEvents, be)
+	}
+	if f.Empty() && nc != nb {
+		t.Fatalf("%d chunks from %d blocks of %d events", nc, nb, be)
 	}
 	return tb
 }
@@ -70,9 +80,9 @@ func TestDenseScanMatchesOracle(t *testing.T) {
 				opt.Parallelism = par
 				c, err := AnalyzeContext(context.Background(), tr, opt)
 				check("eager", c, err)
-				c, err = AnalyzeTable(tr, lazyTable(t, tr, trace.V2Options{}, f), opt)
+				c, err = AnalyzeTableContext(context.Background(), tr, lazyTable(t, tr, trace.V2Options{}, f), opt)
 				check("lazy v2.2", c, err)
-				c, err = AnalyzeTable(tr, lazyTable(t, tr, trace.V2Options{Codec: trace.CodecForceRaw}, f), opt)
+				c, err = AnalyzeTableContext(context.Background(), tr, lazyTable(t, tr, trace.V2Options{Codec: trace.CodecForceRaw}, f), opt)
 				check("lazy raw", c, err)
 			}
 		}
@@ -168,8 +178,8 @@ func TestRowRanges(t *testing.T) {
 			"lazy":  lazyTable(t, tr, trace.V2Options{}, trace.Filter{}),
 		} {
 			rows := scanRows(t, tr, tb)
+			base := 0
 			for k, r := range rows {
-				base := tb.ChunkAt(k).Base
 				var wantPrim, wantPosix []rowRange
 				for j := 0; j < tb.ChunkAt(k).N; j++ {
 					if member(base + j) {
@@ -178,6 +188,7 @@ func TestRowRanges(t *testing.T) {
 						wantPosix = appendRange(wantPosix, j, j+1)
 					}
 				}
+				base += tb.ChunkAt(k).N
 				if !reflect.DeepEqual(r.primary, wantPrim) {
 					t.Errorf("%s chunk %d: primary ranges do not break exactly at non-member rows", name, k)
 				}
@@ -229,7 +240,7 @@ func TestOutOfRangeIDsAreBadFormat(t *testing.T) {
 		"lazy-raw": lazyTable(t, tr, trace.V2Options{Codec: trace.CodecForceRaw}, trace.Filter{}),
 	}
 	for name, tb := range tables {
-		if _, err := AnalyzeTable(tr, tb, DefaultOptions()); !errors.Is(err, trace.ErrBadFormat) {
+		if _, err := AnalyzeTableContext(context.Background(), tr, tb, DefaultOptions()); !errors.Is(err, trace.ErrBadFormat) {
 			t.Errorf("%s: file id past the table: err = %v, want ErrBadFormat", name, err)
 		}
 	}

@@ -192,8 +192,6 @@ type cachedSource struct {
 
 func (cs *cachedSource) Header() *trace.Trace          { return cs.e.br.Header() }
 func (cs *cachedSource) NumBlocks() int                { return cs.e.br.NumBlocks() }
-func (cs *cachedSource) BlockEvents() int              { return cs.e.br.BlockEvents() }
-func (cs *cachedSource) NumEvents() uint64             { return cs.e.br.NumEvents() }
 func (cs *cachedSource) BlockAt(k int) trace.BlockInfo { return cs.e.br.BlockAt(k) }
 
 func (cs *cachedSource) ReadBlock(k int) (*trace.BlockData, error) {

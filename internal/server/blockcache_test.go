@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"vani"
 	"vani/internal/cliutil"
+	"vani/internal/trace"
 	"vani/internal/workloads"
 )
 
@@ -88,12 +90,69 @@ func TestBlockCacheZeroRedecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.Filter = f
-	c, err := vani.CharacterizeFileWith(path, opt)
+	c, err := vani.CharacterizeFileContext(context.Background(), path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := vani.ToYAML(c); !bytes.Equal(gotYAML, want) {
 		t.Errorf("cache-served YAML differs from CLI output (%d vs %d bytes)", len(gotYAML), len(want))
+	}
+}
+
+// TestNonDefaultGeometryUploadMatchesCLI: a log written at 1,000 events per
+// block is scanned through cachedSource and its blocks' column memos — the
+// first job misses on every block, the re-queries under other specs read
+// every block from the cache — and each served report equals the CLI
+// pipeline's over the same bytes, byte for byte.
+func TestNonDefaultGeometryUploadMatchesCLI(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const events, blockEvents = 40000, 1000
+	body := testTraceV2Bytes(t, trace.V2Options{BlockEvents: blockEvents}, events)
+	path := filepath.Join(t.TempDir(), "trace.trc")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct{ query, ranks, ops string }{
+		{"?ranks=0-7", "0-7", ""},
+		{"?ranks=8-15&ops=data", "8-15", "data"},
+		{"", "", ""},
+	} {
+		code, st := upload(t, ts, "/v1/traces"+q.query, body)
+		if code != 202 {
+			t.Fatalf("upload %q: status %d", q.query, code)
+		}
+		if final := pollJob(t, ts, st.ID); final.Status != string(jobDone) {
+			t.Fatalf("upload %q: job failed: %+v", q.query, final)
+		}
+		code, got, _ := getReport(t, ts, st.ReportID, "")
+		if code != 200 {
+			t.Fatalf("upload %q: report status %d", q.query, code)
+		}
+		opt := vani.DefaultAnalyzerOptions()
+		cfg := workloads.DefaultSpec().Storage
+		opt.Storage = &cfg
+		f, err := cliutil.ParseFilter("", q.ranks, "", q.ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Filter = f
+		c, err := vani.CharacterizeFileContext(context.Background(), path, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := vani.ToYAML(c); !bytes.Equal(got, want) {
+			t.Errorf("upload %q: served YAML differs from CLI output (%d vs %d bytes)", q.query, len(got), len(want))
+		}
+	}
+	m := getMetrics(t, ts)
+	if m.BlockCacheMisses != events/blockEvents {
+		t.Errorf("block cache missed %d times, want once per block (%d)", m.BlockCacheMisses, events/blockEvents)
+	}
+	if m.BlockCacheHits == 0 {
+		t.Error("re-queries never hit the block cache")
 	}
 }
 

@@ -108,7 +108,7 @@ func getReport(t *testing.T, ts *httptest.Server, id, accept string) (int, []byt
 
 // TestUploadToReportMatchesCLI drives the full HTTP path — upload, poll,
 // fetch — and asserts the served YAML is byte-identical to what the CLI
-// pipeline (CharacterizeFileWith + ToYAML with the default storage model)
+// pipeline (CharacterizeFileContext + ToYAML with the default storage model)
 // produces for the same trace and filter.
 func TestUploadToReportMatchesCLI(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
@@ -153,7 +153,7 @@ func TestUploadToReportMatchesCLI(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt.Filter = f
-			c, err := vani.CharacterizeFileWith(path, opt)
+			c, err := vani.CharacterizeFileContext(context.Background(), path, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

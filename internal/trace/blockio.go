@@ -66,9 +66,10 @@ const (
 	frameRaw   = 4
 	frameFlate = 5
 
-	// DefaultBlockEvents is the default number of events per block. It
-	// matches colstore.ChunkRows so one decoded block fills exactly one
-	// column chunk (asserted by a colstore test).
+	// DefaultBlockEvents is the default number of events per block and the
+	// capacity of the recycled column arrays (colpool.go). It matches
+	// colstore.ChunkRows, so a default log chunks like its in-memory trace
+	// (asserted by a colstore test).
 	DefaultBlockEvents = 1 << 14
 
 	// maxBlockEvents bounds the per-block event count a decoder will
@@ -880,8 +881,6 @@ func (br *BlockReader) BlockAt(k int) BlockInfo { return br.blocks[k] }
 type BlockSource interface {
 	Header() *Trace
 	NumBlocks() int
-	BlockEvents() int
-	NumEvents() uint64
 	BlockAt(k int) BlockInfo
 	ReadBlock(k int) (*BlockData, error)
 }

@@ -187,7 +187,6 @@ type Matcher struct {
 	maxRank      int32
 	levelMask    uint32
 	opMask       uint32
-	empty        bool
 }
 
 // NewMatcher compiles the filter.
@@ -197,7 +196,6 @@ func (f *Filter) NewMatcher() *Matcher {
 		toNS:      math.MaxInt64,
 		levelMask: ^uint32(0),
 		opMask:    opMaskFor(f.Ops),
-		empty:     f.Empty(),
 	}
 	if f.To != 0 {
 		m.toNS = int64(f.To)
@@ -225,9 +223,6 @@ func (f *Filter) NewMatcher() *Matcher {
 	}
 	return m
 }
-
-// Empty reports whether the matcher accepts every event.
-func (m *Matcher) Empty() bool { return m.empty }
 
 // Match evaluates the row predicate over raw column values.
 func (m *Matcher) Match(level, op uint8, rank int32, startNS int64) bool {

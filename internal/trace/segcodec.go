@@ -26,7 +26,7 @@ package trace
 // The decoder (decodeSeg) is generic over the column's element type and
 // writes a whole segment into the target column slice in one pass; the
 // slices themselves are recycled block-capacity columns (colpool.go), so
-// the hot FromBlocksSpec path is near-zero-alloc. All allocations are
+// the hot FromBlocksSpecContext path is near-zero-alloc. All allocations are
 // bounded by the validated block count and by real input bytes: run lengths
 // must sum exactly to count, dict sizes may not exceed count, and
 // bit-packed bodies must be fully backed by segment bytes — oversized

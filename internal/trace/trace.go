@@ -284,9 +284,6 @@ func NewTracer() *Tracer {
 // experiment.
 func (t *Tracer) SetEnabled(on bool) { t.enabled = on }
 
-// Enabled reports whether capture is on.
-func (t *Tracer) Enabled() bool { return t.enabled }
-
 // SetOverhead sets the virtual time charged to the issuing process per
 // recorded event. The Record return value carries the charge; interface
 // layers add it to the op's elapsed time.
@@ -377,9 +374,6 @@ func (t *Tracer) Record(ev Event) time.Duration {
 
 // Len returns the number of captured events across all shards.
 func (t *Tracer) Len() int { return t.count }
-
-// Shards returns the number of per-rank event shards.
-func (t *Tracer) Shards() int { return len(t.shards) }
 
 // MergeTime returns the wall-clock time the last Finish spent sorting and
 // merging the per-rank shards (the pipeline's trace-merge stage).

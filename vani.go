@@ -102,58 +102,20 @@ const (
 // DefaultAnalyzerOptions returns the settings used for the paper tables.
 func DefaultAnalyzerOptions() AnalyzerOptions { return core.DefaultOptions() }
 
-// Characterize analyzes a run into the paper's entities and attributes.
+// Characterize analyzes a run into the paper's entities and attributes with
+// the default analyzer options and the run's storage model.
 func Characterize(res *Result) *Characterization {
-	return CharacterizeWith(res, DefaultAnalyzerOptions())
+	c, _ := CharacterizeContext(context.Background(), res, DefaultAnalyzerOptions())
+	return c
 }
 
-// CharacterizeWith is Characterize with explicit analyzer options. A nil
+// CharacterizeContext analyzes a run under explicit analyzer options. A nil
 // opt.Storage is filled from the run's spec; opt.Stats, when set, also
-// receives the tracer's shard-merge time.
-func CharacterizeWith(res *Result, opt AnalyzerOptions) *Characterization {
-	if opt.Storage == nil {
-		cfg := res.Spec.Storage
-		opt.Storage = &cfg
-	}
-	if opt.Stats != nil {
-		opt.Stats.TraceMerge = res.TraceMerge
-	}
-	return core.Analyze(res.Trace, opt)
-}
-
-// CharacterizeTrace analyzes a standalone trace (e.g. loaded from disk).
-func CharacterizeTrace(tr *Trace, cfg *StorageConfig) *Characterization {
-	opt := core.DefaultOptions()
-	opt.Storage = cfg
-	return core.Analyze(tr, opt)
-}
-
-// CharacterizeFile analyzes a trace log on disk by decoding its blocks
-// straight into column chunks — the event log never materializes as a
-// []Event.
-func CharacterizeFile(path string, cfg *StorageConfig) (*Characterization, error) {
-	opt := core.DefaultOptions()
-	opt.Storage = cfg
-	return CharacterizeFileWith(path, opt)
-}
-
-// CharacterizeFileWith is CharacterizeFile with explicit analyzer options.
-// The log decodes block-parallel through the footer index.
-//
-// When opt.Filter is set, the filter is pushed down the read path: whole
-// blocks are pruned via the footer statistics, only the filter's columns
-// are decoded up front, and the remaining columns materialize lazily as
-// analysis kernels ask for them. The result is byte-identical to analyzing
-// the filtered event set in memory.
-func CharacterizeFileWith(path string, opt AnalyzerOptions) (*Characterization, error) {
-	return CharacterizeFileContext(context.Background(), path, opt)
-}
-
-// CharacterizeContext is CharacterizeWith with cancellation: the analyzer's
-// chunk-parallel workers observe ctx, so a canceled or timed-out caller
-// aborts the analysis mid-scan. The returned error is ctx.Err() when the
-// abort was a cancellation; with a background context it never fails and
-// matches CharacterizeWith exactly.
+// receives the tracer's shard-merge time. The analyzer's chunk-parallel
+// workers observe ctx, so a canceled or timed-out caller aborts the
+// analysis mid-scan. The returned error is ctx.Err() when the abort was a
+// cancellation; with a background context and default options it never
+// fails and matches Characterize exactly.
 func CharacterizeContext(ctx context.Context, res *Result, opt AnalyzerOptions) (*Characterization, error) {
 	if opt.Storage == nil {
 		cfg := res.Spec.Storage
@@ -165,11 +127,21 @@ func CharacterizeContext(ctx context.Context, res *Result, opt AnalyzerOptions) 
 	return core.AnalyzeContext(ctx, res.Trace, opt)
 }
 
-// CharacterizeFileContext is CharacterizeFileWith with cancellation: ctx is
-// threaded through the block reader's physical reads, the column scans, and
-// the analyzer's chunk-parallel workers, so a canceled or timed-out request
-// stops decoding mid-trace instead of running the log to completion. The
-// returned error is ctx.Err() when the abort was a cancellation.
+// CharacterizeFileContext analyzes a trace log on disk by decoding its
+// blocks, block-parallel through the footer index, straight into column
+// chunks — the event log never materializes as a []Event.
+//
+// When opt.Filter is set, the filter is pushed down the read path: whole
+// blocks are pruned via the footer statistics, only the filter's columns
+// are decoded up front, and the remaining columns materialize lazily as
+// analysis kernels ask for them. The result is byte-identical to analyzing
+// the filtered event set in memory.
+//
+// ctx is threaded through the block reader's physical reads, the column
+// scans, and the analyzer's chunk-parallel workers, so a canceled or
+// timed-out request stops decoding mid-trace instead of running the log to
+// completion. The returned error is ctx.Err() when the abort was a
+// cancellation.
 func CharacterizeFileContext(ctx context.Context, path string, opt AnalyzerOptions) (*Characterization, error) {
 	return pipeline.File(ctx, path, opt)
 }

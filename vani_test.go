@@ -71,8 +71,7 @@ func TestTraceRoundTripThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := spec.Storage
-	c := CharacterizeTrace(back, &cfg)
+	c := Characterize(&Result{Trace: back, Spec: spec})
 	if c.Workload != "jag" {
 		t.Errorf("round-tripped characterization workload = %q", c.Workload)
 	}
