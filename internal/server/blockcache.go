@@ -1,15 +1,19 @@
 package server
 
 // The shared decoded-block cache: traces vanid serves repeatedly keep
-// their bytes mmap-resident and their decoded blocks memoized, so a
-// hot trace decodes each block exactly once across all requests — a report
-// re-query with a different filter spec performs zero block decodes. The
-// cache is trace-granular LRU (an entry is one spooled trace, keyed by its
-// content SHA; block handles within it are keyed by block index and
-// published first-wins), bounded by a byte budget that charges each entry
-// its worst case: the raw bytes, one retained payload copy per block, and
-// the fully memoized columns. Entries pinned by in-flight scans (refs > 0)
-// never evict mid-read.
+// their bytes mmap-resident and their decoded blocks memoized, so a hot
+// trace decodes each block at most twice across all requests — once on its
+// first scan, once more on its second, which fills the memo — and every
+// later re-query, with any filter spec, performs zero block decodes. A
+// trace's first scan publishes nothing: its blocks decode straight into
+// pooled columns, as on the CLI's file path, so a never-seen upload that is
+// characterized once (most of them) holds no decoded columns and no heap
+// payload copies, only its mapping. The cache is trace-granular LRU (an
+// entry is one stored trace, keyed by its content SHA; block handles within
+// it are keyed by block index and published first-wins), bounded by a byte
+// budget that charges each entry its worst case: the raw bytes, one
+// retained payload copy per block, and the fully memoized columns. Entries
+// pinned by in-flight scans (refs > 0) never evict mid-read.
 
 import (
 	"bytes"
@@ -42,20 +46,27 @@ func newBlockCache(capBytes int64, m *Metrics) *blockCache {
 	}
 }
 
+// memoFromScan is the scan of an entry from which ReadBlock publishes and
+// memoizes the blocks it reads. Earlier scans leave nothing behind but the
+// mapping: a trace read once is not worth its decoded columns.
+const memoFromScan = 2
+
 // traceEntry is one cached trace: its raw bytes (mmap-backed where the
 // platform allows), a block reader over them, and the first-wins published
 // decoded-block handles. For repository pack members the entry maps the
 // whole pack and scans a [off, off+size) slice of it — mappings must start
 // at the file head (page alignment), slices can start anywhere.
 type traceEntry struct {
-	sha    string
-	raw    []byte // the full mapping (or heap copy)
-	data   []byte // the trace's bytes: raw[off : off+size]
-	mapped bool
-	br     *trace.BlockReader
-	blocks []atomic.Pointer[trace.BlockData]
-	bytes  int64 // worst-case charge; see newTraceEntry
-	refs   int   // in-flight scans; guarded by the cache mutex
+	sha       string
+	raw       []byte // the full mapping (or heap copy)
+	data      []byte // the trace's bytes: raw[off : off+size]
+	mapped    bool
+	br        *trace.BlockReader
+	blocks    []atomic.Pointer[trace.BlockData]
+	memoBytes atomic.Int64 // resident bytes of the published blocks
+	bytes     int64        // worst-case charge; see newTraceEntry
+	refs      int          // in-flight scans; guarded by the cache mutex
+	scans     int          // scans that ever acquired the entry; guarded by the cache mutex
 }
 
 // newTraceEntry maps the stored trace and parses its footer. off/size
@@ -120,10 +131,9 @@ func (bc *blockCache) acquire(sha, path string, off, size int64) (*cachedSource,
 	bc.mu.Lock()
 	if el, ok := bc.bySHA[sha]; ok {
 		bc.order.MoveToFront(el)
-		e := el.Value.(*traceEntry)
-		e.refs++
+		cs := bc.pin(el.Value.(*traceEntry))
 		bc.mu.Unlock()
-		return &cachedSource{e: e, m: bc.metrics}, nil
+		return cs, nil
 	}
 	bc.mu.Unlock()
 
@@ -137,16 +147,21 @@ func (bc *blockCache) acquire(sha, path string, off, size int64) (*cachedSource,
 	if el, ok := bc.bySHA[sha]; ok {
 		e.drop() // lost the build race; use the winner
 		bc.order.MoveToFront(el)
-		winner := el.Value.(*traceEntry)
-		winner.refs++
-		return &cachedSource{e: winner, m: bc.metrics}, nil
+		return bc.pin(el.Value.(*traceEntry)), nil
 	}
 	bc.evictFor(e.bytes)
-	e.refs = 1
 	bc.bySHA[sha] = bc.order.PushFront(e)
 	bc.used += e.bytes
 	bc.metrics.BlockCacheBytes.Store(bc.used)
-	return &cachedSource{e: e, m: bc.metrics}, nil
+	return bc.pin(e), nil
+}
+
+// pin counts one more scan of e and returns its source, which memoizes
+// only from the entry's memoFromScan-th scan on. Caller holds the mutex.
+func (bc *blockCache) pin(e *traceEntry) *cachedSource {
+	e.refs++
+	e.scans++
+	return &cachedSource{e: e, m: bc.metrics, memo: e.scans >= memoFromScan}
 }
 
 // release unpins one scan's hold on the source's entry.
@@ -167,6 +182,7 @@ func (bc *blockCache) evictFor(need int64) {
 			bc.order.Remove(el)
 			delete(bc.bySHA, e.sha)
 			bc.used -= e.bytes
+			bc.metrics.BlockCacheMemoBytes.Add(-e.memoBytes.Load())
 			e.drop()
 		}
 		el = prev
@@ -181,13 +197,17 @@ func (bc *blockCache) Len() int {
 	return bc.order.Len()
 }
 
-// cachedSource adapts a pinned cache entry to trace.BlockSource. ReadBlock
-// publishes decoded-block handles first-wins and enables each block's
-// column memo, so every block of a hot trace is read and decoded at most
-// once no matter how many requests scan it.
+// cachedSource adapts a pinned cache entry to trace.BlockSource for one
+// scan, serving published block handles first. On a miss, a memo scan (the
+// entry's memoFromScan-th or later) publishes the block it reads
+// first-wins with the column memo enabled, so each block of a re-read trace
+// decodes once more at most, however many requests scan it. An earlier
+// scan's handle is private: it decodes into pooled columns and is dropped
+// with the scan.
 type cachedSource struct {
-	e *traceEntry
-	m *Metrics
+	e    *traceEntry
+	m    *Metrics
+	memo bool // this scan publishes and memoizes the blocks it reads
 }
 
 func (cs *cachedSource) Header() *trace.Trace          { return cs.e.br.Header() }
@@ -201,12 +221,15 @@ func (cs *cachedSource) ReadBlock(k int) (*trace.BlockData, error) {
 	}
 	cs.m.BlockCacheMisses.Add(1)
 	bd, err := cs.e.br.ReadBlock(k)
-	if err != nil {
-		return nil, err
+	if err != nil || !cs.memo {
+		return bd, err
 	}
 	bd.EnableMemo()
 	if !cs.e.blocks[k].CompareAndSwap(nil, bd) {
-		bd = cs.e.blocks[k].Load() // concurrent reader won the publish
+		return cs.e.blocks[k].Load(), nil // concurrent reader won the publish
 	}
+	n := int64(bd.PayloadBytes()) + int64(bd.Count())*trace.MemoRowBytes
+	cs.e.memoBytes.Add(n)
+	cs.m.BlockCacheMemoBytes.Add(n)
 	return bd, nil
 }

@@ -146,8 +146,8 @@ func (s *Server) runJob(j *job) {
 // characterize runs the analyzer over the stored trace exactly the way
 // cmd/vani does — same default storage model, same filter pushdown, same
 // YAML renderer — so the served artifact is byte-identical to the CLI's.
-// Traces route through the shared decoded-block cache: repeat queries
-// against a hot trace (any filter spec) perform zero block decodes.
+// Traces route through the shared decoded-block cache: from a trace's
+// third scan on, queries (any filter spec) perform zero block decodes.
 func (s *Server) characterize(ctx context.Context, loc traceLoc, f trace.Filter, id string) (*report, colstore.ScanCounters, error) {
 	opt := vani.DefaultAnalyzerOptions()
 	opt.Storage = s.storageCfg()

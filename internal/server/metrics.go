@@ -60,11 +60,14 @@ type Metrics struct {
 	ScanRunIsectFallback atomic.Int64
 
 	// Shared decoded-block cache: block handles served without a read or
-	// decode, blocks read and decoded into the cache, and the cache's
-	// current worst-case byte charge (a gauge).
-	BlockCacheHits   atomic.Int64
-	BlockCacheMisses atomic.Int64
-	BlockCacheBytes  atomic.Int64
+	// decode, blocks read through the cache without a published handle,
+	// the cache's current worst-case byte charge, and the bytes its
+	// published blocks actually hold — payload plus memoized columns (both
+	// gauges).
+	BlockCacheHits      atomic.Int64
+	BlockCacheMisses    atomic.Int64
+	BlockCacheBytes     atomic.Int64
+	BlockCacheMemoBytes atomic.Int64
 }
 
 // AddScan folds one job's scan counters into the totals.
@@ -124,9 +127,10 @@ type MetricsSnapshot struct {
 	ScanRunIsectServed   int64 `json:"scan_runisect_served"`
 	ScanRunIsectFallback int64 `json:"scan_runisect_fallback"`
 
-	BlockCacheHits   int64 `json:"block_cache_hits"`
-	BlockCacheMisses int64 `json:"block_cache_misses"`
-	BlockCacheBytes  int64 `json:"block_cache_bytes"`
+	BlockCacheHits      int64 `json:"block_cache_hits"`
+	BlockCacheMisses    int64 `json:"block_cache_misses"`
+	BlockCacheBytes     int64 `json:"block_cache_bytes"`
+	BlockCacheMemoBytes int64 `json:"block_cache_memo_bytes"`
 
 	// Trace-repository gauges (zero when vanid runs without -data-dir).
 	// Snapshot cannot read them from atomics — they are filesystem state —
@@ -174,9 +178,10 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ScanRunIsectServed:   m.ScanRunIsectServed.Load(),
 		ScanRunIsectFallback: m.ScanRunIsectFallback.Load(),
 
-		BlockCacheHits:   m.BlockCacheHits.Load(),
-		BlockCacheMisses: m.BlockCacheMisses.Load(),
-		BlockCacheBytes:  m.BlockCacheBytes.Load(),
+		BlockCacheHits:      m.BlockCacheHits.Load(),
+		BlockCacheMisses:    m.BlockCacheMisses.Load(),
+		BlockCacheBytes:     m.BlockCacheBytes.Load(),
+		BlockCacheMemoBytes: m.BlockCacheMemoBytes.Load(),
 	}
 }
 

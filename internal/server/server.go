@@ -43,9 +43,10 @@ type Config struct {
 	// CacheEntries bounds the report cache (default 256).
 	CacheEntries int
 	// CacheBytes bounds the shared decoded-block cache's worst-case
-	// residency (default 256 MiB). Hot traces stay mmap-resident
-	// with their blocks decoded once across requests; 0 keeps the default,
-	// negative disables the cache.
+	// residency (default 256 MiB). Served traces stay mmap-resident; from
+	// a trace's second scan on its blocks are memoized, so re-queries
+	// decode nothing, while a trace scanned once holds no decoded columns.
+	// 0 keeps the default, negative disables the cache.
 	CacheBytes int64
 	// SpoolDir receives uploaded traces, content-addressed by SHA-256
 	// (default: a fresh directory under os.TempDir). Ignored when DataDir
@@ -272,7 +273,9 @@ func parseFilter(r *http.Request) (trace.Filter, error) {
 
 // spool streams the request body into a content-addressed file under the
 // spool directory, returning the file path and the hex SHA-256 of the
-// bytes. Identical uploads land on the same path; the rename is atomic so
+// bytes. A body that does not open as a trace fails with repo.ErrNotTrace
+// before it gets a content address, and leaves nothing in the spool.
+// Identical uploads land on the same path; the rename is atomic so
 // concurrent identical uploads are safe.
 func (s *Server) spool(r io.Reader) (path, sha string, err error) {
 	tmp, err := os.CreateTemp(s.cfg.SpoolDir, "upload-*")
@@ -292,6 +295,11 @@ func (s *Server) spool(r io.Reader) (path, sha string, err error) {
 	if err = tmp.Close(); err != nil {
 		return "", "", err
 	}
+	br, err := trace.OpenBlockReader(tmp.Name())
+	if err != nil {
+		return "", "", fmt.Errorf("%w: %w", repo.ErrNotTrace, err)
+	}
+	br.Close()
 	sha = hex.EncodeToString(h.Sum(nil))
 	path = filepath.Join(s.cfg.SpoolDir, sha+".trc")
 	if err = os.Rename(tmp.Name(), path); err != nil {
@@ -316,15 +324,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (loc traceLoc, h 
 	}
 	path, sha, err := s.spool(r.Body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("spooling upload: %v", err))
+		uploadError(w, err)
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
-	br, err := trace.OpenBlockReader(path)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("not a VANITRC2 v2.2 trace: %v", err))
-		return traceLoc{}, nil, "", trace.Filter{}, false
-	}
-	br.Close()
 	repID = reportID(sha, f)
 	if _, hit := s.cache.Get(repID); hit {
 		s.metrics.CacheHits.Add(1)
@@ -340,11 +342,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (loc traceLoc, h 
 func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filter) (loc traceLoc, h *repo.Handle, repID string, _ trace.Filter, ok bool) {
 	sha, _, err := s.repo.Add(r.Body)
 	if err != nil {
-		if errors.Is(err, repo.ErrNotTrace) {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("not a VANITRC2 v2.2 trace: %v", err))
-		} else {
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("storing upload: %v", err))
-		}
+		uploadError(w, err)
 		return traceLoc{}, nil, "", trace.Filter{}, false
 	}
 	repID = reportID(sha, f)
@@ -360,6 +358,16 @@ func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filte
 	}
 	loc = traceLoc{sha: sha, path: h.Path(), off: h.Off(), size: h.Size()}
 	return loc, h, repID, f, true
+}
+
+// uploadError answers an upload that could not be stored: 400 for bytes
+// that are not a trace, 500 for everything else.
+func uploadError(w http.ResponseWriter, err error) {
+	if errors.Is(err, repo.ErrNotTrace) {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("not a VANITRC2 v2.2 trace: %v", err))
+		return
+	}
+	httpError(w, http.StatusInternalServerError, fmt.Sprintf("storing upload: %v", err))
 }
 
 // handleUpload is POST /v1/traces: spool, dedupe against the cache and
@@ -546,10 +554,11 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	w.Write(rep.YAML()) //nolint:errcheck // best-effort response body
 }
 
-// fleetChar characterizes one repository trace for a fleet query, reusing
-// the shared decoded-block cache so traces hot from single-trace jobs
-// decode zero blocks here. Per-trace analyzer parallelism stays 1 — the
-// fleet query already fans out across traces.
+// fleetChar characterizes one repository trace for a fleet query through
+// the shared decoded-block cache, where each trace's visit counts as one
+// more scan of it: a trace already scanned twice decodes zero blocks here.
+// Per-trace analyzer parallelism stays 1 — the fleet query already fans
+// out across traces.
 func (s *Server) fleetChar() repo.CharFunc {
 	return func(ctx context.Context, h *repo.Handle, f trace.Filter) (*vani.Characterization, error) {
 		opt := vani.DefaultAnalyzerOptions()

@@ -472,6 +472,34 @@ func TestUploadValidation(t *testing.T) {
 	}
 }
 
+// TestRejectedUploadLeavesNoSpoolFile: a body that is not a trace is
+// answered 400 on both upload endpoints and leaves nothing in the spool
+// directory — no temp file, no content-addressed file.
+func TestRejectedUploadLeavesNoSpoolFile(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, path := range []string{"/v1/traces", "/v1/characterize"} {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream",
+			bytes.NewReader([]byte("this is not a trace")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s garbage body: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+	left, err := os.ReadDir(s.cfg.SpoolDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("rejected upload left %s in the spool", e.Name())
+	}
+}
+
 // TestShutdownDrains enqueues work, shuts down, and checks every accepted
 // job settled and late uploads are refused.
 func TestShutdownDrains(t *testing.T) {

@@ -15,6 +15,23 @@ cleanup() {
 }
 trap cleanup EXIT
 
+poll_job() { # poll_job <base> <job-id>
+  local st=""
+  for i in $(seq 1 200); do
+    st="$(curl -fsS "$1/v1/jobs/$2" | sed -n 's/.*"status": *"\([^"]*\)".*/\1/p')"
+    case "$st" in
+      done) return 0 ;;
+      failed) echo "job $2 failed"; return 1 ;;
+    esac
+    sleep 0.1
+  done
+  echo "job $2 did not finish: $st"; return 1
+}
+
+gauge() { # gauge <metrics-json> <name>
+  printf '%s' "$1" | sed -n "s/.*\"$2\": *\([0-9]*\).*/\1/p"
+}
+
 cd "$ROOT"
 echo "== building =="
 go build -o "$WORK/wrun" ./cmd/wrun
@@ -98,35 +115,37 @@ echo "$METRICS"
 HITS="$(printf '%s' "$METRICS" | sed -n 's/.*"cache_hits": *\([0-9]*\).*/\1/p')"
 [ "${HITS:-0}" -ge 1 ] || { echo "FAIL: no cache hit recorded"; exit 1; }
 
-echo "== re-querying with a different filter (shared block cache, zero re-decodes) =="
+echo "== re-querying with different filters (shared block cache, zero re-decodes) =="
 # A different filter misses the result cache, so the trace characterizes
-# again — but every block must come decoded out of the shared block cache:
-# block_cache_hits rises and scan_decoded_bytes does not move.
-DECODED_BEFORE="$(printf '%s' "$METRICS" | sed -n 's/.*"scan_decoded_bytes": *\([0-9]*\).*/\1/p')"
+# again. Its first scan memoized nothing (block_cache_memo_bytes is 0); the
+# second decodes once more and fills the memo; from the third on every
+# block comes decoded out of the shared block cache: block_cache_hits rises
+# and scan_decoded_bytes does not move.
+MEMO1="$(gauge "$METRICS" block_cache_memo_bytes)"
+[ "${MEMO1:-1}" -eq 0 ] || { echo "FAIL: a trace scanned once holds $MEMO1 memo bytes"; exit 1; }
+SECOND_SCAN="$(curl -fsS --data-binary @"$WORK/trace.trc" \
+  "$BASE/v1/traces?window=$FILTER_WINDOW&ranks=8-15")"
+JOB2="$(printf '%s' "$SECOND_SCAN" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
+[ -n "$JOB2" ] || { echo "no job id in second-scan upload response"; exit 1; }
+poll_job "$BASE" "$JOB2"
+METRICS="$(curl -fsS "$BASE/metrics")"
+MEMO2="$(gauge "$METRICS" block_cache_memo_bytes)"
+[ "${MEMO2:-0}" -gt 0 ] || { echo "FAIL: the second scan left no memo behind"; exit 1; }
+DECODED_BEFORE="$(gauge "$METRICS" scan_decoded_bytes)"
 THIRD="$(curl -fsS --data-binary @"$WORK/trace.trc" \
   "$BASE/v1/traces?window=$FILTER_WINDOW&ranks=0-7")"
 JOB3="$(printf '%s' "$THIRD" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
 [ -n "$JOB3" ] || { echo "no job id in third upload response"; exit 1; }
-STATUS=""
-for i in $(seq 1 200); do
-  JOB="$(curl -fsS "$BASE/v1/jobs/$JOB3")"
-  STATUS="$(printf '%s' "$JOB" | sed -n 's/.*"status": *"\([^"]*\)".*/\1/p')"
-  case "$STATUS" in
-    done) break ;;
-    failed) echo "job failed: $JOB"; exit 1 ;;
-  esac
-  sleep 0.1
-done
-[ "$STATUS" = "done" ] || { echo "third job did not finish: $STATUS"; exit 1; }
+poll_job "$BASE" "$JOB3"
 METRICS2="$(curl -fsS "$BASE/metrics")"
 echo "$METRICS2"
-BLOCK_HITS="$(printf '%s' "$METRICS2" | sed -n 's/.*"block_cache_hits": *\([0-9]*\).*/\1/p')"
-DECODED_AFTER="$(printf '%s' "$METRICS2" | sed -n 's/.*"scan_decoded_bytes": *\([0-9]*\).*/\1/p')"
+BLOCK_HITS="$(gauge "$METRICS2" block_cache_hits)"
+DECODED_AFTER="$(gauge "$METRICS2" scan_decoded_bytes)"
 [ "${BLOCK_HITS:-0}" -ge 1 ] || { echo "FAIL: no block cache hit recorded"; exit 1; }
 [ "${DECODED_AFTER:-0}" -eq "${DECODED_BEFORE:-1}" ] || {
-  echo "FAIL: repeated query re-decoded blocks ($DECODED_BEFORE -> $DECODED_AFTER)"; exit 1
+  echo "FAIL: the third scan re-decoded blocks ($DECODED_BEFORE -> $DECODED_AFTER)"; exit 1
 }
-echo "block cache served the repeated query without decoding"
+echo "first scan memoized nothing, second filled the memo, third decoded nothing"
 
 echo "== pprof must be absent (daemon started without -pprof) =="
 PPROF_CODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/debug/pprof/")"
@@ -200,23 +219,6 @@ VANID_PID=""
 # reproduce the service's answer.
 # ---------------------------------------------------------------------------
 
-poll_job() { # poll_job <base> <job-id>
-  local st=""
-  for i in $(seq 1 200); do
-    st="$(curl -fsS "$1/v1/jobs/$2" | sed -n 's/.*"status": *"\([^"]*\)".*/\1/p')"
-    case "$st" in
-      done) return 0 ;;
-      failed) echo "job $2 failed"; return 1 ;;
-    esac
-    sleep 0.1
-  done
-  echo "job $2 did not finish: $st"; return 1
-}
-
-repo_gauge() { # repo_gauge <metrics-json> <name>
-  printf '%s' "$1" | sed -n "s/.*\"$2\": *\([0-9]*\).*/\1/p"
-}
-
 echo "== generating two more hacc traces for the fleet =="
 "$WORK/wrun" -w hacc -nodes 4 -scale 0.1 -o "$WORK/trace2.trc" >/dev/null
 "$WORK/wrun" -w hacc -nodes 2 -scale 0.1 -o "$WORK/trace3.trc" >/dev/null
@@ -246,9 +248,9 @@ for trc in trace trace2 trace3; do
 done
 
 METRICS_REPO="$(curl -fsS "$BASE/metrics")"
-REPO_FILES="$(repo_gauge "$METRICS_REPO" repo_files)"
-REPO_SHARDS="$(repo_gauge "$METRICS_REPO" repo_shards)"
-REPO_BYTES_LOOSE="$(repo_gauge "$METRICS_REPO" repo_bytes)"
+REPO_FILES="$(gauge "$METRICS_REPO" repo_files)"
+REPO_SHARDS="$(gauge "$METRICS_REPO" repo_shards)"
+REPO_BYTES_LOOSE="$(gauge "$METRICS_REPO" repo_bytes)"
 [ "${REPO_FILES:-0}" -eq 3 ] || { echo "FAIL: repo_files=$REPO_FILES, want 3"; exit 1; }
 [ "${REPO_SHARDS:-0}" -ge 1 ] || { echo "FAIL: repo_shards=$REPO_SHARDS, want >= 1"; exit 1; }
 
@@ -284,8 +286,8 @@ echo "fleet report survived the restart byte-identically"
 echo "== forcing compaction =="
 curl -fsS -X POST "$BASE/v1/compact"
 METRICS_PACKED="$(curl -fsS "$BASE/metrics")"
-COMPACTIONS="$(repo_gauge "$METRICS_PACKED" repo_compactions)"
-REPO_BYTES_PACKED="$(repo_gauge "$METRICS_PACKED" repo_bytes)"
+COMPACTIONS="$(gauge "$METRICS_PACKED" repo_compactions)"
+REPO_BYTES_PACKED="$(gauge "$METRICS_PACKED" repo_bytes)"
 [ "${COMPACTIONS:-0}" -ge 1 ] || { echo "FAIL: repo_compactions=$COMPACTIONS, want >= 1"; exit 1; }
 [ "${REPO_BYTES_PACKED:-0}" -lt "${REPO_BYTES_LOOSE:-0}" ] || {
   echo "FAIL: compaction did not shrink the repo ($REPO_BYTES_LOOSE -> $REPO_BYTES_PACKED bytes)"; exit 1
