@@ -42,8 +42,9 @@ var colsInUse atomic.Int64
 // table leaves the count where it found it; the leak tests assert that.
 func ColumnsInUse() int64 { return colsInUse.Load() }
 
-// poisonRecycled makes recycleCol overwrite every slice it takes back;
-// tests set it to prove no reader depends on what a recycled slice holds.
+// poisonRecycled makes recycleCol overwrite every slice it takes back, and
+// a Tracer every shard page it hands back at Finish; tests set it to prove
+// no reader depends on what a recycled slice or page holds.
 var poisonRecycled atomic.Bool
 
 // growCol resizes s to n rows: in place when its capacity allows, else from

@@ -2,11 +2,25 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// sortByStart is the oracle for the shard merge: a stable sort by (Start,
+// Rank, End), so events equal on all three keys keep their record order.
+// Analyzer passes assume this ordering.
+func sortByStart(events []Event) {
+	slices.SortStableFunc(events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.End, b.End))
+	})
+}
 
 // perRankStreams builds deterministic per-rank event sequences: each rank
 // emits events with non-decreasing End (as the engine clock does), with
@@ -78,31 +92,58 @@ func TestShardMergeInterleavingInvariance(t *testing.T) {
 	}
 }
 
-// TestShardMergeRepeatable: merging the same tracer twice is byte-identical
-// (Finish is a pure snapshot; parallel shard sorting must not leak
-// scheduling nondeterminism).
+// TestShardMergeRepeatable: two tracers fed the same streams Finish to
+// byte-identical traces, the second recording into pages the first handed
+// back — poisoned on their way into the pool, so a slot the second tracer
+// read without writing would show.
 func TestShardMergeRepeatable(t *testing.T) {
+	poisonRecycled.Store(true)
+	defer poisonRecycled.Store(false)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+
 	streams := perRankStreams(16, 500, 7)
-	tr := NewTracer()
-	for r := int32(0); r < 16; r++ {
-		for _, ev := range streams[r] {
-			tr.Record(ev)
+	record := func() *Tracer {
+		tr := NewTracer()
+		for r := int32(0); r < 16; r++ {
+			for _, ev := range streams[r] {
+				tr.Record(ev)
+			}
+		}
+		return tr
+	}
+	first := record()
+	firstPages := make(map[*page]bool)
+	for _, s := range first.shards {
+		for _, p := range s.pages {
+			firstPages[p] = true
 		}
 	}
 	var buf1, buf2 bytes.Buffer
-	if err := WriteV2(&buf1, tr.Finish()); err != nil {
+	if err := WriteV2(&buf1, first.Finish()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteV2(&buf2, tr.Finish()); err != nil {
+	second := record()
+	reused := 0
+	for _, s := range second.shards {
+		for _, p := range s.pages {
+			if firstPages[p] {
+				reused++
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatalf("the second tracer drew none of the first tracer's %d pages", len(firstPages))
+	}
+	if err := WriteV2(&buf2, second.Finish()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatal("two Finish merges of the same shards differ")
+		t.Fatalf("two tracers fed the same streams differ (%d of %d pages recycled)", reused, len(firstPages))
 	}
 }
 
 // TestShardMergeMatchesGlobalSort: the k-way merge must produce exactly the
-// canonical SortByStart order of the concatenated event log.
+// canonical sortByStart order of the concatenated event log.
 func TestShardMergeMatchesGlobalSort(t *testing.T) {
 	streams := perRankStreams(6, 300, 99)
 	tr := NewTracer()
@@ -113,55 +154,154 @@ func TestShardMergeMatchesGlobalSort(t *testing.T) {
 			all = append(all, ev)
 		}
 	}
-	want := &Trace{Events: all}
-	want.SortByStart()
-	got := tr.Finish()
-	if !reflect.DeepEqual(want.Events, got.Events) {
-		t.Fatal("shard merge order diverges from SortByStart total order")
+	sortByStart(all)
+	if got := tr.Finish(); !reflect.DeepEqual(all, got.Events) {
+		t.Fatal("shard merge order diverges from sortByStart total order")
 	}
 }
 
-// TestFinishMergesSortedShardsInPlace: shards already in (Start, End) order
-// are merged from the tracer's own memory and the others from a sorted
-// copy; either way the result is the canonical order, the tracer's record
-// sequences are untouched, and the returned Trace is a snapshot that later
-// recording does not reach.
-func TestFinishMergesSortedShardsInPlace(t *testing.T) {
-	streams := perRankStreams(6, 300, 3)
-	for r := int32(0); r < 6; r += 2 { // even ranks record in order
-		for i := range streams[r] {
-			streams[r][i].Start = streams[r][i].End
+// pagedStream returns n events of one rank in record order. Unless n is 1,
+// it opens with a wrapper recorded after min(n-1, 2P+3) children that all
+// start after it (P = pageEvents), so inserting the wrapper moves it across
+// up to two page boundaries to slot 0. The rest comes in threes: a pair of
+// (Start, End) ties, then an event starting before both, which moves left
+// past the pair while the pair keeps its record order. Offset is the
+// record index, so every event is distinct.
+func pagedStream(rank int32, n int) []Event {
+	evs := make([]Event, 0, n+2)
+	rec := func(start, end time.Duration) {
+		evs = append(evs, Event{Level: LevelPosix, Op: OpWrite, Rank: rank, Offset: int64(len(evs)), Start: start, End: end})
+	}
+	if kids := min(n-1, 2*pageEvents+3); kids > 0 {
+		for i := 0; i < kids; i++ {
+			rec(time.Duration(10+i), time.Duration(11+i))
 		}
+		rec(5, time.Duration(20+kids))
+	}
+	for at := time.Duration(1000); len(evs) < n; at += 3 {
+		rec(at, at+2)
+		rec(at, at+2)
+		rec(at-1, at+1)
+	}
+	return evs[:n]
+}
+
+// TestRecordKeepsShardOrderAcrossPages: ranks of 0, 1, P-1, P, P+1 and
+// 3P+5 events, recorded round-robin, with wrappers whose insertion crosses
+// page boundaries and (Start, End) ties recorded in a known order, merge to
+// exactly the stable (Start, Rank, End) sort of everything recorded. The
+// second round records into the first round's recycled pages.
+func TestRecordKeepsShardOrderAcrossPages(t *testing.T) {
+	sizes := []int{0, 1, pageEvents - 1, pageEvents, pageEvents + 1, 3*pageEvents + 5}
+	streams := make([][]Event, len(sizes))
+	for r, n := range sizes {
+		streams[r] = pagedStream(int32(r), n)
 	}
 	tr := NewTracer()
-	var all []Event
+	for round := 0; round < 2; round++ {
+		var all []Event
+		for i := 0; i < slices.Max(sizes); i++ {
+			for _, evs := range streams {
+				if i < len(evs) {
+					tr.Record(evs[i])
+					all = append(all, evs[i])
+				}
+			}
+		}
+		sortByStart(all)
+		if got := tr.Finish(); !reflect.DeepEqual(got.Events, all) {
+			t.Fatalf("round %d: shard order diverges from the stable (Start, Rank, End) sort", round)
+		}
+	}
+}
+
+// TestFinishDrainsTheLog: Finish empties the event log. A later Record +
+// Finish returns only the later events, and the first Trace is untouched.
+func TestFinishDrainsTheLog(t *testing.T) {
+	streams := perRankStreams(6, 300, 3)
+	tr := NewTracer()
+	var early, late []Event
 	for r := int32(5); r >= 0; r-- {
-		for _, ev := range streams[r] {
-			tr.Record(ev)
-			all = append(all, ev)
+		for i, ev := range streams[r] {
+			if i < 200 {
+				early = append(early, ev)
+			} else {
+				late = append(late, ev)
+			}
 		}
 	}
-	want := &Trace{Events: all}
-	want.SortByStart()
+	for _, ev := range early {
+		tr.Record(ev)
+	}
 	got := tr.Finish()
-	if !reflect.DeepEqual(want.Events, got.Events) {
-		t.Fatal("merge of in-place and copied shards diverges from SortByStart")
+	if n := tr.Len(); n != 0 {
+		t.Fatalf("Len() = %d after Finish, want 0", n)
 	}
-	for r := int32(0); r < 6; r++ {
-		if !reflect.DeepEqual(tr.shards[r].events, streams[r]) {
-			t.Fatalf("Finish reordered rank %d's shard", r)
+	sortByStart(early)
+	if !reflect.DeepEqual(got.Events, early) {
+		t.Fatal("first Finish diverges from sortByStart")
+	}
+	for _, ev := range late {
+		tr.Record(ev)
+	}
+	again := tr.Finish()
+	sortByStart(late)
+	if !reflect.DeepEqual(again.Events, late) {
+		t.Errorf("second Finish returned %d events, want only the %d recorded after the first", len(again.Events), len(late))
+	}
+	if !reflect.DeepEqual(got.Events, early) {
+		t.Error("recording after Finish changed the Trace it returned")
+	}
+}
+
+// threeLevelLog is a run's shape at tracer scale: each rank issues calls
+// through three levels, and a call's posix event completes first, then its
+// middleware event, then its app event, each starting earlier than the one
+// recorded before it. Ranks record round-robin, one call at a time.
+func threeLevelLog(ranks, calls int) []Event {
+	evs := make([]Event, 0, ranks*calls*3)
+	for c := 0; c < calls; c++ {
+		at := time.Duration(c) * 10 * time.Microsecond
+		for r := int32(0); r < int32(ranks); r++ {
+			for l, lv := range []Level{LevelPosix, LevelMiddleware, LevelApp} {
+				d := time.Duration(2-l) * time.Microsecond
+				evs = append(evs, Event{Level: lv, Op: OpWrite, Rank: r, Size: 4096, Start: at + d, End: at + 5*time.Microsecond - d})
+			}
 		}
 	}
-	snapshot := append([]Event(nil), got.Events...)
-	late := streams[0][len(streams[0])-1]
-	late.Start += time.Hour
-	late.End += time.Hour
-	tr.Record(late)
-	if again := tr.Finish(); len(again.Events) != len(snapshot)+1 || again.Events[len(snapshot)] != late {
-		t.Error("an event recorded after Finish is missing from the next Finish")
+	return evs
+}
+
+// TestTracerAllocBudget: once the page pool is warm, recording a run and
+// finishing it allocates little beyond the merged Trace.Events — at most
+// 1.25 event sizes per event, with GC off so the pool keeps its pages.
+func TestTracerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under the race detector")
 	}
-	if !reflect.DeepEqual(got.Events, snapshot) {
-		t.Error("recording after Finish changed the Trace it returned")
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	log := threeLevelLog(640, 80)
+	run := func() {
+		tr := NewTracer()
+		for _, ev := range log {
+			tr.Record(ev)
+		}
+		if got := tr.Finish(); len(got.Events) != len(log) {
+			t.Fatalf("Finish returned %d events, want %d", len(got.Events), len(log))
+		}
+	}
+	run() // warm the pool
+	const rounds = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(log))
+	t.Logf("Record + Finish: %.1f B/event", perEvent)
+	if limit := 1.25 * float64(unsafe.Sizeof(Event{})); perEvent > limit {
+		t.Errorf("Record + Finish allocate %.1f B/event, budget %.1f", perEvent, limit)
 	}
 }
 

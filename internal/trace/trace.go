@@ -12,12 +12,8 @@
 package trace
 
 import (
-	"cmp"
-	"slices"
-	"sort"
+	"sync"
 	"time"
-
-	"vani/internal/parallel"
 )
 
 // Level identifies the software layer that emitted an event, mirroring
@@ -216,35 +212,13 @@ func (t *Trace) JobRuntime() time.Duration {
 	return max
 }
 
-// eventBefore is the canonical event ordering: (Start, Rank, End). It is a
-// total order up to record sequence: events equal on all three keys keep
-// their input order under the stable sort in SortByStart and under the
-// shard merge in Finish, which both therefore produce the same byte-for-
-// byte event stream for the same per-rank record sequences.
-func eventBefore(a, b *Event) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	if a.Rank != b.Rank {
-		return a.Rank < b.Rank
-	}
-	return a.End < b.End
-}
-
-// SortByStart orders events by (Start, Rank, End), breaking remaining ties
-// by input sequence (stable); analyzer passes assume this ordering.
-func (t *Trace) SortByStart() {
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		return eventBefore(&t.Events[i], &t.Events[j])
-	})
-}
-
 // Tracer accumulates events during a simulation. The event log is sharded
-// per rank: each rank appends to its own shard, so there is no global
-// append point contended by every recorded event, and Finish can sort the
-// shards in parallel before a deterministic k-way merge. The simulation
-// kernel runs one process at a time, so the shards need no locking; a
-// Tracer must not be shared across concurrently running engines.
+// per rank: each rank records into its own shard, kept in (Start, End)
+// order as it grows, so there is no global append point contended by every
+// recorded event and Finish only has to k-way merge the shards into the
+// canonical (Start, Rank, End) order. The simulation kernel runs one
+// process at a time, so the shards need no locking; a Tracer must not be
+// shared across concurrently running engines.
 type Tracer struct {
 	enabled  bool
 	overhead time.Duration // virtual time charged per recorded event
@@ -256,17 +230,78 @@ type Tracer struct {
 	fileIDs map[string]int32
 	samples []DatasetSample
 
-	shards    map[int32]*shard // per-rank event logs
-	shardKeys []int32          // ranks in first-record order
-	count     int
+	shards map[int32]*shard // per-rank event logs
+	count  int
 
 	totalOverhead time.Duration
 	mergeTime     time.Duration // wall-clock of the last Finish merge
 }
 
-// shard is one rank's event log, in record order.
+// pageEvents is the capacity of one page of a shard.
+const pageEvents = 128
+
+// page is one fixed-size piece of a shard's log.
+type page = [pageEvents]Event
+
+// pagePool recycles shard pages from one Finish to the next Record, the
+// way colpool.go recycles block columns. Pages are not zeroed: a shard
+// writes every slot below its count before anything reads it.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+// poisonEvent is what a recycled page holds under poisonRecycled: no
+// tracer records it, and it sorts nowhere near a real event.
+var poisonEvent = Event{
+	Level: 0x5a, Op: 0x5a, Lib: 0x5a,
+	Rank: 0x5a5a5a5a, Node: 0x5a5a5a5a, App: 0x5a5a5a5a, File: 0x5a5a5a5a,
+	Offset: 0x5a5a5a5a5a5a5a5a, Size: 0x5a5a5a5a5a5a5a5a,
+	Start: 0x5a5a5a5a5a5a5a5a, End: 0x5a5a5a5a5a5a5a5a,
+}
+
+// shard is one rank's event log in (Start, End) order — the order a stable
+// sort of its record sequence gives — stored n events deep in pooled pages.
 type shard struct {
-	events []Event
+	pages []*page
+	n     int
+}
+
+// at returns slot i of the log.
+func (s *shard) at(i int) *Event { return &s.pages[uint(i)/pageEvents][uint(i)%pageEvents] }
+
+// events returns page p cut to the events recorded on it.
+func (s *shard) events(p int) []Event { return s.pages[p][:min(pageEvents, s.n-p*pageEvents)] }
+
+// insert records ev after every event that does not sort strictly after it
+// in (Start, End): where a stable sort puts it. A rank mostly records its
+// calls in the order they start, so ev rarely moves; a wrapper recorded
+// after its children moves left past them.
+func (s *shard) insert(ev Event) {
+	if s.n == len(s.pages)*pageEvents {
+		s.pages = append(s.pages, pagePool.Get().(*page))
+	}
+	i := s.n
+	for ; i > 0; i-- {
+		prev := s.at(i - 1)
+		if prev.Start < ev.Start || prev.Start == ev.Start && prev.End <= ev.End {
+			break
+		}
+		*s.at(i) = *prev
+	}
+	*s.at(i) = ev
+	s.n++
+}
+
+// release hands the pages back to the pool and empties the log.
+func (s *shard) release() {
+	poison := poisonRecycled.Load()
+	for _, p := range s.pages {
+		if poison {
+			for i := range p {
+				p[i] = poisonEvent
+			}
+		}
+		pagePool.Put(p)
+	}
+	s.pages, s.n = nil, 0
 }
 
 // NewTracer returns an enabled tracer with no per-event overhead.
@@ -364,9 +399,8 @@ func (t *Tracer) Record(ev Event) time.Duration {
 	if s == nil {
 		s = &shard{}
 		t.shards[ev.Rank] = s
-		t.shardKeys = append(t.shardKeys, ev.Rank)
 	}
-	s.events = append(s.events, ev)
+	s.insert(ev)
 	t.count++
 	t.totalOverhead += t.overhead
 	return t.overhead
@@ -375,59 +409,35 @@ func (t *Tracer) Record(ev Event) time.Duration {
 // Len returns the number of captured events across all shards.
 func (t *Tracer) Len() int { return t.count }
 
-// MergeTime returns the wall-clock time the last Finish spent sorting and
-// merging the per-rank shards (the pipeline's trace-merge stage).
+// MergeTime returns the wall-clock time the last Finish spent merging the
+// per-rank shards (the pipeline's trace-merge stage).
 func (t *Tracer) MergeTime() time.Duration { return t.mergeTime }
 
-// Finish seals the tracer and returns the completed Trace: each rank's
-// shard is sorted independently (in parallel across shards), then a k-way
-// merge by (Start, Rank, End) produces the global event order. The merge is
+// Finish returns the completed Trace: a k-way merge of the per-rank shards
+// by (Start, Rank, End) gives the global event order. The merge is
 // deterministic — the output depends only on the per-rank record sequences,
-// not on how ranks interleaved during the run or on scheduling of the sort
-// workers. The tracer can keep recording afterwards; the returned Trace is
-// a snapshot.
+// not on how ranks interleaved during the run. Finish then hands the shard
+// pages back to the pool and empties the event log: Len is 0 afterwards and
+// a later Finish returns only events recorded after this one. The returned
+// Trace is a snapshot; nothing the tracer does later reaches it.
 func (t *Tracer) Finish() *Trace {
 	begin := time.Now()
 	m := t.meta
 	m.TraceOverhead = t.totalOverhead
-
-	// Sort shard keys so the merge sees shards in rank order.
-	keys := slices.Clone(t.shardKeys)
-	slices.Sort(keys)
-
-	// Per-shard stable sort by (Start, End); Rank is constant within a
-	// shard, so this is the canonical order restricted to the shard. A rank
-	// that issues one blocking call after another records in that order
-	// already, and its shard is merged from where it lies (the merge only
-	// reads it); only a shard that is out of order is copied and sorted.
-	// Shards are independent, so they are checked and sorted in parallel.
-	sorted := make([][]Event, len(keys))
-	parallel.ForEach(0, len(keys), func(i int) {
-		evs := t.shards[keys[i]].events
-		if !slices.IsSortedFunc(evs, shardOrder) {
-			evs = slices.Clone(evs)
-			slices.SortStableFunc(evs, shardOrder)
-		}
-		sorted[i] = evs
-	})
-
 	tr := &Trace{
 		Meta:    m,
 		Apps:    append([]string(nil), t.apps...),
 		Files:   append([]FileInfo(nil), t.files...),
 		Samples: append([]DatasetSample(nil), t.samples...),
-		Events:  mergeShards(sorted, t.count),
+		Events:  mergeShards(t.shards, t.count),
 	}
+	for _, s := range t.shards {
+		s.release()
+	}
+	clear(t.shards)
+	t.count = 0
 	t.mergeTime = time.Since(begin)
 	return tr
-}
-
-// shardOrder is eventBefore within one rank's shard: (Start, End).
-func shardOrder(a, b Event) int {
-	if c := cmp.Compare(a.Start, b.Start); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.End, b.End)
 }
 
 // mergeCursor is one shard's read position in the k-way merge, with the
@@ -436,30 +446,42 @@ func shardOrder(a, b Event) int {
 type mergeCursor struct {
 	start time.Duration
 	rank  int32
-	rest  []Event // head event first
+	rest  []Event // head event first, to the end of its page
+	s     *shard
+	page  int // index of the page rest lies on
 }
 
 // before orders cursors by their head events. Each shard holds one rank, so
 // heads of distinct shards never tie on Rank: (Start, Rank) already decides
-// eventBefore, End is never reached, and the order is strict and total.
+// the canonical order, End is never reached, and the order is strict and
+// total.
 func (a *mergeCursor) before(b *mergeCursor) bool {
 	return a.start < b.start || (a.start == b.start && a.rank < b.rank)
 }
 
-// mergeShards k-way merges per-rank, canonically sorted event logs into the
-// global (Start, Rank, End) order. The cursor order is strict and total, so
-// the merge result is a property of the shards alone — independent of shard
-// arrival order and of how the heap below sifts.
-func mergeShards(shards [][]Event, total int) []Event {
+// next moves past the head event, onto the shard's next page when this one
+// is spent, and reports whether the shard has an event left.
+func (c *mergeCursor) next() bool {
+	if c.rest = c.rest[1:]; len(c.rest) == 0 {
+		if c.page++; c.page == len(c.s.pages) {
+			return false
+		}
+		c.rest = c.s.events(c.page)
+	}
+	c.start = c.rest[0].Start
+	return true
+}
+
+// mergeShards k-way merges per-rank shards into the global (Start, Rank,
+// End) order. The cursor order is strict and total, so the merge result is
+// a property of the shards alone — independent of the map's iteration order
+// and of how the heap below sifts.
+func mergeShards(shards map[int32]*shard, total int) []Event {
 	out := make([]Event, 0, total)
 	h := make([]mergeCursor, 0, len(shards))
-	for _, evs := range shards {
-		if len(evs) > 0 {
-			h = append(h, mergeCursor{start: evs[0].Start, rank: evs[0].Rank, rest: evs})
-		}
-	}
-	if len(h) == 1 {
-		return append(out, h[0].rest...)
+	for _, s := range shards {
+		rest := s.events(0)
+		h = append(h, mergeCursor{start: rest[0].Start, rank: rest[0].Rank, rest: rest, s: s})
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i)
@@ -467,9 +489,7 @@ func mergeShards(shards [][]Event, total int) []Event {
 	for len(h) > 0 {
 		c := &h[0]
 		out = append(out, c.rest[0])
-		if c.rest = c.rest[1:]; len(c.rest) > 0 {
-			c.start = c.rest[0].Start
-		} else {
+		if !c.next() {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
