@@ -3,40 +3,49 @@
 // The kernel drives every substrate in this repository: simulated MPI ranks,
 // storage servers, burst buffers, and workflow schedulers are all expressed
 // as processes and resources on a single virtual clock. Processes are
-// ordinary Go functions executed on goroutines, but the engine runs exactly
-// one process at a time and orders all events by (virtual time, insertion
-// sequence), so simulations are fully deterministic and reproducible across
-// runs regardless of goroutine scheduling.
+// ordinary Go functions, each run as a coroutine (iter.Pull), but the engine
+// runs exactly one process at a time and orders all events by (virtual time,
+// insertion sequence), so simulations are fully deterministic and
+// reproducible across runs regardless of goroutine scheduling.
 //
 // The design follows the classic process-interaction style of simulation
 // kernels: a process calls blocking primitives (Sleep, Resource.Use,
 // Barrier.Wait, Semaphore.Acquire) that park it until the clock reaches its
 // wake-up.
 //
-// There is no engine goroutine. One goroutine at a time holds the baton —
-// the right to read and write engine state — and whoever holds it runs the
-// event loop: a process that parks (or finishes) pops the next event itself,
-// runs At/After callbacks inline, and on reaching another process's wake-up
-// sends once on that process's wake channel and blocks on its own. A
-// simulated blocking call therefore costs one goroutine switch, and none
-// when the next event is the caller's own wake-up. The goroutine inside
-// Run/RunUntil starts the loop and gets the baton back only when the queue
-// is empty, an error is recorded or the time bound is reached.
+// There is no engine goroutine and no central loop. Whoever holds control
+// runs the event loop: a process that parks (or finishes) pops the next
+// event itself, runs At/After callbacks inline, and on reaching another
+// process's wake-up names that process and yields. The goroutine inside
+// Run/RunUntil is only a driver: it resumes whichever process it was handed
+// and nothing else, so a simulated blocking call costs one coroutine switch
+// out and one in — no trip through the Go scheduler — and none when the next
+// event is the caller's own wake-up. The driver gets control back for good
+// when the queue is empty, an error is recorded or the time bound is
+// reached.
+//
+// A stopped engine (a Fail, a deadlock, a panic) unwinds every parked
+// process by resuming it into a panic with an unexported value, so the
+// process's deferred calls run and its coroutine ends. A deferred recover
+// that swallows that value only ends the process sooner. A process that
+// panics with anything else stops the run: Run records the panic as the
+// run's error, unwinds every other process, and panics again with the
+// original value on its caller's goroutine.
 //
 // Ownership rule: engine state (clock, queue, counters, every Resource,
-// Barrier and wait list hanging off it) changes hands only through a
-// channel operation — the send that passes the baton — so every access is
-// ordered by a happens-before edge and nothing needs a lock. A goroutine
-// that has sent the baton on touches no engine state until it is woken.
-// At/After callbacks run on whichever goroutine holds the baton when their
-// time comes: they must not block, and must not assume they run on the
-// goroutine that called Run.
+// Barrier and wait list hanging off it) changes hands only by coroutine
+// switch — the driver resuming a process, a process yielding back — and the
+// race detector sees each switch as a happens-before edge, so every access
+// is ordered and nothing needs a lock. A process that has yielded touches no
+// engine state until it is resumed. At/After callbacks run on whichever
+// process or driver holds control when their time comes: they must not
+// block, and must not assume they run on the goroutine that called Run.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
 	"time"
 )
 
@@ -47,27 +56,28 @@ type Engine struct {
 	seq     int64
 	queue   []event       // binary min-heap by (t, seq); see push and pop
 	bound   time.Duration // no event later than this runs: RunUntil's deadline
-	main    chan struct{} // wakes the goroutine inside Run/RunUntil
+	next    *Proc         // whom a yielding or finishing process hands over to
 	running bool
 	live    int // processes spawned and not yet finished
 	procs   []*Proc
 	err     error
-	stopped bool // Run gave up; parked processes exit as they wake
+	stopped bool // Run gave up; parked processes unwind as they are resumed
 
 	// Stats counters, useful for tests and for the kernel ablation benches.
 	// Every one repeats exactly from run to run.
 	EventsExecuted int64
 	ProcsSpawned   int64
-	// Switches counts baton hand-offs between goroutines (channel sends);
-	// InPlaceWakes counts the Sleep/SleepUntil calls that returned without
-	// touching the queue (each is also one of EventsExecuted).
+	// Switches counts hand-offs of control from one process (or the driver
+	// inside Run) to another; InPlaceWakes counts the Sleep/SleepUntil calls
+	// that returned without touching the queue (each is also one of
+	// EventsExecuted).
 	Switches     int64
 	InPlaceWakes int64
 }
 
 // NewEngine returns an empty simulation with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{main: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -145,20 +155,21 @@ func (e *Engine) pop() event {
 
 // At schedules fn to run at absolute virtual time t. It may be called before
 // Run or from inside a running process or callback. fn runs on whichever
-// goroutine holds the baton at t and must not block.
+// process or driver holds control at t and must not block.
 func (e *Engine) At(t time.Duration, fn func()) { e.schedule(t, nil, fn) }
 
 // After schedules fn to run d after the current virtual time.
 func (e *Engine) After(d time.Duration, fn func()) { e.schedule(e.now+d, nil, fn) }
 
-// Proc is a simulated process. All methods must be called from the process's
-// own goroutine (i.e., from within the function passed to Spawn).
+// Proc is a simulated process. All methods must be called from the process
+// itself (i.e., from within the function passed to Spawn).
 type Proc struct {
-	e    *Engine
-	id   int
-	name string
-	wake chan struct{}
-	done bool
+	e      *Engine
+	id     int
+	name   string
+	resume func() (struct{}, bool) // switch into the process until it yields or ends
+	yield  func(struct{}) bool     // switch out of it, back to the driver
+	done   bool
 
 	// Slept accumulates the total virtual time this process spent blocked in
 	// kernel primitives. Useful for utilization accounting.
@@ -188,34 +199,49 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time (absolute virtual time, not a
 // delay). It panics if t is in the past.
 func (e *Engine) SpawnAt(t time.Duration, name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, id: len(e.procs), name: name, wake: make(chan struct{})}
+	p := &Proc{e: e, id: len(e.procs), name: name}
 	e.procs = append(e.procs, p)
 	e.live++
 	e.ProcsSpawned++
-	go func() {
-		// Deferred, so a process a stopped engine unwinds (park calls
-		// Goexit) passes the baton on like one that returned.
-		defer func() {
-			p.done = true
-			e.live--
-			e.pass(e.dispatch(nil))
-		}()
-		<-p.wake // wait for first resume
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		if !e.stopped {
 			fn(p)
 		}
-	}()
+	})
 	e.schedule(t, p, nil)
 	return p
 }
 
-// dispatch is the event loop, run by whichever goroutine holds the baton. It
-// pops events in (t, seq) order, running callbacks inline, until one resumes
-// a live process, and returns that process: self when the caller's own
-// wake-up came first (no switch needed), another process the caller must
-// pass the baton to, or nil when nothing more may run — the queue is empty,
-// an error is recorded or the next event lies beyond the bound — and the
-// baton goes back to the goroutine inside Run.
+// unwinding is what park panics with once the engine has stopped; exit
+// recovers it. No other code can construct it, so a process's own recover
+// cannot mistake it for a value it threw.
+type unwinding struct{}
+
+// exit ends the process, deferred around its function: it runs the event loop
+// on the way out and names the process to hand over to, as park does. A
+// process unwound by a stopped engine exits the same way. Any other panic
+// goes on to the driver, which stops the run.
+func (p *Proc) exit() {
+	r := recover()
+	e := p.e
+	p.done = true
+	e.live--
+	if _, ok := r.(unwinding); r != nil && !ok {
+		panic(r)
+	}
+	e.Switches++
+	e.next = e.dispatch(nil)
+}
+
+// dispatch is the event loop, run by whichever process (or driver) holds
+// control. It pops events in (t, seq) order, running callbacks inline, until
+// one resumes a live process, and returns that process: self when the
+// caller's own wake-up came first (no switch needed), another process the
+// caller must hand over to, or nil when nothing more may run — the queue is
+// empty, an error is recorded or the next event lies beyond the bound — and
+// control stays with the driver inside Run.
 func (e *Engine) dispatch(self *Proc) *Proc {
 	for e.err == nil && len(e.queue) > 0 && e.queue[0].t <= e.bound {
 		ev := e.pop()
@@ -233,29 +259,24 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 	return nil
 }
 
-// pass hands the baton to process to, or to the goroutine inside Run when to
-// is nil. The caller owns no engine state once it returns.
-func (e *Engine) pass(to *Proc) {
-	e.Switches++
-	if to == nil {
-		e.main <- struct{}{}
-	} else {
-		to.wake <- struct{}{}
-	}
-}
-
 // park blocks the calling process until its wake-up is the next event. The
 // process must already have arranged for a future wake-up (a scheduled
 // resume event or membership in a wait list). The caller runs the event
-// loop itself; only if some other process comes first does it switch away.
+// loop itself; only if some other process comes first does it name that
+// process and yield to the driver, which resumes it. On a stopped engine
+// park does not return: it panics with unwinding, so the process's deferred
+// calls run and exit ends it.
 func (p *Proc) park() {
 	e := p.e
-	if next := e.dispatch(p); next != p {
-		e.pass(next)
-		<-p.wake
+	if !e.stopped {
+		if next := e.dispatch(p); next != p {
+			e.Switches++
+			e.next = next
+			p.yield(struct{}{})
+		}
 	}
 	if e.stopped {
-		runtime.Goexit()
+		panic(unwinding{})
 	}
 }
 
@@ -311,14 +332,16 @@ func (e *Engine) WakeNow(p *Proc) { e.wakeAt(e.now, p) }
 // returns the virtual time reached. Processes still live when the queue
 // drains are a deadlock (some process is parked with no pending wake-up),
 // which Run records as the failure. After a failure no process is left
-// behind: every parked goroutine is woken to exit, running its deferred
-// calls (which must not block in kernel primitives). Check Err afterwards.
+// behind: every parked process is resumed to unwind, running its deferred
+// calls (a kernel primitive called from one of them unwinds at once). Check
+// Err afterwards. A panic in a process or callback is not a failure: it
+// reaches Run's caller, after every other process has been unwound.
 func (e *Engine) Run() time.Duration {
 	e.run(math.MaxInt64)
 	if e.err == nil && e.live > 0 {
 		e.err = fmt.Errorf("sim: deadlock: %d process(es) parked with empty event queue", e.live)
 	}
-	e.unwind()
+	e.unwind(nil)
 	return e.now
 }
 
@@ -331,13 +354,14 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	if e.err == nil && e.now < deadline {
 		e.now = deadline
 	}
-	e.unwind()
+	e.unwind(nil)
 	return e.now
 }
 
-// run starts the event loop on the calling goroutine and returns when the
-// baton is back: no event at or before bound is left, or an error is
-// recorded.
+// run drives the event loop from the calling goroutine and returns when no
+// event at or before bound is left, or an error is recorded. If a process or
+// callback panics, run records the panic as the run's error and unwinds with
+// it, so the panic goes on to Run's caller.
 func (e *Engine) run(bound time.Duration) {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -345,33 +369,57 @@ func (e *Engine) run(bound time.Duration) {
 	e.running = true
 	defer func() { e.running = false }()
 	e.bound = bound
-	if p := e.dispatch(nil); p != nil {
-		e.pass(p)
-		<-e.main
+	if r := e.drive(nil); r != nil {
+		e.Fail(fmt.Errorf("sim: panic: %v", r))
+		e.unwind(r)
 	}
 }
 
-// unwind ends a failed run: every unfinished process is woken in turn to
-// exit (park sees stopped and calls Goexit) and passes the baton straight
-// back, since dispatch runs nothing once an error is recorded.
-func (e *Engine) unwind() {
+// drive is the driver inside Run/RunUntil. It resumes p — when p is nil, the
+// process the event loop reaches first — and then whichever process each
+// yielding or finishing one hands over to, until one hands over to nobody.
+// It returns the value a process, or a callback run inside one, panicked
+// with.
+func (e *Engine) drive(p *Proc) (panicked any) {
+	defer func() { panicked = recover() }()
+	if p == nil {
+		p = e.dispatch(nil)
+	}
+	if p != nil {
+		e.Switches++
+	}
+	for ; p != nil; p, e.next = e.next, nil {
+		p.resume()
+	}
+	return nil
+}
+
+// unwind ends a failed run: every unfinished process is resumed in turn and
+// unwinds (park panics with unwinding), handing straight back, since
+// dispatch runs nothing once an error is recorded. It then panics with
+// panicked, or else with the first panic a process raised while unwinding.
+func (e *Engine) unwind(panicked any) {
 	if e.err == nil {
 		return
 	}
 	e.stopped = true
 	for _, p := range e.procs {
 		if !p.done {
-			e.pass(p)
-			<-e.main
+			if r := e.drive(p); panicked == nil {
+				panicked = r
+			}
 		}
+	}
+	if panicked != nil {
+		panic(panicked)
 	}
 }
 
 // Fail records a simulation-level error. The first error wins; later calls
 // are no-ops. Processes call it instead of panicking when a modeled
 // operation fails, then return; the run stops at the next event — the clock
-// does not move again — and the driver checks Err after it. One goroutine
-// holds the baton at a time, so no locking is needed.
+// does not move again — and Run's caller checks Err after it. One process
+// (or the driver) holds control at a time, so no locking is needed.
 func (e *Engine) Fail(err error) {
 	if e.err == nil && err != nil {
 		e.err = err

@@ -231,6 +231,87 @@ func TestFailStopsRun(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
+// TestProcessPanicReachesRunCaller: a panic in a process, or in a callback
+// run inside one, stops the run and reaches Run's caller with its own value,
+// after every other process — parked, or spawned and never started — has
+// been unwound with its deferred calls run.
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	boom := errors.New("boom")
+	cases := map[string]func(e *Engine){
+		"process": func(e *Engine) {
+			e.Spawn("panicker", func(p *Proc) {
+				p.Sleep(time.Second)
+				panic(boom)
+			})
+		},
+		"callback": func(e *Engine) {
+			e.Spawn("sleeper", func(p *Proc) {
+				e.At(time.Second, func() { panic(boom) })
+				p.Sleep(2 * time.Second) // the callback runs inside this park
+			})
+		},
+	}
+	for name, spawn := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine()
+			bar := NewBarrier(e, 4)
+			unwound := 0
+			for i := 0; i < 3; i++ {
+				e.Spawn("waiter", func(p *Proc) {
+					defer func() { unwound++ }()
+					bar.Wait(p)
+				})
+			}
+			e.SpawnAt(time.Hour, "late", func(p *Proc) { t.Error("a process started after the panic") })
+			spawn(e)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				e.Run()
+				return nil
+			}()
+			if got != boom {
+				t.Fatalf("Run's caller recovered %v, want the process's panic", got)
+			}
+			if unwound != 3 || e.Live() != 0 {
+				t.Errorf("%d waiters unwound, %d processes live; want 3 and 0", unwound, e.Live())
+			}
+			if e.Err() == nil || !strings.Contains(e.Err().Error(), "boom") {
+				t.Errorf("Err = %v, want the panic recorded", e.Err())
+			}
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// TestUnwindSwallowedByProcess: a process whose own deferred recover
+// swallows the stopped engine's unwinding still ends, and is counted done;
+// a deferred call that blocks while it unwinds unwinds again at once.
+func TestUnwindSwallowedByProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	g := NewGate(e)
+	var swallowed any
+	p := e.Spawn("swallower", func(p *Proc) {
+		defer func() { swallowed = recover() }()
+		defer p.Sleep(time.Second)
+		g.Wait(p)
+		t.Error("the gate opened")
+	})
+	e.Spawn("failer", func(p *Proc) {
+		p.Sleep(time.Second)
+		e.Fail(errors.New("boom"))
+	})
+	e.Run()
+	if swallowed == nil {
+		t.Error("the parked process was not unwound by a panic")
+	}
+	if !p.done || e.Live() != 0 {
+		t.Errorf("done = %v, %d processes live; want true and 0", p.done, e.Live())
+	}
+	waitGoroutines(t, before)
+}
+
 // waitGoroutines waits for the goroutine count to fall back to want: an
 // exiting process hands control back before its goroutine is quite gone.
 func waitGoroutines(t *testing.T, want int) {
@@ -477,8 +558,8 @@ func TestInPlaceWakeRespectsBound(t *testing.T) {
 }
 
 // TestFinishedProcPassesBaton: a process that returns runs the loop from
-// its deferred exit — the callback due next runs there, then the baton
-// reaches the process behind it, and Run sees none of it until the end.
+// its deferred exit — the callback due next runs there, then control goes
+// to the process behind it, and Run sees none of it until the end.
 func TestFinishedProcPassesBaton(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -565,4 +646,25 @@ func TestEventQueuePopsInOrder(t *testing.T) {
 	if popped != 2000 {
 		t.Errorf("popped %d of 2000", popped)
 	}
+}
+
+// BenchmarkHandoff times the process hand-off alone: 64 processes in a
+// ring, each waking one tick after the one before it, so every event hands
+// control to a different process and nothing else happens in between.
+func BenchmarkHandoff(b *testing.B) {
+	const procs, laps = 64, 256
+	var events int64
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		for r := 0; r < procs; r++ {
+			e.SpawnAt(time.Duration(r), "ring", func(p *Proc) {
+				for j := 0; j < laps; j++ {
+					p.Sleep(procs)
+				}
+			})
+		}
+		e.Run()
+		events += e.EventsExecuted
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

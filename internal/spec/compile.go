@@ -22,7 +22,8 @@ type compiled struct {
 // operation that failed, an expression that cannot evaluate — on its way up
 // the interpreter's stack. catch, deferred wherever the simulation enters
 // the interpreter, makes it the engine's error, which ends the run; any
-// other panic is a bug and keeps going.
+// other panic keeps going — a bug, or the engine unwinding a parked rank of
+// a stopped run, which must reach the engine to end the rank.
 type failure struct{ err error }
 
 func catch(e *sim.Engine) {

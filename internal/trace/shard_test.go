@@ -143,21 +143,29 @@ func TestShardMergeRepeatable(t *testing.T) {
 }
 
 // TestShardMergeMatchesGlobalSort: the k-way merge must produce exactly the
-// canonical sortByStart order of the concatenated event log.
+// canonical sortByStart order of the concatenated event log, from shards of
+// different lengths, at every fan-in from 1 to 33 — the tournament tree is
+// complete only at powers of two — and at 640.
 func TestShardMergeMatchesGlobalSort(t *testing.T) {
-	streams := perRankStreams(6, 300, 99)
-	tr := NewTracer()
-	var all []Event
-	for r := int32(0); r < 6; r++ {
-		for _, ev := range streams[r] {
+	check := func(shards int, all []Event) {
+		tr := NewTracer()
+		for _, ev := range all {
 			tr.Record(ev)
-			all = append(all, ev)
+		}
+		sortByStart(all)
+		if got := tr.Finish(); !reflect.DeepEqual(all, got.Events) {
+			t.Fatalf("%d shards: shard merge order diverges from sortByStart total order", shards)
 		}
 	}
-	sortByStart(all)
-	if got := tr.Finish(); !reflect.DeepEqual(all, got.Events) {
-		t.Fatal("shard merge order diverges from sortByStart total order")
+	for ranks := 1; ranks <= 33; ranks++ {
+		streams := perRankStreams(ranks, 300, 99)
+		var all []Event
+		for r := int32(0); r < int32(ranks); r++ {
+			all = append(all, streams[r][:300-8*r]...)
+		}
+		check(ranks, all)
 	}
+	check(640, threeLevelLog(640, 3))
 }
 
 // pagedStream returns n events of one rank in record order. Unless n is 1,
@@ -303,6 +311,23 @@ func TestTracerAllocBudget(t *testing.T) {
 	if limit := 1.25 * float64(unsafe.Sizeof(Event{})); perEvent > limit {
 		t.Errorf("Record + Finish allocate %.1f B/event, budget %.1f", perEvent, limit)
 	}
+}
+
+// BenchmarkMergeShards times Finish's k-way merge alone, over 640 ranks'
+// shards of threeLevelLog(640, 80), and reports it per merged event.
+func BenchmarkMergeShards(b *testing.B) {
+	log := threeLevelLog(640, 80)
+	tr := NewTracer()
+	for _, ev := range log {
+		tr.Record(ev)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := mergeShards(tr.shards, tr.count); len(got) != len(log) {
+			b.Fatalf("merged %d events, want %d", len(got), len(log))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/event")
 }
 
 // TestScannerStreamsEvents exercises the chunked on-disk reader: header

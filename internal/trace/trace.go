@@ -441,11 +441,13 @@ func (t *Tracer) Finish() *Trace {
 }
 
 // mergeCursor is one shard's read position in the k-way merge, with the
-// sort key of its head event cached beside it so a heap compare touches no
-// event memory.
+// sort key of its head event cached beside it so a compare touches no event
+// memory. A spent cursor is done and sorts after every live one, whatever
+// its stale key.
 type mergeCursor struct {
 	start time.Duration
 	rank  int32
+	done  bool
 	rest  []Event // head event first, to the end of its page
 	s     *shard
 	page  int // index of the page rest lies on
@@ -453,70 +455,84 @@ type mergeCursor struct {
 
 // before orders cursors by their head events. Each shard holds one rank, so
 // heads of distinct shards never tie on Rank: (Start, Rank) already decides
-// the canonical order, End is never reached, and the order is strict and
-// total.
+// the canonical order, End is never reached, and the order of live cursors
+// is strict and total.
 func (a *mergeCursor) before(b *mergeCursor) bool {
+	if a.done != b.done {
+		return b.done
+	}
 	return a.start < b.start || (a.start == b.start && a.rank < b.rank)
 }
 
 // next moves past the head event, onto the shard's next page when this one
-// is spent, and reports whether the shard has an event left.
-func (c *mergeCursor) next() bool {
+// is spent, and marks the cursor done when the shard has no event left.
+func (c *mergeCursor) next() {
 	if c.rest = c.rest[1:]; len(c.rest) == 0 {
 		if c.page++; c.page == len(c.s.pages) {
-			return false
+			c.done = true
+			return
 		}
 		c.rest = c.s.events(c.page)
 	}
 	c.start = c.rest[0].Start
-	return true
 }
 
 // mergeShards k-way merges per-rank shards into the global (Start, Rank,
-// End) order. The cursor order is strict and total, so the merge result is
-// a property of the shards alone — independent of the map's iteration order
-// and of how the heap below sifts.
+// End) order with a tournament (loser) tree over cursor indices: node n of
+// the k-1 inner nodes holds the loser of the match played there, node 0 the
+// overall winner, and cursor i is the leaf below node (i+k)/2. Advancing the
+// winner replays only its path to the root, one compare per level. The
+// cursor order is strict and total, so the merge result is a property of the
+// shards alone — independent of the map's iteration order and of the tree's
+// shape.
 func mergeShards(shards map[int32]*shard, total int) []Event {
 	out := make([]Event, 0, total)
-	h := make([]mergeCursor, 0, len(shards))
+	k := len(shards)
+	if k == 0 {
+		return out
+	}
+	cs := make([]mergeCursor, 0, k)
 	for _, s := range shards {
 		rest := s.events(0)
-		h = append(h, mergeCursor{start: rest[0].Start, rank: rest[0].Rank, rest: rest, s: s})
+		cs = append(cs, mergeCursor{start: rest[0].Start, rank: rest[0].Rank, rest: rest, s: s})
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+	// Seat the leaves one at a time: each climbs, parking at the first inner
+	// node no one holds yet, or else playing the node's holder and going on
+	// up with the winner. Every inner node is reached from both its subtrees,
+	// so exactly one cursor, the winner of them all, climbs past the root.
+	tree := make([]int32, k)
+	for n := range tree {
+		tree[n] = -1
 	}
-	for len(h) > 0 {
-		c := &h[0]
-		out = append(out, c.rest[0])
-		if !c.next() {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+	for i := range cs {
+		w := int32(i)
+		n := (i + k) / 2
+		for ; n > 0; n /= 2 {
+			if tree[n] < 0 {
+				tree[n] = w
+				break
+			}
+			if cs[tree[n]].before(&cs[w]) {
+				tree[n], w = w, tree[n]
+			}
 		}
-		siftDown(h, 0)
+		if n == 0 {
+			tree[0] = w
+		}
 	}
-	return out
-}
-
-// siftDown restores the min-heap below h[i] after its key grew.
-func siftDown(h []mergeCursor, i int) {
-	if i >= len(h) {
-		return
-	}
-	x := h[i]
 	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			break
+		w := tree[0]
+		c := &cs[w]
+		if c.done {
+			return out
 		}
-		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
-			c = r
+		out = append(out, c.rest[0])
+		c.next()
+		for n := (int(w) + k) / 2; n > 0; n /= 2 {
+			if cs[tree[n]].before(&cs[w]) {
+				tree[n], w = w, tree[n]
+			}
 		}
-		if !h[c].before(&x) {
-			break
-		}
-		h[i] = h[c]
-		i = c
+		tree[0] = w
 	}
-	h[i] = x
 }

@@ -110,8 +110,9 @@ type Result struct {
 	// per-rank shards at Finish (the pipeline's first stage timing).
 	TraceMerge time.Duration
 	// Kernel counts of the run (sim.Engine's counters): events executed,
-	// goroutine switches among them, and Sleep/SleepUntil calls served
-	// without touching the queue. All three repeat exactly.
+	// hand-offs of control between processes among them, and
+	// Sleep/SleepUntil calls served without touching the queue. All three
+	// repeat exactly.
 	KernelEvents, KernelSwitches, KernelInPlaceWakes int64
 }
 
