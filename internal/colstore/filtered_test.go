@@ -12,11 +12,12 @@ import (
 	"vani/internal/trace"
 )
 
-// TestMultiDimFilteredRowIdentity: a multi-dimension filter served by the
-// run-intersection kernel yields the rows trace.FilterEvents keeps, in
-// order — whether it cuts blocks to a selection (partial) or passes every
-// row, in which case the chunks stay whole blocks and the unifier still
-// answers from their segment headers.
+// TestMultiDimFilteredRowIdentity: a multi-dimension filter whose every
+// dimension becomes pass runs (an intersection with nothing residual)
+// yields the rows trace.FilterEvents keeps, in order — whether it cuts
+// blocks to a selection (partial) or passes every row, in which case the
+// chunks stay whole blocks and the unifier still answers from their
+// segment headers.
 func TestMultiDimFilteredRowIdentity(t *testing.T) {
 	tr := groupTrace(3)
 	scan := func(t *testing.T, f trace.Filter) (*Table, *ScanStats) {
@@ -24,7 +25,7 @@ func TestMultiDimFilteredRowIdentity(t *testing.T) {
 		stats := &ScanStats{}
 		tb := plan(t, br, 2, ScanSpec{Filter: f}, stats)
 		if stats.RunIsectServed.Load() == 0 {
-			t.Fatal("multi-dimension filter did not take the run-intersection path")
+			t.Fatal("multi-dimension filter left a dimension to the per-row test")
 		}
 		return tb, stats
 	}

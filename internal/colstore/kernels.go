@@ -1,13 +1,14 @@
 package colstore
 
 // The compressed-domain kernels. What the scan reads straight from encoded
-// v2.2 segments is a kernel request: predicate evaluation on dictionary
-// codes or RLE runs, key-column cardinality from segment headers. A segment
-// whose codec lacks the structure falls back to materializing the column
-// and iterating rows — what a chunk serves follows from the codecs its
+// v2.2 segments is a kernel request: a filter dimension's predicate
+// evaluated once per dictionary code or RLE run into pass/fail runs
+// (passRuns), key-column cardinality from segment headers (UnifyCodes). A
+// dimension or column whose segment lacks the structure is read from
+// decoded rows instead — what a chunk serves follows from the codecs its
 // segments were written with, never from a switch. Both sides produce
 // byte-identical results (the equivalence suite runs every codec, the
-// forced-raw variant driving every fallback); per-kernel served/fallback
+// forced-raw variant driving every row test); per-kernel served/fallback
 // counters in ScanStats make the split observable end-to-end, from `-v`
 // CLI output to the vanid /metrics endpoint.
 
@@ -197,484 +198,35 @@ func (t *Table) UnifyCodes(par int, col Col, limit int) (card int, err error) {
 	return int(all.max + 1), nil
 }
 
-// emptySel is the canonical zero-row selection: non-nil (so it is distinct
-// from "every row") and shared, so total-drop blocks allocate nothing.
-var emptySel = []int32{}
-
-// synthCol carries a filter column materialized straight from the run
-// summary during direct selection: the selected rows' values are already
-// known from the runs the predicate was evaluated on, so the column is
-// filled at exact size without ever decoding its segment. At most one of
-// the typed slices is set, named by set. The synthesized values reproduce
-// the decoder's conversions exactly — uint8 truncation for level and op,
-// and the rank bounds the predicate already validated.
-type synthCol struct {
-	set   trace.ColSet
-	level []uint8
-	op    []uint8
-	rank  []int32
-}
-
-// init sizes the typed slice for the dimension at exact final capacity.
-func (s *synthCol) init(set trace.ColSet, cnt int) {
-	s.set = set
-	switch set {
-	case trace.ColLevel:
-		s.level = make([]uint8, 0, cnt)
-	case trace.ColOp:
-		s.op = make([]uint8, 0, cnt)
-	case trace.ColRank:
-		s.rank = make([]int32, 0, cnt)
-	}
-}
-
-// appendN appends n copies of v, converted as the decoder would.
-func (s *synthCol) appendN(v int64, n int) {
-	switch s.set {
-	case trace.ColLevel:
-		for i := 0; i < n; i++ {
-			s.level = append(s.level, uint8(v))
-		}
-	case trace.ColOp:
-		for i := 0; i < n; i++ {
-			s.op = append(s.op, uint8(v))
-		}
-	case trace.ColRank:
-		for i := 0; i < n; i++ {
-			s.rank = append(s.rank, int32(v))
-		}
-	}
-}
-
-// install hands the synthesized column to the chunk.
-func (s *synthCol) install(ck *Chunk) {
-	switch s.set {
-	case trace.ColLevel:
-		ck.Level = s.level
-	case trace.ColOp:
-		ck.Op = s.op
-	case trace.ColRank:
-		ck.Rank = s.rank
-	}
-}
-
-// compressedSel builds the row selection directly from a single dimension's
-// compressed segment, when the filter constrains exactly one dimension and
-// that dimension's segment has run or code structure. Run lengths give the
-// exact match count before any row is touched, so the selection vector is
-// allocated once at its final size — something the materialized path cannot
-// do without a counting pre-pass — no keep bitmap exists at all, and the
-// filter column itself is synthesized from the runs (syn), so its segment
-// is never decoded. all == true means every row passed (the caller keeps
-// the whole block); ok == false means the fast path does not apply and the
-// caller must fall back to compressedKeep / materialized selection.
-//
-// need is the matcher's constrained-dimension set for this block — the
-// caller passes Matcher.NeedColsBlock, so a window the block's index entry
-// proves wholly containing has already dropped out and a window+rank
-// filter lands here as a pure rank filter on interior blocks.
-func compressedSel(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (sel []int32, syn synthCol, all, ok bool) {
-	if need != trace.ColLevel && need != trace.ColOp && need != trace.ColRank {
-		return nil, syn, false, false
-	}
-	for _, d := range predDims {
-		if need != d.set {
-			continue
-		}
-		cur, err := bd.SegCursorAt(bits.TrailingZeros64(uint64(d.set)))
-		if err != nil || cur == nil {
-			return nil, syn, false, false
-		}
-		n := bd.Count()
-		if v, cok := cur.ConstVal(); cok {
-			cur.Release()
-			pass, valid := d.accept(m, v)
-			if !valid {
-				return nil, syn, false, false
-			}
-			if pass {
-				return nil, syn, true, true
-			}
-			return emptySel, syn, false, true
-		}
-		if !servesPredicate(cur.Codec()) {
-			cur.Release()
-			return nil, syn, false, false
-		}
-		if nd := cur.NumCodes(); nd > 0 {
-			// Dict: translate the predicate into the code domain once, count
-			// matches with one code stream, fill with a second.
-			acceptCode := make([]bool, nd)
-			for code := 0; code < nd; code++ {
-				pass, valid := d.accept(m, cur.DictVal(uint32(code)))
-				if !valid {
-					cur.Release()
-					return nil, syn, false, false
-				}
-				acceptCode[code] = pass
-			}
-			cnt := 0
-			cur.ForEachCode(func(code uint32) bool {
-				if acceptCode[code] {
-					cnt++
-				}
-				return true
-			})
-			switch cnt {
-			case n:
-				cur.Release()
-				return nil, syn, true, true
-			case 0:
-				cur.Release()
-				return emptySel, syn, false, true
-			}
-			sel = make([]int32, 0, cnt)
-			syn.init(need, cnt)
-			row := int32(0)
-			cur.ForEachCode(func(code uint32) bool {
-				if acceptCode[code] {
-					sel = append(sel, row)
-					syn.appendN(cur.DictVal(code), 1)
-				}
-				row++
-				return true
-			})
-			cur.Release()
-			return sel, syn, false, true
-		}
-		// RLE: one predicate evaluation per run; pass one counts, pass two
-		// fills. The runs must tile the block exactly (construction validates
-		// this; keep the guard so a codec added later without run totals
-		// can't silently serve).
-		runs := cur.Runs()
-		cnt, row := 0, 0
-		for _, r := range runs {
-			pass, valid := d.accept(m, r.Val)
-			if !valid {
-				cur.Release()
-				return nil, syn, false, false
-			}
-			if pass {
-				cnt += int(r.N)
-			}
-			row += int(r.N)
-		}
-		if row != n {
-			cur.Release()
-			return nil, syn, false, false
-		}
-		switch cnt {
-		case n:
-			cur.Release()
-			return nil, syn, true, true
-		case 0:
-			cur.Release()
-			return emptySel, syn, false, true
-		}
-		sel = make([]int32, 0, cnt)
-		syn.init(need, cnt)
-		row = 0
-		for _, r := range runs {
-			if pass, _ := d.accept(m, r.Val); pass {
-				for j := row; j < row+int(r.N); j++ {
-					sel = append(sel, int32(j))
-				}
-				syn.appendN(r.Val, int(r.N))
-			}
-			row += int(r.N)
-		}
-		cur.Release()
-		return sel, syn, false, true
-	}
-	return nil, syn, false, false
-}
-
 // passRun is one maximal segment of block rows sharing a predicate
-// outcome for a single dimension — a dimension's run summary with the
-// values already evaluated away, coalesced on the outcome so the
-// intersection below walks as few segments as possible.
+// outcome — a dimension's run summary with the values already evaluated
+// away, coalesced on the outcome so an intersection walks as few segments
+// as possible.
 type passRun struct {
 	n    int32
 	pass bool
 }
 
-// appendPassRuns evaluates one dimension's predicate over its encoded
-// segment and appends outcome runs covering all n block rows: one run for
-// a constant segment, predicate-per-run for RLE, predicate-per-code plus a
-// code stream for dict. ok == false means the segment has no usable
-// structure (or a stored value would fail decode validation) and the
-// multi-dimension fast path cannot serve this block.
-func appendPassRuns(m *trace.Matcher, d *predDim, cur *trace.SegCursor, n int, dst []passRun) ([]passRun, bool) {
-	put := func(pass bool, cnt int32) []passRun {
-		if len(dst) > 0 && dst[len(dst)-1].pass == pass {
-			dst[len(dst)-1].n += cnt
-			return dst
-		}
-		return append(dst, passRun{cnt, pass})
+// appendRun appends n rows of one outcome, growing the last run when it
+// has the same outcome.
+func appendRun(dst []passRun, pass bool, n int32) []passRun {
+	if len(dst) > 0 && dst[len(dst)-1].pass == pass {
+		dst[len(dst)-1].n += n
+		return dst
 	}
-	if v, cok := cur.ConstVal(); cok {
-		pass, valid := d.accept(m, v)
-		if !valid {
-			return dst, false
-		}
-		return put(pass, int32(n)), true
-	}
-	if !servesPredicate(cur.Codec()) {
-		return dst, false
-	}
-	if nd := cur.NumCodes(); nd > 0 {
-		acceptCode := make([]bool, nd)
-		for code := 0; code < nd; code++ {
-			pass, valid := d.accept(m, cur.DictVal(uint32(code)))
-			if !valid {
-				return dst, false
-			}
-			acceptCode[code] = pass
-		}
-		cur.ForEachCode(func(code uint32) bool {
-			dst = put(acceptCode[code], 1)
-			return true
-		})
-		return dst, true
-	}
-	row := 0
-	for _, r := range cur.Runs() {
-		pass, valid := d.accept(m, r.Val)
-		if !valid {
-			return dst, false
-		}
-		dst = put(pass, r.N)
-		row += int(r.N)
-	}
-	return dst, row == n
+	return append(dst, passRun{n, pass})
 }
 
-// compressedSelMulti is the multi-dimension direct-selection path: when a
-// filter constrains two or more of level/op/rank (and nothing else — a
-// Start bound needs rows), each dimension's run summary evaluates into
-// outcome runs and the runs intersect in lockstep, emitting the selection
-// vector directly at exact final size — no keep bitmap, no residual row
-// pass. A first intersection walk counts (and short-circuits whole-pass
-// and whole-drop blocks without allocating), a second fills. eligible
-// reports whether the filter shape qualifies at all (for the run-isect
-// counters); ok whether every dimension was run-representable. need is the
-// block-reduced constrained set (Matcher.NeedColsBlock).
-func compressedSelMulti(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (sel []int32, all, ok, eligible bool) {
-	const dims3 = trace.ColLevel | trace.ColOp | trace.ColRank
-	if need&^dims3 != 0 || bits.OnesCount64(uint64(need)) < 2 {
-		return nil, false, false, false
-	}
-	n := bd.Count()
-	var lists [3][]passRun
-	nd := 0
-	for i := range predDims {
-		d := &predDims[i]
-		if need&d.set == 0 {
-			continue
-		}
-		cur, err := bd.SegCursorAt(bits.TrailingZeros64(uint64(d.set)))
-		if err != nil || cur == nil {
-			return nil, false, false, true
-		}
-		pr, prOK := appendPassRuns(m, d, cur, n, nil)
-		cur.Release()
-		if !prOK {
-			return nil, false, false, true
-		}
-		lists[nd] = pr
-		nd++
-	}
-	// Pass one: count matches by intersecting outcome runs in lockstep.
-	var idx, rem [3]int
-	for i := 0; i < nd; i++ {
-		rem[i] = int(lists[i][0].n)
-	}
-	cnt := 0
-	for row := 0; row < n; {
-		seg := rem[0]
-		pass := lists[0][idx[0]].pass
-		for i := 1; i < nd; i++ {
-			if rem[i] < seg {
-				seg = rem[i]
-			}
-			pass = pass && lists[i][idx[i]].pass
-		}
-		if pass {
-			cnt += seg
-		}
-		row += seg
-		for i := 0; i < nd; i++ {
-			if rem[i] -= seg; rem[i] == 0 && idx[i]+1 < len(lists[i]) {
-				idx[i]++
-				rem[i] = int(lists[i][idx[i]].n)
-			}
-		}
-	}
-	switch cnt {
-	case n:
-		return nil, true, true, true
-	case 0:
-		return emptySel, false, true, true
-	}
-	// Pass two: fill the selection at exact size.
-	sel = make([]int32, 0, cnt)
-	idx, rem = [3]int{}, [3]int{}
-	for i := 0; i < nd; i++ {
-		rem[i] = int(lists[i][0].n)
-	}
-	for row := 0; row < n; {
-		seg := rem[0]
-		pass := lists[0][idx[0]].pass
-		for i := 1; i < nd; i++ {
-			if rem[i] < seg {
-				seg = rem[i]
-			}
-			pass = pass && lists[i][idx[i]].pass
-		}
-		if pass {
-			for j := row; j < row+seg; j++ {
-				sel = append(sel, int32(j))
-			}
-		}
-		row += seg
-		for i := 0; i < nd; i++ {
-			if rem[i] -= seg; rem[i] == 0 && idx[i]+1 < len(lists[i]) {
-				idx[i]++
-				rem[i] = int(lists[i][idx[i]].n)
-			}
-		}
-	}
-	return sel, false, true, true
-}
-
-// compressedKeep evaluates the matcher's per-dimension predicates in the
-// compressed domain: for each constrained dimension whose segment the
-// registry serves, a keep bitmap is narrowed — dict segments translate the
-// predicate into the code domain once and stream codes, RLE segments test
-// once per run — and the dimension leaves the residual set. Dimensions
-// whose segments are unserved, or whose stored values would fail decode
-// validation, stay residual so materialization reproduces the decode
-// error exactly. keep == nil with served dimensions means every row passed
-// them. Start never evaluates compressed (its segment is a delta chain) —
-// though a block whose index entry proves the window containing arrives
-// with ColStart already dropped from need (Matcher.NeedColsBlock), the
-// one case where the window costs nothing at all.
-func compressedKeep(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData) (kb *keepBuf, residual trace.ColSet, served bool) {
-	residual = need
-	if residual&^trace.ColStart == 0 {
-		return nil, residual, false
-	}
-	n := bd.Count()
-	var keep []bool
-	for _, d := range predDims {
-		if residual&d.set == 0 {
-			continue
-		}
-		cur, err := bd.SegCursorAt(bits.TrailingZeros64(uint64(d.set)))
-		if err != nil || cur == nil {
-			continue
-		}
-		if v, ok := cur.ConstVal(); ok {
-			// Constant column: one predicate evaluation covers the block.
-			cur.Release()
-			pass, valid := d.accept(m, v)
-			if !valid {
-				continue
-			}
-			if !pass {
-				if kb == nil {
-					kb = newKeep(n)
-					keep = kb.b
-				}
-				for x := range keep {
-					keep[x] = false
-				}
-			}
-			residual &^= d.set
-			served = true
-			continue
-		}
-		if !servesPredicate(cur.Codec()) {
-			cur.Release()
-			continue
-		}
-		if nd := cur.NumCodes(); nd > 0 {
-			// Dict: translate the predicate into the code domain once.
-			acceptCode := make([]bool, nd)
-			valid, all := true, true
-			for code := 0; code < nd; code++ {
-				pass, ok := d.accept(m, cur.DictVal(uint32(code)))
-				if !ok {
-					valid = false
-					break
-				}
-				acceptCode[code] = pass
-				all = all && pass
-			}
-			if !valid {
-				cur.Release()
-				continue
-			}
-			if !all {
-				if kb == nil {
-					kb = newKeep(n)
-					keep = kb.b
-				}
-				row := 0
-				cur.ForEachCode(func(code uint32) bool {
-					if !acceptCode[code] {
-						keep[row] = false
-					}
-					row++
-					return true
-				})
-			}
-			cur.Release()
-			residual &^= d.set
-			served = true
-			continue
-		}
-		// RLE: one predicate evaluation per run. The runs must tile the
-		// block exactly (construction validates this; keep the guard so a
-		// codec added later without run totals can't silently serve).
-		valid := true
-		row := 0
-		for _, r := range cur.Runs() {
-			pass, ok := d.accept(m, r.Val)
-			if !ok {
-				valid = false
-				break
-			}
-			if !pass {
-				if kb == nil {
-					kb = newKeep(n)
-					keep = kb.b
-				}
-				for x := row; x < row+int(r.N); x++ {
-					keep[x] = false
-				}
-			}
-			row += int(r.N)
-		}
-		cur.Release()
-		if valid && row == n {
-			residual &^= d.set
-			served = true
-		}
-	}
-	return kb, residual, served
-}
-
-// predDim is one filter dimension the compressed predicate paths can
-// evaluate against encoded segments.
+// predDim is one filter dimension the predicate kernel can evaluate
+// against encoded segments.
 type predDim struct {
 	set    trace.ColSet
 	accept func(m *trace.Matcher, v int64) (pass, valid bool)
 }
 
-// predDims are the filter dimensions compressedKeep can evaluate against
-// encoded segments, hoisted to package level so evaluation allocates no
-// closures. Start never appears: its segment is a delta chain.
+// predDims are the dimensions passRuns evaluates, hoisted to package level
+// so evaluation allocates no closures. Start never appears: its segment is
+// a delta chain.
 var predDims = [...]predDim{
 	{trace.ColLevel, func(m *trace.Matcher, v int64) (bool, bool) { return m.AcceptLevel(uint8(v)), true }},
 	{trace.ColOp, func(m *trace.Matcher, v int64) (bool, bool) { return m.AcceptOp(uint8(v)), true }},
@@ -686,58 +238,116 @@ var predDims = [...]predDim{
 	}},
 }
 
-// keepBuf boxes a pooled keep bitmap: a bitmap's life ends at row
-// selection, and the box travels with it, so the scan's steady state
-// allocates nothing per block.
-type keepBuf struct{ b []bool }
-
-// keepPool recycles keep bitmaps (with their boxes) between blocks.
-var keepPool = sync.Pool{New: func() any { return new(keepBuf) }}
-
-// newKeep returns an all-true keep bitmap for n rows, reusing pooled
-// backing when it fits.
-func newKeep(n int) *keepBuf {
-	kb := keepPool.Get().(*keepBuf)
-	if cap(kb.b) < n {
-		kb.b = make([]bool, n)
-	}
-	kb.b = kb.b[:n]
-	for i := range kb.b {
-		kb.b[i] = true
-	}
-	return kb
+// passScratch is one block's working storage for passRuns: an outcome run
+// list per dimension, their intersection, and a dictionary's accept table.
+// It lives in passPool, so the scan's steady state allocates none of it.
+type passScratch struct {
+	dims   [len(predDims)][]passRun
+	isect  []passRun
+	accept []bool
 }
 
-// releaseKeep recycles a bitmap returned by compressedKeep (nil is fine).
-func releaseKeep(kb *keepBuf) {
-	if kb != nil {
-		keepPool.Put(kb)
+var passPool = sync.Pool{New: func() any { return new(passScratch) }}
+
+// evalDim evaluates predDims[i] over its encoded segment into s.dims[i]:
+// outcome runs covering all n block rows, one run for a constant segment,
+// one predicate test per run for RLE, one per code plus the code stream for
+// dict. It reports false when the segment has none of that structure or a
+// stored value would fail decode validation.
+func (s *passScratch) evalDim(m *trace.Matcher, i int, bd *trace.BlockData) bool {
+	d := &predDims[i]
+	cur, err := bd.SegCursorAt(bits.TrailingZeros64(uint64(d.set)))
+	if err != nil || cur == nil {
+		return false
 	}
+	defer cur.Release()
+	n := bd.Count()
+	dst := &s.dims[i]
+	*dst = (*dst)[:0]
+	if v, ok := cur.ConstVal(); ok {
+		pass, valid := d.accept(m, v)
+		*dst = appendRun(*dst, pass, int32(n))
+		return valid
+	}
+	if !servesPredicate(cur.Codec()) {
+		return false
+	}
+	if nd := cur.NumCodes(); nd > 0 {
+		s.accept = s.accept[:0]
+		for code := 0; code < nd; code++ {
+			pass, valid := d.accept(m, cur.DictVal(uint32(code)))
+			if !valid {
+				return false
+			}
+			s.accept = append(s.accept, pass)
+		}
+		cur.ForEachCode(func(code uint32) bool {
+			*dst = appendRun(*dst, s.accept[code], 1)
+			return true
+		})
+		return true
+	}
+	// The runs must tile the block exactly (cursor construction validates
+	// this; the guard keeps a codec added later without run totals from
+	// serving).
+	row := 0
+	for _, r := range cur.Runs() {
+		pass, valid := d.accept(m, r.Val)
+		if !valid {
+			return false
+		}
+		*dst = appendRun(*dst, pass, r.N)
+		row += int(r.N)
+	}
+	return row == n
 }
 
-// selectRowsResidual applies the residual row predicate after compressed
-// predicate dimensions already narrowed keep: only the dimensions still in
-// residual are re-evaluated on materialized columns. With keep == nil every
-// row passed the served dimensions.
-func selectRowsResidual(m *trace.Matcher, cols *trace.Columns, keep []bool, residual trace.ColSet) []int32 {
-	sel := make([]int32, 0, cols.N)
-	for j := 0; j < cols.N; j++ {
-		if keep != nil && !keep[j] {
-			continue
+// passRuns evaluates every constrained level/op/rank dimension whose
+// segment is a constant, RLE or dict into outcome runs and intersects them
+// in lockstep: the returned runs cover every block row, and a row inside a
+// failing run fails the filter. Every other dimension of need comes back
+// in residual, for selectRows to test on decoded rows: Start (a delta
+// chain), raw and FOR segments, and segments storing a value decode would
+// reject, so that the decode reproduces the error. need is the block's
+// constrained set (Matcher.NeedColsBlock). The runs alias s.
+func passRuns(m *trace.Matcher, need trace.ColSet, bd *trace.BlockData, s *passScratch) (runs []passRun, residual trace.ColSet) {
+	residual = need
+	var lists [len(predDims)][]passRun
+	nl := 0
+	for i := range predDims {
+		if need&predDims[i].set != 0 && s.evalDim(m, i, bd) {
+			residual &^= predDims[i].set
+			lists[nl] = s.dims[i]
+			nl++
 		}
-		if residual&trace.ColStart != 0 && !m.AcceptStart(cols.Start[j]) {
-			continue
-		}
-		if residual&trace.ColRank != 0 && !m.AcceptRank(cols.Rank[j]) {
-			continue
-		}
-		if residual&trace.ColLevel != 0 && !m.AcceptLevel(cols.Level[j]) {
-			continue
-		}
-		if residual&trace.ColOp != 0 && !m.AcceptOp(cols.Op[j]) {
-			continue
-		}
-		sel = append(sel, int32(j))
 	}
-	return sel
+	n := bd.Count()
+	switch nl {
+	case 0:
+		s.isect = appendRun(s.isect[:0], true, int32(n))
+		return s.isect, residual
+	case 1:
+		return lists[0], residual
+	}
+	var idx, rem [len(predDims)]int
+	for i := 0; i < nl; i++ {
+		rem[i] = int(lists[i][0].n)
+	}
+	s.isect = s.isect[:0]
+	for row := 0; row < n; {
+		seg, pass := n-row, true
+		for i := 0; i < nl; i++ {
+			seg = min(seg, rem[i])
+			pass = pass && lists[i][idx[i]].pass
+		}
+		s.isect = appendRun(s.isect, pass, int32(seg))
+		row += seg
+		for i := 0; i < nl; i++ {
+			if rem[i] -= seg; rem[i] == 0 && idx[i]+1 < len(lists[i]) {
+				idx[i]++
+				rem[i] = int(lists[i][idx[i]].n)
+			}
+		}
+	}
+	return s.isect, residual
 }

@@ -50,9 +50,9 @@ func TestKernelRegistryCaps(t *testing.T) {
 // TestCompressedPredicateMatchesFallback: a filtered planned scan with the
 // predicate kernel engaged produces a table row-identical to the same scan
 // over the forced-raw encoding of the same trace — whose structureless
-// segments send every block down the materialized selectRows fallback —
-// across codecs and filter shapes, including filters a served dimension
-// passes for every row (keep stays nil) and filters that leave residual
+// segments leave every dimension residual, tested on decoded rows — across
+// codecs and filter shapes, including filters a served dimension passes
+// for every row (one passing run) and filters that leave residual
 // dimensions (the time window).
 func TestCompressedPredicateMatchesFallback(t *testing.T) {
 	tr := mixedTrace(2*ChunkRows + 901)

@@ -3,15 +3,18 @@ package colstore
 // The scan planner's middle layer: an analysis declares the columns its
 // kernels touch and the predicates it can push (ScanSpec);
 // FromBlocksSpecContext drives that plan down into the VANITRC2 block index
-// — skipping whole blocks the footer statistics rule out, decoding only the
-// column segments the plan names, and applying the residual row predicate
-// exactly — and builds a table of one chunk per surviving block, at any
-// block geometry, whose chunks materialize further columns lazily, the first
-// time a kernel asks. ScanStats counts what the plan saved so pruning
-// effectiveness is observable, not inferred.
+// — skipping whole blocks the footer statistics rule out, evaluating each
+// filter dimension whose segment has run or code structure into pass runs
+// (passRuns), decoding only the column segments the plan names plus the
+// dimensions left residual, and testing those on the rows inside passing
+// runs (selectRows) — and builds a table of one chunk per surviving block,
+// at any block geometry, whose chunks materialize further columns lazily,
+// the first time a kernel asks. ScanStats counts what the plan saved so
+// pruning effectiveness is observable, not inferred.
 
 import (
 	"context"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +29,9 @@ import (
 // undecoded payload until a kernel Requires a column. The zero value is a
 // fully lazy, unfiltered scan.
 type ScanSpec struct {
-	// Cols are the columns to materialize eagerly during the scan (the
-	// filter's own columns are always decoded). 0 = decode on demand.
+	// Cols are the columns to materialize eagerly during the scan (filter
+	// columns the predicate kernel could not serve are always decoded).
+	// 0 = decode on demand.
 	Cols trace.ColSet
 	// Filter is pushed down to the block index (pruning) and applied
 	// per-row afterwards, so the resulting table is row-identical to
@@ -57,10 +61,10 @@ type ScanStats struct {
 	KernelServed   [NumKernelOps]atomic.Int64
 	KernelFallback [NumKernelOps]atomic.Int64
 
-	// RunIsectServed and RunIsectFallback count blocks where a
-	// multi-dimension filter was eligible for run-intersection selection
-	// (every constrained dimension is level/op/rank) and the intersection
-	// served vs fell back because some dimension lacked run structure.
+	// RunIsectServed and RunIsectFallback count blocks whose constrained
+	// set is two or more of level/op/rank and nothing else: served when
+	// every one of them became pass runs, fallback when some dimension
+	// lacked run or code structure and was tested on decoded rows.
 	RunIsectServed   atomic.Int64
 	RunIsectFallback atomic.Int64
 
@@ -111,8 +115,9 @@ type ScanCounters struct {
 	GroupServed   int64
 	GroupFallback int64
 
-	// Multi-dimension run-intersection selection: blocks served vs eligible
-	// blocks that fell back to the keep-bitmap path.
+	// Multi-dimension run intersection: blocks whose level/op/rank
+	// dimensions all became pass runs vs blocks where some were tested on
+	// decoded rows.
 	RunIsectServed   int64
 	RunIsectFallback int64
 
@@ -356,8 +361,8 @@ func (t *Table) Release() {
 
 // FromBlocksSpecContext executes a scan plan against a block log: blocks
 // the footer statistics rule out are never read, read blocks evaluate the
-// pushed-down predicate in the compressed domain where the kernel registry
-// allows and decode only the residual filter columns plus spec.Cols, and
+// pushed-down predicate in the compressed domain where the segment codecs
+// allow and decode only the residual filter columns plus spec.Cols, and
 // each block's surviving rows form one chunk whose remaining columns
 // materialize lazily from the retained payload, for a block of any size (see
 // Chunk.exact). The resulting table is row-identical — same rows, same
@@ -376,7 +381,6 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 	m := spec.Filter.NewMatcher()
 	nb := src.NumBlocks()
 	stats.BlocksTotal.Add(int64(nb))
-	fcols := spec.Filter.Cols()
 	chunks := make([]*Chunk, nb)
 	errs := make([]error, nb)
 	parallel.ForEach(par, nb, func(k int) {
@@ -391,9 +395,9 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		// The block's index entry can prove dimensions pass-all for every
 		// row it holds (a containing time window, most usefully), so the
 		// constrained set shrinks per block: a window+rank filter becomes a
-		// pure rank filter on interior blocks — compressed-selection
-		// territory — and a pure-window filter keeps interior blocks whole
-		// without touching a row.
+		// pure rank filter on interior blocks — pass-run territory — and a
+		// pure-window filter keeps interior blocks whole without touching a
+		// row.
 		need := m.NeedColsBlock(bi)
 		bd, err := src.ReadBlock(k)
 		if err != nil {
@@ -427,71 +431,36 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			chunks[k] = ck
 			return
 		}
-		// Compressed-domain predicate: a single-dimension filter over a
-		// run-structured segment selects rows directly from the runs — at
-		// exact final size, with the filter column itself synthesized from
-		// the runs so its segment is never decoded; otherwise the
-		// dimensions the kernel registry can serve narrow a keep bitmap
-		// and leave the residual set. Either way the decode shrinks to
-		// residual columns only.
-		sel, syn, selAll, direct := compressedSel(m, need, bd)
-		if !direct {
-			// Multi-dimension filters intersect run summaries across columns
-			// and emit the selection directly, skipping the keep bitmap.
-			if msel, mall, mok, eligible := compressedSelMulti(m, need, bd); eligible {
-				if mok {
-					sel, selAll, direct = msel, mall, true
-					stats.RunIsectServed.Add(1)
-				} else {
-					stats.RunIsectFallback.Add(1)
-				}
+		// The predicate kernel turns every dimension whose segment has run or
+		// code structure into pass runs; only the residual dimensions are
+		// decoded and tested per row, on the rows inside passing runs.
+		ps := passPool.Get().(*passScratch)
+		defer passPool.Put(ps)
+		runs, residual := passRuns(m, need, bd, ps)
+		const dims3 = trace.ColLevel | trace.ColOp | trace.ColRank
+		stats.tickKernel(KPredicate, need&dims3&^residual != 0)
+		if need&^dims3 == 0 && bits.OnesCount64(uint64(need)) >= 2 {
+			if residual == 0 {
+				stats.RunIsectServed.Add(1)
+			} else {
+				stats.RunIsectFallback.Add(1)
 			}
 		}
-		var kb *keepBuf
-		var residual trace.ColSet
-		served := direct
-		if !direct {
-			kb, residual, served = compressedKeep(m, need, bd)
-			if served && kb == nil && residual == 0 {
-				// Every constrained dimension passed whole-block: keep the
-				// block outright instead of filling a full selection vector.
-				selAll, direct = true, true
-			}
-		}
-		stats.tickKernel(KPredicate, served)
-		want := fcols | spec.Cols
-		if served {
-			want = residual | spec.Cols
-		}
+		have := residual | spec.Cols
 		var cols trace.Columns
-		decoded, err := bd.Decode(want, &cols)
+		decoded, err := bd.Decode(have, &cols)
 		if err != nil {
 			errs[k] = err
 			return
 		}
-		have := want
 		if decoded > 0 {
 			stats.DecodedBytes.Add(decoded)
 			stats.countSegs(bd, have)
 		}
-		if !direct {
-			if served {
-				var keep []bool
-				if kb != nil {
-					keep = kb.b
-				}
-				sel = selectRowsResidual(m, &cols, keep, residual)
-			} else {
-				sel = selectRows(m, &cols, have)
-			}
-			releaseKeep(kb)
-		}
-		if !selAll && len(sel) == cols.N {
-			selAll = true
-		}
+		sel := selectRows(m, runs, residual, &cols)
 		kept := len(sel)
-		if selAll {
-			kept, sel = bd.Count(), nil // whole block kept: adopt without copying
+		if sel == nil {
+			kept = bd.Count() // whole block kept: adopt without copying
 		}
 		stats.RowsKept.Add(int64(kept))
 		if kept == 0 {
@@ -500,10 +469,6 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		}
 		ck := &Chunk{N: kept, exact: exact}
 		ck.adopt(&cols, sel, have)
-		if sel != nil && syn.set != 0 {
-			syn.install(ck)
-			have |= syn.set
-		}
 		if have != trace.AllCols {
 			ck.lazy = &lazySrc{bd: bd, sel: sel, have: have, stats: stats}
 		}
@@ -530,30 +495,40 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 	return t, nil
 }
 
-// selectRows applies the residual row predicate over the decoded filter
-// columns. Columns the filter does not constrain may be undecoded; their
-// predicates are trivially true, so zero stands in.
-func selectRows(m *trace.Matcher, cols *trace.Columns, have trace.ColSet) []int32 {
-	sel := make([]int32, 0, cols.N)
-	for j := 0; j < cols.N; j++ {
-		var level, op uint8
-		var rank int32
-		var start int64
-		if have&trace.ColLevel != 0 {
-			level = cols.Level[j]
+// selectRows picks the block rows that lie inside a passing run and pass
+// every residual dimension on the decoded columns, into a selection sized
+// by the rows the runs pass. It returns nil when every block row is kept —
+// the chunk then adopts the block's columns whole — and an empty non-nil
+// selection when none is.
+func selectRows(m *trace.Matcher, runs []passRun, residual trace.ColSet, cols *trace.Columns) []int32 {
+	cnt := 0
+	for _, r := range runs {
+		if r.pass {
+			cnt += int(r.n)
 		}
-		if have&trace.ColOp != 0 {
-			op = cols.Op[j]
+	}
+	if cnt == cols.N && residual == 0 {
+		return nil
+	}
+	sel := make([]int32, 0, cnt)
+	row := int32(0)
+	for _, r := range runs {
+		if !r.pass {
+			row += r.n
+			continue
 		}
-		if have&trace.ColRank != 0 {
-			rank = cols.Rank[j]
+		for end := row + r.n; row < end; row++ {
+			if residual&trace.ColStart != 0 && !m.AcceptStart(cols.Start[row]) ||
+				residual&trace.ColRank != 0 && !m.AcceptRank(cols.Rank[row]) ||
+				residual&trace.ColLevel != 0 && !m.AcceptLevel(cols.Level[row]) ||
+				residual&trace.ColOp != 0 && !m.AcceptOp(cols.Op[row]) {
+				continue
+			}
+			sel = append(sel, row)
 		}
-		if have&trace.ColStart != 0 {
-			start = cols.Start[j]
-		}
-		if m.Match(level, op, rank, start) {
-			sel = append(sel, int32(j))
-		}
+	}
+	if len(sel) == cols.N {
+		return nil
 	}
 	return sel
 }

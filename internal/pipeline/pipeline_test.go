@@ -238,30 +238,44 @@ func TestErrorsReturnEveryColumn(t *testing.T) {
 
 // TestSteadyStateAllocBudget: once one call has filled the pools, a
 // characterization of a corpus-shaped trace (cm1 as the benchmark corpus
-// runs it: 32 nodes, ≈154 k events) allocates at most 40 B per event. Without recycled
-// columns it is ≈75: the budget fails if the pool silently stops working.
-// The collector is held off for the measured call, so what it measures is
-// the request's own garbage and not when a cycle happened to empty a pool.
+// runs it: 32 nodes, ≈154 k events) allocates at most 40 B per event
+// unfiltered and 52 under a posix data-op filter. Without recycled columns
+// the unfiltered call is ≈75, and without pooled pass runs the filtered one
+// is ≈76: each budget fails if its pool silently stops working. The
+// collector is held off for the measured call, so what it measures is the
+// request's own garbage and not when a cycle happened to empty a pool.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under the race detector")
 	}
 	tr := simulate(t, "cm1", 1, 32, 0.15)
 	path, _ := writeLog(t, t.TempDir(), "cm1", tr)
-	opt := core.DefaultOptions()
-	if _, err := File(context.Background(), path, opt); err != nil {
-		t.Fatal(err)
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := File(context.Background(), path, opt); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr.Events))
-	t.Logf("%d events, %.1f B/event", len(tr.Events), perEvent)
-	if perEvent > 40 {
-		t.Errorf("steady-state File allocates %.1f B/event, budget 40", perEvent)
+	for _, arm := range []struct {
+		name   string
+		filter trace.Filter
+		budget float64
+	}{
+		{"unfiltered", trace.Filter{}, 40},
+		{"posix data", trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}, 52},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			opt := core.DefaultOptions()
+			opt.Filter = arm.filter
+			if _, err := File(context.Background(), path, opt); err != nil {
+				t.Fatal(err)
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := File(context.Background(), path, opt); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr.Events))
+			t.Logf("%d events, %.1f B/event", len(tr.Events), perEvent)
+			if perEvent > arm.budget {
+				t.Errorf("steady-state File allocates %.1f B/event, budget %.0f", perEvent, arm.budget)
+			}
+		})
 	}
 }

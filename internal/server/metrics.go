@@ -53,9 +53,9 @@ type Metrics struct {
 	ScanGroupKernelsServed   atomic.Int64
 	ScanGroupKernelsFallback atomic.Int64
 
-	// Multi-dimension run-intersection selection: blocks served directly
-	// from intersected run summaries vs eligible blocks that fell back to
-	// the keep-bitmap path.
+	// Multi-dimension run intersection: blocks whose level/op/rank filter
+	// dimensions all became pass runs vs blocks where some were tested on
+	// decoded rows.
 	ScanRunIsectServed   atomic.Int64
 	ScanRunIsectFallback atomic.Int64
 

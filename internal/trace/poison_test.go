@@ -14,11 +14,12 @@ import (
 )
 
 // tenantTrace builds a five-block log shaped like a small job: ranks in
-// runs (so a rank filter selects from run summaries and synthesizes its
-// column), two levels and four ops interleaved (so level and op filters
-// narrow a keep bitmap), monotone starts (so a time window keeps interior
-// blocks whole and cuts the edge ones). salt moves every value, so two
-// tenants' traces share no row.
+// runs (RLE segments, so a rank filter selects from pass runs and the rank
+// column is decoded lazily, after selection), two levels and four ops
+// interleaved (FOR-packed, so level and op filters test decoded rows),
+// monotone starts (so a time window keeps interior blocks whole and cuts
+// the edge ones). salt moves every value, so two tenants' traces share no
+// row.
 func tenantTrace(salt int) *trace.Trace {
 	tr := trace.NewTracer()
 	tr.SetMeta(trace.Meta{Workload: "tenant", Nodes: 4, Ranks: 16, PFSDir: "/p"})
@@ -59,12 +60,13 @@ func blockLog(t *testing.T, tr *trace.Trace) *trace.BlockReader {
 // TestReportsSurviveRecycledColumns is the pool's security property end to
 // end. Recycled column slices are neither zeroed nor private to a trace,
 // so with every returned slice poisoned: each drill-down shape — whole
-// blocks, selection-backed chunks, a synthesized filter column, a window
-// that mixes both — characterizes through the planned scan, releases its
-// table, and does so again into the slices it just gave back, to the bytes
-// of the in-memory reference that never saw a codec or a pool; a table
-// that is never released reports the same; and alternating two tenants'
-// traces through the same pools leaves each report its own.
+// blocks, chunks selected from pass runs, chunks selected by a per-row
+// test, a window that mixes whole and cut blocks — characterizes through
+// the planned scan, releases its table, and does so again into the slices
+// it just gave back, to the bytes of the in-memory reference that never
+// saw a codec or a pool; a table that is never released reports the same;
+// and alternating two tenants' traces through the same pools leaves each
+// report its own.
 func TestReportsSurviveRecycledColumns(t *testing.T) {
 	trace.PoisonRecycled(true)
 	defer trace.PoisonRecycled(false)
@@ -75,8 +77,8 @@ func TestReportsSurviveRecycledColumns(t *testing.T) {
 		filter trace.Filter
 	}{
 		{"whole blocks", trace.Filter{}},
-		{"rank runs, synthesized column", trace.Filter{Ranks: []int32{2, 3, 11}}},
-		{"level and op bitmap", trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}},
+		{"rank pass runs", trace.Filter{Ranks: []int32{2, 3, 11}}},
+		{"level and op row test", trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}},
 		{"window over interior and edge blocks", trace.Filter{From: span / 5, To: span * 4 / 5}},
 		{"window, ranks and ops", trace.Filter{To: span / 2, Ranks: []int32{0, 1, 2, 3, 4, 5}, Ops: trace.OpClassMeta}},
 	}

@@ -160,25 +160,6 @@ func (f *Filter) Empty() bool {
 		len(f.Levels) == 0 && f.Ops == OpClassAll
 }
 
-// Cols returns the columns the filter's residual row predicate reads —
-// the minimum set a pruned scan must decode before row selection.
-func (f *Filter) Cols() ColSet {
-	var s ColSet
-	if f.From != 0 || f.To != 0 {
-		s |= ColStart
-	}
-	if len(f.Ranks) > 0 {
-		s |= ColRank
-	}
-	if len(f.Levels) > 0 {
-		s |= ColLevel
-	}
-	if f.Ops != OpClassAll {
-		s |= ColOp
-	}
-	return s
-}
-
 // Matcher is a Filter compiled for per-row and per-block evaluation.
 type Matcher struct {
 	fromNS, toNS int64

@@ -29,22 +29,23 @@ func testFilters() []Filter {
 }
 
 // TestFilterColsAndEmpty pins the planner-facing surface: which columns a
-// filter's residual predicate reads, and when it is a no-op.
+// filter's row predicate constrains (Matcher.NeedCols), and when it is a
+// no-op.
 func TestFilterColsAndEmpty(t *testing.T) {
 	f := Filter{}
-	if !f.Empty() || f.Cols() != 0 {
-		t.Errorf("zero filter: Empty=%v Cols=%v", f.Empty(), f.Cols())
+	if need := f.NewMatcher().NeedCols(); !f.Empty() || need != 0 {
+		t.Errorf("zero filter: Empty=%v NeedCols=%v", f.Empty(), need)
 	}
 	f = Filter{From: time.Second, Ranks: []int32{1}, Levels: []Level{LevelPosix}, Ops: OpClassData}
 	if f.Empty() {
 		t.Error("constrained filter claims Empty")
 	}
-	if want := ColStart | ColRank | ColLevel | ColOp; f.Cols() != want {
-		t.Errorf("Cols = %v, want %v", f.Cols(), want)
+	if need, want := f.NewMatcher().NeedCols(), ColStart|ColRank|ColLevel|ColOp; need != want {
+		t.Errorf("NeedCols = %v, want %v", need, want)
 	}
 	f = Filter{To: time.Second}
-	if f.Cols() != ColStart {
-		t.Error("window-only filter should read only Start")
+	if need := f.NewMatcher().NeedCols(); need != ColStart {
+		t.Errorf("window-only filter constrains %v, want only Start", need)
 	}
 }
 
