@@ -1,10 +1,14 @@
 // Command vanid is the always-on characterization service: it accepts
-// trace uploads over HTTP, characterizes them on a bounded worker pool,
-// and serves the resulting reports from a content-addressed cache.
+// trace uploads over HTTP, stores them in a trace repository, characterizes
+// them on a bounded worker pool, and serves the resulting reports from a
+// content-addressed cache and fleet aggregates from the repository.
 //
 // Usage:
 //
-//	vanid -addr :8080 -workers 4 -queue-depth 64 -cache-entries 256
+//	vanid -addr :8080 -workers 4 -queue-depth 64 -cache-entries 256 -data-dir /var/lib/vanid
+//
+// Without -data-dir the repository lives in a fresh temporary directory and
+// is lost to the next start.
 //
 // Upload a trace and poll the job:
 //
@@ -37,8 +41,7 @@ func main() {
 	workers := flag.Int("workers", 4, "characterization worker pool size")
 	queueDepth := flag.Int("queue-depth", 64, "bounded job queue depth (full queue returns 429)")
 	cacheEntries := flag.Int("cache-entries", 256, "report cache capacity (LRU entries)")
-	spoolDir := flag.String("spool-dir", "", "throwaway directory for uploaded traces (default: a fresh temp dir; ignored with -data-dir)")
-	dataDir := flag.String("data-dir", "", "persistent trace repository root: uploads survive restarts and /fleet/query is served")
+	dataDir := flag.String("data-dir", "", "trace repository root, kept across restarts (default: a fresh temp dir)")
 	compactEvery := flag.Duration("compact-every", 0, "background repository compaction period (0 disables; POST /v1/compact always works)")
 	retainAge := flag.Duration("retain-age", 0, "drop stored traces older than this during repository GC (0 keeps everything)")
 	retainCount := flag.Int("retain-count", 0, "cap stored traces at this many, dropping the oldest during repository GC (0 = no cap)")
@@ -53,7 +56,6 @@ func main() {
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
-		SpoolDir:     *spoolDir,
 		DataDir:      *dataDir,
 		CompactEvery: *compactEvery,
 		RetainAge:    *retainAge,

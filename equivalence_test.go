@@ -678,7 +678,7 @@ func TestStageTimingsPopulated(t *testing.T) {
 // TestConcurrentCharacterizeFile hammers CharacterizeFileContext over the same
 // on-disk log from many goroutines at once: every call must produce a
 // byte-identical YAML artifact. This is the contract vanid's worker pool
-// rests on — concurrent jobs over shared spool files share nothing mutable.
+// rests on — concurrent jobs over one stored trace share nothing mutable.
 func TestConcurrentCharacterizeFile(t *testing.T) {
 	dir := t.TempDir()
 	tr := syntheticTrace(3*16384 + 77)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,14 +71,17 @@ func (r *Repo) packShard(members []*Entry) (int, error) {
 	recs := make([]packMember, 0, len(members))
 	nameHash := sha256.New()
 	for _, e := range members {
-		f, err := os.Open(r.loosePath(e))
-		if err != nil {
+		br, err := trace.OpenBlockReader(r.loosePath(e))
+		if errors.Is(err, fs.ErrNotExist) {
 			// The member left (GC raced us); skip the whole shard this
 			// round rather than build a partial pack.
 			return 0, nil
 		}
-		tr, err := trace.Read(f)
-		f.Close()
+		var tr *trace.Trace
+		if err == nil {
+			tr, err = br.ReadTrace(trace.Filter{})
+			br.Close()
+		}
 		if err != nil {
 			return 0, fmt.Errorf("repo: compact %s: %w", e.SHA, err)
 		}

@@ -219,12 +219,10 @@ func reduce(workload string, sums []TraceSummary) *FleetReport {
 	return fr
 }
 
-// Characterize runs the single-trace analyzer over the handle's bytes —
-// the whole loose file, or the trace's section of a pack.
+// Characterize runs the single-trace analyzer over the handle's bytes: the
+// [Off, Off+Size) section of Path, which is the whole file for a loose
+// trace and one member for a packed one.
 func (h *Handle) Characterize(ctx context.Context, opt core.Options) (*core.Characterization, error) {
-	if !h.packed {
-		return pipeline.File(ctx, h.path, opt)
-	}
 	f, err := os.Open(h.path)
 	if err != nil {
 		return nil, err

@@ -330,13 +330,12 @@ func (r *Repo) Add(src io.Reader) (sha string, existed bool, err error) {
 // removed (by compaction relocating it or GC dropping it) until Close.
 // Location fields are an immutable snapshot taken at Acquire time.
 type Handle struct {
-	r      *Repo
-	sha    string
-	path   string // absolute backing file
-	off    int64  // byte offset of the trace within the file
-	size   int64  // byte length of the trace
-	packed bool
-	once   sync.Once
+	r    *Repo
+	sha  string
+	path string // absolute backing file
+	off  int64  // byte offset of the trace within the file
+	size int64  // byte length of the trace
+	once sync.Once
 }
 
 // SHA returns the trace content hash.
@@ -350,9 +349,6 @@ func (h *Handle) Off() int64 { return h.off }
 
 // Size returns the trace's encoded byte length.
 func (h *Handle) Size() int64 { return h.size }
-
-// Packed reports whether the trace lives inside a pack (always VANITRC2).
-func (h *Handle) Packed() bool { return h.packed }
 
 // Close releases the pin. Safe to call more than once.
 func (h *Handle) Close() {
@@ -370,7 +366,7 @@ func (r *Repo) Acquire(sha string) (*Handle, error) {
 	}
 	h := &Handle{r: r, sha: sha, size: e.Size}
 	if e.Pack != "" {
-		h.path, h.off, h.packed = r.packPath(e.Pack), e.Off, true
+		h.path, h.off = r.packPath(e.Pack), e.Off
 	} else {
 		h.path = r.loosePath(e)
 	}

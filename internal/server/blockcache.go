@@ -70,11 +70,11 @@ type traceEntry struct {
 }
 
 // newTraceEntry maps the stored trace and parses its footer. off/size
-// select a pack member's section; size 0 means the whole file. The
-// entry's byte charge is the worst case it can grow to: the trace bytes
-// twice (raw plus one retained heap payload copy per block — payloads
-// together are at most the section size) and every block's columns
-// memoized.
+// select the trace's section of the file: all of a loose file, one member
+// of a pack. The entry's byte charge is the worst case it can grow to: the
+// trace bytes twice (raw plus one retained heap payload copy per block —
+// payloads together are at most the section size) and every block's
+// columns memoized.
 func newTraceEntry(sha, path string, off, size int64) (*traceEntry, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -92,9 +92,6 @@ func newTraceEntry(sha, path string, off, size int64) (*traceEntry, error) {
 			return nil, err
 		}
 		mapped = false
-	}
-	if size == 0 {
-		size = int64(len(raw)) - off
 	}
 	if off < 0 || size < 0 || off+size > int64(len(raw)) {
 		if mapped {

@@ -29,6 +29,16 @@ func writeTraceFile(t *testing.T, dir, name string, n int) string {
 	return path
 }
 
+// fileSize is the byte length of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
 // cliYAML is the CLI pipeline's report for the trace file at path under
 // the given ranks and ops filter — what every served report must equal.
 func cliYAML(t *testing.T, path, ranks, ops string) []byte {
@@ -221,7 +231,7 @@ func TestBlockCacheEviction(t *testing.T) {
 	pb := writeTraceFile(t, dir, "b.trc", 5000)
 
 	m := &Metrics{}
-	probe, err := newTraceEntry("probe", pa, 0, 0)
+	probe, err := newTraceEntry("probe", pa, 0, fileSize(t, pa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +241,7 @@ func TestBlockCacheEviction(t *testing.T) {
 	// Budget fits one entry but not two.
 	bc := newBlockCache(entryBytes+entryBytes/2, m)
 	for scan := 0; scan < memoFromScan; scan++ {
-		a, err := bc.acquire("sha-a", pa, 0, 0)
+		a, err := bc.acquire("sha-a", pa, 0, fileSize(t, pa))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +253,7 @@ func TestBlockCacheEviction(t *testing.T) {
 	if m.BlockCacheMemoBytes.Load() == 0 {
 		t.Fatal("a's memo scan published nothing")
 	}
-	b, err := bc.acquire("sha-b", pb, 0, 0)
+	b, err := bc.acquire("sha-b", pb, 0, fileSize(t, pb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +267,7 @@ func TestBlockCacheEviction(t *testing.T) {
 		t.Errorf("evicting a left %d memo bytes on the gauge", got)
 	}
 	// b is pinned: admitting a again blows the budget but must not evict b.
-	a2, err := bc.acquire("sha-a", pa, 0, 0)
+	a2, err := bc.acquire("sha-a", pa, 0, fileSize(t, pa))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +297,7 @@ func TestCachedSourceMemoizesBlocks(t *testing.T) {
 	bc := newBlockCache(1<<30, m)
 	scan := func() (first, again *trace.BlockData) {
 		t.Helper()
-		cs, err := bc.acquire("sha", path, 0, 0)
+		cs, err := bc.acquire("sha", path, 0, fileSize(t, path))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"vani"
@@ -21,15 +19,6 @@ import (
 	"vani/internal/repo"
 	"vani/internal/trace"
 )
-
-// traceLoc locates one stored trace's bytes: a whole file (legacy spool,
-// loose repository file) or a [off, off+size) section of a pack file.
-type traceLoc struct {
-	sha  string
-	path string
-	off  int64
-	size int64 // 0 = whole file
-}
 
 // jobState is the lifecycle of a characterization job.
 type jobState string
@@ -46,8 +35,7 @@ const (
 type job struct {
 	id       string
 	reportID string
-	loc      traceLoc
-	handle   *repo.Handle // repo mode: pins the backing file; nil on spool
+	handle   *repo.Handle // pins the stored trace; nil for a sweep
 	filter   trace.Filter
 	sweep    *vani.Sweep // non-nil: this job runs a sweep, not a characterization
 
@@ -58,16 +46,6 @@ type job struct {
 	pointsTotal int // sweep progress: grid size (0 for characterizations)
 
 	done chan struct{} // closed when the job reaches done or failed
-}
-
-// releaseHandle unpins the job's repository handle (idempotent, nil-safe).
-func (j *job) releaseHandle() { releaseHandle(j.handle) }
-
-// releaseHandle unpins a repository handle; nil (spool mode) is a no-op.
-func releaseHandle(h *repo.Handle) {
-	if h != nil {
-		h.Close()
-	}
 }
 
 func (j *job) setState(st jobState, errMsg string) {
@@ -121,7 +99,7 @@ func (s *Server) runJob(j *job) {
 		s.runSweepJob(j)
 		return
 	}
-	defer j.releaseHandle()
+	defer j.handle.Close()
 	if s.beforeJob != nil {
 		s.beforeJob() // test hook: hold workers to fill the queue
 	}
@@ -129,7 +107,7 @@ func (s *Server) runJob(j *job) {
 	s.metrics.JobsRunning.Add(1)
 	defer s.metrics.JobsRunning.Add(-1)
 
-	rep, sc, err := s.characterize(s.baseCtx, j.loc, j.filter, j.reportID)
+	rep, sc, err := s.characterize(s.baseCtx, j.handle, j.filter, j.reportID)
 	if err != nil {
 		j.setState(jobFailed, err.Error())
 		s.metrics.JobsFailed.Add(1)
@@ -148,7 +126,7 @@ func (s *Server) runJob(j *job) {
 // YAML renderer — so the served artifact is byte-identical to the CLI's.
 // Traces route through the shared decoded-block cache: from a trace's
 // third scan on, queries (any filter spec) perform zero block decodes.
-func (s *Server) characterize(ctx context.Context, loc traceLoc, f trace.Filter, id string) (*report, colstore.ScanCounters, error) {
+func (s *Server) characterize(ctx context.Context, h *repo.Handle, f trace.Filter, id string) (*report, colstore.ScanCounters, error) {
 	opt := vani.DefaultAnalyzerOptions()
 	opt.Storage = s.storageCfg()
 	opt.Parallelism = s.cfg.Parallelism
@@ -156,7 +134,7 @@ func (s *Server) characterize(ctx context.Context, loc traceLoc, f trace.Filter,
 	var timings vani.AnalyzerTimings
 	opt.Stats = &timings
 
-	c, err := s.analyze(ctx, loc, opt)
+	c, err := s.analyze(ctx, h, opt)
 	if err != nil {
 		return nil, colstore.ScanCounters{}, err
 	}
@@ -168,32 +146,18 @@ func (s *Server) characterize(ctx context.Context, loc traceLoc, f trace.Filter,
 	return &report{ID: id, YAML: vani.ToYAML(c), JSON: js}, timings.Scan, nil
 }
 
-// analyze picks the read path: block-cached when the cache is on, a section
-// reader for pack members, the plain file path otherwise. All produce the
+// analyze picks the read path: block-cached when the cache is on, else the
+// trace's section of its backing file read in place. Both produce the
 // identical characterization; the choice only changes where blocks decode.
-func (s *Server) analyze(ctx context.Context, loc traceLoc, opt vani.AnalyzerOptions) (*vani.Characterization, error) {
-	if s.blocks != nil && loc.sha != "" {
-		src, err := s.blocks.acquire(loc.sha, loc.path, loc.off, loc.size)
+func (s *Server) analyze(ctx context.Context, h *repo.Handle, opt vani.AnalyzerOptions) (*vani.Characterization, error) {
+	if s.blocks != nil {
+		src, err := s.blocks.acquire(h.SHA(), h.Path(), h.Off(), h.Size())
 		if err == nil {
 			defer s.blocks.release(src)
 			return vani.CharacterizeBlocksContext(ctx, src, opt)
 		}
 		// Cache build failed (mmap limits, truncated file): the direct
-		// paths below still serve the request.
+		// read below still serves the request.
 	}
-	if loc.off > 0 {
-		// A pack member without the cache: scan its section in place.
-		f, err := os.Open(loc.path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		sec := io.NewSectionReader(f, loc.off, loc.size)
-		br, err := trace.NewBlockReader(trace.ReaderAtContext(ctx, sec), loc.size)
-		if err != nil {
-			return nil, err
-		}
-		return vani.CharacterizeBlocksContext(ctx, br, opt)
-	}
-	return vani.CharacterizeFileContext(ctx, loc.path, opt)
+	return h.Characterize(ctx, opt)
 }

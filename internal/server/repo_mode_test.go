@@ -101,12 +101,3 @@ func TestDataDirModeSurvivesRestartAndCompaction(t *testing.T) {
 		t.Fatalf("compaction changed the fleet YAML (status %d)", code)
 	}
 }
-
-func TestSpoolModeHasNoFleetEndpoint(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if code, _ := getRaw(t, ts, "/fleet/query"); code != http.StatusNotFound {
-		t.Fatalf("spool mode served /fleet/query with status %d, want 404", code)
-	}
-}

@@ -1,16 +1,14 @@
 // Package server implements vanid, the always-on characterization service:
-// trace uploads are spooled content-addressed, characterization jobs run on
-// a bounded worker pool with 429 backpressure, and finished reports are
-// served from an LRU cache keyed by SHA-256(trace bytes) + normalized
-// filter spec. This is the serving half of the paper's vision — the storage
-// system queries characterizations on demand instead of running a one-shot
-// CLI per trace.
+// trace uploads land content-addressed in a trace repository (internal/repo),
+// characterization jobs run on a bounded worker pool with 429 backpressure,
+// and finished reports are served from an LRU cache keyed by SHA-256(trace
+// bytes) + normalized filter spec. This is the serving half of the paper's
+// vision — the storage system queries characterizations on demand instead
+// of running a one-shot CLI per trace.
 package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +16,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,27 +45,23 @@ type Config struct {
 	// decode nothing, while a trace scanned once holds no decoded columns.
 	// 0 keeps the default, negative disables the cache.
 	CacheBytes int64
-	// SpoolDir receives uploaded traces, content-addressed by SHA-256
-	// (default: a fresh directory under os.TempDir). Ignored when DataDir
-	// selects the persistent repository instead.
-	SpoolDir string
-	// DataDir roots the persistent trace repository. When set, uploads
-	// survive restarts: they land in workload/day shards under DataDir, a
-	// crash-safe manifest indexes them, and the fleet-query endpoints are
-	// mounted. Empty keeps the legacy throwaway spool.
+	// DataDir roots the trace repository every upload lands in: workload/day
+	// shards under DataDir, indexed by a crash-safe manifest, queried by the
+	// fleet endpoints, and surviving restarts. Empty opens the repository in
+	// a fresh directory under os.TempDir, which outlives the process and is
+	// never reopened.
 	DataDir string
 	// CompactEvery is the background compaction period for the repository
-	// (0 disables the loop; POST /v1/compact still works). Only meaningful
-	// with DataDir.
+	// (0 disables the loop; POST /v1/compact still works).
 	CompactEvery time.Duration
 	// RetainAge drops stored traces older than this during repository GC
-	// (0 keeps everything). Only meaningful with DataDir.
+	// (0 keeps everything).
 	RetainAge time.Duration
 	// RetainCount caps the number of stored traces; GC drops the oldest
-	// beyond it (0 = no cap). Only meaningful with DataDir.
+	// beyond it (0 = no cap).
 	RetainCount int
 	// RetainBytes caps the stored traces' total bytes the same way
-	// (0 = no cap). Only meaningful with DataDir.
+	// (0 = no cap).
 	RetainBytes int64
 	// Storage is the storage model handed to the analyzer; nil means the
 	// same default cmd/vani uses, keeping reports byte-identical across
@@ -95,19 +88,12 @@ func (c *Config) fill() error {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.DataDir != "" {
-		// Repository mode: uploads go through the persistent store, no
-		// throwaway spool needed.
-		return nil
-	}
-	if c.SpoolDir == "" {
-		dir, err := os.MkdirTemp("", "vanid-spool-")
+	if c.DataDir == "" {
+		dir, err := os.MkdirTemp("", "vanid-repo-")
 		if err != nil {
-			return fmt.Errorf("spool dir: %w", err)
+			return fmt.Errorf("data dir: %w", err)
 		}
-		c.SpoolDir = dir
-	} else if err := os.MkdirAll(c.SpoolDir, 0o755); err != nil {
-		return fmt.Errorf("spool dir: %w", err)
+		c.DataDir = dir
 	}
 	return nil
 }
@@ -119,9 +105,7 @@ type Server struct {
 	metrics *Metrics
 	cache   *reportCache
 	blocks  *blockCache // shared decoded-block cache; nil when disabled
-	repo    *repo.Repo  // persistent trace repository; nil in spool mode
-
-	repoOnce sync.Once // repository closes exactly once across Shutdown/Close
+	repo    *repo.Repo  // the trace repository every upload lands in
 
 	baseCtx context.Context // canceled to abort in-flight jobs
 	abort   context.CancelFunc
@@ -146,12 +130,22 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	rp, err := repo.Open(cfg.DataDir, repo.Options{
+		CompactEvery: cfg.CompactEvery,
+		RetainAge:    cfg.RetainAge,
+		RetainCount:  cfg.RetainCount,
+		RetainBytes:  cfg.RetainBytes,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("opening trace repository: %w", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	metrics := &Metrics{}
 	s := &Server{
 		cfg:         cfg,
 		metrics:     metrics,
 		cache:       newReportCache(cfg.CacheEntries),
+		repo:        rp,
 		baseCtx:     ctx,
 		abort:       cancel,
 		queue:       make(chan *job, cfg.QueueDepth),
@@ -161,19 +155,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheBytes > 0 {
 		s.blocks = newBlockCache(cfg.CacheBytes, metrics)
 	}
-	if cfg.DataDir != "" {
-		rp, err := repo.Open(cfg.DataDir, repo.Options{
-			CompactEvery: cfg.CompactEvery,
-			RetainAge:    cfg.RetainAge,
-			RetainCount:  cfg.RetainCount,
-			RetainBytes:  cfg.RetainBytes,
-		})
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("opening trace repository: %w", err)
-		}
-		s.repo = rp
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/traces", s.handleUpload)
 	s.mux.HandleFunc("POST /v1/characterize", s.handleCharacterize)
@@ -182,10 +163,8 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/reports/{id}", s.handleReport)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.repo != nil {
-		s.mux.HandleFunc("GET /fleet/query", s.handleFleet)
-		s.mux.HandleFunc("POST /v1/compact", s.handleCompact)
-	}
+	s.mux.HandleFunc("GET /fleet/query", s.handleFleet)
+	s.mux.HandleFunc("POST /v1/compact", s.handleCompact)
 	if cfg.EnablePprof {
 		// net/http/pprof registers on DefaultServeMux at import; serve the
 		// same handlers from this mux only when the operator opted in.
@@ -209,9 +188,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Shutdown drains gracefully: new uploads are refused, queued and running
-// jobs finish, then the pool exits. If ctx expires first the remaining
-// work is aborted via the base context and Shutdown returns ctx.Err().
-func (s *Server) Shutdown(ctx context.Context) error {
+// jobs finish, then the pool exits and the repository is checkpointed and
+// closed (no scan holds a handle any more). If ctx expires first the
+// remaining work is aborted via the base context and Shutdown returns
+// ctx.Err(). Safe to call more than once.
+func (s *Server) Shutdown(ctx context.Context) (err error) {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
@@ -226,26 +207,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.closeRepo()
-		return nil
 	case <-ctx.Done():
 		s.abort() // in-flight characterizations observe this mid-scan
 		<-done
-		s.closeRepo()
-		return ctx.Err()
+		err = ctx.Err()
 	}
-}
-
-// closeRepo checkpoints and closes the repository after the worker pool has
-// exited (no scans hold handles). Safe to call multiple times and without a
-// repository.
-func (s *Server) closeRepo() {
-	if s.repo == nil {
-		return
-	}
-	s.repoOnce.Do(func() {
-		s.repo.Close() //nolint:errcheck // shutdown path; manifest replay recovers
-	})
+	s.repo.Close() //nolint:errcheck // shutdown path; manifest replay recovers
+	return err
 }
 
 // Close aborts everything immediately and waits for the pool to exit.
@@ -271,93 +239,42 @@ func parseFilter(r *http.Request) (trace.Filter, error) {
 	return cliutil.ParseFilter(q.Get("window"), q.Get("ranks"), q.Get("levels"), q.Get("ops"))
 }
 
-// spool streams the request body into a content-addressed file under the
-// spool directory, returning the file path and the hex SHA-256 of the
-// bytes. A body that does not open as a trace fails with repo.ErrNotTrace
-// before it gets a content address, and leaves nothing in the spool.
-// Identical uploads land on the same path; the rename is atomic so
-// concurrent identical uploads are safe.
-func (s *Server) spool(r io.Reader) (path, sha string, err error) {
-	tmp, err := os.CreateTemp(s.cfg.SpoolDir, "upload-*")
-	if err != nil {
-		return "", "", err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	h := sha256.New()
-	if _, err = io.Copy(io.MultiWriter(tmp, h), r); err != nil {
-		return "", "", err
-	}
-	if err = tmp.Close(); err != nil {
-		return "", "", err
-	}
-	br, err := trace.OpenBlockReader(tmp.Name())
-	if err != nil {
-		return "", "", fmt.Errorf("%w: %w", repo.ErrNotTrace, err)
-	}
-	br.Close()
-	sha = hex.EncodeToString(h.Sum(nil))
-	path = filepath.Join(s.cfg.SpoolDir, sha+".trc")
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return "", "", err
-	}
-	return path, sha, nil
-}
-
-// admit stores and validates an upload and resolves its content address.
-// In repository mode the bytes land in the persistent sharded store and the
-// returned handle pins the backing file for the scan's lifetime; in legacy
-// mode they land in the throwaway spool (h is nil). admit answers the
-// request itself (and returns ok=false) on bad input or a cache hit.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (loc traceLoc, h *repo.Handle, repID string, f trace.Filter, ok bool) {
+// admit stores and validates an upload and resolves its content address:
+// the body goes through Repo.Add (content-addressed, deduplicated, durable)
+// and the trace's current location — loose shard file or pack section — is
+// pinned by the returned handle for the scan's lifetime. admit answers the
+// request itself (and returns ok=false) on bad input, a cache hit, or a
+// server shutting down, whose repository stores nothing more.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (h *repo.Handle, repID string, f trace.Filter, ok bool) {
 	f, err := parseFilter(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return traceLoc{}, nil, "", trace.Filter{}, false
+		return nil, "", f, false
 	}
-	if s.repo != nil {
-		return s.admitRepo(w, r, f)
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		httpError(w, http.StatusServiceUnavailable, "shutting down")
+		return nil, "", f, false
 	}
-	path, sha, err := s.spool(r.Body)
-	if err != nil {
-		uploadError(w, err)
-		return traceLoc{}, nil, "", trace.Filter{}, false
-	}
-	repID = reportID(sha, f)
-	if _, hit := s.cache.Get(repID); hit {
-		s.metrics.CacheHits.Add(1)
-		writeJSON(w, http.StatusOK, jobStatus{ReportID: repID, Status: string(jobDone)})
-		return traceLoc{}, nil, "", trace.Filter{}, false
-	}
-	return traceLoc{sha: sha, path: path}, nil, repID, f, true
-}
-
-// admitRepo is admit's repository-mode tail: the body goes through
-// Repo.Add (content-addressed, deduplicated, durable) and the trace's
-// current location — loose shard file or pack section — is pinned.
-func (s *Server) admitRepo(w http.ResponseWriter, r *http.Request, f trace.Filter) (loc traceLoc, h *repo.Handle, repID string, _ trace.Filter, ok bool) {
 	sha, _, err := s.repo.Add(r.Body)
 	if err != nil {
 		uploadError(w, err)
-		return traceLoc{}, nil, "", trace.Filter{}, false
+		return nil, "", f, false
 	}
 	repID = reportID(sha, f)
 	if _, hit := s.cache.Get(repID); hit {
 		s.metrics.CacheHits.Add(1)
 		writeJSON(w, http.StatusOK, jobStatus{ReportID: repID, Status: string(jobDone)})
-		return traceLoc{}, nil, "", trace.Filter{}, false
+		return nil, "", f, false
 	}
 	h, err = s.repo.Acquire(sha)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, fmt.Sprintf("pinning stored trace: %v", err))
-		return traceLoc{}, nil, "", trace.Filter{}, false
+		return nil, "", f, false
 	}
-	loc = traceLoc{sha: sha, path: h.Path(), off: h.Off(), size: h.Size()}
-	return loc, h, repID, f, true
+	return h, repID, f, true
 }
 
 // uploadError answers an upload that could not be stored: 400 for bytes
@@ -370,10 +287,10 @@ func uploadError(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusInternalServerError, fmt.Sprintf("storing upload: %v", err))
 }
 
-// handleUpload is POST /v1/traces: spool, dedupe against the cache and
+// handleUpload is POST /v1/traces: store, dedupe against the cache and
 // in-flight jobs, then enqueue with backpressure.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	loc, h, repID, f, ok := s.admit(w, r)
+	h, repID, f, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
@@ -382,7 +299,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		releaseHandle(h)
+		h.Close()
 		httpError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
@@ -390,14 +307,13 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// doing the work twice.
 	if j, inflight := s.jobByReport[repID]; inflight {
 		s.mu.Unlock()
-		releaseHandle(h)
+		h.Close()
 		writeJSON(w, http.StatusAccepted, j.status())
 		return
 	}
 	j := &job{
 		id:       fmt.Sprintf("j%08d", s.seq.Add(1)),
 		reportID: repID,
-		loc:      loc,
 		handle:   h,
 		filter:   f,
 		state:    jobQueued,
@@ -407,7 +323,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
-		releaseHandle(h)
+		h.Close()
 		s.metrics.JobsRejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "job queue full, retry later")
@@ -437,14 +353,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // client that disconnects or times out aborts the scan mid-trace. Results
 // still land in the shared cache.
 func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
-	loc, h, repID, f, ok := s.admit(w, r)
+	h, repID, f, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
-	defer releaseHandle(h)
+	defer h.Close()
 	s.metrics.CacheMisses.Add(1)
 	s.metrics.JobsRunning.Add(1)
-	rep, sc, err := s.characterize(r.Context(), loc, f, repID)
+	rep, sc, err := s.characterize(r.Context(), h, f, repID)
 	s.metrics.JobsRunning.Add(-1)
 	if err != nil {
 		s.metrics.JobsFailed.Add(1)
@@ -506,13 +422,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.metrics.Snapshot()
-	if s.repo != nil {
-		st := s.repo.Stats()
-		snap.RepoShards = st.Shards
-		snap.RepoFiles = st.Files
-		snap.RepoCompactions = st.Compactions
-		snap.RepoBytes = st.Bytes
-	}
+	st := s.repo.Stats()
+	snap.RepoShards = st.Shards
+	snap.RepoFiles = st.Files
+	snap.RepoCompactions = st.Compactions
+	snap.RepoBytes = st.Bytes
 	writeJSON(w, http.StatusOK, snap)
 }
 
@@ -565,7 +479,7 @@ func (s *Server) fleetChar() repo.CharFunc {
 		opt.Storage = s.storageCfg()
 		opt.Parallelism = 1
 		opt.Filter = f
-		return s.analyze(ctx, traceLoc{sha: h.SHA(), path: h.Path(), off: h.Off(), size: h.Size()}, opt)
+		return s.analyze(ctx, h, opt)
 	}
 }
 

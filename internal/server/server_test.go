@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +27,8 @@ func testTraceBytes(t *testing.T, n int) []byte {
 // newTestServer builds a server with small bounds and registers cleanup.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.SpoolDir == "" {
-		cfg.SpoolDir = t.TempDir()
+	if cfg.DataDir == "" {
+		cfg.DataDir = t.TempDir()
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -473,8 +474,8 @@ func TestUploadValidation(t *testing.T) {
 }
 
 // TestRejectedUploadLeavesNoSpoolFile: a body that is not a trace is
-// answered 400 on both upload endpoints and leaves nothing in the spool
-// directory — no temp file, no content-addressed file.
+// answered 400 on both upload endpoints and leaves nothing in the
+// repository — no staging file in tmp/, no stored file under shards/.
 func TestRejectedUploadLeavesNoSpoolFile(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -491,12 +492,14 @@ func TestRejectedUploadLeavesNoSpoolFile(t *testing.T) {
 			t.Errorf("%s garbage body: status %d, want 400", path, resp.StatusCode)
 		}
 	}
-	left, err := os.ReadDir(s.cfg.SpoolDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range left {
-		t.Errorf("rejected upload left %s in the spool", e.Name())
+	for _, dir := range []string{"tmp", "shards"} {
+		left, err := os.ReadDir(filepath.Join(s.cfg.DataDir, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range left {
+			t.Errorf("rejected upload left %s in %s/", e.Name(), dir)
+		}
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 	"vani"
 )
 
-// maxSweepBody bounds a sweep upload; the spec parser's own 1 MiB document
-// cap rejects anything larger with a clean error.
+// maxSweepBody bounds a sweep upload: a longer body is refused with 413
+// before it is parsed. The spec parser's own 1 MiB document cap rejects
+// anything between the two with a clean error.
 const maxSweepBody = 2 << 20
 
 // sweepReportID derives the content address of a sweep report from the raw
@@ -35,9 +36,13 @@ func sweepReportID(body []byte) string {
 // handleSweep is POST /v1/sweep: parse, dedupe against the cache and
 // in-flight jobs, then enqueue with backpressure.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSweepBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSweepBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading sweep document: %v", err))
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Sprintf("reading sweep document: %v", err))
 		return
 	}
 	sw, err := vani.ParseSweep(body)

@@ -152,3 +152,33 @@ func TestSweepRuntimeFailureFailsTheJob(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepBodyOverLimitIs413: a sweep body one byte over maxSweepBody is
+// refused whole with 413 — not cut to the limit and parsed — nothing is
+// queued, and vanid goes on serving.
+func TestSweepBodyOverLimitIs413(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := bytes.Repeat([]byte("#"), maxSweepBody+1)
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/yaml", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized sweep body: status %d, want 413", resp.StatusCode)
+	}
+	if got := s.Metrics().Snapshot().SweepJobs; got != 0 {
+		t.Errorf("sweep_jobs = %d after an oversized body, want 0", got)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the oversized body: status %d", resp.StatusCode)
+	}
+}

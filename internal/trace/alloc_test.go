@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // allocTrace builds a trace big enough that one block's frame is hundreds of
@@ -177,5 +179,47 @@ func TestMemoDecodeHonoursWant(t *testing.T) {
 	wanted := uint64(ref.N) * (1 + 8) // one uint8 and one int64 per row
 	if per := (after.TotalAlloc - before.TotalAlloc) / iters; per > wanted*11/10 {
 		t.Errorf("memo hit for Op|Size allocates %d bytes, the two columns are %d", per, wanted)
+	}
+}
+
+// TestWholeLogReadAllocBudget: a whole-log read allocates the events it
+// returns and little else. Each block's rows append straight into the
+// result, and its decoded columns and payload buffer go back to their pools
+// before the next block is read, so a 500 k-event log of 31 blocks costs
+// N × sizeof(Event) plus a fixed 2 MiB, raw frames or flate — one block's
+// payload per block kept out of the pool would be about 3 MiB more. The
+// collector is off while the read runs, so a pool emptied by a collection
+// cannot be told apart from a buffer that was never handed back.
+func TestWholeLogReadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under the race detector")
+	}
+	const n = 500_000
+	tr := allocTrace(n)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, compress := range []bool{false, true} {
+		data := encodeV2(t, tr, V2Options{Compress: compress})
+		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		got, err := br.ReadTrace(Filter{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Events) != n {
+			t.Fatalf("compress=%v: read %d events, want %d", compress, len(got.Events), n)
+		}
+		grown := after.TotalAlloc - before.TotalAlloc
+		limit := uint64(n)*uint64(unsafe.Sizeof(Event{})) + 2<<20
+		t.Logf("compress=%v: %d-byte log, %d blocks: read allocated %d bytes (%.2f B/event over the events)",
+			compress, len(data), br.NumBlocks(), grown, float64(grown)/n-float64(unsafe.Sizeof(Event{})))
+		if grown > limit {
+			t.Errorf("compress=%v: whole-log read allocated %d bytes, budget %d", compress, grown, limit)
+		}
 	}
 }

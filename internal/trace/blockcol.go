@@ -56,7 +56,7 @@ func encodeBlockFrame(evs []Event, compress bool, force int) ([]byte, BlockInfo)
 	payload := binary.AppendUvarint((*pp)[:0], uint64(len(evs)))
 	for col := 0; col < NumCols; col++ {
 		n := len(payload)
-		payload, bi.SegCodecs[col] = appendSegV22(payload, col, evs, force, sc)
+		payload, bi.SegCodecs[col] = appendColumnSeg(payload, col, evs, force, sc)
 		bi.ColLens[col] = int64(len(payload) - n)
 	}
 	frame := wrapFrame(payload, compress)
@@ -73,7 +73,7 @@ func encodeBlockFrame(evs []Event, compress bool, force int) ([]byte, BlockInfo)
 		raw := binary.AppendUvarint((*rp)[:0], uint64(len(evs)))
 		for col := 0; col < NumCols; col++ {
 			n := len(raw)
-			raw, rawBi.SegCodecs[col] = appendSegV22(raw, col, evs, segRaw, sc)
+			raw, rawBi.SegCodecs[col] = appendColumnSeg(raw, col, evs, segRaw, sc)
 			rawBi.ColLens[col] = int64(len(raw) - n)
 		}
 		if rawFrame := wrapFrame(raw, true); len(rawFrame) < len(frame) {
@@ -88,35 +88,13 @@ func encodeBlockFrame(evs []Event, compress bool, force int) ([]byte, BlockInfo)
 	return frame, bi
 }
 
-// decodeBlockSeq decodes a payload sequentially — every segment in order.
-// Each segment is self-describing (codec id byte first), so readers without
-// the footer (the streaming Scanner) decode with no other metadata.
-func decodeBlockSeq(payload []byte, blockEvents int, cols *Columns) error {
-	c := &byteCursor{b: payload}
-	count := c.uvarint()
-	if c.err != nil {
-		return c.err
-	}
-	if err := checkPayloadCount(count, len(payload), blockEvents); err != nil {
-		return err
-	}
-	cols.grow(int(count))
-	for col := 0; col < NumCols; col++ {
-		if err := decodeSegV22(c, col, int(count), cols); err != nil {
-			return fmt.Errorf("%s column: %w", colNames[col], err)
-		}
-	}
-	if c.off != len(payload) {
-		return badf("%d trailing bytes after block columns", len(payload)-c.off)
-	}
-	return nil
-}
-
-// colsToEvents transposes decoded columns into row-major events, appending
-// into dst's capacity (dst is reset).
-func colsToEvents(cols *Columns, dst []Event) []Event {
-	dst = dst[:0]
+// appendEvents transposes the decoded rows of cols that m matches (every
+// row when m is nil) into row-major events appended to dst.
+func appendEvents(dst []Event, cols *Columns, m *Matcher) []Event {
 	for i := 0; i < cols.N; i++ {
+		if m != nil && !m.Match(cols.Level[i], cols.Op[i], cols.Rank[i], cols.Start[i]) {
+			continue
+		}
 		dst = append(dst, Event{
 			Level:  Level(cols.Level[i]),
 			Op:     Op(cols.Op[i]),
@@ -142,6 +120,8 @@ func colsToEvents(cols *Columns, dst []Event) []Event {
 // materialization behind the chunk's lock).
 type BlockData struct {
 	payload   []byte
+	buf       *[]byte    // pooled buffer payload lives in (readBlockPayload)
+	bufPool   *sync.Pool // the pool buf came from
 	count     int
 	block     int
 	segBase   int // payload offset of the first segment
@@ -229,13 +209,21 @@ func (bd *BlockData) Count() int { return bd.count }
 // PayloadBytes returns the unwrapped payload size in bytes.
 func (bd *BlockData) PayloadBytes() int { return len(bd.payload) }
 
+// release hands the payload buffer back to its pool. Only the sole holder
+// of a handle may call it — never one shared through a cache or adopted by
+// a chunk — once nothing reads the payload any more.
+func (bd *BlockData) release() {
+	bd.bufPool.Put(bd.buf)
+	bd.payload, bd.buf = nil, nil
+}
+
 // ReadBlock fetches and unwraps block k, validating the payload's count
 // prefix, that the footer's column byte ranges tile the payload exactly,
 // and that each segment's leading codec id is known and is the one the
 // footer recorded. The returned BlockData is independent of the reader's
 // file handle.
 func (br *BlockReader) ReadBlock(k int) (*BlockData, error) {
-	payload, err := br.readBlockPayload(k)
+	payload, buf, pool, err := br.readBlockPayload(k)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +260,8 @@ func (br *BlockReader) ReadBlock(k int) (*BlockData, error) {
 	}
 	return &BlockData{
 		payload:   payload,
+		buf:       buf,
+		bufPool:   pool,
 		count:     bi.Count,
 		block:     k,
 		segBase:   c.off,
@@ -329,7 +319,7 @@ func (bd *BlockData) decodeInto(want ColSet, cols *Columns) (int64, error) {
 		cl := bd.colLens[col]
 		if want&(ColSet(1)<<col) != 0 {
 			c := &byteCursor{b: bd.payload[off : off+cl]}
-			if err := decodeSegV22(c, col, bd.count, cols); err != nil {
+			if err := decodeColumnSeg(c, col, bd.count, cols); err != nil {
 				return decoded, fmt.Errorf("block %d %s column: %w", bd.block, colNames[col], err)
 			}
 			if c.off != int(cl) {

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 	"time"
 
@@ -291,9 +292,12 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 // Encoder and decoder scratch pools. wrapFrame always copies the payload
 // into the returned frame (raw frames append it, flate frames compress it),
 // so encoder payload buffers recycle; flate writers, their output buffers,
-// and flate readers reset cleanly and recycle too. Decode-side frame
-// buffers recycle only on the flate path — a raw frame's payload aliases
-// the frame bytes and BlockData retains it for lazy materialization.
+// and flate readers reset cleanly and recycle too. On the decode side a
+// block's payload lives in a pooled buffer — the frame buffer itself for a
+// raw frame, an inflate buffer for a flate one, whose frame buffer goes
+// straight back. A scan's lazy chunks keep their blocks' payloads, so those
+// buffers leave the pool; a whole-log read hands each one back once the
+// block's rows are out (BlockData.release).
 var (
 	payloadBufPool = sync.Pool{New: func() interface{} {
 		b := make([]byte, 0, 1<<16)
@@ -310,11 +314,22 @@ var (
 	flateReaderPool = sync.Pool{New: func() interface{} {
 		return flate.NewReader(bytes.NewReader(nil))
 	}}
-	// A raw frame's buffer leaves the pool as the block's payload, so most
-	// Gets find the pool empty: New hands out no capacity and
-	// readBlockPayload sizes the buffer to the frame, once.
-	frameBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+	// New hands out no capacity: a buffer is sized to its frame or payload
+	// on first use (getBuf), and a scan's Gets mostly find the pool empty.
+	frameBufPool   = sync.Pool{New: func() interface{} { return new([]byte) }}
+	inflateBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
 )
+
+// getBuf takes a buffer from pool and cuts it to n bytes, reallocating when
+// its capacity falls short.
+func getBuf(pool *sync.Pool, n uint64) *[]byte {
+	p := pool.Get().(*[]byte)
+	if uint64(cap(*p)) < n {
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
 
 func getPayloadBuf(capHint int) *[]byte {
 	p := payloadBufPool.Get().(*[]byte)
@@ -479,8 +494,8 @@ func (cols *Columns) growSet(n int, set ColSet) {
 }
 
 // grow resizes every column to n rows, reusing capacity where possible and
-// allocating exactly n rows where not — the sizing of long-lived holders
-// (the memo, a Scanner), which never draw from the column pools.
+// allocating exactly n rows where not — the sizing of the long-lived memo,
+// which never draws from the column pools.
 func (cols *Columns) grow(n int) {
 	cols.N = n
 	if cap(cols.Level) < n {
@@ -510,188 +525,57 @@ func (cols *Columns) grow(n int) {
 	cols.End = cols.End[:n]
 }
 
-// unwrapFrame strips a block frame down to its raw payload, decompressing
-// if needed; fresh reports that the payload is a new buffer rather than an
-// alias of the frame bytes. Allocation is bounded by the actual frame
-// bytes: a flate block may not claim a decoded size beyond the codec's
-// maximum ratio (the decompression-bomb guard).
-func unwrapFrame(frame []byte) (payload []byte, fresh bool, err error) {
+// unwrapFrame strips a block frame down to its raw payload. A raw frame's
+// payload aliases the frame bytes and inflated is nil; a flate frame
+// decompresses into a buffer from inflateBufPool, returned as inflated.
+// Allocation is bounded by the actual frame bytes: a flate block may not
+// claim a decoded size beyond the codec's maximum ratio (the
+// decompression-bomb guard).
+func unwrapFrame(frame []byte) (payload []byte, inflated *[]byte, err error) {
 	if len(frame) == 0 {
-		return nil, false, badf("empty block frame")
+		return nil, nil, badf("empty block frame")
 	}
 	flated, err := frameIsFlate(frame[0])
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
 	c := &byteCursor{b: frame, off: 1}
 	rawLen := c.uvarint()
 	if !flated {
 		if c.err != nil {
-			return nil, false, c.err
+			return nil, nil, c.err
 		}
 		rest := frame[c.off:]
 		if uint64(len(rest)) != rawLen {
-			return nil, false, badf("raw block length %d != framed %d", rawLen, len(rest))
+			return nil, nil, badf("raw block length %d != framed %d", rawLen, len(rest))
 		}
-		return rest, false, nil
+		return rest, nil, nil
 	}
 	compLen := c.uvarint()
 	if c.err != nil {
-		return nil, false, c.err
+		return nil, nil, c.err
 	}
 	rest := frame[c.off:]
 	if uint64(len(rest)) != compLen {
-		return nil, false, badf("compressed block length %d != framed %d", compLen, len(rest))
+		return nil, nil, badf("compressed block length %d != framed %d", compLen, len(rest))
 	}
 	if rawLen > maxFlateRatio*compLen+64 {
-		return nil, false, badf("compressed block claims %d bytes from %d", rawLen, compLen)
+		return nil, nil, badf("compressed block claims %d bytes from %d", rawLen, compLen)
 	}
 	fr := flateReaderPool.Get().(io.ReadCloser)
 	fr.(flate.Resetter).Reset(bytes.NewReader(rest), nil)
 	defer flateReaderPool.Put(fr)
-	payload = make([]byte, rawLen)
-	if _, err := io.ReadFull(fr, payload); err != nil {
-		return nil, false, badf("inflating block: %v", err)
+	inflated = getBuf(&inflateBufPool, rawLen)
+	if _, err := io.ReadFull(fr, *inflated); err != nil {
+		inflateBufPool.Put(inflated)
+		return nil, nil, badf("inflating block: %v", err)
 	}
 	var one [1]byte
 	if n, _ := fr.Read(one[:]); n != 0 {
-		return nil, false, badf("compressed block longer than declared %d bytes", rawLen)
+		inflateBufPool.Put(inflated)
+		return nil, nil, badf("compressed block longer than declared %d bytes", rawLen)
 	}
-	return payload, true, nil
-}
-
-// geometry is the block-section preamble that follows the header.
-type geometry struct {
-	blockEvents, nEvents, nBlocks uint64
-}
-
-// readPreamble reads everything ahead of the first block frame — magic,
-// header, block geometry — the part Scanner and BlockReader open alike.
-func readPreamble(r *reader) (*Trace, geometry, error) {
-	var g geometry
-	head := make([]byte, len(magicV2))
-	if _, err := io.ReadFull(r.r, head); err != nil {
-		return nil, g, readErr(err)
-	}
-	if err := checkMagic(head, magicV2); err != nil {
-		return nil, g, err
-	}
-	hdr, err := readHeader(r)
-	if err != nil {
-		if IsCtxErr(err) {
-			return nil, g, err
-		}
-		return nil, g, badf("header: %v", err)
-	}
-	g.blockEvents = r.uvarint()
-	g.nEvents = r.uvarint()
-	g.nBlocks = r.uvarint()
-	if r.err != nil {
-		return nil, g, readErr(r.err)
-	}
-	if g.blockEvents == 0 || g.blockEvents > maxBlockEvents {
-		return nil, g, badf("block size %d", g.blockEvents)
-	}
-	if g.nEvents > 1<<32 {
-		return nil, g, badf("event count %d", g.nEvents)
-	}
-	if want := (g.nEvents + g.blockEvents - 1) / g.blockEvents; g.nBlocks != want {
-		return nil, g, badf("block count %d for %d events of %d", g.nBlocks, g.nEvents, g.blockEvents)
-	}
-	return hdr, g, nil
-}
-
-// readFrame reads the next block frame from the sequential stream into the
-// reused scratch buffer. Reads grow incrementally so a truncated stream
-// cannot force a large allocation from a corrupt length claim.
-func (s *Scanner) readFrame() ([]byte, error) {
-	r := s.r
-	codec, err := r.r.ReadByte()
-	if err != nil {
-		return nil, badf("block frame: %v", err)
-	}
-	flated, err := frameIsFlate(codec)
-	if err != nil {
-		return nil, err
-	}
-	need := r.uvarint()
-	head := binary.AppendUvarint([]byte{codec}, need)
-	if flated {
-		need = r.uvarint()
-		head = binary.AppendUvarint(head, need)
-	}
-	if r.err != nil {
-		return nil, badf("block frame: %v", r.err)
-	}
-	if s.frame == nil {
-		s.frame = make([]byte, 0, 1<<16)
-	}
-	frame := append(s.frame[:0], head...)
-	const step = 1 << 20
-	for got := uint64(0); got < need; {
-		n := need - got
-		if n > step {
-			n = step
-		}
-		pos := len(frame)
-		frame = append(frame, make([]byte, n)...)
-		if _, err := io.ReadFull(r.r, frame[pos:]); err != nil {
-			return nil, badf("block frame body: %v", err)
-		}
-		got += n
-	}
-	s.frame = frame
-	return frame, nil
-}
-
-// Next decodes up to len(buf) events into buf and returns how many were
-// filled: the next block decodes when the current one is drained, then
-// events copy out. It returns io.EOF (with n == 0) once the event log is
-// exhausted, and a decoding error if the log is corrupt or truncated.
-func (s *Scanner) Next(buf []Event) (int, error) {
-	if s.remaining == 0 {
-		return 0, io.EOF
-	}
-	if s.buf == nil {
-		// Size the block buffer up front so the first block's transpose
-		// doesn't grow it allocation by allocation. The claim is capped so
-		// a corrupt header cannot force a large allocation before any
-		// event bytes have been read.
-		s.buf = make([]Event, 0, min(uint64(s.blockEvents), s.remaining, 1<<15))
-	}
-	filled := 0
-	for filled < len(buf) && s.remaining > 0 {
-		if s.pos == len(s.buf) {
-			if s.blocksLeft == 0 {
-				return filled, badf("event log short: %d events missing", s.remaining)
-			}
-			frame, err := s.readFrame()
-			if err != nil {
-				return filled, err
-			}
-			payload, _, err := unwrapFrame(frame)
-			if err != nil {
-				return filled, err
-			}
-			if err := decodeBlockSeq(payload, s.blockEvents, &s.cols); err != nil {
-				return filled, err
-			}
-			evs := colsToEvents(&s.cols, s.buf)
-			if uint64(len(evs)) > s.remaining {
-				return filled, badf("block overruns declared event count")
-			}
-			if s.blocksLeft > 1 && len(evs) != s.blockEvents {
-				return filled, badf("interior block holds %d events, want %d", len(evs), s.blockEvents)
-			}
-			s.buf, s.pos = evs, 0
-			s.blocksLeft--
-		}
-		n := copy(buf[filled:], s.buf[s.pos:])
-		s.pos += n
-		filled += n
-		s.remaining -= uint64(n)
-	}
-	return filled, nil
+	return *inflated, inflated, nil
 }
 
 // BlockInfo is one block's entry in the footer index: where its frame
@@ -730,14 +614,37 @@ const minFooterEntry = 9 + 2*NumCols
 
 // NewBlockReader opens a trace log of the given size (as from
 // os.File.Stat). It reads the header and the footer index; blocks decode
-// on demand. Use Scanner for sequential access to non-seekable inputs.
+// on demand. A log without a valid footer is refused.
 func NewBlockReader(r io.ReaderAt, size int64) (*BlockReader, error) {
+	// Preamble: magic, header, block geometry.
 	sr := &reader{r: bufio.NewReaderSize(io.NewSectionReader(r, 0, size), 1<<16)}
-	hdr, g, err := readPreamble(sr)
-	if err != nil {
+	head := make([]byte, len(magicV2))
+	if _, err := io.ReadFull(sr.r, head); err != nil {
+		return nil, readErr(err)
+	}
+	if err := checkMagic(head, magicV2); err != nil {
 		return nil, err
 	}
-	be, nEvents, nBlocks := g.blockEvents, g.nEvents, g.nBlocks
+	hdr, err := readHeader(sr)
+	if err != nil {
+		if IsCtxErr(err) {
+			return nil, err
+		}
+		return nil, badf("header: %v", err)
+	}
+	be, nEvents, nBlocks := sr.uvarint(), sr.uvarint(), sr.uvarint()
+	if sr.err != nil {
+		return nil, readErr(sr.err)
+	}
+	if be == 0 || be > maxBlockEvents {
+		return nil, badf("block size %d", be)
+	}
+	if nEvents > 1<<32 {
+		return nil, badf("event count %d", nEvents)
+	}
+	if want := (nEvents + be - 1) / be; nBlocks != want {
+		return nil, badf("block count %d for %d events of %d", nBlocks, nEvents, be)
+	}
 
 	// Footer: fixed trailer at the tail locates the index.
 	if size < trailerLen {
@@ -887,51 +794,104 @@ type BlockSource interface {
 
 var _ BlockSource = (*BlockReader)(nil)
 
-// readBlockPayload fetches and unwraps block k's raw payload. Frame buffers
-// come from a pool and recycle whenever the payload does not alias them
-// (flate frames decompress into fresh memory; raw frames hand their own
-// bytes out and the buffer leaves the pool).
-func (br *BlockReader) readBlockPayload(k int) ([]byte, error) {
+// readBlockPayload fetches and unwraps block k's raw payload, returning the
+// pooled buffer it lives in and that buffer's pool: the frame buffer for a
+// raw frame, an inflate buffer for a flate one (whose frame buffer goes
+// straight back). No buffer stays out on error.
+func (br *BlockReader) readBlockPayload(k int) (payload []byte, buf *[]byte, pool *sync.Pool, err error) {
 	bi := br.blocks[k]
-	fp := frameBufPool.Get().(*[]byte)
-	if int64(cap(*fp)) < bi.Len {
-		*fp = make([]byte, bi.Len)
-	}
-	frame := (*fp)[:bi.Len]
-	*fp = frame
-	if _, err := br.r.ReadAt(frame, bi.Offset); err != nil {
+	fp := getBuf(&frameBufPool, uint64(bi.Len))
+	if _, err := br.r.ReadAt(*fp, bi.Offset); err != nil {
 		frameBufPool.Put(fp)
 		if IsCtxErr(err) {
-			return nil, err // canceled read, not corrupt input
+			return nil, nil, nil, err // canceled read, not corrupt input
 		}
-		return nil, badf("block %d: %v", k, err)
+		return nil, nil, nil, badf("block %d: %v", k, err)
 	}
-	payload, fresh, err := unwrapFrame(frame)
-	if err != nil {
-		// No payload escapes on error — recycle unconditionally, including
-		// raw frames whose length claims failed validation.
+	payload, inflated, err := unwrapFrame(*fp)
+	switch {
+	case err != nil:
 		frameBufPool.Put(fp)
-		return nil, fmt.Errorf("block %d: %w", k, err)
-	}
-	if fresh {
+		return nil, nil, nil, fmt.Errorf("block %d: %w", k, err)
+	case inflated != nil:
 		frameBufPool.Put(fp)
+		return payload, inflated, &inflateBufPool, nil
 	}
-	return payload, nil
+	return payload, fp, &frameBufPool, nil
 }
 
 // DecodeEvents decodes block k into row-major events, appending into dst's
 // capacity (dst is reset). Safe to call concurrently for distinct dst.
 func (br *BlockReader) DecodeEvents(k int, dst []Event) ([]Event, error) {
-	payload, err := br.readBlockPayload(k)
+	return br.appendBlock(dst[:0], k, nil)
+}
+
+// ReadTrace returns the log's header with Events holding every event that
+// matches f, in log order; the zero Filter keeps them all. Blocks the footer
+// statistics rule out are never read. Each block's rows append straight
+// into the result, and its decoded columns and payload buffer go back to
+// their pools before the next block is read, so beyond the result the read
+// holds one block's scratch.
+func (br *BlockReader) ReadTrace(f Filter) (*Trace, error) {
+	t := *br.hdr
+	var m *Matcher
+	if f.Empty() {
+		// A corrupt count claim could still be far past what the blocks
+		// decode to, so the reservation is capped; the blocks' own
+		// validation refuses the rest.
+		t.Events = make([]Event, 0, min(br.nEvents, 1<<24))
+	} else {
+		m = f.NewMatcher()
+	}
+	for k := range br.blocks {
+		if m != nil && m.SkipBlock(br.blocks[k]) {
+			continue
+		}
+		var err error
+		if t.Events, err = br.appendBlock(t.Events, k, m); err != nil {
+			return nil, err
+		}
+	}
+	return &t, nil
+}
+
+// appendBlock appends block k's events that m matches (all of them when m
+// is nil) to dst, through the footer-checked ReadBlock and Decode.
+func (br *BlockReader) appendBlock(dst []Event, k int, m *Matcher) ([]Event, error) {
+	bd, err := br.ReadBlock(k)
 	if err != nil {
 		return nil, err
 	}
+	defer bd.release()
 	var cols Columns
-	if err := decodeBlockSeq(payload, br.blockEvents, &cols); err != nil {
-		return nil, fmt.Errorf("block %d: %w", k, err)
+	if _, err := bd.Decode(AllCols, &cols); err != nil {
+		return nil, err
 	}
-	if cols.N != br.blocks[k].Count {
-		return nil, badf("block %d decodes %d events, index says %d", k, cols.N, br.blocks[k].Count)
+	dst = appendEvents(dst, &cols, m)
+	cols.Recycle(AllCols)
+	return dst, nil
+}
+
+// Read decodes a whole trace log from a stream. The stream is buffered —
+// in one allocation when it is a file or an in-memory reader, whose length
+// is known — and read through its footer index like a file: the encoded
+// bytes are a small fraction of the events they decode to.
+func Read(in io.Reader) (*Trace, error) {
+	var buf bytes.Buffer
+	switch r := in.(type) {
+	case interface{ Len() int }:
+		buf.Grow(r.Len() + bytes.MinRead)
+	case *os.File:
+		if info, err := r.Stat(); err == nil {
+			buf.Grow(int(info.Size()) + bytes.MinRead)
+		}
 	}
-	return colsToEvents(&cols, dst), nil
+	if _, err := buf.ReadFrom(in); err != nil {
+		return nil, err
+	}
+	br, err := NewBlockReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		return nil, err
+	}
+	return br.ReadTrace(Filter{})
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -240,17 +239,17 @@ func TestV2Corruption(t *testing.T) {
 	full := encodeV2(t, orig, V2Options{BlockEvents: 256})
 
 	t.Run("truncation-scanner", func(t *testing.T) {
-		// The scanner streams the event section and never touches the
-		// footer, so cuts must land before the last block frame ends.
+		// The stream reader needs the footer as much as the block reader:
+		// a cut inside the event section or past it is refused alike.
 		br, err := NewBlockReader(bytes.NewReader(full), int64(len(full)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		last := br.BlockAt(br.NumBlocks() - 1)
 		eventEnd := int(last.Offset + last.Len)
-		for _, cut := range []int{4, len(magicV2), eventEnd / 4, eventEnd / 2, eventEnd - 1} {
+		for _, cut := range []int{4, len(magicV2), eventEnd / 4, eventEnd / 2, eventEnd - 1, eventEnd, len(full) - 1} {
 			if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
-				t.Errorf("truncation at %d not detected by scanner", cut)
+				t.Errorf("truncation at %d not detected by Read", cut)
 			}
 		}
 	})
@@ -336,28 +335,17 @@ func TestV2CountClaimBounded(t *testing.T) {
 	}
 }
 
-// TestV2ScannerSmallBatches: the streaming scanner hands out correct events
-// across block boundaries regardless of the caller's batch size.
+// TestV2ScannerSmallBatches: a whole-log read of small blocks, the last one
+// short, hands out every event in order across the block boundaries.
 func TestV2ScannerSmallBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	orig := randomTrace(rng, 1000)
 	data := encodeV2(t, orig, V2Options{BlockEvents: 64})
-	s, err := NewScanner(bytes.NewReader(data))
+	tr, err := Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Event
-	buf := make([]Event, 7) // deliberately misaligned with the block size
-	for {
-		n, err := s.Next(buf)
-		got = append(got, buf[:n]...)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("Next: %v", err)
-			}
-			break
-		}
-	}
+	got := tr.Events
 	if len(got) != len(orig.Events) {
 		t.Fatalf("scanned %d events, want %d", len(got), len(orig.Events))
 	}

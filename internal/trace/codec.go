@@ -13,8 +13,8 @@ import (
 // The on-disk trace log plays the role of Recorder's native trace format,
 // which the paper converts to columnar parquet before analysis; ours is
 // columnar on disk already (blockio.go holds the layout). This file holds
-// the parts every reader and writer shares: the varint framing, the trace
-// header, and the streaming Scanner.
+// the parts the reader and the writer share: the varint framing and the
+// trace header.
 //
 // Strings are uvarint length + bytes. Signed ints use zig-zag varints.
 
@@ -300,68 +300,4 @@ func readHeader(r *reader) (*Trace, error) {
 	}
 	r.flushStrs()
 	return t, nil
-}
-
-// Scanner streams a trace log: the header (metadata, interning tables,
-// samples) decodes eagerly, the event log decodes in caller-sized batches,
-// one block at a time into a reused buffer. It serves non-seekable inputs —
-// it never reads the footer; seekable files go through BlockReader.
-type Scanner struct {
-	r           *reader
-	hdr         *Trace
-	remaining   uint64
-	blockEvents int
-	blocksLeft  int
-	buf         []Event // decoded current block
-	pos         int
-	frame       []byte  // reused frame scratch
-	cols        Columns // reused decode scratch
-}
-
-// NewScanner decodes the trace header from in and positions the scanner at
-// the first event. The reader must not be used by the caller afterwards.
-func NewScanner(in io.Reader) (*Scanner, error) {
-	r := &reader{r: bufio.NewReaderSize(in, 1<<16)}
-	hdr, g, err := readPreamble(r)
-	if err != nil {
-		return nil, err
-	}
-	// Refuse a retired first frame now rather than at the first Next.
-	if g.nBlocks > 0 {
-		if head, err := r.r.Peek(1); err == nil {
-			if _, err := frameIsFlate(head[0]); err != nil {
-				return nil, fmt.Errorf("block 0: %w", err)
-			}
-		}
-	}
-	return &Scanner{r: r, hdr: hdr, remaining: g.nEvents,
-		blockEvents: int(g.blockEvents), blocksLeft: int(g.nBlocks)}, nil
-}
-
-// Header returns the decoded trace header: a Trace carrying Meta, Apps,
-// Files and Samples but no Events. The scanner retains no reference to it.
-func (s *Scanner) Header() *Trace { return s.hdr }
-
-// Read decodes a trace log, materializing the full event log through the
-// streaming scanner.
-func Read(in io.Reader) (*Trace, error) {
-	s, err := NewScanner(in)
-	if err != nil {
-		return nil, err
-	}
-	t := s.Header()
-	if s.remaining < 1<<24 {
-		t.Events = make([]Event, 0, s.remaining)
-	}
-	buf := make([]Event, 4096)
-	for {
-		n, err := s.Next(buf)
-		t.Events = append(t.Events, buf[:n]...)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }

@@ -15,10 +15,10 @@ package trace
 //
 // Ownership: whoever called Decode owns the slices it filled and is the
 // only one who may Recycle them, at most once, after the last read. Not
-// recycling is always correct — the slices are ordinary garbage. Long-lived
-// holders (the block-cache memo, a Scanner) never draw from the pool: they
-// size their columns exactly with grow, so a cache budgeted in MemoRowBytes
-// does not sit on block-capacity slices of short blocks.
+// recycling is always correct — the slices are ordinary garbage. The
+// long-lived block-cache memo never draws from the pool: it sizes its
+// columns exactly with grow, so a cache budgeted in MemoRowBytes does not
+// sit on block-capacity slices of short blocks.
 
 import (
 	"sync"

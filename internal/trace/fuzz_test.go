@@ -20,9 +20,10 @@ func fuzzSeedTrace(f *testing.F) *Trace {
 	return tr.Finish()
 }
 
-// FuzzRead hardens the streaming decoder against corrupt input: any byte
+// FuzzRead hardens the whole-log read against corrupt input: any byte
 // stream must either decode cleanly or return an error — never panic,
-// hang, or allocate unboundedly.
+// hang, or allocate unboundedly — and every pooled column a block decoded
+// into is back in its pool afterwards, whichever way the read ended.
 func FuzzRead(f *testing.F) {
 	// Seed with a retired-vintage log (must be refused, not misparsed) and a
 	// valid one, their truncations, and mutations.
@@ -59,7 +60,11 @@ func FuzzRead(f *testing.F) {
 	f.Add(comp2.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		inUse := ColumnsInUse()
 		tr, err := Read(bytes.NewReader(data))
+		if got := ColumnsInUse(); got != inUse {
+			t.Fatalf("%d pooled columns never came back (error %v)", got-inUse, err)
+		}
 		if err != nil {
 			return
 		}

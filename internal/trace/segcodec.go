@@ -19,9 +19,9 @@ package trace
 // varint for the rest. Every codec operates on the same stored-value stream
 // — Start/End encode their delta chains, every other column its raw values
 // — so the choice of codec never changes a decoded value. Every segment
-// begins with its codec id byte (the payload is self-describing for the
-// streaming Scanner); the footer repeats the ids so codec-mix statistics
-// never touch block bytes.
+// begins with its codec id byte, which the reader checks against the id the
+// footer repeats; codec-mix statistics read the footer and never touch
+// block bytes.
 //
 // The decoder (decodeSeg) is generic over the column's element type and
 // writes a whole segment into the target column slice in one pass; the
@@ -426,9 +426,9 @@ func appendSegBody(dst []byte, codec uint8, vals []int64, unsigned bool) []byte 
 	return dst
 }
 
-// appendSegV22 encodes one column of evs as a segment (codec id byte +
+// appendColumnSeg encodes one column of evs as a segment (codec id byte +
 // body) and returns the chosen codec. force < 0 runs the cost model.
-func appendSegV22(dst []byte, col int, evs []Event, force int, sc *segScratch) ([]byte, uint8) {
+func appendColumnSeg(dst []byte, col int, evs []Event, force int, sc *segScratch) ([]byte, uint8) {
 	unsigned := ColSet(1)<<col&unsignedCols != 0
 	vals := sc.storedVals(col, evs)
 	var codec uint8
@@ -728,10 +728,10 @@ func (c *byteCursor) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// decodeSegV22 decodes one segment (codec id byte + body) into the first n
+// decodeColumnSeg decodes one segment (codec id byte + body) into the first n
 // rows of the matching column of cols (already grown to n rows), under the
 // column's value rule.
-func decodeSegV22(c *byteCursor, col, n int, cols *Columns) error {
+func decodeColumnSeg(c *byteCursor, col, n int, cols *Columns) error {
 	if c.err != nil {
 		return c.err
 	}

@@ -368,7 +368,7 @@ func TestDecodeSegRuns(t *testing.T) {
 	}
 }
 
-// TestAppendSegV22Validation: full segments decoded through decodeSegV22
+// TestAppendSegV22Validation: full segments decoded through decodeColumnSeg
 // enforce the v2.1 value rules (negative ranks rejected) and Start/End
 // delta chains accumulate correctly.
 func TestAppendSegV22Validation(t *testing.T) {
@@ -384,9 +384,9 @@ func TestAppendSegV22Validation(t *testing.T) {
 	cols.grow(len(evs))
 	for _, col := range []int{colRankIdx(), colStartIdx(), colEndIdx()} {
 		for force := -1; force < numSegCodecs; force++ {
-			seg, _ := appendSegV22(nil, col, evs, force, sc)
+			seg, _ := appendColumnSeg(nil, col, evs, force, sc)
 			c := &byteCursor{b: seg}
-			if err := decodeSegV22(c, col, len(evs), &cols); err != nil {
+			if err := decodeColumnSeg(c, col, len(evs), &cols); err != nil {
 				t.Fatalf("col %d force %d: %v", col, force, err)
 			}
 		}
@@ -400,7 +400,7 @@ func TestAppendSegV22Validation(t *testing.T) {
 
 	// A segment carrying a negative rank must be rejected on decode.
 	bad := append([]byte{segRaw}, appendSegBody(nil, segRaw, []int64{-1, 2, 3}, false)...)
-	if err := decodeSegV22(&byteCursor{b: bad}, colRankIdx(), 3, &cols); !errors.Is(err, ErrBadFormat) {
+	if err := decodeColumnSeg(&byteCursor{b: bad}, colRankIdx(), 3, &cols); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("negative rank error = %v, want ErrBadFormat", err)
 	}
 }

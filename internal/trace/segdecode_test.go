@@ -222,7 +222,7 @@ func TestDecoderRejectionParity(t *testing.T) {
 			for _, col := range []ColSet{ColRank, ColNode, ColApp, ColFile} {
 				var cols Columns
 				cols.grow(tc.n)
-				err := decodeSegV22(&byteCursor{b: seg}, colIdxOf(col), tc.n, &cols)
+				err := decodeColumnSeg(&byteCursor{b: seg}, colIdxOf(col), tc.n, &cols)
 				want := tc.accept
 				if col&(ColApp|ColFile) != 0 {
 					_, _, refErr := refDecodeSeg(tc.codec, tc.body, tc.n, false)
@@ -437,7 +437,8 @@ func TestColumnPoolRecycles(t *testing.T) {
 
 // FuzzDecodeSegDifferential: on arbitrary segment bodies the typed decoder,
 // at each column type and under each value rule, returns the reference's
-// verdict and the reference's values.
+// verdict and the reference's values — and so does the column dispatch
+// decoding the segment into pooled columns, which all go back to the pools.
 func FuzzDecodeSegDifferential(f *testing.F) {
 	vals := []int64{3, 3, 9, 1 << 20, 0, 3, 77, 77, 77, 5}
 	for codec := uint8(0); codec < numSegCodecs; codec++ {
@@ -454,8 +455,25 @@ func FuzzDecodeSegDifferential(f *testing.F) {
 		if codec >= numSegCodecs {
 			return
 		}
-		for _, sp := range []colSpec{specUnsigned, specSigned, specIndex} {
+		inUse := ColumnsInUse()
+		seg := append([]byte{codec}, body...)
+		// One column per value rule (see decodeColumnSeg).
+		for col, sp := range map[ColSet]colSpec{ColLevel: specUnsigned, ColSize: specSigned, ColRank: specIndex} {
 			checkAgainstRef(t, codec, body, int(n), sp)
+			want, _, refErr := refDecodeSeg(codec, body, int(n), sp.unsigned)
+			if refErr == nil {
+				refErr = refColumn(want, sp)
+			}
+			var cols Columns
+			cols.growSet(int(n), col)
+			err := decodeColumnSeg(&byteCursor{b: seg}, colIdxOf(col), int(n), &cols)
+			cols.Recycle(col)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("%s column: error %v, reference error %v", colNames[colIdxOf(col)], err, refErr)
+			}
+		}
+		if got := ColumnsInUse(); got != inUse {
+			t.Fatalf("%d pooled columns never came back", got-inUse)
 		}
 	})
 }

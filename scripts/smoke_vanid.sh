@@ -2,7 +2,8 @@
 # End-to-end smoke test for vanid: generate a trace, serve it through the
 # daemon, and assert the HTTP report is byte-identical to the CLI's YAML
 # for the same trace and filter spec. Exercises upload, job polling, report
-# fetch, the cache-hit path, and metrics.
+# fetch, the cache-hit path, metrics and the fleet query — first on a daemon
+# started with no storage flag, then on a persistent repository.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -52,9 +53,10 @@ grep -q 'groups: served=[0-9]* fallback=[0-9]*$' "$WORK/cli_verbose.txt" || {
   cat "$WORK/cli_verbose.txt"; exit 1
 }
 
-echo "== starting vanid =="
-"$WORK/vanid" -addr 127.0.0.1:0 -addr-file "$WORK/addr" -workers 2 \
-  -spool-dir "$WORK/spool" &
+echo "== starting vanid with no storage flag (throwaway repository) =="
+# Its repository is a fresh directory under TMPDIR; point that into the work
+# dir so cleanup removes it.
+TMPDIR="$WORK" "$WORK/vanid" -addr 127.0.0.1:0 -addr-file "$WORK/addr" -workers 2 &
 VANID_PID=$!
 
 for i in $(seq 1 100); do
@@ -153,6 +155,21 @@ PPROF_CODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/debug/pprof/")"
   echo "FAIL: /debug/pprof/ answered $PPROF_CODE without -pprof"; exit 1
 }
 echo "pprof endpoints are absent without -pprof"
+
+echo "== fleet query on the throwaway repository =="
+FLEET_CODE="$(curl -s -o "$WORK/fleet0.yaml" -w '%{http_code}' "$BASE/fleet/query?workload=hacc")"
+[ "$FLEET_CODE" = "200" ] || { echo "FAIL: /fleet/query answered $FLEET_CODE without -data-dir"; exit 1; }
+[ -s "$WORK/fleet0.yaml" ] || { echo "FAIL: empty fleet report without -data-dir"; exit 1; }
+echo "/fleet/query answers without -data-dir"
+curl -fsS -X POST "$BASE/v1/compact" >/dev/null
+REPO0="$(echo "$WORK"/vanid-repo-*)"
+[ -d "$REPO0/shards" ] || { echo "FAIL: no throwaway repository under $WORK"; exit 1; }
+FILES_BEFORE="$(find "$REPO0/shards" "$REPO0/tmp" -type f | wc -l)"
+BAD_CODE="$(curl -s -o /dev/null -w '%{http_code}' --data-binary 'this is not a trace' "$BASE/v1/traces")"
+[ "$BAD_CODE" = "400" ] || { echo "FAIL: a garbage upload answered $BAD_CODE, want 400"; exit 1; }
+FILES_AFTER="$(find "$REPO0/shards" "$REPO0/tmp" -type f | wc -l)"
+[ "$FILES_AFTER" -eq "$FILES_BEFORE" ] || { echo "FAIL: a rejected upload left a file behind"; exit 1; }
+echo "/v1/compact answers, and a rejected upload leaves no file behind"
 
 echo "== what-if sweep: 2-point grid through the service vs the CLI =="
 cat > "$WORK/sweep.yaml" <<'SWEEP'

@@ -263,25 +263,10 @@ func ReadTraceFiltered(path string, f TraceFilter) (*Trace, error) {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
 	defer br.Close()
-	m := f.NewMatcher()
-	tr := br.Header()
-	var evs []trace.Event
-	var block []trace.Event
-	for k := 0; k < br.NumBlocks(); k++ {
-		if m.SkipBlock(br.BlockAt(k)) {
-			continue
-		}
-		block, err = br.DecodeEvents(k, block[:0])
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", path, err)
-		}
-		for i := range block {
-			if m.MatchEvent(&block[i]) {
-				evs = append(evs, block[i])
-			}
-		}
+	tr, err := br.ReadTrace(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	tr.Events = evs
 	return tr, nil
 }
 
