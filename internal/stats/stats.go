@@ -248,17 +248,6 @@ func (h *SizeHistogram) Bandwidth(b SizeBucket) float64 {
 	return float64(h.Bytes[b]) / h.Time[b].Seconds()
 }
 
-// DominantBucket returns the bucket with the highest request count.
-func (h *SizeHistogram) DominantBucket() SizeBucket {
-	best := SizeBucket(0)
-	for b := SizeBucket(1); b < NumSizeBuckets; b++ {
-		if h.Count[b] > h.Count[best] {
-			best = b
-		}
-	}
-	return best
-}
-
 // Timeline bins activity over [0, span) into equal-width bins and reports
 // a bytes/sec series — the paper's per-workload I/O timeline panels.
 type Timeline struct {
@@ -287,9 +276,6 @@ func NewTimeline(span time.Duration, n int) *Timeline {
 
 // Bins returns the number of bins.
 func (tl *Timeline) Bins() int { return len(tl.Bytes) }
-
-// BinWidth returns the width of each bin.
-func (tl *Timeline) BinWidth() time.Duration { return tl.width }
 
 // Add spreads size bytes of one operation spanning [start, end) across the
 // bins it overlaps, proportional to overlap.

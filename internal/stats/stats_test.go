@@ -129,9 +129,6 @@ func TestSizeHistogramAccumulation(t *testing.T) {
 	if h.TotalCount() != 3 || h.TotalBytes() != 2048+32<<20 {
 		t.Errorf("totals wrong")
 	}
-	if h.DominantBucket() != BucketTiny {
-		t.Errorf("dominant = %v", h.DominantBucket())
-	}
 	// Huge bucket: 32MiB in 16ms = 2GiB/s.
 	if bw := h.Bandwidth(BucketHuge); math.Abs(bw-float64(32<<20)/0.016) > 1 {
 		t.Errorf("bandwidth = %v", bw)

@@ -230,11 +230,6 @@ func (s *System) Mkdir(p *sim.Proc, node int, path string) {
 	s.meta(p, node, s.Route(path))
 }
 
-// Readdir performs a directory-listing metadata op.
-func (s *System) Readdir(p *sim.Proc, node int, path string) {
-	s.meta(p, node, s.Route(path))
-}
-
 // Delete removes a file without charging time (used by cleanup stages).
 func (s *System) Delete(node int, path string) {
 	k, _ := s.key(node, path)
@@ -483,16 +478,6 @@ func hashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// PFSUtilization returns mean data-server utilization, for tests and the
-// Table IX probe.
-func (s *System) PFSUtilization() float64 {
-	var u float64
-	for _, srv := range s.dataServers.Servers {
-		u += srv.Utilization()
-	}
-	return u / float64(len(s.dataServers.Servers))
 }
 
 // pageCache is a per-node client cache. It tracks which files (by

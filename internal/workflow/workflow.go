@@ -64,9 +64,6 @@ func (d *DAG) MustAdd(t *Task) {
 	}
 }
 
-// Tasks returns the tasks in insertion order.
-func (d *DAG) Tasks() []*Task { return d.tasks }
-
 // Task looks up a task by name.
 func (d *DAG) Task(name string) *Task { return d.byName[name] }
 

@@ -177,15 +177,6 @@ func EvaluateRecommendations(w Workload, spec Spec, recs []Recommendation) ([]Im
 	return advisor.Evaluate(w, spec, recs)
 }
 
-// Delta is one changed attribute between two characterizations.
-type Delta = core.Delta
-
-// CompareCharacterizations diffs two characterizations attribute by
-// attribute (the before/after view of a reconfiguration).
-func CompareCharacterizations(before, after *Characterization) []Delta {
-	return core.Compare(before, after)
-}
-
 // ReplayOptions configures a trace replay (replay.Options).
 type ReplayOptions = replay.Options
 
