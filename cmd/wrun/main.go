@@ -98,7 +98,7 @@ func main() {
 		written = fi.Size()
 	}
 	st := res.Sys.Stats
-	wall := fmt.Sprintf("simulate %s, merge %s", wallTime(simulate), wallTime(res.TraceMerge))
+	wall := fmt.Sprintf("simulate %s, sort %s", wallTime(simulate), wallTime(res.TraceMerge))
 	if *out != "" {
 		wall += fmt.Sprintf(", encode %s", wallTime(encode))
 	}

@@ -8,9 +8,9 @@ import (
 	"vani/internal/trace"
 )
 
-// runsTrace builds a trace whose key columns arrive in long runs — the
-// rank-major ordering the tracer's k-way merge produces — so the v2.2 cost
-// model picks RLE for them.
+// runsTrace builds a trace whose key columns arrive in long runs — each
+// rank issues 997 calls in a row, and Start order keeps them together — so
+// the v2.2 cost model picks RLE for them.
 func runsTrace(n int) *trace.Trace {
 	rng := rand.New(rand.NewSource(7))
 	tr := trace.NewTracer()

@@ -40,8 +40,9 @@ type Options struct {
 
 // Timings records the wall-clock cost of each pipeline stage.
 type Timings struct {
-	// TraceMerge is the tracer's shard-merge time (filled by callers that
-	// hold the tracer; the analyzer itself never sees it).
+	// TraceMerge is the time the tracer's Finish spent sorting its event
+	// log (filled by callers that hold the tracer; the analyzer itself
+	// never sees it).
 	TraceMerge time.Duration
 	// Columnarize is the row-to-column transposition time.
 	Columnarize time.Duration

@@ -239,6 +239,16 @@ func parseFilter(r *http.Request) (trace.Filter, error) {
 	return cliutil.ParseFilter(q.Get("window"), q.Get("ranks"), q.Get("levels"), q.Get("ops"))
 }
 
+// maxTraceBody bounds a trace upload (POST /v1/traces, /v1/characterize):
+// a longer body is refused with 413 and nothing of it stays in the
+// repository. The bound is far above any trace the workloads write at
+// benchmark scale, which are a few MiB.
+const maxTraceBody = 1 << 30
+
+// traceBodyLimit is the bound admit enforces: maxTraceBody, which only tests
+// lower.
+var traceBodyLimit int64 = maxTraceBody
+
 // admit stores and validates an upload and resolves its content address:
 // the body goes through Repo.Add (content-addressed, deduplicated, durable)
 // and the trace's current location — loose shard file or pack section — is
@@ -258,7 +268,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (h *repo.Handle, 
 		httpError(w, http.StatusServiceUnavailable, "shutting down")
 		return nil, "", f, false
 	}
-	sha, _, err := s.repo.Add(r.Body)
+	sha, _, err := s.repo.Add(http.MaxBytesReader(w, r.Body, traceBodyLimit))
 	if err != nil {
 		uploadError(w, err)
 		return nil, "", f, false
@@ -277,9 +287,14 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (h *repo.Handle, 
 	return h, repID, f, true
 }
 
-// uploadError answers an upload that could not be stored: 400 for bytes
-// that are not a trace, 500 for everything else.
+// uploadError answers an upload that could not be stored: 413 for a body
+// over traceBodyLimit, 400 for bytes that are not a trace, 500 for
+// everything else.
 func uploadError(w http.ResponseWriter, err error) {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("trace upload over %d bytes", traceBodyLimit))
+		return
+	}
 	if errors.Is(err, repo.ErrNotTrace) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("not a VANITRC2 v2.2 trace: %v", err))
 		return

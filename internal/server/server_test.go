@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -624,5 +627,59 @@ func TestPprofGating(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof enabled: got %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestTraceBodyOverLimitIs413: a trace upload one byte over the bound is
+// refused with 413 on both upload routes, leaves no file in the
+// repository's tmp directory or shards, and queues nothing; the same bytes
+// under a bound they fit are stored.
+func TestTraceBodyOverLimitIs413(t *testing.T) {
+	body := testTraceV2Bytes(t, trace.V2Options{}, 2000)
+	defer setTraceBodyLimit(int64(len(body)) - 1)()
+	dataDir := t.TempDir()
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: dataDir})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	files := func() []string {
+		t.Helper()
+		var got []string
+		for _, dir := range []string{"tmp", "shards"} {
+			err := filepath.WalkDir(filepath.Join(dataDir, dir), func(path string, d fs.DirEntry, err error) error {
+				if err == nil && !d.IsDir() {
+					got = append(got, path)
+				}
+				return err
+			})
+			if err != nil && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	for _, path := range []string{"/v1/traces", "/v1/characterize"} {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: upload one byte over the bound: status %d, want 413", path, resp.StatusCode)
+		}
+		if left := files(); len(left) != 0 {
+			t.Errorf("%s: an over-limit upload left %v", path, left)
+		}
+	}
+	if got := s.Metrics().Snapshot().CacheMisses; got != 0 {
+		t.Errorf("cache misses = %d after over-limit uploads, want 0", got)
+	}
+
+	setTraceBodyLimit(int64(len(body)))
+	if code, _ := upload(t, ts, "/v1/traces", body); code != http.StatusAccepted {
+		t.Fatalf("upload at exactly the bound: status %d, want 202", code)
+	}
+	if left := files(); len(left) != 1 || !strings.HasPrefix(left[0], filepath.Join(dataDir, "shards")) {
+		t.Errorf("an upload at the bound left %v, want one shard file", left)
 	}
 }

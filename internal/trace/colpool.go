@@ -43,8 +43,8 @@ var colsInUse atomic.Int64
 func ColumnsInUse() int64 { return colsInUse.Load() }
 
 // poisonRecycled makes recycleCol overwrite every slice it takes back, and
-// a Tracer every shard page it hands back at Finish; tests set it to prove
-// no reader depends on what a recycled slice or page holds.
+// a Tracer every log chunk it hands back at Finish; tests set it to prove
+// no reader depends on what a recycled slice or chunk holds.
 var poisonRecycled atomic.Bool
 
 // growCol resizes s to n rows: in place when its capacity allows, else from

@@ -2,7 +2,7 @@ package trace
 
 // Per-segment lightweight codecs for the columnar block payload. Real trace
 // columns are wildly skewed — Level/Op/Lib take a handful of values, Rank
-// arrives in sorted-ish runs after the k-way merge, Start/End deltas are
+// arrives in sorted-ish runs after the tracer's sort, Start/End deltas are
 // near-constant — so each segment independently picks the lightweight
 // encoding a cheap cost model says is smallest:
 //
@@ -216,19 +216,87 @@ func unpackBytes(src []byte, i, n int, width uint, fn func(u uint64) bool) {
 }
 
 // segScratch is the per-worker encoder state: the stored-value staging
-// slice and the dictionary map, both reused across segments and blocks.
+// slice and the dictionary table, both reused across segments and blocks.
 type segScratch struct {
 	vals []int64
-	dict map[int64]struct{}
+	dict dictTable
 }
 
 var segScratchPool = sync.Pool{
 	New: func() interface{} {
-		return &segScratch{
-			vals: make([]int64, 0, DefaultBlockEvents),
-			dict: make(map[int64]struct{}, 256),
-		}
+		return &segScratch{vals: make([]int64, 0, DefaultBlockEvents)}
 	},
+}
+
+// dictTable is the encoder's reusable distinct-value table: an
+// open-addressed (linear probing) int64 hash set that hands each value its
+// first-appearance code. A slot is live only while its stamp equals the
+// table's generation, so emptying the table is one increment, not a clear.
+// It starts at 2 × maxDictValues slots, which the cost model never fills
+// past half, and doubles at three-quarters full, which only a dictionary
+// forced onto a column of many values reaches.
+type dictTable struct {
+	slots []dictSlot
+	shift uint    // 64 − log2(len(slots)): hash to slot index
+	gen   uint32  // the live generation; never 0
+	order []int64 // the values in first-appearance order: order[code]
+}
+
+type dictSlot struct {
+	val   int64
+	stamp uint32
+	code  uint32
+}
+
+// reset empties the table.
+func (t *dictTable) reset() {
+	if t.slots == nil {
+		t.resize(2 * maxDictValues)
+	}
+	if t.gen++; t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
+	t.order = t.order[:0]
+}
+
+// resize replaces the slots with n empty ones (n a power of two) and
+// re-enters the values already coded.
+func (t *dictTable) resize(n int) {
+	t.slots = make([]dictSlot, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	t.gen = 1
+	for c, v := range t.order {
+		i := t.find(v)
+		t.slots[i] = dictSlot{val: v, stamp: t.gen, code: uint32(c)}
+	}
+}
+
+// find returns the slot that holds v, or the empty slot where v belongs.
+func (t *dictTable) find(v int64) int {
+	mask := len(t.slots) - 1
+	i := int(uint64(v) * 0x9e3779b97f4a7c15 >> t.shift)
+	for t.slots[i].stamp == t.gen && t.slots[i].val != v {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// code returns v's code and whether v was new, giving a new value the next
+// code.
+func (t *dictTable) code(v int64) (uint32, bool) {
+	i := t.find(v)
+	if s := &t.slots[i]; s.stamp == t.gen {
+		return s.code, false
+	}
+	c := uint32(len(t.order))
+	t.order = append(t.order, v)
+	if len(t.order) > len(t.slots)*3/4 {
+		t.resize(2 * len(t.slots))
+		return c, true
+	}
+	t.slots[i] = dictSlot{val: v, stamp: t.gen, code: c}
+	return c, true
 }
 
 // storedVals stages column col of evs as its stored-value stream (raw
@@ -294,29 +362,25 @@ func (sc *segScratch) storedVals(col int, evs []Event) []int64 {
 	return vals
 }
 
-// chooseSegCodec runs the cost model: one pass over the stored values
-// computes the exact body size of every candidate encoding, and the
-// smallest wins (ties break toward the earlier codec id, so the choice is
-// deterministic). Dictionary candidacy is abandoned past maxDictValues.
-func chooseSegCodec(vals []int64, unsigned bool, dict map[int64]struct{}) uint8 {
+// chooseSegCodec runs the cost model: the exact body size of every
+// candidate encoding decides, the smallest winning (ties break toward the
+// earlier codec id, so the choice is deterministic). One pass sizes raw,
+// RLE and FOR; the dictionary is then counted only as far as it can still
+// win, and abandoned past maxDictValues values.
+func chooseSegCodec(vals []int64, unsigned bool, tab *dictTable) uint8 {
 	n := len(vals)
 	if n == 0 {
 		return segRaw
 	}
 	rawBytes := 0
 	rleBytes := 0
-	dictValBytes := 0
-	runs := 0
 	runLen := 0
-	min, max := vals[0], vals[0]
-	dictAlive := true
-	clear(dict)
+	lo, hi := vals[0], vals[0]
 	for i, v := range vals {
 		sz := storedValueLen(v, unsigned)
 		rawBytes += sz
 		if i > 0 && v == vals[i-1] {
-			// Nothing new: min, max and the dictionary saw this value one
-			// element ago (or the dictionary is already abandoned).
+			// Nothing new: lo and hi saw this value one element ago.
 			runLen++
 			continue
 		}
@@ -324,23 +388,8 @@ func chooseSegCodec(vals []int64, unsigned bool, dict map[int64]struct{}) uint8 
 			rleBytes += lenUvarint(uint64(runLen))
 		}
 		rleBytes += sz
-		runs++
 		runLen = 1
-		if v < min {
-			min = v
-		} else if v > max {
-			max = v
-		}
-		if dictAlive {
-			if _, ok := dict[v]; !ok {
-				if len(dict) == maxDictValues {
-					dictAlive = false
-				} else {
-					dict[v] = struct{}{}
-					dictValBytes += sz
-				}
-			}
-		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
 	rleBytes += lenUvarint(uint64(runLen))
 
@@ -348,27 +397,53 @@ func chooseSegCodec(vals []int64, unsigned bool, dict map[int64]struct{}) uint8 
 	if rleBytes < bestBytes {
 		best, bestBytes = segRLE, rleBytes
 	}
-	if dictAlive {
-		ndict := len(dict)
-		w := bitsFor(uint64(ndict - 1))
-		dictBytes := lenUvarint(uint64(ndict)) + dictValBytes + 1 + packedLen(n, w)
-		if dictBytes < bestBytes {
-			best, bestBytes = segDict, dictBytes
-		}
+	forBytes := storedValueLen(lo, unsigned) + 1 + packedLen(n, bitsFor(uint64(hi)-uint64(lo)))
+	// The dictionary wins if it is strictly smaller than raw and RLE and no
+	// larger than FOR.
+	if dictFits(vals, unsigned, tab, min(bestBytes-1, forBytes)) {
+		return segDict
 	}
-	forW := bitsFor(uint64(max) - uint64(min))
-	forBytes := storedValueLen(min, unsigned) + 1 + packedLen(n, forW)
 	if forBytes < bestBytes {
-		best = segFOR
+		return segFOR
 	}
 	return best
 }
 
+// dictFits reports whether the dictionary encoding of vals has at most
+// maxDictValues values and takes at most ceiling bytes. It counts the
+// distinct values into tab and stops as soon as the size of the values seen
+// so far, lenUvarint(nd) + their bytes + 1 + packedLen(n, bitsFor(nd−1)),
+// passes the ceiling: that bound only grows with every new value, and once
+// every value is seen it is the exact size.
+func dictFits(vals []int64, unsigned bool, tab *dictTable, ceiling int) bool {
+	tab.reset()
+	n := len(vals)
+	valBytes := 0
+	for i, v := range vals {
+		if i > 0 && v == vals[i-1] {
+			continue
+		}
+		if _, added := tab.code(v); !added {
+			continue
+		}
+		nd := len(tab.order)
+		if nd > maxDictValues {
+			return false
+		}
+		valBytes += storedValueLen(v, unsigned)
+		if lenUvarint(uint64(nd))+valBytes+1+packedLen(n, bitsFor(uint64(nd-1))) > ceiling {
+			return false
+		}
+	}
+	return true
+}
+
 func lenUvarint(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
-// appendSegBody encodes the stored values under the chosen codec. The
-// caller has already appended the codec id byte.
-func appendSegBody(dst []byte, codec uint8, vals []int64, unsigned bool) []byte {
+// appendSegBody encodes the stored values under the chosen codec; the
+// dictionary codec codes them through tab. The caller has already appended
+// the codec id byte.
+func appendSegBody(dst []byte, codec uint8, vals []int64, unsigned bool, tab *dictTable) []byte {
 	n := len(vals)
 	switch codec {
 	case segRaw:
@@ -388,19 +463,18 @@ func appendSegBody(dst []byte, codec uint8, vals []int64, unsigned bool) []byte 
 	case segDict:
 		// First-appearance order keeps the encoding deterministic and puts
 		// the earliest values at the smallest indices.
-		pos := make(map[int64]int64, 16)
-		order := make([]int64, 0, 16)
+		tab.reset()
 		idx := getI64(n)
 		defer putI64(idx)
 		for i, v := range vals {
-			p, ok := pos[v]
-			if !ok {
-				p = int64(len(order))
-				pos[v] = p
-				order = append(order, v)
+			if i > 0 && v == vals[i-1] {
+				(*idx)[i] = (*idx)[i-1]
+				continue
 			}
-			(*idx)[i] = p
+			c, _ := tab.code(v)
+			(*idx)[i] = int64(c)
 		}
+		order := tab.order
 		dst = binary.AppendUvarint(dst, uint64(len(order)))
 		for _, v := range order {
 			dst = appendStoredValue(dst, v, unsigned)
@@ -437,10 +511,10 @@ func appendColumnSeg(dst []byte, col int, evs []Event, force int, sc *segScratch
 	} else if force >= 0 {
 		codec = uint8(force)
 	} else {
-		codec = chooseSegCodec(vals, unsigned, sc.dict)
+		codec = chooseSegCodec(vals, unsigned, &sc.dict)
 	}
 	dst = append(dst, codec)
-	return appendSegBody(dst, codec, vals, unsigned), codec
+	return appendSegBody(dst, codec, vals, unsigned, &sc.dict), codec
 }
 
 // colValue is the set of column element types.

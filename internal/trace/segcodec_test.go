@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,7 +126,7 @@ func TestBitpackFullInt64Range(t *testing.T) {
 func segRoundTrip(t *testing.T, codec uint8, vals []int64, unsigned bool) {
 	t.Helper()
 	dst := append([]byte(nil), codec)
-	dst = appendSegBody(dst, codec, vals, unsigned)
+	dst = appendSegBody(dst, codec, vals, unsigned, new(dictTable))
 	sp := specSigned
 	if unsigned {
 		sp = specUnsigned
@@ -176,7 +177,7 @@ func TestSegCodecRoundTrips(t *testing.T) {
 // TestChooseSegCodec: the cost model picks the expected codec on
 // characteristic column shapes, and never picks one larger than raw.
 func TestChooseSegCodec(t *testing.T) {
-	dict := make(map[int64]struct{})
+	dict := new(dictTable)
 	// Long runs of many distinct wide values: RLE beats dict (too many
 	// values to amortize) and FOR (wide span forces a fat pack width).
 	runs := make([]int64, 1000)
@@ -217,17 +218,56 @@ func TestChooseSegCodec(t *testing.T) {
 	// Whatever wins must encode no larger than raw.
 	for _, vals := range [][]int64{runs, constant, alternating, dense} {
 		chosen := chooseSegCodec(vals, false, dict)
-		chosenBytes := len(appendSegBody(nil, chosen, vals, false))
-		rawBytes := len(appendSegBody(nil, segRaw, vals, false))
+		chosenBytes := len(appendSegBody(nil, chosen, vals, false, new(dictTable)))
+		rawBytes := len(appendSegBody(nil, segRaw, vals, false, new(dictTable)))
 		if chosenBytes > rawBytes {
 			t.Errorf("%s encoded %d bytes > raw %d", segCodecNames[chosen], chosenBytes, rawBytes)
 		}
 	}
 }
 
-// TestChooseSegCodecExactSizes: the cost model's predicted winner really is
-// the smallest actual encoding, for a spread of shapes.
+// cheapestSegCodec is the cost model's specification: the codec whose body
+// is really the smallest, ties going to the earlier codec id, with the
+// dictionary out of the running past maxDictValues distinct values. It also
+// returns every codec's body size.
+func cheapestSegCodec(vals []int64, unsigned bool) (uint8, [numSegCodecs]int) {
+	var sizes [numSegCodecs]int
+	for codec := uint8(0); codec < numSegCodecs; codec++ {
+		sizes[codec] = len(appendSegBody(nil, codec, vals, unsigned, new(dictTable)))
+	}
+	distinct := make(map[int64]bool)
+	for _, v := range vals {
+		distinct[v] = true
+	}
+	best := uint8(segRaw)
+	for codec := uint8(1); codec < numSegCodecs; codec++ {
+		if codec == segDict && len(distinct) > maxDictValues {
+			continue
+		}
+		if sizes[codec] < sizes[best] {
+			best = codec
+		}
+	}
+	return best, sizes
+}
+
+// TestChooseSegCodecExactSizes: the cost model picks exactly
+// cheapestSegCodec's codec — for a spread of random shapes, at the
+// dictionary's value limit and one past it, and where the dictionary ties
+// FOR (the dictionary wins) or the smaller of raw and RLE (it loses). One
+// table serves every column, as one encoder's scratch does.
 func TestChooseSegCodecExactSizes(t *testing.T) {
+	tab := new(dictTable)
+	check := func(what string, vals []int64, unsigned bool) uint8 {
+		t.Helper()
+		want, sizes := cheapestSegCodec(vals, unsigned)
+		if got := chooseSegCodec(vals, unsigned, tab); got != want {
+			t.Fatalf("%s: model chose %s, want %s (sizes raw/rle/dict/for %v)",
+				what, segCodecNames[got], segCodecNames[want], sizes)
+		}
+		return want
+	}
+
 	rng := uint64(12345)
 	next := func(mod int64) int64 {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -253,17 +293,93 @@ func TestChooseSegCodecExactSizes(t *testing.T) {
 				}
 			}
 		}
-		dict := make(map[int64]struct{})
-		chosen := chooseSegCodec(vals, false, dict)
-		sizes := make([]int, numSegCodecs)
-		for codec := uint8(0); codec < numSegCodecs; codec++ {
-			sizes[codec] = len(appendSegBody(nil, codec, vals, false))
+		check(fmt.Sprintf("trial %d", trial), vals, false)
+		check(fmt.Sprintf("trial %d, unsigned", trial), vals, true)
+	}
+
+	// maxDictValues distinct wide values, cycled: the dictionary is by far
+	// the smallest encoding. One more value and it is out of the running.
+	for _, nd := range []int{maxDictValues, maxDictValues + 1} {
+		vals := make([]int64, DefaultBlockEvents)
+		for i := range vals {
+			vals[i] = int64(i%nd)*1000003 + 1<<40
 		}
-		for codec := uint8(0); codec < numSegCodecs; codec++ {
-			if sizes[codec] < sizes[chosen] {
-				t.Fatalf("trial %d: model chose %s (%d bytes) but %s is %d bytes",
-					trial, segCodecNames[chosen], sizes[chosen], segCodecNames[codec], sizes[codec])
+		got := check(fmt.Sprintf("%d distinct values", nd), vals, false)
+		if (got == segDict) != (nd <= maxDictValues) {
+			t.Errorf("%d distinct values: chose %s", nd, segCodecNames[got])
+		}
+	}
+
+	// 0 and 4 alternating, eight values: dictionary 1+2+1+1 bytes, FOR
+	// 1+1+3, raw 8, RLE 16. The tie goes to the dictionary.
+	tie := []int64{0, 4, 0, 4, 0, 4, 0, 4}
+	if _, sizes := cheapestSegCodec(tie, true); sizes[segDict] != sizes[segFOR] {
+		t.Fatalf("tie column sizes %v: dictionary and FOR differ", sizes)
+	}
+	if got := check("dictionary ties FOR", tie, true); got != segDict {
+		t.Errorf("dictionary ties FOR: chose %s", segCodecNames[got])
+	}
+
+	// Small columns over few, mixed-width values: collect ties between the
+	// dictionary and each of FOR and the smaller of raw and RLE.
+	var tiesFOR, tiesRawRLE int
+	for trial := 0; trial < 20000 && (tiesFOR < 10 || tiesRawRLE < 10); trial++ {
+		n := 1 + int(next(24))
+		alphabet := make([]int64, 1+next(6))
+		for i := range alphabet {
+			alphabet[i] = next(1 << (1 + next(20)))
+		}
+		vals := make([]int64, n)
+		for i := range vals {
+			if i > 0 && next(3) == 0 {
+				vals[i] = vals[i-1]
+			} else {
+				vals[i] = alphabet[next(int64(len(alphabet)))]
 			}
+		}
+		unsigned := trial%2 == 0
+		_, sizes := cheapestSegCodec(vals, unsigned)
+		got := check(fmt.Sprintf("small column %v", vals), vals, unsigned)
+		if sizes[segDict] == sizes[segFOR] && sizes[segDict] < min(sizes[segRaw], sizes[segRLE]) {
+			tiesFOR++
+			if got != segDict {
+				t.Fatalf("%v: dictionary ties FOR but %s won", vals, segCodecNames[got])
+			}
+		}
+		if sizes[segDict] == min(sizes[segRaw], sizes[segRLE]) {
+			tiesRawRLE++
+			if got == segDict {
+				t.Fatalf("%v: dictionary ties raw/RLE and won", vals)
+			}
+		}
+	}
+	if tiesFOR == 0 || tiesRawRLE == 0 {
+		t.Fatalf("found %d dictionary/FOR and %d dictionary/raw-RLE ties, want some of each", tiesFOR, tiesRawRLE)
+	}
+}
+
+// TestDictTableForcedManyValues: a dictionary forced onto a block of
+// distinct values — more than the table starts with room for — codes
+// every value in first-appearance order and round-trips.
+func TestDictTableForcedManyValues(t *testing.T) {
+	vals := make([]int64, DefaultBlockEvents)
+	for i := range vals {
+		vals[i] = int64(len(vals)-i) * 7919
+	}
+	tab := new(dictTable)
+	for round := 0; round < 2; round++ {
+		body := appendSegBody(nil, segDict, vals, false, tab)
+		out, err := decodeTyped(t, segDict, body, len(vals), specSigned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			if out[i] != vals[i] {
+				t.Fatalf("round %d: value %d round-tripped %d -> %d", round, i, vals[i], out[i])
+			}
+		}
+		if len(tab.order) != len(vals) || tab.order[0] != vals[0] {
+			t.Fatalf("round %d: %d values coded, first %d; want %d, first %d", round, len(tab.order), tab.order[0], len(vals), vals[0])
 		}
 	}
 }
@@ -349,7 +465,7 @@ func TestV22CountClaimBounded(t *testing.T) {
 // fail with ErrBadFormat.
 func TestDecodeSegRuns(t *testing.T) {
 	vals := []int64{5, 5, 5, -2, -2, 9, 9, 9, 9}
-	body := appendSegBody(nil, segRLE, vals, false)
+	body := appendSegBody(nil, segRLE, vals, false, new(dictTable))
 	runs, err := decodeSegRuns(&byteCursor{b: body}, len(vals), false, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +515,7 @@ func TestAppendSegV22Validation(t *testing.T) {
 	}
 
 	// A segment carrying a negative rank must be rejected on decode.
-	bad := append([]byte{segRaw}, appendSegBody(nil, segRaw, []int64{-1, 2, 3}, false)...)
+	bad := append([]byte{segRaw}, appendSegBody(nil, segRaw, []int64{-1, 2, 3}, false, new(dictTable))...)
 	if err := decodeColumnSeg(&byteCursor{b: bad}, colRankIdx(), 3, &cols); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("negative rank error = %v, want ErrBadFormat", err)
 	}

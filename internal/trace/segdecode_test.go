@@ -210,8 +210,8 @@ func TestDecoderRejectionParity(t *testing.T) {
 			dictBody([]int64{7, 8, 9}, 1, idx(40, 1, nil)), 40, false},
 		{"dict: single out-of-range entry", segDict, dictBody([]int64{-3}, 0, nil), 4, false},
 		{"rle: out-of-range run", segRLE, []byte{14 /*7*/, 3, 1 /*-1*/, 1}, 4, false},
-		{"raw: MaxInt32 itself", segRaw, appendSegBody(nil, segRaw, []int64{0, top}, false), 2, true},
-		{"raw: MaxInt32 + 1", segRaw, appendSegBody(nil, segRaw, []int64{0, top + 1}, false), 2, false},
+		{"raw: MaxInt32 itself", segRaw, appendSegBody(nil, segRaw, []int64{0, top}, false, new(dictTable)), 2, true},
+		{"raw: MaxInt32 + 1", segRaw, appendSegBody(nil, segRaw, []int64{0, top + 1}, false, new(dictTable)), 2, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -333,17 +333,17 @@ func TestDecodeIntoStaleMemory(t *testing.T) {
 				}
 				vals[i] = v
 			}
-			checkAgainstRef(t, segRaw, appendSegBody(nil, segRaw, vals, sp.unsigned), n, sp)
+			checkAgainstRef(t, segRaw, appendSegBody(nil, segRaw, vals, sp.unsigned, new(dictTable)), n, sp)
 			for i := 1; i < n; i++ {
 				if rng.Intn(4) != 0 {
 					vals[i] = vals[i-1]
 				}
 			}
-			checkAgainstRef(t, segRLE, appendSegBody(nil, segRLE, vals, sp.unsigned), n, sp)
+			checkAgainstRef(t, segRLE, appendSegBody(nil, segRLE, vals, sp.unsigned, new(dictTable)), n, sp)
 			for i := range vals {
 				vals[i] = vals[0]
 			}
-			checkAgainstRef(t, segRLE, appendSegBody(nil, segRLE, vals, sp.unsigned), n, sp)
+			checkAgainstRef(t, segRLE, appendSegBody(nil, segRLE, vals, sp.unsigned, new(dictTable)), n, sp)
 		}
 	}
 }
@@ -353,7 +353,7 @@ func TestDecodeIntoStaleMemory(t *testing.T) {
 func TestDecodeDeltasStale(t *testing.T) {
 	deltas := []int64{100, 20, -30, 0, 0, 7, 1 << 40, -(1 << 39)}
 	for codec := uint8(0); codec < numSegCodecs; codec++ {
-		body := appendSegBody(nil, codec, deltas, false)
+		body := appendSegBody(nil, codec, deltas, false, new(dictTable))
 		out := poison(make([]int64, len(deltas)))
 		if err := decodeDeltas(&byteCursor{b: body}, codec, out); err != nil {
 			t.Fatalf("%s: %v", segCodecNames[codec], err)
@@ -442,9 +442,9 @@ func TestColumnPoolRecycles(t *testing.T) {
 func FuzzDecodeSegDifferential(f *testing.F) {
 	vals := []int64{3, 3, 9, 1 << 20, 0, 3, 77, 77, 77, 5}
 	for codec := uint8(0); codec < numSegCodecs; codec++ {
-		f.Add(codec, uint16(len(vals)), appendSegBody(nil, codec, vals, false))
-		f.Add(codec, uint16(len(vals)), appendSegBody(nil, codec, vals, true))
-		f.Add(codec, uint16(len(vals)-1), appendSegBody(nil, codec, vals, false))
+		f.Add(codec, uint16(len(vals)), appendSegBody(nil, codec, vals, false, new(dictTable)))
+		f.Add(codec, uint16(len(vals)), appendSegBody(nil, codec, vals, true, new(dictTable)))
+		f.Add(codec, uint16(len(vals)-1), appendSegBody(nil, codec, vals, false, new(dictTable)))
 	}
 	f.Add(uint8(segFOR), uint16(40), forBody(math.MaxInt32-4, 3, appendPacked(nil, make([]int64, 40), 0, 3)))
 	f.Add(uint8(segFOR), uint16(3), forBody(-5, 64, appendPacked(nil, []int64{5, 6, 7}, 0, 64)))

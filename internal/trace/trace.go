@@ -11,10 +11,7 @@
 // overhead, reproducing the paper's observation of ~8% runtime overhead.
 package trace
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Level identifies the software layer that emitted an event, mirroring
 // Recorder's multilevel capture.
@@ -212,13 +209,11 @@ func (t *Trace) JobRuntime() time.Duration {
 	return max
 }
 
-// Tracer accumulates events during a simulation. The event log is sharded
-// per rank: each rank records into its own shard, kept in (Start, End)
-// order as it grows, so there is no global append point contended by every
-// recorded event and Finish only has to k-way merge the shards into the
-// canonical (Start, Rank, End) order. The simulation kernel runs one
-// process at a time, so the shards need no locking; a Tracer must not be
-// shared across concurrently running engines.
+// Tracer accumulates events during a simulation. Every event goes onto the
+// end of one append-only log (eventlog.go), whatever rank issued it, and
+// Finish puts the log into the canonical (Start, Rank, End) order. The
+// simulation kernel runs one process at a time, so the log needs no locking;
+// a Tracer must not be shared across concurrently running engines.
 type Tracer struct {
 	enabled  bool
 	overhead time.Duration // virtual time charged per recorded event
@@ -230,78 +225,10 @@ type Tracer struct {
 	fileIDs map[string]int32
 	samples []DatasetSample
 
-	shards map[int32]*shard // per-rank event logs
-	count  int
+	log eventLog
 
 	totalOverhead time.Duration
-	mergeTime     time.Duration // wall-clock of the last Finish merge
-}
-
-// pageEvents is the capacity of one page of a shard.
-const pageEvents = 128
-
-// page is one fixed-size piece of a shard's log.
-type page = [pageEvents]Event
-
-// pagePool recycles shard pages from one Finish to the next Record, the
-// way colpool.go recycles block columns. Pages are not zeroed: a shard
-// writes every slot below its count before anything reads it.
-var pagePool = sync.Pool{New: func() any { return new(page) }}
-
-// poisonEvent is what a recycled page holds under poisonRecycled: no
-// tracer records it, and it sorts nowhere near a real event.
-var poisonEvent = Event{
-	Level: 0x5a, Op: 0x5a, Lib: 0x5a,
-	Rank: 0x5a5a5a5a, Node: 0x5a5a5a5a, App: 0x5a5a5a5a, File: 0x5a5a5a5a,
-	Offset: 0x5a5a5a5a5a5a5a5a, Size: 0x5a5a5a5a5a5a5a5a,
-	Start: 0x5a5a5a5a5a5a5a5a, End: 0x5a5a5a5a5a5a5a5a,
-}
-
-// shard is one rank's event log in (Start, End) order — the order a stable
-// sort of its record sequence gives — stored n events deep in pooled pages.
-type shard struct {
-	pages []*page
-	n     int
-}
-
-// at returns slot i of the log.
-func (s *shard) at(i int) *Event { return &s.pages[uint(i)/pageEvents][uint(i)%pageEvents] }
-
-// events returns page p cut to the events recorded on it.
-func (s *shard) events(p int) []Event { return s.pages[p][:min(pageEvents, s.n-p*pageEvents)] }
-
-// insert records ev after every event that does not sort strictly after it
-// in (Start, End): where a stable sort puts it. A rank mostly records its
-// calls in the order they start, so ev rarely moves; a wrapper recorded
-// after its children moves left past them.
-func (s *shard) insert(ev Event) {
-	if s.n == len(s.pages)*pageEvents {
-		s.pages = append(s.pages, pagePool.Get().(*page))
-	}
-	i := s.n
-	for ; i > 0; i-- {
-		prev := s.at(i - 1)
-		if prev.Start < ev.Start || prev.Start == ev.Start && prev.End <= ev.End {
-			break
-		}
-		*s.at(i) = *prev
-	}
-	*s.at(i) = ev
-	s.n++
-}
-
-// release hands the pages back to the pool and empties the log.
-func (s *shard) release() {
-	poison := poisonRecycled.Load()
-	for _, p := range s.pages {
-		if poison {
-			for i := range p {
-				p[i] = poisonEvent
-			}
-		}
-		pagePool.Put(p)
-	}
-	s.pages, s.n = nil, 0
+	mergeTime     time.Duration // wall-clock of the last Finish's ordering
 }
 
 // NewTracer returns an enabled tracer with no per-event overhead.
@@ -310,7 +237,6 @@ func NewTracer() *Tracer {
 		enabled: true,
 		appIDs:  make(map[string]int32),
 		fileIDs: make(map[string]int32),
-		shards:  make(map[int32]*shard),
 	}
 }
 
@@ -388,38 +314,33 @@ func (t *Tracer) AddSample(name string, values []float64) {
 	t.samples = append(t.samples, DatasetSample{Name: name, Values: values})
 }
 
-// Record captures one event into the issuing rank's shard and returns the
-// virtual-time overhead the caller must charge to the issuing process (zero
-// when disabled).
+// Record appends one event to the log and returns the virtual-time overhead
+// the caller must charge to the issuing process (zero when disabled).
 func (t *Tracer) Record(ev Event) time.Duration {
 	if !t.enabled {
 		return 0
 	}
-	s := t.shards[ev.Rank]
-	if s == nil {
-		s = &shard{}
-		t.shards[ev.Rank] = s
-	}
-	s.insert(ev)
-	t.count++
+	t.log.append(ev)
 	t.totalOverhead += t.overhead
 	return t.overhead
 }
 
-// Len returns the number of captured events across all shards.
-func (t *Tracer) Len() int { return t.count }
+// Len returns the number of events recorded since the last Finish.
+func (t *Tracer) Len() int { return t.log.len() }
 
-// MergeTime returns the wall-clock time the last Finish spent merging the
-// per-rank shards (the pipeline's trace-merge stage).
+// MergeTime returns the wall-clock time the last Finish spent putting the
+// log in order and gathering it into the Trace (the pipeline's trace-merge
+// stage).
 func (t *Tracer) MergeTime() time.Duration { return t.mergeTime }
 
-// Finish returns the completed Trace: a k-way merge of the per-rank shards
-// by (Start, Rank, End) gives the global event order. The merge is
-// deterministic — the output depends only on the per-rank record sequences,
-// not on how ranks interleaved during the run. Finish then hands the shard
-// pages back to the pool and empties the event log: Len is 0 afterwards and
-// a later Finish returns only events recorded after this one. The returned
-// Trace is a snapshot; nothing the tracer does later reaches it.
+// Finish returns the completed Trace: the log as a stable sort by (Start,
+// Rank, End), so events equal on all three keep their record order. The
+// order depends only on each rank's record sequence, not on how ranks
+// interleaved during the run: (Start, Rank) decides between ranks. Finish
+// then hands the log's chunks back to the pool and empties it: Len is 0
+// afterwards and a later Finish returns only events recorded after this
+// one. The returned Trace is a snapshot; nothing the tracer does later
+// reaches it.
 func (t *Tracer) Finish() *Trace {
 	begin := time.Now()
 	m := t.meta
@@ -429,110 +350,9 @@ func (t *Tracer) Finish() *Trace {
 		Apps:    append([]string(nil), t.apps...),
 		Files:   append([]FileInfo(nil), t.files...),
 		Samples: append([]DatasetSample(nil), t.samples...),
-		Events:  mergeShards(t.shards, t.count),
+		Events:  t.log.sorted(),
 	}
-	for _, s := range t.shards {
-		s.release()
-	}
-	clear(t.shards)
-	t.count = 0
+	t.log.release()
 	t.mergeTime = time.Since(begin)
 	return tr
-}
-
-// mergeCursor is one shard's read position in the k-way merge, with the
-// sort key of its head event cached beside it so a compare touches no event
-// memory. A spent cursor is done and sorts after every live one, whatever
-// its stale key.
-type mergeCursor struct {
-	start time.Duration
-	rank  int32
-	done  bool
-	rest  []Event // head event first, to the end of its page
-	s     *shard
-	page  int // index of the page rest lies on
-}
-
-// before orders cursors by their head events. Each shard holds one rank, so
-// heads of distinct shards never tie on Rank: (Start, Rank) already decides
-// the canonical order, End is never reached, and the order of live cursors
-// is strict and total.
-func (a *mergeCursor) before(b *mergeCursor) bool {
-	if a.done != b.done {
-		return b.done
-	}
-	return a.start < b.start || (a.start == b.start && a.rank < b.rank)
-}
-
-// next moves past the head event, onto the shard's next page when this one
-// is spent, and marks the cursor done when the shard has no event left.
-func (c *mergeCursor) next() {
-	if c.rest = c.rest[1:]; len(c.rest) == 0 {
-		if c.page++; c.page == len(c.s.pages) {
-			c.done = true
-			return
-		}
-		c.rest = c.s.events(c.page)
-	}
-	c.start = c.rest[0].Start
-}
-
-// mergeShards k-way merges per-rank shards into the global (Start, Rank,
-// End) order with a tournament (loser) tree over cursor indices: node n of
-// the k-1 inner nodes holds the loser of the match played there, node 0 the
-// overall winner, and cursor i is the leaf below node (i+k)/2. Advancing the
-// winner replays only its path to the root, one compare per level. The
-// cursor order is strict and total, so the merge result is a property of the
-// shards alone — independent of the map's iteration order and of the tree's
-// shape.
-func mergeShards(shards map[int32]*shard, total int) []Event {
-	out := make([]Event, 0, total)
-	k := len(shards)
-	if k == 0 {
-		return out
-	}
-	cs := make([]mergeCursor, 0, k)
-	for _, s := range shards {
-		rest := s.events(0)
-		cs = append(cs, mergeCursor{start: rest[0].Start, rank: rest[0].Rank, rest: rest, s: s})
-	}
-	// Seat the leaves one at a time: each climbs, parking at the first inner
-	// node no one holds yet, or else playing the node's holder and going on
-	// up with the winner. Every inner node is reached from both its subtrees,
-	// so exactly one cursor, the winner of them all, climbs past the root.
-	tree := make([]int32, k)
-	for n := range tree {
-		tree[n] = -1
-	}
-	for i := range cs {
-		w := int32(i)
-		n := (i + k) / 2
-		for ; n > 0; n /= 2 {
-			if tree[n] < 0 {
-				tree[n] = w
-				break
-			}
-			if cs[tree[n]].before(&cs[w]) {
-				tree[n], w = w, tree[n]
-			}
-		}
-		if n == 0 {
-			tree[0] = w
-		}
-	}
-	for {
-		w := tree[0]
-		c := &cs[w]
-		if c.done {
-			return out
-		}
-		out = append(out, c.rest[0])
-		c.next()
-		for n := (int(w) + k) / 2; n > 0; n /= 2 {
-			if cs[tree[n]].before(&cs[w]) {
-				tree[n], w = w, tree[n]
-			}
-		}
-		tree[0] = w
-	}
 }

@@ -14,15 +14,15 @@ import (
 )
 
 // tracePoison is internal/trace's poisonRecycled switch: while it is set,
-// every shard page a Tracer hands back to the pool is overwritten with a
+// every log chunk a Tracer hands back to the pool is overwritten with a
 // sentinel event. Linking to it keeps the switch out of trace's API.
 //
 //go:linkname tracePoison vani/internal/trace.poisonRecycled
 var tracePoison atomic.Bool
 
 // TestTracesSurviveRecycledPages: the seven workloads run twice each, four
-// at a time, so tracers record into pages other tracers just handed back —
-// poisoned on the way in. Every trace must still encode to its golden hash:
+// at a time, so tracers record into log chunks other tracers just handed
+// back — poisoned on the way in. Every trace must still encode to its golden hash:
 // no slot a tracer did not write reaches a Trace.
 func TestTracesSurviveRecycledPages(t *testing.T) {
 	tracePoison.Store(true)

@@ -106,8 +106,8 @@ type Result struct {
 	Sys     *storage.System
 	Job     cluster.Job
 	Spec    Spec
-	// TraceMerge is the wall-clock time the tracer spent merging its
-	// per-rank shards at Finish (the pipeline's first stage timing).
+	// TraceMerge is the wall-clock time the tracer's Finish spent sorting
+	// its event log into the Trace (the pipeline's first stage timing).
 	TraceMerge time.Duration
 	// Kernel counts of the run (sim.Engine's counters): events executed,
 	// hand-offs of control between processes among them, and

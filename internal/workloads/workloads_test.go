@@ -595,8 +595,8 @@ var traceGolden = map[string]string{
 }
 
 // TestTraceGoldenAcrossCommits: every workload still writes, byte for
-// byte, the trace it wrote before the simulator and the shard merge were
-// rewritten.
+// byte, the trace it wrote before the simulator and the tracer's event log
+// were rewritten.
 func TestTraceGoldenAcrossCommits(t *testing.T) {
 	for _, w := range spec.All() {
 		res := mustRun(t, w, tinySpec(w, 0.01))

@@ -111,7 +111,7 @@ func Characterize(res *Result) *Characterization {
 
 // CharacterizeContext analyzes a run under explicit analyzer options. A nil
 // opt.Storage is filled from the run's spec; opt.Stats, when set, also
-// receives the tracer's shard-merge time. The analyzer's chunk-parallel
+// receives the time the tracer spent sorting its event log. The analyzer's chunk-parallel
 // workers observe ctx, so a canceled or timed-out caller aborts the
 // analysis mid-scan. The returned error is ctx.Err() when the abort was a
 // cancellation; with a background context and default options it never
