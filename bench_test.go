@@ -62,17 +62,16 @@ func benchWorkload(b *testing.B, name string) Workload {
 		return spectest.Golden(b, name, map[string]time.Duration{"gpu_per_file": 10 * time.Millisecond})
 	case "montage-mpi":
 		return spectest.Golden(b, name, montageNoCompute)
+	case "hacc":
+		return spectest.Golden(b, name, map[string]time.Duration{"compute_init": 0})
+	case "jag":
+		return spectest.GoldenSet(b, name, map[string]int64{"epochs": 5, "gpu_per_epoch": int64(50 * time.Millisecond)})
 	}
 	w, err := New(name)
 	if err != nil {
 		b.Fatal(err)
 	}
 	switch v := w.(type) {
-	case *workloads.HACC:
-		v.ComputeInit = 0
-	case *workloads.JAG:
-		v.Epochs = 5
-		v.ComputePerEpoch = 50 * time.Millisecond
 	case *workloads.MontagePegasus:
 		v.ProjectCompute = 0
 		v.DiffCompute = 0

@@ -1,7 +1,7 @@
 package main
 
 // `vani sweep` runs a what-if sweep document locally: the workload (an
-// inline declarative spec or a registered generator) crossed with a
+// inline declarative spec or a catalog name) crossed with a
 // parameter grid, every point simulated and characterized, the outcomes
 // reduced to a comparative report. The same engine backs vanid's
 // POST /v1/sweep, so the YAML here is byte-identical to the service's.

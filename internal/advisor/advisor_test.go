@@ -75,7 +75,7 @@ func TestMontageGetsIntermediatesAndPlacement(t *testing.T) {
 }
 
 func TestHACCGetsStripeAndLocking(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c, _ := characterize(t, w, nil)
 	recs := byID(Advise(c))
 	if r, ok := recs["pfs-stripe-size"]; !ok || r.Value != "16MB" {
@@ -104,9 +104,7 @@ func TestCM1GetsAsyncIO(t *testing.T) {
 }
 
 func TestJAGGetsBufferSizing(t *testing.T) {
-	w := workloads.NewJAG()
-	w.Epochs = 3
-	w.ComputePerEpoch = 3 * time.Second
+	w := spectest.GoldenSet(t, "jag", map[string]int64{"epochs": 3, "gpu_per_epoch": int64(3 * time.Second)})
 	c, _ := characterize(t, w, nil)
 	recs := byID(Advise(c))
 	if r, ok := recs["middleware-buffer-size"]; !ok {
@@ -133,7 +131,7 @@ func TestApplyTranslatesRecommendations(t *testing.T) {
 }
 
 func TestApplyStripeSize(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c, spec := characterize(t, w, nil)
 	Apply(Advise(c), &spec)
 	if spec.Storage.PFSStripeSize != 16<<20 {
@@ -197,7 +195,7 @@ func keys(m map[string]Recommendation) []string {
 }
 
 func TestHACCOnCoriGetsSharedBBStaging(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c, spec := characterize(t, w, func(s *workloads.Spec) {
 		s.Machine = cluster.Cori()
 		s.Storage = storage.Cori()
@@ -234,7 +232,7 @@ func TestHACCOnCoriGetsSharedBBStaging(t *testing.T) {
 }
 
 func TestNoSharedBBRuleOnLassen(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c, _ := characterize(t, w, nil)
 	if _, ok := byID(Advise(c))["checkpoint-shared-bb"]; ok {
 		t.Error("shared-BB staging recommended on a machine without one")

@@ -146,11 +146,3 @@ func (j Job) LocalRank(rank int) int {
 // of the paper's workloads (CM1, Montage-MPI) concentrate I/O on node
 // leaders.
 func (j Job) IsNodeLeader(rank int) bool { return j.LocalRank(rank) == 0 }
-
-// LeaderOfNode returns the global rank of a node's first rank.
-func (j Job) LeaderOfNode(node int) int {
-	if node < 0 || node >= j.Nodes {
-		panic(fmt.Sprintf("cluster: node %d out of range [0,%d)", node, j.Nodes))
-	}
-	return node * j.RanksPerNode
-}

@@ -87,7 +87,7 @@ func TestAnalyzeCM1(t *testing.T) {
 }
 
 func TestAnalyzeHACC(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c := runAndAnalyze(t, w, nil)
 
 	if c.Apps[0].Interface != "POSIX" {
@@ -155,9 +155,8 @@ func TestAnalyzeCosmoFlow(t *testing.T) {
 }
 
 func TestAnalyzeJAG(t *testing.T) {
-	w := workloads.NewJAG()
-	w.Epochs = 3
-	w.ComputePerEpoch = 3 * time.Second // long enough to split I/O phases
+	// Epochs long enough to split I/O phases.
+	w := spectest.GoldenSet(t, "jag", map[string]int64{"epochs": 3, "gpu_per_epoch": int64(3 * time.Second)})
 	c := runAndAnalyze(t, w, nil)
 
 	if c.Apps[0].Interface != "STDIO" {
@@ -241,7 +240,7 @@ func TestAnalyzeMontagePegasus(t *testing.T) {
 }
 
 func TestStorageEntitiesFromConfig(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c := runAndAnalyze(t, w, nil)
 	if c.NodeLocal.ParallelOps != 64 {
 		t.Errorf("node-local parallel ops = %d, want 64 (Table VIII)", c.NodeLocal.ParallelOps)
@@ -258,7 +257,7 @@ func TestStorageEntitiesFromConfig(t *testing.T) {
 }
 
 func TestFigureDataConsistency(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c := runAndAnalyze(t, w, nil)
 	fig := c.Figure
 	// Histogram bytes equal workflow read/write bytes.
@@ -349,7 +348,7 @@ func TestSizeString(t *testing.T) {
 
 func TestRankBandwidthPanel(t *testing.T) {
 	// Figure 2c: HACC ranks achieve different bandwidths under contention.
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	c := runAndAnalyze(t, w, func(s *workloads.Spec) {
 		s.Storage.CacheEnabled = false
 	})

@@ -15,9 +15,7 @@ func captureTrace(t *testing.T, name string, scale float64) *trace.Trace {
 	var w workloads.Workload
 	switch name {
 	case "hacc":
-		h := workloads.NewHACC()
-		h.ComputeInit = 0
-		w = h
+		w = spectest.Golden(t, "hacc", map[string]time.Duration{"compute_init": 0})
 	case "cm1":
 		w = spectest.Golden(t, "cm1", map[string]time.Duration{"compute_per_step": 20 * time.Millisecond})
 	default:

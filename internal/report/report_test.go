@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"vani/internal/core"
+	"vani/internal/spec/spectest"
 	"vani/internal/stats"
 	"vani/internal/workloads"
 )
 
 func sampleChar(t *testing.T) *core.Characterization {
 	t.Helper()
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	spec := w.DefaultSpec()
 	spec.Nodes = 2
 	spec.RanksPerNode = 4

@@ -62,7 +62,8 @@ func (c *compiled) DefaultSpec() workloads.Spec {
 }
 
 // paramsFor evaluates the doc's params under a concrete run spec: value
-// params scaled by the Go generators' rules, then expr params over them.
+// params scaled by the harness's rules (workloads.ScaleN, ScaleBytes),
+// then expr params over them.
 func (c *compiled) paramsFor(env *workloads.Env) map[string]int64 {
 	vals := make(map[string]int64, len(c.doc.ordered))
 	lookup := func(id string) (int64, bool) {
@@ -106,43 +107,18 @@ func (c *compiled) paramsFor(env *workloads.Env) map[string]int64 {
 	return vals
 }
 
-// dirOf renders a dir's base path, picking the optimized variant when the
-// run is optimized and the dir declares one.
-func (c *compiled) dirOf(name string, lookup func(string) (int64, bool), optimized bool) (string, error) {
-	dr, ok := c.doc.dirs[name]
-	if !ok {
-		return "", fmt.Errorf("unknown dir @%s", name)
-	}
-	t := dr.base
-	if optimized && dr.optimized != nil {
-		t = dr.optimized
-	}
-	return t.render(lookup, func(string) (string, error) {
-		return "", fmt.Errorf("dir templates cannot reference dirs")
-	})
-}
-
-func (c *compiled) renderPath(t *pathT, lookup func(string) (int64, bool), optimized bool) string {
-	s, err := t.render(lookup, func(n string) (string, error) {
-		return c.dirOf(n, lookup, optimized)
-	})
-	if err != nil {
-		panic(failure{fmt.Errorf("spec %s: %v", c.doc.Name, err)})
-	}
-	return s
-}
-
 // Setup implements workloads.Workload: materializes staged datasets and
 // attaches value-distribution samples, in document order.
 func (c *compiled) Setup(env *workloads.Env) {
 	defer catch(env.E)
 	params := c.paramsFor(env)
+	paths := renderer{c: c, spec: &env.Spec}
 	for _, st := range c.doc.setup {
 		if st.sample != "" {
 			c.setupSample(env, st)
 			continue
 		}
-		c.setupFiles(env, st, params)
+		c.setupFiles(env, st, params, &paths)
 	}
 }
 
@@ -162,7 +138,7 @@ func (c *compiled) setupSample(env *workloads.Env, st *setupStep) {
 	env.Tr.AddSample(st.sample, sample)
 }
 
-func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[string]int64) {
+func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[string]int64, paths *renderer) {
 	var node, idx int64
 	lookup := func(id string) (int64, bool) {
 		switch id {
@@ -195,7 +171,7 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 	stage := func() {
 		count := evalOne(st.count, 1)
 		for idx = 0; idx < count; idx++ {
-			path := c.renderPath(st.path, lookup, env.Spec.Optimized)
+			path := paths.render(st.path, lookup)
 			size := evalOne(st.size, 0)
 			target := 0
 			if st.onNode {
@@ -227,16 +203,20 @@ func (c *compiled) Spawn(env *workloads.Env) {
 		rank := rank
 		cl := env.Client(c.doc.App, rank)
 		st := &rankState{
-			c:       c,
-			env:     env,
-			params:  params,
-			vars:    map[string]int64{},
-			bars:    bars,
-			rank:    rank,
-			node:    env.Job.NodeOf(rank),
-			local:   env.Job.LocalRank(rank),
-			leader:  env.Job.IsNodeLeader(rank),
-			clients: map[string]*iface.Client{c.doc.App: cl},
+			c:      c,
+			env:    env,
+			params: params,
+			vars:   map[string]int64{},
+			bars:   bars,
+			rank:   rank,
+			node:   env.Job.NodeOf(rank),
+			local:  env.Job.LocalRank(rank),
+			leader: env.Job.IsNodeLeader(rank),
+			cl:     cl,
+			paths:  renderer{c: c, spec: &env.Spec},
+		}
+		if c.doc.usesRand {
+			st.rng = env.RNG.Fork()
 		}
 		st.look = st.lookup
 		env.E.Spawn(fmt.Sprintf("%s-rank%d", c.doc.Name, rank), func(p *sim.Proc) {
@@ -259,15 +239,25 @@ type rankState struct {
 	rank, node, local int
 	leader            bool
 
-	clients map[string]*iface.Client
-	cur     *handle
+	cl      *iface.Client            // the document's app
+	clients map[string]*iface.Client // other apps, made on first use
+	rng     *sim.RNG                 // nil unless a let draws from it
+	paths   renderer
+
+	// files is the stack of open files, innermost last: open pushes, close
+	// pops, and every other file op acts on the innermost. A popped slot is
+	// reused by the next open.
+	files []handle
 
 	// look is lookup bound once: a method value built per expression is an
 	// allocation per expression.
 	look func(string) (int64, bool)
 }
 
-// handle is the currently open file, across whichever interface opened it.
+// maxOpen bounds the files a rank may hold open at once.
+const maxOpen = 8
+
+// handle is one open file, across whichever interface opened it.
 type handle struct {
 	layer string
 	path  string
@@ -322,8 +312,14 @@ func (st *rankState) evalOr(e *expr, def int64) int64 {
 }
 
 func (st *rankState) client(app string) *iface.Client {
+	if app == st.c.doc.App {
+		return st.cl
+	}
 	if cl, ok := st.clients[app]; ok {
 		return cl
+	}
+	if st.clients == nil {
+		st.clients = map[string]*iface.Client{}
 	}
 	cl := st.env.Client(app, st.rank)
 	st.clients[app] = cl
@@ -331,7 +327,15 @@ func (st *rankState) client(app string) *iface.Client {
 }
 
 func (st *rankState) path(t *pathT) string {
-	return st.c.renderPath(t, st.look, st.env.Spec.Optimized)
+	return st.paths.render(t, st.look)
+}
+
+// cur is the innermost open file; what names the op that needs one.
+func (st *rankState) cur(what string) *handle {
+	if len(st.files) == 0 {
+		st.fail("%s without an open file", what)
+	}
+	return &st.files[len(st.files)-1]
 }
 
 func (st *rankState) fail(format string, args ...interface{}) {
@@ -368,7 +372,14 @@ func (st *rankState) exec(ops []*op, app string) {
 				st.exec(o.body, app)
 			}
 		case opLet:
-			st.vars[o.letName] = st.eval(o.letExpr)
+			v := st.eval(o.letExpr)
+			if o.letRand {
+				if v <= 0 {
+					st.fail("let %s: rand bound %d not positive", o.letName, v)
+				}
+				v = st.rng.Int63n(v)
+			}
+			st.vars[o.letName] = v
 		case opDescribe:
 			st.client(app).DescribeFile(st.path(o.path), o.format, o.ndims, o.dtype)
 		case opOpen:
@@ -382,20 +393,35 @@ func (st *rankState) exec(ops []*op, app string) {
 		case opReadWrap:
 			st.readWrap(o)
 		case opClose:
-			if st.cur == nil {
-				st.fail("close without an open file")
-			}
-			switch st.cur.layer {
+			h := st.cur("close")
+			switch h.layer {
 			case "posix":
-				st.check(st.cur.posix.Close(st.p))
+				st.check(h.posix.Close(st.p))
 			case "stdio":
-				st.check(st.cur.stdio.Close(st.p))
+				st.check(h.stdio.Close(st.p))
 			case "mpiio":
-				st.check(st.cur.mpi.Close(st.p))
+				st.check(h.mpi.Close(st.p))
 			case "hdf5":
-				st.check(st.cur.h5.Close(st.p))
+				st.check(h.h5.Close(st.p))
 			}
-			st.cur = nil
+			*h = handle{}
+			st.files = st.files[:len(st.files)-1]
+		case opSeek:
+			h := st.cur("seek")
+			switch h.layer {
+			case "posix":
+				st.check(h.posix.Seek(st.p, st.eval(o.at)))
+			case "stdio":
+				st.check(h.stdio.Seek(st.p, st.eval(o.at)))
+			default:
+				st.fail("seek on %s file", h.layer)
+			}
+		case opSync:
+			h := st.cur("sync")
+			if h.layer != "posix" {
+				st.fail("sync on %s file", h.layer)
+			}
+			st.check(h.posix.Sync(st.p))
 		case opStat:
 			_, err := st.client(app).PosixStat(st.p, st.path(o.path))
 			st.check(err)
@@ -410,34 +436,31 @@ func (st *rankState) exec(ops []*op, app string) {
 }
 
 func (st *rankState) open(o *op, app string) {
-	if st.cur != nil {
-		st.fail("open %s while %s is open", o.path.src, st.cur.path)
+	if len(st.files) == maxOpen {
+		st.fail("open %s: %d files already open", o.path.src, maxOpen)
 	}
 	cl := st.client(app)
-	path := st.path(o.path)
-	h := &handle{layer: o.layer, path: path}
+	h := handle{layer: o.layer, path: st.path(o.path)}
 	var err error
 	switch o.layer {
 	case "posix":
-		h.posix, err = cl.PosixOpen(st.p, path, o.create)
+		h.posix, err = cl.PosixOpen(st.p, h.path, o.create)
 	case "stdio":
-		h.stdio, err = cl.StdioOpen(st.p, path, o.mode)
+		h.stdio, err = cl.StdioOpen(st.p, h.path, o.mode)
 	case "mpiio":
-		h.mpi, err = cl.MPIOpen(st.p, path, o.create, int(st.eval(o.comm)))
+		h.mpi, err = cl.MPIOpen(st.p, h.path, o.create, int(st.eval(o.comm)))
 	case "hdf5":
-		h.h5, err = cl.H5Open(st.p, path, o.create, int(st.eval(o.comm)))
+		h.h5, err = cl.H5Open(st.p, h.path, o.create, int(st.eval(o.comm)))
 	}
 	st.check(err)
-	st.cur = h
+	st.files = append(st.files, h)
 }
 
 // readWrite runs a sequential read/write of total bytes in granule-sized
 // operations (one operation when granule is omitted), clamping the tail
 // when clamp is set.
 func (st *rankState) readWrite(o *op) {
-	if st.cur == nil {
-		st.fail("read/write without an open file")
-	}
+	h := st.cur("read/write")
 	total := st.eval(o.total)
 	granule := st.evalOr(o.granule, total)
 	if granule <= 0 {
@@ -449,30 +472,30 @@ func (st *rankState) readWrite(o *op) {
 			n = total - off
 		}
 		var err error
-		switch st.cur.layer {
+		switch h.layer {
 		case "posix":
 			if o.kind == opRead {
-				err = st.cur.posix.Read(st.p, n)
+				err = h.posix.Read(st.p, n)
 			} else {
-				err = st.cur.posix.Write(st.p, n)
+				err = h.posix.Write(st.p, n)
 			}
 		case "stdio":
 			if o.kind == opRead {
-				err = st.cur.stdio.Read(st.p, n)
+				err = h.stdio.Read(st.p, n)
 			} else {
-				err = st.cur.stdio.Write(st.p, n)
+				err = h.stdio.Write(st.p, n)
 			}
 		case "mpiio":
 			if o.kind == opRead {
-				err = st.cur.mpi.ReadAt(st.p, off, n)
+				err = h.mpi.ReadAt(st.p, off, n)
 			} else {
-				err = st.cur.mpi.WriteAt(st.p, off, n)
+				err = h.mpi.WriteAt(st.p, off, n)
 			}
 		case "hdf5":
 			if o.kind == opRead {
-				err = st.cur.h5.DatasetRead(st.p, off, n)
+				err = h.h5.DatasetRead(st.p, off, n)
 			} else {
-				err = st.cur.h5.DatasetWrite(st.p, off, n)
+				err = h.h5.DatasetWrite(st.p, off, n)
 			}
 		}
 		st.check(err)
@@ -480,11 +503,16 @@ func (st *rankState) readWrite(o *op) {
 }
 
 // pread runs positioned reads at base + off*stride for off in granule
-// steps below total — strided sparse scans when stride > 1. With size, the
-// file's length, reads stop there and the last one is clamped to it.
+// steps below total — strided sparse scans when stride > 1 — each preceded
+// by a seek with seek set (HACC's restart pattern). With size, the file's
+// length, reads stop there and the last one is clamped to it.
 func (st *rankState) pread(o *op) {
-	if st.cur == nil {
-		st.fail("pread without an open file")
+	h := st.cur("pread")
+	switch {
+	case h.layer == "mpiio" && o.seek:
+		st.fail("pread seek on mpiio file")
+	case h.layer != "posix" && h.layer != "mpiio":
+		st.fail("pread on %s file", h.layer)
 	}
 	base := st.evalOr(o.at, 0)
 	total := st.eval(o.total)
@@ -505,16 +533,14 @@ func (st *rankState) pread(o *op) {
 		if n > size-pos {
 			n = size - pos
 		}
-		var err error
-		switch st.cur.layer {
-		case "posix":
-			err = st.cur.posix.ReadAt(st.p, pos, n, false)
-		case "mpiio":
-			err = st.cur.mpi.ReadAt(st.p, pos, n)
-		default:
-			st.fail("pread on %s file", st.cur.layer)
+		if h.layer == "mpiio" {
+			st.check(h.mpi.ReadAt(st.p, pos, n))
+			continue
 		}
-		st.check(err)
+		if o.seek {
+			st.check(h.posix.Seek(st.p, pos))
+		}
+		st.check(h.posix.ReadAt(st.p, pos, n, false))
 	}
 }
 
@@ -522,15 +548,13 @@ func (st *rankState) pread(o *op) {
 // seek per operation (CM1's append pattern), where base is the at
 // expression or — with append — the file's current size.
 func (st *rankState) pwrite(o *op) {
-	if st.cur == nil {
-		st.fail("pwrite without an open file")
-	}
-	if st.cur.layer != "posix" {
-		st.fail("pwrite on %s file", st.cur.layer)
+	h := st.cur("pwrite")
+	if h.layer != "posix" {
+		st.fail("pwrite on %s file", h.layer)
 	}
 	var base int64
 	if o.appendBase {
-		base, _ = st.env.Sys.FileSize(0, st.cur.path)
+		base, _ = st.env.Sys.FileSize(0, h.path)
 	} else {
 		base = st.evalOr(o.at, 0)
 	}
@@ -545,9 +569,9 @@ func (st *rankState) pwrite(o *op) {
 			n = total - off
 		}
 		if o.seek {
-			st.check(st.cur.posix.Seek(st.p, base+off))
+			st.check(h.posix.Seek(st.p, base+off))
 		}
-		st.check(st.cur.posix.WriteAt(st.p, base+off, n, false))
+		st.check(h.posix.WriteAt(st.p, base+off, n, false))
 	}
 }
 
@@ -555,11 +579,9 @@ func (st *rankState) pwrite(o *op) {
 // given size, seeking back to the start whenever the next operation would
 // run past the end — Montage's overlap re-read pattern.
 func (st *rankState) readWrap(o *op) {
-	if st.cur == nil {
-		st.fail("readwrap without an open file")
-	}
-	if st.cur.layer != "stdio" {
-		st.fail("readwrap on %s file", st.cur.layer)
+	h := st.cur("readwrap")
+	if h.layer != "stdio" {
+		st.fail("readwrap on %s file", h.layer)
 	}
 	total := st.eval(o.total)
 	granule := st.eval(o.granule)
@@ -567,7 +589,7 @@ func (st *rankState) readWrap(o *op) {
 	if granule <= 0 {
 		st.fail("granule %d not positive", granule)
 	}
-	f := st.cur.stdio
+	f := h.stdio
 	for read := int64(0); read < total; read += granule {
 		if f.Pos()+granule > size {
 			st.check(f.Seek(st.p, 0))

@@ -7,9 +7,10 @@ import (
 	"strings"
 )
 
-// The golden specs are the CM1, CosmoFlow and Montage-MPI exemplars: the
-// only description each has (catalog.go resolves the names to them). They
-// double as the fuzzer's seed corpus and as worked examples of the grammar.
+// The golden specs are every exemplar but Montage-Pegasus — CM1, HACC,
+// CosmoFlow, JAG, Montage-MPI and the IOR probe: the only description each
+// has (catalog.go resolves the names to them). They double as the fuzzer's
+// seed corpus and as worked examples of the grammar.
 //
 //go:embed golden/*.yaml
 var goldenFS embed.FS

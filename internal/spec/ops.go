@@ -90,11 +90,29 @@ func (rc *runChecker) parseOp(m map[string]interface{}, w string, depth int) (*o
 		return rc.parsePWrite(body, w)
 	case "readwrap":
 		return rc.parseReadWrap(body, w)
-	case "close":
+	case "close", "sync":
 		if err := checkKeys(body, w); err != nil {
 			return nil, err
 		}
+		if verb == "sync" {
+			return &op{kind: opSync}, nil
+		}
 		return &op{kind: opClose}, nil
+	case "seek":
+		if err := checkKeys(body, w, "at"); err != nil {
+			return nil, err
+		}
+		if body["at"] == nil {
+			return nil, fmt.Errorf("%s: at required", w)
+		}
+		o := &op{kind: opSeek}
+		if o.at, err = asExprVal(body["at"], w+".at"); err != nil {
+			return nil, err
+		}
+		if err := rc.expr(o.at, w+".at"); err != nil {
+			return nil, err
+		}
+		return o, nil
 	case "stat":
 		if err := checkKeys(body, w, "path"); err != nil {
 			return nil, err
@@ -250,7 +268,7 @@ func (rc *runChecker) parseLoop(m map[string]interface{}, w string, depth int) (
 }
 
 func (rc *runChecker) parseLet(m map[string]interface{}, w string) (*op, error) {
-	if err := checkKeys(m, w, "name", "value"); err != nil {
+	if err := checkKeys(m, w, "name", "value", "rand"); err != nil {
 		return nil, err
 	}
 	o := &op{kind: opLet}
@@ -264,13 +282,17 @@ func (rc *runChecker) parseLet(m map[string]interface{}, w string) (*op, error) 
 	if _, exists := rc.d.params[o.letName]; exists || runBuiltins[o.letName] {
 		return nil, fmt.Errorf("%s.name: %q shadows a param or builtin", w, o.letName)
 	}
-	if m["value"] == nil {
-		return nil, fmt.Errorf("%s: value required", w)
+	if (m["value"] == nil) == (m["rand"] == nil) {
+		return nil, fmt.Errorf("%s: exactly one of value/rand required", w)
 	}
-	if o.letExpr, err = asExprVal(m["value"], w+".value"); err != nil {
+	key := "value"
+	if m["rand"] != nil {
+		key, o.letRand, rc.d.usesRand = "rand", true, true
+	}
+	if o.letExpr, err = asExprVal(m[key], w+"."+key); err != nil {
 		return nil, err
 	}
-	if err := rc.expr(o.letExpr, w+".value"); err != nil {
+	if err := rc.expr(o.letExpr, w+"."+key); err != nil {
 		return nil, err
 	}
 	rc.scope[o.letName] = true
@@ -377,11 +399,16 @@ func (rc *runChecker) parseRW(verb string, m map[string]interface{}, w string) (
 }
 
 func (rc *runChecker) parsePRead(m map[string]interface{}, w string) (*op, error) {
-	if err := checkKeys(m, w, "at", "total", "granule", "stride", "clamp", "size"); err != nil {
+	if err := checkKeys(m, w, "at", "seek", "total", "granule", "stride", "clamp", "size"); err != nil {
 		return nil, err
 	}
 	o := &op{kind: opPRead, clamp: true, stride: 1}
 	var err error
+	if raw, ok := m["seek"]; ok {
+		if o.seek, err = asBool(raw, w+".seek"); err != nil {
+			return nil, err
+		}
+	}
 	for _, f := range []struct {
 		key string
 		dst **expr
@@ -517,7 +544,7 @@ func (rc *runChecker) path(v interface{}, w string) (*pathT, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := parsePath(src, true)
+	t, err := parsePath(src)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", w, err)
 	}
@@ -530,10 +557,8 @@ func (rc *runChecker) path(v interface{}, w string) (*pathT, error) {
 	if bad != "" {
 		return nil, fmt.Errorf("%s: unknown identifier %q", w, bad)
 	}
-	if t.dir != "" {
-		if _, ok := rc.d.dirs[t.dir]; !ok {
-			return nil, fmt.Errorf("%s: unknown dir @%s", w, t.dir)
-		}
+	if err := rc.d.checkDir(t, w); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

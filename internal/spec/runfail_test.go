@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -12,13 +13,22 @@ import (
 
 // TestRuntimeFailuresAreErrors: a valid document whose run cannot finish —
 // a read past EOF in a rank, a barrier not every rank reaches, a param that
-// cannot evaluate — is an error from workloads.Run carrying the cause, not a
-// panic in a rank goroutine or in the engine, and it leaves no rank parked.
+// cannot evaluate, a ninth nested open, an empty random range, a file op
+// with no file or on the wrong interface, a burst-buffer path on a machine
+// without one — is an error from workloads.Run
+// carrying the cause, not a panic in a rank goroutine or in the engine, and
+// it leaves no rank parked.
 func TestRuntimeFailuresAreErrors(t *testing.T) {
 	for file, want := range map[string]string{
-		"past-eof.yaml":  "past EOF",
-		"stuck.yaml":     "deadlock",
-		"bad-param.yaml": "division by zero",
+		"past-eof.yaml":    "past EOF",
+		"stuck.yaml":       "deadlock",
+		"bad-param.yaml":   "division by zero",
+		"open-nine.yaml":   "8 files already open",
+		"rand-bound.yaml":  "rand bound 0 not positive",
+		"seek-closed.yaml": "seek without an open file",
+		"sync-closed.yaml": "sync without an open file",
+		"sync-stdio.yaml":  "sync on stdio file",
+		"no-bb.yaml":       "the machine has no @bb",
 	} {
 		doc, err := ParseFile(filepath.Join("testdata", file))
 		if err != nil {
@@ -37,6 +47,26 @@ func TestRuntimeFailuresAreErrors(t *testing.T) {
 					file, runtime.NumGoroutine(), before)
 			}
 			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestParseErrors: documents the parser must refuse, each with ErrBadSpec
+// and a message naming the fault.
+func TestParseErrors(t *testing.T) {
+	const head = "version: 1\nname: x\napp: x\n"
+	for _, c := range []struct{ name, doc, want string }{
+		{"unknown dir", head + "run:\n  - stat:\n      path: \"@nosuch/x\"\n", "unknown dir @nosuch"},
+		{"dir named pfs", head + "dirs:\n  pfs:\n    path: /p/gpfs1\nrun:\n  - compute:\n      time: 1s\n", `"pfs" is a machine dir`},
+		{"dir from a dir", head + "dirs:\n  a:\n    path: /a\n  b:\n    path: \"@a/b\"\nrun:\n  - compute:\n      time: 1s\n", "only start from @pfs or @bb"},
+		{"let value and rand", head + "run:\n  - let:\n      name: n\n      value: 1\n      rand: 2\n", "exactly one of value/rand"},
+		{"let neither", head + "run:\n  - let:\n      name: n\n", "exactly one of value/rand"},
+		{"seek without at", head + "run:\n  - seek: {}\n", "at required"},
+		{"sync with a key", head + "run:\n  - sync:\n      at: 0\n", "unknown key"},
+	} {
+		_, err := Parse([]byte(c.doc))
+		if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Parse error = %v, want ErrBadSpec saying %q", c.name, err, c.want)
 		}
 	}
 }

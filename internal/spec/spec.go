@@ -7,8 +7,8 @@
 //
 // The compiled workload interprets the document: it issues the interface
 // calls the run program names, in order. The package also holds the golden
-// specs — three of the paper's exemplars, described here and nowhere else
-// — the catalog of every workload by name (catalog.go), and the sweep
+// specs — six of the seven exemplars, described here and nowhere else —
+// the catalog of every workload by name (catalog.go), and the sweep
 // document (sweep.go): a spec plus a parameter grid, which internal/sweep
 // runs and reduces into a comparative report.
 package spec
@@ -69,6 +69,8 @@ type Doc struct {
 	barriers []string
 	setup    []*setupStep
 	run      []*op
+
+	usesRand bool // some let draws from the per-rank RNG
 }
 
 // Defaults override workloads.DefaultSpec for this workload.
@@ -161,6 +163,8 @@ const (
 	opPWrite
 	opReadWrap
 	opClose
+	opSeek
+	opSync
 	opStat
 	opBarrier
 	opCompute
@@ -179,9 +183,11 @@ type op struct {
 	loopVar           string
 	from, until, step *expr
 
-	// let
+	// let: letExpr is the value, or with letRand the exclusive bound of a
+	// uniform draw from the rank's RNG
 	letName string
 	letExpr *expr
+	letRand bool
 
 	// file ops
 	path          *pathT
@@ -193,7 +199,7 @@ type op struct {
 	comm          *expr
 	total         *expr
 	granule       *expr // nil = total
-	at            *expr // nil = 0
+	at            *expr // nil = 0; seek: the position
 	size          *expr // readwrap, pread: file size
 	stride        int64
 	clamp         bool
@@ -694,6 +700,9 @@ func (d *Doc) buildDirs(v interface{}) error {
 		if !identRe.MatchString(name) {
 			return fmt.Errorf("dirs: bad dir name %q", name)
 		}
+		if machineDir(name) {
+			return fmt.Errorf("dirs: %q is a machine dir", name)
+		}
 		dm, err := asObj(m[name], "dirs."+name)
 		if err != nil {
 			return err
@@ -706,7 +715,7 @@ func (d *Doc) buildDirs(v interface{}) error {
 			return err
 		}
 		dr := &dir{name: name}
-		if dr.base, err = parsePath(src, false); err != nil {
+		if dr.base, err = parseDirPath(src); err != nil {
 			return fmt.Errorf("dirs.%s: %v", name, err)
 		}
 		if raw, ok := dm["optimized"]; ok {
@@ -714,7 +723,7 @@ func (d *Doc) buildDirs(v interface{}) error {
 			if err != nil {
 				return err
 			}
-			if dr.optimized, err = parsePath(osrc, false); err != nil {
+			if dr.optimized, err = parseDirPath(osrc); err != nil {
 				return fmt.Errorf("dirs.%s: %v", name, err)
 			}
 		}
@@ -780,7 +789,7 @@ func (d *Doc) buildSetup(v interface{}) error {
 			if err != nil {
 				return err
 			}
-			if st.path, err = parsePath(src, true); err != nil {
+			if st.path, err = parsePath(src); err != nil {
 				return fmt.Errorf("%s.files: %v", where, err)
 			}
 			if raw, ok := fm["count"]; ok {
@@ -908,10 +917,5 @@ func (d *Doc) checkSetupIdents(st *setupStep, where string) error {
 	if perr != nil {
 		return perr
 	}
-	if st.path.dir != "" {
-		if _, ok := d.dirs[st.path.dir]; !ok {
-			return fmt.Errorf("%s: unknown dir @%s", where, st.path.dir)
-		}
-	}
-	return nil
+	return d.checkDir(st.path, where)
 }

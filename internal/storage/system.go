@@ -230,12 +230,6 @@ func (s *System) Mkdir(p *sim.Proc, node int, path string) {
 	s.meta(p, node, s.Route(path))
 }
 
-// Delete removes a file without charging time (used by cleanup stages).
-func (s *System) Delete(node int, path string) {
-	k, _ := s.key(node, path)
-	delete(s.files, k)
-}
-
 // FileSize reports the current size of a file as seen from node.
 func (s *System) FileSize(node int, path string) (int64, bool) {
 	f, _, _ := s.lookup(node, path)
@@ -243,12 +237,6 @@ func (s *System) FileSize(node int, path string) (int64, bool) {
 		return 0, false
 	}
 	return f.size, true
-}
-
-// Exists reports whether the file exists from node's view.
-func (s *System) Exists(node int, path string) bool {
-	_, ok := s.FileSize(node, path)
-	return ok
 }
 
 // meta charges one metadata operation against the right service.

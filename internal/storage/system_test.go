@@ -140,10 +140,10 @@ func TestNodeLocalNamespacesArePerNode(t *testing.T) {
 	})
 	e.Spawn("reader-other-node", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		if s.Exists(1, "/dev/shm/inter") {
+		if _, ok := s.FileSize(1, "/dev/shm/inter"); ok {
 			t.Error("node 1 sees node 0's /dev/shm file")
 		}
-		if !s.Exists(0, "/dev/shm/inter") {
+		if _, ok := s.FileSize(0, "/dev/shm/inter"); !ok {
 			t.Error("node 0's file lost")
 		}
 	})
@@ -378,18 +378,6 @@ func TestSeekIsNearFree(t *testing.T) {
 	e.Run()
 }
 
-func TestDeleteRemovesFile(t *testing.T) {
-	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		s.Delete(0, "/p/gpfs1/f")
-		if s.Exists(0, "/p/gpfs1/f") {
-			t.Error("file exists after delete")
-		}
-	})
-	e.Run()
-}
-
 func TestStatReportsSize(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
@@ -518,7 +506,9 @@ func TestMaterializeStagesDatasetInstantly(t *testing.T) {
 		if err := s.Read(p, 1, "/p/gpfs1/input.fits", 0, 22*MiB); err != nil {
 			t.Errorf("read of materialized file: %v", err)
 		}
-		if !s.Exists(1, "/dev/shm/local") || s.Exists(0, "/dev/shm/local") {
+		_, onOwn := s.FileSize(1, "/dev/shm/local")
+		_, onOther := s.FileSize(0, "/dev/shm/local")
+		if !onOwn || onOther {
 			t.Error("node-local materialization wrong")
 		}
 	})

@@ -197,33 +197,3 @@ func Execute(e *sim.Engine, d *DAG, slots int) (*sim.WaitGroup, error) {
 	}
 	return wg, nil
 }
-
-// CriticalPathLength returns the sum of task durations along the longest
-// dependency chain of completed results, a sanity metric for schedules.
-func (d *DAG) CriticalPathLength() time.Duration {
-	memo := make(map[string]time.Duration, len(d.tasks))
-	var longest func(t *Task) time.Duration
-	longest = func(t *Task) time.Duration {
-		if v, ok := memo[t.Name]; ok {
-			return v
-		}
-		var best time.Duration
-		for _, dep := range t.Deps {
-			if dt := d.byName[dep]; dt != nil {
-				if v := longest(dt); v > best {
-					best = v
-				}
-			}
-		}
-		v := best + (t.Finished - t.Started)
-		memo[t.Name] = v
-		return v
-	}
-	var max time.Duration
-	for _, t := range d.tasks {
-		if v := longest(t); v > max {
-			max = v
-		}
-	}
-	return max
-}

@@ -173,22 +173,6 @@ func TestSlotPoolFIFOAndReuse(t *testing.T) {
 	}
 }
 
-func TestCriticalPathLength(t *testing.T) {
-	e := sim.NewEngine()
-	d := NewDAG()
-	var log []string
-	d.MustAdd(task("a", nil, time.Second, &log))
-	d.MustAdd(task("b", []string{"a"}, 3*time.Second, &log))
-	d.MustAdd(task("c", nil, time.Second, &log)) // off the critical path
-	if _, err := Execute(e, d, 4); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if cp := d.CriticalPathLength(); cp != 4*time.Second {
-		t.Errorf("critical path = %v, want 4s", cp)
-	}
-}
-
 func TestDiamondDependency(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDAG()

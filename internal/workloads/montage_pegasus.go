@@ -110,7 +110,7 @@ func (w *MontagePegasus) projPath(i int) string {
 // Setup stages the survey inputs: FITS images and the small header/
 // calibration files that make up the 4778 initial-input files.
 func (w *MontagePegasus) Setup(env *Env) {
-	nProj := scaleN(w.ProjectTasks, env.Spec.Scale, 1)
+	nProj := ScaleN(w.ProjectTasks, env.Spec.Scale, 1)
 	for i := 0; i < 2*nProj; i++ {
 		env.Sys.Materialize(0, w.fitsPath(i), w.FITSSize)
 	}
@@ -129,9 +129,9 @@ func (w *MontagePegasus) Setup(env *Env) {
 // the pegasus-mpi-cluster scheduler (1280 slots).
 func (w *MontagePegasus) Spawn(env *Env) {
 	spec := env.Spec
-	nProj := scaleN(w.ProjectTasks, spec.Scale, 1)
-	nDiff := scaleN(w.DiffTasks, spec.Scale, 1)
-	nAdd := scaleN(w.AddTasks, spec.Scale, 1)
+	nProj := ScaleN(w.ProjectTasks, spec.Scale, 1)
+	nDiff := ScaleN(w.DiffTasks, spec.Scale, 1)
+	nAdd := ScaleN(w.AddTasks, spec.Scale, 1)
 	slots := env.Job.Ranks()
 	d := workflow.NewDAG()
 
@@ -314,7 +314,7 @@ func (w *MontagePegasus) Spawn(env *Env) {
 			if err != nil {
 				panic(err)
 			}
-			big := scaleBytes(64*storage.MiB, spec.Scale, 16*storage.MiB+1)
+			big := ScaleBytes(64*storage.MiB, spec.Scale, 16*storage.MiB+1)
 			if sz, _ := env.Sys.FileSize(slot/spec.RanksPerNode, tile0); big > sz {
 				big = sz
 			}
@@ -329,7 +329,7 @@ func (w *MontagePegasus) Spawn(env *Env) {
 			cl.Compute(p, w.ViewerCompute)
 			out := pegBase + "/mosaic_images.png"
 			cl.DescribeFile(out, "png", 2, "int")
-			writeWhole(cl, p, out, scaleBytes(w.PNGBytes, spec.Scale, storage.MiB), storage.MiB)
+			writeWhole(cl, p, out, ScaleBytes(w.PNGBytes, spec.Scale, storage.MiB), storage.MiB)
 		},
 	})
 

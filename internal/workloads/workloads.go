@@ -1,12 +1,11 @@
 // Package workloads holds the harness every exemplar workload runs in —
-// Spec, Env, Run — and the Go generators of the exemplars the spec DSL
-// cannot describe: HACC-I/O (checkpoint/restart kernel), JAG ICF
-// (deep-learning over NumPy), the Pegasus Montage workflow, and the IOR
-// benchmark the paper uses to probe storage entities (Table IX). CM1,
-// CosmoFlow and Montage-MPI are golden specs (internal/spec), which also
-// keeps the catalog of all seven by name.
+// Spec, Env, Run — and the Go generator of the one exemplar the spec DSL
+// cannot describe: the Pegasus Montage workflow, a task DAG. The other six
+// (CM1, HACC-I/O, CosmoFlow, JAG ICF, Montage-MPI and the IOR probe of
+// Table IX) are golden specs (internal/spec), which also keeps the catalog
+// of all seven by name.
 //
-// Each generator scripts the I/O pattern the paper documents for the real
+// A workload scripts the I/O pattern the paper documents for the real
 // application — file counts and sizes, transfer granularities, interfaces,
 // rank roles, phase structure, and compute/IO overlap — against the
 // simulated storage stack, producing the traces the analyzer characterizes.
@@ -171,8 +170,10 @@ func Run(w Workload, spec Spec) (*Result, error) {
 	}, nil
 }
 
-// scaleN scales an integer count, keeping at least min.
-func scaleN(n int, s float64, min int) int {
+// ScaleN scales an integer count, keeping at least min: the rule a
+// compiled spec's scaled count params and the Montage-Pegasus generator
+// share.
+func ScaleN(n int, s float64, min int) int {
 	v := int(float64(n) * s)
 	if v < min {
 		return min
@@ -180,15 +181,8 @@ func scaleN(n int, s float64, min int) int {
 	return v
 }
 
-// ScaleN exposes the generators' count-scaling rule, so a compiled spec
-// (internal/spec) shrinks counts exactly like the Go generators do.
-func ScaleN(n int, s float64, min int) int { return scaleN(n, s, min) }
-
-// ScaleBytes exposes the generators' byte-scaling rule.
-func ScaleBytes(b int64, s float64, unit int64) int64 { return scaleBytes(b, s, unit) }
-
-// scaleBytes scales a byte volume, keeping at least one unit.
-func scaleBytes(b int64, s float64, unit int64) int64 {
+// ScaleBytes scales a byte volume, keeping at least one unit.
+func ScaleBytes(b int64, s float64, unit int64) int64 {
 	v := int64(float64(b) * s)
 	if v < unit {
 		return unit

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"vani/internal/cluster"
 	"vani/internal/spec"
 	"vani/internal/spec/spectest"
+	"vani/internal/storage"
 	"vani/internal/trace"
 	"vani/internal/workloads"
 )
@@ -64,7 +66,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunRejectsBadScale(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	for _, scale := range []float64{0, -1, 1.5} {
 		s := tinySpec(w, scale)
 		if _, err := workloads.Run(w, s); err == nil {
@@ -74,7 +76,7 @@ func TestRunRejectsBadScale(t *testing.T) {
 }
 
 func TestRunRejectsBadJob(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	s := tinySpec(w, 0.01)
 	s.Nodes = 0
 	if _, err := workloads.Run(w, s); err == nil {
@@ -202,7 +204,7 @@ func TestCM1ComputeAndIOAlternate(t *testing.T) {
 }
 
 func TestHACCShape(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	spec := tinySpec(w, 0.02)
 	res := mustRun(t, w, spec)
 	checkCommonInvariants(t, w, res)
@@ -239,7 +241,7 @@ func TestHACCBandwidthVariance(t *testing.T) {
 	// Contention must make per-rank I/O times differ (Figure 2c). The
 	// client cache is disabled so writes hit the PFS directly; at full
 	// scale the cache overflows and the same contention appears.
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	spec := tinySpec(w, 0.02)
 	spec.Storage.CacheEnabled = false
 	res := mustRun(t, w, spec)
@@ -306,9 +308,8 @@ func TestCosmoFlowOptimizedFaster(t *testing.T) {
 }
 
 func TestJAGShape(t *testing.T) {
-	w := workloads.NewJAG()
-	w.Epochs = 5
-	w.ComputePerEpoch = 100 * time.Millisecond
+	const gpuPerEpoch = 100 * time.Millisecond
+	w := spectest.GoldenSet(t, "jag", map[string]int64{"epochs": 5, "gpu_per_epoch": int64(gpuPerEpoch)})
 	res := mustRun(t, w, tinySpec(w, 0.02))
 	checkCommonInvariants(t, w, res)
 	tr := res.Trace
@@ -342,7 +343,7 @@ func TestJAGShape(t *testing.T) {
 			}
 		}
 	}
-	if lastIOStart <= maxComputeEnd-2*w.ComputePerEpoch {
+	if lastIOStart <= maxComputeEnd-2*gpuPerEpoch {
 		t.Error("no validation I/O phase after training")
 	}
 }
@@ -478,7 +479,7 @@ func TestMontagePegasusDiffDominates(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	spec := tinySpec(w, 0.01)
 	a := mustRun(t, w, spec)
 	b := mustRun(t, w, spec)
@@ -496,7 +497,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestTraceOverheadAddsRuntime(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	spec := tinySpec(w, 0.01)
 	base := mustRun(t, w, spec)
 	spec.TraceOverhead = 50 * time.Microsecond
@@ -510,7 +511,7 @@ func TestTraceOverheadAddsRuntime(t *testing.T) {
 }
 
 func TestTracingDisabledProducesNoEvents(t *testing.T) {
-	w := workloads.NewHACC()
+	w := spectest.Golden(t, "hacc", nil)
 	spec := tinySpec(w, 0.01)
 	spec.TraceEnabled = false
 	res := mustRun(t, w, spec)
@@ -523,7 +524,8 @@ func TestTracingDisabledProducesNoEvents(t *testing.T) {
 }
 
 func TestIORShape(t *testing.T) {
-	w := workloads.NewIOR()
+	const transfer = 16 << 20 // the document's transfer
+	w := spectest.Golden(t, "ior", nil)
 	spec := tinySpec(w, 0.01)
 	spec.RanksPerNode = 1
 	res := mustRun(t, w, spec)
@@ -534,10 +536,9 @@ func TestIORShape(t *testing.T) {
 	if read != written || written == 0 {
 		t.Errorf("IOR read %d / written %d, want equal nonzero", read, written)
 	}
-	// All transfers are TransferSize.
 	for _, ev := range tr.Events {
-		if ev.Op.IsData() && ev.Size != w.TransferSize {
-			t.Errorf("transfer of %d bytes, want %d", ev.Size, w.TransferSize)
+		if ev.Op.IsData() && ev.Size != transfer {
+			t.Errorf("transfer of %d bytes, want %d", ev.Size, transfer)
 		}
 	}
 	// fsync traced.
@@ -553,9 +554,7 @@ func TestIORShape(t *testing.T) {
 }
 
 func TestIORSharedFileMode(t *testing.T) {
-	w := workloads.NewIOR()
-	w.SharedFile = true
-	w.ReadBack = false
+	w := spectest.GoldenSet(t, "ior", map[string]int64{"shared_file": 1})
 	spec := tinySpec(w, 0.01)
 	spec.RanksPerNode = 2
 	res := mustRun(t, w, spec)
@@ -610,14 +609,20 @@ func TestTraceGoldenAcrossCommits(t *testing.T) {
 	}
 }
 
-// generatorGolden pins the three golden-spec workloads to what their Go
-// generators wrote on the last commit that had them (708c984): event count
-// and SHA-256 of the encoded trace, baseline and optimized, two seeds, and
-// montage-mpi at the job size where its sampling reads clamp. The constants
-// were taken from the generators, not from the interpreter, so they do not
-// share its bugs.
+// generatorGolden pins the golden-spec workloads to what their Go
+// generators wrote: event count and SHA-256 of the encoded trace, baseline
+// and optimized, two seeds, and a job size where a scaled count meets its
+// floor (montage-mpi's sampling reads clamp, jag's validation reads stay at
+// 8). cm1, cosmoflow and montage-mpi were taken on the last commit that had
+// their generators (708c984); hacc, ior and jag on b0f501b, hacc on Lassen
+// and on Cori (where the optimized run checkpoints to the shared burst
+// buffer) and ior with a file per process and with one shared file. The
+// constants were taken from the generators, not from the interpreter, so
+// they do not share its bugs.
 var generatorGolden = []struct {
 	name       string
+	machine    string           // "" = Lassen, "cori" = Cori
+	set        map[string]int64 // params set before the run
 	nodes, rpn int
 	scale      float64
 	optimized  bool
@@ -625,25 +630,37 @@ var generatorGolden = []struct {
 	events     int
 	sha256     string
 }{
-	{"cm1", 4, 4, 0.02, false, 1, 8626, "efdd2f0583d19e6a78050ba8d510c043b005533eeba8fbfbb3f8743f1a8a36e0"},
-	{"cm1", 4, 4, 0.02, false, 2, 8626, "23e5c9e4c8e1488b4b4be4d1395a5e027c6ad229f4717ff4ae8521ea40094e04"},
-	{"cm1", 4, 4, 0.02, true, 1, 8626, "efdd2f0583d19e6a78050ba8d510c043b005533eeba8fbfbb3f8743f1a8a36e0"},
-	{"cm1", 4, 4, 0.02, true, 2, 8626, "23e5c9e4c8e1488b4b4be4d1395a5e027c6ad229f4717ff4ae8521ea40094e04"},
-	{"cosmoflow", 4, 4, 0.02, false, 1, 86538, "a214beb879d9299f515ddbbd4e1f14418d220cb53b524fcbc3e7e96492643759"},
-	{"cosmoflow", 4, 4, 0.02, false, 2, 86538, "d7c6b299c7856e089b4e0bd04e45be62cf4cd705c35d8b0a4e3f1445d210f976"},
-	{"cosmoflow", 4, 4, 0.02, true, 1, 88528, "d519cc7fbe043642855a6c087937b53c0061a0529e6644c70c519bebff7fdc79"},
-	{"cosmoflow", 4, 4, 0.02, true, 2, 88528, "0d6ebfbd4598e8081ac27b233c013ab65095a722bbd47bdfe0aa48eeb5d074d4"},
-	{"montage-mpi", 4, 4, 0.02, false, 1, 39956, "4f48a214c179a20ebfb3860131e5b444ab24f74aaf60e1d2323e3886165d35b9"},
-	{"montage-mpi", 4, 4, 0.02, false, 2, 39956, "bb3aa28b60fe2c4e9a3111277e374d962b647d1f32bcfbd8d8a067b0034839c8"},
-	{"montage-mpi", 4, 4, 0.02, true, 1, 39956, "7b72d79d8dbd98eab6154dd7386b39d274a1bc491ab8b93833a7cd1006c872ec"},
-	{"montage-mpi", 4, 4, 0.02, true, 2, 39956, "912b8053ddbfd61bb2afce7f392047f6af7039759c5f00e35cf01cee596543ac"},
-	{"montage-mpi", 32, 40, 0.001, false, 1, 317728, "1324d9df7196291a5ee8dc643427dcec796e39018165574e94cc193920675049"},
+	{"cm1", "", nil, 4, 4, 0.02, false, 1, 8626, "efdd2f0583d19e6a78050ba8d510c043b005533eeba8fbfbb3f8743f1a8a36e0"},
+	{"cm1", "", nil, 4, 4, 0.02, false, 2, 8626, "23e5c9e4c8e1488b4b4be4d1395a5e027c6ad229f4717ff4ae8521ea40094e04"},
+	{"cm1", "", nil, 4, 4, 0.02, true, 1, 8626, "efdd2f0583d19e6a78050ba8d510c043b005533eeba8fbfbb3f8743f1a8a36e0"},
+	{"cm1", "", nil, 4, 4, 0.02, true, 2, 8626, "23e5c9e4c8e1488b4b4be4d1395a5e027c6ad229f4717ff4ae8521ea40094e04"},
+	{"cosmoflow", "", nil, 4, 4, 0.02, false, 1, 86538, "a214beb879d9299f515ddbbd4e1f14418d220cb53b524fcbc3e7e96492643759"},
+	{"cosmoflow", "", nil, 4, 4, 0.02, false, 2, 86538, "d7c6b299c7856e089b4e0bd04e45be62cf4cd705c35d8b0a4e3f1445d210f976"},
+	{"cosmoflow", "", nil, 4, 4, 0.02, true, 1, 88528, "d519cc7fbe043642855a6c087937b53c0061a0529e6644c70c519bebff7fdc79"},
+	{"cosmoflow", "", nil, 4, 4, 0.02, true, 2, 88528, "0d6ebfbd4598e8081ac27b233c013ab65095a722bbd47bdfe0aa48eeb5d074d4"},
+	{"montage-mpi", "", nil, 4, 4, 0.02, false, 1, 39956, "4f48a214c179a20ebfb3860131e5b444ab24f74aaf60e1d2323e3886165d35b9"},
+	{"montage-mpi", "", nil, 4, 4, 0.02, false, 2, 39956, "bb3aa28b60fe2c4e9a3111277e374d962b647d1f32bcfbd8d8a067b0034839c8"},
+	{"montage-mpi", "", nil, 4, 4, 0.02, true, 1, 39956, "7b72d79d8dbd98eab6154dd7386b39d274a1bc491ab8b93833a7cd1006c872ec"},
+	{"montage-mpi", "", nil, 4, 4, 0.02, true, 2, 39956, "912b8053ddbfd61bb2afce7f392047f6af7039759c5f00e35cf01cee596543ac"},
+	{"montage-mpi", "", nil, 32, 40, 0.001, false, 1, 317728, "1324d9df7196291a5ee8dc643427dcec796e39018165574e94cc193920675049"},
+	{"hacc", "", nil, 4, 4, 0.02, false, 1, 1344, "db1fa4c500eec3536bbd421309970df6ce60e57282d1f2662b1763b593540be7"},
+	{"hacc", "", nil, 4, 4, 0.02, true, 1, 1344, "db1fa4c500eec3536bbd421309970df6ce60e57282d1f2662b1763b593540be7"},
+	{"hacc", "cori", nil, 4, 4, 0.02, false, 1, 1344, "cadf21865e28dc52cbebfafed8e00206456316ee975fdddf6844b9667b62b423"},
+	{"hacc", "cori", nil, 4, 4, 0.02, true, 1, 1344, "f50160621dc374c32b5302b93fe7095511c5650904d09986d502f3b180bc9ceb"},
+	{"jag", "", nil, 4, 4, 0.02, false, 1, 20744, "e6522a9b11c6a282820dc449c5d4d5f4733e6288691d10728759ff25ec9b98dc"},
+	{"jag", "", nil, 4, 4, 0.02, false, 2, 20742, "eb64bbdb8ecc01a57884d1906538047151ac1b360bcf86e3681aa070814924ec"},
+	{"jag", "", nil, 2, 4, 0.005, false, 1, 4275, "07722b88b8b49e4397ab7ca09bc973abe56aa9a1e57047f8534a8b7704ce5306"},
+	{"ior", "", nil, 4, 2, 0.02, false, 1, 128, "b8d1c125af5440d0c55cdeb612ae9d69a0f399ed67a662809f94fe99ef0dba4a"},
+	{"ior", "", map[string]int64{"shared_file": 1}, 4, 2, 0.02, false, 1, 128, "c03c68ff78206b494a8e9b752226bbd41973ec5c640270cb0bc1f2a80d637c03"},
 }
 
 func TestGoldenSpecsMatchGenerators(t *testing.T) {
 	for _, g := range generatorGolden {
-		w := spectest.Golden(t, g.name, nil)
+		w := spectest.GoldenSet(t, g.name, g.set)
 		sp := w.DefaultSpec()
+		if g.machine == "cori" {
+			sp.Machine, sp.Storage = cluster.Cori(), storage.Cori()
+		}
 		sp.Nodes, sp.RanksPerNode, sp.Scale, sp.Optimized, sp.Seed = g.nodes, g.rpn, g.scale, g.optimized, g.seed
 		res := mustRun(t, w, sp)
 		h := sha256.New()
@@ -651,14 +668,14 @@ func TestGoldenSpecsMatchGenerators(t *testing.T) {
 			t.Fatalf("%s: %v", g.name, err)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != g.sha256 || len(res.Trace.Events) != g.events {
-			t.Errorf("%s %dx%d scale %v optimized=%v seed %d: %d events, sha256 %s; the generator wrote %d, %s",
-				g.name, g.nodes, g.rpn, g.scale, g.optimized, g.seed, len(res.Trace.Events), got, g.events, g.sha256)
+			t.Errorf("%s %s %v %dx%d scale %v optimized=%v seed %d: %d events, sha256 %s; the generator wrote %d, %s",
+				g.name, g.machine, g.set, g.nodes, g.rpn, g.scale, g.optimized, g.seed, len(res.Trace.Events), got, g.events, g.sha256)
 		}
 	}
 }
 
 // TestGoldenSpecIdentity: the names, applications and default run specs the
-// three generators declared.
+// generators declared.
 func TestGoldenSpecIdentity(t *testing.T) {
 	for _, c := range []struct {
 		name, app string
@@ -667,6 +684,11 @@ func TestGoldenSpecIdentity(t *testing.T) {
 		{"cm1", "cm1", func(*workloads.Spec) {}},
 		{"cosmoflow", "cosmoflow", func(s *workloads.Spec) { s.RanksPerNode, s.TimeLimit = 4, 6*time.Hour }},
 		{"montage-mpi", "mProject", func(s *workloads.Spec) { s.Iface.StdioPerOpCPU = 5 * time.Microsecond }},
+		{"hacc", "hacc", func(*workloads.Spec) {}},
+		{"ior", "ior", func(s *workloads.Spec) { s.RanksPerNode, s.TimeLimit = 1, time.Hour }},
+		{"jag", "jag", func(s *workloads.Spec) {
+			s.RanksPerNode, s.TimeLimit, s.Iface.StdioPerOpCPU = 4, 6*time.Hour, 3*time.Millisecond
+		}},
 	} {
 		w, err := spec.New(c.name)
 		if err != nil {

@@ -63,7 +63,7 @@ type (
 )
 
 // New constructs a workload by name: "cm1", "hacc", "cosmoflow", "jag",
-// "montage-mpi", or "montage-pegasus".
+// "montage-mpi", "montage-pegasus", or "ior".
 func New(name string) (Workload, error) { return spec.New(name) }
 
 // Workloads lists the available workload names.

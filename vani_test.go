@@ -7,7 +7,6 @@ import (
 
 	"vani/internal/spec/spectest"
 	"vani/internal/storage"
-	"vani/internal/workloads"
 )
 
 func TestEndToEndPipeline(t *testing.T) {
@@ -52,10 +51,7 @@ func TestWorkloadsList(t *testing.T) {
 }
 
 func TestTraceRoundTripThroughFacade(t *testing.T) {
-	w, _ := New("jag")
-	jw := w.(*workloads.JAG)
-	jw.Epochs = 2
-	jw.ComputePerEpoch = 100 * time.Millisecond
+	w := spectest.GoldenSet(t, "jag", map[string]int64{"epochs": 2, "gpu_per_epoch": int64(100 * time.Millisecond)})
 	spec := w.DefaultSpec()
 	spec.Nodes = 2
 	spec.Scale = 0.02
