@@ -25,7 +25,6 @@ import (
 	"vani/internal/spec/spectest"
 	"vani/internal/storage"
 	"vani/internal/trace"
-	"vani/internal/workloads"
 )
 
 // benchScale holds per-workload benchmark scales: small enough for tight
@@ -66,21 +65,15 @@ func benchWorkload(b *testing.B, name string) Workload {
 		return spectest.Golden(b, name, map[string]time.Duration{"compute_init": 0})
 	case "jag":
 		return spectest.GoldenSet(b, name, map[string]int64{"epochs": 5, "gpu_per_epoch": int64(50 * time.Millisecond)})
+	case "montage-pegasus":
+		return spectest.Golden(b, name, map[string]time.Duration{
+			"project_compute": 0, "diff_compute": 0, "fit_compute": 0, "concat_compute": 0,
+			"bg_model_compute": 0, "bg_compute": 0, "add_compute": 0, "viewer_compute": 0,
+		})
 	}
 	w, err := New(name)
 	if err != nil {
 		b.Fatal(err)
-	}
-	switch v := w.(type) {
-	case *workloads.MontagePegasus:
-		v.ProjectCompute = 0
-		v.DiffCompute = 0
-		v.BgModelCompute = 0
-		v.BgCompute = 0
-		v.AddCompute = 0
-		v.ViewerCompute = 0
-		v.ConcatCompute = 0
-		v.FitCompute = 0
 	}
 	return w
 }

@@ -332,7 +332,7 @@ func TestCrossNodeRAWBlocksAsyncIO(t *testing.T) {
 	// Montage-Pegasus pipes data between tasks on different nodes through
 	// PFS files: asynchronous lamination would break its dataflow, so the
 	// attribute must be set and the rule must not fire.
-	w := workloads.NewMontagePegasus()
+	w := spectest.Golden(t, "montage-pegasus", nil)
 	c, _ := characterize(t, w, nil)
 	if !c.Workflow.CrossNodeRAW {
 		t.Fatal("Pegasus workflow not flagged with cross-node RAW dependency")

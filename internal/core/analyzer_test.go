@@ -211,7 +211,7 @@ func TestAnalyzeMontageMPI(t *testing.T) {
 }
 
 func TestAnalyzeMontagePegasus(t *testing.T) {
-	w := workloads.NewMontagePegasus()
+	w := spectest.Golden(t, "montage-pegasus", nil)
 	c := runAndAnalyze(t, w, nil)
 
 	if len(c.Apps) != 9 {

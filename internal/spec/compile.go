@@ -67,15 +67,8 @@ func (c *compiled) DefaultSpec() workloads.Spec {
 func (c *compiled) paramsFor(env *workloads.Env) map[string]int64 {
 	vals := make(map[string]int64, len(c.doc.ordered))
 	lookup := func(id string) (int64, bool) {
-		switch id {
-		case "ranks":
-			return int64(env.Job.Ranks()), true
-		case "rpn":
-			return int64(env.Spec.RanksPerNode), true
-		case "nodes":
-			return int64(env.Spec.Nodes), true
-		case "optimized":
-			return b2i(env.Spec.Optimized), true
+		if v, ok := topology(env, id); ok {
+			return v, true
 		}
 		v, ok := vals[id]
 		return v, ok
@@ -146,14 +139,9 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 			return idx, true
 		case "node":
 			return node, true
-		case "ranks":
-			return int64(env.Job.Ranks()), true
-		case "rpn":
-			return int64(env.Spec.RanksPerNode), true
-		case "nodes":
-			return int64(env.Spec.Nodes), true
-		case "optimized":
-			return b2i(env.Spec.Optimized), true
+		}
+		if v, ok := topology(env, id); ok {
+			return v, true
 		}
 		v, ok := params[id]
 		return v, ok
@@ -190,35 +178,23 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 }
 
 // Spawn implements workloads.Workload: one proc per rank interpreting the
-// run program.
+// run program, or, for a tasks document, one per task (tasks.go).
 func (c *compiled) Spawn(env *workloads.Env) {
 	defer catch(env.E)
 	params := c.paramsFor(env)
+	if c.doc.stages != nil {
+		c.spawnTasks(env, params)
+		return
+	}
 	ranks := env.Job.Ranks()
 	bars := make(map[string]*sim.Barrier, len(c.doc.barriers))
 	for _, name := range c.doc.barriers {
 		bars[name] = sim.NewBarrier(env.E, ranks)
 	}
 	for rank := 0; rank < ranks; rank++ {
-		rank := rank
-		cl := env.Client(c.doc.App, rank)
-		st := &rankState{
-			c:      c,
-			env:    env,
-			params: params,
-			vars:   map[string]int64{},
-			bars:   bars,
-			rank:   rank,
-			node:   env.Job.NodeOf(rank),
-			local:  env.Job.LocalRank(rank),
-			leader: env.Job.IsNodeLeader(rank),
-			cl:     cl,
-			paths:  renderer{c: c, spec: &env.Spec},
-		}
-		if c.doc.usesRand {
-			st.rng = env.RNG.Fork()
-		}
-		st.look = st.lookup
+		st := c.newState(env, params, rank)
+		st.bars = bars
+		st.place(c.doc.App, env.Job.NodeOf(rank), env.Job.LocalRank(rank))
 		env.E.Spawn(fmt.Sprintf("%s-rank%d", c.doc.Name, rank), func(p *sim.Proc) {
 			defer catch(env.E)
 			st.p = p
@@ -227,7 +203,50 @@ func (c *compiled) Spawn(env *workloads.Env) {
 	}
 }
 
-// rankState is one rank's interpreter state.
+// newState is the interpreter state of one rank or task, not yet placed.
+func (c *compiled) newState(env *workloads.Env, params map[string]int64, rank int) *rankState {
+	st := &rankState{
+		c:      c,
+		env:    env,
+		params: params,
+		vars:   map[string]int64{},
+		rank:   rank,
+		paths:  renderer{c: c, spec: &env.Spec},
+	}
+	if c.doc.usesRand {
+		st.rng = env.RNG.Fork()
+	}
+	st.look = st.lookup
+	return st
+}
+
+// place puts the state on a node and makes the client of its app.
+func (st *rankState) place(app string, node, local int) {
+	st.app, st.node, st.local, st.leader = app, node, local, local == 0
+	st.cl = st.newClient(app)
+}
+
+func (st *rankState) newClient(app string) *iface.Client {
+	return iface.NewClient(st.env.Sys, st.env.Tr, st.env.Spec.Iface, app, st.rank, st.node)
+}
+
+// topology resolves the builtins every expression may read: the job's
+// shape and whether the run is optimized.
+func topology(env *workloads.Env, id string) (int64, bool) {
+	switch id {
+	case "ranks":
+		return int64(env.Job.Ranks()), true
+	case "rpn":
+		return int64(env.Spec.RanksPerNode), true
+	case "nodes":
+		return int64(env.Spec.Nodes), true
+	case "optimized":
+		return b2i(env.Spec.Optimized), true
+	}
+	return 0, false
+}
+
+// rankState is one rank's (or task's) interpreter state.
 type rankState struct {
 	c      *compiled
 	env    *workloads.Env
@@ -239,7 +258,8 @@ type rankState struct {
 	rank, node, local int
 	leader            bool
 
-	cl      *iface.Client            // the document's app
+	app     string // the app cl runs as: the document's, or a task's stage
+	cl      *iface.Client
 	clients map[string]*iface.Client // other apps, made on first use
 	rng     *sim.RNG                 // nil unless a let draws from it
 	paths   renderer
@@ -312,7 +332,7 @@ func (st *rankState) evalOr(e *expr, def int64) int64 {
 }
 
 func (st *rankState) client(app string) *iface.Client {
-	if app == st.c.doc.App {
+	if app == st.app {
 		return st.cl
 	}
 	if cl, ok := st.clients[app]; ok {
@@ -321,7 +341,7 @@ func (st *rankState) client(app string) *iface.Client {
 	if st.clients == nil {
 		st.clients = map[string]*iface.Client{}
 	}
-	cl := st.env.Client(app, st.rank)
+	cl := st.newClient(app)
 	st.clients[app] = cl
 	return cl
 }

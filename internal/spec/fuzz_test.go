@@ -13,7 +13,7 @@ import (
 // specs, a JSON variant, and a sweep document seed the corpus so the
 // fuzzer starts from deep inside the grammar.
 func FuzzSpecParse(f *testing.F) {
-	for _, name := range GoldenNames() {
+	for _, name := range Names() {
 		data, err := GoldenBytes(name)
 		if err != nil {
 			f.Fatal(err)

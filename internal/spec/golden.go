@@ -5,18 +5,21 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"vani/internal/workloads"
 )
 
-// The golden specs are every exemplar but Montage-Pegasus — CM1, HACC,
-// CosmoFlow, JAG, Montage-MPI and the IOR probe: the only description each
-// has (catalog.go resolves the names to them). They double as the fuzzer's
-// seed corpus and as worked examples of the grammar.
+// The golden specs are the seven exemplars — CM1, HACC, CosmoFlow, JAG,
+// Montage-MPI, Montage-Pegasus (the one tasks document) and the IOR probe —
+// and they are the catalog of workloads by name: each is the only
+// description its workload has, and New resolves every name to one. They
+// double as the fuzzer's seed corpus and as worked examples of the grammar.
 //
 //go:embed golden/*.yaml
 var goldenFS embed.FS
 
-// GoldenNames lists the embedded golden specs in sorted order.
-func GoldenNames() []string {
+// Names lists the catalog in sorted order.
+func Names() []string {
 	entries, err := goldenFS.ReadDir("golden")
 	if err != nil {
 		panic(err)
@@ -33,7 +36,7 @@ func GoldenNames() []string {
 func GoldenBytes(name string) ([]byte, error) {
 	data, err := goldenFS.ReadFile("golden/" + name + ".yaml")
 	if err != nil {
-		return nil, fmt.Errorf("spec: no golden spec %q (have %v)", name, GoldenNames())
+		return nil, fmt.Errorf("spec: unknown workload %q (have %v)", name, Names())
 	}
 	return data, nil
 }
@@ -45,4 +48,26 @@ func Golden(name string) (*Doc, error) {
 		return nil, err
 	}
 	return Parse(data)
+}
+
+// New constructs a workload by catalog name: its golden spec, compiled.
+func New(name string) (workloads.Workload, error) {
+	doc, err := Golden(name)
+	if err != nil {
+		return nil, err
+	}
+	return doc.Compile(), nil
+}
+
+// All constructs every workload of the catalog in name order.
+func All() []workloads.Workload {
+	var ws []workloads.Workload
+	for _, n := range Names() {
+		w, err := New(n)
+		if err != nil {
+			panic(err) // an embedded golden spec that does not parse
+		}
+		ws = append(ws, w)
+	}
+	return ws
 }

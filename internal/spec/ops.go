@@ -28,9 +28,10 @@ func (d *Doc) buildRun(v interface{}) error {
 }
 
 type runChecker struct {
-	d     *Doc
-	scope map[string]bool
-	nOps  int
+	d      *Doc
+	scope  map[string]bool
+	nOps   int
+	inTask bool // a stage body, where barrier has no ranks to sync
 }
 
 func (rc *runChecker) parseOps(l []interface{}, where string, depth int) ([]*op, error) {
@@ -106,10 +107,7 @@ func (rc *runChecker) parseOp(m map[string]interface{}, w string, depth int) (*o
 			return nil, fmt.Errorf("%s: at required", w)
 		}
 		o := &op{kind: opSeek}
-		if o.at, err = asExprVal(body["at"], w+".at"); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(o.at, w+".at"); err != nil {
+		if o.at, err = rc.exprVal(body["at"], w+".at"); err != nil {
 			return nil, err
 		}
 		return o, nil
@@ -123,6 +121,9 @@ func (rc *runChecker) parseOp(m map[string]interface{}, w string, depth int) (*o
 		}
 		return o, nil
 	case "barrier":
+		if rc.inTask {
+			return nil, fmt.Errorf("%s: barrier inside a task", w)
+		}
 		if err := checkKeys(body, w, "name"); err != nil {
 			return nil, err
 		}
@@ -171,10 +172,7 @@ func (rc *runChecker) parseGroup(m map[string]interface{}, w string, depth int) 
 	o := &op{kind: opGroup}
 	var err error
 	if raw, ok := m["when"]; ok {
-		if o.when, err = asExprVal(raw, w+".when"); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(o.when, w+".when"); err != nil {
+		if o.when, err = rc.exprVal(raw, w+".when"); err != nil {
 			return nil, err
 		}
 	}
@@ -223,32 +221,20 @@ func (rc *runChecker) parseLoop(m map[string]interface{}, w string, depth int) (
 		if m["from"] != nil || m["step"] != nil {
 			return nil, fmt.Errorf("%s: count excludes from/step", w)
 		}
-		if o.until, err = asExprVal(m["count"], w+".count"); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(o.until, w+".count"); err != nil {
+		if o.until, err = rc.exprVal(m["count"], w+".count"); err != nil {
 			return nil, err
 		}
 	} else {
-		if o.until, err = asExprVal(m["until"], w+".until"); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(o.until, w+".until"); err != nil {
+		if o.until, err = rc.exprVal(m["until"], w+".until"); err != nil {
 			return nil, err
 		}
 		if raw, ok := m["from"]; ok {
-			if o.from, err = asExprVal(raw, w+".from"); err != nil {
-				return nil, err
-			}
-			if err := rc.expr(o.from, w+".from"); err != nil {
+			if o.from, err = rc.exprVal(raw, w+".from"); err != nil {
 				return nil, err
 			}
 		}
 		if raw, ok := m["step"]; ok {
-			if o.step, err = asExprVal(raw, w+".step"); err != nil {
-				return nil, err
-			}
-			if err := rc.expr(o.step, w+".step"); err != nil {
+			if o.step, err = rc.exprVal(raw, w+".step"); err != nil {
 				return nil, err
 			}
 		}
@@ -289,10 +275,7 @@ func (rc *runChecker) parseLet(m map[string]interface{}, w string) (*op, error) 
 	if m["rand"] != nil {
 		key, o.letRand, rc.d.usesRand = "rand", true, true
 	}
-	if o.letExpr, err = asExprVal(m[key], w+"."+key); err != nil {
-		return nil, err
-	}
-	if err := rc.expr(o.letExpr, w+"."+key); err != nil {
+	if o.letExpr, err = rc.exprVal(m[key], w+"."+key); err != nil {
 		return nil, err
 	}
 	rc.scope[o.letName] = true
@@ -372,10 +355,7 @@ func (rc *runChecker) parseOpen(m map[string]interface{}, w string) (*op, error)
 		if m["comm"] == nil {
 			return nil, fmt.Errorf("%s: comm required for %s", w, o.layer)
 		}
-		if o.comm, err = asExprVal(m["comm"], w+".comm"); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(o.comm, w+".comm"); err != nil {
+		if o.comm, err = rc.exprVal(m["comm"], w+".comm"); err != nil {
 			return nil, err
 		}
 	default:
@@ -417,10 +397,7 @@ func (rc *runChecker) parsePRead(m map[string]interface{}, w string) (*op, error
 		if !ok {
 			continue
 		}
-		if *f.dst, err = asExprVal(raw, w+"."+f.key); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(*f.dst, w+"."+f.key); err != nil {
+		if *f.dst, err = rc.exprVal(raw, w+"."+f.key); err != nil {
 			return nil, err
 		}
 	}
@@ -455,10 +432,7 @@ func (rc *runChecker) parsePWrite(m map[string]interface{}, w string) (*op, erro
 		if o.appendBase {
 			return nil, fmt.Errorf("%s: at and append are exclusive", w)
 		}
-		if o.at, err = asExprVal(raw, w+".at"); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(o.at, w+".at"); err != nil {
+		if o.at, err = rc.exprVal(raw, w+".at"); err != nil {
 			return nil, err
 		}
 	}
@@ -486,10 +460,7 @@ func (rc *runChecker) parseReadWrap(m map[string]interface{}, w string) (*op, er
 		if m[f.key] == nil {
 			return nil, fmt.Errorf("%s: %s required", w, f.key)
 		}
-		if *f.dst, err = asExprVal(m[f.key], w+"."+f.key); err != nil {
-			return nil, err
-		}
-		if err := rc.expr(*f.dst, w+"."+f.key); err != nil {
+		if *f.dst, err = rc.exprVal(m[f.key], w+"."+f.key); err != nil {
 			return nil, err
 		}
 	}
@@ -502,17 +473,11 @@ func (rc *runChecker) sizeFields(o *op, m map[string]interface{}, w string) erro
 		return fmt.Errorf("%s: total required", w)
 	}
 	var err error
-	if o.total, err = asExprVal(m["total"], w+".total"); err != nil {
-		return err
-	}
-	if err := rc.expr(o.total, w+".total"); err != nil {
+	if o.total, err = rc.exprVal(m["total"], w+".total"); err != nil {
 		return err
 	}
 	if raw, ok := m["granule"]; ok {
-		if o.granule, err = asExprVal(raw, w+".granule"); err != nil {
-			return err
-		}
-		if err := rc.expr(o.granule, w+".granule"); err != nil {
+		if o.granule, err = rc.exprVal(raw, w+".granule"); err != nil {
 			return err
 		}
 	}
@@ -522,6 +487,18 @@ func (rc *runChecker) sizeFields(o *op, m map[string]interface{}, w string) erro
 		}
 	}
 	return nil
+}
+
+// exprVal parses an integer or expression and checks its identifiers.
+func (rc *runChecker) exprVal(v interface{}, w string) (*expr, error) {
+	e, err := asExprVal(v, w)
+	if err != nil {
+		return nil, err
+	}
+	if err := rc.expr(e, w); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // expr checks every identifier an expression references is in scope.

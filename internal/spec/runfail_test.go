@@ -15,9 +15,10 @@ import (
 // a read past EOF in a rank, a barrier not every rank reaches, a param that
 // cannot evaluate, a ninth nested open, an empty random range, a file op
 // with no file or on the wrong interface, a burst-buffer path on a machine
-// without one — is an error from workloads.Run
-// carrying the cause, not a panic in a rank goroutine or in the engine, and
-// it leaves no rank parked.
+// without one, a task after an instance that does not exist or never runs,
+// a negative stage count — is an error from workloads.Run carrying the
+// cause, not a panic in a rank goroutine or in the engine, and it leaves no
+// rank or task parked.
 func TestRuntimeFailuresAreErrors(t *testing.T) {
 	for file, want := range map[string]string{
 		"past-eof.yaml":    "past EOF",
@@ -29,6 +30,10 @@ func TestRuntimeFailuresAreErrors(t *testing.T) {
 		"sync-closed.yaml": "sync without an open file",
 		"sync-stdio.yaml":  "sync on stdio file",
 		"no-bb.yaml":       "the machine has no @bb",
+
+		"task-index-range.yaml":    "after a[2, 3) outside [0, 2)",
+		"task-then-skipped.yaml":   "after fit[1], which never runs",
+		"task-negative-count.yaml": "count -1 negative",
 	} {
 		doc, err := ParseFile(filepath.Join("testdata", file))
 		if err != nil {
@@ -55,6 +60,10 @@ func TestRuntimeFailuresAreErrors(t *testing.T) {
 // and a message naming the fault.
 func TestParseErrors(t *testing.T) {
 	const head = "version: 1\nname: x\napp: x\n"
+	// task is a tasks-block stage that computes for a second.
+	task := func(name, extra string) string {
+		return "  - stage: " + name + "\n" + extra + "    do:\n      - compute:\n          time: 1s\n"
+	}
 	for _, c := range []struct{ name, doc, want string }{
 		{"unknown dir", head + "run:\n  - stat:\n      path: \"@nosuch/x\"\n", "unknown dir @nosuch"},
 		{"dir named pfs", head + "dirs:\n  pfs:\n    path: /p/gpfs1\nrun:\n  - compute:\n      time: 1s\n", `"pfs" is a machine dir`},
@@ -63,6 +72,16 @@ func TestParseErrors(t *testing.T) {
 		{"let neither", head + "run:\n  - let:\n      name: n\n", "exactly one of value/rand"},
 		{"seek without at", head + "run:\n  - seek: {}\n", "at required"},
 		{"sync with a key", head + "run:\n  - sync:\n      at: 0\n", "unknown key"},
+		{"after an unknown stage", head + "tasks:\n" + task("a", "    after:\n      - stage: ghost\n"), `"ghost" is not an earlier stage`},
+		{"after a later stage", head + "tasks:\n" + task("a", "    after:\n      - stage: b\n") + task("b", ""), `"b" is not an earlier stage`},
+		{"after itself", head + "tasks:\n" + task("a", "    after:\n      - stage: a\n"), `"a" is not an earlier stage`},
+		{"duplicate stage", head + "tasks:\n" + task("a", "") + task("a", ""), `duplicate stage "a"`},
+		{"stage without a name", head + "tasks:\n  - count: 2\n    do:\n      - compute:\n          time: 1s\n", "tasks[0].stage: got <nil>"},
+		{"stage without a body", head + "tasks:\n  - stage: a\n", "empty stage body"},
+		{"barrier in a task", head + "barriers:\n  - b\ntasks:\n  - stage: a\n    do:\n      - barrier:\n          name: b\n", "barrier inside a task"},
+		{"run and tasks", head + "run:\n  - compute:\n      time: 1s\ntasks:\n" + task("a", ""), "exactly one of run/tasks"},
+		{"neither run nor tasks", head, "exactly one of run/tasks"},
+		{"index and from", head + "tasks:\n" + task("a", "") + task("b", "    after:\n      - stage: a\n        index: 0\n        from: 0\n        until: 1\n"), "index excludes from/until"},
 	} {
 		_, err := Parse([]byte(c.doc))
 		if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), c.want) {

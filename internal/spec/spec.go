@@ -1,16 +1,17 @@
 // Package spec implements the declarative workload DSL: YAML/JSON
 // documents describing an HPC workload's I/O behavior — topology
 // defaults, scaled parameters, staged datasets, value distributions,
-// barriers, and a per-rank program of phases over the simulated I/O
-// interfaces — compiled onto internal/sim + internal/cluster +
+// barriers, and either a per-rank program of phases over the simulated I/O
+// interfaces or a DAG of task stages run over a pool of worker slots
+// (tasks.go) — compiled onto internal/sim + internal/cluster +
 // internal/iface as a workloads.Workload.
 //
 // The compiled workload interprets the document: it issues the interface
-// calls the run program names, in order. The package also holds the golden
-// specs — six of the seven exemplars, described here and nowhere else —
-// the catalog of every workload by name (catalog.go), and the sweep
-// document (sweep.go): a spec plus a parameter grid, which internal/sweep
-// runs and reduces into a comparative report.
+// calls the run program (or a task's body) names, in order. The package
+// also holds the golden specs — all seven exemplars, described here and
+// nowhere else, and the catalog of every workload by name (golden.go) — and
+// the sweep document (sweep.go): a spec plus a parameter grid, which
+// internal/sweep runs and reduces into a comparative report.
 package spec
 
 import (
@@ -68,7 +69,8 @@ type Doc struct {
 	dirs     map[string]*dir
 	barriers []string
 	setup    []*setupStep
-	run      []*op
+	run      []*op    // a run program, or
+	stages   []*stage // a tasks block (tasks.go)
 
 	usesRand bool // some let draws from the per-rank RNG
 }
@@ -419,7 +421,7 @@ func asDuration(v interface{}, where string) (time.Duration, error) {
 
 func buildDoc(m map[string]interface{}) (*Doc, error) {
 	if err := checkKeys(m, "document", "version", "name", "app", "defaults",
-		"params", "dirs", "barriers", "setup", "run"); err != nil {
+		"params", "dirs", "barriers", "setup", "run", "tasks"); err != nil {
 		return nil, err
 	}
 	d := &Doc{
@@ -461,7 +463,15 @@ func buildDoc(m map[string]interface{}) (*Doc, error) {
 	if err := d.buildSetup(m["setup"]); err != nil {
 		return nil, err
 	}
-	if err := d.buildRun(m["run"]); err != nil {
+	if (m["run"] == nil) == (m["tasks"] == nil) {
+		return nil, fmt.Errorf("document: exactly one of run/tasks required")
+	}
+	if m["tasks"] != nil {
+		err = d.buildTasks(m["tasks"])
+	} else {
+		err = d.buildRun(m["run"])
+	}
+	if err != nil {
 		return nil, err
 	}
 	return d, nil

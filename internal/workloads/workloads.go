@@ -1,9 +1,8 @@
 // Package workloads holds the harness every exemplar workload runs in —
-// Spec, Env, Run — and the Go generator of the one exemplar the spec DSL
-// cannot describe: the Pegasus Montage workflow, a task DAG. The other six
-// (CM1, HACC-I/O, CosmoFlow, JAG ICF, Montage-MPI and the IOR probe of
-// Table IX) are golden specs (internal/spec), which also keeps the catalog
-// of all seven by name.
+// Spec, Env, Run — and the scaling rules. The seven exemplars (CM1,
+// HACC-I/O, CosmoFlow, JAG ICF, Montage-MPI, Montage-Pegasus and the IOR
+// probe of Table IX) are golden specs (internal/spec), which also keeps the
+// catalog of all seven by name.
 //
 // A workload scripts the I/O pattern the paper documents for the real
 // application — file counts and sizes, transfer granularities, interfaces,
@@ -62,7 +61,8 @@ func DefaultSpec() Spec {
 	}
 }
 
-// Workload is one exemplar: a Go generator here, or a compiled spec.
+// Workload is one runnable workload: a compiled spec, or a custom Go
+// implementation.
 type Workload interface {
 	// Name returns the registry name ("cm1", "hacc", ...).
 	Name() string
@@ -89,13 +89,6 @@ type Env struct {
 // Client builds the per-rank interface client for an application name.
 func (env *Env) Client(app string, rank int) *iface.Client {
 	return iface.NewClient(env.Sys, env.Tr, env.Spec.Iface, app, rank, env.Job.NodeOf(rank))
-}
-
-// ClientAt builds a client for an explicit (rank, node) pair, used by
-// workflow tasks whose slot-to-node mapping is not the job's block
-// placement.
-func (env *Env) ClientAt(app string, rank, node int) *iface.Client {
-	return iface.NewClient(env.Sys, env.Tr, env.Spec.Iface, app, rank, node)
 }
 
 // Result is the outcome of one simulated run.
@@ -170,9 +163,8 @@ func Run(w Workload, spec Spec) (*Result, error) {
 	}, nil
 }
 
-// ScaleN scales an integer count, keeping at least min: the rule a
-// compiled spec's scaled count params and the Montage-Pegasus generator
-// share.
+// ScaleN scales an integer count, keeping at least min: the rule of a
+// compiled spec's scaled count params.
 func ScaleN(n int, s float64, min int) int {
 	v := int(float64(n) * s)
 	if v < min {

@@ -38,15 +38,14 @@ func mustRun(t *testing.T, w workloads.Workload, spec workloads.Spec) *workloads
 	return res
 }
 
-// TestRegistryComplete: the catalog holds the seven exemplars, each under
-// exactly one description. Names concatenates the golden specs and the Go
-// generators, so a name with both shows up twice.
+// TestRegistryComplete: the catalog holds the seven exemplars, each a
+// golden spec under exactly one name.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"cm1", "cosmoflow", "hacc", "ior", "jag", "montage-mpi", "montage-pegasus"}
 	got := spec.Names()
 	for i := 1; i < len(got); i++ {
 		if got[i] == got[i-1] {
-			t.Errorf("%s has both a golden spec and a Go constructor", got[i])
+			t.Errorf("%s is in the catalog twice", got[i])
 		}
 	}
 	if len(got) != len(want) {
@@ -430,7 +429,7 @@ func TestMontageMPIOptimizedFaster(t *testing.T) {
 }
 
 func TestMontagePegasusShape(t *testing.T) {
-	w := workloads.NewMontagePegasus()
+	w := spectest.Golden(t, "montage-pegasus", nil)
 	res := mustRun(t, w, tinySpec(w, 0.02))
 	checkCommonInvariants(t, w, res)
 	tr := res.Trace
@@ -460,7 +459,7 @@ func TestMontagePegasusShape(t *testing.T) {
 }
 
 func TestMontagePegasusDiffDominates(t *testing.T) {
-	w := workloads.NewMontagePegasus()
+	w := spectest.Golden(t, "montage-pegasus", nil)
 	res := mustRun(t, w, tinySpec(w, 0.02))
 	tr := res.Trace
 	byApp := map[string]int64{}
@@ -616,9 +615,12 @@ func TestTraceGoldenAcrossCommits(t *testing.T) {
 // 8). cm1, cosmoflow and montage-mpi were taken on the last commit that had
 // their generators (708c984); hacc, ior and jag on b0f501b, hacc on Lassen
 // and on Cori (where the optimized run checkpoints to the shared burst
-// buffer) and ior with a file per process and with one shared file. The
-// constants were taken from the generators, not from the interpreter, so
-// they do not share its bugs.
+// buffer) and ior with a file per process and with one shared file;
+// montage-pegasus on 31cffc1, where 136 tasks queue for 16 slots at 4x4,
+// add_tasks 200 makes 4 tiles of 2 images (mBackground_8 feeds no tile),
+// and at 2x2 scale 0.001 every count is at its floor (one projected image,
+// which each mDiff reads twice). The constants were taken from the
+// generators, not from the interpreter, so they do not share its bugs.
 var generatorGolden = []struct {
 	name       string
 	machine    string           // "" = Lassen, "cori" = Cori
@@ -652,6 +654,10 @@ var generatorGolden = []struct {
 	{"jag", "", nil, 2, 4, 0.005, false, 1, 4275, "07722b88b8b49e4397ab7ca09bc973abe56aa9a1e57047f8534a8b7704ce5306"},
 	{"ior", "", nil, 4, 2, 0.02, false, 1, 128, "b8d1c125af5440d0c55cdeb612ae9d69a0f399ed67a662809f94fe99ef0dba4a"},
 	{"ior", "", map[string]int64{"shared_file": 1}, 4, 2, 0.02, false, 1, 128, "c03c68ff78206b494a8e9b752226bbd41973ec5c640270cb0bc1f2a80d637c03"},
+	{"montage-pegasus", "", nil, 4, 4, 0.02, false, 1, 91539, "cc30de0a3907d055e48a07a580fc99fe04a920f3dfc169ea91a7cdd0b0e74038"},
+	{"montage-pegasus", "", nil, 4, 4, 0.02, false, 2, 91539, "c51c9602cc585e58a47620416e4ac687158c3ba877c6bf358bddbcaf0d41ea5b"},
+	{"montage-pegasus", "", map[string]int64{"add_tasks": 200}, 4, 4, 0.02, false, 1, 97190, "bdae165ecf70d7eae70078ac0120ff6e8a6d76d28c3bbbbd6a9c1c4500579b3a"},
+	{"montage-pegasus", "", nil, 2, 2, 0.001, false, 1, 10248, "116e02692c889683d02f5da583b372a9c2fef2b0286fd3a63f0b8bdb1301d8cf"},
 }
 
 func TestGoldenSpecsMatchGenerators(t *testing.T) {
@@ -686,6 +692,9 @@ func TestGoldenSpecIdentity(t *testing.T) {
 		{"montage-mpi", "mProject", func(s *workloads.Spec) { s.Iface.StdioPerOpCPU = 5 * time.Microsecond }},
 		{"hacc", "hacc", func(*workloads.Spec) {}},
 		{"ior", "ior", func(s *workloads.Spec) { s.RanksPerNode, s.TimeLimit = 1, time.Hour }},
+		{"montage-pegasus", "mDiff", func(s *workloads.Spec) {
+			s.TimeLimit, s.Iface.StdioPerOpCPU = 12*time.Hour, 5*time.Microsecond
+		}},
 		{"jag", "jag", func(s *workloads.Spec) {
 			s.RanksPerNode, s.TimeLimit, s.Iface.StdioPerOpCPU = 4, 6*time.Hour, 3*time.Millisecond
 		}},

@@ -41,7 +41,8 @@ import (
 type (
 	// Spec configures a workload run (nodes, scale, tracing, storage).
 	Spec = workloads.Spec
-	// Workload is an exemplar: a golden spec or a Go generator.
+	// Workload is a runnable workload: a compiled golden spec, or a custom
+	// Go implementation (examples/custom-workload).
 	Workload = workloads.Workload
 	// Result is a completed simulated run with its trace.
 	Result = workloads.Result
