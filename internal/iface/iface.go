@@ -158,6 +158,7 @@ func (c *Client) Barrier(p *sim.Proc, b *sim.Barrier) {
 // PosixFile is an open POSIX file descriptor with a seek cursor.
 type PosixFile struct {
 	c    *Client
+	h    *storage.File
 	path string
 	id   int32
 	off  int64
@@ -168,17 +169,17 @@ type PosixFile struct {
 func (c *Client) PosixOpen(p *sim.Proc, path string, create bool) (*PosixFile, error) {
 	id := c.fileID(path)
 	start := p.Now()
-	err := c.sys.Open(p, int(c.node), path, create)
+	h, err := c.sys.Open(p, int(c.node), path, create)
 	c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpOpen, id, 0, 0, start)
 	if err != nil {
 		return nil, err
 	}
 	// Record the size of pre-existing (read) files so dataset entities
 	// see input data, not just what the job wrote.
-	if sz, ok := c.sys.FileSize(int(c.node), path); ok {
+	if sz, ok := h.Size(); ok {
 		c.tr.ObserveFileSize(id, sz)
 	}
-	return &PosixFile{c: c, path: path, id: id, open: true}, nil
+	return &PosixFile{c: c, h: h, path: path, id: id, open: true}, nil
 }
 
 // PosixStat stats a path through the POSIX layer.
@@ -219,7 +220,7 @@ func (f *PosixFile) WriteAt(p *sim.Proc, off, size int64, advance bool) error {
 	}
 	start := p.Now()
 	sOff, sSize := f.c.storedExtent(p, off, size)
-	err := f.c.sys.Write(p, int(f.c.node), f.path, sOff, sSize)
+	err := f.h.Write(p, sOff, sSize)
 	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpWrite, f.id, off, size, start)
 	if err != nil {
 		return err
@@ -264,7 +265,7 @@ func (f *PosixFile) ReadAt(p *sim.Proc, off, size int64, advance bool) error {
 	}
 	start := p.Now()
 	sOff, sSize := f.c.storedExtent(p, off, size)
-	err := f.c.sys.Read(p, int(f.c.node), f.path, sOff, sSize)
+	err := f.h.Read(p, sOff, sSize)
 	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpRead, f.id, off, size, start)
 	if err != nil {
 		return err
@@ -281,7 +282,7 @@ func (f *PosixFile) Seek(p *sim.Proc, off int64) error {
 		return err
 	}
 	start := p.Now()
-	f.c.sys.Seek(p, int(f.c.node), f.path)
+	f.h.Seek(p)
 	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpSeek, f.id, off, 0, start)
 	f.off = off
 	return nil
@@ -293,7 +294,7 @@ func (f *PosixFile) Sync(p *sim.Proc) error {
 		return err
 	}
 	start := p.Now()
-	f.c.sys.Sync(p, int(f.c.node), f.path)
+	f.h.Sync(p)
 	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpSync, f.id, 0, 0, start)
 	return nil
 }
@@ -304,7 +305,7 @@ func (f *PosixFile) Close(p *sim.Proc) error {
 		return err
 	}
 	start := p.Now()
-	f.c.sys.Close(p, int(f.c.node), f.path)
+	f.h.Close(p)
 	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpClose, f.id, 0, 0, start)
 	f.open = false
 	return nil

@@ -32,13 +32,13 @@ func (c *Client) syncOps(base, commSize int) int {
 
 // chargeSyncMeta issues n metadata stats against the file's storage target,
 // recording them at the middleware level.
-func (c *Client) chargeSyncMeta(p *sim.Proc, id int32, path string, n int) {
+func (c *Client) chargeSyncMeta(p *sim.Proc, f *PosixFile, n int) {
 	for i := 0; i < n; i++ {
 		start := p.Now()
 		// Collective sync manifests as small metadata transactions; stat is
 		// the closest primitive and costs one metadata-server visit.
-		_, _ = c.sys.Stat(p, int(c.node), path)
-		c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpStat, id, 0, 0, start)
+		_, _ = f.h.Stat(p)
+		c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpStat, f.id, 0, 0, start)
 	}
 }
 
@@ -54,7 +54,7 @@ func (c *Client) MPIOpen(p *sim.Proc, path string, create bool, commSize int) (*
 	if err != nil {
 		return nil, err
 	}
-	c.chargeSyncMeta(p, f.id, path, c.syncOps(c.opt.MPIIOSyncMetaPerOpen, commSize))
+	c.chargeSyncMeta(p, f, c.syncOps(c.opt.MPIIOSyncMetaPerOpen, commSize))
 	c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpOpen, f.id, 0, 0, start)
 	return &MPIFile{c: c, f: f, commSize: commSize}, nil
 }
@@ -66,7 +66,7 @@ func (m *MPIFile) Path() string { return m.f.path }
 // per-op collective sync metadata.
 func (m *MPIFile) ReadAt(p *sim.Proc, off, size int64) error {
 	start := p.Now()
-	m.c.chargeSyncMeta(p, m.f.id, m.f.path, m.c.opt.MPIIOSyncMetaPerData)
+	m.c.chargeSyncMeta(p, m.f, m.c.opt.MPIIOSyncMetaPerData)
 	if err := m.f.ReadAt(p, off, size, false); err != nil {
 		return err
 	}
@@ -78,7 +78,7 @@ func (m *MPIFile) ReadAt(p *sim.Proc, off, size int64) error {
 // collective sync metadata.
 func (m *MPIFile) WriteAt(p *sim.Proc, off, size int64) error {
 	start := p.Now()
-	m.c.chargeSyncMeta(p, m.f.id, m.f.path, m.c.opt.MPIIOSyncMetaPerData)
+	m.c.chargeSyncMeta(p, m.f, m.c.opt.MPIIOSyncMetaPerData)
 	if err := m.f.WriteAt(p, off, size, false); err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func (m *MPIFile) WriteAt(p *sim.Proc, off, size int64) error {
 // Close closes the handle with collective sync.
 func (m *MPIFile) Close(p *sim.Proc) error {
 	start := p.Now()
-	m.c.chargeSyncMeta(p, m.f.id, m.f.path, m.c.syncOps(m.c.opt.MPIIOSyncMetaPerOpen, m.commSize))
+	m.c.chargeSyncMeta(p, m.f, m.c.syncOps(m.c.opt.MPIIOSyncMetaPerOpen, m.commSize))
 	if err := m.f.Close(p); err != nil {
 		return err
 	}
@@ -138,7 +138,7 @@ func (h *H5File) datasetMeta(p *sim.Proc) {
 	}
 	for i := 0; i < n; i++ {
 		start := p.Now()
-		_, _ = h.c.sys.Stat(p, int(h.c.node), h.m.f.path)
+		_, _ = h.m.f.h.Stat(p)
 		h.c.emit(p, trace.LevelApp, trace.LibHDF5, trace.OpStat, h.id, 0, 0, start)
 	}
 }

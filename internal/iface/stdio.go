@@ -97,7 +97,7 @@ func (s *StdioFile) Read(p *sim.Proc, size int64) error {
 	if s.mode != 'r' {
 		return fmt.Errorf("iface: read from write-mode stream %s", s.f.path)
 	}
-	fileSize, ok := s.c.sys.FileSize(int(s.c.node), s.f.path)
+	fileSize, ok := s.f.h.Size()
 	if !ok {
 		return fmt.Errorf("iface: stdio read: %s vanished", s.f.path)
 	}

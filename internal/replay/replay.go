@@ -58,53 +58,62 @@ type Result struct {
 // rankOp is one replayable operation.
 type rankOp struct {
 	op      trace.Op
-	file    int32
+	slot    int32 // the file, as an index into its node's files
 	offset  int64
 	size    int64
 	start   time.Duration // recorded start, for think-time gaps
 	created bool          // first writer creates the file
 }
 
+// script is one rank's primary-level I/O sequence.
+type script struct {
+	rank, node int
+	ops        []rankOp
+}
+
+// Plan is a trace's replay worked out once: each rank's script and the
+// files each node touches. Run replays it under one configuration; a Plan
+// is never written after NewPlan, so any number of runs may share it
+// concurrently.
+type Plan struct {
+	files     []trace.FileInfo
+	nodes     int
+	scripts   []script  // ranks with at least one op, in rank order
+	nodeFiles [][]int32 // per node, the trace files its ranks touch
+}
+
 // Run replays the trace's primary-level I/O events under the candidate
 // configuration and reports the re-simulated timing.
 func Run(tr *trace.Trace, opt Options) (*Result, error) {
-	if tr.Meta.Nodes <= 0 || tr.Meta.Ranks <= 0 {
-		return nil, fmt.Errorf("replay: trace has no job metadata")
-	}
-	scripts, err := buildScripts(tr)
+	pl, err := NewPlan(tr)
 	if err != nil {
 		return nil, err
 	}
-	e := sim.NewEngine()
-	sys := storage.New(e, opt.Storage, tr.Meta.Nodes, sim.NewRNG(opt.Seed))
+	return pl.Run(opt)
+}
 
-	// Stage input files: anything read before it is written must exist.
-	stageInputs(tr, sys, scripts)
+// Run replays the plan under the candidate configuration. Every file a
+// node touches exists from the start at its final size, so replayed reads
+// always have backing bytes whatever the interleaving across ranks, and
+// each (node, file) is resolved once, before the first op.
+func (pl *Plan) Run(opt Options) (*Result, error) {
+	e := sim.NewEngine()
+	sys := storage.New(e, opt.Storage, pl.nodes, sim.NewRNG(opt.Seed))
+	handles := make([][]*storage.File, pl.nodes)
+	for node, files := range pl.nodeFiles {
+		handles[node] = make([]*storage.File, len(files))
+		for i, id := range files {
+			info := &pl.files[id]
+			sys.Materialize(node, info.Path, info.Size)
+			handles[node][i] = sys.Resolve(node, info.Path)
+		}
+	}
 
 	res := &Result{Sys: sys}
 	var totalIO int64 // summed per-op durations in ns
-	ranksPerNode := tr.Meta.Ranks / tr.Meta.Nodes
-	if ranksPerNode == 0 {
-		ranksPerNode = 1
-	}
-	// Spawn ranks in order: map iteration order would otherwise leak into
-	// FCFS arrival order and break determinism.
-	ranks := make([]int, 0, len(scripts))
-	for rank := range scripts {
-		ranks = append(ranks, rank)
-	}
-	sort.Ints(ranks)
-	for _, rank := range ranks {
-		ops := scripts[rank]
-		if len(ops) == 0 {
-			continue
-		}
-		rank := rank
-		node := rank / ranksPerNode
-		if node >= tr.Meta.Nodes {
-			node = tr.Meta.Nodes - 1
-		}
-		e.Spawn(fmt.Sprintf("replay-rank%d", rank), func(p *sim.Proc) {
+	for _, sc := range pl.scripts {
+		ops, hs := sc.ops, handles[sc.node]
+		e.Spawn(fmt.Sprintf("replay-rank%d", sc.rank), func(p *sim.Proc) {
 			var lastRecorded time.Duration
 			for i, op := range ops {
 				if opt.PreserveThinkTime && i > 0 {
@@ -115,24 +124,24 @@ func Run(tr *trace.Trace, opt Options) (*Result, error) {
 				}
 				lastRecorded = op.start
 				t0 := p.Now()
-				path := tr.FilePath(op.file)
+				f := hs[op.slot]
 				switch op.op {
 				case trace.OpOpen:
-					_ = sys.Open(p, node, path, op.created)
+					_ = f.Open(p, op.created)
 				case trace.OpClose:
-					sys.Close(p, node, path)
+					f.Close(p)
 				case trace.OpRead:
-					_ = sys.Read(p, node, path, op.offset, op.size)
+					_ = f.Read(p, op.offset, op.size)
 					res.Bytes += op.size
 				case trace.OpWrite:
-					_ = sys.Write(p, node, path, op.offset, op.size)
+					_ = f.Write(p, op.offset, op.size)
 					res.Bytes += op.size
 				case trace.OpSeek:
-					sys.Seek(p, node, path)
+					f.Seek(p)
 				case trace.OpStat:
-					_, _ = sys.Stat(p, node, path)
+					_, _ = f.Stat(p)
 				case trace.OpSync:
-					sys.Sync(p, node, path)
+					f.Sync(p)
 				default:
 					continue
 				}
@@ -145,31 +154,48 @@ func Run(tr *trace.Trace, opt Options) (*Result, error) {
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
-	if n := len(scripts); n > 0 {
-		res.IOTime = time.Duration(totalIO / int64(len(scripts)))
+	if n := len(pl.scripts); n > 0 {
+		res.IOTime = time.Duration(totalIO / int64(n))
 	}
 	return res, nil
 }
 
-// buildScripts extracts each rank's primary-level I/O sequence.
-func buildScripts(tr *trace.Trace) (map[int][]rankOp, error) {
+// NewPlan extracts each rank's primary-level I/O sequence from the trace.
+func NewPlan(tr *trace.Trace) (*Plan, error) {
+	if tr.Meta.Nodes <= 0 || tr.Meta.Ranks <= 0 {
+		return nil, fmt.Errorf("replay: trace has no job metadata")
+	}
+	nfiles := len(tr.Files)
 	// Primary level per (app, file): the highest abstraction that touched
-	// the file, mirroring the analyzer's dedup rule.
+	// the file, mirroring the analyzer's dedup rule. A file is created by
+	// the job when its first data op is a write; otherwise it is a
+	// pre-existing input.
 	type afKey struct{ app, file int32 }
 	primary := map[afKey]trace.Level{}
+	creates := make([]bool, nfiles) // until the file's first open is planned
+	hasData := make([]bool, nfiles)
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if !ev.Op.IsIO() {
 			continue
+		}
+		if ev.File >= int32(nfiles) {
+			return nil, fmt.Errorf("replay: event %d names file %d of %d", i, ev.File, nfiles)
 		}
 		k := afKey{ev.App, ev.File}
 		cur, ok := primary[k]
 		if !ok || ev.Level < cur {
 			primary[k] = ev.Level
 		}
+		if ev.File >= 0 && ev.Op.IsData() && !hasData[ev.File] {
+			hasData[ev.File], creates[ev.File] = true, ev.Op == trace.OpWrite
+		}
 	}
-	written := map[int32]bool{}
-	scripts := map[int][]rankOp{}
+
+	pl := &Plan{files: tr.Files, nodes: tr.Meta.Nodes, nodeFiles: make([][]int32, tr.Meta.Nodes)}
+	ranksPerNode := max(tr.Meta.Ranks/tr.Meta.Nodes, 1)
+	byRank := map[int32]int{} // rank -> index in pl.scripts
+	slots := map[[2]int32]int32{}
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if !ev.Op.IsIO() || ev.File < 0 {
@@ -178,75 +204,38 @@ func buildScripts(tr *trace.Trace) (map[int][]rankOp, error) {
 		if primary[afKey{ev.App, ev.File}] != ev.Level {
 			continue
 		}
+		si, ok := byRank[ev.Rank]
+		if !ok {
+			si = len(pl.scripts)
+			byRank[ev.Rank] = si
+			node := min(int(ev.Rank)/ranksPerNode, pl.nodes-1)
+			pl.scripts = append(pl.scripts, script{rank: int(ev.Rank), node: node})
+		}
+		sc := &pl.scripts[si]
+		slot, ok := slots[[2]int32{int32(sc.node), ev.File}]
+		if !ok {
+			slot = int32(len(pl.nodeFiles[sc.node]))
+			slots[[2]int32{int32(sc.node), ev.File}] = slot
+			pl.nodeFiles[sc.node] = append(pl.nodeFiles[sc.node], ev.File)
+		}
 		op := rankOp{
-			op: ev.Op, file: ev.File, offset: ev.Offset, size: ev.Size,
+			op: ev.Op, slot: slot, offset: ev.Offset, size: ev.Size,
 			start: ev.Start,
 		}
-		if ev.Op == trace.OpOpen && !written[ev.File] {
+		if ev.Op == trace.OpOpen && creates[ev.File] {
 			// The first open of a file that the job itself writes creates
 			// it; opens of pre-existing inputs do not.
-			if firstAccessIsWrite(tr, ev.File) {
-				op.created = true
-				written[ev.File] = true
-			}
+			op.created = true
+			creates[ev.File] = false
 		}
-		scripts[int(ev.Rank)] = append(scripts[int(ev.Rank)], op)
+		sc.ops = append(sc.ops, op)
 	}
-	for rank := range scripts {
-		ops := scripts[rank]
+	// Spawn ranks in order: record order would otherwise leak into FCFS
+	// arrival order.
+	sort.Slice(pl.scripts, func(i, j int) bool { return pl.scripts[i].rank < pl.scripts[j].rank })
+	for i := range pl.scripts {
+		ops := pl.scripts[i].ops
 		sort.SliceStable(ops, func(i, j int) bool { return ops[i].start < ops[j].start })
 	}
-	return scripts, nil
-}
-
-// firstAccessIsWrite reports whether the file's first data op is a write
-// (job-created) rather than a read (pre-existing input).
-func firstAccessIsWrite(tr *trace.Trace, file int32) bool {
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		if ev.File != file || !ev.Op.IsData() {
-			continue
-		}
-		return ev.Op == trace.OpWrite
-	}
-	return false
-}
-
-// stageInputs materializes every file whose first access is a read, plus
-// the final sizes of all files, so replayed reads always have backing
-// bytes regardless of op interleaving across ranks.
-func stageInputs(tr *trace.Trace, sys *storage.System, scripts map[int][]rankOp) {
-	ranksPerNode := tr.Meta.Ranks / tr.Meta.Nodes
-	if ranksPerNode == 0 {
-		ranksPerNode = 1
-	}
-	seen := map[int32]bool{}
-	for rank, ops := range scripts {
-		node := rank / ranksPerNode
-		if node >= tr.Meta.Nodes {
-			node = tr.Meta.Nodes - 1
-		}
-		for _, op := range ops {
-			if seen[op.file] {
-				continue
-			}
-			seen[op.file] = true
-			info := tr.Files[op.file]
-			// Node-local paths must exist on every node that touches them;
-			// materialize per accessing node (cheap, idempotent).
-			sys.Materialize(node, info.Path, info.Size)
-		}
-	}
-	// Second pass: node-local files accessed from several nodes need
-	// per-node copies.
-	for rank, ops := range scripts {
-		node := rank / ranksPerNode
-		if node >= tr.Meta.Nodes {
-			node = tr.Meta.Nodes - 1
-		}
-		for _, op := range ops {
-			info := tr.Files[op.file]
-			sys.Materialize(node, info.Path, info.Size)
-		}
-	}
+	return pl, nil
 }

@@ -1,6 +1,10 @@
 package replay
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -209,6 +213,124 @@ func TestTuneEmptyCandidates(t *testing.T) {
 	tr := captureTrace(t, "hacc", 0.01)
 	if _, err := Tune(tr, nil, DefaultOptions()); err == nil {
 		t.Error("empty candidate list accepted")
+	}
+}
+
+// TestTuneMatchesRun: Tune plans once and replays its candidates
+// concurrently, and its results equal one Run per candidate, sorted
+// fastest first with ties in candidate order (the duplicate candidate
+// ties its original exactly).
+func TestTuneMatchesRun(t *testing.T) {
+	tr := captureTrace(t, "cm1", 0.02)
+	opt := DefaultOptions()
+	cands := StripeSweep(storage.Lassen(), storage.MiB, 4*storage.MiB, 16*storage.MiB)
+	dup := cands[1]
+	dup.Name += " again"
+	cands = append(cands, dup)
+
+	var want []TrialResult
+	for _, c := range cands {
+		res, err := Run(tr, withStorage(opt, c.Config))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, TrialResult{Candidate: c, Runtime: res.Runtime, IOTime: res.IOTime})
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Runtime < want[j].Runtime })
+	got, err := Tune(tr, cands, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Tune = %+v\nwant one Run per candidate, stably sorted: %+v", got, want)
+	}
+}
+
+// TestPlanCreatesOnFirstOpenOfWrittenFiles: over a generated trace with
+// hundreds of files, the plan marks an open as creating exactly where a
+// scan from the start of the trace for each open says so: the first
+// planned open of a file whose first data op, at any level, is a write.
+func TestPlanCreatesOnFirstOpenOfWrittenFiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const files, ranks = 400, 8
+	tr := &trace.Trace{Meta: trace.Meta{Nodes: 2, Ranks: ranks}}
+	for f := 0; f < files; f++ {
+		tr.Files = append(tr.Files, trace.FileInfo{Path: fmt.Sprintf("/p/gpfs1/f%03d", f)})
+	}
+	ops := []trace.Op{trace.OpOpen, trace.OpOpen, trace.OpRead, trace.OpWrite, trace.OpClose, trace.OpStat, trace.OpCompute}
+	levels := []trace.Level{trace.LevelApp, trace.LevelMiddleware, trace.LevelPosix}
+	for i := 0; i < 8000; i++ {
+		op := ops[rng.Intn(len(ops))]
+		file := int32(rng.Intn(files))
+		if op == trace.OpCompute {
+			file = -1
+		}
+		tr.Events = append(tr.Events, trace.Event{
+			Level: levels[rng.Intn(len(levels))], Op: op, Rank: int32(rng.Intn(ranks)),
+			App: int32(rng.Intn(2)), File: file, Start: time.Duration(rng.Intn(4000)),
+		})
+	}
+
+	// The brute force: the primary level per (app, file), then for each
+	// primary open of a file not yet created, a scan from the start.
+	type afKey struct{ app, file int32 }
+	primary := map[afKey]trace.Level{}
+	for _, ev := range tr.Events {
+		k := afKey{ev.App, ev.File}
+		if cur, ok := primary[k]; ev.Op.IsIO() && (!ok || ev.Level < cur) {
+			primary[k] = ev.Level
+		}
+	}
+	firstIsWrite := func(file int32) bool {
+		for _, ev := range tr.Events {
+			if ev.File == file && ev.Op.IsData() {
+				return ev.Op == trace.OpWrite
+			}
+		}
+		return false
+	}
+	type flagged struct {
+		start   time.Duration
+		created bool
+	}
+	want := map[int][]flagged{}
+	created := map[int32]bool{}
+	for _, ev := range tr.Events {
+		if !ev.Op.IsIO() || ev.File < 0 || primary[afKey{ev.App, ev.File}] != ev.Level {
+			continue
+		}
+		f := flagged{start: ev.Start}
+		if ev.Op == trace.OpOpen && !created[ev.File] && firstIsWrite(ev.File) {
+			f.created, created[ev.File] = true, true
+		}
+		want[int(ev.Rank)] = append(want[int(ev.Rank)], f)
+	}
+
+	pl, err := NewPlan(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.scripts) != len(want) {
+		t.Fatalf("plan has %d ranks, want %d", len(pl.scripts), len(want))
+	}
+	var creates int
+	for _, sc := range pl.scripts {
+		w := want[sc.rank]
+		sort.SliceStable(w, func(i, j int) bool { return w[i].start < w[j].start })
+		if len(sc.ops) != len(w) {
+			t.Fatalf("rank %d: %d ops planned, want %d", sc.rank, len(sc.ops), len(w))
+		}
+		for i, op := range sc.ops {
+			if op.start != w[i].start || op.created != w[i].created {
+				t.Fatalf("rank %d op %d: start %v created %v, the scan says %v %v", sc.rank, i, op.start, op.created, w[i].start, w[i].created)
+			}
+			if op.created {
+				creates++
+			}
+		}
+	}
+	if creates < files/10 {
+		t.Errorf("only %d creating opens among %d files: the trace does not exercise creation", creates, files)
 	}
 }
 

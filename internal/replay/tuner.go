@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"vani/internal/parallel"
 	"vani/internal/storage"
 	"vani/internal/trace"
 )
@@ -26,29 +27,48 @@ type TrialResult struct {
 // Tune replays the trace under every candidate and returns the results
 // sorted fastest first — the automated configuration search the paper's
 // self-configuring storage system would run with the characterization in
-// hand.
+// hand. The trace is planned once and the candidates replay it
+// concurrently, on up to GOMAXPROCS workers; the results do not depend on
+// how many.
 func Tune(tr *trace.Trace, candidates []Candidate, opt Options) ([]TrialResult, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("replay: no candidates")
 	}
-	results := make([]TrialResult, 0, len(candidates))
-	for _, cand := range candidates {
-		o := opt
-		o.Storage = cand.Config
-		res, err := Run(tr, o)
-		if err != nil {
-			return nil, fmt.Errorf("replay: candidate %s: %w", cand.Name, err)
-		}
-		results = append(results, TrialResult{
-			Candidate: cand,
-			Runtime:   res.Runtime,
-			IOTime:    res.IOTime,
-		})
+	pl, err := NewPlan(tr)
+	if err != nil {
+		return nil, err
 	}
+	results := make([]TrialResult, len(candidates))
+	errs := make([]error, len(candidates))
+	parallel.ForEach(0, len(candidates), func(i int) {
+		results[i], errs[i] = pl.Trial(candidates[i], opt)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	SortTrials(results)
+	return results, nil
+}
+
+// Trial replays the plan under one candidate's configuration, the rest of
+// opt unchanged.
+func (pl *Plan) Trial(cand Candidate, opt Options) (TrialResult, error) {
+	opt.Storage = cand.Config
+	res, err := pl.Run(opt)
+	if err != nil {
+		return TrialResult{}, fmt.Errorf("replay: candidate %s: %w", cand.Name, err)
+	}
+	return TrialResult{Candidate: cand, Runtime: res.Runtime, IOTime: res.IOTime}, nil
+}
+
+// SortTrials orders trial results fastest first; equal runtimes keep
+// their order.
+func SortTrials(results []TrialResult) {
 	sort.SliceStable(results, func(i, j int) bool {
 		return results[i].Runtime < results[j].Runtime
 	})
-	return results, nil
 }
 
 // StripeSweep builds candidates varying the PFS stripe size around a base

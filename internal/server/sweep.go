@@ -118,7 +118,9 @@ func (s *Server) runSweepJob(j *job) {
 	s.metrics.JobsRunning.Add(1)
 	defer s.metrics.JobsRunning.Add(-1)
 
-	rep, err := j.sweep.Run(vani.SweepOptions{
+	// The base context stops the sweep at its next point or trial when
+	// Shutdown gives up waiting.
+	rep, err := j.sweep.RunContext(s.baseCtx, vani.SweepOptions{
 		Storage: s.cfg.Storage,
 		OnPoint: func(done, total int) {
 			s.metrics.SweepRuns.Add(1)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"vani"
 )
@@ -180,5 +182,54 @@ func TestSweepBodyOverLimitIs413(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz after the oversized body: status %d", resp.StatusCode)
+	}
+}
+
+// TestShutdownStopsRunningSweep: Shutdown whose deadline passes while a
+// many-point sweep runs aborts it at its next point: Shutdown returns soon
+// after its timeout, not after the whole grid, and the job fails as
+// canceled with points left undone.
+func TestShutdownStopsRunningSweep(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc := "version: 1\nname: long\nbase:\n  nodes: 2\n  ranks_per_node: 2\n  scale: 0.01\n  seed: 3\n" +
+		"grid:\n  - param: staging\n    values:\n      - pfs\n      - node-local\n" +
+		"  - param: cache\n    values:\n      - true\n      - false\n" +
+		"  - param: stripe_size\n    values:\n" + strings.Repeat("      - 1MiB\n      - 2MiB\n      - 4MiB\n      - 8MiB\n", 4) +
+		"workload: cosmoflow\n"
+	code, st := upload(t, ts, "/v1/sweep", []byte(doc))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweep = %d, want 202", code)
+	}
+	for {
+		s.mu.Lock()
+		j := s.jobs[st.ID]
+		s.mu.Unlock()
+		if j.status().PointsDone > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const timeout = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	t0 := time.Now()
+	if err := s.Shutdown(ctx); err != context.DeadlineExceeded {
+		t.Errorf("Shutdown = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if took := time.Since(t0); took > timeout+5*time.Second {
+		t.Errorf("Shutdown took %v with a %v timeout", took, timeout)
+	}
+	s.mu.Lock()
+	final := s.jobs[st.ID].status()
+	s.mu.Unlock()
+	if final.Status != string(jobFailed) || !strings.Contains(final.Error, context.Canceled.Error()) {
+		t.Errorf("job ended %q (%s), want failed as canceled", final.Status, final.Error)
+	}
+	if final.PointsDone >= final.PointsTotal {
+		t.Errorf("%d of %d points done: the sweep ran to the end", final.PointsDone, final.PointsTotal)
 	}
 }

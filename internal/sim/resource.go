@@ -67,14 +67,6 @@ func (r *Resource) Reserve(service time.Duration) (start, end time.Duration) {
 	return start, end
 }
 
-// NextFree returns the absolute time the server next becomes idle.
-func (r *Resource) NextFree() time.Duration {
-	if r.free < r.e.now {
-		return r.e.now
-	}
-	return r.free
-}
-
 // Utilization returns BusyTime divided by the elapsed virtual time, or zero
 // at time zero.
 func (r *Resource) Utilization() float64 {
@@ -89,7 +81,7 @@ func (r *Resource) Utilization() float64 {
 // controller). Requests may be routed explicitly by index (striping) or to
 // the earliest-free server.
 type Pool struct {
-	Servers []*Resource
+	Servers []Resource
 }
 
 // NewPool creates n servers named "<name>[i]".
@@ -97,9 +89,9 @@ func NewPool(e *Engine, name string, n int) *Pool {
 	if n <= 0 {
 		panic("sim: pool must have at least one server")
 	}
-	p := &Pool{Servers: make([]*Resource, n)}
+	p := &Pool{Servers: make([]Resource, n)}
 	for i := range p.Servers {
-		p.Servers[i] = NewResource(e, fmt.Sprintf("%s[%d]", name, i))
+		p.Servers[i] = Resource{e: e, name: fmt.Sprintf("%s[%d]", name, i)}
 	}
 	return p
 }
@@ -119,12 +111,13 @@ func (pl *Pool) Use(p *Proc, idx int, service time.Duration) (wait, total time.D
 
 // UseLeastLoaded routes the request to the server that frees up earliest,
 // breaking ties by lowest index. This models load-balanced metadata server
-// clusters.
+// clusters. The scan stops at the first server already idle: no later one
+// can free up strictly earlier than now.
 func (pl *Pool) UseLeastLoaded(p *Proc, service time.Duration) (wait, total time.Duration) {
-	best := 0
-	bestFree := pl.Servers[0].NextFree()
-	for i := 1; i < len(pl.Servers); i++ {
-		if f := pl.Servers[i].NextFree(); f < bestFree {
+	now := p.e.now
+	best, bestFree := 0, pl.Servers[0].free
+	for i := 1; i < len(pl.Servers) && bestFree > now; i++ {
+		if f := pl.Servers[i].free; f < bestFree {
 			best, bestFree = i, f
 		}
 	}

@@ -130,6 +130,48 @@ func TestPoolLeastLoaded(t *testing.T) {
 	e.Run()
 }
 
+// TestPoolLeastLoadedMatchesFullScan: stopping at the first idle server
+// picks the server a scan of the whole pool picks — the one that frees up
+// earliest, no earlier than now, ties to the lowest index — whatever the
+// servers' free times.
+func TestPoolLeastLoadedMatchesFullScan(t *testing.T) {
+	prop := func(frees []uint8, nowRaw uint8) bool {
+		if len(frees) == 0 {
+			return true
+		}
+		e := NewEngine()
+		e.now = time.Duration(nowRaw % 16)
+		pl := NewPool(e, "mds", len(frees))
+		for i, f := range frees {
+			pl.Servers[i].free = time.Duration(f % 32)
+		}
+		nextFree := func(i int) time.Duration { return max(pl.Servers[i].free, e.now) }
+		want := 0
+		for i := range pl.Servers {
+			if nextFree(i) < nextFree(want) {
+				want = i
+			}
+		}
+		served := make([]int64, len(frees))
+		e.Spawn("p", func(p *Proc) {
+			pl.UseLeastLoaded(p, time.Nanosecond)
+			for i := range pl.Servers {
+				served[i] = pl.Servers[i].Served
+			}
+		})
+		e.Run()
+		for i, n := range served {
+			if (i == want) != (n == 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(e, 2)

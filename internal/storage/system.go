@@ -11,6 +11,10 @@ import (
 // System is one storage stack instance attached to a simulation: a striped
 // PFS shared by all nodes, plus per-node node-local targets and page
 // caches. All blocking methods must be called from a simulation process.
+//
+// A path is resolved once per open: Open (or Resolve) returns a *File that
+// carries the file's state, its target and its stripe hash, and every later
+// call on the file goes through that handle without looking the path up.
 type System struct {
 	e   *sim.Engine
 	cfg Config
@@ -23,12 +27,19 @@ type System struct {
 	nodeLocal   []*sim.Resource
 	nics        []*sim.Resource // per-node PFS client/injection bandwidth
 	caches      []*pageCache
-	nodePrefix  []string // "n<i>:", the node-local namespace prefix of node i
 
-	files map[string]*fileState
+	files map[fileKey]*fileState
 
 	// Counters per target, indexed by TargetKind.
 	Stats [NumTargets]TargetStats
+}
+
+// fileKey names a file in the namespace. Node-local targets have per-node
+// namespaces: /dev/shm/x on node 0 and node 3 are different files. PFS and
+// shared-BB namespaces are global, with node -1.
+type fileKey struct {
+	path string
+	node int
 }
 
 // TargetStats aggregates traffic per storage target.
@@ -41,9 +52,14 @@ type TargetStats struct {
 	CacheMisses  int64
 }
 
+// fileState is one file of the namespace. It is created the first time its
+// path is resolved and lives as long as the System, so a handle resolved
+// before the file exists sees it once it is created.
 type fileState struct {
-	size   int64
+	path   string
 	target TargetKind
+	hash   uint64 // FNV-1a of the path: where the file's stripes start
+	size   int64
 	exists bool
 
 	// openerNodes tracks which nodes have opened the file (capped at two:
@@ -88,8 +104,7 @@ func New(e *sim.Engine, cfg Config, nodes int, rng *sim.RNG) *System {
 		metaServers: sim.NewPool(e, "mds", cfg.PFSMetaServers),
 		nodeLocal:   make([]*sim.Resource, nodes),
 		caches:      make([]*pageCache, nodes),
-		nodePrefix:  make([]string, nodes),
-		files:       make(map[string]*fileState),
+		files:       make(map[fileKey]*fileState),
 	}
 	if cfg.SharedBBServers > 0 {
 		if cfg.SharedBBDir == "" || cfg.SharedBBServerBW <= 0 || cfg.SharedBBStripe <= 0 {
@@ -103,7 +118,6 @@ func New(e *sim.Engine, cfg Config, nodes int, rng *sim.RNG) *System {
 		s.nodeLocal[i] = sim.NewResource(e, fmt.Sprintf("node%d-local", i))
 		s.nics[i] = sim.NewResource(e, fmt.Sprintf("node%d-nic", i))
 		s.caches[i] = newPageCache(cfg.CacheCapacity)
-		s.nodePrefix[i] = fmt.Sprintf("n%d:", i)
 	}
 	return s
 }
@@ -129,39 +143,65 @@ func (s *System) Route(path string) TargetKind {
 	}
 }
 
-// key builds the namespace key. Node-local targets have per-node
-// namespaces: /dev/shm/x on node 0 and node 3 are different files.
-// PFS and shared-BB namespaces are global.
-func (s *System) key(node int, path string) (string, TargetKind) {
+// state returns the file path names as seen from node, entering it into
+// the namespace (not yet existing) on first sight.
+func (s *System) state(node int, path string) *fileState {
 	t := s.Route(path)
-	if t == TargetPFS || t == TargetSharedBB {
-		return path, t
+	k := fileKey{path: path, node: -1}
+	if t != TargetPFS && t != TargetSharedBB {
+		k.node = node
 	}
-	return s.nodePrefix[node] + path, t
-}
-
-func (s *System) lookup(node int, path string) (*fileState, string, TargetKind) {
-	k, t := s.key(node, path)
-	return s.files[k], k, t
-}
-
-// Open performs the open metadata operation. With create true the file is
-// created (or truncated to zero); otherwise the file must exist on the
-// issuing node's view of the namespace.
-func (s *System) Open(p *sim.Proc, node int, path string, create bool) error {
-	f, k, t := s.lookup(node, path)
-	if f == nil || !f.exists {
-		if !create {
-			s.meta(p, node, t)
-			return fmt.Errorf("storage: open %s on node %d: no such file", path, node)
-		}
-		f = &fileState{target: t, exists: true}
+	f := s.files[k]
+	if f == nil {
+		f = &fileState{path: path, target: t, hash: hashString(path)}
 		s.files[k] = f
-	} else if create {
-		f.size = 0 // truncate
 	}
-	f.noteOpener(node)
-	s.meta(p, node, t)
+	return f
+}
+
+// File is a path resolved on one node: the handle every data and
+// metadata call after the open goes through.
+type File struct {
+	s    *System
+	st   *fileState
+	node int
+	pc   *cacheEntry // the file in the node's page cache, once touched
+}
+
+// Resolve returns the file path names as seen from node without operating
+// on it: no time passes and the file need not exist. Open on the handle
+// performs the open; calls on a file that does not exist fail as they
+// would by path.
+func (s *System) Resolve(node int, path string) *File {
+	return &File{s: s, st: s.state(node, path), node: node}
+}
+
+// Open performs the open metadata operation and returns the opened file.
+// With create true the file is created (or truncated to zero); otherwise
+// the file must exist on the issuing node's view of the namespace.
+func (s *System) Open(p *sim.Proc, node int, path string, create bool) (*File, error) {
+	f := s.Resolve(node, path)
+	if err := f.Open(p, create); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Open performs the open metadata operation on a resolved file, as
+// System.Open does by path.
+func (f *File) Open(p *sim.Proc, create bool) error {
+	st := f.st
+	if !st.exists {
+		if !create {
+			f.s.meta(p, f.node, st.target)
+			return fmt.Errorf("storage: open %s on node %d: no such file", st.path, f.node)
+		}
+		st.exists = true
+	} else if create {
+		st.size = 0 // truncate
+	}
+	st.noteOpener(f.node)
+	f.s.meta(p, f.node, st.target)
 	return nil
 }
 
@@ -170,16 +210,19 @@ func (s *System) Open(p *sim.Proc, node int, path string, create bool) error {
 // sample files) that exist before the job starts, so their creation does
 // not pollute the workload's characterization.
 func (s *System) Materialize(node int, path string, size int64) {
-	k, t := s.key(node, path)
-	f := s.files[k]
-	if f == nil {
-		f = &fileState{target: t, exists: true}
-		s.files[k] = f
-	}
+	f := s.state(node, path)
 	f.exists = true
 	if size > f.size {
 		f.size = size
 	}
+}
+
+// cache returns the file's entry in its node's page cache.
+func (f *File) cache() *cacheEntry {
+	if f.pc == nil {
+		f.pc = f.s.caches[f.node].entry(f.st)
+	}
+	return f.pc
 }
 
 // Close performs the close metadata operation. For PFS files with dirty
@@ -187,42 +230,47 @@ func (s *System) Materialize(node int, path string, size int64) {
 // client-cache data on close to keep other nodes coherent, which is why
 // buffered small-file writes still pay full PFS cost by the time a
 // workflow stage hands its files to the next one.
-func (s *System) Close(p *sim.Proc, node int, path string) {
-	_, k, t := s.lookup(node, path)
+func (f *File) Close(p *sim.Proc) {
+	s, t := f.s, f.st.target
 	if t == TargetPFS && s.cfg.CacheEnabled && !s.cfg.RelaxedConsistency {
-		if end := s.caches[node].fileDrainEnd(k); end > p.Now() {
+		if end := f.cache().drain; end > p.Now() {
 			p.SleepUntil(end)
 		}
 	}
-	s.meta(p, node, t)
+	s.meta(p, f.node, t)
 }
 
 // Stat performs a stat metadata operation and reports the file size.
 func (s *System) Stat(p *sim.Proc, node int, path string) (int64, error) {
-	f, _, t := s.lookup(node, path)
-	s.meta(p, node, t)
-	if f == nil || !f.exists {
-		return 0, fmt.Errorf("storage: stat %s on node %d: no such file", path, node)
+	f := File{s: s, st: s.state(node, path), node: node}
+	return f.Stat(p)
+}
+
+// Stat performs a stat metadata operation on the file and reports its size.
+func (f *File) Stat(p *sim.Proc) (int64, error) {
+	f.s.meta(p, f.node, f.st.target)
+	if !f.st.exists {
+		return 0, fmt.Errorf("storage: stat %s on node %d: no such file", f.st.path, f.node)
 	}
-	return f.size, nil
+	return f.st.size, nil
 }
 
 // Seek models the (client-side, near-free) seek call; it is traced as a
 // metadata op by the interface layers but costs no server time.
-func (s *System) Seek(p *sim.Proc, node int, path string) {
+func (f *File) Seek(p *sim.Proc) {
 	p.Sleep(200 * time.Nanosecond)
 }
 
 // Sync performs an fsync-like metadata op; with the page cache enabled it
 // also waits for the node's dirty data on that file to drain to the PFS.
-func (s *System) Sync(p *sim.Proc, node int, path string) {
-	_, k, t := s.lookup(node, path)
+func (f *File) Sync(p *sim.Proc) {
+	s, t := f.s, f.st.target
 	if t == TargetPFS && s.cfg.CacheEnabled {
-		if end := s.caches[node].fileDrainEnd(k); end > p.Now() {
+		if end := f.cache().drain; end > p.Now() {
 			p.SleepUntil(end)
 		}
 	}
-	s.meta(p, node, t)
+	s.meta(p, f.node, t)
 }
 
 // Mkdir performs a directory-creation metadata op.
@@ -232,11 +280,16 @@ func (s *System) Mkdir(p *sim.Proc, node int, path string) {
 
 // FileSize reports the current size of a file as seen from node.
 func (s *System) FileSize(node int, path string) (int64, bool) {
-	f, _, _ := s.lookup(node, path)
-	if f == nil || !f.exists {
+	f := File{st: s.state(node, path)}
+	return f.Size()
+}
+
+// Size reports the file's current size, and whether it exists.
+func (f *File) Size() (int64, bool) {
+	if !f.st.exists {
 		return 0, false
 	}
-	return f.size, true
+	return f.st.size, true
 }
 
 // meta charges one metadata operation against the right service.
@@ -254,52 +307,52 @@ func (s *System) meta(p *sim.Proc, node int, t TargetKind) {
 
 // Write moves size bytes into the file at offset, blocking the process for
 // the modeled duration. The file must have been opened/created.
-func (s *System) Write(p *sim.Proc, node int, path string, offset, size int64) error {
-	return s.data(p, node, path, offset, size, true)
+func (f *File) Write(p *sim.Proc, offset, size int64) error {
+	return f.data(p, offset, size, true)
 }
 
 // Read moves size bytes out of the file at offset. Reading past the end of
 // the file is an error (workload bugs should surface, not silently read).
-func (s *System) Read(p *sim.Proc, node int, path string, offset, size int64) error {
-	return s.data(p, node, path, offset, size, false)
+func (f *File) Read(p *sim.Proc, offset, size int64) error {
+	return f.data(p, offset, size, false)
 }
 
-func (s *System) data(p *sim.Proc, node int, path string, offset, size int64, write bool) error {
+func (f *File) data(p *sim.Proc, offset, size int64, write bool) error {
+	s, st := f.s, f.st
 	if size < 0 || offset < 0 {
-		return fmt.Errorf("storage: negative offset/size on %s", path)
+		return fmt.Errorf("storage: negative offset/size on %s", st.path)
 	}
-	f, k, t := s.lookup(node, path)
-	if f == nil || !f.exists {
+	if !st.exists {
 		return fmt.Errorf("storage: %s %s on node %d: no such file",
-			opName(write), path, node)
+			opName(write), st.path, f.node)
 	}
-	if !write && offset+size > f.size {
+	if !write && offset+size > st.size {
 		return fmt.Errorf("storage: read %s on node %d: [%d,%d) past EOF %d",
-			path, node, offset, offset+size, f.size)
+			st.path, f.node, offset, offset+size, st.size)
 	}
-	st := &s.Stats[t]
-	st.DataOps++
+	stats := &s.Stats[st.target]
+	stats.DataOps++
 	if write {
-		st.BytesWritten += size
-		if offset+size > f.size {
-			f.size = offset + size
+		stats.BytesWritten += size
+		if offset+size > st.size {
+			st.size = offset + size
 		}
 	} else {
-		st.BytesRead += size
+		stats.BytesRead += size
 	}
-	shared := f.sharedAcrossNodes()
+	shared := st.sharedAcrossNodes()
 	if s.cfg.RelaxedConsistency {
 		// UnifyFS-style interposition buffers every write node-locally,
 		// even on files other nodes have opened.
 		shared = false
 	}
-	switch t {
+	switch st.target {
 	case TargetPFS:
-		s.pfsData(p, node, k, offset, size, f.size, write, shared)
+		f.pfsData(p, offset, size, write, shared)
 	case TargetSharedBB:
-		s.bbData(p, node, k, offset, size)
+		s.bbData(p, st.hash, offset, size)
 	default:
-		s.localData(p, node, size)
+		s.localData(p, f.node, size)
 	}
 	return nil
 }
@@ -308,9 +361,8 @@ func (s *System) data(p *sim.Proc, node int, path string, offset, size int64, wr
 // servers like the PFS, with SSD-class per-op latency and no client-cache
 // semantics (DataWarp exposes a scratch namespace, not a coherent cached
 // file system).
-func (s *System) bbData(p *sim.Proc, node int, key string, offset, size int64) {
+func (s *System) bbData(p *sim.Proc, fileHash uint64, offset, size int64) {
 	stripe := s.cfg.SharedBBStripe
-	fileHash := hashString(key)
 	n := len(s.bbServers.Servers)
 	var last time.Duration
 	remaining, off := size, offset
@@ -357,7 +409,8 @@ func (s *System) localData(p *sim.Proc, node int, size int64) {
 // reads hit the cache when the node recently wrote or read the file.
 // Otherwise the request is split into stripe chunks routed across the data
 // servers in parallel, and the process blocks until the last chunk lands.
-func (s *System) pfsData(p *sim.Proc, node int, key string, offset, size, fileSize int64, write, shared bool) {
+func (f *File) pfsData(p *sim.Proc, offset, size int64, write, shared bool) {
+	s, node, fileSize := f.s, f.node, f.st.size
 	c := s.caches[node]
 	if s.cfg.CacheEnabled && !shared {
 		if write {
@@ -365,18 +418,19 @@ func (s *System) pfsData(p *sim.Proc, node int, key string, offset, size, fileSi
 				s.Stats[TargetPFS].CacheHits++
 				// Absorb at memory speed; drain to servers in background.
 				p.Sleep(s.cfg.CacheLatency + bwTime(size, s.cfg.CacheBW))
-				drainEnd := s.stripeReserve(key, offset, size)
+				drainEnd := s.stripeReserve(f.st.hash, offset, size)
 				if nicEnd := s.nicReserve(node, size); nicEnd > drainEnd {
 					drainEnd = nicEnd
 				}
-				c.scheduleDrain(key, drainEnd)
-				c.insert(key, offset+size)
+				e := f.cache()
+				c.scheduleDrain(e, drainEnd)
+				c.insert(e, offset+size)
 				return
 			}
 			s.Stats[TargetPFS].CacheMisses++
 			// No room: synchronous write-through below.
 		} else {
-			if c.covers(key, offset+size) {
+			if f.cache().extent >= offset+size {
 				s.Stats[TargetPFS].CacheHits++
 				p.Sleep(s.cfg.CacheLatency + bwTime(size, s.cfg.CacheBW))
 				return
@@ -397,13 +451,13 @@ func (s *System) pfsData(p *sim.Proc, node int, key string, offset, size, fileSi
 			fetch = size
 		}
 	}
-	end := s.stripeReserve(key, offset, fetch)
+	end := s.stripeReserve(f.st.hash, offset, fetch)
 	if nicEnd := s.nicReserve(node, fetch); nicEnd > end {
 		end = nicEnd
 	}
 	p.SleepUntil(end)
 	if s.cfg.CacheEnabled && !write {
-		c.insert(key, offset+fetch)
+		c.insert(f.cache(), offset+fetch)
 	}
 }
 
@@ -419,9 +473,8 @@ func (s *System) nicReserve(node int, size int64) time.Duration {
 
 // stripeReserve splits [offset, offset+size) into stripe chunks, reserves
 // each on its server (FCFS), and returns the latest completion time.
-func (s *System) stripeReserve(key string, offset, size int64) time.Duration {
+func (s *System) stripeReserve(fileHash uint64, offset, size int64) time.Duration {
 	stripe := s.cfg.PFSStripeSize
-	fileHash := hashString(key)
 	n := len(s.dataServers.Servers)
 	var last time.Duration
 	for size > 0 {
@@ -468,52 +521,57 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// pageCache is a per-node client cache. It tracks which files (by
-// namespace key) have data cached on the node and how much dirty write-back
-// data is outstanding. Whole-extent tracking ([0, high)) is enough for the
-// workloads modeled, which write and read files contiguously.
+// pageCache is a per-node client cache. It tracks which files have data
+// cached on the node and how much dirty write-back data is outstanding.
+// Whole-extent tracking ([0, high)) is enough for the workloads modeled,
+// which write and read files contiguously.
 type pageCache struct {
-	capacity  int64
-	used      int64
-	dirty     int64
-	drainEnd  time.Duration
-	fileDrain map[string]time.Duration // per-file write-back completion
-	extent    map[string]int64         // key -> cached bytes [0, extent)
-	order     []string                 // LRU order, oldest first
+	capacity int64
+	used     int64
+	dirty    int64
+	drainEnd time.Duration
+	files    map[*fileState]*cacheEntry
+	order    []*cacheEntry // cached files in LRU order, oldest first
+}
+
+// cacheEntry is one file on one node's cache. Entries are never removed
+// (eviction empties them), so a File keeps its entry for its lifetime.
+type cacheEntry struct {
+	extent int64         // cached bytes [0, extent)
+	drain  time.Duration // the file's write-back completion
+	listed bool          // in order
 }
 
 func newPageCache(capacity int64) *pageCache {
-	return &pageCache{
-		capacity:  capacity,
-		extent:    make(map[string]int64),
-		fileDrain: make(map[string]time.Duration),
-	}
+	return &pageCache{capacity: capacity, files: make(map[*fileState]*cacheEntry)}
 }
 
-// covers reports whether [0, end) of the file is cached on this node.
-func (c *pageCache) covers(key string, end int64) bool {
-	return c.extent[key] >= end
+// entry returns the file's entry, creating an empty one.
+func (c *pageCache) entry(f *fileState) *cacheEntry {
+	e := c.files[f]
+	if e == nil {
+		e = &cacheEntry{}
+		c.files[f] = e
+	}
+	return e
 }
 
 // insert records that [0, end) of the file is now cached, evicting
 // least-recently-inserted files when over budget.
-func (c *pageCache) insert(key string, end int64) {
-	if c.capacity <= 0 {
+func (c *pageCache) insert(e *cacheEntry, end int64) {
+	if c.capacity <= 0 || end <= e.extent {
 		return
 	}
-	old, ok := c.extent[key]
-	if end <= old {
-		return
-	}
-	c.used += end - old
-	c.extent[key] = end
-	if !ok {
-		c.order = append(c.order, key)
+	c.used += end - e.extent
+	e.extent = end
+	if !e.listed {
+		e.listed = true
+		c.order = append(c.order, e)
 	}
 	for c.used > c.capacity && len(c.order) > 0 {
 		victim := c.order[0]
 		c.order = c.order[1:]
-		if victim == key {
+		if victim == e {
 			// Never evict the file just inserted; push it to the back.
 			c.order = append(c.order, victim)
 			if len(c.order) == 1 {
@@ -521,8 +579,8 @@ func (c *pageCache) insert(key string, end int64) {
 			}
 			continue
 		}
-		c.used -= c.extent[victim]
-		delete(c.extent, victim)
+		c.used -= victim.extent
+		victim.extent, victim.listed = 0, false
 	}
 }
 
@@ -544,18 +602,11 @@ func (c *pageCache) reserveDirty(size int64, now time.Duration) bool {
 
 // scheduleDrain records when the reserved dirty bytes of one file will
 // have drained to the PFS.
-func (c *pageCache) scheduleDrain(key string, end time.Duration) {
+func (c *pageCache) scheduleDrain(e *cacheEntry, end time.Duration) {
 	if end > c.drainEnd {
 		c.drainEnd = end
 	}
-	if end > c.fileDrain[key] {
-		c.fileDrain[key] = end
+	if end > e.drain {
+		e.drain = end
 	}
 }
-
-// fileDrainEnd returns when a file's outstanding dirty data will be on the
-// PFS (zero if it has none).
-func (c *pageCache) fileDrainEnd(key string) time.Duration { return c.fileDrain[key] }
-
-// dirtyDrainTime returns when all outstanding dirty data will be on the PFS.
-func (c *pageCache) dirtyDrainTime() time.Duration { return c.drainEnd }

@@ -50,16 +50,18 @@ func TestTargetKindStrings(t *testing.T) {
 func TestOpenCreateWriteReadRoundTrip(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		if err := s.Open(p, 0, "/p/gpfs1/f", true); err != nil {
+		f, err := s.Open(p, 0, "/p/gpfs1/f", true)
+		if err != nil {
 			t.Errorf("Open: %v", err)
+			return
 		}
-		if err := s.Write(p, 0, "/p/gpfs1/f", 0, 4*KiB); err != nil {
+		if err := f.Write(p, 0, 4*KiB); err != nil {
 			t.Errorf("Write: %v", err)
 		}
-		if err := s.Read(p, 0, "/p/gpfs1/f", 0, 4*KiB); err != nil {
+		if err := f.Read(p, 0, 4*KiB); err != nil {
 			t.Errorf("Read: %v", err)
 		}
-		s.Close(p, 0, "/p/gpfs1/f")
+		f.Close(p)
 		if sz, ok := s.FileSize(0, "/p/gpfs1/f"); !ok || sz != 4*KiB {
 			t.Errorf("FileSize = %d,%v want 4KiB,true", sz, ok)
 		}
@@ -73,7 +75,7 @@ func TestOpenCreateWriteReadRoundTrip(t *testing.T) {
 func TestOpenMissingWithoutCreateFails(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		if err := s.Open(p, 0, "/p/gpfs1/missing", false); err == nil {
+		if _, err := s.Open(p, 0, "/p/gpfs1/missing", false); err == nil {
 			t.Error("open of missing file succeeded")
 		}
 	})
@@ -83,8 +85,8 @@ func TestOpenMissingWithoutCreateFails(t *testing.T) {
 func TestOpenTruncates(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		s.Write(p, 0, "/p/gpfs1/f", 0, MiB)
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
+		f.Write(p, 0, MiB)
 		s.Open(p, 0, "/p/gpfs1/f", true) // re-create truncates
 		if sz, _ := s.FileSize(0, "/p/gpfs1/f"); sz != 0 {
 			t.Errorf("size after truncate = %d", sz)
@@ -96,9 +98,9 @@ func TestOpenTruncates(t *testing.T) {
 func TestReadPastEOFFails(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		s.Write(p, 0, "/p/gpfs1/f", 0, KiB)
-		if err := s.Read(p, 0, "/p/gpfs1/f", 512, KiB); err == nil {
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
+		f.Write(p, 0, KiB)
+		if err := f.Read(p, 512, KiB); err == nil {
 			t.Error("read past EOF succeeded")
 		}
 	})
@@ -108,10 +110,10 @@ func TestReadPastEOFFails(t *testing.T) {
 func TestReadMissingFails(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		if err := s.Read(p, 0, "/p/gpfs1/nope", 0, 1); err == nil {
+		if err := s.Resolve(0, "/p/gpfs1/nope").Read(p, 0, 1); err == nil {
 			t.Error("read of missing file succeeded")
 		}
-		if err := s.Write(p, 0, "/p/gpfs1/nope", 0, 1); err == nil {
+		if err := s.Resolve(0, "/p/gpfs1/nope").Write(p, 0, 1); err == nil {
 			t.Error("write of unopened file succeeded")
 		}
 	})
@@ -121,11 +123,11 @@ func TestReadMissingFails(t *testing.T) {
 func TestNegativeArgsFail(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		if err := s.Write(p, 0, "/p/gpfs1/f", -1, 10); err == nil {
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
+		if err := f.Write(p, -1, 10); err == nil {
 			t.Error("negative offset accepted")
 		}
-		if err := s.Write(p, 0, "/p/gpfs1/f", 0, -10); err == nil {
+		if err := f.Write(p, 0, -10); err == nil {
 			t.Error("negative size accepted")
 		}
 	})
@@ -135,8 +137,8 @@ func TestNegativeArgsFail(t *testing.T) {
 func TestNodeLocalNamespacesArePerNode(t *testing.T) {
 	e, s := newSys(t, testConfig(), 2)
 	e.Spawn("writer", func(p *sim.Proc) {
-		s.Open(p, 0, "/dev/shm/inter", true)
-		s.Write(p, 0, "/dev/shm/inter", 0, MiB)
+		f, _ := s.Open(p, 0, "/dev/shm/inter", true)
+		f.Write(p, 0, MiB)
 	})
 	e.Spawn("reader-other-node", func(p *sim.Proc) {
 		p.Sleep(time.Second)
@@ -153,13 +155,52 @@ func TestNodeLocalNamespacesArePerNode(t *testing.T) {
 func TestPFSNamespaceIsShared(t *testing.T) {
 	e, s := newSys(t, testConfig(), 2)
 	e.Spawn("writer", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/shared", true)
-		s.Write(p, 0, "/p/gpfs1/shared", 0, MiB)
+		f, _ := s.Open(p, 0, "/p/gpfs1/shared", true)
+		f.Write(p, 0, MiB)
 	})
 	e.Spawn("reader", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		if err := s.Read(p, 1, "/p/gpfs1/shared", 0, MiB); err != nil {
+		if err := s.Resolve(1, "/p/gpfs1/shared").Read(p, 0, MiB); err != nil {
 			t.Errorf("cross-node PFS read: %v", err)
+		}
+	})
+	e.Run()
+}
+
+// TestResolvedFilesFollowTheNamespace: a node-local path opened on two
+// nodes is two files, each with its own size and page-cache entry; a PFS
+// path opened on two nodes is one file, whose state both handles share,
+// cached per node.
+func TestResolvedFilesFollowTheNamespace(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheEnabled = true
+	e, s := newSys(t, cfg, 2)
+	e.Spawn("p", func(p *sim.Proc) {
+		l0, _ := s.Open(p, 0, "/dev/shm/x", true)
+		l1, _ := s.Open(p, 1, "/dev/shm/x", true)
+		if l0.st == l1.st {
+			t.Error("/dev/shm/x on nodes 0 and 1 resolves to one file")
+		}
+		l0.Write(p, 0, MiB)
+		if sz, _ := l1.Size(); sz != 0 {
+			t.Errorf("node 1's /dev/shm/x grew to %d with node 0's write", sz)
+		}
+		if l0.cache() == l1.cache() {
+			t.Error("node-local files on two nodes share a page-cache entry")
+		}
+
+		g0, _ := s.Open(p, 0, "/p/gpfs1/g", true)
+		g0.Write(p, 0, MiB)
+		g1, _ := s.Open(p, 1, "/p/gpfs1/g", false)
+		if g0.st != g1.st || s.Resolve(0, "/p/gpfs1/g").st != g0.st {
+			t.Error("a PFS path resolves to more than one file")
+		}
+		if sz, _ := g1.Size(); sz != MiB {
+			t.Errorf("node 1 sees the PFS file at %d bytes, want %d", sz, MiB)
+		}
+		if g0.cache() == g1.cache() || g0.cache().extent != MiB || g1.cache().extent != 0 {
+			t.Errorf("page-cache extents node 0 %d node 1 %d, want %d and 0 in separate entries",
+				g0.cache().extent, g1.cache().extent, MiB)
 		}
 	})
 	e.Run()
@@ -171,10 +212,10 @@ func TestNodeLocalFasterThanPFSForSmallOps(t *testing.T) {
 	{
 		e, s := newSys(t, cfg, 1)
 		e.Spawn("p", func(p *sim.Proc) {
-			s.Open(p, 0, "/p/gpfs1/f", true)
+			f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
 			t0 := p.Now()
 			for i := int64(0); i < 100; i++ {
-				s.Write(p, 0, "/p/gpfs1/f", i*4*KiB, 4*KiB)
+				f.Write(p, i*4*KiB, 4*KiB)
 			}
 			pfsTime = p.Now() - t0
 		})
@@ -183,10 +224,10 @@ func TestNodeLocalFasterThanPFSForSmallOps(t *testing.T) {
 	{
 		e, s := newSys(t, cfg, 1)
 		e.Spawn("p", func(p *sim.Proc) {
-			s.Open(p, 0, "/dev/shm/f", true)
+			f, _ := s.Open(p, 0, "/dev/shm/f", true)
 			t0 := p.Now()
 			for i := int64(0); i < 100; i++ {
-				s.Write(p, 0, "/dev/shm/f", i*4*KiB, 4*KiB)
+				f.Write(p, i*4*KiB, 4*KiB)
 			}
 			shmTime = p.Now() - t0
 		})
@@ -206,9 +247,9 @@ func TestStripingParallelizesLargeRequests(t *testing.T) {
 	e, s := newSys(t, cfg, 1)
 	var elapsed time.Duration
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/big", true)
+		f, _ := s.Open(p, 0, "/p/gpfs1/big", true)
 		t0 := p.Now()
-		s.Write(p, 0, "/p/gpfs1/big", 0, 32*MiB)
+		f.Write(p, 0, 32*MiB)
 		elapsed = p.Now() - t0
 	})
 	e.Run()
@@ -238,9 +279,9 @@ func measureNWriters(t *testing.T, cfg Config, n int) time.Duration {
 		i := i
 		e.Spawn("w", func(p *sim.Proc) {
 			path := "/p/gpfs1/f" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-			s.Open(p, 0, path, true)
+			f, _ := s.Open(p, 0, path, true)
 			for j := int64(0); j < 16; j++ {
-				s.Write(p, 0, path, j*16*MiB, 16*MiB)
+				f.Write(p, j*16*MiB, 16*MiB)
 			}
 		})
 	}
@@ -256,8 +297,8 @@ func TestMetadataContention(t *testing.T) {
 	const n = 256
 	for i := 0; i < n; i++ {
 		e.Spawn("p", func(p *sim.Proc) {
-			s.Open(p, 0, "/p/gpfs1/shared", true)
-			s.Close(p, 0, "/p/gpfs1/shared")
+			f, _ := s.Open(p, 0, "/p/gpfs1/shared", true)
+			f.Close(p)
 		})
 	}
 	end := e.Run()
@@ -274,9 +315,9 @@ func TestPageCacheWriteAbsorption(t *testing.T) {
 	e, s := newSys(t, cfg, 1)
 	var elapsed time.Duration
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
 		t0 := p.Now()
-		s.Write(p, 0, "/p/gpfs1/f", 0, MiB)
+		f.Write(p, 0, MiB)
 		elapsed = p.Now() - t0
 	})
 	e.Run()
@@ -294,10 +335,10 @@ func TestPageCacheReadAfterWriteHit(t *testing.T) {
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		s.Write(p, 0, "/p/gpfs1/f", 0, MiB)
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
+		f.Write(p, 0, MiB)
 		t0 := p.Now()
-		s.Read(p, 0, "/p/gpfs1/f", 0, MiB)
+		f.Read(p, 0, MiB)
 		hitTime := p.Now() - t0
 		direct := cfg.PFSDataLatency + bwTime(MiB, cfg.PFSServerBW)
 		if hitTime >= direct {
@@ -315,12 +356,12 @@ func TestPageCacheMissOnOtherNode(t *testing.T) {
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 2)
 	e.Spawn("writer", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		s.Write(p, 0, "/p/gpfs1/f", 0, MiB)
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
+		f.Write(p, 0, MiB)
 	})
 	e.Spawn("reader", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		s.Read(p, 1, "/p/gpfs1/f", 0, MiB) // different node: must miss
+		s.Resolve(1, "/p/gpfs1/f").Read(p, 0, MiB) // different node: must miss
 	})
 	e.Run()
 	if s.Stats[TargetPFS].CacheMisses == 0 {
@@ -334,10 +375,10 @@ func TestPageCacheOverflowWritesThrough(t *testing.T) {
 	cfg.CacheCapacity = 2 * MiB
 	e, s := newSys(t, cfg, 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
 		// 4MiB of writes against a 2MiB cache: some must write through.
 		for i := int64(0); i < 4; i++ {
-			s.Write(p, 0, "/p/gpfs1/f", i*MiB, MiB)
+			f.Write(p, i*MiB, MiB)
 		}
 	})
 	e.Run()
@@ -352,10 +393,10 @@ func TestSyncWaitsForDrain(t *testing.T) {
 	e, s := newSys(t, cfg, 1)
 	var syncEnd time.Duration
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		s.Write(p, 0, "/p/gpfs1/f", 0, 64*MiB) // absorbed, drains in background
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
+		f.Write(p, 0, 64*MiB) // absorbed, drains in background
 		beforeSync := p.Now()
-		s.Sync(p, 0, "/p/gpfs1/f")
+		f.Sync(p)
 		syncEnd = p.Now()
 		if syncEnd <= beforeSync {
 			t.Error("sync with dirty data returned instantly")
@@ -367,9 +408,10 @@ func TestSyncWaitsForDrain(t *testing.T) {
 func TestSeekIsNearFree(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
+		f := s.Resolve(0, "/p/gpfs1/f")
 		t0 := p.Now()
 		for i := 0; i < 100; i++ {
-			s.Seek(p, 0, "/p/gpfs1/f")
+			f.Seek(p)
 		}
 		if d := p.Now() - t0; d > time.Millisecond {
 			t.Errorf("100 seeks took %v, want client-side cost", d)
@@ -381,8 +423,8 @@ func TestSeekIsNearFree(t *testing.T) {
 func TestStatReportsSize(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/f", true)
-		s.Write(p, 0, "/p/gpfs1/f", 0, 3*MiB)
+		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
+		f.Write(p, 0, 3*MiB)
 		sz, err := s.Stat(p, 0, "/p/gpfs1/f")
 		if err != nil || sz != 3*MiB {
 			t.Errorf("Stat = %d,%v", sz, err)
@@ -400,9 +442,9 @@ func TestJitterKeepsDeterminism(t *testing.T) {
 		e := sim.NewEngine()
 		s := New(e, cfg, 1, sim.NewRNG(99))
 		e.Spawn("p", func(p *sim.Proc) {
-			s.Open(p, 0, "/p/gpfs1/f", true)
+			f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
 			for i := int64(0); i < 50; i++ {
-				s.Write(p, 0, "/p/gpfs1/f", i*MiB, MiB)
+				f.Write(p, i*MiB, MiB)
 			}
 		})
 		return e.Run()
@@ -420,10 +462,10 @@ func TestFileSizeMaxExtentProperty(t *testing.T) {
 		var want int64
 		ok := true
 		e.Spawn("p", func(p *sim.Proc) {
-			s.Open(p, 0, "/p/gpfs1/f", true)
+			f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
 			for _, o := range offsets {
 				off := int64(o) * 64
-				if err := s.Write(p, 0, "/p/gpfs1/f", off, 64); err != nil {
+				if err := f.Write(p, off, 64); err != nil {
 					ok = false
 					return
 				}
@@ -453,11 +495,11 @@ func TestByteAccountingProperty(t *testing.T) {
 		}
 		var want int64
 		e.Spawn("p", func(p *sim.Proc) {
-			s.Open(p, 0, path, true)
+			f, _ := s.Open(p, 0, path, true)
 			var off int64
 			for _, sz := range sizes {
 				n := int64(sz) + 1
-				s.Write(p, 0, path, off, n)
+				f.Write(p, off, n)
 				off += n
 				want += n
 			}
@@ -503,7 +545,7 @@ func TestMaterializeStagesDatasetInstantly(t *testing.T) {
 	s.Materialize(0, "/p/gpfs1/input.fits", 22*MiB)
 	s.Materialize(1, "/dev/shm/local", MiB)
 	e.Spawn("p", func(p *sim.Proc) {
-		if err := s.Read(p, 1, "/p/gpfs1/input.fits", 0, 22*MiB); err != nil {
+		if err := s.Resolve(1, "/p/gpfs1/input.fits").Read(p, 0, 22*MiB); err != nil {
 			t.Errorf("read of materialized file: %v", err)
 		}
 		_, onOwn := s.FileSize(1, "/dev/shm/local")
@@ -535,12 +577,12 @@ func TestCacheBypassForCrossNodeSharedFiles(t *testing.T) {
 	})
 	e.Spawn("leader1", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		s.Open(p, 1, "/p/gpfs1/step", false)
+		f, _ := s.Open(p, 1, "/p/gpfs1/step", false)
 		p.Sleep(time.Millisecond)
 		// File now opened by two nodes: GPFS-like token management
 		// disables client caching, so this write pays full PFS cost.
 		hits := s.Stats[TargetPFS].CacheHits
-		s.Write(p, 1, "/p/gpfs1/step", 0, MiB)
+		f.Write(p, 0, MiB)
 		if s.Stats[TargetPFS].CacheHits != hits {
 			t.Error("write to cross-node shared file used the cache")
 		}
@@ -553,8 +595,8 @@ func TestCacheStillUsedForNodePrivateFiles(t *testing.T) {
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 2)
 	e.Spawn("p", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/private", true)
-		s.Write(p, 0, "/p/gpfs1/private", 0, MiB)
+		f, _ := s.Open(p, 0, "/p/gpfs1/private", true)
+		f.Write(p, 0, MiB)
 		if s.Stats[TargetPFS].CacheHits == 0 {
 			t.Error("node-private file bypassed the cache")
 		}
@@ -572,18 +614,20 @@ func TestSharedBurstBufferTarget(t *testing.T) {
 		t.Fatal("shared BB path not routed")
 	}
 	e.Spawn("writer", func(p *sim.Proc) {
-		if err := s.Open(p, 0, "/var/opt/cray/dws/ckpt", true); err != nil {
+		f, err := s.Open(p, 0, "/var/opt/cray/dws/ckpt", true)
+		if err != nil {
 			t.Errorf("open: %v", err)
+			return
 		}
-		if err := s.Write(p, 0, "/var/opt/cray/dws/ckpt", 0, 64*MiB); err != nil {
+		if err := f.Write(p, 0, 64*MiB); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		s.Close(p, 0, "/var/opt/cray/dws/ckpt")
+		f.Close(p)
 	})
 	e.Spawn("reader-other-node", func(p *sim.Proc) {
 		p.Sleep(time.Second)
 		// Shared namespace: another node sees the file (unlike /dev/shm).
-		if err := s.Read(p, 3, "/var/opt/cray/dws/ckpt", 0, 64*MiB); err != nil {
+		if err := s.Resolve(3, "/var/opt/cray/dws/ckpt").Read(p, 0, 64*MiB); err != nil {
 			t.Errorf("cross-node BB read: %v", err)
 		}
 	})
@@ -604,11 +648,11 @@ func TestSharedBBFasterThanPFSForSmallOps(t *testing.T) {
 		e := sim.NewEngine()
 		s := New(e, cfg, 1, sim.NewRNG(1))
 		e.Spawn("p", func(p *sim.Proc) {
-			s.Open(p, 0, path, true)
+			f, _ := s.Open(p, 0, path, true)
 			for i := int64(0); i < 200; i++ {
-				s.Write(p, 0, path, i*64*KiB, 64*KiB)
+				f.Write(p, i*64*KiB, 64*KiB)
 			}
-			s.Close(p, 0, path)
+			f.Close(p)
 		})
 		return e.Run()
 	}

@@ -7,6 +7,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"vani/internal/replay"
 	"vani/internal/spec"
 	"vani/internal/storage"
+	"vani/internal/trace"
 	"vani/internal/workloads"
 )
 
@@ -99,117 +101,223 @@ type Options struct {
 	// Storage overrides every point's storage configuration (nil keeps
 	// the workload default).
 	Storage *storage.Config
-	// Parallelism bounds concurrent points (0 = min(NumCPU, 4)). The
-	// report does not depend on it.
+	// Parallelism bounds how many simulations run at once — grid points
+	// and stripe trials together (0 = min(NumCPU, 4)). The report does
+	// not depend on it.
 	Parallelism int
 	// OnPoint, when set, is called after each point completes.
 	OnPoint func(done, total int)
 }
 
+// trialStripes are the PFS stripe sizes the stripe trials replay the
+// baseline under.
+var trialStripes = []int64{storage.MiB, 4 * storage.MiB, 16 * storage.MiB}
+
 // Run expands the grid, simulates every point, and reduces the outcomes
 // into the comparative report. Point 0 — the first value of every axis —
 // is the baseline speedups are measured against.
 func (sw *Sweep) Run(opt Options) (*Report, error) {
+	return sw.RunContext(context.Background(), opt)
+}
+
+// RunContext is Run that stops at task boundaries when ctx is done: no
+// point or trial starts after that, the ones running finish, and the
+// sweep returns ctx.Err().
+//
+// Points and stripe trials are tasks of one pool of Parallelism workers.
+// The points queue in index order; when point 0 completes, its trace is
+// planned for replay once and the trials go to the head of the queue, so
+// they overlap the remaining points instead of waiting for the whole grid.
+func (sw *Sweep) RunContext(ctx context.Context, opt Options) (*Report, error) {
 	total := sw.NumPoints()
 	par := opt.Parallelism
 	if par <= 0 {
-		par = runtime.NumCPU()
-		if par > 4 {
-			par = 4
-		}
+		par = min(runtime.NumCPU(), 4)
 	}
-	if par > total {
-		par = total
-	}
+	par = min(par, total+len(trialStripes))
 
 	type outcome struct {
-		res  *workloads.Result
-		char *core.Characterization
-		err  error
+		runtime, ioTime time.Duration
+		err             error
 	}
-	outs := make([]outcome, total)
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
+		outs      = make([]outcome, total)
+		base      workloads.Spec // point 0's
+		baseChar  *core.Characterization
+		trials    []replay.TrialResult
+		trialErrs []error
+		pl        = &pool{feeders: 1} // point 0 queues the trials
+		mu        sync.Mutex
+		done      int
 	)
-	sem := make(chan struct{}, par)
-	for i := range outs {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			res, char, err := sw.runPoint(i, opt.Storage)
-			outs[i] = outcome{res: res, char: char, err: err}
-			if opt.OnPoint != nil {
-				mu.Lock()
-				done++
-				opt.OnPoint(done, total)
-				mu.Unlock()
+	point := func(i int) error {
+		res, char, err := sw.runPoint(i, opt.Storage)
+		if err == nil {
+			outs[i].runtime, outs[i].ioTime = res.Runtime, char.Workflow.IOTime
+		}
+		if i == 0 {
+			var tasks []func() error
+			if err == nil {
+				base, baseChar = res.Spec, char
+				trials, trialErrs, tasks = sw.trialTasks(res.Trace, base.Storage)
 			}
-		}()
+			pl.feed(tasks)
+		}
+		outs[i].err = err
+		if opt.OnPoint != nil {
+			mu.Lock()
+			done++
+			opt.OnPoint(done, total)
+			mu.Unlock()
+		}
+		return err
 	}
-	wg.Wait()
+	for i := 0; i < total; i++ {
+		pl.queue = append(pl.queue, func() error { return point(i) })
+	}
+	if err := pl.run(ctx, par); err != nil && err == ctx.Err() {
+		return nil, err
+	}
 	for i, o := range outs {
 		if o.err != nil {
 			return nil, fmt.Errorf("sweep %s: point %d: %w", sw.Name, i, o.err)
 		}
 	}
+	for _, err := range trialErrs {
+		if err != nil {
+			return nil, fmt.Errorf("sweep %s: stripe trials: %w", sw.Name, err)
+		}
+	}
 
 	rep := &Report{
-		Name:     sw.Name,
-		Workload: sw.WorkloadName(),
-		Seed:     sw.Base.Seed,
+		Name:         sw.Name,
+		Workload:     sw.WorkloadName(),
+		Nodes:        base.Nodes,
+		RanksPerNode: base.RanksPerNode,
+		Scale:        base.Scale,
+		Seed:         sw.Base.Seed,
 	}
-	rep.Nodes = outs[0].res.Spec.Nodes
-	rep.RanksPerNode = outs[0].res.Spec.RanksPerNode
-	rep.Scale = outs[0].res.Spec.Scale
 	winner := 0
 	for i, o := range outs {
 		rep.Points = append(rep.Points, Point{
 			Index:   i,
 			Config:  sw.Settings(i),
-			Runtime: o.res.Runtime,
-			IOTime:  o.char.Workflow.IOTime,
+			Runtime: o.runtime,
+			IOTime:  o.ioTime,
 		})
-		if o.char.Workflow.IOTime < outs[winner].char.Workflow.IOTime {
+		if o.ioTime < outs[winner].ioTime {
 			winner = i
 		}
 	}
-	base := rep.Points[0]
+	bp := rep.Points[0]
 	win := rep.Points[winner]
 	rep.Winner = Winner{
 		Index:          winner,
 		Config:         win.Config,
 		Runtime:        win.Runtime,
 		IOTime:         win.IOTime,
-		IOSpeedup:      speedup(base.IOTime, win.IOTime),
-		RuntimeSpeedup: speedup(base.Runtime, win.Runtime),
+		IOSpeedup:      speedup(bp.IOTime, win.IOTime),
+		RuntimeSpeedup: speedup(bp.Runtime, win.Runtime),
 	}
-	for _, r := range advisor.Advise(outs[0].char) {
+	for _, r := range advisor.Advise(baseChar) {
 		rep.Recommendations = append(rep.Recommendations, Recommendation{
 			ID: r.ID, Parameter: r.Parameter, Value: r.Value, Rationale: r.Rationale,
 		})
 	}
-	baseCfg := outs[0].res.Spec.Storage
-	ropt := replay.DefaultOptions()
-	ropt.Storage = baseCfg
-	ropt.Seed = sw.Base.Seed
-	trials, err := replay.Tune(outs[0].res.Trace,
-		replay.StripeSweep(baseCfg, storage.MiB, 4*storage.MiB, 16*storage.MiB), ropt)
-	if err != nil {
-		return nil, fmt.Errorf("sweep %s: stripe trials: %w", sw.Name, err)
-	}
+	replay.SortTrials(trials)
 	for _, t := range trials {
 		rep.StripeTrials = append(rep.StripeTrials, Trial{
 			Name: t.Candidate.Name, Runtime: t.Runtime, IOTime: t.IOTime,
 		})
 	}
 	return rep, nil
+}
+
+// trialTasks plans the baseline trace for replay and returns one task per
+// stripe candidate around the baseline's storage, each replaying the plan
+// into its slot of results and errs.
+func (sw *Sweep) trialTasks(tr *trace.Trace, baseCfg storage.Config) (results []replay.TrialResult, errs []error, tasks []func() error) {
+	plan, err := replay.NewPlan(tr)
+	if err != nil {
+		return nil, []error{err}, nil
+	}
+	ropt := replay.DefaultOptions()
+	ropt.Storage = baseCfg
+	ropt.Seed = sw.Base.Seed
+	cands := replay.StripeSweep(baseCfg, trialStripes...)
+	results = make([]replay.TrialResult, len(cands))
+	errs = make([]error, len(cands))
+	for i, c := range cands {
+		tasks = append(tasks, func() error {
+			results[i], errs[i] = plan.Trial(c, ropt)
+			return errs[i]
+		})
+	}
+	return results, errs, tasks
+}
+
+// pool runs a sweep's tasks on a fixed number of workers. A feeder task
+// may queue more tasks when it completes (point 0 queues the stripe
+// trials); a worker that finds the queue empty while a feeder is pending
+// waits for it, running nothing. No task starts once one has failed or
+// ctx is done.
+type pool struct {
+	mu      sync.Mutex
+	wake    sync.Cond
+	queue   []func() error
+	feeders int   // feeder tasks that have not fed yet
+	err     error // the first task error, or ctx.Err()
+}
+
+// run works the queue on workers goroutines until it is drained or
+// stopped, and returns why it stopped (nil when drained).
+func (pl *pool) run(ctx context.Context, workers int) error {
+	pl.wake.L = &pl.mu
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			pl.work(ctx)
+		}()
+	}
+	wg.Wait()
+	return pl.err
+}
+
+func (pl *pool) work(ctx context.Context) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for {
+		for len(pl.queue) == 0 && pl.feeders > 0 && pl.err == nil {
+			pl.wake.Wait()
+		}
+		if pl.err == nil && len(pl.queue) > 0 {
+			pl.err = ctx.Err()
+		}
+		if pl.err != nil || len(pl.queue) == 0 {
+			pl.wake.Broadcast()
+			return
+		}
+		task := pl.queue[0]
+		pl.queue = pl.queue[1:]
+		pl.mu.Unlock()
+		err := task()
+		pl.mu.Lock()
+		if err != nil && pl.err == nil {
+			pl.err = err
+		}
+	}
+}
+
+// feed puts tasks at the head of the queue. Each feeder calls it exactly
+// once, with nothing when it has nothing to add.
+func (pl *pool) feed(tasks []func() error) {
+	pl.mu.Lock()
+	pl.queue = append(tasks, pl.queue...)
+	pl.feeders--
+	pl.wake.Broadcast()
+	pl.mu.Unlock()
 }
 
 // runPoint simulates one grid point and characterizes its trace.

@@ -3,7 +3,10 @@ package trace
 import (
 	"math/bits"
 	"sync"
+	"time"
 	"unsafe"
+
+	"vani/internal/parallel"
 )
 
 // The tracer's event log. Record appends every event, whatever rank issued
@@ -120,73 +123,144 @@ var _ [unsafe.Sizeof(Event{}) - 2*unsafe.Sizeof(sortKey{})]struct{}
 // digitsFor returns how many digits an offset in [0, span] needs.
 func digitsFor(span uint64) int { return (bits.Len64(span) + digitBits - 1) / digitBits }
 
+// Sizes of an event and a sort key, for the in-place gather.
+const (
+	eventSize = int(unsafe.Sizeof(Event{}))
+	keySize   = int(unsafe.Sizeof(sortKey{}))
+)
+
+// minSortShard is the fewest events Finish gives a sort worker. The passes
+// are bound by memory, not arithmetic, so a second worker gains little,
+// and below this share it did not pay for itself next to the collector
+// and the caller's other goroutines.
+const minSortShard = 1 << 15
+
+// sortWorkers is how many workers Finish sorts an n-event log on.
+func sortWorkers(n int) int { return max(1, min(parallel.Degree(0), n/minSortShard)) }
+
+// sortShard is one worker's share of a sort: a contiguous range of the
+// keys, the least and greatest Start and Rank it saw there, and one
+// histogram per digit of its range.
+type sortShard struct {
+	minS, maxS time.Duration
+	minR, maxR int32
+	hist       [rankDigits + startDigits][digitVals]uint32
+}
+
 // sorted returns the log as a stable sort by (Start, Rank, End) in a fresh
-// slice. It is an LSD radix sort: a counting pass per rank digit, then per
-// start digit, each stable, skipping any digit every key shares. Equal
-// (Start, Rank) keys then sit together in record order, and an insertion
-// sort by End inside each such run finishes the order.
+// slice, on the given number of workers. It is an LSD radix sort: a
+// counting pass per rank digit, then per start digit, each stable,
+// skipping any digit every key shares. Equal (Start, Rank) keys then sit
+// together in record order, and an insertion sort by End inside each such
+// run finishes the order.
 //
-// The sort allocates nothing but its result. The two key buffers are the
-// first and second n keys of the result's memory, and the keys end up in
-// the first, then a gather from the last event down replaces them with the
-// events: writing event i overwrites only keys at index i or above, which
-// it has already read.
-func (l *eventLog) sorted() []Event {
+// Each worker owns a contiguous range of the keys: it finds its range's
+// bounds, builds its keys with a histogram of every digit, and in each
+// pass scatters its range to offsets laid out bucket by bucket, worker by
+// worker, so the pass stays stable. Its histograms count its range of the
+// current order, so after the first pass a worker recounts the digit of
+// each pass before it scatters — unless it is the only worker. The End
+// fix-up runs on the caller.
+//
+// The sort allocates nothing but its result and the workers' histograms.
+// The two key buffers are the first and second n keys of the result's
+// memory, and the keys end up in the first. A gather from the top down
+// then replaces them with the events: event i's memory starts at key
+// i*eventSize/keySize, so writing it overwrites only keys that are already
+// read, and the events [lo, hi) whose memory lies wholly above key hi can
+// be gathered by all workers at once.
+func (l *eventLog) sorted(workers int) []Event {
 	n := l.len()
 	out := make([]Event, n)
 	if n == 0 {
 		return out
 	}
-	first := &l.chunks[0][0]
-	minS, maxS, minR, maxR := first.Start, first.Start, first.Rank, first.Rank
-	for c := range l.chunks {
-		evs := l.events(c)
-		for i := range evs {
-			ev := &evs[i]
-			minS, maxS = min(minS, ev.Start), max(maxS, ev.Start)
-			minR, maxR = min(minR, ev.Rank), max(maxR, ev.Rank)
+	w := max(1, min(workers, n))
+	shards := make([]sortShard, w)
+	each := func(fn func(s *sortShard, lo, hi int)) {
+		parallel.ForEach(w, w, func(i int) { fn(&shards[i], i*n/w, (i+1)*n/w) })
+	}
+
+	each(func(s *sortShard, lo, hi int) {
+		first := l.at(uint32(lo))
+		minS, maxS, minR, maxR := first.Start, first.Start, first.Rank, first.Rank
+		for idx := lo; idx < hi; {
+			evs := l.run(idx, hi)
+			for i := range evs {
+				ev := &evs[i]
+				minS, maxS = min(minS, ev.Start), max(maxS, ev.Start)
+				minR, maxR = min(minR, ev.Rank), max(maxR, ev.Rank)
+			}
+			idx += len(evs)
 		}
+		s.minS, s.maxS, s.minR, s.maxR = minS, maxS, minR, maxR
+	})
+	minS, maxS, minR, maxR := shards[0].minS, shards[0].maxS, shards[0].minR, shards[0].maxR
+	for _, s := range shards[1:] {
+		minS, maxS = min(minS, s.minS), max(maxS, s.maxS)
+		minR, maxR = min(minR, s.minR), max(maxR, s.maxR)
 	}
 	nr := digitsFor(uint64(uint32(maxR) - uint32(minR)))
 	ns := digitsFor(uint64(maxS) - uint64(minS))
 
 	mem := unsafe.Slice((*sortKey)(unsafe.Pointer(unsafe.SliceData(out))), 2*n)
 	keys := mem[:n]
-	var counts [rankDigits + startDigits][digitVals]uint32
-	rankHist, startHist := counts[:nr], counts[nr:nr+ns]
-	idx := uint32(0)
-	for c := range l.chunks {
-		evs := l.events(c)
-		for i := range evs {
-			k := sortKey{
-				start: uint64(evs[i].Start) - uint64(minS),
-				rank:  uint32(evs[i].Rank) - uint32(minR),
-				idx:   idx,
+	each(func(s *sortShard, lo, hi int) {
+		rankHist, startHist := s.hist[:nr], s.hist[nr:nr+ns]
+		for idx := lo; idx < hi; {
+			evs := l.run(idx, hi)
+			for i := range evs {
+				k := sortKey{
+					start: uint64(evs[i].Start) - uint64(minS),
+					rank:  uint32(evs[i].Rank) - uint32(minR),
+					idx:   uint32(idx + i),
+				}
+				keys[idx+i] = k
+				for d := range rankHist {
+					rankHist[d][k.rank>>(uint(d)*digitBits)%digitVals]++
+				}
+				for d := range startHist {
+					startHist[d][k.start>>(uint(d)*digitBits)%digitVals]++
+				}
 			}
-			keys[idx] = k
-			idx++
-			for d := range rankHist {
-				rankHist[d][k.rank>>(uint(d)*digitBits)%digitVals]++
-			}
-			for d := range startHist {
-				startHist[d][k.start>>(uint(d)*digitBits)%digitVals]++
-			}
+			idx += len(evs)
 		}
-	}
+	})
 
 	src, dst := keys, mem[n:]
-	for d := range rankHist {
-		if radixPass(src, dst, &rankHist[d], true, uint(d)*digitBits) {
-			src, dst = dst, src
+	counted := true // the shards' histograms count their range of src
+	for d := 0; d < nr+ns; d++ {
+		rank, shift := d < nr, uint(d)*digitBits
+		if !rank {
+			shift = uint(d-nr) * digitBits
 		}
-	}
-	for d := range startHist {
-		if radixPass(src, dst, &startHist[d], false, uint(d)*digitBits) {
-			src, dst = dst, src
+		// A digit every key shares moves nothing. The totals over the
+		// shards do not depend on the order, so the key build's do.
+		b0 := src[0].digit(rank, shift)
+		var same uint32
+		for i := range shards {
+			same += shards[i].hist[d][b0]
 		}
+		if same == uint32(n) {
+			continue
+		}
+		if !counted {
+			each(func(s *sortShard, lo, hi int) { countDigit(src[lo:hi], &s.hist[d], rank, shift) })
+		}
+		sum := uint32(0)
+		for b := range digitVals {
+			for i := range shards {
+				c := shards[i].hist[d][b]
+				shards[i].hist[d][b] = sum
+				sum += c
+			}
+		}
+		each(func(s *sortShard, lo, hi int) { scatter(src[lo:hi], dst, &s.hist[d], rank, shift) })
+		src, dst = dst, src
+		counted = w == 1
 	}
 	if &src[0] != &keys[0] {
-		copy(keys, src)
+		each(func(_ *sortShard, lo, hi int) { copy(keys[lo:hi], src[lo:hi]) })
 	}
 
 	for i := 1; i < n; i++ {
@@ -202,28 +276,57 @@ func (l *eventLog) sorted() []Event {
 		keys[j] = k
 	}
 
-	for i := n - 1; i >= 0; i-- {
+	hi := n
+	for w > 1 {
+		lo := (hi*keySize + eventSize - 1) / eventSize
+		if hi-lo < 1024*w {
+			break
+		}
+		parallel.ForEach(w, w, func(i int) {
+			for j := lo + i*(hi-lo)/w; j < lo+(i+1)*(hi-lo)/w; j++ {
+				out[j] = *l.at(keys[j].idx)
+			}
+		})
+		hi = lo
+	}
+	for i := hi - 1; i >= 0; i-- {
 		out[i] = *l.at(keys[i].idx)
 	}
 	return out
 }
 
-// radixPass stably scatters src into dst by the digit of each key's rank
-// (or start) offset at shift, h being that digit's histogram. When every
-// key has the same digit it moves nothing and returns false.
-func radixPass(src, dst []sortKey, h *[digitVals]uint32, rank bool, shift uint) bool {
-	first := src[0].start >> shift % digitVals
+// run returns the events recorded lo-th onwards on lo's chunk, up to the
+// hi-th.
+func (l *eventLog) run(lo, hi int) []Event {
+	c, off := lo/chunkEvents, lo%chunkEvents
+	return l.chunks[c][off : off+min(chunkEvents-off, hi-lo)]
+}
+
+// digit returns the key's rank (or start) offset digit at shift.
+func (k sortKey) digit(rank bool, shift uint) uint64 {
 	if rank {
-		first = uint64(src[0].rank >> shift % digitVals)
+		return uint64(k.rank >> shift % digitVals)
 	}
-	if h[first] == uint32(len(src)) {
-		return false
+	return k.start >> shift % digitVals
+}
+
+// countDigit sets h to the histogram of src's digit at shift.
+func countDigit(src []sortKey, h *[digitVals]uint32, rank bool, shift uint) {
+	clear(h[:])
+	if rank {
+		for _, k := range src {
+			h[k.rank>>shift%digitVals]++
+		}
+	} else {
+		for _, k := range src {
+			h[k.start>>shift%digitVals]++
+		}
 	}
-	sum := uint32(0)
-	for b, c := range h {
-		h[b] = sum
-		sum += c
-	}
+}
+
+// scatter stably moves src into dst by the digit of each key's rank (or
+// start) offset at shift, h holding where each digit's next key goes.
+func scatter(src, dst []sortKey, h *[digitVals]uint32, rank bool, shift uint) {
 	if rank {
 		for _, k := range src {
 			b := k.rank >> shift % digitVals
@@ -237,5 +340,4 @@ func radixPass(src, dst []sortKey, h *[digitVals]uint32, rank bool, shift uint) 
 			h[b]++
 		}
 	}
-	return true
 }

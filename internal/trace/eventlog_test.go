@@ -70,6 +70,35 @@ func finishesToOracle(t testing.TB, tr *Tracer, evs []Event, what string) {
 	}
 }
 
+// sortWorkerCounts are the worker counts the sort is held to the oracle
+// at: serial, and two and three workers over ranges that split evenly or
+// not.
+var sortWorkerCounts = []int{1, 2, 3}
+
+// sortsToOracle records evs into a log and fails unless sorting it on each
+// of sortWorkerCounts workers returns exactly sortByStart's order.
+func sortsToOracle(t testing.TB, evs []Event, what string) {
+	t.Helper()
+	want := slices.Clone(evs)
+	sortByStart(want)
+	for _, w := range sortWorkerCounts {
+		var l eventLog
+		for _, ev := range evs {
+			l.append(ev)
+		}
+		got := l.sorted(w)
+		l.release()
+		if len(got) != len(want) {
+			t.Fatalf("%s, %d workers: sorted %d events, want %d", what, w, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s, %d workers: event %d of %d is %+v, sortByStart puts %+v there", what, w, i, len(want), got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestFinishInterleavingInvariance: two tracers fed the same per-rank
 // streams in different global interleavings must Finish to byte-identical
 // traces.
@@ -163,7 +192,8 @@ func TestFinishRepeatableOverRecycledChunks(t *testing.T) {
 
 // TestFinishMatchesGlobalSort: Finish must produce exactly the canonical
 // sortByStart order of the record sequence, for 1 to 33 ranks of different
-// lengths recorded rank-major, and for 640 ranks recorded round-robin.
+// lengths recorded rank-major, and for 640 ranks recorded round-robin —
+// also when sorting on one, two and three workers.
 func TestFinishMatchesGlobalSort(t *testing.T) {
 	tr := NewTracer()
 	for ranks := 1; ranks <= 33; ranks++ {
@@ -173,8 +203,12 @@ func TestFinishMatchesGlobalSort(t *testing.T) {
 			all = append(all, streams[r][:300-8*r]...)
 		}
 		finishesToOracle(t, tr, all, fmt.Sprintf("%d ranks", ranks))
+		sortsToOracle(t, all, fmt.Sprintf("%d ranks", ranks))
 	}
 	finishesToOracle(t, tr, threeLevelLog(640, 3), "640 ranks")
+	sortsToOracle(t, threeLevelLog(640, 3), "640 ranks")
+	// Long enough that Finish itself sorts on every worker it has.
+	finishesToOracle(t, tr, threeLevelLog(640, 40), "640 ranks, 40 calls")
 }
 
 // shapeLog returns the record sequences the radix sort must survive, by
@@ -263,7 +297,9 @@ func shapeLog() map[string][]Event {
 
 	// Logs that end one event short of, exactly at, and one event past a
 	// chunk boundary, in reverse Start order so every event moves.
-	for _, n := range []int{chunkEvents - 1, chunkEvents, chunkEvents + 1, 2*chunkEvents + 1} {
+	// Lengths 0, 1, 2 and 7 leave sort workers a key or none, and 3001
+	// splits unevenly across two and three.
+	for _, n := range []int{0, 1, 2, 7, chunkEvents - 1, chunkEvents, chunkEvents + 1, 2*chunkEvents + 1, 3001} {
 		var evs []Event
 		for i := 0; i < n; i++ {
 			at := time.Duration(n - i)
@@ -276,13 +312,15 @@ func shapeLog() map[string][]Event {
 
 // TestFinishSortShapes: every shape in shapeLog Finishes to exactly the
 // stable (Start, Rank, End) sort of its record sequence, once on fresh
-// chunks and once on the chunks the first round recycled.
+// chunks and once on the chunks the first round recycled, and sorts to it
+// on one, two and three workers.
 func TestFinishSortShapes(t *testing.T) {
 	tr := NewTracer()
 	for name, evs := range shapeLog() {
 		for round := 0; round < 2; round++ {
 			finishesToOracle(t, tr, evs, fmt.Sprintf("%s, round %d", name, round))
 		}
+		sortsToOracle(t, evs, name)
 	}
 }
 
@@ -313,6 +351,7 @@ func FuzzFinishOrder(f *testing.F) {
 		tr := NewTracer()
 		finishesToOracle(t, tr, evs, "fuzzed log")
 		finishesToOracle(t, tr, evs, "fuzzed log, recycled")
+		sortsToOracle(t, evs, "fuzzed log")
 	})
 }
 

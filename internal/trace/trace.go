@@ -350,7 +350,7 @@ func (t *Tracer) Finish() *Trace {
 		Apps:    append([]string(nil), t.apps...),
 		Files:   append([]FileInfo(nil), t.files...),
 		Samples: append([]DatasetSample(nil), t.samples...),
-		Events:  t.log.sorted(),
+		Events:  t.log.sorted(sortWorkers(t.log.len())),
 	}
 	t.log.release()
 	t.mergeTime = time.Since(begin)

@@ -338,17 +338,18 @@ func ProbeSharedBW(cfg StorageConfig, nodes int) (float64, error) {
 		n := n
 		e.Spawn("ior", func(p *sim.Proc) {
 			path := fmt.Sprintf("%s/ior/out.%04d", cfg.PFSDir, n)
-			if err := sys.Open(p, n, path, true); err != nil {
+			f, err := sys.Open(p, n, path, true)
+			if err != nil {
 				e.Fail(fmt.Errorf("shared-bw probe: open %s: %w", path, err))
 				return
 			}
 			for off := int64(0); off < perNode; off += chunk {
-				if err := sys.Write(p, n, path, off, chunk); err != nil {
+				if err := f.Write(p, off, chunk); err != nil {
 					e.Fail(fmt.Errorf("shared-bw probe: write %s: %w", path, err))
 					return
 				}
 			}
-			sys.Close(p, n, path)
+			f.Close(p)
 		})
 	}
 	elapsed := e.Run()
@@ -371,17 +372,18 @@ func ProbeNodeLocalBW(cfg StorageConfig) (float64, error) {
 	const chunk = 16 * storage.MiB
 	e.Spawn("probe", func(p *sim.Proc) {
 		path := cfg.NodeLocalDir + "/probe"
-		if err := sys.Open(p, 0, path, true); err != nil {
+		f, err := sys.Open(p, 0, path, true)
+		if err != nil {
 			e.Fail(fmt.Errorf("node-local probe: open %s: %w", path, err))
 			return
 		}
 		for off := int64(0); off < total; off += chunk {
-			if err := sys.Write(p, 0, path, off, chunk); err != nil {
+			if err := f.Write(p, off, chunk); err != nil {
 				e.Fail(fmt.Errorf("node-local probe: write %s: %w", path, err))
 				return
 			}
 		}
-		sys.Close(p, 0, path)
+		f.Close(p)
 	})
 	elapsed := e.Run()
 	if err := e.Err(); err != nil {
