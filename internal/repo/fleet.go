@@ -29,10 +29,12 @@ type Query struct {
 	Parallelism int
 }
 
-// CharFunc produces one trace's characterization for the fleet reducer.
+// CharFunc produces one trace's summary for the fleet reducer.
 // Implementations must be deterministic functions of the trace bytes and
-// filter — the fleet report inherits exactly their determinism.
-type CharFunc func(ctx context.Context, h *Handle, f trace.Filter) (*core.Characterization, error)
+// filter — the fleet report inherits exactly their determinism — and may
+// return a summary kept from an earlier characterization of the same bytes
+// under the same filter and storage model instead of scanning again.
+type CharFunc func(ctx context.Context, h *Handle, f trace.Filter) (TraceSummary, error)
 
 // TraceSummary is the mergeable per-trace slice of a characterization:
 // everything content-derived (no upload times, no paths), so the fleet
@@ -92,7 +94,7 @@ type FleetReport struct {
 // single-trace pipeline uses.
 func (fr *FleetReport) YAML() []byte { return yamlenc.Marshal(fr) }
 
-// FleetQuery characterizes every selected trace (fanned across
+// FleetQuery summarizes every selected trace through char (fanned across
 // Parallelism workers) and reduces the per-trace summaries in sha order
 // — the colstore chunk-reduce discipline lifted to trace-level partials,
 // so the YAML is byte-identical at any worker count.
@@ -117,12 +119,7 @@ func (r *Repo) FleetQuery(ctx context.Context, q Query, char CharFunc) (*FleetRe
 	sums := make([]TraceSummary, len(handles))
 	errs := make([]error, len(handles))
 	parallel.ForEach(parallel.Degree(q.Parallelism), len(handles), func(i int) {
-		c, err := char(ctx, handles[i], q.Filter)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sums[i] = summarize(handles[i].SHA(), c)
+		sums[i], errs[i] = char(ctx, handles[i], q.Filter)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -139,7 +136,9 @@ func sanitizeQueryLabel(s string) string {
 	return sanitizeLabel(s)
 }
 
-func summarize(sha string, c *core.Characterization) TraceSummary {
+// Summarize takes the fleet reducer's slice of one trace's
+// characterization; sha is the trace's content hash.
+func Summarize(sha string, c *core.Characterization) TraceSummary {
 	ifaces := make(map[string]bool)
 	for _, a := range c.Apps {
 		if a.Interface != "" {
@@ -237,13 +236,18 @@ func (h *Handle) Characterize(ctx context.Context, opt core.Options) (*core.Char
 }
 
 // DefaultCharacterizer builds the standard CharFunc: the CLI pipeline
-// with the given storage model and per-trace analyzer parallelism.
+// with the given storage model and per-trace analyzer parallelism, run on
+// every call.
 func DefaultCharacterizer(cfg *storage.Config, par int) CharFunc {
-	return func(ctx context.Context, h *Handle, f trace.Filter) (*core.Characterization, error) {
+	return func(ctx context.Context, h *Handle, f trace.Filter) (TraceSummary, error) {
 		opt := core.DefaultOptions()
 		opt.Storage = cfg.Clone() // private copy per concurrent scan
 		opt.Filter = f
 		opt.Parallelism = par
-		return h.Characterize(ctx, opt)
+		c, err := h.Characterize(ctx, opt)
+		if err != nil {
+			return TraceSummary{}, err
+		}
+		return Summarize(h.SHA(), c), nil
 	}
 }

@@ -259,7 +259,8 @@ func readWorkloadLabel(path string) (string, error) {
 
 // Add stores the trace read from src, content-addressed by SHA-256.
 // Returns the hash and whether the trace was already present. Bytes that
-// do not decode as a trace header yield ErrNotTrace.
+// do not decode as a trace header yield ErrNotTrace; bytes already stored
+// are neither synced nor parsed again.
 func (r *Repo) Add(src io.Reader) (sha string, existed bool, err error) {
 	if r.opt.ReadOnly {
 		return "", false, ErrReadOnly
@@ -280,13 +281,23 @@ func (r *Repo) Add(src io.Reader) (sha string, existed bool, err error) {
 	if err != nil {
 		return "", false, fmt.Errorf("repo: spooling upload: %w", err)
 	}
+	sha = hex.EncodeToString(h.Sum(nil))
+	// A stored duplicate is already durable and already validated: skip
+	// the fsync and the header parse.
+	r.mu.Lock()
+	_, dup := r.entries[sha]
+	r.mu.Unlock()
+	if dup {
+		tmpf.Close()
+		os.Remove(tmp)
+		return sha, true, nil
+	}
 	if err = tmpf.Sync(); err != nil {
 		return "", false, fmt.Errorf("repo: %w", err)
 	}
 	if err = tmpf.Close(); err != nil {
 		return "", false, fmt.Errorf("repo: %w", err)
 	}
-	sha = hex.EncodeToString(h.Sum(nil))
 
 	workload, werr := readWorkloadLabel(tmp)
 	if werr != nil {

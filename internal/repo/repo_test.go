@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,8 +240,19 @@ func TestRescanAdoptsShardFiles(t *testing.T) {
 	}
 }
 
-// TestAddDedupAndRejection: identical bytes dedupe to one entry; garbage
-// is rejected with ErrNotTrace and leaves no residue in tmp/.
+// manifestAdds counts the add records in the manifest log.
+func manifestAdds(t *testing.T, dir string) int {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(b, []byte(`"op":"add"`))
+}
+
+// TestAddDedupAndRejection: identical bytes dedupe to one entry without a
+// second manifest record or tmp/ residue; garbage is rejected with
+// ErrNotTrace and leaves no residue in tmp/ either.
 func TestAddDedupAndRejection(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir, Options{})
@@ -261,12 +273,68 @@ func TestAddDedupAndRejection(t *testing.T) {
 	if st := r.Stats(); st.Files != 1 {
 		t.Fatalf("Files = %d after dedup, want 1", st.Files)
 	}
+	if n := manifestAdds(t, dir); n != 1 {
+		t.Fatalf("manifest holds %d add records after a duplicate Add, want 1", n)
+	}
+	if left, _ := os.ReadDir(filepath.Join(dir, "tmp")); len(left) != 0 {
+		t.Errorf("duplicate upload left tmp residue: %v", left)
+	}
 
 	if _, _, err := r.Add(bytes.NewReader([]byte("not a trace at all"))); !errors.Is(err, ErrNotTrace) {
 		t.Fatalf("garbage Add error = %v, want ErrNotTrace", err)
 	}
 	if left, _ := os.ReadDir(filepath.Join(dir, "tmp")); len(left) != 0 {
 		t.Errorf("rejected upload left tmp residue: %v", left)
+	}
+}
+
+// TestAddConcurrentSameTrace: concurrent Adds of one new trace store it
+// once; exactly one of them reports it new.
+func TestAddConcurrentSameTrace(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	b := traceBytes(t, "hacc", 500)
+	const n = 8
+	shas := make([]string, n)
+	existed := make([]bool, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shas[i], existed[i], errs[i] = r.Add(bytes.NewReader(b))
+		}()
+	}
+	wg.Wait()
+	fresh := 0
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("Add %d: %v", i, errs[i])
+		}
+		if shas[i] != shas[0] {
+			t.Fatalf("Add %d hashed to %s, Add 0 to %s", i, shas[i], shas[0])
+		}
+		if !existed[i] {
+			fresh++
+		}
+	}
+	if fresh != 1 {
+		t.Errorf("%d Adds reported the trace new, want 1", fresh)
+	}
+	if st := r.Stats(); st.Files != 1 {
+		t.Errorf("Files = %d, want 1", st.Files)
+	}
+	if n := manifestAdds(t, dir); n != 1 {
+		t.Errorf("manifest holds %d add records, want 1", n)
+	}
+	if left, _ := os.ReadDir(filepath.Join(dir, "tmp")); len(left) != 0 {
+		t.Errorf("concurrent uploads left tmp residue: %v", left)
 	}
 }
 

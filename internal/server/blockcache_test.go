@@ -103,7 +103,7 @@ func TestBlockCacheZeroRedecode(t *testing.T) {
 			t.Fatalf("scan %d: different specs share a report id", scan+1)
 		}
 		seen[st.ReportID] = true
-		if final := pollJob(t, ts, st.ID); final.Status != string(jobDone) {
+		if final := pollJob(t, s, ts, st.ID); final.Status != string(jobDone) {
 			t.Fatalf("scan %d: job failed: %+v", scan+1, final)
 		}
 		m := getMetrics(t, ts)
@@ -178,7 +178,7 @@ func TestNonDefaultGeometryUploadMatchesCLI(t *testing.T) {
 		if code != 202 {
 			t.Fatalf("upload %q: status %d", q.query, code)
 		}
-		if final := pollJob(t, ts, st.ID); final.Status != string(jobDone) {
+		if final := pollJob(t, s, ts, st.ID); final.Status != string(jobDone) {
 			t.Fatalf("upload %q: job failed: %+v", q.query, final)
 		}
 		code, got, _ := getReport(t, ts, st.ReportID, "")
@@ -213,7 +213,7 @@ func TestBlockCacheDisabled(t *testing.T) {
 	if code != 202 {
 		t.Fatalf("upload: status %d", code)
 	}
-	if final := pollJob(t, ts, st.ID); final.Status != string(jobDone) {
+	if final := pollJob(t, s, ts, st.ID); final.Status != string(jobDone) {
 		t.Fatalf("job failed: %+v", final)
 	}
 	m := getMetrics(t, ts)
@@ -351,7 +351,7 @@ func TestOneShotTracesHoldNoMemo(t *testing.T) {
 		if code != 202 {
 			t.Fatalf("upload %d: status %d", i, code)
 		}
-		if final := pollJob(t, ts, st.ID); final.Status != string(jobDone) {
+		if final := pollJob(t, s, ts, st.ID); final.Status != string(jobDone) {
 			t.Fatalf("upload %d: job failed: %+v", i, final)
 		}
 	}
@@ -371,7 +371,7 @@ func TestOneShotTracesHoldNoMemo(t *testing.T) {
 	if code != 202 {
 		t.Fatalf("second-scan upload: status %d", code)
 	}
-	if final := pollJob(t, ts, st.ID); final.Status != string(jobDone) {
+	if final := pollJob(t, s, ts, st.ID); final.Status != string(jobDone) {
 		t.Fatalf("second-scan job failed: %+v", final)
 	}
 	sum := sha256.Sum256(bodies[1])

@@ -5,8 +5,8 @@ package server
 // filter spec — so two uploads of the same log with the same spec map to
 // the same entry no matter which client sent them or when. Entries hold the
 // rendered YAML artifact (the byte-identity contract surface shared with
-// cmd/vani) and its JSON rendering; eviction is plain LRU bounded by entry
-// count.
+// cmd/vani), its JSON rendering and the trace's fleet summary; eviction is
+// plain LRU bounded by entry count.
 
 import (
 	"container/list"
@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"vani/internal/repo"
 	"vani/internal/trace"
 )
 
@@ -58,10 +59,13 @@ func reportID(traceSHA string, f trace.Filter) string {
 }
 
 // report is one cached characterization, pre-rendered in both formats.
+// Summary is the trace's fleet summary, taken from the same
+// characterization as the renderings; nil for a sweep report.
 type report struct {
-	ID   string
-	YAML []byte
-	JSON []byte
+	ID      string
+	YAML    []byte
+	JSON    []byte
+	Summary *repo.TraceSummary
 }
 
 // reportCache is an LRU over content-addressed reports.

@@ -124,6 +124,8 @@ func (s *Server) runJob(j *job) {
 // characterize runs the analyzer over the stored trace exactly the way
 // cmd/vani does — same default storage model, same filter pushdown, same
 // YAML renderer — so the served artifact is byte-identical to the CLI's.
+// The report also keeps the trace's fleet summary, which later fleet
+// queries under the same filter read instead of scanning.
 // Traces route through the shared decoded-block cache: from a trace's
 // third scan on, queries (any filter spec) perform zero block decodes.
 func (s *Server) characterize(ctx context.Context, h *repo.Handle, f trace.Filter, id string) (*report, colstore.ScanCounters, error) {
@@ -143,7 +145,8 @@ func (s *Server) characterize(ctx context.Context, h *repo.Handle, f trace.Filte
 		return nil, colstore.ScanCounters{}, fmt.Errorf("encoding report: %w", err)
 	}
 	js = append(js, '\n')
-	return &report{ID: id, YAML: vani.ToYAML(c), JSON: js}, timings.Scan, nil
+	sum := repo.Summarize(h.SHA(), c)
+	return &report{ID: id, YAML: vani.ToYAML(c), JSON: js, Summary: &sum}, timings.Scan, nil
 }
 
 // analyze picks the read path: block-cached when the cache is on, else the

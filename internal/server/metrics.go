@@ -68,6 +68,11 @@ type Metrics struct {
 	BlockCacheMisses    atomic.Int64
 	BlockCacheBytes     atomic.Int64
 	BlockCacheMemoBytes atomic.Int64
+
+	// Fleet queries, once per trace per query: summaries read from a cached
+	// report vs traces the analyzer scanned.
+	FleetTracesCached  atomic.Int64
+	FleetTracesScanned atomic.Int64
 }
 
 // AddScan folds one job's scan counters into the totals.
@@ -132,6 +137,9 @@ type MetricsSnapshot struct {
 	BlockCacheBytes     int64 `json:"block_cache_bytes"`
 	BlockCacheMemoBytes int64 `json:"block_cache_memo_bytes"`
 
+	FleetTracesCached  int64 `json:"fleet_traces_cached"`
+	FleetTracesScanned int64 `json:"fleet_traces_scanned"`
+
 	// Trace-repository gauges (zero when vanid runs without -data-dir).
 	// Snapshot cannot read them from atomics — they are filesystem state —
 	// so handleMetrics fills them from repo.Stats at serve time.
@@ -182,6 +190,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		BlockCacheMisses:    m.BlockCacheMisses.Load(),
 		BlockCacheBytes:     m.BlockCacheBytes.Load(),
 		BlockCacheMemoBytes: m.BlockCacheMemoBytes.Load(),
+
+		FleetTracesCached:  m.FleetTracesCached.Load(),
+		FleetTracesScanned: m.FleetTracesScanned.Load(),
 	}
 }
 

@@ -44,7 +44,7 @@ func TestDataDirModeSurvivesRestartAndCompaction(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("upload: status %d, want 202", code)
 		}
-		if final := pollJob(t, ts, st.ID); final.Status != string(jobDone) {
+		if final := pollJob(t, s, ts, st.ID); final.Status != string(jobDone) {
 			t.Fatalf("job failed: %s", final.Error)
 		}
 	}

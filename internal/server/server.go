@@ -483,18 +483,31 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	w.Write(rep.YAML()) //nolint:errcheck // best-effort response body
 }
 
-// fleetChar characterizes one repository trace for a fleet query through
-// the shared decoded-block cache, where each trace's visit counts as one
-// more scan of it: a trace already scanned twice decodes zero blocks here.
-// Per-trace analyzer parallelism stays 1 — the fleet query already fans
-// out across traces.
+// fleetChar summarizes one repository trace for a fleet query. A report
+// cached under the same trace and filter already holds the summary, so a
+// hit scans nothing: the report ID is the trace hash plus the canonical
+// filter, the storage model is server-wide, and a characterization is
+// byte-identical at any parallelism, so the cached summary equals a scan's.
+// A miss scans through the shared decoded-block cache at per-trace
+// parallelism 1 (the query already fans out across traces) and does not
+// insert: a fleet over many traces must not flush the hot reports out of
+// the LRU, and a summary alone needs no YAML or JSON render.
 func (s *Server) fleetChar() repo.CharFunc {
-	return func(ctx context.Context, h *repo.Handle, f trace.Filter) (*vani.Characterization, error) {
+	return func(ctx context.Context, h *repo.Handle, f trace.Filter) (repo.TraceSummary, error) {
+		if rep, ok := s.cache.Get(reportID(h.SHA(), f)); ok && rep.Summary != nil {
+			s.metrics.FleetTracesCached.Add(1)
+			return *rep.Summary, nil
+		}
+		s.metrics.FleetTracesScanned.Add(1)
 		opt := vani.DefaultAnalyzerOptions()
 		opt.Storage = s.storageCfg()
 		opt.Parallelism = 1
 		opt.Filter = f
-		return s.analyze(ctx, h, opt)
+		c, err := s.analyze(ctx, h, opt)
+		if err != nil {
+			return repo.TraceSummary{}, err
+		}
+		return repo.Summarize(h.SHA(), c), nil
 	}
 }
 

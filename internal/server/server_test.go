@@ -56,28 +56,25 @@ func upload(t *testing.T, ts *httptest.Server, path string, body []byte) (int, j
 	return resp.StatusCode, st
 }
 
-// pollJob polls until the job settles or the deadline passes.
-func pollJob(t *testing.T, ts *httptest.Server, id string) jobStatus {
+// pollJob waits for the job to settle, then reads its status once through
+// GET /v1/jobs/{id}.
+func pollJob(t *testing.T, s *Server, ts *httptest.Server, id string) jobStatus {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatalf("GET job: %v", err)
-		}
-		var st jobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decoding job: %v", err)
-		}
-		if st.Status == string(jobDone) || st.Status == string(jobFailed) {
-			return st
-		}
-		time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.WaitJob(ctx, id); err != nil {
+		t.Fatalf("job %s did not settle: %v", id, err)
 	}
-	t.Fatal("job did not settle in time")
-	return jobStatus{}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatalf("GET job: %v", err)
+	}
+	defer resp.Body.Close()
+	var st jobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decoding job: %v", err)
+	}
+	return st
 }
 
 func getMetrics(t *testing.T, ts *httptest.Server) MetricsSnapshot {
@@ -130,7 +127,7 @@ func TestUploadToReportMatchesCLI(t *testing.T) {
 			if st.ID == "" || st.ReportID == "" {
 				t.Fatalf("upload response missing ids: %+v", st)
 			}
-			final := pollJob(t, ts, st.ID)
+			final := pollJob(t, s, ts, st.ID)
 			if final.Status != string(jobDone) {
 				t.Fatalf("job failed: %+v", final)
 			}
@@ -228,7 +225,7 @@ func TestCodecVariantUploadsServeIdenticalReports(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("variant %d: upload status %d, want 202", i, code)
 		}
-		final := pollJob(t, ts, st.ID)
+		final := pollJob(t, s, ts, st.ID)
 		if final.Status != string(jobDone) {
 			t.Fatalf("variant %d: job failed: %+v", i, final)
 		}
@@ -262,7 +259,7 @@ func TestCacheHitSkipsAnalyzer(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("first upload: status %d", code)
 	}
-	pollJob(t, ts, st.ID)
+	pollJob(t, s, ts, st.ID)
 	m1 := getMetrics(t, ts)
 	if m1.JobsDone != 1 || m1.CacheMisses != 1 {
 		t.Fatalf("after first upload: %+v", m1)
@@ -291,7 +288,7 @@ func TestCacheHitSkipsAnalyzer(t *testing.T) {
 	if st3.ReportID == st.ReportID {
 		t.Error("different spec produced the same report id")
 	}
-	pollJob(t, ts, st3.ID)
+	pollJob(t, s, ts, st3.ID)
 }
 
 // TestQueueBackpressure holds the single worker hostage, fills the queue,
@@ -333,7 +330,7 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 
 	once.Do(func() { close(release) })
-	pollJob(t, ts, last.ID)
+	pollJob(t, s, ts, last.ID)
 }
 
 // TestSyncCharacterizeCanceled calls the synchronous endpoint with an
@@ -418,7 +415,7 @@ func TestOutOfRangeIDUploadIsRejected(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("queued upload: status %d %+v, want 202", code, st)
 	}
-	if final := pollJob(t, ts, st.ID); final.Status != string(jobFailed) {
+	if final := pollJob(t, s, ts, st.ID); final.Status != string(jobFailed) {
 		t.Errorf("queued job ended %+v, want failed", final)
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
@@ -564,7 +561,7 @@ func TestInflightDedup(t *testing.T) {
 		t.Errorf("jobs_queued = %d, want 1", m.JobsQueued)
 	}
 	once.Do(func() { close(release) })
-	pollJob(t, ts, st1.ID)
+	pollJob(t, s, ts, st1.ID)
 }
 
 func TestSpecKeyNormalizes(t *testing.T) {

@@ -45,7 +45,7 @@ func TestSweepEndpoint(t *testing.T) {
 	if st.PointsTotal != 2 {
 		t.Errorf("points_total = %d, want 2", st.PointsTotal)
 	}
-	final := pollJob(t, ts, st.ID)
+	final := pollJob(t, s, ts, st.ID)
 	if final.Status != "done" {
 		t.Fatalf("job ended %q (%s)", final.Status, final.Error)
 	}
@@ -140,7 +140,7 @@ func TestSweepRuntimeFailureFailsTheJob(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("%s: POST /v1/sweep = %d, want 202", file, code)
 		}
-		final := pollJob(t, ts, st.ID)
+		final := pollJob(t, s, ts, st.ID)
 		if final.Status != string(jobFailed) || !strings.Contains(final.Error, want) {
 			t.Errorf("%s: job ended %q (%s), want failed saying %q", file, final.Status, final.Error, want)
 		}
