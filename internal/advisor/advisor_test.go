@@ -6,13 +6,14 @@ import (
 
 	"vani/internal/cluster"
 	"vani/internal/core"
+	"vani/internal/spec"
 	"vani/internal/spec/spectest"
 	"vani/internal/stats"
 	"vani/internal/storage"
 	"vani/internal/workloads"
 )
 
-func characterize(t *testing.T, w workloads.Workload, mod func(*workloads.Spec)) (*core.Characterization, workloads.Spec) {
+func characterize(t *testing.T, w spec.Workload, mod func(*workloads.Spec)) (*core.Characterization, workloads.Spec) {
 	t.Helper()
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
@@ -23,7 +24,7 @@ func characterize(t *testing.T, w workloads.Workload, mod func(*workloads.Spec))
 	if mod != nil {
 		mod(&spec)
 	}
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestAppliedSpecRunsFaster(t *testing.T) {
 	base := w.DefaultSpec()
 	base.Nodes = 4
 	base.Scale = 0.002
-	rb, err := workloads.Run(w, base)
+	rb, err := w.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestAppliedSpecRunsFaster(t *testing.T) {
 	c := core.Analyze(rb.Trace, opt)
 	tuned := base
 	Apply(Advise(c), &tuned)
-	ro, err := workloads.Run(w, tuned)
+	ro, err := w.Run(tuned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestHACCOnCoriGetsSharedBBStaging(t *testing.T) {
 	if applied := Apply(Advise(c), &tuned); !tuned.Optimized {
 		t.Fatalf("Apply did not enable BB staging (applied %v)", applied)
 	}
-	base, err := workloads.Run(w, spec)
+	base, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := workloads.Run(w, tuned)
+	opt, err := w.Run(tuned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestEvaluatePerRecommendationImpact(t *testing.T) {
 	// runs equally; uncap it so the metadata difference each
 	// recommendation targets is measurable.
 	spec.Storage.NodeNICBW = 0
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +316,11 @@ func TestAsyncIOAppliesRelaxedConsistency(t *testing.T) {
 	if !tuned.Storage.RelaxedConsistency {
 		t.Fatal("relaxed consistency not enabled")
 	}
-	base, err := workloads.Run(w, spec)
+	base, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := workloads.Run(w, tuned)
+	async, err := w.Run(tuned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"vani/internal/spec"
 	"vani/internal/workloads"
 )
 
@@ -31,17 +32,17 @@ func (im Impact) Speedup() float64 {
 // that change applied. Recommendations the simulator cannot enact
 // (placement hints for external schedulers, persistence flags) are
 // reported with Applied = false.
-func Evaluate(w workloads.Workload, spec workloads.Spec, recs []Recommendation) ([]Impact, error) {
-	base, err := workloads.Run(w, spec)
+func Evaluate(w spec.Workload, sp workloads.Spec, recs []Recommendation) ([]Impact, error) {
+	base, err := w.Run(sp)
 	if err != nil {
 		return nil, fmt.Errorf("advisor: baseline run: %w", err)
 	}
 	impacts := make([]Impact, 0, len(recs))
 	for _, r := range recs {
 		im := Impact{Recommendation: r, BaselineRuntime: base.Runtime}
-		tuned := spec
+		tuned := sp
 		if applied := Apply([]Recommendation{r}, &tuned); len(applied) == 1 {
-			res, err := workloads.Run(w, tuned)
+			res, err := w.Run(tuned)
 			if err != nil {
 				return nil, fmt.Errorf("advisor: run with %s: %w", r.ID, err)
 			}

@@ -12,7 +12,7 @@ import (
 )
 
 // runAndAnalyze executes a workload at small scale and characterizes it.
-func runAndAnalyze(t *testing.T, w workloads.Workload, mod func(*workloads.Spec)) *Characterization {
+func runAndAnalyze(t *testing.T, w spec.Workload, mod func(*workloads.Spec)) *Characterization {
 	t.Helper()
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
@@ -23,7 +23,7 @@ func runAndAnalyze(t *testing.T, w workloads.Workload, mod func(*workloads.Spec)
 	if mod != nil {
 		mod(&spec)
 	}
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", w.Name(), err)
 	}
@@ -287,7 +287,7 @@ func TestPhaseGapControlsSplitting(t *testing.T) {
 	spec.Nodes = 2
 	spec.RanksPerNode = 4
 	spec.Scale = 0.03
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +390,12 @@ func TestCompareBaselineVsOptimized(t *testing.T) {
 	spec.Nodes = 4
 	spec.RanksPerNode = 8
 	spec.Scale = 0.1
-	base, err := workloads.Run(w, spec)
+	base, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Optimized = true
-	opt, err := workloads.Run(w, spec)
+	opt, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"vani/internal/colstore"
 	"vani/internal/spec"
 	"vani/internal/trace"
-	"vani/internal/workloads"
 )
 
 // lazyTable encodes the trace as v2.2 and plans a lazy scan of it under the
@@ -215,7 +214,7 @@ func craftedOutOfRange(t *testing.T) *trace.Trace {
 	}
 	spec := w.DefaultSpec()
 	spec.Nodes, spec.RanksPerNode, spec.Scale = 1, 2, 0.001
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func seamSlice(tr *trace.Trace, n int) *trace.Trace {
 	return &cp
 }
 
-func smallRun(t *testing.T, w workloads.Workload) (*trace.Trace, workloads.Spec) {
+func smallRun(t *testing.T, w spec.Workload) (*trace.Trace, workloads.Spec) {
 	t.Helper()
 	spec := w.DefaultSpec()
 	spec.Nodes = 4
@@ -39,7 +39,7 @@ func smallRun(t *testing.T, w workloads.Workload) (*trace.Trace, workloads.Spec)
 		spec.RanksPerNode = 8
 	}
 	spec.Scale = 0.02
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", w.Name(), err)
 	}

@@ -17,7 +17,6 @@ import (
 	"vani/internal/core"
 	"vani/internal/spec"
 	"vani/internal/trace"
-	"vani/internal/workloads"
 	"vani/internal/yamlenc"
 )
 
@@ -42,7 +41,7 @@ func simulate(t *testing.T, name string, seed int64, nodes int, scale float64) *
 	}
 	spec := w.DefaultSpec()
 	spec.Nodes, spec.Scale, spec.Seed = nodes, scale, seed
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"vani/internal/spec"
 	"vani/internal/spec/spectest"
 	"vani/internal/storage"
 	"vani/internal/trace"
-	"vani/internal/workloads"
 )
 
 func captureTrace(t *testing.T, name string, scale float64) *trace.Trace {
 	t.Helper()
-	var w workloads.Workload
+	var w spec.Workload
 	switch name {
 	case "hacc":
 		w = spectest.Golden(t, "hacc", map[string]time.Duration{"compute_init": 0})
@@ -31,7 +31,7 @@ func captureTrace(t *testing.T, name string, scale float64) *trace.Trace {
 		spec.RanksPerNode = 8
 	}
 	spec.Scale = scale
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"vani/internal/core"
 	"vani/internal/spec/spectest"
 	"vani/internal/stats"
-	"vani/internal/workloads"
 )
 
 func sampleChar(t *testing.T) *core.Characterization {
@@ -18,7 +17,7 @@ func sampleChar(t *testing.T) *core.Characterization {
 	spec.Nodes = 2
 	spec.RanksPerNode = 4
 	spec.Scale = 0.02
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,3 +233,50 @@ func TestShutdownStopsRunningSweep(t *testing.T) {
 		t.Errorf("%d of %d points done: the sweep ran to the end", final.PointsDone, final.PointsTotal)
 	}
 }
+
+// TestShutdownStopsRunningSweepPoint: Shutdown whose deadline passes while
+// a one-point sweep simulates a workload that would run for 2^40 steps
+// stops the point midway: Shutdown returns soon after its timeout and the
+// job fails as canceled.
+func TestShutdownStopsRunningSweepPoint(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	workload, err := os.ReadFile("../spec/testdata/forever.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := "version: 1\nname: endless\nbase:\n  nodes: 1\n  ranks_per_node: 1\ngrid:\n  - param: cache\n    values:\n      - true\nworkload:\n  " +
+		strings.ReplaceAll(strings.TrimSpace(string(workload)), "\n", "\n  ") + "\n"
+	code, st := upload(t, ts, "/v1/sweep", []byte(doc))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweep = %d, want 202", code)
+	}
+	for {
+		s.mu.Lock()
+		j := s.jobs[st.ID]
+		s.mu.Unlock()
+		if j.status().Status == string(jobRunning) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const timeout = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	t0 := time.Now()
+	if err := s.Shutdown(ctx); err != context.DeadlineExceeded {
+		t.Errorf("Shutdown = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if took := time.Since(t0); took > timeout+time.Second {
+		t.Errorf("Shutdown took %v with a %v timeout", took, timeout)
+	}
+	s.mu.Lock()
+	final := s.jobs[st.ID].status()
+	s.mu.Unlock()
+	if final.Status != string(jobFailed) || !strings.Contains(final.Error, context.Canceled.Error()) {
+		t.Errorf("job ended %q (%s), want failed as canceled", final.Status, final.Error)
+	}
+}

@@ -43,6 +43,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"math"
@@ -62,6 +63,11 @@ type Engine struct {
 	procs   []*Proc
 	err     error
 	stopped bool // Run gave up; parked processes unwind as they are resumed
+
+	// ctx stops RunContext; done is its Done channel, nil for a context that
+	// is never done (Run's), so the poll costs one nil check per event.
+	ctx  context.Context
+	done <-chan struct{}
 
 	// Stats counters, useful for tests and for the kernel ablation benches.
 	// Every one repeats exactly from run to run.
@@ -244,6 +250,9 @@ func (p *Proc) exit() {
 // control stays with the driver inside Run.
 func (e *Engine) dispatch(self *Proc) *Proc {
 	for e.err == nil && len(e.queue) > 0 && e.queue[0].t <= e.bound {
+		if e.done != nil && e.canceled() {
+			break
+		}
 		ev := e.pop()
 		e.now = ev.t
 		e.EventsExecuted++
@@ -305,7 +314,8 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	// event popped — nothing queued at or before t (an event at t itself was
 	// scheduled earlier and goes first) — advance the clock and return
 	// without pushing, popping or switching.
-	if e.err == nil && t <= e.bound && (len(e.queue) == 0 || e.queue[0].t > t) {
+	if e.err == nil && t <= e.bound && (len(e.queue) == 0 || e.queue[0].t > t) &&
+		(e.done == nil || !e.canceled()) {
 		e.now = t
 		e.EventsExecuted++
 		e.InPlaceWakes++
@@ -343,6 +353,34 @@ func (e *Engine) Run() time.Duration {
 	}
 	e.unwind(nil)
 	return e.now
+}
+
+// RunContext is Run stopped by ctx: every pollEvents events the engine
+// checks ctx, and once it is done fails the run with ctx.Err(), which
+// unwinds the processes as any failure does. A context that is never done
+// costs nothing.
+func (e *Engine) RunContext(ctx context.Context) time.Duration {
+	e.ctx, e.done = ctx, ctx.Done()
+	return e.Run()
+}
+
+// pollEvents is how many events run between two looks at RunContext's
+// context.
+const pollEvents = 1024
+
+// canceled polls the run's context once every pollEvents events, failing
+// the run when it is done.
+func (e *Engine) canceled() bool {
+	if e.EventsExecuted%pollEvents != 0 {
+		return false
+	}
+	select {
+	case <-e.done:
+		e.Fail(e.ctx.Err())
+		return true
+	default:
+		return false
+	}
 }
 
 // RunUntil executes events with timestamps <= deadline and returns the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -645,6 +646,48 @@ func TestEventQueuePopsInOrder(t *testing.T) {
 	}
 	if popped != 2000 {
 		t.Errorf("popped %d of 2000", popped)
+	}
+}
+
+// TestRunContextStops: canceling RunContext's context stops the run within a
+// second, fails it with the context's error and unwinds every process —
+// both for one process whose every wake-up is in place, so dispatch never
+// runs, and for two processes handing off at every event.
+func TestRunContextStops(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		e := NewEngine()
+		unwound := 0
+		for i := 0; i < procs; i++ {
+			e.Spawn("loop", func(p *Proc) {
+				defer func() { unwound++ }()
+				for {
+					p.Sleep(time.Second)
+				}
+			})
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var canceled time.Time
+		stop := time.AfterFunc(10*time.Millisecond, func() {
+			canceled = time.Now()
+			cancel()
+		})
+		e.RunContext(ctx)
+		stop.Stop()
+		if took := time.Since(canceled); took > time.Second {
+			t.Errorf("%d procs: the run went on %v after cancel", procs, took)
+		}
+		if !errors.Is(e.Err(), context.Canceled) {
+			t.Errorf("%d procs: Err = %v, want %v", procs, e.Err(), context.Canceled)
+		}
+		if unwound != procs || e.Live() != 0 {
+			t.Errorf("%d procs: %d unwound, %d live", procs, unwound, e.Live())
+		}
+		// One process wakes in place every time; two hand off at every event.
+		if inPlace := e.InPlaceWakes > 0; inPlace != (procs == 1) {
+			t.Errorf("%d procs: %d events, %d in place", procs, e.EventsExecuted, e.InPlaceWakes)
+		}
+		waitGoroutines(t, before)
 	}
 }
 

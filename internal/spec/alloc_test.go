@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"vani/internal/cluster"
+	"vani/internal/iface"
 	"vani/internal/sim"
+	"vani/internal/storage"
+	"vani/internal/trace"
 	"vani/internal/workloads"
 )
 
@@ -35,7 +38,7 @@ run:
 	}
 	sp := workloads.DefaultSpec()
 	sp.Machine, sp.Optimized = cluster.Cori(), true
-	r := renderer{c: doc.Compile().(*compiled), spec: &sp}
+	r := renderer{doc: doc, spec: &sp}
 	look := func(id string) (int64, bool) { return 7, id == "rank" }
 	for _, o := range doc.run {
 		first := r.render(o.path, look)
@@ -71,29 +74,30 @@ func TestAppendPaddedMatchesFmt(t *testing.T) {
 	}
 }
 
-// openClose is a Go workload that opens and closes one file n times per
-// rank through the interface layer directly: the allocation floor an
-// interpreted open/close pair is measured against.
-type openClose struct{ n int }
-
-func (w openClose) Name() string                { return "open-close" }
-func (w openClose) AppName() string             { return "oc" }
-func (w openClose) DefaultSpec() workloads.Spec { return workloads.DefaultSpec() }
-func (w openClose) Setup(*workloads.Env)        {}
-func (w openClose) Spawn(env *workloads.Env) {
-	cl := env.Client("oc", 0)
-	env.E.Spawn("open-close", func(p *sim.Proc) {
-		path := "/p/gpfs1/oc/f"
-		for i := 0; i < w.n; i++ {
-			f, err := cl.PosixOpen(p, path, i == 0)
-			if err != nil {
-				panic(err)
+// openClose opens and closes one file n times on one rank straight through
+// the interface layer, on an engine, storage system, tracer and client
+// assembled by hand: the allocation floor an interpreted open/close pair is
+// measured against.
+func openClose(sp workloads.Spec, n int) error {
+	e := sim.NewEngine()
+	sys := storage.New(e, sp.Storage, sp.Nodes, sim.NewRNG(sp.Seed).Fork())
+	tr := trace.NewTracer()
+	tr.SetEnabled(sp.TraceEnabled)
+	cl := iface.NewClient(sys, tr, sp.Iface, "oc", 0, 0)
+	e.Spawn("open-close", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			f, err := cl.PosixOpen(p, "/p/gpfs1/oc/f", i == 0)
+			if err == nil {
+				err = f.Close(p)
 			}
-			if err := f.Close(p); err != nil {
-				panic(err)
+			if err != nil {
+				e.Fail(err)
+				return
 			}
 		}
 	})
+	e.Run()
+	return e.Err()
 }
 
 // TestReopenAllocatesNoHandle: an interpreted open/close pair allocates no
@@ -127,22 +131,26 @@ run:
 	}
 	sp := workloads.DefaultSpec()
 	sp.Nodes, sp.RanksPerNode, sp.TraceEnabled = 1, 1, false
-	perPair := func(w func(n int) workloads.Workload) float64 {
-		run := func(n int) float64 {
+	// The pair count spans 10,000 so that the fixed cost's jitter — some
+	// twenty allocations from run to run under the race detector — moves
+	// the per-pair figure by no more than 0.002.
+	perPair := func(run func(n int) error) float64 {
+		allocs := func(n int) float64 {
 			return testing.AllocsPerRun(5, func() {
-				if _, err := workloads.Run(w(n), sp); err != nil {
+				if err := run(n); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		return (run(2000) - run(1000)) / 1000
+		return (allocs(11000) - allocs(1000)) / 10000
 	}
-	direct := perPair(func(n int) workloads.Workload { return openClose{n} })
-	interp := perPair(func(n int) workloads.Workload {
+	direct := perPair(func(n int) error { return openClose(sp, n) })
+	interp := perPair(func(n int) error {
 		if err := doc.Set("n", int64(n)); err != nil {
 			t.Fatal(err)
 		}
-		return doc.Compile()
+		_, err := doc.Compile().Run(sp)
+		return err
 	})
 	t.Logf("allocations per open/close pair: %.3f interpreted, %.3f direct", interp, direct)
 	if interp > direct+0.01 {

@@ -1,22 +1,29 @@
 package spec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
+	"vani/internal/cluster"
 	"vani/internal/iface"
 	"vani/internal/sim"
+	"vani/internal/storage"
+	"vani/internal/trace"
 	"vani/internal/workloads"
 )
 
-// Compile wraps the validated doc as a workloads.Workload that interprets
-// it.
-func (d *Doc) Compile() workloads.Workload { return &compiled{doc: d} }
-
-type compiled struct {
+// Workload is a compiled document, runnable on the simulator: every run
+// interprets the document afresh, issuing the interface calls its run
+// program (or a task's body) names, in order. It is a value; copies run the
+// same document.
+type Workload struct {
 	doc *Doc
 }
+
+// Compile makes the validated doc a Workload that interprets it.
+func (d *Doc) Compile() Workload { return Workload{doc: d} }
 
 // failure is a runtime failure of the interpreted program — a modeled
 // operation that failed, an expression that cannot evaluate — on its way up
@@ -36,88 +43,160 @@ func catch(e *sim.Engine) {
 	}
 }
 
-// Name implements workloads.Workload.
-func (c *compiled) Name() string { return c.doc.Name }
+// Name returns the document's name ("cm1", "hacc", ...).
+func (w Workload) Name() string { return w.doc.Name }
 
-// AppName implements workloads.Workload.
-func (c *compiled) AppName() string { return c.doc.App }
-
-// DefaultSpec implements workloads.Workload: the shared default overlaid
-// with the doc's defaults block.
-func (c *compiled) DefaultSpec() workloads.Spec {
+// DefaultSpec returns the shared default overlaid with the doc's defaults
+// block.
+func (w Workload) DefaultSpec() workloads.Spec {
 	s := workloads.DefaultSpec()
-	if c.doc.Defaults.Nodes > 0 {
-		s.Nodes = c.doc.Defaults.Nodes
+	d := &w.doc.Defaults
+	if d.Nodes > 0 {
+		s.Nodes = d.Nodes
 	}
-	if c.doc.Defaults.RanksPerNode > 0 {
-		s.RanksPerNode = c.doc.Defaults.RanksPerNode
+	if d.RanksPerNode > 0 {
+		s.RanksPerNode = d.RanksPerNode
 	}
-	if c.doc.Defaults.TimeLimit > 0 {
-		s.TimeLimit = c.doc.Defaults.TimeLimit
+	if d.TimeLimit > 0 {
+		s.TimeLimit = d.TimeLimit
 	}
-	if c.doc.Defaults.StdioPerOpCPU > 0 {
-		s.Iface.StdioPerOpCPU = c.doc.Defaults.StdioPerOpCPU
+	if d.StdioPerOpCPU > 0 {
+		s.Iface.StdioPerOpCPU = d.StdioPerOpCPU
 	}
 	return s
 }
 
-// paramsFor evaluates the doc's params under a concrete run spec: value
-// params scaled by the harness's rules (workloads.ScaleN, ScaleBytes),
-// then expr params over them.
-func (c *compiled) paramsFor(env *workloads.Env) map[string]int64 {
-	vals := make(map[string]int64, len(c.doc.ordered))
-	lookup := func(id string) (int64, bool) {
-		if v, ok := topology(env, id); ok {
-			return v, true
-		}
-		v, ok := vals[id]
-		return v, ok
+// Run simulates the workload under sp to completion and returns the trace
+// and runtime.
+func (w Workload) Run(sp workloads.Spec) (*workloads.Result, error) {
+	return w.RunContext(context.Background(), sp)
+}
+
+// RunContext is Run stopped by ctx: once ctx is done, staging stops at its
+// next file, the simulation within a few thousand events or loop
+// iterations, every rank unwinds, and the error wraps ctx.Err().
+func (w Workload) RunContext(ctx context.Context, sp workloads.Spec) (*workloads.Result, error) {
+	if sp.Scale <= 0 || sp.Scale > 1 {
+		return nil, fmt.Errorf("workloads: scale %v out of (0, 1]", sp.Scale)
 	}
-	for _, p := range c.doc.ordered {
-		switch p.kind {
-		case paramCount:
-			if p.scaled {
-				vals[p.name] = int64(workloads.ScaleN(int(p.value), env.Spec.Scale, 1))
-			} else {
-				vals[p.name] = p.value
-			}
-		case paramBytes:
-			if p.scaled {
-				vals[p.name] = workloads.ScaleBytes(p.value, env.Spec.Scale, p.unit)
-			} else {
-				vals[p.name] = p.value
-			}
-		case paramTime:
-			vals[p.name] = p.value
-		case paramExpr:
-			v, err := p.e.eval(lookup)
-			if err != nil {
-				panic(failure{fmt.Errorf("spec %s: param %s: %v", c.doc.Name, p.name, err)})
-			}
-			vals[p.name] = v
+	job, err := cluster.NewJob(w.Name()+"-job", sp.Machine, sp.Nodes, sp.RanksPerNode, sp.TimeLimit)
+	if err != nil {
+		return nil, err
+	}
+	e := sim.NewEngine()
+	rng := sim.NewRNG(sp.Seed)
+	sys := storage.New(e, sp.Storage, sp.Nodes, rng.Fork())
+	tr := trace.NewTracer()
+	tr.SetEnabled(sp.TraceEnabled)
+	tr.SetOverhead(sp.TraceOverhead)
+	tr.SetMeta(trace.Meta{
+		Workload:     w.Name(),
+		JobID:        job.ID,
+		Nodes:        sp.Nodes,
+		CoresPerNode: sp.Machine.CoresPerNode,
+		GPUsPerNode:  sp.Machine.GPUsPerNode,
+		MemPerNodeGB: sp.Machine.MemPerNodeGB,
+		Ranks:        job.Ranks(),
+		NodeLocalDir: sp.Machine.NodeLocalDir,
+		SharedBBDir:  sp.Machine.SharedBBDir,
+		PFSDir:       sp.Machine.PFSDir,
+		JobTimeLimit: sp.TimeLimit,
+	})
+	v := &env{ctx: ctx, done: ctx.Done(), doc: w.doc, e: e, job: job, sys: sys, tr: tr, rng: rng, spec: sp}
+	v.start()
+	runtime := e.RunContext(ctx)
+	if err := e.Err(); err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", w.Name(), err)
+	}
+	merged := tr.Finish()
+	return &workloads.Result{
+		Trace:      merged,
+		Runtime:    runtime,
+		Sys:        sys,
+		Job:        job,
+		Spec:       sp,
+		TraceMerge: tr.MergeTime(),
+
+		KernelEvents:       e.EventsExecuted,
+		KernelSwitches:     e.Switches,
+		KernelInPlaceWakes: e.InPlaceWakes,
+	}, nil
+}
+
+// env is one run: the document and the simulation environment — engine,
+// job, storage, tracer, RNG — its setup and ranks act on.
+type env struct {
+	ctx  context.Context
+	done <-chan struct{} // ctx.Done(): nil for a context that is never done
+	doc  *Doc
+	e    *sim.Engine
+	job  cluster.Job
+	sys  *storage.System
+	tr   *trace.Tracer
+	rng  *sim.RNG
+	spec workloads.Spec
+}
+
+// start runs everything before the engine: it evaluates the params, stages
+// the setup and spawns the ranks (or tasks). A failure fails the engine, as
+// a rank's does, so the run stops at once and takes every spawned rank
+// down with it.
+func (v *env) start() {
+	defer catch(v.e)
+	params := v.params()
+	v.setup(params)
+	if v.doc.stages != nil {
+		v.spawnTasks(params)
+	} else {
+		v.spawnRanks(params)
+	}
+}
+
+// params evaluates the doc's params under the run's spec: value params
+// first — a scaled one is its value times Scale, rounded down, but at least
+// one unit (1 for a count) — then expr params over them.
+func (v *env) params() map[string]int64 {
+	d := v.doc
+	vals := make(map[string]int64, len(d.ordered))
+	lookup := func(id string) (int64, bool) {
+		if n, ok := v.topology(id); ok {
+			return n, true
 		}
+		n, ok := vals[id]
+		return n, ok
+	}
+	for _, p := range d.ordered {
+		n := p.value
+		switch {
+		case p.kind == paramExpr:
+			var err error
+			if n, err = p.e.eval(lookup); err != nil {
+				panic(failure{fmt.Errorf("spec %s: param %s: %v", d.Name, p.name, err)})
+			}
+		case p.scaled:
+			n = max(int64(float64(n)*v.spec.Scale), p.unit)
+		}
+		vals[p.name] = n
 	}
 	return vals
 }
 
-// Setup implements workloads.Workload: materializes staged datasets and
-// attaches value-distribution samples, in document order.
-func (c *compiled) Setup(env *workloads.Env) {
-	defer catch(env.E)
-	params := c.paramsFor(env)
-	paths := renderer{c: c, spec: &env.Spec}
-	for _, st := range c.doc.setup {
+// setup materializes staged datasets and attaches value-distribution
+// samples, in document order.
+func (v *env) setup(params map[string]int64) {
+	paths := renderer{doc: v.doc, spec: &v.spec}
+	for _, st := range v.doc.setup {
 		if st.sample != "" {
-			c.setupSample(env, st)
+			v.setupSample(st)
 			continue
 		}
-		c.setupFiles(env, st, params, &paths)
+		v.setupFiles(st, params, &paths)
 	}
 }
 
-func (c *compiled) setupSample(env *workloads.Env, st *setupStep) {
+func (v *env) setupSample(st *setupStep) {
 	sample := make([]float64, st.sampleN)
-	rng := env.RNG.Fork()
+	rng := v.rng.Fork()
 	for i := range sample {
 		switch st.dist {
 		case "normal":
@@ -128,10 +207,30 @@ func (c *compiled) setupSample(env *workloads.Env, st *setupStep) {
 			sample[i] = rng.Uniform(st.a, st.b)
 		}
 	}
-	env.Tr.AddSample(st.sample, sample)
+	v.tr.AddSample(st.sample, sample)
 }
 
-func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[string]int64, paths *renderer) {
+// canceled fails the run once its context is done. The engine polls the
+// context between events; staging, which runs before the engine, and a
+// rank's loops, which may run long without an event, call this themselves.
+func (v *env) canceled() {
+	if v.done == nil {
+		return
+	}
+	select {
+	case <-v.done:
+		panic(failure{v.ctx.Err()})
+	default:
+	}
+}
+
+// pollIters is how many loop iterations a rank runs between two looks at
+// the run's context.
+const pollIters = 1024
+
+// setupFiles stages one files step, looking at the run's context before
+// every file.
+func (v *env) setupFiles(st *setupStep, params map[string]int64, paths *renderer) {
 	var node, idx int64
 	lookup := func(id string) (int64, bool) {
 		switch id {
@@ -140,36 +239,37 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 		case "node":
 			return node, true
 		}
-		if v, ok := topology(env, id); ok {
-			return v, true
+		if n, ok := v.topology(id); ok {
+			return n, true
 		}
-		v, ok := params[id]
-		return v, ok
+		n, ok := params[id]
+		return n, ok
 	}
 	evalOne := func(e *expr, def int64) int64 {
 		if e == nil {
 			return def
 		}
-		v, err := e.eval(lookup)
+		n, err := e.eval(lookup)
 		if err != nil {
-			panic(failure{fmt.Errorf("spec %s: setup: %v", c.doc.Name, err)})
+			panic(failure{fmt.Errorf("spec %s: setup: %v", v.doc.Name, err)})
 		}
-		return v
+		return n
 	}
 	stage := func() {
 		count := evalOne(st.count, 1)
 		for idx = 0; idx < count; idx++ {
+			v.canceled()
 			path := paths.render(st.path, lookup)
 			size := evalOne(st.size, 0)
 			target := 0
 			if st.onNode {
 				target = int(node)
 			}
-			env.Sys.Materialize(target, path, size)
+			v.sys.Materialize(target, path, size)
 		}
 	}
 	if st.perNode {
-		for node = 0; node < int64(env.Spec.Nodes); node++ {
+		for node = 0; node < int64(v.spec.Nodes); node++ {
 			stage()
 		}
 	} else {
@@ -177,44 +277,36 @@ func (c *compiled) setupFiles(env *workloads.Env, st *setupStep, params map[stri
 	}
 }
 
-// Spawn implements workloads.Workload: one proc per rank interpreting the
-// run program, or, for a tasks document, one per task (tasks.go).
-func (c *compiled) Spawn(env *workloads.Env) {
-	defer catch(env.E)
-	params := c.paramsFor(env)
-	if c.doc.stages != nil {
-		c.spawnTasks(env, params)
-		return
-	}
-	ranks := env.Job.Ranks()
-	bars := make(map[string]*sim.Barrier, len(c.doc.barriers))
-	for _, name := range c.doc.barriers {
-		bars[name] = sim.NewBarrier(env.E, ranks)
+// spawnRanks starts one proc per rank interpreting the run program.
+func (v *env) spawnRanks(params map[string]int64) {
+	ranks := v.job.Ranks()
+	bars := make(map[string]*sim.Barrier, len(v.doc.barriers))
+	for _, name := range v.doc.barriers {
+		bars[name] = sim.NewBarrier(v.e, ranks)
 	}
 	for rank := 0; rank < ranks; rank++ {
-		st := c.newState(env, params, rank)
+		st := v.newState(params, rank)
 		st.bars = bars
-		st.place(c.doc.App, env.Job.NodeOf(rank), env.Job.LocalRank(rank))
-		env.E.Spawn(fmt.Sprintf("%s-rank%d", c.doc.Name, rank), func(p *sim.Proc) {
-			defer catch(env.E)
+		st.place(v.doc.App, v.job.NodeOf(rank), v.job.LocalRank(rank))
+		v.e.Spawn(fmt.Sprintf("%s-rank%d", v.doc.Name, rank), func(p *sim.Proc) {
+			defer catch(v.e)
 			st.p = p
-			st.exec(c.doc.run, c.doc.App)
+			st.exec(v.doc.run, v.doc.App)
 		})
 	}
 }
 
 // newState is the interpreter state of one rank or task, not yet placed.
-func (c *compiled) newState(env *workloads.Env, params map[string]int64, rank int) *rankState {
+func (v *env) newState(params map[string]int64, rank int) *rankState {
 	st := &rankState{
-		c:      c,
-		env:    env,
+		env:    v,
 		params: params,
 		vars:   map[string]int64{},
 		rank:   rank,
-		paths:  renderer{c: c, spec: &env.Spec},
+		paths:  renderer{doc: v.doc, spec: &v.spec},
 	}
-	if c.doc.usesRand {
-		st.rng = env.RNG.Fork()
+	if v.doc.usesRand {
+		st.rng = v.rng.Fork()
 	}
 	st.look = st.lookup
 	return st
@@ -227,29 +319,29 @@ func (st *rankState) place(app string, node, local int) {
 }
 
 func (st *rankState) newClient(app string) *iface.Client {
-	return iface.NewClient(st.env.Sys, st.env.Tr, st.env.Spec.Iface, app, st.rank, st.node)
+	v := st.env
+	return iface.NewClient(v.sys, v.tr, v.spec.Iface, app, st.rank, st.node)
 }
 
 // topology resolves the builtins every expression may read: the job's
 // shape and whether the run is optimized.
-func topology(env *workloads.Env, id string) (int64, bool) {
+func (v *env) topology(id string) (int64, bool) {
 	switch id {
 	case "ranks":
-		return int64(env.Job.Ranks()), true
+		return int64(v.job.Ranks()), true
 	case "rpn":
-		return int64(env.Spec.RanksPerNode), true
+		return int64(v.spec.RanksPerNode), true
 	case "nodes":
-		return int64(env.Spec.Nodes), true
+		return int64(v.spec.Nodes), true
 	case "optimized":
-		return b2i(env.Spec.Optimized), true
+		return b2i(v.spec.Optimized), true
 	}
 	return 0, false
 }
 
 // rankState is one rank's (or task's) interpreter state.
 type rankState struct {
-	c      *compiled
-	env    *workloads.Env
+	env    *env
 	p      *sim.Proc
 	params map[string]int64
 	vars   map[string]int64
@@ -257,6 +349,7 @@ type rankState struct {
 
 	rank, node, local int
 	leader            bool
+	iters             int64 // loop iterations run, for pollIters
 
 	app     string // the app cl runs as: the document's, or a task's stage
 	cl      *iface.Client
@@ -301,13 +394,13 @@ func (st *rankState) lookup(id string) (int64, bool) {
 	case "leader":
 		return b2i(st.leader), true
 	case "ranks":
-		return int64(st.env.Job.Ranks()), true
+		return int64(st.env.job.Ranks()), true
 	case "rpn":
-		return int64(st.env.Spec.RanksPerNode), true
+		return int64(st.env.spec.RanksPerNode), true
 	case "nodes":
-		return int64(st.env.Spec.Nodes), true
+		return int64(st.env.spec.Nodes), true
 	case "optimized":
-		return b2i(st.env.Spec.Optimized), true
+		return b2i(st.env.spec.Optimized), true
 	}
 	if v, ok := st.vars[id]; ok {
 		return v, ok
@@ -319,7 +412,7 @@ func (st *rankState) lookup(id string) (int64, bool) {
 func (st *rankState) eval(e *expr) int64 {
 	v, err := e.eval(st.look)
 	if err != nil {
-		panic(failure{fmt.Errorf("spec %s: rank %d: %v", st.c.doc.Name, st.rank, err)})
+		panic(failure{fmt.Errorf("spec %s: rank %d: %v", st.env.doc.Name, st.rank, err)})
 	}
 	return v
 }
@@ -359,7 +452,7 @@ func (st *rankState) cur(what string) *handle {
 }
 
 func (st *rankState) fail(format string, args ...interface{}) {
-	panic(failure{fmt.Errorf("spec %s: rank %d: %s", st.c.doc.Name, st.rank, fmt.Sprintf(format, args...))})
+	panic(failure{fmt.Errorf("spec %s: rank %d: %s", st.env.doc.Name, st.rank, fmt.Sprintf(format, args...))})
 }
 
 func (st *rankState) check(err error) {
@@ -390,6 +483,9 @@ func (st *rankState) exec(ops []*op, app string) {
 			for v := from; v < until; v += step {
 				st.vars[o.loopVar] = v
 				st.exec(o.body, app)
+				if st.iters++; st.iters%pollIters == 0 {
+					st.env.canceled()
+				}
 			}
 		case opLet:
 			v := st.eval(o.letExpr)
@@ -566,15 +662,21 @@ func (st *rankState) pread(o *op) {
 
 // pwrite runs positioned writes at base+off, optionally preceded by a
 // seek per operation (CM1's append pattern), where base is the at
-// expression or — with append — the file's current size.
+// expression or — with append — the file's current size. An MPI-IO file
+// takes neither seek nor append: its writes are WriteAt at base+off.
 func (st *rankState) pwrite(o *op) {
 	h := st.cur("pwrite")
-	if h.layer != "posix" {
+	switch {
+	case h.layer == "mpiio" && o.seek:
+		st.fail("pwrite seek on mpiio file")
+	case h.layer == "mpiio" && o.appendBase:
+		st.fail("pwrite append on mpiio file")
+	case h.layer != "posix" && h.layer != "mpiio":
 		st.fail("pwrite on %s file", h.layer)
 	}
 	var base int64
 	if o.appendBase {
-		base, _ = st.env.Sys.FileSize(0, h.path)
+		base, _ = st.env.sys.FileSize(0, h.path)
 	} else {
 		base = st.evalOr(o.at, 0)
 	}
@@ -587,6 +689,10 @@ func (st *rankState) pwrite(o *op) {
 		n := granule
 		if o.clamp && off+n > total {
 			n = total - off
+		}
+		if h.layer == "mpiio" {
+			st.check(h.mpi.WriteAt(st.p, base+off, n))
+			continue
 		}
 		if o.seek {
 			st.check(h.posix.Seek(st.p, base+off))

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"vani/internal/workloads"
 )
 
 // The golden specs are the seven exemplars — CM1, HACC, CosmoFlow, JAG,
@@ -51,17 +49,17 @@ func Golden(name string) (*Doc, error) {
 }
 
 // New constructs a workload by catalog name: its golden spec, compiled.
-func New(name string) (workloads.Workload, error) {
+func New(name string) (Workload, error) {
 	doc, err := Golden(name)
 	if err != nil {
-		return nil, err
+		return Workload{}, err
 	}
 	return doc.Compile(), nil
 }
 
 // All constructs every workload of the catalog in name order.
-func All() []workloads.Workload {
-	var ws []workloads.Workload
+func All() []Workload {
+	var ws []Workload
 	for _, n := range Names() {
 		w, err := New(n)
 		if err != nil {

@@ -188,7 +188,7 @@ func appendPadded(b []byte, v int64, pad int) []byte {
 // string it returned last when the bytes match, so a path that repeats —
 // the same file described, opened, read and closed — allocates nothing.
 type renderer struct {
-	c    *compiled
+	doc  *Doc
 	spec *workloads.Spec
 	buf  []byte
 	last string
@@ -199,7 +199,7 @@ func (r *renderer) render(t *pathT, env func(string) (int64, bool)) string {
 	b, err := r.appendPath(r.buf[:0], t, env)
 	r.buf = b
 	if err != nil {
-		panic(failure{fmt.Errorf("spec %s: %v", r.c.doc.Name, err)})
+		panic(failure{fmt.Errorf("spec %s: %v", r.doc.Name, err)})
 	}
 	if r.last != string(b) {
 		r.last = string(b)
@@ -221,7 +221,7 @@ func (r *renderer) appendPath(b []byte, t *pathT, env func(string) (int64, bool)
 		}
 		b = append(b, base...)
 	default:
-		dr := r.c.doc.dirs[t.dir]
+		dr := r.doc.dirs[t.dir]
 		dt := dr.base
 		if o := dr.optimized; r.spec.Optimized && o != nil && (o.dir == "" || machineBase(m, o.dir) != "") {
 			dt = o

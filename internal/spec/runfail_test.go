@@ -7,18 +7,16 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"vani/internal/workloads"
 )
 
 // TestRuntimeFailuresAreErrors: a valid document whose run cannot finish —
 // a read past EOF in a rank, a barrier not every rank reaches, a param that
 // cannot evaluate, a ninth nested open, an empty random range, a file op
-// with no file or on the wrong interface, a burst-buffer path on a machine
-// without one, a task after an instance that does not exist or never runs,
-// a negative stage count — is an error from workloads.Run carrying the
-// cause, not a panic in a rank goroutine or in the engine, and it leaves no
-// rank or task parked.
+// with no file or on the wrong interface, a seek or append on an MPI-IO
+// write, a burst-buffer path on a machine without one, a task after an
+// instance that does not exist or never runs, a negative stage count — is
+// an error from Workload.Run carrying the cause, not a panic in a rank
+// goroutine or in the engine, and it leaves no rank or task parked.
 func TestRuntimeFailuresAreErrors(t *testing.T) {
 	for file, want := range map[string]string{
 		"past-eof.yaml":    "past EOF",
@@ -30,6 +28,10 @@ func TestRuntimeFailuresAreErrors(t *testing.T) {
 		"sync-closed.yaml": "sync without an open file",
 		"sync-stdio.yaml":  "sync on stdio file",
 		"no-bb.yaml":       "the machine has no @bb",
+
+		"pwrite-seek-mpiio.yaml":   "pwrite seek on mpiio file",
+		"pwrite-append-mpiio.yaml": "pwrite append on mpiio file",
+		"pwrite-stdio.yaml":        "pwrite on stdio file",
 
 		"task-index-range.yaml":    "after a[2, 3) outside [0, 2)",
 		"task-then-skipped.yaml":   "after fit[1], which never runs",
@@ -43,7 +45,7 @@ func TestRuntimeFailuresAreErrors(t *testing.T) {
 		sp := w.DefaultSpec()
 		sp.Nodes = 2
 		before := runtime.NumGoroutine()
-		if _, err := workloads.Run(w, sp); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := w.Run(sp); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: Run error = %v, want one saying %q", file, err, want)
 		}
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {

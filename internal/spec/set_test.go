@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vani/internal/trace"
-	"vani/internal/workloads"
 )
 
 func TestDocSet(t *testing.T) {
@@ -41,7 +40,7 @@ func TestDocSet(t *testing.T) {
 	w := doc.Compile()
 	sp := w.DefaultSpec()
 	sp.Nodes, sp.RanksPerNode, sp.Scale = 2, 2, 0.01
-	res, err := workloads.Run(w, sp)
+	res, err := w.Run(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,18 @@
 // defaults, scaled parameters, staged datasets, value distributions,
 // barriers, and either a per-rank program of phases over the simulated I/O
 // interfaces or a DAG of task stages run over a pool of worker slots
-// (tasks.go) — compiled onto internal/sim + internal/cluster +
-// internal/iface as a workloads.Workload.
+// (tasks.go) — compiled into a Workload that runs on internal/sim +
+// internal/cluster + internal/storage + internal/iface.
 //
-// The compiled workload interprets the document: it issues the interface
-// calls the run program (or a task's body) names, in order. The package
-// also holds the golden specs — all seven exemplars, described here and
-// nowhere else, and the catalog of every workload by name (golden.go) — and
-// the sweep document (sweep.go): a spec plus a parameter grid, which
-// internal/sweep runs and reduces into a comparative report.
+// A Workload's Run assembles the simulated job, storage and tracer under a
+// workloads.Spec, stages the setup and interprets the document: it issues
+// the interface calls the run program (or a task's body) names, in order,
+// and returns the trace as a workloads.Result. Every workload is a
+// document; there is no other way to describe one. The package also holds
+// the golden specs — all seven exemplars, described here and nowhere else,
+// and the catalog of every workload by name (golden.go) — and the sweep
+// document (sweep.go): a spec plus a parameter grid, which internal/sweep
+// runs and reduces into a comparative report.
 package spec
 
 import (
@@ -97,7 +100,7 @@ type param struct {
 	kind   paramKind
 	value  int64 // raw count/bytes, or nanoseconds for time
 	scaled bool
-	unit   int64 // scaling floor for bytes params
+	unit   int64 // scaling floor: 1, or a bytes param's unit
 	e      *expr
 }
 

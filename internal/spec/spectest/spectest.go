@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"vani/internal/spec"
-	"vani/internal/workloads"
 )
 
 // Golden compiles the named golden spec with the given time params
 // overridden (tests shrink or zero compute to keep runs short and I/O
 // visible); nil leaves the document as shipped.
-func Golden(t testing.TB, name string, times map[string]time.Duration) workloads.Workload {
+func Golden(t testing.TB, name string, times map[string]time.Duration) spec.Workload {
 	t.Helper()
 	set := make(map[string]int64, len(times))
 	for param, d := range times {
@@ -23,7 +22,7 @@ func Golden(t testing.TB, name string, times map[string]time.Duration) workloads
 
 // GoldenSet is Golden for params of every kind: counts and byte sizes as
 // they are, times in nanoseconds.
-func GoldenSet(t testing.TB, name string, set map[string]int64) workloads.Workload {
+func GoldenSet(t testing.TB, name string, set map[string]int64) spec.Workload {
 	t.Helper()
 	doc, err := spec.Golden(name)
 	if err != nil {

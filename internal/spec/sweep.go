@@ -284,7 +284,7 @@ func (sw *Sweep) NumPoints() int {
 }
 
 // Workload constructs a fresh workload instance for one point.
-func (sw *Sweep) Workload() (workloads.Workload, error) {
+func (sw *Sweep) Workload() (Workload, error) {
 	if sw.doc != nil {
 		return sw.doc.Compile(), nil
 	}

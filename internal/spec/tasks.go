@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vani/internal/sim"
-	"vani/internal/workloads"
 )
 
 // A tasks document runs a DAG of stages over a pool of worker slots, the
@@ -236,29 +235,29 @@ func (tb *taskBuilder) after(v interface{}, w string, rc *runChecker) ([]dep, er
 // the slot's node (slot / rpn), hands the slot back and opens its own gate.
 // Counts, whens and after entries are resolved before anything is spawned,
 // so a bad one ends the run with nothing left parked.
-func (c *compiled) spawnTasks(env *workloads.Env, params map[string]int64) {
-	stages := c.doc.stages
+func (v *env) spawnTasks(params map[string]int64) {
+	stages := v.doc.stages
 	var ivar string
 	var j int64
 	look := func(id string) (int64, bool) {
 		if id == ivar {
 			return j, true
 		}
-		if v, ok := topology(env, id); ok {
-			return v, true
+		if n, ok := v.topology(id); ok {
+			return n, true
 		}
-		v, ok := params[id]
-		return v, ok
+		n, ok := params[id]
+		return n, ok
 	}
 	fail := func(format string, args ...interface{}) {
-		panic(failure{fmt.Errorf("spec %s: %s", c.doc.Name, fmt.Sprintf(format, args...))})
+		panic(failure{fmt.Errorf("spec %s: %s", v.doc.Name, fmt.Sprintf(format, args...))})
 	}
 	eval := func(e *expr, s *stage) int64 {
-		v, err := e.eval(look)
+		n, err := e.eval(look)
 		if err != nil {
 			fail("stage %s: %v", s.name, err)
 		}
-		return v
+		return n
 	}
 
 	// gates[s][j] opens when stage s's instance j is done; it is nil where
@@ -316,7 +315,7 @@ func (c *compiled) spawnTasks(env *workloads.Env, params map[string]int64) {
 					}
 				}
 			}
-			gates[si][j] = sim.NewGate(env.E)
+			gates[si][j] = sim.NewGate(v.e)
 			tasks = append(tasks, task{si, j, lo, len(edges)})
 			for _, ti := range s.then {
 				if t := stages[ti]; t.when != nil && eval(t.when, t) == 0 {
@@ -325,24 +324,24 @@ func (c *compiled) spawnTasks(env *workloads.Env, params map[string]int64) {
 				if len(tasks) == maxTasks {
 					fail("stage %s: more than %d tasks", stages[ti].name, maxTasks)
 				}
-				gates[ti][j] = sim.NewGate(env.E)
+				gates[ti][j] = sim.NewGate(v.e)
 				edges = append(edges, gates[si][j])
 				tasks = append(tasks, task{ti, j, len(edges) - 1, len(edges)})
 			}
 		}
 	}
 
-	pool := newSlotPool(env.E, env.Job.Ranks())
-	rpn := env.Spec.RanksPerNode
+	pool := newSlotPool(v.e, v.job.Ranks())
+	rpn := v.spec.RanksPerNode
 	for rank, t := range tasks {
 		s := stages[t.stage]
 		deps, done := edges[t.lo:t.hi], gates[t.stage][t.j]
-		st := c.newState(env, params, rank)
+		st := v.newState(params, rank)
 		if s.ivar != "" {
 			st.vars[s.ivar] = t.j
 		}
-		env.E.Spawn(s.name, func(p *sim.Proc) {
-			defer catch(env.E)
+		v.e.Spawn(s.name, func(p *sim.Proc) {
+			defer catch(v.e)
 			for _, g := range deps {
 				g.Wait(p)
 			}

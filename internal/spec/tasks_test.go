@@ -19,7 +19,7 @@ func runTasks(t *testing.T, tasks string, nodes, rpn int) (map[int32]trace.Event
 	w := doc.Compile()
 	sp := w.DefaultSpec()
 	sp.Nodes, sp.RanksPerNode = nodes, rpn
-	res, err := workloads.Run(w, sp)
+	res, err := w.Run(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

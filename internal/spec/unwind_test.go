@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vani/internal/sim"
-	"vani/internal/workloads"
 )
 
 // stuckBehindEOF is a valid document whose rank 0 reads past the end of its
@@ -53,7 +52,7 @@ func TestStoppedRankRunsDefersThroughCatch(t *testing.T) {
 	sp := w.DefaultSpec()
 	sp.Nodes = 2
 	before := runtime.NumGoroutine()
-	if _, err := workloads.Run(w, sp); err == nil || !strings.Contains(err.Error(), "past EOF") {
+	if _, err := w.Run(sp); err == nil || !strings.Contains(err.Error(), "past EOF") {
 		t.Errorf("Run error = %v, want the read past EOF", err)
 	}
 	waitGoroutines(t, before)

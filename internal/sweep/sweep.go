@@ -8,6 +8,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -120,9 +121,9 @@ func (sw *Sweep) Run(opt Options) (*Report, error) {
 	return sw.RunContext(context.Background(), opt)
 }
 
-// RunContext is Run that stops at task boundaries when ctx is done: no
-// point or trial starts after that, the ones running finish, and the
-// sweep returns ctx.Err().
+// RunContext is Run that stops when ctx is done: no point or trial starts
+// after that, a running point's simulation and analysis stop midway, a
+// running stripe trial finishes, and the sweep returns ctx.Err().
 //
 // Points and stripe trials are tasks of one pool of Parallelism workers.
 // The points queue in index order; when point 0 completes, its trace is
@@ -151,7 +152,7 @@ func (sw *Sweep) RunContext(ctx context.Context, opt Options) (*Report, error) {
 		done      int
 	)
 	point := func(i int) error {
-		res, char, err := sw.runPoint(i, opt.Storage)
+		res, char, err := sw.runPoint(ctx, i, opt.Storage)
 		if err == nil {
 			outs[i].runtime, outs[i].ioTime = res.Runtime, char.Workflow.IOTime
 		}
@@ -175,8 +176,8 @@ func (sw *Sweep) RunContext(ctx context.Context, opt Options) (*Report, error) {
 	for i := 0; i < total; i++ {
 		pl.queue = append(pl.queue, func() error { return point(i) })
 	}
-	if err := pl.run(ctx, par); err != nil && err == ctx.Err() {
-		return nil, err
+	if err := pl.run(ctx, par); err != nil && errors.Is(err, ctx.Err()) {
+		return nil, ctx.Err()
 	}
 	for i, o := range outs {
 		if o.err != nil {
@@ -320,8 +321,9 @@ func (pl *pool) feed(tasks []func() error) {
 	pl.mu.Unlock()
 }
 
-// runPoint simulates one grid point and characterizes its trace.
-func (sw *Sweep) runPoint(point int, storageOverride *storage.Config) (*workloads.Result, *core.Characterization, error) {
+// runPoint simulates one grid point and characterizes its trace; ctx stops
+// either midway.
+func (sw *Sweep) runPoint(ctx context.Context, point int, storageOverride *storage.Config) (*workloads.Result, *core.Characterization, error) {
 	w, err := sw.Workload()
 	if err != nil {
 		return nil, nil, err
@@ -331,14 +333,18 @@ func (sw *Sweep) runPoint(point int, storageOverride *storage.Config) (*workload
 		sp.Storage = *storageOverride
 	}
 	sw.Apply(point, &sp)
-	res, err := workloads.Run(w, sp)
+	res, err := w.RunContext(ctx, sp)
 	if err != nil {
 		return nil, nil, err
 	}
 	aopt := core.DefaultOptions()
 	cfg := res.Spec.Storage
 	aopt.Storage = &cfg
-	return res, core.Analyze(res.Trace, aopt), nil
+	char, err := core.AnalyzeContext(ctx, res.Trace, aopt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, char, nil
 }
 
 // speedup formats a before/after ratio the way the report pins it.

@@ -10,7 +10,6 @@ import (
 
 	"vani/internal/spec"
 	"vani/internal/trace"
-	"vani/internal/workloads"
 )
 
 // tracePoison is internal/trace's poisonRecycled switch: while it is set,
@@ -28,18 +27,18 @@ func TestTracesSurviveRecycledPages(t *testing.T) {
 	tracePoison.Store(true)
 	defer tracePoison.Store(false)
 
-	var jobs []workloads.Workload
+	var jobs []spec.Workload
 	for round := 0; round < 2; round++ {
 		jobs = append(jobs, spec.All()...)
 	}
-	next := make(chan workloads.Workload)
+	next := make(chan spec.Workload)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for w := range next {
-				res, err := workloads.Run(w, tinySpec(w, 0.01))
+				res, err := w.Run(tinySpec(w, 0.01))
 				if err != nil {
 					t.Errorf("Run(%s): %v", w.Name(), err)
 					continue

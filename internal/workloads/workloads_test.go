@@ -19,7 +19,7 @@ import (
 const jagDataPath = "/p/gpfs1/jag/images_scalars.npy"
 
 // tinySpec returns a fast configuration for tests: 4 nodes, small scale.
-func tinySpec(w workloads.Workload, scale float64) workloads.Spec {
+func tinySpec(w spec.Workload, scale float64) workloads.Spec {
 	s := w.DefaultSpec()
 	s.Nodes = 4
 	if s.RanksPerNode > 8 {
@@ -29,9 +29,9 @@ func tinySpec(w workloads.Workload, scale float64) workloads.Spec {
 	return s
 }
 
-func mustRun(t *testing.T, w workloads.Workload, spec workloads.Spec) *workloads.Result {
+func mustRun(t *testing.T, w spec.Workload, spec workloads.Spec) *workloads.Result {
 	t.Helper()
-	res, err := workloads.Run(w, spec)
+	res, err := w.Run(spec)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", w.Name(), err)
 	}
@@ -68,7 +68,7 @@ func TestRunRejectsBadScale(t *testing.T) {
 	w := spectest.Golden(t, "hacc", nil)
 	for _, scale := range []float64{0, -1, 1.5} {
 		s := tinySpec(w, scale)
-		if _, err := workloads.Run(w, s); err == nil {
+		if _, err := w.Run(s); err == nil {
 			t.Errorf("scale %v accepted", scale)
 		}
 	}
@@ -78,13 +78,13 @@ func TestRunRejectsBadJob(t *testing.T) {
 	w := spectest.Golden(t, "hacc", nil)
 	s := tinySpec(w, 0.01)
 	s.Nodes = 0
-	if _, err := workloads.Run(w, s); err == nil {
+	if _, err := w.Run(s); err == nil {
 		t.Error("zero nodes accepted")
 	}
 }
 
 // perWorkload invariants checked for every exemplar.
-func checkCommonInvariants(t *testing.T, w workloads.Workload, res *workloads.Result) {
+func checkCommonInvariants(t *testing.T, w spec.Workload, res *workloads.Result) {
 	t.Helper()
 	tr := res.Trace
 	if len(tr.Events) == 0 {
@@ -699,14 +699,15 @@ func TestGoldenSpecIdentity(t *testing.T) {
 			s.RanksPerNode, s.TimeLimit, s.Iface.StdioPerOpCPU = 4, 6*time.Hour, 3*time.Millisecond
 		}},
 	} {
-		w, err := spec.New(c.name)
+		doc, err := spec.Golden(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w := doc.Compile()
 		want := workloads.DefaultSpec()
 		c.edit(&want)
-		if w.Name() != c.name || w.AppName() != c.app {
-			t.Errorf("%s: Name %q, AppName %q, want %q, %q", c.name, w.Name(), w.AppName(), c.name, c.app)
+		if w.Name() != c.name || doc.App != c.app {
+			t.Errorf("%s: Name %q, App %q, want %q, %q", c.name, w.Name(), doc.App, c.name, c.app)
 		}
 		if got := w.DefaultSpec(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: DefaultSpec() = %+v, want %+v", c.name, got, want)

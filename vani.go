@@ -1,9 +1,14 @@
 // Package vani reproduces "Extracting and characterizing I/O behavior of
 // HPC workloads" (Devarajan & Mohror, LLNL, 2022) as a self-contained Go
 // library: a simulated HPC storage stack, Recorder-style multilevel
-// tracing, the six exemplar workloads, the Vani-style entity/attribute
-// characterization, and the attribute-to-configuration advisor with the
-// paper's two optimization case studies.
+// tracing, the six exemplar workloads and the IOR probe, the Vani-style
+// entity/attribute characterization, and the attribute-to-configuration
+// advisor with the paper's two optimization case studies.
+//
+// Every workload is a declarative document (the internal/spec DSL): New
+// compiles a golden one by name, ParseSpec or ParseSpecFile your own
+// (examples/custom-workload/pic-sim.yaml), and both yield the same
+// Workload.
 //
 // The typical pipeline mirrors the paper's methodology:
 //
@@ -24,7 +29,6 @@ import (
 
 	"vani/internal/advisor"
 	"vani/internal/core"
-	"vani/internal/iface"
 	"vani/internal/pipeline"
 	"vani/internal/replay"
 	"vani/internal/sim"
@@ -41,9 +45,9 @@ import (
 type (
 	// Spec configures a workload run (nodes, scale, tracing, storage).
 	Spec = workloads.Spec
-	// Workload is a runnable workload: a compiled golden spec, or a custom
-	// Go implementation (examples/custom-workload).
-	Workload = workloads.Workload
+	// Workload is a runnable workload: a compiled spec document, golden
+	// (New) or your own (ParseSpec, ParseSpecFile).
+	Workload = spec.Workload
 	// Result is a completed simulated run with its trace.
 	Result = workloads.Result
 	// Trace is the Recorder-style multilevel event log.
@@ -54,13 +58,6 @@ type (
 	Recommendation = advisor.Recommendation
 	// StorageConfig holds the storage-stack performance model parameters.
 	StorageConfig = storage.Config
-	// Env is the assembled simulation environment a workload runs in;
-	// custom Workload implementations receive it in Setup and Spawn.
-	Env = workloads.Env
-	// Proc is a simulated process (an MPI rank, a workflow task).
-	Proc = sim.Proc
-	// IOClient is the per-rank interface client (POSIX/STDIO/MPI-IO/HDF5).
-	IOClient = iface.Client
 )
 
 // New constructs a workload by name: "cm1", "hacc", "cosmoflow", "jag",
@@ -71,7 +68,7 @@ func New(name string) (Workload, error) { return spec.New(name) }
 func Workloads() []string { return spec.Names() }
 
 // Run simulates the workload under spec and returns its trace and runtime.
-func Run(w Workload, spec Spec) (*Result, error) { return workloads.Run(w, spec) }
+func Run(w Workload, sp Spec) (*Result, error) { return w.Run(sp) }
 
 // AnalyzerOptions tunes the characterization pipeline: phase gap, figure
 // resolution, the Parallelism knob of the chunked scans, an optional
