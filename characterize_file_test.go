@@ -1,4 +1,4 @@
-package pipeline
+package vani
 
 import (
 	"bytes"
@@ -88,7 +88,7 @@ func TestFileRepeatsByteIdentical(t *testing.T) {
 		want := reference(t, tr, opt)
 		inUse := trace.ColumnsInUse()
 		for i := 0; i < 5; i++ {
-			c, err := File(context.Background(), path, opt)
+			c, err := CharacterizeFileContext(context.Background(), path, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestConcurrentFilesShareThePool(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				opt := core.DefaultOptions()
 				opt.Parallelism = 2
-				c, err := File(context.Background(), j.path, opt)
+				c, err := CharacterizeFileContext(context.Background(), j.path, opt)
 				if err != nil {
 					t.Errorf("%s: %v", j.path, err)
 					return
@@ -208,7 +208,7 @@ func TestErrorsReturnEveryColumn(t *testing.T) {
 	for _, filter := range filters {
 		opt := core.DefaultOptions()
 		opt.Filter = filter
-		if _, err := File(context.Background(), bad, opt); !errors.Is(err, trace.ErrBadFormat) {
+		if _, err := CharacterizeFileContext(context.Background(), bad, opt); !errors.Is(err, trace.ErrBadFormat) {
 			t.Fatalf("corrupt block error = %v, want ErrBadFormat", err)
 		}
 		if got := trace.ColumnsInUse(); got != inUse {
@@ -218,7 +218,7 @@ func TestErrorsReturnEveryColumn(t *testing.T) {
 		for polls := int64(0); polls < 60; polls += 5 {
 			ctx := &expiringCtx{Context: context.Background()}
 			ctx.left.Store(polls)
-			_, err := File(ctx, path, opt)
+			_, err := CharacterizeFileContext(ctx, path, opt)
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("canceled at poll %d: error %v", polls, err)
 			}
@@ -260,20 +260,20 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		t.Run(arm.name, func(t *testing.T) {
 			opt := core.DefaultOptions()
 			opt.Filter = arm.filter
-			if _, err := File(context.Background(), path, opt); err != nil {
+			if _, err := CharacterizeFileContext(context.Background(), path, opt); err != nil {
 				t.Fatal(err)
 			}
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := File(context.Background(), path, opt); err != nil {
+			if _, err := CharacterizeFileContext(context.Background(), path, opt); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
 			perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr.Events))
 			t.Logf("%d events, %.1f B/event", len(tr.Events), perEvent)
 			if perEvent > arm.budget {
-				t.Errorf("steady-state File allocates %.1f B/event, budget %.0f", perEvent, arm.budget)
+				t.Errorf("steady-state CharacterizeFileContext allocates %.1f B/event, budget %.0f", perEvent, arm.budget)
 			}
 		})
 	}

@@ -136,6 +136,40 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opt Options) (*Charact
 	return AnalyzeTableContext(ctx, tr, tb, opt)
 }
 
+// AnalyzeBlocksContext analyzes a block source — a BlockReader over an
+// open file, or a shared decoded-block cache like vanid's — through the
+// planned-scan path: the filter pushes down to the block index, predicates
+// evaluate in the compressed domain where the segment codecs serve them,
+// and the analyzer's scan materializes only the columns its passes read.
+// The characterization is byte-identical to AnalyzeContext over the same
+// log's events.
+func AnalyzeBlocksContext(ctx context.Context, src trace.BlockSource, opt Options) (*Characterization, error) {
+	t0 := time.Now()
+	stats := &colstore.ScanStats{}
+	spec := colstore.ScanSpec{Filter: opt.Filter}
+	tb, err := colstore.FromBlocksSpecContext(ctx, src, opt.Parallelism, spec, stats)
+	if err != nil {
+		return nil, err
+	}
+	// The table dies here whatever the analyzer returns, and the
+	// characterization aliases none of its columns, so the block columns
+	// go back for the next request to decode into.
+	defer tb.Release()
+	if opt.Stats != nil {
+		opt.Stats.Columnarize = time.Since(t0)
+	}
+	c, err := AnalyzeTableContext(ctx, src.Header(), tb, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Snapshot after analysis: lazily materialized columns add their
+	// decoded bytes during the kernels' Require calls.
+	if opt.Stats != nil {
+		opt.Stats.Scan = stats.Snapshot()
+	}
+	return c, nil
+}
+
 // AnalyzeTableContext builds the characterization from a columnar table
 // plus the trace header carrying its metadata and interning tables
 // (hdr.Events is never touched, so traces streamed off disk need not

@@ -13,7 +13,10 @@
 package replay
 
 import (
+	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,9 +80,8 @@ type script struct {
 // concurrently.
 type Plan struct {
 	files     []trace.FileInfo
-	nodes     int
 	scripts   []script  // ranks with at least one op, in rank order
-	nodeFiles [][]int32 // per node, the trace files its ranks touch
+	nodeFiles [][]int32 // per node a script runs on, the trace files its ranks touch
 }
 
 // Run replays the trace's primary-level I/O events under the candidate
@@ -89,17 +91,18 @@ func Run(tr *trace.Trace, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pl.Run(opt)
+	return pl.Run(context.Background(), opt)
 }
 
 // Run replays the plan under the candidate configuration. Every file a
 // node touches exists from the start at its final size, so replayed reads
 // always have backing bytes whatever the interleaving across ranks, and
-// each (node, file) is resolved once, before the first op.
-func (pl *Plan) Run(opt Options) (*Result, error) {
+// each (node, file) is resolved once, before the first op. The replay
+// stops with ctx.Err() once ctx is done.
+func (pl *Plan) Run(ctx context.Context, opt Options) (*Result, error) {
 	e := sim.NewEngine()
-	sys := storage.New(e, opt.Storage, pl.nodes, sim.NewRNG(opt.Seed))
-	handles := make([][]*storage.File, pl.nodes)
+	sys := storage.New(e, opt.Storage, max(len(pl.nodeFiles), 1), sim.NewRNG(opt.Seed))
+	handles := make([][]*storage.File, len(pl.nodeFiles))
 	for node, files := range pl.nodeFiles {
 		handles[node] = make([]*storage.File, len(files))
 		for i, id := range files {
@@ -150,7 +153,7 @@ func (pl *Plan) Run(opt Options) (*Result, error) {
 			}
 		})
 	}
-	res.Runtime = e.Run()
+	res.Runtime = e.RunContext(ctx)
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
@@ -161,6 +164,9 @@ func (pl *Plan) Run(opt Options) (*Result, error) {
 }
 
 // NewPlan extracts each rank's primary-level I/O sequence from the trace.
+// Only the nodes its ranks run on are numbered, densely and in ascending
+// node order, so a header claiming more nodes than the log's events use
+// costs nothing.
 func NewPlan(tr *trace.Trace) (*Plan, error) {
 	if tr.Meta.Nodes <= 0 || tr.Meta.Ranks <= 0 {
 		return nil, fmt.Errorf("replay: trace has no job metadata")
@@ -192,10 +198,11 @@ func NewPlan(tr *trace.Trace) (*Plan, error) {
 		}
 	}
 
-	pl := &Plan{files: tr.Files, nodes: tr.Meta.Nodes, nodeFiles: make([][]int32, tr.Meta.Nodes)}
+	pl := &Plan{files: tr.Files}
 	ranksPerNode := max(tr.Meta.Ranks/tr.Meta.Nodes, 1)
 	byRank := map[int32]int{} // rank -> index in pl.scripts
-	slots := map[[2]int32]int32{}
+	nodeFiles := map[int][]int32{}
+	slots := map[[2]int]int32{}
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if !ev.Op.IsIO() || ev.File < 0 {
@@ -208,15 +215,15 @@ func NewPlan(tr *trace.Trace) (*Plan, error) {
 		if !ok {
 			si = len(pl.scripts)
 			byRank[ev.Rank] = si
-			node := min(int(ev.Rank)/ranksPerNode, pl.nodes-1)
+			node := min(int(ev.Rank)/ranksPerNode, tr.Meta.Nodes-1)
 			pl.scripts = append(pl.scripts, script{rank: int(ev.Rank), node: node})
 		}
 		sc := &pl.scripts[si]
-		slot, ok := slots[[2]int32{int32(sc.node), ev.File}]
+		slot, ok := slots[[2]int{sc.node, int(ev.File)}]
 		if !ok {
-			slot = int32(len(pl.nodeFiles[sc.node]))
-			slots[[2]int32{int32(sc.node), ev.File}] = slot
-			pl.nodeFiles[sc.node] = append(pl.nodeFiles[sc.node], ev.File)
+			slot = int32(len(nodeFiles[sc.node]))
+			slots[[2]int{sc.node, int(ev.File)}] = slot
+			nodeFiles[sc.node] = append(nodeFiles[sc.node], ev.File)
 		}
 		op := rankOp{
 			op: ev.Op, slot: slot, offset: ev.Offset, size: ev.Size,
@@ -229,6 +236,13 @@ func NewPlan(tr *trace.Trace) (*Plan, error) {
 			creates[ev.File] = false
 		}
 		sc.ops = append(sc.ops, op)
+	}
+	nodes := slices.Sorted(maps.Keys(nodeFiles))
+	for _, node := range nodes {
+		pl.nodeFiles = append(pl.nodeFiles, nodeFiles[node])
+	}
+	for i := range pl.scripts {
+		pl.scripts[i].node, _ = slices.BinarySearch(nodes, pl.scripts[i].node)
 	}
 	// Spawn ranks in order: record order would otherwise leak into FCFS
 	// arrival order.

@@ -1,6 +1,9 @@
 package replay
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -138,6 +141,54 @@ func TestReplayDetectsBetterConfig(t *testing.T) {
 func TestReplayRejectsEmptyMeta(t *testing.T) {
 	if _, err := Run(&trace.Trace{}, DefaultOptions()); err == nil {
 		t.Error("empty trace accepted")
+	}
+}
+
+// TestReplayHostileNodeCount: a log whose header claims 2^40 nodes reads
+// back, and replaying it numbers only the nodes its ranks run on, so Run and
+// Tune end in a result or an error, never in an allocation per claimed node.
+func TestReplayHostileNodeCount(t *testing.T) {
+	tr := captureTrace(t, "hacc", 0.02)
+	hostile := *tr
+	hostile.Meta.Nodes = 1 << 40
+	var buf bytes.Buffer
+	if err := trace.WriteV2(&buf, &hostile); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Meta.Nodes != 1<<40 {
+		t.Fatalf("header reads back %d nodes", back.Meta.Nodes)
+	}
+	pl, err := NewPlan(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.nodeFiles) > len(pl.scripts) {
+		t.Errorf("plan numbers %d nodes for %d ranks", len(pl.nodeFiles), len(pl.scripts))
+	}
+	if res, err := Run(back, DefaultOptions()); err == nil && res.Ops == 0 {
+		t.Error("replay of the hostile header moved nothing")
+	}
+	if _, err := Tune(back, CacheSweep(storage.Lassen()), DefaultOptions()); err != nil {
+		t.Logf("Tune: %v", err)
+	}
+}
+
+// TestTrialCanceled: a trial under a canceled context stops with an error
+// that wraps context.Canceled.
+func TestTrialCanceled(t *testing.T) {
+	pl, err := NewPlan(captureTrace(t, "hacc", 0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cand := Candidate{Name: "lassen", Config: storage.Lassen()}
+	if _, err := pl.Trial(ctx, cand, DefaultOptions()); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled trial: error %v, want context.Canceled", err)
 	}
 }
 

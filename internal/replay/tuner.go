@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -41,7 +42,7 @@ func Tune(tr *trace.Trace, candidates []Candidate, opt Options) ([]TrialResult, 
 	results := make([]TrialResult, len(candidates))
 	errs := make([]error, len(candidates))
 	parallel.ForEach(0, len(candidates), func(i int) {
-		results[i], errs[i] = pl.Trial(candidates[i], opt)
+		results[i], errs[i] = pl.Trial(context.Background(), candidates[i], opt)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -53,10 +54,10 @@ func Tune(tr *trace.Trace, candidates []Candidate, opt Options) ([]TrialResult, 
 }
 
 // Trial replays the plan under one candidate's configuration, the rest of
-// opt unchanged.
-func (pl *Plan) Trial(cand Candidate, opt Options) (TrialResult, error) {
+// opt unchanged. It stops with ctx.Err() once ctx is done.
+func (pl *Plan) Trial(ctx context.Context, cand Candidate, opt Options) (TrialResult, error) {
 	opt.Storage = cand.Config
-	res, err := pl.Run(opt)
+	res, err := pl.Run(ctx, opt)
 	if err != nil {
 		return TrialResult{}, fmt.Errorf("replay: candidate %s: %w", cand.Name, err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"vani/internal/core"
 	"vani/internal/parallel"
-	"vani/internal/pipeline"
 	"vani/internal/stats"
 	"vani/internal/storage"
 	"vani/internal/trace"
@@ -232,7 +231,7 @@ func (h *Handle) Characterize(ctx context.Context, opt core.Options) (*core.Char
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.Blocks(ctx, br, opt)
+	return core.AnalyzeBlocksContext(ctx, br, opt)
 }
 
 // DefaultCharacterizer builds the standard CharFunc: the CLI pipeline

@@ -122,8 +122,8 @@ func (sw *Sweep) Run(opt Options) (*Report, error) {
 }
 
 // RunContext is Run that stops when ctx is done: no point or trial starts
-// after that, a running point's simulation and analysis stop midway, a
-// running stripe trial finishes, and the sweep returns ctx.Err().
+// after that, a running point's simulation and analysis and a running
+// stripe trial stop midway, and the sweep returns ctx.Err().
 //
 // Points and stripe trials are tasks of one pool of Parallelism workers.
 // The points queue in index order; when point 0 completes, its trace is
@@ -160,7 +160,7 @@ func (sw *Sweep) RunContext(ctx context.Context, opt Options) (*Report, error) {
 			var tasks []func() error
 			if err == nil {
 				base, baseChar = res.Spec, char
-				trials, trialErrs, tasks = sw.trialTasks(res.Trace, base.Storage)
+				trials, trialErrs, tasks = sw.trialTasks(ctx, res.Trace, base.Storage)
 			}
 			pl.feed(tasks)
 		}
@@ -236,8 +236,8 @@ func (sw *Sweep) RunContext(ctx context.Context, opt Options) (*Report, error) {
 
 // trialTasks plans the baseline trace for replay and returns one task per
 // stripe candidate around the baseline's storage, each replaying the plan
-// into its slot of results and errs.
-func (sw *Sweep) trialTasks(tr *trace.Trace, baseCfg storage.Config) (results []replay.TrialResult, errs []error, tasks []func() error) {
+// under ctx into its slot of results and errs.
+func (sw *Sweep) trialTasks(ctx context.Context, tr *trace.Trace, baseCfg storage.Config) (results []replay.TrialResult, errs []error, tasks []func() error) {
 	plan, err := replay.NewPlan(tr)
 	if err != nil {
 		return nil, []error{err}, nil
@@ -250,7 +250,7 @@ func (sw *Sweep) trialTasks(tr *trace.Trace, baseCfg storage.Config) (results []
 	errs = make([]error, len(cands))
 	for i, c := range cands {
 		tasks = append(tasks, func() error {
-			results[i], errs[i] = plan.Trial(c, ropt)
+			results[i], errs[i] = plan.Trial(ctx, c, ropt)
 			return errs[i]
 		})
 	}

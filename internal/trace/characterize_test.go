@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"vani/internal/core"
-	"vani/internal/pipeline"
 	"vani/internal/trace"
 )
 
@@ -21,7 +20,7 @@ func init() {
 			inUse := trace.ColumnsInUse()
 			opt := core.DefaultOptions()
 			opt.Filter = f
-			_, err := pipeline.Blocks(context.Background(), br, opt)
+			_, err := core.AnalyzeBlocksContext(context.Background(), br, opt)
 			if err != nil && !errors.Is(err, trace.ErrBadFormat) && !errors.Is(err, core.ErrTooLarge) {
 				return fmt.Errorf("filter %+v: error %w is neither ErrBadFormat nor ErrTooLarge", f, err)
 			}

@@ -8,7 +8,6 @@ import (
 
 	"vani/internal/colstore"
 	"vani/internal/core"
-	"vani/internal/pipeline"
 	"vani/internal/trace"
 	"vani/internal/yamlenc"
 )
@@ -106,7 +105,7 @@ func TestReportsSurviveRecycledColumns(t *testing.T) {
 					opt.Filter, opt.Parallelism = sh.filter, par
 					var tm core.Timings
 					opt.Stats = &tm
-					c, err := pipeline.Blocks(ctx, br, opt)
+					c, err := core.AnalyzeBlocksContext(ctx, br, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", sh.name, err)
 					}

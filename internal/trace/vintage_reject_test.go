@@ -12,8 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"vani/internal/core"
-	"vani/internal/pipeline"
+	"vani"
 	"vani/internal/repo"
 	"vani/internal/server"
 	"vani/internal/trace"
@@ -21,7 +20,7 @@ import (
 
 // TestOldVintagesAreBadFormat: a log in a retired layout is refused by name
 // — an ErrBadFormat that says which vintage it is — at every door bytes come
-// in by: the block reader, the stream reader, the file pipeline, a vanid
+// in by: the block reader, the stream reader, the façade's file path, a vanid
 // upload and a repository add. Never a panic, never a misparse.
 func TestOldVintagesAreBadFormat(t *testing.T) {
 	srv, err := server.New(server.Config{DataDir: t.TempDir(), Workers: 1})
@@ -55,8 +54,8 @@ func TestOldVintagesAreBadFormat(t *testing.T) {
 			if err := os.WriteFile(path, v.Data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err = pipeline.File(context.Background(), path, core.DefaultOptions())
-			refused("pipeline.File", err)
+			_, err = vani.CharacterizeFileContext(context.Background(), path, vani.DefaultAnalyzerOptions())
+			refused("CharacterizeFileContext", err)
 
 			resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(v.Data))
 			if err != nil {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package pipeline
+package vani
 
 const raceEnabled = false

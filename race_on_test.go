@@ -1,6 +1,6 @@
 //go:build race
 
-package pipeline
+package vani
 
 // raceEnabled reports that this binary runs under the race detector, whose
 // instrumentation skews allocation accounting; alloc-bound tests skip.

@@ -25,11 +25,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"vani/internal/advisor"
 	"vani/internal/core"
-	"vani/internal/pipeline"
 	"vani/internal/replay"
 	"vani/internal/sim"
 	"vani/internal/spec"
@@ -141,7 +141,33 @@ func CharacterizeContext(ctx context.Context, res *Result, opt AnalyzerOptions) 
 // completion. The returned error is ctx.Err() when the abort was a
 // cancellation.
 func CharacterizeFileContext(ctx context.Context, path string, opt AnalyzerOptions) (*Characterization, error) {
-	return pipeline.File(ctx, path, opt)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	br, err := trace.NewBlockReader(trace.ReaderAtContext(ctx, f), info.Size())
+	if err != nil {
+		return nil, wrapReadErr(path, err)
+	}
+	c, err := core.AnalyzeBlocksContext(ctx, br, opt)
+	if err != nil {
+		return nil, wrapReadErr(path, err)
+	}
+	return c, nil
+}
+
+// wrapReadErr attributes a read-path failure to its file, but leaves
+// context errors bare so callers can distinguish cancellation.
+func wrapReadErr(path string, err error) error {
+	if trace.IsCtxErr(err) {
+		return err
+	}
+	return fmt.Errorf("reading %s: %w", path, err)
 }
 
 // CharacterizeBlocksContext analyzes a block source — a
@@ -153,7 +179,7 @@ func CharacterizeFileContext(ctx context.Context, path string, opt AnalyzerOptio
 // The characterization is byte-identical to CharacterizeFileContext over
 // the same log.
 func CharacterizeBlocksContext(ctx context.Context, src trace.BlockSource, opt AnalyzerOptions) (*Characterization, error) {
-	return pipeline.Blocks(ctx, src, opt)
+	return core.AnalyzeBlocksContext(ctx, src, opt)
 }
 
 // Advise maps a characterization to storage-configuration recommendations
