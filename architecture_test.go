@@ -76,13 +76,27 @@ var archRules = []archRule{
 		},
 	},
 	{
-		// A filtered block's rows are chosen down one path: passRuns turns
-		// the level/op/rank dimensions with run or code structure into pass
-		// runs, selectRows tests the residual ones on decoded rows.
+		// A filtered block's rows are chosen down one path: selectRows tests
+		// every dimension the block constrains on its decoded rows.
 		name:     "One row-selection path in colstore",
-		why:      "colstore selects filtered rows through passRuns and selectRows only",
+		why:      "colstore selects filtered rows through selectRows only",
 		check:    grep(under("internal/colstore"), `compressedSel|compressedKeep|synthCol|keepBuf|selectRowsResidual`),
 		fixtures: []*tree{fx("internal/colstore/x.go", "package colstore\n\nfunc synthCol() {}\n")},
+	},
+	{
+		// A block is read one way: its segments decode into columns. Filters
+		// and key-column ranges read those rows; nothing reads a segment's
+		// runs, codes or header in place.
+		name: "One decode path for the read side",
+		why:  "filters and key-column ranges read decoded rows, not encoded segments",
+		check: grep(func(p string) bool {
+			return isNonTestGo(p) && (under("internal/trace")(p) || under("internal/colstore")(p))
+		}, `SegCursor|passRuns|decodeSegRuns|headerRange|KernelOp|KPredicate|KGroupAgg`),
+		fixtures: []*tree{
+			fx("internal/trace/segcursor.go", "package trace\n\ntype SegCursor struct{}\n"),
+			fx("internal/colstore/kernels.go", "package colstore\n\nconst KGroupAgg = 1\n"),
+			fx("internal/colstore/scan.go", "package colstore\n\n// passRuns evaluates runs.\n"),
+		},
 	},
 	{
 		// Every vanid upload lands in the repository, and every whole-log

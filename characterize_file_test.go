@@ -239,8 +239,10 @@ func TestErrorsReturnEveryColumn(t *testing.T) {
 // characterization of a corpus-shaped trace (cm1 as the benchmark corpus
 // runs it: 32 nodes, ≈154 k events) allocates at most 40 B per event
 // unfiltered and 52 under a posix data-op filter. Without recycled columns
-// the unfiltered call is ≈75, and without pooled pass runs the filtered one
-// is ≈76: each budget fails if its pool silently stops working. The
+// the unfiltered call is ≈75, so that budget fails if the column pools
+// silently stop working; the filtered call's pooled selection scratch is
+// worth only ≈4 B/event, which colstore's
+// TestSelectRowsAllocatesOnlyTheSelection pins instead. The
 // collector is held off for the measured call, so what it measures is the
 // request's own garbage and not when a cycle happened to empty a pool.
 func TestSteadyStateAllocBudget(t *testing.T) {

@@ -107,12 +107,6 @@ func main() {
 				s.BlocksTotal, s.BlocksPruned, s.RowsTotal, s.RowsKept, s.PayloadBytes, s.DecodedBytes)
 			fmt.Fprintf(os.Stderr, "    segs: raw=%d rle=%d dict=%d for=%d\n",
 				s.SegRaw, s.SegRLE, s.SegDict, s.SegFOR)
-			fmt.Fprintf(os.Stderr, "    kernels: served=%d fallback=%d\n",
-				s.KernelsServed, s.KernelsFallback)
-			fmt.Fprintf(os.Stderr, "    groups: served=%d fallback=%d\n",
-				s.GroupServed, s.GroupFallback)
-			fmt.Fprintf(os.Stderr, "    runisect: served=%d fallback=%d\n",
-				s.RunIsectServed, s.RunIsectFallback)
 		}
 		cols = append(cols, report.Named{Name: display(name), C: c})
 		if *traceDir != "" {

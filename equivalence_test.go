@@ -176,11 +176,9 @@ func TestFormatEquivalence(t *testing.T) {
 // encoded under every segment-codec strategy — the cost model and each
 // codec forced on, with and without the flate outer layer — characterizes
 // to a YAML artifact byte-identical to the in-memory analysis, at
-// sequential, fixed-parallel and NumCPU decode. The variants are what
-// drives every compressed-domain kernel and its fallback: forced raw
-// segments carry no structure, so the unifier and every predicate read
-// materialized rows, while the structured codecs answer from headers, runs
-// and codes — and the two must be indistinguishable byte-for-byte.
+// sequential, fixed-parallel and NumCPU decode. The variants drive every
+// segment decoder under the filter tests and the unifier, and all of them
+// must be indistinguishable byte-for-byte.
 func TestCodecMatrixEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	variants := map[string]trace.V2Options{
@@ -243,10 +241,9 @@ func TestCodecMatrixEquivalence(t *testing.T) {
 
 // TestFilteredCodecMatrixEquivalence extends the codec matrix to filtered
 // scans. With a filter pushed down, the surviving chunks are
-// selection-backed — chosen in the compressed domain where the codec has
-// structure, by materialized row predicates where it has none (forced raw
-// segments always); the YAML must stay byte-identical to in-memory
-// filtering across codecs, filter shapes (residual window, exact rank
+// selection-backed — chosen by testing the filter on decoded rows under
+// every codec; the YAML must stay byte-identical to in-memory filtering
+// across codecs, filter shapes (residual window, exact rank
 // selection, op class, and their combination) and sequential / fixed /
 // NumCPU parallelism.
 func TestFilteredCodecMatrixEquivalence(t *testing.T) {

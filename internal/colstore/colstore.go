@@ -16,6 +16,8 @@
 package colstore
 
 import (
+	"fmt"
+
 	"vani/internal/parallel"
 	"vani/internal/trace"
 )
@@ -84,11 +86,6 @@ func newChunk(rows int) *Chunk {
 type Table struct {
 	n      int
 	chunks []*Chunk
-
-	// stats is the scan's ScanStats when the table came from a planned
-	// block scan; kernel served/fallback requests tick into it. Nil for
-	// tables transposed from memory.
-	stats *ScanStats
 }
 
 // Len returns the number of rows.
@@ -141,6 +138,24 @@ const (
 	ColFile
 )
 
+// colNames names the groupable key columns, indexed by Col.
+var colNames = [...]string{"rank", "node", "app", "file"}
+
+// traceCol returns the trace-layer column set bit for a key column.
+func (col Col) traceCol() trace.ColSet {
+	switch col {
+	case ColRank:
+		return trace.ColRank
+	case ColNode:
+		return trace.ColNode
+	case ColApp:
+		return trace.ColApp
+	case ColFile:
+		return trace.ColFile
+	}
+	return 0
+}
+
 func (c *Chunk) col(col Col) []int32 {
 	switch col {
 	case ColRank:
@@ -153,6 +168,66 @@ func (c *Chunk) col(col Col) []int32 {
 		return c.File
 	}
 	return nil
+}
+
+// UnifyCodes unifies key columns onto dense scan-global id spaces, one
+// per column. Stored values are the trace's interned ids, so the global id
+// of a value is the value itself; what unification establishes is each
+// column's cardinality — every value cols[i] stores lies in [-1, cards[i]),
+// so dense accumulators indexed by value+1 need cards[i]+1 slots — and
+// that no value escapes the id table the column indexes: limits[i] is
+// that table's length, and a stored value outside [-1, limits[i]) is
+// malformed input, reported as an ErrBadFormat-wrapped error before any
+// caller sizes anything by it.
+//
+// Each chunk Requires the columns together and scans them for their
+// ranges: the analyzer's passes read these columns anyway, so the decode
+// is moved, not added.
+func (t *Table) UnifyCodes(par int, cols []Col, limits []int) (cards []int, err error) {
+	type valueRange struct{ min, max int32 }
+	var want trace.ColSet
+	for _, col := range cols {
+		want |= col.traceCol()
+	}
+	nc := len(cols)
+	parts := make([]valueRange, len(t.chunks)*nc)
+	errs := make([]error, len(t.chunks))
+	parallel.ForEach(par, len(t.chunks), func(k int) {
+		c := t.chunks[k]
+		if errs[k] = c.Require(want); errs[k] != nil {
+			return
+		}
+		for i, col := range cols {
+			r := valueRange{min: -1, max: -1}
+			for _, v := range c.col(col) {
+				r.min, r.max = min(r.min, v), max(r.max, v)
+			}
+			parts[k*nc+i] = r
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	cards = make([]int, nc)
+	for i, col := range cols {
+		all := valueRange{min: -1, max: -1}
+		for k := range t.chunks {
+			r := parts[k*nc+i]
+			all.min, all.max = min(all.min, r.min), max(all.max, r.max)
+		}
+		if all.min < -1 || int64(all.max) >= int64(limits[i]) {
+			bad := all.max
+			if all.min < -1 {
+				bad = all.min
+			}
+			return nil, fmt.Errorf("colstore: %s id %d outside its table of %d entries: %w",
+				colNames[col], bad, limits[i], trace.ErrBadFormat)
+		}
+		cards[i] = int(all.max) + 1
+	}
+	return cards, nil
 }
 
 // ForEachChunk invokes fn over the table's chunks in order — the streamed

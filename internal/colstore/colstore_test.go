@@ -87,12 +87,12 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 	}
 	for name, tb := range tables {
 		for _, col := range []Col{ColRank, ColNode, ColApp, ColFile} {
-			want, err := tb.UnifyCodes(1, col, 1<<20)
+			want, err := unifyOne(tb, 1, col, 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{0, 2, 4, 16} {
-				if got, err := tb.UnifyCodes(par, col, 1<<20); err != nil || got != want {
+				if got, err := unifyOne(tb, par, col, 1<<20); err != nil || got != want {
 					t.Errorf("%s col=%d par=%d: UnifyCodes = (%d, %v), want (%d, nil)", name, col, par, got, err, want)
 				}
 			}

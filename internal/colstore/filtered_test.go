@@ -1,8 +1,8 @@
 package colstore
 
 // Selection-backed chunks: a filtered scan's chunks hold exactly the rows
-// an in-memory filter of the decoded events keeps, and the unifier's
-// accounting on them moves by exact amounts.
+// an in-memory filter of the decoded events keeps, and the unifier decodes
+// each chunk's key column once.
 
 import (
 	"context"
@@ -12,22 +12,17 @@ import (
 	"vani/internal/trace"
 )
 
-// TestMultiDimFilteredRowIdentity: a multi-dimension filter whose every
-// dimension becomes pass runs (an intersection with nothing residual)
-// yields the rows trace.FilterEvents keeps, in order — whether it cuts
-// blocks to a selection (partial) or passes every row, in which case the
-// chunks stay whole blocks and the unifier still answers from their
-// segment headers.
+// TestMultiDimFilteredRowIdentity: a multi-dimension filter over RLE
+// segments yields the rows trace.FilterEvents keeps, in order — whether it
+// cuts blocks to a selection (partial) or passes every row, in which case
+// the chunks stay whole blocks with no selection and the unifier bounds
+// their key column.
 func TestMultiDimFilteredRowIdentity(t *testing.T) {
 	tr := groupTrace(3)
 	scan := func(t *testing.T, f trace.Filter) (*Table, *ScanStats) {
 		br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecForceRLE})
 		stats := &ScanStats{}
-		tb := plan(t, br, 2, ScanSpec{Filter: f}, stats)
-		if stats.RunIsectServed.Load() == 0 {
-			t.Fatal("multi-dimension filter left a dimension to the per-row test")
-		}
-		return tb, stats
+		return plan(t, br, 2, ScanSpec{Filter: f}, stats), stats
 	}
 	assertRowIdentity := func(t *testing.T, tb *Table, f trace.Filter) {
 		assertEvents(t, trace.FilterEvents(tr.Events, f), tb)
@@ -49,24 +44,24 @@ func TestMultiDimFilteredRowIdentity(t *testing.T) {
 		if kept, total := stats.RowsKept.Load(), stats.RowsTotal.Load(); kept != total {
 			t.Fatalf("kept %d of %d rows, want all", kept, total)
 		}
-		if _, err := tb.UnifyCodes(2, ColRank, 8); err != nil {
-			t.Fatal(err)
-		}
-		if served := stats.KernelServed[KGroupAgg].Load(); served != int64(tb.NumChunks()) {
-			t.Errorf("unifier served %d of %d whole-pass chunks from headers; the filter cost them their block",
-				served, tb.NumChunks())
+		tb.ForEachChunk(func(c *Chunk) {
+			if c.lazy == nil || c.lazy.sel != nil {
+				t.Fatal("a whole-pass block was kept through a selection")
+			}
+		})
+		if card, err := unifyOne(tb, 2, ColRank, 8); err != nil || card != 8 {
+			t.Fatalf("UnifyCodes = (%d, %v), want (8, nil)", card, err)
 		}
 		assertRowIdentity(t, tb, f)
 	})
 }
 
-// TestGroupFallbackOncePerChunk pins the unifier's accounting on filtered
-// scans: a selection-backed chunk has no whole-block header to answer from,
-// so — over a structured codec as over structureless raw segments — each
-// unification ticks one KGroupAgg fallback per chunk and decodes exactly
-// that chunk's key column, once: the bytes the analyzer's passes would
-// have decoded anyway. A stored id past the caller's table is ErrBadFormat
-// at the same one tick per chunk.
+// TestGroupFallbackOncePerChunk pins the unifier's decode on filtered
+// scans: over a structured codec as over structureless raw segments, a
+// unification of selection-backed chunks decodes exactly each chunk's key
+// column, once: the bytes the analyzer's passes would have decoded anyway.
+// A stored id past the caller's table is ErrBadFormat, and decodes nothing
+// more.
 func TestGroupFallbackOncePerChunk(t *testing.T) {
 	tr := groupTrace(3)
 	f := trace.Filter{Ranks: []int32{1, 3, 5}}
@@ -78,19 +73,12 @@ func TestGroupFallbackOncePerChunk(t *testing.T) {
 			br := blockReaderFor(t, tr, trace.V2Options{Codec: codec})
 			var stats ScanStats
 			tb := plan(t, br, 2, ScanSpec{Filter: f}, &stats)
-			nchunks := int64(tb.NumChunks())
 			base := stats.Snapshot()
-			card, err := tb.UnifyCodes(2, ColFile, len(tr.Files))
+			card, err := unifyOne(tb, 2, ColFile, len(tr.Files))
 			if err != nil || card != 4 {
 				t.Fatalf("UnifyCodes on selection-backed chunks = (%d, %v), want (4, nil)", card, err)
 			}
 			sc := stats.Snapshot()
-			if d := sc.KernelFallback[KGroupAgg] - base.KernelFallback[KGroupAgg]; d != nchunks {
-				t.Errorf("%d chunks ticked %d KGroupAgg fallbacks, want one each", nchunks, d)
-			}
-			if d := sc.KernelServed[KGroupAgg] - base.KernelServed[KGroupAgg]; d != 0 {
-				t.Errorf("row-reading unification ticked %d served, want 0", d)
-			}
 			var rowStats ScanStats
 			rowTb := plan(t, br, 2, ScanSpec{Filter: f}, &rowStats)
 			rowBase := rowStats.DecodedBytes.Load()
@@ -103,14 +91,10 @@ func TestGroupFallbackOncePerChunk(t *testing.T) {
 			}
 			// Chunk 0 holds file ids {-1, 0, 1}; chunk 1 reaches id 2, past a
 			// two-entry table. The column is resident: nothing decodes again.
-			if _, err := tb.UnifyCodes(2, ColFile, 2); !errors.Is(err, trace.ErrBadFormat) {
+			if _, err := unifyOne(tb, 2, ColFile, 2); !errors.Is(err, trace.ErrBadFormat) {
 				t.Fatalf("UnifyCodes past the table: err = %v, want ErrBadFormat", err)
 			}
-			again := stats.Snapshot()
-			if d := again.KernelFallback[KGroupAgg] - sc.KernelFallback[KGroupAgg]; d != nchunks {
-				t.Errorf("second unification ticked %d KGroupAgg fallbacks, want %d", d, nchunks)
-			}
-			if again.DecodedBytes != sc.DecodedBytes {
+			if again := stats.Snapshot(); again.DecodedBytes != sc.DecodedBytes {
 				t.Errorf("second unification decoded %d more bytes, want 0", again.DecodedBytes-sc.DecodedBytes)
 			}
 		})

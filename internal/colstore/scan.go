@@ -3,18 +3,16 @@ package colstore
 // The scan planner's middle layer: an analysis declares the columns its
 // kernels touch and the predicates it can push (ScanSpec);
 // FromBlocksSpecContext drives that plan down into the VANITRC2 block index
-// — skipping whole blocks the footer statistics rule out, evaluating each
-// filter dimension whose segment has run or code structure into pass runs
-// (passRuns), decoding only the column segments the plan names plus the
-// dimensions left residual, and testing those on the rows inside passing
-// runs (selectRows) — and builds a table of one chunk per surviving block,
-// at any block geometry, whose chunks materialize further columns lazily,
-// the first time a kernel asks. ScanStats counts what the plan saved so
+// — skipping whole blocks the footer statistics rule out, decoding the
+// column segments the plan names plus the filter dimensions the block's
+// index entry leaves constrained, and testing those on the block's rows
+// (selectRows) — and builds a table of one chunk per surviving block, at
+// any block geometry, whose chunks materialize further columns lazily, the
+// first time a kernel asks. ScanStats counts what the plan saved so
 // pruning effectiveness is observable, not inferred.
 
 import (
 	"context"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,9 +27,9 @@ import (
 // undecoded payload until a kernel Requires a column. The zero value is a
 // fully lazy, unfiltered scan.
 type ScanSpec struct {
-	// Cols are the columns to materialize eagerly during the scan (filter
-	// columns the predicate kernel could not serve are always decoded).
-	// 0 = decode on demand.
+	// Cols are the columns to materialize eagerly during the scan (the
+	// filter columns a block constrains are always decoded). 0 = decode on
+	// demand.
 	Cols trace.ColSet
 	// Filter is pushed down to the block index (pruning) and applied
 	// per-row afterwards, so the resulting table is row-identical to
@@ -54,37 +52,11 @@ type ScanStats struct {
 	// codec mix the cost model actually chose on this log.
 	Segs [trace.NumSegCodecs]atomic.Int64
 
-	// KernelServed and KernelFallback count, per kernel operation, the
-	// requests a compressed-domain kernel answered from encoded segments vs
-	// fell back to materialized row iteration — the observable split between
-	// the two execution paths.
-	KernelServed   [NumKernelOps]atomic.Int64
-	KernelFallback [NumKernelOps]atomic.Int64
-
-	// RunIsectServed and RunIsectFallback count blocks whose constrained
-	// set is two or more of level/op/rank and nothing else: served when
-	// every one of them became pass runs, fallback when some dimension
-	// lacked run or code structure and was tested on decoded rows.
-	RunIsectServed   atomic.Int64
-	RunIsectFallback atomic.Int64
-
 	// DecodeNanos is the time chunks spent materializing columns inside
 	// Require, summed over workers: the analyzer's passes decode lazily, so
 	// this is the part of their wall time that is segment decode and column
 	// adoption rather than analysis.
 	DecodeNanos atomic.Int64
-}
-
-// tickKernel records one kernel request as served or fallback. Nil-safe.
-func (s *ScanStats) tickKernel(op KernelOp, served bool) {
-	if s == nil {
-		return
-	}
-	if served {
-		s.KernelServed[op].Add(1)
-	} else {
-		s.KernelFallback[op].Add(1)
-	}
 }
 
 // ScanCounters is a plain-value snapshot of ScanStats, suitable for
@@ -103,36 +75,25 @@ type ScanCounters struct {
 	SegDict int64
 	SegFOR  int64
 
-	// Per-kernel served/fallback request counts, indexed by KernelOp, plus
-	// their totals.
-	KernelServed    [NumKernelOps]int64
-	KernelFallback  [NumKernelOps]int64
-	KernelsServed   int64
-	KernelsFallback int64
-
-	// Key-unification requests (KGroupAgg) answered from segment headers vs
-	// from materialized rows.
-	GroupServed   int64
-	GroupFallback int64
-
-	// Multi-dimension run intersection: blocks whose level/op/rank
-	// dimensions all became pass runs vs blocks where some were tested on
-	// decoded rows.
-	RunIsectServed   int64
-	RunIsectFallback int64
-
 	// Time spent in Require's lazy decodes, summed over workers.
 	DecodeNanos int64
 
 	// No producer is left; always 0. Kept for bench/charfile.go, which sums
-	// them into colstore.tl_served_ratio.
-	TLServed   int64
-	TLFallback int64
+	// them into colstore.tl_served_ratio, kernels_served_ratio,
+	// group_served_ratio and runisect_served_ratio.
+	TLServed         int64
+	TLFallback       int64
+	KernelsServed    int64
+	KernelsFallback  int64
+	GroupServed      int64
+	GroupFallback    int64
+	RunIsectServed   int64
+	RunIsectFallback int64
 }
 
 // Snapshot reads every counter.
 func (s *ScanStats) Snapshot() ScanCounters {
-	c := ScanCounters{
+	return ScanCounters{
 		BlocksTotal:  s.BlocksTotal.Load(),
 		BlocksPruned: s.BlocksPruned.Load(),
 		RowsTotal:    s.RowsTotal.Load(),
@@ -143,19 +104,8 @@ func (s *ScanStats) Snapshot() ScanCounters {
 		SegRLE:       s.Segs[1].Load(),
 		SegDict:      s.Segs[2].Load(),
 		SegFOR:       s.Segs[3].Load(),
+		DecodeNanos:  s.DecodeNanos.Load(),
 	}
-	for op := KernelOp(0); op < NumKernelOps; op++ {
-		c.KernelServed[op] = s.KernelServed[op].Load()
-		c.KernelFallback[op] = s.KernelFallback[op].Load()
-		c.KernelsServed += c.KernelServed[op]
-		c.KernelsFallback += c.KernelFallback[op]
-	}
-	c.GroupServed = c.KernelServed[KGroupAgg]
-	c.GroupFallback = c.KernelFallback[KGroupAgg]
-	c.RunIsectServed = s.RunIsectServed.Load()
-	c.RunIsectFallback = s.RunIsectFallback.Load()
-	c.DecodeNanos = s.DecodeNanos.Load()
-	return c
 }
 
 // countSegs tallies the codec of every decoded column segment of set into
@@ -169,8 +119,8 @@ func (s *ScanStats) countSegs(bd *trace.BlockData, set trace.ColSet) {
 }
 
 // lazySrc is the undecoded remainder of a chunk built by
-// FromBlocksSpecContext: the block payload, the row selection the residual
-// filter chose, and the set of columns already materialized. The mutex
+// FromBlocksSpecContext: the block payload, the row selection the filter
+// chose, and the set of columns already materialized. The mutex
 // serializes Require calls so concurrent kernels may demand columns of the
 // same chunk safely.
 type lazySrc struct {
@@ -360,15 +310,14 @@ func (t *Table) Release() {
 }
 
 // FromBlocksSpecContext executes a scan plan against a block log: blocks
-// the footer statistics rule out are never read, read blocks evaluate the
-// pushed-down predicate in the compressed domain where the segment codecs
-// allow and decode only the residual filter columns plus spec.Cols, and
-// each block's surviving rows form one chunk whose remaining columns
-// materialize lazily from the retained payload, for a block of any size (see
-// Chunk.exact). The resulting table is row-identical — same rows, same
-// order — to decoding everything and filtering in memory, at any par. The
-// source is any trace.BlockSource — a BlockReader over a file, or a shared
-// block cache. stats may be nil.
+// the footer statistics rule out are never read, read blocks decode the
+// filter columns they constrain plus spec.Cols and test the filter on those
+// rows, and each block's surviving rows form one chunk whose remaining
+// columns materialize lazily from the retained payload, for a block of any
+// size (see Chunk.exact). The resulting table is row-identical — same rows,
+// same order — to decoding everything and filtering in memory, at any par.
+// The source is any trace.BlockSource — a BlockReader over a file, or a
+// shared block cache. stats may be nil.
 //
 // Every block worker observes ctx before reading, so a canceled or
 // timed-out caller aborts the scan mid-log instead of decoding the
@@ -394,10 +343,8 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		}
 		// The block's index entry can prove dimensions pass-all for every
 		// row it holds (a containing time window, most usefully), so the
-		// constrained set shrinks per block: a window+rank filter becomes a
-		// pure rank filter on interior blocks — pass-run territory — and a
-		// pure-window filter keeps interior blocks whole without touching a
-		// row.
+		// constrained set shrinks per block: a pure-window filter keeps
+		// interior blocks whole without decoding or testing a row.
 		need := m.NeedColsBlock(bi)
 		bd, err := src.ReadBlock(k)
 		if err != nil {
@@ -406,58 +353,20 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		}
 		stats.PayloadBytes.Add(int64(bd.PayloadBytes()))
 		stats.RowsTotal.Add(int64(bd.Count()))
-		exact := 2*bd.Count() <= trace.DefaultBlockEvents && k != nb-1
-		if need == 0 {
-			ck := &Chunk{N: bd.Count(), exact: exact}
-			lz := &lazySrc{bd: bd, stats: stats}
-			if spec.Cols != 0 {
-				var cols trace.Columns
-				decoded, err := bd.Decode(spec.Cols, &cols)
-				if err != nil {
-					errs[k] = err
-					return
-				}
-				lz.have = spec.Cols
-				if decoded > 0 { // 0 = shared-cache memo hit, nothing decoded
-					stats.DecodedBytes.Add(decoded)
-					stats.countSegs(bd, lz.have)
-				}
-				ck.adopt(&cols, nil, lz.have)
-			}
-			if lz.have != trace.AllCols {
-				ck.lazy = lz
-			}
-			stats.RowsKept.Add(int64(ck.N))
-			chunks[k] = ck
-			return
-		}
-		// The predicate kernel turns every dimension whose segment has run or
-		// code structure into pass runs; only the residual dimensions are
-		// decoded and tested per row, on the rows inside passing runs.
-		ps := passPool.Get().(*passScratch)
-		defer passPool.Put(ps)
-		runs, residual := passRuns(m, need, bd, ps)
-		const dims3 = trace.ColLevel | trace.ColOp | trace.ColRank
-		stats.tickKernel(KPredicate, need&dims3&^residual != 0)
-		if need&^dims3 == 0 && bits.OnesCount64(uint64(need)) >= 2 {
-			if residual == 0 {
-				stats.RunIsectServed.Add(1)
-			} else {
-				stats.RunIsectFallback.Add(1)
-			}
-		}
-		have := residual | spec.Cols
+		have := need | spec.Cols
 		var cols trace.Columns
-		decoded, err := bd.Decode(have, &cols)
-		if err != nil {
-			errs[k] = err
-			return
+		if have != 0 {
+			decoded, err := bd.Decode(have, &cols)
+			if err != nil {
+				errs[k] = err
+				return
+			}
+			if decoded > 0 { // 0 = shared-cache memo hit, nothing decoded
+				stats.DecodedBytes.Add(decoded)
+				stats.countSegs(bd, have)
+			}
 		}
-		if decoded > 0 {
-			stats.DecodedBytes.Add(decoded)
-			stats.countSegs(bd, have)
-		}
-		sel := selectRows(m, runs, residual, &cols)
+		sel := selectRows(m, need, &cols)
 		kept := len(sel)
 		if sel == nil {
 			kept = bd.Count() // whole block kept: adopt without copying
@@ -467,7 +376,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			cols.Recycle(have)
 			return // every row filtered out; chunk dropped entirely
 		}
-		ck := &Chunk{N: kept, exact: exact}
+		ck := &Chunk{N: kept, exact: 2*bd.Count() <= trace.DefaultBlockEvents && k != nb-1}
 		ck.adopt(&cols, sel, have)
 		if have != trace.AllCols {
 			ck.lazy = &lazySrc{bd: bd, sel: sel, have: have, stats: stats}
@@ -484,7 +393,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			return nil, err
 		}
 	}
-	t := &Table{stats: stats}
+	t := &Table{}
 	for _, ck := range chunks {
 		if ck == nil {
 			continue
@@ -495,40 +404,34 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 	return t, nil
 }
 
-// selectRows picks the block rows that lie inside a passing run and pass
-// every residual dimension on the decoded columns, into a selection sized
-// by the rows the runs pass. It returns nil when every block row is kept —
-// the chunk then adopts the block's columns whole — and an empty non-nil
-// selection when none is.
-func selectRows(m *trace.Matcher, runs []passRun, residual trace.ColSet, cols *trace.Columns) []int32 {
-	cnt := 0
-	for _, r := range runs {
-		if r.pass {
-			cnt += int(r.n)
-		}
-	}
-	if cnt == cols.N && residual == 0 {
+// selPool holds selectRows' block-sized scratch, so a filtered scan's
+// steady state allocates only each chunk's exact-size selection.
+var selPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// selectRows tests every dimension of need — the block's constrained set
+// (Matcher.NeedColsBlock), decoded into cols — on each block row and
+// returns the kept rows as an exact-size selection. It returns nil when
+// every block row is kept — the chunk then adopts the block's columns
+// whole — and an empty non-nil selection when none is.
+func selectRows(m *trace.Matcher, need trace.ColSet, cols *trace.Columns) []int32 {
+	if need == 0 {
 		return nil
 	}
-	sel := make([]int32, 0, cnt)
-	row := int32(0)
-	for _, r := range runs {
-		if !r.pass {
-			row += r.n
+	buf := selPool.Get().(*[]int32)
+	defer selPool.Put(buf)
+	keep := (*buf)[:0]
+	for row := range int32(cols.N) {
+		if need&trace.ColStart != 0 && !m.AcceptStart(cols.Start[row]) ||
+			need&trace.ColRank != 0 && !m.AcceptRank(cols.Rank[row]) ||
+			need&trace.ColLevel != 0 && !m.AcceptLevel(cols.Level[row]) ||
+			need&trace.ColOp != 0 && !m.AcceptOp(cols.Op[row]) {
 			continue
 		}
-		for end := row + r.n; row < end; row++ {
-			if residual&trace.ColStart != 0 && !m.AcceptStart(cols.Start[row]) ||
-				residual&trace.ColRank != 0 && !m.AcceptRank(cols.Rank[row]) ||
-				residual&trace.ColLevel != 0 && !m.AcceptLevel(cols.Level[row]) ||
-				residual&trace.ColOp != 0 && !m.AcceptOp(cols.Op[row]) {
-				continue
-			}
-			sel = append(sel, row)
-		}
+		keep = append(keep, row)
 	}
-	if len(sel) == cols.N {
+	*buf = keep
+	if len(keep) == cols.N {
 		return nil
 	}
-	return sel
+	return append(make([]int32, 0, len(keep)), keep...)
 }

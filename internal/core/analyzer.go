@@ -54,7 +54,7 @@ type Timings struct {
 	Analyze              time.Duration
 	Pass1, Pass2, Stitch time.Duration
 	// Scan counts what the scan plan did: blocks pruned via the footer
-	// index, rows dropped by the residual filter, payload bytes decoded vs
+	// index, rows dropped by the row filter, payload bytes decoded vs
 	// available. Filled by the file scan path (or, for in-memory filtering,
 	// the row counters only).
 	Scan colstore.ScanCounters
@@ -138,9 +138,9 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opt Options) (*Charact
 
 // AnalyzeBlocksContext analyzes a block source — a BlockReader over an
 // open file, or a shared decoded-block cache like vanid's — through the
-// planned-scan path: the filter pushes down to the block index, predicates
-// evaluate in the compressed domain where the segment codecs serve them,
-// and the analyzer's scan materializes only the columns its passes read.
+// planned-scan path: the filter pushes down to the block index, surviving
+// blocks decode and test the filter's columns, and the analyzer's scan
+// materializes only the columns its passes read.
 // The characterization is byte-identical to AnalyzeContext over the same
 // log's events.
 func AnalyzeBlocksContext(ctx context.Context, src trace.BlockSource, opt Options) (*Characterization, error) {

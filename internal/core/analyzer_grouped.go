@@ -141,18 +141,13 @@ func (a *analysis) pass1() error {
 	// is sized or indexed by them: a trace whose events name an app or file
 	// its header never interned is malformed, whatever decoded it. App 0 is
 	// the Event zero value, so traces that intern no app still carry it.
-	apps, err := a.tb.UnifyCodes(a.par, colstore.ColApp, max(len(a.tr.Apps), 1))
+	cards, err := a.tb.UnifyCodes(a.par,
+		[]colstore.Col{colstore.ColApp, colstore.ColFile, colstore.ColRank},
+		[]int{max(len(a.tr.Apps), 1), len(a.tr.Files), math.MaxInt32})
 	if err != nil {
 		return err
 	}
-	files, err := a.tb.UnifyCodes(a.par, colstore.ColFile, len(a.tr.Files))
-	if err != nil {
-		return err
-	}
-	ranks, err := a.tb.UnifyCodes(a.par, colstore.ColRank, math.MaxInt32)
-	if err != nil {
-		return err
-	}
+	apps, files, ranks := cards[0], cards[1], cards[2]
 	a.appSlots, a.fileSlots, a.rankSlots = apps+1, files+1, ranks+1
 	if int64(a.appSlots)*int64(a.fileSlots) > maxDenseCells || int64(a.appSlots)*int64(a.rankSlots) > maxDenseCells {
 		return fmt.Errorf("%w: %d apps × %d files × %d ranks, over %d (app × file) or (app × rank) cells",

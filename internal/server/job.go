@@ -45,13 +45,15 @@ type job struct {
 	pointsDone  int // sweep progress: grid points finished
 	pointsTotal int // sweep progress: grid size (0 for characterizations)
 
-	done chan struct{} // closed when the job reaches done or failed
+	done    chan struct{} // closed when the job reaches done or failed
+	changed chan struct{} // closed and replaced at every state or progress change
 }
 
 func (j *job) setState(st jobState, errMsg string) {
 	j.mu.Lock()
 	j.state = st
 	j.errs = errMsg
+	j.notifyLocked()
 	j.mu.Unlock()
 }
 
@@ -59,7 +61,14 @@ func (j *job) setState(st jobState, errMsg string) {
 func (j *job) setProgress(done int) {
 	j.mu.Lock()
 	j.pointsDone = done
+	j.notifyLocked()
 	j.mu.Unlock()
+}
+
+// notifyLocked wakes whoever waits on the job's next change. j.mu is held.
+func (j *job) notifyLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
 // status snapshots the job for the API.

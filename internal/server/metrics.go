@@ -43,22 +43,6 @@ type Metrics struct {
 	ScanSegDict atomic.Int64
 	ScanSegFOR  atomic.Int64
 
-	// Compressed-domain kernel requests served from encoded segments vs
-	// fallen back to materialized row iteration, summed over jobs.
-	ScanKernelsServed   atomic.Int64
-	ScanKernelsFallback atomic.Int64
-
-	// Key-unification requests served from segment headers vs fallen back
-	// to materialized rows, summed over jobs.
-	ScanGroupKernelsServed   atomic.Int64
-	ScanGroupKernelsFallback atomic.Int64
-
-	// Multi-dimension run intersection: blocks whose level/op/rank filter
-	// dimensions all became pass runs vs blocks where some were tested on
-	// decoded rows.
-	ScanRunIsectServed   atomic.Int64
-	ScanRunIsectFallback atomic.Int64
-
 	// Shared decoded-block cache: block handles served without a read or
 	// decode, blocks read through the cache without a published handle,
 	// the cache's current worst-case byte charge, and the bytes its
@@ -88,12 +72,6 @@ func (m *Metrics) AddScan(sc colstore.ScanCounters) {
 	m.ScanSegRLE.Add(sc.SegRLE)
 	m.ScanSegDict.Add(sc.SegDict)
 	m.ScanSegFOR.Add(sc.SegFOR)
-	m.ScanKernelsServed.Add(sc.KernelsServed)
-	m.ScanKernelsFallback.Add(sc.KernelsFallback)
-	m.ScanGroupKernelsServed.Add(sc.GroupServed)
-	m.ScanGroupKernelsFallback.Add(sc.GroupFallback)
-	m.ScanRunIsectServed.Add(sc.RunIsectServed)
-	m.ScanRunIsectFallback.Add(sc.RunIsectFallback)
 }
 
 // MetricsSnapshot is the JSON shape served by GET /metrics.
@@ -122,15 +100,6 @@ type MetricsSnapshot struct {
 	ScanSegRLE  int64 `json:"scan_segs_rle"`
 	ScanSegDict int64 `json:"scan_segs_dict"`
 	ScanSegFOR  int64 `json:"scan_segs_for"`
-
-	ScanKernelsServed   int64 `json:"scan_kernels_served"`
-	ScanKernelsFallback int64 `json:"scan_kernels_fallback"`
-
-	ScanGroupKernelsServed   int64 `json:"scan_group_kernels_served"`
-	ScanGroupKernelsFallback int64 `json:"scan_group_kernels_fallback"`
-
-	ScanRunIsectServed   int64 `json:"scan_runisect_served"`
-	ScanRunIsectFallback int64 `json:"scan_runisect_fallback"`
 
 	BlockCacheHits      int64 `json:"block_cache_hits"`
 	BlockCacheMisses    int64 `json:"block_cache_misses"`
@@ -176,15 +145,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ScanSegRLE:  m.ScanSegRLE.Load(),
 		ScanSegDict: m.ScanSegDict.Load(),
 		ScanSegFOR:  m.ScanSegFOR.Load(),
-
-		ScanKernelsServed:   m.ScanKernelsServed.Load(),
-		ScanKernelsFallback: m.ScanKernelsFallback.Load(),
-
-		ScanGroupKernelsServed:   m.ScanGroupKernelsServed.Load(),
-		ScanGroupKernelsFallback: m.ScanGroupKernelsFallback.Load(),
-
-		ScanRunIsectServed:   m.ScanRunIsectServed.Load(),
-		ScanRunIsectFallback: m.ScanRunIsectFallback.Load(),
 
 		BlockCacheHits:      m.BlockCacheHits.Load(),
 		BlockCacheMisses:    m.BlockCacheMisses.Load(),

@@ -333,6 +333,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		filter:   f,
 		state:    jobQueued,
 		done:     make(chan struct{}),
+		changed:  make(chan struct{}),
 	}
 	select {
 	case s.queue <- j:

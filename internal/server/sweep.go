@@ -78,6 +78,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sweep:    sw,
 		state:    jobQueued,
 		done:     make(chan struct{}),
+		changed:  make(chan struct{}),
 	}
 	j.pointsTotal = sw.NumPoints()
 	select {

@@ -203,15 +203,7 @@ func TestShutdownStopsRunningSweep(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /v1/sweep = %d, want 202", code)
 	}
-	for {
-		s.mu.Lock()
-		j := s.jobs[st.ID]
-		s.mu.Unlock()
-		if j.status().PointsDone > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitJob(s, st.ID, func(js jobStatus) bool { return js.PointsDone > 0 })
 
 	const timeout = 50 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -253,15 +245,7 @@ func TestShutdownStopsRunningSweepPoint(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /v1/sweep = %d, want 202", code)
 	}
-	for {
-		s.mu.Lock()
-		j := s.jobs[st.ID]
-		s.mu.Unlock()
-		if j.status().Status == string(jobRunning) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitJob(s, st.ID, func(js jobStatus) bool { return js.Status == string(jobRunning) })
 
 	const timeout = 50 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -278,5 +262,22 @@ func TestShutdownStopsRunningSweepPoint(t *testing.T) {
 	s.mu.Unlock()
 	if final.Status != string(jobFailed) || !strings.Contains(final.Error, context.Canceled.Error()) {
 		t.Errorf("job ended %q (%s), want failed as canceled", final.Status, final.Error)
+	}
+}
+
+// awaitJob blocks until the job's status satisfies cond, waking at each of
+// its state or progress changes.
+func awaitJob(s *Server, id string, cond func(jobStatus) bool) {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	for {
+		j.mu.Lock()
+		changed := j.changed
+		j.mu.Unlock()
+		if cond(j.status()) {
+			return
+		}
+		<-changed
 	}
 }

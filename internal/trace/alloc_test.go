@@ -223,3 +223,36 @@ func TestWholeLogReadAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestCraftedHeaderCountsBounded: a few-byte log whose header claims 65,536
+// apps, files, samples or sample values is refused as ErrBadFormat without
+// preallocating for the claim — opening it allocates under 64 KiB.
+func TestCraftedHeaderCountsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed under the race detector")
+	}
+	meta := make([]byte, 12)          // empty strings and zero ints, as writeHeader lays them out
+	claim := []byte{0x80, 0x80, 0x04} // uvarint 65,536
+	cases := map[string][][]byte{
+		"apps":    {claim},
+		"files":   {{0}, claim},
+		"samples": {{0}, {0}, claim, {0}, claim},
+		"values":  {{0}, {0}, {1}, {0}, claim},
+	}
+	for name, parts := range cases {
+		log := append([]byte(magicV2), meta...)
+		for _, p := range parts {
+			log = append(log, p...)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewBlockReader(bytes.NewReader(log), int64(len(log)))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: %d-byte log: err = %v, want ErrBadFormat", name, len(log), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: %d-byte log allocated %d bytes opening, want < 64 KiB", name, len(log), got)
+		}
+	}
+}

@@ -616,8 +616,9 @@ const minFooterEntry = 9 + 2*NumCols
 // os.File.Stat). It reads the header and the footer index; blocks decode
 // on demand. A log without a valid footer is refused.
 func NewBlockReader(r io.ReaderAt, size int64) (*BlockReader, error) {
-	// Preamble: magic, header, block geometry.
-	sr := &reader{r: bufio.NewReaderSize(io.NewSectionReader(r, 0, size), 1<<16)}
+	// Preamble: magic, header, block geometry. A log shorter than the
+	// read buffer sizes it.
+	sr := &reader{r: bufio.NewReaderSize(io.NewSectionReader(r, 0, size), int(min(size, 1<<16)))}
 	head := make([]byte, len(magicV2))
 	if _, err := io.ReadFull(sr.r, head); err != nil {
 		return nil, readErr(err)
@@ -625,7 +626,7 @@ func NewBlockReader(r io.ReaderAt, size int64) (*BlockReader, error) {
 	if err := checkMagic(head, magicV2); err != nil {
 		return nil, err
 	}
-	hdr, err := readHeader(sr)
+	hdr, err := readHeader(sr, size-int64(len(magicV2)))
 	if err != nil {
 		if IsCtxErr(err) {
 			return nil, err

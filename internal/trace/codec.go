@@ -198,13 +198,20 @@ func (r *reader) flushStrs() {
 }
 
 // readHeader decodes the trace header (the mirror of writeHeader): meta,
-// apps, files, and samples.
-func readHeader(r *reader) (*Trace, error) {
-	// Counts up to this many elements preallocate their slice so string
-	// destinations stay stable until one arena flush at the end; larger
-	// (corrupt or extreme) claims fall back to append with a per-item
-	// flush, keeping a short stream from forcing a big allocation.
+// apps, files, and samples. left is the number of bytes the log holds
+// after its magic; it bounds what a count claim may preallocate.
+func readHeader(r *reader, left int64) (*Trace, error) {
+	// A count preallocates its slice, so string destinations stay stable
+	// until one arena flush at the end, only when the bytes left can hold
+	// that many items at their smallest encoding and the count is at most
+	// preallocMax; larger (corrupt or extreme) claims fall back to append
+	// with a per-item flush, so a short stream cannot force a big
+	// allocation. The smallest app is its length byte; a file is six
+	// varints; a sample its name length and value count; a value one byte.
 	const preallocMax = 1 << 16
+	fits := func(n uint64, minBytes int64) bool {
+		return r.err == nil && n > 0 && n <= preallocMax && n <= uint64(left/minBytes)
+	}
 	t := &Trace{}
 	m := &t.Meta
 	r.strTo(&m.Workload)
@@ -224,7 +231,7 @@ func readHeader(r *reader) (*Trace, error) {
 	if r.err == nil && nApps > 1<<20 {
 		return nil, fmt.Errorf("%w: app count %d", ErrBadFormat, nApps)
 	}
-	if r.err == nil && nApps > 0 && nApps <= preallocMax {
+	if fits(nApps, 1) {
 		t.Apps = make([]string, nApps)
 		for i := uint64(0); i < nApps && r.err == nil; i++ {
 			r.strTo(&t.Apps[i])
@@ -249,7 +256,7 @@ func readHeader(r *reader) (*Trace, error) {
 		f.NDims = int(r.varint())
 		r.strTo(&f.DataType)
 	}
-	if r.err == nil && nFiles > 0 && nFiles <= preallocMax {
+	if fits(nFiles, 6) {
 		t.Files = make([]FileInfo, nFiles)
 		for i := uint64(0); i < nFiles && r.err == nil; i++ {
 			readFile(&t.Files[i])
@@ -266,7 +273,7 @@ func readHeader(r *reader) (*Trace, error) {
 	if r.err == nil && nSamples > 1<<20 {
 		return nil, fmt.Errorf("%w: sample count %d", ErrBadFormat, nSamples)
 	}
-	prealloc := r.err == nil && nSamples > 0 && nSamples <= preallocMax
+	prealloc := fits(nSamples, 2)
 	if prealloc {
 		t.Samples = make([]DatasetSample, 0, nSamples)
 	}
@@ -283,7 +290,7 @@ func readHeader(r *reader) (*Trace, error) {
 		if r.err == nil && nv > 1<<24 {
 			return nil, fmt.Errorf("%w: sample size %d", ErrBadFormat, nv)
 		}
-		if r.err == nil && nv > 0 && nv <= preallocMax {
+		if fits(nv, 1) {
 			s.Values = make([]float64, 0, nv)
 		}
 		for j := uint64(0); j < nv && r.err == nil; j++ {

@@ -13,9 +13,7 @@ import (
 )
 
 // tenantTrace builds a five-block log shaped like a small job: ranks in
-// runs (RLE segments, so a rank filter selects from pass runs and the rank
-// column is decoded lazily, after selection), two levels and four ops
-// interleaved (FOR-packed, so level and op filters test decoded rows),
+// runs (RLE segments), two levels and four ops interleaved (FOR-packed),
 // monotone starts (so a time window keeps interior blocks whole and cuts
 // the edge ones). salt moves every value, so two tenants' traces share no
 // row.
@@ -59,8 +57,8 @@ func blockLog(t *testing.T, tr *trace.Trace) *trace.BlockReader {
 // TestReportsSurviveRecycledColumns is the pool's security property end to
 // end. Recycled column slices are neither zeroed nor private to a trace,
 // so with every returned slice poisoned: each drill-down shape — whole
-// blocks, chunks selected from pass runs, chunks selected by a per-row
-// test, a window that mixes whole and cut blocks — characterizes through
+// blocks, chunks selected on a rank filter, chunks selected on a level
+// and op filter, a window that mixes whole and cut blocks — characterizes through
 // the planned scan, releases its table, and does so again into the slices
 // it just gave back, to the bytes of the in-memory reference that never
 // saw a codec or a pool; a table that is never released reports the same;
@@ -76,8 +74,8 @@ func TestReportsSurviveRecycledColumns(t *testing.T) {
 		filter trace.Filter
 	}{
 		{"whole blocks", trace.Filter{}},
-		{"rank pass runs", trace.Filter{Ranks: []int32{2, 3, 11}}},
-		{"level and op row test", trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}},
+		{"rank selection", trace.Filter{Ranks: []int32{2, 3, 11}}},
+		{"level and op selection", trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}},
 		{"window over interior and edge blocks", trace.Filter{From: span / 5, To: span * 4 / 5}},
 		{"window, ranks and ops", trace.Filter{To: span / 2, Ranks: []int32{0, 1, 2, 3, 4, 5}, Ops: trace.OpClassMeta}},
 	}

@@ -225,9 +225,7 @@ func (m *Matcher) MatchEvent(e *Event) bool {
 }
 
 // Per-dimension predicate surface: Match is the conjunction of these four
-// accepts, which is what lets a compressed-domain scan evaluate each
-// dimension independently — per run, or translated once into a dictionary's
-// code space — and intersect the results instead of materializing rows.
+// accepts, so a scan tests only the dimensions a block constrains.
 
 // NeedCols returns the columns whose accept is actually constrained; the
 // other dimensions accept everything and need not be evaluated at all.
@@ -254,9 +252,9 @@ func (m *Matcher) NeedCols() ColSet {
 // covers the time window — a block whose [MinStart, MaxStart] lies inside
 // [from, to] passes the window wholesale, which turns a window+value
 // filter into a pure value filter for every interior block of a
-// time-sorted trace, so the compressed-domain selection paths fire where
-// a per-row Start test would force materialization. Boundary blocks,
-// straddling a window edge, keep ColStart and test their rows exactly.
+// time-sorted trace, so those blocks neither decode nor test Start.
+// Boundary blocks, straddling a window edge, keep ColStart and test their
+// rows exactly.
 func (m *Matcher) NeedColsBlock(bi BlockInfo) ColSet {
 	need := m.NeedCols()
 	if need&ColStart != 0 && bi.Count > 0 &&

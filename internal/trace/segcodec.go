@@ -52,15 +52,6 @@ const (
 // (colstore.ScanStats, /metrics) are indexed by codec id below it.
 const NumSegCodecs = numSegCodecs
 
-// Exported segment codec ids: colstore decides by codec which
-// compressed-domain kernels a segment can serve.
-const (
-	SegCodecRaw  uint8 = segRaw
-	SegCodecRLE  uint8 = segRLE
-	SegCodecDict uint8 = segDict
-	SegCodecFOR  uint8 = segFOR
-)
-
 // maxDictValues bounds the distinct-value set the dictionary codec will
 // consider; columns with more values than this never win on size anyway.
 const maxDictValues = 1 << 12
@@ -854,41 +845,4 @@ func decodeDeltas(c *byteCursor, codec uint8, out []int64) error {
 		out[i] = acc
 	}
 	return nil
-}
-
-// Run is one run of equal stored values in an RLE-coded column segment —
-// what the predicate and unification kernels read without expanding rows.
-type Run struct {
-	Val int64
-	N   int32
-}
-
-// decodeSegRuns decodes an RLE segment body into runs without expanding
-// values, appending to dst (whose capacity is reused). Valid only for
-// value columns (not the Start/End delta chains).
-func decodeSegRuns(c *byteCursor, n int, unsigned bool, dst []Run) ([]Run, error) {
-	// Each run occupies at least two body bytes (value + length), so the
-	// remaining body bounds the run count; one allocation fits them all.
-	bound := (len(c.b) - c.off) / 2
-	if bound > n {
-		bound = n
-	}
-	runs := dst[:0]
-	if cap(runs) < bound {
-		runs = make([]Run, 0, bound)
-	}
-	filled := 0
-	for filled < n {
-		v := c.storedValue(unsigned)
-		rl := c.uvarint()
-		if c.err != nil {
-			return nil, c.err
-		}
-		if rl == 0 || rl > uint64(n-filled) {
-			return nil, badf("run of %d values in segment holding %d more", rl, n-filled)
-		}
-		runs = append(runs, Run{Val: v, N: int32(rl)})
-		filled += int(rl)
-	}
-	return runs, nil
 }

@@ -461,25 +461,21 @@ func TestV22CountClaimBounded(t *testing.T) {
 	}
 }
 
-// TestDecodeSegRuns: RLE run summaries round-trip, and malformed run claims
-// fail with ErrBadFormat.
+// TestDecodeSegRuns: an RLE segment's runs expand to the values they
+// encode, and a run longer than the rows left fails with ErrBadFormat.
 func TestDecodeSegRuns(t *testing.T) {
 	vals := []int64{5, 5, 5, -2, -2, 9, 9, 9, 9}
 	body := appendSegBody(nil, segRLE, vals, false, new(dictTable))
-	runs, err := decodeSegRuns(&byteCursor{b: body}, len(vals), false, nil)
-	if err != nil {
+	out := make([]int64, len(vals))
+	if err := decodeSeg(&byteCursor{b: body}, segRLE, out, specSigned); err != nil {
 		t.Fatal(err)
 	}
-	want := []Run{{5, 3}, {-2, 2}, {9, 4}}
-	if len(runs) != len(want) {
-		t.Fatalf("got %d runs, want %d", len(runs), len(want))
-	}
-	for i := range want {
-		if runs[i] != want[i] {
-			t.Fatalf("run %d = %+v, want %+v", i, runs[i], want[i])
+	for i := range vals {
+		if out[i] != vals[i] {
+			t.Fatalf("row %d = %d, want %d", i, out[i], vals[i])
 		}
 	}
-	if _, err := decodeSegRuns(&byteCursor{b: []byte{2, 200}}, 9, false, nil); !errors.Is(err, ErrBadFormat) {
+	if err := decodeSeg(&byteCursor{b: []byte{2, 200}}, segRLE, make([]int64, 9), specSigned); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("oversized run error = %v, want ErrBadFormat", err)
 	}
 }
@@ -575,7 +571,7 @@ func unpackRef(src []byte, n int, width uint) []uint64 {
 
 // TestUnpackMatchesByteLoop: at every width 0–64 and every count 0–70 —
 // streams shorter than one word, ending mid-byte, ending on a word edge —
-// the FOR decoder and unpackEach (whole, and stopped early) read random payloads
+// the FOR decoder and unpackBytes (whole, and stopped early) read random payloads
 // exactly as the byte loop does, never touching a byte past the stream.
 func TestUnpackMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -591,24 +587,24 @@ func TestUnpackMatchesByteLoop(t *testing.T) {
 				t.Fatalf("width %d n %d: %v", width, n, err)
 			}
 			var each []uint64
-			unpackEach(src, n, width, func(u uint64) bool {
+			unpackBytes(src, 0, n, width, func(u uint64) bool {
 				each = append(each, u)
 				return true
 			})
 			if len(each) != n {
-				t.Fatalf("width %d n %d: unpackEach yielded %d values", width, n, len(each))
+				t.Fatalf("width %d n %d: unpackBytes yielded %d values", width, n, len(each))
 			}
 			for i := range want {
 				if uint64(out[i]) != base+want[i] {
 					t.Fatalf("width %d n %d: decoded value %d = %#x, want %#x", width, n, i, uint64(out[i]), base+want[i])
 				}
 				if each[i] != want[i] {
-					t.Fatalf("width %d n %d: unpackEach value %d = %#x, want %#x", width, n, i, each[i], want[i])
+					t.Fatalf("width %d n %d: unpackBytes value %d = %#x, want %#x", width, n, i, each[i], want[i])
 				}
 			}
 			if n > 0 {
 				stop, seen := rng.Intn(n), 0
-				unpackEach(src, n, width, func(uint64) bool {
+				unpackBytes(src, 0, n, width, func(uint64) bool {
 					seen++
 					return seen <= stop
 				})

@@ -47,11 +47,7 @@ FILTER_RANKS="0-15"
 
 echo "== CLI reference report =="
 "$WORK/vani" -t "$WORK/trace.trc" -window "$FILTER_WINDOW" -ranks "$FILTER_RANKS" \
-  -yaml "$WORK/cli.yaml" -v >/dev/null 2>"$WORK/cli_verbose.txt"
-grep -q 'groups: served=[0-9]* fallback=[0-9]*$' "$WORK/cli_verbose.txt" || {
-  echo "FAIL: vani -v groups line missing or malformed"
-  cat "$WORK/cli_verbose.txt"; exit 1
-}
+  -yaml "$WORK/cli.yaml" >/dev/null
 
 echo "== starting vanid with no storage flag (throwaway repository) =="
 # Its repository is a fresh directory under TMPDIR; point that into the work

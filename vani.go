@@ -173,9 +173,8 @@ func wrapReadErr(path string, err error) error {
 // CharacterizeBlocksContext analyzes a block source — a
 // BlockReader over an open file, or a shared decoded-block cache like
 // vanid's — through the planned-scan path: the filter pushes down to the
-// block index, predicates evaluate in the compressed domain where the
-// kernel registry serves them, and the analyzer passes run span-fused over
-// encoded segments, materializing only the columns no kernel can answer.
+// block index, surviving blocks decode and test the filter's columns, and
+// the analyzer passes materialize only the columns they read.
 // The characterization is byte-identical to CharacterizeFileContext over
 // the same log.
 func CharacterizeBlocksContext(ctx context.Context, src trace.BlockSource, opt AnalyzerOptions) (*Characterization, error) {
