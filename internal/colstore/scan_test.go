@@ -120,30 +120,102 @@ func kindOf(bi trace.BlockInfo, col trace.ColSet, evs []trace.Event) segKind {
 	return kindRaw
 }
 
-// TestFromBlocksSpecMatchesFilterEvents is the pushdown equivalence
-// contract at the table layer: for every filter, block layout, segment
-// codec and parallelism, the planned scan's table holds exactly the rows
-// FilterEvents keeps from the full decode, in order. The rule rows filter
-// on one, two and three of level, op and rank, with and without a window
-// whose edges cut blocks, over logs whose constrained segments come out as
-// every kind — constant, RLE, dict, FOR and raw. The whole-pass rows keep
-// every row: each block stays a whole chunk, with no selection.
+// filterCase is one trace, the layouts it is written in and the filters
+// scanned over each.
+type filterCase struct {
+	name    string
+	tr      *trace.Trace
+	layouts []trace.V2Options
+	filters []trace.Filter
+	whole   bool // every row passes
+}
+
+// codecLayouts writes a log once per segment codec, at block size be.
+func codecLayouts(be int) []trace.V2Options {
+	var opts []trace.V2Options
+	for _, c := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRaw, trace.CodecForceRLE, trace.CodecForceDict, trace.CodecForceFOR} {
+		opts = append(opts, trace.V2Options{BlockEvents: be, Codec: c})
+	}
+	return opts
+}
+
+var allRanks = []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
+// checkFilterCase is the pushdown equivalence contract at the table layer:
+// for every layout, filter and parallelism, the planned scan's table holds
+// exactly the rows FilterEvents keeps from the full decode, in order. When
+// tc.whole, every block stays a whole chunk, with no selection. It returns
+// how many constrained level/op/rank segments of unpruned blocks came out
+// as each kind, counted for logs of ruleBlock-event blocks.
+func checkFilterCase(t *testing.T, tc filterCase) (seen [numSegKinds]int) {
+	t.Helper()
+	for _, opt := range tc.layouts {
+		br := blockReaderFor(t, tc.tr, opt)
+		for fi, f := range tc.filters {
+			want := trace.FilterEvents(tc.tr.Events, f)
+			if tc.whole && len(want) != len(tc.tr.Events) {
+				t.Fatalf("%s filter %d keeps %d of %d rows; the row is not whole-pass", tc.name, fi, len(want), len(tc.tr.Events))
+			}
+			if opt.BlockEvents == ruleBlock {
+				m := f.NewMatcher()
+				for k := 0; k < br.NumBlocks(); k++ {
+					bi := br.BlockAt(k)
+					if m.SkipBlock(bi) {
+						continue
+					}
+					evs := tc.tr.Events[k*ruleBlock : min((k+1)*ruleBlock, len(tc.tr.Events))]
+					for _, col := range []trace.ColSet{trace.ColLevel, trace.ColOp, trace.ColRank} {
+						if m.NeedColsBlock(bi)&col != 0 {
+							seen[kindOf(bi, col, evs)]++
+						}
+					}
+				}
+			}
+			for _, par := range []int{1, 4} {
+				var stats ScanStats
+				got := plan(t, br, par, ScanSpec{Filter: f}, &stats)
+				if tc.whole {
+					if got.NumChunks() != br.NumBlocks() {
+						t.Fatalf("%s %+v filter %d: %d chunks from %d blocks", tc.name, opt, fi, got.NumChunks(), br.NumBlocks())
+					}
+					got.ForEachChunk(func(c *Chunk) {
+						if c.lazy == nil || c.lazy.sel != nil {
+							t.Fatalf("%s %+v filter %d: a whole-pass block was kept through a selection", tc.name, opt, fi)
+						}
+					})
+				}
+				assertEvents(t, want, got)
+				s := stats.Snapshot()
+				if s.RowsKept != int64(len(want)) {
+					t.Errorf("%s %+v filter %d: RowsKept=%d, want %d", tc.name, opt, fi, s.RowsKept, len(want))
+				}
+				if s.BlocksPruned > s.BlocksTotal || s.DecodedBytes > s.PayloadBytes {
+					t.Errorf("%s %+v filter %d: inconsistent counters %+v", tc.name, opt, fi, s)
+				}
+			}
+		}
+	}
+	return seen
+}
+
+// TestFromBlocksSpecMatchesFilterEvents holds the equivalence contract over
+// block layouts: columnar, flate-compressed and small blocks.
 func TestFromBlocksSpecMatchesFilterEvents(t *testing.T) {
 	big := bigTrace(2*ChunkRows+123, 42)
-	bigEnd := big.Events[len(big.Events)-1].Start
-	mixed := mixedTrace(2*ChunkRows + 901)
-	mixedEnd := time.Duration(mixed.Events[len(mixed.Events)-1].Start)
-	rule := ruleTrace()
-	codecs := func(be int) []trace.V2Options {
-		var opts []trace.V2Options
-		for _, c := range []trace.CodecMode{trace.CodecAuto, trace.CodecForceRaw, trace.CodecForceRLE, trace.CodecForceDict, trace.CodecForceFOR} {
-			opts = append(opts, trace.V2Options{BlockEvents: be, Codec: c})
-		}
-		return opts
-	}
-	allRanks := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	end := big.Events[len(big.Events)-1].Start
+	checkFilterCase(t, filterCase{"layouts", big,
+		[]trace.V2Options{{}, {Compress: true}, {BlockEvents: 1000}}, scanTestFilters(end), false})
+}
+
+// TestPassRunsPerDimensionRule: every constrained level, op or rank
+// dimension is tested on decoded rows, whatever its segment came out as.
+// Over logs whose constrained segments come out as every kind — constant,
+// RLE, dict, FOR and raw — under filters on one, two and three dimensions,
+// with and without a window whose edges cut blocks, the table holds exactly
+// the rows trace.FilterEvents keeps.
+func TestPassRunsPerDimensionRule(t *testing.T) {
 	ranks, levels, ops := []int32{1, 2, 5}, []trace.Level{trace.LevelPosix}, trace.OpClassData
-	var ruleFilters []trace.Filter
+	var filters []trace.Filter
 	for _, f := range []trace.Filter{
 		{Ranks: ranks},
 		{Levels: levels},
@@ -154,90 +226,52 @@ func TestFromBlocksSpecMatchesFilterEvents(t *testing.T) {
 		{Ranks: ranks, Levels: levels, Ops: ops},
 		{Ranks: []int32{0, 3}, Levels: []trace.Level{trace.LevelPosix, trace.LevelApp}, Ops: trace.OpClassIO},
 	} {
-		ruleFilters = append(ruleFilters, f)
+		filters = append(filters, f)
 		half := ruleBlock / 2 * time.Microsecond
 		f.From, f.To = ruleBlock*time.Microsecond+half, 4*ruleBlock*time.Microsecond+half
-		ruleFilters = append(ruleFilters, f)
+		filters = append(filters, f)
 	}
-	cases := []struct {
-		name    string
-		tr      *trace.Trace
-		layouts []trace.V2Options
-		filters []trace.Filter
-		whole   bool // every row passes
-	}{
-		{"layouts", big, []trace.V2Options{{}, {Compress: true}, {BlockEvents: 1000}}, scanTestFilters(bigEnd), false},
-		{"rule", rule, codecs(ruleBlock), ruleFilters, false},
-		{"mixed", mixed, codecs(0), []trace.Filter{
-			{Ranks: []int32{1, 3, 5, 7}},
-			{Ranks: allRanks[1:]},
-			{Levels: []trace.Level{trace.LevelPosix}},
-			{Ops: trace.OpClassData},
-			{Ranks: []int32{1, 3, 5, 7}, Ops: trace.OpClassData},
-			{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassMeta},
-			{Ranks: []int32{0, 2, 4}, Levels: []trace.Level{trace.LevelPosix, trace.LevelApp}, Ops: trace.OpClassIO},
-			{From: mixedEnd / 8, To: 3 * mixedEnd / 4, Ranks: []int32{0, 2, 4, 6}, Ops: trace.OpClassIO},
-		}, false},
-		{"whole-pass", mixed, codecs(0), []trace.Filter{
-			{Ranks: allRanks},
-			{Ranks: allRanks, Levels: []trace.Level{trace.LevelPosix, trace.LevelMiddleware, trace.LevelApp}},
-			{To: 2 * mixedEnd},
-		}, true},
-	}
-	var seen [numSegKinds]int
-	for _, tc := range cases {
-		for _, opt := range tc.layouts {
-			br := blockReaderFor(t, tc.tr, opt)
-			for fi, f := range tc.filters {
-				want := trace.FilterEvents(tc.tr.Events, f)
-				if tc.whole && len(want) != len(tc.tr.Events) {
-					t.Fatalf("%s filter %d keeps %d of %d rows; the row is not whole-pass", tc.name, fi, len(want), len(tc.tr.Events))
-				}
-				if tc.name == "rule" {
-					m := f.NewMatcher()
-					for k := 0; k < br.NumBlocks(); k++ {
-						bi := br.BlockAt(k)
-						if m.SkipBlock(bi) {
-							continue
-						}
-						evs := tc.tr.Events[k*ruleBlock : min((k+1)*ruleBlock, len(tc.tr.Events))]
-						for _, col := range []trace.ColSet{trace.ColLevel, trace.ColOp, trace.ColRank} {
-							if m.NeedColsBlock(bi)&col != 0 {
-								seen[kindOf(bi, col, evs)]++
-							}
-						}
-					}
-				}
-				for _, par := range []int{1, 4} {
-					var stats ScanStats
-					got := plan(t, br, par, ScanSpec{Filter: f}, &stats)
-					if tc.whole {
-						if got.NumChunks() != br.NumBlocks() {
-							t.Fatalf("%s %+v filter %d: %d chunks from %d blocks", tc.name, opt, fi, got.NumChunks(), br.NumBlocks())
-						}
-						got.ForEachChunk(func(c *Chunk) {
-							if c.lazy == nil || c.lazy.sel != nil {
-								t.Fatalf("%s %+v filter %d: a whole-pass block was kept through a selection", tc.name, opt, fi)
-							}
-						})
-					}
-					assertEvents(t, want, got)
-					s := stats.Snapshot()
-					if s.RowsKept != int64(len(want)) {
-						t.Errorf("%s %+v filter %d: RowsKept=%d, want %d", tc.name, opt, fi, s.RowsKept, len(want))
-					}
-					if s.BlocksPruned > s.BlocksTotal || s.DecodedBytes > s.PayloadBytes {
-						t.Errorf("%s %+v filter %d: inconsistent counters %+v", tc.name, opt, fi, s)
-					}
-				}
-			}
-		}
-	}
+	seen := checkFilterCase(t, filterCase{"rule", ruleTrace(), codecLayouts(ruleBlock), filters, false})
 	for kind, n := range seen {
 		if n == 0 {
 			t.Errorf("no constrained dimension came out as a %s segment", segKindNames[kind])
 		}
 	}
+}
+
+// TestCompressedPredicateMatchesFallback: filters over logs written with
+// every codec — structured (auto, RLE, dict, FOR) and structureless raw —
+// keep the rows trace.FilterEvents keeps, including filters that pass every
+// row but one rank and filters with a time window.
+func TestCompressedPredicateMatchesFallback(t *testing.T) {
+	tr := mixedTrace(2*ChunkRows + 901)
+	end := time.Duration(tr.Events[len(tr.Events)-1].Start)
+	checkFilterCase(t, filterCase{"mixed", tr, codecLayouts(0), []trace.Filter{
+		{Ranks: []int32{1, 3, 5, 7}},
+		{Ranks: allRanks[1:]},
+		{Levels: []trace.Level{trace.LevelPosix}},
+		{Ops: trace.OpClassData},
+		{From: end / 8, To: 3 * end / 4, Ranks: []int32{0, 2, 4, 6}, Ops: trace.OpClassIO},
+	}, false})
+}
+
+// TestRunIntersectionSelection: multi-dimension filters over level, op and
+// rank select the rows trace.FilterEvents keeps over every codec, and
+// filters that pass every row keep each block as a whole chunk, with no
+// selection.
+func TestRunIntersectionSelection(t *testing.T) {
+	tr := mixedTrace(2*ChunkRows + 901)
+	end := time.Duration(tr.Events[len(tr.Events)-1].Start)
+	checkFilterCase(t, filterCase{"multi-dim", tr, codecLayouts(0), []trace.Filter{
+		{Ranks: []int32{1, 3, 5, 7}, Ops: trace.OpClassData},
+		{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassMeta},
+		{Ranks: []int32{0, 2, 4}, Levels: []trace.Level{trace.LevelPosix, trace.LevelApp}, Ops: trace.OpClassIO},
+	}, false})
+	checkFilterCase(t, filterCase{"whole-pass", tr, codecLayouts(0), []trace.Filter{
+		{Ranks: allRanks},
+		{Ranks: allRanks, Levels: []trace.Level{trace.LevelPosix, trace.LevelMiddleware, trace.LevelApp}},
+		{To: 2 * end},
+	}, true})
 }
 
 // TestScanCountersKernelSplit: the six served/fallback fields ScanCounters
