@@ -142,11 +142,14 @@ func codecLayouts(be int) []trace.V2Options {
 var allRanks = []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // checkFilterCase is the pushdown equivalence contract at the table layer:
-// for every layout, filter and parallelism, the planned scan's table holds
-// exactly the rows FilterEvents keeps from the full decode, in order. When
-// tc.whole, every block stays a whole chunk, with no selection. It returns
-// how many constrained level/op/rank segments of unpruned blocks came out
-// as each kind, counted for logs of ruleBlock-event blocks.
+// for every layout, filter and parallelism, planned both lazily and with
+// every column eager, the scan's table holds exactly the rows FilterEvents
+// keeps from the full decode, in order. When tc.whole, every block stays a
+// whole chunk, with no selection: a lazy one keeps its block's remainder
+// unselected, an eager one holds the block's rows with nothing left to
+// decode. It returns how many constrained level/op/rank segments of
+// unpruned blocks came out as each kind, counted for logs of
+// ruleBlock-event blocks.
 func checkFilterCase(t *testing.T, tc filterCase) (seen [numSegKinds]int) {
 	t.Helper()
 	for _, opt := range tc.layouts {
@@ -171,26 +174,32 @@ func checkFilterCase(t *testing.T, tc filterCase) (seen [numSegKinds]int) {
 					}
 				}
 			}
-			for _, par := range []int{1, 4} {
-				var stats ScanStats
-				got := plan(t, br, par, ScanSpec{Filter: f}, &stats)
-				if tc.whole {
-					if got.NumChunks() != br.NumBlocks() {
-						t.Fatalf("%s %+v filter %d: %d chunks from %d blocks", tc.name, opt, fi, got.NumChunks(), br.NumBlocks())
-					}
-					got.ForEachChunk(func(c *Chunk) {
-						if c.lazy == nil || c.lazy.sel != nil {
-							t.Fatalf("%s %+v filter %d: a whole-pass block was kept through a selection", tc.name, opt, fi)
+			for _, cols := range []trace.ColSet{0, trace.AllCols} {
+				for _, par := range []int{1, 4} {
+					var stats ScanStats
+					got := plan(t, br, par, ScanSpec{Cols: cols, Filter: f}, &stats)
+					if tc.whole {
+						if got.NumChunks() != br.NumBlocks() {
+							t.Fatalf("%s %+v cols %#x filter %d: %d chunks from %d blocks", tc.name, opt, cols, fi, got.NumChunks(), br.NumBlocks())
 						}
-					})
-				}
-				assertEvents(t, want, got)
-				s := stats.Snapshot()
-				if s.RowsKept != int64(len(want)) {
-					t.Errorf("%s %+v filter %d: RowsKept=%d, want %d", tc.name, opt, fi, s.RowsKept, len(want))
-				}
-				if s.BlocksPruned > s.BlocksTotal || s.DecodedBytes > s.PayloadBytes {
-					t.Errorf("%s %+v filter %d: inconsistent counters %+v", tc.name, opt, fi, s)
+						k := 0
+						got.ForEachChunk(func(c *Chunk) {
+							n := br.BlockAt(k).Count
+							k++
+							lazyWhole := c.lazy != nil && c.lazy.sel == nil
+							if c.N != n || cols == trace.AllCols && c.lazy != nil || cols == 0 && !lazyWhole {
+								t.Fatalf("%s %+v cols %#x filter %d: a whole-pass block was kept through a selection", tc.name, opt, cols, fi)
+							}
+						})
+					}
+					assertEvents(t, want, got)
+					s := stats.Snapshot()
+					if s.RowsKept != int64(len(want)) {
+						t.Errorf("%s %+v cols %#x filter %d: RowsKept=%d, want %d", tc.name, opt, cols, fi, s.RowsKept, len(want))
+					}
+					if s.BlocksPruned > s.BlocksTotal || s.DecodedBytes > s.PayloadBytes {
+						t.Errorf("%s %+v cols %#x filter %d: inconsistent counters %+v", tc.name, opt, cols, fi, s)
+					}
 				}
 			}
 		}

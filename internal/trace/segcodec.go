@@ -152,7 +152,7 @@ const maxWordWidth = 56
 // wordUnpackable returns how many leading values of an n-value stream at
 // width <= maxWordWidth can each be read with one 8-byte load that stays
 // inside srcLen bytes; the rest — the values starting in the last seven
-// bytes — go through unpackBytes.
+// bytes — are read from a zero-padded copy (packedTail).
 func wordUnpackable(srcLen, n int, width uint) int {
 	if srcLen < 8 {
 		return 0
@@ -160,27 +160,19 @@ func wordUnpackable(srcLen, n int, width uint) int {
 	return min(n, ((srcLen-8)*8+7)/int(width)+1)
 }
 
-// unpackBytes streams values i..n-1 of an n-value width-bit LSB-first stream
+// unpackBytes streams the values of an n-value width-bit LSB-first stream
 // through fn, refilling a 128-bit window a byte at a time; fn returning
 // false stops the walk. It serves every width up to 64 and reads no byte
 // past the stream's last.
-func unpackBytes(src []byte, i, n int, width uint, fn func(u uint64) bool) {
-	if i >= n {
-		return
-	}
+func unpackBytes(src []byte, n int, width uint, fn func(u uint64) bool) {
 	mask := uint64(1)<<width - 1
 	if width == 64 {
 		mask = ^uint64(0)
 	}
 	var lo, hi uint64 // 128-bit window: bits fill lo first
 	var nb uint
-	bit := uint(i) * width
-	pos := int(bit >> 3)
-	if sh := bit & 7; sh != 0 {
-		lo, nb = uint64(src[pos])>>sh, 8-sh
-		pos++
-	}
-	for ; i < n; i++ {
+	pos := 0
+	for range n {
 		for nb < width {
 			b := uint64(src[pos])
 			pos++
@@ -724,7 +716,7 @@ func decodeFOR[T colValue](c *byteCursor, out []T, sp colSpec) error {
 		// A value this wide can straddle nine bytes; the byte-fed window
 		// serves the few segments that span most of the int64 range.
 		i := 0
-		unpackBytes(packed, 0, n, w, func(u uint64) bool {
+		unpackBytes(packed, n, w, func(u uint64) bool {
 			if base+u > sp.limit {
 				err = errValueRange(int64(base + u))
 				return false

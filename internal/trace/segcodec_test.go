@@ -587,7 +587,7 @@ func TestUnpackMatchesByteLoop(t *testing.T) {
 				t.Fatalf("width %d n %d: %v", width, n, err)
 			}
 			var each []uint64
-			unpackBytes(src, 0, n, width, func(u uint64) bool {
+			unpackBytes(src, n, width, func(u uint64) bool {
 				each = append(each, u)
 				return true
 			})
@@ -604,7 +604,7 @@ func TestUnpackMatchesByteLoop(t *testing.T) {
 			}
 			if n > 0 {
 				stop, seen := rng.Intn(n), 0
-				unpackBytes(src, 0, n, width, func(uint64) bool {
+				unpackBytes(src, n, width, func(uint64) bool {
 					seen++
 					return seen <= stop
 				})
