@@ -99,6 +99,21 @@ var archRules = []archRule{
 		},
 	},
 	{
+		// A planned scan decodes each kept block whole in the worker that
+		// read it, so every chunk holds every column: nothing in colstore or
+		// core decodes a column on demand.
+		name: "One chunk shape",
+		why:  "a planned chunk holds every column; columns are not decoded on demand",
+		check: grep(func(p string) bool {
+			return isNonTestGo(p) && (under("internal/colstore")(p) || under("internal/core")(p))
+		}, `lazySrc|\.Require\(|ScanSpec\{Cols`),
+		fixtures: []*tree{
+			fx("internal/colstore/scan.go", "package colstore\n\ntype lazySrc struct{}\n"),
+			fx("internal/core/analyzer.go", "package core\n\nfunc f(c *colstore.Chunk) { c.Require(pass1Cols) }\n"),
+			fx("internal/core/x.go", "package core\n\nvar spec = colstore.ScanSpec{Cols: trace.AllCols}\n"),
+		},
+	},
+	{
 		// Every vanid upload lands in the repository, and every whole-log
 		// read goes through BlockReader's footer-checked ReadBlock + Decode.
 		name:  "One way in for a trace log",

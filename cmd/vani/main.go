@@ -84,8 +84,8 @@ func main() {
 	}
 	if *verbose {
 		s := timings.Scan
-		// decode is the lazy column decode inside pass1/pass2, summed over
-		// their workers: what of the passes is not analysis.
+		// decode is the scan plan's segment decode, summed over its
+		// workers: what of columnarize is decoding.
 		fmt.Fprintf(os.Stderr, "stages: columnarize=%s analyze=%s (pass1=%s pass2=%s stitch=%s) decode=%s\n",
 			timings.Columnarize, timings.Analyze, timings.Pass1, timings.Pass2, timings.Stitch,
 			time.Duration(s.DecodeNanos))

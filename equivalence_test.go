@@ -349,10 +349,9 @@ func TestCodecSizeGuard(t *testing.T) {
 }
 
 // TestFilterPushdownEquivalence is the scan planner's contract: a filtered
-// characterization read off disk — with block pruning, projection, and lazy
-// materialization all engaged — is byte-identical to filtering the full
-// decode in memory, for every trace layout (plain and compressed,
-// non-default block geometry) and at sequential and parallel decode. Every
+// characterization read off disk — with block pruning and the row filter
+// engaged — is byte-identical to filtering the full decode in memory, for
+// every trace layout (plain and compressed, non-default block geometry) and at sequential and parallel decode. Every
 // layout's planned table has one chunk per block (assertChunkPerBlock), so
 // the non-default geometry is what the analyzer scans.
 func TestFilterPushdownEquivalence(t *testing.T) {
@@ -476,12 +475,12 @@ func TestScanCountersReported(t *testing.T) {
 	if fullStats.Scan.BlocksTotal < 4 || fullStats.Scan.BlocksPruned != 0 {
 		t.Fatalf("full scan counters: %+v", fullStats.Scan)
 	}
-	// Every column of the full scan decodes lazily inside the passes: the
-	// decode clock ran, and — summed over workers — for no longer than the
-	// workers had.
+	// Every column of the full scan decodes inside the plan, which
+	// columnarize times: the decode clock ran, and — summed over workers —
+	// for no longer than the workers had.
 	if d := time.Duration(fullStats.Scan.DecodeNanos); d <= 0 ||
-		d > time.Duration(runtime.GOMAXPROCS(0))*(fullStats.Pass1+fullStats.Pass2) {
-		t.Errorf("full scan decode time %s against pass1 %s + pass2 %s", d, fullStats.Pass1, fullStats.Pass2)
+		d > time.Duration(runtime.GOMAXPROCS(0))*fullStats.Columnarize {
+		t.Errorf("full scan decode time %s against columnarize %s", d, fullStats.Columnarize)
 	}
 
 	opt := DefaultAnalyzerOptions()

@@ -141,8 +141,3 @@ func (j Job) LocalRank(rank int) int {
 	}
 	return rank % j.RanksPerNode
 }
-
-// IsNodeLeader reports whether rank is the first rank on its node. Several
-// of the paper's workloads (CM1, Montage-MPI) concentrate I/O on node
-// leaders.
-func (j Job) IsNodeLeader(rank int) bool { return j.LocalRank(rank) == 0 }

@@ -60,9 +60,6 @@ func TestBlockPlacement(t *testing.T) {
 	if j.LocalRank(25) != 5 {
 		t.Errorf("LocalRank(25) = %d, want 5", j.LocalRank(25))
 	}
-	if !j.IsNodeLeader(10) || j.IsNodeLeader(11) {
-		t.Error("leader detection wrong")
-	}
 }
 
 func TestPlacementPanicsOutOfRange(t *testing.T) {
@@ -99,9 +96,6 @@ func TestPlacementInversionProperty(t *testing.T) {
 				return false
 			}
 			if n*rpn+l != rank {
-				return false
-			}
-			if (l == 0) != j.IsNodeLeader(rank) {
 				return false
 			}
 		}

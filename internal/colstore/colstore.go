@@ -8,8 +8,9 @@
 // role: each event field becomes a typed column stored in chunks (the
 // parquet row-group / DASK partition analogue). A table planned from a block
 // log (FromBlocksSpecContext) has one chunk per surviving block, whatever the
-// block's size, whose columns materialize on demand; an in-memory trace
-// (FromEvents) transposes into ChunkRows-row chunks. The analyzer fans its
+// block's size, decoded whole by the scan worker that read the block; an
+// in-memory trace (FromEvents) transposes into ChunkRows-row chunks. Either
+// way every chunk holds every column. The analyzer fans its
 // passes out over chunks and reduces their partials in chunk order, so
 // parallel analysis is bit-identical to sequential. The row-vs-column
 // ablation benchmark quantifies the paper's claim.
@@ -27,12 +28,8 @@ import (
 // so a default-geometry log and its in-memory trace chunk alike.
 const ChunkRows = 1 << 14
 
-// Chunk is one block of rows with contiguous per-column storage. Chunks
-// transposed from memory hold every column at length N; chunks built by
-// FromBlocksSpecContext materialize columns on demand — a column slice is
-// nil until Require (or Table.MaterializeContext) decodes it, so kernels
-// must Require the columns they read before touching a planned table's
-// slices.
+// Chunk is one block of rows with contiguous per-column storage: every
+// column at length N.
 type Chunk struct {
 	N int
 
@@ -48,11 +45,10 @@ type Chunk struct {
 	Start  []int64 // nanoseconds
 	End    []int64 // nanoseconds
 
-	lazy *lazySrc // undecoded remainder; nil once fully materialized
-
-	// pooled names the columns adopted by slice from a block decode: they
-	// came from trace's column pools and go back on Table.Release.
-	pooled trace.ColSet
+	// pooled marks a chunk that adopted its columns by slice from a block
+	// decode: they came from trace's column pools and go back on
+	// Table.Release.
+	pooled bool
 
 	// exact marks a block shorter than half a pool array that is not its
 	// log's last (the one short block a default-geometry log has): adopt
@@ -141,21 +137,6 @@ const (
 // colNames names the groupable key columns, indexed by Col.
 var colNames = [...]string{"rank", "node", "app", "file"}
 
-// traceCol returns the trace-layer column set bit for a key column.
-func (col Col) traceCol() trace.ColSet {
-	switch col {
-	case ColRank:
-		return trace.ColRank
-	case ColNode:
-		return trace.ColNode
-	case ColApp:
-		return trace.ColApp
-	case ColFile:
-		return trace.ColFile
-	}
-	return 0
-}
-
 func (c *Chunk) col(col Col) []int32 {
 	switch col {
 	case ColRank:
@@ -178,25 +159,14 @@ func (c *Chunk) col(col Col) []int32 {
 // that no value escapes the id table the column indexes: limits[i] is
 // that table's length, and a stored value outside [-1, limits[i]) is
 // malformed input, reported as an ErrBadFormat-wrapped error before any
-// caller sizes anything by it.
-//
-// Each chunk Requires the columns together and scans them for their
-// ranges: the analyzer's passes read these columns anyway, so the decode
-// is moved, not added.
+// caller sizes anything by it. The chunks scan their columns for their
+// ranges in parallel.
 func (t *Table) UnifyCodes(par int, cols []Col, limits []int) (cards []int, err error) {
 	type valueRange struct{ min, max int32 }
-	var want trace.ColSet
-	for _, col := range cols {
-		want |= col.traceCol()
-	}
 	nc := len(cols)
 	parts := make([]valueRange, len(t.chunks)*nc)
-	errs := make([]error, len(t.chunks))
 	parallel.ForEach(par, len(t.chunks), func(k int) {
 		c := t.chunks[k]
-		if errs[k] = c.Require(want); errs[k] != nil {
-			return
-		}
 		for i, col := range cols {
 			r := valueRange{min: -1, max: -1}
 			for _, v := range c.col(col) {
@@ -205,11 +175,6 @@ func (t *Table) UnifyCodes(par int, cols []Col, limits []int) (cards []int, err 
 			parts[k*nc+i] = r
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	cards = make([]int, nc)
 	for i, col := range cols {
 		all := valueRange{min: -1, max: -1}

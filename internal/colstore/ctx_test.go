@@ -106,7 +106,7 @@ func TestFromBlocksSpecDeadlineMidScan(t *testing.T) {
 }
 
 // TestFromBlocksSpecContextBackground: a background context never cancels,
-// so the scan and its lazy materialization run to the events in memory.
+// so the scan runs to the events in memory.
 func TestFromBlocksSpecContextBackground(t *testing.T) {
 	tr := bigTrace(ChunkRows+99, 3)
 	data := encodeBlocks(t, tr)
@@ -121,8 +121,9 @@ func TestFromBlocksSpecContextBackground(t *testing.T) {
 	assertEvents(t, tr.Events, got)
 }
 
-// TestMaterializeContextCanceled: a canceled context stops lazy column
-// materialization before any chunk decodes.
+// TestMaterializeContextCanceled: MaterializeContext, which decodes nothing
+// since every chunk already holds every column, reports a canceled
+// context.
 func TestMaterializeContextCanceled(t *testing.T) {
 	tr := bigTrace(2*ChunkRows, 5)
 	data := encodeBlocks(t, tr)
@@ -130,7 +131,6 @@ func TestMaterializeContextCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A projected scan leaves most columns lazy.
 	f := trace.Filter{Ops: trace.OpClassData}
 	tb, err := FromBlocksSpecContext(context.Background(), br, 1, ScanSpec{Filter: f}, nil)
 	if err != nil {

@@ -1,11 +1,10 @@
 package colstore
 
 // Selection-backed chunks: a filtered scan's chunks hold exactly the rows
-// an in-memory filter of the decoded events keeps, and the unifier decodes
-// each chunk's key column once.
+// an in-memory filter of the decoded events keeps, decoded by the plan, so
+// the unifier reads resident columns.
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -15,8 +14,8 @@ import (
 // TestMultiDimFilteredRowIdentity: a multi-dimension filter over RLE
 // segments yields the rows trace.FilterEvents keeps, in order — whether it
 // cuts blocks to a selection (partial) or passes every row, in which case
-// the chunks stay whole blocks with no selection and the unifier bounds
-// their key column.
+// the chunks adopt whole blocks' columns with no selection and the unifier
+// bounds their key column.
 func TestMultiDimFilteredRowIdentity(t *testing.T) {
 	tr := groupTrace(3)
 	scan := func(t *testing.T, f trace.Filter) (*Table, *ScanStats) {
@@ -45,7 +44,7 @@ func TestMultiDimFilteredRowIdentity(t *testing.T) {
 			t.Fatalf("kept %d of %d rows, want all", kept, total)
 		}
 		tb.ForEachChunk(func(c *Chunk) {
-			if c.lazy == nil || c.lazy.sel != nil {
+			if !c.pooled {
 				t.Fatal("a whole-pass block was kept through a selection")
 			}
 		})
@@ -56,12 +55,11 @@ func TestMultiDimFilteredRowIdentity(t *testing.T) {
 	})
 }
 
-// TestGroupFallbackOncePerChunk pins the unifier's decode on filtered
-// scans: over a structured codec as over structureless raw segments, a
-// unification of selection-backed chunks decodes exactly each chunk's key
-// column, once: the bytes the analyzer's passes would have decoded anyway.
-// A stored id past the caller's table is ErrBadFormat, and decodes nothing
-// more.
+// TestGroupFallbackOncePerChunk pins the unifier on filtered scans: over a
+// structured codec as over structureless raw segments, selection-backed
+// chunks hold the rows trace.FilterEvents keeps, and their unification
+// bounds the key column from those resident rows, decoding nothing. A
+// stored id past the caller's table is ErrBadFormat.
 func TestGroupFallbackOncePerChunk(t *testing.T) {
 	tr := groupTrace(3)
 	f := trace.Filter{Ranks: []int32{1, 3, 5}}
@@ -78,25 +76,15 @@ func TestGroupFallbackOncePerChunk(t *testing.T) {
 			if err != nil || card != 4 {
 				t.Fatalf("UnifyCodes on selection-backed chunks = (%d, %v), want (4, nil)", card, err)
 			}
-			sc := stats.Snapshot()
-			var rowStats ScanStats
-			rowTb := plan(t, br, 2, ScanSpec{Filter: f}, &rowStats)
-			rowBase := rowStats.DecodedBytes.Load()
-			if err := rowTb.MaterializeContext(context.Background(), 2, trace.ColFile); err != nil {
-				t.Fatal(err)
-			}
-			want := rowStats.DecodedBytes.Load() - rowBase
-			if got := sc.DecodedBytes - base.DecodedBytes; got != want || want == 0 {
-				t.Errorf("unifier decoded %d bytes, the chunks' file column is %d", got, want)
-			}
 			// Chunk 0 holds file ids {-1, 0, 1}; chunk 1 reaches id 2, past a
-			// two-entry table. The column is resident: nothing decodes again.
+			// two-entry table.
 			if _, err := unifyOne(tb, 2, ColFile, 2); !errors.Is(err, trace.ErrBadFormat) {
 				t.Fatalf("UnifyCodes past the table: err = %v, want ErrBadFormat", err)
 			}
-			if again := stats.Snapshot(); again.DecodedBytes != sc.DecodedBytes {
-				t.Errorf("second unification decoded %d more bytes, want 0", again.DecodedBytes-sc.DecodedBytes)
+			if sc := stats.Snapshot(); sc.DecodedBytes != base.DecodedBytes || base.DecodedBytes == 0 {
+				t.Errorf("the plan decoded %d bytes and the unifications %d more; want some, then 0", base.DecodedBytes, sc.DecodedBytes-base.DecodedBytes)
 			}
+			assertEvents(t, trace.FilterEvents(tr.Events, f), tb)
 		})
 	}
 }

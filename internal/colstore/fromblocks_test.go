@@ -23,14 +23,10 @@ func TestChunkGeometryMatchesBlockDefault(t *testing.T) {
 	}
 }
 
-// tableEvents flattens a table's chunks back into events, materializing
-// every column first, so tests compare tables as data. It also checks that
-// every column holds exactly N rows.
+// tableEvents flattens a table's chunks back into events, so tests compare
+// tables as data. It also checks that every column holds exactly N rows.
 func tableEvents(t *testing.T, tb *Table) []trace.Event {
 	t.Helper()
-	if err := tb.MaterializeContext(context.Background(), 2, trace.AllCols); err != nil {
-		t.Fatalf("MaterializeContext: %v", err)
-	}
 	evs := make([]trace.Event, 0, tb.Len())
 	tb.ForEachChunk(func(c *Chunk) {
 		for _, n := range []int{len(c.Level), len(c.Op), len(c.Lib), len(c.Rank), len(c.Node), len(c.App),
@@ -130,7 +126,7 @@ func TestFromBlocksMatchesFromEvents(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		br := blockReaderFor(t, tr, trace.V2Options{Compress: compress})
 		for _, par := range []int{1, 4} {
-			got := plan(t, br, par, ScanSpec{Cols: trace.AllCols}, nil)
+			got := plan(t, br, par, ScanSpec{}, nil)
 			if got.NumChunks() != want.NumChunks() {
 				t.Fatalf("chunk count %d != %d", got.NumChunks(), want.NumChunks())
 			}
@@ -191,7 +187,7 @@ func TestFromBlocksNonDefaultGeometry(t *testing.T) {
 // TestFromBlocksEmpty: an empty log produces an empty table, not an error.
 func TestFromBlocksEmpty(t *testing.T) {
 	br := blockReaderFor(t, &trace.Trace{}, trace.V2Options{})
-	got := plan(t, br, 4, ScanSpec{Cols: trace.AllCols}, nil)
+	got := plan(t, br, 4, ScanSpec{}, nil)
 	if got.Len() != 0 || got.NumChunks() != 0 {
 		t.Errorf("empty log produced %d rows in %d chunks", got.Len(), got.NumChunks())
 	}

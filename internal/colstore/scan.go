@@ -1,15 +1,14 @@
 package colstore
 
-// The scan planner's middle layer: an analysis declares the columns its
-// kernels touch and the predicates it can push (ScanSpec);
-// FromBlocksSpecContext drives that plan down into the VANITRC2 block index
-// — skipping whole blocks the footer statistics rule out, decoding the
-// column segments the plan names plus the filter dimensions the block's
-// index entry leaves constrained, and testing those on the block's rows
-// (selectRows) — and builds a table of one chunk per surviving block, at
-// any block geometry, whose chunks materialize further columns lazily, the
-// first time a kernel asks. ScanStats counts what the plan saved so
-// pruning effectiveness is observable, not inferred.
+// The scan planner's middle layer: an analysis declares the predicates it
+// can push (ScanSpec); FromBlocksSpecContext drives them down into the
+// VANITRC2 block index — skipping whole blocks the footer statistics rule
+// out, decoding the filter dimensions the block's index entry leaves
+// constrained and testing those on the block's rows (selectRows), then
+// decoding the rest of a block some row survives — and builds a table of
+// one whole chunk per surviving block, at any block geometry. ScanStats
+// counts what the plan saved so pruning effectiveness is observable, not
+// inferred.
 
 import (
 	"context"
@@ -22,15 +21,9 @@ import (
 )
 
 // ScanSpec is the scan plan an analysis declares before touching data: the
-// columns its kernels will read up front and the predicates the reader may
-// push down. Cols == 0 defers every column — chunks hold only the block's
-// undecoded payload until a kernel Requires a column. The zero value is a
-// fully lazy, unfiltered scan.
+// predicates the reader may push down. The zero value is an unfiltered
+// scan.
 type ScanSpec struct {
-	// Cols are the columns to materialize eagerly during the scan (the
-	// filter columns a block constrains are always decoded). 0 = decode on
-	// demand.
-	Cols trace.ColSet
 	// Filter is pushed down to the block index (pruning) and applied
 	// per-row afterwards, so the resulting table is row-identical to
 	// filtering a full decode in memory.
@@ -38,8 +31,7 @@ type ScanSpec struct {
 }
 
 // ScanStats counts what a planned scan actually did. Counters are atomic:
-// one ScanStats is shared by the parallel scan workers and by later lazy
-// materializations of the resulting table's chunks.
+// one ScanStats is shared by the parallel scan workers.
 type ScanStats struct {
 	BlocksTotal  atomic.Int64 // blocks in the log
 	BlocksPruned atomic.Int64 // blocks skipped via footer statistics
@@ -52,10 +44,10 @@ type ScanStats struct {
 	// codec mix the cost model actually chose on this log.
 	Segs [trace.NumSegCodecs]atomic.Int64
 
-	// DecodeNanos is the time chunks spent materializing columns inside
-	// Require, summed over workers: the analyzer's passes decode lazily, so
-	// this is the part of their wall time that is segment decode and column
-	// adoption rather than analysis.
+	// DecodeNanos is the time the scan workers spent inside the plan's
+	// segment decodes, summed over workers: the part of the scan's wall
+	// time that is segment decode rather than reading, filtering and
+	// adopting columns.
 	DecodeNanos atomic.Int64
 }
 
@@ -75,7 +67,7 @@ type ScanCounters struct {
 	SegDict int64
 	SegFOR  int64
 
-	// Time spent in Require's lazy decodes, summed over workers.
+	// Time spent in the plan's segment decodes, summed over workers.
 	DecodeNanos int64
 
 	// No producer is left; always 0. Kept for bench/charfile.go, which sums
@@ -108,85 +100,33 @@ func (s *ScanStats) Snapshot() ScanCounters {
 	}
 }
 
-// countSegs tallies the codec of every decoded column segment of set into
-// the codec-mix counters.
-func (s *ScanStats) countSegs(bd *trace.BlockData, set trace.ColSet) {
-	for col := 0; col < trace.NumCols; col++ {
-		if set&(trace.ColSet(1)<<col) != 0 {
-			s.Segs[bd.SegCodec(col)].Add(1)
-		}
-	}
-}
-
-// lazySrc is the undecoded remainder of a chunk built by
-// FromBlocksSpecContext: the block payload, the row selection the filter
-// chose, and the set of columns already materialized. The mutex
-// serializes Require calls so concurrent kernels may demand columns of the
-// same chunk safely.
-type lazySrc struct {
-	mu    sync.Mutex
-	bd    *trace.BlockData
-	sel   []int32 // block row indices kept by the filter; nil = all rows
-	have  trace.ColSet
-	stats *ScanStats
-}
-
-// Require materializes the requested columns of the chunk, decoding any
-// missing segments from the retained block payload. It is a no-op for
-// eagerly built chunks and for columns already present. Safe for concurrent
-// use.
-func (c *Chunk) Require(want trace.ColSet) error {
-	l := c.lazy
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	missing := want &^ l.have
-	if missing == 0 {
+// decode decodes the columns of want from bd into cols, adding the time it
+// took, the segment bytes it decoded and their codecs to the counters.
+func (s *ScanStats) decode(bd *trace.BlockData, want trace.ColSet, cols *trace.Columns) error {
+	if want == 0 {
 		return nil
 	}
 	t0 := time.Now()
-	var cols trace.Columns
-	decoded, err := l.bd.Decode(missing, &cols)
+	decoded, err := bd.Decode(want, cols)
+	s.DecodeNanos.Add(int64(time.Since(t0)))
 	if err != nil {
 		return err
 	}
-	c.adopt(&cols, l.sel, missing)
-	l.have |= missing
-	if l.stats != nil {
-		l.stats.DecodeNanos.Add(int64(time.Since(t0)))
-		if decoded > 0 {
-			// decoded == 0 means a shared-cache memo hit: the block's columns
-			// were copied out, not re-decoded, so the scan did no decode work.
-			l.stats.DecodedBytes.Add(decoded)
-			l.stats.countSegs(l.bd, missing)
+	if decoded > 0 { // 0 = shared-cache memo hit, nothing decoded
+		s.DecodedBytes.Add(decoded)
+		for col := 0; col < trace.NumCols; col++ {
+			if want&(trace.ColSet(1)<<col) != 0 {
+				s.Segs[bd.SegCodec(col)].Add(1)
+			}
 		}
-	}
-	if l.have == trace.AllCols {
-		l.bd = nil // payload no longer needed; let it go
 	}
 	return nil
 }
 
-// MaterializeContext decodes the given columns for every chunk, fanning
-// out over up to par workers; tables transposed from memory return at once.
-// Each chunk worker observes ctx before decoding, so a canceled caller stops
-// mid-table.
+// MaterializeContext returns ctx.Err(): every chunk already holds every
+// column. It is kept for the benchmark harness, which calls it.
 func (t *Table) MaterializeContext(ctx context.Context, par int, want trace.ColSet) error {
-	errs := make([]error, len(t.chunks))
-	parallel.ForEach(par, len(t.chunks), func(k int) {
-		if errs[k] = ctx.Err(); errs[k] != nil {
-			return
-		}
-		errs[k] = t.chunks[k].Require(want)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ctx.Err()
 }
 
 // gather copies a chunk's n rows out of a decoded block column: the n block
@@ -207,90 +147,40 @@ func gather[T any](src []T, sel []int32, n int) []T {
 // adoption when the chunk keeps every block row (sel == nil) of a block not
 // marked exact — the chunk then owns the pooled slices and remembers them
 // for release — a copy of the kept rows otherwise, after which the decode
-// temporary goes straight back to the pool. Only columns in set are touched.
-func (c *Chunk) adopt(cols *trace.Columns, sel []int32, set trace.ColSet) {
+// temporaries go straight back to the pool.
+func (c *Chunk) adopt(cols *trace.Columns, sel []int32) {
 	if sel == nil && !c.exact {
-		c.pooled |= set
-		if set&trace.ColLevel != 0 {
-			c.Level = cols.Level[:c.N]
-		}
-		if set&trace.ColOp != 0 {
-			c.Op = cols.Op[:c.N]
-		}
-		if set&trace.ColLib != 0 {
-			c.Lib = cols.Lib[:c.N]
-		}
-		if set&trace.ColRank != 0 {
-			c.Rank = cols.Rank[:c.N]
-		}
-		if set&trace.ColNode != 0 {
-			c.Node = cols.Node[:c.N]
-		}
-		if set&trace.ColApp != 0 {
-			c.App = cols.App[:c.N]
-		}
-		if set&trace.ColFile != 0 {
-			c.File = cols.File[:c.N]
-		}
-		if set&trace.ColOffset != 0 {
-			c.Offset = cols.Offset[:c.N]
-		}
-		if set&trace.ColSize != 0 {
-			c.Size = cols.Size[:c.N]
-		}
-		if set&trace.ColStart != 0 {
-			c.Start = cols.Start[:c.N]
-		}
-		if set&trace.ColEnd != 0 {
-			c.End = cols.End[:c.N]
-		}
+		c.pooled = true
+		c.Level, c.Op, c.Lib = cols.Level[:c.N], cols.Op[:c.N], cols.Lib[:c.N]
+		c.Rank, c.Node, c.App, c.File = cols.Rank[:c.N], cols.Node[:c.N], cols.App[:c.N], cols.File[:c.N]
+		c.Offset, c.Size, c.Start, c.End = cols.Offset[:c.N], cols.Size[:c.N], cols.Start[:c.N], cols.End[:c.N]
 		return
 	}
-	if set&trace.ColLevel != 0 {
-		c.Level = gather(cols.Level, sel, c.N)
-	}
-	if set&trace.ColOp != 0 {
-		c.Op = gather(cols.Op, sel, c.N)
-	}
-	if set&trace.ColLib != 0 {
-		c.Lib = gather(cols.Lib, sel, c.N)
-	}
-	if set&trace.ColRank != 0 {
-		c.Rank = gather(cols.Rank, sel, c.N)
-	}
-	if set&trace.ColNode != 0 {
-		c.Node = gather(cols.Node, sel, c.N)
-	}
-	if set&trace.ColApp != 0 {
-		c.App = gather(cols.App, sel, c.N)
-	}
-	if set&trace.ColFile != 0 {
-		c.File = gather(cols.File, sel, c.N)
-	}
-	if set&trace.ColOffset != 0 {
-		c.Offset = gather(cols.Offset, sel, c.N)
-	}
-	if set&trace.ColSize != 0 {
-		c.Size = gather(cols.Size, sel, c.N)
-	}
-	if set&trace.ColStart != 0 {
-		c.Start = gather(cols.Start, sel, c.N)
-	}
-	if set&trace.ColEnd != 0 {
-		c.End = gather(cols.End, sel, c.N)
-	}
-	cols.Recycle(set)
+	c.Level = gather(cols.Level, sel, c.N)
+	c.Op = gather(cols.Op, sel, c.N)
+	c.Lib = gather(cols.Lib, sel, c.N)
+	c.Rank = gather(cols.Rank, sel, c.N)
+	c.Node = gather(cols.Node, sel, c.N)
+	c.App = gather(cols.App, sel, c.N)
+	c.File = gather(cols.File, sel, c.N)
+	c.Offset = gather(cols.Offset, sel, c.N)
+	c.Size = gather(cols.Size, sel, c.N)
+	c.Start = gather(cols.Start, sel, c.N)
+	c.End = gather(cols.End, sel, c.N)
+	cols.Recycle(trace.AllCols)
 }
 
 // release hands the block columns the chunk adopted by slice back to the
 // column pools and empties the chunk; see Table.Release.
 func (c *Chunk) release() {
-	cols := trace.Columns{
-		Level: c.Level, Op: c.Op, Lib: c.Lib,
-		Rank: c.Rank, Node: c.Node, App: c.App, File: c.File,
-		Offset: c.Offset, Size: c.Size, Start: c.Start, End: c.End,
+	if c.pooled {
+		cols := trace.Columns{
+			Level: c.Level, Op: c.Op, Lib: c.Lib,
+			Rank: c.Rank, Node: c.Node, App: c.App, File: c.File,
+			Offset: c.Offset, Size: c.Size, Start: c.Start, End: c.End,
+		}
+		cols.Recycle(trace.AllCols)
 	}
-	cols.Recycle(c.pooled)
 	*c = Chunk{}
 }
 
@@ -310,11 +200,12 @@ func (t *Table) Release() {
 }
 
 // FromBlocksSpecContext executes a scan plan against a block log: blocks
-// the footer statistics rule out are never read, read blocks decode the
-// filter columns they constrain plus spec.Cols and test the filter on those
-// rows, and each block's surviving rows form one chunk whose remaining
-// columns materialize lazily from the retained payload, for a block of any
-// size (see Chunk.exact). The resulting table is row-identical — same rows,
+// the footer statistics rule out are never read; a read block decodes the
+// filter columns it constrains and tests the filter on those rows, and only
+// when a row survives decodes its other columns, so each block's surviving
+// rows form one whole chunk, for a block of any size (see Chunk.exact). The
+// worker then hands the block's payload buffer back to its pool
+// (BlockData.Release). The resulting table is row-identical — same rows,
 // same order — to decoding everything and filtering in memory, at any par.
 // The source is any trace.BlockSource — a BlockReader over a file, or a
 // shared block cache. stats may be nil.
@@ -344,27 +235,19 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		// The block's index entry can prove dimensions pass-all for every
 		// row it holds (a containing time window, most usefully), so the
 		// constrained set shrinks per block: a pure-window filter keeps
-		// interior blocks whole without decoding or testing a row.
+		// interior blocks whole without testing a row.
 		need := m.NeedColsBlock(bi)
 		bd, err := src.ReadBlock(k)
 		if err != nil {
 			errs[k] = err
 			return
 		}
+		defer bd.Release()
 		stats.PayloadBytes.Add(int64(bd.PayloadBytes()))
 		stats.RowsTotal.Add(int64(bd.Count()))
-		have := need | spec.Cols
 		var cols trace.Columns
-		if have != 0 {
-			decoded, err := bd.Decode(have, &cols)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			if decoded > 0 { // 0 = shared-cache memo hit, nothing decoded
-				stats.DecodedBytes.Add(decoded)
-				stats.countSegs(bd, have)
-			}
+		if errs[k] = stats.decode(bd, need, &cols); errs[k] != nil {
+			return
 		}
 		sel := selectRows(m, need, &cols)
 		kept := len(sel)
@@ -373,14 +256,15 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		}
 		stats.RowsKept.Add(int64(kept))
 		if kept == 0 {
-			cols.Recycle(have)
+			cols.Recycle(need)
 			return // every row filtered out; chunk dropped entirely
 		}
-		ck := &Chunk{N: kept, exact: 2*bd.Count() <= trace.DefaultBlockEvents && k != nb-1}
-		ck.adopt(&cols, sel, have)
-		if have != trace.AllCols {
-			ck.lazy = &lazySrc{bd: bd, sel: sel, have: have, stats: stats}
+		if errs[k] = stats.decode(bd, trace.AllCols&^need, &cols); errs[k] != nil {
+			cols.Recycle(need)
+			return
 		}
+		ck := &Chunk{N: kept, exact: 2*bd.Count() <= trace.DefaultBlockEvents && k != nb-1}
+		ck.adopt(&cols, sel)
 		chunks[k] = ck
 	})
 	for _, err := range errs {

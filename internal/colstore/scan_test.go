@@ -142,14 +142,12 @@ func codecLayouts(be int) []trace.V2Options {
 var allRanks = []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // checkFilterCase is the pushdown equivalence contract at the table layer:
-// for every layout, filter and parallelism, planned both lazily and with
-// every column eager, the scan's table holds exactly the rows FilterEvents
-// keeps from the full decode, in order. When tc.whole, every block stays a
-// whole chunk, with no selection: a lazy one keeps its block's remainder
-// unselected, an eager one holds the block's rows with nothing left to
-// decode. It returns how many constrained level/op/rank segments of
-// unpruned blocks came out as each kind, counted for logs of
-// ruleBlock-event blocks.
+// for every layout, filter and parallelism, the scan's table holds exactly
+// the rows FilterEvents keeps from the full decode, in order. When
+// tc.whole, every block stays a whole chunk that adopted its block's
+// columns by slice, with no selection. It returns how many constrained
+// level/op/rank segments of unpruned blocks came out as each kind, counted
+// for logs of ruleBlock-event blocks.
 func checkFilterCase(t *testing.T, tc filterCase) (seen [numSegKinds]int) {
 	t.Helper()
 	for _, opt := range tc.layouts {
@@ -174,32 +172,29 @@ func checkFilterCase(t *testing.T, tc filterCase) (seen [numSegKinds]int) {
 					}
 				}
 			}
-			for _, cols := range []trace.ColSet{0, trace.AllCols} {
-				for _, par := range []int{1, 4} {
-					var stats ScanStats
-					got := plan(t, br, par, ScanSpec{Cols: cols, Filter: f}, &stats)
-					if tc.whole {
-						if got.NumChunks() != br.NumBlocks() {
-							t.Fatalf("%s %+v cols %#x filter %d: %d chunks from %d blocks", tc.name, opt, cols, fi, got.NumChunks(), br.NumBlocks())
+			for _, par := range []int{1, 4} {
+				var stats ScanStats
+				got := plan(t, br, par, ScanSpec{Filter: f}, &stats)
+				if tc.whole {
+					if got.NumChunks() != br.NumBlocks() {
+						t.Fatalf("%s %+v filter %d: %d chunks from %d blocks", tc.name, opt, fi, got.NumChunks(), br.NumBlocks())
+					}
+					k := 0
+					got.ForEachChunk(func(c *Chunk) {
+						n := br.BlockAt(k).Count
+						k++
+						if c.N != n || !c.pooled {
+							t.Fatalf("%s %+v filter %d: a whole-pass block was kept through a selection", tc.name, opt, fi)
 						}
-						k := 0
-						got.ForEachChunk(func(c *Chunk) {
-							n := br.BlockAt(k).Count
-							k++
-							lazyWhole := c.lazy != nil && c.lazy.sel == nil
-							if c.N != n || cols == trace.AllCols && c.lazy != nil || cols == 0 && !lazyWhole {
-								t.Fatalf("%s %+v cols %#x filter %d: a whole-pass block was kept through a selection", tc.name, opt, cols, fi)
-							}
-						})
-					}
-					assertEvents(t, want, got)
-					s := stats.Snapshot()
-					if s.RowsKept != int64(len(want)) {
-						t.Errorf("%s %+v cols %#x filter %d: RowsKept=%d, want %d", tc.name, opt, cols, fi, s.RowsKept, len(want))
-					}
-					if s.BlocksPruned > s.BlocksTotal || s.DecodedBytes > s.PayloadBytes {
-						t.Errorf("%s %+v cols %#x filter %d: inconsistent counters %+v", tc.name, opt, cols, fi, s)
-					}
+					})
+				}
+				assertEvents(t, want, got)
+				s := stats.Snapshot()
+				if s.RowsKept != int64(len(want)) {
+					t.Errorf("%s %+v filter %d: RowsKept=%d, want %d", tc.name, opt, fi, s.RowsKept, len(want))
+				}
+				if s.BlocksPruned > s.BlocksTotal || s.DecodedBytes > s.PayloadBytes {
+					t.Errorf("%s %+v filter %d: inconsistent counters %+v", tc.name, opt, fi, s)
 				}
 			}
 		}
@@ -303,80 +298,29 @@ func TestScanCountersKernelSplit(t *testing.T) {
 	}
 }
 
-// TestFromBlocksSpecLazyProjection: with no filter and no requested
-// columns, the plan decodes nothing up front; each Require materializes
-// exactly the asked-for columns, and the decoded-bytes counter grows
-// monotonically toward (but never past) the payload size.
+// TestFromBlocksSpecLazyProjection: an unfiltered plan decodes every
+// block whole, each column segment exactly once, before the table is
+// returned: the decoded bytes never pass the payload size, and a later
+// MaterializeContext decodes nothing more.
 func TestFromBlocksSpecLazyProjection(t *testing.T) {
 	tr := bigTrace(ChunkRows+500, 7)
 	br := blockReaderFor(t, tr, trace.V2Options{})
 	var stats ScanStats
 	got := plan(t, br, 4, ScanSpec{}, &stats)
-	if n := stats.DecodedBytes.Load(); n != 0 {
-		t.Errorf("unfiltered plan decoded %d bytes up front", n)
+	s := stats.Snapshot()
+	if segs, want := s.SegRaw+s.SegRLE+s.SegDict+s.SegFOR, s.BlocksTotal*trace.NumCols; segs != want {
+		t.Errorf("unfiltered plan decoded %d segments, want %d (each of %d blocks' %d once)", segs, want, s.BlocksTotal, trace.NumCols)
 	}
-	if got.Len() != len(tr.Events) {
-		t.Fatalf("lazy table holds %d rows, want %d", got.Len(), len(tr.Events))
-	}
-	// One column: values match without touching the other ten.
-	for _, ck := range got.chunks {
-		if err := ck.Require(trace.ColStart); err != nil {
-			t.Fatal(err)
-		}
-	}
-	afterStart := stats.DecodedBytes.Load()
-	if afterStart <= 0 || afterStart >= stats.PayloadBytes.Load() {
-		t.Errorf("Start column decode counted %d of %d payload bytes",
-			afterStart, stats.PayloadBytes.Load())
-	}
-	row := 0
-	got.ForEachChunk(func(c *Chunk) {
-		for _, s := range c.Start {
-			if want := tr.Events[row].Start; time.Duration(s) != want {
-				t.Fatalf("row %d: lazy Start %v, want %v", row, time.Duration(s), want)
-			}
-			row++
-		}
-	})
-	// Re-Requiring a held column is free.
-	for _, ck := range got.chunks {
-		if err := ck.Require(trace.ColStart); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := stats.DecodedBytes.Load(); n != afterStart {
-		t.Errorf("re-Require decoded %d more bytes", n-afterStart)
+	if s.DecodedBytes <= 0 || s.DecodedBytes > s.PayloadBytes {
+		t.Errorf("unfiltered plan decoded %d of %d payload bytes", s.DecodedBytes, s.PayloadBytes)
 	}
 	if err := got.MaterializeContext(context.Background(), 4, trace.AllCols); err != nil {
 		t.Fatal(err)
 	}
-	if n := stats.DecodedBytes.Load(); n > stats.PayloadBytes.Load() {
-		t.Errorf("decoded %d bytes exceeds payload %d", n, stats.PayloadBytes.Load())
+	if again := stats.Snapshot(); again.DecodedBytes != s.DecodedBytes {
+		t.Errorf("MaterializeContext decoded %d more bytes", again.DecodedBytes-s.DecodedBytes)
 	}
 	assertEvents(t, tr.Events, got)
-}
-
-// TestFromBlocksSpecCols: a plan that declares its column set up front gets
-// those columns materialized eagerly and the rest stays lazy.
-func TestFromBlocksSpecCols(t *testing.T) {
-	tr := bigTrace(ChunkRows/2, 3)
-	br := blockReaderFor(t, tr, trace.V2Options{})
-	var stats ScanStats
-	got := plan(t, br, 1, ScanSpec{Cols: trace.ColSize | trace.ColOp}, &stats)
-	if stats.DecodedBytes.Load() == 0 {
-		t.Error("declared columns not decoded up front")
-	}
-	row := 0
-	got.ForEachChunk(func(c *Chunk) {
-		if len(c.Size) != c.N || len(c.Op) != c.N || c.Start != nil {
-			t.Fatalf("chunk at row %d: declared columns not resident or an undeclared one is", row)
-		}
-		for j := 0; j < c.N; j, row = j+1, row+1 {
-			if ev := tr.Events[row]; c.Size[j] != ev.Size || trace.Op(c.Op[j]) != ev.Op {
-				t.Fatalf("row %d: declared columns diverge", row)
-			}
-		}
-	})
 }
 
 // TestTableIrregularChunks: a filtered table's chunks are irregular — each
@@ -397,8 +341,9 @@ func TestTableIrregularChunks(t *testing.T) {
 }
 
 // TestFromBlocksSpecPruning: a narrow window over a time-ordered multi-block
-// log skips whole blocks, drops filtered-out chunks, and decodes only the
-// filter's columns from the survivors.
+// log skips whole blocks, decodes each block it reads whole when rows
+// survive, and decodes only the filter's column of a read block none of
+// whose rows pass, dropping its chunk.
 func TestFromBlocksSpecPruning(t *testing.T) {
 	tr := bigTrace(4*ChunkRows, 11)
 	end := tr.Events[len(tr.Events)-1].Start
@@ -413,11 +358,25 @@ func TestFromBlocksSpecPruning(t *testing.T) {
 	if s.BlocksPruned == 0 {
 		t.Error("25% window pruned no blocks")
 	}
-	if s.DecodedBytes >= s.PayloadBytes {
-		t.Errorf("residual filter decoded %d of %d payload bytes: projection not engaged",
-			s.DecodedBytes, s.PayloadBytes)
+	segs := func(s ScanCounters) int64 { return s.SegRaw + s.SegRLE + s.SegDict + s.SegFOR }
+	if read := s.BlocksTotal - s.BlocksPruned; segs(s) != read*trace.NumCols {
+		t.Errorf("%d blocks with surviving rows decoded %d segments, want %d", read, segs(s), read*trace.NumCols)
 	}
 	assertEvents(t, trace.FilterEvents(tr.Events, f), got)
+
+	// A window between two rows of block 1 reads that block and keeps none
+	// of its rows: it decodes the Start segment alone.
+	i := ChunkRows + ChunkRows/2
+	for tr.Events[i+1].Start-tr.Events[i].Start < 2 {
+		i++
+	}
+	gap := tr.Events[i].Start + 1
+	var gapStats ScanStats
+	none := plan(t, br, 4, ScanSpec{Filter: trace.Filter{From: gap, To: gap}}, &gapStats)
+	if g := gapStats.Snapshot(); none.Len() != 0 || g.BlocksTotal-g.BlocksPruned != 1 || segs(g) != 1 {
+		t.Errorf("window between two rows: %d rows kept, %d blocks read, %d segments decoded; want 0, 1, 1",
+			none.Len(), g.BlocksTotal-g.BlocksPruned, segs(g))
+	}
 
 	// The match-nothing window prunes everything and yields an empty table.
 	var stats2 ScanStats
@@ -437,7 +396,7 @@ func TestScanStatsCodecMix(t *testing.T) {
 	tr := runsTrace(2 * ChunkRows)
 	br := blockReaderFor(t, tr, trace.V2Options{Codec: trace.CodecAuto})
 	var stats ScanStats
-	plan(t, br, 2, ScanSpec{Cols: trace.AllCols}, &stats)
+	plan(t, br, 2, ScanSpec{}, &stats)
 	s := stats.Snapshot()
 	total := s.SegRaw + s.SegRLE + s.SegDict + s.SegFOR
 	if want := s.BlocksTotal * trace.NumCols; total != want {

@@ -60,24 +60,6 @@ type Timings struct {
 	Scan colstore.ScanCounters
 }
 
-// The analyzer's declared column sets — the projection half of its scan
-// plan. Each fused pass Requires exactly the columns its kernels read, so a
-// lazily planned table decodes nothing the analysis never touches.
-const (
-	// pass1Cols feeds primary-level resolution and the global scan facts.
-	pass1Cols = trace.ColEnd | trace.ColOp | trace.ColApp | trace.ColRank |
-		trace.ColLevel | trace.ColFile
-	// pass2Cols feeds the fused characterization scan.
-	pass2Cols = trace.ColLevel | trace.ColOp | trace.ColApp | trace.ColFile |
-		trace.ColRank | trace.ColNode | trace.ColSize | trace.ColStart |
-		trace.ColEnd
-	// partialCols is what pass 2's per-chunk partials read on top of the
-	// body's set (phases, access patterns, dominant sizes, interface
-	// resolution).
-	partialCols = trace.ColOp | trace.ColStart | trace.ColEnd | trace.ColSize |
-		trace.ColRank | trace.ColFile | trace.ColOffset | trace.ColLib
-)
-
 // DefaultOptions returns the analyzer settings used for the paper tables.
 func DefaultOptions() Options {
 	return Options{
@@ -103,8 +85,8 @@ func (opt *Options) fill() {
 // non-empty opt.Filter is applied to the event log before columnarizing —
 // the reference semantics every pushed-down scan must reproduce.
 func Analyze(tr *trace.Trace, opt Options) *Characterization {
-	// An eagerly built table has every column materialized, so analysis
-	// cannot hit a decode error; what remains is a trace whose events name
+	// A table transposed from memory decodes nothing, so analysis cannot
+	// hit a decode error; what remains is a trace whose events name
 	// ids outside its own interned tables or end before they start, which no
 	// Tracer produces. Callers holding a trace of unknown provenance use
 	// AnalyzeContext.
@@ -139,8 +121,8 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opt Options) (*Charact
 // AnalyzeBlocksContext analyzes a block source — a BlockReader over an
 // open file, or a shared decoded-block cache like vanid's — through the
 // planned-scan path: the filter pushes down to the block index, surviving
-// blocks decode and test the filter's columns, and the analyzer's scan
-// materializes only the columns its passes read.
+// blocks decode and test the filter's columns, and a block some row passes
+// decodes whole into its chunk before the analyzer's passes run.
 // The characterization is byte-identical to AnalyzeContext over the same
 // log's events.
 func AnalyzeBlocksContext(ctx context.Context, src trace.BlockSource, opt Options) (*Characterization, error) {
@@ -157,25 +139,16 @@ func AnalyzeBlocksContext(ctx context.Context, src trace.BlockSource, opt Option
 	defer tb.Release()
 	if opt.Stats != nil {
 		opt.Stats.Columnarize = time.Since(t0)
-	}
-	c, err := AnalyzeTableContext(ctx, src.Header(), tb, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Snapshot after analysis: lazily materialized columns add their
-	// decoded bytes during the kernels' Require calls.
-	if opt.Stats != nil {
 		opt.Stats.Scan = stats.Snapshot()
 	}
-	return c, nil
+	return AnalyzeTableContext(ctx, src.Header(), tb, opt)
 }
 
 // AnalyzeTableContext builds the characterization from a columnar table
 // plus the trace header carrying its metadata and interning tables
 // (hdr.Events is never touched, so traces streamed off disk need not
-// materialize one). The table may be lazily planned
-// (colstore.FromBlocksSpecContext): each pass Requires its declared column
-// set, so decode errors deferred by the plan surface here. opt.Filter is NOT
+// materialize one). Every chunk holds its decoded rows, so decode errors
+// come only from the plan (colstore.FromBlocksSpecContext). opt.Filter is NOT
 // applied — the table is assumed to have been built under it. The
 // chunk-parallel scan workers observe ctx per chunk, so a canceled or
 // timed-out caller aborts the analysis mid-scan; the returned error is

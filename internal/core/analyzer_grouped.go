@@ -18,7 +18,7 @@ import (
 // scan keys on (app, file) or rank is a flat array indexed by value+1. Two
 // chunk-parallel passes follow — pass 1 resolves each (app, file) stream's
 // primary level, pass 2 characterizes at those levels — and each pass
-// materializes one fixed column set per chunk and iterates its rows.
+// iterates every chunk's rows.
 //
 // Accumulators are held per worker, not per chunk: each is an integer sum,
 // a set union or a minimum, so which chunks a worker happened to take
@@ -133,9 +133,7 @@ func firstErr(errs []error) error {
 }
 
 // pass1 bounds the key columns and resolves each (app, file) stream's
-// primary level, the per-app rank counts, the runtime and GPU use. Each
-// pass declares its column set and Requires it per chunk, so a lazily
-// planned table decodes exactly the columns the pass touches.
+// primary level, the per-app rank counts, the runtime and GPU use.
 func (a *analysis) pass1() error {
 	// Ids are checked against the header's interned tables before anything
 	// is sized or indexed by them: a trace whose events name an app or file
@@ -164,9 +162,6 @@ func (a *analysis) pass1() error {
 			return
 		}
 		c := a.tb.ChunkAt(k)
-		if errs[k] = c.Require(pass1Cols); errs[k] != nil {
-			return
-		}
 		p := p1[w]
 		if p == nil {
 			p = &pass1Acc{
@@ -216,14 +211,11 @@ func (a *analysis) pass1() error {
 // scanChunk runs pass 2's body over chunk k at the resolved levels: the
 // commutative accumulators of p advance, and p.primary and p.posix hold the
 // chunk's row subsets until the next call.
-func (a *analysis) scanChunk(k int, p *pass2Acc) (*colstore.Chunk, error) {
+func (a *analysis) scanChunk(k int, p *pass2Acc) *colstore.Chunk {
 	c := a.tb.ChunkAt(k)
-	if err := c.Require(pass2Cols | partialCols); err != nil {
-		return nil, err
-	}
 	p.primary, p.posix = p.primary[:0], p.posix[:0]
 	rowPass2(c, a.levels, a.fileSlots, p)
-	return c, nil
+	return c
 }
 
 // pass2 is the characterization scan, and the last pass over the rows: each
@@ -242,10 +234,7 @@ func (a *analysis) pass2() ([]*pass2Acc, error) {
 			p2[w] = a.newPass2Acc()
 		}
 		p := p2[w]
-		var c *colstore.Chunk
-		if c, errs[k] = a.scanChunk(k, p); errs[k] != nil {
-			return
-		}
+		c := a.scanChunk(k, p)
 		part := &a.parts[k]
 		part.prim, part.posix = p.streams(c, p.primary), p.streams(c, p.posix)
 		p.posixSizes.addRows(c, p.posix)

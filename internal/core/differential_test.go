@@ -14,12 +14,12 @@ import (
 	"vani/internal/trace"
 )
 
-// lazyTable encodes the trace as v2.2 and plans a lazy scan of it under the
+// plannedTable encodes the trace as v2.2 and plans a scan of it under the
 // filter — the table the file and daemon paths hand the analyzer. It
 // asserts the geometry the test asked for: unfiltered, one chunk per block,
 // so a seam test cannot silently analyze one big chunk (colstore's
 // assertGeometry holds the full rule).
-func lazyTable(t *testing.T, tr *trace.Trace, vopt trace.V2Options, f trace.Filter) *colstore.Table {
+func plannedTable(t *testing.T, tr *trace.Trace, vopt trace.V2Options, f trace.Filter) *colstore.Table {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.WriteV2With(&buf, tr, vopt); err != nil {
@@ -45,7 +45,7 @@ func lazyTable(t *testing.T, tr *trace.Trace, vopt trace.V2Options, f trace.Filt
 
 // TestDenseScanMatchesOracle pins the production scan to the reference
 // analyzer of oracle_test.go: every workload, under the drill-down filter
-// set, analyzed from an eagerly built table and from a lazily planned v2.2
+// set, analyzed from an eagerly built table and from a planned v2.2
 // table (cost-model codecs, and forced-raw so every chunk takes the row
 // bodies), at sequential and parallel settings, must produce exactly the
 // oracle's characterization — figure panels included.
@@ -79,10 +79,10 @@ func TestDenseScanMatchesOracle(t *testing.T) {
 				opt.Parallelism = par
 				c, err := AnalyzeContext(context.Background(), tr, opt)
 				check("eager", c, err)
-				c, err = AnalyzeTableContext(context.Background(), tr, lazyTable(t, tr, trace.V2Options{}, f), opt)
-				check("lazy v2.2", c, err)
-				c, err = AnalyzeTableContext(context.Background(), tr, lazyTable(t, tr, trace.V2Options{Codec: trace.CodecForceRaw}, f), opt)
-				check("lazy raw", c, err)
+				c, err = AnalyzeTableContext(context.Background(), tr, plannedTable(t, tr, trace.V2Options{}, f), opt)
+				check("planned v2.2", c, err)
+				c, err = AnalyzeTableContext(context.Background(), tr, plannedTable(t, tr, trace.V2Options{Codec: trace.CodecForceRaw}, f), opt)
+				check("planned raw", c, err)
 			}
 		}
 	}
@@ -104,9 +104,7 @@ func scanRows(t *testing.T, tr *trace.Trace, tb *colstore.Table) []chunkRows {
 	p := a.newPass2Acc()
 	out := make([]chunkRows, tb.NumChunks())
 	for k := range out {
-		if _, err := a.scanChunk(k, p); err != nil {
-			t.Fatal(err)
-		}
+		a.scanChunk(k, p)
 		out[k] = chunkRows{slices.Clone(p.primary), slices.Clone(p.posix)}
 	}
 	return out
@@ -143,8 +141,8 @@ func TestRowRanges(t *testing.T) {
 		for _, keyRun := range []int{1, 600} {
 			tr := build(n, keyRun, func(int) trace.Level { return trace.LevelPosix })
 			for name, tb := range map[string]*colstore.Table{
-				"eager": colstore.FromEvents(tr.Events, 1),
-				"lazy":  lazyTable(t, tr, trace.V2Options{}, trace.Filter{}),
+				"eager":   colstore.FromEvents(tr.Events, 1),
+				"planned": plannedTable(t, tr, trace.V2Options{}, trace.Filter{}),
 			} {
 				rows := scanRows(t, tr, tb)
 				if len(rows) != 2 {
@@ -173,8 +171,8 @@ func TestRowRanges(t *testing.T) {
 			return trace.LevelPosix
 		})
 		for name, tb := range map[string]*colstore.Table{
-			"eager": colstore.FromEvents(tr.Events, 1),
-			"lazy":  lazyTable(t, tr, trace.V2Options{}, trace.Filter{}),
+			"eager":   colstore.FromEvents(tr.Events, 1),
+			"planned": plannedTable(t, tr, trace.V2Options{}, trace.Filter{}),
 		} {
 			rows := scanRows(t, tr, tb)
 			base := 0
@@ -234,9 +232,9 @@ func craftedOutOfRange(t *testing.T) *trace.Trace {
 func TestOutOfRangeIDsAreBadFormat(t *testing.T) {
 	tr := craftedOutOfRange(t)
 	tables := map[string]*colstore.Table{
-		"eager":    colstore.FromEvents(tr.Events, 1),
-		"lazy":     lazyTable(t, tr, trace.V2Options{}, trace.Filter{}),
-		"lazy-raw": lazyTable(t, tr, trace.V2Options{Codec: trace.CodecForceRaw}, trace.Filter{}),
+		"eager":       colstore.FromEvents(tr.Events, 1),
+		"planned":     plannedTable(t, tr, trace.V2Options{}, trace.Filter{}),
+		"planned-raw": plannedTable(t, tr, trace.V2Options{Codec: trace.CodecForceRaw}, trace.Filter{}),
 	}
 	for name, tb := range tables {
 		if _, err := AnalyzeTableContext(context.Background(), tr, tb, DefaultOptions()); !errors.Is(err, trace.ErrBadFormat) {

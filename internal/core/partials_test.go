@@ -46,8 +46,8 @@ func smallRun(t *testing.T, w spec.Workload) (*trace.Trace, workloads.Spec) {
 	return res.Trace, spec
 }
 
-// TestSeamsMatchOracle: lazily planned tables whose blocks — and so chunks
-// (lazyTable asserts it) — hold 1 to 256 events must characterize exactly as
+// TestSeamsMatchOracle: planned tables whose blocks — and so chunks
+// (plannedTable asserts it) — hold 1 to 256 events must characterize exactly as
 // the oracle does, with and without a filter, sequentially and in parallel.
 // The tiny geometries scan a middle slice — 200 blocks at 1–2 events, 1,500
 // at 7 — because the analyzer's cost is per chunk there; 37 and 256 scan the
@@ -75,7 +75,7 @@ func TestSeamsMatchOracle(t *testing.T) {
 				want := oracleAnalyze(tr, opt)
 				for _, par := range []int{1, 4} {
 					opt.Parallelism = par
-					got, err := AnalyzeTableContext(context.Background(), tr, lazyTable(t, tr, trace.V2Options{BlockEvents: be}, f), opt)
+					got, err := AnalyzeTableContext(context.Background(), tr, plannedTable(t, tr, trace.V2Options{BlockEvents: be}, f), opt)
 					if err != nil {
 						t.Fatalf("%s block=%d %s par=%d: %v", w.Name(), be, fname, par, err)
 					}
@@ -135,12 +135,12 @@ func TestOutOfOrderTablesMatchOracle(t *testing.T) {
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("%s %s par=%d: characterization differs from the oracle", name, oname, par)
 				}
-				got, err = AnalyzeTableContext(context.Background(), &cp, lazyTable(t, &cp, trace.V2Options{BlockEvents: 509}, trace.Filter{}), opt)
+				got, err = AnalyzeTableContext(context.Background(), &cp, plannedTable(t, &cp, trace.V2Options{BlockEvents: 509}, trace.Filter{}), opt)
 				if err != nil {
-					t.Fatalf("%s %s lazy par=%d: %v", name, oname, par, err)
+					t.Fatalf("%s %s planned par=%d: %v", name, oname, par, err)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s %s lazy par=%d: characterization differs from the oracle", name, oname, par)
+					t.Errorf("%s %s planned par=%d: characterization differs from the oracle", name, oname, par)
 				}
 			}
 		}
@@ -181,8 +181,8 @@ func TestInvertedIntervalIsBadFormat(t *testing.T) {
 		t.Errorf("eager: err = %v, want ErrBadFormat", err)
 	}
 	for _, vopt := range []trace.V2Options{{}, {Codec: trace.CodecForceRaw}, {BlockEvents: 7}} {
-		if _, err := AnalyzeTableContext(context.Background(), bad, lazyTable(t, bad, vopt, trace.Filter{}), DefaultOptions()); !errors.Is(err, trace.ErrBadFormat) {
-			t.Errorf("lazy %+v: err = %v, want ErrBadFormat", vopt, err)
+		if _, err := AnalyzeTableContext(context.Background(), bad, plannedTable(t, bad, vopt, trace.Filter{}), DefaultOptions()); !errors.Is(err, trace.ErrBadFormat) {
+			t.Errorf("planned %+v: err = %v, want ErrBadFormat", vopt, err)
 		}
 	}
 

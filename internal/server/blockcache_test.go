@@ -5,13 +5,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"vani"
 	"vani/internal/cliutil"
@@ -438,5 +441,65 @@ func TestBlockCacheConcurrentFirstAndSecondScan(t *testing.T) {
 	_, memo := published(s.blocks)
 	if m := getMetrics(t, ts); memo == 0 || m.BlockCacheMemoBytes != memo {
 		t.Errorf("block_cache_memo_bytes %d, published blocks hold %d; each trace's second scan should publish", m.BlockCacheMemoBytes, memo)
+	}
+}
+
+// tracePoison is internal/trace's poisonRecycled switch: while it is set,
+// every column slice and block payload handed back to its pool is
+// overwritten with a sentinel. Linking to it keeps the switch out of
+// trace's API.
+//
+//go:linkname tracePoison vani/internal/trace.poisonRecycled
+var tracePoison atomic.Bool
+
+// TestFirstScanReportsSurviveRecycledPayloads: a trace's first scan reads
+// private block handles, and the planned scan hands each handle's payload
+// buffer back to its pool once the block is decoded. With every returned
+// payload and column poisoned, first scans — unfiltered, cut to a rank
+// selection, and cut on ranks and ops — run again and again into the
+// buffers the last one gave back, serve reports byte-identical to the
+// CLI's, and leave every pooled column returned.
+func TestFirstScanReportsSurviveRecycledPayloads(t *testing.T) {
+	path := writeTraceFile(t, t.TempDir(), "t.trc", 40000)
+	size := fileSize(t, path)
+	specs := []struct{ ranks, ops string }{{"", ""}, {"0-7", ""}, {"2,5,11", "data"}}
+	want := make([][]byte, len(specs))
+	for i, sp := range specs {
+		want[i] = cliYAML(t, path, sp.ranks, sp.ops)
+	}
+	tracePoison.Store(true)
+	defer tracePoison.Store(false)
+	// A one-byte budget evicts every unpinned entry on the next acquire, so
+	// each scan below is its entry's first.
+	bc := newBlockCache(1, &Metrics{})
+	inUse := trace.ColumnsInUse()
+	for round := 0; round < 3; round++ {
+		for i, sp := range specs {
+			cs, err := bc.acquire(fmt.Sprintf("sha-%d-%d", round, i), path, 0, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs.memo {
+				t.Fatal("a trace's first scan memoizes its blocks")
+			}
+			opt := vani.DefaultAnalyzerOptions()
+			cfg := workloads.DefaultSpec().Storage
+			opt.Storage = &cfg
+			if opt.Filter, err = cliutil.ParseFilter("", sp.ranks, "", sp.ops); err != nil {
+				t.Fatal(err)
+			}
+			opt.Parallelism = 1 + round%2
+			c, err := vani.CharacterizeBlocksContext(context.Background(), cs, opt)
+			bc.release(cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := vani.ToYAML(c); !bytes.Equal(got, want[i]) {
+				t.Fatalf("round %d ranks=%q ops=%q: report differs from the CLI's", round, sp.ranks, sp.ops)
+			}
+		}
+	}
+	if got := trace.ColumnsInUse(); got != inUse {
+		t.Fatalf("%d pooled columns never came back", got-inUse)
 	}
 }

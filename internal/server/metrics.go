@@ -35,7 +35,7 @@ type Metrics struct {
 	ScanRowsKept     atomic.Int64
 	ScanPayloadBytes atomic.Int64
 	ScanDecodedBytes atomic.Int64
-	ScanDecodeNanos  atomic.Int64 // lazy column decode inside the analyzer's passes, summed over workers
+	ScanDecodeNanos  atomic.Int64 // the scan plan's segment decode, summed over workers
 
 	// v2.2 column segments decoded, by codec (the served logs' codec mix).
 	ScanSegRaw  atomic.Int64

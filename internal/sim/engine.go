@@ -15,7 +15,7 @@
 //
 // There is no engine goroutine and no central loop. Whoever holds control
 // runs the event loop: a process that parks (or finishes) pops the next
-// event itself, runs At/After callbacks inline, and on reaching another
+// event itself, runs After callbacks inline, and on reaching another
 // process's wake-up names that process and yields. The goroutine inside
 // Run/RunUntil is only a driver: it resumes whichever process it was handed
 // and nothing else, so a simulated blocking call costs one coroutine switch
@@ -37,7 +37,7 @@
 // switch — the driver resuming a process, a process yielding back — and the
 // race detector sees each switch as a happens-before edge, so every access
 // is ordered and nothing needs a lock. A process that has yielded touches no
-// engine state until it is resumed. At/After callbacks run on whichever
+// engine state until it is resumed. After callbacks run on whichever
 // process or driver holds control when their time comes: they must not
 // block, and must not assume they run on the goroutine that called Run.
 package sim
@@ -159,12 +159,9 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// At schedules fn to run at absolute virtual time t. It may be called before
-// Run or from inside a running process or callback. fn runs on whichever
-// process or driver holds control at t and must not block.
-func (e *Engine) At(t time.Duration, fn func()) { e.schedule(t, nil, fn) }
-
-// After schedules fn to run d after the current virtual time.
+// After schedules fn to run d after the current virtual time. It may be
+// called before Run or from inside a running process or callback. fn runs
+// on whichever process or driver holds control then and must not block.
 func (e *Engine) After(d time.Duration, fn func()) { e.schedule(e.now+d, nil, fn) }
 
 // Proc is a simulated process. All methods must be called from the process

@@ -93,7 +93,7 @@ func TestSameTimeEventsRunFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(time.Second, func() { order = append(order, i) })
+		e.After(time.Second, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -219,7 +219,7 @@ func TestFailStopsRun(t *testing.T) {
 		e.Fail(errors.New("second"))
 	})
 	e.SpawnAt(time.Minute, "late", func(p *Proc) { t.Error("a process started after the failure") })
-	e.At(time.Hour, func() { t.Error("an event ran after the failure") })
+	e.After(time.Hour, func() { t.Error("an event ran after the failure") })
 	if end := e.Run(); end != time.Second {
 		t.Errorf("run ended at %v, want 1s", end)
 	}
@@ -247,7 +247,7 @@ func TestProcessPanicReachesRunCaller(t *testing.T) {
 		},
 		"callback": func(e *Engine) {
 			e.Spawn("sleeper", func(p *Proc) {
-				e.At(time.Second, func() { panic(boom) })
+				e.After(time.Second, func() { panic(boom) })
 				p.Sleep(2 * time.Second) // the callback runs inside this park
 			})
 		},
@@ -332,8 +332,8 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.At(time.Second, func() {
-		e.At(0, func() {}) // now = 1s; scheduling at 0 is the past
+	e.After(time.Second, func() {
+		e.After(-time.Second, func() {}) // now = 1s; scheduling at 0 is the past
 	})
 	e.Run()
 }
@@ -369,8 +369,8 @@ func TestProcIDsSequential(t *testing.T) {
 
 func TestEventsExecutedCounter(t *testing.T) {
 	e := NewEngine()
-	e.At(time.Second, func() {})
-	e.At(2*time.Second, func() {})
+	e.After(time.Second, func() {})
+	e.After(2*time.Second, func() {})
 	e.Run()
 	if e.EventsExecuted != 2 {
 		t.Errorf("EventsExecuted = %d, want 2", e.EventsExecuted)
@@ -455,7 +455,7 @@ func TestErrNilWithoutFailures(t *testing.T) {
 func TestInPlaceWakeYieldsToSameInstant(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.At(5*time.Second, func() { order = append(order, "callback@5") })
+	e.After(5*time.Second, func() { order = append(order, "callback@5") })
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(3 * time.Second) // head is at 5s: in place
 		if e.InPlaceWakes != 1 || e.Switches != 1 {
@@ -524,7 +524,7 @@ func TestRunUntilStopsAtFail(t *testing.T) {
 			}
 		}
 	})
-	e.At(3*time.Second, func() { t.Error("an event ran after the failure") })
+	e.After(3*time.Second, func() { t.Error("an event ran after the failure") })
 	if end := e.RunUntil(10 * time.Second); end != 2*time.Second {
 		t.Errorf("RunUntil returned %v, want 2s", end)
 	}
@@ -565,7 +565,7 @@ func TestFinishedProcPassesBaton(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Spawn("first", func(p *Proc) { order = append(order, "first") })
-	e.At(time.Second, func() {
+	e.After(time.Second, func() {
 		order = append(order, "callback")
 		e.After(time.Second, func() { order = append(order, "chained") })
 	})

@@ -92,7 +92,7 @@ func runSoup(seed int64) (uint64, *Engine) {
 					case 9:
 						callbacks++
 						id := -callbacks
-						e.At(p.Now()+us(g, 4), func() { log(id) })
+						e.After(us(g, 4), func() { log(id) })
 						continue
 					case 10:
 						callbacks++

@@ -43,11 +43,6 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
 }
 
-// Exponential returns an exponential sample with the given mean.
-func (g *RNG) Exponential(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
-}
-
 // Gamma returns a gamma sample with the given shape k and scale theta,
 // using the Marsaglia–Tsang method. CosmoFlow's voxel data distribution is
 // characterized as gamma in Table VI; this sampler lets the synthetic
@@ -79,9 +74,6 @@ func (g *RNG) Gamma(k, theta float64) float64 {
 		}
 	}
 }
-
-// Perm returns a deterministic pseudorandom permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Shuffle pseudo-randomly permutes n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

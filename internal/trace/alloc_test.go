@@ -56,7 +56,7 @@ func TestDecodeErrorReturnsPooledScratch(t *testing.T) {
 
 		var evs []Event
 		fail := func() {
-			if _, err := br.DecodeEvents(0, evs); err == nil {
+			if _, err := br.appendBlock(evs, 0, nil); err == nil {
 				t.Fatal("corrupt frame decoded cleanly")
 			} else if !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("decode error %v does not wrap ErrBadFormat", err)
@@ -100,7 +100,7 @@ func TestDecodeErrorAllocsPerOp(t *testing.T) {
 	data[br.BlockAt(0).Offset] = 0xEE
 	var evs []Event
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := br.DecodeEvents(0, evs); err == nil {
+		if _, err := br.appendBlock(evs, 0, nil); err == nil {
 			t.Fatal("corrupt frame decoded cleanly")
 		}
 	})
@@ -225,8 +225,9 @@ func TestWholeLogReadAllocBudget(t *testing.T) {
 }
 
 // TestCraftedHeaderCountsBounded: a few-byte log whose header claims 65,536
-// apps, files, samples or sample values is refused as ErrBadFormat without
-// preallocating for the claim — opening it allocates under 64 KiB.
+// apps, files, samples or sample values, or a workload name of 2^20 bytes,
+// is refused as ErrBadFormat without preallocating for the claim — opening
+// it allocates under 64 KiB.
 func TestCraftedHeaderCountsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under the race detector")
@@ -234,13 +235,14 @@ func TestCraftedHeaderCountsBounded(t *testing.T) {
 	meta := make([]byte, 12)          // empty strings and zero ints, as writeHeader lays them out
 	claim := []byte{0x80, 0x80, 0x04} // uvarint 65,536
 	cases := map[string][][]byte{
-		"apps":    {claim},
-		"files":   {{0}, claim},
-		"samples": {{0}, {0}, claim, {0}, claim},
-		"values":  {{0}, {0}, {1}, {0}, claim},
+		"string":  {{0x80, 0x80, 0x40}}, // a workload name of 2^20 bytes, the longest a log may claim
+		"apps":    {meta, claim},
+		"files":   {meta, {0}, claim},
+		"samples": {meta, {0}, {0}, claim, {0}, claim},
+		"values":  {meta, {0}, {0}, {1}, {0}, claim},
 	}
 	for name, parts := range cases {
-		log := append([]byte(magicV2), meta...)
+		log := []byte(magicV2)
 		for _, p := range parts {
 			log = append(log, p...)
 		}

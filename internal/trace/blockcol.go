@@ -112,12 +112,11 @@ func appendEvents(dst []Event, cols *Columns, m *Matcher) []Event {
 	return dst
 }
 
-// BlockData is one block's unwrapped payload held in memory for on-demand
-// column materialization: colstore's lazy chunks keep a BlockData and
-// decode individual segments only when an analysis kernel first touches
-// them. Decode is additive over a shared Columns value and is not safe for
-// concurrent use on the same receiver (colstore serializes per-chunk
-// materialization behind the chunk's lock).
+// BlockData is one block's unwrapped payload held in memory while its
+// column segments decode: a planned scan decodes the filter's segments,
+// then the rest of a block some row survives, then hands the payload back
+// (Release). Decode is additive over a shared Columns value and is not safe
+// for concurrent use on the same receiver unless the block is memoized.
 type BlockData struct {
 	payload   []byte
 	buf       *[]byte    // pooled buffer payload lives in (readBlockPayload)
@@ -209,10 +208,19 @@ func (bd *BlockData) Count() int { return bd.count }
 // PayloadBytes returns the unwrapped payload size in bytes.
 func (bd *BlockData) PayloadBytes() int { return len(bd.payload) }
 
-// release hands the payload buffer back to its pool. Only the sole holder
-// of a handle may call it — never one shared through a cache or adopted by
-// a chunk — once nothing reads the payload any more.
-func (bd *BlockData) release() {
+// Release hands the payload buffer back to its pool once nothing reads the
+// payload any more; the handle decodes nothing afterwards. It does nothing
+// on a memoized handle (EnableMemo), which a block cache shares across
+// requests and which keeps its buffer. Only the sole holder of any other
+// handle may call it. Not calling it is always correct: the buffer is
+// ordinary garbage then.
+func (bd *BlockData) Release() {
+	if bd.memo != nil || bd.buf == nil {
+		return
+	}
+	if poisonRecycled.Load() {
+		poisonCol((*bd.buf)[:cap(*bd.buf)])
+	}
 	bd.bufPool.Put(bd.buf)
 	bd.payload, bd.buf = nil, nil
 }

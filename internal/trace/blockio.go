@@ -295,9 +295,9 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 // and flate readers reset cleanly and recycle too. On the decode side a
 // block's payload lives in a pooled buffer — the frame buffer itself for a
 // raw frame, an inflate buffer for a flate one, whose frame buffer goes
-// straight back. A scan's lazy chunks keep their blocks' payloads, so those
-// buffers leave the pool; a whole-log read hands each one back once the
-// block's rows are out (BlockData.release).
+// straight back. A planned scan and a whole-log read hand each one back once
+// the block's columns are decoded (BlockData.Release); only a block cache's
+// memoized handles keep theirs.
 var (
 	payloadBufPool = sync.Pool{New: func() interface{} {
 		b := make([]byte, 0, 1<<16)
@@ -598,7 +598,7 @@ type BlockInfo struct {
 
 // BlockReader reads a trace log through its footer index: the header
 // decodes eagerly, and each block decodes independently — concurrent
-// ReadBlock/DecodeEvents calls on distinct blocks are safe, which is what
+// ReadBlock calls are safe, which is what
 // lets the analyzer fan decode out over the worker pool.
 type BlockReader struct {
 	r           io.ReaderAt
@@ -821,12 +821,6 @@ func (br *BlockReader) readBlockPayload(k int) (payload []byte, buf *[]byte, poo
 	return payload, fp, &frameBufPool, nil
 }
 
-// DecodeEvents decodes block k into row-major events, appending into dst's
-// capacity (dst is reset). Safe to call concurrently for distinct dst.
-func (br *BlockReader) DecodeEvents(k int, dst []Event) ([]Event, error) {
-	return br.appendBlock(dst[:0], k, nil)
-}
-
 // ReadTrace returns the log's header with Events holding every event that
 // matches f, in log order; the zero Filter keeps them all. Blocks the footer
 // statistics rule out are never read. Each block's rows append straight
@@ -863,7 +857,7 @@ func (br *BlockReader) appendBlock(dst []Event, k int, m *Matcher) ([]Event, err
 	if err != nil {
 		return nil, err
 	}
-	defer bd.release()
+	defer bd.Release()
 	var cols Columns
 	if _, err := bd.Decode(AllCols, &cols); err != nil {
 		return nil, err

@@ -92,13 +92,9 @@ func TestV2RoundTripBlockReader(t *testing.T) {
 			if br.BlockEvents() != 512 {
 				t.Fatalf("BlockEvents = %d, want 512", br.BlockEvents())
 			}
-			got := br.Header()
-			for k := 0; k < br.NumBlocks(); k++ {
-				evs, err := br.DecodeEvents(k, nil)
-				if err != nil {
-					t.Fatalf("DecodeEvents(%d): %v", k, err)
-				}
-				got.Events = append(got.Events, evs...)
+			got, err := br.ReadTrace(Filter{})
+			if err != nil {
+				t.Fatalf("ReadTrace: %v", err)
 			}
 			assertTraceEqual(t, orig, got)
 		})
@@ -118,7 +114,7 @@ func TestV2DecodeColumnsMatchesEvents(t *testing.T) {
 	}
 	var cols Columns
 	for k := 0; k < br.NumBlocks(); k++ {
-		evs, err := br.DecodeEvents(k, nil)
+		evs, err := br.appendBlock(nil, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +295,7 @@ func TestV2Corruption(t *testing.T) {
 			}
 			return
 		}
-		if _, err := br2.DecodeEvents(0, nil); err != nil && !errors.Is(err, ErrBadFormat) {
+		if _, err := br2.ReadTrace(Filter{}); err != nil && !errors.Is(err, ErrBadFormat) {
 			t.Errorf("decode of flipped block: error %v does not wrap ErrBadFormat", err)
 		}
 	})

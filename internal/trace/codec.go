@@ -116,6 +116,10 @@ type reader struct {
 	// instead of two per string.
 	strBuf []byte
 	pend   []pendingStr
+	// left bounds the string bytes still to come: the bytes the log held
+	// when the header began, less the string bytes read since. A length
+	// claim past it is refused before anything is allocated.
+	left int64
 }
 
 // pendingStr is one string awaiting arena flush: dst receives
@@ -154,10 +158,11 @@ func (r *reader) strTo(dst *string) {
 	if r.err != nil {
 		return
 	}
-	if n > maxStringLen {
+	if n > maxStringLen || n > uint64(max(r.left, 0)) {
 		r.err = fmt.Errorf("%w: string length %d", ErrBadFormat, n)
 		return
 	}
+	r.left -= int64(n)
 	if n == 0 {
 		*dst = ""
 		return
@@ -212,6 +217,7 @@ func readHeader(r *reader, left int64) (*Trace, error) {
 	fits := func(n uint64, minBytes int64) bool {
 		return r.err == nil && n > 0 && n <= preallocMax && n <= uint64(left/minBytes)
 	}
+	r.left = left
 	t := &Trace{}
 	m := &t.Meta
 	r.strTo(&m.Workload)

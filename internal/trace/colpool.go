@@ -42,9 +42,10 @@ var colsInUse atomic.Int64
 // table leaves the count where it found it; the leak tests assert that.
 func ColumnsInUse() int64 { return colsInUse.Load() }
 
-// poisonRecycled makes recycleCol overwrite every slice it takes back, and
-// a Tracer every log chunk it hands back at Finish; tests set it to prove
-// no reader depends on what a recycled slice or chunk holds.
+// poisonRecycled makes recycleCol overwrite every slice it takes back,
+// BlockData.Release every payload buffer, and a Tracer every log chunk it
+// hands back at Finish; tests set it to prove no reader depends on what a
+// recycled slice, payload or chunk holds.
 var poisonRecycled atomic.Bool
 
 // growCol resizes s to n rows: in place when its capacity allows, else from

@@ -3,10 +3,8 @@ package trace
 // Context-aware I/O plumbing for the serving path: a long-running daemon
 // must be able to abandon a characterization mid-trace when the request
 // that asked for it is canceled or times out. Wrapping the log's reader
-// puts the cancellation check on every physical read, so block decode
-// loops — including lazy column materializations that happen deep inside
-// analysis kernels — stop at the next I/O rather than running the trace
-// to completion.
+// puts the cancellation check on every physical read, so a scan's block
+// reads stop at the next I/O rather than running the trace to completion.
 
 import (
 	"context"

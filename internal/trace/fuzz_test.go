@@ -152,9 +152,9 @@ func TestCraftedRankLogs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cl.name, err)
 		}
-		_, err = br.DecodeEvents(0, nil)
+		_, err = br.appendBlock(nil, 0, nil)
 		if (err == nil) != cl.accept {
-			t.Errorf("%s: DecodeEvents error %v, want accepted = %v", cl.name, err, cl.accept)
+			t.Errorf("%s: block decode error %v, want accepted = %v", cl.name, err, cl.accept)
 		}
 		if err != nil && !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: error %v is not ErrBadFormat", cl.name, err)
@@ -322,7 +322,7 @@ func FuzzBlockReader(f *testing.F) {
 		}
 		var evs []Event
 		for k := 0; k < br.NumBlocks(); k++ {
-			evs, err = br.DecodeEvents(k, evs)
+			evs, err = br.appendBlock(evs[:0], k, nil)
 			if err != nil {
 				if !errors.Is(err, ErrBadFormat) {
 					t.Fatalf("block %d decode error %v does not wrap ErrBadFormat", k, err)

@@ -44,16 +44,11 @@ func TestOpenBlockReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenBlockReader: %v", err)
 	}
-	var total int
-	var evs []Event
-	for k := 0; k < br.NumBlocks(); k++ {
-		evs, err = br.DecodeEvents(k, evs[:0])
-		if err != nil {
-			t.Fatalf("DecodeEvents(%d): %v", k, err)
-		}
-		total += len(evs)
+	got, err := br.ReadTrace(Filter{})
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
 	}
-	if total != 1000 {
+	if total := len(got.Events); total != 1000 {
 		t.Errorf("decoded %d events, want 1000", total)
 	}
 	if err := br.Close(); err != nil {

@@ -54,16 +54,19 @@ func blockLog(t *testing.T, tr *trace.Trace) *trace.BlockReader {
 	return br
 }
 
-// TestReportsSurviveRecycledColumns is the pool's security property end to
-// end. Recycled column slices are neither zeroed nor private to a trace,
-// so with every returned slice poisoned: each drill-down shape — whole
-// blocks, chunks selected on a rank filter, chunks selected on a level
-// and op filter, a window that mixes whole and cut blocks — characterizes through
-// the planned scan, releases its table, and does so again into the slices
-// it just gave back, to the bytes of the in-memory reference that never
-// saw a codec or a pool; a table that is never released reports the same;
-// and alternating two tenants' traces through the same pools leaves each
-// report its own.
+// TestReportsSurviveRecycledColumns is the pools' security property end to
+// end. Recycled column slices and block payload buffers are neither zeroed
+// nor private to a trace, so with every returned slice and payload
+// poisoned: each drill-down shape — whole blocks, chunks selected on a
+// rank filter, chunks selected on a level and op filter, a window that
+// mixes whole and cut blocks — characterizes through the planned scan of a
+// BlockReader, releases its table, and does so again into the slices and
+// payloads it just gave back, to the bytes of the in-memory reference that
+// never saw a codec or a pool; a table that is never released reports the
+// same; and alternating two tenants' traces through the same pools leaves
+// each report its own. internal/server's
+// TestFirstScanReportsSurviveRecycledPayloads holds the same property for
+// vanid's first-scan block handles.
 func TestReportsSurviveRecycledColumns(t *testing.T) {
 	trace.PoisonRecycled(true)
 	defer trace.PoisonRecycled(false)

@@ -1,11 +1,11 @@
 package trace
 
-// Scan-plan vocabulary: the column sets and pushdown predicates the
-// analysis pipeline drives top-down through colstore into the VANITRC2
-// block index. The analyzer declares which columns each pass touches
-// (ColSet) and which predicates it can push (Filter); the block reader
-// consumes both to skip whole blocks via footer statistics and to decode
-// only the requested column segments.
+// Scan-plan vocabulary: the pushdown predicates the analysis pipeline
+// drives top-down through colstore into the VANITRC2 block index, and the
+// column sets a block decode names. The analyzer declares which predicates
+// it can push (Filter); the scan skips whole blocks via footer statistics,
+// decodes the column segments (ColSet) a filter constrains in a block, and
+// decodes the rest of a block only when some of its rows pass.
 
 import (
 	"fmt"
@@ -15,8 +15,8 @@ import (
 	"time"
 )
 
-// ColSet is a bitmask of event columns, the projection half of a scan
-// plan. The bit order is the canonical column order of the columnar block
+// ColSet is a bitmask of event columns: the segments one block decode
+// names. The bit order is the canonical column order of the columnar block
 // payload and of the footer's per-column byte ranges.
 type ColSet uint16
 
@@ -60,17 +60,6 @@ func (s ColSet) String() string {
 		return "none"
 	}
 	return strings.Join(parts, ",")
-}
-
-// Count returns the number of columns in the set.
-func (s ColSet) Count() int {
-	n := 0
-	for i := 0; i < NumCols; i++ {
-		if s&(1<<i) != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // OpClass is a pushable operation-class predicate.

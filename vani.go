@@ -130,9 +130,9 @@ func CharacterizeContext(ctx context.Context, res *Result, opt AnalyzerOptions) 
 // chunks — the event log never materializes as a []Event.
 //
 // When opt.Filter is set, the filter is pushed down the read path: whole
-// blocks are pruned via the footer statistics, only the filter's columns
-// are decoded up front, and the remaining columns materialize lazily as
-// analysis kernels ask for them. The result is byte-identical to analyzing
+// blocks are pruned via the footer statistics, each block read decodes the
+// filter's columns first, and only a block some row passes decodes the
+// rest. The result is byte-identical to analyzing
 // the filtered event set in memory.
 //
 // ctx is threaded through the block reader's physical reads, the column
@@ -174,7 +174,7 @@ func wrapReadErr(path string, err error) error {
 // BlockReader over an open file, or a shared decoded-block cache like
 // vanid's — through the planned-scan path: the filter pushes down to the
 // block index, surviving blocks decode and test the filter's columns, and
-// the analyzer passes materialize only the columns they read.
+// a block some row passes decodes whole before the analyzer passes run.
 // The characterization is byte-identical to CharacterizeFileContext over
 // the same log.
 func CharacterizeBlocksContext(ctx context.Context, src trace.BlockSource, opt AnalyzerOptions) (*Characterization, error) {
