@@ -114,6 +114,41 @@ var archRules = []archRule{
 		},
 	},
 	{
+		// Pass 2's accumulators are flat tables and lists, recycled across
+		// analyses: a file's rank, node and app sets are touch tuples that
+		// stitch sorts, not maps a worker fills per file.
+		name: "No maps in pass 2's accumulators",
+		why:  "fileAgg and pass2Acc hold counters, tables and touch lists; per-file sets come from the sorted touch list",
+		check: all(
+			declared(under("internal/core"), func(d decl) bool {
+				st, ok := d.typ.(*ast.StructType)
+				if !ok || d.kind != "type" || (d.name != "fileAgg" && d.name != "pass2Acc") {
+					return false
+				}
+				for _, f := range st.Fields.List {
+					hasMap := false
+					ast.Inspect(f.Type, func(n ast.Node) bool {
+						_, isMap := n.(*ast.MapType)
+						hasMap = hasMap || isMap
+						return !hasMap
+					})
+					if hasMap {
+						return true
+					}
+				}
+				return false
+			}),
+			declared(under("internal/core"), func(d decl) bool {
+				return d.kind == "func" && (d.name == "newFileAgg" || d.name == "mergeSet")
+			}),
+		),
+		fixtures: []*tree{
+			fx("internal/core/analyzer.go", "package core\n\ntype fileAgg struct {\n\tid    int32\n\tranks map[int32]bool\n}\n"),
+			fx("internal/core/x.go", "package core\n\ntype pass2Acc struct{ sets []map[int32]bool }\n"),
+			fx("internal/core/x.go", "package core\n\nfunc mergeSet(dst, src map[int32]bool) {}\n"),
+		},
+	},
+	{
 		// Every vanid upload lands in the repository, and every whole-log
 		// read goes through BlockReader's footer-checked ReadBlock + Decode.
 		name:  "One way in for a trace log",

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"vani/internal/core"
 	"vani/internal/spec"
@@ -150,6 +151,78 @@ func TestConcurrentFilesShareThePool(t *testing.T) {
 	}
 }
 
+// accPoison is internal/core's poisonAccs switch: while it is set, every
+// pass-2 accumulator an analysis hands back to the pool is overwritten with
+// values no cleared accumulator holds. Linking to it keeps the switch out of
+// core's API.
+//
+//go:linkname accPoison vani/internal/core.poisonAccs
+var accPoison atomic.Bool
+
+// TestReportsSurviveRecycledAccumulators: hacc, cm1 and a filtered hacc,
+// two requests each at once and three times over, so every analysis runs
+// on pass-2 accumulators (file counters, touch lists, seen tables, stream
+// and cluster scratch) that other analyses of other slot counts just handed
+// back, poisoned on the way in. Every report must equal its in-memory
+// characterization, when it is made and again once every request is done:
+// reset clears all an analysis reads, and no report aliases a recycled
+// accumulator. Run under -race -count=10 in CI: the pool is shared by
+// concurrent analyses, as the column pools are.
+func TestReportsSurviveRecycledAccumulators(t *testing.T) {
+	dir := t.TempDir()
+	type job struct {
+		path string
+		opt  core.Options
+		want []byte
+	}
+	var jobs []job
+	for _, w := range []struct {
+		name   string
+		filter trace.Filter
+	}{
+		{"hacc", trace.Filter{}},
+		{"cm1", trace.Filter{}},
+		{"hacc", trace.Filter{Ranks: []int32{0, 1, 2, 3, 4, 5, 6, 7}, Ops: trace.OpClassData}},
+	} {
+		tr := simulate(t, w.name, 1, 8, 0.1)
+		path, _ := writeLog(t, dir, w.name, tr)
+		opt := core.DefaultOptions()
+		opt.Filter, opt.Parallelism = w.filter, 2
+		jobs = append(jobs, job{path, opt, reference(t, tr, opt)})
+	}
+	accPoison.Store(true)
+	defer accPoison.Store(false)
+	reports := make([][]*core.Characterization, 2*len(jobs))
+	var wg sync.WaitGroup
+	for g := range reports {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			j := jobs[g%len(jobs)]
+			for i := 0; i < 3; i++ {
+				c, err := CharacterizeFileContext(context.Background(), j.path, j.opt)
+				if err != nil {
+					t.Errorf("%s: %v", j.path, err)
+					return
+				}
+				if got := yamlenc.Marshal(c); !bytes.Equal(got, j.want) {
+					t.Errorf("%s (filter %+v) call %d: report differs from the in-memory characterization", j.path, j.opt.Filter, i)
+				}
+				reports[g] = append(reports[g], c)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, cs := range reports {
+		j := jobs[g%len(jobs)]
+		for i, c := range cs {
+			if got := yamlenc.Marshal(c); !bytes.Equal(got, j.want) {
+				t.Errorf("%s (filter %+v) call %d: report changed after later analyses recycled its accumulators", j.path, j.opt.Filter, i)
+			}
+		}
+	}
+}
+
 // expiringCtx reports cancellation from its n-th Err call on: the scan and
 // the analyzer poll Err between blocks and chunks, so sweeping n lands the
 // abort in every stage.
@@ -236,36 +309,43 @@ func TestErrorsReturnEveryColumn(t *testing.T) {
 }
 
 // TestSteadyStateAllocBudget: once one call has filled the pools, a
-// characterization of a corpus-shaped trace (cm1 as the benchmark corpus
-// runs it: 32 nodes, ≈154 k events) allocates at most 40 B per event
-// unfiltered and 52 under a posix data-op filter. Without recycled columns
-// the unfiltered call is ≈75, so that budget fails if the column pools
-// silently stop working; the filtered call's pooled selection scratch is
-// worth only ≈4 B/event, which colstore's
-// TestSelectRowsAllocatesOnlyTheSelection pins instead. The
-// collector is held off for the measured call, so what it measures is the
-// request's own garbage and not when a cycle happened to empty a pool.
+// characterization of a corpus-shaped trace allocates at most a budget per
+// event. cm1 as the benchmark corpus runs it (32 nodes, ≈154 k events)
+// allocates at most 3 B per event unfiltered and 52 under a posix data-op
+// filter. Without recycled columns the unfiltered call is ≈75, and ≈4 with
+// pass 2's accumulators made afresh for every analysis, so that budget
+// fails if either pool silently stops working; the filtered call's pooled
+// selection scratch is worth only ≈4 B/event, which colstore's
+// TestSelectRowsAllocatesOnlyTheSelection pins instead. hacc at 32 nodes ×
+// 0.3 (1,280 file-per-process files) allocates at most 20 B per event: with
+// a map per file set and per worker it is ≈33. The collector is held off
+// from the call that fills the pools to the end of the measured one, so
+// what the test measures is the request's own garbage and not whether a
+// cycle happened to empty a pool in between.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under the race detector")
 	}
-	tr := simulate(t, "cm1", 1, 32, 0.15)
-	path, _ := writeLog(t, t.TempDir(), "cm1", tr)
 	for _, arm := range []struct {
-		name   string
-		filter trace.Filter
-		budget float64
+		name     string
+		workload string
+		scale    float64
+		filter   trace.Filter
+		budget   float64
 	}{
-		{"unfiltered", trace.Filter{}, 40},
-		{"posix data", trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}, 52},
+		{"unfiltered", "cm1", 0.15, trace.Filter{}, 3},
+		{"posix data", "cm1", 0.15, trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}, 52},
+		{"hacc", "hacc", 0.3, trace.Filter{}, 20},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
+			tr := simulate(t, arm.workload, 1, 32, arm.scale)
+			path, _ := writeLog(t, t.TempDir(), arm.workload, tr)
 			opt := core.DefaultOptions()
 			opt.Filter = arm.filter
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			if _, err := CharacterizeFileContext(context.Background(), path, opt); err != nil {
 				t.Fatal(err)
 			}
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if _, err := CharacterizeFileContext(context.Background(), path, opt); err != nil {

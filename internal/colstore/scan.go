@@ -101,23 +101,23 @@ func (s *ScanStats) Snapshot() ScanCounters {
 }
 
 // decode decodes the columns of want from bd into cols, adding the time it
-// took, the segment bytes it decoded and their codecs to the counters.
+// took, the segment bytes it decoded and their codecs to the counters. A
+// memoized block reports what its decode did: every segment on the call
+// that fills the memo, whatever was wanted, and none on a memo hit.
 func (s *ScanStats) decode(bd *trace.BlockData, want trace.ColSet, cols *trace.Columns) error {
 	if want == 0 {
 		return nil
 	}
 	t0 := time.Now()
-	decoded, err := bd.Decode(want, cols)
+	set, decoded, err := bd.Decode(want, cols)
 	s.DecodeNanos.Add(int64(time.Since(t0)))
 	if err != nil {
 		return err
 	}
-	if decoded > 0 { // 0 = shared-cache memo hit, nothing decoded
-		s.DecodedBytes.Add(decoded)
-		for col := 0; col < trace.NumCols; col++ {
-			if want&(trace.ColSet(1)<<col) != 0 {
-				s.Segs[bd.SegCodec(col)].Add(1)
-			}
+	s.DecodedBytes.Add(decoded)
+	for col := 0; col < trace.NumCols; col++ {
+		if set&(trace.ColSet(1)<<col) != 0 {
+			s.Segs[bd.SegCodec(col)].Add(1)
 		}
 	}
 	return nil

@@ -407,6 +407,48 @@ func TestScanStatsCodecMix(t *testing.T) {
 	}
 }
 
+// memoSource arms every block's decoded-column memo as it reads it, as
+// vanid's block cache does from a trace's second scan.
+type memoSource struct{ *trace.BlockReader }
+
+func (m memoSource) ReadBlock(k int) (*trace.BlockData, error) {
+	bd, err := m.BlockReader.ReadBlock(k)
+	if err == nil {
+		bd.EnableMemo()
+	}
+	return bd, err
+}
+
+// TestScanStatsCodecMixMemoFill: a scan that fills block memos counts every
+// segment the fill decodes. The first Decode on a memoized block decodes all
+// of its segments whatever the filter asked for, so a filtered scan counts
+// the same segments and bytes as an unfiltered one.
+func TestScanStatsCodecMixMemoFill(t *testing.T) {
+	tr := mixedTrace(4 * ChunkRows)
+	br := blockReaderFor(t, tr, trace.V2Options{})
+	if br.NumBlocks() != 4 {
+		t.Fatalf("%d blocks, want 4", br.NumBlocks())
+	}
+	var got []ScanCounters
+	for _, f := range []trace.Filter{{}, {Ops: trace.OpClassData}} {
+		var stats ScanStats
+		tb, err := FromBlocksSpecContext(context.Background(), memoSource{br}, 2, ScanSpec{Filter: f}, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Release()
+		s := stats.Snapshot()
+		if segs := s.SegRaw + s.SegRLE + s.SegDict + s.SegFOR; segs != 4*trace.NumCols || s.BlocksPruned != 0 {
+			t.Errorf("filter %+v: %d segments counted over %d pruned blocks, want %d and none pruned",
+				f, segs, s.BlocksPruned, 4*trace.NumCols)
+		}
+		got = append(got, s)
+	}
+	if got[0].DecodedBytes != got[1].DecodedBytes || got[0].DecodedBytes == 0 {
+		t.Errorf("decoded bytes %d unfiltered, %d filtered; want equal and nonzero", got[0].DecodedBytes, got[1].DecodedBytes)
+	}
+}
+
 // TestSelectRowsAllocatesOnlyTheSelection: a block cut to a selection
 // allocates the exact-size selection and nothing else — its block-sized
 // scratch comes back from selPool — and a block whose rows all pass
@@ -422,7 +464,7 @@ func TestSelectRowsAllocatesOnlyTheSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cols trace.Columns
-	if _, err := bd.Decode(trace.ColRank|trace.ColOp, &cols); err != nil {
+	if _, _, err := bd.Decode(trace.ColRank|trace.ColOp, &cols); err != nil {
 		t.Fatal(err)
 	}
 	need := trace.ColRank | trace.ColOp

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,11 +186,11 @@ type analysis struct {
 	appRanks                       []int // ranks that emitted any event, per app
 
 	// parts holds pass 2's per-chunk ordered partials until stitch combines
-	// them; acc is the workers' accumulators merged, files its touched files
-	// in ascending id order.
+	// them; acc is the workers' accumulators merged, files its touched files'
+	// summaries in ascending id order (acc's scratch).
 	parts                     []chunkPart
 	acc                       *pass2Acc
-	files                     []*fileAgg
+	files                     []fileSum
 	primData, primMeta        int64
 	ioTime                    time.Duration
 	phases                    []IOPhaseEntity
@@ -196,56 +198,164 @@ type analysis struct {
 	primPattern, posixPattern string
 }
 
+// fileAgg is one file's counters in a worker's accumulator, which holds one
+// per file slot.
 type fileAgg struct {
-	id           int32
-	ranks        map[int32]bool
-	writerRanks  map[int32]bool
-	readerRanks  map[int32]bool
-	writerNodes  map[int32]bool
-	readerNodes  map[int32]bool
-	writerApps   map[int32]bool
-	readerApps   map[int32]bool
-	bytesRead    int64
-	bytesWritten int64
-	opens        int64
-	dataOps      int64
-	metaOps      int64
-	ioDur        time.Duration
-}
-
-func newFileAgg(id int32) *fileAgg {
-	return &fileAgg{
-		id:          id,
-		ranks:       map[int32]bool{},
-		writerRanks: map[int32]bool{},
-		readerRanks: map[int32]bool{},
-		writerNodes: map[int32]bool{},
-		readerNodes: map[int32]bool{},
-		writerApps:  map[int32]bool{},
-		readerApps:  map[int32]bool{},
-	}
-}
-
-func mergeSet(dst, src map[int32]bool) {
-	for k := range src {
-		dst[k] = true
-	}
+	bytesRead, bytesWritten int64
+	opens, dataOps, metaOps int64
+	ioDur                   time.Duration
 }
 
 func (fa *fileAgg) merge(o *fileAgg) {
-	mergeSet(fa.ranks, o.ranks)
-	mergeSet(fa.writerRanks, o.writerRanks)
-	mergeSet(fa.readerRanks, o.readerRanks)
-	mergeSet(fa.writerNodes, o.writerNodes)
-	mergeSet(fa.readerNodes, o.readerNodes)
-	mergeSet(fa.writerApps, o.writerApps)
-	mergeSet(fa.readerApps, o.readerApps)
 	fa.bytesRead += o.bytesRead
 	fa.bytesWritten += o.bytesWritten
 	fa.opens += o.opens
 	fa.dataOps += o.dataOps
 	fa.metaOps += o.metaOps
 	fa.ioDur += o.ioDur
+}
+
+// fileTouch is one (file, rank, node, app) tuple and the op classes its rows
+// did there (didMeta, didRead, didWrite), as noteSets appends it. A file's
+// rank, node and app sets are the union of its touches.
+type fileTouch struct {
+	file, rank, node, app int32
+	did                   uint8
+}
+
+// fileSum is what the report reads of one touched file: its counters and
+// what its touches say — how many distinct ranks touched it, read it and
+// wrote it, whether a node read data another node wrote (or one of several
+// writer nodes did), and the apps that wrote and read it, ascending.
+type fileSum struct {
+	fileAgg
+	id                              int32
+	ranks, readerRanks, writerRanks int
+	crossRAW                        bool
+	writerApps, readerApps          []int32
+}
+
+// nodeSet is as much of a set of nodes as crossRAW needs: how many distinct
+// nodes, counted up to two, and the first.
+type nodeSet struct {
+	n     int
+	first int32
+}
+
+func (s *nodeSet) add(node int32) {
+	if s.n == 0 {
+		s.n, s.first = 1, node
+	} else if s.n == 1 && node != s.first {
+		s.n = 2
+	}
+}
+
+// summarize sorts the merged touch list by (file, rank) and derives every
+// touched file's summary in one walk, ascending by file id. The summaries and
+// their app lists live in p's scratch.
+func (p *pass2Acc) summarize() []fileSum {
+	p.touches, p.touchBuf = sortTouches(p.touches, p.touchBuf)
+	ts := p.touches
+	// Each touch adds at most one writer and one reader app, so the app
+	// lists never outgrow this and the summaries' sub-slices stay valid.
+	apps := slices.Grow(p.sumApps[:0], 2*len(ts))
+	sums := p.sums[:0]
+	for lo := 0; lo < len(ts); {
+		fs := fileSum{id: ts[lo].file}
+		fs.fileAgg = p.files[int(fs.id)+1]
+		var writers, readers nodeSet
+		hi := lo
+		for hi < len(ts) && ts[hi].file == fs.id {
+			rank, did := ts[hi].rank, uint8(0)
+			for ; hi < len(ts) && ts[hi].file == fs.id && ts[hi].rank == rank; hi++ {
+				t := &ts[hi]
+				did |= t.did
+				if t.did&didWrite != 0 {
+					writers.add(t.node)
+				}
+				if t.did&didRead != 0 {
+					readers.add(t.node)
+				}
+			}
+			fs.ranks++
+			if did&didRead != 0 {
+				fs.readerRanks++
+			}
+			if did&didWrite != 0 {
+				fs.writerRanks++
+			}
+		}
+		fs.crossRAW = writers.n > 0 && readers.n > 0 &&
+			(writers.n > 1 || readers.n > 1 || writers.first != readers.first)
+		apps, fs.writerApps = appendApps(apps, ts[lo:hi], didWrite)
+		apps, fs.readerApps = appendApps(apps, ts[lo:hi], didRead)
+		sums = append(sums, fs)
+		lo = hi
+	}
+	p.sums, p.sumApps = sums, apps
+	return sums
+}
+
+// touchDigits are the (shift, width) digits of a touch's sort key: rank
+// slot in the low 32 bits, file in the high 32.
+var touchDigits = [...][2]uint{{0, 11}, {11, 11}, {22, 10}, {32, 11}, {43, 11}, {54, 10}}
+
+func touchKey(t *fileTouch) uint64 {
+	return uint64(uint32(t.file))<<32 | uint64(uint32(t.rank+1))
+}
+
+// sortTouches orders ts by (file, rank slot) with a least-significant-digit
+// radix sort, which takes a pass only for the digits in which keys differ
+// (two for 1,280 files × 1,280 ranks) and is several times faster here
+// than a comparison sort. buf is scratch; it returns the sorted list and
+// the other buffer.
+func sortTouches(ts, buf []fileTouch) (sorted, scratch []fileTouch) {
+	var or, and uint64 = 0, ^uint64(0)
+	for i := range ts {
+		k := touchKey(&ts[i])
+		or, and = or|k, and&k
+	}
+	if cap(buf) < len(ts) {
+		buf = make([]fileTouch, len(ts), cap(ts))
+	}
+	buf = buf[:len(ts)]
+	var count [1 << 11]int
+	for _, d := range touchDigits {
+		shift, mask := d[0], uint64(1)<<d[1]-1
+		if (or^and)>>shift&mask == 0 {
+			continue
+		}
+		clear(count[:])
+		for i := range ts {
+			count[touchKey(&ts[i])>>shift&mask]++
+		}
+		sum := 0
+		for i, n := range count {
+			count[i], sum = sum, sum+n
+		}
+		for i := range ts {
+			k := touchKey(&ts[i]) >> shift & mask
+			buf[count[k]] = ts[i]
+			count[k]++
+		}
+		ts, buf = buf, ts
+	}
+	return ts, buf
+}
+
+// appendApps appends to dst the distinct apps of the touches that did any
+// of the op classes in did, ascending, and returns dst and the appended list.
+func appendApps(dst []int32, ts []fileTouch, did uint8) ([]int32, []int32) {
+	lo := len(dst)
+	for i := range ts {
+		if t := &ts[i]; t.did&did != 0 && (len(dst) == lo || dst[len(dst)-1] != t.app) {
+			dst = append(dst, t.app)
+		}
+	}
+	list := dst[lo:]
+	slices.Sort(list)
+	list = slices.Compact(list)
+	return dst[:lo+len(list)], list[:len(list):len(list)]
 }
 
 type rankAcc struct {
@@ -262,6 +372,10 @@ func (a *analysis) run() (*Characterization, error) {
 	}
 	d1 := a.lap(&t0)
 	p2, err := a.pass2()
+	// The accumulators go back to the pool once the report is built: it
+	// copies what it keeps of them but the merged timelines, which release
+	// leaves to it.
+	defer a.release(p2)
 	if err == nil {
 		err = a.ctx.Err()
 	}
@@ -344,6 +458,7 @@ func interfaceName(counts *[8]int64) string {
 
 func (a *analysis) appEntities() []AppEntity {
 	var out []AppEntity
+	tally := a.classifyFiles()
 	for si := range a.acc.apps {
 		// An app is reported when it has primary rows; slots ascend, so the
 		// entities come out in app id order.
@@ -353,7 +468,7 @@ func (a *analysis) appEntities() []AppEntity {
 		}
 		app := int32(si - 1)
 		dPct, mPct := pcts(acc.data, acc.rows-acc.data)
-		fpp, shared, dep := a.appFiles(app)
+		fpp, shared, dep := appFiles(&tally[si])
 		out = append(out, AppEntity{
 			Name: a.tr.AppName(app),
 			// Processes counts every rank that emitted any event for the
@@ -373,36 +488,64 @@ func (a *analysis) appEntities() []AppEntity {
 	return out
 }
 
-// appFiles counts the FPP and shared files among those the app touched and
-// classifies its dominant process/data relationship.
-func (a *analysis) appFiles(app int32) (fpp, shared int, kind ProcDepKind) {
-	var singleWriter, sharedRead, pipeline int
-	for _, fa := range a.files {
-		if !fa.readerApps[app] && !fa.writerApps[app] {
-			continue
-		}
+// The process/data relationships a file can have, as appFiles counts them.
+const (
+	depFPP = iota
+	depSingleWriter
+	depSharedRead
+	depPipeline
+	numDeps
+)
+
+// classifyFiles counts in one pass over the touched files, per app slot,
+// how many of the files the app read or wrote are file-per-process,
+// single-writer, shared-read or pipeline files.
+func (a *analysis) classifyFiles() [][numDeps]int {
+	tally := make([][numDeps]int, a.appSlots)
+	for i := range a.files {
+		fs := &a.files[i]
+		kind := depPipeline
 		switch {
-		case len(fa.ranks) == 1:
-			fpp++
-		case len(fa.writerRanks) == 1:
-			singleWriter++
-		case len(fa.writerRanks) == 0 && len(fa.readerRanks) > 1:
-			sharedRead++
-		default:
-			pipeline++
+		case fs.ranks == 1:
+			kind = depFPP
+		case fs.writerRanks == 1:
+			kind = depSingleWriter
+		case fs.writerRanks == 0 && fs.readerRanks > 1:
+			kind = depSharedRead
+		}
+		// Every app on either list, once: both lists ascend.
+		w, r := fs.writerApps, fs.readerApps
+		for len(w) > 0 || len(r) > 0 {
+			var app int32
+			switch {
+			case len(r) == 0 || len(w) > 0 && w[0] < r[0]:
+				app, w = w[0], w[1:]
+			case len(w) == 0 || r[0] < w[0]:
+				app, r = r[0], r[1:]
+			default:
+				app, w, r = w[0], w[1:], r[1:]
+			}
+			tally[int(app)+1][kind]++
 		}
 	}
+	return tally
+}
+
+// appFiles counts the FPP and shared files among those an app touched and
+// classifies its dominant process/data relationship.
+func appFiles(t *[numDeps]int) (fpp, shared int, kind ProcDepKind) {
+	fpp = t[depFPP]
 	most, kind := fpp, DepFilePerProcess
-	if singleWriter > most {
-		most, kind = singleWriter, DepSingleWriter
+	if t[depSingleWriter] > most {
+		most, kind = t[depSingleWriter], DepSingleWriter
 	}
-	if sharedRead > most {
-		most, kind = sharedRead, DepSharedRead
+	if t[depSharedRead] > most {
+		most, kind = t[depSharedRead], DepSharedRead
 	}
-	if pipeline > most {
+	if t[depPipeline] > most {
 		kind = DepPipeline
 	}
-	return fpp, singleWriter + sharedRead + pipeline, kind
+	return fpp, t[depSingleWriter] + t[depSharedRead] + t[depPipeline], kind
 }
 
 func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
@@ -413,20 +556,13 @@ func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 		gpus = a.tr.Meta.GPUsPerNode
 	}
 	crossRAW := false
-	for _, fa := range a.files {
-		if len(fa.ranks) == 1 {
+	for i := range a.files {
+		if a.files[i].ranks == 1 {
 			fpp++
 		} else {
 			shared++
 		}
-		if len(fa.writerNodes) == 0 {
-			continue
-		}
-		for rn := range fa.readerNodes {
-			if !fa.writerNodes[rn] || len(fa.writerNodes) > 1 {
-				crossRAW = true
-			}
-		}
+		crossRAW = crossRAW || a.files[i].crossRAW
 	}
 	return WorkflowEntity{
 		CPUCoresUsedPerNode: a.ranksPerNode(),
@@ -449,39 +585,35 @@ func (a *analysis) workflow(apps []AppEntity) WorkflowEntity {
 // appDeps derives the application-level data-dependency edges: consumer
 // apps reading files that producer apps wrote.
 func (a *analysis) appDeps() []AppDep {
-	type key struct{ prod, cons int32 }
-	agg := map[key]*AppDep{}
-	var order []key
-	for _, fa := range a.files {
-		for prod := range fa.writerApps {
-			for cons := range fa.readerApps {
-				if prod == cons {
-					continue
+	type edge struct {
+		prod, cons int32
+		bytes      int64
+	}
+	var edges []edge
+	for i := range a.files {
+		fs := &a.files[i]
+		for _, prod := range fs.writerApps {
+			for _, cons := range fs.readerApps {
+				if prod != cons {
+					edges = append(edges, edge{prod, cons, fs.bytesRead})
 				}
-				k := key{prod, cons}
-				d := agg[k]
-				if d == nil {
-					d = &AppDep{
-						Producer: a.tr.AppName(prod),
-						Consumer: a.tr.AppName(cons),
-					}
-					agg[k] = d
-					order = append(order, k)
-				}
-				d.Bytes += fa.bytesRead
-				d.Files++
 			}
 		}
 	}
-	sort.Slice(order, func(x, y int) bool {
-		if order[x].prod != order[y].prod {
-			return order[x].prod < order[y].prod
+	slices.SortFunc(edges, func(x, y edge) int {
+		if x.prod != y.prod {
+			return cmp.Compare(x.prod, y.prod)
 		}
-		return order[x].cons < order[y].cons
+		return cmp.Compare(x.cons, y.cons)
 	})
-	out := make([]AppDep, 0, len(order))
-	for _, k := range order {
-		out = append(out, *agg[k])
+	out := make([]AppDep, 0, len(edges))
+	for i, e := range edges {
+		if i == 0 || e.prod != edges[i-1].prod || e.cons != edges[i-1].cons {
+			out = append(out, AppDep{Producer: a.tr.AppName(e.prod), Consumer: a.tr.AppName(e.cons)})
+		}
+		d := &out[len(out)-1]
+		d.Bytes += e.bytes
+		d.Files++
 	}
 	return out
 }
@@ -507,7 +639,8 @@ func (a *analysis) highLevel(dist stats.DistKind) HighLevelIOEntity {
 	// tallied over sorted dimensionalities so weight ties resolve to the
 	// lower dimensionality regardless of map iteration order.
 	dims := map[int]int64{}
-	for _, fa := range a.files {
+	for i := range a.files {
+		fa := &a.files[i]
 		info := a.tr.Files[fa.id]
 		if info.NDims > 0 {
 			dims[info.NDims] += fa.bytesRead + fa.bytesWritten + 1
@@ -581,7 +714,8 @@ func (a *analysis) storageEntities() (NodeLocalEntity, SharedStorageEntity) {
 func (a *analysis) dataset(dist stats.DistKind) DatasetEntity {
 	formats := map[string]int64{}
 	var totalSize, io, dataFileSize, metaFileSize int64
-	for _, fa := range a.files {
+	for i := range a.files {
+		fa := &a.files[i]
 		info := a.tr.Files[fa.id]
 		formats[info.Format]++
 		totalSize += info.Size
@@ -617,8 +751,9 @@ func (a *analysis) dataset(dist stats.DistKind) DatasetEntity {
 // highest I/O volume, volume ties breaking to the lowest file ID (the
 // first such file recorded) so the pick is deterministic.
 func (a *analysis) fileEntity() FileEntity {
-	var best *fileAgg
-	for _, fa := range a.files {
+	var best *fileSum
+	for i := range a.files {
+		fa := &a.files[i]
 		if best == nil || fa.bytesRead+fa.bytesWritten > best.bytesRead+best.bytesWritten {
 			best = fa
 		}
@@ -677,14 +812,15 @@ func (a *analysis) figure() FigureData {
 	}
 
 	// Dependency panel: highest-volume files.
-	flows := append([]*fileAgg(nil), a.files...)
-	sort.Slice(flows, func(x, y int) bool {
-		bx := flows[x].bytesRead + flows[x].bytesWritten
-		by := flows[y].bytesRead + flows[y].bytesWritten
-		if bx != by {
-			return bx > by
+	flows := make([]*fileSum, len(a.files))
+	for i := range a.files {
+		flows[i] = &a.files[i]
+	}
+	slices.SortFunc(flows, func(x, y *fileSum) int {
+		if bx, by := x.bytesRead+x.bytesWritten, y.bytesRead+y.bytesWritten; bx != by {
+			return cmp.Compare(by, bx)
 		}
-		return flows[x].id < flows[y].id
+		return cmp.Compare(x.id, y.id)
 	})
 	if len(flows) > a.opt.TopFlows {
 		flows = flows[:a.opt.TopFlows]
@@ -692,8 +828,8 @@ func (a *analysis) figure() FigureData {
 	for _, fa := range flows {
 		fig.TopFlows = append(fig.TopFlows, FileFlow{
 			Path:         a.tr.Files[fa.id].Path,
-			WriterRanks:  len(fa.writerRanks),
-			ReaderRanks:  len(fa.readerRanks),
+			WriterRanks:  fa.writerRanks,
+			ReaderRanks:  fa.readerRanks,
 			BytesWritten: fa.bytesWritten,
 			BytesRead:    fa.bytesRead,
 			Opens:        fa.opens,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"vani/internal/colstore"
@@ -55,9 +57,11 @@ type pass1Acc struct {
 
 // pass2Acc is one worker's partial of the characterization pass, every
 // table indexed by value+1, followed by the scratch its partial builders
-// reuse across chunks.
+// reuse across chunks. Accumulators are recycled across analyses through
+// accPool; reset sizes one to an analysis.
 type pass2Acc struct {
-	files                 []*fileAgg
+	files                 []fileAgg
+	touches, touchBuf     []fileTouch // see noteSets; touchBuf is sort scratch
 	readBytes, writeBytes int64
 	readHist, writeHist   stats.SizeHistogram
 	readTL, writeTL       *stats.Timeline
@@ -65,6 +69,10 @@ type pass2Acc struct {
 	apps                  []appAcc
 	posixSizes            sizeTally
 	seen                  []setSeen // per rank slot, see noteSets
+	// The merged accumulator's file summaries and their app lists
+	// (summarize).
+	sums    []fileSum
+	sumApps []int32
 	partScratch
 }
 
@@ -75,32 +83,87 @@ type setSeen struct {
 
 const didMeta, didRead, didWrite uint8 = 1, 2, 4
 
+// accPool holds pass 2's accumulators between analyses, scratch and all.
+var accPool sync.Pool
+
+// poisonAccs makes release overwrite every accumulator it hands back to
+// accPool; tests set it to prove that reset clears all an analysis reads and
+// that no report aliases a recycled accumulator.
+var poisonAccs atomic.Bool
+
+// newPass2Acc returns a recycled or new accumulator, reset for a.
 func (a *analysis) newPass2Acc() *pass2Acc {
+	p, _ := accPool.Get().(*pass2Acc)
+	if p == nil {
+		p = &pass2Acc{}
+	}
+	p.reset(a)
+	return p
+}
+
+// reset empties p and sizes its tables to a's slot counts, keeping their
+// arrays where they are large enough.
+func (p *pass2Acc) reset(a *analysis) {
 	span := a.runtime
 	if span <= 0 {
 		span = time.Second
 	}
-	return &pass2Acc{
-		files:       make([]*fileAgg, a.fileSlots),
-		perRank:     make([]rankAcc, a.rankSlots),
-		readTL:      stats.NewTimeline(span, a.opt.TimelineBins),
-		writeTL:     stats.NewTimeline(span, a.opt.TimelineBins),
-		apps:        newAppAccs(a.appSlots),
-		seen:        make([]setSeen, a.rankSlots),
-		partScratch: newPartScratch(a.rankSlots),
+	p.files = resize(p.files, a.fileSlots)
+	p.touches = p.touches[:0]
+	p.readBytes, p.writeBytes = 0, 0
+	p.readHist, p.writeHist = stats.SizeHistogram{}, stats.SizeHistogram{}
+	p.readTL = stats.NewTimeline(span, a.opt.TimelineBins)
+	p.writeTL = stats.NewTimeline(span, a.opt.TimelineBins)
+	p.perRank = resize(p.perRank, a.rankSlots)
+	p.apps = resize(p.apps, a.appSlots)
+	for i := range p.apps {
+		p.apps[i].minStart = math.MaxInt64
 	}
+	clear(p.posixSizes[0])
+	clear(p.posixSizes[1])
+	p.seen = resize(p.seen, a.rankSlots)
+	p.partScratch.reset(a.rankSlots)
+}
+
+// release hands the analysis' accumulators back to accPool. The merged one's
+// timelines stay with the report.
+func (a *analysis) release(p2 []*pass2Acc) {
+	for _, p := range p2 {
+		if p != nil && p != a.acc {
+			putPass2Acc(p)
+		}
+	}
+	if a.acc != nil {
+		putPass2Acc(a.acc)
+		a.acc, a.files = nil, nil
+	}
+}
+
+func putPass2Acc(p *pass2Acc) {
+	p.readTL, p.writeTL = nil, nil
+	if poisonAccs.Load() {
+		p.poison()
+	}
+	accPool.Put(p)
+}
+
+// resize returns s with n zeroed elements, in s's array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // merge folds another worker's accumulators into p: integer sums, set
 // unions and minima, so the order of merging cannot show.
 func (p *pass2Acc) merge(o *pass2Acc) {
-	for si, fa := range o.files {
-		if cur := p.files[si]; cur != nil && fa != nil {
-			cur.merge(fa)
-		} else if fa != nil {
-			p.files[si] = fa
-		}
+	for si := range o.files {
+		p.files[si].merge(&o.files[si])
 	}
+	p.touches = append(p.touches, o.touches...)
 	p.readBytes += o.readBytes
 	p.writeBytes += o.writeBytes
 	p.readHist.Merge(&o.readHist)
@@ -257,11 +320,7 @@ func (a *analysis) stitch(p2 []*pass2Acc) {
 	if a.acc == nil {
 		a.acc = a.newPass2Acc()
 	}
-	for _, fa := range a.acc.files {
-		if fa != nil {
-			a.files = append(a.files, fa)
-		}
-	}
+	a.files = a.acc.summarize()
 	for si := range a.acc.apps {
 		a.primData += a.acc.apps[si].data
 		a.primMeta += a.acc.apps[si].rows - a.acc.apps[si].data
@@ -325,11 +384,7 @@ func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc) {
 		var fa *fileAgg
 		var need uint8
 		if c.File[j] >= 0 {
-			fa = p.files[int(c.File[j])+1]
-			if fa == nil {
-				fa = newFileAgg(c.File[j])
-				p.files[int(c.File[j])+1] = fa
-			}
+			fa = &p.files[int(c.File[j])+1]
 			fa.ioDur += time.Duration(dur)
 			need = didMeta
 		}
@@ -369,30 +424,56 @@ func rowPass2(c *colstore.Chunk, levels []uint16, fileSlots int, p *pass2Acc) {
 			}
 		}
 		if need != 0 {
-			fa.noteSets(&p.seen[int(c.Rank[j])+1], c.Rank[j], c.Node[j], c.App[j], need)
+			p.noteSets(&p.seen[int(c.Rank[j])+1], c.File[j], c.Rank[j], c.Node[j], c.App[j], need)
 		}
 	}
 }
 
-// noteSets records a row's rank, node and app in the file's sets. A rank
-// works through one file at a time, so sn — the rank's slot of the worker's
-// seen table — usually names this very (file, node, app) with the needed
-// sets already written, and the row costs three compares instead of up to
-// four map writes. The comparison is on the whole tuple: workflow
+// noteSets records that a row of rank did the op classes in need on file,
+// from node, for app. A rank works through one file at a time, so sn — the
+// rank's slot of the worker's seen table — usually names this very (file,
+// node, app) with those classes already noted, and the row costs three
+// compares; otherwise the tuple is appended to the worker's touch list,
+// which stitch sorts into each file's rank, node and app sets
+// (pass2Acc.summarize). The comparison is on the whole tuple: workflow
 // applications share ranks.
-func (fa *fileAgg) noteSets(sn *setSeen, rank, node, app int32, need uint8) {
-	if sn.file != fa.id || sn.node != node || sn.app != app {
-		*sn = setSeen{file: fa.id, node: node, app: app}
+func (p *pass2Acc) noteSets(sn *setSeen, file, rank, node, app int32, need uint8) {
+	if sn.file != file || sn.node != node || sn.app != app {
+		*sn = setSeen{file: file, node: node, app: app}
 	}
 	if need&^sn.did == 0 {
 		return
 	}
 	sn.did |= need
-	fa.ranks[rank] = true
-	if need&didRead != 0 {
-		fa.readerRanks[rank], fa.readerNodes[node], fa.readerApps[app] = true, true, true
+	p.touches = append(p.touches, fileTouch{file: file, rank: rank, node: node, app: app, did: need})
+}
+
+// poison overwrites everything p holds, to its slices' capacities, with
+// values a cleared accumulator never has: a seen entry claims every op class
+// of file 0 from node 0 for app 0, so a reset that keeps one drops touches.
+func (p *pass2Acc) poison() {
+	fill(p.files, fileAgg{bytesRead: -1 << 40, bytesWritten: 1 << 41, opens: -3, dataOps: -5, metaOps: 1 << 42, ioDur: -1})
+	fill(p.touches, fileTouch{file: 0x5a5a5a5a, rank: 3, node: 1, app: 0, did: 7})
+	fill(p.touchBuf, fileTouch{file: 0x5a5a5a5a, rank: 3, node: 1, app: 0, did: 7})
+	p.readBytes, p.writeBytes = -1<<40, -1<<40
+	p.readHist.Count[0], p.writeHist.Bytes[1] = -7, -7
+	fill(p.perRank, rankAcc{hit: true, rBytes: -1 << 40, wBytes: 1 << 40, rDur: -1, wDur: 1 << 50})
+	fill(p.apps, appAcc{rows: 1 << 40, data: -9, bytes: -1, minStart: -1 << 50, maxEnd: 1 << 60, lib: [8]int64{3, 3, 3, 3, 3, 3, 3, 3}})
+	for i := range p.posixSizes {
+		if p.posixSizes[i] != nil {
+			p.posixSizes[i][1<<41] = 1 << 41
+		}
 	}
-	if need&didWrite != 0 {
-		fa.writerRanks[rank], fa.writerNodes[node], fa.writerApps[app] = true, true, true
+	fill(p.seen, setSeen{did: didMeta | didRead | didWrite})
+	fill(p.sums, fileSum{id: -7, ranks: -1, crossRAW: true})
+	fill(p.sumApps, 0x5a5a5a5a)
+	p.partScratch.poison()
+}
+
+// fill sets every element of s, to its capacity, to v.
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
 	}
 }

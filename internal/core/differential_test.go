@@ -88,6 +88,74 @@ func TestDenseScanMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestFileSetShapesMatchOracle: the per-file rank, node and app sets that
+// stitch derives from the sorted touch list, on hand-built traces whose
+// files take the shapes the workloads leave out — a writer node among
+// several reader nodes, readers only on the writer's node, two writer
+// nodes, a rank that only opens the file, apps that read what each other
+// wrote. Each must match the oracle at every parallelism and through a
+// planned table, and flag a cross-node read-after-write exactly when one
+// is there.
+func TestFileSetShapesMatchOracle(t *testing.T) {
+	// An access is (rank, app, op); rank r runs on node r/2.
+	type access struct {
+		rank, app int32
+		op        trace.Op
+	}
+	w, r, open := trace.OpWrite, trace.OpRead, trace.OpOpen
+	for _, tc := range []struct {
+		name     string
+		accesses []access
+		crossRAW bool
+	}{
+		{"readers on the writer's node", []access{{0, 0, w}, {1, 0, r}, {0, 0, r}}, false},
+		{"writer node among reader nodes", []access{{0, 0, w}, {1, 0, r}, {2, 0, r}}, true},
+		{"reader on another node", []access{{0, 0, w}, {3, 0, r}}, true},
+		{"two writer nodes", []access{{0, 0, w}, {2, 0, w}, {0, 0, r}}, true},
+		{"writers only", []access{{0, 0, w}, {2, 0, w}, {4, 0, open}}, false},
+		{"apps read each other's output", []access{{0, 0, w}, {1, 1, r}, {1, 1, w}, {0, 0, r}, {2, 1, r}, {5, 0, open}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := trace.NewTracer()
+			apps := []int32{rec.AppID("a"), rec.AppID("b")}
+			files := []int32{rec.FileID("/f"), rec.FileID("/g")}
+			var now time.Duration
+			for round := 0; round < 3; round++ {
+				for i, ac := range tc.accesses {
+					// The same pattern on both files, with the apps swapped on /g.
+					for fi, f := range files {
+						now += time.Microsecond
+						rec.Record(trace.Event{
+							Level: trace.LevelPosix, Op: ac.op, Rank: ac.rank, Node: ac.rank / 2,
+							App: apps[(int(ac.app)+fi)%2], File: f, Offset: int64(round*len(tc.accesses)+i) * 4096,
+							Size: 4096, Start: now, End: now + time.Microsecond,
+						})
+					}
+				}
+			}
+			tr := rec.Finish()
+			want := oracleAnalyze(tr, DefaultOptions())
+			if want.Workflow.CrossNodeRAW != tc.crossRAW {
+				t.Fatalf("oracle: cross-node read-after-write %v, want %v", want.Workflow.CrossNodeRAW, tc.crossRAW)
+			}
+			for _, par := range []int{1, 4} {
+				opt := DefaultOptions()
+				opt.Parallelism = par
+				if got := Analyze(tr, opt); !reflect.DeepEqual(want, got) {
+					t.Errorf("par %d: characterization differs from the oracle", par)
+				}
+				got, err := AnalyzeTableContext(context.Background(), tr, plannedTable(t, tr, trace.V2Options{BlockEvents: 2}, trace.Filter{}), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("par %d, planned at 2 events per block: characterization differs from the oracle", par)
+				}
+			}
+		})
+	}
+}
+
 // chunkRows is one chunk's row subsets as pass 2's bodies left them in the
 // worker's scratch.
 type chunkRows struct{ primary, posix []rowRange }

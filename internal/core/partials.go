@@ -138,7 +138,9 @@ func (t *sizeTally) granularity() Granularity {
 }
 
 // partScratch is the state pass 2's partial builders reuse from chunk to
-// chunk. Nothing in it outlives a chunk except capacity.
+// chunk, and with their accumulator from analysis to analysis. Nothing in it
+// outlives a chunk but capacity and the stream ends, which the chunks'
+// partials hold slices of until stitch.
 type partScratch struct {
 	// The chunk's row subsets as pass 2's bodies emit them: ascending,
 	// non-overlapping ranges.
@@ -146,7 +148,9 @@ type partScratch struct {
 	sorted         []rowRange // primary rows of an out-of-order chunk, by Start
 
 	// Streams. A rank works through one file at a time, so a one-entry
-	// cache per rank slot sits in front of the chunk's stream index.
+	// cache per rank slot sits in front of the chunk's stream index. ends
+	// holds every chunk's stream ends of the analysis end to end; each
+	// partial is a slice of it.
 	epoch int
 	cache []streamCache
 	index map[streamKey]int32
@@ -169,12 +173,34 @@ type streamCache struct {
 	file, idx int32
 }
 
-func newPartScratch(rankSlots int) partScratch {
-	return partScratch{
-		cache: make([]streamCache, rankSlots),
-		index: map[streamKey]int32{},
-		stamp: make([]int, rankSlots),
+// reset empties s for an analysis of rankSlots rank slots.
+func (s *partScratch) reset(rankSlots int) {
+	s.primary, s.posix, s.sorted = s.primary[:0], s.posix[:0], s.sorted[:0]
+	s.epoch = 0
+	s.cache = resize(s.cache, rankSlots)
+	if s.index == nil {
+		s.index = map[streamKey]int32{}
 	}
+	clear(s.index)
+	s.ends = s.ends[:0]
+	s.ranks = s.ranks[:0]
+	s.stamp = resize(s.stamp, rankSlots)
+	s.serial = 0
+	s.sizes = sizeTally{}
+	s.nIvs, s.nCls = 0, 0
+}
+
+// poison overwrites what s holds with values a reset scratch never has: a
+// cache entry and a stamp that match the first epoch and serial.
+func (s *partScratch) poison() {
+	fill(s.primary, rowRange{-1, 1 << 30})
+	fill(s.posix, rowRange{-1, 1 << 30})
+	fill(s.sorted, rowRange{-1, 1 << 30})
+	fill(s.cache, streamCache{epoch: 1, file: 0, idx: 1 << 30})
+	s.index[streamKey{0, 0}] = 1 << 30
+	fill(s.ends, streamEnd{streamKey{-7, -7}, -1, -1})
+	fill(s.ranks, -7)
+	fill(s.stamp, 1)
 }
 
 // streams builds the access-pattern partial of one row subset: per (file,
@@ -183,7 +209,7 @@ func newPartScratch(rankSlots int) partScratch {
 func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
 	s.epoch++
 	clear(s.index)
-	ends := s.ends[:0]
+	base, ends := len(s.ends), s.ends
 	var part streamPart
 	for _, r := range rows {
 		for j := r.lo; j < r.hi; j++ {
@@ -197,7 +223,7 @@ func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
 				k := streamKey{f, rank}
 				idx, ok := s.index[k]
 				if !ok {
-					idx = int32(len(ends))
+					idx = int32(len(ends) - base)
 					s.index[k] = idx
 					ends = append(ends, streamEnd{k, off, off})
 				}
@@ -206,7 +232,7 @@ func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
 					continue
 				}
 			}
-			e := &ends[ce.idx]
+			e := &ends[base+int(ce.idx)]
 			part.total++
 			if off >= e.last {
 				part.seq++
@@ -214,8 +240,10 @@ func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
 			e.last = off
 		}
 	}
+	// An append that outgrows ends moves the later partials to a new array
+	// and leaves the earlier ones where they are.
 	s.ends = ends
-	part.ends = slices.Clone(ends)
+	part.ends = ends[base:len(ends):len(ends)]
 	return part
 }
 
@@ -316,14 +344,6 @@ type appAcc struct {
 	rows, data, bytes int64
 	minStart, maxEnd  int64
 	lib               [8]int64
-}
-
-func newAppAccs(n int) []appAcc {
-	accs := make([]appAcc, n)
-	for i := range accs {
-		accs[i].minStart = math.MaxInt64
-	}
-	return accs
 }
 
 // add tallies primary rows [lo, hi) of the application's I/O.

@@ -316,7 +316,8 @@ func TestPartialsAtRandomSeams(t *testing.T) {
 			rng.Shuffle(n, func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
 		}
 
-		s := newPartScratch(ranks + 1)
+		var s partScratch
+		s.reset(ranks + 1)
 		var parts []chunkPart
 		var kept []trace.Event
 		for lo := 0; lo < n; {

@@ -278,7 +278,8 @@ func NewTimeline(span time.Duration, n int) *Timeline {
 func (tl *Timeline) Bins() int { return len(tl.Bytes) }
 
 // Add spreads size bytes of one operation spanning [start, end) across the
-// bins it overlaps, proportional to overlap.
+// bins it overlaps, proportional to overlap; the last bin takes what the
+// rounded shares of the others leave.
 func (tl *Timeline) Add(start, end time.Duration, size int64) {
 	if end < start {
 		start, end = end, start
@@ -293,9 +294,12 @@ func (tl *Timeline) Add(start, end time.Duration, size int64) {
 		return
 	}
 	first := int(start / tl.width)
-	last := int((end - 1) / tl.width)
-	if end == start {
-		last = first
+	last := first
+	// An op that ends inside its first bin needs no second division. One
+	// that ended before 0 now has start 0 above its end: its last bin is
+	// (end-1)/width, which may fall below first.
+	if end < start || end > time.Duration(first+1)*tl.width {
+		last = int((end - 1) / tl.width)
 	}
 	if first >= len(tl.Bytes) {
 		first = len(tl.Bytes) - 1
@@ -304,31 +308,27 @@ func (tl *Timeline) Add(start, end time.Duration, size int64) {
 		last = len(tl.Bytes) - 1
 	}
 	tl.Ops[first]++
-	if size <= 0 {
+	if size <= 0 || last < first {
 		return
 	}
-	dur := end - start
-	if dur == 0 {
+	if last == first {
 		tl.Bytes[first] += size
 		return
 	}
+	dur := end - start
 	remaining := size
-	for b := first; b <= last; b++ {
+	for b := first; b < last; b++ {
+		// Every bin before the last ends at or before end.
 		binStart := time.Duration(b) * tl.width
 		binEnd := binStart + tl.width
 		if binStart < start {
 			binStart = start
 		}
-		if binEnd > end {
-			binEnd = end
-		}
 		share := int64(float64(size) * float64(binEnd-binStart) / float64(dur))
-		if b == last {
-			share = remaining
-		}
 		tl.Bytes[b] += share
 		remaining -= share
 	}
+	tl.Bytes[last] += remaining
 }
 
 // Merge adds another timeline's bins into tl. Both timelines must have the

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,6 +238,120 @@ func TestTimelineConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// addReference is Timeline.Add as it stood before its fast paths: every bin
+// computes its float share and the last one then takes the remainder. Add
+// must match it bit for bit.
+func addReference(tl *Timeline, start, end time.Duration, size int64) {
+	if end < start {
+		start, end = end, start
+	}
+	if end > tl.span {
+		end = tl.span
+	}
+	if start < 0 {
+		start = 0
+	}
+	if start >= tl.span {
+		return
+	}
+	first := int(start / tl.width)
+	last := int((end - 1) / tl.width)
+	if end == start {
+		last = first
+	}
+	if first >= len(tl.Bytes) {
+		first = len(tl.Bytes) - 1
+	}
+	if last >= len(tl.Bytes) {
+		last = len(tl.Bytes) - 1
+	}
+	tl.Ops[first]++
+	if size <= 0 {
+		return
+	}
+	dur := end - start
+	if dur == 0 {
+		tl.Bytes[first] += size
+		return
+	}
+	remaining := size
+	for b := first; b <= last; b++ {
+		binStart := time.Duration(b) * tl.width
+		binEnd := binStart + tl.width
+		if binStart < start {
+			binStart = start
+		}
+		if binEnd > end {
+			binEnd = end
+		}
+		share := int64(float64(size) * float64(binEnd-binStart) / float64(dur))
+		if b == last {
+			share = remaining
+		}
+		tl.Bytes[b] += share
+		remaining -= share
+	}
+}
+
+// TestTimelineAddMatchesReference holds Add to addReference on random
+// timelines — spans shorter than the bin count, spans the bins do not
+// divide — and random ops: inside one bin, across many, instant, reversed,
+// clamped at either end, entirely before 0 (start clamps to 0 above the
+// end, where the reference adds bytes only when end-1 truncates into bin 0)
+// or past the span, with sizes down to zero and below.
+func TestTimelineAddMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	point := func(span, width time.Duration) time.Duration {
+		switch rng.Intn(6) {
+		case 0:
+			return -time.Duration(rng.Int63n(int64(3*width) + 2))
+		case 1:
+			return span + time.Duration(rng.Int63n(int64(width)+2)) - 1
+		case 2:
+			return time.Duration(rng.Int63n(int64(span)/int64(width)+1)) * width // a bin edge
+		default:
+			return time.Duration(rng.Int63n(int64(span) + 1))
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		bins := 1 + rng.Intn(70)
+		span := time.Duration(1 + rng.Int63n([]int64{10, 1000, int64(time.Hour)}[rng.Intn(3)]))
+		got, want := NewTimeline(span, bins), NewTimeline(span, bins)
+		for op := 0; op < 300; op++ {
+			start := point(span, got.width)
+			end := start
+			switch rng.Intn(4) {
+			case 0: // inside or near one bin
+				end = start + time.Duration(rng.Int63n(int64(got.width)+1))
+			case 1:
+				end = point(span, got.width)
+			case 2:
+				end = start + time.Duration(rng.Int63n(int64(span)+1))
+			}
+			size := []int64{0, -1, 1, 7, 4096, rng.Int63n(1 << 40), math.MaxInt64 / 2}[rng.Intn(7)]
+			got.Add(start, end, size)
+			addReference(want, start, end, size)
+			for b := range want.Bytes {
+				if got.Bytes[b] != want.Bytes[b] || got.Ops[b] != want.Ops[b] {
+					t.Fatalf("span %v, %d bins: Add(%v, %v, %d) left bin %d at %d bytes %d ops, reference %d bytes %d ops",
+						span, bins, start, end, size, b, got.Bytes[b], got.Ops[b], want.Bytes[b], want.Ops[b])
+				}
+			}
+		}
+	}
+	// Ends before 0: start clamps to 0 above end. end-1 truncates into
+	// bin 0 for end > 1-width (the reference adds the bytes there) and below
+	// it for the rest (it drops them).
+	for _, c := range [][2]time.Duration{{-5, -3}, {-3, -5}, {-100, -9}, {-100, -10}, {-100, -11}, {-100, -1}, {-1, 0}, {-20, -20}} {
+		got, want := NewTimeline(100, 10), NewTimeline(100, 10)
+		got.Add(c[0], c[1], 64)
+		addReference(want, c[0], c[1], 64)
+		if !slices.Equal(got.Bytes, want.Bytes) || !slices.Equal(got.Ops, want.Ops) {
+			t.Errorf("Add(%v, %v): bytes %v ops %v, reference %v %v", c[0], c[1], got.Bytes, got.Ops, want.Bytes, want.Ops)
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func TestMemoDecodeHonoursWant(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref Columns
-	if _, err := fileBacked.Decode(want, &ref); err != nil {
+	if _, _, err := fileBacked.Decode(want, &ref); err != nil {
 		t.Fatal(err)
 	}
 	memo, err := br.ReadBlock(0)
@@ -145,8 +145,8 @@ func TestMemoDecodeHonoursWant(t *testing.T) {
 		}
 	}
 	var fill Columns
-	if n, err := memo.Decode(want, &fill); err != nil || n == 0 {
-		t.Fatalf("memo fill = (%d, %v), want every segment decoded", n, err)
+	if set, n, err := memo.Decode(want, &fill); err != nil || n == 0 || set != AllCols {
+		t.Fatalf("memo fill = (%b, %d, %v), want every segment decoded", set, n, err)
 	}
 	check(&fill)
 	var wg sync.WaitGroup
@@ -155,8 +155,8 @@ func TestMemoDecodeHonoursWant(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var cols Columns
-			if n, err := memo.Decode(want, &cols); err != nil || n != 0 {
-				t.Errorf("memo hit = (%d, %v), want (0, nil)", n, err)
+			if set, n, err := memo.Decode(want, &cols); err != nil || n != 0 || set != 0 {
+				t.Errorf("memo hit = (%b, %d, %v), want (0, 0, nil)", set, n, err)
 				return
 			}
 			check(&cols)
@@ -171,7 +171,7 @@ func TestMemoDecodeHonoursWant(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < iters; i++ {
 		var cols Columns
-		if _, err := memo.Decode(want, &cols); err != nil {
+		if _, _, err := memo.Decode(want, &cols); err != nil {
 			t.Fatal(err)
 		}
 	}

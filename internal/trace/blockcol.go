@@ -282,39 +282,42 @@ func (br *BlockReader) ReadBlock(k int) (*BlockData, error) {
 func (bd *BlockData) SegCodec(col int) uint8 { return bd.segCodecs[col] }
 
 // Decode materializes the requested columns into cols, growing it to the
-// block's row count, and returns the payload bytes it actually decoded:
-// only the wanted segments are touched. Additive: columns decoded by an
-// earlier call on the same cols are preserved. The wanted columns of cols
-// must be nil or left by an earlier Decode: they are drawn from the column
-// pools, the caller may hand them back with cols.Recycle once it is done
-// reading them, and on error they come back nil. Memoized blocks (see
-// EnableMemo) decode and validate every column exactly once, on the first
-// call, and serve every call as copies of the wanted columns; calls after
-// the first report zero decoded bytes.
-func (bd *BlockData) Decode(want ColSet, cols *Columns) (int64, error) {
+// block's row count, and returns the columns whose segments it actually
+// decoded and their payload bytes: without a memo, exactly the wanted
+// segments are touched. Additive: columns decoded by an earlier call on the
+// same cols are preserved. The wanted columns of cols must be nil or left by
+// an earlier Decode: they are drawn from the column pools, the caller may
+// hand them back with cols.Recycle once it is done reading them, and on
+// error they come back nil. Memoized blocks (see EnableMemo) decode and
+// validate every column exactly once, on the first call, which reports
+// AllCols whatever it wanted, and serve every call as copies of the wanted
+// columns; calls after the first report no columns and zero bytes.
+func (bd *BlockData) Decode(want ColSet, cols *Columns) (ColSet, int64, error) {
 	m := bd.memo
 	if m == nil {
 		n, err := bd.decodeInto(want, cols)
 		if err != nil {
 			// No partly written column leaves a failed decode.
 			cols.Recycle(want)
+			return 0, 0, err
 		}
-		return n, err
+		return want, n, nil
 	}
 	var decoded int64
+	var set ColSet
 	m.mu.Lock()
 	if !m.filled {
 		m.cols.grow(bd.count)
 		n, err := bd.decodeInto(AllCols, &m.cols)
 		if err != nil {
 			m.mu.Unlock()
-			return 0, err
+			return 0, 0, err
 		}
-		decoded, m.filled = n, true
+		decoded, set, m.filled = n, AllCols, true
 	}
 	m.mu.Unlock()
 	copyColumns(cols, &m.cols, want)
-	return decoded, nil
+	return set, decoded, nil
 }
 
 // decodeInto is Decode without the memo layer.

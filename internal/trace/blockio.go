@@ -859,7 +859,7 @@ func (br *BlockReader) appendBlock(dst []Event, k int, m *Matcher) ([]Event, err
 	}
 	defer bd.Release()
 	var cols Columns
-	if _, err := bd.Decode(AllCols, &cols); err != nil {
+	if _, _, err := bd.Decode(AllCols, &cols); err != nil {
 		return nil, err
 	}
 	dst = appendEvents(dst, &cols, m)

@@ -122,7 +122,7 @@ func TestV2DecodeColumnsMatchesEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := bd.Decode(AllCols, &cols); err != nil {
+		if _, _, err := bd.Decode(AllCols, &cols); err != nil {
 			t.Fatal(err)
 		}
 		if cols.N != len(evs) {
@@ -405,7 +405,7 @@ func TestV2RoundTripTinyBlocks(t *testing.T) {
 		for k := 0; k < br.NumBlocks(); k++ {
 			bd, err := br.ReadBlock(k)
 			if err == nil {
-				_, err = bd.Decode(AllCols, &cols)
+				_, _, err = bd.Decode(AllCols, &cols)
 			}
 			if err != nil {
 				t.Fatalf("n=%d %+v: decoding block %d: %v", len(tr.Events), opt, k, err)

@@ -164,7 +164,7 @@ func TestCraftedRankLogs(t *testing.T) {
 			t.Fatalf("%s: %v", cl.name, err)
 		}
 		var cols Columns
-		if _, err = bd.Decode(ColRank, &cols); (err == nil) != cl.accept {
+		if _, _, err = bd.Decode(ColRank, &cols); (err == nil) != cl.accept {
 			t.Errorf("%s: projected decode error %v, want accepted = %v", cl.name, err, cl.accept)
 		}
 		cols.Recycle(ColRank)
@@ -340,7 +340,7 @@ func FuzzBlockReader(f *testing.F) {
 				return
 			}
 			var pcols Columns
-			if _, err := bd.Decode(ColStart|ColRank, &pcols); err != nil {
+			if _, _, err := bd.Decode(ColStart|ColRank, &pcols); err != nil {
 				if !errors.Is(err, ErrBadFormat) {
 					t.Fatalf("block %d: projected decode error %v does not wrap ErrBadFormat", k, err)
 				}

@@ -290,14 +290,14 @@ func TestBlockDataProjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			var full Columns
-			if _, err := bd.Decode(AllCols, &full); err != nil {
+			if _, _, err := bd.Decode(AllCols, &full); err != nil {
 				t.Fatal(err)
 			}
 			// Each column alone.
 			var decodedSum int64
 			for col := 0; col < NumCols; col++ {
 				var one Columns
-				n, err := bd.Decode(ColSet(1)<<col, &one)
+				_, n, err := bd.Decode(ColSet(1)<<col, &one)
 				if err != nil {
 					t.Fatalf("block %d col %s: %v", k, colNames[col], err)
 				}
@@ -313,10 +313,10 @@ func TestBlockDataProjection(t *testing.T) {
 			}
 			// Additive: Start first, then Rank — both present afterwards.
 			var acc Columns
-			if _, err := bd.Decode(ColStart, &acc); err != nil {
+			if _, _, err := bd.Decode(ColStart, &acc); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := bd.Decode(ColRank, &acc); err != nil {
+			if _, _, err := bd.Decode(ColRank, &acc); err != nil {
 				t.Fatal(err)
 			}
 			if !columnEqual(&full, &acc, 9) || !columnEqual(&full, &acc, 3) {
@@ -415,7 +415,7 @@ func TestFooterByteFlipSweep(t *testing.T) {
 				break
 			}
 			var cols Columns
-			if _, err := bd.Decode(ColStart|ColRank, &cols); err != nil && !errors.Is(err, ErrBadFormat) {
+			if _, _, err := bd.Decode(ColStart|ColRank, &cols); err != nil && !errors.Is(err, ErrBadFormat) {
 				t.Fatalf("flip at %d: Decode error %v does not wrap ErrBadFormat", pos, err)
 			}
 		}

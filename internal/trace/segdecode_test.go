@@ -388,10 +388,10 @@ func TestColumnPoolRecycles(t *testing.T) {
 				t.Fatal(err)
 			}
 			var cols Columns
-			if _, err := bd.Decode(ColRank|ColSize|ColStart, &cols); err != nil {
+			if _, _, err := bd.Decode(ColRank|ColSize|ColStart, &cols); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := bd.Decode(ColOp, &cols); err != nil { // additive
+			if _, _, err := bd.Decode(ColOp, &cols); err != nil { // additive
 				t.Fatal(err)
 			}
 			if got := ColumnsInUse() - before; got != 4 {
@@ -424,7 +424,7 @@ func TestColumnPoolRecycles(t *testing.T) {
 	bd.payload[off] = segDict // the size segment now claims a codec its body is not
 	bd.payload[off+1] = 0     // … with an empty dictionary
 	var cols Columns
-	if _, err := bd.Decode(ColOp|ColSize|ColEnd, &cols); !errors.Is(err, ErrBadFormat) {
+	if _, _, err := bd.Decode(ColOp|ColSize|ColEnd, &cols); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("corrupt segment error = %v, want ErrBadFormat", err)
 	}
 	if cols.Op != nil || cols.Size != nil || cols.End != nil {
