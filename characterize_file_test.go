@@ -312,16 +312,18 @@ func TestErrorsReturnEveryColumn(t *testing.T) {
 // characterization of a corpus-shaped trace allocates at most a budget per
 // event. cm1 as the benchmark corpus runs it (32 nodes, ≈154 k events)
 // allocates at most 3 B per event unfiltered and 52 under a posix data-op
-// filter. Without recycled columns the unfiltered call is ≈75, and ≈4 with
-// pass 2's accumulators made afresh for every analysis, so that budget
+// filter. Without recycled columns the unfiltered call is ≈75, and ≈4.6
+// with pass 2's accumulators made afresh for every analysis, so that budget
 // fails if either pool silently stops working; the filtered call's pooled
 // selection scratch is worth only ≈4 B/event, which colstore's
 // TestSelectRowsAllocatesOnlyTheSelection pins instead. hacc at 32 nodes ×
 // 0.3 (1,280 file-per-process files) allocates at most 20 B per event: with
-// a map per file set and per worker it is ≈33. The collector is held off
-// from the call that fills the pools to the end of the measured one, so
-// what the test measures is the request's own garbage and not whether a
-// cycle happened to empty a pool in between.
+// a map per file set and per worker it is ≈33, with fresh accumulators ≈40,
+// and ≈8 alone or ≈13–16 after other tests left the accumulator pool
+// holding smaller ones. The collector is held off from the call that fills
+// the pools to the end of the measured one, so what the test measures is
+// the request's own garbage and not whether a cycle happened to empty a
+// pool in between.
 func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under the race detector")
