@@ -160,6 +160,19 @@ var archRules = []archRule{
 		},
 	},
 	{
+		// Compaction rewrites a member's block frames (WriteCompressed); it
+		// never decodes the member to events and encodes them again.
+		name: "Compaction rewrites frames",
+		why:  "internal/repo packs members through BlockReader.WriteCompressed only",
+		check: grep(func(p string) bool {
+			return isNonTestGo(p) && under("internal/repo")(p)
+		}, `WriteV2With\(|\.ReadTrace\(`),
+		fixtures: []*tree{
+			fx("internal/repo/compact.go", "package repo\n\nfunc f(br *trace.BlockReader) { br.ReadTrace(trace.Filter{}) }\n"),
+			fx("internal/repo/compact.go", "package repo\n\nfunc f(w io.Writer, t *trace.Trace) { trace.WriteV2With(w, t, trace.V2Options{}) }\n"),
+		},
+	},
+	{
 		// Record appends every event to one log and Finish radix-sorts it.
 		name:     "One ordering path in the tracer",
 		why:      "the tracer orders its one log in Finish's radix sort only",

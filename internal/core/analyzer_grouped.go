@@ -326,8 +326,8 @@ func (a *analysis) stitch(p2 []*pass2Acc) {
 		a.primMeta += a.acc.apps[si].rows - a.acc.apps[si].data
 	}
 	a.posixGran = a.acc.posixSizes.granularity()
-	a.primPattern = stitchPattern(a.parts, func(p *chunkPart) *streamPart { return &p.prim })
-	a.posixPattern = stitchPattern(a.parts, func(p *chunkPart) *streamPart { return &p.posix })
+	a.primPattern = stitchPattern(a.acc.last, a.parts, func(p *chunkPart) *streamPart { return &p.prim })
+	a.posixPattern = stitchPattern(a.acc.last, a.parts, func(p *chunkPart) *streamPart { return &p.posix })
 	a.ioTime = stitchIOTime(a.parts)
 	a.phases, a.primGran = stitchPhases(a.parts, int64(a.opt.PhaseGap), a.rankSlots)
 	a.parts = nil

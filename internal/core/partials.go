@@ -155,6 +155,9 @@ type partScratch struct {
 	cache []streamCache
 	index map[streamKey]int32
 	ends  []streamEnd
+	// The merged accumulator's stitchPattern keeps each stream's last
+	// offset here, cleared per use.
+	last map[streamKey]int64
 
 	// The open cluster's distinct ranks and size counts. stamp[rank+1] is
 	// the serial of the last cluster that listed the rank, so the list
@@ -179,7 +182,7 @@ func (s *partScratch) reset(rankSlots int) {
 	s.epoch = 0
 	s.cache = resize(s.cache, rankSlots)
 	if s.index == nil {
-		s.index = map[streamKey]int32{}
+		s.index, s.last = map[streamKey]int32{}, map[streamKey]int64{}
 	}
 	clear(s.index)
 	s.ends = s.ends[:0]
@@ -198,6 +201,10 @@ func (s *partScratch) poison() {
 	fill(s.sorted, rowRange{-1, 1 << 30})
 	fill(s.cache, streamCache{epoch: 1, file: 0, idx: 1 << 30})
 	s.index[streamKey{0, 0}] = 1 << 30
+	for k := range s.last {
+		s.last[k] = math.MaxInt64
+	}
+	s.last[streamKey{0, 0}] = math.MaxInt64
 	fill(s.ends, streamEnd{streamKey{-7, -7}, -1, -1})
 	fill(s.ranks, -7)
 	fill(s.stamp, 1)
@@ -375,9 +382,10 @@ func (acc *appAcc) merge(o *appAcc) {
 // at least 80% of consecutive data accesses are non-decreasing in offset.
 // Chunks are visited in table order; a stream seen before contributes the
 // pair that straddles the seam — its first offset here against its last
-// offset there — so the comparison sequence is the per-row one.
-func stitchPattern(parts []chunkPart, pick func(*chunkPart) *streamPart) string {
-	last := map[streamKey]int64{}
+// offset there — so the comparison sequence is the per-row one. last is
+// the map of last offsets to work in; it is cleared first.
+func stitchPattern(last map[streamKey]int64, parts []chunkPart, pick func(*chunkPart) *streamPart) string {
+	clear(last)
 	var seq, total int64
 	for k := range parts {
 		p := pick(&parts[k])

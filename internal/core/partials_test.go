@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -207,15 +208,20 @@ func TestStitchPatternAcrossSeam(t *testing.T) {
 		}
 	}
 	pick := func(p *chunkPart) *streamPart { return &p.prim }
+	// One map serves every call, as the merged accumulator's does: each
+	// call finds the offsets the one before it left, here overwritten as
+	// poisonAccs would, and must clear them first.
+	last := map[streamKey]int64{}
 	// Backwards over the seam: 1 of 2 pairs sequential. The other rank's
 	// stream shares the file but not the chain.
-	if got := stitchPattern(parts(99), pick); got != "Random" {
+	if got := stitchPattern(last, parts(99), pick); got != "Random" {
 		t.Errorf("first offset behind the previous chunk's last: %s, want Random", got)
 	}
-	if got := stitchPattern(parts(100), pick); got != "Seq" {
+	last[k], last[other] = math.MaxInt64, math.MaxInt64
+	if got := stitchPattern(last, parts(100), pick); got != "Seq" {
 		t.Errorf("first offset at the previous chunk's last: %s, want Seq", got)
 	}
-	if got := stitchPattern(nil, pick); got != "Seq" {
+	if got := stitchPattern(last, nil, pick); got != "Seq" {
 		t.Errorf("no pairs: %s, want Seq", got)
 	}
 }
@@ -341,7 +347,7 @@ func TestPartialsAtRandomSeams(t *testing.T) {
 			lo = hi
 		}
 
-		if got, want := stitchPattern(parts, func(p *chunkPart) *streamPart { return &p.prim }), oPattern(kept); got != want {
+		if got, want := stitchPattern(map[streamKey]int64{}, parts, func(p *chunkPart) *streamPart { return &p.prim }), oPattern(kept); got != want {
 			t.Fatalf("trial %d: access pattern %s, oracle %s", trial, got, want)
 		}
 		if got, want := stitchIOTime(parts), oUnion(kept); got != want {

@@ -1,11 +1,12 @@
 package repo
 
 import (
-	"bytes"
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,12 +20,14 @@ import (
 var packMagic = []byte("VANIPACK")
 
 // CompactNow merges every shard holding at least CompactMinFiles loose
-// traces into one consolidated pack per shard, re-encoding each trace as
-// flate-wrapped VANITRC2 v2.2 (the cost model re-picks segment codecs).
-// Returns the number of traces packed. The pack file reaches disk and is
-// fsynced before the manifest records it; loose originals are removed
-// only after the record — or, when scans still pin them, at the last
-// release.
+// traces into one consolidated pack per shard. Each member is rewritten
+// frame by frame into flate-wrapped VANITRC2 v2.2
+// (trace.BlockReader.WriteCompressed): its header, block geometry and
+// segment codecs are kept, and each block keeps whichever of its stored
+// payload and its all-raw payload deflates smaller. Returns the number of
+// traces packed. The pack file reaches disk and is fsynced before the
+// manifest records it; loose originals are removed only after the record
+// — or, when scans still pin them, at the last release.
 func (r *Repo) CompactNow() (int, error) {
 	if r.opt.ReadOnly {
 		return 0, ErrReadOnly
@@ -65,54 +68,31 @@ func (r *Repo) CompactNow() (int, error) {
 
 // packShard builds one pack from the sha-sorted loose members of a shard.
 func (r *Repo) packShard(members []*Entry) (int, error) {
-	// Re-encode each member outside the lock; Add/Acquire stay live.
-	var buf bytes.Buffer
-	buf.Write(packMagic)
-	recs := make([]packMember, 0, len(members))
 	nameHash := sha256.New()
 	for _, e := range members {
-		br, err := trace.OpenBlockReader(r.loosePath(e))
-		if errors.Is(err, fs.ErrNotExist) {
-			// The member left (GC raced us); skip the whole shard this
-			// round rather than build a partial pack.
-			return 0, nil
-		}
-		var tr *trace.Trace
-		if err == nil {
-			tr, err = br.ReadTrace(trace.Filter{})
-			br.Close()
-		}
-		if err != nil {
-			return 0, fmt.Errorf("repo: compact %s: %w", e.SHA, err)
-		}
-		off := int64(buf.Len())
-		if err := trace.WriteV2With(&buf, tr, trace.V2Options{Compress: true}); err != nil {
-			return 0, fmt.Errorf("repo: compact %s: %w", e.SHA, err)
-		}
-		recs = append(recs, packMember{SHA: e.SHA, Off: off, Len: int64(buf.Len()) - off})
 		nameHash.Write([]byte(e.SHA))
 	}
 	rel := filepath.Join("packs", "p-"+hex.EncodeToString(nameHash.Sum(nil))[:16]+".vpk")
 	abs := r.packPath(rel)
 
+	// Rewrite the members outside the lock; Add/Acquire stay live.
 	tmp := filepath.Join(r.tmpDir(), filepath.Base(rel)+".part")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("repo: compact: %w", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("repo: compact: %w", err)
+	recs, size, err := r.writePack(f, members)
+	if err == nil && recs != nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("repo: compact: %w", err)
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("repo: compact: %w", err)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("repo: compact: %w", cerr)
 	}
-	if err := f.Close(); err != nil {
+	if err != nil || recs == nil {
 		os.Remove(tmp)
-		return 0, fmt.Errorf("repo: compact: %w", err)
+		return 0, err
 	}
 	if err := os.Rename(tmp, abs); err != nil {
 		os.Remove(tmp)
@@ -126,7 +106,7 @@ func (r *Repo) packShard(members []*Entry) (int, error) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Members may have been dropped while we encoded; the pack is only
+	// Members may have been dropped while we rewrote; the pack is only
 	// recorded if every member is still loose, else it becomes an orphan
 	// the next boot (or the remove below) cleans up.
 	for _, m := range members {
@@ -145,10 +125,42 @@ func (r *Repo) packShard(members []*Entry) (int, error) {
 		m.Pack, m.Off, m.Size = rel, recs[i].Off, recs[i].Len
 		r.doomLocked(loose)
 	}
-	r.packBytes[rel] = int64(buf.Len())
+	r.packBytes[rel] = size
 	r.packLive[rel] = len(members)
 	r.compactions++
 	return len(members), nil
+}
+
+// writePack streams the pack magic and then each member, rewritten by
+// WriteCompressed, into w, and returns the members' directory and the
+// pack's size. Nil records with no error mean a member left the shard (GC
+// raced the compactor): the shard is skipped this round rather than packed
+// in part.
+func (r *Repo) writePack(w io.Writer, members []*Entry) ([]packMember, int64, error) {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	bw.Write(packMagic)
+	off := int64(len(packMagic))
+	recs := make([]packMember, 0, len(members))
+	for _, e := range members {
+		br, err := trace.OpenBlockReader(r.loosePath(e))
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, 0, nil
+		}
+		var n int64
+		if err == nil {
+			n, err = br.WriteCompressed(bw)
+			br.Close()
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("repo: compact %s: %w", e.SHA, err)
+		}
+		recs = append(recs, packMember{SHA: e.SHA, Off: off, Len: n})
+		off += n
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, 0, fmt.Errorf("repo: compact: %w", err)
+	}
+	return recs, off, nil
 }
 
 // GC enforces the retention policy: traces older than RetainAge go

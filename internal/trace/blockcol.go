@@ -10,8 +10,11 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"time"
+
+	"vani/internal/parallel"
 )
 
 // blockStats computes a block's footer statistics: time and rank bounds
@@ -76,9 +79,7 @@ func encodeBlockFrame(evs []Event, compress bool, force int) ([]byte, BlockInfo)
 			raw, rawBi.SegCodecs[col] = appendColumnSeg(raw, col, evs, segRaw, sc)
 			rawBi.ColLens[col] = int64(len(raw) - n)
 		}
-		if rawFrame := wrapFrame(raw, true); len(rawFrame) < len(frame) {
-			frame, bi = rawFrame, rawBi
-		}
+		frame, bi = smallerFlateFrame(frame, bi, raw, rawBi)
 		*rp = raw
 		putPayloadBuf(rp)
 	}
@@ -86,6 +87,150 @@ func encodeBlockFrame(evs []Event, compress bool, force int) ([]byte, BlockInfo)
 	*pp = payload
 	putPayloadBuf(pp)
 	return frame, bi
+}
+
+// smallerFlateFrame is the one rule that picks a flate block's frame: the
+// all-raw payload's frame replaces frame, the deflated auto-mode payload,
+// only when it compresses strictly smaller.
+func smallerFlateFrame(frame []byte, bi BlockInfo, raw []byte, rawBi BlockInfo) ([]byte, BlockInfo) {
+	if rawFrame := wrapFrame(raw, true); len(rawFrame) < len(frame) {
+		return rawFrame, rawBi
+	}
+	return frame, bi
+}
+
+// WriteCompressed writes the log to out as the writer's flate mode would
+// encode it, without materializing a single Event: the header and block
+// geometry are kept, and each block — in parallel, one decode each —
+// deflates its payload as stored and the all-raw payload re-encoded from
+// its decoded columns, keeps the smaller frame by smallerFlateFrame's rule
+// and recomputes its footer statistics from the columns. A log the
+// default writer made is stored in auto mode, so the result is byte for
+// byte WriteV2With(ReadTrace(Filter{}), V2Options{Compress: true}) of it.
+// A block that does not decode fails the rewrite with its error
+// (ErrBadFormat for corrupt input) before anything is written. Returns the
+// bytes written.
+func (br *BlockReader) WriteCompressed(out io.Writer) (int64, error) {
+	n := len(br.blocks)
+	frames := make([][]byte, n)
+	infos := make([]BlockInfo, n)
+	errs := make([]error, n)
+	parallel.ForEach(0, n, func(k int) {
+		frames[k], infos[k], errs[k] = br.rewriteBlockFrame(k)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	return writeLog(out, br.hdr, br.blockEvents, br.nEvents, frames, infos)
+}
+
+// rewriteBlockFrame is WriteCompressed's work on block k: its stored
+// payload and the all-raw one, each deflated, the smaller kept.
+func (br *BlockReader) rewriteBlockFrame(k int) ([]byte, BlockInfo, error) {
+	bd, err := br.ReadBlock(k)
+	if err != nil {
+		return nil, BlockInfo{}, err
+	}
+	defer bd.Release()
+	var cols Columns
+	if _, _, err := bd.Decode(AllCols, &cols); err != nil {
+		return nil, BlockInfo{}, err
+	}
+	bi := columnStats(&cols)
+	rawBi := bi
+	bi.ColLens, bi.SegCodecs = bd.colLens, bd.segCodecs
+	rp := getPayloadBuf(16 + minEventBytes*2*cols.N)
+	raw := appendRawPayload((*rp)[:0], &cols, &rawBi)
+	cols.Recycle(AllCols)
+	frame, bi := smallerFlateFrame(wrapFrame(bd.payload, true), bi, raw, rawBi)
+	*rp = raw
+	putPayloadBuf(rp)
+	return frame, bi, nil
+}
+
+// columnStats is blockStats over a decoded block's columns.
+func columnStats(cols *Columns) BlockInfo {
+	bi := BlockInfo{Count: cols.N}
+	if cols.N == 0 {
+		return bi
+	}
+	bi.MinStart, bi.MaxStart = time.Duration(cols.Start[0]), time.Duration(cols.Start[0])
+	bi.MinRank, bi.MaxRank = cols.Rank[0], cols.Rank[0]
+	for i := 0; i < cols.N; i++ {
+		if s := time.Duration(cols.Start[i]); s < bi.MinStart {
+			bi.MinStart = s
+		} else if s > bi.MaxStart {
+			bi.MaxStart = s
+		}
+		if r := cols.Rank[i]; r < bi.MinRank {
+			bi.MinRank = r
+		} else if r > bi.MaxRank {
+			bi.MaxRank = r
+		}
+		if l := cols.Level[i]; l < 32 {
+			bi.LevelMask |= 1 << l
+		}
+		if o := cols.Op[i]; o < 32 {
+			bi.OpMask |= 1 << o
+		}
+	}
+	return bi
+}
+
+// appendRawPayload appends the block payload that forcing the raw segment
+// codec writes for cols' rows — the count, then each column's raw values
+// (Start and End as delta chains) — and records its segments in bi.
+func appendRawPayload(dst []byte, cols *Columns, bi *BlockInfo) []byte {
+	dst = binary.AppendUvarint(dst, uint64(cols.N))
+	for col := 0; col < NumCols; col++ {
+		n := len(dst)
+		dst = append(dst, segRaw)
+		switch ColSet(1) << col {
+		case ColLevel:
+			dst = appendRawValues(dst, cols.Level, true)
+		case ColOp:
+			dst = appendRawValues(dst, cols.Op, true)
+		case ColLib:
+			dst = appendRawValues(dst, cols.Lib, true)
+		case ColRank:
+			dst = appendRawValues(dst, cols.Rank, false)
+		case ColNode:
+			dst = appendRawValues(dst, cols.Node, false)
+		case ColApp:
+			dst = appendRawValues(dst, cols.App, false)
+		case ColFile:
+			dst = appendRawValues(dst, cols.File, false)
+		case ColOffset:
+			dst = appendRawValues(dst, cols.Offset, false)
+		case ColSize:
+			dst = appendRawValues(dst, cols.Size, false)
+		case ColStart:
+			dst = appendRawDeltas(dst, cols.Start)
+		case ColEnd:
+			dst = appendRawDeltas(dst, cols.End)
+		}
+		bi.SegCodecs[col] = segRaw
+		bi.ColLens[col] = int64(len(dst) - n)
+	}
+	return dst
+}
+
+func appendRawValues[T colValue](dst []byte, vals []T, unsigned bool) []byte {
+	for _, v := range vals {
+		dst = appendStoredValue(dst, int64(v), unsigned)
+	}
+	return dst
+}
+
+func appendRawDeltas(dst []byte, vals []int64) []byte {
+	prev := int64(0)
+	for _, v := range vals {
+		dst = binary.AppendVarint(dst, v-prev)
+		prev = v
+	}
+	return dst
 }
 
 // appendEvents transposes the decoded rows of cols that m matches (every

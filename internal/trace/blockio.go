@@ -234,15 +234,8 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 	nEvents := len(t.Events)
 	nBlocks := (nEvents + be - 1) / be
 
-	w := &writer{w: bufio.NewWriterSize(out, 1<<16)}
-	w.raw([]byte(magicV2))
-	writeHeader(w, t)
-	w.uvarint(uint64(be))
-	w.uvarint(uint64(nEvents))
-	w.uvarint(uint64(nBlocks))
-
 	// Fan block encoding out over the worker pool; frames land in their
-	// block's slot and are written strictly in block order below.
+	// block's slot and are written strictly in block order.
 	force := opt.Codec.forceSeg()
 	frames := make([][]byte, nBlocks)
 	infos := make([]BlockInfo, nBlocks)
@@ -254,7 +247,21 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 		}
 		frames[k], infos[k] = encodeBlockFrame(t.Events[lo:hi], opt.Compress, force)
 	})
+	_, err := writeLog(out, t, be, uint64(nEvents), frames, infos)
+	return err
+}
 
+// writeLog writes a whole log around its encoded block frames: magic,
+// header, geometry, the frames in block order, then the footer index and
+// trailer. It fills in each info's Offset and Len and returns the bytes
+// written.
+func writeLog(out io.Writer, hdr *Trace, be int, nEvents uint64, frames [][]byte, infos []BlockInfo) (int64, error) {
+	w := &writer{w: bufio.NewWriterSize(out, 1<<16)}
+	w.raw([]byte(magicV2))
+	writeHeader(w, hdr)
+	w.uvarint(uint64(be))
+	w.uvarint(nEvents)
+	w.uvarint(uint64(len(frames)))
 	for k := range frames {
 		infos[k].Offset = w.n
 		infos[k].Len = int64(len(frames[k]))
@@ -262,7 +269,7 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 	}
 
 	footStart := w.n
-	w.uvarint(uint64(nBlocks))
+	w.uvarint(uint64(len(infos)))
 	for k := range infos {
 		bi := &infos[k]
 		w.uvarint(uint64(bi.Offset))
@@ -284,9 +291,9 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 	copy(trailer[8:], footerMagic)
 	w.raw(trailer[:])
 	if w.err != nil {
-		return w.err
+		return w.n, w.err
 	}
-	return w.w.Flush()
+	return w.n, w.w.Flush()
 }
 
 // Encoder and decoder scratch pools. wrapFrame always copies the payload
@@ -616,9 +623,9 @@ const minFooterEntry = 9 + 2*NumCols
 // os.File.Stat). It reads the header and the footer index; blocks decode
 // on demand. A log without a valid footer is refused.
 func NewBlockReader(r io.ReaderAt, size int64) (*BlockReader, error) {
-	// Preamble: magic, header, block geometry. A log shorter than the
-	// read buffer sizes it.
-	sr := &reader{r: bufio.NewReaderSize(io.NewSectionReader(r, 0, size), int(min(size, 1<<16)))}
+	// Preamble: magic, header, block geometry.
+	sr := getReader(io.NewSectionReader(r, 0, size), size)
+	defer putReader(sr)
 	head := make([]byte, len(magicV2))
 	if _, err := io.ReadFull(sr.r, head); err != nil {
 		return nil, readErr(err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -120,6 +121,42 @@ type reader struct {
 	// when the header began, less the string bytes read since. A length
 	// claim past it is refused before anything is allocated.
 	left int64
+}
+
+// readBufSize is the header reader's buffer size.
+const readBufSize = 1 << 16
+
+// readerPool recycles the header reader's scratch across NewBlockReader
+// calls on logs of at least readBufSize bytes: the read buffer, the string
+// arena and the pending-string list. flushStrs copies the arena out, so a
+// decoded header owns nothing pooled.
+var readerPool = sync.Pool{New: func() interface{} {
+	return &reader{r: bufio.NewReaderSize(nil, readBufSize)}
+}}
+
+// getReader returns a header reader over src, a log of size bytes. A log
+// shorter than the read buffer gets a reader of its own sized by the log,
+// so a few-byte log allocates a few bytes; the others share readerPool's.
+func getReader(src io.Reader, size int64) *reader {
+	if size < readBufSize {
+		return &reader{r: bufio.NewReaderSize(src, int(size))}
+	}
+	r := readerPool.Get().(*reader)
+	r.r.Reset(src)
+	return r
+}
+
+// putReader hands a pooled reader back, first dropping what it points at:
+// the source, and the header fields an unflushed pending string names.
+func putReader(r *reader) {
+	if r.r.Size() < readBufSize {
+		return
+	}
+	r.r.Reset(nil)
+	clear(r.pend[:cap(r.pend)])
+	r.pend, r.strBuf = r.pend[:0], r.strBuf[:0]
+	r.err, r.left = nil, 0
+	readerPool.Put(r)
 }
 
 // pendingStr is one string awaiting arena flush: dst receives

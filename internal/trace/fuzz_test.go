@@ -178,12 +178,11 @@ func TestCraftedRankLogs(t *testing.T) {
 // (characterize_test.go) installs the hook.
 var CharacterizeLog func(br *BlockReader) error
 
-// FuzzBlockReader hardens the seekable path: corrupt blocks,
-// truncated footers, and arbitrary garbage must surface as ErrBadFormat —
-// never a panic, a hang, or an unbounded allocation — whatever does decode
-// must round-trip, and any log that opens must characterize without a
-// panic: decodable events are not yet trustworthy events.
-func FuzzBlockReader(f *testing.F) {
+// blockReaderSeeds is FuzzBlockReader's seed corpus, which
+// FuzzCompactRepack shares.
+func blockReaderSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
+	add := func(b []byte) { seeds = append(seeds, b) }
 	seed := fuzzSeedTrace(f)
 	// Seeds span every segment codec, both cost-model chosen and forced on,
 	// and every retired vintage — which must be refused, whole or mangled,
@@ -207,17 +206,17 @@ func FuzzBlockReader(f *testing.F) {
 		logs = append(logs, v.Data)
 	}
 	for _, valid := range logs {
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
+		add(valid)
+		add(valid[:len(valid)/2])
 		if len(valid) > trailerLen {
-			f.Add(valid[:len(valid)-trailerLen]) // footer trailer gone
-			f.Add(valid[:len(valid)-trailerLen/2])
+			add(valid[:len(valid)-trailerLen]) // footer trailer gone
+			add(valid[:len(valid)-trailerLen/2])
 		}
 		mutated := append([]byte(nil), valid...)
 		if len(mutated) > 30 {
 			mutated[len(mutated)/2] ^= 0xff
 		}
-		f.Add(mutated)
+		add(mutated)
 	}
 	// Bit-flip sweep over a v2.2 log's block payloads: flips land in codec
 	// id bytes, dict widths, and packed index/offset words, so every decode
@@ -231,7 +230,7 @@ func FuzzBlockReader(f *testing.F) {
 		for pos := len(magicV2); pos < len(valid)-trailerLen; pos += 3 {
 			mutated := append([]byte(nil), valid...)
 			mutated[pos] ^= 1 << (pos % 8)
-			f.Add(mutated)
+			add(mutated)
 		}
 	}
 	// Multi-row blocks under forced dict and FOR, bit-flip swept: these land
@@ -263,7 +262,7 @@ func FuzzBlockReader(f *testing.F) {
 				if err := WriteV2With(&buf, &crafted, opt); err != nil {
 					f.Fatal(err)
 				}
-				f.Add(buf.Bytes())
+				add(buf.Bytes())
 			}
 		}
 		for _, opt := range []V2Options{
@@ -276,11 +275,11 @@ func FuzzBlockReader(f *testing.F) {
 				f.Fatal(err)
 			}
 			valid := buf.Bytes()
-			f.Add(valid)
+			add(valid)
 			for pos := len(magicV2); pos < len(valid)-trailerLen; pos += 5 {
 				mutated := append([]byte(nil), valid...)
 				mutated[pos] ^= 1 << (pos % 8)
-				f.Add(mutated)
+				add(mutated)
 			}
 		}
 	}
@@ -288,7 +287,7 @@ func FuzzBlockReader(f *testing.F) {
 	// header could hold a value past MaxInt32 though no row does, and the same
 	// logs with one packed offset, the base or a dictionary index pushed out.
 	for _, crafted := range craftedRankLogs(f) {
-		f.Add(crafted.data)
+		add(crafted.data)
 	}
 	// The smallest block a writer emits: one event, every field one byte —
 	// the payload the count floor once refused.
@@ -297,11 +296,23 @@ func FuzzBlockReader(f *testing.F) {
 		if err := WriteV2With(&buf, smallTrace(1), opt); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		add(buf.Bytes())
 	}
-	f.Add([]byte(magicV2))
-	f.Add([]byte("garbage"))
+	add([]byte(magicV2))
+	add([]byte("garbage"))
 
+	return seeds
+}
+
+// FuzzBlockReader hardens the seekable path: corrupt blocks,
+// truncated footers, and arbitrary garbage must surface as ErrBadFormat —
+// never a panic, a hang, or an unbounded allocation — whatever does decode
+// must round-trip, and any log that opens must characterize without a
+// panic: decodable events are not yet trustworthy events.
+func FuzzBlockReader(f *testing.F) {
+	for _, seed := range blockReaderSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
@@ -352,6 +363,60 @@ func FuzzBlockReader(f *testing.F) {
 			if pcols.N != len(evs) {
 				t.Fatalf("block %d: projected decode sees %d rows, row decode %d", k, pcols.N, len(evs))
 			}
+		}
+	})
+}
+
+// FuzzCompactRepack hardens the compactor's frame rewrite: a log whose
+// header, footer and every block decode must rewrite into a log that reads
+// back to the same header and events; any other log that opens must fail
+// the rewrite with ErrBadFormat and no panic. Either way every pooled
+// column is back afterwards.
+func FuzzCompactRepack(f *testing.F) {
+	for _, seed := range blockReaderSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			return
+		}
+		inUse := ColumnsInUse()
+		want, readErr := br.ReadTrace(Filter{})
+		var out bytes.Buffer
+		n, err := br.WriteCompressed(&out)
+		if got := ColumnsInUse(); got != inUse {
+			t.Fatalf("%d pooled columns never came back (rewrite error %v)", got-inUse, err)
+		}
+		if readErr != nil {
+			if err == nil {
+				t.Fatalf("rewrote a log whose blocks do not decode (%v)", readErr)
+			}
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("rewrite error %v does not wrap ErrBadFormat", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("rewriting a log that decodes: %v", err)
+		}
+		if n != int64(out.Len()) {
+			t.Fatalf("rewrite reports %d bytes, wrote %d", n, out.Len())
+		}
+		got, err := Read(&out)
+		if err != nil {
+			t.Fatalf("reading the rewritten log: %v", err)
+		}
+		// Encoded, the two compare bit for bit, NaN samples included.
+		var a, b bytes.Buffer
+		if err := WriteV2(&a, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteV2(&b, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("the rewritten log reads back to another header or other events")
 		}
 	})
 }
