@@ -12,6 +12,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -121,22 +122,7 @@ var archRules = []archRule{
 		why:  "fileAgg and pass2Acc hold counters, tables and touch lists; per-file sets come from the sorted touch list",
 		check: all(
 			declared(under("internal/core"), func(d decl) bool {
-				st, ok := d.typ.(*ast.StructType)
-				if !ok || d.kind != "type" || (d.name != "fileAgg" && d.name != "pass2Acc") {
-					return false
-				}
-				for _, f := range st.Fields.List {
-					hasMap := false
-					ast.Inspect(f.Type, func(n ast.Node) bool {
-						_, isMap := n.(*ast.MapType)
-						hasMap = hasMap || isMap
-						return !hasMap
-					})
-					if hasMap {
-						return true
-					}
-				}
-				return false
+				return (d.name == "fileAgg" || d.name == "pass2Acc") && hasField(d, holdsMap)
 			}),
 			declared(under("internal/core"), func(d decl) bool {
 				return d.kind == "func" && (d.name == "newFileAgg" || d.name == "mergeSet")
@@ -146,6 +132,34 @@ var archRules = []archRule{
 			fx("internal/core/analyzer.go", "package core\n\ntype fileAgg struct {\n\tid    int32\n\tranks map[int32]bool\n}\n"),
 			fx("internal/core/x.go", "package core\n\ntype pass2Acc struct{ sets []map[int32]bool }\n"),
 			fx("internal/core/x.go", "package core\n\nfunc mergeSet(dst, src map[int32]bool) {}\n"),
+		},
+	},
+	{
+		// A rank filter is a bitset over its span when that is narrow and
+		// sorted ranges otherwise: the per-row test reads no map, and the
+		// Matcher's memory never grows with the span a rank list names.
+		name: "The row test reads no map",
+		why:  "trace.Matcher tests ranks through a bitset or sorted ranges, not a map",
+		check: declared(under("internal/trace"), func(d decl) bool {
+			return d.name == "Matcher" && hasField(d, holdsMap)
+		}),
+		fixtures: []*tree{
+			fx("internal/trace/scanplan.go", "package trace\n\ntype Matcher struct {\n\tfromNS int64\n\tranks  map[int32]bool\n}\n"),
+		},
+	},
+	{
+		// A filtered block's kept rows stay in size-class arrays, compacted
+		// in place or gathered into a smaller class, which already hold
+		// memory in proportion to the rows: no chunk is copied to exact size.
+		name: "No exact-size chunk copies",
+		why:  "colstore chunks keep their rows in trace's size-class arrays (trace.Columns.Keep)",
+		check: declared(under("internal/colstore"), func(d decl) bool {
+			return d.name == "Chunk" && hasField(d, func(f *ast.Field) bool {
+				return slices.ContainsFunc(f.Names, func(n *ast.Ident) bool { return n.Name == "exact" })
+			})
+		}),
+		fixtures: []*tree{
+			fx("internal/colstore/colstore.go", "package colstore\n\ntype Chunk struct {\n\tN      int\n\tpooled bool\n\texact  bool\n}\n"),
 		},
 	},
 	{
@@ -481,6 +495,24 @@ func recvType(e ast.Expr) string {
 		return e.Name
 	}
 	return ""
+}
+
+// hasField reports whether d declares a struct type with a field that
+// field accepts.
+func hasField(d decl, field func(*ast.Field) bool) bool {
+	st, ok := d.typ.(*ast.StructType)
+	return ok && d.kind == "type" && slices.ContainsFunc(st.Fields.List, field)
+}
+
+// holdsMap reports whether a field's type is or contains a map.
+func holdsMap(f *ast.Field) bool {
+	found := false
+	ast.Inspect(f.Type, func(n ast.Node) bool {
+		_, isMap := n.(*ast.MapType)
+		found = found || isMap
+		return !found
+	})
+	return found
 }
 
 // declared flags every top-level declaration in scope that bad picks.

@@ -311,16 +311,18 @@ func TestErrorsReturnEveryColumn(t *testing.T) {
 // TestSteadyStateAllocBudget: once one call has filled the pools, a
 // characterization of a corpus-shaped trace allocates at most a budget per
 // event. cm1 as the benchmark corpus runs it (32 nodes, ≈154 k events)
-// allocates at most 3 B per event unfiltered and 52 under a posix data-op
-// filter. Without recycled columns the unfiltered call is ≈75, and ≈4.6
-// with pass 2's accumulators made afresh for every analysis, so that budget
-// fails if either pool silently stops working; the filtered call's pooled
-// selection scratch is worth only ≈4 B/event, which colstore's
-// TestSelectRowsAllocatesOnlyTheSelection pins instead. hacc at 32 nodes ×
-// 0.3 (1,280 file-per-process files) allocates at most 20 B per event: with
-// a map per file set and per worker it is ≈33, with fresh accumulators ≈40,
-// and ≈8 alone or ≈13–16 after other tests left the accumulator pool
-// holding smaller ones. The collector is held off from the call that fills
+// allocates at most 3 B per event unfiltered, 8 under a posix data-op
+// filter and 6 under a filter on ranks 0-31 (each ≈1–3; 36.6 and 32.6
+// while a filtered block's kept rows were copied out fresh). Without
+// recycled columns the unfiltered call is ≈75, and ≈4.6 with pass 2's
+// accumulators made afresh for every analysis, so that budget fails if
+// either pool silently stops working; a filtered scan's pooled selection
+// scratch is pinned by colstore's TestSelectRowsAllocatesOnlyTheSelection
+// instead. hacc at 32 nodes × 0.3 (1,280 file-per-process files) allocates
+// at most 10 B per event, alone or after other analyses, about 3: with a
+// map per file set and per worker it is ≈33, with fresh accumulators ≈40,
+// and 13–16 when accumulators came back unsized by the analysis or
+// stranded on another P. The collector is held off from the call that fills
 // the pools to the end of the measured one, so what the test measures is
 // the request's own garbage and not whether a cycle happened to empty a
 // pool in between.
@@ -336,8 +338,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		budget   float64
 	}{
 		{"unfiltered", "cm1", 0.15, trace.Filter{}, 3},
-		{"posix data", "cm1", 0.15, trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}, 52},
-		{"hacc", "hacc", 0.3, trace.Filter{}, 20},
+		{"posix data", "cm1", 0.15, trace.Filter{Levels: []trace.Level{trace.LevelPosix}, Ops: trace.OpClassData}, 8},
+		{"ranks 0-31", "cm1", 0.15, trace.Filter{Ranks: ranksUpTo(31)}, 6},
+		{"hacc", "hacc", 0.3, trace.Filter{}, 10},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			tr := simulate(t, arm.workload, 1, 32, arm.scale)
@@ -361,6 +364,15 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ranksUpTo returns the ranks 0 to hi.
+func ranksUpTo(hi int32) []int32 {
+	rs := make([]int32, hi+1)
+	for i := range rs {
+		rs[i] = int32(i)
+	}
+	return rs
 }
 
 // headerBytes is what a decoded trace header owns: the Trace value, its

@@ -45,18 +45,11 @@ type Chunk struct {
 	Start  []int64 // nanoseconds
 	End    []int64 // nanoseconds
 
-	// pooled marks a chunk that adopted its columns by slice from a block
-	// decode: they came from trace's column pools and go back on
+	// pooled marks a chunk a planned scan made: its columns came from a
+	// block decode, in trace's column pools' size classes (or at exact size,
+	// when too short or too long for a class), and go back on
 	// Table.Release.
 	pooled bool
-
-	// exact marks a block shorter than half a pool array that is not its
-	// log's last (the one short block a default-geometry log has): adopt
-	// copies even the columns it keeps whole to exact size and hands the
-	// arrays straight back, so a log of short blocks holds memory in
-	// proportion to its rows, not its block count. Blocks up to the default
-	// size decode into pool arrays; larger ones into exact fresh slices.
-	exact bool
 }
 
 func newChunk(rows int) *Chunk {

@@ -149,13 +149,12 @@ func heldRows(tb *Table) int {
 }
 
 // TestFromBlocksNonDefaultGeometry: a log written at any block size goes
-// through the one planned scan — one chunk per surviving block, below the
-// default size (pooled or exact-copied columns) and above it (exact fresh
-// slices) — and holds exactly the rows FilterEvents keeps, under every scan
-// filter and parallelism. Its columns hold memory in proportion to its rows:
-// at most twice the rows plus one block-capacity array (the last block's),
-// however short the blocks. Releasing the table hands back every pooled
-// column it took.
+// through the one planned scan — one chunk per surviving block, up to the
+// default size (size-class arrays, exact below 64 rows) and above it (exact
+// fresh slices) — and holds exactly the rows FilterEvents keeps, under every
+// scan filter and parallelism. Its columns hold memory in proportion to its
+// rows: at most twice the rows plus one block-capacity array, however short
+// the blocks. Releasing the table hands back every pooled column it took.
 func TestFromBlocksNonDefaultGeometry(t *testing.T) {
 	for _, be := range []int{1, 7, 1000, ChunkRows - 1, ChunkRows + 1, 40000} {
 		tr := bigTrace(max(500, 2*be+be/2+3), int64(be))

@@ -129,45 +129,18 @@ func (t *Table) MaterializeContext(ctx context.Context, par int, want trace.ColS
 	return ctx.Err()
 }
 
-// gather copies a chunk's n rows out of a decoded block column: the n block
-// rows sel names, or the block's first n when sel is nil.
-func gather[T any](src []T, sel []int32, n int) []T {
-	dst := make([]T, n)
-	if sel == nil {
-		copy(dst, src)
-		return dst
-	}
-	for i, j := range sel {
-		dst[i] = src[j]
-	}
-	return dst
-}
-
-// adopt installs decoded block columns into the chunk: a direct slice
-// adoption when the chunk keeps every block row (sel == nil) of a block not
-// marked exact — the chunk then owns the pooled slices and remembers them
-// for release — a copy of the kept rows otherwise, after which the decode
-// temporaries go straight back to the pool.
+// adopt installs decoded block columns into the chunk, cut first to the
+// block rows sel names unless it is nil (every row kept). The chunk then
+// owns the columns, pooled or exact, and hands them back on release; a cut
+// keeps their storage in proportion to the kept rows (trace.Columns.Keep).
 func (c *Chunk) adopt(cols *trace.Columns, sel []int32) {
-	if sel == nil && !c.exact {
-		c.pooled = true
-		c.Level, c.Op, c.Lib = cols.Level[:c.N], cols.Op[:c.N], cols.Lib[:c.N]
-		c.Rank, c.Node, c.App, c.File = cols.Rank[:c.N], cols.Node[:c.N], cols.App[:c.N], cols.File[:c.N]
-		c.Offset, c.Size, c.Start, c.End = cols.Offset[:c.N], cols.Size[:c.N], cols.Start[:c.N], cols.End[:c.N]
-		return
+	if sel != nil {
+		cols.Keep(sel)
 	}
-	c.Level = gather(cols.Level, sel, c.N)
-	c.Op = gather(cols.Op, sel, c.N)
-	c.Lib = gather(cols.Lib, sel, c.N)
-	c.Rank = gather(cols.Rank, sel, c.N)
-	c.Node = gather(cols.Node, sel, c.N)
-	c.App = gather(cols.App, sel, c.N)
-	c.File = gather(cols.File, sel, c.N)
-	c.Offset = gather(cols.Offset, sel, c.N)
-	c.Size = gather(cols.Size, sel, c.N)
-	c.Start = gather(cols.Start, sel, c.N)
-	c.End = gather(cols.End, sel, c.N)
-	cols.Recycle(trace.AllCols)
+	c.N, c.pooled = cols.N, true
+	c.Level, c.Op, c.Lib = cols.Level, cols.Op, cols.Lib
+	c.Rank, c.Node, c.App, c.File = cols.Rank, cols.Node, cols.App, cols.File
+	c.Offset, c.Size, c.Start, c.End = cols.Offset, cols.Size, cols.Start, cols.End
 }
 
 // release hands the block columns the chunk adopted by slice back to the
@@ -203,7 +176,7 @@ func (t *Table) Release() {
 // the footer statistics rule out are never read; a read block decodes the
 // filter columns it constrains and tests the filter on those rows, and only
 // when a row survives decodes its other columns, so each block's surviving
-// rows form one whole chunk, for a block of any size (see Chunk.exact). The
+// rows form one whole chunk, for a block of any size. The
 // worker then hands the block's payload buffer back to its pool
 // (BlockData.Release). The resulting table is row-identical — same rows,
 // same order — to decoding everything and filtering in memory, at any par.
@@ -249,7 +222,9 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		if errs[k] = stats.decode(bd, need, &cols); errs[k] != nil {
 			return
 		}
-		sel := selectRows(m, need, &cols)
+		buf := selPool.Get().(*[]int32)
+		defer selPool.Put(buf)
+		sel := selectRows(m, need, &cols, buf)
 		kept := len(sel)
 		if sel == nil {
 			kept = bd.Count() // whole block kept: adopt without copying
@@ -263,7 +238,7 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 			cols.Recycle(need)
 			return
 		}
-		ck := &Chunk{N: kept, exact: 2*bd.Count() <= trace.DefaultBlockEvents && k != nb-1}
+		ck := &Chunk{}
 		ck.adopt(&cols, sel)
 		chunks[k] = ck
 	})
@@ -289,20 +264,19 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 }
 
 // selPool holds selectRows' block-sized scratch, so a filtered scan's
-// steady state allocates only each chunk's exact-size selection.
+// steady state allocates no selection.
 var selPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // selectRows tests every dimension of need — the block's constrained set
 // (Matcher.NeedColsBlock), decoded into cols — on each block row and
-// returns the kept rows as an exact-size selection. It returns nil when
-// every block row is kept — the chunk then adopts the block's columns
-// whole — and an empty non-nil selection when none is.
-func selectRows(m *trace.Matcher, need trace.ColSet, cols *trace.Columns) []int32 {
+// returns the kept rows, ascending, in *buf's array, which it grows as
+// needed. It returns nil when every block row is kept — the chunk then
+// adopts the block's columns whole — and an empty non-nil selection when
+// none is. The selection is read only until buf's next use.
+func selectRows(m *trace.Matcher, need trace.ColSet, cols *trace.Columns, buf *[]int32) []int32 {
 	if need == 0 {
 		return nil
 	}
-	buf := selPool.Get().(*[]int32)
-	defer selPool.Put(buf)
 	keep := (*buf)[:0]
 	for row := range int32(cols.N) {
 		if need&trace.ColStart != 0 && !m.AcceptStart(cols.Start[row]) ||
@@ -317,5 +291,8 @@ func selectRows(m *trace.Matcher, need trace.ColSet, cols *trace.Columns) []int3
 	if len(keep) == cols.N {
 		return nil
 	}
-	return append(make([]int32, 0, len(keep)), keep...)
+	if keep == nil {
+		return []int32{} // a scratch never grown still selects no row
+	}
+	return keep
 }

@@ -450,9 +450,9 @@ func TestScanStatsCodecMixMemoFill(t *testing.T) {
 }
 
 // TestSelectRowsAllocatesOnlyTheSelection: a block cut to a selection
-// allocates the exact-size selection and nothing else — its block-sized
-// scratch comes back from selPool — and a block whose rows all pass
-// allocates nothing.
+// allocates nothing — the selection is the caller's block-sized scratch,
+// which a scan draws from selPool — and neither does a block whose rows all
+// pass.
 func TestSelectRowsAllocatesOnlyTheSelection(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed under the race detector")
@@ -471,15 +471,17 @@ func TestSelectRowsAllocatesOnlyTheSelection(t *testing.T) {
 	partial := trace.Filter{Ranks: []int32{1, 3, 5, 7}, Ops: trace.OpClassData}
 	all := trace.Filter{Ranks: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}
 	part, whole := partial.NewMatcher(), all.NewMatcher()
-	sel := selectRows(part, need, &cols)
-	if len(sel) == 0 || len(sel) != cap(sel) {
-		t.Fatalf("partial filter: selection of %d rows, capacity %d; want a proper, exact-size subset", len(sel), cap(sel))
+	buf := selPool.Get().(*[]int32)
+	defer selPool.Put(buf)
+	sel := selectRows(part, need, &cols, buf)
+	if len(sel) == 0 || len(sel) == cols.N || &sel[0] != &(*buf)[0] {
+		t.Fatalf("partial filter: selection of %d of %d rows; want a proper subset in the scratch", len(sel), cols.N)
 	}
-	if got := testing.AllocsPerRun(20, func() { selectRows(part, need, &cols) }); got != 1 {
-		t.Errorf("partial filter: %v allocations per block, want 1 (the selection)", got)
+	if got := testing.AllocsPerRun(20, func() { selectRows(part, need, &cols, buf) }); got != 0 {
+		t.Errorf("partial filter: %v allocations per block, want 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		if selectRows(whole, trace.ColRank, &cols) != nil {
+		if selectRows(whole, trace.ColRank, &cols, buf) != nil {
 			t.Fatal("whole-pass block got a selection")
 		}
 	}); got != 0 {

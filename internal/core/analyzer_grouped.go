@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,7 +57,7 @@ type pass1Acc struct {
 // pass2Acc is one worker's partial of the characterization pass, every
 // table indexed by value+1, followed by the scratch its partial builders
 // reuse across chunks. Accumulators are recycled across analyses through
-// accPool; reset sizes one to an analysis.
+// accs; reset sizes one to an analysis.
 type pass2Acc struct {
 	files                 []fileAgg
 	touches, touchBuf     []fileTouch // see noteSets; touchBuf is sort scratch
@@ -83,17 +82,38 @@ type setSeen struct {
 
 const didMeta, didRead, didWrite uint8 = 1, 2, 4
 
-// accPool holds pass 2's accumulators between analyses, scratch and all.
-var accPool sync.Pool
+// accs holds pass 2's accumulators between analyses, scratch and all, by
+// the bit length of the file-slot count they were last sized for: an
+// analysis takes accumulators already about its size, so a large trace does
+// not regrow small ones another analysis left. A parallel.FreeList and not
+// a sync.Pool, because an analysis may resume on another P than the one its
+// accumulators went back on; on a trace of 1,280 files each one a pool
+// strands there costs about a megabyte.
+var accs [33]parallel.FreeList[pass2Acc]
+
+// accList returns the list of accumulators last sized for fileSlots file
+// slots.
+func accList(fileSlots int) *parallel.FreeList[pass2Acc] {
+	return &accs[bits.Len32(uint32(fileSlots))]
+}
+
+// putPass2Acc hands p, last sized for fileSlots file slots, back to accs.
+func putPass2Acc(p *pass2Acc, fileSlots int) {
+	p.readTL, p.writeTL = nil, nil
+	if poisonAccs.Load() {
+		p.poison()
+	}
+	accList(fileSlots).Put(p)
+}
 
 // poisonAccs makes release overwrite every accumulator it hands back to
-// accPool; tests set it to prove that reset clears all an analysis reads and
+// accs; tests set it to prove that reset clears all an analysis reads and
 // that no report aliases a recycled accumulator.
 var poisonAccs atomic.Bool
 
 // newPass2Acc returns a recycled or new accumulator, reset for a.
 func (a *analysis) newPass2Acc() *pass2Acc {
-	p, _ := accPool.Get().(*pass2Acc)
+	p := accList(a.fileSlots).Get()
 	if p == nil {
 		p = &pass2Acc{}
 	}
@@ -125,26 +145,20 @@ func (p *pass2Acc) reset(a *analysis) {
 	p.partScratch.reset(a.rankSlots)
 }
 
-// release hands the analysis' accumulators back to accPool. The merged one's
-// timelines stay with the report.
+// release hands the analysis' accumulators back to accs. The merged one's
+// timelines stay with the report. It goes back last, so the next analysis
+// of this size draws it first, merges into it again and finds the merged
+// lists' room (touches, summaries, stitch buffers) where it left it.
 func (a *analysis) release(p2 []*pass2Acc) {
 	for _, p := range p2 {
 		if p != nil && p != a.acc {
-			putPass2Acc(p)
+			putPass2Acc(p, a.fileSlots)
 		}
 	}
 	if a.acc != nil {
-		putPass2Acc(a.acc)
+		putPass2Acc(a.acc, a.fileSlots)
 		a.acc, a.files = nil, nil
 	}
-}
-
-func putPass2Acc(p *pass2Acc) {
-	p.readTL, p.writeTL = nil, nil
-	if poisonAccs.Load() {
-		p.poison()
-	}
-	accPool.Put(p)
 }
 
 // resize returns s with n zeroed elements, in s's array when it fits.
@@ -288,18 +302,25 @@ func (a *analysis) pass2() ([]*pass2Acc, error) {
 	nchunks := a.tb.NumChunks()
 	errs := make([]error, nchunks)
 	p2 := make([]*pass2Acc, parallel.Workers(a.par, nchunks))
-	a.parts = make([]chunkPart, nchunks)
+	// Drawn in worker order, so the accumulator stitch merges into, p2[0],
+	// is the one the last analysis of this size merged into (release hands
+	// it back last) and has room for the merged lists and the partials.
+	for w := range p2 {
+		p2[w] = a.newPass2Acc()
+	}
+	if len(p2) > 0 {
+		p2[0].parts = reuseParts(p2[0].parts, nchunks)
+		a.parts = p2[0].parts
+	}
 	parallel.ForEachWorker(a.par, nchunks, func(w, k int) {
 		if errs[k] = a.ctx.Err(); errs[k] != nil {
 			return
 		}
-		if p2[w] == nil {
-			p2[w] = a.newPass2Acc()
-		}
 		p := p2[w]
 		c := a.scanChunk(k, p)
 		part := &a.parts[k]
-		part.prim, part.posix = p.streams(c, p.primary), p.streams(c, p.posix)
+		part.prim = p.streamsInto(c, p.primary, part.prim.ends)
+		part.posix = p.streamsInto(c, p.posix, part.posix.ends)
 		p.posixSizes.addRows(c, p.posix)
 		errs[k] = p.sweep(c, p.primary, int64(a.opt.PhaseGap), part)
 	})
@@ -328,8 +349,8 @@ func (a *analysis) stitch(p2 []*pass2Acc) {
 	a.posixGran = a.acc.posixSizes.granularity()
 	a.primPattern = stitchPattern(a.acc.last, a.parts, func(p *chunkPart) *streamPart { return &p.prim })
 	a.posixPattern = stitchPattern(a.acc.last, a.parts, func(p *chunkPart) *streamPart { return &p.posix })
-	a.ioTime = stitchIOTime(a.parts)
-	a.phases, a.primGran = stitchPhases(a.parts, int64(a.opt.PhaseGap), a.rankSlots)
+	a.ioTime = a.acc.stitchIOTime(a.parts)
+	a.phases, a.primGran = a.acc.stitchPhases(a.parts, int64(a.opt.PhaseGap), a.rankSlots)
 	a.parts = nil
 }
 

@@ -72,11 +72,34 @@ type cluster struct {
 	sizes                      sizeTally
 }
 
-// chunkPart is everything order-dependent one chunk leaves behind.
+// chunkPart is everything order-dependent one chunk leaves behind. Its
+// time partials keep their arrays from one analysis to the next: the merged
+// accumulator recycles an analysis' parts by chunk index (pass2Acc.parts),
+// so chunk k of a trace analyzed again finds the room its last analysis
+// left, whichever worker runs it.
 type chunkPart struct {
 	prim, posix streamPart
 	ivs         []interval // disjoint, ascending
 	clusters    []cluster  // ascending minS
+	clRanks     []int32    // the clusters' rank lists, end to end
+}
+
+// reuseParts returns n empty parts in ps' array, each keeping its lists'
+// arrays.
+func reuseParts(ps []chunkPart, n int) []chunkPart {
+	if cap(ps) < n {
+		ps = append(ps[:cap(ps)], make([]chunkPart, n-cap(ps))...)
+	}
+	ps = ps[:n]
+	for k := range ps {
+		p := &ps[k]
+		*p = chunkPart{
+			prim:  streamPart{ends: p.prim.ends[:0]},
+			posix: streamPart{ends: p.posix.ends[:0]},
+			ivs:   p.ivs[:0], clusters: p.clusters[:0], clRanks: p.clRanks[:0],
+		}
+	}
+	return ps
 }
 
 // sizeTally counts exact positive transfer sizes, reads in [0] and writes
@@ -139,8 +162,7 @@ func (t *sizeTally) granularity() Granularity {
 
 // partScratch is the state pass 2's partial builders reuse from chunk to
 // chunk, and with their accumulator from analysis to analysis. Nothing in it
-// outlives a chunk but capacity and the stream ends, which the chunks'
-// partials hold slices of until stitch.
+// outlives a chunk but capacity.
 type partScratch struct {
 	// The chunk's row subsets as pass 2's bodies emit them: ascending,
 	// non-overlapping ranges.
@@ -148,13 +170,10 @@ type partScratch struct {
 	sorted         []rowRange // primary rows of an out-of-order chunk, by Start
 
 	// Streams. A rank works through one file at a time, so a one-entry
-	// cache per rank slot sits in front of the chunk's stream index. ends
-	// holds every chunk's stream ends of the analysis end to end; each
-	// partial is a slice of it.
+	// cache per rank slot sits in front of the chunk's stream index.
 	epoch int
 	cache []streamCache
 	index map[streamKey]int32
-	ends  []streamEnd
 	// The merged accumulator's stitchPattern keeps each stream's last
 	// offset here, cleared per use.
 	last map[streamKey]int64
@@ -166,9 +185,16 @@ type partScratch struct {
 	stamp  []int
 	serial int
 	sizes  sizeTally
-	// How many intervals and clusters the worker's last chunk left: the next
-	// chunk's lists start at that capacity.
-	nIvs, nCls int
+	// How many intervals, clusters and cluster ranks the worker's last
+	// chunk left: a part's list without an array starts at that capacity.
+	nIvs, nCls, nRks int
+
+	// The merged accumulator's: the analysis' chunk partials, by chunk
+	// (reuseParts), and the buffers its stitches concatenate every chunk's
+	// intervals and clusters into (inOrder).
+	parts  []chunkPart
+	allIvs []interval
+	allCls []cluster
 }
 
 type streamCache struct {
@@ -185,12 +211,12 @@ func (s *partScratch) reset(rankSlots int) {
 		s.index, s.last = map[streamKey]int32{}, map[streamKey]int64{}
 	}
 	clear(s.index)
-	s.ends = s.ends[:0]
 	s.ranks = s.ranks[:0]
 	s.stamp = resize(s.stamp, rankSlots)
 	s.serial = 0
 	s.sizes = sizeTally{}
-	s.nIvs, s.nCls = 0, 0
+	s.nIvs, s.nCls, s.nRks = 0, 0, 0
+	s.allIvs, s.allCls = s.allIvs[:0], s.allCls[:0]
 }
 
 // poison overwrites what s holds with values a reset scratch never has: a
@@ -205,18 +231,31 @@ func (s *partScratch) poison() {
 		s.last[k] = math.MaxInt64
 	}
 	s.last[streamKey{0, 0}] = math.MaxInt64
-	fill(s.ends, streamEnd{streamKey{-7, -7}, -1, -1})
 	fill(s.ranks, -7)
 	fill(s.stamp, 1)
+	bad := cluster{minS: -1, maxE: -1, rows: -1, ranks: []int32{-7}}
+	parts := s.parts[:cap(s.parts)]
+	for k := range parts {
+		p := &parts[k]
+		fill(p.ivs, interval{-1, -2})
+		fill(p.clusters, bad)
+		fill(p.clRanks, -7)
+		fill(p.prim.ends, streamEnd{streamKey{-7, -7}, -1, -1})
+		fill(p.posix.ends, streamEnd{streamKey{-7, -7}, -1, -1})
+		p.prim.seq, p.posix.total = -5, -5
+	}
+	fill(s.allIvs, interval{-1, -2})
+	fill(s.allCls, bad)
 }
 
-// streams builds the access-pattern partial of one row subset: per (file,
-// rank) stream, in table order, how many consecutive data accesses the
-// chunk holds and how many of them do not move backwards.
-func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
+// streamsInto builds the access-pattern partial of one row subset: per
+// (file, rank) stream, in table order, how many consecutive data accesses
+// the chunk holds and how many of them do not move backwards. The streams'
+// ends go into ends' array (its elements are overwritten).
+func (s *partScratch) streamsInto(c *colstore.Chunk, rows []rowRange, ends []streamEnd) streamPart {
 	s.epoch++
 	clear(s.index)
-	base, ends := len(s.ends), s.ends
+	ends = ends[:0]
 	var part streamPart
 	for _, r := range rows {
 		for j := r.lo; j < r.hi; j++ {
@@ -230,7 +269,7 @@ func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
 				k := streamKey{f, rank}
 				idx, ok := s.index[k]
 				if !ok {
-					idx = int32(len(ends) - base)
+					idx = int32(len(ends))
 					s.index[k] = idx
 					ends = append(ends, streamEnd{k, off, off})
 				}
@@ -239,7 +278,7 @@ func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
 					continue
 				}
 			}
-			e := &ends[base+int(ce.idx)]
+			e := &ends[ce.idx]
 			part.total++
 			if off >= e.last {
 				part.seq++
@@ -247,10 +286,7 @@ func (s *partScratch) streams(c *colstore.Chunk, rows []rowRange) streamPart {
 			e.last = off
 		}
 	}
-	// An append that outgrows ends moves the later partials to a new array
-	// and leaves the earlier ones where they are.
-	s.ends = ends
-	part.ends = ends[base:len(ends):len(ends)]
+	part.ends = ends
 	return part
 }
 
@@ -267,8 +303,12 @@ func (s *partScratch) byStart(c *colstore.Chunk, rows []rowRange) []rowRange {
 }
 
 // sweep walks the chunk's primary rows in Start order once and leaves both
-// time partials: the covered intervals and the gap-separated clusters.
+// time partials in part: the covered intervals and the gap-separated
+// clusters.
 func (s *partScratch) sweep(c *colstore.Chunk, rows []rowRange, gap int64, part *chunkPart) error {
+	if part.ivs == nil {
+		part.ivs, part.clusters, part.clRanks = make([]interval, 0, s.nIvs), make([]cluster, 0, s.nCls), make([]int32, 0, s.nRks)
+	}
 	var (
 		cur     interval
 		cl      cluster
@@ -277,7 +317,6 @@ func (s *partScratch) sweep(c *colstore.Chunk, rows []rowRange, gap int64, part 
 		runSize int64
 		runN    int64
 	)
-	part.ivs, part.clusters = make([]interval, 0, s.nIvs), make([]cluster, 0, s.nCls)
 	prev := int64(math.MinInt64)
 	for _, r := range rows {
 		for j := r.lo; j < r.hi; j++ {
@@ -289,6 +328,7 @@ func (s *partScratch) sweep(c *colstore.Chunk, rows []rowRange, gap int64, part 
 			if st < prev {
 				// Not in Start order: start over on the re-listed rows.
 				s.ranks, s.sizes = s.ranks[:0], sizeTally{}
+				part.ivs, part.clusters, part.clRanks = part.ivs[:0], part.clusters[:0], part.clRanks[:0]
 				return s.sweep(c, s.byStart(c, rows), gap, part)
 			}
 			first := cl.rows == 0
@@ -307,7 +347,7 @@ func (s *partScratch) sweep(c *colstore.Chunk, rows []rowRange, gap int64, part 
 			}
 			if first || st-maxEnd > gap {
 				if !first {
-					part.clusters = append(part.clusters, s.closeCluster(cl))
+					part.clusters = append(part.clusters, s.closeCluster(cl, part))
 				}
 				cl = cluster{minS: st}
 				s.serial++
@@ -331,17 +371,20 @@ func (s *partScratch) sweep(c *colstore.Chunk, rows []rowRange, gap int64, part 
 	}
 	if cl.rows > 0 {
 		s.sizes.add(runOp, runSize, runN)
-		part.clusters = append(part.clusters, s.closeCluster(cl))
+		part.clusters = append(part.clusters, s.closeCluster(cl, part))
 		part.ivs = append(part.ivs, cur)
 	}
-	s.nIvs, s.nCls = len(part.ivs), len(part.clusters)
+	s.nIvs, s.nCls, s.nRks = len(part.ivs), len(part.clusters), len(part.clRanks)
 	return nil
 }
 
-// closeCluster moves the open cluster's ranks and size counts out of the
-// scratch.
-func (s *partScratch) closeCluster(cl cluster) cluster {
-	cl.ranks, s.ranks = slices.Clone(s.ranks), s.ranks[:0]
+// closeCluster moves the open cluster's ranks, onto the part's list of
+// cluster ranks, and its size counts out of the scratch. An append that
+// outgrows that list leaves the earlier clusters' ranks where they are.
+func (s *partScratch) closeCluster(cl cluster, part *chunkPart) cluster {
+	base := len(part.clRanks)
+	part.clRanks = append(part.clRanks, s.ranks...)
+	cl.ranks, s.ranks = part.clRanks[base:len(part.clRanks):len(part.clRanks)], s.ranks[:0]
 	cl.sizes, s.sizes = s.sizes, sizeTally{}
 	return cl
 }
@@ -407,29 +450,36 @@ func stitchPattern(last map[streamKey]int64, parts []chunkPart, pick func(*chunk
 	return "Random"
 }
 
-// inOrder concatenates one partial list of every chunk, ascending by key:
-// chunk order is that order already unless the table is out of Start order,
-// and only then is the list sorted.
-func inOrder[T any](parts []chunkPart, list func(*chunkPart) []T, key func(*T) int64) []T {
+// inOrder concatenates one partial list of every chunk into dst's array,
+// ascending by key: chunk order is that order already unless the table is
+// out of Start order, and only then is the list sorted.
+func inOrder[T any](dst []T, parts []chunkPart, list func(*chunkPart) []T, key func(*T) int64) []T {
 	n := 0
 	for k := range parts {
 		n += len(list(&parts[k]))
 	}
-	all := make([]T, 0, n)
+	all := dst[:0]
+	if cap(all) < n {
+		all = make([]T, 0, n)
+	}
 	for k := range parts {
 		all = append(all, list(&parts[k])...)
 	}
-	byKey := func(x, y T) int { return cmp.Compare(key(&x), key(&y)) }
-	if !slices.IsSortedFunc(all, byKey) {
-		slices.SortStableFunc(all, byKey)
+	for i := 1; i < len(all); i++ {
+		if key(&all[i]) < key(&all[i-1]) {
+			slices.SortStableFunc(all, func(x, y T) int { return cmp.Compare(key(&x), key(&y)) })
+			break
+		}
 	}
 	return all
 }
 
 // stitchIOTime returns the total time the primary rows cover — the
-// workload's I/O wall-clock — by sweeping the chunks' covered intervals.
-func stitchIOTime(parts []chunkPart) time.Duration {
-	ivs := inOrder(parts, func(p *chunkPart) []interval { return p.ivs }, func(iv *interval) int64 { return iv.s })
+// workload's I/O wall-clock — by sweeping the chunks' covered intervals,
+// concatenated in s.allIvs.
+func (s *partScratch) stitchIOTime(parts []chunkPart) time.Duration {
+	s.allIvs = inOrder(s.allIvs, parts, func(p *chunkPart) []interval { return p.ivs }, func(iv *interval) int64 { return iv.s })
+	ivs := s.allIvs
 	if len(ivs) == 0 {
 		return 0
 	}
@@ -446,13 +496,15 @@ func stitchIOTime(parts []chunkPart) time.Duration {
 	return time.Duration(total + cur.e - cur.s)
 }
 
-// stitchPhases merges the chunks' clusters into the I/O phases — activity
-// bursts separated by more than the gap threshold (Table V) — and returns
-// them with the dominant transfer sizes over all primary rows, which are
-// the clusters' size counts summed. A phase's ranks are counted through one
-// stamp per rank slot, so they cost O(distinct ranks in the phase).
-func stitchPhases(parts []chunkPart, gap int64, rankSlots int) ([]IOPhaseEntity, Granularity) {
-	cls := inOrder(parts, func(p *chunkPart) []cluster { return p.clusters }, func(cl *cluster) int64 { return cl.minS })
+// stitchPhases merges the chunks' clusters, concatenated in s.allCls, into
+// the I/O phases — activity bursts separated by more than the gap threshold
+// (Table V) — and returns them with the dominant transfer sizes over all
+// primary rows, which are the clusters' size counts summed. A phase's ranks
+// are counted through one stamp per rank slot, s.stamp's, so they cost
+// O(distinct ranks in the phase).
+func (s *partScratch) stitchPhases(parts []chunkPart, gap int64, rankSlots int) ([]IOPhaseEntity, Granularity) {
+	s.allCls = inOrder(s.allCls, parts, func(p *chunkPart) []cluster { return p.clusters }, func(cl *cluster) int64 { return cl.minS })
+	cls := s.allCls
 	if len(cls) == 0 {
 		return nil, Granularity{}
 	}
@@ -463,7 +515,8 @@ func stitchPhases(parts []chunkPart, gap int64, rankSlots int) ([]IOPhaseEntity,
 		maxEnd int64
 		all    sizeTally
 	)
-	stamp := make([]int, rankSlots)
+	s.stamp = resize(s.stamp, rankSlots)
+	stamp := s.stamp
 	for i := range cls {
 		cl := &cls[i]
 		if i > 0 && cl.minS-maxEnd > gap {

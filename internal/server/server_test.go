@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
@@ -470,6 +471,48 @@ func TestUploadValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: status %d", resp.StatusCode)
+	}
+}
+
+// TestHostileRankListsRefused: a ranks= list naming more ranks than
+// trace.MaxRanks is answered 400 at once, on the upload endpoints and on
+// fleet queries, however few bytes it takes to name them: the same widest
+// range 64 times over, or eight disjoint widest ranges.
+func TestHostileRankListsRefused(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var eight []string
+	for i := 0; i < 8; i++ {
+		eight = append(eight, fmt.Sprintf("%d-%d", i*2_000_000, i*2_000_000+1<<20))
+	}
+	lists := []string{
+		strings.TrimSuffix(strings.Repeat("0-1048576,", 64), ","),
+		strings.Join(eight, ","),
+	}
+	body := testTraceBytes(t, 100)
+	for _, list := range lists {
+		for _, path := range []string{"/v1/traces", "/v1/characterize", "/fleet/query"} {
+			t0 := time.Now()
+			url := ts.URL + path + "?ranks=" + list
+			var resp *http.Response
+			var err error
+			if path == "/fleet/query" {
+				resp, err = http.Get(url)
+			} else {
+				resp, err = http.Post(url, "application/octet-stream", bytes.NewReader(body))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s ranks=%.20s… (%d bytes): status %d, want 400", path, list, len(list), resp.StatusCode)
+			}
+			if took := time.Since(t0); took > 2*time.Second {
+				t.Errorf("%s ranks=%.20s…: refused after %v", path, list, took)
+			}
+		}
 	}
 }
 

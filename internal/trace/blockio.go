@@ -441,7 +441,7 @@ func boundedInt(c *byteCursor, what string) int64 {
 // Columns is one decoded block in column-major form: the exact per-field
 // slices a colstore chunk is made of. Decode fills it straight from the
 // block payload — no Event structs materialize — and colstore adopts the
-// slices without copying when block size matches its chunk size.
+// slices without copying, first cut to a filter's rows by Keep.
 type Columns struct {
 	N      int
 	Level  []uint8
@@ -466,37 +466,37 @@ type Columns struct {
 func (cols *Columns) growSet(n int, set ColSet) {
 	cols.N = n
 	if set&ColLevel != 0 {
-		cols.Level = growCol(&u8ColPool, cols.Level, n)
+		cols.Level = growCol(&u8ColPools, cols.Level, n)
 	}
 	if set&ColOp != 0 {
-		cols.Op = growCol(&u8ColPool, cols.Op, n)
+		cols.Op = growCol(&u8ColPools, cols.Op, n)
 	}
 	if set&ColLib != 0 {
-		cols.Lib = growCol(&u8ColPool, cols.Lib, n)
+		cols.Lib = growCol(&u8ColPools, cols.Lib, n)
 	}
 	if set&ColRank != 0 {
-		cols.Rank = growCol(&i32ColPool, cols.Rank, n)
+		cols.Rank = growCol(&i32ColPools, cols.Rank, n)
 	}
 	if set&ColNode != 0 {
-		cols.Node = growCol(&i32ColPool, cols.Node, n)
+		cols.Node = growCol(&i32ColPools, cols.Node, n)
 	}
 	if set&ColApp != 0 {
-		cols.App = growCol(&i32ColPool, cols.App, n)
+		cols.App = growCol(&i32ColPools, cols.App, n)
 	}
 	if set&ColFile != 0 {
-		cols.File = growCol(&i32ColPool, cols.File, n)
+		cols.File = growCol(&i32ColPools, cols.File, n)
 	}
 	if set&ColOffset != 0 {
-		cols.Offset = growCol(&i64ColPool, cols.Offset, n)
+		cols.Offset = growCol(&i64ColPools, cols.Offset, n)
 	}
 	if set&ColSize != 0 {
-		cols.Size = growCol(&i64ColPool, cols.Size, n)
+		cols.Size = growCol(&i64ColPools, cols.Size, n)
 	}
 	if set&ColStart != 0 {
-		cols.Start = growCol(&i64ColPool, cols.Start, n)
+		cols.Start = growCol(&i64ColPools, cols.Start, n)
 	}
 	if set&ColEnd != 0 {
-		cols.End = growCol(&i64ColPool, cols.End, n)
+		cols.End = growCol(&i64ColPools, cols.End, n)
 	}
 }
 

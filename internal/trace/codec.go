@@ -7,8 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
+
+	"vani/internal/parallel"
 )
 
 // The on-disk trace log plays the role of Recorder's native trace format,
@@ -130,9 +131,10 @@ const readBufSize = 1 << 16
 // calls on logs of at least readBufSize bytes: the read buffer, the string
 // arena and the pending-string list. flushStrs copies the arena out, so a
 // decoded header owns nothing pooled.
-var readerPool = sync.Pool{New: func() interface{} {
-	return &reader{r: bufio.NewReaderSize(nil, readBufSize)}
-}}
+// It is a parallel.FreeList, not a sync.Pool: a scan's caller hands the
+// reader back on whichever P it last ran on, and a pool would strand it
+// there — a new arena per open on a 1,280-file header.
+var readerPool parallel.FreeList[reader]
 
 // getReader returns a header reader over src, a log of size bytes. A log
 // shorter than the read buffer gets a reader of its own sized by the log,
@@ -141,7 +143,10 @@ func getReader(src io.Reader, size int64) *reader {
 	if size < readBufSize {
 		return &reader{r: bufio.NewReaderSize(src, int(size))}
 	}
-	r := readerPool.Get().(*reader)
+	r := readerPool.Get()
+	if r == nil {
+		return &reader{r: bufio.NewReaderSize(src, readBufSize)}
+	}
 	r.r.Reset(src)
 	return r
 }

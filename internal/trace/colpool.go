@@ -3,8 +3,18 @@ package trace
 // Recycled block columns. A planned scan decodes every block into eleven
 // typed slices that live for one analysis (~10 ms) and die with its table;
 // allocating and zeroing them was 51 B/row of garbage per characterization.
-// Columns.growSet therefore takes block-capacity slices from three per-type
-// pools and Columns.Recycle hands them back.
+// Columns.growSet therefore takes them from per-type pools and
+// Columns.Recycle hands them back.
+//
+// The pools are size classes: power-of-two arrays from minClassRows (64) to
+// DefaultBlockEvents (16,384) rows, one pool per class and element type. A
+// column of n rows takes the smallest class that holds n, so its array is
+// less than twice its rows; a column under 64 rows, or over the default
+// block, is made at exactly its size and never pooled. Columns.Keep cuts a
+// decoded block to a filter's kept rows on the same terms: in place when
+// they fill more than half the array, else gathered into the smallest class
+// that holds them. Whatever a table keeps, its columns hold memory in
+// proportion to its rows, at any block geometry.
 //
 // The slices are not zeroed between uses. What makes that safe is the
 // decoder's contract, not the pool: decodeSeg writes every element of
@@ -17,22 +27,55 @@ package trace
 // only one who may Recycle them, at most once, after the last read. Not
 // recycling is always correct — the slices are ordinary garbage. The
 // long-lived block-cache memo never draws from the pool: it sizes its
-// columns exactly with grow, so a cache budgeted in MemoRowBytes does not
-// sit on block-capacity slices of short blocks.
+// columns exactly with grow.
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// The pools hold pointers to block-capacity arrays: an array pointer goes
-// into and out of a sync.Pool without the allocation a slice header costs,
-// and converts back from the slice on its way in.
-var (
-	u8ColPool  = sync.Pool{New: func() any { return new([DefaultBlockEvents]uint8) }}
-	i32ColPool = sync.Pool{New: func() any { return new([DefaultBlockEvents]int32) }}
-	i64ColPool = sync.Pool{New: func() any { return new([DefaultBlockEvents]int64) }}
+// minClassRows is the smallest size class; numClasses classes double from
+// it up to DefaultBlockEvents.
+const (
+	minClassRows = 64
+	numClasses   = 9
 )
+
+// The largest class is the default block: this fails to compile otherwise.
+var _ [0]struct{} = [minClassRows<<(numClasses-1) - DefaultBlockEvents]struct{}{}
+
+// colPools holds one element type's recycled column arrays, by size class.
+// A pool entry is a pointer to the array's first element: it goes into and
+// out of a sync.Pool without the allocation a slice header costs, and the
+// class gives back the length.
+type colPools[T colValue] [numClasses]sync.Pool
+
+var (
+	u8ColPools  colPools[uint8]
+	i32ColPools colPools[int32]
+	i64ColPools colPools[int64]
+)
+
+// sizeClass returns the class of the smallest pooled array that holds n
+// rows, or -1 when n rows are made exactly (under minClassRows, or over the
+// default block).
+func sizeClass(n int) int {
+	if n < minClassRows || n > DefaultBlockEvents {
+		return -1
+	}
+	return bits.Len(uint(n-1)) - bits.Len(minClassRows-1)
+}
+
+// poolClass returns the class whose arrays have capacity c, or -1 when no
+// pooled array has it.
+func poolClass(c int) int {
+	if k := sizeClass(c); k >= 0 && minClassRows<<k == c {
+		return k
+	}
+	return -1
+}
 
 // colsInUse counts pooled slices handed out and not yet recycled.
 var colsInUse atomic.Int64
@@ -48,34 +91,57 @@ func ColumnsInUse() int64 { return colsInUse.Load() }
 // recycled slice, payload or chunk holds.
 var poisonRecycled atomic.Bool
 
-// growCol resizes s to n rows: in place when its capacity allows, else from
-// the pool when a block-capacity slice fits, else freshly (oversized blocks
-// of a non-default geometry). The rows are not zeroed.
-func growCol[T colValue](pool *sync.Pool, s []T, n int) []T {
+// growCol resizes s to n rows: in place when its capacity allows, else into
+// an array of n's size class, else freshly at exactly n rows. The rows are
+// not zeroed.
+func growCol[T colValue](pools *colPools[T], s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	if n > DefaultBlockEvents {
+	k := sizeClass(n)
+	if k < 0 {
 		return make([]T, n)
 	}
 	colsInUse.Add(1)
-	return pool.Get().(*[DefaultBlockEvents]T)[:n]
+	if p, _ := pools[k].Get().(*T); p != nil {
+		return unsafe.Slice(p, minClassRows<<k)[:n]
+	}
+	return make([]T, n, minClassRows<<k)
 }
 
-// recycleCol returns a slice growCol drew from the pool; any other slice
-// (nil, or oversized and so freshly made) is dropped. It returns nil, what
-// the column that held s is left as.
-func recycleCol[T colValue](pool *sync.Pool, s []T) []T {
-	if cap(s) != DefaultBlockEvents {
+// recycleCol returns a slice growCol drew from the pools; any other slice
+// (nil, or made exactly) is dropped. It returns nil, what the column that
+// held s is left as.
+func recycleCol[T colValue](pools *colPools[T], s []T) []T {
+	k := poolClass(cap(s))
+	if k < 0 {
 		return nil
 	}
-	arr := (*[DefaultBlockEvents]T)(s[:DefaultBlockEvents])
+	s = s[:cap(s)]
 	if poisonRecycled.Load() {
-		poisonCol(arr[:])
+		poisonCol(s)
 	}
 	colsInUse.Add(-1)
-	pool.Put(arr)
+	pools[k].Put(&s[0])
 	return nil
+}
+
+// keepCol cuts s to the rows sel names: in place when they fill more than
+// half its array (sel ascends, so no row is overwritten before it is read),
+// else into a column of their own size class, s going back at once.
+func keepCol[T colValue](pools *colPools[T], s []T, sel []int32) []T {
+	if 2*len(sel) > cap(s) {
+		for i, j := range sel {
+			s[i] = s[j]
+		}
+		return s[:len(sel)]
+	}
+	dst := growCol(pools, nil, len(sel))
+	for i, j := range sel {
+		dst[i] = s[j]
+	}
+	recycleCol(pools, s)
+	return dst
 }
 
 // poisonCol fills s with a sentinel no real column holds end to end.
@@ -86,42 +152,61 @@ func poisonCol[T colValue](s []T) {
 	}
 }
 
+// Keep cuts every column of cols to the rows sel names — ascending, distinct
+// rows of [0, cols.N), at least one — keeping storage in proportion to them
+// (see keepCol). Every column must have been filled by Decode into cols and
+// be held by no one else; the arrays Keep does not keep go back to the pools.
+func (cols *Columns) Keep(sel []int32) {
+	cols.N = len(sel)
+	cols.Level = keepCol(&u8ColPools, cols.Level, sel)
+	cols.Op = keepCol(&u8ColPools, cols.Op, sel)
+	cols.Lib = keepCol(&u8ColPools, cols.Lib, sel)
+	cols.Rank = keepCol(&i32ColPools, cols.Rank, sel)
+	cols.Node = keepCol(&i32ColPools, cols.Node, sel)
+	cols.App = keepCol(&i32ColPools, cols.App, sel)
+	cols.File = keepCol(&i32ColPools, cols.File, sel)
+	cols.Offset = keepCol(&i64ColPools, cols.Offset, sel)
+	cols.Size = keepCol(&i64ColPools, cols.Size, sel)
+	cols.Start = keepCol(&i64ColPools, cols.Start, sel)
+	cols.End = keepCol(&i64ColPools, cols.End, sel)
+}
+
 // Recycle hands the columns of cols named by set back to the block-column
 // pools and clears them. Every such column must have been filled by Decode
 // into cols (or be nil), the caller must hold the only reference to it, and
 // must not read it again.
 func (cols *Columns) Recycle(set ColSet) {
 	if set&ColLevel != 0 {
-		cols.Level = recycleCol(&u8ColPool, cols.Level)
+		cols.Level = recycleCol(&u8ColPools, cols.Level)
 	}
 	if set&ColOp != 0 {
-		cols.Op = recycleCol(&u8ColPool, cols.Op)
+		cols.Op = recycleCol(&u8ColPools, cols.Op)
 	}
 	if set&ColLib != 0 {
-		cols.Lib = recycleCol(&u8ColPool, cols.Lib)
+		cols.Lib = recycleCol(&u8ColPools, cols.Lib)
 	}
 	if set&ColRank != 0 {
-		cols.Rank = recycleCol(&i32ColPool, cols.Rank)
+		cols.Rank = recycleCol(&i32ColPools, cols.Rank)
 	}
 	if set&ColNode != 0 {
-		cols.Node = recycleCol(&i32ColPool, cols.Node)
+		cols.Node = recycleCol(&i32ColPools, cols.Node)
 	}
 	if set&ColApp != 0 {
-		cols.App = recycleCol(&i32ColPool, cols.App)
+		cols.App = recycleCol(&i32ColPools, cols.App)
 	}
 	if set&ColFile != 0 {
-		cols.File = recycleCol(&i32ColPool, cols.File)
+		cols.File = recycleCol(&i32ColPools, cols.File)
 	}
 	if set&ColOffset != 0 {
-		cols.Offset = recycleCol(&i64ColPool, cols.Offset)
+		cols.Offset = recycleCol(&i64ColPools, cols.Offset)
 	}
 	if set&ColSize != 0 {
-		cols.Size = recycleCol(&i64ColPool, cols.Size)
+		cols.Size = recycleCol(&i64ColPools, cols.Size)
 	}
 	if set&ColStart != 0 {
-		cols.Start = recycleCol(&i64ColPool, cols.Start)
+		cols.Start = recycleCol(&i64ColPools, cols.Start)
 	}
 	if set&ColEnd != 0 {
-		cols.End = recycleCol(&i64ColPool, cols.End)
+		cols.End = recycleCol(&i64ColPools, cols.End)
 	}
 }

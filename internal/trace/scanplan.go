@@ -8,9 +8,12 @@ package trace
 // decodes the rest of a block only when some of its rows pass.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -149,14 +152,41 @@ func (f *Filter) Empty() bool {
 		len(f.Levels) == 0 && f.Ops == OpClassAll
 }
 
-// Matcher is a Filter compiled for per-row and per-block evaluation.
+// Matcher is a Filter compiled for per-row and per-block evaluation. Its
+// rank set is a list of sorted, disjoint ranges, and when they span at most
+// maxRankBits ranks also a bitset over [minRank, maxRank] that the row test
+// reads instead: either way its memory is bounded by the length of the
+// filter's rank list and a constant, never by the span of the ranks it
+// names.
 type Matcher struct {
 	fromNS, toNS int64
-	ranks        map[int32]bool
+	ranks        []rankRange // nil = every rank
+	rankBits     []uint64    // nil when the ranges span more than maxRankBits
 	minRank      int32
 	maxRank      int32
 	levelMask    uint32
 	opMask       uint32
+}
+
+// rankRange is the ranks [lo, hi].
+type rankRange struct{ lo, hi int32 }
+
+// maxRankBits is the widest rank span a Matcher keeps a bitset over (8 KiB).
+const maxRankBits = 1 << 16
+
+// mergeRankRanges sorts rs and merges overlapping and adjacent ranges, in
+// place, returning the merged prefix.
+func mergeRankRanges(rs []rankRange) []rankRange {
+	slices.SortFunc(rs, func(a, b rankRange) int { return cmp.Compare(a.lo, b.lo) })
+	out := rs[:0]
+	for _, r := range rs {
+		if n := len(out); n > 0 && int64(r.lo) <= int64(out[n-1].hi)+1 {
+			out[n-1].hi = max(out[n-1].hi, r.hi)
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // NewMatcher compiles the filter.
@@ -171,15 +201,18 @@ func (f *Filter) NewMatcher() *Matcher {
 		m.toNS = int64(f.To)
 	}
 	if len(f.Ranks) > 0 {
-		m.ranks = make(map[int32]bool, len(f.Ranks))
-		m.minRank, m.maxRank = f.Ranks[0], f.Ranks[0]
-		for _, r := range f.Ranks {
-			m.ranks[r] = true
-			if r < m.minRank {
-				m.minRank = r
-			}
-			if r > m.maxRank {
-				m.maxRank = r
+		rs := make([]rankRange, len(f.Ranks))
+		for i, r := range f.Ranks {
+			rs[i] = rankRange{r, r}
+		}
+		m.ranks = slices.Clip(mergeRankRanges(rs))
+		m.minRank, m.maxRank = m.ranks[0].lo, m.ranks[len(m.ranks)-1].hi
+		if span := int64(m.maxRank) - int64(m.minRank) + 1; span <= maxRankBits {
+			m.rankBits = make([]uint64, (span+63)/64)
+			for _, r := range m.ranks {
+				for i := r.lo - m.minRank; i <= r.hi-m.minRank; i++ {
+					m.rankBits[i>>6] |= 1 << (i & 63)
+				}
 			}
 		}
 	}
@@ -194,12 +227,18 @@ func (f *Filter) NewMatcher() *Matcher {
 	return m
 }
 
+// firstRankRange returns the index of the first rank range that ends at or
+// after r (len(m.ranks) when none does).
+func (m *Matcher) firstRankRange(r int32) int {
+	return sort.Search(len(m.ranks), func(i int) bool { return m.ranks[i].hi >= r })
+}
+
 // Match evaluates the row predicate over raw column values.
 func (m *Matcher) Match(level, op uint8, rank int32, startNS int64) bool {
 	if startNS < m.fromNS || startNS > m.toNS {
 		return false
 	}
-	if m.ranks != nil && !m.ranks[rank] {
+	if !m.AcceptRank(rank) {
 		return false
 	}
 	if level < 32 && m.levelMask&(1<<level) == 0 {
@@ -260,7 +299,18 @@ func (m *Matcher) AcceptStart(startNS int64) bool {
 
 // AcceptRank evaluates the rank dimension alone.
 func (m *Matcher) AcceptRank(rank int32) bool {
-	return m.ranks == nil || m.ranks[rank]
+	if m.rankBits != nil {
+		if rank < m.minRank || rank > m.maxRank {
+			return false
+		}
+		i := uint32(rank - m.minRank)
+		return m.rankBits[i>>6]&(1<<(i&63)) != 0
+	}
+	if m.ranks == nil {
+		return true
+	}
+	k := m.firstRankRange(rank)
+	return k < len(m.ranks) && m.ranks[k].lo <= rank
 }
 
 // AcceptLevel evaluates the level dimension alone.
@@ -284,16 +334,10 @@ func (m *Matcher) SkipBlock(bi BlockInfo) bool {
 		return true
 	}
 	if m.ranks != nil {
-		// Interval check: if every requested rank falls outside the
-		// block's [min, max] rank range, nothing can match.
-		any := false
-		for r := range m.ranks {
-			if r >= bi.MinRank && r <= bi.MaxRank {
-				any = true
-				break
-			}
-		}
-		if !any {
+		// Interval check: if no requested rank falls inside the block's
+		// [min, max] rank range, nothing can match.
+		k := m.firstRankRange(bi.MinRank)
+		if k == len(m.ranks) || m.ranks[k].lo > bi.MaxRank {
 			return true
 		}
 	}
@@ -322,53 +366,67 @@ func FilterEvents(evs []Event, f Filter) []Event {
 	return out
 }
 
+// MaxRanks is the most distinct ranks one rank list may name, and the
+// widest single range in it.
+const MaxRanks = 1 << 20
+
 // ParseRanks parses a flag-style rank list ("0,3,8-15") into a sorted,
-// deduplicated rank slice.
+// deduplicated rank slice. The parts are merged as ranges before any is
+// expanded, and a list naming more than MaxRanks distinct ranks is refused,
+// so neither the time nor the memory it takes grows with the span of
+// ranks a hostile list names — only with its length and MaxRanks.
 func ParseRanks(s string) ([]int32, error) {
 	if s == "" {
 		return nil, nil
 	}
-	seen := map[int32]bool{}
-	var out []int32
-	add := func(r int64) error {
-		if r < 0 || r > math.MaxInt32 {
-			return fmt.Errorf("rank %d out of range", r)
-		}
-		if !seen[int32(r)] {
-			seen[int32(r)] = true
-			out = append(out, int32(r))
-		}
-		return nil
+	parse := func(v string) (int64, bool) {
+		n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
+		return n, err == nil
 	}
-	for _, part := range strings.Split(s, ",") {
+	var rs []rankRange
+	for rest := s; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
+		var a, b int64
 		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			var a, b int64
-			if _, err := fmt.Sscanf(lo+" "+hi, "%d %d", &a, &b); err != nil {
+			var okA, okB bool
+			a, okA = parse(lo)
+			b, okB = parse(hi)
+			if !okA || !okB || b < a || b-a > MaxRanks {
 				return nil, fmt.Errorf("bad rank range %q", part)
 			}
-			if b < a || b-a > 1<<20 {
-				return nil, fmt.Errorf("bad rank range %q", part)
+		} else {
+			var okA bool
+			if a, okA = parse(part); !okA {
+				return nil, fmt.Errorf("bad rank %q", part)
 			}
-			for r := a; r <= b; r++ {
-				if err := add(r); err != nil {
-					return nil, err
-				}
+			b = a
+		}
+		for _, r := range []int64{a, b} {
+			if r < 0 || r > math.MaxInt32 {
+				return nil, fmt.Errorf("rank %d out of range", r)
 			}
-			continue
 		}
-		var r int64
-		if _, err := fmt.Sscanf(part, "%d", &r); err != nil {
-			return nil, fmt.Errorf("bad rank %q", part)
-		}
-		if err := add(r); err != nil {
-			return nil, err
+		rs = append(rs, rankRange{int32(a), int32(b)})
+	}
+	rs = mergeRankRanges(rs)
+	var n int64
+	for _, r := range rs {
+		n += int64(r.hi) - int64(r.lo) + 1
+	}
+	if n > MaxRanks {
+		return nil, fmt.Errorf("rank list names %d ranks, over %d", n, MaxRanks)
+	}
+	out := make([]int32, 0, n)
+	for _, r := range rs {
+		for v := int64(r.lo); v <= int64(r.hi); v++ {
+			out = append(out, int32(v))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
 

@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -497,5 +501,137 @@ func TestFilterEventsOrder(t *testing.T) {
 	}
 	if j != len(got) {
 		t.Fatalf("filter kept %d events, matcher says %d", len(got), j)
+	}
+}
+
+// hostileRankLists are rank lists whose expansion a parser must not
+// attempt: the same widest range 64 times over (639 bytes), eight disjoint
+// widest ranges (127 bytes), and a megabyte of disjoint 64-rank ranges.
+func hostileRankLists() map[string]string {
+	var eight, mega strings.Builder
+	for i := 0; i < 8; i++ {
+		if i > 0 {
+			eight.WriteByte(',')
+		}
+		fmt.Fprintf(&eight, "%d-%d", i*2_000_000, i*2_000_000+1<<20)
+	}
+	for lo := 0; mega.Len() < 1<<20; lo += 128 {
+		fmt.Fprintf(&mega, "%d-%d,", lo, lo+63)
+	}
+	return map[string]string{
+		"one range 64 times": strings.TrimSuffix(strings.Repeat("0-1048576,", 64), ","),
+		"8 disjoint ranges":  eight.String(),
+		"1 MB of ranges":     mega.String(),
+	}
+}
+
+// TestParseRanksBounded: ParseRanks merges a list's parts as ranges before
+// it expands any, so a list naming more than MaxRanks distinct ranks is
+// refused in time and memory bounded by its length, never by the span it
+// names. Before, the 639-byte list spun for seconds and the 127-byte one
+// allocated half a gigabyte. A list at the limit, and a megabyte of single
+// ranks, still parse.
+func TestParseRanksBounded(t *testing.T) {
+	const ceiling = 16 << 20 // bytes allocated by one call
+	const deadline = 2 * time.Second
+	measure := func(s string) ([]int32, error, uint64, time.Duration) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		t0 := time.Now()
+		rs, err := ParseRanks(s)
+		took := time.Since(t0)
+		runtime.ReadMemStats(&after)
+		return rs, err, after.TotalAlloc - before.TotalAlloc, took
+	}
+	for name, s := range hostileRankLists() {
+		rs, err, alloc, took := measure(s)
+		if err == nil {
+			t.Errorf("%s (%d bytes): accepted %d ranks, want an error", name, len(s), len(rs))
+		}
+		if alloc > ceiling || took > deadline {
+			t.Errorf("%s (%d bytes): %d B allocated in %v, want ≤ %d B in ≤ %v", name, len(s), alloc, took, ceiling, deadline)
+		}
+	}
+	var singles strings.Builder
+	n := 0
+	for ; singles.Len() < 1<<20; n++ {
+		fmt.Fprintf(&singles, "%d,", n)
+	}
+	for _, tc := range []struct {
+		list string
+		want int
+	}{
+		{fmt.Sprintf("0-%d", MaxRanks-1), MaxRanks},
+		{fmt.Sprintf("5-%d,0-4,3", MaxRanks-1), MaxRanks},
+		{singles.String(), n},
+	} {
+		rs, err, alloc, took := measure(tc.list)
+		if err != nil || len(rs) != tc.want || rs[0] != 0 || rs[len(rs)-1] != int32(tc.want-1) {
+			t.Errorf("%.30q…: %d ranks, %v; want 0..%d", tc.list, len(rs), err, tc.want-1)
+		}
+		if alloc > ceiling || took > deadline {
+			t.Errorf("%.30q…: %d B allocated in %v, want ≤ %d B in ≤ %v", tc.list, alloc, took, ceiling, deadline)
+		}
+	}
+	for _, bad := range []string{fmt.Sprintf("0-%d", MaxRanks), fmt.Sprintf("0-%d,%d", MaxRanks-1, MaxRanks+5), "5x", "1--2"} {
+		if _, err := ParseRanks(bad); err == nil {
+			t.Errorf("ParseRanks(%q) accepted", bad)
+		}
+	}
+}
+
+// TestMatcherRankSet: the row test and the block test of a rank filter
+// agree with the filter's list taken as a set, whether the Matcher keeps a
+// bitset (a narrow span) or only its merged ranges (a wide one), and a
+// hostile span costs memory in proportion to the list, not to the span.
+func TestMatcherRankSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		span := int32(1 + rng.Intn(200))
+		if trial%2 == 1 {
+			span = maxRankBits*4 + int32(rng.Intn(1000))
+		}
+		base := int32(rng.Intn(1 << 20))
+		set := map[int32]bool{}
+		var list []int32
+		for i := rng.Intn(40); i >= 0; i-- {
+			r := base + int32(rng.Int63n(int64(span)))
+			list = append(list, r)
+			if rng.Intn(3) == 0 { // runs, so ranges merge
+				list = append(list, r+1, r+2)
+				set[r+1], set[r+2] = true, true
+			}
+			set[r] = true
+		}
+		m := (&Filter{Ranks: list}).NewMatcher()
+		if wide := trial%2 == 1 && m.maxRank-m.minRank >= maxRankBits; wide != (m.rankBits == nil) {
+			t.Fatalf("trial %d: span %d, bitset kept = %v", trial, m.maxRank-m.minRank+1, m.rankBits != nil)
+		}
+		for probe := 0; probe < 500+len(list); probe++ {
+			r := base - 3 + int32(rng.Int63n(int64(span)+6))
+			if probe < len(list) { // at and beside every member, sparse as they are
+				r = list[probe] + int32(rng.Intn(5)) - 2
+			}
+			if got := m.AcceptRank(r); got != set[r] {
+				t.Fatalf("trial %d: AcceptRank(%d) = %v, want %v", trial, r, got, set[r])
+			}
+			hi := r + int32(rng.Intn(50))
+			want := false
+			for q := r; q <= hi; q++ {
+				want = want || set[q]
+			}
+			if skip := m.SkipBlock(BlockInfo{Count: 1, MaxStart: 1, MinRank: r, MaxRank: hi}); skip == want {
+				t.Fatalf("trial %d: SkipBlock(ranks %d..%d) = %v, want %v", trial, r, hi, skip, !want)
+			}
+		}
+	}
+	m := (&Filter{Ranks: []int32{0, math.MaxInt32, 1 << 30}}).NewMatcher()
+	if m.rankBits != nil || len(m.ranks) != 3 || !m.AcceptRank(math.MaxInt32) || m.AcceptRank(1) {
+		t.Errorf("three ranks over the whole int32 span: %d ranges, bitset %v", len(m.ranks), m.rankBits != nil)
+	}
+	if !raceEnabled {
+		if got := testing.AllocsPerRun(100, func() { m.AcceptRank(1 << 30) }); got != 0 {
+			t.Errorf("the ranges' row test allocates %v per row, want 0", got)
+		}
 	}
 }
