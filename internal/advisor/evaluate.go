@@ -37,6 +37,8 @@ func Evaluate(w spec.Workload, sp workloads.Spec, recs []Recommendation) ([]Impa
 	if err != nil {
 		return nil, fmt.Errorf("advisor: baseline run: %w", err)
 	}
+	// Only runtimes are compared, so every run's events die unread.
+	base.Trace.Release()
 	impacts := make([]Impact, 0, len(recs))
 	for _, r := range recs {
 		im := Impact{Recommendation: r, BaselineRuntime: base.Runtime}
@@ -46,6 +48,7 @@ func Evaluate(w spec.Workload, sp workloads.Spec, recs []Recommendation) ([]Impa
 			if err != nil {
 				return nil, fmt.Errorf("advisor: run with %s: %w", r.ID, err)
 			}
+			res.Trace.Release()
 			im.Applied = true
 			im.TunedRuntime = res.Runtime
 		}

@@ -10,9 +10,9 @@
 // log (FromBlocksSpecContext) has one chunk per surviving block, whatever the
 // block's size, decoded whole by the scan worker that read the block; an
 // in-memory trace (FromEvents) transposes into ChunkRows-row chunks. Either
-// way every chunk holds every column. The analyzer fans its
-// passes out over chunks and reduces their partials in chunk order, so
-// parallel analysis is bit-identical to sequential. The row-vs-column
+// way every chunk holds every column, in arrays from trace's column pools.
+// The analyzer fans its passes out over chunks and reduces their partials
+// in chunk order, so parallel analysis is bit-identical to sequential. The row-vs-column
 // ablation benchmark quantifies the paper's claim.
 package colstore
 
@@ -45,28 +45,11 @@ type Chunk struct {
 	Start  []int64 // nanoseconds
 	End    []int64 // nanoseconds
 
-	// pooled marks a chunk a planned scan made: its columns came from a
-	// block decode, in trace's column pools' size classes (or at exact size,
-	// when too short or too long for a class), and go back on
-	// Table.Release.
+	// pooled marks a chunk that adopted its columns (every chunk a table
+	// holds): they came from a block decode or from Columns.Transpose, in
+	// trace's column pools' size classes (or at exact size, when too short
+	// or too long for a class), and go back on Table.Release.
 	pooled bool
-}
-
-func newChunk(rows int) *Chunk {
-	return &Chunk{
-		N:      rows,
-		Level:  make([]uint8, rows),
-		Op:     make([]uint8, rows),
-		Lib:    make([]uint8, rows),
-		Rank:   make([]int32, rows),
-		Node:   make([]int32, rows),
-		App:    make([]int32, rows),
-		File:   make([]int32, rows),
-		Offset: make([]int64, rows),
-		Size:   make([]int64, rows),
-		Start:  make([]int64, rows),
-		End:    make([]int64, rows),
-	}
 }
 
 // Table is a chunked column-major event table. Its chunks need not share a
@@ -88,29 +71,18 @@ func (t *Table) ChunkAt(k int) *Chunk { return t.chunks[k] }
 
 // FromEvents transposes an event slice into column chunks using up to par
 // workers (par <= 0 means GOMAXPROCS). Transposition is positional, so
-// parallelism cannot affect the result.
+// parallelism cannot affect the result. Each chunk adopts the pooled
+// columns trace.Columns.Transpose fills, which Table.Release hands back.
 func FromEvents(evs []trace.Event, par int) *Table {
 	n := len(evs)
 	tb := &Table{n: n}
 	nchunks := (n + ChunkRows - 1) / ChunkRows
 	tb.chunks = make([]*Chunk, nchunks)
 	parallel.ForEach(par, nchunks, func(k int) {
-		rows := evs[k*ChunkRows : min((k+1)*ChunkRows, n)]
-		c := newChunk(len(rows))
-		for j := range rows {
-			ev := &rows[j]
-			c.Level[j] = uint8(ev.Level)
-			c.Op[j] = uint8(ev.Op)
-			c.Lib[j] = uint8(ev.Lib)
-			c.Rank[j] = ev.Rank
-			c.Node[j] = ev.Node
-			c.App[j] = ev.App
-			c.File[j] = ev.File
-			c.Offset[j] = ev.Offset
-			c.Size[j] = ev.Size
-			c.Start[j] = int64(ev.Start)
-			c.End[j] = int64(ev.End)
-		}
+		var cols trace.Columns
+		cols.Transpose(evs[k*ChunkRows : min((k+1)*ChunkRows, n)])
+		c := &Chunk{}
+		c.adopt(&cols, nil)
 		tb.chunks[k] = c
 	})
 	return tb

@@ -129,8 +129,8 @@ func (t *Table) MaterializeContext(ctx context.Context, par int, want trace.ColS
 	return ctx.Err()
 }
 
-// adopt installs decoded block columns into the chunk, cut first to the
-// block rows sel names unless it is nil (every row kept). The chunk then
+// adopt installs decoded or transposed columns into the chunk, cut first
+// to the rows sel names unless it is nil (every row kept). The chunk then
 // owns the columns, pooled or exact, and hands them back on release; a cut
 // keeps their storage in proportion to the kept rows (trace.Columns.Keep).
 func (c *Chunk) adopt(cols *trace.Columns, sel []int32) {
@@ -143,8 +143,8 @@ func (c *Chunk) adopt(cols *trace.Columns, sel []int32) {
 	c.Offset, c.Size, c.Start, c.End = cols.Offset, cols.Size, cols.Start, cols.End
 }
 
-// release hands the block columns the chunk adopted by slice back to the
-// column pools and empties the chunk; see Table.Release.
+// release hands the columns the chunk adopted by slice back to the column
+// pools and empties the chunk; see Table.Release.
 func (c *Chunk) release() {
 	if c.pooled {
 		cols := trace.Columns{
@@ -157,14 +157,13 @@ func (c *Chunk) release() {
 	*c = Chunk{}
 }
 
-// Release ends the table's life: every block column a planned scan's chunks
-// adopted goes back to the column pools for the next scan to decode into,
-// and the table is left empty. Only the table's owner may call it, once no
-// goroutine reads the table and nothing derived from it still aliases a
-// chunk's column slices; the table, its chunks and those slices must not be
-// used afterwards. Never calling it is correct — the columns are ordinary
-// garbage then. Eagerly built tables hold no pooled column; for them Release
-// only empties the table.
+// Release ends the table's life: every column its chunks adopted — from a
+// planned scan's block decode or from FromEvents' transpose — goes back to
+// the column pools for the next table to fill, and the table is left empty.
+// Only the table's owner may call it, once no goroutine reads the table and
+// nothing derived from it still aliases a chunk's column slices; the table,
+// its chunks and those slices must not be used afterwards. Never calling it
+// is correct — the columns are ordinary garbage then.
 func (t *Table) Release() {
 	for _, c := range t.chunks {
 		c.release()

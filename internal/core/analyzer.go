@@ -114,6 +114,9 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opt Options) (*Charact
 	}
 	t0 := time.Now()
 	tb := colstore.FromEvents(evs, opt.Parallelism)
+	// As in AnalyzeBlocksContext: the characterization aliases none of the
+	// table's pooled columns, so they go back when the analysis ends.
+	defer tb.Release()
 	if opt.Stats != nil {
 		opt.Stats.Columnarize = time.Since(t0)
 	}

@@ -164,6 +164,11 @@ func (sw *Sweep) RunContext(ctx context.Context, opt Options) (*Report, error) {
 			}
 			pl.feed(tasks)
 		}
+		if err == nil {
+			// Characterized, and point 0's planned for replay (the plan
+			// copies what it needs): the trace's events die here.
+			res.Trace.Release()
+		}
 		outs[i].err = err
 		if opt.OnPoint != nil {
 			mu.Lock()

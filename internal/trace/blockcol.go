@@ -52,7 +52,7 @@ func blockStats(evs []Event) BlockInfo {
 // segment carries its codec id byte and the body the cost model (or the
 // forced codec, when force >= 0) chose. The footer entry records the
 // per-segment byte ranges and codec ids.
-func encodeBlockFrame(evs []Event, compress bool, force int) ([]byte, BlockInfo) {
+func encodeBlockFrame(evs []Event, compress bool, force int) (*[]byte, BlockInfo) {
 	bi := blockStats(evs)
 	sc := segScratchPool.Get().(*segScratch)
 	pp := getPayloadBuf(16 + minEventBytes*2*len(evs))
@@ -91,11 +91,14 @@ func encodeBlockFrame(evs []Event, compress bool, force int) ([]byte, BlockInfo)
 
 // smallerFlateFrame is the one rule that picks a flate block's frame: the
 // all-raw payload's frame replaces frame, the deflated auto-mode payload,
-// only when it compresses strictly smaller.
-func smallerFlateFrame(frame []byte, bi BlockInfo, raw []byte, rawBi BlockInfo) ([]byte, BlockInfo) {
-	if rawFrame := wrapFrame(raw, true); len(rawFrame) < len(frame) {
-		return rawFrame, rawBi
+// only when it compresses strictly smaller. The other frame goes back to
+// frameList.
+func smallerFlateFrame(frame *[]byte, bi BlockInfo, raw []byte, rawBi BlockInfo) (*[]byte, BlockInfo) {
+	rawFrame := wrapFrame(raw, true)
+	if len(*rawFrame) < len(*frame) {
+		frame, rawFrame, bi = rawFrame, frame, rawBi
 	}
+	frameList.Put(rawFrame)
 	return frame, bi
 }
 
@@ -108,11 +111,13 @@ func smallerFlateFrame(frame []byte, bi BlockInfo, raw []byte, rawBi BlockInfo) 
 // default writer made is stored in auto mode, so the result is byte for
 // byte WriteV2With(ReadTrace(Filter{}), V2Options{Compress: true}) of it.
 // A block that does not decode fails the rewrite with its error
-// (ErrBadFormat for corrupt input) before anything is written. Returns the
-// bytes written.
+// (ErrBadFormat for corrupt input) before anything is written; the frames
+// the other blocks made are then left to the collector, not handed back to
+// frameList as writeLog hands back what it writes. Returns the bytes
+// written.
 func (br *BlockReader) WriteCompressed(out io.Writer) (int64, error) {
 	n := len(br.blocks)
-	frames := make([][]byte, n)
+	frames := make([]*[]byte, n)
 	infos := make([]BlockInfo, n)
 	errs := make([]error, n)
 	parallel.ForEach(0, n, func(k int) {
@@ -128,7 +133,7 @@ func (br *BlockReader) WriteCompressed(out io.Writer) (int64, error) {
 
 // rewriteBlockFrame is WriteCompressed's work on block k: its stored
 // payload and the all-raw one, each deflated, the smaller kept.
-func (br *BlockReader) rewriteBlockFrame(k int) ([]byte, BlockInfo, error) {
+func (br *BlockReader) rewriteBlockFrame(k int) (*[]byte, BlockInfo, error) {
 	bd, err := br.ReadBlock(k)
 	if err != nil {
 		return nil, BlockInfo{}, err

@@ -237,7 +237,7 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 	// Fan block encoding out over the worker pool; frames land in their
 	// block's slot and are written strictly in block order.
 	force := opt.Codec.forceSeg()
-	frames := make([][]byte, nBlocks)
+	frames := make([]*[]byte, nBlocks)
 	infos := make([]BlockInfo, nBlocks)
 	parallel.ForEach(opt.Parallelism, nBlocks, func(k int) {
 		lo := k * be
@@ -253,19 +253,20 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 
 // writeLog writes a whole log around its encoded block frames: magic,
 // header, geometry, the frames in block order, then the footer index and
-// trailer. It fills in each info's Offset and Len and returns the bytes
-// written.
-func writeLog(out io.Writer, hdr *Trace, be int, nEvents uint64, frames [][]byte, infos []BlockInfo) (int64, error) {
+// trailer. Each frame goes back to frameList once it is written. It fills
+// in each info's Offset and Len and returns the bytes written.
+func writeLog(out io.Writer, hdr *Trace, be int, nEvents uint64, frames []*[]byte, infos []BlockInfo) (int64, error) {
 	w := &writer{w: bufio.NewWriterSize(out, 1<<16)}
 	w.raw([]byte(magicV2))
 	writeHeader(w, hdr)
 	w.uvarint(uint64(be))
 	w.uvarint(nEvents)
 	w.uvarint(uint64(len(frames)))
-	for k := range frames {
+	for k, f := range frames {
 		infos[k].Offset = w.n
-		infos[k].Len = int64(len(frames[k]))
-		w.raw(frames[k])
+		infos[k].Len = int64(len(*f))
+		w.raw(*f)
+		frameList.Put(f)
 	}
 
 	footStart := w.n
@@ -299,7 +300,9 @@ func writeLog(out io.Writer, hdr *Trace, be int, nEvents uint64, frames [][]byte
 // Encoder and decoder scratch pools. wrapFrame always copies the payload
 // into the returned frame (raw frames append it, flate frames compress it),
 // so encoder payload buffers recycle; flate writers, their output buffers,
-// and flate readers reset cleanly and recycle too. On the decode side a
+// and flate readers reset cleanly and recycle too. The frames themselves
+// live until writeLog has written them, then go back to frameList for
+// wrapFrame to fill again. On the decode side a
 // block's payload lives in a pooled buffer — the frame buffer itself for a
 // raw frame, an inflate buffer for a flate one, whose frame buffer goes
 // straight back. A planned scan and a whole-log read hand each one back once
@@ -348,14 +351,35 @@ func getPayloadBuf(capHint int) *[]byte {
 
 func putPayloadBuf(p *[]byte) { payloadBufPool.Put(p) }
 
+// frameList recycles encoded block frames. It is a parallel.FreeList, not a
+// sync.Pool: the encoders fill frames on worker goroutines and writeLog
+// hands them back on its caller's.
+var frameList parallel.FreeList[[]byte]
+
+// getFrame takes a frame buffer from frameList, emptied, with room for n
+// bytes.
+func getFrame(n int) *[]byte {
+	f := frameList.Get()
+	if f == nil {
+		f = new([]byte)
+	}
+	if cap(*f) < n {
+		*f = make([]byte, 0, n)
+	}
+	*f = (*f)[:0]
+	return f
+}
+
 // wrapFrame frames a block payload: codec byte, length claims, and the raw
-// or flate-compressed bytes. The payload is copied, never retained.
-func wrapFrame(payload []byte, compress bool) []byte {
+// or flate-compressed bytes, in a buffer from frameList that the caller
+// hands back (writeLog does). The payload is copied, never retained.
+func wrapFrame(payload []byte, compress bool) *[]byte {
 	if !compress {
-		frame := make([]byte, 0, len(payload)+binary.MaxVarintLen64+1)
-		frame = append(frame, frameRaw)
-		frame = binary.AppendUvarint(frame, uint64(len(payload)))
-		return append(frame, payload...)
+		f := getFrame(len(payload) + binary.MaxVarintLen64 + 1)
+		*f = append(*f, frameRaw)
+		*f = binary.AppendUvarint(*f, uint64(len(payload)))
+		*f = append(*f, payload...)
+		return f
 	}
 	comp := compBufPool.Get().(*bytes.Buffer)
 	comp.Reset()
@@ -363,14 +387,14 @@ func wrapFrame(payload []byte, compress bool) []byte {
 	fw.Reset(comp)
 	fw.Write(payload)
 	fw.Close()
-	frame := make([]byte, 0, comp.Len()+2*binary.MaxVarintLen64+1)
-	frame = append(frame, frameFlate)
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	frame = binary.AppendUvarint(frame, uint64(comp.Len()))
-	frame = append(frame, comp.Bytes()...)
+	f := getFrame(comp.Len() + 2*binary.MaxVarintLen64 + 1)
+	*f = append(*f, frameFlate)
+	*f = binary.AppendUvarint(*f, uint64(len(payload)))
+	*f = binary.AppendUvarint(*f, uint64(comp.Len()))
+	*f = append(*f, comp.Bytes()...)
 	flateWriterPool.Put(fw)
 	compBufPool.Put(comp)
-	return frame
+	return f
 }
 
 // byteCursor decodes varints from an in-memory payload: a contiguous slice,
@@ -497,6 +521,25 @@ func (cols *Columns) growSet(n int, set ColSet) {
 	}
 	if set&ColEnd != 0 {
 		cols.End = growCol(&i64ColPools, cols.End, n)
+	}
+}
+
+// Transpose fills every column of cols with evs' fields, row for row, at
+// len(evs) rows in arrays from the block-column pools (growSet): how an
+// in-memory trace becomes a table's chunks (colstore.FromEvents). The
+// caller owns what it filled as it would a Decode's and hands it back with
+// Recycle.
+func (cols *Columns) Transpose(evs []Event) {
+	n := len(evs)
+	cols.growSet(n, AllCols)
+	level, op, lib := cols.Level[:n], cols.Op[:n], cols.Lib[:n]
+	rank, node, app, file := cols.Rank[:n], cols.Node[:n], cols.App[:n], cols.File[:n]
+	offset, size, start, end := cols.Offset[:n], cols.Size[:n], cols.Start[:n], cols.End[:n]
+	for i := range evs {
+		ev := &evs[i]
+		level[i], op[i], lib[i] = uint8(ev.Level), uint8(ev.Op), uint8(ev.Lib)
+		rank[i], node[i], app[i], file[i] = ev.Rank, ev.Node, ev.App, ev.File
+		offset[i], size[i], start[i], end[i] = ev.Offset, ev.Size, int64(ev.Start), int64(ev.End)
 	}
 }
 

@@ -86,9 +86,10 @@ var colsInUse atomic.Int64
 func ColumnsInUse() int64 { return colsInUse.Load() }
 
 // poisonRecycled makes recycleCol overwrite every slice it takes back,
-// BlockData.Release every payload buffer, and a Tracer every log chunk it
-// hands back at Finish; tests set it to prove no reader depends on what a
-// recycled slice, payload or chunk holds.
+// BlockData.Release every payload buffer, a Tracer every log chunk it
+// hands back at Finish and Trace.Release every event array; tests set it to
+// prove no reader depends on what a recycled slice, payload, chunk or array
+// holds.
 var poisonRecycled atomic.Bool
 
 // growCol resizes s to n rows: in place when its capacity allows, else into

@@ -39,6 +39,44 @@ var poisonEvent = Event{
 	Start: 0x5a5a5a5a5a5a5a5a, End: 0x5a5a5a5a5a5a5a5a,
 }
 
+// eventArrays holds the event arrays Trace.Release hands back, for Finish
+// to sort the next log into. Like the chunks they are not zeroed: the sort
+// writes every key and every event of its target before it reads one.
+var eventArrays parallel.FreeList[[]Event]
+
+// sortTarget returns n events of memory for Finish to sort into: the array
+// handed back last when it holds n events, else a fresh one. An array too
+// small is left to the collector, so the list keeps the larger ones; an
+// empty log takes none.
+func sortTarget(n int) []Event {
+	if n == 0 {
+		return []Event{}
+	}
+	if p := eventArrays.Get(); p != nil && cap(*p) >= n {
+		return (*p)[:n]
+	}
+	return make([]Event, n)
+}
+
+// Release ends the life of the trace's events: their array goes back for a
+// later Tracer.Finish to sort into, and Events is left nil. Only the
+// trace's owner may call it, once nothing reads Events or aliases its
+// array; the rest of the trace stays valid. Never calling it is correct —
+// the array is ordinary garbage then.
+func (t *Trace) Release() {
+	if cap(t.Events) == 0 {
+		return
+	}
+	evs := t.Events[:cap(t.Events)]
+	t.Events = nil
+	if poisonRecycled.Load() {
+		for i := range evs {
+			evs[i] = poisonEvent
+		}
+	}
+	eventArrays.Put(&evs)
+}
+
 // eventLog holds events in record order. Every chunk but the last is full;
 // tail is the last chunk cut to the events written on it.
 type eventLog struct {
@@ -147,8 +185,9 @@ type sortShard struct {
 	hist       [rankDigits + startDigits][digitVals]uint32
 }
 
-// sorted returns the log as a stable sort by (Start, Rank, End) in a fresh
-// slice, on the given number of workers. It is an LSD radix sort: a
+// sorted returns the log as a stable sort by (Start, Rank, End) in out,
+// which must hold exactly the log's events and may hold anything, on the
+// given number of workers. It is an LSD radix sort: a
 // counting pass per rank digit, then per start digit, each stable,
 // skipping any digit every key shares. Equal (Start, Rank) keys then sit
 // together in record order, and an insertion sort by End inside each such
@@ -162,16 +201,15 @@ type sortShard struct {
 // each pass before it scatters — unless it is the only worker. The End
 // fix-up runs on the caller.
 //
-// The sort allocates nothing but its result and the workers' histograms.
-// The two key buffers are the first and second n keys of the result's
-// memory, and the keys end up in the first. A gather from the top down
-// then replaces them with the events: event i's memory starts at key
+// The sort allocates nothing but the workers' histograms. The two key
+// buffers are the first and second n keys of out's memory, and the keys
+// end up in the first. A gather from the top down then replaces them with
+// the events: event i's memory starts at key
 // i*eventSize/keySize, so writing it overwrites only keys that are already
 // read, and the events [lo, hi) whose memory lies wholly above key hi can
 // be gathered by all workers at once.
-func (l *eventLog) sorted(workers int) []Event {
+func (l *eventLog) sorted(workers int, out []Event) []Event {
 	n := l.len()
-	out := make([]Event, n)
 	if n == 0 {
 		return out
 	}

@@ -75,8 +75,20 @@ func finishesToOracle(t testing.TB, tr *Tracer, evs []Event, what string) {
 // not.
 var sortWorkerCounts = []int{1, 2, 3}
 
+// poisonedEvents returns n events of a recycled-looking array: spare more
+// slots past them, and every slot holding poisonEvent.
+func poisonedEvents(n, spare int) []Event {
+	evs := make([]Event, n+spare)
+	for i := range evs {
+		evs[i] = poisonEvent
+	}
+	return evs[:n]
+}
+
 // sortsToOracle records evs into a log and fails unless sorting it on each
-// of sortWorkerCounts workers returns exactly sortByStart's order.
+// of sortWorkerCounts workers returns exactly sortByStart's order. Each sort
+// goes into a target as Finish may draw it from eventArrays: larger than
+// the log and full of poison.
 func sortsToOracle(t testing.TB, evs []Event, what string) {
 	t.Helper()
 	want := slices.Clone(evs)
@@ -86,7 +98,7 @@ func sortsToOracle(t testing.TB, evs []Event, what string) {
 		for _, ev := range evs {
 			l.append(ev)
 		}
-		got := l.sorted(w)
+		got := l.sorted(w, poisonedEvents(len(evs), len(evs)/2+1))
 		l.release()
 		if len(got) != len(want) {
 			t.Fatalf("%s, %d workers: sorted %d events, want %d", what, w, len(got), len(want))
@@ -327,15 +339,18 @@ func TestFinishSortShapes(t *testing.T) {
 // FuzzFinishOrder: whatever the record sequence, Finish equals sortByStart
 // over it. Each event takes eight bytes: rank, a Start scaled by a
 // fuzzer-chosen shift (so the start span reaches every digit count), a
-// duration and a level.
+// duration and a level. A spare above zero has the second Finish sort into
+// a released array that many events larger than the log, full of poison.
 func FuzzFinishOrder(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(bytes.Repeat([]byte{0, 0, 0, 1, 0, 0, 0, 3}, 40))
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(0))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 1, 0, 0, 0, 3}, 40), uint16(0))
 	seed := make([]byte, 8*(chunkEvents+1))
 	rand.New(rand.NewSource(1)).Read(seed)
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(seed, uint16(0))
+	f.Add(seed, uint16(3*chunkEvents))
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 1, 0, 0, 0, 3}, 40), uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, spare uint16) {
 		var evs []Event
 		for ; len(data) >= 8 && len(evs) < 4*chunkEvents; data = data[8:] {
 			shift := uint(data[0] % 48)
@@ -350,9 +365,72 @@ func FuzzFinishOrder(f *testing.F) {
 		}
 		tr := NewTracer()
 		finishesToOracle(t, tr, evs, "fuzzed log")
+		if spare > 0 {
+			poisonRecycled.Store(true)
+			(&Trace{Events: make([]Event, len(evs)+int(spare))}).Release()
+			poisonRecycled.Store(false)
+		}
 		finishesToOracle(t, tr, evs, "fuzzed log, recycled")
 		sortsToOracle(t, evs, "fuzzed log")
 	})
+}
+
+// TestTraceReleasePoisoned: a Finish after a Release sorts into the
+// released array — poisoned on its way back — when it holds the log, and
+// returns exactly the recorded events either way; a smaller array is not
+// used.
+func TestTraceReleasePoisoned(t *testing.T) {
+	poisonRecycled.Store(true)
+	defer poisonRecycled.Store(false)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC ages the list
+	streams := perRankStreams(8, 400, 11)
+	var evs []Event
+	for r := int32(0); r < 8; r++ {
+		evs = append(evs, streams[r]...)
+	}
+	tr := NewTracer()
+	for _, n := range []int{len(evs), len(evs) / 3, 1, 0} {
+		first := NewTracer()
+		for _, ev := range evs {
+			first.Record(ev)
+		}
+		released := first.Finish()
+		arr := &released.Events[0]
+		released.Release()
+		if released.Events != nil {
+			t.Fatalf("Events = %d events after Release, want nil", len(released.Events))
+		}
+		if *arr != poisonEvent {
+			t.Fatalf("the released array holds %+v, want poison", *arr)
+		}
+		finishesToOracle(t, tr, evs[:n], fmt.Sprintf("%d of %d events after a Release", n, len(evs)))
+	}
+	// Whatever else the list holds, the last Release is on top: a Finish
+	// sorts into it only when it holds the log.
+	small := &Trace{Events: poisonedEvents(10, 0)}
+	small.Release()
+	big := NewTracer()
+	for _, ev := range evs {
+		big.Record(ev)
+	}
+	got := big.Finish()
+	if cap(got.Events) == 10 {
+		t.Fatal("Finish sorted a log into a released array too small for it")
+	}
+	arr := &got.Events[0]
+	got.Release()
+	for _, ev := range evs[:100] {
+		big.Record(ev)
+	}
+	again := big.Finish()
+	if &again.Events[0] != arr {
+		t.Fatal("Finish did not sort into the array the last Release handed back")
+	}
+	want := slices.Clone(evs[:100])
+	sortByStart(want)
+	if !slices.Equal(again.Events, want) {
+		t.Fatal("a Finish into a released, poisoned array diverges from sortByStart")
+	}
 }
 
 // TestFinishDrainsTheLog: Finish empties the event log. A later Record +

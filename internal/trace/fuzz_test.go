@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -298,10 +299,67 @@ func blockReaderSeeds(f *testing.F) [][]byte {
 		}
 		add(buf.Bytes())
 	}
+	// The densest log the writer makes: identical events, every segment
+	// constant or a constant delta, tens of rows per byte (denseLog).
+	for _, opt := range []V2Options{{}, {Compress: true}} {
+		var buf bytes.Buffer
+		if err := WriteV2With(&buf, denseLog(), opt); err != nil {
+			f.Fatal(err)
+		}
+		add(buf.Bytes())
+	}
 	add([]byte(magicV2))
 	add([]byte("garbage"))
 
 	return seeds
+}
+
+// denseLog is 40,000 identical writes, one nanosecond apart: written with
+// default options it is a few hundred bytes, the most rows per input byte
+// the seed corpus holds.
+func denseLog() *Trace {
+	tr := NewTracer()
+	tr.SetMeta(Meta{Workload: "dense", Nodes: 1, Ranks: 1, PFSDir: "/p"})
+	id := tr.FileID("/p/f")
+	for i := 0; i < 40000; i++ {
+		tr.Record(Event{Op: OpWrite, File: id, Size: 4096, Start: time.Duration(i), End: time.Duration(i + 1)})
+	}
+	return tr.Finish()
+}
+
+// The trace fuzzers' allocation ceiling, fuzzAllocBase + fuzzAllocPerByte
+// per input byte. The base pays for what one call draws from cold pools (a
+// flate writer alone is about 1 MB). The per-byte term pays for rows: a
+// block's row count costs it only a few payload bytes once its segments are
+// constant, so denseLog's 310 bytes decode to 40,000 rows, and the targets
+// allocated 17–30 kB per byte on it (0.3–10 kB on every other seed, 56–85 B on
+// a 40,000-event log of varied rows). A footer naming 2^20-row blocks can
+// still claim more rows per byte than that: bounding decoded rows by the
+// file's size is a scan budget's work, which this ceiling does not do.
+const (
+	fuzzAllocBase    = 16 << 20
+	fuzzAllocPerByte = 64 << 10
+)
+
+// allocCeiling measures the allocation between its call and the call of the
+// func it returns, which fails t when an n-byte input allocated more than
+// the fuzzers' ceiling, as TestBlockReaderOpenAllocBudget bounds an open by
+// its header's bytes. Under the race detector, whose instrumentation skews
+// the accounting, it checks nothing.
+func allocCeiling(t *testing.T, n int) func() {
+	if raceEnabled {
+		return func() {}
+	}
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	return func() {
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if limit := fuzzAllocBase + fuzzAllocPerByte*uint64(n); got > limit {
+			t.Fatalf("a %d-byte input allocated %d B, ceiling %d B", n, got, limit)
+		}
+	}
 }
 
 // FuzzBlockReader hardens the seekable path: corrupt blocks,
@@ -314,6 +372,7 @@ func FuzzBlockReader(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer allocCeiling(t, len(data))()
 		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			if !errors.Is(err, ErrBadFormat) {
@@ -377,6 +436,7 @@ func FuzzCompactRepack(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer allocCeiling(t, len(data))()
 		br, err := NewBlockReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return

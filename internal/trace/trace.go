@@ -336,13 +336,15 @@ func (t *Tracer) MergeTime() time.Duration { return t.mergeTime }
 // Finish returns the completed Trace: the log as a stable sort by (Start,
 // Rank, End), so events equal on all three keep their record order. The
 // order depends only on each rank's record sequence, not on how ranks
-// interleaved during the run: (Start, Rank) decides between ranks. Finish
-// then hands the log's chunks back to the pool and empties it: Len is 0
-// afterwards and a later Finish returns only events recorded after this
-// one. The returned Trace is a snapshot; nothing the tracer does later
-// reaches it.
+// interleaved during the run: (Start, Rank) decides between ranks. The
+// events are sorted into an array a Trace.Release handed back when one
+// holds them (eventArrays), else into a fresh one. Finish then hands the
+// log's chunks back to the pool and empties it: Len is 0 afterwards and a
+// later Finish returns only events recorded after this one. The returned
+// Trace is a snapshot; nothing the tracer does later reaches it.
 func (t *Tracer) Finish() *Trace {
 	begin := time.Now()
+	n := t.log.len()
 	m := t.meta
 	m.TraceOverhead = t.totalOverhead
 	tr := &Trace{
@@ -350,7 +352,7 @@ func (t *Tracer) Finish() *Trace {
 		Apps:    append([]string(nil), t.apps...),
 		Files:   append([]FileInfo(nil), t.files...),
 		Samples: append([]DatasetSample(nil), t.samples...),
-		Events:  t.log.sorted(sortWorkers(t.log.len())),
+		Events:  t.log.sorted(sortWorkers(n), sortTarget(n)),
 	}
 	t.log.release()
 	t.mergeTime = time.Since(begin)

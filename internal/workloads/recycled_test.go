@@ -21,7 +21,8 @@ var tracePoison atomic.Bool
 
 // TestTracesSurviveRecycledPages: the seven workloads run twice each, four
 // at a time, so tracers record into log chunks other tracers just handed
-// back — poisoned on the way in. Every trace must still encode to its golden hash:
+// back, and sort into event arrays released traces just handed back — both
+// poisoned on the way in. Every trace must still encode to its golden hash:
 // no slot a tracer did not write reaches a Trace.
 func TestTracesSurviveRecycledPages(t *testing.T) {
 	tracePoison.Store(true)
@@ -51,6 +52,7 @@ func TestTracesSurviveRecycledPages(t *testing.T) {
 				if got := hex.EncodeToString(h.Sum(nil)); got != traceGolden[w.Name()] {
 					t.Errorf("%s over recycled pages: trace sha256 %s, want %s", w.Name(), got, traceGolden[w.Name()])
 				}
+				res.Trace.Release()
 			}
 		}()
 	}

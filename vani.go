@@ -323,6 +323,7 @@ func Optimize(w Workload, spec Spec) (*CaseStudy, error) {
 		return nil, fmt.Errorf("baseline run: %w", err)
 	}
 	c := Characterize(base)
+	base.Trace.Release()
 	recs := Advise(c)
 	tuned := spec
 	applied := ApplyRecommendations(recs, &tuned)
@@ -331,6 +332,7 @@ func Optimize(w Workload, spec Spec) (*CaseStudy, error) {
 		return nil, fmt.Errorf("optimized run: %w", err)
 	}
 	co := Characterize(opt)
+	opt.Trace.Release()
 	return &CaseStudy{
 		Workload:         w.Name(),
 		Nodes:            spec.Nodes,
