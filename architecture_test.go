@@ -174,8 +174,9 @@ var archRules = []archRule{
 		},
 	},
 	{
-		// Compaction rewrites a member's block frames (WriteCompressed); it
-		// never decodes the member to events and encodes them again.
+		// Compaction rewrites a member block by block through its decoded
+		// columns (WriteCompressed); it never decodes the member to events
+		// and encodes them again.
 		name: "Compaction rewrites frames",
 		why:  "internal/repo packs members through BlockReader.WriteCompressed only",
 		check: grep(func(p string) bool {
@@ -184,6 +185,37 @@ var archRules = []archRule{
 		fixtures: []*tree{
 			fx("internal/repo/compact.go", "package repo\n\nfunc f(br *trace.BlockReader) { br.ReadTrace(trace.Filter{}) }\n"),
 			fx("internal/repo/compact.go", "package repo\n\nfunc f(w io.Writer, t *trace.Trace) { trace.WriteV2With(w, t, trace.V2Options{}) }\n"),
+		},
+	},
+	{
+		// A block is encoded from trace.Columns only, and framed only by
+		// encodeBlockFrame: the writer transposes each block into pooled
+		// columns, the compactor decodes or gathers each re-cut block into
+		// them, and a colstore chunk is those columns.
+		name: "One block encoder",
+		why:  "internal/trace frames blocks in encodeBlockFrame alone, from *Columns; colstore.Chunk embeds trace.Columns",
+		check: all(
+			declared(under("internal/trace"), func(d decl) bool {
+				switch d.name {
+				case "blockStats", "appendRawPayload", "appendRawValues":
+					return true
+				case "appendColumnSeg", "storedVals", "appendPayload", "encodeBlockFrame":
+					return takesEvents(d)
+				}
+				return calls(d, "wrapFrame")
+			}),
+			declared(under("internal/colstore"), func(d decl) bool {
+				return d.name == "Chunk" && hasField(d, func(f *ast.Field) bool {
+					return slices.ContainsFunc(f.Names, func(n *ast.Ident) bool { return columnFields[n.Name] })
+				})
+			}),
+		),
+		fixtures: []*tree{
+			fx("internal/trace/segcodec.go", "package trace\n\nfunc appendColumnSeg(dst []byte, col int, evs []Event, force int) []byte { return dst }\n"),
+			fx("internal/trace/segcodec.go", "package trace\n\nfunc (sc *segScratch) storedVals(col int, evs []Event) []int64 { return nil }\n"),
+			fx("internal/trace/blockcol.go", "package trace\n\nfunc appendRawPayload(dst []byte, cols *Columns) []byte { return dst }\n"),
+			fx("internal/trace/blockcol.go", "package trace\n\nfunc (br *BlockReader) repackBlock(bd *BlockData) *[]byte { return wrapFrame(bd.payload, true) }\n"),
+			fx("internal/colstore/colstore.go", "package colstore\n\ntype Chunk struct {\n\ttrace.Columns\n\tLevel []uint8\n}\n"),
 		},
 	},
 	{
@@ -440,9 +472,10 @@ func tracked(re string) func(*tree) []string {
 // decl is one top-level name a Go file declares.
 type decl struct {
 	path, name string
-	kind       string   // "func", "type", "var" or "const"
-	recv       string   // a method's receiver type, e.g. "*Engine"
-	typ        ast.Expr // a type's definition
+	kind       string         // "func", "type", "var" or "const"
+	recv       string         // a method's receiver type, e.g. "*Engine"
+	typ        ast.Expr       // a type's definition, or a func's *ast.FuncType
+	body       *ast.BlockStmt // a func's body
 	pos        token.Pos
 }
 
@@ -461,7 +494,7 @@ func (tr *tree) decls(scope func(string) bool) (ds []decl, errs []string) {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				fd := decl{path: p, name: d.Name.Name, kind: "func", pos: d.Pos()}
+				fd := decl{path: p, name: d.Name.Name, kind: "func", typ: d.Type, body: d.Body, pos: d.Pos()}
 				if d.Recv != nil && len(d.Recv.List) > 0 {
 					fd.recv = recvType(d.Recv.List[0].Type)
 				}
@@ -502,6 +535,40 @@ func recvType(e ast.Expr) string {
 func hasField(d decl, field func(*ast.Field) bool) bool {
 	st, ok := d.typ.(*ast.StructType)
 	return ok && d.kind == "type" && slices.ContainsFunc(st.Fields.List, field)
+}
+
+// takesEvents reports whether d is a function with an []Event parameter.
+func takesEvents(d decl) bool {
+	ft, ok := d.typ.(*ast.FuncType)
+	return ok && slices.ContainsFunc(ft.Params.List, func(f *ast.Field) bool {
+		at, ok := f.Type.(*ast.ArrayType)
+		if !ok {
+			return false
+		}
+		id, ok := at.Elt.(*ast.Ident)
+		return ok && id.Name == "Event"
+	})
+}
+
+// calls reports whether d is a function whose body calls name.
+func calls(d decl, name string) bool {
+	found := false
+	if d.body != nil {
+		ast.Inspect(d.body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				id, ok := c.Fun.(*ast.Ident)
+				found = found || ok && id.Name == name
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// columnFields names trace.Columns' fields.
+var columnFields = map[string]bool{
+	"N": true, "Level": true, "Op": true, "Lib": true, "Rank": true, "Node": true,
+	"App": true, "File": true, "Offset": true, "Size": true, "Start": true, "End": true,
 }
 
 // holdsMap reports whether a field's type is or contains a map.

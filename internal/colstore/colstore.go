@@ -29,27 +29,12 @@ import (
 const ChunkRows = 1 << 14
 
 // Chunk is one block of rows with contiguous per-column storage: every
-// column at length N.
+// column at length N, in arrays from trace's column pools' size classes (or
+// at exact size, when too short or too long for a class) that go back on
+// Table.Release. The columns came from a block decode or from
+// Columns.Transpose.
 type Chunk struct {
-	N int
-
-	Level  []uint8
-	Op     []uint8
-	Lib    []uint8
-	Rank   []int32
-	Node   []int32
-	App    []int32
-	File   []int32
-	Offset []int64
-	Size   []int64
-	Start  []int64 // nanoseconds
-	End    []int64 // nanoseconds
-
-	// pooled marks a chunk that adopted its columns (every chunk a table
-	// holds): they came from a block decode or from Columns.Transpose, in
-	// trace's column pools' size classes (or at exact size, when too short
-	// or too long for a class), and go back on Table.Release.
-	pooled bool
+	trace.Columns
 }
 
 // Table is a chunked column-major event table. Its chunks need not share a

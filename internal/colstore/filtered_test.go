@@ -39,19 +39,19 @@ func TestMultiDimFilteredRowIdentity(t *testing.T) {
 			Ranks:  []int32{0, 1, 2, 3, 4, 5, 6, 7},
 			Levels: []trace.Level{trace.LevelPosix, trace.LevelApp},
 		}
+		base := trace.ColumnsInUse()
 		tb, stats := scan(t, f)
 		if kept, total := stats.RowsKept.Load(), stats.RowsTotal.Load(); kept != total {
 			t.Fatalf("kept %d of %d rows, want all", kept, total)
 		}
-		tb.ForEachChunk(func(c *Chunk) {
-			if !c.pooled {
-				t.Fatal("a whole-pass block was kept through a selection")
-			}
-		})
 		if card, err := unifyOne(tb, 2, ColRank, 8); err != nil || card != 8 {
 			t.Fatalf("UnifyCodes = (%d, %v), want (8, nil)", card, err)
 		}
 		assertRowIdentity(t, tb, f)
+		tb.Release()
+		if inUse := trace.ColumnsInUse(); inUse != base {
+			t.Fatalf("%d pooled columns never came back", inUse-base)
+		}
 	})
 }
 

@@ -137,25 +137,12 @@ func (c *Chunk) adopt(cols *trace.Columns, sel []int32) {
 	if sel != nil {
 		cols.Keep(sel)
 	}
-	c.N, c.pooled = cols.N, true
-	c.Level, c.Op, c.Lib = cols.Level, cols.Op, cols.Lib
-	c.Rank, c.Node, c.App, c.File = cols.Rank, cols.Node, cols.App, cols.File
-	c.Offset, c.Size, c.Start, c.End = cols.Offset, cols.Size, cols.Start, cols.End
+	c.Columns = *cols
 }
 
-// release hands the columns the chunk adopted by slice back to the column
-// pools and empties the chunk; see Table.Release.
-func (c *Chunk) release() {
-	if c.pooled {
-		cols := trace.Columns{
-			Level: c.Level, Op: c.Op, Lib: c.Lib,
-			Rank: c.Rank, Node: c.Node, App: c.App, File: c.File,
-			Offset: c.Offset, Size: c.Size, Start: c.Start, End: c.End,
-		}
-		cols.Recycle(trace.AllCols)
-	}
-	*c = Chunk{}
-}
+// release hands the chunk's columns back to the column pools; see
+// Table.Release.
+func (c *Chunk) release() { c.Recycle(trace.AllCols) }
 
 // Release ends the table's life: every column its chunks adopted — from a
 // planned scan's block decode or from FromEvents' transpose — goes back to

@@ -183,7 +183,7 @@ func checkFilterCase(t *testing.T, tc filterCase) (seen [numSegKinds]int) {
 					got.ForEachChunk(func(c *Chunk) {
 						n := br.BlockAt(k).Count
 						k++
-						if c.N != n || !c.pooled {
+						if c.N != n {
 							t.Fatalf("%s %+v filter %d: a whole-pass block was kept through a selection", tc.name, opt, fi)
 						}
 					})

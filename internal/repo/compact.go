@@ -21,13 +21,14 @@ var packMagic = []byte("VANIPACK")
 
 // CompactNow merges every shard holding at least CompactMinFiles loose
 // traces into one consolidated pack per shard. Each member is rewritten
-// frame by frame into flate-wrapped VANITRC2 v2.2
-// (trace.BlockReader.WriteCompressed): its header, block geometry and
-// segment codecs are kept, and each block keeps whichever of its stored
-// payload and its all-raw payload deflates smaller. Returns the number of
-// traces packed. The pack file reaches disk and is fsynced before the
-// manifest records it; loose originals are removed only after the record
-// — or, when scans still pin them, at the last release.
+// into flate-wrapped VANITRC2 v2.2 at the default block geometry
+// (trace.BlockReader.WriteCompressed), byte for byte what the writer's
+// flate mode makes of its events when the cost model wrote it. Returns the
+// number of traces packed. A shard whose pack fails stays loose, the other
+// shards are packed all the same, and the shards' errors come back joined.
+// The pack file reaches disk and is fsynced before the manifest records
+// it; loose originals are removed only after the record — or, when scans
+// still pin them, at the last release.
 func (r *Repo) CompactNow() (int, error) {
 	if r.opt.ReadOnly {
 		return 0, ErrReadOnly
@@ -56,14 +57,15 @@ func (r *Repo) CompactNow() (int, error) {
 	r.mu.Unlock()
 
 	packed := 0
+	var errs []error
 	for _, g := range groups {
 		n, err := r.packShard(g.members)
 		if err != nil {
-			return packed, err
+			errs = append(errs, err)
 		}
 		packed += n
 	}
-	return packed, nil
+	return packed, errors.Join(errs...)
 }
 
 // packShard builds one pack from the sha-sorted loose members of a shard.

@@ -3,6 +3,7 @@ package repo
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -66,9 +67,10 @@ func storedBytes(t *testing.T, r *Repo, sha string) []byte {
 // workload is one shard.
 func fixedClock() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
 
-// TestCompactPackMatchesParent: a member the default writer made, raw or
-// flate-framed, is packed as exactly the bytes that decoding it to events
-// and re-encoding those with the writer's flate mode gives.
+// TestCompactPackMatchesParent: a member the writer's cost model made, raw
+// or flate-framed, at any block geometry, is packed as exactly the bytes
+// that decoding it to events and re-encoding those with the writer's flate
+// mode gives, and every pooled column the packing drew comes back.
 func TestCompactPackMatchesParent(t *testing.T) {
 	r, err := Open(t.TempDir(), Options{Now: fixedClock})
 	if err != nil {
@@ -94,8 +96,42 @@ func TestCompactPackMatchesParent(t *testing.T) {
 			want[mustAdd(t, r, member)] = encodeLog(t, decoded, trace.V2Options{Compress: true})
 		}
 	}
+	// Members of other geometries are re-cut into default blocks and pack
+	// to the same re-encode, whether a stored block holds part of a
+	// default block, straddles two, or holds several. The
+	// one-event-per-block member, loose mostly frames and footer entries,
+	// shrinks when packed.
+	small, big := runWorkload(t, "hacc", 2, 0.02), runWorkload(t, "hacc", 16, 0.1)
+	if n := len(big.Events); n <= 3*trace.DefaultBlockEvents {
+		t.Fatalf("%d events: too few to span four default blocks", n)
+	}
+	shrinks := map[string]int{}
+	for _, m := range []struct {
+		tr  *trace.Trace
+		opt trace.V2Options
+	}{
+		{small, trace.V2Options{BlockEvents: 1}}, {small, trace.V2Options{BlockEvents: 1, Compress: true}},
+		{big, trace.V2Options{BlockEvents: 16}}, {big, trace.V2Options{BlockEvents: 1000, Compress: true}},
+		{big, trace.V2Options{BlockEvents: 20000}}, {big, trace.V2Options{BlockEvents: 2 * trace.DefaultBlockEvents}},
+		{big, trace.V2Options{BlockEvents: 1 << 17}},
+	} {
+		member := encodeLog(t, m.tr, m.opt)
+		decoded, err := trace.Read(bytes.NewReader(member))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sha := mustAdd(t, r, member)
+		want[sha] = encodeLog(t, decoded, trace.V2Options{Compress: true})
+		if m.opt.BlockEvents == 1 {
+			shrinks[sha] = len(member)
+		}
+	}
+	inUse := trace.ColumnsInUse()
 	if n, err := r.CompactNow(); err != nil || n != len(want) {
 		t.Fatalf("CompactNow = %d, %v; want %d packed", n, err, len(want))
+	}
+	if got := trace.ColumnsInUse(); got != inUse {
+		t.Errorf("%d pooled columns never came back", got-inUse)
 	}
 	for sha, w := range want {
 		h, err := r.Acquire(sha)
@@ -107,8 +143,12 @@ func TestCompactPackMatchesParent(t *testing.T) {
 		if !packed {
 			t.Fatalf("%s is still loose", sha)
 		}
-		if got := storedBytes(t, r, sha); !bytes.Equal(got, w) {
+		got := storedBytes(t, r, sha)
+		if !bytes.Equal(got, w) {
 			t.Errorf("%s: packed member is %d bytes, the re-encode %d, and they differ", sha, len(got), len(w))
+		}
+		if loose, ok := shrinks[sha]; ok && len(got) >= loose {
+			t.Errorf("%s: packing grew a %d-byte member to %d bytes", sha, loose, len(got))
 		}
 	}
 }
@@ -205,5 +245,55 @@ func TestCompactKeepsReports(t *testing.T) {
 	}
 	if got := trace.ColumnsInUse(); got != inUse {
 		t.Errorf("%d pooled columns never came back", got-inUse)
+	}
+}
+
+// undecodableBytes encodes a trace whose header and footer read but whose
+// one block does not decode: its event's node is negative.
+func undecodableBytes(t *testing.T, workload string) []byte {
+	t.Helper()
+	tr := trace.NewTracer()
+	tr.SetMeta(trace.Meta{Workload: workload, Nodes: 1, Ranks: 1})
+	tr.Record(trace.Event{Level: trace.LevelPosix, Op: trace.OpWrite, Node: -1, Start: 1, End: 2})
+	return encodeLog(t, tr.Finish(), trace.V2Options{})
+}
+
+// TestCompactPacksPastBadMember: a member whose block does not decode
+// fails its own shard only. The shard sorted after it is packed in the
+// same round, the failing shard stays loose round after round, and the
+// member's error comes back.
+func TestCompactPacksPastBadMember(t *testing.T) {
+	r, err := Open(t.TempDir(), Options{Now: fixedClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	loose := []string{mustAdd(t, r, undecodableBytes(t, "aaa")), mustAdd(t, r, traceBytes(t, "aaa", 300))}
+	var healthy []string
+	for _, n := range []int{400, 900, 1600} {
+		healthy = append(healthy, mustAdd(t, r, traceBytes(t, "zzz", n)))
+	}
+	for round, want := range []int{len(healthy), 0} {
+		if n, err := r.CompactNow(); n != want || !errors.Is(err, trace.ErrBadFormat) {
+			t.Fatalf("round %d: CompactNow = %d, %v; want %d packed and ErrBadFormat", round, n, err, want)
+		}
+	}
+	isPacked := func(sha string) bool {
+		h, err := r.Acquire(sha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		return h.Off() > 0
+	}
+	for _, sha := range healthy {
+		if !isPacked(sha) {
+			t.Errorf("%s: healthy member left loose", sha)
+		}
+	}
+	for _, sha := range loose {
+		if isPacked(sha) {
+			t.Errorf("%s: member of the failing shard packed", sha)
+		}
 	}
 }

@@ -101,3 +101,34 @@ func TestDataDirModeSurvivesRestartAndCompaction(t *testing.T) {
 		t.Fatalf("compaction changed the fleet YAML (status %d)", code)
 	}
 }
+
+// TestCompactRunsGCPastBadMember: a stored trace whose block does not
+// decode fails POST /v1/compact, and the retention GC runs all the same.
+func TestCompactRunsGCPastBadMember(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4, RetainCount: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	tr := trace.NewTracer()
+	tr.SetMeta(trace.Meta{Workload: "synthetic", Nodes: 1, Ranks: 1})
+	tr.Record(trace.Event{Level: trace.LevelPosix, Op: trace.OpWrite, Node: -1, Start: 1, End: 2})
+	var bad bytes.Buffer
+	if err := trace.WriteV2(&bad, tr.Finish()); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{bad.Bytes(), testTraceBytes(t, 500), testTraceBytes(t, 900)} {
+		if _, _, err := s.repo.Add(bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/compact", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("POST /v1/compact = %d, want 500 for the undecodable member", resp.StatusCode)
+	}
+	if n := len(s.repo.List("")); n != 1 {
+		t.Errorf("%d traces stored after the pass, want the 1 retention keeps", n)
+	}
+}

@@ -513,16 +513,20 @@ func (s *Server) fleetChar() repo.CharFunc {
 }
 
 // handleCompact is POST /v1/compact: one synchronous compaction pass (small
-// loose uploads merged into consolidated packs) followed by retention GC.
+// loose uploads merged into consolidated packs) followed by retention GC,
+// which runs even when a shard failed to pack; a failing answer names every
+// error of the two.
 func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 	packed, err := s.repo.CompactNow()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("compacting: %v", err))
-		return
+		err = fmt.Errorf("compacting: %w", err)
 	}
-	dropped, err := s.repo.GC()
+	dropped, gerr := s.repo.GC()
+	if gerr != nil {
+		err = errors.Join(err, fmt.Errorf("gc: %w", gerr))
+	}
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("gc: %v", err))
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int{"packed": packed, "dropped": dropped})

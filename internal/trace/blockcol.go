@@ -8,7 +8,6 @@ package trace
 // names.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -17,145 +16,8 @@ import (
 	"vani/internal/parallel"
 )
 
-// blockStats computes a block's footer statistics: time and rank bounds
-// plus level/op occupancy masks (the pruning surface).
-func blockStats(evs []Event) BlockInfo {
-	bi := BlockInfo{Count: len(evs)}
-	if len(evs) == 0 {
-		return bi
-	}
-	bi.MinStart, bi.MaxStart = evs[0].Start, evs[0].Start
-	bi.MinRank, bi.MaxRank = evs[0].Rank, evs[0].Rank
-	for i := range evs {
-		e := &evs[i]
-		if e.Start < bi.MinStart {
-			bi.MinStart = e.Start
-		} else if e.Start > bi.MaxStart {
-			bi.MaxStart = e.Start
-		}
-		if e.Rank < bi.MinRank {
-			bi.MinRank = e.Rank
-		} else if e.Rank > bi.MaxRank {
-			bi.MaxRank = e.Rank
-		}
-		if uint(e.Level) < 32 {
-			bi.LevelMask |= 1 << e.Level
-		}
-		if uint(e.Op) < 32 {
-			bi.OpMask |= 1 << e.Op
-		}
-	}
-	return bi
-}
-
-// encodeBlockFrame encodes one block's events as a framed payload: every
-// segment carries its codec id byte and the body the cost model (or the
-// forced codec, when force >= 0) chose. The footer entry records the
-// per-segment byte ranges and codec ids.
-func encodeBlockFrame(evs []Event, compress bool, force int) (*[]byte, BlockInfo) {
-	bi := blockStats(evs)
-	sc := segScratchPool.Get().(*segScratch)
-	pp := getPayloadBuf(16 + minEventBytes*2*len(evs))
-	payload := binary.AppendUvarint((*pp)[:0], uint64(len(evs)))
-	for col := 0; col < NumCols; col++ {
-		n := len(payload)
-		payload, bi.SegCodecs[col] = appendColumnSeg(payload, col, evs, force, sc)
-		bi.ColLens[col] = int64(len(payload) - n)
-	}
-	frame := wrapFrame(payload, compress)
-	if compress && force < 0 {
-		// Deflate feeds on exactly the byte-level redundancy the
-		// lightweight codecs strip: a bitpacked or dictionary segment is
-		// near-incompressible while its raw varint form often deflates
-		// below it. Under an outer flate layer, auto mode therefore also
-		// tries the all-raw payload and keeps whichever frame compressed
-		// smaller — per block, so the choice stays deterministic at any
-		// encode parallelism.
-		rawBi := bi
-		rp := getPayloadBuf(16 + minEventBytes*2*len(evs))
-		raw := binary.AppendUvarint((*rp)[:0], uint64(len(evs)))
-		for col := 0; col < NumCols; col++ {
-			n := len(raw)
-			raw, rawBi.SegCodecs[col] = appendColumnSeg(raw, col, evs, segRaw, sc)
-			rawBi.ColLens[col] = int64(len(raw) - n)
-		}
-		frame, bi = smallerFlateFrame(frame, bi, raw, rawBi)
-		*rp = raw
-		putPayloadBuf(rp)
-	}
-	segScratchPool.Put(sc)
-	*pp = payload
-	putPayloadBuf(pp)
-	return frame, bi
-}
-
-// smallerFlateFrame is the one rule that picks a flate block's frame: the
-// all-raw payload's frame replaces frame, the deflated auto-mode payload,
-// only when it compresses strictly smaller. The other frame goes back to
-// frameList.
-func smallerFlateFrame(frame *[]byte, bi BlockInfo, raw []byte, rawBi BlockInfo) (*[]byte, BlockInfo) {
-	rawFrame := wrapFrame(raw, true)
-	if len(*rawFrame) < len(*frame) {
-		frame, rawFrame, bi = rawFrame, frame, rawBi
-	}
-	frameList.Put(rawFrame)
-	return frame, bi
-}
-
-// WriteCompressed writes the log to out as the writer's flate mode would
-// encode it, without materializing a single Event: the header and block
-// geometry are kept, and each block — in parallel, one decode each —
-// deflates its payload as stored and the all-raw payload re-encoded from
-// its decoded columns, keeps the smaller frame by smallerFlateFrame's rule
-// and recomputes its footer statistics from the columns. A log the
-// default writer made is stored in auto mode, so the result is byte for
-// byte WriteV2With(ReadTrace(Filter{}), V2Options{Compress: true}) of it.
-// A block that does not decode fails the rewrite with its error
-// (ErrBadFormat for corrupt input) before anything is written; the frames
-// the other blocks made are then left to the collector, not handed back to
-// frameList as writeLog hands back what it writes. Returns the bytes
-// written.
-func (br *BlockReader) WriteCompressed(out io.Writer) (int64, error) {
-	n := len(br.blocks)
-	frames := make([]*[]byte, n)
-	infos := make([]BlockInfo, n)
-	errs := make([]error, n)
-	parallel.ForEach(0, n, func(k int) {
-		frames[k], infos[k], errs[k] = br.rewriteBlockFrame(k)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return writeLog(out, br.hdr, br.blockEvents, br.nEvents, frames, infos)
-}
-
-// rewriteBlockFrame is WriteCompressed's work on block k: its stored
-// payload and the all-raw one, each deflated, the smaller kept.
-func (br *BlockReader) rewriteBlockFrame(k int) (*[]byte, BlockInfo, error) {
-	bd, err := br.ReadBlock(k)
-	if err != nil {
-		return nil, BlockInfo{}, err
-	}
-	defer bd.Release()
-	var cols Columns
-	if _, _, err := bd.Decode(AllCols, &cols); err != nil {
-		return nil, BlockInfo{}, err
-	}
-	bi := columnStats(&cols)
-	rawBi := bi
-	bi.ColLens, bi.SegCodecs = bd.colLens, bd.segCodecs
-	rp := getPayloadBuf(16 + minEventBytes*2*cols.N)
-	raw := appendRawPayload((*rp)[:0], &cols, &rawBi)
-	cols.Recycle(AllCols)
-	frame, bi := smallerFlateFrame(wrapFrame(bd.payload, true), bi, raw, rawBi)
-	*rp = raw
-	putPayloadBuf(rp)
-	return frame, bi, nil
-}
-
-// columnStats is blockStats over a decoded block's columns.
+// columnStats computes a block's footer statistics from its columns: time
+// and rank bounds plus level/op occupancy masks (the pruning surface).
 func columnStats(cols *Columns) BlockInfo {
 	bi := BlockInfo{Count: cols.N}
 	if cols.N == 0 {
@@ -184,58 +46,141 @@ func columnStats(cols *Columns) BlockInfo {
 	return bi
 }
 
-// appendRawPayload appends the block payload that forcing the raw segment
-// codec writes for cols' rows — the count, then each column's raw values
-// (Start and End as delta chains) — and records its segments in bi.
-func appendRawPayload(dst []byte, cols *Columns, bi *BlockInfo) []byte {
-	dst = binary.AppendUvarint(dst, uint64(cols.N))
-	for col := 0; col < NumCols; col++ {
-		n := len(dst)
-		dst = append(dst, segRaw)
-		switch ColSet(1) << col {
-		case ColLevel:
-			dst = appendRawValues(dst, cols.Level, true)
-		case ColOp:
-			dst = appendRawValues(dst, cols.Op, true)
-		case ColLib:
-			dst = appendRawValues(dst, cols.Lib, true)
-		case ColRank:
-			dst = appendRawValues(dst, cols.Rank, false)
-		case ColNode:
-			dst = appendRawValues(dst, cols.Node, false)
-		case ColApp:
-			dst = appendRawValues(dst, cols.App, false)
-		case ColFile:
-			dst = appendRawValues(dst, cols.File, false)
-		case ColOffset:
-			dst = appendRawValues(dst, cols.Offset, false)
-		case ColSize:
-			dst = appendRawValues(dst, cols.Size, false)
-		case ColStart:
-			dst = appendRawDeltas(dst, cols.Start)
-		case ColEnd:
-			dst = appendRawDeltas(dst, cols.End)
+// encodeBlockFrame encodes one block's columns as a framed payload: every
+// segment carries its codec id byte and the body the cost model (or the
+// forced codec, when force >= 0) chose. A stored block bd that holds
+// exactly cols' rows is framed from its payload as stored instead, which
+// is what re-running the cost model gives when the cost model wrote it:
+// the compactor's shortcut past the model. The footer entry records the
+// per-segment byte ranges and codec ids.
+func encodeBlockFrame(cols *Columns, compress bool, force int, bd *BlockData) (*[]byte, BlockInfo) {
+	bi := columnStats(cols)
+	sc := segScratchPool.Get().(*segScratch)
+	defer segScratchPool.Put(sc)
+	var frame *[]byte
+	if bd != nil {
+		bi.ColLens, bi.SegCodecs = bd.colLens, bd.segCodecs
+		frame = wrapFrame(bd.payload, compress)
+	} else {
+		pp := getPayloadBuf(16 + minEventBytes*2*cols.N)
+		payload := appendPayload((*pp)[:0], cols, force, sc, &bi)
+		frame = wrapFrame(payload, compress)
+		*pp = payload
+		putPayloadBuf(pp)
+	}
+	if compress && force < 0 {
+		// Deflate feeds on exactly the byte-level redundancy the
+		// lightweight codecs strip: a bitpacked or dictionary segment is
+		// near-incompressible while its raw varint form often deflates
+		// below it. Under an outer flate layer, auto mode therefore also
+		// tries the all-raw payload and keeps it only when its frame
+		// compresses strictly smaller — per block, so the choice stays
+		// deterministic at any encode parallelism.
+		rawBi := bi
+		rp := getPayloadBuf(16 + minEventBytes*2*cols.N)
+		raw := appendPayload((*rp)[:0], cols, segRaw, sc, &rawBi)
+		rawFrame := wrapFrame(raw, true)
+		*rp = raw
+		putPayloadBuf(rp)
+		if len(*rawFrame) < len(*frame) {
+			frame, rawFrame, bi = rawFrame, frame, rawBi
 		}
-		bi.SegCodecs[col] = segRaw
-		bi.ColLens[col] = int64(len(dst) - n)
+		frameList.Put(rawFrame)
 	}
-	return dst
+	return frame, bi
 }
 
-func appendRawValues[T colValue](dst []byte, vals []T, unsigned bool) []byte {
-	for _, v := range vals {
-		dst = appendStoredValue(dst, int64(v), unsigned)
+// WriteCompressed writes the log to out as WriteV2With(ReadTrace(Filter{}),
+// V2Options{Compress: true}) would, without materializing a single Event:
+// the header is kept, the rows are cut into default-size blocks and each is
+// encoded by the writer's encodeBlockFrame — an output block that is one
+// whole stored block from its stored payload, any other through the cost
+// model — so a log the writer made in auto mode, at any geometry, is
+// rewritten byte for byte as that re-encode. The output blocks go to the
+// worker pool in runs that span about one stored block each, and a run
+// decodes each stored block it reads once: a stored block is decoded once
+// when the log's geometry is a multiple of the default one, at most three
+// times otherwise. A block that does not decode fails the rewrite with its
+// error (ErrBadFormat for corrupt input) before anything is written; the
+// frames the other blocks made are then left to the collector, not handed
+// back to frameList as writeLog hands back what it writes. Returns the
+// bytes written.
+func (br *BlockReader) WriteCompressed(out io.Writer) (int64, error) {
+	nb := (int(br.nEvents) + DefaultBlockEvents - 1) / DefaultBlockEvents
+	frames := make([]*[]byte, nb)
+	infos := make([]BlockInfo, nb)
+	run := max(1, br.blockEvents/DefaultBlockEvents)
+	errs := make([]error, (nb+run-1)/run)
+	parallel.ForEach(0, len(errs), func(t int) {
+		errs[t] = br.rewriteRun(t*run, min((t+1)*run, nb), frames, infos)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
 	}
-	return dst
+	return writeLog(out, br.hdr, DefaultBlockEvents, br.nEvents, frames, infos)
 }
 
-func appendRawDeltas(dst []byte, vals []int64) []byte {
-	prev := int64(0)
-	for _, v := range vals {
-		dst = binary.AppendVarint(dst, v-prev)
-		prev = v
+// rewriteRun is WriteCompressed's work on output blocks [j0, j1). The
+// stored block last read stays decoded in src: an output block it holds
+// whole is encoded from it in place, any other is gathered into cols from
+// the stored blocks it spans.
+func (br *BlockReader) rewriteRun(j0, j1 int, frames []*[]byte, infos []BlockInfo) error {
+	var src, cols Columns
+	var bd *BlockData // the stored block src holds
+	defer func() {
+		if bd != nil {
+			bd.Release()
+		}
+		src.Recycle(AllCols)
+		cols.Recycle(AllCols)
+	}()
+	load := func(k int) error {
+		if bd != nil && bd.block == k {
+			return nil
+		}
+		if bd != nil {
+			bd.Release()
+			bd = nil
+		}
+		b, err := br.ReadBlock(k)
+		if err != nil {
+			return err
+		}
+		if _, _, err := b.Decode(AllCols, &src); err != nil {
+			b.Release()
+			return err
+		}
+		bd = b
+		return nil
 	}
-	return dst
+	n, be := int(br.nEvents), br.blockEvents
+	for j := j0; j < j1; j++ {
+		lo, hi := j*DefaultBlockEvents, min((j+1)*DefaultBlockEvents, n)
+		if k := lo / be; k == (hi-1)/be {
+			if err := load(k); err != nil {
+				return err
+			}
+			var whole *BlockData
+			if lo == k*be && hi-lo == src.N {
+				whole = bd
+			}
+			view := src.rows(lo-k*be, hi-k*be)
+			frames[j], infos[j] = encodeBlockFrame(&view, true, -1, whole)
+			continue
+		}
+		cols.growSet(hi-lo, AllCols)
+		for k := lo / be; k*be < hi; k++ {
+			if err := load(k); err != nil {
+				return err
+			}
+			from, to := max(lo, k*be), min(hi, k*be+src.N)
+			cols.copyRows(from-lo, &src, from-k*be, to-from)
+		}
+		frames[j], infos[j] = encodeBlockFrame(&cols, true, -1, nil)
+	}
+	return nil
 }
 
 // appendEvents transposes the decoded rows of cols that m matches (every
@@ -350,6 +295,30 @@ func copyColumns(dst, src *Columns, want ColSet) {
 	if want&ColEnd != 0 {
 		copy(dst.End, src.End)
 	}
+}
+
+// rows returns rows [from, to) of cols as a view on its arrays, which the
+// view must not Recycle.
+func (cols *Columns) rows(from, to int) Columns {
+	return Columns{N: to - from,
+		Level: cols.Level[from:to], Op: cols.Op[from:to], Lib: cols.Lib[from:to],
+		Rank: cols.Rank[from:to], Node: cols.Node[from:to], App: cols.App[from:to], File: cols.File[from:to],
+		Offset: cols.Offset[from:to], Size: cols.Size[from:to], Start: cols.Start[from:to], End: cols.End[from:to]}
+}
+
+// copyRows copies n rows of src from row from on into cols from row at on.
+func (cols *Columns) copyRows(at int, src *Columns, from, n int) {
+	copy(cols.Level[at:at+n], src.Level[from:])
+	copy(cols.Op[at:at+n], src.Op[from:])
+	copy(cols.Lib[at:at+n], src.Lib[from:])
+	copy(cols.Rank[at:at+n], src.Rank[from:])
+	copy(cols.Node[at:at+n], src.Node[from:])
+	copy(cols.App[at:at+n], src.App[from:])
+	copy(cols.File[at:at+n], src.File[from:])
+	copy(cols.Offset[at:at+n], src.Offset[from:])
+	copy(cols.Size[at:at+n], src.Size[from:])
+	copy(cols.Start[at:at+n], src.Start[from:])
+	copy(cols.End[at:at+n], src.End[from:])
 }
 
 // Count returns the number of events in the block.

@@ -219,10 +219,10 @@ func WriteV2(out io.Writer, t *Trace) error {
 	return WriteV2With(out, t, V2Options{})
 }
 
-// WriteV2With encodes the trace to out. Blocks are encoded
-// in parallel (encoding is embarrassingly parallel once the event log is
-// sharded into blocks) and written in block order, so the output is
-// byte-identical at any Parallelism.
+// WriteV2With encodes the trace to out. Each block is transposed into
+// pooled columns (Columns.Transpose) and encoded from them, in parallel,
+// then written in block order, so the output is byte-identical at any
+// Parallelism.
 func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 	be := opt.BlockEvents
 	if be <= 0 {
@@ -240,12 +240,10 @@ func WriteV2With(out io.Writer, t *Trace, opt V2Options) error {
 	frames := make([]*[]byte, nBlocks)
 	infos := make([]BlockInfo, nBlocks)
 	parallel.ForEach(opt.Parallelism, nBlocks, func(k int) {
-		lo := k * be
-		hi := lo + be
-		if hi > nEvents {
-			hi = nEvents
-		}
-		frames[k], infos[k] = encodeBlockFrame(t.Events[lo:hi], opt.Compress, force)
+		var cols Columns
+		cols.Transpose(t.Events[k*be : min((k+1)*be, nEvents)])
+		frames[k], infos[k] = encodeBlockFrame(&cols, opt.Compress, force, nil)
+		cols.Recycle(AllCols)
 	})
 	_, err := writeLog(out, t, be, uint64(nEvents), frames, infos)
 	return err

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -426,5 +427,27 @@ func TestV2RoundTripTinyBlocks(t *testing.T) {
 				check(tr, opt)
 			}
 		}
+	}
+}
+
+// TestRewriteErrorReturnsColumns: a re-cut output block whose second source
+// block does not read fails the rewrite with ErrBadFormat, and the pooled
+// columns the first source block decoded into come back all the same.
+func TestRewriteErrorReturnsColumns(t *testing.T) {
+	log := encodeV2(t, smallTrace(300), V2Options{BlockEvents: 100})
+	br, err := NewBlockReader(bytes.NewReader(log), int64(len(log)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log[br.BlockAt(1).Offset] = 9 // no frame codec has this id
+	if br, err = NewBlockReader(bytes.NewReader(log), int64(len(log))); err != nil {
+		t.Fatal(err)
+	}
+	inUse := ColumnsInUse()
+	if _, err := br.WriteCompressed(io.Discard); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("rewrite error = %v, want ErrBadFormat", err)
+	}
+	if got := ColumnsInUse(); got != inUse {
+		t.Errorf("%d pooled columns never came back", got-inUse)
 	}
 }

@@ -426,11 +426,11 @@ func FuzzBlockReader(f *testing.F) {
 	})
 }
 
-// FuzzCompactRepack hardens the compactor's frame rewrite: a log whose
-// header, footer and every block decode must rewrite into a log that reads
-// back to the same header and events; any other log that opens must fail
-// the rewrite with ErrBadFormat and no panic. Either way every pooled
-// column is back afterwards.
+// FuzzCompactRepack hardens the compactor's rewrite: a log whose header,
+// footer and every block decode must rewrite into a default-geometry log
+// that reads back to the same header and events and that rewrites to
+// itself; any other log that opens must fail the rewrite with ErrBadFormat
+// and no panic. Either way every pooled column is back afterwards.
 func FuzzCompactRepack(f *testing.F) {
 	for _, seed := range blockReaderSeeds(f) {
 		f.Add(seed)
@@ -463,9 +463,26 @@ func FuzzCompactRepack(f *testing.F) {
 		if n != int64(out.Len()) {
 			t.Fatalf("rewrite reports %d bytes, wrote %d", n, out.Len())
 		}
-		got, err := Read(&out)
+		rewritten := out.Bytes()
+		got, err := Read(bytes.NewReader(rewritten))
 		if err != nil {
 			t.Fatalf("reading the rewritten log: %v", err)
+		}
+		// At the default geometry it comes out in, the rewrite is a fixed
+		// point: rewriting it again reproduces it byte for byte.
+		again, err := NewBlockReader(bytes.NewReader(rewritten), int64(len(rewritten)))
+		if err != nil {
+			t.Fatalf("opening the rewritten log: %v", err)
+		}
+		if again.BlockEvents() != DefaultBlockEvents {
+			t.Fatalf("rewritten log has %d events per block, want %d", again.BlockEvents(), DefaultBlockEvents)
+		}
+		var twice bytes.Buffer
+		if _, err := again.WriteCompressed(&twice); err != nil {
+			t.Fatalf("rewriting the rewritten log: %v", err)
+		}
+		if !bytes.Equal(twice.Bytes(), rewritten) {
+			t.Fatalf("rewriting the rewritten log changed it: %d bytes, then %d", len(rewritten), twice.Len())
 		}
 		// Encoded, the two compare bit for bit, NaN samples included.
 		var a, b bytes.Buffer

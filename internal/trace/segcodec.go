@@ -282,67 +282,55 @@ func (t *dictTable) code(v int64) (uint32, bool) {
 	return c, true
 }
 
-// storedVals stages column col of evs as its stored-value stream (raw
-// values, or the delta chain for Start/End) into sc.vals.
-func (sc *segScratch) storedVals(col int, evs []Event) []int64 {
-	if cap(sc.vals) < len(evs) {
-		sc.vals = make([]int64, len(evs))
+// storedVals returns column col of cols as its stored-value stream: the
+// int64 column itself for Offset and Size, else staged into sc.vals (the
+// narrow columns widened, Start and End as delta chains). Nothing writes
+// the returned slice.
+func (sc *segScratch) storedVals(col int, cols *Columns) []int64 {
+	if cap(sc.vals) < cols.N {
+		sc.vals = make([]int64, cols.N)
 	}
-	vals := sc.vals[:len(evs)]
+	vals := sc.vals[:cols.N]
 	switch ColSet(1) << col {
 	case ColLevel:
-		for i := range evs {
-			vals[i] = int64(evs[i].Level)
-		}
+		widen(vals, cols.Level)
 	case ColOp:
-		for i := range evs {
-			vals[i] = int64(evs[i].Op)
-		}
+		widen(vals, cols.Op)
 	case ColLib:
-		for i := range evs {
-			vals[i] = int64(evs[i].Lib)
-		}
+		widen(vals, cols.Lib)
 	case ColRank:
-		for i := range evs {
-			vals[i] = int64(evs[i].Rank)
-		}
+		widen(vals, cols.Rank)
 	case ColNode:
-		for i := range evs {
-			vals[i] = int64(evs[i].Node)
-		}
+		widen(vals, cols.Node)
 	case ColApp:
-		for i := range evs {
-			vals[i] = int64(evs[i].App)
-		}
+		widen(vals, cols.App)
 	case ColFile:
-		for i := range evs {
-			vals[i] = int64(evs[i].File)
-		}
+		widen(vals, cols.File)
 	case ColOffset:
-		for i := range evs {
-			vals[i] = evs[i].Offset
-		}
+		return cols.Offset[:cols.N]
 	case ColSize:
-		for i := range evs {
-			vals[i] = evs[i].Size
-		}
+		return cols.Size[:cols.N]
 	case ColStart:
-		prev := int64(0)
-		for i := range evs {
-			s := int64(evs[i].Start)
-			vals[i] = s - prev
-			prev = s
-		}
+		deltas(vals, cols.Start)
 	case ColEnd:
-		prev := int64(0)
-		for i := range evs {
-			e := int64(evs[i].End)
-			vals[i] = e - prev
-			prev = e
-		}
+		deltas(vals, cols.End)
 	}
-	sc.vals = vals
 	return vals
+}
+
+func widen[T colValue](dst []int64, src []T) {
+	for i, v := range src[:len(dst)] {
+		dst[i] = int64(v)
+	}
+}
+
+// deltas stores the delta chain of src, from 0, into dst.
+func deltas(dst, src []int64) {
+	prev := int64(0)
+	for i, v := range src[:len(dst)] {
+		dst[i] = v - prev
+		prev = v
+	}
 }
 
 // chooseSegCodec runs the cost model: the exact body size of every
@@ -483,13 +471,13 @@ func appendSegBody(dst []byte, codec uint8, vals []int64, unsigned bool, tab *di
 	return dst
 }
 
-// appendColumnSeg encodes one column of evs as a segment (codec id byte +
-// body) and returns the chosen codec. force < 0 runs the cost model.
-func appendColumnSeg(dst []byte, col int, evs []Event, force int, sc *segScratch) ([]byte, uint8) {
+// appendColumnSeg encodes column col of cols as a segment (codec id byte
+// + body) and returns the chosen codec. force < 0 runs the cost model.
+func appendColumnSeg(dst []byte, col int, cols *Columns, force int, sc *segScratch) ([]byte, uint8) {
 	unsigned := ColSet(1)<<col&unsignedCols != 0
-	vals := sc.storedVals(col, evs)
+	vals := sc.storedVals(col, cols)
 	var codec uint8
-	if len(evs) == 0 {
+	if cols.N == 0 {
 		codec = segRaw
 	} else if force >= 0 {
 		codec = uint8(force)
@@ -498,6 +486,19 @@ func appendColumnSeg(dst []byte, col int, evs []Event, force int, sc *segScratch
 	}
 	dst = append(dst, codec)
 	return appendSegBody(dst, codec, vals, unsigned, &sc.dict), codec
+}
+
+// appendPayload appends a block payload of cols' rows — the count, then
+// every column's segment under the cost model, or under force when it is
+// >= 0 — and records each segment's length and codec in bi.
+func appendPayload(dst []byte, cols *Columns, force int, sc *segScratch, bi *BlockInfo) []byte {
+	dst = binary.AppendUvarint(dst, uint64(cols.N))
+	for col := 0; col < NumCols; col++ {
+		n := len(dst)
+		dst, bi.SegCodecs[col] = appendColumnSeg(dst, col, cols, force, sc)
+		bi.ColLens[col] = int64(len(dst) - n)
+	}
+	return dst
 }
 
 // colValue is the set of column element types.

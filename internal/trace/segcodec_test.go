@@ -491,12 +491,15 @@ func TestAppendSegV22Validation(t *testing.T) {
 	}
 	sc := segScratchPool.Get().(*segScratch)
 	defer segScratchPool.Put(sc)
+	var in Columns
+	in.Transpose(evs)
+	defer in.Recycle(AllCols)
 
 	var cols Columns
 	cols.grow(len(evs))
 	for _, col := range []int{colRankIdx(), colStartIdx(), colEndIdx()} {
 		for force := -1; force < numSegCodecs; force++ {
-			seg, _ := appendColumnSeg(nil, col, evs, force, sc)
+			seg, _ := appendColumnSeg(nil, col, &in, force, sc)
 			c := &byteCursor{b: seg}
 			if err := decodeColumnSeg(c, col, len(evs), &cols); err != nil {
 				t.Fatalf("col %d force %d: %v", col, force, err)
