@@ -226,6 +226,18 @@ var archRules = []archRule{
 		fixtures: []*tree{fx("internal/trace/x.go", "package trace\n\nfunc mergeShards() {}\n")},
 	},
 	{
+		// Recycled buffers go through parallel.FreeList, whose values any P
+		// can draw; a sync.Pool keeps one per P that only that P can take.
+		name:  "One recycler",
+		why:   "recycled values go through parallel.FreeList, not sync.Pool",
+		check: selects(isNonTestGo, "sync", "Pool"),
+		fixtures: []*tree{
+			fx("internal/trace/x.go", "package trace\n\nvar bufs = sync.Pool{New: func() any { return new([]byte) }}\n"),
+			fx("internal/trace/x.go", "package trace\n\ntype BlockData struct{ bufPool *sync.Pool }\n"),
+			fx("internal/colstore/x.go", "package colstore\n\nfunc get(p *sync.Pool) []int32 { return nil }\n"),
+		},
+	},
+	{
 		// A simulated file is resolved once per open: data and metadata
 		// calls after it go through the *storage.File handle, never by path.
 		name:     "One handle per open file",
@@ -563,6 +575,32 @@ func calls(d decl, name string) bool {
 		})
 	}
 	return found
+}
+
+// selects flags every use of pkg.name — in a declaration, a type, a
+// signature or a body — in the Go files in scope.
+func selects(scope func(string) bool, pkg, name string) func(*tree) []string {
+	return func(tr *tree) (out []string) {
+		for _, p := range tr.paths {
+			if !isGo(p) || !scope(p) {
+				continue
+			}
+			f, err := tr.parse(p)
+			if err != nil {
+				out = append(out, err.Error())
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if se, ok := n.(*ast.SelectorExpr); ok && se.Sel.Name == name {
+					if id, ok := se.X.(*ast.Ident); ok && id.Name == pkg {
+						out = append(out, fmt.Sprintf("%s: %s.%s", tr.fset.Position(se.Pos()), pkg, name))
+					}
+				}
+				return true
+			})
+		}
+		return out
+	}
 }
 
 // columnFields names trace.Columns' fields.

@@ -12,7 +12,6 @@ package colstore
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -208,8 +207,11 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 		if errs[k] = stats.decode(bd, need, &cols); errs[k] != nil {
 			return
 		}
-		buf := selPool.Get().(*[]int32)
-		defer selPool.Put(buf)
+		buf := selBufs.Get()
+		if buf == nil {
+			buf = new([]int32)
+		}
+		defer selBufs.Put(buf)
 		sel := selectRows(m, need, &cols, buf)
 		kept := len(sel)
 		if sel == nil {
@@ -249,9 +251,9 @@ func FromBlocksSpecContext(ctx context.Context, src trace.BlockSource, par int, 
 	return t, nil
 }
 
-// selPool holds selectRows' block-sized scratch, so a filtered scan's
+// selBufs holds selectRows' block-sized scratch, so a filtered scan's
 // steady state allocates no selection.
-var selPool = sync.Pool{New: func() any { return new([]int32) }}
+var selBufs parallel.FreeList[[]int32]
 
 // selectRows tests every dimension of need — the block's constrained set
 // (Matcher.NeedColsBlock), decoded into cols — on each block row and

@@ -451,7 +451,7 @@ func TestScanStatsCodecMixMemoFill(t *testing.T) {
 
 // TestSelectRowsAllocatesOnlyTheSelection: a block cut to a selection
 // allocates nothing — the selection is the caller's block-sized scratch,
-// which a scan draws from selPool — and neither does a block whose rows all
+// which a scan draws from selBufs — and neither does a block whose rows all
 // pass.
 func TestSelectRowsAllocatesOnlyTheSelection(t *testing.T) {
 	if raceEnabled {
@@ -471,8 +471,7 @@ func TestSelectRowsAllocatesOnlyTheSelection(t *testing.T) {
 	partial := trace.Filter{Ranks: []int32{1, 3, 5, 7}, Ops: trace.OpClassData}
 	all := trace.Filter{Ranks: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}
 	part, whole := partial.NewMatcher(), all.NewMatcher()
-	buf := selPool.Get().(*[]int32)
-	defer selPool.Put(buf)
+	buf := new([]int32)
 	sel := selectRows(part, need, &cols, buf)
 	if len(sel) == 0 || len(sel) == cols.N || &sel[0] != &(*buf)[0] {
 		t.Fatalf("partial filter: selection of %d of %d rows; want a proper subset in the scratch", len(sel), cols.N)

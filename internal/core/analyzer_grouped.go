@@ -85,10 +85,7 @@ const didMeta, didRead, didWrite uint8 = 1, 2, 4
 // accs holds pass 2's accumulators between analyses, scratch and all, by
 // the bit length of the file-slot count they were last sized for: an
 // analysis takes accumulators already about its size, so a large trace does
-// not regrow small ones another analysis left. A parallel.FreeList and not
-// a sync.Pool, because an analysis may resume on another P than the one its
-// accumulators went back on; on a trace of 1,280 files each one a pool
-// strands there costs about a megabyte.
+// not regrow small ones another analysis left.
 var accs [33]parallel.FreeList[pass2Acc]
 
 // accList returns the list of accumulators last sized for fileSlots file

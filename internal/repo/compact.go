@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,6 +27,10 @@ var packMagic = []byte("VANIPACK")
 // flate mode makes of its events when the cost model wrote it. Returns the
 // number of traces packed. A shard whose pack fails stays loose, the other
 // shards are packed all the same, and the shards' errors come back joined.
+// A member whose rewrite fails as trace.ErrBadFormat is set aside for the
+// life of the Repo: it stays loose and readable, the rest of its shard is
+// packed in the same round when at least CompactMinFiles members remain,
+// and later rounds skip it.
 // The pack file reaches disk and is fsynced before the manifest records
 // it; loose originals are removed only after the record — or, when scans
 // still pin them, at the last release.
@@ -40,7 +45,7 @@ func (r *Repo) CompactNow() (int, error) {
 	r.mu.Lock()
 	byShard := make(map[string][]*Entry)
 	for _, e := range r.entries {
-		if e.Pack == "" {
+		if e.Pack == "" && !r.setAside[e.SHA] {
 			k := e.Workload + "/" + e.Bucket
 			byShard[k] = append(byShard[k], e)
 		}
@@ -59,11 +64,21 @@ func (r *Repo) CompactNow() (int, error) {
 	packed := 0
 	var errs []error
 	for _, g := range groups {
-		n, err := r.packShard(g.members)
-		if err != nil {
+		for ms := g.members; ; {
+			n, err := r.packShard(ms)
+			packed += n
+			if err == nil {
+				break
+			}
 			errs = append(errs, err)
+			r.mu.Lock()
+			rest := slices.DeleteFunc(slices.Clone(ms), func(e *Entry) bool { return r.setAside[e.SHA] })
+			r.mu.Unlock()
+			if len(rest) == len(ms) || len(rest) < r.opt.CompactMinFiles {
+				break
+			}
+			ms = rest
 		}
-		packed += n
 	}
 	return packed, errors.Join(errs...)
 }
@@ -137,7 +152,7 @@ func (r *Repo) packShard(members []*Entry) (int, error) {
 // WriteCompressed, into w, and returns the members' directory and the
 // pack's size. Nil records with no error mean a member left the shard (GC
 // raced the compactor): the shard is skipped this round rather than packed
-// in part.
+// in part. A member that fails as trace.ErrBadFormat is set aside.
 func (r *Repo) writePack(w io.Writer, members []*Entry) ([]packMember, int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.Write(packMagic)
@@ -154,6 +169,11 @@ func (r *Repo) writePack(w io.Writer, members []*Entry) ([]packMember, int64, er
 			br.Close()
 		}
 		if err != nil {
+			if errors.Is(err, trace.ErrBadFormat) {
+				r.mu.Lock()
+				r.setAside[e.SHA] = true
+				r.mu.Unlock()
+			}
 			return nil, 0, fmt.Errorf("repo: compact %s: %w", e.SHA, err)
 		}
 		recs = append(recs, packMember{SHA: e.SHA, Off: off, Len: n})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,25 +259,27 @@ func undecodableBytes(t *testing.T, workload string) []byte {
 	return encodeLog(t, tr.Finish(), trace.V2Options{})
 }
 
-// TestCompactPacksPastBadMember: a member whose block does not decode
-// fails its own shard only. The shard sorted after it is packed in the
-// same round, the failing shard stays loose round after round, and the
-// member's error comes back.
+// TestCompactPacksPastBadMember: a member whose block does not decode is
+// set aside. The rest of its shard, and the shard sorted after it, are
+// packed in the same round, which returns the member's error; the next
+// round packs nothing and fails nothing, and the member stays loose and
+// readable.
 func TestCompactPacksPastBadMember(t *testing.T) {
 	r, err := Open(t.TempDir(), Options{Now: fixedClock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	loose := []string{mustAdd(t, r, undecodableBytes(t, "aaa")), mustAdd(t, r, traceBytes(t, "aaa", 300))}
-	var healthy []string
+	bad := mustAdd(t, r, undecodableBytes(t, "aaa"))
+	healthy := []string{mustAdd(t, r, traceBytes(t, "aaa", 300)), mustAdd(t, r, traceBytes(t, "aaa", 500))}
 	for _, n := range []int{400, 900, 1600} {
 		healthy = append(healthy, mustAdd(t, r, traceBytes(t, "zzz", n)))
 	}
-	for round, want := range []int{len(healthy), 0} {
-		if n, err := r.CompactNow(); n != want || !errors.Is(err, trace.ErrBadFormat) {
-			t.Fatalf("round %d: CompactNow = %d, %v; want %d packed and ErrBadFormat", round, n, err, want)
-		}
+	if n, err := r.CompactNow(); n != len(healthy) || !errors.Is(err, trace.ErrBadFormat) || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("round 0: CompactNow = %d, %v; want %d packed and ErrBadFormat naming %s", n, err, len(healthy), bad)
+	}
+	if n, err := r.CompactNow(); n != 0 || err != nil {
+		t.Fatalf("round 1: CompactNow = %d, %v; want 0 packed and no error", n, err)
 	}
 	isPacked := func(sha string) bool {
 		h, err := r.Acquire(sha)
@@ -291,9 +294,7 @@ func TestCompactPacksPastBadMember(t *testing.T) {
 			t.Errorf("%s: healthy member left loose", sha)
 		}
 	}
-	for _, sha := range loose {
-		if isPacked(sha) {
-			t.Errorf("%s: member of the failing shard packed", sha)
-		}
+	if isPacked(bad) {
+		t.Errorf("%s: undecodable member packed", bad)
 	}
 }

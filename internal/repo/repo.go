@@ -107,6 +107,7 @@ type Repo struct {
 	log         *os.File
 	compactions int64
 	closed      bool
+	setAside    map[string]bool // loose members compaction cannot rewrite, by SHA
 
 	stop chan struct{}
 	done chan struct{}
@@ -146,6 +147,7 @@ func Open(dir string, opt Options) (*Repo, error) {
 		packBytes: make(map[string]int64),
 		packLive:  make(map[string]int),
 		files:     make(map[string]*fileRef),
+		setAside:  make(map[string]bool),
 	}
 	if opt.ReadOnly {
 		if _, err := os.Stat(dir); err != nil {

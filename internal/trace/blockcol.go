@@ -55,18 +55,21 @@ func columnStats(cols *Columns) BlockInfo {
 // per-segment byte ranges and codec ids.
 func encodeBlockFrame(cols *Columns, compress bool, force int, bd *BlockData) (*[]byte, BlockInfo) {
 	bi := columnStats(cols)
-	sc := segScratchPool.Get().(*segScratch)
-	defer segScratchPool.Put(sc)
+	sc := segScratches.Get()
+	if sc == nil {
+		sc = &segScratch{vals: make([]int64, 0, DefaultBlockEvents)}
+	}
+	defer segScratches.Put(sc)
 	var frame *[]byte
 	if bd != nil {
 		bi.ColLens, bi.SegCodecs = bd.colLens, bd.segCodecs
 		frame = wrapFrame(bd.payload, compress)
 	} else {
-		pp := getPayloadBuf(16 + minEventBytes*2*cols.N)
+		pp := takeBuf(&payloadBufs, 16+minEventBytes*2*cols.N)
 		payload := appendPayload((*pp)[:0], cols, force, sc, &bi)
 		frame = wrapFrame(payload, compress)
 		*pp = payload
-		putPayloadBuf(pp)
+		payloadBufs.Put(pp)
 	}
 	if compress && force < 0 {
 		// Deflate feeds on exactly the byte-level redundancy the
@@ -77,11 +80,11 @@ func encodeBlockFrame(cols *Columns, compress bool, force int, bd *BlockData) (*
 		// compresses strictly smaller — per block, so the choice stays
 		// deterministic at any encode parallelism.
 		rawBi := bi
-		rp := getPayloadBuf(16 + minEventBytes*2*cols.N)
+		rp := takeBuf(&payloadBufs, 16+minEventBytes*2*cols.N)
 		raw := appendPayload((*rp)[:0], cols, segRaw, sc, &rawBi)
 		rawFrame := wrapFrame(raw, true)
 		*rp = raw
-		putPayloadBuf(rp)
+		payloadBufs.Put(rp)
 		if len(*rawFrame) < len(*frame) {
 			frame, rawFrame, bi = rawFrame, frame, rawBi
 		}
@@ -214,8 +217,8 @@ func appendEvents(dst []Event, cols *Columns, m *Matcher) []Event {
 // for concurrent use on the same receiver unless the block is memoized.
 type BlockData struct {
 	payload   []byte
-	buf       *[]byte    // pooled buffer payload lives in (readBlockPayload)
-	bufPool   *sync.Pool // the pool buf came from
+	buf       *[]byte                    // recycled buffer payload lives in (readBlockPayload)
+	bufList   *parallel.FreeList[[]byte] // the list buf came from
 	count     int
 	block     int
 	segBase   int // payload offset of the first segment
@@ -327,7 +330,7 @@ func (bd *BlockData) Count() int { return bd.count }
 // PayloadBytes returns the unwrapped payload size in bytes.
 func (bd *BlockData) PayloadBytes() int { return len(bd.payload) }
 
-// Release hands the payload buffer back to its pool once nothing reads the
+// Release hands the payload buffer back to its list once nothing reads the
 // payload any more; the handle decodes nothing afterwards. It does nothing
 // on a memoized handle (EnableMemo), which a block cache shares across
 // requests and which keeps its buffer. Only the sole holder of any other
@@ -340,7 +343,7 @@ func (bd *BlockData) Release() {
 	if poisonRecycled.Load() {
 		poisonCol((*bd.buf)[:cap(*bd.buf)])
 	}
-	bd.bufPool.Put(bd.buf)
+	bd.bufList.Put(bd.buf)
 	bd.payload, bd.buf = nil, nil
 }
 
@@ -350,7 +353,7 @@ func (bd *BlockData) Release() {
 // footer recorded. The returned BlockData is independent of the reader's
 // file handle.
 func (br *BlockReader) ReadBlock(k int) (*BlockData, error) {
-	payload, buf, pool, err := br.readBlockPayload(k)
+	payload, buf, list, err := br.readBlockPayload(k)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +391,7 @@ func (br *BlockReader) ReadBlock(k int) (*BlockData, error) {
 	return &BlockData{
 		payload:   payload,
 		buf:       buf,
-		bufPool:   pool,
+		bufList:   list,
 		count:     bi.Count,
 		block:     k,
 		segBase:   c.off,

@@ -53,7 +53,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 	"time"
 
 	"vani/internal/parallel"
@@ -295,77 +294,48 @@ func writeLog(out io.Writer, hdr *Trace, be int, nEvents uint64, frames []*[]byt
 	return w.n, w.w.Flush()
 }
 
-// Encoder and decoder scratch pools. wrapFrame always copies the payload
-// into the returned frame (raw frames append it, flate frames compress it),
-// so encoder payload buffers recycle; flate writers, their output buffers,
-// and flate readers reset cleanly and recycle too. The frames themselves
-// live until writeLog has written them, then go back to frameList for
-// wrapFrame to fill again. On the decode side a
-// block's payload lives in a pooled buffer — the frame buffer itself for a
-// raw frame, an inflate buffer for a flate one, whose frame buffer goes
-// straight back. A planned scan and a whole-log read hand each one back once
-// the block's columns are decoded (BlockData.Release); only a block cache's
-// memoized handles keep theirs.
+// Encoder and decoder scratch, recycled through free lists: whatever a
+// worker draws, the goroutine that finishes with it hands back. Block
+// payloads, encoded or inflated, share payloadBufs; block frames, written
+// or read, share frameList. wrapFrame always copies the payload into the
+// frame it returns (raw frames append it, flate frames compress it), so an
+// encoder's payload buffer goes back at once, and a frame goes back once
+// writeLog has written it. On the decode side a block's payload lives in
+// the frame buffer itself for a raw frame, in a payload buffer for a flate
+// one, whose frame buffer goes straight back. A planned scan and a
+// whole-log read hand each one back once the block's columns are decoded
+// (BlockData.Release); only a block cache's memoized handles keep theirs.
 var (
-	payloadBufPool = sync.Pool{New: func() interface{} {
-		b := make([]byte, 0, 1<<16)
-		return &b
-	}}
-	compBufPool     = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-	flateWriterPool = sync.Pool{New: func() interface{} {
-		fw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			panic(err) // impossible: level is a valid constant
-		}
-		return fw
-	}}
-	flateReaderPool = sync.Pool{New: func() interface{} {
-		return flate.NewReader(bytes.NewReader(nil))
-	}}
-	// New hands out no capacity: a buffer is sized to its frame or payload
-	// on first use (getBuf), and a scan's Gets mostly find the pool empty.
-	frameBufPool   = sync.Pool{New: func() interface{} { return new([]byte) }}
-	inflateBufPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+	payloadBufs parallel.FreeList[[]byte]
+	frameList   parallel.FreeList[[]byte]
+	deflaters   parallel.FreeList[deflater]
+	inflaters   parallel.FreeList[inflater]
 )
 
-// getBuf takes a buffer from pool and cuts it to n bytes, reallocating when
-// its capacity falls short.
-func getBuf(pool *sync.Pool, n uint64) *[]byte {
-	p := pool.Get().(*[]byte)
-	if uint64(cap(*p)) < n {
-		*p = make([]byte, n)
+// deflater is a flate writer and the buffer it compresses into.
+type deflater struct {
+	out bytes.Buffer
+	w   *flate.Writer
+}
+
+// inflater is a flate reader and the source it reads from.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser
+}
+
+// takeBuf draws a buffer from l, or makes one, and cuts it to n elements,
+// reallocating when its capacity falls short. The elements are not zeroed.
+func takeBuf[E any](l *parallel.FreeList[[]E], n int) *[]E {
+	p := l.Get()
+	if p == nil {
+		p = new([]E)
+	}
+	if cap(*p) < n {
+		*p = make([]E, n)
 	}
 	*p = (*p)[:n]
 	return p
-}
-
-func getPayloadBuf(capHint int) *[]byte {
-	p := payloadBufPool.Get().(*[]byte)
-	if cap(*p) < capHint {
-		*p = make([]byte, 0, capHint)
-	}
-	return p
-}
-
-func putPayloadBuf(p *[]byte) { payloadBufPool.Put(p) }
-
-// frameList recycles encoded block frames. It is a parallel.FreeList, not a
-// sync.Pool: the encoders fill frames on worker goroutines and writeLog
-// hands them back on its caller's.
-var frameList parallel.FreeList[[]byte]
-
-// getFrame takes a frame buffer from frameList, emptied, with room for n
-// bytes.
-func getFrame(n int) *[]byte {
-	f := frameList.Get()
-	if f == nil {
-		f = new([]byte)
-	}
-	if cap(*f) < n {
-		*f = make([]byte, 0, n)
-	}
-	*f = (*f)[:0]
-	return f
 }
 
 // wrapFrame frames a block payload: codec byte, length claims, and the raw
@@ -373,25 +343,28 @@ func getFrame(n int) *[]byte {
 // hands back (writeLog does). The payload is copied, never retained.
 func wrapFrame(payload []byte, compress bool) *[]byte {
 	if !compress {
-		f := getFrame(len(payload) + binary.MaxVarintLen64 + 1)
-		*f = append(*f, frameRaw)
+		f := takeBuf(&frameList, len(payload)+binary.MaxVarintLen64+1)
+		*f = append((*f)[:0], frameRaw)
 		*f = binary.AppendUvarint(*f, uint64(len(payload)))
 		*f = append(*f, payload...)
 		return f
 	}
-	comp := compBufPool.Get().(*bytes.Buffer)
-	comp.Reset()
-	fw := flateWriterPool.Get().(*flate.Writer)
-	fw.Reset(comp)
-	fw.Write(payload)
-	fw.Close()
-	f := getFrame(comp.Len() + 2*binary.MaxVarintLen64 + 1)
-	*f = append(*f, frameFlate)
+	d := deflaters.Get()
+	if d == nil {
+		d = new(deflater)
+		d.w, _ = flate.NewWriter(&d.out, flate.DefaultCompression) // a valid level: no error
+	}
+	d.out.Reset()
+	d.w.Reset(&d.out)
+	d.w.Write(payload)
+	d.w.Close()
+	comp := d.out.Bytes()
+	f := takeBuf(&frameList, len(comp)+2*binary.MaxVarintLen64+1)
+	*f = append((*f)[:0], frameFlate)
 	*f = binary.AppendUvarint(*f, uint64(len(payload)))
-	*f = binary.AppendUvarint(*f, uint64(comp.Len()))
-	*f = append(*f, comp.Bytes()...)
-	flateWriterPool.Put(fw)
-	compBufPool.Put(comp)
+	*f = binary.AppendUvarint(*f, uint64(len(comp)))
+	*f = append(*f, comp...)
+	deflaters.Put(d)
 	return f
 }
 
@@ -488,37 +461,37 @@ type Columns struct {
 func (cols *Columns) growSet(n int, set ColSet) {
 	cols.N = n
 	if set&ColLevel != 0 {
-		cols.Level = growCol(&u8ColPools, cols.Level, n)
+		cols.Level = growCol(&u8Cols, cols.Level, n)
 	}
 	if set&ColOp != 0 {
-		cols.Op = growCol(&u8ColPools, cols.Op, n)
+		cols.Op = growCol(&u8Cols, cols.Op, n)
 	}
 	if set&ColLib != 0 {
-		cols.Lib = growCol(&u8ColPools, cols.Lib, n)
+		cols.Lib = growCol(&u8Cols, cols.Lib, n)
 	}
 	if set&ColRank != 0 {
-		cols.Rank = growCol(&i32ColPools, cols.Rank, n)
+		cols.Rank = growCol(&i32Cols, cols.Rank, n)
 	}
 	if set&ColNode != 0 {
-		cols.Node = growCol(&i32ColPools, cols.Node, n)
+		cols.Node = growCol(&i32Cols, cols.Node, n)
 	}
 	if set&ColApp != 0 {
-		cols.App = growCol(&i32ColPools, cols.App, n)
+		cols.App = growCol(&i32Cols, cols.App, n)
 	}
 	if set&ColFile != 0 {
-		cols.File = growCol(&i32ColPools, cols.File, n)
+		cols.File = growCol(&i32Cols, cols.File, n)
 	}
 	if set&ColOffset != 0 {
-		cols.Offset = growCol(&i64ColPools, cols.Offset, n)
+		cols.Offset = growCol(&i64Cols, cols.Offset, n)
 	}
 	if set&ColSize != 0 {
-		cols.Size = growCol(&i64ColPools, cols.Size, n)
+		cols.Size = growCol(&i64Cols, cols.Size, n)
 	}
 	if set&ColStart != 0 {
-		cols.Start = growCol(&i64ColPools, cols.Start, n)
+		cols.Start = growCol(&i64Cols, cols.Start, n)
 	}
 	if set&ColEnd != 0 {
-		cols.End = growCol(&i64ColPools, cols.End, n)
+		cols.End = growCol(&i64Cols, cols.End, n)
 	}
 }
 
@@ -575,7 +548,7 @@ func (cols *Columns) grow(n int) {
 
 // unwrapFrame strips a block frame down to its raw payload. A raw frame's
 // payload aliases the frame bytes and inflated is nil; a flate frame
-// decompresses into a buffer from inflateBufPool, returned as inflated.
+// decompresses into a buffer from payloadBufs, returned as inflated.
 // Allocation is bounded by the actual frame bytes: a flate block may not
 // claim a decoded size beyond the codec's maximum ratio (the
 // decompression-bomb guard).
@@ -610,17 +583,22 @@ func unwrapFrame(frame []byte) (payload []byte, inflated *[]byte, err error) {
 	if rawLen > maxFlateRatio*compLen+64 {
 		return nil, nil, badf("compressed block claims %d bytes from %d", rawLen, compLen)
 	}
-	fr := flateReaderPool.Get().(io.ReadCloser)
-	fr.(flate.Resetter).Reset(bytes.NewReader(rest), nil)
-	defer flateReaderPool.Put(fr)
-	inflated = getBuf(&inflateBufPool, rawLen)
-	if _, err := io.ReadFull(fr, *inflated); err != nil {
-		inflateBufPool.Put(inflated)
+	inf := inflaters.Get()
+	if inf == nil {
+		inf = new(inflater)
+		inf.r = flate.NewReader(&inf.src)
+	}
+	inf.src.Reset(rest)
+	inf.r.(flate.Resetter).Reset(&inf.src, nil)
+	defer inflaters.Put(inf)
+	inflated = takeBuf(&payloadBufs, int(rawLen))
+	if _, err := io.ReadFull(inf.r, *inflated); err != nil {
+		payloadBufs.Put(inflated)
 		return nil, nil, badf("inflating block: %v", err)
 	}
 	var one [1]byte
-	if n, _ := fr.Read(one[:]); n != 0 {
-		inflateBufPool.Put(inflated)
+	if n, _ := inf.r.Read(one[:]); n != 0 {
+		payloadBufs.Put(inflated)
 		return nil, nil, badf("compressed block longer than declared %d bytes", rawLen)
 	}
 	return *inflated, inflated, nil
@@ -844,14 +822,14 @@ type BlockSource interface {
 var _ BlockSource = (*BlockReader)(nil)
 
 // readBlockPayload fetches and unwraps block k's raw payload, returning the
-// pooled buffer it lives in and that buffer's pool: the frame buffer for a
-// raw frame, an inflate buffer for a flate one (whose frame buffer goes
+// recycled buffer it lives in and that buffer's list: the frame buffer for
+// a raw frame, a payload buffer for a flate one (whose frame buffer goes
 // straight back). No buffer stays out on error.
-func (br *BlockReader) readBlockPayload(k int) (payload []byte, buf *[]byte, pool *sync.Pool, err error) {
+func (br *BlockReader) readBlockPayload(k int) (payload []byte, buf *[]byte, list *parallel.FreeList[[]byte], err error) {
 	bi := br.blocks[k]
-	fp := getBuf(&frameBufPool, uint64(bi.Len))
+	fp := takeBuf(&frameList, int(bi.Len))
 	if _, err := br.r.ReadAt(*fp, bi.Offset); err != nil {
-		frameBufPool.Put(fp)
+		frameList.Put(fp)
 		if IsCtxErr(err) {
 			return nil, nil, nil, err // canceled read, not corrupt input
 		}
@@ -860,13 +838,13 @@ func (br *BlockReader) readBlockPayload(k int) (payload []byte, buf *[]byte, poo
 	payload, inflated, err := unwrapFrame(*fp)
 	switch {
 	case err != nil:
-		frameBufPool.Put(fp)
+		frameList.Put(fp)
 		return nil, nil, nil, fmt.Errorf("block %d: %w", k, err)
 	case inflated != nil:
-		frameBufPool.Put(fp)
-		return payload, inflated, &inflateBufPool, nil
+		frameList.Put(fp)
+		return payload, inflated, &payloadBufs, nil
 	}
-	return payload, fp, &frameBufPool, nil
+	return payload, fp, &frameList, nil
 }
 
 // ReadTrace returns the log's header with Events holding every event that

@@ -131,9 +131,6 @@ const readBufSize = 1 << 16
 // calls on logs of at least readBufSize bytes: the read buffer, the string
 // arena and the pending-string list. flushStrs copies the arena out, so a
 // decoded header owns nothing pooled.
-// It is a parallel.FreeList, not a sync.Pool: a scan's caller hands the
-// reader back on whichever P it last ran on, and a pool would strand it
-// there — a new arena per open on a 1,280-file header.
 var readerPool parallel.FreeList[reader]
 
 // getReader returns a header reader over src, a log of size bytes. A log

@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -47,12 +50,12 @@ func TestColumnSizeClasses(t *testing.T) {
 		}
 	}
 	if raceEnabled {
-		return // the race detector's pools drop entries at random
+		return // allocation accounting is skewed under the race detector
 	}
 	for _, n := range []int{64, 1000, DefaultBlockEvents} {
-		recycleCol(&i64ColPools, growCol(&i64ColPools, nil, n))
+		recycleCol(&i64Cols, growCol(&i64Cols, nil, n))
 		if got := testing.AllocsPerRun(50, func() {
-			recycleCol(&i64ColPools, growCol(&i64ColPools, nil, n))
+			recycleCol(&i64Cols, growCol(&i64Cols, nil, n))
 		}); got != 0 {
 			t.Errorf("%d rows: %v allocations per draw and return, want 0", n, got)
 		}
@@ -118,6 +121,64 @@ func TestColumnsKeepPoisoned(t *testing.T) {
 			if got := ColumnsInUse(); got != base {
 				t.Fatalf("%d rows keeping %d: %d pooled columns never came back", n, kept, got-base)
 			}
+		}
+	}
+}
+
+// TestRecycledBuffersReachAnotherP: what one goroutine hands back — a column
+// of each element type, a block payload and a block frame — a draw on a
+// second goroutine takes again, array for array, while the first keeps its
+// P busy. A recycler that holds values per P (a sync.Pool's private slot)
+// fails this: the second goroutine runs on the other P, which cannot take
+// them. The collector is off so that nothing ages the lists meanwhile.
+func TestRecycledBuffersReachAnotherP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 1000
+	type handed struct {
+		u8             *uint8
+		i32            *int32
+		i64            *int64
+		payload, frame *[]byte
+	}
+	put, exited := make(chan handed), make(chan struct{})
+	var stop atomic.Bool
+	defer func() { stop.Store(true); <-exited }()
+	go func() {
+		defer close(exited)
+		u8, i32, i64 := growCol(&u8Cols, nil, n), growCol(&i32Cols, nil, n), growCol(&i64Cols, nil, n)
+		h := handed{&u8[0], &i32[0], &i64[0], takeBuf(&payloadBufs, n), takeBuf(&frameList, n)}
+		recycleCol(&u8Cols, u8)
+		recycleCol(&i32Cols, i32)
+		recycleCol(&i64Cols, i64)
+		payloadBufs.Put(h.payload)
+		frameList.Put(h.frame)
+		put <- h
+		for !stop.Load() {
+		}
+	}()
+	h := <-put
+	u8, i32, i64 := growCol(&u8Cols, nil, n), growCol(&i32Cols, nil, n), growCol(&i64Cols, nil, n)
+	payload, frame := takeBuf(&payloadBufs, n), takeBuf(&frameList, n)
+	defer func() {
+		recycleCol(&u8Cols, u8)
+		recycleCol(&i32Cols, i32)
+		recycleCol(&i64Cols, i64)
+		payloadBufs.Put(payload)
+		frameList.Put(frame)
+	}()
+	for _, c := range []struct {
+		what string
+		same bool
+	}{
+		{"uint8 column", &u8[0] == h.u8},
+		{"int32 column", &i32[0] == h.i32},
+		{"int64 column", &i64[0] == h.i64},
+		{"block payload", payload == h.payload},
+		{"block frame", frame == h.frame},
+	} {
+		if !c.same {
+			t.Errorf("the %s handed back on another goroutine was not drawn again", c.what)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math/bits"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -25,10 +24,10 @@ const maxLogEvents = 1<<32 - chunkEvents
 // chunk is one fixed-size piece of the log.
 type chunk = [chunkEvents]Event
 
-// chunkPool recycles log chunks from one Finish to the next Record, the way
+// logChunks recycles log chunks from one Finish to the next Record, the way
 // colpool.go recycles block columns. Chunks are not zeroed: the log writes
 // every slot below its length before anything reads it.
-var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+var logChunks parallel.FreeList[chunk]
 
 // poisonEvent is what a recycled chunk holds under poisonRecycled: no
 // tracer records it, and it sorts nowhere near a real event.
@@ -92,12 +91,15 @@ func (l *eventLog) append(ev Event) {
 	l.tail = append(l.tail, ev)
 }
 
-// grow starts a fresh chunk from the pool.
+// grow starts a fresh chunk from logChunks.
 func (l *eventLog) grow() {
 	if len(l.chunks) == maxLogEvents/chunkEvents {
 		panic("trace: event log full")
 	}
-	c := chunkPool.Get().(*chunk)
+	c := logChunks.Get()
+	if c == nil {
+		c = new(chunk)
+	}
 	l.chunks = append(l.chunks, c)
 	l.tail = c[:0]
 }
@@ -121,7 +123,7 @@ func (l *eventLog) events(c int) []Event {
 // at returns the event recorded i-th.
 func (l *eventLog) at(i uint32) *Event { return &l.chunks[i/chunkEvents][i%chunkEvents] }
 
-// release hands the chunks back to the pool and empties the log.
+// release hands the chunks back to logChunks and empties the log.
 func (l *eventLog) release() {
 	poison := poisonRecycled.Load()
 	for _, c := range l.chunks {
@@ -130,7 +132,7 @@ func (l *eventLog) release() {
 				c[i] = poisonEvent
 			}
 		}
-		chunkPool.Put(c)
+		logChunks.Put(c)
 	}
 	clear(l.chunks)
 	l.chunks, l.tail = l.chunks[:0], nil

@@ -36,7 +36,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync"
+
+	"vani/internal/parallel"
 )
 
 // Segment codec ids (the first byte of every column segment).
@@ -60,26 +61,9 @@ const maxDictValues = 1 << 12
 // (uvarint-encoded): Level, Op, Lib.
 const unsignedCols ColSet = ColLevel | ColOp | ColLib
 
-// i64Pool recycles []int64 scratch — the encoder's dictionary indices and
-// the decoder's dictionary table, never a staged column; capacity matches
-// the default block size so steady state never reallocates.
-var i64Pool = sync.Pool{
-	New: func() interface{} {
-		s := make([]int64, 0, DefaultBlockEvents)
-		return &s
-	},
-}
-
-func getI64(n int) *[]int64 {
-	p := i64Pool.Get().(*[]int64)
-	if cap(*p) < n {
-		*p = make([]int64, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putI64(p *[]int64) { i64Pool.Put(p) }
+// i64Bufs recycles []int64 scratch (takeBuf): the encoder's dictionary
+// indices and the decoder's dictionary table, never a staged column.
+var i64Bufs parallel.FreeList[[]int64]
 
 // appendStoredValue appends one stored value in the column's wire encoding.
 func appendStoredValue(dst []byte, v int64, unsigned bool) []byte {
@@ -205,11 +189,8 @@ type segScratch struct {
 	dict dictTable
 }
 
-var segScratchPool = sync.Pool{
-	New: func() interface{} {
-		return &segScratch{vals: make([]int64, 0, DefaultBlockEvents)}
-	},
-}
+// segScratches recycles the encoders' segScratch values.
+var segScratches parallel.FreeList[segScratch]
 
 // dictTable is the encoder's reusable distinct-value table: an
 // open-addressed (linear probing) int64 hash set that hands each value its
@@ -435,8 +416,8 @@ func appendSegBody(dst []byte, codec uint8, vals []int64, unsigned bool, tab *di
 		// First-appearance order keeps the encoding deterministic and puts
 		// the earliest values at the smallest indices.
 		tab.reset()
-		idx := getI64(n)
-		defer putI64(idx)
+		idx := takeBuf(&i64Bufs, n)
+		defer i64Bufs.Put(idx)
 		for i, v := range vals {
 			if i > 0 && v == vals[i-1] {
 				(*idx)[i] = (*idx)[i-1]
@@ -650,8 +631,8 @@ func decodeDict[T colValue](c *byteCursor, out []T, sp colSpec) error {
 	if nd == 0 || nd > uint64(n) {
 		return badf("dictionary of %d values for %d rows", nd, n)
 	}
-	dp := getI64(int(nd))
-	defer putI64(dp)
+	dp := takeBuf(&i64Bufs, int(nd))
+	defer i64Bufs.Put(dp)
 	tab := *dp
 	for i := range tab {
 		tab[i] = c.storedValue(sp.unsigned)

@@ -489,8 +489,7 @@ func TestAppendSegV22Validation(t *testing.T) {
 		{Rank: 5, Start: 120, End: 180},
 		{Rank: 5, Start: 90, End: 200}, // out-of-order start: negative delta
 	}
-	sc := segScratchPool.Get().(*segScratch)
-	defer segScratchPool.Put(sc)
+	sc := new(segScratch)
 	var in Columns
 	in.Transpose(evs)
 	defer in.Recycle(AllCols)
