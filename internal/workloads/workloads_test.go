@@ -735,3 +735,55 @@ func TestKernelCountersOnResult(t *testing.T) {
 			a.KernelSwitches, a.KernelEvents, ratio)
 	}
 }
+
+// optionGolden pins the options generatorGolden leaves at their defaults:
+// each row is a small golden-spec run with one interface, storage or tracer
+// option changed, with its event count and the SHA-256 of its encoded
+// trace. Every stage a blocking call is made of — a compression CPU stage,
+// a close drain under relaxed consistency, an uncached PFS transfer, a
+// stream's buffer fill, an HDF5 dataset-metadata stat, the tracer's
+// per-event overhead, a shared burst-buffer transfer — shows in one row.
+// The constants were taken on the coroutine engine, before ranks ran as
+// step programs, so they do not share the step programs' bugs.
+var optionGolden = []struct {
+	name       string
+	option     string
+	edit       func(*workloads.Spec)
+	nodes, rpn int
+	scale      float64
+	optimized  bool
+	events     int
+	sha256     string
+}{
+	{"hacc", "write_compression", func(s *workloads.Spec) { s.Iface.CompressionEnabled = true }, 4, 4, 0.02, false, 1344, "ff126a3eb448667b18bee8b314cd452179e1f136b42857d0a64f6f8342655b19"},
+	{"cm1", "relaxed_consistency", func(s *workloads.Spec) { s.Storage.RelaxedConsistency = true }, 4, 4, 0.02, false, 8626, "5943116de879c6d16c1b0d2b70f8eec2db99974213b1ef29531d10e6905dadd3"},
+	{"montage-mpi", "cache off", func(s *workloads.Spec) { s.Storage.CacheEnabled = false }, 4, 4, 0.02, false, 39956, "d17bcff9d7998477c6247c922bb09c3d1b3bea04d485631efb959e388302e80d"},
+	{"montage-mpi", "readahead 0", func(s *workloads.Spec) { s.Storage.ReadAhead = 0 }, 4, 4, 0.02, false, 39956, "30b93986f1cb0120e92188e2eca5f5b1d3f77e36738631194caaf987adc49611"},
+	{"jag", "stdio_buffer 4KiB", func(s *workloads.Spec) { s.Iface.StdioBufSize = 4 * storage.KiB }, 2, 4, 0.005, false, 6600, "641e7743db3cc74fbc36b8ce4442020a42c415577bfbebca45070299fcac308e"},
+	{"cosmoflow", "hdf5_chunked", func(s *workloads.Spec) { s.Iface.HDF5Chunked = true }, 4, 4, 0.02, false, 61554, "2c6e9d51ea751610e9286cbf94ef1ce84b9f7ab2605e2bee5ac887c4d8badaf3"},
+	{"cosmoflow", "TraceOverhead 3us", func(s *workloads.Spec) { s.TraceOverhead = 3 * time.Microsecond }, 4, 4, 0.02, false, 86538, "41b5e8928e6b2ecf6cf40adb3b9ebe894c1bbef1df77ad9d3baa3d5139d8bde8"},
+	{"montage-pegasus", "TraceOverhead 3us", func(s *workloads.Spec) { s.TraceOverhead = 3 * time.Microsecond }, 2, 2, 0.001, false, 10248, "1f1970668db57a3f0fea488a83985263e7fead811c63f47001a498c928f9c0ea"},
+	{"hacc", "cori shared burst buffer", func(s *workloads.Spec) {
+		s.Machine, s.Storage, s.Seed = cluster.Cori(), storage.Cori(), 3
+	}, 2, 4, 0.02, true, 672, "6d7f32dc06e985c97b24d7206c52c9a43aadfb9d7964b5ae4646473853780732"},
+}
+
+// TestOptionGoldens: every option row still writes, byte for byte, the
+// trace it wrote on the coroutine engine.
+func TestOptionGoldens(t *testing.T) {
+	for _, g := range optionGolden {
+		w := spectest.Golden(t, g.name, nil)
+		sp := w.DefaultSpec()
+		sp.Nodes, sp.RanksPerNode, sp.Scale, sp.Optimized = g.nodes, g.rpn, g.scale, g.optimized
+		g.edit(&sp)
+		res := mustRun(t, w, sp)
+		h := sha256.New()
+		if err := trace.WriteV2(h, res.Trace); err != nil {
+			t.Fatalf("%s %s: %v", g.name, g.option, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.sha256 || len(res.Trace.Events) != g.events {
+			t.Errorf("%s %s: %d events, sha256 %s; the coroutine engine wrote %d, %s",
+				g.name, g.option, len(res.Trace.Events), got, g.events, g.sha256)
+		}
+	}
+}
