@@ -12,10 +12,15 @@
 // transfers, MPI-IO adds synchronization metadata per operation that grows
 // with the communicator, and unchunked HDF5 multiplies metadata accesses
 // per dataset read (the CosmoFlow bottleneck of Figure 3).
+//
+// Every call is in step form, for ranks that run as step programs on the
+// simulator: a call sets an Op up without running anything, and each
+// Op.Step runs it up to its next wait and returns the wake time (see
+// op.go). A layer's call drives the layer below it within the same Op, so
+// one Op holds a whole HDF5-over-MPI-IO-over-POSIX call.
 package iface
 
 import (
-	"fmt"
 	"time"
 
 	"vani/internal/sim"
@@ -75,6 +80,7 @@ func Defaults() Options {
 
 // Client is the per-rank entry point to all interface layers.
 type Client struct {
+	e    *sim.Engine
 	sys  *storage.System
 	tr   *trace.Tracer
 	opt  Options
@@ -86,6 +92,7 @@ type Client struct {
 // NewClient builds the interface client for one rank of one application.
 func NewClient(sys *storage.System, tr *trace.Tracer, opt Options, appName string, rank, node int) *Client {
 	return &Client{
+		e:    sys.Engine(),
 		sys:  sys,
 		tr:   tr,
 		opt:  opt,
@@ -101,15 +108,14 @@ func (c *Client) Rank() int { return int(c.rank) }
 // Node returns the node hosting the client's rank.
 func (c *Client) Node() int { return int(c.node) }
 
-// emit records an event ending now and charges tracer overhead to p.
-func (c *Client) emit(p *sim.Proc, lv trace.Level, lib trace.Lib, op trace.Op, file int32, off, size int64, start time.Duration) {
+// emit records an event ending now and returns the tracer overhead to
+// charge for it; the caller sleeps that long when it is positive.
+func (c *Client) emit(lv trace.Level, lib trace.Lib, op trace.Op, file int32, off, size int64, start time.Duration) time.Duration {
 	ev := trace.Event{
 		Level: lv, Op: op, Lib: lib, Rank: c.rank, Node: c.node, App: c.app,
-		File: file, Offset: off, Size: size, Start: start, End: p.Now(),
+		File: file, Offset: off, Size: size, Start: start, End: c.e.Now(),
 	}
-	if d := c.tr.Record(ev); d > 0 {
-		p.Sleep(d)
-	}
+	return c.tr.Record(ev)
 }
 
 // fileID interns path and stamps its storage target without clobbering
@@ -131,182 +137,107 @@ func (c *Client) DescribeFile(path, format string, ndims int, dataType string) {
 	})
 }
 
-// Compute records a CPU computation span of duration d.
-func (c *Client) Compute(p *sim.Proc, d time.Duration) {
-	start := p.Now()
-	p.Sleep(d)
-	c.emit(p, trace.LevelCompute, trace.LibNone, trace.OpCompute, -1, 0, 0, start)
+// Compute sets o up to record a CPU computation span of duration d.
+func (c *Client) Compute(o *Op, d time.Duration) {
+	o.begin(c, nil, kCompute)
+	o.off = int64(d)
 }
 
-// GPUCompute records a GPU computation span of duration d.
-func (c *Client) GPUCompute(p *sim.Proc, d time.Duration) {
-	start := p.Now()
-	p.Sleep(d)
-	c.emit(p, trace.LevelCompute, trace.LibNone, trace.OpGPUCompute, -1, 0, 0, start)
+// GPUCompute sets o up to record a GPU computation span of duration d.
+func (c *Client) GPUCompute(o *Op, d time.Duration) {
+	o.begin(c, nil, kGPU)
+	o.off = int64(d)
 }
 
-// Barrier waits on b and records the synchronization span.
-func (c *Client) Barrier(p *sim.Proc, b *sim.Barrier) {
-	start := p.Now()
-	b.Wait(p)
-	c.emit(p, trace.LevelCompute, trace.LibNone, trace.OpBarrier, -1, 0, 0, start)
+// Barrier sets o up to wait on b as process p and record the
+// synchronization span. Its Step returns sim.Parked while p waits.
+func (c *Client) Barrier(o *Op, p *sim.Proc, b *sim.Barrier) {
+	o.begin(c, nil, kBarrier)
+	o.p, o.bar = p, b
 }
 
-// ---------------------------------------------------------------------------
-// POSIX layer
+// Layer is the interface a file was opened through.
+type Layer uint8
 
-// PosixFile is an open POSIX file descriptor with a seek cursor.
-type PosixFile struct {
+// The interface layers.
+const (
+	Posix Layer = iota
+	Stdio
+	MPIIO
+	HDF5
+)
+
+// String returns the layer's name in the spec grammar: posix, stdio, mpiio
+// or hdf5.
+func (l Layer) String() string {
+	switch l {
+	case Posix:
+		return "posix"
+	case Stdio:
+		return "stdio"
+	case MPIIO:
+		return "mpiio"
+	}
+	return "hdf5"
+}
+
+// File is one file opened through one of the layers: a POSIX descriptor
+// with its seek cursor, a STDIO stream with its buffer, or an MPI-IO or
+// HDF5 handle on a communicator. It is a value its owner keeps and reuses:
+// an open fills it in.
+type File struct {
 	c    *Client
-	h    *storage.File
+	h    storage.File
 	path string
 	id   int32
-	off  int64
-	open bool
+	off  int64 // the POSIX cursor
+
+	// A STDIO stream: the bytes buffered for writing, the file range
+	// [bufStart, bufEnd) buffered for reading, the application-visible
+	// cursor, and its mode ('r' or 'w').
+	buffered         int64
+	bufStart, bufEnd int64
+	pos              int64
+	mode             byte
+
+	layer    Layer
+	open     bool
+	commSize int // MPI-IO and HDF5: the communicator
 }
 
-// PosixOpen opens (optionally creating) a file through the POSIX layer.
-func (c *Client) PosixOpen(p *sim.Proc, path string, create bool) (*PosixFile, error) {
-	id := c.fileID(path)
-	start := p.Now()
-	h, err := c.sys.Open(p, int(c.node), path, create)
-	c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpOpen, id, 0, 0, start)
-	if err != nil {
-		return nil, err
-	}
-	// Record the size of pre-existing (read) files so dataset entities
-	// see input data, not just what the job wrote.
-	if sz, ok := h.Size(); ok {
-		c.tr.ObserveFileSize(id, sz)
-	}
-	return &PosixFile{c: c, h: h, path: path, id: id, open: true}, nil
-}
-
-// PosixStat stats a path through the POSIX layer.
-func (c *Client) PosixStat(p *sim.Proc, path string) (int64, error) {
-	id := c.fileID(path)
-	start := p.Now()
-	sz, err := c.sys.Stat(p, int(c.node), path)
-	c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpStat, id, 0, 0, start)
-	return sz, err
-}
+// Layer returns the interface the file was opened through.
+func (f *File) Layer() Layer { return f.layer }
 
 // Path returns the file's path.
-func (f *PosixFile) Path() string { return f.path }
+func (f *File) Path() string { return f.path }
 
-// Offset returns the current cursor.
-func (f *PosixFile) Offset() int64 { return f.off }
+// Offset returns the POSIX cursor.
+func (f *File) Offset() int64 { return f.off }
 
-func (f *PosixFile) check() error {
-	if !f.open {
-		return fmt.Errorf("iface: %s used after close", f.path)
-	}
-	return nil
-}
+// Pos returns a STDIO stream's application-visible cursor.
+func (f *File) Pos() int64 { return f.pos }
 
-// Write writes size bytes at the cursor and advances it.
-func (f *PosixFile) Write(p *sim.Proc, size int64) error {
-	return f.WriteAt(p, f.off, size, true)
-}
+// Size reports the file's current size as its node sees it, and whether
+// it exists.
+func (f *File) Size() (int64, bool) { return f.h.Size() }
 
-// WriteAt writes size bytes at off; advance moves the cursor past the
-// write (pwrite semantics pass false). With compression middleware
-// enabled, the logical bytes pass through the compressor's CPU stage and
-// only the compressed bytes (at proportionally scaled offsets) reach
-// storage; the traced event keeps the application's logical view.
-func (f *PosixFile) WriteAt(p *sim.Proc, off, size int64, advance bool) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	start := p.Now()
-	sOff, sSize := f.c.storedExtent(p, off, size)
-	err := f.h.Write(p, sOff, sSize)
-	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpWrite, f.id, off, size, start)
-	if err != nil {
-		return err
-	}
-	if advance {
-		f.off = off + size
-	}
-	f.c.tr.ObserveFileSize(f.id, off+size)
-	return nil
-}
-
-// storedExtent maps a logical extent to the stored extent, charging the
-// compressor's CPU time when compression is on.
-func (c *Client) storedExtent(p *sim.Proc, off, size int64) (int64, int64) {
+// storedExtent maps a logical extent to the stored extent and, when the
+// compression middleware is on and has a finite rate, the CPU time its
+// compressor takes (charge set).
+func (c *Client) storedExtent(off, size int64) (sOff, sSize int64, cpu time.Duration, charge bool) {
 	if !c.opt.CompressionEnabled {
-		return off, size
+		return off, size, 0, false
 	}
 	r := c.opt.CompressionRatio
 	if r <= 0 || r > 1 {
 		r = 1
 	}
 	if c.opt.CompressionCPUBW > 0 {
-		p.Sleep(time.Duration(float64(size) / float64(c.opt.CompressionCPUBW) * float64(time.Second)))
+		cpu, charge = time.Duration(float64(size)/float64(c.opt.CompressionCPUBW)*float64(time.Second)), true
 	}
-	sSize := int64(float64(size) * r)
+	sSize = int64(float64(size) * r)
 	if sSize < 1 {
 		sSize = 1
 	}
-	return int64(float64(off) * r), sSize
-}
-
-// Read reads size bytes at the cursor and advances it.
-func (f *PosixFile) Read(p *sim.Proc, size int64) error {
-	return f.ReadAt(p, f.off, size, true)
-}
-
-// ReadAt reads size bytes at off (decompressing when the compression
-// middleware is on).
-func (f *PosixFile) ReadAt(p *sim.Proc, off, size int64, advance bool) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	start := p.Now()
-	sOff, sSize := f.c.storedExtent(p, off, size)
-	err := f.h.Read(p, sOff, sSize)
-	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpRead, f.id, off, size, start)
-	if err != nil {
-		return err
-	}
-	if advance {
-		f.off = off + size
-	}
-	return nil
-}
-
-// Seek moves the cursor, recording the (near-free) metadata op.
-func (f *PosixFile) Seek(p *sim.Proc, off int64) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	start := p.Now()
-	f.h.Seek(p)
-	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpSeek, f.id, off, 0, start)
-	f.off = off
-	return nil
-}
-
-// Sync flushes the file, waiting for write-back drain.
-func (f *PosixFile) Sync(p *sim.Proc) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	start := p.Now()
-	f.h.Sync(p)
-	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpSync, f.id, 0, 0, start)
-	return nil
-}
-
-// Close closes the descriptor. Closing twice is an error.
-func (f *PosixFile) Close(p *sim.Proc) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	start := p.Now()
-	f.h.Close(p)
-	f.c.emit(p, trace.LevelPosix, trace.LibPosix, trace.OpClose, f.id, 0, 0, start)
-	f.open = false
-	return nil
+	return int64(float64(off) * r), sSize, cpu, charge
 }

@@ -30,7 +30,7 @@ func countOps(tr *trace.Trace, lv trace.Level, op trace.Op) int {
 
 func TestPosixReadAtCursorPastEOFFails(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		f, err := c.PosixOpen(p, "/p/gpfs1/f", true)
 		if err != nil {
@@ -49,7 +49,7 @@ func TestPosixReadAtCursorPastEOFFails(t *testing.T) {
 
 func TestPosixCursorSemantics(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
 		if err := f.Write(p, 1000); err != nil {
@@ -90,7 +90,7 @@ func TestPosixCursorSemantics(t *testing.T) {
 
 func TestPosixEventTimesSpanOps(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
 		f.Write(p, 16*storage.MiB)
@@ -112,7 +112,7 @@ func TestStdioBufferingAggregatesWrites(t *testing.T) {
 	e, sys, tr := testSetup()
 	opt := Defaults()
 	opt.StdioBufSize = 64 * storage.KiB
-	c := NewClient(sys, tr, opt, "montage", 0, 0)
+	c := newClient(sys, tr, opt, "montage", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		s, err := c.StdioOpen(p, "/p/gpfs1/out.tbl", 'w')
 		if err != nil {
@@ -145,7 +145,7 @@ func TestStdioBufferingAggregatesWrites(t *testing.T) {
 
 func TestStdioCloseFlushesPartialBuffer(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		s, _ := c.StdioOpen(p, "/p/gpfs1/x", 'w')
 		s.Write(p, 1000) // less than one buffer
@@ -159,7 +159,7 @@ func TestStdioCloseFlushesPartialBuffer(t *testing.T) {
 
 func TestStdioReadBufferServesSmallReads(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "jag", 0, 0)
+	c := newClient(sys, tr, Defaults(), "jag", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		w, _ := c.StdioOpen(p, "/p/gpfs1/data.npy", 'w')
 		w.Write(p, 256*storage.KiB)
@@ -188,7 +188,7 @@ func TestStdioReadBufferServesSmallReads(t *testing.T) {
 
 func TestStdioReadPastEOFFails(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		w, _ := c.StdioOpen(p, "/p/gpfs1/small", 'w')
 		w.Write(p, 100)
@@ -203,7 +203,7 @@ func TestStdioReadPastEOFFails(t *testing.T) {
 
 func TestStdioModeEnforcement(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		w, _ := c.StdioOpen(p, "/p/gpfs1/f", 'w')
 		if err := w.Read(p, 1); err == nil {
@@ -224,7 +224,7 @@ func TestStdioModeEnforcement(t *testing.T) {
 
 func TestStdioSeekBreaksBuffering(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "jag", 0, 0)
+	c := newClient(sys, tr, Defaults(), "jag", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		w, _ := c.StdioOpen(p, "/p/gpfs1/samples", 'w')
 		w.Write(p, storage.MiB)
@@ -256,7 +256,7 @@ func TestStdioSeekBreaksBuffering(t *testing.T) {
 func TestMPIIOChargesSyncMetadata(t *testing.T) {
 	e, sys, tr := testSetup()
 	opt := Defaults()
-	c := NewClient(sys, tr, opt, "cosmoflow", 0, 0)
+	c := newClient(sys, tr, opt, "cosmoflow", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		m, err := c.MPIOpen(p, "/p/gpfs1/s.h5", true, 128)
 		if err != nil {
@@ -280,7 +280,7 @@ func TestMPIIOCommScalingOff(t *testing.T) {
 	e, sys, tr := testSetup()
 	opt := Defaults()
 	opt.MPIIOCommScaling = false
-	c := NewClient(sys, tr, opt, "app", 0, 0)
+	c := newClient(sys, tr, opt, "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		m, _ := c.MPIOpen(p, "/p/gpfs1/f", true, 1024)
 		m.Close(p)
@@ -294,7 +294,7 @@ func TestMPIIOCommScalingOff(t *testing.T) {
 
 func TestMPIOpenRejectsBadComm(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		if _, err := c.MPIOpen(p, "/p/gpfs1/f", true, 0); err == nil {
 			t.Error("comm size 0 accepted")
@@ -306,7 +306,7 @@ func TestMPIOpenRejectsBadComm(t *testing.T) {
 func TestHDF5UnchunkedMetadataAmplification(t *testing.T) {
 	e, sys, tr := testSetup()
 	opt := Defaults() // unchunked, 4 meta per access
-	c := NewClient(sys, tr, opt, "cosmoflow", 0, 0)
+	c := newClient(sys, tr, opt, "cosmoflow", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		h, err := c.H5Open(p, "/p/gpfs1/u.h5", true, 4)
 		if err != nil {
@@ -336,7 +336,7 @@ func TestHDF5ChunkedReducesMetadata(t *testing.T) {
 		e, sys, tr := testSetup()
 		opt := Defaults()
 		opt.HDF5Chunked = chunked
-		c := NewClient(sys, tr, opt, "app", 0, 0)
+		c := newClient(sys, tr, opt, "app", 0, 0)
 		e.Spawn("p", func(p *sim.Proc) {
 			h, _ := c.H5Open(p, "/p/gpfs1/f.h5", true, 4)
 			for i := int64(0); i < 10; i++ {
@@ -354,7 +354,7 @@ func TestHDF5ChunkedReducesMetadata(t *testing.T) {
 
 func TestHDF5OpenReadsSuperblock(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		h, _ := c.H5Open(p, "/p/gpfs1/f.h5", true, 4)
 		h.DatasetWrite(p, 0, storage.MiB)
@@ -381,7 +381,7 @@ func TestHDF5OpenReadsSuperblock(t *testing.T) {
 
 func TestComputeAndGPUSpans(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 3, 1)
+	c := newClient(sys, tr, Defaults(), "app", 3, 1)
 	e.Spawn("p", func(p *sim.Proc) {
 		c.Compute(p, 2*time.Second)
 		c.GPUCompute(p, 3*time.Second)
@@ -409,7 +409,7 @@ func TestBarrierTraced(t *testing.T) {
 	e, sys, tr := testSetup()
 	b := sim.NewBarrier(e, 2)
 	for r := 0; r < 2; r++ {
-		c := NewClient(sys, tr, Defaults(), "app", r, 0)
+		c := newClient(sys, tr, Defaults(), "app", r, 0)
 		r := r
 		e.Spawn("rank", func(p *sim.Proc) {
 			p.Sleep(time.Duration(r) * time.Second)
@@ -427,7 +427,7 @@ func TestTracerOverheadChargedToRuntime(t *testing.T) {
 	run := func(overhead time.Duration) time.Duration {
 		e, sys, tr := testSetup()
 		tr.SetOverhead(overhead)
-		c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+		c := newClient(sys, tr, Defaults(), "app", 0, 0)
 		e.Spawn("p", func(p *sim.Proc) {
 			f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
 			for i := 0; i < 100; i++ {
@@ -444,7 +444,7 @@ func TestTracerOverheadChargedToRuntime(t *testing.T) {
 
 func TestDescribeFile(t *testing.T) {
 	_, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	c.DescribeFile("/p/gpfs1/d.h5", "hdf5", 3, "int")
 	out := tr.Finish()
 	f := out.Files[0]
@@ -458,15 +458,15 @@ func TestCompressionShrinksStoredBytes(t *testing.T) {
 	opt := Defaults()
 	opt.CompressionEnabled = true
 	opt.CompressionRatio = 0.5
-	c := NewClient(sys, tr, opt, "app", 0, 0)
+	c := newClient(sys, tr, opt, "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		f, _ := c.PosixOpen(p, "/p/gpfs1/ckpt", true)
 		for i := int64(0); i < 4; i++ {
-			if err := f.WriteAt(p, i*storage.MiB, storage.MiB, false); err != nil {
+			if err := f.WriteAt(p, i*storage.MiB, storage.MiB); err != nil {
 				t.Errorf("write: %v", err)
 			}
 		}
-		if err := f.ReadAt(p, 0, storage.MiB, false); err != nil {
+		if err := f.ReadAt(p, 0, storage.MiB); err != nil {
 			t.Errorf("read back: %v", err)
 		}
 		f.Close(p)
@@ -491,7 +491,7 @@ func TestCompressionChargesCPU(t *testing.T) {
 		opt := Defaults()
 		opt.CompressionEnabled = enabled
 		opt.CompressionCPUBW = 256 * storage.MiB // slow compressor
-		c := NewClient(sys, tr, opt, "app", 0, 0)
+		c := newClient(sys, tr, opt, "app", 0, 0)
 		e.Spawn("p", func(p *sim.Proc) {
 			f, _ := c.PosixOpen(p, "/dev/shm/x", true) // fast target isolates CPU
 			f.Write(p, 64*storage.MiB)
@@ -507,7 +507,7 @@ func TestCompressionChargesCPU(t *testing.T) {
 
 func TestCompressionDisabledIsIdentity(t *testing.T) {
 	e, sys, tr := testSetup()
-	c := NewClient(sys, tr, Defaults(), "app", 0, 0)
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
 	e.Spawn("p", func(p *sim.Proc) {
 		f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
 		f.Write(p, storage.MiB)

@@ -3,23 +3,24 @@ package iface
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
-	"vani/internal/sim"
 	"vani/internal/trace"
 )
 
-// MPIFile is a file handle opened through the MPI-IO middleware. On top of
-// the POSIX data path, MPI-IO charges collective-synchronization metadata:
-// every open/close and every data operation issues extra metadata ops
-// against the (shared, contended) PFS metadata service, scaling with the
-// communicator size. This is the mechanism behind CosmoFlow's 98%
-// metadata-time figure: many small shared files each paying collective
-// sync costs on GPFS (Figure 3, Section V-A).
-type MPIFile struct {
-	c        *Client
-	f        *PosixFile
-	commSize int
-}
+// An MPI-IO File is a handle opened through the MPI-IO middleware. On top
+// of the POSIX data path, MPI-IO charges collective-synchronization
+// metadata: every open/close and every data operation issues extra
+// metadata ops against the (shared, contended) PFS metadata service,
+// scaling with the communicator size. This is the mechanism behind
+// CosmoFlow's 98% metadata-time figure: many small shared files each
+// paying collective sync costs on GPFS (Figure 3, Section V-A).
+//
+// An HDF5 File sits on MPI-IO (the paper's CosmoFlow configuration) and
+// adds dataset metadata traffic: with unchunked datasets ("the file is
+// represented as one big chunk of 1D bytes"), every dataset access
+// re-touches file metadata, multiplying metadata operations by
+// HDF5MetaPerAccess; chunked layouts pay one.
 
 // syncOps returns the number of extra metadata ops charged per open/close.
 func (c *Client) syncOps(base, commSize int) int {
@@ -30,148 +31,189 @@ func (c *Client) syncOps(base, commSize int) int {
 	return n
 }
 
-// chargeSyncMeta issues n metadata stats against the file's storage target,
-// recording them at the middleware level.
-func (c *Client) chargeSyncMeta(p *sim.Proc, f *PosixFile, n int) {
-	for i := 0; i < n; i++ {
-		start := p.Now()
-		// Collective sync manifests as small metadata transactions; stat is
-		// the closest primitive and costs one metadata-server visit.
-		_, _ = f.h.Stat(p)
-		c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpStat, f.id, 0, 0, start)
-	}
+// MPIOpen sets o up to open path into f through MPI-IO on a communicator of
+// commSize ranks. Only the calling rank performs the POSIX open (ROMIO
+// deferred-open style); the collective synchronization cost is charged
+// explicitly.
+func (c *Client) MPIOpen(o *Op, f *File, path string, create bool, commSize int) {
+	o.begin(c, f, kMPIOpen)
+	o.path, o.create, o.comm = path, create, commSize
 }
 
-// MPIOpen opens path through MPI-IO on a communicator of commSize ranks.
-// Only the calling rank performs the POSIX open (ROMIO deferred-open
-// style); the collective synchronization cost is charged explicitly.
-func (c *Client) MPIOpen(p *sim.Proc, path string, create bool, commSize int) (*MPIFile, error) {
-	if commSize <= 0 {
-		return nil, fmt.Errorf("iface: MPI communicator size %d", commSize)
-	}
-	start := p.Now()
-	f, err := c.PosixOpen(p, path, create)
-	if err != nil {
-		return nil, err
-	}
-	c.chargeSyncMeta(p, f, c.syncOps(c.opt.MPIIOSyncMetaPerOpen, commSize))
-	c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpOpen, f.id, 0, 0, start)
-	return &MPIFile{c: c, f: f, commSize: commSize}, nil
+// H5Open sets o up to open an HDF5 file into f: an MPI-IO open plus a
+// superblock read.
+func (c *Client) H5Open(o *Op, f *File, path string, create bool, commSize int) {
+	o.begin(c, f, kH5Open)
+	o.path, o.create, o.comm = path, create, commSize
 }
 
-// Path returns the file path.
-func (m *MPIFile) Path() string { return m.f.path }
-
-// ReadAt performs an independent-style read at an explicit offset, plus the
-// per-op collective sync metadata.
-func (m *MPIFile) ReadAt(p *sim.Proc, off, size int64) error {
-	start := p.Now()
-	m.c.chargeSyncMeta(p, m.f, m.c.opt.MPIIOSyncMetaPerData)
-	if err := m.f.ReadAt(p, off, size, false); err != nil {
-		return err
-	}
-	m.c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpRead, m.f.id, off, size, start)
-	return nil
-}
-
-// WriteAt performs a write at an explicit offset, plus the per-op
-// collective sync metadata.
-func (m *MPIFile) WriteAt(p *sim.Proc, off, size int64) error {
-	start := p.Now()
-	m.c.chargeSyncMeta(p, m.f, m.c.opt.MPIIOSyncMetaPerData)
-	if err := m.f.WriteAt(p, off, size, false); err != nil {
-		return err
-	}
-	m.c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpWrite, m.f.id, off, size, start)
-	return nil
-}
-
-// Close closes the handle with collective sync.
-func (m *MPIFile) Close(p *sim.Proc) error {
-	start := p.Now()
-	m.c.chargeSyncMeta(p, m.f, m.c.syncOps(m.c.opt.MPIIOSyncMetaPerOpen, m.commSize))
-	if err := m.f.Close(p); err != nil {
-		return err
-	}
-	m.c.emit(p, trace.LevelMiddleware, trace.LibMPIIO, trace.OpClose, m.f.id, 0, 0, start)
-	return nil
-}
-
-// H5File is an HDF5 file handle. The HDF5 layer sits on MPI-IO (the
-// paper's CosmoFlow configuration) and adds dataset metadata traffic: with
-// unchunked datasets ("the file is represented as one big chunk of 1D
-// bytes"), every dataset access re-touches file metadata, multiplying
-// metadata operations by HDF5MetaPerAccess; chunked layouts pay one.
-type H5File struct {
-	c  *Client
-	m  *MPIFile
-	id int32
-}
-
-// H5Open opens an HDF5 file: an MPI-IO open plus a superblock read.
-func (c *Client) H5Open(p *sim.Proc, path string, create bool, commSize int) (*H5File, error) {
-	start := p.Now()
-	m, err := c.MPIOpen(p, path, create, commSize)
-	if err != nil {
-		return nil, err
-	}
-	h := &H5File{c: c, m: m, id: m.f.id}
-	if !create {
-		// Superblock + object header read.
-		if err := m.f.ReadAt(p, 0, c.opt.HDF5SuperblockSize, false); err != nil {
-			return nil, err
+// mpiOpen opens o.path as a file of the given layer: MPI-IO, or HDF5 on it.
+func (o *Op) mpiOpen(l Layer) (time.Duration, bool) {
+	c, f := o.c, o.f
+	switch o.mw.stage {
+	case 0:
+		if o.comm <= 0 {
+			return o.fail(fmt.Errorf("iface: MPI communicator size %d", o.comm))
+		}
+		o.mw.start, o.mw.stage = o.now(), 1
+		fallthrough
+	case 1:
+		if t, more := o.posixOpen(l); more || o.err != nil {
+			return t, more
+		}
+		f.commSize = o.comm
+		o.metaVisits(c.syncOps(c.opt.MPIIOSyncMetaPerOpen, o.comm), trace.LevelMiddleware, trace.LibMPIIO)
+		o.mw.stage = 2
+		fallthrough
+	case 2:
+		if t, more := o.metaRun(); more {
+			return t, true
+		}
+		o.mw.stage = 3
+		if d := c.emit(trace.LevelMiddleware, trace.LibMPIIO, trace.OpOpen, f.id, 0, 0, o.mw.start); d > 0 {
+			return o.now() + d, true
 		}
 	}
-	c.emit(p, trace.LevelApp, trace.LibHDF5, trace.OpOpen, h.id, 0, 0, start)
-	return h, nil
+	return 0, false
 }
 
-// Path returns the file path.
-func (h *H5File) Path() string { return h.m.f.path }
-
-// datasetMeta charges the per-access metadata lookups of the dataset
-// B-tree/heap, at the app level.
-func (h *H5File) datasetMeta(p *sim.Proc) {
-	n := h.c.opt.HDF5MetaPerAccess
-	if h.c.opt.HDF5Chunked {
-		n = 1
+// mpiData performs an independent-style transfer at an explicit offset,
+// plus the per-op collective sync metadata.
+func (o *Op) mpiData() (time.Duration, bool) {
+	c, f := o.c, o.f
+	switch o.mw.stage {
+	case 0:
+		o.mw.start, o.mw.stage = o.now(), 1
+		o.metaVisits(c.opt.MPIIOSyncMetaPerData, trace.LevelMiddleware, trace.LibMPIIO)
+		fallthrough
+	case 1:
+		if t, more := o.metaRun(); more {
+			return t, true
+		}
+		o.mw.stage = 2
+		fallthrough
+	case 2:
+		if t, more := o.posixData(); more || o.err != nil {
+			return t, more
+		}
+		o.mw.stage = 3
+		if d := c.emit(trace.LevelMiddleware, trace.LibMPIIO, o.dataOp(), f.id, o.off, o.size, o.mw.start); d > 0 {
+			return o.now() + d, true
+		}
 	}
-	for i := 0; i < n; i++ {
-		start := p.Now()
-		_, _ = h.m.f.h.Stat(p)
-		h.c.emit(p, trace.LevelApp, trace.LibHDF5, trace.OpStat, h.id, 0, 0, start)
-	}
+	return 0, false
 }
 
-// DatasetRead reads size bytes of a dataset at off, paying dataset
-// metadata then the MPI-IO read.
-func (h *H5File) DatasetRead(p *sim.Proc, off, size int64) error {
-	start := p.Now()
-	h.datasetMeta(p)
-	if err := h.m.ReadAt(p, off, size); err != nil {
-		return err
+// dataOp is the traced op of a transfer: read or write.
+func (o *Op) dataOp() trace.Op {
+	if o.pWrite {
+		return trace.OpWrite
 	}
-	h.c.emit(p, trace.LevelApp, trace.LibHDF5, trace.OpRead, h.id, off, size, start)
-	return nil
+	return trace.OpRead
 }
 
-// DatasetWrite writes size bytes of a dataset at off.
-func (h *H5File) DatasetWrite(p *sim.Proc, off, size int64) error {
-	start := p.Now()
-	h.datasetMeta(p)
-	if err := h.m.WriteAt(p, off, size); err != nil {
-		return err
+// mpiClose closes the handle with collective sync.
+func (o *Op) mpiClose() (time.Duration, bool) {
+	c, f := o.c, o.f
+	switch o.mw.stage {
+	case 0:
+		o.mw.start, o.mw.stage = o.now(), 1
+		o.metaVisits(c.syncOps(c.opt.MPIIOSyncMetaPerOpen, f.commSize), trace.LevelMiddleware, trace.LibMPIIO)
+		fallthrough
+	case 1:
+		if t, more := o.metaRun(); more {
+			return t, true
+		}
+		o.mw.stage = 2
+		fallthrough
+	case 2:
+		if t, more := o.posixClose(); more || o.err != nil {
+			return t, more
+		}
+		o.mw.stage = 3
+		if d := c.emit(trace.LevelMiddleware, trace.LibMPIIO, trace.OpClose, f.id, 0, 0, o.mw.start); d > 0 {
+			return o.now() + d, true
+		}
 	}
-	h.c.emit(p, trace.LevelApp, trace.LibHDF5, trace.OpWrite, h.id, off, size, start)
-	return nil
+	return 0, false
 }
 
-// Close closes the HDF5 file.
-func (h *H5File) Close(p *sim.Proc) error {
-	start := p.Now()
-	if err := h.m.Close(p); err != nil {
-		return err
+func (o *Op) h5Open() (time.Duration, bool) {
+	c, f := o.c, o.f
+	switch o.app.stage {
+	case 0:
+		o.app.start, o.app.stage = o.now(), 1
+		fallthrough
+	case 1:
+		if t, more := o.mpiOpen(HDF5); more || o.err != nil {
+			return t, more
+		}
+		o.app.stage = 2
+		if !o.create {
+			// Superblock + object header read.
+			o.posixAt(0, c.opt.HDF5SuperblockSize, false, false)
+		}
+		fallthrough
+	case 2:
+		if !o.create {
+			if t, more := o.posixData(); more || o.err != nil {
+				return t, more
+			}
+		}
+		o.app.stage = 3
+		if d := c.emit(trace.LevelApp, trace.LibHDF5, trace.OpOpen, f.id, 0, 0, o.app.start); d > 0 {
+			return o.now() + d, true
+		}
 	}
-	h.c.emit(p, trace.LevelApp, trace.LibHDF5, trace.OpClose, h.id, 0, 0, start)
-	return nil
+	return 0, false
+}
+
+// h5Data transfers size bytes of a dataset at off, paying the dataset
+// metadata lookups of its B-tree/heap at the app level, then the MPI-IO
+// transfer.
+func (o *Op) h5Data() (time.Duration, bool) {
+	c, f := o.c, o.f
+	switch o.app.stage {
+	case 0:
+		o.app.start, o.app.stage = o.now(), 1
+		n := c.opt.HDF5MetaPerAccess
+		if c.opt.HDF5Chunked {
+			n = 1
+		}
+		o.metaVisits(n, trace.LevelApp, trace.LibHDF5)
+		fallthrough
+	case 1:
+		if t, more := o.metaRun(); more {
+			return t, true
+		}
+		o.app.stage = 2
+		fallthrough
+	case 2:
+		if t, more := o.mpiData(); more || o.err != nil {
+			return t, more
+		}
+		o.app.stage = 3
+		if d := c.emit(trace.LevelApp, trace.LibHDF5, o.dataOp(), f.id, o.off, o.size, o.app.start); d > 0 {
+			return o.now() + d, true
+		}
+	}
+	return 0, false
+}
+
+func (o *Op) h5Close() (time.Duration, bool) {
+	c, f := o.c, o.f
+	switch o.app.stage {
+	case 0:
+		o.app.start, o.app.stage = o.now(), 1
+		fallthrough
+	case 1:
+		if t, more := o.mpiClose(); more || o.err != nil {
+			return t, more
+		}
+		o.app.stage = 2
+		if d := c.emit(trace.LevelApp, trace.LibHDF5, trace.OpClose, f.id, 0, 0, o.app.start); d > 0 {
+			return o.now() + d, true
+		}
+	}
+	return 0, false
 }

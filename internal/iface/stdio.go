@@ -2,172 +2,225 @@ package iface
 
 import (
 	"fmt"
+	"time"
 
-	"vani/internal/sim"
 	"vani/internal/trace"
 )
 
-// StdioFile is a client-buffered stream (fopen/fread/fwrite semantics).
+// A STDIO stream is a client-buffered File (fopen/fread/fwrite semantics).
 // Application-level accesses of any size are recorded at LevelMiddleware;
 // the buffer turns them into StdioBufSize-granularity POSIX transfers, which
 // is why Montage's <4KB application accesses appear as 64KB transfers at
 // the storage system (Figure 5a) and why the paper's Middleware entity
 // (Table VII) reports the post-buffering granularity.
-type StdioFile struct {
-	c    *Client
-	f    *PosixFile
-	mode byte // 'r' or 'w'
 
-	// Write buffering.
-	buffered int64
-
-	// Read buffering: [bufStart, bufEnd) of the file is in the buffer.
-	bufStart, bufEnd int64
-
-	pos int64 // application-visible cursor
+// StdioOpen sets o up to open a buffered stream into f. mode is 'r' (read)
+// or 'w' (write, creating/truncating the file).
+func (c *Client) StdioOpen(o *Op, f *File, path string, mode byte) {
+	o.begin(c, f, kStdioOpen)
+	o.path, o.mode, o.create = path, mode, mode == 'w'
 }
 
-// StdioOpen opens a buffered stream. mode is 'r' (read) or 'w' (write,
-// creating/truncating the file).
-func (c *Client) StdioOpen(p *sim.Proc, path string, mode byte) (*StdioFile, error) {
-	if mode != 'r' && mode != 'w' {
-		return nil, fmt.Errorf("iface: stdio mode %q not supported", mode)
-	}
-	if c.opt.StdioBufSize <= 0 {
-		return nil, fmt.Errorf("iface: stdio buffer size %d", c.opt.StdioBufSize)
-	}
-	start := p.Now()
-	f, err := c.PosixOpen(p, path, mode == 'w')
-	if err != nil {
-		return nil, err
-	}
-	c.emit(p, trace.LevelMiddleware, trace.LibStdio, trace.OpOpen, f.id, 0, 0, start)
-	return &StdioFile{c: c, f: f, mode: mode}, nil
-}
-
-// Path returns the stream's file path.
-func (s *StdioFile) Path() string { return s.f.path }
-
-// Pos returns the application-visible cursor.
-func (s *StdioFile) Pos() int64 { return s.pos }
-
-// Write appends size bytes at the cursor through the buffer. A full buffer
-// flushes as one POSIX write.
-func (s *StdioFile) Write(p *sim.Proc, size int64) error {
-	if s.mode != 'w' {
-		return fmt.Errorf("iface: write to read-mode stream %s", s.f.path)
-	}
-	start := p.Now()
-	if s.c.opt.StdioPerOpCPU > 0 {
-		p.Sleep(s.c.opt.StdioPerOpCPU)
-	}
-	remaining := size
-	for remaining > 0 {
-		room := s.c.opt.StdioBufSize - s.buffered
-		n := remaining
-		if n > room {
-			n = room
+func (o *Op) stdioOpen() (time.Duration, bool) {
+	c, f := o.c, o.f
+	switch o.mw.stage {
+	case 0:
+		if o.mode != 'r' && o.mode != 'w' {
+			return o.fail(fmt.Errorf("iface: stdio mode %q not supported", o.mode))
 		}
-		s.buffered += n
-		remaining -= n
-		if s.buffered == s.c.opt.StdioBufSize {
-			if err := s.flush(p); err != nil {
-				return err
+		if c.opt.StdioBufSize <= 0 {
+			return o.fail(fmt.Errorf("iface: stdio buffer size %d", c.opt.StdioBufSize))
+		}
+		o.mw.start, o.mw.stage = o.now(), 1
+		fallthrough
+	case 1:
+		if t, more := o.posixOpen(Stdio); more || o.err != nil {
+			return t, more
+		}
+		f.mode = o.mode
+		o.mw.stage = 2
+		if d := c.emit(trace.LevelMiddleware, trace.LibStdio, trace.OpOpen, f.id, 0, 0, o.mw.start); d > 0 {
+			return o.now() + d, true
+		}
+	}
+	return 0, false
+}
+
+// flush sets up the POSIX write of the buffered bytes, and reports whether
+// there are any.
+func (o *Op) flush() bool {
+	f := o.f
+	if f.buffered == 0 {
+		return false
+	}
+	n := f.buffered
+	f.buffered = 0
+	o.posixAt(f.off, n, true, true)
+	return true
+}
+
+// stdioWrite appends o.size bytes at the cursor through the buffer. A full
+// buffer flushes as one POSIX write.
+func (o *Op) stdioWrite() (time.Duration, bool) {
+	c, f := o.c, o.f
+	bufSize := c.opt.StdioBufSize
+	for {
+		switch o.mw.stage {
+		case 0:
+			if f.mode != 'w' {
+				return o.fail(fmt.Errorf("iface: write to read-mode stream %s", f.path))
 			}
-		}
-	}
-	s.c.emit(p, trace.LevelMiddleware, trace.LibStdio, trace.OpWrite, s.f.id, s.pos, size, start)
-	s.pos += size
-	return nil
-}
-
-// flush writes the buffered bytes as one POSIX write.
-func (s *StdioFile) flush(p *sim.Proc) error {
-	if s.buffered == 0 {
-		return nil
-	}
-	n := s.buffered
-	s.buffered = 0
-	return s.f.Write(p, n)
-}
-
-// Read consumes size bytes at the cursor. Misses fill the buffer with one
-// POSIX read of up to the buffer size.
-func (s *StdioFile) Read(p *sim.Proc, size int64) error {
-	if s.mode != 'r' {
-		return fmt.Errorf("iface: read from write-mode stream %s", s.f.path)
-	}
-	fileSize, ok := s.f.h.Size()
-	if !ok {
-		return fmt.Errorf("iface: stdio read: %s vanished", s.f.path)
-	}
-	if s.pos+size > fileSize {
-		return fmt.Errorf("iface: stdio read past EOF on %s: %d+%d > %d",
-			s.f.path, s.pos, size, fileSize)
-	}
-	start := p.Now()
-	if s.c.opt.StdioPerOpCPU > 0 {
-		p.Sleep(s.c.opt.StdioPerOpCPU)
-	}
-	remaining := size
-	for remaining > 0 {
-		if s.pos >= s.bufStart && s.pos < s.bufEnd {
-			n := s.bufEnd - s.pos
-			if n > remaining {
-				n = remaining
+			o.mw.start, o.mw.stage, o.rem = o.now(), 1, o.size
+			if c.opt.StdioPerOpCPU > 0 {
+				return o.now() + c.opt.StdioPerOpCPU, true
 			}
-			s.pos += n
-			remaining -= n
-			continue
+		case 1:
+			if o.rem <= 0 {
+				o.mw.stage = 3
+				if d := c.emit(trace.LevelMiddleware, trace.LibStdio, trace.OpWrite, f.id, f.pos, o.size, o.mw.start); d > 0 {
+					return o.now() + d, true
+				}
+				continue
+			}
+			n := min(o.rem, bufSize-f.buffered)
+			f.buffered += n
+			o.rem -= n
+			if f.buffered == bufSize {
+				o.flush()
+				o.mw.stage = 2
+			}
+		case 2:
+			if t, more := o.posixData(); more || o.err != nil {
+				return t, more
+			}
+			o.mw.stage = 1
+		default:
+			f.pos += o.size
+			return 0, false
 		}
-		// Miss: fill the buffer starting at the cursor.
-		fill := s.c.opt.StdioBufSize
-		if s.pos+fill > fileSize {
-			fill = fileSize - s.pos
-		}
-		if err := s.f.ReadAt(p, s.pos, fill, false); err != nil {
-			return err
-		}
-		s.bufStart, s.bufEnd = s.pos, s.pos+fill
 	}
-	s.c.emit(p, trace.LevelMiddleware, trace.LibStdio, trace.OpRead, s.f.id, start2Off(s.pos, size), size, start)
-	return nil
 }
 
-// start2Off recovers the offset a read started at from the final cursor.
-func start2Off(pos, size int64) int64 { return pos - size }
-
-// Seek repositions the cursor. Write buffers flush first; read buffers stay
-// valid only if the target is inside them.
-func (s *StdioFile) Seek(p *sim.Proc, off int64) error {
-	start := p.Now()
-	if s.mode == 'w' {
-		if err := s.flush(p); err != nil {
-			return err
+// stdioRead consumes o.size bytes at the cursor. Misses fill the buffer
+// with one POSIX read of up to the buffer size.
+func (o *Op) stdioRead() (time.Duration, bool) {
+	c, f := o.c, o.f
+	for {
+		switch o.mw.stage {
+		case 0:
+			if f.mode != 'r' {
+				return o.fail(fmt.Errorf("iface: read from write-mode stream %s", f.path))
+			}
+			fileSize, ok := f.h.Size()
+			if !ok {
+				return o.fail(fmt.Errorf("iface: stdio read: %s vanished", f.path))
+			}
+			if f.pos+o.size > fileSize {
+				return o.fail(fmt.Errorf("iface: stdio read past EOF on %s: %d+%d > %d",
+					f.path, f.pos, o.size, fileSize))
+			}
+			o.mw.start, o.mw.stage, o.rem, o.fileSize = o.now(), 1, o.size, fileSize
+			if c.opt.StdioPerOpCPU > 0 {
+				return o.now() + c.opt.StdioPerOpCPU, true
+			}
+		case 1:
+			if o.rem <= 0 {
+				o.mw.stage = 3
+				if d := c.emit(trace.LevelMiddleware, trace.LibStdio, trace.OpRead, f.id, f.pos-o.size, o.size, o.mw.start); d > 0 {
+					return o.now() + d, true
+				}
+				continue
+			}
+			if f.pos >= f.bufStart && f.pos < f.bufEnd {
+				n := min(f.bufEnd-f.pos, o.rem)
+				f.pos += n
+				o.rem -= n
+				continue
+			}
+			// Miss: fill the buffer starting at the cursor.
+			o.fill = c.opt.StdioBufSize
+			if f.pos+o.fill > o.fileSize {
+				o.fill = o.fileSize - f.pos
+			}
+			o.posixAt(f.pos, o.fill, false, false)
+			o.mw.stage = 2
+		case 2:
+			if t, more := o.posixData(); more || o.err != nil {
+				return t, more
+			}
+			f.bufStart, f.bufEnd = f.pos, f.pos+o.fill
+			o.mw.stage = 1
+		default:
+			return 0, false
 		}
 	}
-	if err := s.f.Seek(p, off); err != nil {
-		return err
-	}
-	s.pos = off
-	if off < s.bufStart || off >= s.bufEnd {
-		s.bufStart, s.bufEnd = 0, 0 // invalidate read buffer
-	}
-	s.c.emit(p, trace.LevelMiddleware, trace.LibStdio, trace.OpSeek, s.f.id, off, 0, start)
-	return nil
 }
 
-// Close flushes and closes the stream.
-func (s *StdioFile) Close(p *sim.Proc) error {
-	start := p.Now()
-	if s.mode == 'w' {
-		if err := s.flush(p); err != nil {
-			return err
+// stdioSeek repositions the cursor. Write buffers flush first; read
+// buffers stay valid only if the target is inside them.
+func (o *Op) stdioSeek() (time.Duration, bool) {
+	f := o.f
+	for {
+		switch o.mw.stage {
+		case 0:
+			o.mw.start, o.mw.stage = o.now(), 2
+			if f.mode == 'w' && o.flush() {
+				o.mw.stage = 1
+			}
+		case 1:
+			if t, more := o.posixData(); more || o.err != nil {
+				return t, more
+			}
+			o.mw.stage = 2
+		case 2:
+			o.px = level{}
+			o.mw.stage = 3
+		case 3:
+			if t, more := o.posixSeek(o.off); more || o.err != nil {
+				return t, more
+			}
+			f.pos = o.off
+			if o.off < f.bufStart || o.off >= f.bufEnd {
+				f.bufStart, f.bufEnd = 0, 0 // invalidate read buffer
+			}
+			o.mw.stage = 4
+			if d := o.c.emit(trace.LevelMiddleware, trace.LibStdio, trace.OpSeek, f.id, o.off, 0, o.mw.start); d > 0 {
+				return o.now() + d, true
+			}
+		default:
+			return 0, false
 		}
 	}
-	if err := s.f.Close(p); err != nil {
-		return err
+}
+
+// stdioClose flushes and closes the stream.
+func (o *Op) stdioClose() (time.Duration, bool) {
+	f := o.f
+	for {
+		switch o.mw.stage {
+		case 0:
+			o.mw.start, o.mw.stage = o.now(), 2
+			if f.mode == 'w' && o.flush() {
+				o.mw.stage = 1
+			}
+		case 1:
+			if t, more := o.posixData(); more || o.err != nil {
+				return t, more
+			}
+			o.mw.stage = 2
+		case 2:
+			o.px = level{}
+			o.mw.stage = 3
+		case 3:
+			if t, more := o.posixClose(); more || o.err != nil {
+				return t, more
+			}
+			o.mw.stage = 4
+			if d := o.c.emit(trace.LevelMiddleware, trace.LibStdio, trace.OpClose, f.id, 0, 0, o.mw.start); d > 0 {
+				return o.now() + d, true
+			}
+		default:
+			return 0, false
+		}
 	}
-	s.c.emit(p, trace.LevelMiddleware, trace.LibStdio, trace.OpClose, s.f.id, 0, 0, start)
-	return nil
 }

@@ -2,44 +2,53 @@
 //
 // The kernel drives every substrate in this repository: simulated MPI ranks,
 // storage servers, burst buffers, and workflow schedulers are all expressed
-// as processes and resources on a single virtual clock. Processes are
-// ordinary Go functions, each run as a coroutine (iter.Pull), but the engine
-// runs exactly one process at a time and orders all events by (virtual time,
+// as processes and resources on a single virtual clock. The engine runs
+// exactly one process at a time and orders all events by (virtual time,
 // insertion sequence), so simulations are fully deterministic and
 // reproducible across runs regardless of goroutine scheduling.
 //
-// The design follows the classic process-interaction style of simulation
-// kernels: a process calls blocking primitives (Sleep, Resource.Use,
-// Barrier.Wait, Semaphore.Acquire) that park it until the clock reaches its
-// wake-up.
+// A process is one of two kinds. A coroutine process (Spawn) is an ordinary
+// Go function run as a coroutine (iter.Pull), in the classic
+// process-interaction style: it calls blocking primitives (Sleep,
+// Resource.Use, Barrier.Wait, Semaphore.Acquire) that park it until the
+// clock reaches its wake-up. A step process (SpawnStep) is a resumable
+// program: the engine calls its step function inline at every wake-up, and
+// the step returns its next wake time — or that it parked on a wait list
+// (Barrier.Arrive, Gate.Pass), or that it is done. It never blocks, so it
+// needs no goroutine and no coroutine switch: a hand-off to it is a call.
+// Both kinds see the same schedule: a step that returns a wake time gets
+// exactly what SleepUntil would give a coroutine at that point — the same
+// in-place wake-up rule, (t, seq) numbering and counters.
 //
 // There is no engine goroutine and no central loop. Whoever holds control
 // runs the event loop: a process that parks (or finishes) pops the next
-// event itself, runs After callbacks inline, and on reaching another
-// process's wake-up names that process and yields. The goroutine inside
-// Run/RunUntil is only a driver: it resumes whichever process it was handed
-// and nothing else, so a simulated blocking call costs one coroutine switch
-// out and one in — no trip through the Go scheduler — and none when the next
-// event is the caller's own wake-up. The driver gets control back for good
-// when the queue is empty, an error is recorded or the time bound is
-// reached.
+// event itself, runs After callbacks and step processes inline, and on
+// reaching another coroutine's wake-up names that process and yields. The
+// goroutine inside Run/RunUntil is only a driver: it resumes whichever
+// coroutine it was handed and nothing else, so a simulated blocking call
+// costs one coroutine switch out and one in — no trip through the Go
+// scheduler — and none when the next event is the caller's own wake-up or a
+// step process's. The driver gets control back for good when the queue is
+// empty, an error is recorded or the time bound is reached.
 //
 // A stopped engine (a Fail, a deadlock, a panic) unwinds every parked
-// process by resuming it into a panic with an unexported value, so the
+// coroutine by resuming it into a panic with an unexported value, so the
 // process's deferred calls run and its coroutine ends. A deferred recover
 // that swallows that value only ends the process sooner. A process that
 // panics with anything else stops the run: Run records the panic as the
 // run's error, unwinds every other process, and panics again with the
-// original value on its caller's goroutine.
+// original value on its caller's goroutine. A step process has nothing to
+// unwind: a failed run just marks it finished.
 //
 // Ownership rule: engine state (clock, queue, counters, every Resource,
 // Barrier and wait list hanging off it) changes hands only by coroutine
-// switch — the driver resuming a process, a process yielding back — and the
-// race detector sees each switch as a happens-before edge, so every access
-// is ordered and nothing needs a lock. A process that has yielded touches no
-// engine state until it is resumed. After callbacks run on whichever
-// process or driver holds control when their time comes: they must not
-// block, and must not assume they run on the goroutine that called Run.
+// switch — the driver resuming a process, a process yielding back — or by
+// a call on the goroutine that holds control, and the race detector sees
+// each switch as a happens-before edge, so every access is ordered and
+// nothing needs a lock. A process that has yielded touches no engine state
+// until it is resumed. After callbacks and steps run on whichever process
+// or driver holds control when their time comes: they must not block, and
+// must not assume they run on the goroutine that called Run.
 package sim
 
 import (
@@ -74,8 +83,9 @@ type Engine struct {
 	EventsExecuted int64
 	ProcsSpawned   int64
 	// Switches counts hand-offs of control from one process (or the driver
-	// inside Run) to another; InPlaceWakes counts the Sleep/SleepUntil calls
-	// that returned without touching the queue (each is also one of
+	// inside Run) to another — to a step process the hand-off is a call;
+	// InPlaceWakes counts the Sleep/SleepUntil calls and step wake times
+	// taken without touching the queue (each is also one of
 	// EventsExecuted).
 	Switches     int64
 	InPlaceWakes int64
@@ -165,13 +175,15 @@ func (e *Engine) pop() event {
 func (e *Engine) After(d time.Duration, fn func()) { e.schedule(e.now+d, nil, fn) }
 
 // Proc is a simulated process. All methods must be called from the process
-// itself (i.e., from within the function passed to Spawn).
+// itself (i.e., from within the function passed to Spawn, or the step
+// passed to SpawnStep).
 type Proc struct {
 	e      *Engine
 	id     int
 	name   string
 	resume func() (struct{}, bool) // switch into the process until it yields or ends
 	yield  func(struct{}) bool     // switch out of it, back to the driver
+	step   Step                    // a step process's body; nil for a coroutine
 	done   bool
 
 	// Slept accumulates the total virtual time this process spent blocked in
@@ -217,6 +229,39 @@ func (e *Engine) SpawnAt(t time.Duration, name string, fn func(*Proc)) *Proc {
 	return p
 }
 
+// Step is the body of a step process. The engine calls it at the process's
+// start and at every wake-up after; it runs up to the process's next
+// blocking point and returns what a coroutine would block on there: an
+// absolute wake time (one before now wakes now, as SleepUntil does),
+// Parked when it has put the process on a wait list (Barrier.Arrive,
+// Gate.Pass, or one of its own that WakeNow serves), or Done. A non-nil
+// error fails the run with it and ends the process.
+type Step func(p *Proc) (wake time.Duration, err error)
+
+// What a Step returns instead of a wake time.
+const (
+	Parked time.Duration = -1 // on a wait list; someone else schedules the wake-up
+	Done   time.Duration = -2 // finished
+)
+
+// SpawnStep creates a step process running step, starting at the current
+// virtual time. Like Spawn it may be called before Run or from a running
+// process or step.
+func (e *Engine) SpawnStep(name string, step Step) *Proc {
+	return e.SpawnStepAt(e.now, name, step)
+}
+
+// SpawnStepAt is SpawnStep with an explicit start time, as SpawnAt is
+// Spawn's.
+func (e *Engine) SpawnStepAt(t time.Duration, name string, step Step) *Proc {
+	p := &Proc{e: e, id: len(e.procs), name: name, step: step}
+	e.procs = append(e.procs, p)
+	e.live++
+	e.ProcsSpawned++
+	e.schedule(t, p, nil)
+	return p
+}
+
 // unwinding is what park panics with once the engine has stopped; exit
 // recovers it. No other code can construct it, so a process's own recover
 // cannot mistake it for a value it threw.
@@ -235,17 +280,25 @@ func (p *Proc) exit() {
 		panic(r)
 	}
 	e.Switches++
-	e.next = e.dispatch(nil)
+	e.next = e.dispatch(nil, false)
 }
 
 // dispatch is the event loop, run by whichever process (or driver) holds
-// control. It pops events in (t, seq) order, running callbacks inline, until
-// one resumes a live process, and returns that process: self when the
-// caller's own wake-up came first (no switch needed), another process the
-// caller must hand over to, or nil when nothing more may run — the queue is
-// empty, an error is recorded or the next event lies beyond the bound — and
-// control stays with the driver inside Run.
-func (e *Engine) dispatch(self *Proc) *Proc {
+// control. It pops events in (t, seq) order, running callbacks and step
+// processes inline, until one resumes a live coroutine, and returns that
+// process: self when the caller's own wake-up came first (no switch
+// needed), another coroutine the caller must hand over to, or nil when
+// nothing more may run — the queue is empty, an error is recorded or the
+// next event lies beyond the bound — and control stays with the driver
+// inside Run.
+//
+// dispatch counts Switches: one for every hand-off of control from one
+// party to another — from the caller (self, or the driver when fromDriver)
+// or from a step process it ran to a different process, and from a process
+// to the driver when nothing more may run. A caller that has finished (self
+// nil, fromDriver false) counted its own hand-off on the way out.
+func (e *Engine) dispatch(self *Proc, fromDriver bool) *Proc {
+	holder, owed := self, self != nil || fromDriver
 	for e.err == nil && len(e.queue) > 0 && e.queue[0].t <= e.bound {
 		if e.done != nil && e.canceled() {
 			break
@@ -253,30 +306,82 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 		ev := e.pop()
 		e.now = ev.t
 		e.EventsExecuted++
+		p := ev.p
 		switch {
-		case ev.p == nil:
+		case p == nil:
 			ev.fn()
-		case ev.p == self:
-			return self
-		case !ev.p.done: // else a stale wake-up for a finished process
-			return ev.p
+			continue
+		case p.done: // a stale wake-up for a finished process
+			continue
+		case p != holder && owed:
+			e.Switches++
 		}
+		if p.step == nil {
+			return p
+		}
+		holder, owed = p, !e.runStep(p)
+	}
+	if owed && holder != nil {
+		e.Switches++
 	}
 	return nil
+}
+
+// runStep calls a step process until it blocks, and reports whether it
+// finished. A wake-up that would be the very next event is taken in place,
+// as SleepUntil takes it, and the step is called again at once.
+func (e *Engine) runStep(p *Proc) (finished bool) {
+	for {
+		t, err := p.step(p)
+		switch {
+		case err != nil:
+			e.Fail(err)
+		case t == Parked:
+			return false
+		case t != Done:
+			if t < e.now {
+				t = e.now
+			}
+			p.Slept += t - e.now
+			if e.inPlace(t) {
+				continue
+			}
+			e.wakeAt(t, p)
+			return false
+		}
+		p.done = true
+		e.live--
+		e.Switches++
+		return true
+	}
+}
+
+// inPlace takes a wake-up at t in place when it would be the very next
+// event popped — nothing queued at or before t (an event at t itself was
+// scheduled earlier and goes first): it advances the clock and counts the
+// event without pushing, popping or switching.
+func (e *Engine) inPlace(t time.Duration) bool {
+	if e.err == nil && t <= e.bound && (len(e.queue) == 0 || e.queue[0].t > t) &&
+		(e.done == nil || !e.canceled()) {
+		e.now = t
+		e.EventsExecuted++
+		e.InPlaceWakes++
+		return true
+	}
+	return false
 }
 
 // park blocks the calling process until its wake-up is the next event. The
 // process must already have arranged for a future wake-up (a scheduled
 // resume event or membership in a wait list). The caller runs the event
-// loop itself; only if some other process comes first does it name that
+// loop itself; only if some other coroutine comes first does it name that
 // process and yield to the driver, which resumes it. On a stopped engine
 // park does not return: it panics with unwinding, so the process's deferred
 // calls run and exit ends it.
 func (p *Proc) park() {
 	e := p.e
 	if !e.stopped {
-		if next := e.dispatch(p); next != p {
-			e.Switches++
+		if next := e.dispatch(p, false); next != p {
 			e.next = next
 			p.yield(struct{}{})
 		}
@@ -307,19 +412,10 @@ func (p *Proc) SleepUntil(t time.Duration) {
 		t = e.now
 	}
 	p.Slept += t - e.now
-	// In-place wake-up: if this process's wake-up would be the very next
-	// event popped — nothing queued at or before t (an event at t itself was
-	// scheduled earlier and goes first) — advance the clock and return
-	// without pushing, popping or switching.
-	if e.err == nil && t <= e.bound && (len(e.queue) == 0 || e.queue[0].t > t) &&
-		(e.done == nil || !e.canceled()) {
-		e.now = t
-		e.EventsExecuted++
-		e.InPlaceWakes++
-		return
+	if !e.inPlace(t) {
+		e.wakeAt(t, p)
+		p.park()
 	}
-	e.wakeAt(t, p)
-	p.park()
 }
 
 // Yield lets all other events scheduled for the current instant run before
@@ -329,10 +425,11 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Park blocks the process until another party wakes it with WakeNow. It is
 // the building block for synchronization primitives implemented outside
 // this package; a parked process with no scheduled wake-up deadlocks the
-// simulation (Run fails).
+// simulation (Run fails). A step process parks by returning Parked.
 func (p *Proc) Park() { p.park() }
 
-// WakeNow schedules a parked process to resume at the current virtual time.
+// WakeNow schedules a parked process — coroutine or step — to resume at the
+// current virtual time.
 func (e *Engine) WakeNow(p *Proc) { e.wakeAt(e.now, p) }
 
 // Run executes events until the queue is empty or a process calls Fail, and
@@ -418,9 +515,8 @@ func (e *Engine) run(bound time.Duration) {
 func (e *Engine) drive(p *Proc) (panicked any) {
 	defer func() { panicked = recover() }()
 	if p == nil {
-		p = e.dispatch(nil)
-	}
-	if p != nil {
+		p = e.dispatch(nil, true)
+	} else {
 		e.Switches++
 	}
 	for ; p != nil; p, e.next = e.next, nil {
@@ -429,17 +525,23 @@ func (e *Engine) drive(p *Proc) (panicked any) {
 	return nil
 }
 
-// unwind ends a failed run: every unfinished process is resumed in turn and
-// unwinds (park panics with unwinding), handing straight back, since
-// dispatch runs nothing once an error is recorded. It then panics with
-// panicked, or else with the first panic a process raised while unwinding.
+// unwind ends a failed run: every unfinished coroutine is resumed in turn
+// and unwinds (park panics with unwinding), handing straight back, since
+// dispatch runs nothing once an error is recorded; an unfinished step
+// process is just marked finished. It then panics with panicked, or else
+// with the first panic a process raised while unwinding.
 func (e *Engine) unwind(panicked any) {
 	if e.err == nil {
 		return
 	}
 	e.stopped = true
 	for _, p := range e.procs {
-		if !p.done {
+		switch {
+		case p.done:
+		case p.step != nil:
+			p.done = true
+			e.live--
+		default:
 			if r := e.drive(p); panicked == nil {
 				panicked = r
 			}

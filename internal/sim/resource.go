@@ -33,22 +33,31 @@ func (r *Resource) Name() string { return r.name }
 // given demand, and returns the queueing delay and the total time spent
 // (wait + service).
 func (r *Resource) Use(p *Proc, service time.Duration) (wait, total time.Duration) {
+	now := p.e.now
+	wait, end := r.Book(service)
+	p.SleepUntil(end)
+	return wait, end - now
+}
+
+// Book is Use without the sleep: it queues a request of the given demand
+// now, with the same counters, and returns its queueing delay and the time
+// its service ends — the wake time a step process returns to wait it out.
+func (r *Resource) Book(service time.Duration) (wait, end time.Duration) {
 	if service < 0 {
 		panic(fmt.Sprintf("sim: negative service demand %v on %s", service, r.name))
 	}
-	now := p.e.now
+	now := r.e.now
 	start := now
 	if r.free > start {
 		start = r.free
 	}
-	end := start + service
+	end = start + service
 	r.free = end
 	r.Served++
 	r.BusyTime += service
 	wait = start - now
 	r.WaitTime += wait
-	p.SleepUntil(end)
-	return wait, end - now
+	return wait, end
 }
 
 // Reserve books service time without blocking the caller and returns the
@@ -101,12 +110,22 @@ func (pl *Pool) Len() int { return len(pl.Servers) }
 
 // Use routes the request to server idx modulo pool size.
 func (pl *Pool) Use(p *Proc, idx int, service time.Duration) (wait, total time.Duration) {
+	return pl.server(idx).Use(p, service)
+}
+
+// Book is Use without the sleep, as Resource.Book is Resource.Use's.
+func (pl *Pool) Book(idx int, service time.Duration) (wait, end time.Duration) {
+	return pl.server(idx).Book(service)
+}
+
+// server is server idx modulo pool size.
+func (pl *Pool) server(idx int) *Resource {
 	n := len(pl.Servers)
 	i := idx % n
 	if i < 0 {
 		i += n
 	}
-	return pl.Servers[i].Use(p, service)
+	return &pl.Servers[i]
 }
 
 // UseLeastLoaded routes the request to the server that frees up earliest,
@@ -115,13 +134,21 @@ func (pl *Pool) Use(p *Proc, idx int, service time.Duration) (wait, total time.D
 // can free up strictly earlier than now.
 func (pl *Pool) UseLeastLoaded(p *Proc, service time.Duration) (wait, total time.Duration) {
 	now := p.e.now
+	wait, end := pl.BookLeastLoaded(service)
+	p.SleepUntil(end)
+	return wait, end - now
+}
+
+// BookLeastLoaded is UseLeastLoaded without the sleep, as Book is Use's.
+func (pl *Pool) BookLeastLoaded(service time.Duration) (wait, end time.Duration) {
+	now := pl.Servers[0].e.now
 	best, bestFree := 0, pl.Servers[0].free
 	for i := 1; i < len(pl.Servers) && bestFree > now; i++ {
 		if f := pl.Servers[i].free; f < bestFree {
 			best, bestFree = i, f
 		}
 	}
-	return pl.Servers[best].Use(p, service)
+	return pl.Servers[best].Book(service)
 }
 
 // Semaphore is a counting semaphore with a FIFO wait queue, used to model
@@ -150,15 +177,24 @@ func (s *Semaphore) InUse() int { return s.inUse }
 
 // Acquire blocks the process until a slot is available.
 func (s *Semaphore) Acquire(p *Proc) {
+	if !s.Take(p) {
+		p.park()
+	}
+}
+
+// Take is Acquire without the parking: it takes a free slot (true), or
+// queues p for the next one released (false), and a step process then
+// returns Parked; it holds the slot when it is woken.
+func (s *Semaphore) Take(p *Proc) bool {
 	if s.inUse < s.cap {
 		s.inUse++
 		if s.inUse > s.MaxInUse {
 			s.MaxInUse = s.inUse
 		}
-		return
+		return true
 	}
 	s.q = append(s.q, p)
-	p.park()
+	return false
 }
 
 // Release frees a slot, waking the longest-waiting process if any. The
@@ -203,6 +239,15 @@ func (b *Barrier) N() int { return b.n }
 
 // Wait blocks until all participants of the current round have arrived.
 func (b *Barrier) Wait(p *Proc) {
+	if !b.Arrive(p) {
+		p.park()
+	}
+}
+
+// Arrive is Wait without the parking: the last participant of a round
+// releases the others and passes (true); any other is put on the wait
+// list (false), and a step process then returns Parked.
+func (b *Barrier) Arrive(p *Proc) bool {
 	b.arrived++
 	if b.arrived == b.n {
 		for _, w := range b.waiters {
@@ -211,10 +256,10 @@ func (b *Barrier) Wait(p *Proc) {
 		b.waiters = b.waiters[:0]
 		b.arrived = 0
 		b.Rounds++
-		return
+		return true
 	}
 	b.waiters = append(b.waiters, p)
-	p.park()
+	return false
 }
 
 // Gate is a one-shot latch: processes that Wait before Open block; Open
@@ -234,11 +279,20 @@ func (g *Gate) Opened() bool { return g.open }
 
 // Wait blocks until the gate opens.
 func (g *Gate) Wait(p *Proc) {
+	if !g.Pass(p) {
+		p.park()
+	}
+}
+
+// Pass is Wait without the parking: it reports whether the gate is open,
+// and if not puts p on the wait list, and a step process then returns
+// Parked.
+func (g *Gate) Pass(p *Proc) bool {
 	if g.open {
-		return
+		return true
 	}
 	g.waiters = append(g.waiters, p)
-	p.park()
+	return false
 }
 
 // Open releases all current and future waiters. Opening an open gate is a

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"testing"
+	"time"
 
 	"vani/internal/cluster"
 	"vani/internal/iface"
@@ -38,22 +39,32 @@ run:
 	}
 	sp := workloads.DefaultSpec()
 	sp.Machine, sp.Optimized = cluster.Cori(), true
-	r := renderer{doc: doc, spec: &sp}
-	look := func(id string) (int64, bool) { return 7, id == "rank" }
-	for _, o := range doc.run {
-		first := r.render(o.path, look)
-		if allocs := testing.AllocsPerRun(100, func() { r.render(o.path, look) }); allocs != 0 {
-			t.Errorf("%s: %v allocations per repeated render, want 0", o.path.src, allocs)
+	prog := doc.compile()
+	r := renderer{name: doc.Name, spec: &sp}
+	f := frame{v: make([]int64, prog.lay.n), set: make([]bool, prog.lay.n)}
+	f.v[sRank], f.set[sRank] = 7, true
+	render := func(p *cpath) string {
+		s, err := r.render(p, &f)
+		if err != nil {
+			t.Fatalf("%s: %v", p.src, err)
 		}
-		if again := r.render(o.path, look); again != first {
-			t.Errorf("%s: rendered %q, then %q", o.path.src, first, again)
+		return s
+	}
+	stats := prog.run[:4]
+	for _, in := range stats {
+		first := render(in.path)
+		if allocs := testing.AllocsPerRun(100, func() { render(in.path) }); allocs != 0 {
+			t.Errorf("%s: %v allocations per repeated render, want 0", in.path.src, allocs)
+		}
+		if again := render(in.path); again != first {
+			t.Errorf("%s: rendered %q, then %q", in.path.src, first, again)
 		}
 	}
-	if got := r.render(doc.run[3].path, look); got != "/var/opt/cray/dws/ckpt/3/part.00007" {
+	if got := render(stats[3].path); got != "/var/opt/cray/dws/ckpt/3/part.00007" {
 		t.Errorf("optimized @ckpt on Cori rendered %q", got)
 	}
 	sp.Machine = cluster.Lassen() // no shared burst buffer: @ckpt falls back to path
-	if got := r.render(doc.run[3].path, look); got != "/p/gpfs1/ckpt/part.00007" {
+	if got := render(stats[3].path); got != "/p/gpfs1/ckpt/part.00007" {
 		t.Errorf("optimized @ckpt on Lassen rendered %q", got)
 	}
 }
@@ -76,24 +87,36 @@ func TestAppendPaddedMatchesFmt(t *testing.T) {
 
 // openClose opens and closes one file n times on one rank straight through
 // the interface layer, on an engine, storage system, tracer and client
-// assembled by hand: the allocation floor an interpreted open/close pair is
-// measured against.
+// assembled by hand, from a step process of its own: the allocation floor
+// an interpreted open/close pair is measured against.
 func openClose(sp workloads.Spec, n int) error {
 	e := sim.NewEngine()
 	sys := storage.New(e, sp.Storage, sp.Nodes, sim.NewRNG(sp.Seed).Fork())
 	tr := trace.NewTracer()
 	tr.SetEnabled(sp.TraceEnabled)
 	cl := iface.NewClient(sys, tr, sp.Iface, "oc", 0, 0)
-	e.Spawn("open-close", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			f, err := cl.PosixOpen(p, "/p/gpfs1/oc/f", i == 0)
-			if err == nil {
-				err = f.Close(p)
+	var o iface.Op
+	var f iface.File
+	calls, busy := 0, false
+	e.SpawnStep("open-close", func(p *sim.Proc) (time.Duration, error) {
+		for {
+			if busy {
+				if t, more := o.Step(); more {
+					return t, nil
+				}
+				if err := o.Err(); err != nil {
+					return 0, err
+				}
 			}
-			if err != nil {
-				e.Fail(err)
-				return
+			if calls == 2*n {
+				return sim.Done, nil
 			}
+			if calls%2 == 0 {
+				cl.PosixOpen(&o, &f, "/p/gpfs1/oc/f", calls == 0)
+			} else {
+				f.Close(&o)
+			}
+			calls, busy = calls+1, true
 		}
 	})
 	e.Run()

@@ -25,31 +25,22 @@ import (
 
 const maxExprLen = 1024
 
-// expr is a compiled expression tree.
+// expr is a parsed expression tree.
 type expr struct {
 	src  string
 	root exprNode
 }
 
 type exprNode interface {
-	eval(env func(string) (int64, bool)) (int64, error)
 	idents(f func(string))
 }
 
 type litNode int64
 
-func (n litNode) eval(func(string) (int64, bool)) (int64, error) { return int64(n), nil }
-func (n litNode) idents(func(string))                            {}
+func (n litNode) idents(func(string)) {}
 
 type identNode string
 
-func (n identNode) eval(env func(string) (int64, bool)) (int64, error) {
-	v, ok := env(string(n))
-	if !ok {
-		return 0, fmt.Errorf("unknown identifier %q", string(n))
-	}
-	return v, nil
-}
 func (n identNode) idents(f func(string)) { f(string(n)) }
 
 type unaryNode struct {
@@ -57,19 +48,6 @@ type unaryNode struct {
 	x  exprNode
 }
 
-func (n *unaryNode) eval(env func(string) (int64, bool)) (int64, error) {
-	v, err := n.x.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	if n.op == '!' {
-		if v == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return -v, nil
-}
 func (n *unaryNode) idents(f func(string)) { n.x.idents(f) }
 
 type binNode struct {
@@ -77,18 +55,192 @@ type binNode struct {
 	l, r exprNode
 }
 
-func (n *binNode) eval(env func(string) (int64, bool)) (int64, error) {
-	l, err := n.l.eval(env)
+func (n *binNode) idents(f func(string)) { n.l.idents(f); n.r.idents(f) }
+
+type ternNode struct {
+	cond, then, els exprNode
+}
+
+func (n *ternNode) idents(f func(string)) { n.cond.idents(f); n.then.idents(f); n.els.idents(f) }
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// parseExpr parses src into an expression tree.
+func parseExpr(src string) (*expr, error) {
+	if len(src) > maxExprLen {
+		return nil, fmt.Errorf("expression longer than %d bytes", maxExprLen)
+	}
+	p := &exprParser{src: src}
+	root, err := p.ternary()
+	if err != nil {
+		return nil, fmt.Errorf("bad expression %q: %v", src, err)
+	}
+	p.ws()
+	if p.pos != len(p.src) {
+		return nil, fmt.Errorf("bad expression %q: trailing %q", src, p.src[p.pos:])
+	}
+	return &expr{src: src, root: root}, nil
+}
+
+// idents calls f for every identifier the expression references.
+func (e *expr) idents(f func(string)) { e.root.idents(f) }
+
+// cx is an expression compiled against a frame layout: every identifier is
+// a slot of the frame, and constant subexpressions are folded.
+type cx struct {
+	src  string
+	root *node
+}
+
+// node is one operation of a compiled expression.
+type node struct {
+	op   nodeOp
+	val  int64  // nLit
+	slot int    // nSlot, nVar
+	name string // nVar, nUnknown: the identifier, for the error
+	bin  string // nBin: the operator
+	a, b *node  // operands; a ternary's then and else
+	c    *node  // a ternary's condition
+}
+
+type nodeOp uint8
+
+const (
+	nLit     nodeOp = iota
+	nSlot           // a slot that always holds a value: a param or topology builtin
+	nVar            // a slot that may not hold a value yet: a variable or rank builtin
+	nUnknown        // an identifier the frame has no slot for
+	nNot
+	nNeg
+	nBin
+	nTern
+)
+
+// frame is the slots one rank, task or setup step evaluates against; set
+// says which hold a value.
+type frame struct {
+	v   []int64
+	set []bool
+}
+
+// compile resolves e against a layout and folds its constant
+// subexpressions. A fold never hides an error: a division by a literal
+// zero stays a division.
+func (e *expr) compile(l *layout) *cx {
+	return &cx{src: e.src, root: compileNode(e.root, l)}
+}
+
+func compileNode(n exprNode, l *layout) *node {
+	switch n := n.(type) {
+	case litNode:
+		return &node{op: nLit, val: int64(n)}
+	case identNode:
+		slot, ok := l.slots[string(n)]
+		switch {
+		case !ok:
+			return &node{op: nUnknown, name: string(n)}
+		case l.checked(slot):
+			return &node{op: nVar, slot: slot, name: string(n)}
+		}
+		return &node{op: nSlot, slot: slot}
+	case *unaryNode:
+		x := compileNode(n.x, l)
+		op := nNeg
+		if n.op == '!' {
+			op = nNot
+		}
+		c := &node{op: op, a: x}
+		if x.op == nLit {
+			v, _ := c.eval(nil)
+			return &node{op: nLit, val: v}
+		}
+		return c
+	case *binNode:
+		a, b := compileNode(n.l, l), compileNode(n.r, l)
+		c := &node{op: nBin, bin: n.op, a: a, b: b}
+		if a.op == nLit && (b.op == nLit || n.op == "&&" && a.val == 0 || n.op == "||" && a.val != 0) {
+			if v, err := c.eval(nil); err == nil {
+				return &node{op: nLit, val: v}
+			}
+		}
+		return c
+	case *ternNode:
+		cond := compileNode(n.cond, l)
+		then, els := compileNode(n.then, l), compileNode(n.els, l)
+		if cond.op == nLit {
+			if cond.val != 0 {
+				return then
+			}
+			return els
+		}
+		return &node{op: nTern, c: cond, a: then, b: els}
+	}
+	panic(fmt.Sprintf("spec: expression node %T", n))
+}
+
+// lit reports whether the expression folded to a constant, and its value.
+func (x *cx) lit() (int64, bool) { return x.root.val, x.root.op == nLit }
+
+// eval evaluates the expression in f.
+func (x *cx) eval(f *frame) (int64, error) {
+	if n := x.root; n.op == nSlot {
+		return f.v[n.slot], nil
+	}
+	v, err := x.root.eval(f)
+	if err != nil {
+		return 0, fmt.Errorf("evaluating %q: %v", x.src, err)
+	}
+	return v, nil
+}
+
+func (n *node) eval(f *frame) (int64, error) {
+	switch n.op {
+	case nLit:
+		return n.val, nil
+	case nSlot:
+		return f.v[n.slot], nil
+	case nVar:
+		if !f.set[n.slot] {
+			return 0, fmt.Errorf("unknown identifier %q", n.name)
+		}
+		return f.v[n.slot], nil
+	case nUnknown:
+		return 0, fmt.Errorf("unknown identifier %q", n.name)
+	case nNot, nNeg:
+		v, err := n.a.eval(f)
+		if err != nil {
+			return 0, err
+		}
+		if n.op == nNot {
+			return b2i(v == 0), nil
+		}
+		return -v, nil
+	case nTern:
+		c, err := n.c.eval(f)
+		if err != nil {
+			return 0, err
+		}
+		if c != 0 {
+			return n.a.eval(f)
+		}
+		return n.b.eval(f)
+	}
+	l, err := n.a.eval(f)
 	if err != nil {
 		return 0, err
 	}
 	// Short-circuit the boolean operators.
-	switch n.op {
+	switch n.bin {
 	case "&&":
 		if l == 0 {
 			return 0, nil
 		}
-		r, err := n.r.eval(env)
+		r, err := n.b.eval(f)
 		if err != nil {
 			return 0, err
 		}
@@ -97,17 +249,17 @@ func (n *binNode) eval(env func(string) (int64, bool)) (int64, error) {
 		if l != 0 {
 			return 1, nil
 		}
-		r, err := n.r.eval(env)
+		r, err := n.b.eval(f)
 		if err != nil {
 			return 0, err
 		}
 		return b2i(r != 0), nil
 	}
-	r, err := n.r.eval(env)
+	r, err := n.b.eval(f)
 	if err != nil {
 		return 0, err
 	}
-	switch n.op {
+	switch n.bin {
 	case "+":
 		return l + r, nil
 	case "-":
@@ -137,61 +289,8 @@ func (n *binNode) eval(env func(string) (int64, bool)) (int64, error) {
 	case ">=":
 		return b2i(l >= r), nil
 	}
-	return 0, fmt.Errorf("bad operator %q", n.op)
+	return 0, fmt.Errorf("bad operator %q", n.bin)
 }
-func (n *binNode) idents(f func(string)) { n.l.idents(f); n.r.idents(f) }
-
-type ternNode struct {
-	cond, then, els exprNode
-}
-
-func (n *ternNode) eval(env func(string) (int64, bool)) (int64, error) {
-	c, err := n.cond.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	if c != 0 {
-		return n.then.eval(env)
-	}
-	return n.els.eval(env)
-}
-func (n *ternNode) idents(f func(string)) { n.cond.idents(f); n.then.idents(f); n.els.idents(f) }
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// parseExpr compiles src into an expression tree.
-func parseExpr(src string) (*expr, error) {
-	if len(src) > maxExprLen {
-		return nil, fmt.Errorf("expression longer than %d bytes", maxExprLen)
-	}
-	p := &exprParser{src: src}
-	root, err := p.ternary()
-	if err != nil {
-		return nil, fmt.Errorf("bad expression %q: %v", src, err)
-	}
-	p.ws()
-	if p.pos != len(p.src) {
-		return nil, fmt.Errorf("bad expression %q: trailing %q", src, p.src[p.pos:])
-	}
-	return &expr{src: src, root: root}, nil
-}
-
-// eval evaluates the expression under the variable lookup env.
-func (e *expr) eval(env func(string) (int64, bool)) (int64, error) {
-	v, err := e.root.eval(env)
-	if err != nil {
-		return 0, fmt.Errorf("evaluating %q: %v", e.src, err)
-	}
-	return v, nil
-}
-
-// idents calls f for every identifier the expression references.
-func (e *expr) idents(f func(string)) { e.root.idents(f) }
 
 type exprParser struct {
 	src string

@@ -149,14 +149,54 @@ func (t *pathT) idents(f func(string)) {
 	}
 }
 
+// cpath is a path template compiled against a frame layout: its dir
+// resolved to the machine's or to a compiled spec dir, its substitutions
+// to compiled expressions.
+type cpath struct {
+	src     string
+	machine string // "pfs" or "bb" for a machine dir
+	dir     *cdir  // a spec dir
+	segs    []cseg
+}
+
+type cseg struct {
+	lit string // literal text when e is nil
+	e   *cx
+	pad int
+}
+
+// cdir is a compiled spec dir.
+type cdir struct {
+	base, optimized *cpath // optimized nil = same as base
+}
+
+// compile compiles the template against l, resolving its dir through
+// dirs.
+func (t *pathT) compile(l *layout, dirs map[string]*cdir) *cpath {
+	c := &cpath{src: t.src, segs: make([]cseg, len(t.segs))}
+	switch {
+	case machineDir(t.dir):
+		c.machine = t.dir
+	case t.dir != "":
+		c.dir = dirs[t.dir]
+	}
+	for i, s := range t.segs {
+		c.segs[i] = cseg{lit: s.lit, pad: s.pad}
+		if s.e != nil {
+			c.segs[i].e = s.e.compile(l)
+		}
+	}
+	return c
+}
+
 // appendSegs renders the template's segments, not its dir, onto b.
-func (t *pathT) appendSegs(b []byte, env func(string) (int64, bool)) ([]byte, error) {
+func (t *cpath) appendSegs(b []byte, f *frame) ([]byte, error) {
 	for _, s := range t.segs {
 		if s.e == nil {
 			b = append(b, s.lit...)
 			continue
 		}
-		v, err := s.e.eval(env)
+		v, err := s.e.eval(f)
 		if err != nil {
 			return b, fmt.Errorf("path %q: %v", t.src, err)
 		}
@@ -184,52 +224,51 @@ func appendPadded(b []byte, v int64, pad int) []byte {
 	return strconv.AppendUint(b, u, 10)
 }
 
-// renderer renders path templates into one reused buffer and returns the
-// string it returned last when the bytes match, so a path that repeats —
-// the same file described, opened, read and closed — allocates nothing.
+// renderer renders compiled path templates into one reused buffer and
+// returns the string it returned last when the bytes match, so a path that
+// repeats — the same file described, opened, read and closed — allocates
+// nothing.
 type renderer struct {
-	doc  *Doc
+	name string // the document's, for errors
 	spec *workloads.Spec
 	buf  []byte
 	last string
 }
 
-// render evaluates t under env; a failure ends the run.
-func (r *renderer) render(t *pathT, env func(string) (int64, bool)) string {
-	b, err := r.appendPath(r.buf[:0], t, env)
+// render evaluates t in f.
+func (r *renderer) render(t *cpath, f *frame) (string, error) {
+	b, err := r.appendPath(r.buf[:0], t, f)
 	r.buf = b
 	if err != nil {
-		panic(failure{fmt.Errorf("spec %s: %v", r.doc.Name, err)})
+		return "", fmt.Errorf("spec %s: %v", r.name, err)
 	}
 	if r.last != string(b) {
 		r.last = string(b)
 	}
-	return r.last
+	return r.last, nil
 }
 
 // appendPath renders t onto b: its dir's base, then its segments. A spec
 // dir takes its optimized variant in an optimized run unless that variant
 // starts from a machine dir this machine lacks.
-func (r *renderer) appendPath(b []byte, t *pathT, env func(string) (int64, bool)) ([]byte, error) {
+func (r *renderer) appendPath(b []byte, t *cpath, f *frame) ([]byte, error) {
 	m := &r.spec.Machine
 	switch {
-	case t.dir == "":
-	case machineDir(t.dir):
-		base := machineBase(m, t.dir)
+	case t.machine != "":
+		base := machineBase(m, t.machine)
 		if base == "" {
-			return b, fmt.Errorf("path %q: the machine has no @%s", t.src, t.dir)
+			return b, fmt.Errorf("path %q: the machine has no @%s", t.src, t.machine)
 		}
 		b = append(b, base...)
-	default:
-		dr := r.doc.dirs[t.dir]
-		dt := dr.base
-		if o := dr.optimized; r.spec.Optimized && o != nil && (o.dir == "" || machineBase(m, o.dir) != "") {
+	case t.dir != nil:
+		dt := t.dir.base
+		if o := t.dir.optimized; r.spec.Optimized && o != nil && (o.machine == "" || machineBase(m, o.machine) != "") {
 			dt = o
 		}
 		var err error
-		if b, err = r.appendPath(b, dt, env); err != nil {
+		if b, err = r.appendPath(b, dt, f); err != nil {
 			return b, err
 		}
 	}
-	return t.appendSegs(b, env)
+	return t.appendSegs(b, f)
 }

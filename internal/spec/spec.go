@@ -689,7 +689,7 @@ func constVal(v interface{}, where string) (int64, error) {
 	if bad != "" {
 		return 0, fmt.Errorf("%s: identifiers not allowed here (%q)", where, bad)
 	}
-	n, err := e.eval(func(string) (int64, bool) { return 0, false })
+	n, err := e.compile(&layout{}).eval(&frame{})
 	if err != nil {
 		return 0, fmt.Errorf("%s: %v", where, err)
 	}

@@ -228,36 +228,31 @@ func (tb *taskBuilder) after(v interface{}, w string, rc *runChecker) ([]dep, er
 	return deps, nil
 }
 
-// spawnTasks runs a tasks document: one proc per stage instance, spawned
-// in document order with a then-stage's instance right after its parent
-// instance. A task's rank is its place in that order. Each waits on its
-// after list's instances in order, takes a worker slot, runs its body on
-// the slot's node (slot / rpn), hands the slot back and opens its own gate.
-// Counts, whens and after entries are resolved before anything is spawned,
-// so a bad one ends the run with nothing left parked.
-func (v *env) spawnTasks(params map[string]int64) {
-	stages := v.doc.stages
-	var ivar string
-	var j int64
-	look := func(id string) (int64, bool) {
-		if id == ivar {
-			return j, true
-		}
-		if n, ok := v.topology(id); ok {
-			return n, true
-		}
-		n, ok := params[id]
-		return n, ok
+// spawnTasks runs a tasks document: one step process per stage instance,
+// spawned in document order with a then-stage's instance right after its
+// parent instance. A task's rank is its place in that order. Its program
+// waits on its after list's instances in order, takes a worker slot, runs
+// its body on the slot's node (slot / rpn), hands the slot back and opens
+// its own gate. Counts, whens and after entries are resolved before
+// anything is spawned, so a bad one ends the run with nothing left parked.
+func (v *env) spawnTasks() error {
+	stages := v.prog.stages
+	f := v.newFrame()
+	var ivar int
+	fail := func(format string, args ...interface{}) error {
+		return fmt.Errorf("spec %s: %s", v.doc.Name, fmt.Sprintf(format, args...))
 	}
-	fail := func(format string, args ...interface{}) {
-		panic(failure{fmt.Errorf("spec %s: %s", v.doc.Name, fmt.Sprintf(format, args...))})
-	}
-	eval := func(e *expr, s *stage) int64 {
-		n, err := e.eval(look)
+	eval := func(x *cx, s *stage) (int64, error) {
+		n, err := x.eval(&f)
 		if err != nil {
-			fail("stage %s: %v", s.name, err)
+			return 0, fail("stage %s: %v", s.name, err)
 		}
-		return n
+		return n, nil
+	}
+	setJ := func(j int64) {
+		if ivar >= 0 {
+			f.v[ivar], f.set[ivar] = j, true
+		}
 	}
 
 	// gates[s][j] opens when stage s's instance j is done; it is nil where
@@ -270,59 +265,83 @@ func (v *env) spawnTasks(params map[string]int64) {
 	gates := make([][]*sim.Gate, len(stages))
 	var tasks []task
 	var edges []*sim.Gate
-	for si, s := range stages {
+	for si := range stages {
+		cs := &stages[si]
+		s := cs.s
 		if s.parent >= 0 {
 			continue // spawned with its parent
 		}
-		ivar = s.ivar
+		ivar = cs.ivar
+		for i := range f.set {
+			f.set[i] = false
+		}
 		n := int64(1)
-		if s.count != nil {
-			n = eval(s.count, s)
+		if cs.count != nil {
+			var err error
+			if n, err = eval(cs.count, s); err != nil {
+				return err
+			}
 		}
 		if n < 0 {
-			fail("stage %s: count %d negative", s.name, n)
+			return fail("stage %s: count %d negative", s.name, n)
 		}
 		if n > int64(maxTasks-len(tasks)) {
-			fail("stage %s: more than %d tasks", s.name, maxTasks)
+			return fail("stage %s: more than %d tasks", s.name, maxTasks)
 		}
 		gates[si] = make([]*sim.Gate, n)
 		for _, ti := range s.then {
 			gates[ti] = make([]*sim.Gate, n)
 		}
-		for j = 0; j < n; j++ {
+		for j := int64(0); j < n; j++ {
+			setJ(j)
 			lo := len(edges)
-			for _, d := range s.after {
-				gs, target := gates[d.stage], stages[d.stage].name
+			for _, d := range cs.after {
+				gs, target := gates[d.stage], stages[d.stage].s.name
 				from, until, whole := int64(0), int64(len(gs)), true
+				var err error
 				switch {
 				case d.index != nil:
-					from = eval(d.index, s)
+					if from, err = eval(d.index, s); err != nil {
+						return err
+					}
 					until, whole = from+1, false
 				case d.from != nil:
-					from, until, whole = eval(d.from, s), eval(d.until, s), false
+					if from, err = eval(d.from, s); err != nil {
+						return err
+					}
+					if until, err = eval(d.until, s); err != nil {
+						return err
+					}
+					whole = false
 				}
 				if from < 0 || from > until || until > int64(len(gs)) {
-					fail("stage %s[%d]: after %s[%d, %d) outside [0, %d)", s.name, j, target, from, until, len(gs))
+					return fail("stage %s[%d]: after %s[%d, %d) outside [0, %d)", s.name, j, target, from, until, len(gs))
 				}
 				if len(edges)+int(until-from) > maxTaskEdges {
-					fail("stage %s: more than %d dependencies", s.name, maxTaskEdges)
+					return fail("stage %s: more than %d dependencies", s.name, maxTaskEdges)
 				}
 				for k, g := range gs[from:until] {
 					if g != nil {
 						edges = append(edges, g)
 					} else if !whole {
-						fail("stage %s[%d]: after %s[%d], which never runs: its when is false", s.name, j, target, from+int64(k))
+						return fail("stage %s[%d]: after %s[%d], which never runs: its when is false", s.name, j, target, from+int64(k))
 					}
 				}
 			}
 			gates[si][j] = sim.NewGate(v.e)
 			tasks = append(tasks, task{si, j, lo, len(edges)})
 			for _, ti := range s.then {
-				if t := stages[ti]; t.when != nil && eval(t.when, t) == 0 {
-					continue
+				if t := &stages[ti]; t.when != nil {
+					w, err := eval(t.when, t.s)
+					if err != nil {
+						return err
+					}
+					if w == 0 {
+						continue
+					}
 				}
 				if len(tasks) == maxTasks {
-					fail("stage %s: more than %d tasks", stages[ti].name, maxTasks)
+					return fail("stage %s: more than %d tasks", stages[ti].s.name, maxTasks)
 				}
 				gates[ti][j] = sim.NewGate(v.e)
 				edges = append(edges, gates[si][j])
@@ -332,29 +351,16 @@ func (v *env) spawnTasks(params map[string]int64) {
 	}
 
 	pool := newSlotPool(v.e, v.job.Ranks())
-	rpn := v.spec.RanksPerNode
 	for rank, t := range tasks {
-		s := stages[t.stage]
-		deps, done := edges[t.lo:t.hi], gates[t.stage][t.j]
-		st := v.newState(params, rank)
-		if s.ivar != "" {
-			st.vars[s.ivar] = t.j
+		cs := &stages[t.stage]
+		r := v.newRank(cs.prog, rank)
+		r.task = &taskState{deps: edges[t.lo:t.hi], done: gates[t.stage][t.j], pool: pool}
+		if cs.ivar >= 0 {
+			r.setVar(cs.ivar, t.j)
 		}
-		v.e.Spawn(s.name, func(p *sim.Proc) {
-			defer catch(v.e)
-			for _, g := range deps {
-				g.Wait(p)
-			}
-			slot := pool.acquire(p)
-			st.p = p
-			// The client is made on the slot: its node is the slot's, and
-			// the tracer numbers apps in the order their first task runs.
-			st.place(s.name, slot/rpn, slot%rpn)
-			st.exec(s.body, s.name)
-			pool.release(slot)
-			done.Open()
-		})
+		r.p = v.e.SpawnStep(cs.s.name, r.step)
 	}
+	return nil
 }
 
 // slotPool is the worker slots tasks run on: a slot is handed out first
@@ -363,12 +369,7 @@ func (v *env) spawnTasks(params map[string]int64) {
 type slotPool struct {
 	e    *sim.Engine
 	free []int
-	q    []slotWaiter
-}
-
-type slotWaiter struct {
-	p    *sim.Proc
-	slot *int
+	q    []*rankState
 }
 
 func newSlotPool(e *sim.Engine, n int) *slotPool {
@@ -379,17 +380,16 @@ func newSlotPool(e *sim.Engine, n int) *slotPool {
 	return sp
 }
 
-// acquire blocks until a slot is free and returns it.
-func (sp *slotPool) acquire(p *sim.Proc) int {
+// take gives r a free slot, or queues it for the next one released and
+// reports false: r then parks, and holds its slot when it is woken.
+func (sp *slotPool) take(r *rankState) bool {
 	if len(sp.free) > 0 {
-		s := sp.free[0]
+		r.task.slot = sp.free[0]
 		sp.free = sp.free[1:]
-		return s
+		return true
 	}
-	var slot int
-	sp.q = append(sp.q, slotWaiter{p: p, slot: &slot})
-	p.Park()
-	return slot
+	sp.q = append(sp.q, r)
+	return false
 }
 
 // release hands a slot to the longest waiter, or back to the free list.
@@ -397,7 +397,7 @@ func (sp *slotPool) release(slot int) {
 	if len(sp.q) > 0 {
 		w := sp.q[0]
 		sp.q = sp.q[1:]
-		*w.slot = slot
+		w.task.slot = slot
 		sp.e.WakeNow(w.p)
 		return
 	}

@@ -122,6 +122,9 @@ func New(e *sim.Engine, cfg Config, nodes int, rng *sim.RNG) *System {
 	return s
 }
 
+// Engine returns the simulation the system is attached to.
+func (s *System) Engine() *sim.Engine { return s.e }
+
 // Config returns the configuration the system was built with.
 func (s *System) Config() Config { return s.cfg }
 
@@ -173,7 +176,14 @@ type File struct {
 // performs the open; calls on a file that does not exist fail as they
 // would by path.
 func (s *System) Resolve(node int, path string) *File {
-	return &File{s: s, st: s.state(node, path), node: node}
+	f := s.Lookup(node, path)
+	return &f
+}
+
+// Lookup is Resolve returning the handle as a value, for a caller that
+// keeps it in state of its own.
+func (s *System) Lookup(node int, path string) File {
+	return File{s: s, st: s.state(node, path), node: node}
 }
 
 // Open performs the open metadata operation and returns the opened file.
@@ -185,24 +195,6 @@ func (s *System) Open(p *sim.Proc, node int, path string, create bool) (*File, e
 		return nil, err
 	}
 	return f, nil
-}
-
-// Open performs the open metadata operation on a resolved file, as
-// System.Open does by path.
-func (f *File) Open(p *sim.Proc, create bool) error {
-	st := f.st
-	if !st.exists {
-		if !create {
-			f.s.meta(p, f.node, st.target)
-			return fmt.Errorf("storage: open %s on node %d: no such file", st.path, f.node)
-		}
-		st.exists = true
-	} else if create {
-		st.size = 0 // truncate
-	}
-	st.noteOpener(f.node)
-	f.s.meta(p, f.node, st.target)
-	return nil
 }
 
 // Materialize creates or grows a file instantly, with no time cost and no
@@ -225,57 +217,72 @@ func (f *File) cache() *cacheEntry {
 	return f.pc
 }
 
+// The blocking calls on a file, each a loop over its Op: the process sleeps
+// through every stage the Op returns a wake time for.
+
+// Open performs the open metadata operation on a resolved file, as
+// System.Open does by path.
+func (f *File) Open(p *sim.Proc, create bool) error {
+	var o Op
+	o.Open(f, create)
+	return o.Run(p)
+}
+
 // Close performs the close metadata operation. For PFS files with dirty
 // write-back data, close waits for the drain to finish: GPFS flushes dirty
 // client-cache data on close to keep other nodes coherent, which is why
 // buffered small-file writes still pay full PFS cost by the time a
 // workflow stage hands its files to the next one.
 func (f *File) Close(p *sim.Proc) {
-	s, t := f.s, f.st.target
-	if t == TargetPFS && s.cfg.CacheEnabled && !s.cfg.RelaxedConsistency {
-		if end := f.cache().drain; end > p.Now() {
-			p.SleepUntil(end)
-		}
-	}
-	s.meta(p, f.node, t)
+	var o Op
+	o.Close(f)
+	o.Run(p)
 }
 
 // Stat performs a stat metadata operation and reports the file size.
 func (s *System) Stat(p *sim.Proc, node int, path string) (int64, error) {
-	f := File{s: s, st: s.state(node, path), node: node}
+	f := s.Lookup(node, path)
 	return f.Stat(p)
 }
 
 // Stat performs a stat metadata operation on the file and reports its size.
 func (f *File) Stat(p *sim.Proc) (int64, error) {
-	f.s.meta(p, f.node, f.st.target)
-	if !f.st.exists {
-		return 0, fmt.Errorf("storage: stat %s on node %d: no such file", f.st.path, f.node)
-	}
-	return f.st.size, nil
+	var o Op
+	o.Stat(f)
+	err := o.Run(p)
+	return o.n, err
 }
 
 // Seek models the (client-side, near-free) seek call; it is traced as a
 // metadata op by the interface layers but costs no server time.
 func (f *File) Seek(p *sim.Proc) {
-	p.Sleep(200 * time.Nanosecond)
+	var o Op
+	o.Seek(f)
+	o.Run(p)
 }
 
 // Sync performs an fsync-like metadata op; with the page cache enabled it
 // also waits for the node's dirty data on that file to drain to the PFS.
 func (f *File) Sync(p *sim.Proc) {
-	s, t := f.s, f.st.target
-	if t == TargetPFS && s.cfg.CacheEnabled {
-		if end := f.cache().drain; end > p.Now() {
-			p.SleepUntil(end)
-		}
-	}
-	s.meta(p, f.node, t)
+	var o Op
+	o.Sync(f)
+	o.Run(p)
 }
 
-// Mkdir performs a directory-creation metadata op.
-func (s *System) Mkdir(p *sim.Proc, node int, path string) {
-	s.meta(p, node, s.Route(path))
+// Write moves size bytes into the file at offset, blocking the process for
+// the modeled duration. The file must have been opened/created.
+func (f *File) Write(p *sim.Proc, offset, size int64) error {
+	var o Op
+	o.Write(f, offset, size)
+	return o.Run(p)
+}
+
+// Read moves size bytes out of the file at offset. Reading past the end of
+// the file is an error (workload bugs should surface, not silently read).
+func (f *File) Read(p *sim.Proc, offset, size int64) error {
+	var o Op
+	o.Read(f, offset, size)
+	return o.Run(p)
 }
 
 // FileSize reports the current size of a file as seen from node.
@@ -292,43 +299,192 @@ func (f *File) Size() (int64, bool) {
 	return f.st.size, true
 }
 
-// meta charges one metadata operation against the right service.
-func (s *System) meta(p *sim.Proc, node int, t TargetKind) {
+// Op is one blocking call on a file in step form, for a process that runs
+// as a step program: Open, Close, Stat, Seek, Sync, Write or Read sets it
+// up without running anything, and each Step runs the call up to its next
+// wait and returns the wake time, or reports that the call has finished.
+// Every stage reads and writes exactly the state the call reads and writes
+// between two waits, at the same simulated instant, so a process that
+// sleeps until each wake time it is given — Run — sees what it saw when
+// the calls blocked. An Op is reused from call to call; it allocates
+// nothing.
+type Op struct {
+	f     *File
+	stage opStage
+	write bool
+	off   int64
+	size  int64 // a data call's size; a PFS miss's fetched bytes, once known
+	n     int64 // what Stat reports
+	err   error
+}
+
+type opStage uint8
+
+const (
+	stDone     opStage = iota
+	stOpen             // Open's namespace change and its metadata visit
+	stFlush            // Close/Sync: wait out the file's write-back drain
+	stCloseRel         // Close under relaxed consistency: no drain wait
+	stMeta             // one metadata visit, then done
+	stStat             // Stat's metadata visit
+	stStatRead         // Stat after its visit: the file as it is then
+	stSeek             // the client-side seek
+	stData             // a transfer's checks and its service
+	stDrain            // a cache-absorbed write after its copy: book the drain
+	stFill             // a PFS read after its transfer: fill the page cache
+)
+
+// Open sets the Op up as f.Open(create).
+func (o *Op) Open(f *File, create bool) {
+	*o = Op{f: f, stage: stOpen, write: create}
+}
+
+// Close sets the Op up as f.Close.
+func (o *Op) Close(f *File) {
+	*o = Op{f: f, stage: stFlush}
+	if f.s.cfg.RelaxedConsistency {
+		o.stage = stCloseRel
+	}
+}
+
+// Stat sets the Op up as f.Stat; Size reports what it found.
+func (o *Op) Stat(f *File) { *o = Op{f: f, stage: stStat} }
+
+// Seek sets the Op up as f.Seek.
+func (o *Op) Seek(f *File) { *o = Op{f: f, stage: stSeek} }
+
+// Sync sets the Op up as f.Sync.
+func (o *Op) Sync(f *File) { *o = Op{f: f, stage: stFlush} }
+
+// Write sets the Op up as f.Write(offset, size).
+func (o *Op) Write(f *File, offset, size int64) {
+	*o = Op{f: f, stage: stData, write: true, off: offset, size: size}
+}
+
+// Read sets the Op up as f.Read(offset, size).
+func (o *Op) Read(f *File, offset, size int64) {
+	*o = Op{f: f, stage: stData, off: offset, size: size}
+}
+
+// Err is the finished call's error.
+func (o *Op) Err() error { return o.err }
+
+// Size is what a finished Stat reports: the file's size.
+func (o *Op) Size() int64 { return o.n }
+
+// Run runs the Op to the end on p, sleeping until every wake time it
+// returns, and returns its error.
+func (o *Op) Run(p *sim.Proc) error {
+	for {
+		t, more := o.Step()
+		if !more {
+			return o.err
+		}
+		p.SleepUntil(t)
+	}
+}
+
+// Step runs the call up to its next wait and returns the wake time with
+// more set, or, with more false, reports that the call has finished.
+func (o *Op) Step() (wake time.Duration, more bool) {
+	f := o.f
+	s, st := f.s, f.st
+	switch o.stage {
+	case stOpen:
+		create := o.write
+		if !st.exists {
+			if !create {
+				o.err = fmt.Errorf("storage: open %s on node %d: no such file", st.path, f.node)
+			}
+			st.exists = st.exists || create
+		} else if create {
+			st.size = 0 // truncate
+		}
+		if o.err == nil {
+			st.noteOpener(f.node)
+		}
+		o.stage = stDone
+		return s.meta(f.node, st.target), true
+	case stFlush:
+		o.stage = stMeta
+		if st.target == TargetPFS && s.cfg.CacheEnabled {
+			if end := f.cache().drain; end > s.e.Now() {
+				return end, true
+			}
+		}
+		fallthrough
+	case stCloseRel, stMeta:
+		o.stage = stDone
+		return s.meta(f.node, st.target), true
+	case stStat:
+		o.stage = stStatRead
+		return s.meta(f.node, st.target), true
+	case stStatRead:
+		o.stage = stDone
+		if !st.exists {
+			o.err = fmt.Errorf("storage: stat %s on node %d: no such file", st.path, f.node)
+		} else {
+			o.n = st.size
+		}
+	case stSeek:
+		o.stage = stDone
+		return s.e.Now() + 200*time.Nanosecond, true
+	case stData:
+		o.stage = stDone
+		return o.data()
+	case stDrain:
+		o.stage = stDone
+		c := s.caches[f.node]
+		drainEnd := s.stripeReserve(st.hash, o.off, o.size)
+		if nicEnd := s.nicReserve(f.node, o.size); nicEnd > drainEnd {
+			drainEnd = nicEnd
+		}
+		e := f.cache()
+		c.scheduleDrain(e, drainEnd)
+		c.insert(e, o.off+o.size)
+	case stFill:
+		o.stage = stDone
+		if s.cfg.CacheEnabled {
+			s.caches[f.node].insert(f.cache(), o.off+o.size)
+		}
+	}
+	return 0, false
+}
+
+// meta books one metadata operation against the right service and returns
+// when it ends.
+func (s *System) meta(node int, t TargetKind) time.Duration {
 	s.Stats[t].MetaOps++
+	var end time.Duration
 	switch t {
 	case TargetPFS:
-		s.metaServers.UseLeastLoaded(p, s.cfg.PFSMetaLatency)
+		_, end = s.metaServers.BookLeastLoaded(s.cfg.PFSMetaLatency)
 	case TargetSharedBB:
-		s.bbMeta.Use(p, s.cfg.SharedBBMetaLat)
+		_, end = s.bbMeta.Book(s.cfg.SharedBBMetaLat)
 	default:
-		s.nodeLocal[node].Use(p, s.cfg.NodeLocalMetaLat)
+		_, end = s.nodeLocal[node].Book(s.cfg.NodeLocalMetaLat)
 	}
+	return end
 }
 
-// Write moves size bytes into the file at offset, blocking the process for
-// the modeled duration. The file must have been opened/created.
-func (f *File) Write(p *sim.Proc, offset, size int64) error {
-	return f.data(p, offset, size, true)
-}
-
-// Read moves size bytes out of the file at offset. Reading past the end of
-// the file is an error (workload bugs should surface, not silently read).
-func (f *File) Read(p *sim.Proc, offset, size int64) error {
-	return f.data(p, offset, size, false)
-}
-
-func (f *File) data(p *sim.Proc, offset, size int64, write bool) error {
+// data checks a transfer, counts it and books its service.
+func (o *Op) data() (time.Duration, bool) {
+	f := o.f
 	s, st := f.s, f.st
+	offset, size, write := o.off, o.size, o.write
 	if size < 0 || offset < 0 {
-		return fmt.Errorf("storage: negative offset/size on %s", st.path)
+		o.err = fmt.Errorf("storage: negative offset/size on %s", st.path)
+		return 0, false
 	}
 	if !st.exists {
-		return fmt.Errorf("storage: %s %s on node %d: no such file",
+		o.err = fmt.Errorf("storage: %s %s on node %d: no such file",
 			opName(write), st.path, f.node)
+		return 0, false
 	}
 	if !write && offset+size > st.size {
-		return fmt.Errorf("storage: read %s on node %d: [%d,%d) past EOF %d",
+		o.err = fmt.Errorf("storage: read %s on node %d: [%d,%d) past EOF %d",
 			st.path, f.node, offset, offset+size, st.size)
+		return 0, false
 	}
 	stats := &s.Stats[st.target]
 	stats.DataOps++
@@ -348,20 +504,19 @@ func (f *File) data(p *sim.Proc, offset, size int64, write bool) error {
 	}
 	switch st.target {
 	case TargetPFS:
-		f.pfsData(p, offset, size, write, shared)
+		return o.pfsData(shared), true
 	case TargetSharedBB:
-		s.bbData(p, st.hash, offset, size)
+		return s.bbData(st.hash, offset, size), true
 	default:
-		s.localData(p, f.node, size)
+		return s.localData(f.node, size), true
 	}
-	return nil
 }
 
-// bbData charges a shared burst-buffer transfer: striped across the BB
-// servers like the PFS, with SSD-class per-op latency and no client-cache
-// semantics (DataWarp exposes a scratch namespace, not a coherent cached
-// file system).
-func (s *System) bbData(p *sim.Proc, fileHash uint64, offset, size int64) {
+// bbData books a shared burst-buffer transfer and returns when it ends:
+// striped across the BB servers like the PFS, with SSD-class per-op
+// latency and no client-cache semantics (DataWarp exposes a scratch
+// namespace, not a coherent cached file system).
+func (s *System) bbData(fileHash uint64, offset, size int64) time.Duration {
 	stripe := s.cfg.SharedBBStripe
 	n := len(s.bbServers.Servers)
 	var last time.Duration
@@ -387,7 +542,7 @@ func (s *System) bbData(p *sim.Proc, fileHash uint64, offset, size int64) {
 	// Unlike the PFS path, burst-buffer traffic is not bounded by the PFS
 	// client stack's per-node throughput: DataWarp's raison d'etre is a
 	// fabric-level data path that sidesteps that bottleneck.
-	p.SleepUntil(last)
+	return last
 }
 
 func opName(write bool) string {
@@ -397,43 +552,41 @@ func opName(write bool) string {
 	return "read"
 }
 
-// localData charges a node-local transfer: per-op latency plus bytes over
-// the node controller's bandwidth, serialized FCFS on the node resource.
-func (s *System) localData(p *sim.Proc, node int, size int64) {
+// localData books a node-local transfer — per-op latency plus bytes over
+// the node controller's bandwidth, serialized FCFS on the node resource —
+// and returns when it ends.
+func (s *System) localData(node int, size int64) time.Duration {
 	svc := s.cfg.NodeLocalLatency + bwTime(size, s.cfg.NodeLocalBW)
-	s.nodeLocal[node].Use(p, svc)
+	_, end := s.nodeLocal[node].Book(svc)
+	return end
 }
 
-// pfsData charges a PFS transfer. Writes land in the node page cache when
-// enabled and there is room, with asynchronous drain to the data servers;
-// reads hit the cache when the node recently wrote or read the file.
-// Otherwise the request is split into stripe chunks routed across the data
-// servers in parallel, and the process blocks until the last chunk lands.
-func (f *File) pfsData(p *sim.Proc, offset, size int64, write, shared bool) {
+// pfsData books a PFS transfer and returns when it ends. Writes land in
+// the node page cache when enabled and there is room, with asynchronous
+// drain to the data servers booked after the copy (stDrain); reads hit the
+// cache when the node recently wrote or read the file. Otherwise the
+// request is split into stripe chunks routed across the data servers in
+// parallel, and the call waits for the last chunk to land (then stFill).
+func (o *Op) pfsData(shared bool) time.Duration {
+	f := o.f
 	s, node, fileSize := f.s, f.node, f.st.size
+	offset, size, write := o.off, o.size, o.write
 	c := s.caches[node]
+	now := s.e.Now()
 	if s.cfg.CacheEnabled && !shared {
 		if write {
-			if c.reserveDirty(size, s.e.Now()) {
+			if c.reserveDirty(size, now) {
 				s.Stats[TargetPFS].CacheHits++
 				// Absorb at memory speed; drain to servers in background.
-				p.Sleep(s.cfg.CacheLatency + bwTime(size, s.cfg.CacheBW))
-				drainEnd := s.stripeReserve(f.st.hash, offset, size)
-				if nicEnd := s.nicReserve(node, size); nicEnd > drainEnd {
-					drainEnd = nicEnd
-				}
-				e := f.cache()
-				c.scheduleDrain(e, drainEnd)
-				c.insert(e, offset+size)
-				return
+				o.stage = stDrain
+				return now + s.cfg.CacheLatency + bwTime(size, s.cfg.CacheBW)
 			}
 			s.Stats[TargetPFS].CacheMisses++
 			// No room: synchronous write-through below.
 		} else {
 			if f.cache().extent >= offset+size {
 				s.Stats[TargetPFS].CacheHits++
-				p.Sleep(s.cfg.CacheLatency + bwTime(size, s.cfg.CacheBW))
-				return
+				return now + s.cfg.CacheLatency + bwTime(size, s.cfg.CacheBW)
 			}
 			s.Stats[TargetPFS].CacheMisses++
 		}
@@ -455,10 +608,10 @@ func (f *File) pfsData(p *sim.Proc, offset, size int64, write, shared bool) {
 	if nicEnd := s.nicReserve(node, fetch); nicEnd > end {
 		end = nicEnd
 	}
-	p.SleepUntil(end)
-	if s.cfg.CacheEnabled && !write {
-		c.insert(f.cache(), offset+fetch)
+	if !write {
+		o.stage, o.size = stFill, fetch
 	}
+	return end
 }
 
 // nicReserve books the node's PFS client bandwidth for a transfer and
