@@ -238,10 +238,22 @@ var archRules = []archRule{
 		},
 	},
 	{
+		// A spec rank or task is a compiled program the engine calls at
+		// each wake-up; a coroutine per rank would bring back the hand-off
+		// the step form removed.
+		name:  "Ranks are step programs",
+		why:   "internal/spec spawns step processes, never a coroutine (Engine.Spawn, Engine.SpawnAt)",
+		check: callsMethod(all2(isNonTestGo, under("internal/spec")), "Spawn", "SpawnAt"),
+		fixtures: []*tree{
+			fx("internal/spec/x.go", "package spec\n\nfunc f(e *sim.Engine) { e.Spawn(\"rank\", func(p *sim.Proc) {}) }\n"),
+			fx("internal/spec/x.go", "package spec\n\nfunc (v *env) f() { v.e.SpawnAt(0, \"task\", nil) }\n"),
+		},
+	},
+	{
 		// A simulated file is resolved once per open: data and metadata
 		// calls after it go through the *storage.File handle, never by path.
 		name:     "One handle per open file",
-		why:      "storage.System takes a path only to Open, Stat, Mkdir, FileSize and Materialize",
+		why:      "storage.System takes a path only to Open, Resolve, Lookup, Stat and Materialize",
 		check:    grep(under("internal/storage"), `func \(s \*System\) (Read|Write|Close|Sync|Seek)\(`),
 		fixtures: []*tree{fx("internal/storage/x.go", "package storage\n\nfunc (s *System) Read(path string) {}\n")},
 	},
@@ -601,6 +613,39 @@ func selects(scope func(string) bool, pkg, name string) func(*tree) []string {
 		}
 		return out
 	}
+}
+
+// callsMethod flags every call of a method (or function value) selected by
+// one of names — x.Spawn(...), v.e.SpawnAt(...) — in the Go files in scope.
+func callsMethod(scope func(string) bool, names ...string) func(*tree) []string {
+	return func(tr *tree) (out []string) {
+		for _, p := range tr.paths {
+			if !isGo(p) || !scope(p) {
+				continue
+			}
+			f, err := tr.parse(p)
+			if err != nil {
+				out = append(out, err.Error())
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				c, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if se, ok := c.Fun.(*ast.SelectorExpr); ok && slices.Contains(names, se.Sel.Name) {
+					out = append(out, fmt.Sprintf("%s: calls %s", tr.fset.Position(c.Pos()), se.Sel.Name))
+				}
+				return true
+			})
+		}
+		return out
+	}
+}
+
+// all2 is the conjunction of two path predicates.
+func all2(a, b func(string) bool) func(string) bool {
+	return func(p string) bool { return a(p) && b(p) }
 }
 
 // columnFields names trace.Columns' fields.

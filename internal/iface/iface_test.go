@@ -150,7 +150,7 @@ func TestStdioCloseFlushesPartialBuffer(t *testing.T) {
 		s, _ := c.StdioOpen(p, "/p/gpfs1/x", 'w')
 		s.Write(p, 1000) // less than one buffer
 		s.Close(p)
-		if sz, _ := sys.FileSize(0, "/p/gpfs1/x"); sz != 1000 {
+		if sz, _ := s.Size(); sz != 1000 {
 			t.Errorf("file size = %d, want 1000 after flush-on-close", sz)
 		}
 	})
@@ -517,4 +517,36 @@ func TestCompressionDisabledIsIdentity(t *testing.T) {
 	if got := sys.Stats[storage.TargetPFS].BytesWritten; got != storage.MiB {
 		t.Errorf("stored %d, want full 1MiB", got)
 	}
+}
+
+// TestCallsALayerLacksFail: a call the file's layer does not offer — a
+// sync on a stream, a seek on an MPI-IO handle, a positioned read on a
+// stream — is an error naming both, and leaves the file usable.
+func TestCallsALayerLacksFail(t *testing.T) {
+	e, sys, tr := testSetup()
+	c := newClient(sys, tr, Defaults(), "app", 0, 0)
+	e.Spawn("p", func(p *sim.Proc) {
+		s, _ := c.StdioOpen(p, "/p/gpfs1/s", 'w')
+		m, _ := c.MPIOpen(p, "/p/gpfs1/m", true, 4)
+		for _, call := range []struct {
+			err  error
+			want string
+		}{
+			{s.Sync(p), "iface: sync on stdio file"},
+			{s.ReadAt(p, 0, 1), "iface: positioned read on stdio file"},
+			{m.Seek(p, 0), "iface: seek on mpiio file"},
+			{m.Write(p, 1), "iface: write on mpiio file"},
+		} {
+			if call.err == nil || call.err.Error() != call.want {
+				t.Errorf("error %v, want %q", call.err, call.want)
+			}
+		}
+		if err := s.Close(p); err != nil {
+			t.Errorf("stream close after refused calls: %v", err)
+		}
+		if err := m.Close(p); err != nil {
+			t.Errorf("MPI-IO close after refused calls: %v", err)
+		}
+	})
+	e.Run()
 }

@@ -127,7 +127,7 @@ func (o *Op) mpiClose() (time.Duration, bool) {
 		o.mw.stage = 2
 		fallthrough
 	case 2:
-		if t, more := o.posixClose(); more || o.err != nil {
+		if t, more := o.posixMeta(); more || o.err != nil {
 			return t, more
 		}
 		o.mw.stage = 3

@@ -174,38 +174,42 @@ func (o *Op) Step() (wake time.Duration, more bool) {
 	case kCompute, kGPU, kBarrier:
 		return o.span()
 	}
-	switch o.f.layer {
+	f := o.f
+	meta := o.kind == kClose || o.kind == kSeek || o.kind == kSync
+	switch f.layer {
 	case Posix:
-		switch o.kind {
-		case kClose:
-			return o.posixClose()
-		case kSeek:
-			return o.posixSeek(o.off)
-		case kSync:
-			return o.posixSync()
+		if meta {
+			return o.posixMeta()
 		}
 		return o.posixData()
 	case Stdio:
 		switch o.kind {
-		case kClose:
-			return o.stdioClose()
-		case kSeek:
-			return o.stdioSeek()
+		case kClose, kSeek:
+			return o.stdioMeta()
 		case kRead:
 			return o.stdioRead()
+		case kWrite:
+			return o.stdioWrite()
 		}
-		return o.stdioWrite()
-	case MPIIO:
-		if o.kind == kClose {
+	default:
+		switch {
+		case o.kind == kClose && f.layer == MPIIO:
 			return o.mpiClose()
+		case o.kind == kClose:
+			return o.h5Close()
+		case meta || o.kind == kRead || o.kind == kWrite:
+		case f.layer == MPIIO:
+			return o.mpiData()
+		default:
+			return o.h5Data()
 		}
-		return o.mpiData()
 	}
-	if o.kind == kClose {
-		return o.h5Close()
-	}
-	return o.h5Data()
+	return o.fail(fmt.Errorf("iface: %s on %s file", kindNames[o.kind], f.layer))
 }
+
+// kindNames names the file calls a layer may not support.
+var kindNames = [...]string{kRead: "read", kWrite: "write", kReadAt: "positioned read",
+	kWriteAt: "positioned write", kSeek: "seek", kSync: "sync"}
 
 func (o *Op) now() time.Duration { return o.c.e.Now() }
 
@@ -365,77 +369,50 @@ func (o *Op) posixData() (time.Duration, bool) {
 	return 0, false
 }
 
-// posixSeek moves the POSIX cursor to off.
-func (o *Op) posixSeek(off int64) (time.Duration, bool) {
+// posixMeta runs the POSIX seek (to o.off), sync or close the op is: the
+// storage call, its trace event, then what it changes — the cursor moves
+// or the descriptor closes. Sync waits for write-back drain; a close of a
+// closed descriptor is an error.
+func (o *Op) posixMeta() (time.Duration, bool) {
 	f := o.f
+	op, off := trace.OpSync, int64(0)
+	switch o.kind {
+	case kSeek:
+		op, off = trace.OpSeek, o.off
+	case kClose:
+		op = trace.OpClose
+	}
 	switch o.px.stage {
 	case 0:
 		if err := f.check(); err != nil {
 			return o.fail(err)
 		}
 		o.px.start, o.px.stage = o.now(), 1
-		o.st.Seek(&f.h)
+		switch op {
+		case trace.OpSeek:
+			o.st.Seek(&f.h)
+		case trace.OpClose:
+			o.st.Close(&f.h)
+		default:
+			o.st.Sync(&f.h)
+		}
 		fallthrough
 	case 1:
 		if t, more := o.st.Step(); more {
 			return t, true
 		}
 		o.px.stage = 2
-		if d := o.c.emit(trace.LevelPosix, trace.LibPosix, trace.OpSeek, f.id, off, 0, o.px.start); d > 0 {
+		if d := o.c.emit(trace.LevelPosix, trace.LibPosix, op, f.id, off, 0, o.px.start); d > 0 {
 			return o.now() + d, true
 		}
 		fallthrough
 	case 2:
-		f.off = off
-	}
-	return 0, false
-}
-
-// posixSync flushes the file, waiting for write-back drain.
-func (o *Op) posixSync() (time.Duration, bool) {
-	f := o.f
-	switch o.px.stage {
-	case 0:
-		if err := f.check(); err != nil {
-			return o.fail(err)
+		switch op {
+		case trace.OpSeek:
+			f.off = off
+		case trace.OpClose:
+			f.open = false
 		}
-		o.px.start, o.px.stage = o.now(), 1
-		o.st.Sync(&f.h)
-		fallthrough
-	case 1:
-		if t, more := o.st.Step(); more {
-			return t, true
-		}
-		o.px.stage = 2
-		if d := o.c.emit(trace.LevelPosix, trace.LibPosix, trace.OpSync, f.id, 0, 0, o.px.start); d > 0 {
-			return o.now() + d, true
-		}
-	}
-	return 0, false
-}
-
-// posixClose closes the descriptor.
-func (o *Op) posixClose() (time.Duration, bool) {
-	f := o.f
-	switch o.px.stage {
-	case 0:
-		if err := f.check(); err != nil {
-			return o.fail(err)
-		}
-		o.px.start, o.px.stage = o.now(), 1
-		o.st.Close(&f.h)
-		fallthrough
-	case 1:
-		if t, more := o.st.Step(); more {
-			return t, true
-		}
-		o.px.stage = 2
-		if d := o.c.emit(trace.LevelPosix, trace.LibPosix, trace.OpClose, f.id, 0, 0, o.px.start); d > 0 {
-			return o.now() + d, true
-		}
-		fallthrough
-	case 2:
-		f.open = false
 	}
 	return 0, false
 }

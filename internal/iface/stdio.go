@@ -156,46 +156,15 @@ func (o *Op) stdioRead() (time.Duration, bool) {
 	}
 }
 
-// stdioSeek repositions the cursor. Write buffers flush first; read
-// buffers stay valid only if the target is inside them.
-func (o *Op) stdioSeek() (time.Duration, bool) {
+// stdioMeta seeks (to o.off) or closes the stream. A write stream's buffer
+// flushes first; a seek keeps the read buffer only if the target is inside
+// it.
+func (o *Op) stdioMeta() (time.Duration, bool) {
 	f := o.f
-	for {
-		switch o.mw.stage {
-		case 0:
-			o.mw.start, o.mw.stage = o.now(), 2
-			if f.mode == 'w' && o.flush() {
-				o.mw.stage = 1
-			}
-		case 1:
-			if t, more := o.posixData(); more || o.err != nil {
-				return t, more
-			}
-			o.mw.stage = 2
-		case 2:
-			o.px = level{}
-			o.mw.stage = 3
-		case 3:
-			if t, more := o.posixSeek(o.off); more || o.err != nil {
-				return t, more
-			}
-			f.pos = o.off
-			if o.off < f.bufStart || o.off >= f.bufEnd {
-				f.bufStart, f.bufEnd = 0, 0 // invalidate read buffer
-			}
-			o.mw.stage = 4
-			if d := o.c.emit(trace.LevelMiddleware, trace.LibStdio, trace.OpSeek, f.id, o.off, 0, o.mw.start); d > 0 {
-				return o.now() + d, true
-			}
-		default:
-			return 0, false
-		}
+	op, off := trace.OpClose, int64(0)
+	if o.kind == kSeek {
+		op, off = trace.OpSeek, o.off
 	}
-}
-
-// stdioClose flushes and closes the stream.
-func (o *Op) stdioClose() (time.Duration, bool) {
-	f := o.f
 	for {
 		switch o.mw.stage {
 		case 0:
@@ -212,11 +181,17 @@ func (o *Op) stdioClose() (time.Duration, bool) {
 			o.px = level{}
 			o.mw.stage = 3
 		case 3:
-			if t, more := o.posixClose(); more || o.err != nil {
+			if t, more := o.posixMeta(); more || o.err != nil {
 				return t, more
 			}
+			if op == trace.OpSeek {
+				f.pos = off
+				if off < f.bufStart || off >= f.bufEnd {
+					f.bufStart, f.bufEnd = 0, 0 // invalidate read buffer
+				}
+			}
 			o.mw.stage = 4
-			if d := o.c.emit(trace.LevelMiddleware, trace.LibStdio, trace.OpClose, f.id, 0, 0, o.mw.start); d > 0 {
+			if d := o.c.emit(trace.LevelMiddleware, trace.LibStdio, op, f.id, off, 0, o.mw.start); d > 0 {
 				return o.now() + d, true
 			}
 		default:

@@ -235,7 +235,8 @@ func (e *Engine) SpawnAt(t time.Duration, name string, fn func(*Proc)) *Proc {
 // absolute wake time (one before now wakes now, as SleepUntil does),
 // Parked when it has put the process on a wait list (Barrier.Arrive,
 // Gate.Pass, or one of its own that WakeNow serves), or Done. A non-nil
-// error fails the run with it and ends the process.
+// error fails the run with it and ends the process. A step never blocks:
+// Sleep, Park and the blocking primitives are a coroutine's.
 type Step func(p *Proc) (wake time.Duration, err error)
 
 // What a Step returns instead of a wake time.

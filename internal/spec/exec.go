@@ -23,7 +23,6 @@ type rankState struct {
 	op   iface.Op // the interface call in flight
 	rank int
 
-	app     int             // the app the rank runs as
 	clients []*iface.Client // by app index, made on first use
 	rng     *sim.RNG        // nil unless a let draws from it
 	paths   renderer
@@ -74,7 +73,6 @@ func (r *rankState) step(p *sim.Proc) (time.Duration, error) {
 
 // place puts the rank on a node as app, and makes the app's client.
 func (r *rankState) place(app, node, local int) {
-	r.app = app
 	r.fr.v[sNode], r.fr.v[sLocal], r.fr.v[sLeader] = int64(node), int64(local), b2i(local == 0)
 	r.fr.set[sNode], r.fr.set[sLocal], r.fr.set[sLeader] = true, true, true
 	r.clients[app] = r.newClient(app)
@@ -239,7 +237,7 @@ func (r *rankState) exec() (time.Duration, error) {
 			r.place(in.app, slot/rpn, slot%rpn)
 		case iRelease:
 			r.task.pool.release(r.task.slot)
-		case iDone:
+		case iOpenGate:
 			r.task.done.Open()
 		case iEnd:
 			return sim.Done, nil

@@ -60,7 +60,6 @@ func (l *layout) variable(name string) int {
 
 // program is a compiled document.
 type program struct {
-	doc    *Doc
 	lay    layout
 	params []*cx // by d.ordered index; nil for a value param
 	setup  []csetup
@@ -127,10 +126,10 @@ const (
 	iBarrier
 	iCompute
 	iGPU
-	iDeps    // a task waits for its after list's instances, in order
-	iAcquire // it takes a worker slot and is placed on the slot's node
-	iRelease // it hands the slot back
-	iDone    // it opens its gate
+	iDeps     // a task waits for its after list's instances, in order
+	iAcquire  // it takes a worker slot and is placed on the slot's node
+	iRelease  // it hands the slot back
+	iOpenGate // it opens its gate
 	iEnd
 )
 
@@ -144,7 +143,7 @@ type compiler struct {
 
 // compile compiles the document.
 func (d *Doc) compile() *program {
-	p := &program{doc: d}
+	p := &program{}
 	l := &p.lay
 	l.slots = map[string]int{
 		"rank": sRank, "node": sNode, "local": sLocal, "leader": sLeader,
@@ -205,7 +204,7 @@ func (d *Doc) compile() *program {
 		app := c.app(s.name)
 		cs.prog = []inst{{kind: iDeps}, {kind: iAcquire, app: app}}
 		cs.prog = c.ops(cs.prog, s.body, app)
-		cs.prog = append(cs.prog, inst{kind: iRelease}, inst{kind: iDone}, inst{kind: iEnd})
+		cs.prog = append(cs.prog, inst{kind: iRelease}, inst{kind: iOpenGate}, inst{kind: iEnd})
 		p.stages = append(p.stages, cs)
 	}
 	return p

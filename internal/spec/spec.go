@@ -7,9 +7,10 @@
 // internal/cluster + internal/storage + internal/iface.
 //
 // A Workload's Run assembles the simulated job, storage and tracer under a
-// workloads.Spec, stages the setup and interprets the document: it issues
-// the interface calls the run program (or a task's body) names, in order,
-// and returns the trace as a workloads.Result. Every workload is a
+// workloads.Spec, stages the setup and runs the compiled document: each
+// rank (or task) is a step process issuing the interface calls its run
+// program (or its stage's body) names, in order (program.go, exec.go), and
+// Run returns the trace as a workloads.Result. Every workload is a
 // document; there is no other way to describe one. The package also holds
 // the golden specs — all seven exemplars, described here and nowhere else,
 // and the catalog of every workload by name (golden.go) — and the sweep

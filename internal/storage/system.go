@@ -285,12 +285,6 @@ func (f *File) Read(p *sim.Proc, offset, size int64) error {
 	return o.Run(p)
 }
 
-// FileSize reports the current size of a file as seen from node.
-func (s *System) FileSize(node int, path string) (int64, bool) {
-	f := File{st: s.state(node, path)}
-	return f.Size()
-}
-
 // Size reports the file's current size, and whether it exists.
 func (f *File) Size() (int64, bool) {
 	if !f.st.exists {
@@ -387,6 +381,9 @@ func (o *Op) Run(p *sim.Proc) error {
 // Step runs the call up to its next wait and returns the wake time with
 // more set, or, with more false, reports that the call has finished.
 func (o *Op) Step() (wake time.Duration, more bool) {
+	if o.stage == stDone {
+		return 0, false
+	}
 	f := o.f
 	s, st := f.s, f.st
 	switch o.stage {

@@ -62,7 +62,7 @@ func TestOpenCreateWriteReadRoundTrip(t *testing.T) {
 			t.Errorf("Read: %v", err)
 		}
 		f.Close(p)
-		if sz, ok := s.FileSize(0, "/p/gpfs1/f"); !ok || sz != 4*KiB {
+		if sz, ok := fileSize(s, 0, "/p/gpfs1/f"); !ok || sz != 4*KiB {
 			t.Errorf("FileSize = %d,%v want 4KiB,true", sz, ok)
 		}
 	})
@@ -88,7 +88,7 @@ func TestOpenTruncates(t *testing.T) {
 		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
 		f.Write(p, 0, MiB)
 		s.Open(p, 0, "/p/gpfs1/f", true) // re-create truncates
-		if sz, _ := s.FileSize(0, "/p/gpfs1/f"); sz != 0 {
+		if sz, _ := fileSize(s, 0, "/p/gpfs1/f"); sz != 0 {
 			t.Errorf("size after truncate = %d", sz)
 		}
 	})
@@ -142,10 +142,10 @@ func TestNodeLocalNamespacesArePerNode(t *testing.T) {
 	})
 	e.Spawn("reader-other-node", func(p *sim.Proc) {
 		p.Sleep(time.Second)
-		if _, ok := s.FileSize(1, "/dev/shm/inter"); ok {
+		if _, ok := fileSize(s, 1, "/dev/shm/inter"); ok {
 			t.Error("node 1 sees node 0's /dev/shm file")
 		}
-		if _, ok := s.FileSize(0, "/dev/shm/inter"); !ok {
+		if _, ok := fileSize(s, 0, "/dev/shm/inter"); !ok {
 			t.Error("node 0's file lost")
 		}
 	})
@@ -475,7 +475,7 @@ func TestFileSizeMaxExtentProperty(t *testing.T) {
 			}
 		})
 		e.Run()
-		got, _ := s.FileSize(0, "/p/gpfs1/f")
+		got, _ := fileSize(s, 0, "/p/gpfs1/f")
 		return ok && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -548,8 +548,8 @@ func TestMaterializeStagesDatasetInstantly(t *testing.T) {
 		if err := s.Resolve(1, "/p/gpfs1/input.fits").Read(p, 0, 22*MiB); err != nil {
 			t.Errorf("read of materialized file: %v", err)
 		}
-		_, onOwn := s.FileSize(1, "/dev/shm/local")
-		_, onOther := s.FileSize(0, "/dev/shm/local")
+		_, onOwn := fileSize(s, 1, "/dev/shm/local")
+		_, onOther := fileSize(s, 0, "/dev/shm/local")
 		if !onOwn || onOther {
 			t.Error("node-local materialization wrong")
 		}
@@ -563,7 +563,7 @@ func TestMaterializeDoesNotShrink(t *testing.T) {
 	_, s := newSys(t, testConfig(), 1)
 	s.Materialize(0, "/p/gpfs1/f", 10*MiB)
 	s.Materialize(0, "/p/gpfs1/f", MiB)
-	if sz, _ := s.FileSize(0, "/p/gpfs1/f"); sz != 10*MiB {
+	if sz, _ := fileSize(s, 0, "/p/gpfs1/f"); sz != 10*MiB {
 		t.Errorf("size = %d, want 10MiB", sz)
 	}
 }
@@ -693,4 +693,10 @@ func TestBBConfigValidation(t *testing.T) {
 		}
 	}()
 	New(sim.NewEngine(), cfg, 1, sim.NewRNG(1))
+}
+
+// fileSize is the size of path as node sees it, and whether it exists.
+func fileSize(s *System, node int, path string) (int64, bool) {
+	f := s.Lookup(node, path)
+	return f.Size()
 }
