@@ -59,7 +59,7 @@ func (w Workload) Run(sp workloads.Spec) (*workloads.Result, error) {
 
 // RunContext is Run stopped by ctx: once ctx is done, staging stops at its
 // next file, the simulation within a few thousand events or loop
-// iterations, every rank unwinds, and the error wraps ctx.Err().
+// iterations, no rank is left running, and the error wraps ctx.Err().
 func (w Workload) RunContext(ctx context.Context, sp workloads.Spec) (*workloads.Result, error) {
 	if sp.Scale <= 0 || sp.Scale > 1 {
 		return nil, fmt.Errorf("workloads: scale %v out of (0, 1]", sp.Scale)

@@ -333,9 +333,8 @@ func (r *rankState) call(in *inst) error {
 // Phases of a granule instruction, in sPhase.
 const (
 	gStart  = iota // not started: evaluate and check the operands
-	gNext          // between granules: issue the next, or finish
 	gSeeked        // the granule's seek is done: issue its transfer
-	gDone          // the granule's transfer is done
+	gDone          // the granule's transfer is done: issue the next, or finish
 )
 
 // granules runs a read/write, pread, pwrite or readwrap: total bytes in
@@ -474,8 +473,8 @@ func (r *rankState) granuleStart(in *inst) error {
 	if err != nil {
 		return err
 	}
-	granule := total
-	if in.kind == iReadWrap || in.b != nil {
+	granule := total // readwrap's is required
+	if in.b != nil {
 		if granule, err = r.eval(in.b); err != nil {
 			return err
 		}
