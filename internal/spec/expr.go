@@ -183,9 +183,6 @@ func compileNode(n exprNode, l *layout) *node {
 	panic(fmt.Sprintf("spec: expression node %T", n))
 }
 
-// lit reports whether the expression folded to a constant, and its value.
-func (x *cx) lit() (int64, bool) { return x.root.val, x.root.op == nLit }
-
 // eval evaluates the expression in f.
 func (x *cx) eval(f *frame) (int64, error) {
 	if n := x.root; n.op == nSlot {
