@@ -64,16 +64,34 @@ var archRules = []archRule{
 		fixtures: []*tree{fx("internal/advisor/x_test.go", "package advisor\n\nvar w = workloads.CM1{}\n")},
 	},
 	{
-		// Simulated processes are iter.Pull coroutines: a Goexit inside one
-		// takes Run's caller down with it, and a stopped engine unwinds a
-		// process by panicking, not by Goexit. Nor does a process wait on a
-		// channel of its own to be woken.
+		// A simulated process is a step the event loop calls on Run's
+		// goroutine: a Goexit inside one takes Run's caller down with it.
+		// Nor does a process wait on a channel of its own to be woken.
 		name:  "No Goexit or wake channel in the simulator",
-		why:   "internal/sim hands off by coroutine switch only",
+		why:   "internal/sim hands control to a process only by calling its step",
 		check: grep(under("internal/sim"), `runtime\.Goexit|wake +chan`),
 		fixtures: []*tree{
 			fx("internal/sim/x.go", "package sim\n\nfunc stop() { runtime.Goexit() }\n"),
 			fx("internal/sim/x.go", "package sim\n\ntype waiter struct{ wake  chan struct{} }\n"),
+		},
+	},
+	{
+		// Every process is a step program; a second kind — a coroutine, or a
+		// goroutine of its own — would bring back the hand-off switch and
+		// the unwinding a stopped engine needed for it.
+		name: "One process kind",
+		why:  "internal/sim runs step processes only (SpawnStep); no coroutine, no Spawn or SpawnAt",
+		check: all(
+			grep(under("internal/sim"), `import\s+(\w+\s+)?"iter"|^\s*(\w+\s+)?"iter"\s*$`),
+			declared(under("internal/sim"), func(d decl) bool {
+				return d.kind == "func" && d.recv == "*Engine" && (d.name == "Spawn" || d.name == "SpawnAt")
+			}),
+		),
+		fixtures: []*tree{
+			fx("internal/sim/engine.go", "package sim\n\nimport (\n\t\"context\"\n\t\"iter\"\n)\n"),
+			fx("internal/sim/x_test.go", "package sim\n\nimport \"iter\"\n"),
+			fx("internal/sim/engine.go", "package sim\n\nfunc (e *Engine) Spawn(name string, fn func(*Proc)) *Proc { return nil }\n"),
+			fx("internal/sim/proc.go", "package sim\n\nfunc (eng *Engine) SpawnAt(t int64, name string) {}\n"),
 		},
 	},
 	{
@@ -242,7 +260,7 @@ var archRules = []archRule{
 		// each wake-up; a coroutine per rank would bring back the hand-off
 		// the step form removed.
 		name:  "Ranks are step programs",
-		why:   "internal/spec spawns step processes, never a coroutine (Engine.Spawn, Engine.SpawnAt)",
+		why:   "internal/spec spawns step processes (Engine.SpawnStep), never a coroutine",
 		check: callsMethod(all2(isNonTestGo, under("internal/spec")), "Spawn", "SpawnAt"),
 		fixtures: []*tree{
 			fx("internal/spec/x.go", "package spec\n\nfunc f(e *sim.Engine) { e.Spawn(\"rank\", func(p *sim.Proc) {}) }\n"),
@@ -253,7 +271,7 @@ var archRules = []archRule{
 		// A simulated file is resolved once per open: data and metadata
 		// calls after it go through the *storage.File handle, never by path.
 		name:     "One handle per open file",
-		why:      "storage.System takes a path only to Open, Resolve, Lookup, Stat and Materialize",
+		why:      "storage.System takes a path only to Resolve, Lookup and Materialize",
 		check:    grep(under("internal/storage"), `func \(s \*System\) (Read|Write|Close|Sync|Seek)\(`),
 		fixtures: []*tree{fx("internal/storage/x.go", "package storage\n\nfunc (s *System) Read(path string) {}\n")},
 	},
@@ -287,9 +305,6 @@ var archRules = []archRule{
 			}),
 			tracked(`^examples/custom-workload/.*\.go$`),
 			declared(isNonTestGo, func(d decl) bool {
-				if d.path == "internal/sim/engine.go" && d.recv == "*Engine" && d.name == "Spawn" {
-					return false // the kernel's own
-				}
 				return d.kind == "func" && d.recv != "" && (d.name == "Setup" || d.name == "Spawn")
 			}),
 		),

@@ -83,14 +83,16 @@ type Client struct {
 	e    *sim.Engine
 	sys  *storage.System
 	tr   *trace.Tracer
-	opt  Options
+	opt  *Options
 	rank int32
 	node int32
 	app  int32
 }
 
 // NewClient builds the interface client for one rank of one application.
-func NewClient(sys *storage.System, tr *trace.Tracer, opt Options, appName string, rank, node int) *Client {
+// The client reads opt as it runs: a run's clients share one Options, which
+// must not change while the run goes on.
+func NewClient(sys *storage.System, tr *trace.Tracer, opt *Options, appName string, rank, node int) *Client {
 	return &Client{
 		e:    sys.Engine(),
 		sys:  sys,

@@ -18,6 +18,39 @@ func testSetup() (*sim.Engine, *storage.System, *trace.Tracer) {
 	return e, sys, trace.NewTracer()
 }
 
+// newClient is NewClient with the options given by value, as the tests
+// build them.
+func newClient(sys *storage.System, tr *trace.Tracer, opt Options, app string, rank, node int) *Client {
+	return NewClient(sys, tr, &opt, app, rank, node)
+}
+
+// script spawns a step process that makes calls in turn: each set-up
+// readies o for one call, which runs to its end — through every stage and
+// wake-up — before the next set-up runs. script returns each call's error,
+// filled in as the run reaches it.
+func script(e *sim.Engine, setups ...func(o *Op)) []error {
+	errs := make([]error, len(setups))
+	var o Op
+	i, busy := 0, false
+	e.SpawnStep("script", func(p *sim.Proc) (time.Duration, error) {
+		for {
+			if busy {
+				if t, more := o.Step(); more {
+					return t, nil
+				}
+				errs[i-1], busy = o.Err(), false
+			}
+			if i == len(setups) {
+				return sim.Done, nil
+			}
+			i++
+			setups[i-1](&o)
+			busy = true
+		}
+	})
+	return errs
+}
+
 func countOps(tr *trace.Trace, lv trace.Level, op trace.Op) int {
 	n := 0
 	for _, ev := range tr.Events {
@@ -31,53 +64,57 @@ func countOps(tr *trace.Trace, lv trace.Level, op trace.Op) int {
 func TestPosixReadAtCursorPastEOFFails(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, err := c.PosixOpen(p, "/p/gpfs1/f", true)
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		f.Write(p, 4096)
+	var f File
+	errs := script(e,
+		func(o *Op) { c.PosixOpen(o, &f, "/p/gpfs1/f", true) },
+		func(o *Op) { f.Write(o, 4096) },
 		// Cursor is now at EOF; a cursor read must fail rather than fabricate data.
-		if err := f.Read(p, 4096); err == nil {
-			t.Error("read at EOF succeeded")
-		}
-	})
+		func(o *Op) { f.Read(o, 4096) },
+	)
 	e.Run()
-	_ = tr
+	if errs[0] != nil {
+		t.Errorf("open: %v", errs[0])
+	}
+	if errs[2] == nil {
+		t.Error("read at EOF succeeded")
+	}
 }
 
 func TestPosixCursorSemantics(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
-		if err := f.Write(p, 1000); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if f.Offset() != 1000 {
-			t.Errorf("offset after write = %d", f.Offset())
-		}
-		if err := f.Seek(p, 0); err != nil {
-			t.Errorf("seek: %v", err)
-		}
-		if err := f.Read(p, 1000); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		if f.Offset() != 1000 {
-			t.Errorf("offset after read = %d", f.Offset())
-		}
-		if err := f.Close(p); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		if err := f.Close(p); err == nil {
-			t.Error("double close succeeded")
-		}
-		if err := f.Read(p, 1); err == nil {
-			t.Error("read after close succeeded")
-		}
-	})
+	var f File
+	errs := script(e,
+		func(o *Op) { c.PosixOpen(o, &f, "/p/gpfs1/f", true) },
+		func(o *Op) { f.Write(o, 1000) },
+		func(o *Op) {
+			if f.Offset() != 1000 {
+				t.Errorf("offset after write = %d", f.Offset())
+			}
+			f.Seek(o, 0)
+		},
+		func(o *Op) { f.Read(o, 1000) },
+		func(o *Op) {
+			if f.Offset() != 1000 {
+				t.Errorf("offset after read = %d", f.Offset())
+			}
+			f.Close(o)
+		},
+		func(o *Op) { f.Close(o) },
+		func(o *Op) { f.Read(o, 1) },
+	)
 	e.Run()
+	for i, call := range []string{"write", "seek", "read", "close"} {
+		if err := errs[1+i]; err != nil {
+			t.Errorf("%s: %v", call, err)
+		}
+	}
+	if errs[5] == nil {
+		t.Error("double close succeeded")
+	}
+	if errs[6] == nil {
+		t.Error("read after close succeeded")
+	}
 	out := tr.Finish()
 	if countOps(out, trace.LevelPosix, trace.OpWrite) != 1 ||
 		countOps(out, trace.LevelPosix, trace.OpRead) != 1 ||
@@ -91,10 +128,11 @@ func TestPosixCursorSemantics(t *testing.T) {
 func TestPosixEventTimesSpanOps(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
-		f.Write(p, 16*storage.MiB)
-	})
+	var f File
+	script(e,
+		func(o *Op) { c.PosixOpen(o, &f, "/p/gpfs1/f", true) },
+		func(o *Op) { f.Write(o, 16*storage.MiB) },
+	)
 	e.Run()
 	out := tr.Finish()
 	for _, ev := range out.Events {
@@ -113,21 +151,23 @@ func TestStdioBufferingAggregatesWrites(t *testing.T) {
 	opt := Defaults()
 	opt.StdioBufSize = 64 * storage.KiB
 	c := newClient(sys, tr, opt, "montage", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		s, err := c.StdioOpen(p, "/p/gpfs1/out.tbl", 'w')
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		// 64 writes of 4KB = 256KB total = 4 buffer flushes.
-		for i := 0; i < 64; i++ {
-			if err := s.Write(p, 4*storage.KiB); err != nil {
-				t.Errorf("write: %v", err)
-			}
-		}
-		s.Close(p)
-	})
+	var s File
+	setups := []func(o *Op){func(o *Op) { c.StdioOpen(o, &s, "/p/gpfs1/out.tbl", 'w') }}
+	// 64 writes of 4KB = 256KB total = 4 buffer flushes.
+	for i := 0; i < 64; i++ {
+		setups = append(setups, func(o *Op) { s.Write(o, 4*storage.KiB) })
+	}
+	setups = append(setups, func(o *Op) { s.Close(o) })
+	errs := script(e, setups...)
 	e.Run()
+	if errs[0] != nil {
+		t.Errorf("open: %v", errs[0])
+	}
+	for _, err := range errs[1:65] {
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
+	}
 	out := tr.Finish()
 	if n := countOps(out, trace.LevelMiddleware, trace.OpWrite); n != 64 {
 		t.Errorf("middleware writes = %d, want 64", n)
@@ -146,37 +186,42 @@ func TestStdioBufferingAggregatesWrites(t *testing.T) {
 func TestStdioCloseFlushesPartialBuffer(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		s, _ := c.StdioOpen(p, "/p/gpfs1/x", 'w')
-		s.Write(p, 1000) // less than one buffer
-		s.Close(p)
-		if sz, _ := s.Size(); sz != 1000 {
-			t.Errorf("file size = %d, want 1000 after flush-on-close", sz)
-		}
-	})
+	var s File
+	script(e,
+		func(o *Op) { c.StdioOpen(o, &s, "/p/gpfs1/x", 'w') },
+		func(o *Op) { s.Write(o, 1000) }, // less than one buffer
+		func(o *Op) { s.Close(o) },
+	)
 	e.Run()
+	if sz, _ := s.Size(); sz != 1000 {
+		t.Errorf("file size = %d, want 1000 after flush-on-close", sz)
+	}
 }
 
 func TestStdioReadBufferServesSmallReads(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "jag", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		w, _ := c.StdioOpen(p, "/p/gpfs1/data.npy", 'w')
-		w.Write(p, 256*storage.KiB)
-		w.Close(p)
-		r, err := c.StdioOpen(p, "/p/gpfs1/data.npy", 'r')
-		if err != nil {
-			t.Errorf("open for read: %v", err)
-			return
-		}
-		for i := 0; i < 64; i++ { // 64 x 4KB sequential reads
-			if err := r.Read(p, 4*storage.KiB); err != nil {
-				t.Errorf("read %d: %v", i, err)
-			}
-		}
-		r.Close(p)
-	})
+	var w, r File
+	setups := []func(o *Op){
+		func(o *Op) { c.StdioOpen(o, &w, "/p/gpfs1/data.npy", 'w') },
+		func(o *Op) { w.Write(o, 256*storage.KiB) },
+		func(o *Op) { w.Close(o) },
+		func(o *Op) { c.StdioOpen(o, &r, "/p/gpfs1/data.npy", 'r') },
+	}
+	for i := 0; i < 64; i++ { // 64 x 4KB sequential reads
+		setups = append(setups, func(o *Op) { r.Read(o, 4*storage.KiB) })
+	}
+	setups = append(setups, func(o *Op) { r.Close(o) })
+	errs := script(e, setups...)
 	e.Run()
+	if errs[3] != nil {
+		t.Errorf("open for read: %v", errs[3])
+	}
+	for i, err := range errs[4:68] {
+		if err != nil {
+			t.Errorf("read %d: %v", i, err)
+		}
+	}
 	out := tr.Finish()
 	if n := countOps(out, trace.LevelMiddleware, trace.OpRead); n != 64 {
 		t.Errorf("middleware reads = %d, want 64", n)
@@ -189,61 +234,75 @@ func TestStdioReadBufferServesSmallReads(t *testing.T) {
 func TestStdioReadPastEOFFails(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		w, _ := c.StdioOpen(p, "/p/gpfs1/small", 'w')
-		w.Write(p, 100)
-		w.Close(p)
-		r, _ := c.StdioOpen(p, "/p/gpfs1/small", 'r')
-		if err := r.Read(p, 200); err == nil {
-			t.Error("read past EOF succeeded")
-		}
-	})
+	var w, r File
+	errs := script(e,
+		func(o *Op) { c.StdioOpen(o, &w, "/p/gpfs1/small", 'w') },
+		func(o *Op) { w.Write(o, 100) },
+		func(o *Op) { w.Close(o) },
+		func(o *Op) { c.StdioOpen(o, &r, "/p/gpfs1/small", 'r') },
+		func(o *Op) { r.Read(o, 200) },
+	)
 	e.Run()
+	if errs[4] == nil {
+		t.Error("read past EOF succeeded")
+	}
 }
 
 func TestStdioModeEnforcement(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		w, _ := c.StdioOpen(p, "/p/gpfs1/f", 'w')
-		if err := w.Read(p, 1); err == nil {
-			t.Error("read from write stream succeeded")
-		}
-		w.Write(p, 10)
-		w.Close(p)
-		r, _ := c.StdioOpen(p, "/p/gpfs1/f", 'r')
-		if err := r.Write(p, 1); err == nil {
-			t.Error("write to read stream succeeded")
-		}
-		if _, err := c.StdioOpen(p, "/p/gpfs1/f", 'x'); err == nil {
-			t.Error("bogus mode accepted")
-		}
-	})
+	var w, r, x File
+	errs := script(e,
+		func(o *Op) { c.StdioOpen(o, &w, "/p/gpfs1/f", 'w') },
+		func(o *Op) { w.Read(o, 1) },
+		func(o *Op) { w.Write(o, 10) },
+		func(o *Op) { w.Close(o) },
+		func(o *Op) { c.StdioOpen(o, &r, "/p/gpfs1/f", 'r') },
+		func(o *Op) { r.Write(o, 1) },
+		func(o *Op) { c.StdioOpen(o, &x, "/p/gpfs1/f", 'x') },
+	)
 	e.Run()
+	if errs[1] == nil {
+		t.Error("read from write stream succeeded")
+	}
+	if errs[5] == nil {
+		t.Error("write to read stream succeeded")
+	}
+	if errs[6] == nil {
+		t.Error("bogus mode accepted")
+	}
 }
 
 func TestStdioSeekBreaksBuffering(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "jag", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		w, _ := c.StdioOpen(p, "/p/gpfs1/samples", 'w')
-		w.Write(p, storage.MiB)
-		w.Close(p)
-		r, _ := c.StdioOpen(p, "/p/gpfs1/samples", 'r')
-		// Strided backwards access defeats the read buffer: each seek+read
-		// pays a POSIX read.
-		offs := []int64{900000, 100, 500000, 200000, 700000}
-		for _, o := range offs {
-			if err := r.Seek(p, o); err != nil {
-				t.Errorf("seek: %v", err)
-			}
-			if err := r.Read(p, 2*storage.KiB); err != nil {
-				t.Errorf("read: %v", err)
-			}
-		}
-		r.Close(p)
-	})
+	var w, r File
+	setups := []func(o *Op){
+		func(o *Op) { c.StdioOpen(o, &w, "/p/gpfs1/samples", 'w') },
+		func(o *Op) { w.Write(o, storage.MiB) },
+		func(o *Op) { w.Close(o) },
+		func(o *Op) { c.StdioOpen(o, &r, "/p/gpfs1/samples", 'r') },
+	}
+	// Strided backwards access defeats the read buffer: each seek+read
+	// pays a POSIX read.
+	offs := []int64{900000, 100, 500000, 200000, 700000}
+	for _, off := range offs {
+		setups = append(setups,
+			func(o *Op) { r.Seek(o, off) },
+			func(o *Op) { r.Read(o, 2*storage.KiB) },
+		)
+	}
+	setups = append(setups, func(o *Op) { r.Close(o) })
+	errs := script(e, setups...)
 	e.Run()
+	for i := range offs {
+		if err := errs[4+2*i]; err != nil {
+			t.Errorf("seek: %v", err)
+		}
+		if err := errs[5+2*i]; err != nil {
+			t.Errorf("read: %v", err)
+		}
+	}
 	out := tr.Finish()
 	if n := countOps(out, trace.LevelPosix, trace.OpRead); n != len([]int64{900000, 100, 500000, 200000, 700000}) {
 		t.Errorf("posix reads = %d, want one per strided access", n)
@@ -257,17 +316,17 @@ func TestMPIIOChargesSyncMetadata(t *testing.T) {
 	e, sys, tr := testSetup()
 	opt := Defaults()
 	c := newClient(sys, tr, opt, "cosmoflow", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		m, err := c.MPIOpen(p, "/p/gpfs1/s.h5", true, 128)
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		m.WriteAt(p, 0, storage.MiB)
-		m.ReadAt(p, 0, storage.MiB)
-		m.Close(p)
-	})
+	var m File
+	errs := script(e,
+		func(o *Op) { c.MPIOpen(o, &m, "/p/gpfs1/s.h5", true, 128) },
+		func(o *Op) { m.WriteAt(o, 0, storage.MiB) },
+		func(o *Op) { m.ReadAt(o, 0, storage.MiB) },
+		func(o *Op) { m.Close(o) },
+	)
 	e.Run()
+	if errs[0] != nil {
+		t.Errorf("open: %v", errs[0])
+	}
 	out := tr.Finish()
 	// Open and close each charge base(2)+log2(128)=9 stats; data ops 1 each.
 	wantStats := 2*(2+7) + 2
@@ -281,10 +340,11 @@ func TestMPIIOCommScalingOff(t *testing.T) {
 	opt := Defaults()
 	opt.MPIIOCommScaling = false
 	c := newClient(sys, tr, opt, "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		m, _ := c.MPIOpen(p, "/p/gpfs1/f", true, 1024)
-		m.Close(p)
-	})
+	var m File
+	script(e,
+		func(o *Op) { c.MPIOpen(o, &m, "/p/gpfs1/f", true, 1024) },
+		func(o *Op) { m.Close(o) },
+	)
 	e.Run()
 	out := tr.Finish()
 	if n := countOps(out, trace.LevelMiddleware, trace.OpStat); n != 2*2 {
@@ -295,33 +355,37 @@ func TestMPIIOCommScalingOff(t *testing.T) {
 func TestMPIOpenRejectsBadComm(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		if _, err := c.MPIOpen(p, "/p/gpfs1/f", true, 0); err == nil {
-			t.Error("comm size 0 accepted")
-		}
-	})
+	var m File
+	errs := script(e, func(o *Op) { c.MPIOpen(o, &m, "/p/gpfs1/f", true, 0) })
 	e.Run()
+	if errs[0] == nil {
+		t.Error("comm size 0 accepted")
+	}
 }
 
 func TestHDF5UnchunkedMetadataAmplification(t *testing.T) {
 	e, sys, tr := testSetup()
 	opt := Defaults() // unchunked, 4 meta per access
 	c := newClient(sys, tr, opt, "cosmoflow", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		h, err := c.H5Open(p, "/p/gpfs1/u.h5", true, 4)
-		if err != nil {
-			t.Errorf("h5 open: %v", err)
-			return
-		}
-		h.DatasetWrite(p, 0, 32*storage.MiB)
-		for i := int64(0); i < 8; i++ {
-			if err := h.DatasetRead(p, i*4*storage.MiB, 4*storage.MiB); err != nil {
-				t.Errorf("dataset read: %v", err)
-			}
-		}
-		h.Close(p)
-	})
+	var h File
+	setups := []func(o *Op){
+		func(o *Op) { c.H5Open(o, &h, "/p/gpfs1/u.h5", true, 4) },
+		func(o *Op) { h.WriteAt(o, 0, 32*storage.MiB) },
+	}
+	for i := int64(0); i < 8; i++ {
+		setups = append(setups, func(o *Op) { h.ReadAt(o, i*4*storage.MiB, 4*storage.MiB) })
+	}
+	setups = append(setups, func(o *Op) { h.Close(o) })
+	errs := script(e, setups...)
 	e.Run()
+	if errs[0] != nil {
+		t.Errorf("h5 open: %v", errs[0])
+	}
+	for _, err := range errs[2:10] {
+		if err != nil {
+			t.Errorf("dataset read: %v", err)
+		}
+	}
 	out := tr.Finish()
 	if n := countOps(out, trace.LevelApp, trace.OpStat); n != 9*4 {
 		t.Errorf("app-level dataset meta = %d, want 36 (4 per access)", n)
@@ -337,13 +401,13 @@ func TestHDF5ChunkedReducesMetadata(t *testing.T) {
 		opt := Defaults()
 		opt.HDF5Chunked = chunked
 		c := newClient(sys, tr, opt, "app", 0, 0)
-		e.Spawn("p", func(p *sim.Proc) {
-			h, _ := c.H5Open(p, "/p/gpfs1/f.h5", true, 4)
-			for i := int64(0); i < 10; i++ {
-				h.DatasetRead(p, 0, storage.KiB)
-			}
-			h.Close(p)
-		})
+		var h File
+		setups := []func(o *Op){func(o *Op) { c.H5Open(o, &h, "/p/gpfs1/f.h5", true, 4) }}
+		for i := int64(0); i < 10; i++ {
+			setups = append(setups, func(o *Op) { h.ReadAt(o, 0, storage.KiB) })
+		}
+		setups = append(setups, func(o *Op) { h.Close(o) })
+		script(e, setups...)
 		e.Run()
 		return countOps(tr.Finish(), trace.LevelApp, trace.OpStat)
 	}
@@ -355,18 +419,18 @@ func TestHDF5ChunkedReducesMetadata(t *testing.T) {
 func TestHDF5OpenReadsSuperblock(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		h, _ := c.H5Open(p, "/p/gpfs1/f.h5", true, 4)
-		h.DatasetWrite(p, 0, storage.MiB)
-		h.Close(p)
-		h2, err := c.H5Open(p, "/p/gpfs1/f.h5", false, 4)
-		if err != nil {
-			t.Errorf("reopen: %v", err)
-			return
-		}
-		h2.Close(p)
-	})
+	var h, h2 File
+	errs := script(e,
+		func(o *Op) { c.H5Open(o, &h, "/p/gpfs1/f.h5", true, 4) },
+		func(o *Op) { h.WriteAt(o, 0, storage.MiB) },
+		func(o *Op) { h.Close(o) },
+		func(o *Op) { c.H5Open(o, &h2, "/p/gpfs1/f.h5", false, 4) },
+		func(o *Op) { h2.Close(o) },
+	)
 	e.Run()
+	if errs[3] != nil {
+		t.Errorf("reopen: %v", errs[3])
+	}
 	out := tr.Finish()
 	found := false
 	for _, ev := range out.Events {
@@ -382,10 +446,10 @@ func TestHDF5OpenReadsSuperblock(t *testing.T) {
 func TestComputeAndGPUSpans(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 3, 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		c.Compute(p, 2*time.Second)
-		c.GPUCompute(p, 3*time.Second)
-	})
+	script(e,
+		func(o *Op) { c.Compute(o, 2*time.Second) },
+		func(o *Op) { c.GPUCompute(o, 3*time.Second) },
+	)
 	end := e.Run()
 	if end != 5*time.Second {
 		t.Errorf("end = %v, want 5s", end)
@@ -410,10 +474,19 @@ func TestBarrierTraced(t *testing.T) {
 	b := sim.NewBarrier(e, 2)
 	for r := 0; r < 2; r++ {
 		c := newClient(sys, tr, Defaults(), "app", r, 0)
-		r := r
-		e.Spawn("rank", func(p *sim.Proc) {
-			p.Sleep(time.Duration(r) * time.Second)
-			c.Barrier(p, b)
+		var o Op
+		arrived := false
+		// The barrier call needs the process it parks, so the rank is a
+		// step of its own; it arrives r seconds in.
+		e.SpawnStepAt(time.Duration(r)*time.Second, "rank", func(p *sim.Proc) (time.Duration, error) {
+			if !arrived {
+				arrived = true
+				c.Barrier(&o, p, b)
+			}
+			if t, more := o.Step(); more {
+				return t, nil
+			}
+			return sim.Done, o.Err()
 		})
 	}
 	e.Run()
@@ -428,13 +501,13 @@ func TestTracerOverheadChargedToRuntime(t *testing.T) {
 		e, sys, tr := testSetup()
 		tr.SetOverhead(overhead)
 		c := newClient(sys, tr, Defaults(), "app", 0, 0)
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
-			for i := 0; i < 100; i++ {
-				f.Write(p, 4*storage.KiB)
-			}
-			f.Close(p)
-		})
+		var f File
+		setups := []func(o *Op){func(o *Op) { c.PosixOpen(o, &f, "/p/gpfs1/f", true) }}
+		for i := 0; i < 100; i++ {
+			setups = append(setups, func(o *Op) { f.Write(o, 4*storage.KiB) })
+		}
+		setups = append(setups, func(o *Op) { f.Close(o) })
+		script(e, setups...)
 		return e.Run()
 	}
 	if base, traced := run(0), run(100*time.Microsecond); traced <= base {
@@ -459,19 +532,25 @@ func TestCompressionShrinksStoredBytes(t *testing.T) {
 	opt.CompressionEnabled = true
 	opt.CompressionRatio = 0.5
 	c := newClient(sys, tr, opt, "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := c.PosixOpen(p, "/p/gpfs1/ckpt", true)
-		for i := int64(0); i < 4; i++ {
-			if err := f.WriteAt(p, i*storage.MiB, storage.MiB); err != nil {
-				t.Errorf("write: %v", err)
-			}
-		}
-		if err := f.ReadAt(p, 0, storage.MiB); err != nil {
-			t.Errorf("read back: %v", err)
-		}
-		f.Close(p)
-	})
+	var f File
+	setups := []func(o *Op){func(o *Op) { c.PosixOpen(o, &f, "/p/gpfs1/ckpt", true) }}
+	for i := int64(0); i < 4; i++ {
+		setups = append(setups, func(o *Op) { f.WriteAt(o, i*storage.MiB, storage.MiB) })
+	}
+	setups = append(setups,
+		func(o *Op) { f.ReadAt(o, 0, storage.MiB) },
+		func(o *Op) { f.Close(o) },
+	)
+	errs := script(e, setups...)
 	e.Run()
+	for _, err := range errs[1:5] {
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
+	}
+	if errs[5] != nil {
+		t.Errorf("read back: %v", errs[5])
+	}
 	// The PFS stored half the logical bytes.
 	if got := sys.Stats[storage.TargetPFS].BytesWritten; got != 2*storage.MiB {
 		t.Errorf("stored %d bytes, want 2MiB (ratio 0.5)", got)
@@ -492,11 +571,12 @@ func TestCompressionChargesCPU(t *testing.T) {
 		opt.CompressionEnabled = enabled
 		opt.CompressionCPUBW = 256 * storage.MiB // slow compressor
 		c := newClient(sys, tr, opt, "app", 0, 0)
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := c.PosixOpen(p, "/dev/shm/x", true) // fast target isolates CPU
-			f.Write(p, 64*storage.MiB)
-			f.Close(p)
-		})
+		var f File
+		script(e,
+			func(o *Op) { c.PosixOpen(o, &f, "/dev/shm/x", true) }, // fast target isolates CPU
+			func(o *Op) { f.Write(o, 64*storage.MiB) },
+			func(o *Op) { f.Close(o) },
+		)
 		return e.Run()
 	}
 	on, off := elapsed(true), elapsed(false)
@@ -508,11 +588,12 @@ func TestCompressionChargesCPU(t *testing.T) {
 func TestCompressionDisabledIsIdentity(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := c.PosixOpen(p, "/p/gpfs1/f", true)
-		f.Write(p, storage.MiB)
-		f.Close(p)
-	})
+	var f File
+	script(e,
+		func(o *Op) { c.PosixOpen(o, &f, "/p/gpfs1/f", true) },
+		func(o *Op) { f.Write(o, storage.MiB) },
+		func(o *Op) { f.Close(o) },
+	)
 	e.Run()
 	if got := sys.Stats[storage.TargetPFS].BytesWritten; got != storage.MiB {
 		t.Errorf("stored %d, want full 1MiB", got)
@@ -525,28 +606,32 @@ func TestCompressionDisabledIsIdentity(t *testing.T) {
 func TestCallsALayerLacksFail(t *testing.T) {
 	e, sys, tr := testSetup()
 	c := newClient(sys, tr, Defaults(), "app", 0, 0)
-	e.Spawn("p", func(p *sim.Proc) {
-		s, _ := c.StdioOpen(p, "/p/gpfs1/s", 'w')
-		m, _ := c.MPIOpen(p, "/p/gpfs1/m", true, 4)
-		for _, call := range []struct {
-			err  error
-			want string
-		}{
-			{s.Sync(p), "iface: sync on stdio file"},
-			{s.ReadAt(p, 0, 1), "iface: positioned read on stdio file"},
-			{m.Seek(p, 0), "iface: seek on mpiio file"},
-			{m.Write(p, 1), "iface: write on mpiio file"},
-		} {
-			if call.err == nil || call.err.Error() != call.want {
-				t.Errorf("error %v, want %q", call.err, call.want)
-			}
-		}
-		if err := s.Close(p); err != nil {
-			t.Errorf("stream close after refused calls: %v", err)
-		}
-		if err := m.Close(p); err != nil {
-			t.Errorf("MPI-IO close after refused calls: %v", err)
-		}
-	})
+	var s, m File
+	errs := script(e,
+		func(o *Op) { c.StdioOpen(o, &s, "/p/gpfs1/s", 'w') },
+		func(o *Op) { c.MPIOpen(o, &m, "/p/gpfs1/m", true, 4) },
+		func(o *Op) { s.Sync(o) },
+		func(o *Op) { s.ReadAt(o, 0, 1) },
+		func(o *Op) { m.Seek(o, 0) },
+		func(o *Op) { m.Write(o, 1) },
+		func(o *Op) { s.Close(o) },
+		func(o *Op) { m.Close(o) },
+	)
 	e.Run()
+	for i, want := range []string{
+		"iface: sync on stdio file",
+		"iface: positioned read on stdio file",
+		"iface: seek on mpiio file",
+		"iface: write on mpiio file",
+	} {
+		if err := errs[2+i]; err == nil || err.Error() != want {
+			t.Errorf("error %v, want %q", err, want)
+		}
+	}
+	if errs[6] != nil {
+		t.Errorf("stream close after refused calls: %v", errs[6])
+	}
+	if errs[7] != nil {
+		t.Errorf("MPI-IO close after refused calls: %v", errs[7])
+	}
 }

@@ -112,55 +112,93 @@ func (pl *Plan) Run(ctx context.Context, opt Options) (*Result, error) {
 		}
 	}
 
-	res := &Result{Sys: sys}
-	var totalIO int64 // summed per-op durations in ns
-	for _, sc := range pl.scripts {
-		ops, hs := sc.ops, handles[sc.node]
-		e.Spawn(fmt.Sprintf("replay-rank%d", sc.rank), func(p *sim.Proc) {
-			var lastRecorded time.Duration
-			for i, op := range ops {
-				if opt.PreserveThinkTime && i > 0 {
-					gap := op.start - lastRecorded
-					if gap > 0 {
-						p.Sleep(gap)
-					}
-				}
-				lastRecorded = op.start
-				t0 := p.Now()
-				f := hs[op.slot]
-				switch op.op {
-				case trace.OpOpen:
-					_ = f.Open(p, op.created)
-				case trace.OpClose:
-					f.Close(p)
-				case trace.OpRead:
-					_ = f.Read(p, op.offset, op.size)
-					res.Bytes += op.size
-				case trace.OpWrite:
-					_ = f.Write(p, op.offset, op.size)
-					res.Bytes += op.size
-				case trace.OpSeek:
-					f.Seek(p)
-				case trace.OpStat:
-					_, _ = f.Stat(p)
-				case trace.OpSync:
-					f.Sync(p)
-				default:
-					continue
-				}
-				totalIO += int64(p.Now() - t0)
-				res.Ops++
-			}
-		})
+	ranks := make([]rank, len(pl.scripts))
+	for i, sc := range pl.scripts {
+		ranks[i] = rank{ops: sc.ops, files: handles[sc.node], think: opt.PreserveThinkTime}
+		e.SpawnStep(fmt.Sprintf("replay-rank%d", sc.rank), ranks[i].step)
 	}
-	res.Runtime = e.RunContext(ctx)
+	res := &Result{Sys: sys, Runtime: e.RunContext(ctx)}
 	if err := e.Err(); err != nil {
 		return nil, err
+	}
+	var totalIO int64 // summed per-op durations in ns
+	for i := range ranks {
+		res.Ops += ranks[i].done
+		res.Bytes += ranks[i].bytes
+		totalIO += ranks[i].io
 	}
 	if n := len(pl.scripts); n > 0 {
 		res.IOTime = time.Duration(totalIO / int64(n))
 	}
 	return res, nil
+}
+
+// rank is one script replaying as a step process: before each op after the
+// first it waits out the recorded gap (with think time kept), then issues
+// the op's call on one reused storage.Op and waits through every stage of
+// it. An op replay does not issue is skipped; its gap is still waited.
+type rank struct {
+	ops   []rankOp
+	files []*storage.File
+	think bool
+
+	i      int           // the op in hand
+	waited bool          // op i's gap is over
+	busy   bool          // op i's call is in flight
+	t0     time.Duration // when it was issued
+	o      storage.Op
+
+	// What the rank replayed: calls, bytes moved and the summed time of
+	// its calls in ns.
+	done, bytes, io int64
+}
+
+func (r *rank) step(p *sim.Proc) (time.Duration, error) {
+	for {
+		if r.busy {
+			if t, more := r.o.Step(); more {
+				return t, nil
+			}
+			r.busy = false
+			r.io += int64(p.Now() - r.t0)
+			r.done++
+			r.i++
+		}
+		if r.i == len(r.ops) {
+			return sim.Done, nil
+		}
+		op := &r.ops[r.i]
+		if r.think && r.i > 0 && !r.waited {
+			r.waited = true
+			if gap := op.start - r.ops[r.i-1].start; gap > 0 {
+				return p.Now() + gap, nil
+			}
+		}
+		r.waited = false
+		f := r.files[op.slot]
+		switch op.op {
+		case trace.OpOpen:
+			r.o.Open(f, op.created)
+		case trace.OpClose:
+			r.o.Close(f)
+		case trace.OpRead:
+			r.o.Read(f, op.offset, op.size)
+			r.bytes += op.size
+		case trace.OpWrite:
+			r.o.Write(f, op.offset, op.size)
+			r.bytes += op.size
+		case trace.OpSeek:
+			r.o.Seek(f)
+		case trace.OpStat:
+			r.o.Stat(f)
+		case trace.OpSync:
+			r.o.Sync(f)
+		default:
+			r.i++
+			continue
+		}
+		r.t0, r.busy = p.Now(), true
+	}
 }
 
 // NewPlan extracts each rank's primary-level I/O sequence from the trace.

@@ -9,6 +9,63 @@ import (
 	"time"
 )
 
+// seq spawns a step process at start that makes calls in turn: each call
+// returns what the process then waits for — a wake time, Parked once it is
+// on a wait list, Done to end there, or goOn for no wait at all — and the
+// next call runs when that wait is over. The process ends after the last
+// call's wait.
+func seq(e *Engine, start time.Duration, name string, calls ...func(p *Proc) time.Duration) *Proc {
+	i := 0
+	return e.SpawnStepAt(start, name, func(p *Proc) (time.Duration, error) {
+		for i < len(calls) {
+			i++
+			if w := calls[i-1](p); w != goOn {
+				return w, nil
+			}
+		}
+		return Done, nil
+	})
+}
+
+// goOn is what a seq call returns to go on to the next call at once.
+const goOn time.Duration = -3
+
+// parkUnless is what a seq call returns once it has tried to pass a barrier
+// or gate: goOn if it passed, else Parked.
+func parkUnless(passed bool) time.Duration {
+	if passed {
+		return goOn
+	}
+	return Parked
+}
+
+// finished counts the processes of ps that have finished.
+func finished(ps []*Proc) int {
+	n := 0
+	for _, p := range ps {
+		if p.done {
+			n++
+		}
+	}
+	return n
+}
+
+// ticker is a step that wakes a second later n times, counting the
+// wake-ups in ticks.
+func ticker(ticks *int, n int) Step {
+	started := false
+	return func(p *Proc) (time.Duration, error) {
+		if started {
+			*ticks++
+		}
+		started = true
+		if *ticks == n {
+			return Done, nil
+		}
+		return p.Now() + time.Second, nil
+	}
+}
+
 func TestClockStartsAtZero(t *testing.T) {
 	e := NewEngine()
 	if e.Now() != 0 {
@@ -19,10 +76,10 @@ func TestClockStartsAtZero(t *testing.T) {
 func TestSingleProcSleep(t *testing.T) {
 	e := NewEngine()
 	var woke time.Duration
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		woke = p.Now()
-	})
+	seq(e, 0, "p",
+		func(p *Proc) time.Duration { return p.Now() + 5*time.Second },
+		func(p *Proc) time.Duration { woke = p.Now(); return Done },
+	)
 	end := e.Run()
 	if woke != 5*time.Second {
 		t.Errorf("woke at %v, want 5s", woke)
@@ -32,26 +89,34 @@ func TestSingleProcSleep(t *testing.T) {
 	}
 }
 
+// TestSleepNegativeTreatedAsZero: a wake time a negative sleep away wakes
+// the process now.
 func TestSleepNegativeTreatedAsZero(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(-time.Second)
-		if p.Now() != 0 {
-			t.Errorf("time advanced to %v after negative sleep", p.Now())
-		}
-	})
+	seq(e, 0, "p",
+		func(p *Proc) time.Duration { return p.Now() - time.Second },
+		func(p *Proc) time.Duration {
+			if p.Now() != 0 {
+				t.Errorf("time advanced to %v after negative sleep", p.Now())
+			}
+			return Done
+		},
+	)
 	e.Run()
 }
 
 func TestSleepUntilPastClampsToNow(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		p.SleepUntil(time.Second) // in the past
-		if p.Now() != 3*time.Second {
-			t.Errorf("Now = %v, want 3s", p.Now())
-		}
-	})
+	seq(e, 0, "p",
+		func(p *Proc) time.Duration { return p.Now() + 3*time.Second },
+		func(p *Proc) time.Duration { return time.Second }, // in the past
+		func(p *Proc) time.Duration {
+			if p.Now() != 3*time.Second {
+				t.Errorf("Now = %v, want 3s", p.Now())
+			}
+			return Done
+		},
+	)
 	e.Run()
 }
 
@@ -59,18 +124,16 @@ func TestMultipleProcsInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		e := NewEngine()
 		var order []string
-		e.Spawn("a", func(p *Proc) {
-			p.Sleep(2 * time.Second)
-			order = append(order, "a2")
-			p.Sleep(2 * time.Second)
-			order = append(order, "a4")
-		})
-		e.Spawn("b", func(p *Proc) {
-			p.Sleep(1 * time.Second)
-			order = append(order, "b1")
-			p.Sleep(2 * time.Second)
-			order = append(order, "b3")
-		})
+		seq(e, 0, "a",
+			func(p *Proc) time.Duration { return p.Now() + 2*time.Second },
+			func(p *Proc) time.Duration { order = append(order, "a2"); return p.Now() + 2*time.Second },
+			func(p *Proc) time.Duration { order = append(order, "a4"); return Done },
+		)
+		seq(e, 0, "b",
+			func(p *Proc) time.Duration { return p.Now() + 1*time.Second },
+			func(p *Proc) time.Duration { order = append(order, "b1"); return p.Now() + 2*time.Second },
+			func(p *Proc) time.Duration { order = append(order, "b3"); return Done },
+		)
 		e.Run()
 		return order
 	}
@@ -106,7 +169,7 @@ func TestSameTimeEventsRunFIFO(t *testing.T) {
 func TestSpawnAt(t *testing.T) {
 	e := NewEngine()
 	var started time.Duration
-	e.SpawnAt(7*time.Second, "late", func(p *Proc) { started = p.Now() })
+	seq(e, 7*time.Second, "late", func(p *Proc) time.Duration { started = p.Now(); return Done })
 	e.Run()
 	if started != 7*time.Second {
 		t.Errorf("started at %v, want 7s", started)
@@ -116,14 +179,16 @@ func TestSpawnAt(t *testing.T) {
 func TestNestedSpawnFromProc(t *testing.T) {
 	e := NewEngine()
 	var childEnd time.Duration
-	e.Spawn("parent", func(p *Proc) {
-		p.Sleep(time.Second)
-		p.e.Spawn("child", func(c *Proc) {
-			c.Sleep(2 * time.Second)
-			childEnd = c.Now()
-		})
-		p.Sleep(5 * time.Second)
-	})
+	seq(e, 0, "parent",
+		func(p *Proc) time.Duration { return p.Now() + time.Second },
+		func(p *Proc) time.Duration {
+			seq(p.e, p.Now(), "child",
+				func(c *Proc) time.Duration { return c.Now() + 2*time.Second },
+				func(c *Proc) time.Duration { childEnd = c.Now(); return Done },
+			)
+			return p.Now() + 5*time.Second
+		},
+	)
 	end := e.Run()
 	if childEnd != 3*time.Second {
 		t.Errorf("child finished at %v, want 3s", childEnd)
@@ -146,12 +211,7 @@ func TestAfterCallback(t *testing.T) {
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Second)
-			ticks++
-		}
-	})
+	e.SpawnStep("ticker", ticker(&ticks, 100))
 	e.RunUntil(10 * time.Second)
 	if ticks != 10 {
 		t.Errorf("ticks = %d, want 10", ticks)
@@ -175,21 +235,21 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 }
 
 // TestDeadlockIsError: processes still parked when the queue drains are a
-// failure Run reports through Err, and their goroutines are gone when it
-// returns.
+// failure Run reports through Err, they are finished when it returns, and
+// no goroutine outlives it.
 func TestDeadlockIsError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
 	g := NewGate(e)
-	unwound := 0
+	var stuck []*Proc
 	for i := 0; i < 3; i++ {
-		e.Spawn("stuck", func(p *Proc) {
-			defer func() { unwound++ }()
-			g.Wait(p)
-			t.Error("a stuck process ran on")
-		})
+		stuck = append(stuck, seq(e, 0, "stuck",
+			func(p *Proc) time.Duration { return parkUnless(g.Pass(p)) },
+			func(p *Proc) time.Duration { t.Error("a stuck process ran on"); return Done },
+		))
 	}
 	e.Run()
+	unwound := finished(stuck)
 	if err := e.Err(); err == nil || !strings.Contains(err.Error(), "deadlock: 3 process(es)") {
 		t.Fatalf("Err = %v, want the deadlock", err)
 	}
@@ -201,24 +261,27 @@ func TestDeadlockIsError(t *testing.T) {
 
 // TestFailStopsRun: the first Fail ends the run at that event — no later
 // event executes, processes parked or not yet started never run again, and
-// none of their goroutines outlives Run.
+// no goroutine outlives Run.
 func TestFailStopsRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
 	bar := NewBarrier(e, 3)
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		e.Spawn("waiter", func(p *Proc) {
-			bar.Wait(p)
-			t.Error("a waiter passed the barrier")
-		})
+		seq(e, 0, "waiter",
+			func(p *Proc) time.Duration { return parkUnless(bar.Arrive(p)) },
+			func(p *Proc) time.Duration { t.Error("a waiter passed the barrier"); return Done },
+		)
 	}
-	e.Spawn("failer", func(p *Proc) {
-		p.Sleep(time.Second)
-		e.Fail(boom)
-		e.Fail(errors.New("second"))
-	})
-	e.SpawnAt(time.Minute, "late", func(p *Proc) { t.Error("a process started after the failure") })
+	seq(e, 0, "failer",
+		func(p *Proc) time.Duration { return p.Now() + time.Second },
+		func(p *Proc) time.Duration {
+			e.Fail(boom)
+			e.Fail(errors.New("second"))
+			return Done
+		},
+	)
+	seq(e, time.Minute, "late", func(p *Proc) time.Duration { t.Error("a process started after the failure"); return Done })
 	e.After(time.Hour, func() { t.Error("an event ran after the failure") })
 	if end := e.Run(); end != time.Second {
 		t.Errorf("run ended at %v, want 1s", end)
@@ -232,23 +295,23 @@ func TestFailStopsRun(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestProcessPanicReachesRunCaller: a panic in a process, or in a callback
-// run inside one, stops the run and reaches Run's caller with its own value,
-// after every other process — parked, or spawned and never started — has
-// been unwound with its deferred calls run.
+// TestProcessPanicReachesRunCaller: a panic in a step, or in a callback
+// run while a step sleeps, stops the run and reaches Run's caller with its
+// own value, after every other process — parked, or spawned and never
+// started — has been finished.
 func TestProcessPanicReachesRunCaller(t *testing.T) {
 	boom := errors.New("boom")
 	cases := map[string]func(e *Engine){
 		"process": func(e *Engine) {
-			e.Spawn("panicker", func(p *Proc) {
-				p.Sleep(time.Second)
-				panic(boom)
-			})
+			seq(e, 0, "panicker",
+				func(p *Proc) time.Duration { return p.Now() + time.Second },
+				func(p *Proc) time.Duration { panic(boom) },
+			)
 		},
 		"callback": func(e *Engine) {
-			e.Spawn("sleeper", func(p *Proc) {
+			seq(e, 0, "sleeper", func(p *Proc) time.Duration {
 				e.After(time.Second, func() { panic(boom) })
-				p.Sleep(2 * time.Second) // the callback runs inside this park
+				return p.Now() + 2*time.Second // the callback runs during this sleep
 			})
 		},
 	}
@@ -257,20 +320,19 @@ func TestProcessPanicReachesRunCaller(t *testing.T) {
 			before := runtime.NumGoroutine()
 			e := NewEngine()
 			bar := NewBarrier(e, 4)
-			unwound := 0
+			var waiters []*Proc
 			for i := 0; i < 3; i++ {
-				e.Spawn("waiter", func(p *Proc) {
-					defer func() { unwound++ }()
-					bar.Wait(p)
-				})
+				waiters = append(waiters, seq(e, 0, "waiter",
+					func(p *Proc) time.Duration { return parkUnless(bar.Arrive(p)) }))
 			}
-			e.SpawnAt(time.Hour, "late", func(p *Proc) { t.Error("a process started after the panic") })
+			seq(e, time.Hour, "late", func(p *Proc) time.Duration { t.Error("a process started after the panic"); return Done })
 			spawn(e)
 			got := func() (r any) {
 				defer func() { r = recover() }()
 				e.Run()
 				return nil
 			}()
+			unwound := finished(waiters)
 			if got != boom {
 				t.Fatalf("Run's caller recovered %v, want the process's panic", got)
 			}
@@ -285,36 +347,8 @@ func TestProcessPanicReachesRunCaller(t *testing.T) {
 	}
 }
 
-// TestUnwindSwallowedByProcess: a process whose own deferred recover
-// swallows the stopped engine's unwinding still ends, and is counted done;
-// a deferred call that blocks while it unwinds unwinds again at once.
-func TestUnwindSwallowedByProcess(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewEngine()
-	g := NewGate(e)
-	var swallowed any
-	p := e.Spawn("swallower", func(p *Proc) {
-		defer func() { swallowed = recover() }()
-		defer p.Sleep(time.Second)
-		g.Wait(p)
-		t.Error("the gate opened")
-	})
-	e.Spawn("failer", func(p *Proc) {
-		p.Sleep(time.Second)
-		e.Fail(errors.New("boom"))
-	})
-	e.Run()
-	if swallowed == nil {
-		t.Error("the parked process was not unwound by a panic")
-	}
-	if !p.done || e.Live() != 0 {
-		t.Errorf("done = %v, %d processes live; want true and 0", p.done, e.Live())
-	}
-	waitGoroutines(t, before)
-}
-
-// waitGoroutines waits for the goroutine count to fall back to want: an
-// exiting process hands control back before its goroutine is quite gone.
+// waitGoroutines waits for the goroutine count to fall back to want: the
+// kernel starts none, so any left over leaked from a run.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; {
@@ -338,25 +372,11 @@ func TestSchedulePastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestSleptAccounting(t *testing.T) {
-	e := NewEngine()
-	var slept time.Duration
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		p.Sleep(4 * time.Second)
-		slept = p.Slept
-	})
-	e.Run()
-	if slept != 7*time.Second {
-		t.Errorf("Slept = %v, want 7s", slept)
-	}
-}
-
 func TestProcIDsSequential(t *testing.T) {
 	e := NewEngine()
 	var ids []int
 	for i := 0; i < 5; i++ {
-		p := e.Spawn("p", func(p *Proc) {})
+		p := seq(e, 0, "p")
 		ids = append(ids, p.ID())
 	}
 	e.Run()
@@ -383,10 +403,10 @@ func TestManyProcsScale(t *testing.T) {
 	done := 0
 	for i := 0; i < n; i++ {
 		i := i
-		e.Spawn("p", func(p *Proc) {
-			p.Sleep(time.Duration(i%17) * time.Millisecond)
-			done++
-		})
+		seq(e, 0, "p",
+			func(p *Proc) time.Duration { return p.Now() + time.Duration(i%17)*time.Millisecond },
+			func(p *Proc) time.Duration { done++; return Done },
+		)
 	}
 	e.Run()
 	if done != n {
@@ -400,14 +420,11 @@ func TestManyProcsScale(t *testing.T) {
 func TestYieldOrdersSameInstant(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Spawn("a", func(p *Proc) {
-		order = append(order, "a-first")
-		p.Yield()
-		order = append(order, "a-second")
-	})
-	e.Spawn("b", func(p *Proc) {
-		order = append(order, "b-first")
-	})
+	seq(e, 0, "a",
+		func(p *Proc) time.Duration { order = append(order, "a-first"); return p.Now() },
+		func(p *Proc) time.Duration { order = append(order, "a-second"); return Done },
+	)
+	seq(e, 0, "b", func(p *Proc) time.Duration { order = append(order, "b-first"); return Done })
 	e.Run()
 	want := []string{"a-first", "b-first", "a-second"}
 	for i := range want {
@@ -421,14 +438,14 @@ func TestFailRecordsFirstError(t *testing.T) {
 	e := NewEngine()
 	errA := errors.New("first failure")
 	errB := errors.New("second failure")
-	e.Spawn("a", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		e.Fail(errA)
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		e.Fail(errB)
-	})
+	seq(e, 0, "a",
+		func(p *Proc) time.Duration { return p.Now() + time.Millisecond },
+		func(p *Proc) time.Duration { e.Fail(errA); return Done },
+	)
+	seq(e, 0, "b",
+		func(p *Proc) time.Duration { return p.Now() + 2*time.Millisecond },
+		func(p *Proc) time.Duration { e.Fail(errB); return Done },
+	)
 	e.Run()
 	if e.Err() != errA {
 		t.Errorf("Err = %v, want the first recorded error", e.Err())
@@ -441,88 +458,93 @@ func TestFailRecordsFirstError(t *testing.T) {
 
 func TestErrNilWithoutFailures(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("ok", func(p *Proc) { p.Sleep(time.Millisecond) })
+	seq(e, 0, "ok", func(p *Proc) time.Duration { return p.Now() + time.Millisecond })
 	e.Run()
 	if e.Err() != nil {
 		t.Errorf("Err = %v, want nil", e.Err())
 	}
 }
 
-// TestInPlaceWakeYieldsToSameInstant: a Sleep whose wake-up ties with an
-// event already queued for that instant must go through the queue — the
-// earlier-scheduled event runs first (FIFO) — while a Sleep that ends
-// strictly before the queue's head returns in place.
+// TestInPlaceWakeYieldsToSameInstant: a wake time that ties with an event
+// already queued for that instant must go through the queue — the
+// earlier-scheduled event runs first (FIFO) — while one strictly before
+// the queue's head is taken in place.
 func TestInPlaceWakeYieldsToSameInstant(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.After(5*time.Second, func() { order = append(order, "callback@5") })
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(3 * time.Second) // head is at 5s: in place
-		if e.InPlaceWakes != 1 || e.Switches != 1 {
-			t.Errorf("after a sleep to before the head: %d in-place wake-ups, %d switches; want 1, 1",
-				e.InPlaceWakes, e.Switches)
-		}
-		p.SleepUntil(5 * time.Second) // ties with the callback: queued behind it
-		order = append(order, "p@5")
-		if e.InPlaceWakes != 1 {
-			t.Errorf("a wake-up tied with a queued event was served in place")
-		}
-		p.Yield() // nothing else at 5s any more
-		if e.InPlaceWakes != 2 {
-			t.Errorf("a yield with nothing else queued went through the queue")
-		}
-	})
+	seq(e, 0, "p",
+		func(p *Proc) time.Duration { return p.Now() + 3*time.Second }, // head is at 5s: in place
+		func(p *Proc) time.Duration {
+			if e.InPlaceWakes != 1 || e.Switches != 1 {
+				t.Errorf("after a sleep to before the head: %d in-place wake-ups, %d switches; want 1, 1",
+					e.InPlaceWakes, e.Switches)
+			}
+			return 5 * time.Second // ties with the callback: queued behind it
+		},
+		func(p *Proc) time.Duration {
+			order = append(order, "p@5")
+			if e.InPlaceWakes != 1 {
+				t.Errorf("a wake-up tied with a queued event was served in place")
+			}
+			return p.Now() // nothing else at 5s any more
+		},
+		func(p *Proc) time.Duration {
+			if e.InPlaceWakes != 2 {
+				t.Errorf("a yield with nothing else queued went through the queue")
+			}
+			return Done
+		},
+	)
 	e.Run()
 	if len(order) != 2 || order[0] != "callback@5" || order[1] != "p@5" {
 		t.Errorf("order = %v, want the callback scheduled first to run first", order)
 	}
-	// start, sleep, callback, sleep-until, yield; into p and back to Run.
+	// start, sleep, callback, sleep-until, yield; into p and back to the loop.
 	if e.EventsExecuted != 5 || e.Switches != 2 {
 		t.Errorf("%d events, %d switches; want 5, 2", e.EventsExecuted, e.Switches)
 	}
 }
 
 // TestClockFrozenAfterFail: once Fail is recorded the clock never moves
-// again, not even for the failing process's own later Sleeps — the first of
-// them parks it for good and Run unwinds it.
+// again, not even for the failing process's own next wake time — it is
+// never taken, and Run finishes the process.
 func TestClockFrozenAfterFail(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
 	boom := errors.New("boom")
-	unwound := false
-	e.Spawn("failer", func(p *Proc) {
-		defer func() { unwound = true }()
-		p.Sleep(time.Second)
-		e.Fail(boom)
-		p.Sleep(time.Second) // queue empty: in place if it ignored the error
-		t.Errorf("the failing process ran on to %v", p.Now())
-	})
+	p := seq(e, 0, "failer",
+		func(p *Proc) time.Duration { return p.Now() + time.Second },
+		func(p *Proc) time.Duration {
+			e.Fail(boom)
+			return p.Now() + time.Second // queue empty: in place if it ignored the error
+		},
+		func(p *Proc) time.Duration { t.Errorf("the failing process ran on to %v", p.Now()); return Done },
+	)
 	if end := e.Run(); end != time.Second || e.Now() != time.Second {
 		t.Errorf("run ended at %v, want 1s", end)
 	}
-	if e.Err() != boom || !unwound || e.Live() != 0 {
+	if unwound := p.done; e.Err() != boom || !unwound || e.Live() != 0 {
 		t.Errorf("Err = %v, unwound = %v, live = %d", e.Err(), unwound, e.Live())
 	}
 	waitGoroutines(t, before)
 }
 
 // TestRunUntilStopsAtFail: RunUntil shares Run's loop, so a Fail stops it at
-// that event too — the clock stays there and every process is unwound.
+// that event too — the clock stays there and every process is finished.
 func TestRunUntilStopsAtFail(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
 	boom := errors.New("boom")
-	e.Spawn("failer", func(p *Proc) {
-		p.Sleep(2 * time.Second)
-		e.Fail(boom)
-	})
-	e.Spawn("ticker", func(p *Proc) {
-		for {
-			p.Sleep(time.Second)
-			if p.Now() > 2*time.Second {
-				t.Errorf("ticked at %v, after the failure", p.Now())
-			}
+	seq(e, 0, "failer",
+		func(p *Proc) time.Duration { return p.Now() + 2*time.Second },
+		func(p *Proc) time.Duration { e.Fail(boom); return Done },
+	)
+	e.SpawnStep("ticker", func(p *Proc) (time.Duration, error) {
+		if p.Now() > 2*time.Second {
+			t.Errorf("ticked at %v, after the failure", p.Now())
 		}
+		return p.Now() + time.Second, nil
 	})
 	e.After(3*time.Second, func() { t.Error("an event ran after the failure") })
 	if end := e.RunUntil(10 * time.Second); end != 2*time.Second {
@@ -534,17 +556,12 @@ func TestRunUntilStopsAtFail(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestInPlaceWakeRespectsBound: a lone process's Sleeps are all in place,
+// TestInPlaceWakeRespectsBound: a lone process's wake-ups are all in place,
 // and still none of them may carry it past RunUntil's deadline.
 func TestInPlaceWakeRespectsBound(t *testing.T) {
 	e := NewEngine()
 	ticks := 0
-	e.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Second)
-			ticks++
-		}
-	})
+	e.SpawnStep("ticker", ticker(&ticks, 100))
 	e.RunUntil(10*time.Second + time.Second/2)
 	if ticks != 10 || e.Now() != 10*time.Second+time.Second/2 {
 		t.Errorf("after RunUntil(10.5s): %d ticks at %v, want 10", ticks, e.Now())
@@ -558,22 +575,21 @@ func TestInPlaceWakeRespectsBound(t *testing.T) {
 	}
 }
 
-// TestFinishedProcPassesBaton: a process that returns runs the loop from
-// its deferred exit — the callback due next runs there, then control goes
-// to the process behind it, and Run sees none of it until the end.
+// TestFinishedProcPassesBaton: a process that finishes counts its own
+// hand-off back to the loop — the callbacks due next run there, and the
+// call into the process behind them is no second switch.
 func TestFinishedProcPassesBaton(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Spawn("first", func(p *Proc) { order = append(order, "first") })
+	seq(e, 0, "first", func(p *Proc) time.Duration { order = append(order, "first"); return Done })
 	e.After(time.Second, func() {
 		order = append(order, "callback")
 		e.After(time.Second, func() { order = append(order, "chained") })
 	})
-	e.SpawnAt(3*time.Second, "second", func(p *Proc) {
-		order = append(order, "second")
-		p.Sleep(time.Second)
-		order = append(order, "second-done")
-	})
+	seq(e, 3*time.Second, "second",
+		func(p *Proc) time.Duration { order = append(order, "second"); return p.Now() + time.Second },
+		func(p *Proc) time.Duration { order = append(order, "second-done"); return Done },
+	)
 	if end := e.Run(); end != 4*time.Second {
 		t.Errorf("run ended at %v, want 4s", end)
 	}
@@ -586,24 +602,27 @@ func TestFinishedProcPassesBaton(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	// Run → first → second → Run: the callbacks and the sleep cost none.
+	// loop → first → loop, then second → loop: the callbacks and the sleep
+	// cost none.
 	if e.Switches != 3 || e.EventsExecuted != 5 {
 		t.Errorf("%d switches, %d events; want 3, 5", e.Switches, e.EventsExecuted)
 	}
 }
 
 // TestSwitchesAtMostOnePerEvent: two processes that alternate strictly cost
-// one switch per blocking call — half what a central loop pays — and the
-// count repeats exactly.
+// one switch per wake-up, and the count repeats exactly.
 func TestSwitchesAtMostOnePerEvent(t *testing.T) {
 	run := func() *Engine {
 		e := NewEngine()
 		r := NewResource(e, "disk")
 		for i := 0; i < 2; i++ {
-			e.Spawn("p", func(p *Proc) {
-				for j := 0; j < 50; j++ {
-					r.Use(p, time.Millisecond)
+			uses := 0
+			e.SpawnStep("p", func(p *Proc) (time.Duration, error) {
+				if uses++; uses > 50 {
+					return Done, nil
 				}
+				_, end := r.Book(time.Millisecond)
+				return end, nil
 			})
 		}
 		e.Run()
@@ -650,21 +669,18 @@ func TestEventQueuePopsInOrder(t *testing.T) {
 }
 
 // TestRunContextStops: canceling RunContext's context stops the run within a
-// second, fails it with the context's error and unwinds every process —
-// both for one process whose every wake-up is in place, so dispatch never
-// runs, and for two processes handing off at every event.
+// second, fails it with the context's error and finishes every process —
+// both for one process whose every wake-up is in place, so the loop never
+// pops an event, and for two processes handing off at every event.
 func TestRunContextStops(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		before := runtime.NumGoroutine()
 		e := NewEngine()
-		unwound := 0
+		var loops []*Proc
 		for i := 0; i < procs; i++ {
-			e.Spawn("loop", func(p *Proc) {
-				defer func() { unwound++ }()
-				for {
-					p.Sleep(time.Second)
-				}
-			})
+			loops = append(loops, e.SpawnStep("loop", func(p *Proc) (time.Duration, error) {
+				return p.Now() + time.Second, nil
+			}))
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var canceled time.Time
@@ -680,7 +696,7 @@ func TestRunContextStops(t *testing.T) {
 		if !errors.Is(e.Err(), context.Canceled) {
 			t.Errorf("%d procs: Err = %v, want %v", procs, e.Err(), context.Canceled)
 		}
-		if unwound != procs || e.Live() != 0 {
+		if unwound := finished(loops); unwound != procs || e.Live() != 0 {
 			t.Errorf("%d procs: %d unwound, %d live", procs, unwound, e.Live())
 		}
 		// One process wakes in place every time; two hand off at every event.
@@ -689,25 +705,4 @@ func TestRunContextStops(t *testing.T) {
 		}
 		waitGoroutines(t, before)
 	}
-}
-
-// BenchmarkHandoff times the process hand-off alone: 64 processes in a
-// ring, each waking one tick after the one before it, so every event hands
-// control to a different process and nothing else happens in between.
-func BenchmarkHandoff(b *testing.B) {
-	const procs, laps = 64, 256
-	var events int64
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for r := 0; r < procs; r++ {
-			e.SpawnAt(time.Duration(r), "ring", func(p *Proc) {
-				for j := 0; j < laps; j++ {
-					p.Sleep(procs)
-				}
-			})
-		}
-		e.Run()
-		events += e.EventsExecuted
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

@@ -16,11 +16,22 @@ const (
 	soupEvents = int64(1611)
 )
 
-// runSoup drives every primitive of the package from a seeded mix of
+// What the soup cost and where it ended, as the soup written as coroutine
+// processes gave it before the kernel kept step processes only: a step
+// process's counts equal a coroutine's, so these are the hand-offs and
+// in-place wake-ups every `wrun` kernel line was compared against.
+const (
+	soupSwitches     = int64(1153)
+	soupInPlaceWakes = int64(76)
+	soupEnd          = 339 * time.Microsecond
+)
+
+// runSoup drives every primitive of the package from a seeded mix of step
 // processes and callbacks and returns a hash of (now, process id) taken at
 // each resumption, with the engine. Durations are whole microseconds from a
 // small range, so same-instant ties — where only (t, seq) order decides —
-// are the common case.
+// are the common case. The joiner waits on a count of the children not yet
+// done, which the last one to finish wakes.
 func runSoup(seed int64) (uint64, *Engine) {
 	const workers, steps = 12, 90
 	e := NewEngine()
@@ -39,55 +50,103 @@ func runSoup(seed int64) (uint64, *Engine) {
 	sem := NewSemaphore(e, 2)
 	bar := NewBarrier(e, workers)
 	gate := NewGate(e)
-	children := NewWaitGroup(e)
-	callbacks := 0
-
-	child := func(g *RNG) func(*Proc) {
-		return func(c *Proc) {
-			log(c.ID())
-			c.Sleep(us(g, 4))
-			log(c.ID())
-			disk.Use(c, us(g, 3))
-			log(c.ID())
-			children.Done()
+	children := 0    // spawned and not yet done
+	var joiner *Proc // parked until children drops to zero
+	childDone := func() {
+		if children--; children == 0 && joiner != nil {
+			e.WakeNow(joiner)
+			joiner = nil
 		}
 	}
+	callbacks := 0
+
+	child := func(g *RNG) Step {
+		stage := 0
+		return func(c *Proc) (time.Duration, error) {
+			log(c.ID())
+			stage++
+			switch stage {
+			case 1:
+				return c.Now() + us(g, 4), nil
+			case 2:
+				_, end := disk.Book(us(g, 3))
+				return end, nil
+			}
+			childDone()
+			return Done, nil
+		}
+	}
+	// A worker's step resumes at one of three points: the top of an
+	// iteration (after a plain blocking call, which logs first), holding the
+	// semaphore, or back from the sleep it holds the semaphore over.
+	const (
+		top = iota
+		held
+		slept
+	)
 	for w := 0; w < workers; w++ {
 		g := root.Fork()
-		e.Spawn("worker", func(p *Proc) {
-			log(p.ID())
-			for step := 0; step < steps; step++ {
+		step, at, started := 0, top, false
+		e.SpawnStep("worker", func(p *Proc) (time.Duration, error) {
+			switch {
+			case !started:
+				started = true
+				log(p.ID())
+			case at == held:
+				log(p.ID())
+				at = slept
+				return p.Now() + us(g, 3), nil
+			case at == slept:
+				sem.Release()
+				at = top
+				log(p.ID())
+				step++
+			default:
+				log(p.ID())
+				step++
+			}
+			for ; step < steps; step++ {
 				switch {
 				case step%30 == 29:
-					bar.Wait(p)
+					if !bar.Arrive(p) {
+						return Parked, nil
+					}
 				case step == 5 || step == 15:
-					gate.Wait(p)
+					if !gate.Pass(p) {
+						return Parked, nil
+					}
 				default:
 					switch g.Intn(12) {
 					case 0:
-						p.Sleep(us(g, 5) - time.Microsecond) // -1µs … 3µs
+						return p.Now() + us(g, 5) - time.Microsecond, nil
 					case 1:
-						p.SleepUntil(p.Now() + us(g, 6) - 2*time.Microsecond)
+						return p.Now() + us(g, 6) - 2*time.Microsecond, nil
 					case 2:
-						p.Yield()
+						return p.Now(), nil
 					case 3:
-						disk.Use(p, us(g, 4))
+						_, end := disk.Book(us(g, 4))
+						return end, nil
 					case 4:
-						pool.Use(p, g.Intn(7)-3, us(g, 4))
+						_, end := pool.Book(g.Intn(7)-3, us(g, 4))
+						return end, nil
 					case 5:
-						pool.UseLeastLoaded(p, us(g, 4))
+						_, end := pool.BookLeastLoaded(us(g, 4))
+						return end, nil
 					case 6:
-						sem.Acquire(p)
+						at = held
+						if !sem.Take(p) {
+							return Parked, nil
+						}
 						log(p.ID())
-						p.Sleep(us(g, 3))
-						sem.Release()
+						at = slept
+						return p.Now() + us(g, 3), nil
 					case 7:
-						children.Add(1)
-						e.Spawn("child", child(g.Fork()))
+						children++
+						e.SpawnStep("child", child(g.Fork()))
 						continue
 					case 8:
-						children.Add(1)
-						e.SpawnAt(p.Now()+us(g, 5), "late-child", child(g.Fork()))
+						children++
+						e.SpawnStepAt(p.Now()+us(g, 5), "late-child", child(g.Fork()))
 						continue
 					case 9:
 						callbacks++
@@ -103,26 +162,37 @@ func runSoup(seed int64) (uint64, *Engine) {
 						})
 						continue
 					case 11:
-						// Park with the wake-up arranged first: a callback
-						// that fires at or after this instant.
 						e.After(us(g, 3), func() { e.WakeNow(p) })
-						p.Park()
+						return Parked, nil
 					}
 				}
 				log(p.ID())
 			}
+			return Done, nil
 		})
 	}
-	e.SpawnAt(15*time.Microsecond, "opener", func(p *Proc) {
-		log(p.ID())
-		gate.Open()
-	})
-	e.SpawnAt(20*time.Microsecond, "joiner", func(p *Proc) {
-		for i := 0; i < 8; i++ {
-			children.Wait(p)
+	opened := false
+	e.SpawnStepAt(15*time.Microsecond, "opener", func(p *Proc) (time.Duration, error) {
+		if !opened {
+			opened = true
 			log(p.ID())
-			p.Sleep(10 * time.Microsecond)
+			gate.Open()
 		}
+		return Done, nil
+	})
+	joins, parked := 0, false
+	e.SpawnStepAt(20*time.Microsecond, "joiner", func(p *Proc) (time.Duration, error) {
+		if joins == 8 {
+			return Done, nil
+		}
+		if !parked && children > 0 {
+			joiner, parked = p, true
+			return Parked, nil
+		}
+		parked = false
+		log(p.ID())
+		joins++
+		return p.Now() + 10*time.Microsecond, nil
 	})
 	e.Run()
 	return h.Sum64(), e
@@ -130,7 +200,8 @@ func runSoup(seed int64) (uint64, *Engine) {
 
 // TestScheduleGolden pins the kernel's event order across commits, not only
 // within one binary: the soup's resumption log and event count equal the
-// constants captured before the kernel was rewritten.
+// constants captured before the kernel was rewritten, and its hand-offs,
+// in-place wake-ups and end time equal the coroutine soup's.
 func TestScheduleGolden(t *testing.T) {
 	hash, e := runSoup(7)
 	if err := e.Err(); err != nil {
@@ -139,6 +210,13 @@ func TestScheduleGolden(t *testing.T) {
 	if hash != soupHash || e.EventsExecuted != soupEvents {
 		t.Errorf("soup schedule: hash %#x, %d events; want %#x, %d",
 			hash, e.EventsExecuted, soupHash, soupEvents)
+	}
+	if e.Switches != soupSwitches || e.InPlaceWakes != soupInPlaceWakes || e.Now() != soupEnd {
+		t.Errorf("soup: %d switches, %d in place, ends %v; want %d, %d, %v",
+			e.Switches, e.InPlaceWakes, e.Now(), soupSwitches, soupInPlaceWakes, soupEnd)
+	}
+	if e.Live() != 0 {
+		t.Errorf("%d processes live after the soup", e.Live())
 	}
 	if again, e2 := runSoup(7); again != hash || e2.EventsExecuted != e.EventsExecuted {
 		t.Errorf("soup differs between two runs of one binary: %#x/%d vs %#x/%d",

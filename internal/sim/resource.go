@@ -29,19 +29,9 @@ func NewResource(e *Engine, name string) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Use blocks the process until the resource has serviced a request of the
-// given demand, and returns the queueing delay and the total time spent
-// (wait + service).
-func (r *Resource) Use(p *Proc, service time.Duration) (wait, total time.Duration) {
-	now := p.e.now
-	wait, end := r.Book(service)
-	p.SleepUntil(end)
-	return wait, end - now
-}
-
-// Book is Use without the sleep: it queues a request of the given demand
-// now, with the same counters, and returns its queueing delay and the time
-// its service ends — the wake time a step process returns to wait it out.
+// Book queues a request of the given demand now and returns its queueing
+// delay and the time its service ends — the wake time a step process
+// returns to wait it out.
 func (r *Resource) Book(service time.Duration) (wait, end time.Duration) {
 	if service < 0 {
 		panic(fmt.Sprintf("sim: negative service demand %v on %s", service, r.name))
@@ -108,12 +98,8 @@ func NewPool(e *Engine, name string, n int) *Pool {
 // Len returns the number of servers.
 func (pl *Pool) Len() int { return len(pl.Servers) }
 
-// Use routes the request to server idx modulo pool size.
-func (pl *Pool) Use(p *Proc, idx int, service time.Duration) (wait, total time.Duration) {
-	return pl.server(idx).Use(p, service)
-}
-
-// Book is Use without the sleep, as Resource.Book is Resource.Use's.
+// Book queues the request on server idx modulo pool size, as Resource.Book
+// does.
 func (pl *Pool) Book(idx int, service time.Duration) (wait, end time.Duration) {
 	return pl.server(idx).Book(service)
 }
@@ -128,18 +114,10 @@ func (pl *Pool) server(idx int) *Resource {
 	return &pl.Servers[i]
 }
 
-// UseLeastLoaded routes the request to the server that frees up earliest,
-// breaking ties by lowest index. This models load-balanced metadata server
-// clusters. The scan stops at the first server already idle: no later one
-// can free up strictly earlier than now.
-func (pl *Pool) UseLeastLoaded(p *Proc, service time.Duration) (wait, total time.Duration) {
-	now := p.e.now
-	wait, end := pl.BookLeastLoaded(service)
-	p.SleepUntil(end)
-	return wait, end - now
-}
-
-// BookLeastLoaded is UseLeastLoaded without the sleep, as Book is Use's.
+// BookLeastLoaded queues the request on the server that frees up earliest,
+// breaking ties by lowest index, as Resource.Book does. This models
+// load-balanced metadata server clusters. The scan stops at the first
+// server already idle: no later one can free up strictly earlier than now.
 func (pl *Pool) BookLeastLoaded(service time.Duration) (wait, end time.Duration) {
 	now := pl.Servers[0].e.now
 	best, bestFree := 0, pl.Servers[0].free
@@ -175,16 +153,9 @@ func NewSemaphore(e *Engine, capacity int) *Semaphore {
 // InUse returns the number of current holders.
 func (s *Semaphore) InUse() int { return s.inUse }
 
-// Acquire blocks the process until a slot is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if !s.Take(p) {
-		p.park()
-	}
-}
-
-// Take is Acquire without the parking: it takes a free slot (true), or
-// queues p for the next one released (false), and a step process then
-// returns Parked; it holds the slot when it is woken.
+// Take takes a free slot (true), or queues p for the next one released
+// (false), and a step process then returns Parked; it holds the slot when
+// it is woken.
 func (s *Semaphore) Take(p *Proc) bool {
 	if s.inUse < s.cap {
 		s.inUse++
@@ -212,8 +183,8 @@ func (s *Semaphore) Release() {
 	s.inUse--
 }
 
-// Barrier synchronizes n processes: each caller blocks until all n have
-// arrived, then all are released at the same virtual instant. It is the
+// Barrier synchronizes n processes: each waits until all n have arrived,
+// then all are released at the same virtual instant. It is the
 // MPI_Barrier analogue and is reusable across repeated synchronization
 // rounds.
 type Barrier struct {
@@ -237,16 +208,9 @@ func NewBarrier(e *Engine, n int) *Barrier {
 // N returns the participant count.
 func (b *Barrier) N() int { return b.n }
 
-// Wait blocks until all participants of the current round have arrived.
-func (b *Barrier) Wait(p *Proc) {
-	if !b.Arrive(p) {
-		p.park()
-	}
-}
-
-// Arrive is Wait without the parking: the last participant of a round
-// releases the others and passes (true); any other is put on the wait
-// list (false), and a step process then returns Parked.
+// Arrive enters p into the current round: the last participant of a round
+// releases the others and passes (true); any other is put on the wait list
+// (false), and a step process then returns Parked.
 func (b *Barrier) Arrive(p *Proc) bool {
 	b.arrived++
 	if b.arrived == b.n {
@@ -262,8 +226,8 @@ func (b *Barrier) Arrive(p *Proc) bool {
 	return false
 }
 
-// Gate is a one-shot latch: processes that Wait before Open block; Open
-// releases all of them and all later Waits pass through immediately. It is
+// Gate is a one-shot latch: processes that Pass before Open wait; Open
+// releases all of them and all later Passes go through immediately. It is
 // used for producer/consumer dependencies in workflow stages.
 type Gate struct {
 	e       *Engine
@@ -277,16 +241,8 @@ func NewGate(e *Engine) *Gate { return &Gate{e: e} }
 // Opened reports whether the gate has been opened.
 func (g *Gate) Opened() bool { return g.open }
 
-// Wait blocks until the gate opens.
-func (g *Gate) Wait(p *Proc) {
-	if !g.Pass(p) {
-		p.park()
-	}
-}
-
-// Pass is Wait without the parking: it reports whether the gate is open,
-// and if not puts p on the wait list, and a step process then returns
-// Parked.
+// Pass reports whether the gate is open, and if not puts p on the wait
+// list, and a step process then returns Parked.
 func (g *Gate) Pass(p *Proc) bool {
 	if g.open {
 		return true
@@ -306,45 +262,4 @@ func (g *Gate) Open() {
 		g.e.wakeAt(g.e.now, w)
 	}
 	g.waiters = nil
-}
-
-// WaitGroup tracks completion of a set of processes in virtual time.
-type WaitGroup struct {
-	e       *Engine
-	count   int
-	waiters []*Proc
-}
-
-// NewWaitGroup returns an empty wait group.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{e: e} }
-
-// Add increments the outstanding-work counter.
-func (w *WaitGroup) Add(n int) {
-	w.count += n
-	if w.count < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-}
-
-// Done decrements the counter, releasing waiters when it reaches zero.
-func (w *WaitGroup) Done() {
-	w.count--
-	if w.count < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if w.count == 0 {
-		for _, p := range w.waiters {
-			w.e.wakeAt(w.e.now, p)
-		}
-		w.waiters = nil
-	}
-}
-
-// Wait blocks the process until the counter is zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.count == 0 {
-		return
-	}
-	w.waiters = append(w.waiters, p)
-	p.park()
 }

@@ -11,12 +11,13 @@ func TestResourceFCFSQueueing(t *testing.T) {
 	r := NewResource(e, "disk")
 	var waits []time.Duration
 	for i := 0; i < 4; i++ {
-		e.Spawn("p", func(p *Proc) {
-			wait, total := r.Use(p, time.Second)
+		seq(e, 0, "p", func(p *Proc) time.Duration {
+			wait, end := r.Book(time.Second)
 			waits = append(waits, wait)
-			if total != wait+time.Second {
+			if total := end - p.Now(); total != wait+time.Second {
 				t.Errorf("total = %v, want wait+1s", total)
 			}
+			return end
 		})
 	}
 	end := e.Run()
@@ -34,14 +35,17 @@ func TestResourceFCFSQueueing(t *testing.T) {
 func TestResourceIdleBetweenRequests(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "disk")
-	e.Spawn("p", func(p *Proc) {
-		r.Use(p, time.Second)
-		p.Sleep(10 * time.Second) // let the server idle
-		wait, _ := r.Use(p, time.Second)
-		if wait != 0 {
-			t.Errorf("wait = %v after idle period, want 0", wait)
-		}
-	})
+	seq(e, 0, "p",
+		func(p *Proc) time.Duration { _, end := r.Book(time.Second); return end },
+		func(p *Proc) time.Duration { return p.Now() + 10*time.Second }, // let the server idle
+		func(p *Proc) time.Duration {
+			wait, end := r.Book(time.Second)
+			if wait != 0 {
+				t.Errorf("wait = %v after idle period, want 0", wait)
+			}
+			return end
+		},
+	)
 	end := e.Run()
 	if end != 12*time.Second {
 		t.Errorf("end = %v, want 12s", end)
@@ -51,10 +55,10 @@ func TestResourceIdleBetweenRequests(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "disk")
-	e.Spawn("p", func(p *Proc) {
-		r.Use(p, 2*time.Second)
-		p.Sleep(2 * time.Second)
-	})
+	seq(e, 0, "p",
+		func(p *Proc) time.Duration { _, end := r.Book(2 * time.Second); return end },
+		func(p *Proc) time.Duration { return p.Now() + 2*time.Second },
+	)
 	e.Run()
 	if got := r.Utilization(); got != 0.5 {
 		t.Errorf("Utilization = %v, want 0.5", got)
@@ -64,7 +68,7 @@ func TestResourceUtilization(t *testing.T) {
 func TestResourceReserveAccumulates(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "disk")
-	e.Spawn("p", func(p *Proc) {
+	seq(e, 0, "p", func(p *Proc) time.Duration {
 		s1, e1 := r.Reserve(time.Second)
 		s2, e2 := r.Reserve(time.Second)
 		if s1 != 0 || e1 != time.Second {
@@ -73,11 +77,12 @@ func TestResourceReserveAccumulates(t *testing.T) {
 		if s2 != time.Second || e2 != 2*time.Second {
 			t.Errorf("second reserve [%v,%v), want [1s,2s)", s2, e2)
 		}
-		// A blocking user now queues behind both reservations.
-		wait, _ := r.Use(p, time.Second)
+		// A waiting user now queues behind both reservations.
+		wait, end := r.Book(time.Second)
 		if wait != 2*time.Second {
 			t.Errorf("wait = %v, want 2s behind reservations", wait)
 		}
+		return end
 	})
 	e.Run()
 }
@@ -85,15 +90,16 @@ func TestResourceReserveAccumulates(t *testing.T) {
 func TestPoolStripedRouting(t *testing.T) {
 	e := NewEngine()
 	pl := NewPool(e, "oss", 4)
-	e.Spawn("p", func(p *Proc) {
+	seq(e, 0, "p", func(p *Proc) time.Duration {
 		// Requests to distinct servers do not queue on each other.
 		for i := 0; i < 4; i++ {
 			pl.Servers[i].Reserve(time.Second)
 		}
-		wait, _ := pl.Use(p, 5, time.Second) // 5 mod 4 = 1
+		wait, end := pl.Book(5, time.Second) // 5 mod 4 = 1
 		if wait != time.Second {
 			t.Errorf("wait = %v, want 1s (queued behind one reservation)", wait)
 		}
+		return end
 	})
 	e.Run()
 	if got := pl.Servers[1].Served; got != 2 {
@@ -104,8 +110,9 @@ func TestPoolStripedRouting(t *testing.T) {
 func TestPoolNegativeIndexWraps(t *testing.T) {
 	e := NewEngine()
 	pl := NewPool(e, "oss", 4)
-	e.Spawn("p", func(p *Proc) {
-		pl.Use(p, -1, time.Second) // should map to server 3, not panic
+	seq(e, 0, "p", func(p *Proc) time.Duration {
+		_, end := pl.Book(-1, time.Second) // should map to server 3, not panic
+		return end
 	})
 	e.Run()
 	if pl.Servers[3].Served != 1 {
@@ -116,17 +123,23 @@ func TestPoolNegativeIndexWraps(t *testing.T) {
 func TestPoolLeastLoaded(t *testing.T) {
 	e := NewEngine()
 	pl := NewPool(e, "mds", 3)
-	e.Spawn("p", func(p *Proc) {
-		pl.Servers[0].Reserve(10 * time.Second)
-		pl.Servers[1].Reserve(5 * time.Second)
-		wait, _ := pl.UseLeastLoaded(p, time.Second)
-		if wait != 0 {
-			t.Errorf("wait = %v, want 0 (server 2 idle)", wait)
-		}
-		if pl.Servers[2].Served != 1 {
-			t.Errorf("least-loaded routing picked wrong server")
-		}
-	})
+	seq(e, 0, "p",
+		func(p *Proc) time.Duration {
+			pl.Servers[0].Reserve(10 * time.Second)
+			pl.Servers[1].Reserve(5 * time.Second)
+			wait, end := pl.BookLeastLoaded(time.Second)
+			if wait != 0 {
+				t.Errorf("wait = %v, want 0 (server 2 idle)", wait)
+			}
+			return end
+		},
+		func(p *Proc) time.Duration {
+			if pl.Servers[2].Served != 1 {
+				t.Errorf("least-loaded routing picked wrong server")
+			}
+			return Done
+		},
+	)
 	e.Run()
 }
 
@@ -153,12 +166,15 @@ func TestPoolLeastLoadedMatchesFullScan(t *testing.T) {
 			}
 		}
 		served := make([]int64, len(frees))
-		e.Spawn("p", func(p *Proc) {
-			pl.UseLeastLoaded(p, time.Nanosecond)
-			for i := range pl.Servers {
-				served[i] = pl.Servers[i].Served
-			}
-		})
+		seq(e, e.now, "p",
+			func(p *Proc) time.Duration { _, end := pl.BookLeastLoaded(time.Nanosecond); return end },
+			func(p *Proc) time.Duration {
+				for i := range pl.Servers {
+					served[i] = pl.Servers[i].Served
+				}
+				return Done
+			},
+		)
 		e.Run()
 		for i, n := range served {
 			if (i == want) != (n == 1) {
@@ -177,12 +193,15 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	s := NewSemaphore(e, 2)
 	var finish []time.Duration
 	for i := 0; i < 4; i++ {
-		e.Spawn("p", func(p *Proc) {
-			s.Acquire(p)
-			p.Sleep(time.Second)
-			s.Release()
-			finish = append(finish, p.Now())
-		})
+		seq(e, 0, "p",
+			func(p *Proc) time.Duration { return parkUnless(s.Take(p)) },
+			func(p *Proc) time.Duration { return p.Now() + time.Second },
+			func(p *Proc) time.Duration {
+				s.Release()
+				finish = append(finish, p.Now())
+				return Done
+			},
+		)
 	}
 	e.Run()
 	if s.MaxInUse != 2 {
@@ -216,11 +235,11 @@ func TestBarrierReleasesAllAtOnce(t *testing.T) {
 	var times []time.Duration
 	for i := 0; i < n; i++ {
 		i := i
-		e.Spawn("rank", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Second) // staggered arrivals
-			b.Wait(p)
-			times = append(times, p.Now())
-		})
+		seq(e, 0, "rank",
+			func(p *Proc) time.Duration { return p.Now() + time.Duration(i)*time.Second }, // staggered arrivals
+			func(p *Proc) time.Duration { return parkUnless(b.Arrive(p)) },
+			func(p *Proc) time.Duration { times = append(times, p.Now()); return Done },
+		)
 	}
 	e.Run()
 	if len(times) != n {
@@ -243,13 +262,15 @@ func TestBarrierReusableAcrossRounds(t *testing.T) {
 	passed := 0
 	for i := 0; i < n; i++ {
 		i := i
-		e.Spawn("rank", func(p *Proc) {
-			for r := 0; r < rounds; r++ {
-				p.Sleep(time.Duration(i+1) * time.Millisecond)
-				b.Wait(p)
-				passed++
-			}
-		})
+		var calls []func(*Proc) time.Duration
+		for r := 0; r < rounds; r++ {
+			calls = append(calls,
+				func(p *Proc) time.Duration { return p.Now() + time.Duration(i+1)*time.Millisecond },
+				func(p *Proc) time.Duration { return parkUnless(b.Arrive(p)) },
+				func(p *Proc) time.Duration { passed++; return goOn },
+			)
+		}
+		seq(e, 0, "rank", calls...)
 	}
 	e.Run()
 	if passed != n*rounds {
@@ -264,19 +285,19 @@ func TestGateReleasesWaitersAndPassesLateArrivals(t *testing.T) {
 	e := NewEngine()
 	g := NewGate(e)
 	var early, late time.Duration
-	e.Spawn("early", func(p *Proc) {
-		g.Wait(p)
-		early = p.Now()
-	})
-	e.Spawn("opener", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		g.Open()
-	})
-	e.Spawn("late", func(p *Proc) {
-		p.Sleep(5 * time.Second)
-		g.Wait(p) // already open: must not block
-		late = p.Now()
-	})
+	seq(e, 0, "early",
+		func(p *Proc) time.Duration { return parkUnless(g.Pass(p)) },
+		func(p *Proc) time.Duration { early = p.Now(); return Done },
+	)
+	seq(e, 0, "opener",
+		func(p *Proc) time.Duration { return p.Now() + 3*time.Second },
+		func(p *Proc) time.Duration { g.Open(); return Done },
+	)
+	seq(e, 0, "late",
+		func(p *Proc) time.Duration { return p.Now() + 5*time.Second },
+		func(p *Proc) time.Duration { return parkUnless(g.Pass(p)) }, // already open: must not block
+		func(p *Proc) time.Duration { late = p.Now(); return Done },
+	)
 	e.Run()
 	if early != 3*time.Second {
 		t.Errorf("early waiter released at %v, want 3s", early)
@@ -287,40 +308,6 @@ func TestGateReleasesWaitersAndPassesLateArrivals(t *testing.T) {
 	if !g.Opened() {
 		t.Error("gate should report opened")
 	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	wg.Add(3)
-	var waited time.Duration
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.Spawn("worker", func(p *Proc) {
-			p.Sleep(time.Duration(i) * time.Second)
-			wg.Done()
-		})
-	}
-	e.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		waited = p.Now()
-	})
-	e.Run()
-	if waited != 3*time.Second {
-		t.Errorf("waiter released at %v, want 3s", waited)
-	}
-}
-
-func TestWaitGroupZeroPassesImmediately(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	e.Spawn("p", func(p *Proc) {
-		wg.Wait(p)
-		if p.Now() != 0 {
-			t.Errorf("Wait on zero counter blocked until %v", p.Now())
-		}
-	})
-	e.Run()
 }
 
 // Property: for any set of FCFS demands, the completion time equals the sum
@@ -338,9 +325,10 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 		for _, d := range demands {
 			svc := time.Duration(d) * time.Microsecond
 			sum += svc
-			e.Spawn("p", func(p *Proc) {
-				w, _ := r.Use(p, svc)
+			seq(e, 0, "p", func(p *Proc) time.Duration {
+				w, end := r.Book(svc)
 				waits = append(waits, w)
+				return end
 			})
 		}
 		end := e.Run()
@@ -372,11 +360,11 @@ func TestSemaphoreCapacityProperty(t *testing.T) {
 			if len(holds) > 0 {
 				h = time.Duration(holds[i%len(holds)]+1) * time.Millisecond
 			}
-			e.Spawn("p", func(p *Proc) {
-				s.Acquire(p)
-				p.Sleep(h)
-				s.Release()
-			})
+			seq(e, 0, "p",
+				func(p *Proc) time.Duration { return parkUnless(s.Take(p)) },
+				func(p *Proc) time.Duration { return p.Now() + h },
+				func(p *Proc) time.Duration { s.Release(); return Done },
+			)
 		}
 		e.Run()
 		return s.MaxInUse <= c && s.InUse() == 0

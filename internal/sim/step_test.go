@@ -2,193 +2,11 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"runtime"
 	"testing"
 	"time"
 )
-
-// runStepSoup is runSoup with its workers and children written as step
-// processes — the joiner, the one WaitGroup user, stays a coroutine, so
-// the two kinds hand off to each other throughout. Each step runs exactly
-// what the coroutine runs between two blocking calls and returns what it
-// blocked on.
-func runStepSoup(seed int64) (uint64, *Engine) {
-	const workers, steps = 12, 90
-	e := NewEngine()
-	h := fnv.New64a()
-	log := func(id int) {
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:8], uint64(e.Now()))
-		binary.LittleEndian.PutUint64(b[8:], uint64(int64(id)))
-		h.Write(b[:])
-	}
-	us := func(g *RNG, n int) time.Duration { return time.Duration(g.Intn(n)) * time.Microsecond }
-
-	root := NewRNG(seed)
-	disk := NewResource(e, "disk")
-	pool := NewPool(e, "oss", 3)
-	sem := NewSemaphore(e, 2)
-	bar := NewBarrier(e, workers)
-	gate := NewGate(e)
-	children := NewWaitGroup(e)
-	callbacks := 0
-
-	child := func(g *RNG) Step {
-		stage := 0
-		return func(c *Proc) (time.Duration, error) {
-			log(c.ID())
-			stage++
-			switch stage {
-			case 1:
-				return c.Now() + us(g, 4), nil
-			case 2:
-				_, end := disk.Book(us(g, 3))
-				return end, nil
-			}
-			children.Done()
-			return Done, nil
-		}
-	}
-	// A worker's step resumes at one of three points: the top of an
-	// iteration (after a plain blocking call, which logs first), holding the
-	// semaphore, or back from the sleep it holds the semaphore over.
-	const (
-		top = iota
-		held
-		slept
-	)
-	for w := 0; w < workers; w++ {
-		g := root.Fork()
-		step, at, started := 0, top, false
-		e.SpawnStep("worker", func(p *Proc) (time.Duration, error) {
-			switch {
-			case !started:
-				started = true
-				log(p.ID())
-			case at == held:
-				log(p.ID())
-				at = slept
-				return p.Now() + us(g, 3), nil
-			case at == slept:
-				sem.Release()
-				at = top
-				log(p.ID())
-				step++
-			default:
-				log(p.ID())
-				step++
-			}
-			for ; step < steps; step++ {
-				switch {
-				case step%30 == 29:
-					if !bar.Arrive(p) {
-						return Parked, nil
-					}
-				case step == 5 || step == 15:
-					if !gate.Pass(p) {
-						return Parked, nil
-					}
-				default:
-					switch g.Intn(12) {
-					case 0:
-						return p.Now() + us(g, 5) - time.Microsecond, nil
-					case 1:
-						return p.Now() + us(g, 6) - 2*time.Microsecond, nil
-					case 2:
-						return p.Now(), nil
-					case 3:
-						_, end := disk.Book(us(g, 4))
-						return end, nil
-					case 4:
-						_, end := pool.Book(g.Intn(7)-3, us(g, 4))
-						return end, nil
-					case 5:
-						_, end := pool.BookLeastLoaded(us(g, 4))
-						return end, nil
-					case 6:
-						at = held
-						if !sem.Take(p) {
-							return Parked, nil
-						}
-						log(p.ID())
-						at = slept
-						return p.Now() + us(g, 3), nil
-					case 7:
-						children.Add(1)
-						e.SpawnStep("child", child(g.Fork()))
-						continue
-					case 8:
-						children.Add(1)
-						e.SpawnStepAt(p.Now()+us(g, 5), "late-child", child(g.Fork()))
-						continue
-					case 9:
-						callbacks++
-						id := -callbacks
-						e.After(us(g, 4), func() { log(id) })
-						continue
-					case 10:
-						callbacks++
-						id := -callbacks
-						e.After(us(g, 4), func() {
-							log(id)
-							e.After(time.Microsecond, func() { log(id) })
-						})
-						continue
-					case 11:
-						e.After(us(g, 3), func() { e.WakeNow(p) })
-						return Parked, nil
-					}
-				}
-				log(p.ID())
-			}
-			return Done, nil
-		})
-	}
-	opened := false
-	e.SpawnStepAt(15*time.Microsecond, "opener", func(p *Proc) (time.Duration, error) {
-		if !opened {
-			opened = true
-			log(p.ID())
-			gate.Open()
-		}
-		return Done, nil
-	})
-	e.SpawnAt(20*time.Microsecond, "joiner", func(p *Proc) {
-		for i := 0; i < 8; i++ {
-			children.Wait(p)
-			log(p.ID())
-			p.Sleep(10 * time.Microsecond)
-		}
-	})
-	e.Run()
-	return h.Sum64(), e
-}
-
-// TestStepSoupMatchesCoroutineSoup: the soup run as step processes has the
-// schedule the coroutine soup has — the pinned resumption log and event
-// count — and the same hand-offs and in-place wake-ups, so a process's
-// kind changes its cost and nothing else.
-func TestStepSoupMatchesCoroutineSoup(t *testing.T) {
-	hash, e := runStepSoup(7)
-	if err := e.Err(); err != nil {
-		t.Fatalf("step soup failed: %v", err)
-	}
-	if hash != soupHash || e.EventsExecuted != soupEvents {
-		t.Errorf("step soup schedule: hash %#x, %d events; want %#x, %d",
-			hash, e.EventsExecuted, soupHash, soupEvents)
-	}
-	_, co := runSoup(7)
-	if e.Switches != co.Switches || e.InPlaceWakes != co.InPlaceWakes || e.Now() != co.Now() {
-		t.Errorf("step soup: %d switches, %d in place, ends %v; coroutine soup: %d, %d, %v",
-			e.Switches, e.InPlaceWakes, e.Now(), co.Switches, co.InPlaceWakes, co.Now())
-	}
-	if e.Live() != 0 {
-		t.Errorf("%d processes live after the step soup", e.Live())
-	}
-}
 
 // TestStepErrorFailsRun: a step's error is the run's error, the clock
 // stops where it was returned, and a step parked at a barrier the failed
@@ -228,7 +46,7 @@ func TestStepErrorFailsRun(t *testing.T) {
 }
 
 // TestStepParkedForeverIsDeadlock: a step parked with nothing to wake it
-// deadlocks the run, as a parked coroutine does.
+// deadlocks the run.
 func TestStepParkedForeverIsDeadlock(t *testing.T) {
 	e := NewEngine()
 	e.SpawnStep("stuck", func(p *Proc) (time.Duration, error) { return Parked, nil })
@@ -256,8 +74,10 @@ func TestStepRunContextStops(t *testing.T) {
 	}
 }
 
-// BenchmarkHandoffStep is BenchmarkHandoff's ring with every process a
-// step: each hand-off is a call from the event loop.
+// BenchmarkHandoffStep times the process hand-off alone: 64 processes in a
+// ring, each waking one tick after the one before it, so every event hands
+// control to a different process — a call from the event loop — and nothing
+// else happens in between.
 func BenchmarkHandoffStep(b *testing.B) {
 	const procs, laps = 64, 256
 	var events int64

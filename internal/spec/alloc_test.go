@@ -94,7 +94,7 @@ func openClose(sp workloads.Spec, n int) error {
 	sys := storage.New(e, sp.Storage, sp.Nodes, sim.NewRNG(sp.Seed).Fork())
 	tr := trace.NewTracer()
 	tr.SetEnabled(sp.TraceEnabled)
-	cl := iface.NewClient(sys, tr, sp.Iface, "oc", 0, 0)
+	cl := iface.NewClient(sys, tr, &sp.Iface, "oc", 0, 0)
 	var o iface.Op
 	var f iface.File
 	calls, busy := 0, false

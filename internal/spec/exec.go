@@ -80,7 +80,7 @@ func (r *rankState) place(app, node, local int) {
 
 func (r *rankState) newClient(app int) *iface.Client {
 	v := r.env
-	return iface.NewClient(v.sys, v.tr, v.spec.Iface, v.prog.apps[app], r.rank, int(r.fr.v[sNode]))
+	return iface.NewClient(v.sys, v.tr, &v.spec.Iface, v.prog.apps[app], r.rank, int(r.fr.v[sNode]))
 }
 
 // client is the client of app, made on first use.

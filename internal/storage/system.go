@@ -10,11 +10,12 @@ import (
 
 // System is one storage stack instance attached to a simulation: a striped
 // PFS shared by all nodes, plus per-node node-local targets and page
-// caches. All blocking methods must be called from a simulation process.
+// caches.
 //
-// A path is resolved once per open: Open (or Resolve) returns a *File that
-// carries the file's state, its target and its stripe hash, and every later
-// call on the file goes through that handle without looking the path up.
+// A path is resolved once per open: Resolve (or Lookup) returns a File that
+// carries the file's state, its target and its stripe hash, and every call
+// on the file — an Op set up on it — goes through that handle without
+// looking the path up.
 type System struct {
 	e   *sim.Engine
 	cfg Config
@@ -172,9 +173,8 @@ type File struct {
 }
 
 // Resolve returns the file path names as seen from node without operating
-// on it: no time passes and the file need not exist. Open on the handle
-// performs the open; calls on a file that does not exist fail as they
-// would by path.
+// on it: no time passes and the file need not exist. An Op's Open on the
+// handle performs the open; calls on a file that does not exist fail.
 func (s *System) Resolve(node int, path string) *File {
 	f := s.Lookup(node, path)
 	return &f
@@ -184,17 +184,6 @@ func (s *System) Resolve(node int, path string) *File {
 // keeps it in state of its own.
 func (s *System) Lookup(node int, path string) File {
 	return File{s: s, st: s.state(node, path), node: node}
-}
-
-// Open performs the open metadata operation and returns the opened file.
-// With create true the file is created (or truncated to zero); otherwise
-// the file must exist on the issuing node's view of the namespace.
-func (s *System) Open(p *sim.Proc, node int, path string, create bool) (*File, error) {
-	f := s.Resolve(node, path)
-	if err := f.Open(p, create); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // Materialize creates or grows a file instantly, with no time cost and no
@@ -217,74 +206,6 @@ func (f *File) cache() *cacheEntry {
 	return f.pc
 }
 
-// The blocking calls on a file, each a loop over its Op: the process sleeps
-// through every stage the Op returns a wake time for.
-
-// Open performs the open metadata operation on a resolved file, as
-// System.Open does by path.
-func (f *File) Open(p *sim.Proc, create bool) error {
-	var o Op
-	o.Open(f, create)
-	return o.Run(p)
-}
-
-// Close performs the close metadata operation. For PFS files with dirty
-// write-back data, close waits for the drain to finish: GPFS flushes dirty
-// client-cache data on close to keep other nodes coherent, which is why
-// buffered small-file writes still pay full PFS cost by the time a
-// workflow stage hands its files to the next one.
-func (f *File) Close(p *sim.Proc) {
-	var o Op
-	o.Close(f)
-	o.Run(p)
-}
-
-// Stat performs a stat metadata operation and reports the file size.
-func (s *System) Stat(p *sim.Proc, node int, path string) (int64, error) {
-	f := s.Lookup(node, path)
-	return f.Stat(p)
-}
-
-// Stat performs a stat metadata operation on the file and reports its size.
-func (f *File) Stat(p *sim.Proc) (int64, error) {
-	var o Op
-	o.Stat(f)
-	err := o.Run(p)
-	return o.n, err
-}
-
-// Seek models the (client-side, near-free) seek call; it is traced as a
-// metadata op by the interface layers but costs no server time.
-func (f *File) Seek(p *sim.Proc) {
-	var o Op
-	o.Seek(f)
-	o.Run(p)
-}
-
-// Sync performs an fsync-like metadata op; with the page cache enabled it
-// also waits for the node's dirty data on that file to drain to the PFS.
-func (f *File) Sync(p *sim.Proc) {
-	var o Op
-	o.Sync(f)
-	o.Run(p)
-}
-
-// Write moves size bytes into the file at offset, blocking the process for
-// the modeled duration. The file must have been opened/created.
-func (f *File) Write(p *sim.Proc, offset, size int64) error {
-	var o Op
-	o.Write(f, offset, size)
-	return o.Run(p)
-}
-
-// Read moves size bytes out of the file at offset. Reading past the end of
-// the file is an error (workload bugs should surface, not silently read).
-func (f *File) Read(p *sim.Proc, offset, size int64) error {
-	var o Op
-	o.Read(f, offset, size)
-	return o.Run(p)
-}
-
 // Size reports the file's current size, and whether it exists.
 func (f *File) Size() (int64, bool) {
 	if !f.st.exists {
@@ -293,15 +214,12 @@ func (f *File) Size() (int64, bool) {
 	return f.st.size, true
 }
 
-// Op is one blocking call on a file in step form, for a process that runs
-// as a step program: Open, Close, Stat, Seek, Sync, Write or Read sets it
-// up without running anything, and each Step runs the call up to its next
-// wait and returns the wake time, or reports that the call has finished.
-// Every stage reads and writes exactly the state the call reads and writes
-// between two waits, at the same simulated instant, so a process that
-// sleeps until each wake time it is given — Run — sees what it saw when
-// the calls blocked. An Op is reused from call to call; it allocates
-// nothing.
+// Op is one call on a file in step form, for a process that runs as a step
+// program: Open, Close, Stat, Seek, Sync, Write or Read sets it up without
+// running anything, and each Step runs the call up to its next wait and
+// returns the wake time, or reports that the call has finished. The process
+// returns each wake time from its own step and calls Step again when it is
+// woken. An Op is reused from call to call; it allocates nothing.
 type Op struct {
 	f     *File
 	stage opStage
@@ -328,12 +246,18 @@ const (
 	stFill             // a PFS read after its transfer: fill the page cache
 )
 
-// Open sets the Op up as f.Open(create).
+// Open sets the Op up as the open metadata operation on f. With create true
+// the file is created (or truncated to zero); otherwise the file must exist
+// on the issuing node's view of the namespace.
 func (o *Op) Open(f *File, create bool) {
 	*o = Op{f: f, stage: stOpen, write: create}
 }
 
-// Close sets the Op up as f.Close.
+// Close sets the Op up as the close metadata operation on f. For PFS files
+// with dirty write-back data, close waits for the drain to finish: GPFS
+// flushes dirty client-cache data on close to keep other nodes coherent,
+// which is why buffered small-file writes still pay full PFS cost by the
+// time a workflow stage hands its files to the next one.
 func (o *Op) Close(f *File) {
 	*o = Op{f: f, stage: stFlush}
 	if f.s.cfg.RelaxedConsistency {
@@ -341,21 +265,28 @@ func (o *Op) Close(f *File) {
 	}
 }
 
-// Stat sets the Op up as f.Stat; Size reports what it found.
+// Stat sets the Op up as a stat metadata operation on f; Size reports the
+// size it found.
 func (o *Op) Stat(f *File) { *o = Op{f: f, stage: stStat} }
 
-// Seek sets the Op up as f.Seek.
+// Seek sets the Op up as the (client-side, near-free) seek call on f; it is
+// traced as a metadata op by the interface layers but costs no server time.
 func (o *Op) Seek(f *File) { *o = Op{f: f, stage: stSeek} }
 
-// Sync sets the Op up as f.Sync.
+// Sync sets the Op up as an fsync-like metadata op on f; with the page
+// cache enabled it also waits for the node's dirty data on that file to
+// drain to the PFS.
 func (o *Op) Sync(f *File) { *o = Op{f: f, stage: stFlush} }
 
-// Write sets the Op up as f.Write(offset, size).
+// Write sets the Op up to move size bytes into f at offset. The file must
+// have been opened (created).
 func (o *Op) Write(f *File, offset, size int64) {
 	*o = Op{f: f, stage: stData, write: true, off: offset, size: size}
 }
 
-// Read sets the Op up as f.Read(offset, size).
+// Read sets the Op up to move size bytes out of f at offset. Reading past
+// the end of the file is an error (workload bugs should surface, not
+// silently read).
 func (o *Op) Read(f *File, offset, size int64) {
 	*o = Op{f: f, stage: stData, off: offset, size: size}
 }
@@ -365,18 +296,6 @@ func (o *Op) Err() error { return o.err }
 
 // Size is what a finished Stat reports: the file's size.
 func (o *Op) Size() int64 { return o.n }
-
-// Run runs the Op to the end on p, sleeping until every wake time it
-// returns, and returns its error.
-func (o *Op) Run(p *sim.Proc) error {
-	for {
-		t, more := o.Step()
-		if !more {
-			return o.err
-		}
-		p.SleepUntil(t)
-	}
-}
 
 // Step runs the call up to its next wait and returns the wake time with
 // more set, or, with more false, reports that the call has finished.

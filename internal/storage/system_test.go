@@ -23,6 +23,35 @@ func newSys(t *testing.T, cfg Config, nodes int) (*sim.Engine, *System) {
 	return e, New(e, cfg, nodes, sim.NewRNG(1))
 }
 
+// script spawns a step process at start that makes calls in turn: each
+// set-up readies o for one call, which runs to its end — through every
+// stage and wake-up — before the next set-up runs. A set-up sees the Op as
+// the call before it left it (a Stat's Size), and one that readies nothing
+// makes no call. script returns each call's error, filled in as the run
+// reaches it.
+func script(e *sim.Engine, start time.Duration, setups ...func(o *Op)) []error {
+	errs := make([]error, len(setups))
+	var o Op
+	i, busy := 0, false
+	e.SpawnStepAt(start, "script", func(p *sim.Proc) (time.Duration, error) {
+		for {
+			if busy {
+				if t, more := o.Step(); more {
+					return t, nil
+				}
+				errs[i-1], busy = o.Err(), false
+			}
+			if i == len(setups) {
+				return sim.Done, nil
+			}
+			i++
+			setups[i-1](&o)
+			busy = o.stage != stDone
+		}
+	})
+	return errs
+}
+
 func TestRouteByMountPrefix(t *testing.T) {
 	_, s := newSys(t, testConfig(), 2)
 	cases := map[string]TargetKind{
@@ -49,24 +78,28 @@ func TestTargetKindStrings(t *testing.T) {
 
 func TestOpenCreateWriteReadRoundTrip(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, err := s.Open(p, 0, "/p/gpfs1/f", true)
-		if err != nil {
-			t.Errorf("Open: %v", err)
-			return
-		}
-		if err := f.Write(p, 0, 4*KiB); err != nil {
-			t.Errorf("Write: %v", err)
-		}
-		if err := f.Read(p, 0, 4*KiB); err != nil {
-			t.Errorf("Read: %v", err)
-		}
-		f.Close(p)
-		if sz, ok := fileSize(s, 0, "/p/gpfs1/f"); !ok || sz != 4*KiB {
-			t.Errorf("FileSize = %d,%v want 4KiB,true", sz, ok)
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/f")
+	errs := script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, 4*KiB) },
+		func(o *Op) { o.Read(f, 0, 4*KiB) },
+		func(o *Op) { o.Close(f) },
+		func(o *Op) {
+			if sz, ok := fileSize(s, 0, "/p/gpfs1/f"); !ok || sz != 4*KiB {
+				t.Errorf("FileSize = %d,%v want 4KiB,true", sz, ok)
+			}
+		},
+	)
 	e.Run()
+	if errs[0] != nil {
+		t.Errorf("Open: %v", errs[0])
+	}
+	if errs[1] != nil {
+		t.Errorf("Write: %v", errs[1])
+	}
+	if errs[2] != nil {
+		t.Errorf("Read: %v", errs[2])
+	}
 	if s.Stats[TargetPFS].DataOps != 2 || s.Stats[TargetPFS].MetaOps != 2 {
 		t.Errorf("stats = %+v", s.Stats[TargetPFS])
 	}
@@ -74,74 +107,83 @@ func TestOpenCreateWriteReadRoundTrip(t *testing.T) {
 
 func TestOpenMissingWithoutCreateFails(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		if _, err := s.Open(p, 0, "/p/gpfs1/missing", false); err == nil {
-			t.Error("open of missing file succeeded")
-		}
-	})
+	errs := script(e, 0, func(o *Op) { o.Open(s.Resolve(0, "/p/gpfs1/missing"), false) })
 	e.Run()
+	if errs[0] == nil {
+		t.Error("open of missing file succeeded")
+	}
 }
 
 func TestOpenTruncates(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		f.Write(p, 0, MiB)
-		s.Open(p, 0, "/p/gpfs1/f", true) // re-create truncates
-		if sz, _ := fileSize(s, 0, "/p/gpfs1/f"); sz != 0 {
-			t.Errorf("size after truncate = %d", sz)
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/f")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, MiB) },
+		func(o *Op) { o.Open(s.Resolve(0, "/p/gpfs1/f"), true) }, // re-create truncates
+		func(o *Op) {
+			if sz, _ := fileSize(s, 0, "/p/gpfs1/f"); sz != 0 {
+				t.Errorf("size after truncate = %d", sz)
+			}
+		},
+	)
 	e.Run()
 }
 
 func TestReadPastEOFFails(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		f.Write(p, 0, KiB)
-		if err := f.Read(p, 512, KiB); err == nil {
-			t.Error("read past EOF succeeded")
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/f")
+	errs := script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, KiB) },
+		func(o *Op) { o.Read(f, 512, KiB) },
+	)
 	e.Run()
+	if errs[2] == nil {
+		t.Error("read past EOF succeeded")
+	}
 }
 
 func TestReadMissingFails(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := s.Resolve(0, "/p/gpfs1/nope").Read(p, 0, 1); err == nil {
-			t.Error("read of missing file succeeded")
-		}
-		if err := s.Resolve(0, "/p/gpfs1/nope").Write(p, 0, 1); err == nil {
-			t.Error("write of unopened file succeeded")
-		}
-	})
+	errs := script(e, 0,
+		func(o *Op) { o.Read(s.Resolve(0, "/p/gpfs1/nope"), 0, 1) },
+		func(o *Op) { o.Write(s.Resolve(0, "/p/gpfs1/nope"), 0, 1) },
+	)
 	e.Run()
+	if errs[0] == nil {
+		t.Error("read of missing file succeeded")
+	}
+	if errs[1] == nil {
+		t.Error("write of unopened file succeeded")
+	}
 }
 
 func TestNegativeArgsFail(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		if err := f.Write(p, -1, 10); err == nil {
-			t.Error("negative offset accepted")
-		}
-		if err := f.Write(p, 0, -10); err == nil {
-			t.Error("negative size accepted")
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/f")
+	errs := script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, -1, 10) },
+		func(o *Op) { o.Write(f, 0, -10) },
+	)
 	e.Run()
+	if errs[1] == nil {
+		t.Error("negative offset accepted")
+	}
+	if errs[2] == nil {
+		t.Error("negative size accepted")
+	}
 }
 
 func TestNodeLocalNamespacesArePerNode(t *testing.T) {
 	e, s := newSys(t, testConfig(), 2)
-	e.Spawn("writer", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/dev/shm/inter", true)
-		f.Write(p, 0, MiB)
-	})
-	e.Spawn("reader-other-node", func(p *sim.Proc) {
-		p.Sleep(time.Second)
+	f := s.Resolve(0, "/dev/shm/inter")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, MiB) },
+	)
+	script(e, time.Second, func(o *Op) { // another node's reader
 		if _, ok := fileSize(s, 1, "/dev/shm/inter"); ok {
 			t.Error("node 1 sees node 0's /dev/shm file")
 		}
@@ -154,17 +196,16 @@ func TestNodeLocalNamespacesArePerNode(t *testing.T) {
 
 func TestPFSNamespaceIsShared(t *testing.T) {
 	e, s := newSys(t, testConfig(), 2)
-	e.Spawn("writer", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/shared", true)
-		f.Write(p, 0, MiB)
-	})
-	e.Spawn("reader", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		if err := s.Resolve(1, "/p/gpfs1/shared").Read(p, 0, MiB); err != nil {
-			t.Errorf("cross-node PFS read: %v", err)
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/shared")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, MiB) },
+	)
+	read := script(e, time.Second, func(o *Op) { o.Read(s.Resolve(1, "/p/gpfs1/shared"), 0, MiB) })
 	e.Run()
+	if err := read[0]; err != nil {
+		t.Errorf("cross-node PFS read: %v", err)
+	}
 }
 
 // TestResolvedFilesFollowTheNamespace: a node-local path opened on two
@@ -175,64 +216,63 @@ func TestResolvedFilesFollowTheNamespace(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 2)
-	e.Spawn("p", func(p *sim.Proc) {
-		l0, _ := s.Open(p, 0, "/dev/shm/x", true)
-		l1, _ := s.Open(p, 1, "/dev/shm/x", true)
-		if l0.st == l1.st {
-			t.Error("/dev/shm/x on nodes 0 and 1 resolves to one file")
-		}
-		l0.Write(p, 0, MiB)
-		if sz, _ := l1.Size(); sz != 0 {
-			t.Errorf("node 1's /dev/shm/x grew to %d with node 0's write", sz)
-		}
-		if l0.cache() == l1.cache() {
-			t.Error("node-local files on two nodes share a page-cache entry")
-		}
-
-		g0, _ := s.Open(p, 0, "/p/gpfs1/g", true)
-		g0.Write(p, 0, MiB)
-		g1, _ := s.Open(p, 1, "/p/gpfs1/g", false)
-		if g0.st != g1.st || s.Resolve(0, "/p/gpfs1/g").st != g0.st {
-			t.Error("a PFS path resolves to more than one file")
-		}
-		if sz, _ := g1.Size(); sz != MiB {
-			t.Errorf("node 1 sees the PFS file at %d bytes, want %d", sz, MiB)
-		}
-		if g0.cache() == g1.cache() || g0.cache().extent != MiB || g1.cache().extent != 0 {
-			t.Errorf("page-cache extents node 0 %d node 1 %d, want %d and 0 in separate entries",
-				g0.cache().extent, g1.cache().extent, MiB)
-		}
-	})
+	l0, l1 := s.Resolve(0, "/dev/shm/x"), s.Resolve(1, "/dev/shm/x")
+	g0, g1 := s.Resolve(0, "/p/gpfs1/g"), s.Resolve(1, "/p/gpfs1/g")
+	script(e, 0,
+		func(o *Op) { o.Open(l0, true) },
+		func(o *Op) { o.Open(l1, true) },
+		func(o *Op) {
+			if l0.st == l1.st {
+				t.Error("/dev/shm/x on nodes 0 and 1 resolves to one file")
+			}
+			o.Write(l0, 0, MiB)
+		},
+		func(o *Op) {
+			if sz, _ := l1.Size(); sz != 0 {
+				t.Errorf("node 1's /dev/shm/x grew to %d with node 0's write", sz)
+			}
+			if l0.cache() == l1.cache() {
+				t.Error("node-local files on two nodes share a page-cache entry")
+			}
+			o.Open(g0, true)
+		},
+		func(o *Op) { o.Write(g0, 0, MiB) },
+		func(o *Op) { o.Open(g1, false) },
+		func(o *Op) {
+			if g0.st != g1.st || s.Resolve(0, "/p/gpfs1/g").st != g0.st {
+				t.Error("a PFS path resolves to more than one file")
+			}
+			if sz, _ := g1.Size(); sz != MiB {
+				t.Errorf("node 1 sees the PFS file at %d bytes, want %d", sz, MiB)
+			}
+			if g0.cache() == g1.cache() || g0.cache().extent != MiB || g1.cache().extent != 0 {
+				t.Errorf("page-cache extents node 0 %d node 1 %d, want %d and 0 in separate entries",
+					g0.cache().extent, g1.cache().extent, MiB)
+			}
+		},
+	)
 	e.Run()
 }
 
 func TestNodeLocalFasterThanPFSForSmallOps(t *testing.T) {
 	cfg := testConfig()
-	var pfsTime, shmTime time.Duration
-	{
+	measure := func(path string) time.Duration {
 		e, s := newSys(t, cfg, 1)
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-			t0 := p.Now()
-			for i := int64(0); i < 100; i++ {
-				f.Write(p, i*4*KiB, 4*KiB)
-			}
-			pfsTime = p.Now() - t0
-		})
+		f := s.Resolve(0, path)
+		var t0, took time.Duration
+		setups := []func(o *Op){
+			func(o *Op) { o.Open(f, true) },
+			func(o *Op) { t0 = e.Now() },
+		}
+		for i := int64(0); i < 100; i++ {
+			setups = append(setups, func(o *Op) { o.Write(f, i*4*KiB, 4*KiB) })
+		}
+		setups = append(setups, func(o *Op) { took = e.Now() - t0 })
+		script(e, 0, setups...)
 		e.Run()
+		return took
 	}
-	{
-		e, s := newSys(t, cfg, 1)
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := s.Open(p, 0, "/dev/shm/f", true)
-			t0 := p.Now()
-			for i := int64(0); i < 100; i++ {
-				f.Write(p, i*4*KiB, 4*KiB)
-			}
-			shmTime = p.Now() - t0
-		})
-		e.Run()
-	}
+	pfsTime, shmTime := measure("/p/gpfs1/f"), measure("/dev/shm/f")
 	if shmTime*10 >= pfsTime {
 		t.Errorf("shm (%v) not >=10x faster than PFS (%v) for small writes", shmTime, pfsTime)
 	}
@@ -245,13 +285,13 @@ func TestStripingParallelizesLargeRequests(t *testing.T) {
 	cfg := testConfig()
 	cfg.NodeNICBW = 0 // isolate server striping from the client NIC limit
 	e, s := newSys(t, cfg, 1)
-	var elapsed time.Duration
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/big", true)
-		t0 := p.Now()
-		f.Write(p, 0, 32*MiB)
-		elapsed = p.Now() - t0
-	})
+	var t0, elapsed time.Duration
+	f := s.Resolve(0, "/p/gpfs1/big")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { t0 = e.Now(); o.Write(f, 0, 32*MiB) },
+		func(o *Op) { elapsed = e.Now() - t0 },
+	)
 	e.Run()
 	serial := bwTime(32*MiB, cfg.PFSServerBW)
 	if elapsed >= serial/4 {
@@ -276,14 +316,12 @@ func measureNWriters(t *testing.T, cfg Config, n int) time.Duration {
 	e := sim.NewEngine()
 	s := New(e, cfg, 1, sim.NewRNG(1))
 	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("w", func(p *sim.Proc) {
-			path := "/p/gpfs1/f" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-			f, _ := s.Open(p, 0, path, true)
-			for j := int64(0); j < 16; j++ {
-				f.Write(p, j*16*MiB, 16*MiB)
-			}
-		})
+		f := s.Resolve(0, "/p/gpfs1/f"+string(rune('a'+i%26))+string(rune('a'+i/26)))
+		setups := []func(o *Op){func(o *Op) { o.Open(f, true) }}
+		for j := int64(0); j < 16; j++ {
+			setups = append(setups, func(o *Op) { o.Write(f, j*16*MiB, 16*MiB) })
+		}
+		script(e, 0, setups...)
 	}
 	return e.Run()
 }
@@ -296,10 +334,11 @@ func TestMetadataContention(t *testing.T) {
 	e, s := newSys(t, cfg, 1)
 	const n = 256
 	for i := 0; i < n; i++ {
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := s.Open(p, 0, "/p/gpfs1/shared", true)
-			f.Close(p)
-		})
+		f := s.Resolve(0, "/p/gpfs1/shared")
+		script(e, 0,
+			func(o *Op) { o.Open(f, true) },
+			func(o *Op) { o.Close(f) },
+		)
 	}
 	end := e.Run()
 	// 512 meta ops over 4 servers at 400µs each = 51.2ms minimum.
@@ -313,13 +352,13 @@ func TestPageCacheWriteAbsorption(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 1)
-	var elapsed time.Duration
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		t0 := p.Now()
-		f.Write(p, 0, MiB)
-		elapsed = p.Now() - t0
-	})
+	var t0, elapsed time.Duration
+	f := s.Resolve(0, "/p/gpfs1/f")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { t0 = e.Now(); o.Write(f, 0, MiB) },
+		func(o *Op) { elapsed = e.Now() - t0 },
+	)
 	e.Run()
 	direct := cfg.PFSDataLatency + bwTime(MiB, cfg.PFSServerBW)
 	if elapsed >= direct {
@@ -334,17 +373,20 @@ func TestPageCacheReadAfterWriteHit(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		f.Write(p, 0, MiB)
-		t0 := p.Now()
-		f.Read(p, 0, MiB)
-		hitTime := p.Now() - t0
-		direct := cfg.PFSDataLatency + bwTime(MiB, cfg.PFSServerBW)
-		if hitTime >= direct {
-			t.Errorf("cache-hit read took %v, want < %v", hitTime, direct)
-		}
-	})
+	var t0 time.Duration
+	f := s.Resolve(0, "/p/gpfs1/f")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, MiB) },
+		func(o *Op) { t0 = e.Now(); o.Read(f, 0, MiB) },
+		func(o *Op) {
+			hitTime := e.Now() - t0
+			direct := cfg.PFSDataLatency + bwTime(MiB, cfg.PFSServerBW)
+			if hitTime >= direct {
+				t.Errorf("cache-hit read took %v, want < %v", hitTime, direct)
+			}
+		},
+	)
 	e.Run()
 	if s.Stats[TargetPFS].CacheHits < 2 {
 		t.Errorf("CacheHits = %d, want >= 2", s.Stats[TargetPFS].CacheHits)
@@ -355,13 +397,13 @@ func TestPageCacheMissOnOtherNode(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 2)
-	e.Spawn("writer", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		f.Write(p, 0, MiB)
-	})
-	e.Spawn("reader", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		s.Resolve(1, "/p/gpfs1/f").Read(p, 0, MiB) // different node: must miss
+	f := s.Resolve(0, "/p/gpfs1/f")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, MiB) },
+	)
+	script(e, time.Second, func(o *Op) {
+		o.Read(s.Resolve(1, "/p/gpfs1/f"), 0, MiB) // different node: must miss
 	})
 	e.Run()
 	if s.Stats[TargetPFS].CacheMisses == 0 {
@@ -374,13 +416,13 @@ func TestPageCacheOverflowWritesThrough(t *testing.T) {
 	cfg.CacheEnabled = true
 	cfg.CacheCapacity = 2 * MiB
 	e, s := newSys(t, cfg, 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		// 4MiB of writes against a 2MiB cache: some must write through.
-		for i := int64(0); i < 4; i++ {
-			f.Write(p, i*MiB, MiB)
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/f")
+	setups := []func(o *Op){func(o *Op) { o.Open(f, true) }}
+	// 4MiB of writes against a 2MiB cache: some must write through.
+	for i := int64(0); i < 4; i++ {
+		setups = append(setups, func(o *Op) { o.Write(f, i*MiB, MiB) })
+	}
+	script(e, 0, setups...)
 	e.Run()
 	if s.Stats[TargetPFS].CacheMisses == 0 {
 		t.Error("cache overflow never wrote through")
@@ -391,49 +433,56 @@ func TestSyncWaitsForDrain(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 1)
-	var syncEnd time.Duration
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		f.Write(p, 0, 64*MiB) // absorbed, drains in background
-		beforeSync := p.Now()
-		f.Sync(p)
-		syncEnd = p.Now()
-		if syncEnd <= beforeSync {
-			t.Error("sync with dirty data returned instantly")
-		}
-	})
+	var beforeSync, syncEnd time.Duration
+	f := s.Resolve(0, "/p/gpfs1/f")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, 64*MiB) }, // absorbed, drains in background
+		func(o *Op) { beforeSync = e.Now(); o.Sync(f) },
+		func(o *Op) {
+			syncEnd = e.Now()
+			if syncEnd <= beforeSync {
+				t.Error("sync with dirty data returned instantly")
+			}
+		},
+	)
 	e.Run()
 }
 
 func TestSeekIsNearFree(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f := s.Resolve(0, "/p/gpfs1/f")
-		t0 := p.Now()
-		for i := 0; i < 100; i++ {
-			f.Seek(p)
-		}
-		if d := p.Now() - t0; d > time.Millisecond {
+	f := s.Resolve(0, "/p/gpfs1/f")
+	t0 := e.Now()
+	var setups []func(o *Op)
+	for i := 0; i < 100; i++ {
+		setups = append(setups, func(o *Op) { o.Seek(f) })
+	}
+	setups = append(setups, func(o *Op) {
+		if d := e.Now() - t0; d > time.Millisecond {
 			t.Errorf("100 seeks took %v, want client-side cost", d)
 		}
 	})
+	script(e, 0, setups...)
 	e.Run()
 }
 
 func TestStatReportsSize(t *testing.T) {
 	e, s := newSys(t, testConfig(), 1)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-		f.Write(p, 0, 3*MiB)
-		sz, err := s.Stat(p, 0, "/p/gpfs1/f")
-		if err != nil || sz != 3*MiB {
-			t.Errorf("Stat = %d,%v", sz, err)
-		}
-		if _, err := s.Stat(p, 0, "/p/gpfs1/other"); err == nil {
-			t.Error("stat of missing file succeeded")
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/f")
+	var sz int64
+	errs := script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, 3*MiB) },
+		func(o *Op) { o.Stat(s.Resolve(0, "/p/gpfs1/f")) },
+		func(o *Op) { sz = o.Size(); o.Stat(s.Resolve(0, "/p/gpfs1/other")) },
+	)
 	e.Run()
+	if err := errs[2]; err != nil || sz != 3*MiB {
+		t.Errorf("Stat = %d,%v", sz, err)
+	}
+	if errs[3] == nil {
+		t.Error("stat of missing file succeeded")
+	}
 }
 
 func TestJitterKeepsDeterminism(t *testing.T) {
@@ -441,12 +490,12 @@ func TestJitterKeepsDeterminism(t *testing.T) {
 		cfg := Lassen() // jitter on
 		e := sim.NewEngine()
 		s := New(e, cfg, 1, sim.NewRNG(99))
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-			for i := int64(0); i < 50; i++ {
-				f.Write(p, i*MiB, MiB)
-			}
-		})
+		f := s.Resolve(0, "/p/gpfs1/f")
+		setups := []func(o *Op){func(o *Op) { o.Open(f, true) }}
+		for i := int64(0); i < 50; i++ {
+			setups = append(setups, func(o *Op) { o.Write(f, i*MiB, MiB) })
+		}
+		script(e, 0, setups...)
 		return e.Run()
 	}
 	if run() != run() {
@@ -460,21 +509,21 @@ func TestFileSizeMaxExtentProperty(t *testing.T) {
 		e := sim.NewEngine()
 		s := New(e, testConfig(), 1, sim.NewRNG(1))
 		var want int64
-		ok := true
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := s.Open(p, 0, "/p/gpfs1/f", true)
-			for _, o := range offsets {
-				off := int64(o) * 64
-				if err := f.Write(p, off, 64); err != nil {
-					ok = false
-					return
-				}
-				if off+64 > want {
-					want = off + 64
-				}
+		f := s.Resolve(0, "/p/gpfs1/f")
+		setups := []func(o *Op){func(o *Op) { o.Open(f, true) }}
+		for _, u := range offsets {
+			off := int64(u) * 64
+			setups = append(setups, func(o *Op) { o.Write(f, off, 64) })
+			if off+64 > want {
+				want = off + 64
 			}
-		})
+		}
+		errs := script(e, 0, setups...)
 		e.Run()
+		ok := true
+		for _, err := range errs {
+			ok = ok && err == nil
+		}
 		got, _ := fileSize(s, 0, "/p/gpfs1/f")
 		return ok && got == want
 	}
@@ -494,16 +543,17 @@ func TestByteAccountingProperty(t *testing.T) {
 			path, tgt = "/dev/shm/f", TargetNodeLocal
 		}
 		var want int64
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := s.Open(p, 0, path, true)
-			var off int64
-			for _, sz := range sizes {
-				n := int64(sz) + 1
-				f.Write(p, off, n)
-				off += n
-				want += n
-			}
-		})
+		f := s.Resolve(0, path)
+		setups := []func(o *Op){func(o *Op) { o.Open(f, true) }}
+		var off int64
+		for _, sz := range sizes {
+			n := int64(sz) + 1
+			at := off
+			setups = append(setups, func(o *Op) { o.Write(f, at, n) })
+			off += n
+			want += n
+		}
+		script(e, 0, setups...)
 		e.Run()
 		return s.Stats[tgt].BytesWritten == want
 	}
@@ -544,18 +594,21 @@ func TestMaterializeStagesDatasetInstantly(t *testing.T) {
 	e, s := newSys(t, testConfig(), 2)
 	s.Materialize(0, "/p/gpfs1/input.fits", 22*MiB)
 	s.Materialize(1, "/dev/shm/local", MiB)
-	e.Spawn("p", func(p *sim.Proc) {
-		if err := s.Resolve(1, "/p/gpfs1/input.fits").Read(p, 0, 22*MiB); err != nil {
-			t.Errorf("read of materialized file: %v", err)
-		}
-		_, onOwn := fileSize(s, 1, "/dev/shm/local")
-		_, onOther := fileSize(s, 0, "/dev/shm/local")
-		if !onOwn || onOther {
-			t.Error("node-local materialization wrong")
-		}
-	})
+	errs := script(e, 0,
+		func(o *Op) { o.Read(s.Resolve(1, "/p/gpfs1/input.fits"), 0, 22*MiB) },
+		func(o *Op) {
+			_, onOwn := fileSize(s, 1, "/dev/shm/local")
+			_, onOther := fileSize(s, 0, "/dev/shm/local")
+			if !onOwn || onOther {
+				t.Error("node-local materialization wrong")
+			}
+		},
+	)
 	if e.Run() == 0 {
 		t.Error("read of materialized file cost no time")
+	}
+	if errs[0] != nil {
+		t.Errorf("read of materialized file: %v", errs[0])
 	}
 }
 
@@ -572,21 +625,23 @@ func TestCacheBypassForCrossNodeSharedFiles(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 2)
-	e.Spawn("leader0", func(p *sim.Proc) {
-		s.Open(p, 0, "/p/gpfs1/step", true)
-	})
-	e.Spawn("leader1", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		f, _ := s.Open(p, 1, "/p/gpfs1/step", false)
-		p.Sleep(time.Millisecond)
-		// File now opened by two nodes: GPFS-like token management
-		// disables client caching, so this write pays full PFS cost.
-		hits := s.Stats[TargetPFS].CacheHits
-		f.Write(p, 0, MiB)
-		if s.Stats[TargetPFS].CacheHits != hits {
-			t.Error("write to cross-node shared file used the cache")
-		}
-	})
+	script(e, 0, func(o *Op) { o.Open(s.Resolve(0, "/p/gpfs1/step"), true) })
+	f := s.Resolve(1, "/p/gpfs1/step")
+	var hits int64
+	script(e, time.Millisecond,
+		func(o *Op) { o.Open(f, false) },
+		func(o *Op) {
+			// File now opened by two nodes: GPFS-like token management
+			// disables client caching, so this write pays full PFS cost.
+			hits = s.Stats[TargetPFS].CacheHits
+			o.Write(f, 0, MiB)
+		},
+		func(o *Op) {
+			if s.Stats[TargetPFS].CacheHits != hits {
+				t.Error("write to cross-node shared file used the cache")
+			}
+		},
+	)
 	e.Run()
 }
 
@@ -594,13 +649,16 @@ func TestCacheStillUsedForNodePrivateFiles(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheEnabled = true
 	e, s := newSys(t, cfg, 2)
-	e.Spawn("p", func(p *sim.Proc) {
-		f, _ := s.Open(p, 0, "/p/gpfs1/private", true)
-		f.Write(p, 0, MiB)
-		if s.Stats[TargetPFS].CacheHits == 0 {
-			t.Error("node-private file bypassed the cache")
-		}
-	})
+	f := s.Resolve(0, "/p/gpfs1/private")
+	script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, MiB) },
+		func(o *Op) {
+			if s.Stats[TargetPFS].CacheHits == 0 {
+				t.Error("node-private file bypassed the cache")
+			}
+		},
+	)
 	e.Run()
 }
 
@@ -613,25 +671,24 @@ func TestSharedBurstBufferTarget(t *testing.T) {
 	if s.Route("/var/opt/cray/dws/ckpt") != TargetSharedBB {
 		t.Fatal("shared BB path not routed")
 	}
-	e.Spawn("writer", func(p *sim.Proc) {
-		f, err := s.Open(p, 0, "/var/opt/cray/dws/ckpt", true)
-		if err != nil {
-			t.Errorf("open: %v", err)
-			return
-		}
-		if err := f.Write(p, 0, 64*MiB); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		f.Close(p)
-	})
-	e.Spawn("reader-other-node", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		// Shared namespace: another node sees the file (unlike /dev/shm).
-		if err := s.Resolve(3, "/var/opt/cray/dws/ckpt").Read(p, 0, 64*MiB); err != nil {
-			t.Errorf("cross-node BB read: %v", err)
-		}
-	})
+	f := s.Resolve(0, "/var/opt/cray/dws/ckpt")
+	wrote := script(e, 0,
+		func(o *Op) { o.Open(f, true) },
+		func(o *Op) { o.Write(f, 0, 64*MiB) },
+		func(o *Op) { o.Close(f) },
+	)
+	// Shared namespace: another node sees the file (unlike /dev/shm).
+	read := script(e, time.Second, func(o *Op) { o.Read(s.Resolve(3, "/var/opt/cray/dws/ckpt"), 0, 64*MiB) })
 	e.Run()
+	if wrote[0] != nil {
+		t.Errorf("open: %v", wrote[0])
+	}
+	if wrote[1] != nil {
+		t.Errorf("write: %v", wrote[1])
+	}
+	if read[0] != nil {
+		t.Errorf("cross-node BB read: %v", read[0])
+	}
 	if s.Stats[TargetSharedBB].BytesWritten != 64*MiB || s.Stats[TargetSharedBB].BytesRead != 64*MiB {
 		t.Errorf("BB stats = %+v", s.Stats[TargetSharedBB])
 	}
@@ -647,13 +704,13 @@ func TestSharedBBFasterThanPFSForSmallOps(t *testing.T) {
 	measure := func(path string) time.Duration {
 		e := sim.NewEngine()
 		s := New(e, cfg, 1, sim.NewRNG(1))
-		e.Spawn("p", func(p *sim.Proc) {
-			f, _ := s.Open(p, 0, path, true)
-			for i := int64(0); i < 200; i++ {
-				f.Write(p, i*64*KiB, 64*KiB)
-			}
-			f.Close(p)
-		})
+		f := s.Resolve(0, path)
+		setups := []func(o *Op){func(o *Op) { o.Open(f, true) }}
+		for i := int64(0); i < 200; i++ {
+			setups = append(setups, func(o *Op) { o.Write(f, i*64*KiB, 64*KiB) })
+		}
+		setups = append(setups, func(o *Op) { o.Close(f) })
+		script(e, 0, setups...)
 		return e.Run()
 	}
 	pfs := measure("/global/cscratch1/f")

@@ -23,8 +23,9 @@ func fuzzSeedTrace(f *testing.F) *Trace {
 
 // FuzzRead hardens the whole-log read against corrupt input: any byte
 // stream must either decode cleanly or return an error — never panic,
-// hang, or allocate unboundedly — and every pooled column a block decoded
-// into is back in its pool afterwards, whichever way the read ended.
+// hang, or allocate past the fuzzers' ceiling — and every pooled column a
+// block decoded into is back in its pool afterwards, whichever way the read
+// ended.
 func FuzzRead(f *testing.F) {
 	// Seed with a retired-vintage log (must be refused, not misparsed) and a
 	// valid one, their truncations, and mutations.
@@ -62,7 +63,9 @@ func FuzzRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inUse := ColumnsInUse()
+		ceiling := allocCeiling(t, len(data))
 		tr, err := Read(bytes.NewReader(data))
+		ceiling()
 		if got := ColumnsInUse(); got != inUse {
 			t.Fatalf("%d pooled columns never came back (error %v)", got-inUse, err)
 		}

@@ -69,8 +69,7 @@ type Result struct {
 	// its event log into the Trace (the pipeline's first stage timing).
 	TraceMerge time.Duration
 	// Kernel counts of the run (sim.Engine's counters): events executed,
-	// hand-offs of control between processes among them, and
-	// Sleep/SleepUntil calls served without touching the queue. All three
-	// repeat exactly.
+	// hand-offs of control between processes among them, and wake times
+	// taken without touching the queue. All three repeat exactly.
 	KernelEvents, KernelSwitches, KernelInPlaceWakes int64
 }

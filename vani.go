@@ -359,22 +359,8 @@ func ProbeSharedBW(cfg StorageConfig, nodes int) (float64, error) {
 	const perNode = 4 * storage.GiB
 	const chunk = 16 * storage.MiB
 	for n := 0; n < nodes; n++ {
-		n := n
-		e.Spawn("ior", func(p *sim.Proc) {
-			path := fmt.Sprintf("%s/ior/out.%04d", cfg.PFSDir, n)
-			f, err := sys.Open(p, n, path, true)
-			if err != nil {
-				e.Fail(fmt.Errorf("shared-bw probe: open %s: %w", path, err))
-				return
-			}
-			for off := int64(0); off < perNode; off += chunk {
-				if err := f.Write(p, off, chunk); err != nil {
-					e.Fail(fmt.Errorf("shared-bw probe: write %s: %w", path, err))
-					return
-				}
-			}
-			f.Close(p)
-		})
+		path := fmt.Sprintf("%s/ior/out.%04d", cfg.PFSDir, n)
+		e.SpawnStep("ior", probeWriter("shared-bw probe", sys.Resolve(n, path), path, perNode, chunk))
 	}
 	elapsed := e.Run()
 	if err := e.Err(); err != nil {
@@ -394,21 +380,8 @@ func ProbeNodeLocalBW(cfg StorageConfig) (float64, error) {
 	sys := storage.New(e, cfg, 1, sim.NewRNG(1))
 	const total = 8 * storage.GiB
 	const chunk = 16 * storage.MiB
-	e.Spawn("probe", func(p *sim.Proc) {
-		path := cfg.NodeLocalDir + "/probe"
-		f, err := sys.Open(p, 0, path, true)
-		if err != nil {
-			e.Fail(fmt.Errorf("node-local probe: open %s: %w", path, err))
-			return
-		}
-		for off := int64(0); off < total; off += chunk {
-			if err := f.Write(p, off, chunk); err != nil {
-				e.Fail(fmt.Errorf("node-local probe: write %s: %w", path, err))
-				return
-			}
-		}
-		f.Close(p)
-	})
+	path := cfg.NodeLocalDir + "/probe"
+	e.SpawnStep("probe", probeWriter("node-local probe", sys.Resolve(0, path), path, total, chunk))
 	elapsed := e.Run()
 	if err := e.Err(); err != nil {
 		return 0, err
@@ -417,6 +390,40 @@ func ProbeNodeLocalBW(cfg StorageConfig) (float64, error) {
 		return 0, nil
 	}
 	return float64(total) / elapsed.Seconds(), nil
+}
+
+// probeWriter is a probe's writer as a step process: it opens f (creating
+// it), writes total bytes to it in sequential chunk-sized writes and closes
+// it. A failed open or write is the step's error, named by what and path.
+func probeWriter(what string, f *storage.File, path string, total, chunk int64) sim.Step {
+	var o storage.Op
+	o.Open(f, true)
+	var off int64 // the next write's offset; 0 while the open is in flight
+	closing := false
+	return func(p *sim.Proc) (time.Duration, error) {
+		for {
+			if t, more := o.Step(); more {
+				return t, nil
+			}
+			if closing {
+				return sim.Done, nil
+			}
+			if err := o.Err(); err != nil {
+				call := "open"
+				if off > 0 {
+					call = "write"
+				}
+				return 0, fmt.Errorf("%s: %s %s: %w", what, call, path, err)
+			}
+			if off < total {
+				o.Write(f, off, chunk)
+				off += chunk
+			} else {
+				o.Close(f)
+				closing = true
+			}
+		}
+	}
 }
 
 // WorkloadDoc is a parsed declarative workload spec (the internal/spec
