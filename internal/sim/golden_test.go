@@ -200,8 +200,7 @@ func runSoup(seed int64) (uint64, *Engine) {
 
 // TestScheduleGolden pins the kernel's event order across commits, not only
 // within one binary: the soup's resumption log and event count equal the
-// constants captured before the kernel was rewritten, and its hand-offs,
-// in-place wake-ups and end time equal the coroutine soup's.
+// constants captured before the kernel was rewritten.
 func TestScheduleGolden(t *testing.T) {
 	hash, e := runSoup(7)
 	if err := e.Err(); err != nil {
@@ -211,15 +210,30 @@ func TestScheduleGolden(t *testing.T) {
 		t.Errorf("soup schedule: hash %#x, %d events; want %#x, %d",
 			hash, e.EventsExecuted, soupHash, soupEvents)
 	}
-	if e.Switches != soupSwitches || e.InPlaceWakes != soupInPlaceWakes || e.Now() != soupEnd {
-		t.Errorf("soup: %d switches, %d in place, ends %v; want %d, %d, %v",
-			e.Switches, e.InPlaceWakes, e.Now(), soupSwitches, soupInPlaceWakes, soupEnd)
-	}
-	if e.Live() != 0 {
-		t.Errorf("%d processes live after the soup", e.Live())
-	}
 	if again, e2 := runSoup(7); again != hash || e2.EventsExecuted != e.EventsExecuted {
 		t.Errorf("soup differs between two runs of one binary: %#x/%d vs %#x/%d",
 			again, e2.EventsExecuted, hash, e.EventsExecuted)
+	}
+}
+
+// TestStepSoupMatchesCoroutineSoup: the soup run as step processes has the
+// schedule the coroutine soup had — the pinned resumption log and event
+// count — and the same hand-offs, in-place wake-ups and end time, the
+// coroutine soup's as recorded before that process kind was deleted.
+func TestStepSoupMatchesCoroutineSoup(t *testing.T) {
+	hash, e := runSoup(7)
+	if err := e.Err(); err != nil {
+		t.Fatalf("step soup failed: %v", err)
+	}
+	if hash != soupHash || e.EventsExecuted != soupEvents {
+		t.Errorf("step soup schedule: hash %#x, %d events; want %#x, %d",
+			hash, e.EventsExecuted, soupHash, soupEvents)
+	}
+	if e.Switches != soupSwitches || e.InPlaceWakes != soupInPlaceWakes || e.Now() != soupEnd {
+		t.Errorf("step soup: %d switches, %d in place, ends %v; coroutine soup: %d, %d, %v",
+			e.Switches, e.InPlaceWakes, e.Now(), soupSwitches, soupInPlaceWakes, soupEnd)
+	}
+	if e.Live() != 0 {
+		t.Errorf("%d processes live after the step soup", e.Live())
 	}
 }
